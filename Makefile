@@ -1,8 +1,9 @@
 GO ?= go
 FUZZTIME ?= 10s
 SERVE_ADDR ?= 127.0.0.1:6380
+SUITE ?= list
 
-.PHONY: build test test-race vet fuzz-short torture-short compaction-stress backup-stress crash-stress scrub-stress repl-stress cache-stress reshard-stress serve netbench serve-smoke ci clean
+.PHONY: build test test-race vet benchmark-module fuzz-short stress serve netbench ci clean
 
 build:
 	$(GO) build ./...
@@ -15,6 +16,12 @@ test-race:
 
 vet:
 	$(GO) vet ./...
+
+# The frozen benchmark/ directory is its own module (replace p2kvs => ../):
+# root ./... neither builds nor tests it, so a refactor of internal/* could
+# break it unnoticed without this.
+benchmark-module:
+	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
 # Short fuzzing pass over every fuzz target (Go runs one -fuzz target per
 # invocation, so each gets its own line).
@@ -29,78 +36,28 @@ fuzz-short:
 	$(GO) test -fuzz=FuzzParse -fuzztime=$(FUZZTIME) ./internal/checkpoint
 	$(GO) test -fuzz=FuzzReplStream -fuzztime=$(FUZZTIME) ./internal/repl
 
-# Short overload + torture pass: the fault-injection torture run (one
-# seed, reduced ops under -short) plus the accessing layer's admission /
-# deadline / drain lifecycle tests, all race-enabled and time-bounded.
-torture-short:
-	$(GO) test -race -short -timeout 5m -run 'Torture|Admit|Expired|Deadline|Drain|Close|Queue' ./internal/torture ./internal/core
-
-# Compaction-scheduler stress: the parallel-compaction and slowdown tests
-# under the race detector, plus the short torture run that hammers
-# concurrent compactions with fault injection and crash cycles.
-compaction-stress:
-	$(GO) test -race -timeout 10m -run 'Compaction|Scheduler|Slowdown|Subcompaction|JobsConflict|RangesOverlap|MergeFiles' ./internal/lsm
-	$(GO) test -race -short -timeout 5m -run 'Torture/lsm-parallel' ./internal/torture
-
-# Backup/restore stress: the restore-equivalence torture (checkpoint →
-# restore → byte-identical dump, for every engine family, including a
-# wrecked mid-checkpoint attempt), the checkpoint/barrier battery in core,
-# and the manifest parser's deterministic mutation sweep — all under the
-# race detector.
-backup-stress:
-	$(GO) test -race -timeout 10m -run 'RestoreEquivalence' ./internal/torture
-	$(GO) test -race -timeout 5m -run 'Checkpoint|Restore|Barrier' ./internal/core
-	$(GO) test -race -timeout 5m -run 'Manifest|ParseMutations|ParseRejects' ./internal/checkpoint
-	$(GO) test -race -timeout 5m -run 'Backup|Restore' .
-
-# At-rest integrity stress: the bit-flip torture (random single-bit
-# flips across every engine family's files; every read must come back
-# correct, not-found, or loudly CORRUPTION — never silently wrong), the
-# per-engine corruption/quarantine/repair batteries, the scrub runner,
-# the WAL rot-vs-tear discrimination tests, and the end-to-end
-# over-the-wire corruption test — all race-enabled.
-scrub-stress:
-	$(GO) test -race -timeout 10m -run 'BitFlipAtRestTorture' ./internal/torture
-	$(GO) test -race -timeout 5m -run 'Corrupt|Scrub|Quarantine|Repair|Flip|Rot|Checksum|Limiter|Runner' \
-		./internal/block ./internal/wal ./internal/lsm ./internal/btreekv \
-		./internal/kvell ./internal/scrub ./internal/vfs ./internal/server
-
-# Crash-recovery stress: kill -9 a real server process under pipelined
-# load, restart, verify acked writes (commit mode) / clean recovery
-# (async modes) over the wire. CYCLES=n overrides the commit-mode count.
-crash-stress:
-	./scripts/crash-stress.sh
-
-# Replication stress: race-enabled protocol/backlog/sync tests, then the
-# crashkv -replica torture (SIGKILL primary/replica mid-stream, verify
-# acked-write durability, partial resync and full-sync fallback).
-repl-stress:
-	./scripts/repl-stress.sh
-
-# Hot-key read-cache stress: the cache's own unit battery, the store-level
-# coherence/bypass/invalidation tests, and the shadow-model torture with
-# the cache enabled (any stale read fails) — all under the race detector —
-# then the before/after zipfian benchmark, which must show a real speedup.
-cache-stress:
-	$(GO) test -race -timeout 5m ./internal/hotcache
-	$(GO) test -race -short -timeout 5m -run 'HotCache|MultiGetAdmit|ShardDistribution|OversizedPut' ./internal/core ./internal/cache ./internal/torture
-	$(GO) run ./cmd/dbbench -hotcache_bench -num 20000 -threads 4 -p2 -workers 4 -devscale 0.2
-
-# Online-reshard stress: the crash/fault shadow-model torture with live
-# reshards (short: one seed), the ring/moved-range property tests, the
-# core reshard battery (grow, shrink, abort, reopen, cleanup recovery,
-# Migrate ≡ Reshard, txns through the cutover), the server RESHARD
-# tests and the elastic facade tests — all race-enabled — then a live
-# dbbench 4→5 reshard under a zipfian update mix with -verify, which
-# fails the run on any lost/duplicated acked write or a cutover pause
-# over budget.
-reshard-stress:
-	$(GO) test -race -short -timeout 10m -run 'ReshardTorture' ./internal/torture
-	$(GO) test -race -timeout 5m ./internal/reshard ./internal/keyspace
-	$(GO) test -race -timeout 10m -run 'Reshard|MigrateMatchesReshard' ./internal/core ./internal/server
-	$(GO) test -race -timeout 5m -run 'FacadeElastic' .
-	$(GO) run ./cmd/dbbench -p2 -workers 4 -elastic -num 60000 -threads 4 \
-		-benchmarks fillrandom,updatezipfian -reshard_at 30000 -reshard_to 5 -verify
+# make stress SUITE=<name>|all|list — every race/torture/end-to-end battery
+# is a suite: a few rows of the table in scripts/stress.sh (go test -run
+# regexes, dbbench/netbench invocations, the server smoke). CI runs the
+# same table as a matrix. Suites, and the targets and scripts they replace
+# (each suite runs every command its predecessors ran, plus the fuzz or
+# torture step the matching CI job used to carry on the side):
+#
+#   overload    <- make torture-short
+#   compaction  <- make compaction-stress
+#   backup      <- make backup-stress            (+ CI's FuzzParse smoke)
+#   scrub       <- make scrub-stress             (+ CI's FuzzBlockRead smoke)
+#   crash       <- make crash-stress, scripts/crash-stress.sh, cmd/crashkv
+#                  (+ CI's DiskFull torture): netbench -crash, commit x25 +
+#                  interval/never/wiredtiger x5, zero acked-write loss
+#   repl        <- make repl-stress, scripts/repl-stress.sh, crashkv -replica
+#                  (+ CI's FuzzReplStream smoke): netbench -crash -crash_replica
+#   cache       <- make cache-stress; the hotcache BENCH line must show >= 1.5x
+#   reshard     <- make reshard-stress (minus the deleted MigrateMatchesReshard)
+#   serve       <- make serve-smoke, scripts/serve-smoke.sh (+ CI's FuzzRESPParse
+#                  smoke, + netbench -cluster 3 must scale GETs >= 2.2x)
+stress:
+	./scripts/stress.sh $(SUITE)
 
 # Run the RESP server in-memory on SERVE_ADDR (redis-cli compatible).
 serve:
@@ -110,12 +67,7 @@ serve:
 netbench:
 	$(GO) run ./cmd/netbench -addr $(SERVE_ADDR) -conns 8 -pipeline 16 -num 20000
 
-# End-to-end smoke: boot the server, run netbench against it, verify the
-# pipelined ops reached the engines as batches, SIGTERM, assert clean drain.
-serve-smoke:
-	./scripts/serve-smoke.sh
-
-ci: vet build test-race
+ci: vet build test-race benchmark-module
 
 clean:
 	$(GO) clean ./...

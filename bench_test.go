@@ -1,67 +1,49 @@
 // bench_test.go exposes every paper experiment as a testing.B benchmark
-// (one per table/figure, mirroring DESIGN.md's per-experiment index) plus
-// engine-level micro-benchmarks. The figure benchmarks run the registered
-// experiment in Quick mode once per iteration and report the rows to the
-// benchmark log; use cmd/p2kvs-bench for full-budget runs.
-package p2kvs
+// (sub-benchmarks of BenchmarkExperiment, one per table/figure, mirroring
+// DESIGN.md's per-experiment index) plus engine-level micro-benchmarks.
+// The experiment benchmarks run the registered experiment in Quick mode
+// once per iteration and report the rows to the benchmark log; use
+// `dbbench -experiment` for full-budget runs.
+package p2kvs_test
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"sync"
 	"testing"
 
+	"p2kvs"
 	"p2kvs/internal/bench"
+	"p2kvs/internal/ikey"
 	"p2kvs/internal/kv"
+	"p2kvs/internal/loadgen"
 	"p2kvs/internal/lsm"
 	"p2kvs/internal/memtable"
 	"p2kvs/internal/skiplist"
 	"p2kvs/internal/vfs"
 	"p2kvs/internal/wal"
-	"p2kvs/internal/workload"
-
-	"bytes"
-
-	"p2kvs/internal/ikey"
 )
 
-// experimentBench runs one registered experiment per iteration.
-func experimentBench(b *testing.B, name string) {
-	b.Helper()
-	for i := 0; i < b.N; i++ {
-		tbl, err := bench.Run(name, bench.Env{Quick: true, Out: io.Discard})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			var sb bytes.Buffer
-			tbl.Print(&sb)
-			b.Log(sb.String())
-		}
+// BenchmarkExperiment runs each registered experiment per iteration:
+// go test -bench 'Experiment/fig12$'.
+func BenchmarkExperiment(b *testing.B) {
+	for _, name := range bench.Names() {
+		b.Run(name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				tbl, err := bench.Run(name, bench.Env{Quick: true, Out: io.Discard})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if i == 0 {
+					var sb bytes.Buffer
+					tbl.Print(&sb)
+					b.Log(sb.String())
+				}
+			}
+		})
 	}
 }
-
-func BenchmarkFig1(b *testing.B)              { experimentBench(b, "fig1") }
-func BenchmarkFig4(b *testing.B)              { experimentBench(b, "fig4") }
-func BenchmarkFig5(b *testing.B)              { experimentBench(b, "fig5") }
-func BenchmarkFig6(b *testing.B)              { experimentBench(b, "fig6") }
-func BenchmarkFig7(b *testing.B)              { experimentBench(b, "fig7") }
-func BenchmarkFig8(b *testing.B)              { experimentBench(b, "fig8") }
-func BenchmarkFig12(b *testing.B)             { experimentBench(b, "fig12") }
-func BenchmarkTable2(b *testing.B)            { experimentBench(b, "table2") }
-func BenchmarkFig13(b *testing.B)             { experimentBench(b, "fig13") }
-func BenchmarkFig14(b *testing.B)             { experimentBench(b, "fig14") }
-func BenchmarkFig15(b *testing.B)             { experimentBench(b, "fig15") }
-func BenchmarkFig16(b *testing.B)             { experimentBench(b, "fig16") }
-func BenchmarkFig17(b *testing.B)             { experimentBench(b, "fig17") }
-func BenchmarkFig18(b *testing.B)             { experimentBench(b, "fig18") }
-func BenchmarkFig20(b *testing.B)             { experimentBench(b, "fig20") }
-func BenchmarkFig21(b *testing.B)             { experimentBench(b, "fig21") }
-func BenchmarkFig22(b *testing.B)             { experimentBench(b, "fig22") }
-func BenchmarkFig23(b *testing.B)             { experimentBench(b, "fig23") }
-func BenchmarkAblationBatch(b *testing.B)     { experimentBench(b, "ablation-batch") }
-func BenchmarkAblationPartition(b *testing.B) { experimentBench(b, "ablation-partition") }
-func BenchmarkAblationScan(b *testing.B)      { experimentBench(b, "ablation-scan") }
 
 // ---------------------------------------------------------------------------
 // Engine micro-benchmarks (per-op costs, no simulated device)
@@ -93,10 +75,10 @@ func BenchmarkSkiplistInsertBasic(b *testing.B) {
 
 func BenchmarkMemtableAddGet(b *testing.B) {
 	m := memtable.New(true)
-	val := workload.Value(1, 128)
+	val := loadgen.Value(1, 0, 128)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		k := workload.Key(uint64(i % 100000))
+		k := loadgen.Key(uint64(i % 100000))
 		m.Add(uint64(i+1), ikey.KindSet, k, val)
 		if i%4 == 0 {
 			m.Get(k, ikey.MaxSeq)
@@ -125,10 +107,10 @@ func BenchmarkLSMPut128(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer db.Close()
-	val := workload.Value(1, 128)
+	val := loadgen.Value(1, 0, 128)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := db.Put(workload.Key(uint64(i)), val); err != nil {
+		if err := db.Put(loadgen.Key(uint64(i)), val); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -143,31 +125,31 @@ func BenchmarkLSMGet(b *testing.B) {
 	}
 	defer db.Close()
 	const n = 100000
-	val := workload.Value(1, 128)
+	val := loadgen.Value(1, 0, 128)
 	for i := 0; i < n; i++ {
-		db.Put(workload.Key(uint64(i)), val)
+		db.Put(loadgen.Key(uint64(i)), val)
 	}
 	if err := db.Flush(); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := db.Get(workload.Key(uint64(i % n))); err != nil {
+		if _, err := db.Get(loadgen.Key(uint64(i % n))); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 func BenchmarkP2KVSPut(b *testing.B) {
-	s, err := Open(Options{Dir: "bench-db", Workers: 4, InMemory: true})
+	s, err := p2kvs.Open(p2kvs.Options{Dir: "bench-db", Workers: 4, InMemory: true})
 	if err != nil {
 		b.Fatal(err)
 	}
 	defer s.Close()
-	val := workload.Value(1, 128)
+	val := loadgen.Value(1, 0, 128)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := s.Put(workload.Key(uint64(i)), val); err != nil {
+		if err := s.Put(loadgen.Key(uint64(i)), val); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -175,18 +157,18 @@ func BenchmarkP2KVSPut(b *testing.B) {
 }
 
 func BenchmarkP2KVSPutAsync(b *testing.B) {
-	s, err := Open(Options{Dir: "bench-db", Workers: 4, InMemory: true})
+	s, err := p2kvs.Open(p2kvs.Options{Dir: "bench-db", Workers: 4, InMemory: true})
 	if err != nil {
 		b.Fatal(err)
 	}
 	defer s.Close()
-	val := workload.Value(1, 128)
+	val := loadgen.Value(1, 0, 128)
 	var pending sync.WaitGroup
 	cb := func(error) { pending.Done() }
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		pending.Add(1)
-		if err := s.PutAsync(workload.Key(uint64(i)), val, cb); err != nil {
+		if err := s.PutAsync(loadgen.Key(uint64(i)), val, cb); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -195,26 +177,24 @@ func BenchmarkP2KVSPutAsync(b *testing.B) {
 }
 
 func BenchmarkP2KVSGetParallel(b *testing.B) {
-	s, err := Open(Options{Dir: "bench-db", Workers: 4, InMemory: true})
+	s, err := p2kvs.Open(p2kvs.Options{Dir: "bench-db", Workers: 4, InMemory: true})
 	if err != nil {
 		b.Fatal(err)
 	}
 	defer s.Close()
 	const n = 50000
-	val := workload.Value(1, 128)
+	val := loadgen.Value(1, 0, 128)
 	for i := 0; i < n; i++ {
-		s.Put(workload.Key(uint64(i)), val)
+		s.Put(loadgen.Key(uint64(i)), val)
 	}
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
 		i := 0
 		for pb.Next() {
-			if _, err := s.Get(workload.Key(uint64(i % n))); err != nil && err != kv.ErrNotFound {
+			if _, err := s.Get(loadgen.Key(uint64(i % n))); err != nil && err != kv.ErrNotFound {
 				b.Fatal(err)
 			}
 			i++
 		}
 	})
 }
-
-func BenchmarkAblationCache(b *testing.B) { experimentBench(b, "ablation-cache") }

@@ -1,157 +1,62 @@
 // The -hotcache_bench mode: a before/after measurement of the hot-key
 // read cache under skewed load. Two identical stores are built over the
 // same simulated device profile — one with the cache disabled, one with
-// it enabled — loaded with the same keys, and driven through a zipfian
-// YCSB-C phase (100% reads) and a YCSB-B phase (95% reads / 5% writes).
-// The result is emitted as a single BENCH json line for scripted
-// consumption; the headline number is the YCSB-C speedup.
+// it enabled — loaded with the same keys, and driven through zipfian
+// ycsb-c (100% reads) and ycsb-b (95% reads / 5% writes). The result is
+// emitted as a single BENCH json line for scripted consumption; the
+// headline number is the ycsb-c speedup.
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
-	"sync"
-	"sync/atomic"
-	"time"
 
 	"p2kvs"
-	"p2kvs/internal/workload"
+	"p2kvs/internal/loadgen"
 )
 
-type hotCacheBenchConfig struct {
-	engine     string
-	workers    int
-	num        int
-	valueSize  int
-	threads    int
-	device     string
-	devScale   float64
-	cacheBytes int64
-}
-
-// hotCacheBenchResult is the BENCH json schema for -hotcache_bench.
-type hotCacheBenchResult struct {
-	Benchmark     string  `json:"benchmark"`
-	Engine        string  `json:"engine"`
-	Workers       int     `json:"workers"`
-	Keys          int     `json:"keys"`
-	ValueSize     int     `json:"value_size"`
-	Threads       int     `json:"threads"`
-	Device        string  `json:"device"`
-	DeviceScale   float64 `json:"device_scale"`
-	CacheBytes    int64   `json:"cache_bytes"`
-	YcsbCOpsOff   float64 `json:"ycsbc_ops_nocache"`
-	YcsbCOpsOn    float64 `json:"ycsbc_ops_cache"`
-	YcsbCSpeedup  float64 `json:"ycsbc_speedup"`
-	YcsbBOpsOff   float64 `json:"ycsbb_ops_nocache"`
-	YcsbBOpsOn    float64 `json:"ycsbb_ops_cache"`
-	YcsbBSpeedup  float64 `json:"ycsbb_speedup"`
-	CacheHits     int64   `json:"cache_hits"`
-	CacheMisses   int64   `json:"cache_misses"`
-	CacheHitRate  float64 `json:"cache_hit_rate"`
-	Invalidations int64   `json:"cache_invalidations"`
-}
-
-func runHotCacheBench(cfg hotCacheBenchConfig) {
-	fail := func(stage string, err error) {
-		fmt.Fprintf(os.Stderr, "dbbench: hotcache %s: %v\n", stage, err)
-		os.Exit(1)
+func runHotCacheBench(opts p2kvs.Options, run runConfig) {
+	opts.InMemory = true
+	if opts.HotCacheBytes == 0 {
+		opts.HotCacheBytes = -1 // default budget; 0 would bench nothing
 	}
-	if cfg.cacheBytes == 0 {
-		cfg.cacheBytes = -1 // default budget; 0 would bench nothing
-	}
-	if cfg.device == "" {
-		cfg.device = "sata"
+	if opts.SimulateDevice == "" {
+		opts.SimulateDevice = "sata"
 	}
 	fmt.Printf("hotcache bench: engine=%s workers=%d keys=%d value=%dB threads=%d device=%s scale=%g cache=%d\n",
-		cfg.engine, cfg.workers, cfg.num, cfg.valueSize, cfg.threads, cfg.device, cfg.devScale, cfg.cacheBytes)
+		opts.Engine, opts.Workers, run.num, run.valueSize, run.threads, opts.SimulateDevice, opts.DeviceScale, opts.HotCacheBytes)
 
 	boot := func(dir string, cache int64) *p2kvs.Store {
-		s, err := p2kvs.Open(p2kvs.Options{
-			Dir:            dir,
-			Workers:        cfg.workers,
-			Engine:         p2kvs.EngineKind(cfg.engine),
-			InMemory:       true,
-			SimulateDevice: cfg.device,
-			DeviceScale:    cfg.devScale,
-			HotCacheBytes:  cache,
-		})
+		o := opts
+		o.Dir, o.HotCacheBytes = dir, cache
+		s, err := p2kvs.Open(o)
+		if err == nil {
+			// Preload flushes, so reads hit SSTs (and the device), not
+			// just memtables — the cache-off baseline must pay the real
+			// read path.
+			err = loadgen.Preload(s, run.num, run.valueSize)
+		}
 		if err != nil {
-			fail("open", err)
+			fatal(fmt.Errorf("hotcache: %w", err))
 		}
 		return s
 	}
-	load := func(s *p2kvs.Store) {
-		var b p2kvs.Batch
-		for i := 0; i < cfg.num; i++ {
-			b.Put(workload.Key(uint64(i)), workload.Value(uint64(i), cfg.valueSize))
-			if b.Len() == 128 || i == cfg.num-1 {
-				if err := s.Write(&b); err != nil {
-					fail("load", err)
-				}
-				b.Reset()
-			}
-		}
-		// Flush so reads hit SSTs (and the device), not just memtables —
-		// the cache-off baseline must pay the real read path.
-		if err := s.Flush(); err != nil {
-			fail("flush", err)
-		}
-	}
-	// measure drives cfg.num zipfian ops across cfg.threads goroutines;
-	// writePct of them are Puts (YCSB-B = 5, YCSB-C = 0).
-	measure := func(s *p2kvs.Store, writePct int, seedBase int64) float64 {
-		perThread := cfg.num / cfg.threads
-		if perThread < 1 {
-			perThread = 1
-		}
-		var wg sync.WaitGroup
-		var failed atomic.Value
-		start := time.Now()
-		for t := 0; t < cfg.threads; t++ {
-			wg.Add(1)
-			go func(tid int) {
-				defer wg.Done()
-				ch := workload.NewZipfian(uint64(cfg.num), seedBase+int64(tid))
-				for i := 0; i < perThread; i++ {
-					idx := ch.Next()
-					var err error
-					if writePct > 0 && i%(100/writePct) == 0 {
-						err = s.Put(workload.Key(idx), workload.Value(idx, cfg.valueSize))
-					} else {
-						_, err = s.Get(workload.Key(idx))
-					}
-					if err != nil {
-						failed.Store(err)
-						return
-					}
-				}
-			}(t)
-		}
-		wg.Wait()
-		if err := failed.Load(); err != nil {
-			fail("measure", err.(error))
-		}
-		return float64(perThread*cfg.threads) / time.Since(start).Seconds()
+	opsPerSec := func(s *p2kvs.Store, mix string) float64 {
+		tally, elapsed := run.phase(s, loadgen.MustLookup(mix), run.num)
+		return float64(tally.Ops.Load()) / elapsed.Seconds()
 	}
 
-	// Baseline: cache off.
 	off := boot("hotcache-off", 0)
-	load(off)
-	cOff := measure(off, 0, 1)
-	bOff := measure(off, 5, 101)
+	cOff, bOff := opsPerSec(off, "ycsb-c"), opsPerSec(off, "ycsb-b")
 	off.Close()
 	fmt.Printf("ycsb-c nocache : %12.0f ops/sec\n", cOff)
 	fmt.Printf("ycsb-b nocache : %12.0f ops/sec\n", bOff)
 
 	// Under test: cache on. A warm pass populates the hot set before
 	// measurement, as any steady-state serving tier would be.
-	on := boot("hotcache-on", cfg.cacheBytes)
-	load(on)
-	measure(on, 0, 1)
-	cOn := measure(on, 0, 1)
-	bOn := measure(on, 5, 101)
+	on := boot("hotcache-on", opts.HotCacheBytes)
+	opsPerSec(on, "ycsb-c")
+	cOn, bOn := opsPerSec(on, "ycsb-c"), opsPerSec(on, "ycsb-b")
 	snap := on.StatsSnapshot()
 	on.Close()
 	fmt.Printf("ycsb-c cache   : %12.0f ops/sec (%.2fx)\n", cOn, cOn/cOff)
@@ -163,27 +68,23 @@ func runHotCacheBench(cfg hotCacheBenchConfig) {
 	fmt.Printf("cache          : hits=%d misses=%d hit_rate=%.3f invalidations=%d\n",
 		snap.CacheHits, snap.CacheMisses, hitRate, snap.CacheInvalidations)
 
-	res := hotCacheBenchResult{
-		Benchmark:     "hotcache",
-		Engine:        cfg.engine,
-		Workers:       cfg.workers,
-		Keys:          cfg.num,
-		ValueSize:     cfg.valueSize,
-		Threads:       cfg.threads,
-		Device:        cfg.device,
-		DeviceScale:   cfg.devScale,
-		CacheBytes:    cfg.cacheBytes,
-		YcsbCOpsOff:   cOff,
-		YcsbCOpsOn:    cOn,
-		YcsbCSpeedup:  cOn / cOff,
-		YcsbBOpsOff:   bOff,
-		YcsbBOpsOn:    bOn,
-		YcsbBSpeedup:  bOn / bOff,
-		CacheHits:     snap.CacheHits,
-		CacheMisses:   snap.CacheMisses,
-		CacheHitRate:  hitRate,
-		Invalidations: snap.CacheInvalidations,
-	}
-	out, _ := json.Marshal(res)
-	fmt.Printf("BENCH %s\n", out)
+	loadgen.EmitBench(os.Stdout, "hotcache",
+		"engine", opts.Engine,
+		"workers", opts.Workers,
+		"keys", run.num,
+		"value_size", run.valueSize,
+		"threads", run.threads,
+		"device", opts.SimulateDevice,
+		"device_scale", opts.DeviceScale,
+		"cache_bytes", opts.HotCacheBytes,
+		"ycsbc_ops_nocache", cOff,
+		"ycsbc_ops_cache", cOn,
+		"ycsbc_speedup", cOn/cOff,
+		"ycsbb_ops_nocache", bOff,
+		"ycsbb_ops_cache", bOn,
+		"ycsbb_speedup", bOn/bOff,
+		"cache_hits", snap.CacheHits,
+		"cache_misses", snap.CacheMisses,
+		"cache_hit_rate", hitRate,
+		"cache_invalidations", snap.CacheInvalidations)
 }

@@ -1,204 +1,232 @@
 // Command dbbench is this repository's counterpart of RocksDB's db_bench
-// — the tool the paper's micro-benchmarks and artifact use. It runs the
-// standard workloads (fillseq, fillrandom, updaterandom, readseq,
-// readrandom, scan) against any engine, standalone or under p2KVS,
-// optionally behind a simulated device, and prints db_bench-style result
-// lines.
+// — the tool the paper's micro-benchmarks and artifact use — and the one
+// embedded load driver: it runs any row of the loadgen op-mix table
+// (fillseq … scan, ycsb-load, ycsb-a … ycsb-f) against any engine,
+// standalone or under p2KVS, optionally behind a simulated device;
+// regenerates the paper's tables and figures (-experiment); and measures
+// the hot-key cache before/after (-hotcache_bench).
 //
-// Example:
+// Examples:
 //
-//	dbbench -benchmarks fillrandom,readrandom -num 100000 -threads 8 \
-//	        -engine rocksdb -p2 -workers 8 -device nvme -devscale 0.02
+//	dbbench -benchmarks fillrandom,readrandom,ycsb-a -num 100000 -threads 8 \
+//	        -p2 -workers 8 -device nvme -devscale 0.02 -verify
+//	dbbench -experiment fig12 -quick        # -list prints the experiment ids
+//	dbbench -hotcache_bench -p2 -workers 4 -num 20000 -threads 4 -devscale 0.2
 package main
 
 import (
-	"bytes"
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"os"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"p2kvs"
-	"p2kvs/internal/histogram"
+	"p2kvs/internal/bench"
 	"p2kvs/internal/kv"
-	"p2kvs/internal/workload"
+	"p2kvs/internal/loadgen"
 )
 
 func main() {
 	var (
-		benchmarks = flag.String("benchmarks", "fillseq,readrandom", "comma-separated workload list")
-		num        = flag.Int("num", 100000, "number of operations per workload")
+		benchmarks = flag.String("benchmarks", "fillseq,readrandom", "comma-separated op mixes: fillseq, fillrandom, updaterandom, updatezipfian, readseq, readrandom, readzipfian, scan, ycsb-load, ycsb-a … ycsb-f")
+		num        = flag.Int("num", 0, "operations per benchmark and size of the key space (0 = 100000; under -experiment, 0 = the experiment default)")
 		valueSize  = flag.Int("value_size", 128, "value size in bytes")
 		threads    = flag.Int("threads", 1, "concurrent client threads")
-		engine     = flag.String("engine", "rocksdb", "engine: rocksdb, leveldb, pebblesdb, wiredtiger, kvell")
-		p2         = flag.Bool("p2", false, "run under p2KVS")
-		workers    = flag.Int("workers", 8, "p2KVS worker count")
-		dir        = flag.String("dir", "", "data directory (default: in-memory)")
-		dev        = flag.String("device", "", "simulated device: nvme, sata, hdd")
-		devScale   = flag.Float64("devscale", 1.0, "simulated device time scale")
+		p2         = flag.Bool("p2", false, "run under p2KVS with -workers instances (default: one instance)")
 		scanSize   = flag.Int("scan_size", 100, "keys per scan op")
-		syncWAL    = flag.Bool("sync", false, "fsync per commit")
-		admission  = flag.String("admission", "block", "admission policy: block, reject, wait")
 		opDeadline = flag.Duration("op_deadline", 0, "per-op deadline (0 = none); rejected/expired ops are counted, not fatal")
-		queueDepth = flag.Int("queue_depth", 0, "per-worker queue depth (0 = default 4096)")
 		statsJSON  = flag.Bool("stats_json", false, "print the store's StatsJSON document after the run")
-		maxBgComp  = flag.Int("max_bg_compactions", 0, "concurrent compactions per LSM instance (0 = default 2)")
-		subComp    = flag.Int("subcompactions", 0, "parallel key-range splits per compaction (0 = default 1, off)")
-		l0Slowdown = flag.Int("l0_slowdown", 0, "L0 file count that soft-delays writers (0 = engine default)")
 		ckptEvery  = flag.Int("checkpoint_every", 0, "take an online checkpoint every N completed ops (0 = off)")
 		ckptDir    = flag.String("checkpoint_dir", "dbbench-backup", "backup set -checkpoint_every writes into")
-		verify     = flag.Bool("verify", false, "paranoid reads: check every read value against the workload pattern; corruption errors are counted, a silently wrong value is fatal")
-		hotCache   = flag.Int64("hot_cache", 0, "hot-key read cache budget in bytes; hits bypass queue admission (-1 = default 32 MiB; 0 disables)")
-		hcBench    = flag.Bool("hotcache_bench", false, "run the hot-cache before/after benchmark instead of -benchmarks: zipfian YCSB-C and YCSB-B phases against cache-off and cache-on stores, emitted as a BENCH json line")
-		elastic    = flag.Bool("elastic", false, "open the store elastic (consistent-hash ring + online resharding)")
+		verify     = flag.Bool("verify", false, "paranoid reads: check every read value against the value codec; corruption errors are counted, a silently wrong value is fatal")
+		hcBench    = flag.Bool("hotcache_bench", false, "run the hot-cache before/after benchmark instead of -benchmarks: zipfian ycsb-c and ycsb-b against cache-off and cache-on stores, emitted as a BENCH json line")
 		reshardAt  = flag.Int("reshard_at", 0, "trigger an online reshard after this many completed ops (0 = never; requires -elastic)")
 		reshardTo  = flag.Int("reshard_to", 0, "worker count the -reshard_at reshard grows/shrinks to")
-		cutoverBgt = flag.Duration("cutover_budget", 0, "max writer pause per reshard cutover attempt (0 = default 10ms); with -verify, a pause over budget fails the run")
+		experiment = flag.String("experiment", "", "regenerate a paper table/figure instead of -benchmarks: an experiment id, a comma-separated list, or all")
+		list       = flag.Bool("list", false, "list the -experiment ids and exit")
+		quick      = flag.Bool("quick", false, "-experiment: trim every sweep to its end points and shrink budgets for a fast smoke run")
+		budget     = flag.Duration("budget", 0, "-experiment: wall-clock budget per measured cell (0 = 2s)")
+		maxOps     = flag.Int("maxops", 0, "-experiment: max operations per cell (0 = 40000)")
 	)
+	storeOpts := loadgen.StoreFlags(flag.CommandLine, p2kvs.Options{Workers: 8})
 	flag.Parse()
-	verifier.on = *verify
 
-	var policy p2kvs.AdmissionPolicy
-	switch *admission {
-	case "block":
-		policy = p2kvs.AdmitBlock
-	case "reject":
-		policy = p2kvs.AdmitReject
-	case "wait":
-		policy = p2kvs.AdmitWait
-	default:
-		fmt.Fprintf(os.Stderr, "dbbench: unknown admission policy %q\n", *admission)
-		os.Exit(2)
+	if *list {
+		for _, name := range bench.Names() {
+			fmt.Println(name)
+		}
+		return
 	}
-
-	w := 1
-	if *p2 {
-		w = *workers
-	}
-	if *hcBench {
-		runHotCacheBench(hotCacheBenchConfig{
-			engine: *engine, workers: w, num: *num, valueSize: *valueSize,
-			threads: *threads, device: *dev, devScale: *devScale,
-			cacheBytes: *hotCache,
+	if *experiment != "" {
+		runExperiments(*experiment, bench.Env{
+			Out: os.Stdout, Quick: *quick, Budget: *budget,
+			Keys: *num, ValueSize: *valueSize, MaxOps: *maxOps,
 		})
 		return
 	}
-	store, err := p2kvs.Open(p2kvs.Options{
-		Dir:            orDefault(*dir, "dbbench-db"),
-		Workers:        w,
-		Engine:         p2kvs.EngineKind(*engine),
-		InMemory:       *dir == "",
-		SimulateDevice: *dev,
-		DeviceScale:    *devScale,
-		SyncWAL:        *syncWAL,
-		Admission:      policy,
-		QueueDepth:     *queueDepth,
 
-		MaxBackgroundCompactions: *maxBgComp,
-		MaxSubCompactions:        *subComp,
-		L0SlowdownTrigger:        *l0Slowdown,
-
-		HotCacheBytes: *hotCache,
-
-		Elastic:       *elastic,
-		CutoverBudget: *cutoverBgt,
-	})
+	// Everything the command line names is checked before a store opens.
+	specs, err := loadgen.ParseMixes(*benchmarks, "uniform")
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "dbbench:", err)
-		os.Exit(1)
+		usage(err)
+	}
+	opts, err := storeOpts()
+	if err != nil {
+		usage(err)
+	}
+	if !*p2 {
+		opts.Workers = 1
+	}
+	if *reshardAt > 0 && (!opts.Elastic || *reshardTo < 1) {
+		usage(fmt.Errorf("-reshard_at requires -elastic and -reshard_to >= 1"))
+	}
+	if *num == 0 {
+		*num = 100000
+	}
+	run := runConfig{num: *num, valueSize: *valueSize, threads: *threads, scanSize: *scanSize, deadline: *opDeadline}
+	if *verify {
+		run.verify = &loadgen.Verifier{}
+	}
+	if *hcBench {
+		runHotCacheBench(opts, run)
+		return
+	}
+
+	store, err := p2kvs.Open(opts)
+	if err != nil {
+		fatal(err)
 	}
 	defer store.Close()
-
 	if *ckptEvery > 0 {
 		saver.start(store, *ckptEvery, *ckptDir)
 	}
 	if *reshardAt > 0 {
-		if !*elastic {
-			fmt.Fprintln(os.Stderr, "dbbench: -reshard_at requires -elastic")
-			os.Exit(2)
-		}
-		if *reshardTo < 1 {
-			fmt.Fprintln(os.Stderr, "dbbench: -reshard_at requires -reshard_to >= 1")
-			os.Exit(2)
-		}
 		resharder.arm(store, int64(*reshardAt), *reshardTo)
 	}
 
 	fmt.Printf("engine=%s p2=%v workers=%d threads=%d num=%d value=%dB device=%q\n",
-		*engine, *p2, w, *threads, *num, *valueSize, *dev)
-	loaded := false
-	type namedSummary struct {
-		name string
-		sum  histogram.Summary
-	}
-	var latencies []namedSummary
-	for _, name := range strings.Split(*benchmarks, ",") {
-		name = strings.TrimSpace(name)
-		if name == "" {
-			continue
-		}
-		needsData := name == "readseq" || name == "readrandom" || name == "updaterandom" || name == "scan" ||
-			name == "readzipfian" || name == "updatezipfian"
-		if needsData && !loaded {
+		opts.Engine, *p2, opts.Workers, *threads, *num, *valueSize, opts.SimulateDevice)
+	loaded := 0 // keys [0, loaded) exist
+	for _, spec := range specs {
+		if spec.Preload && loaded == 0 {
 			fmt.Fprintf(os.Stderr, "(implicit fillseq to populate %d keys)\n", *num)
-			runOne(store, "fillseq", *num, *valueSize, 1, *scanSize, 0, false)
-			loaded = true
+			quiet := run
+			quiet.threads, quiet.deadline, quiet.verify = 1, 0, nil
+			quiet.phase(store, loadgen.MustLookup("fillseq"), *num)
+			loaded = *num
 		}
-		if name == "fillseq" || name == "fillrandom" {
-			loaded = true
+		// Fills overwrite [0, num); a pure-insert mix (ycsb-load) on an
+		// empty store starts its frontier at 0 and creates the same range.
+		keys := *num
+		if spec.Insert == 1 {
+			keys = loaded
 		}
-		h := runOne(store, name, *num, *valueSize, *threads, *scanSize, *opDeadline, true)
-		latencies = append(latencies, namedSummary{name, h.Summary()})
+		tally, elapsed := run.phase(store, spec, keys)
+		fmt.Println(tally.Line(run.of(spec, keys), elapsed))
+		loaded = *num
 	}
 	saver.stop()
-	resharder.wait()
-	reportVerify()
-	reportReshard(store, *cutoverBgt)
-	reportRobustness(store)
-	reportOverload(store)
-	reportCompaction(store)
-	reportCheckpoint(store)
-	for _, ls := range latencies {
-		fmt.Printf("latency %-12s: p50=%.1fus p95=%.1fus p99=%.1fus max=%.1fus (n=%d)\n",
-			ls.name, ls.sum.P50Us, ls.sum.P95Us, ls.sum.P99Us, ls.sum.MaxUs, ls.sum.Count)
+	if run.verify != nil && !run.verify.Report(os.Stdout) {
+		fatal(fmt.Errorf("FATAL: store served silently wrong values"))
 	}
+	resharder.report(opts.CutoverBudget, run.verify != nil)
+	reportStore(store)
 	if *statsJSON {
 		raw, err := store.StatsJSON()
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "dbbench:", err)
-			os.Exit(1)
+			fatal(err)
 		}
 		fmt.Println(string(raw))
 	}
 }
 
-// verifier holds -verify mode state. The split matters: a corruption
-// error is the store refusing to serve damaged data (working as designed,
-// counted), while a value mismatch is a silent lie and fails the bench.
-var verifier struct {
-	on          bool
-	reads       atomic.Int64
-	corruptions atomic.Int64
-	mismatches  atomic.Int64
+// usage reports a command-line error: exit status 2, nothing opened yet.
+func usage(err error) {
+	fmt.Fprintln(os.Stderr, "dbbench:", err)
+	os.Exit(2)
 }
 
-// reportVerify prints the paranoid-read summary and fails the run on any
-// silently wrong value.
-func reportVerify() {
-	if !verifier.on {
-		return
+func fatal(err error) {
+	fmt.Fprintln(os.Stderr, "dbbench:", err)
+	os.Exit(1)
+}
+
+// runExperiments is the -experiment mode: each id names one runner of
+// internal/bench, printing the table or figure the paper reports.
+func runExperiments(ids string, env bench.Env) {
+	names := strings.Split(ids, ",")
+	if ids == "all" {
+		names = bench.Names()
 	}
-	fmt.Printf("corruption     : %d reads verified; %d corruption errors (loud); %d silent mismatches\n",
-		verifier.reads.Load(), verifier.corruptions.Load(), verifier.mismatches.Load())
-	if verifier.mismatches.Load() > 0 {
-		fmt.Fprintln(os.Stderr, "dbbench: FATAL: store served silently wrong values")
-		os.Exit(1)
+	for _, name := range names {
+		start := time.Now()
+		if _, err := bench.Run(strings.TrimSpace(name), env); err != nil {
+			usage(err)
+		}
+		fmt.Printf("[%s completed in %v]\n", name, time.Since(start).Round(time.Millisecond))
 	}
+}
+
+// runConfig is the per-invocation shape every phase shares.
+type runConfig struct {
+	num, valueSize, threads, scanSize int
+	deadline                          time.Duration
+	verify                            *loadgen.Verifier
+}
+
+func (c runConfig) of(spec loadgen.Spec, keys int) loadgen.Phase {
+	return loadgen.Phase{
+		Spec: spec, Ops: c.num, Keys: keys, Threads: c.threads, Window: 1,
+		ValueSize: c.valueSize, Verify: c.verify,
+	}
+}
+
+// phase drives one op mix against store; any error outside the outcome
+// taxonomy ends the run.
+func (c runConfig) phase(store *p2kvs.Store, spec loadgen.Spec, keys int) (*loadgen.Tally, time.Duration) {
+	tally, elapsed, err := loadgen.Run(c.of(spec, keys), func(int) (loadgen.Target, error) {
+		return &embedded{store: store, cfg: c}, nil
+	})
+	if err != nil {
+		fatal(err)
+	}
+	return tally, elapsed
+}
+
+// embedded is the in-process loadgen.Target, one per client thread: one
+// op per window, applied through the store's context-accepting API so
+// -op_deadline holds. It is its own loadgen.KV, bound to the current
+// op's context.
+type embedded struct {
+	store *p2kvs.Store
+	cfg   runConfig
+	ctx   context.Context
+}
+
+func (e *embedded) Do(ops []loadgen.Op, t *loadgen.Tally) error {
+	for _, op := range ops {
+		cancel := context.CancelFunc(func() {})
+		if e.ctx = context.Background(); e.cfg.deadline > 0 {
+			e.ctx, cancel = context.WithTimeout(e.ctx, e.cfg.deadline)
+		}
+		err := loadgen.Exec(e, op, e.cfg.valueSize, e.cfg.scanSize, t.Hit)
+		cancel()
+		saver.tick()
+		resharder.tick()
+		if !t.Count(loadgen.Classify(err)) {
+			return err
+		}
+	}
+	return nil
+}
+
+func (e *embedded) Put(key, value []byte) error    { return e.store.PutCtx(e.ctx, key, value) }
+func (e *embedded) Get(key []byte) ([]byte, error) { return e.store.GetCtx(e.ctx, key) }
+func (e *embedded) Scan(start []byte, n int) ([]p2kvs.Pair, error) {
+	return e.store.ScanCtx(e.ctx, start, n)
 }
 
 // liveResharder fires one online reshard mid-workload: once the worker
@@ -240,9 +268,11 @@ func (r *liveResharder) tick() {
 	}()
 }
 
-// wait blocks until a launched reshard finishes; a threshold never
-// reached (num < reshard_at) is reported, not hung on.
-func (r *liveResharder) wait() {
+// report waits for a launched reshard, prints its summary and enforces
+// the acceptance gates: a failed reshard is always fatal; under -verify
+// (strict) a cutover pause over budget is too. A threshold never reached
+// (num < reshard_at) is reported, not hung on.
+func (r *liveResharder) report(budget time.Duration, strict bool) {
 	if r.at == 0 {
 		return
 	}
@@ -250,32 +280,20 @@ func (r *liveResharder) wait() {
 		fmt.Fprintf(os.Stderr, "dbbench: -reshard_at %d never reached (%d ops ran); reshard skipped\n", r.at, r.ops.Load())
 		return
 	}
-	<-r.done
-}
-
-// reportReshard prints the online-reshard summary and enforces the
-// acceptance gates: a failed reshard is always fatal; under -verify a
-// cutover pause over budget is too.
-func reportReshard(store *p2kvs.Store, budget time.Duration) {
-	if resharder.at == 0 || resharder.ops.Load() < resharder.at {
-		return
-	}
-	if resharder.err != nil {
-		fmt.Fprintln(os.Stderr, "dbbench: FATAL: reshard failed:", resharder.err)
-		os.Exit(1)
+	if <-r.done; r.err != nil {
+		fatal(fmt.Errorf("FATAL: reshard failed: %w", r.err))
 	}
 	if budget == 0 {
 		budget = 10 * time.Millisecond
 	}
-	st := store.ReshardStats()
+	st := r.store.ReshardStats()
 	fmt.Printf("reshard        : %d->%d workers in %.1fms; moved %d keys (%d bytes); double_writes=%d stale_skipped=%d; cutover pause=%.1fus (budget %.1fus, retries=%d)\n",
-		st.From, st.To, float64(resharder.took.Microseconds())/1000,
+		st.From, st.To, float64(r.took.Microseconds())/1000,
 		st.MovedKeys, st.MovedBytes, st.DoubleWrites, st.SkippedStale,
 		float64(st.BarrierNs)/1000, float64(budget.Microseconds()), st.CutoverRetries)
-	if verifier.on && st.BarrierNs > budget.Nanoseconds() {
-		fmt.Fprintf(os.Stderr, "dbbench: FATAL: cutover paused writers %.1fus, over the %.1fus budget\n",
-			float64(st.BarrierNs)/1000, float64(budget.Microseconds()))
-		os.Exit(1)
+	if strict && st.BarrierNs > budget.Nanoseconds() {
+		fatal(fmt.Errorf("FATAL: cutover paused writers %.1fus, over the %.1fus budget",
+			float64(st.BarrierNs)/1000, float64(budget.Microseconds())))
 	}
 }
 
@@ -329,239 +347,47 @@ func (c *checkpointSaver) stop() {
 	<-c.done
 }
 
-// reportCheckpoint prints the online-checkpoint summary: how many
-// checkpoints committed, the last barrier pause (the write-stall cost of
-// a save), and how the image was materialized.
-func reportCheckpoint(store *p2kvs.Store) {
-	if store.Checkpoints() == 0 {
-		return
-	}
-	var files p2kvs.WorkerStats
-	for _, ws := range store.Stats() {
-		files.Checkpoint.FilesLinked += ws.Checkpoint.FilesLinked
-		files.Checkpoint.FilesCopied += ws.Checkpoint.FilesCopied
-		files.Checkpoint.FilesReused += ws.Checkpoint.FilesReused
-		files.Checkpoint.BytesCopied += ws.Checkpoint.BytesCopied
-	}
-	line := fmt.Sprintf("checkpoint     : %d checkpoints; barrier=%s; %d linked, %d copied, %d reused; %d bytes copied",
-		store.Checkpoints(), time.Duration(store.CheckpointBarrierNs()),
-		files.Checkpoint.FilesLinked, files.Checkpoint.FilesCopied, files.Checkpoint.FilesReused,
-		files.Checkpoint.BytesCopied)
-	if f := saver.fails.Load(); f > 0 {
-		line += fmt.Sprintf("; %d FAILED", f)
-	}
-	fmt.Println(line)
-}
-
-// reportOverload prints the request-lifecycle summary: admission
-// rejections, deadline expiries, worker-side shedding and queue depth
-// high-water marks. One aggregate line; per-worker lines only when some
-// worker actually rejected or shed work.
-func reportOverload(store *p2kvs.Store) {
-	stats := store.Stats()
-	var rejected, expired, shed int64
-	maxDepth := 0
-	for _, ws := range stats {
-		rejected += ws.Rejected
-		expired += ws.Expired
-		shed += ws.Shed
-		if ws.QueueHighWater > maxDepth {
-			maxDepth = ws.QueueHighWater
+// reportStore prints the store-side summary from one StatsSnapshot (the
+// document INFO and -stats_json serve): robustness (health, background
+// retries, injected faults — non-zero only under the fault-injection
+// VFS), the request lifecycle (admission rejections, deadline expiries,
+// worker-side shedding, queue high-water), the compaction scheduler
+// (hard stall and soft slowdown time kept apart so the two backpressure
+// tiers are distinguishable) and online checkpoints. Per-worker lines
+// appear only for workers that have something to say.
+func reportStore(store *p2kvs.Store) {
+	snap := store.StatsSnapshot()
+	a := snap.Aggregate
+	if a.Health == kv.StateHealthy.String() && a.FlushRetries+a.CompactRetries+a.InjectedFaults == 0 {
+		fmt.Printf("robustness     : %d workers healthy; 0 flush retries; 0 compaction retries\n", snap.Workers)
+	} else {
+		for _, w := range snap.PerWorker {
+			fmt.Printf("robustness w%-2d : state=%s flush_retries=%d compact_retries=%d injected_faults=%d",
+				w.ID, w.Health, w.FlushRetries, w.CompactRetries, w.InjectedFaults)
+			if w.HealthErr != "" {
+				fmt.Printf(" err=%q", w.HealthErr)
+			}
+			fmt.Println()
 		}
 	}
 	fmt.Printf("overload       : %d rejected; %d expired; %d shed; max queue depth %d\n",
-		rejected, expired, shed, maxDepth)
-	if rejected == 0 && expired == 0 && shed == 0 {
-		return
-	}
-	for _, ws := range stats {
-		if ws.Rejected == 0 && ws.Expired == 0 && ws.Shed == 0 {
-			continue
-		}
-		fmt.Printf("overload w%-2d   : rejected=%d expired=%d shed=%d queue_hw=%d\n",
-			ws.ID, ws.Rejected, ws.Expired, ws.Shed, ws.QueueHighWater)
-	}
-}
-
-// reportCompaction prints the compaction-scheduler summary, keeping hard
-// stall time and soft slowdown time separate so the two backpressure
-// tiers are distinguishable in results.
-func reportCompaction(store *p2kvs.Store) {
-	stats := store.Stats()
-	var c p2kvs.WorkerStats
-	for _, ws := range stats {
-		c.Compaction.Compactions += ws.Compaction.Compactions
-		c.Compaction.Subcompactions += ws.Compaction.Subcompactions
-		c.Compaction.StallTime += ws.Compaction.StallTime
-		c.Compaction.SlowdownTime += ws.Compaction.SlowdownTime
-		c.Compaction.Slowdowns += ws.Compaction.Slowdowns
-		if ws.Compaction.MaxConcurrent > c.Compaction.MaxConcurrent {
-			c.Compaction.MaxConcurrent = ws.Compaction.MaxConcurrent
+		a.Rejected, a.Expired, a.Shed, a.QueueHighWater)
+	for _, w := range snap.PerWorker {
+		if w.Rejected+w.Expired+w.Shed > 0 {
+			fmt.Printf("overload w%-2d   : rejected=%d expired=%d shed=%d queue_hw=%d\n",
+				w.ID, w.Rejected, w.Expired, w.Shed, w.QueueHighWater)
 		}
 	}
 	fmt.Printf("compaction     : %d compactions (%d sub); concurrent high-water %d; stall=%dms slowdown=%dms (%d slowdowns)\n",
-		c.Compaction.Compactions, c.Compaction.Subcompactions, c.Compaction.MaxConcurrent,
-		c.Compaction.StallTime.Milliseconds(), c.Compaction.SlowdownTime.Milliseconds(), c.Compaction.Slowdowns)
-}
-
-// reportRobustness prints the per-worker background-error summary:
-// health state, flush/compaction retries and injected faults (non-zero
-// only under the fault-injection VFS). One aggregate line when all
-// workers stayed clean, per-worker lines otherwise.
-func reportRobustness(store *p2kvs.Store) {
-	stats := store.Stats()
-	dirty := false
-	for _, ws := range stats {
-		h := ws.Health
-		if h.State != kv.StateHealthy || h.FlushRetries != 0 || h.CompactRetries != 0 || h.InjectedFaults != 0 {
-			dirty = true
-			break
+		a.Compactions, a.Subcompactions, a.ConcurrentCompactionsHW,
+		a.CompactionStallUs/1000, a.CompactionSlowdownUs/1000, a.CompactionSlowdowns)
+	if snap.Checkpoints > 0 {
+		line := fmt.Sprintf("checkpoint     : %d checkpoints; barrier=%s; %d linked, %d copied, %d reused; %d bytes copied",
+			snap.Checkpoints, time.Duration(snap.CheckpointBarrierNs),
+			a.CheckpointFilesLinked, a.CheckpointFilesCopied, a.CheckpointFilesReused, a.CheckpointBytesCopied)
+		if f := saver.fails.Load(); f > 0 {
+			line += fmt.Sprintf("; %d FAILED", f)
 		}
+		fmt.Println(line)
 	}
-	if !dirty {
-		fmt.Printf("robustness     : %d workers healthy; 0 flush retries; 0 compaction retries\n", len(stats))
-		return
-	}
-	for _, ws := range stats {
-		h := ws.Health
-		fmt.Printf("robustness w%-2d : state=%s flush_retries=%d compact_retries=%d injected_faults=%d",
-			ws.ID, h.State, h.FlushRetries, h.CompactRetries, h.InjectedFaults)
-		if h.Err != nil {
-			fmt.Printf(" err=%q", h.Err)
-		}
-		fmt.Println()
-	}
-}
-
-func runOne(store *p2kvs.Store, name string, num, valueSize, threads, scanSize int, opDeadline time.Duration, report bool) *histogram.H {
-	var h histogram.H
-	perThread := num / threads
-	if perThread < 1 {
-		perThread = 1
-	}
-	var wg sync.WaitGroup
-	var dropped atomic.Int64
-	errCh := make(chan error, threads)
-	start := time.Now()
-	for t := 0; t < threads; t++ {
-		wg.Add(1)
-		go func(tid int) {
-			defer wg.Done()
-			if err := runThread(store, name, tid, perThread, num, valueSize, scanSize, opDeadline, &h, &dropped); err != nil {
-				errCh <- err
-			}
-		}(t)
-	}
-	wg.Wait()
-	select {
-	case err := <-errCh:
-		fmt.Fprintln(os.Stderr, "dbbench:", err)
-		os.Exit(1)
-	default:
-	}
-	if !report {
-		return &h
-	}
-	elapsed := time.Since(start)
-	ops := perThread * threads
-	microsPerOp := float64(elapsed.Microseconds()) / float64(ops) * float64(threads)
-	mbps := float64(ops) * float64(valueSize+16) / elapsed.Seconds() / 1e6
-	line := fmt.Sprintf("%-14s : %10.3f micros/op; %8.1f ops/sec; %7.1f MB/s; %s",
-		name, microsPerOp, float64(ops)/elapsed.Seconds(), mbps, h.String())
-	if d := dropped.Load(); d > 0 {
-		line += fmt.Sprintf("; %d dropped (overload/deadline)", d)
-	}
-	fmt.Println(line)
-	return &h
-}
-
-func runThread(store *p2kvs.Store, name string, tid, perThread, num, valueSize, scanSize int, opDeadline time.Duration, h *histogram.H, dropped *atomic.Int64) error {
-	kind, isRead, isScan, isZipf := parseWorkload(name)
-	var ch workload.Chooser
-	switch {
-	case isScan:
-		ch = workload.NewUniform(uint64(num), int64(tid+1))
-	case isZipf:
-		ch = workload.NewZipfian(uint64(num), int64(tid+1))
-	default:
-		ch = workload.Micro(kind, uint64(num), int64(tid+1))
-	}
-	for i := 0; i < perThread; i++ {
-		idx := ch.Next()
-		opStart := time.Now()
-		ctx := context.Background()
-		cancel := func() {}
-		if opDeadline > 0 {
-			ctx, cancel = context.WithTimeout(ctx, opDeadline)
-		}
-		var err error
-		switch {
-		case isScan:
-			_, err = store.ScanCtx(ctx, workload.Key(idx), scanSize)
-		case isRead:
-			var got []byte
-			got, err = store.GetCtx(ctx, workload.Key(idx))
-			if err == kv.ErrNotFound {
-				err = nil
-			} else if verifier.on && err == nil {
-				verifier.reads.Add(1)
-				if !bytes.Equal(got, workload.Value(idx, valueSize)) {
-					verifier.mismatches.Add(1)
-				}
-			}
-		default:
-			err = store.PutCtx(ctx, workload.Key(idx), workload.Value(idx, valueSize))
-		}
-		cancel()
-		h.Record(time.Since(opStart))
-		saver.tick()
-		resharder.tick()
-		if verifier.on && errors.Is(err, kv.ErrCorruption) {
-			// A loud corruption error is the store refusing to lie; paranoid
-			// mode counts it and keeps going so the damage extent shows in
-			// the final report. Only a silent mismatch fails the run.
-			verifier.corruptions.Add(1)
-			err = nil
-		}
-		if errors.Is(err, kv.ErrOverloaded) || errors.Is(err, kv.ErrDeadlineExceeded) {
-			dropped.Add(1)
-			err = nil
-		}
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func parseWorkload(name string) (kind workload.MicroKind, isRead, isScan, isZipf bool) {
-	switch name {
-	case "fillseq":
-		return workload.FillSeq, false, false, false
-	case "fillrandom":
-		return workload.FillRandom, false, false, false
-	case "updaterandom":
-		return workload.UpdateRandom, false, false, false
-	case "updatezipfian":
-		return "", false, false, true
-	case "readseq":
-		return workload.ReadSeq, true, false, false
-	case "readrandom":
-		return workload.ReadRandom, true, false, false
-	case "readzipfian":
-		return "", true, false, true
-	case "scan":
-		return "", false, true, false
-	default:
-		fmt.Fprintf(os.Stderr, "dbbench: unknown workload %q\n", name)
-		os.Exit(2)
-		return
-	}
-}
-
-func orDefault(s, def string) string {
-	if s == "" {
-		return def
-	}
-	return s
 }

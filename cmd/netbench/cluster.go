@@ -1,8 +1,8 @@
 package main
 
 // Cluster scaling benchmark (-cluster): boots in-process serving tiers —
-// first one primary, then -cluster_nodes primaries each with
-// -cluster_replicas read replicas — drives batched GETs through the
+// first one primary, then -cluster N primaries each with a read
+// replica — drives batched GETs through the
 // consistent-hash cluster client against both, and reports the aggregate
 // throughput ratio plus replica staleness under a sustained write burst.
 // The result is emitted as a single BENCH json line for scripted
@@ -10,19 +10,18 @@ package main
 // benchmark exercises the real RESP wire, the real replication stream,
 // and the real client batching, with no external setup.
 //
-// Each node's filesystem is routed through its own simulated device
-// (-cluster_device, default sata) and the keyspace is flushed to SSTs
-// behind a block cache smaller than the dataset, so per-node GET
-// throughput is bound by that node's device service time — the
-// SSD-bound regime the paper evaluates. That is what makes N-node
-// scaling measurable (and honest) even when the host has fewer cores
-// than nodes: adding a node adds a device, exactly as it does in a real
-// deployment. -cluster_device none reverts to unthrottled MemFS nodes,
-// which only scale when the host has spare cores.
+// Each node's filesystem is routed through its own simulated SATA device
+// (service times slowed 5x so sub-100us timer quantization stays small
+// next to them) and the keyspace is flushed to SSTs behind a block cache
+// smaller than the dataset, so per-node GET throughput is bound by that
+// node's device service time — the SSD-bound regime the paper evaluates.
+// That is what makes N-node scaling measurable (and honest) even when
+// the host has fewer cores than nodes: adding a node adds a device,
+// exactly as it does in a real deployment.
 
 import (
 	"context"
-	"encoding/json"
+	"errors"
 	"fmt"
 	"math/rand"
 	"net"
@@ -34,17 +33,24 @@ import (
 	"p2kvs/internal/cluster"
 	"p2kvs/internal/core"
 	"p2kvs/internal/device"
+	"p2kvs/internal/loadgen"
 	"p2kvs/internal/replboot"
 	"p2kvs/internal/server"
 	"p2kvs/internal/vfs"
-	"p2kvs/internal/workload"
 )
 
-const clusterBacklog = 64 << 20
-
-// clusterBlockCache keeps the per-instance LSM block cache well under
-// the benchmark dataset so uniform GETs miss DRAM and pay device time.
-const clusterBlockCache = 256 << 10
+// The tier's shape is fixed: every published number used these values.
+const (
+	clusterBacklog  = 64 << 20
+	clusterReplicas = 1   // read replicas per primary
+	clusterWorkers  = 2   // store workers per node
+	clusterBatch    = 128 // keys per MGET/MSET wire batch
+	clusterDevScale = 5.0
+	clusterSecs     = 2 * time.Second // measurement window per phase
+	// clusterBlockCache keeps the per-instance LSM block cache well under
+	// the benchmark dataset so uniform GETs miss DRAM and pay device time.
+	clusterBlockCache = 256 << 10
+)
 
 // simTracker mints per-node devices and aggregates their counters, so
 // the benchmark can report device reads per GET — the number that shows
@@ -55,9 +61,6 @@ type simTracker struct {
 }
 
 func (t *simTracker) readOps() int64 {
-	if t == nil {
-		return 0
-	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	var n int64
@@ -67,39 +70,21 @@ func (t *simTracker) readOps() int64 {
 	return n
 }
 
-// simFor resolves the -cluster_device flag to a per-node Sim factory.
-// Each call mints a fresh device: every node owns its own simulated SSD.
-func simFor(name string, scale float64) (func() replboot.Sim, *simTracker, error) {
-	if name == "" || name == "none" {
-		return func() replboot.Sim { return replboot.Sim{} }, nil, nil
-	}
-	var prof device.Profile
-	switch name {
-	case "nvme":
-		prof = device.NVMe
-	case "sata":
-		prof = device.SATA
-	case "hdd":
-		prof = device.HDD
-	default:
-		return nil, nil, fmt.Errorf("unknown device profile %q (nvme, sata, hdd, none)", name)
-	}
-	tr := &simTracker{}
-	return func() replboot.Sim {
-		dev := device.New(prof, scale)
-		tr.mu.Lock()
-		tr.devices = append(tr.devices, dev)
-		tr.mu.Unlock()
-		return replboot.Sim{Device: dev, BlockCache: clusterBlockCache}
-	}, tr, nil
+// newSim mints a fresh device: every node owns its own simulated SSD.
+func (t *simTracker) newSim() replboot.Sim {
+	dev := device.New(device.SATA, clusterDevScale)
+	t.mu.Lock()
+	t.devices = append(t.devices, dev)
+	t.mu.Unlock()
+	return replboot.Sim{Device: dev, BlockCache: clusterBlockCache}
 }
 
 // bootNode starts one in-process replication-enabled node on its own
 // simulated device and returns its address, the store handle (valid
 // until the node full-syncs, which replaces it — primaries keep theirs),
 // and a shutdown func.
-func bootNode(workers int, replicaOf string, sim replboot.Sim) (string, *core.Store, func(), error) {
-	st, err := replboot.MemStoreSim(workers, clusterBacklog, sim)
+func bootNode(replicaOf string, sim replboot.Sim) (string, *core.Store, func(), error) {
+	st, err := replboot.MemStore(clusterWorkers, clusterBacklog, sim)
 	if err != nil {
 		return "", nil, nil, err
 	}
@@ -107,7 +92,7 @@ func bootNode(workers int, replicaOf string, sim replboot.Sim) (string, *core.St
 		Store:        st,
 		ReplDir:      "repl",
 		ReplFS:       vfs.NewMem(),
-		RestoreStore: replboot.MemRestoreSim(clusterBacklog, sim),
+		RestoreStore: replboot.MemRestore(clusterBacklog, sim),
 		ReplicaOf:    replicaOf,
 	})
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
@@ -130,7 +115,7 @@ func bootNode(workers int, replicaOf string, sim replboot.Sim) (string, *core.St
 
 // bootTier starts n primaries with replicasPer replicas each and
 // returns the primaries' store handles alongside the routing table.
-func bootTier(n, replicasPer, workers int, newSim func() replboot.Sim) ([]cluster.Node, []*core.Store, func(), error) {
+func bootTier(n, replicasPer int, newSim func() replboot.Sim) ([]cluster.Node, []*core.Store, func(), error) {
 	var nodes []cluster.Node
 	var primaries []*core.Store
 	var shutdowns []func()
@@ -140,7 +125,7 @@ func bootTier(n, replicasPer, workers int, newSim func() replboot.Sim) ([]cluste
 		}
 	}
 	for i := 0; i < n; i++ {
-		addr, st, stop, err := bootNode(workers, "", newSim())
+		addr, st, stop, err := bootNode("", newSim())
 		if err != nil {
 			teardown()
 			return nil, nil, nil, err
@@ -149,7 +134,7 @@ func bootTier(n, replicasPer, workers int, newSim func() replboot.Sim) ([]cluste
 		primaries = append(primaries, st)
 		node := cluster.Node{Addr: addr}
 		for r := 0; r < replicasPer; r++ {
-			raddr, _, rstop, err := bootNode(workers, addr, newSim())
+			raddr, _, rstop, err := bootNode(addr, newSim())
 			if err != nil {
 				teardown()
 				return nil, nil, nil, err
@@ -184,7 +169,8 @@ func flushTier(primaries []*core.Store) error {
 }
 
 // loadKeys MSets the whole keyspace through the cluster client.
-func loadKeys(nodes []cluster.Node, nkeys, valueSize, batch int) error {
+func loadKeys(nodes []cluster.Node, nkeys, valueSize int) error {
+	const batch = clusterBatch
 	cl, err := cluster.New(nodes, cluster.Options{MaxBatch: batch})
 	if err != nil {
 		return err
@@ -195,8 +181,8 @@ func loadKeys(nodes []cluster.Node, nkeys, valueSize, batch int) error {
 	for i := 0; i < nkeys; i += batch {
 		keys, vals = keys[:0], vals[:0]
 		for j := i; j < i+batch && j < nkeys; j++ {
-			keys = append(keys, workload.Key(uint64(j)))
-			vals = append(vals, workload.Value(uint64(j), valueSize))
+			keys = append(keys, loadgen.Key(uint64(j)))
+			vals = append(vals, loadgen.Value(uint64(j), 0, valueSize))
 		}
 		if err := cl.MSet(keys, vals); err != nil {
 			return err
@@ -206,35 +192,35 @@ func loadKeys(nodes []cluster.Node, nkeys, valueSize, batch int) error {
 }
 
 // measureGets drives conns independent cluster clients (each with its
-// own connection pool) through uniform batched MGETs for dur and
+// own connection pool) through uniform batched MGETs for clusterSecs and
 // returns aggregate keys/sec. Every batch is checked for emptiness —
 // a miss means the load phase lied.
-func measureGets(nodes []cluster.Node, nkeys, batch, conns int, replicaReads bool, dur time.Duration) (float64, int64, error) {
-	var total atomic.Int64
-	var misses atomic.Int64
-	errCh := make(chan error, conns)
+func measureGets(nodes []cluster.Node, nkeys, conns int, replicaReads bool) (float64, int64, error) {
+	const batch = clusterBatch
+	var total, misses atomic.Int64
+	errs := make([]error, conns)
 	var wg sync.WaitGroup
 	start := time.Now()
-	stop := start.Add(dur)
+	stop := start.Add(clusterSecs)
 	for c := 0; c < conns; c++ {
 		wg.Add(1)
-		go func(seed int64) {
+		go func() {
 			defer wg.Done()
 			cl, err := cluster.New(nodes, cluster.Options{MaxBatch: batch, ReadFromReplicas: replicaReads})
 			if err != nil {
-				errCh <- err
+				errs[c] = err
 				return
 			}
 			defer cl.Close()
-			rng := rand.New(rand.NewSource(seed))
+			rng := rand.New(rand.NewSource(int64(c) + 1))
 			buf := make([][]byte, batch)
 			for time.Now().Before(stop) {
 				for i := range buf {
-					buf[i] = workload.Key(uint64(rng.Intn(nkeys)))
+					buf[i] = loadgen.Key(uint64(rng.Intn(nkeys)))
 				}
 				got, err := cl.MGet(buf)
 				if err != nil {
-					errCh <- err
+					errs[c] = err
 					return
 				}
 				for _, v := range got {
@@ -244,14 +230,12 @@ func measureGets(nodes []cluster.Node, nkeys, batch, conns int, replicaReads boo
 				}
 				total.Add(int64(len(buf)))
 			}
-		}(int64(c) + 1)
+		}()
 	}
 	wg.Wait()
 	elapsed := time.Since(start)
-	select {
-	case err := <-errCh:
+	if err := errors.Join(errs...); err != nil {
 		return 0, 0, err
-	default:
 	}
 	if m := misses.Load(); m > 0 && !replicaReads {
 		return 0, 0, fmt.Errorf("%d GET misses on a fully loaded keyspace", m)
@@ -262,15 +246,27 @@ func measureGets(nodes []cluster.Node, nkeys, batch, conns int, replicaReads boo
 // measureStaleness hammers writes through the primaries for dur while
 // sampling each replica's INFO lag, then reports the worst lag observed
 // mid-burst and how long the tier took to fully converge afterwards.
-func measureStaleness(nodes []cluster.Node, nkeys, valueSize, batch int, dur time.Duration) (maxLag int64, convergeMs int64, err error) {
+func measureStaleness(nodes []cluster.Node, nkeys, valueSize int, dur time.Duration) (maxLag int64, convergeMs int64, err error) {
+	const batch = clusterBatch
 	cl, err := cluster.New(nodes, cluster.Options{MaxBatch: batch})
 	if err != nil {
 		return 0, 0, err
 	}
 	defer cl.Close()
-	var replicas []string
+	var replicas []*cluster.Conn
 	for _, n := range nodes {
-		replicas = append(replicas, n.Replicas...)
+		for _, r := range n.Replicas {
+			c := cluster.NewConn(r, 0)
+			defer c.Close()
+			replicas = append(replicas, c)
+		}
+	}
+	lag := func(c *cluster.Conn) int64 { // -1: unknown (no heartbeat yet, or INFO failed)
+		f, err := loadgen.FetchInfo(c)
+		if err != nil {
+			return -1
+		}
+		return f.Int("replica_lag_gsn")
 	}
 	stop := time.Now().Add(dur)
 	keys := make([][]byte, batch)
@@ -278,29 +274,23 @@ func measureStaleness(nodes []cluster.Node, nkeys, valueSize, batch int, dur tim
 	i := 0
 	for time.Now().Before(stop) {
 		for j := range keys {
-			keys[j] = workload.Key(uint64(i % nkeys))
-			vals[j] = workload.Value(uint64(i%nkeys), valueSize)
+			keys[j] = loadgen.Key(uint64(i % nkeys))
+			vals[j] = loadgen.Value(uint64(i%nkeys), 0, valueSize)
 			i++
 		}
 		if err := cl.MSet(keys, vals); err != nil {
 			return 0, 0, err
 		}
 		for _, r := range replicas {
-			if f, err := infoFields(r); err == nil && f["replica_lag_gsn"] > maxLag {
-				maxLag = f["replica_lag_gsn"]
-			}
+			maxLag = max(maxLag, lag(r))
 		}
 	}
 	convergeStart := time.Now()
 	deadline := convergeStart.Add(10 * time.Second)
-	for _, r := range replicas {
-		for {
-			f, err := infoFields(r)
-			if err == nil && f["replica_lag_gsn"] == 0 {
-				break
-			}
+	for i, r := range replicas {
+		for lag(r) != 0 {
 			if time.Now().After(deadline) {
-				return maxLag, 0, fmt.Errorf("replica %s did not converge within 10s", r)
+				return maxLag, 0, fmt.Errorf("replica %d did not converge within 10s", i)
 			}
 			time.Sleep(5 * time.Millisecond)
 		}
@@ -317,49 +307,21 @@ func readsPerGet(reads, keys int64) float64 {
 	return float64(reads) / float64(keys)
 }
 
-// clusterBenchResult is the BENCH json schema for the -cluster mode.
-type clusterBenchResult struct {
-	Benchmark       string  `json:"benchmark"`
-	Nodes           int     `json:"nodes"`
-	ReplicasPerNode int     `json:"replicas_per_node"`
-	WorkersPerNode  int     `json:"workers_per_node"`
-	Keys            int     `json:"keys"`
-	ValueSize       int     `json:"value_size"`
-	Batch           int     `json:"batch"`
-	Conns           int     `json:"conns"`
-	Device          string  `json:"device"`
-	DeviceScale     float64 `json:"device_scale"`
-	ReadsPerGet1    float64 `json:"device_reads_per_get_1node"`
-	ReadsPerGetN    float64 `json:"device_reads_per_get_nnode"`
-	GetOps1Node     float64 `json:"get_ops_1node"`
-	GetOpsNNode     float64 `json:"get_ops_nnode"`
-	Scaling         float64 `json:"scaling"`
-	ReplicaGetOps   float64 `json:"replica_fanout_get_ops"`
-	MaxLagGSN       int64   `json:"replica_lag_gsn_max"`
-	ConvergeMs      int64   `json:"replica_converge_ms"`
-}
-
-func runClusterBench(nNodes, replicasPer, workers, nkeys, valueSize, batch, conns int, secs time.Duration, devName string, devScale float64) {
+func runClusterBench(nNodes, nkeys, valueSize, conns int) {
 	fail := func(stage string, err error) {
-		fmt.Fprintf(os.Stderr, "netbench: cluster %s: %v\n", stage, err)
-		os.Exit(1)
+		fatal(fmt.Errorf("cluster %s: %w", stage, err))
 	}
-	if batch > cluster.MaxBatch {
-		batch = cluster.MaxBatch
-	}
-	newSim, tracker, err := simFor(devName, devScale)
-	if err != nil {
-		fail("device", err)
-	}
-	fmt.Printf("netbench cluster: nodes=%d replicas/node=%d workers/node=%d keys=%d value=%dB batch=%d conns=%d device=%s scale=%g\n",
-		nNodes, replicasPer, workers, nkeys, valueSize, batch, conns, devName, devScale)
+	tracker := &simTracker{}
+	newSim := tracker.newSim
+	fmt.Printf("netbench cluster: nodes=%d replicas/node=%d workers/node=%d keys=%d value=%dB batch=%d conns=%d device=sata scale=%g\n",
+		nNodes, clusterReplicas, clusterWorkers, nkeys, valueSize, clusterBatch, conns, clusterDevScale)
 
 	// Baseline: one primary serving the whole keyspace.
-	oneNode, onePrim, stopOne, err := bootTier(1, 0, workers, newSim)
+	oneNode, onePrim, stopOne, err := bootTier(1, 0, newSim)
 	if err != nil {
 		fail("boot 1-node", err)
 	}
-	if err := loadKeys(oneNode, nkeys, valueSize, batch); err != nil {
+	if err := loadKeys(oneNode, nkeys, valueSize); err != nil {
 		stopOne()
 		fail("load 1-node", err)
 	}
@@ -368,7 +330,7 @@ func runClusterBench(nNodes, replicasPer, workers, nkeys, valueSize, batch, conn
 		fail("flush 1-node", err)
 	}
 	reads0 := tracker.readOps()
-	ops1, keys1, err := measureGets(oneNode, nkeys, batch, conns, false, secs)
+	ops1, keys1, err := measureGets(oneNode, nkeys, conns, false)
 	rpg1 := readsPerGet(tracker.readOps()-reads0, keys1)
 	stopOne()
 	if err != nil {
@@ -377,65 +339,57 @@ func runClusterBench(nNodes, replicasPer, workers, nkeys, valueSize, batch, conn
 	fmt.Printf("1-node  GET : %12.0f keys/sec (%.2f device reads/GET)\n", ops1, rpg1)
 
 	// The tier under test: nNodes primaries, each with its replicas.
-	nodes, primaries, stopTier, err := bootTier(nNodes, replicasPer, workers, newSim)
+	nodes, primaries, stopTier, err := bootTier(nNodes, clusterReplicas, newSim)
 	if err != nil {
 		fail("boot tier", err)
 	}
 	defer stopTier()
-	if err := loadKeys(nodes, nkeys, valueSize, batch); err != nil {
+	if err := loadKeys(nodes, nkeys, valueSize); err != nil {
 		fail("load tier", err)
 	}
 	if err := flushTier(primaries); err != nil {
 		fail("flush tier", err)
 	}
 	readsN0 := tracker.readOps()
-	opsN, keysN, err := measureGets(nodes, nkeys, batch, conns, false, secs)
+	opsN, keysN, err := measureGets(nodes, nkeys, conns, false)
 	if err != nil {
 		fail("measure tier", err)
 	}
 	rpgN := readsPerGet(tracker.readOps()-readsN0, keysN)
 	fmt.Printf("%d-node  GET : %12.0f keys/sec (%.2fx, %.2f device reads/GET)\n", nNodes, opsN, opsN/ops1, rpgN)
 
-	var opsR float64
-	var maxLag, convergeMs int64
-	if replicasPer > 0 {
-		// Replica fanout needs the replicas caught up, or misses would
-		// count as staleness rather than routing.
-		if _, _, err := measureStaleness(nodes, nkeys, valueSize, batch, 0); err != nil {
-			fail("replica warmup", err)
-		}
-		opsR, _, err = measureGets(nodes, nkeys, batch, conns, true, secs)
-		if err != nil {
-			fail("measure replica fanout", err)
-		}
-		fmt.Printf("fanout  GET : %12.0f keys/sec (primaries+replicas)\n", opsR)
-		maxLag, convergeMs, err = measureStaleness(nodes, nkeys, valueSize, batch, secs)
-		if err != nil {
-			fail("staleness", err)
-		}
-		fmt.Printf("staleness   : max replica_lag_gsn=%d under write burst; converged in %dms\n", maxLag, convergeMs)
+	// Replica fanout needs the replicas caught up, or misses would count
+	// as staleness rather than routing.
+	if _, _, err := measureStaleness(nodes, nkeys, valueSize, 0); err != nil {
+		fail("replica warmup", err)
 	}
+	opsR, _, err := measureGets(nodes, nkeys, conns, true)
+	if err != nil {
+		fail("measure replica fanout", err)
+	}
+	fmt.Printf("fanout  GET : %12.0f keys/sec (primaries+replicas)\n", opsR)
+	maxLag, convergeMs, err := measureStaleness(nodes, nkeys, valueSize, clusterSecs)
+	if err != nil {
+		fail("staleness", err)
+	}
+	fmt.Printf("staleness   : max replica_lag_gsn=%d under write burst; converged in %dms\n", maxLag, convergeMs)
 
-	res := clusterBenchResult{
-		Benchmark:       "cluster_get_scaling",
-		Nodes:           nNodes,
-		ReplicasPerNode: replicasPer,
-		WorkersPerNode:  workers,
-		Keys:            nkeys,
-		ValueSize:       valueSize,
-		Batch:           batch,
-		Conns:           conns,
-		Device:          devName,
-		DeviceScale:     devScale,
-		ReadsPerGet1:    rpg1,
-		ReadsPerGetN:    rpgN,
-		GetOps1Node:     ops1,
-		GetOpsNNode:     opsN,
-		Scaling:         opsN / ops1,
-		ReplicaGetOps:   opsR,
-		MaxLagGSN:       maxLag,
-		ConvergeMs:      convergeMs,
-	}
-	out, _ := json.Marshal(res)
-	fmt.Printf("BENCH %s\n", out)
+	loadgen.EmitBench(os.Stdout, "cluster_get_scaling",
+		"nodes", nNodes,
+		"replicas_per_node", clusterReplicas,
+		"workers_per_node", clusterWorkers,
+		"keys", nkeys,
+		"value_size", valueSize,
+		"batch", clusterBatch,
+		"conns", conns,
+		"device", "sata",
+		"device_scale", clusterDevScale,
+		"device_reads_per_get_1node", rpg1,
+		"device_reads_per_get_nnode", rpgN,
+		"get_ops_1node", ops1,
+		"get_ops_nnode", opsN,
+		"scaling", opsN/ops1,
+		"replica_fanout_get_ops", opsR,
+		"replica_lag_gsn_max", maxLag,
+		"replica_converge_ms", convergeMs)
 }

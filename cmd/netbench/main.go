@@ -1,51 +1,31 @@
-// Command netbench is a concurrent RESP load generator for p2kvs-server:
-// N connections × a configurable pipeline depth, uniform / zipfian /
-// sequential key choice, SET / GET / mixed phases. It reports throughput
-// and pipeline round-trip latency quantiles, plus the server-side
-// coalescing counters pulled from INFO — the observable proof that
-// pipelined runs reached the engine as WriteBatch / multiget calls.
+// Command netbench is the wire-side load driver for p2kvs-server. Its
+// default mode is a concurrent RESP load generator: N connections × a
+// configurable pipeline depth running rows of the loadgen op-mix table
+// (set, get, mixed, fillrandom, ycsb-a, …), reporting throughput, window
+// round-trip quantiles and the server-side coalescing counters pulled
+// from INFO — the observable proof that pipelined runs reached the
+// engine as WriteBatch / multiget calls. Two further modes reuse the same
+// client, value codec and journal: -cluster N (in-process GET scaling of
+// an N-node tier, see cluster.go) and -crash (SIGKILL torture of a real
+// server process, optionally a primary/replica pair, see crash.go).
 //
-// Example:
+// Examples:
 //
 //	netbench -addr 127.0.0.1:6380 -conns 8 -pipeline 16 -num 200000 \
-//	         -benchmarks set,get,mixed -dist zipfian
+//	         -benchmarks set,get,mixed -dist zipfian -verify
+//	netbench -cluster 3
+//	netbench -crash bin/p2kvs-server -crash_cycles 25 -crash_mode commit
 package main
 
 import (
-	"bytes"
 	"flag"
 	"fmt"
-	"math/rand"
-	"net"
 	"os"
-	"strconv"
-	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
-	"p2kvs/internal/ackedlog"
-	"p2kvs/internal/histogram"
-	"p2kvs/internal/server"
-	"p2kvs/internal/workload"
+	"p2kvs/internal/cluster"
+	"p2kvs/internal/loadgen"
 )
-
-// ackedW, when non-nil, journals every SET the server acknowledged
-// (-acked_log). A crash-recovery harness replays the journal after a
-// server restart to prove no acked write was lost.
-var ackedW *ackedlog.Writer
-
-// verifier, when enabled (-verify), checks every GET hit against the
-// deterministic workload pattern. A -CORRUPTION reply is the loud,
-// contractual answer for damaged data and is merely counted; a reply
-// carrying a *wrong value* is the one unforgivable outcome and fails
-// the whole run.
-var verifier struct {
-	on          bool
-	reads       atomic.Int64
-	corruptions atomic.Int64
-	mismatches  atomic.Int64
-}
 
 func main() {
 	var (
@@ -55,295 +35,169 @@ func main() {
 		num        = flag.Int("num", 100000, "operations per benchmark phase")
 		valueSize  = flag.Int("value_size", 128, "value size in bytes")
 		keys       = flag.Int("keys", 0, "keyspace size (0 = num)")
-		dist       = flag.String("dist", "uniform", "key distribution: uniform, zipfian, seq")
-		benchmarks = flag.String("benchmarks", "set,get", "comma-separated phases: set, get, mixed")
-		getRatio   = flag.Float64("get_ratio", 0.9, "GET fraction for the mixed phase")
-		seed       = flag.Int64("seed", 1, "base RNG seed")
+		dist       = flag.String("dist", "uniform", "key distribution of the set/get/mixed phases: uniform, zipfian, latest, seq")
+		benchmarks = flag.String("benchmarks", "set,get", "comma-separated phases: set, get, mixed (90% GET), or any scan-free dbbench mix (fillseq, readzipfian, ycsb-a, …); reads see what the server holds — put a write phase first on an empty one")
+		seed       = flag.Int64("seed", 1, "base RNG seed (-crash: 0 = time-based)")
 		bgsave     = flag.Bool("bgsave", false, "issue BGSAVE after the phases and wait for the save to commit")
-		ackedLog   = flag.String("acked_log", "", "journal every acked SET (key and value) to this file for later crash-recovery verification")
-		verify     = flag.Bool("verify", false, "paranoid reads: check every GET hit against the workload pattern; -CORRUPTION replies are counted, a silently wrong value is fatal")
+		ackedLog   = flag.String("acked_log", "", "journal every acked SET (key and value) to this file for later crash-recovery verification (-crash: default <crash_dir>/acked.log)")
+		verify     = flag.Bool("verify", false, "paranoid reads: check every GET hit against the value codec; -CORRUPTION replies are counted, a silently wrong value is fatal")
 
-		clusterMode  = flag.Bool("cluster", false, "in-process cluster scaling benchmark: boots -cluster_nodes primaries (+replicas), compares aggregate batched GET throughput against one node, measures replica staleness, and emits a BENCH json line")
-		clusterNodes = flag.Int("cluster_nodes", 3, "primaries in the -cluster tier (2-4 is the intended range)")
-		clusterRepl  = flag.Int("cluster_replicas", 1, "read replicas per primary in the -cluster tier")
-		clusterWkrs  = flag.Int("cluster_workers", 2, "store workers per node in the -cluster tier")
-		clusterBatch = flag.Int("cluster_batch", 128, "keys per MGET/MSET wire batch in the -cluster tier (capped at 1024)")
-		clusterSecs  = flag.Duration("cluster_secs", 2*time.Second, "measurement window per -cluster phase")
-		clusterDev   = flag.String("cluster_device", "sata", "simulated device under each -cluster node: nvme, sata, hdd, or none (none = unthrottled MemFS; scaling then needs spare host cores)")
-		clusterScale = flag.Float64("cluster_device_scale", 5, "time scale for -cluster_device service times (1 = real device speed; the default slows IO so sub-100us timer quantization stays small next to device service time)")
+		clusterN = flag.Int("cluster", 0, "in-process cluster scaling benchmark: boot this many primaries (2-4 intended), each with a read replica and its own simulated SATA device, compare aggregate batched GET throughput against one node, measure replica staleness, emit a BENCH json line")
+
+		crashBin   = flag.String("crash", "", "crash-recovery torture: path of a p2kvs-server binary to spawn, load, SIGKILL and verify, -crash_cycles times")
+		crashMode  = flag.String("crash_mode", "commit", "durability under -crash: commit (zero acked-write loss required), interval, never (clean recovery required)")
+		crashN     = flag.Int("crash_cycles", 25, "kill/restart cycles under -crash")
+		crashRepl  = flag.Bool("crash_replica", false, "under -crash, run a primary/replica pair, rotate the SIGKILL victim and verify convergence and sync kinds")
+		crashDir   = flag.String("crash_dir", "", "data directory for -crash (default: a fresh temp dir)")
+		serverArgs = flag.String("server_args", "", "extra space-separated flags for the servers -crash spawns, e.g. \"-engine wiredtiger -workers 2\"")
+		verbose    = flag.Bool("v", false, "log every -crash cycle's detail")
 	)
 	flag.Parse()
-	if *clusterMode {
-		n := *keys
-		if n <= 0 {
-			n = *num
-		}
-		runClusterBench(*clusterNodes, *clusterRepl, *clusterWkrs, n, *valueSize, *clusterBatch, *conns, *clusterSecs, *clusterDev, *clusterScale)
-		return
+
+	// Everything the command line names is checked before anything dials.
+	specs, err := loadgen.ParseMixes(*benchmarks, *dist)
+	if err != nil {
+		usage(err)
 	}
-	verifier.on = *verify
-	if *ackedLog != "" {
-		w, err := ackedlog.Create(*ackedLog)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "netbench: acked_log:", err)
-			os.Exit(1)
+	for _, s := range specs {
+		if s.Scan+s.RMW > 0 {
+			usage(fmt.Errorf("benchmark %q scans or read-modify-writes, which the wire driver does not issue", s.Name))
 		}
-		ackedW = w
-		defer w.Close()
 	}
 	if *keys <= 0 {
 		*keys = *num
 	}
-	if *pipeline < 1 {
-		*pipeline = 1
+	switch {
+	case *clusterN > 0:
+		runClusterBench(*clusterN, *keys, *valueSize, *conns)
+		return
+	case *crashBin != "":
+		if _, ok := walSyncFor[*crashMode]; !ok {
+			usage(fmt.Errorf("unknown -crash_mode %q (valid: commit, interval, never)", *crashMode))
+		}
+		runCrash(crashConfig{
+			serverBin: *crashBin, serverArgs: *serverArgs, dir: *crashDir, mode: *crashMode,
+			cycles: *crashN, replica: *crashRepl, conns: *conns, pipeline: *pipeline,
+			valueSize: *valueSize, seed: *seed, ackedPath: *ackedLog, verbose: *verbose,
+		})
+		return
+	}
+
+	w := wireConfig{addr: *addr, valueSize: *valueSize}
+	if *verify {
+		w.verify = &loadgen.Verifier{}
+	}
+	if *ackedLog != "" {
+		if w.acked, err = loadgen.CreateAckedLog(*ackedLog); err != nil {
+			fatal(fmt.Errorf("acked_log: %w", err))
+		}
+		defer w.acked.Close()
 	}
 
 	fmt.Printf("netbench: addr=%s conns=%d pipeline=%d num=%d value=%dB dist=%s\n",
 		*addr, *conns, *pipeline, *num, *valueSize, *dist)
-
-	loaded := false
-	for _, phase := range strings.Split(*benchmarks, ",") {
-		phase = strings.TrimSpace(phase)
-		if phase == "" {
-			continue
+	// Unlike dbbench, nothing is populated implicitly: the server outlives
+	// this process, and a read phase after a restart, a resync or a
+	// reshard must see the data that went through it, not a fresh copy.
+	for _, spec := range specs {
+		p := loadgen.Phase{
+			Spec: spec, Ops: *num, Keys: *keys, Threads: *conns, Window: *pipeline,
+			ValueSize: *valueSize, Seed: *seed, Verify: w.verify,
 		}
-		if (phase == "get" || phase == "mixed") && !loaded {
-			fmt.Fprintf(os.Stderr, "(implicit set phase to populate %d keys)\n", *keys)
-			runPhase("set", *addr, *conns, *pipeline, *keys, *valueSize, *keys, "seq", *getRatio, *seed, false)
-			loaded = true
-		}
-		if phase == "set" {
-			loaded = true
-		}
-		runPhase(phase, *addr, *conns, *pipeline, *num, *valueSize, *keys, *dist, *getRatio, *seed, true)
+		tally, elapsed := w.run(p)
+		fmt.Println(tally.Line(p, elapsed))
 	}
+	info := cluster.NewConn(*addr, 0)
+	defer info.Close()
 	if *bgsave {
-		bgsaveAndWait(*addr)
+		bgsaveAndWait(info)
 	}
-	if verifier.on {
-		reportVerify()
+	if w.verify != nil && !w.verify.Report(os.Stdout) {
+		fatal(fmt.Errorf("FATAL: server served silently wrong values"))
 	}
-	reportServerCounters(*addr)
+	reportServerCounters(info)
 }
 
-// reportVerify prints the paranoid-read tally and fails the run if any
-// GET came back with a silently wrong value — the one outcome the
-// integrity machinery exists to make impossible.
-func reportVerify() {
-	fmt.Printf("corruption     : %8d hits verified; %d -CORRUPTION replies (loud); %d silent mismatches\n",
-		verifier.reads.Load(), verifier.corruptions.Load(), verifier.mismatches.Load())
-	if verifier.mismatches.Load() > 0 {
-		fmt.Fprintln(os.Stderr, "netbench: FATAL: server served silently wrong values")
-		os.Exit(1)
-	}
+// usage reports a command-line error: exit status 2, nothing dialed yet.
+func usage(err error) {
+	fmt.Fprintln(os.Stderr, "netbench:", err)
+	os.Exit(2)
 }
 
-// chooser builds the per-connection key chooser.
-func chooser(dist string, n uint64, seed int64) workload.Chooser {
-	switch dist {
-	case "uniform":
-		return workload.NewUniform(n, seed)
-	case "zipfian":
-		return workload.NewZipfian(n, seed)
-	case "seq":
-		return workload.NewSequential(n)
-	default:
-		fmt.Fprintf(os.Stderr, "netbench: unknown distribution %q\n", dist)
-		os.Exit(2)
-		return nil
-	}
+func fatal(err error) {
+	fmt.Fprintln(os.Stderr, "netbench:", err)
+	os.Exit(1)
 }
 
-type phaseResult struct {
-	ops      atomic.Int64
-	loadshed atomic.Int64
-	timeouts atomic.Int64
-	errors   atomic.Int64
-	hits     atomic.Int64
-	rtt      histogram.H
+// wireConfig is what every connection of the load mode shares.
+type wireConfig struct {
+	addr      string
+	valueSize int
+	verify    *loadgen.Verifier
+	// acked, when non-nil, journals every SET the server acknowledged
+	// (-acked_log) so a crash-recovery check can replay it later.
+	acked *loadgen.AckedLog
 }
 
-func runPhase(phase, addr string, conns, pipeline, num, valueSize, keyspace int, dist string, getRatio float64, seed int64, report bool) {
-	if phase != "set" && phase != "get" && phase != "mixed" {
-		fmt.Fprintf(os.Stderr, "netbench: unknown benchmark %q\n", phase)
-		os.Exit(2)
+func (w wireConfig) run(p loadgen.Phase) (*loadgen.Tally, time.Duration) {
+	tally, elapsed, err := loadgen.Run(p, func(int) (loadgen.Target, error) {
+		return &wireConn{wireConfig: w, Conn: cluster.NewConn(w.addr, 0)}, nil
+	})
+	if err != nil {
+		fatal(err)
 	}
-	perConn := num / conns
-	if perConn < 1 {
-		perConn = 1
-	}
-	var res phaseResult
-	var wg sync.WaitGroup
-	errCh := make(chan error, conns)
-	start := time.Now()
-	for c := 0; c < conns; c++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			if err := runConn(phase, addr, pipeline, perConn, valueSize, keyspace, dist, getRatio, seed+int64(id), &res); err != nil {
-				errCh <- err
-			}
-		}(c)
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-	select {
-	case err := <-errCh:
-		fmt.Fprintln(os.Stderr, "netbench:", err)
-		os.Exit(1)
-	default:
-	}
-	if !report {
-		return
-	}
-	ops := res.ops.Load()
-	sum := res.rtt.Summary()
-	line := fmt.Sprintf("%-5s : %8d ops in %6.2fs; %9.0f ops/sec; rtt(depth=%d) p50=%.0fus p95=%.0fus p99=%.0fus",
-		phase, ops, elapsed.Seconds(), float64(ops)/elapsed.Seconds(), pipeline,
-		sum.P50Us, sum.P95Us, sum.P99Us)
-	if phase != "set" {
-		line += fmt.Sprintf("; hits=%d", res.hits.Load())
-	}
-	if ls, to, er := res.loadshed.Load(), res.timeouts.Load(), res.errors.Load(); ls+to+er > 0 {
-		line += fmt.Sprintf("; dropped: %d loadshed, %d timeout, %d error", ls, to, er)
-	}
-	fmt.Println(line)
+	return tally, elapsed
 }
 
-// runConn drives one connection: windows of `pipeline` commands written
-// back-to-back, one flush, then all replies read in order. The recorded
-// latency is the whole window's round trip.
-func runConn(phase, addr string, pipeline, ops, valueSize, keyspace int, dist string, getRatio float64, seed int64, res *phaseResult) error {
-	nc, err := net.Dial("tcp", addr)
+// wireConn is the RESP loadgen.Target: one window is one pipeline —
+// commands written back to back, one flush, all replies read in order.
+// Run closes the embedded connection when the thread is done.
+type wireConn struct {
+	wireConfig
+	*cluster.Conn
+	cmds [][][]byte
+}
+
+var cmdGet, cmdSet = []byte("GET"), []byte("SET")
+
+func (w *wireConn) Do(ops []loadgen.Op, t *loadgen.Tally) error {
+	w.cmds = w.cmds[:0]
+	for _, op := range ops {
+		if op.Type == loadgen.OpRead {
+			w.cmds = append(w.cmds, [][]byte{cmdGet, loadgen.Key(op.KeyIdx)})
+		} else {
+			w.cmds = append(w.cmds, [][]byte{cmdSet, loadgen.Key(op.KeyIdx), loadgen.Value(op.KeyIdx, 0, w.valueSize)})
+		}
+	}
+	reps, err := w.Pipeline(w.cmds)
 	if err != nil {
 		return err
 	}
-	defer nc.Close()
-	rd := server.NewReader(nc)
-	wr := server.NewWriter(nc)
-	ch := chooser(dist, uint64(keyspace), seed)
-	rng := rand.New(rand.NewSource(seed))
-
-	for done := 0; done < ops; {
-		window := pipeline
-		if left := ops - done; left < window {
-			window = left
-		}
-		isGet := make([]bool, window)
-		idxs := make([]uint64, window)
-		for i := 0; i < window; i++ {
-			idx := ch.Next()
-			idxs[i] = idx
-			get := phase == "get" || (phase == "mixed" && rng.Float64() < getRatio)
-			isGet[i] = get
-			if get {
-				wr.WriteCommand([]byte("GET"), workload.Key(idx))
-			} else {
-				wr.WriteCommand([]byte("SET"), workload.Key(idx), workload.Value(idx, valueSize))
-			}
-		}
-		start := time.Now()
-		if err := wr.Flush(); err != nil {
-			return err
-		}
-		for i := 0; i < window; i++ {
-			rep, err := rd.ReadReply()
-			if err != nil {
+	for i, rep := range reps {
+		isGet := ops[i].Type == loadgen.OpRead
+		switch {
+		case rep.IsError():
+			// An error reply leaves the stream framed: count it (even an
+			// unclassified one) and keep the connection going.
+			t.Count(loadgen.ClassifyReply(string(rep.Str)))
+		case isGet && rep.Kind == '$' && !rep.Nil:
+			t.Hit(ops[i].KeyIdx, rep.Str)
+		case !isGet && w.acked != nil:
+			// Same-key overwrites are identical by construction (the
+			// value is a function of the key index).
+			if err := w.acked.Append("set", string(w.cmds[i][1]), string(w.cmds[i][2])); err != nil {
 				return err
 			}
-			switch {
-			case rep.IsError():
-				msg := string(rep.Str)
-				switch {
-				case strings.HasPrefix(msg, "LOADSHED"):
-					res.loadshed.Add(1)
-				case strings.HasPrefix(msg, "TIMEOUT"):
-					res.timeouts.Add(1)
-				case verifier.on && strings.HasPrefix(msg, "CORRUPTION"):
-					// The loud answer for damaged data: the server refused
-					// to serve rather than guess. Counted, not fatal.
-					verifier.corruptions.Add(1)
-				default:
-					res.errors.Add(1)
-				}
-			case isGet[i] && rep.Kind == '$' && !rep.Nil:
-				res.hits.Add(1)
-				if verifier.on {
-					verifier.reads.Add(1)
-					if !bytes.Equal(rep.Str, workload.Value(idxs[i], valueSize)) {
-						verifier.mismatches.Add(1)
-					}
-				}
-			case !isGet[i] && ackedW != nil:
-				// The server acked this SET; journal it for post-crash
-				// verification. Same-key overwrites are identical by
-				// construction (Value is deterministic in the key index).
-				k := workload.Key(idxs[i])
-				v := workload.Value(idxs[i], valueSize)
-				if err := ackedW.Append("set", string(k), string(v)); err != nil {
-					return err
-				}
-			}
 		}
-		res.rtt.Record(time.Since(start))
-		res.ops.Add(int64(window))
-		done += window
 	}
 	return nil
-}
-
-// infoFields pulls INFO and returns every numeric "key:value" line.
-func infoFields(addr string) (map[string]int64, error) {
-	nc, err := net.Dial("tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	defer nc.Close()
-	rd := server.NewReader(nc)
-	wr := server.NewWriter(nc)
-	wr.WriteCommand([]byte("INFO"))
-	if err := wr.Flush(); err != nil {
-		return nil, err
-	}
-	rep, err := rd.ReadReply()
-	if err != nil {
-		return nil, err
-	}
-	if rep.Kind != '$' {
-		return nil, fmt.Errorf("bad INFO reply kind %q", rep.Kind)
-	}
-	fields := map[string]int64{}
-	for _, line := range strings.Split(string(rep.Str), "\r\n") {
-		k, v, ok := strings.Cut(line, ":")
-		if !ok {
-			continue
-		}
-		if n, err := strconv.ParseInt(v, 10, 64); err == nil {
-			fields[k] = n
-		}
-	}
-	return fields, nil
 }
 
 // bgsaveAndWait issues BGSAVE and polls INFO until the background save
 // commits (or fails), so the final counter report reflects a finished
 // checkpoint.
-func bgsaveAndWait(addr string) {
-	nc, err := net.Dial("tcp", addr)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "netbench: bgsave:", err)
-		return
-	}
-	rd := server.NewReader(nc)
-	wr := server.NewWriter(nc)
-	wr.WriteCommand([]byte("BGSAVE"))
-	if err := wr.Flush(); err != nil {
-		nc.Close()
-		fmt.Fprintln(os.Stderr, "netbench: bgsave:", err)
-		return
-	}
-	rep, err := rd.ReadReply()
-	nc.Close()
+func bgsaveAndWait(c *cluster.Conn) {
+	rep, err := c.Do([]byte("BGSAVE"))
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "netbench: bgsave:", err)
 		return
@@ -352,41 +206,40 @@ func bgsaveAndWait(addr string) {
 	if rep.IsError() {
 		return
 	}
-	deadline := time.Now().Add(15 * time.Second)
-	for time.Now().Before(deadline) {
-		f, err := infoFields(addr)
-		if err == nil && f["store_checkpoint_in_progress"] == 0 && f["store_checkpoints"] > 0 {
+	for deadline := time.Now().Add(15 * time.Second); time.Now().Before(deadline); time.Sleep(50 * time.Millisecond) {
+		f, err := loadgen.FetchInfo(c)
+		if err == nil && f.Int("store_checkpoint_in_progress") == 0 && f.Int("store_checkpoints") > 0 {
 			return
 		}
-		time.Sleep(50 * time.Millisecond)
 	}
 	fmt.Fprintln(os.Stderr, "netbench: bgsave did not commit within 15s")
 }
 
-// reportServerCounters pulls INFO and prints the batching counters that
-// prove pipeline coalescing reached the engine's batch paths.
-func reportServerCounters(addr string) {
-	fields, err := infoFields(addr)
+// serverCounters are the INFO fields reported after a run, one group per
+// line: batching (proof that pipeline coalescing reached the engine's
+// batch paths), compaction scheduler, checkpoints, and — when the server
+// runs one — the hot-key cache.
+var serverCounters = [][]string{
+	{"coalesced_set_ops", "coalesced_get_ops", "store_batch_write_ops", "store_multiget_ops", "store_batched_ops"},
+	{"store_compactions", "store_subcompactions", "store_concurrent_compactions_hw", "store_compaction_stall_us", "store_compaction_slowdown_us", "store_compaction_slowdowns"},
+	{"store_checkpoints", "store_checkpoint_barrier_ns", "store_last_checkpoint_unix", "store_checkpoint_files_linked", "store_checkpoint_files_copied", "store_checkpoint_files_reused", "store_checkpoint_bytes_copied"},
+	{"cache_hits", "cache_neg_hits", "cache_misses", "cache_fills", "cache_evictions", "cache_invalidations", "cache_bytes", "cache_entries"},
+}
+
+func reportServerCounters(c *cluster.Conn) {
+	f, err := loadgen.FetchInfo(c)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "netbench: info:", err)
 		return
 	}
-	fmt.Printf("server: coalesced_set_ops=%d coalesced_get_ops=%d store_batch_write_ops=%d store_multiget_ops=%d store_batched_ops=%d\n",
-		fields["coalesced_set_ops"], fields["coalesced_get_ops"],
-		fields["store_batch_write_ops"], fields["store_multiget_ops"], fields["store_batched_ops"])
-	fmt.Printf("server: store_compactions=%d store_subcompactions=%d store_concurrent_compactions_hw=%d store_compaction_stall_us=%d store_compaction_slowdown_us=%d store_compaction_slowdowns=%d\n",
-		fields["store_compactions"], fields["store_subcompactions"],
-		fields["store_concurrent_compactions_hw"], fields["store_compaction_stall_us"],
-		fields["store_compaction_slowdown_us"], fields["store_compaction_slowdowns"])
-	fmt.Printf("server: store_checkpoints=%d store_checkpoint_barrier_ns=%d store_last_checkpoint_unix=%d store_checkpoint_files_linked=%d store_checkpoint_files_copied=%d store_checkpoint_files_reused=%d store_checkpoint_bytes_copied=%d\n",
-		fields["store_checkpoints"], fields["store_checkpoint_barrier_ns"],
-		fields["store_last_checkpoint_unix"], fields["store_checkpoint_files_linked"],
-		fields["store_checkpoint_files_copied"], fields["store_checkpoint_files_reused"],
-		fields["store_checkpoint_bytes_copied"])
-	if fields["cache_enabled"] != 0 {
-		fmt.Printf("server: cache_hits=%d cache_neg_hits=%d cache_misses=%d cache_fills=%d cache_evictions=%d cache_invalidations=%d cache_bytes=%d cache_entries=%d\n",
-			fields["cache_hits"], fields["cache_neg_hits"], fields["cache_misses"],
-			fields["cache_fills"], fields["cache_evictions"], fields["cache_invalidations"],
-			fields["cache_bytes"], fields["cache_entries"])
+	for _, group := range serverCounters {
+		if group[0] == "cache_hits" && f.Int("cache_enabled") == 0 {
+			continue
+		}
+		fmt.Print("server:")
+		for _, k := range group {
+			fmt.Printf(" %s=%d", k, f.Int(k))
+		}
+		fmt.Println()
 	}
 }

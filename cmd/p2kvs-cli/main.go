@@ -1,6 +1,6 @@
 // Command p2kvs-cli is a small interactive shell over a p2KVS store:
 //
-//	p2kvs-cli -dir /tmp/db -workers 8
+//	p2kvs-cli -dir /tmp/db -workers 8    # no -dir: in-memory
 //	> put greeting hello
 //	> get greeting
 //	hello
@@ -28,86 +28,97 @@ import (
 
 	"p2kvs"
 	"p2kvs/internal/cluster"
+	"p2kvs/internal/loadgen"
 )
 
 func main() {
 	var (
-		dir          = flag.String("dir", "", "data directory (default: in-memory)")
-		workers      = flag.Int("workers", 4, "worker count")
-		engine       = flag.String("engine", "rocksdb", "engine kind")
 		clusterSpec  = flag.String("cluster", "", "cluster mode: comma-separated nodes, each primary[/replica...] (host:port)")
 		replicaReads = flag.Bool("replica_reads", false, "with -cluster, fan reads out across each node's replicas (eventually consistent)")
 	)
+	storeOpts := loadgen.StoreFlags(flag.CommandLine, p2kvs.Options{Workers: 4})
 	flag.Parse()
 
 	if *clusterSpec != "" {
 		runCluster(*clusterSpec, *replicaReads)
 		return
 	}
-
-	store, err := p2kvs.Open(p2kvs.Options{
-		Dir:      orDefault(*dir, "cli-db"),
-		Workers:  *workers,
-		Engine:   p2kvs.EngineKind(*engine),
-		InMemory: *dir == "",
-	})
+	opts, err := storeOpts()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "p2kvs-cli:", err)
+		os.Exit(2)
+	}
+	store, err := p2kvs.Open(opts)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "p2kvs-cli:", err)
 		os.Exit(1)
 	}
 	defer store.Close()
-
-	sc := bufio.NewScanner(os.Stdin)
 	fmt.Println("p2kvs shell — commands: put k v | get k | del k | scan start n | range lo hi | stats | quit")
+	repl(func(line string) bool { return execute(store, line) })
+}
+
+// repl feeds stdin lines to exec until it reports quit or input ends.
+func repl(exec func(line string) (quit bool)) {
+	sc := bufio.NewScanner(os.Stdin)
 	fmt.Print("> ")
 	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line != "" {
-			if quit := execute(store, line); quit {
-				return
-			}
+		if line := strings.TrimSpace(sc.Text()); line != "" && exec(line) {
+			return
 		}
 		fmt.Print("> ")
 	}
 }
 
+// pointKV is what both shells share: single-key commands. A missing key
+// reads as p2kvs.ErrNotFound (embedded) or a nil value (cluster).
+type pointKV interface {
+	Put(key, value []byte) error
+	Get(key []byte) ([]byte, error)
+	Delete(key []byte) error
+}
+
+func fail(format string, a ...interface{}) { fmt.Printf("error: "+format+"\n", a...) }
+
+// point runs put/get/del/quit; handled is false for any other command.
+func point(kv pointKV, cmd string, args []string) (handled, quit bool) {
+	arity := map[string]int{"put": 2, "set": 2, "get": 1, "del": 1, "delete": 1}
+	if n, ok := arity[cmd]; ok && len(args) != n {
+		fail("usage: put <key> <value> | get <key> | del <key>")
+		return true, false
+	}
+	var err error
+	switch cmd {
+	case "put", "set":
+		err = kv.Put([]byte(args[0]), []byte(args[1]))
+	case "get":
+		var v []byte
+		if v, err = kv.Get([]byte(args[0])); err == p2kvs.ErrNotFound || (err == nil && v == nil) {
+			fmt.Println("(not found)")
+			return true, false
+		} else if err == nil {
+			fmt.Println(string(v))
+		}
+	case "del", "delete":
+		err = kv.Delete([]byte(args[0]))
+	case "quit", "exit":
+		return true, true
+	default:
+		return false, false
+	}
+	if err != nil {
+		fail("%v", err)
+	}
+	return true, false
+}
+
 func execute(store *p2kvs.Store, line string) (quit bool) {
 	fields := strings.Fields(line)
 	cmd, args := strings.ToLower(fields[0]), fields[1:]
-	fail := func(format string, a ...interface{}) {
-		fmt.Printf("error: "+format+"\n", a...)
+	if handled, quit := point(store, cmd, args); handled {
+		return quit
 	}
 	switch cmd {
-	case "put":
-		if len(args) != 2 {
-			fail("usage: put <key> <value>")
-			return
-		}
-		if err := store.Put([]byte(args[0]), []byte(args[1])); err != nil {
-			fail("%v", err)
-		}
-	case "get":
-		if len(args) != 1 {
-			fail("usage: get <key>")
-			return
-		}
-		v, err := store.Get([]byte(args[0]))
-		switch err {
-		case nil:
-			fmt.Println(string(v))
-		case p2kvs.ErrNotFound:
-			fmt.Println("(not found)")
-		default:
-			fail("%v", err)
-		}
-	case "del", "delete":
-		if len(args) != 1 {
-			fail("usage: del <key>")
-			return
-		}
-		if err := store.Delete([]byte(args[0])); err != nil {
-			fail("%v", err)
-		}
 	case "scan":
 		if len(args) != 2 {
 			fail("usage: scan <start> <count>")
@@ -144,19 +155,10 @@ func execute(store *p2kvs.Store, line string) (quit bool) {
 			fmt.Printf("worker %d: ops=%d batches=%d batched-ops=%d queue-wait=%v\n",
 				ws.ID, ws.Ops, ws.Batches, ws.BatchedOps, ws.QueueWait)
 		}
-	case "quit", "exit":
-		return true
 	default:
 		fail("unknown command %q", cmd)
 	}
 	return false
-}
-
-func orDefault(s, def string) string {
-	if s == "" {
-		return def
-	}
-	return s
 }
 
 // parseClusterSpec turns "p1:6380/r1:6390/r2:6391,p2:6380" into the
@@ -196,57 +198,23 @@ func runCluster(spec string, replicaReads bool) {
 	}
 	defer cl.Close()
 
-	sc := bufio.NewScanner(os.Stdin)
 	fmt.Printf("p2kvs cluster shell (%d nodes) — commands: put k v | get k | del k | mget k... | mset k v [k v]... | nodes | quit\n", len(nodes))
-	fmt.Print("> ")
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line != "" {
-			if quit := executeCluster(cl, line); quit {
-				return
-			}
-		}
-		fmt.Print("> ")
-	}
+	repl(func(line string) bool { return executeCluster(cl, line) })
 }
+
+// clusterKV gives the cluster client the embedded store's method names.
+type clusterKV struct{ *cluster.Client }
+
+func (c clusterKV) Put(key, value []byte) error { return c.Set(key, value) }
+func (c clusterKV) Delete(key []byte) error     { return c.Del(key) }
 
 func executeCluster(cl *cluster.Client, line string) (quit bool) {
 	fields := strings.Fields(line)
 	cmd, args := strings.ToLower(fields[0]), fields[1:]
-	fail := func(format string, a ...interface{}) {
-		fmt.Printf("error: "+format+"\n", a...)
+	if handled, quit := point(clusterKV{cl}, cmd, args); handled {
+		return quit
 	}
 	switch cmd {
-	case "put", "set":
-		if len(args) != 2 {
-			fail("usage: put <key> <value>")
-			return
-		}
-		if err := cl.Set([]byte(args[0]), []byte(args[1])); err != nil {
-			fail("%v", err)
-		}
-	case "get":
-		if len(args) != 1 {
-			fail("usage: get <key>")
-			return
-		}
-		v, err := cl.Get([]byte(args[0]))
-		switch {
-		case err != nil:
-			fail("%v", err)
-		case v == nil:
-			fmt.Println("(not found)")
-		default:
-			fmt.Println(string(v))
-		}
-	case "del", "delete":
-		if len(args) != 1 {
-			fail("usage: del <key>")
-			return
-		}
-		if err := cl.Del([]byte(args[0])); err != nil {
-			fail("%v", err)
-		}
 	case "mget":
 		if len(args) == 0 {
 			fail("usage: mget <key>...")
@@ -290,8 +258,6 @@ func executeCluster(cl *cluster.Client, line string) (quit bool) {
 				fmt.Printf("node %d: %s\n", i, n.Addr)
 			}
 		}
-	case "quit", "exit":
-		return true
 	default:
 		fail("unknown command %q", cmd)
 	}

@@ -23,120 +23,51 @@ import (
 	"time"
 
 	"p2kvs"
+	"p2kvs/internal/loadgen"
 	"p2kvs/internal/server"
 	"p2kvs/internal/vfs"
 )
 
 func main() {
 	var (
-		addr          = flag.String("addr", "127.0.0.1:6380", "TCP listen address")
-		debugAddr     = flag.String("debug_addr", "", "HTTP debug listen address (/metrics, /debug/pprof); empty disables")
-		dir           = flag.String("dir", "p2kvs-server-db", "data directory")
-		inMemory      = flag.Bool("inmemory", false, "use the in-memory filesystem (data lost on exit)")
-		engine        = flag.String("engine", "rocksdb", "engine: rocksdb, leveldb, pebblesdb, wiredtiger, kvell")
-		workers       = flag.Int("workers", 8, "worker count")
-		admission     = flag.String("admission", "reject", "admission policy: block, reject, wait")
-		queueDepth    = flag.Int("queue_depth", 0, "per-worker queue depth (0 = default 4096)")
-		maxBatch      = flag.Int("max_batch", 0, "OBM batch cap (0 = default 32)")
-		syncWAL       = flag.Bool("sync", false, "fsync per commit")
-		walSync       = flag.String("wal_sync", "", "WAL durability policy: never, commit, or an interval like 100ms; empty defers to -sync")
-		cmdTimeout    = flag.Duration("cmd_timeout", 0, "per-command deadline (0 = none)")
-		maxConns      = flag.Int("max_conns", 1024, "max concurrent client connections")
-		maxPipeline   = flag.Int("max_pipeline", 128, "max pipelined commands coalesced per read window")
-		idleTimeout   = flag.Duration("conn_idle_timeout", 0, "close connections idle for this long (0 = never)")
-		writeTimeout  = flag.Duration("conn_write_timeout", 0, "per-flush write deadline for slow clients (0 = none)")
-		drainTimeout  = flag.Duration("drain_timeout", 30*time.Second, "graceful shutdown bound (connections and store drain)")
-		maxBgComp     = flag.Int("max_bg_compactions", 0, "concurrent compactions per LSM instance (0 = default 2)")
-		subComp       = flag.Int("subcompactions", 0, "parallel key-range splits per compaction (0 = default 1, off)")
-		l0Slowdown    = flag.Int("l0_slowdown", 0, "L0 file count that soft-delays writers (0 = engine default)")
-		ckptDir       = flag.String("checkpoint_dir", "", "backup set BGSAVE writes into; empty disables BGSAVE")
-		scrubIvl      = flag.Duration("scrub_interval", 0, "background at-rest integrity scrub cadence (0 = disabled; SCRUB stays available)")
-		scrubRate     = flag.Int64("scrub_rate", 0, "scrub read-bandwidth budget in bytes/sec (0 = unthrottled)")
-		repairFrom    = flag.String("repair_from", "", "backup directory engines may pull verified files from to self-repair quarantined data; defaults to -checkpoint_dir")
-		hotCache      = flag.Int64("hot_cache", 0, "hot-key read cache budget in bytes; hits bypass queue admission (-1 = default 32 MiB; 0 disables)")
-		replicaOf     = flag.String("replicaof", "", "start as a read-only replica of a primary at host:port (also settable at runtime via REPLICAOF)")
-		replBacklog   = flag.Int64("repl_backlog", 0, "replication backlog retention in bytes; any non-zero value enables replication (-1 = default 16 MiB; 0 disables unless -replicaof or -repl_dir is set)")
-		replDir       = flag.String("repl_dir", "", "replication working directory for full-sync images and replica cursor state (default <dir>-repl when replication is enabled)")
-		elastic       = flag.Bool("elastic", false, "place keys on a consistent-hash ring and enable online resharding via RESHARD <n>; -workers only seeds the first open (incompatible with replication)")
-		cutoverBudget = flag.Duration("cutover_budget", 0, "max writer pause per reshard cutover attempt (0 = default 10ms)")
+		addr         = flag.String("addr", "127.0.0.1:6380", "TCP listen address")
+		debugAddr    = flag.String("debug_addr", "", "HTTP debug listen address (/metrics, /debug/pprof); empty disables")
+		cmdTimeout   = flag.Duration("cmd_timeout", 0, "per-command deadline (0 = none)")
+		maxConns     = flag.Int("max_conns", 1024, "max concurrent client connections")
+		maxPipeline  = flag.Int("max_pipeline", 128, "max pipelined commands coalesced per read window")
+		idleTimeout  = flag.Duration("conn_idle_timeout", 0, "close connections idle for this long (0 = never)")
+		writeTimeout = flag.Duration("conn_write_timeout", 0, "per-flush write deadline for slow clients (0 = none)")
+		ckptDir      = flag.String("checkpoint_dir", "", "backup set BGSAVE writes into; empty disables BGSAVE. Doubles as -repair_from when that is unset")
+		replicaOf    = flag.String("replicaof", "", "start as a read-only replica of a primary at host:port (also settable at runtime via REPLICAOF); implies -repl_backlog -1")
+		replDir      = flag.String("repl_dir", "", "replication working directory for full-sync images and replica cursor state (default <dir>-repl when replication is enabled); implies -repl_backlog -1")
 	)
+	// The store-shaping flags (-dir, -engine, -workers, -wal_sync, …) are
+	// declared once, in loadgen, and shared with dbbench and p2kvs-cli.
+	// -drain_timeout bounds the whole graceful shutdown here: connections,
+	// then the store's queues.
+	buildOpts := loadgen.StoreFlags(flag.CommandLine, p2kvs.Options{
+		Dir: "p2kvs-server-db", Workers: 8, Admission: p2kvs.AdmitReject, DrainTimeout: 30 * time.Second,
+	})
 	flag.Parse()
 	logger := log.New(os.Stderr, "", log.LstdFlags|log.Lmicroseconds)
 
-	var policy p2kvs.AdmissionPolicy
-	switch *admission {
-	case "block":
-		policy = p2kvs.AdmitBlock
-	case "reject":
-		policy = p2kvs.AdmitReject
-	case "wait":
-		policy = p2kvs.AdmitWait
-	default:
-		fmt.Fprintf(os.Stderr, "p2kvs-server: unknown admission policy %q\n", *admission)
+	storeOpts, err := buildOpts()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "p2kvs-server:", err)
 		os.Exit(2)
 	}
-
-	var (
-		syncPolicy   p2kvs.SyncPolicy
-		syncInterval time.Duration
-	)
-	switch *walSync {
-	case "":
-		// Defer to -sync.
-	case "never":
-		syncPolicy = p2kvs.SyncNever
-		*syncWAL = false
-	case "commit":
-		syncPolicy = p2kvs.SyncOnCommit
-	default:
-		d, err := time.ParseDuration(*walSync)
-		if err != nil || d <= 0 {
-			fmt.Fprintf(os.Stderr, "p2kvs-server: -wal_sync must be never, commit, or a positive duration, got %q\n", *walSync)
-			os.Exit(2)
-		}
-		syncPolicy, syncInterval = p2kvs.SyncInterval, d
+	if storeOpts.RepairFrom == "" {
+		// Repairs draw from the newest backup the server itself has taken.
+		storeOpts.RepairFrom = *ckptDir
 	}
-
-	// -replicaof or -repl_dir implies replication; default the backlog and
-	// working directory from the data directory when left unset.
-	backlog := *replBacklog
-	if backlog == 0 && (*replicaOf != "" || *replDir != "") {
-		backlog = -1 // default retention
+	if storeOpts.ReplBacklogBytes == 0 && (*replicaOf != "" || *replDir != "") {
+		storeOpts.ReplBacklogBytes = -1 // default retention
 	}
 	rdir := *replDir
-	if rdir == "" && backlog != 0 {
-		rdir = *dir + "-repl"
+	if rdir == "" && storeOpts.ReplBacklogBytes != 0 {
+		rdir = storeOpts.Dir + "-repl"
 	}
 
-	storeOpts := p2kvs.Options{
-		Dir:      *dir,
-		Workers:  *workers,
-		Engine:   p2kvs.EngineKind(*engine),
-		InMemory: *inMemory,
-		SyncWAL:  *syncWAL,
-
-		WALSync:         syncPolicy,
-		WALSyncInterval: syncInterval,
-
-		Admission:    policy,
-		QueueDepth:   *queueDepth,
-		MaxBatch:     *maxBatch,
-		DrainTimeout: *drainTimeout,
-
-		MaxBackgroundCompactions: *maxBgComp,
-		MaxSubCompactions:        *subComp,
-		L0SlowdownTrigger:        *l0Slowdown,
-
-		ScrubInterval: *scrubIvl,
-		ScrubRate:     *scrubRate,
-		RepairFrom:    repairDir(*repairFrom, *ckptDir),
-
-		HotCacheBytes:    *hotCache,
-		ReplBacklogBytes: backlog,
-
-		Elastic:       *elastic,
-		CutoverBudget: *cutoverBudget,
-	}
 	store, err := p2kvs.Open(storeOpts)
 	if err != nil {
 		logger.Fatalf("p2kvs-server: open store: %v", err)
@@ -154,7 +85,7 @@ func main() {
 		CheckpointDir:   *ckptDir,
 		Logf:            logger.Printf,
 	}
-	if backlog != 0 {
+	if storeOpts.ReplBacklogBytes != 0 {
 		cfg.ReplDir = rdir
 		cfg.ReplicaOf = *replicaOf
 		// A full sync replaces the data directory wholesale: wipe it, then
@@ -162,7 +93,7 @@ func main() {
 		// shape. The staged image lives on the host filesystem (ReplFS nil
 		// = OS), so p2kvs.Restore's manifest verification runs against it.
 		cfg.RestoreStore = func(_ vfs.FS, srcDir string) (*p2kvs.Store, error) {
-			if err := os.RemoveAll(*dir); err != nil {
+			if err := os.RemoveAll(storeOpts.Dir); err != nil {
 				return nil, err
 			}
 			return p2kvs.Restore(srcDir, storeOpts)
@@ -184,7 +115,7 @@ func main() {
 		logger.Fatalf("p2kvs-server: serve: %v", err)
 	}
 
-	ctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
+	ctx, cancel := context.WithTimeout(context.Background(), storeOpts.DrainTimeout)
 	defer cancel()
 	if err := srv.Shutdown(ctx); err != nil {
 		logger.Fatalf("p2kvs-server: shutdown: %v", err)
@@ -193,14 +124,4 @@ func main() {
 		logger.Fatalf("p2kvs-server: serve: %v", err)
 	}
 	logger.Printf("p2kvs-server: clean shutdown")
-}
-
-// repairDir resolves -repair_from: explicit value wins, else the BGSAVE
-// directory doubles as the repair source (repairs draw from the newest
-// backup the server itself has taken).
-func repairDir(explicit, ckptDir string) string {
-	if explicit != "" {
-		return explicit
-	}
-	return ckptDir
 }

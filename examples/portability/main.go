@@ -13,7 +13,7 @@ import (
 	"time"
 
 	"p2kvs"
-	"p2kvs/internal/workload"
+	"p2kvs/internal/loadgen"
 )
 
 const (
@@ -64,15 +64,15 @@ func drive(store *p2kvs.Store, write bool) float64 {
 		wg.Add(1)
 		go func(tid int) {
 			defer wg.Done()
-			ch := workload.NewUniform(ops, int64(tid+1))
+			ch := loadgen.NewUniform(ops, int64(tid+1))
 			for i := 0; i < ops/threads; i++ {
 				idx := ch.Next()
 				if write {
-					if err := store.Put(workload.Key(idx), workload.Value(idx, valueSize)); err != nil {
+					if err := store.Put(loadgen.Key(idx), loadgen.Value(idx, 0, valueSize)); err != nil {
 						log.Fatal(err)
 					}
 				} else {
-					if _, err := store.Get(workload.Key(idx)); err != nil && err != p2kvs.ErrNotFound {
+					if _, err := store.Get(loadgen.Key(idx)); err != nil && err != p2kvs.ErrNotFound {
 						log.Fatal(err)
 					}
 				}

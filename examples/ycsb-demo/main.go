@@ -12,9 +12,7 @@ import (
 	"time"
 
 	"p2kvs"
-	"p2kvs/internal/kv"
-	"p2kvs/internal/workload"
-	"p2kvs/internal/ycsb"
+	"p2kvs/internal/loadgen"
 )
 
 // The workload runs against the simulated Optane NVMe with the host
@@ -51,45 +49,24 @@ func run(label string, workers int) float64 {
 	defer store.Close()
 
 	// Load phase.
-	var b p2kvs.Batch
-	for i := 0; i < loadKeys; i++ {
-		b.Put(workload.Key(uint64(i)), workload.Value(uint64(i), valueSize))
-		if b.Len() == 256 {
-			if err := store.Write(&b); err != nil {
-				log.Fatal(err)
-			}
-			b.Reset()
-		}
-	}
-	if err := store.Write(&b); err != nil {
-		log.Fatal(err)
-	}
-	if err := store.Flush(); err != nil {
+	if err := loadgen.Preload(store, loadKeys, valueSize); err != nil {
 		log.Fatal(err)
 	}
 
 	// Run phase: YCSB-A from Table 1.
-	spec := ycsb.Workloads["A"]
-	frontier := ycsb.NewFrontier(loadKeys)
+	spec := loadgen.MustLookup("ycsb-a")
+	frontier := loadgen.NewFrontier(loadKeys)
 	var wg sync.WaitGroup
 	start := time.Now()
 	for t := 0; t < threads; t++ {
 		wg.Add(1)
 		go func(tid int) {
 			defer wg.Done()
-			gen := ycsb.NewGenerator(spec, loadKeys, frontier, int64(tid+1))
+			gen := loadgen.NewGenerator(spec, loadKeys, frontier, int64(tid+1))
 			for i := 0; i < opsTotal/threads; i++ {
-				op := gen.Next()
-				key := workload.Key(op.KeyIdx)
-				switch op.Type {
-				case ycsb.OpUpdate:
-					if err := store.Put(key, workload.Value(op.KeyIdx, valueSize)); err != nil {
-						log.Fatal(err)
-					}
-				case ycsb.OpRead:
-					if _, err := store.Get(key); err != nil && err != kv.ErrNotFound {
-						log.Fatal(err)
-					}
+				err := loadgen.Exec(store, gen.Next(), valueSize, 0, nil)
+				if err != nil && err != p2kvs.ErrNotFound {
+					log.Fatal(err)
 				}
 			}
 		}(t)

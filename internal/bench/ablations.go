@@ -1,40 +1,23 @@
 package bench
 
 import (
-	"fmt"
-	"sort"
-
 	"p2kvs/internal/core"
 	"p2kvs/internal/device"
 	"p2kvs/internal/keyspace"
-	"p2kvs/internal/kv"
+	"p2kvs/internal/loadgen"
 	"p2kvs/internal/lsm"
 	"p2kvs/internal/vfs"
-	"p2kvs/internal/workload"
 )
 
-// RunAblationBatch sweeps OBM's maximum batch size (the paper fixes 32
+// runAblationBatch sweeps OBM's maximum batch size (the paper fixes 32
 // as a tail-latency guard; this quantifies the choice). Expected shape:
 // write QPS climbs steeply to ~16-32 then flattens.
-func RunAblationBatch(e Env) (*Table, error) {
-	e = e.WithDefaults()
+func runAblationBatch(e Env) (*Table, error) {
 	tbl := NewTable("Ablation: OBM max batch size (p2KVS-4, 16 submitters, random write)",
 		"max batch", "simQPS", "avg formed batch")
-	sizes := []int{1, 4, 8, 16, 32, 128}
-	if e.Quick {
-		sizes = []int{1, 32}
-	}
-	for _, max := range sizes {
+	for _, max := range ends(e, 1, 4, 8, 16, 32, 128) {
 		fs, scale := newDevFS(device.NVMe)
-		opts := core.DefaultOptions(func(id int, filter func(uint64) bool) (kv.Engine, error) {
-			o := lsm.RocksDBOptions(fs)
-			benchLSMSizes(&o)
-			applySimCosts(&o, fs)
-			return lsm.OpenWith(fmt.Sprintf("p2/inst-%02d", id), o, lsm.OpenOptions{RecoverFilter: filter})
-		})
-		opts.Workers = 4
-		opts.MaxBatch = max
-		s, err := core.Open(opts)
+		s, err := openP2(fs, "p2", 4, true, lsm.RocksDBOptions, nil, func(o *core.Options) { o.MaxBatch = max })
 		if err != nil {
 			return nil, err
 		}
@@ -55,120 +38,80 @@ func RunAblationBatch(e Env) (*Table, error) {
 		}
 		tbl.Add(max, res.SimQPS, avg)
 	}
-	tbl.Print(e.Out)
 	return tbl, nil
 }
 
-// RunAblationPartition compares the default hash partitioner with a
+// runAblationPartition compares the default hash partitioner with a
 // static range partitioner under uniform and zipfian load, reporting QPS
 // and the worker-load imbalance (max/mean ops). Expected shape: hash
 // stays balanced under skew; range partitioning concentrates hot ranges.
-func RunAblationPartition(e Env) (*Table, error) {
-	e = e.WithDefaults()
+func runAblationPartition(e Env) (*Table, error) {
 	tbl := NewTable("Ablation: partitioning strategy (p2KVS-4, 16 submitters)",
 		"distribution", "partitioner", "simQPS", "load imbalance (max/mean)")
 	const workers = 4
 	for _, dist := range []string{"uniform", "zipfian"} {
 		for _, part := range []string{"hash", "range"} {
 			fs, scale := newDevFS(device.NVMe)
-			opts := core.DefaultOptions(func(id int, filter func(uint64) bool) (kv.Engine, error) {
-				o := lsm.RocksDBOptions(fs)
-				benchLSMSizes(&o)
-				applySimCosts(&o, fs)
-				return lsm.OpenWith(fmt.Sprintf("p2/inst-%02d", id), o, lsm.OpenOptions{RecoverFilter: filter})
-			})
-			opts.Workers = workers
-			if part == "range" {
-				// Static splits assuming uniform key text (user....).
-				splits := make([][]byte, workers-1)
-				for i := range splits {
-					splits[i] = workload.Key(uint64((i + 1) * e.Keys / workers))
+			s, err := openP2(fs, "p2", workers, true, lsm.RocksDBOptions, nil, func(o *core.Options) {
+				if part == "range" {
+					// Static splits assuming uniform key text (user....).
+					splits := make([][]byte, workers-1)
+					for i := range splits {
+						splits[i] = loadgen.Key(uint64((i + 1) * e.Keys / workers))
+					}
+					o.Partitioner = keyspace.NewRange(splits)
 				}
-				opts.Partitioner = keyspace.NewRange(splits)
-			}
-			s, err := core.Open(opts)
+			})
 			if err != nil {
 				return nil, err
 			}
-			choosers := make([]workload.Chooser, 16)
-			for t := range choosers {
-				if dist == "zipfian" {
-					choosers[t] = workload.NewZipfian(uint64(e.Keys), int64(t+1))
-				} else {
-					choosers[t] = workload.NewUniform(uint64(e.Keys), int64(t+1))
-				}
-			}
+			choosers := perThreadChoosers(dist, 16, e.Keys)
 			res, err := e.measure(16, scale, func(tid, _ int) error {
-				idx := choosers[tid].Next()
-				return s.Put(workload.Key(idx), workload.Value(idx, e.ValueSize))
+				return put(s, choosers[tid].Next(), e.ValueSize)
 			})
 			if err != nil {
 				s.Close()
 				return nil, err
 			}
-			var ops []float64
-			var sum float64
+			var most, sum float64
 			for _, ws := range s.Stats() {
-				ops = append(ops, float64(ws.Ops))
+				most = max(most, float64(ws.Ops))
 				sum += float64(ws.Ops)
 			}
 			s.Close()
-			sort.Float64s(ops)
 			imbalance := 0.0
 			if sum > 0 {
-				imbalance = ops[len(ops)-1] / (sum / float64(workers))
+				imbalance = most / (sum / float64(workers))
 			}
 			tbl.Add(dist, part, res.SimQPS, imbalance)
 		}
 	}
-	tbl.Print(e.Out)
 	return tbl, nil
 }
 
-// RunAblationScan compares the two SCAN strategies from §4.4 across scan
+// runAblationScan compares the two SCAN strategies from §4.4 across scan
 // sizes. Expected shape: the speculative parallel scan wins at small
 // sizes (latency-bound); the merged iterator closes in as sizes grow and
 // over-read dominates.
-func RunAblationScan(e Env) (*Table, error) {
-	e = e.WithDefaults()
+func runAblationScan(e Env) (*Table, error) {
 	tbl := NewTable("Ablation: SCAN strategy (p2KVS-8, 1 thread)",
 		"scan size", "parallel simQPS", "merged simQPS")
-	sizes := []int{10, 100, 1000}
-	if e.Quick {
-		sizes = []int{10, 100}
-	}
-	mem := vfs.NewMem()
-	load, err := openP2(device.WrapFS(mem, device.New(device.Null, 1)), "p2", 8, true, lsm.RocksDBOptions, nil)
-	if err != nil {
-		return nil, err
-	}
-	if err := preloadFast(load, e.Keys, e.ValueSize); err != nil {
-		return nil, err
-	}
-	load.Close()
-	scale := scaleFor(device.NVMe)
-
-	for _, size := range sizes {
+	for _, size := range ends(e, 10, 100, 1000) {
 		row := []interface{}{size}
 		for _, merged := range []bool{false, true} {
-			devfs := device.WrapFS(mem, device.New(device.NVMe, scale))
-			opts := core.DefaultOptions(func(id int, filter func(uint64) bool) (kv.Engine, error) {
-				o := lsm.RocksDBOptions(devfs)
-				benchLSMSizes(&o)
-				applySimCosts(&o, devfs)
-				return lsm.OpenWith(fmt.Sprintf("p2/inst-%02d", id), o, lsm.OpenOptions{RecoverFilter: filter})
+			s, scale, err := openOn(e, device.NVMe, e.ValueSize, func(fs vfs.FS) (*core.Store, error) {
+				return openP2(fs, "p2", 8, true, lsm.RocksDBOptions, nil, func(o *core.Options) {
+					if merged {
+						o.Scan = core.ScanMerged
+					}
+				})
 			})
-			opts.Workers = 8
-			if merged {
-				opts.Scan = core.ScanMerged
-			}
-			s, err := core.Open(opts)
 			if err != nil {
 				return nil, err
 			}
-			ch := workload.NewUniform(uint64(e.Keys-size), 3)
+			ch := loadgen.NewUniform(uint64(e.Keys-size), 3)
 			res, err := e.measure(1, scale, func(_, _ int) error {
-				_, err := s.Scan(workload.Key(ch.Next()), size)
+				_, err := s.Scan(loadgen.Key(ch.Next()), size)
 				return err
 			})
 			s.Close()
@@ -179,45 +122,26 @@ func RunAblationScan(e Env) (*Table, error) {
 		}
 		tbl.Add(row...)
 	}
-	tbl.Print(e.Out)
 	return tbl, nil
 }
 
-// RunAblationCache quantifies the per-instance block cache (the paper's
+// runAblationCache quantifies the per-instance block cache (the paper's
 // RocksDB instances run 8 MB block caches, §5.5): read throughput on a
 // zipfian working set with the cache disabled vs enabled. Expected
 // shape: the cache absorbs the hot set, multiplying read QPS.
-func RunAblationCache(e Env) (*Table, error) {
-	e = e.WithDefaults()
+func runAblationCache(e Env) (*Table, error) {
 	tbl := NewTable("Ablation: block cache (RocksDB preset, zipfian reads, 8 threads)",
 		"block cache", "simQPS", "hit rate %")
 	for _, cacheSize := range []int64{-1, 8 << 20} {
-		mem := vfs.NewMem()
-		load, err := openRocks(device.WrapFS(mem, device.New(device.Null, 1)), "db",
-			func(o *lsm.Options) { o.BlockCacheSize = cacheSize })
+		db, scale, err := openOn(e, device.NVMe, e.ValueSize, func(fs vfs.FS) (*lsm.DB, error) {
+			return openRocks(fs, "db", func(o *lsm.Options) { o.BlockCacheSize = cacheSize })
+		})
 		if err != nil {
 			return nil, err
 		}
-		if err := preloadFast(load, e.Keys, e.ValueSize); err != nil {
-			return nil, err
-		}
-		load.Close()
-		scale := scaleFor(device.NVMe)
-		db, err := openRocks(device.WrapFS(mem, device.New(device.NVMe, scale)), "db",
-			func(o *lsm.Options) { o.BlockCacheSize = cacheSize })
-		if err != nil {
-			return nil, err
-		}
-		choosers := make([]workload.Chooser, 8)
-		for t := range choosers {
-			choosers[t] = workload.NewZipfian(uint64(e.Keys), int64(t+1))
-		}
+		choosers := perThreadChoosers("zipfian", 8, e.Keys)
 		res, err := e.measure(8, scale, func(tid, _ int) error {
-			_, err := db.Get(workload.Key(choosers[tid].Next()))
-			if err == kv.ErrNotFound {
-				err = nil
-			}
-			return err
+			return get(db, choosers[tid].Next())
 		})
 		hits, misses := db.BlockCacheStats()
 		db.Close()
@@ -234,6 +158,5 @@ func RunAblationCache(e Env) (*Table, error) {
 		}
 		tbl.Add(label, res.SimQPS, hitRate)
 	}
-	tbl.Print(e.Out)
 	return tbl, nil
 }

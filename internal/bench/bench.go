@@ -27,8 +27,10 @@ package bench
 import (
 	"fmt"
 	"io"
+	"strings"
 	"sync"
 	"sync/atomic"
+	"text/tabwriter"
 	"time"
 
 	"p2kvs/internal/device"
@@ -48,7 +50,8 @@ type Env struct {
 	ValueSize int
 	// Keys is the preloaded key-space size for read benches.
 	Keys int
-	// Quick shrinks budgets for smoke tests.
+	// Quick is the smoke-run mode: smaller budgets and key space, and
+	// every sweep trimmed to its end points (see ends).
 	Quick bool
 }
 
@@ -79,6 +82,17 @@ func (e Env) WithDefaults() Env {
 		e.Keys = 2000
 	}
 	return e
+}
+
+// ends trims a sweep axis to its first and last point under Quick. A
+// smoke run still takes both extremes an axis selects between and every
+// measured cell keeps its whole (Quick) budget; what shrinks is the
+// number of cells.
+func ends[T any](e Env, axis ...T) []T {
+	if !e.Quick || len(axis) <= 2 {
+		return axis
+	}
+	return []T{axis[0], axis[len(axis)-1]}
 }
 
 // Scales map device profiles to the time multiplier that lifts their
@@ -215,28 +229,13 @@ func fmtFloat(v float64) string {
 	}
 }
 
-// Print renders the table.
+// Print renders the table with aligned columns.
 func (t *Table) Print(w io.Writer) {
-	widths := make([]int, len(t.Header))
-	for i, h := range t.Header {
-		widths[i] = len(h)
-	}
-	for _, r := range t.Rows {
-		for i, c := range r {
-			if i < len(widths) && len(c) > widths[i] {
-				widths[i] = len(c)
-			}
-		}
-	}
 	fmt.Fprintf(w, "\n== %s ==\n", t.Title)
-	for i, h := range t.Header {
-		fmt.Fprintf(w, "%-*s  ", widths[i], h)
-	}
-	fmt.Fprintln(w)
+	tw := tabwriter.NewWriter(w, 0, 0, 2, ' ', 0)
+	fmt.Fprintln(tw, strings.Join(t.Header, "\t"))
 	for _, r := range t.Rows {
-		for i, c := range r {
-			fmt.Fprintf(w, "%-*s  ", widths[i], c)
-		}
-		fmt.Fprintln(w)
+		fmt.Fprintln(tw, strings.Join(r, "\t"))
 	}
+	tw.Flush()
 }

@@ -1,17 +1,28 @@
 package bench
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
 	"p2kvs/internal/core"
 	"p2kvs/internal/device"
 	"p2kvs/internal/kv"
+	"p2kvs/internal/loadgen"
 	"p2kvs/internal/lsm"
 	"p2kvs/internal/metrics"
 	"p2kvs/internal/vfs"
-	"p2kvs/internal/workload"
 )
+
+// simScale returns the time scale of the simulated device behind fs, or
+// 0 when fs charges nothing (no device, or the null device preloads use).
+func simScale(fs vfs.FS) float64 {
+	dfs, ok := fs.(*device.FS)
+	if !ok || dfs.Device().Profile().Name == "null" {
+		return 0
+	}
+	return scaleFor(dfs.Device().Profile())
+}
 
 // applySimCosts attaches the simulated software-path cost model to an
 // engine whose files sit behind a simulated device: ~2us of serialized
@@ -21,36 +32,13 @@ import (
 // would make group logging artificially free. Null-device (preload)
 // filesystems get no cost.
 func applySimCosts(o *lsm.Options, fs vfs.FS) {
-	dfs, ok := fs.(*device.FS)
-	if !ok {
-		return
-	}
-	prof := dfs.Device().Profile()
-	if prof.Name == "null" {
-		return
-	}
-	s := scaleFor(prof)
+	s := simScale(fs)
 	// ~1us flat per log write (syscall + group bookkeeping) plus ~6ns
 	// per byte (encode/checksum/memcpy ≈ 0.9us per 144B op): a batched
 	// op costs ~2x less software time than a solo op, Figure 7's shape.
 	o.WALPerRecordCost = time.Duration(1000 * s)
 	o.WALPerByteCost = time.Duration(6 * s)
 	o.ReadPerOpCost = time.Duration(2000 * s) // 2us real per lookup
-}
-
-// simPerOpCost returns the scaled per-request software cost for engines
-// that take a single knob (KVell's worker path ~1.5us per op: in-memory
-// index walk + slab bookkeeping; its IO costs come from the device).
-func simPerOpCost(fs vfs.FS) time.Duration {
-	dfs, ok := fs.(*device.FS)
-	if !ok {
-		return 0
-	}
-	prof := dfs.Device().Profile()
-	if prof.Name == "null" {
-		return 0
-	}
-	return time.Duration(1500 * scaleFor(prof))
 }
 
 // benchLSMSizes shrinks the engine's structural budgets so scaled-down
@@ -66,76 +54,100 @@ func benchLSMSizes(o *lsm.Options) {
 	o.BlockCacheSize = 256 << 10
 }
 
-func openRocks(fs vfs.FS, dir string, mutate ...func(*lsm.Options)) (*lsm.DB, error) {
-	o := lsm.RocksDBOptions(fs)
+// lsmOptions is a preset shrunk to bench sizes with the cost model on.
+func lsmOptions(fs vfs.FS, preset func(vfs.FS) lsm.Options) lsm.Options {
+	o := preset(fs)
 	benchLSMSizes(&o)
 	applySimCosts(&o, fs)
+	return o
+}
+
+func openLSM(fs vfs.FS, dir string, preset func(vfs.FS) lsm.Options, mutate ...func(*lsm.Options)) (*lsm.DB, error) {
+	o := lsmOptions(fs, preset)
 	for _, m := range mutate {
 		m(&o)
 	}
 	return lsm.Open(dir, o)
 }
 
-func openPebbles(fs vfs.FS, dir string) (*lsm.DB, error) {
-	o := lsm.PebblesDBOptions(fs)
-	benchLSMSizes(&o)
-	applySimCosts(&o, fs)
-	return lsm.Open(dir, o)
+func openRocks(fs vfs.FS, dir string, mutate ...func(*lsm.Options)) (*lsm.DB, error) {
+	return openLSM(fs, dir, lsm.RocksDBOptions, mutate...)
 }
 
 // openP2 opens a p2KVS store over LSM instances with the given preset.
-func openP2(fs vfs.FS, dir string, workers int, obm bool, preset func(vfs.FS) lsm.Options, meters *metrics.Group) (*core.Store, error) {
+func openP2(fs vfs.FS, dir string, workers int, obm bool, preset func(vfs.FS) lsm.Options, meters *metrics.Group, mutate ...func(*core.Options)) (*core.Store, error) {
 	opts := core.DefaultOptions(func(id int, filter func(uint64) bool) (kv.Engine, error) {
-		o := preset(fs)
-		benchLSMSizes(&o)
-		applySimCosts(&o, fs)
-		return lsm.OpenWith(fmt.Sprintf("%s/inst-%02d", dir, id), o, lsm.OpenOptions{RecoverFilter: filter})
+		return lsm.OpenWith(fmt.Sprintf("%s/inst-%02d", dir, id), lsmOptions(fs, preset), lsm.OpenOptions{RecoverFilter: filter})
 	})
 	opts.Workers = workers
 	opts.OBM = obm
 	opts.TxnFS = fs
 	opts.TxnDir = dir + "/txn"
 	opts.Meters = meters
+	for _, m := range mutate {
+		m(&opts)
+	}
 	return core.Open(opts)
 }
 
-// preload writes keys [0, n) with the benchmark value size and flushes.
-func preload(e kv.Engine, n, valueSize int) error {
-	for i := 0; i < n; i++ {
-		if err := e.Put(workload.Key(uint64(i)), workload.Value(uint64(i), valueSize)); err != nil {
-			return err
-		}
-	}
-	return e.Flush()
+// kvStore is what the shared cell helpers need from a system under test.
+type kvStore interface {
+	loadgen.KV
+	Flush() error
+	Close() error
 }
 
-// preloadFast loads via a null-device filesystem trick is not possible
-// once the engine is open, so preload batches instead: 512-op batches cut
-// per-op WAL latency during setup.
-func preloadFast(e kv.Engine, n, valueSize int) error {
-	bw, ok := e.(kv.BatchWriter)
-	if !ok {
-		return preload(e, n, valueSize)
-	}
-	var b kv.Batch
-	for i := 0; i < n; i++ {
-		b.Put(workload.Key(uint64(i)), workload.Value(uint64(i), valueSize))
-		if b.Len() >= 512 {
-			if err := bw.Write(&b); err != nil {
-				return err
-			}
-			b.Reset()
+// openOn opens a system behind the simulated device prof and returns it
+// with the device's time scale. With preloadValueSize > 0 it first opens
+// the system on a free (null) device, loads e.Keys keys and closes it,
+// so set-up consumes no budget and measurement starts from settled files.
+func openOn[S kvStore](e Env, prof device.Profile, preloadValueSize int, open func(vfs.FS) (S, error)) (s S, scale float64, err error) {
+	mem := vfs.NewMem()
+	if preloadValueSize > 0 {
+		l, err := open(device.WrapFS(mem, device.New(device.Null, 1)))
+		if err != nil {
+			return s, 0, err
+		}
+		if err := loadgen.Preload(l, e.Keys, preloadValueSize); err != nil {
+			l.Close()
+			return s, 0, err
+		}
+		if err := l.Close(); err != nil {
+			return s, 0, err
 		}
 	}
-	if b.Len() > 0 {
-		if err := bw.Write(&b); err != nil {
-			return err
-		}
-	}
-	return e.Flush()
+	scale = scaleFor(prof)
+	s, err = open(device.WrapFS(mem, device.New(prof, scale)))
+	return s, scale, err
 }
 
-// utilization converts device stats to a fraction of the profile's
+// put and get are the two point ops nearly every cell measures: key
+// index idx with the codec's value; a read miss is an answer.
+func put(s loadgen.KV, idx uint64, valueSize int) error {
+	return s.Put(loadgen.Key(idx), loadgen.Value(idx, 0, valueSize))
+}
+
+func get(s loadgen.KV, idx uint64) error {
+	_, err := s.Get(loadgen.Key(idx))
+	return miss(err)
+}
+
+func miss(err error) error {
+	if errors.Is(err, kv.ErrNotFound) {
+		return nil
+	}
+	return err
+}
+
+func perThreadChoosers(dist string, threads, keys int) []loadgen.Chooser {
+	out := make([]loadgen.Chooser, threads)
+	for t := range out {
+		out[t], _ = loadgen.NewChooser(dist, uint64(keys), nil, int64(t+1))
+	}
+	return out
+}
+
+// writeUtilization converts device stats to a fraction of the profile's
 // sequential-write bandwidth over the simulated elapsed time.
 func writeUtilization(st device.Stats, prof device.Profile, simElapsedSec float64) float64 {
 	if simElapsedSec <= 0 {

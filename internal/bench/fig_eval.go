@@ -9,24 +9,23 @@ import (
 	"p2kvs/internal/core"
 	"p2kvs/internal/device"
 	"p2kvs/internal/histogram"
-	"p2kvs/internal/kv"
+	"p2kvs/internal/loadgen"
 	"p2kvs/internal/lsm"
 	"p2kvs/internal/metrics"
 	"p2kvs/internal/vfs"
-	"p2kvs/internal/workload"
 )
 
 // asyncFill drives the store's asynchronous write interface from
 // `threads` submitters (the paper enables the async interface for peak
 // write measurements, §5.1), waiting for all callbacks.
 func asyncFill(e Env, s *core.Store, threads int, scale float64, valueSize int) (Res, error) {
-	choosers := perThreadUniform(threads, e.Keys)
+	choosers := perThreadChoosers("uniform", threads, e.Keys)
 	var pending sync.WaitGroup
 	start := time.Now()
 	res, err := e.measure(threads, scale, func(tid, _ int) error {
 		idx := choosers[tid].Next()
 		pending.Add(1)
-		return s.PutAsync(workload.Key(idx), workload.Value(idx, valueSize), func(error) {
+		return s.PutAsync(loadgen.Key(idx), loadgen.Value(idx, 0, valueSize), func(error) {
 			pending.Done()
 		})
 	})
@@ -40,91 +39,69 @@ func asyncFill(e Env, s *core.Store, threads int, scale float64, valueSize int) 
 	return res, err
 }
 
-// RunFig12 reproduces Figure 12: random-write throughput, IO
+// runFig12 reproduces Figure 12: random-write throughput, IO
 // amplification and bandwidth utilization for RocksDB, PebblesDB,
 // p2KVS-4 and p2KVS-8 under 16 user threads. Expected shape: p2KVS-8 >
 // p2KVS-4 > RocksDB in QPS; p2KVS-8 has the lowest IO amplification
 // (wider, shallower tree); p2KVS drives far higher bandwidth.
-func RunFig12(e Env) (*Table, error) {
-	e = e.WithDefaults()
+func runFig12(e Env) (*Table, error) {
 	const threads = 16
 	tbl := NewTable("Figure 12: random write, 16 user threads (NVMe, 128B)",
 		"system", "simQPS", "IO amplification", "bw util %")
 
-	type cfg struct {
-		name string
-		run  func() (Res, device.Stats, float64, int64, error)
-	}
-	kvBytes := func(p lsm.Perf) int64 { return p.UserBytes }
-	configs := []cfg{
-		{"RocksDB", func() (Res, device.Stats, float64, int64, error) {
-			fs, scale := newDevFS(device.NVMe)
-			db, err := openRocks(fs, "db")
-			if err != nil {
-				return Res{}, device.Stats{}, 0, 0, err
-			}
-			defer db.Close()
-			choosers := perThreadUniform(threads, e.Keys)
-			res, err := e.measure(threads, scale, func(tid, _ int) error {
-				idx := choosers[tid].Next()
-				return db.Put(workload.Key(idx), workload.Value(idx, e.ValueSize))
-			})
-			return res, fs.Device().Stats(), scale, kvBytes(db.Perf()), err
-		}},
-		{"PebblesDB", func() (Res, device.Stats, float64, int64, error) {
-			fs, scale := newDevFS(device.NVMe)
-			db, err := openPebbles(fs, "db")
-			if err != nil {
-				return Res{}, device.Stats{}, 0, 0, err
-			}
-			defer db.Close()
-			choosers := perThreadUniform(threads, e.Keys)
-			res, err := e.measure(threads, scale, func(tid, _ int) error {
-				idx := choosers[tid].Next()
-				return db.Put(workload.Key(idx), workload.Value(idx, e.ValueSize))
-			})
-			return res, fs.Device().Stats(), scale, kvBytes(db.Perf()), err
-		}},
-	}
-	for _, workers := range []int{4, 8} {
-		w := workers
-		configs = append(configs, cfg{fmt.Sprintf("p2KVS-%d", w), func() (Res, device.Stats, float64, int64, error) {
-			fs, scale := newDevFS(device.NVMe)
-			s, err := openP2(fs, "p2", w, true, lsm.RocksDBOptions, nil)
-			if err != nil {
-				return Res{}, device.Stats{}, 0, 0, err
-			}
-			defer s.Close()
-			res, err := asyncFill(e, s, threads, scale, e.ValueSize)
-			var user int64
-			for i := 0; i < w; i++ {
-				user += s.Engine(i).(*lsm.DB).Perf().UserBytes
-			}
-			return res, fs.Device().Stats(), scale, user, err
-		}})
-	}
-
-	for _, c := range configs {
-		res, st, scale, userBytes, err := c.run()
-		if err != nil {
-			return nil, err
-		}
+	row := func(name string, res Res, st device.Stats, scale float64, userBytes int64) {
 		amp := 0.0
 		if userBytes > 0 {
 			amp = float64(st.WrittenBytes) / float64(userBytes)
 		}
 		simSec := res.Wall.Seconds() / scale
-		tbl.Add(c.name, res.SimQPS, amp, 100*writeUtilization(st, device.NVMe, simSec))
+		tbl.Add(name, res.SimQPS, amp, 100*writeUtilization(st, device.NVMe, simSec))
 	}
-	tbl.Print(e.Out)
+	for _, single := range []struct {
+		name   string
+		preset func(vfs.FS) lsm.Options
+	}{{"RocksDB", lsm.RocksDBOptions}, {"PebblesDB", lsm.PebblesDBOptions}} {
+		fs, scale := newDevFS(device.NVMe)
+		db, err := openLSM(fs, "db", single.preset)
+		if err != nil {
+			return nil, err
+		}
+		choosers := perThreadChoosers("uniform", threads, e.Keys)
+		res, err := e.measure(threads, scale, func(tid, _ int) error {
+			return put(db, choosers[tid].Next(), e.ValueSize)
+		})
+		st, userBytes := fs.Device().Stats(), db.Perf().UserBytes
+		db.Close()
+		if err != nil {
+			return nil, err
+		}
+		row(single.name, res, st, scale, userBytes)
+	}
+	for _, w := range []int{4, 8} {
+		fs, scale := newDevFS(device.NVMe)
+		s, err := openP2(fs, "p2", w, true, lsm.RocksDBOptions, nil)
+		if err != nil {
+			return nil, err
+		}
+		res, err := asyncFill(e, s, threads, scale, e.ValueSize)
+		var userBytes int64
+		for i := 0; i < w; i++ {
+			userBytes += s.Engine(i).(*lsm.DB).Perf().UserBytes
+		}
+		st := fs.Device().Stats()
+		s.Close()
+		if err != nil {
+			return nil, err
+		}
+		row(fmt.Sprintf("p2KVS-%d", w), res, st, scale, userBytes)
+	}
 	return tbl, nil
 }
 
-// RunTable2 reproduces Table 2: memory and (virtual) CPU usage under the
+// runTable2 reproduces Table 2: memory and (virtual) CPU usage under the
 // random-write workload. Memory is engine-reported structure memory plus
 // Go heap delta; CPU is metered worker busy-share in core-equivalents.
-func RunTable2(e Env) (*Table, error) {
-	e = e.WithDefaults()
+func runTable2(e Env) (*Table, error) {
 	const threads = 16
 	tbl := NewTable("Table 2: memory and CPU under random writes",
 		"system", "mem (MB)", "CPU (core-%)")
@@ -149,12 +126,11 @@ func RunTable2(e Env) (*Table, error) {
 		for i := range meters {
 			meters[i] = g.Meter(fmt.Sprintf("user-%d", i))
 		}
-		choosers := perThreadUniform(threads, e.Keys)
+		choosers := perThreadChoosers("uniform", threads, e.Keys)
 		if _, err := e.measure(threads, scale, func(tid, _ int) error {
 			meters[tid].Busy()
 			defer meters[tid].Idle()
-			idx := choosers[tid].Next()
-			return db.Put(workload.Key(idx), workload.Value(idx, e.ValueSize))
+			return put(db, choosers[tid].Next(), e.ValueSize)
 		}); err != nil {
 			db.Close()
 			return nil, err
@@ -182,17 +158,15 @@ func RunTable2(e Env) (*Table, error) {
 		s.Close()
 		tbl.Add(fmt.Sprintf("p2KVS-%d", workers), mem, 100*cores)
 	}
-	tbl.Print(e.Out)
 	return tbl, nil
 }
 
-// RunFig13 reproduces Figure 13: average and p99 latency as a function
+// runFig13 reproduces Figure 13: average and p99 latency as a function
 // of offered load (open loop) for RocksDB, RocksDB+OBM (p2KVS with one
 // worker) and p2KVS-8. Expected shape: all systems track the offered
 // rate at low intensity; RocksDB's latency blows up first; p2KVS-8
 // sustains several times higher intensity at bounded tails.
-func RunFig13(e Env) (*Table, error) {
-	e = e.WithDefaults()
+func runFig13(e Env) (*Table, error) {
 	tbl := NewTable("Figure 13: latency vs request intensity (open loop, NVMe, 128B)",
 		"intensity (sim KQPS)", "system", "avg lat (sim ms)", "p99 lat (sim ms)")
 
@@ -202,11 +176,7 @@ func RunFig13(e Env) (*Table, error) {
 		obm     bool
 	}
 	systems := []sys{{"RocksDB", 1, false}, {"RocksDB+OBM", 1, true}, {"p2KVS-8", 8, true}}
-	intensities := []float64{50_000, 100_000, 200_000, 400_000}
-	if e.Quick {
-		intensities = []float64{50_000, 200_000}
-	}
-	for _, intensity := range intensities {
+	for _, intensity := range ends(e, 50_000.0, 100_000, 200_000, 400_000) {
 		for _, sy := range systems {
 			fs, scale := newDevFS(device.NVMe)
 			s, err := openP2(fs, "p2", sy.workers, sy.obm, lsm.RocksDBOptions, nil)
@@ -215,7 +185,7 @@ func RunFig13(e Env) (*Table, error) {
 			}
 			var h histogram.H
 			var pending sync.WaitGroup
-			ch := workload.NewUniform(uint64(e.Keys), 1)
+			ch := loadgen.NewUniform(uint64(e.Keys), 1)
 			// Open loop: one pacer submits at the target *simulated*
 			// rate, i.e. realRate = intensity/scale, in 5ms ticks.
 			realRate := intensity / scale
@@ -232,7 +202,7 @@ func RunFig13(e Env) (*Table, error) {
 					idx := ch.Next()
 					submitted := time.Now()
 					pending.Add(1)
-					err := s.PutAsync(workload.Key(idx), workload.Value(idx, e.ValueSize), func(error) {
+					err := s.PutAsync(loadgen.Key(idx), loadgen.Value(idx, 0, e.ValueSize), func(error) {
 						h.Record(time.Since(submitted))
 						pending.Done()
 					})
@@ -260,76 +230,34 @@ func RunFig13(e Env) (*Table, error) {
 				float64(h.Quantile(0.99).Microseconds())/scale/1000)
 		}
 	}
-	tbl.Print(e.Out)
 	return tbl, nil
 }
 
-// RunFig14 reproduces Figure 14: point-query throughput with and without
+// runFig14 reproduces Figure 14: point-query throughput with and without
 // OBM as client threads grow. Expected shape: without OBM p2KVS tracks
 // RocksDB; with OBM (multiget batching) p2KVS pulls ahead as concurrency
 // rises.
-func RunFig14(e Env) (*Table, error) {
-	e = e.WithDefaults()
+func runFig14(e Env) (*Table, error) {
 	tbl := NewTable("Figure 14: GET throughput (NVMe, 128B, preloaded)",
 		"threads", "RocksDB", "p2KVS-8 no OBM", "p2KVS-8 OBM")
-	threadCounts := []int{1, 4, 8, 16, 32}
-	if e.Quick {
-		threadCounts = []int{1, 8}
-	}
-	for _, threads := range threadCounts {
+	for _, threads := range ends(e, 1, 4, 8, 16, 32) {
 		row := []interface{}{threads}
-		// RocksDB direct.
-		{
-			mem := vfs.NewMem()
-			loadDB, err := openRocks(device.WrapFS(mem, device.New(device.Null, 1)), "db")
-			if err != nil {
-				return nil, err
-			}
-			if err := preloadFast(loadDB, e.Keys, e.ValueSize); err != nil {
-				return nil, err
-			}
-			loadDB.Close()
-			scale := scaleFor(device.NVMe)
-			db, err := openRocks(device.WrapFS(mem, device.New(device.NVMe, scale)), "db")
-			if err != nil {
-				return nil, err
-			}
-			choosers := perThreadUniform(threads, e.Keys)
-			res, err := e.measure(threads, scale, func(tid, _ int) error {
-				_, err := db.Get(workload.Key(choosers[tid].Next()))
-				if err == kv.ErrNotFound {
-					err = nil
-				}
-				return err
-			})
-			db.Close()
-			if err != nil {
-				return nil, err
-			}
-			row = append(row, res.SimQPS)
+		systems := []func(vfs.FS) (kvStore, error){
+			func(fs vfs.FS) (kvStore, error) { return openRocks(fs, "db") },
 		}
 		for _, obm := range []bool{false, true} {
-			mem := vfs.NewMem()
-			loadS, err := openP2(device.WrapFS(mem, device.New(device.Null, 1)), "p2", 8, true, lsm.RocksDBOptions, nil)
+			systems = append(systems, func(fs vfs.FS) (kvStore, error) {
+				return openP2(fs, "p2", 8, obm, lsm.RocksDBOptions, nil)
+			})
+		}
+		for _, open := range systems {
+			s, scale, err := openOn(e, device.NVMe, e.ValueSize, open)
 			if err != nil {
 				return nil, err
 			}
-			if err := preloadFast(loadS, e.Keys, e.ValueSize); err != nil {
-				return nil, err
-			}
-			loadS.Close()
-			scale := scaleFor(device.NVMe)
-			s, err := openP2(device.WrapFS(mem, device.New(device.NVMe, scale)), "p2", 8, obm, lsm.RocksDBOptions, nil)
-			if err != nil {
-				return nil, err
-			}
-			choosers := perThreadUniform(threads, e.Keys)
+			choosers := perThreadChoosers("uniform", threads, e.Keys)
 			res, err := e.measure(threads, scale, func(tid, _ int) error {
-				_, err := s.Get(workload.Key(choosers[tid].Next()))
-				if err == kv.ErrNotFound {
-					err = nil
-				}
-				return err
+				return get(s, choosers[tid].Next())
 			})
 			s.Close()
 			if err != nil {
@@ -339,89 +267,56 @@ func RunFig14(e Env) (*Table, error) {
 		}
 		tbl.Add(row...)
 	}
-	tbl.Print(e.Out)
 	return tbl, nil
 }
 
-// RunFig15 reproduces Figure 15: RANGE and SCAN throughput versus scan
+// runFig15 reproduces Figure 15: RANGE and SCAN throughput versus scan
 // size, single user thread, p2KVS-8 vs RocksDB. Expected shape: p2KVS
 // wins on RANGE (parallel disjoint sub-ranges) and on short SCANs; the
 // gap closes at large scan sizes when read amplification saturates the
 // device.
-func RunFig15(e Env) (*Table, error) {
-	e = e.WithDefaults()
+func runFig15(e Env) (*Table, error) {
 	tbl := NewTable("Figure 15: RANGE / SCAN queries per second vs scan size (1 thread)",
 		"scan size", "RocksDB RANGE", "p2KVS RANGE", "RocksDB SCAN", "p2KVS SCAN")
-	sizes := []int{10, 100, 1000}
-	if e.Quick {
-		sizes = []int{10, 100}
-	}
-
-	// Preload both systems on null devices, then re-open on NVMe.
-	memR := vfs.NewMem()
-	loadDB, err := openRocks(device.WrapFS(memR, device.New(device.Null, 1)), "db")
-	if err != nil {
-		return nil, err
-	}
-	if err := preloadFast(loadDB, e.Keys, e.ValueSize); err != nil {
-		return nil, err
-	}
-	loadDB.Close()
-	scale := scaleFor(device.NVMe)
-	db, err := openRocks(device.WrapFS(memR, device.New(device.NVMe, scale)), "db")
+	db, scale, err := openOn(e, device.NVMe, e.ValueSize, func(fs vfs.FS) (*lsm.DB, error) { return openRocks(fs, "db") })
 	if err != nil {
 		return nil, err
 	}
 	defer db.Close()
-
-	memP := vfs.NewMem()
-	loadS, err := openP2(device.WrapFS(memP, device.New(device.Null, 1)), "p2", 8, true, lsm.RocksDBOptions, nil)
-	if err != nil {
-		return nil, err
-	}
-	if err := preloadFast(loadS, e.Keys, e.ValueSize); err != nil {
-		return nil, err
-	}
-	loadS.Close()
-	s, err := openP2(device.WrapFS(memP, device.New(device.NVMe, scale)), "p2", 8, true, lsm.RocksDBOptions, nil)
+	s, _, err := openOn(e, device.NVMe, e.ValueSize, func(fs vfs.FS) (*core.Store, error) {
+		return openP2(fs, "p2", 8, true, lsm.RocksDBOptions, nil)
+	})
 	if err != nil {
 		return nil, err
 	}
 	defer s.Close()
 
-	for _, size := range sizes {
-		ch := workload.NewUniform(uint64(e.Keys-size), 7)
-		rocksRange, err := e.measure(1, scale, func(_, _ int) error {
-			start := ch.Next()
-			return rocksRangeQuery(db, workload.Key(start), workload.Key(start+uint64(size)-1))
-		})
-		if err != nil {
-			return nil, err
+	for _, size := range ends(e, 10, 100, 1000) {
+		ch := loadgen.NewUniform(uint64(e.Keys-size), 7)
+		row := []interface{}{size}
+		for _, query := range []func(start uint64) error{
+			func(start uint64) error { // RocksDB RANGE
+				return rocksRangeQuery(db, loadgen.Key(start), loadgen.Key(start+uint64(size)-1))
+			},
+			func(start uint64) error { // p2KVS RANGE
+				_, err := s.Range(loadgen.Key(start), loadgen.Key(start+uint64(size)-1))
+				return err
+			},
+			func(start uint64) error { // RocksDB SCAN: no native Scan, an iterator walk
+				return loadgen.Exec(db, loadgen.Op{Type: loadgen.OpScan, KeyIdx: start, ScanLen: size}, 0, 0, nil)
+			},
+			func(start uint64) error { // p2KVS SCAN
+				return loadgen.Exec(s, loadgen.Op{Type: loadgen.OpScan, KeyIdx: start, ScanLen: size}, 0, 0, nil)
+			},
+		} {
+			res, err := e.measure(1, scale, func(_, _ int) error { return query(ch.Next()) })
+			if err != nil {
+				return nil, err
+			}
+			row = append(row, res.SimQPS)
 		}
-		p2Range, err := e.measure(1, scale, func(_, _ int) error {
-			start := ch.Next()
-			_, err := s.Range(workload.Key(start), workload.Key(start+uint64(size)-1))
-			return err
-		})
-		if err != nil {
-			return nil, err
-		}
-		rocksScan, err := e.measure(1, scale, func(_, _ int) error {
-			return rocksScanQuery(db, workload.Key(ch.Next()), size)
-		})
-		if err != nil {
-			return nil, err
-		}
-		p2Scan, err := e.measure(1, scale, func(_, _ int) error {
-			_, err := s.Scan(workload.Key(ch.Next()), size)
-			return err
-		})
-		if err != nil {
-			return nil, err
-		}
-		tbl.Add(size, rocksRange.SimQPS, p2Range.SimQPS, rocksScan.SimQPS, p2Scan.SimQPS)
+		tbl.Add(row...)
 	}
-	tbl.Print(e.Out)
 	return tbl, nil
 }
 
@@ -432,19 +327,6 @@ func rocksRangeQuery(db *lsm.DB, begin, end []byte) error {
 	}
 	defer it.Close()
 	for it.Seek(begin); it.Valid() && string(it.Key()) <= string(end); it.Next() {
-	}
-	return it.Error()
-}
-
-func rocksScanQuery(db *lsm.DB, start []byte, n int) error {
-	it, err := db.NewIterator()
-	if err != nil {
-		return err
-	}
-	defer it.Close()
-	count := 0
-	for it.Seek(start); it.Valid() && count < n; it.Next() {
-		count++
 	}
 	return it.Error()
 }

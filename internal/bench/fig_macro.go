@@ -2,61 +2,26 @@ package bench
 
 import (
 	"fmt"
-	"sync/atomic"
+	"strings"
+	"time"
 
-	"p2kvs/internal/core"
 	"p2kvs/internal/device"
-	"p2kvs/internal/kv"
 	"p2kvs/internal/kvell"
+	"p2kvs/internal/loadgen"
 	"p2kvs/internal/lsm"
 	"p2kvs/internal/metrics"
 	"p2kvs/internal/vfs"
-	"p2kvs/internal/workload"
-	"p2kvs/internal/ycsb"
 )
 
-// kvStore is what the YCSB driver needs from a system under test.
-type kvStore interface {
-	Put(key, value []byte) error
-	Get(key []byte) ([]byte, error)
-	Flush() error
-	Close() error
-}
-
-// scanner is the optional scan capability (p2KVS and KVell have native
-// Scan; raw engines go through iterators).
-type scanner interface {
-	Scan(start []byte, n int) ([]core.Pair, error)
-}
-
 // runYCSB drives one workload phase and returns the simulated QPS.
-func runYCSB(e Env, s kvStore, spec ycsb.Spec, threads int, scale float64, valueSize int, loaded uint64) (float64, error) {
-	frontier := ycsb.NewFrontier(loaded)
-	gens := make([]*ycsb.Generator, threads)
+func runYCSB(e Env, s kvStore, spec loadgen.Spec, threads int, scale float64, valueSize int) (float64, error) {
+	frontier := loadgen.NewFrontier(uint64(e.Keys))
+	gens := make([]*loadgen.Generator, threads)
 	for t := range gens {
-		gens[t] = ycsb.NewGenerator(spec, loaded, frontier, int64(t+1))
+		gens[t] = loadgen.NewGenerator(spec, uint64(e.Keys), frontier, int64(t+1))
 	}
 	res, err := e.measure(threads, scale, func(tid, _ int) error {
-		op := gens[tid].Next()
-		key := workload.Key(op.KeyIdx)
-		switch op.Type {
-		case ycsb.OpInsert, ycsb.OpUpdate:
-			return s.Put(key, workload.Value(op.KeyIdx, valueSize))
-		case ycsb.OpRead:
-			_, err := s.Get(key)
-			if err == kv.ErrNotFound {
-				err = nil
-			}
-			return err
-		case ycsb.OpScan:
-			return ycsbScan(s, key, op.ScanLen)
-		case ycsb.OpRMW:
-			if _, err := s.Get(key); err != nil && err != kv.ErrNotFound {
-				return err
-			}
-			return s.Put(key, workload.Value(op.KeyIdx, valueSize))
-		}
-		return nil
+		return miss(loadgen.Exec(s, gens[tid].Next(), valueSize, 0, nil))
 	})
 	if err != nil {
 		return 0, err
@@ -64,28 +29,8 @@ func runYCSB(e Env, s kvStore, spec ycsb.Spec, threads int, scale float64, value
 	return res.SimQPS, nil
 }
 
-func ycsbScan(s kvStore, start []byte, n int) error {
-	if sc, ok := s.(scanner); ok {
-		_, err := sc.Scan(start, n)
-		return err
-	}
-	type iterable interface {
-		NewIterator() (kv.Iterator, error)
-	}
-	it, err := s.(iterable).NewIterator()
-	if err != nil {
-		return err
-	}
-	defer it.Close()
-	count := 0
-	for it.Seek(start); it.Valid() && count < n; it.Next() {
-		count++
-	}
-	return it.Error()
-}
-
-// ycsbSystem opens a system-under-test twice: once behind a null device
-// for the load phase and again behind the NVMe model for measurement.
+// ycsbSystem names a system under test and how to open it on a
+// filesystem (a free device for the load phase, NVMe for measurement).
 type ycsbSystem struct {
 	name string
 	open func(fs vfs.FS) (kvStore, error)
@@ -93,10 +38,7 @@ type ycsbSystem struct {
 
 func lsmSystem(name string, preset func(vfs.FS) lsm.Options) ycsbSystem {
 	return ycsbSystem{name: name, open: func(fs vfs.FS) (kvStore, error) {
-		o := preset(fs)
-		benchLSMSizes(&o)
-		applySimCosts(&o, fs)
-		return lsm.Open("db", o)
+		return openLSM(fs, "db", preset)
 	}}
 }
 
@@ -106,76 +48,40 @@ func p2System(name string, workers int, obm bool) ycsbSystem {
 	}}
 }
 
+// kvellSystem charges KVell's worker path ~1.5us per op (in-memory index
+// walk + slab bookkeeping; its IO costs come from the device).
 func kvellSystem(name string, workers int) ycsbSystem {
 	return ycsbSystem{name: name, open: func(fs vfs.FS) (kvStore, error) {
 		return kvell.Open("kvl", kvell.Options{
 			FS: fs, Workers: workers, CacheBytes: 8 << 20,
-			PerOpCost: simPerOpCost(fs),
+			PerOpCost: time.Duration(1500 * simScale(fs)),
 		})
 	}}
 }
 
-// measureYCSBCell loads the system on a free device, reopens it on NVMe
-// and runs the workload phase.
-func measureYCSBCell(e Env, sys ycsbSystem, spec ycsb.Spec, threads, valueSize int) (float64, error) {
-	mem := vfs.NewMem()
-	loaded := uint64(e.Keys)
-	if spec.Name != "LOAD" {
-		l, err := sys.open(device.WrapFS(mem, device.New(device.Null, 1)))
-		if err != nil {
-			return 0, err
-		}
-		if err := preloadKV(l, e.Keys, valueSize); err != nil {
-			l.Close()
-			return 0, err
-		}
-		if err := l.Close(); err != nil {
-			return 0, err
-		}
-	} else {
-		loaded = uint64(e.Keys) // LOAD inserts beyond this frontier
+// measureYCSBCell loads the system on a free device (LOAD inserts beyond
+// an empty store's frontier instead), reopens it on NVMe and runs the
+// workload phase.
+func measureYCSBCell(e Env, sys ycsbSystem, spec loadgen.Spec, threads, valueSize int) (float64, error) {
+	preload := 0
+	if spec.Preload {
+		preload = valueSize
 	}
-	scale := scaleFor(device.NVMe)
-	s, err := sys.open(device.WrapFS(mem, device.New(device.NVMe, scale)))
+	s, scale, err := openOn(e, device.NVMe, preload, sys.open)
 	if err != nil {
 		return 0, err
 	}
 	defer s.Close()
-	return runYCSB(e, s, spec, threads, scale, valueSize, loaded)
+	return runYCSB(e, s, spec, threads, scale, valueSize)
 }
 
-func preloadKV(s kvStore, n, valueSize int) error {
-	if bw, ok := s.(kv.BatchWriter); ok {
-		var b kv.Batch
-		for i := 0; i < n; i++ {
-			b.Put(workload.Key(uint64(i)), workload.Value(uint64(i), valueSize))
-			if b.Len() >= 512 {
-				if err := bw.Write(&b); err != nil {
-					return err
-				}
-				b.Reset()
-			}
-		}
-		if b.Len() > 0 {
-			if err := bw.Write(&b); err != nil {
-				return err
-			}
-		}
-		return s.Flush()
-	}
-	for i := 0; i < n; i++ {
-		if err := s.Put(workload.Key(uint64(i)), workload.Value(uint64(i), valueSize)); err != nil {
-			return err
-		}
-	}
-	return s.Flush()
-}
+// ycsbLabel is the paper's name for a ycsb-* row ("LOAD", "A" … "F").
+func ycsbLabel(mix string) string { return strings.ToUpper(strings.TrimPrefix(mix, "ycsb-")) }
 
-// RunFig16 reproduces Figure 16: YCSB throughput for RocksDB, p2KVS-4
+// runFig16 reproduces Figure 16: YCSB throughput for RocksDB, p2KVS-4
 // and p2KVS-8 at 8 and 32 client threads. Expected shape: large p2KVS
 // wins on LOAD/A/F, 1-2x on B/C/D, parity on E.
-func RunFig16(e Env) (*Table, error) {
-	e = e.WithDefaults()
+func runFig16(e Env) (*Table, error) {
 	tbl := NewTable("Figure 16: YCSB throughput (simulated QPS, NVMe, 128B)",
 		"workload", "threads", "RocksDB", "p2KVS-4", "p2KVS-8")
 	systems := []ycsbSystem{
@@ -183,16 +89,10 @@ func RunFig16(e Env) (*Table, error) {
 		p2System("p2KVS-4", 4, true),
 		p2System("p2KVS-8", 8, true),
 	}
-	workloads := ycsb.Order
-	threadCounts := []int{8, 32}
-	if e.Quick {
-		workloads = []string{"LOAD", "A", "C"}
-		threadCounts = []int{8}
-	}
-	for _, name := range workloads {
-		spec := ycsb.Workloads[name]
-		for _, threads := range threadCounts {
-			row := []interface{}{name, threads}
+	for _, name := range ends(e, loadgen.YCSBOrder...) {
+		spec := loadgen.MustLookup(name)
+		for _, threads := range []int{8, 32} {
+			row := []interface{}{ycsbLabel(name), threads}
 			for _, sys := range systems {
 				qps, err := measureYCSBCell(e, sys, spec, threads, e.ValueSize)
 				if err != nil {
@@ -203,29 +103,21 @@ func RunFig16(e Env) (*Table, error) {
 			tbl.Add(row...)
 		}
 	}
-	tbl.Print(e.Out)
 	return tbl, nil
 }
 
-// RunFig17 reproduces Figure 17: sensitivity to the number of workers
+// runFig17 reproduces Figure 17: sensitivity to the number of workers
 // and to OBM, normalized to single-worker-no-OBM (≈ RocksDB). Expected
 // shape: QPS grows with workers; OBM multiplies the win, especially on
 // LOAD and C.
-func RunFig17(e Env) (*Table, error) {
-	e = e.WithDefaults()
+func runFig17(e Env) (*Table, error) {
 	tbl := NewTable("Figure 17: worker-count and OBM sensitivity (normalized QPS)",
 		"workload", "workers", "no OBM", "OBM")
-	workloads := []string{"LOAD", "A", "B", "C"}
-	workerCounts := []int{1, 2, 4, 8}
-	if e.Quick {
-		workloads = []string{"LOAD", "C"}
-		workerCounts = []int{1, 4}
-	}
 	const threads = 16
-	for _, name := range workloads {
-		spec := ycsb.Workloads[name]
+	for _, name := range ends(e, "ycsb-load", "ycsb-a", "ycsb-b", "ycsb-c") {
+		spec := loadgen.MustLookup(name)
 		var baseline float64
-		for _, workers := range workerCounts {
+		for _, workers := range ends(e, 1, 2, 4, 8) {
 			var cells [2]float64
 			for i, obm := range []bool{false, true} {
 				qps, err := measureYCSBCell(e, p2System("p2", workers, obm), spec, threads, e.ValueSize)
@@ -237,31 +129,24 @@ func RunFig17(e Env) (*Table, error) {
 			if baseline == 0 {
 				baseline = cells[0]
 			}
-			tbl.Add(name, workers, cells[0]/baseline, cells[1]/baseline)
+			tbl.Add(ycsbLabel(name), workers, cells[0]/baseline, cells[1]/baseline)
 		}
 	}
-	tbl.Print(e.Out)
 	return tbl, nil
 }
 
-// RunFig18 reproduces Figures 18 and 19: sensitivity to KV size on
+// runFig18 reproduces Figures 18 and 19: sensitivity to KV size on
 // LOAD/A/C (p2KVS-8 speedup over RocksDB per size). Expected shape:
 // small KVs benefit most from OBM; at 1KB+ the write-side speedup
 // shrinks while read-side benefits persist.
-func RunFig18(e Env) (*Table, error) {
-	e = e.WithDefaults()
+func runFig18(e Env) (*Table, error) {
 	tbl := NewTable("Figures 18/19: KV-size sensitivity (p2KVS-8 speedup over RocksDB)",
 		"value size", "LOAD", "A", "C")
-	sizes := []int{64, 128, 1024}
-	workloads := []string{"LOAD", "A", "C"}
-	if e.Quick {
-		sizes = []int{128, 1024}
-	}
 	const threads = 16
-	for _, vs := range sizes {
+	for _, vs := range ends(e, 64, 128, 1024) {
 		row := []interface{}{fmt.Sprintf("%dB", vs)}
-		for _, name := range workloads {
-			spec := ycsb.Workloads[name]
+		for _, name := range []string{"ycsb-load", "ycsb-a", "ycsb-c"} {
+			spec := loadgen.MustLookup(name)
 			rocks, err := measureYCSBCell(e, lsmSystem("RocksDB", lsm.RocksDBOptions), spec, threads, vs)
 			if err != nil {
 				return nil, err
@@ -274,15 +159,13 @@ func RunFig18(e Env) (*Table, error) {
 		}
 		tbl.Add(row...)
 	}
-	tbl.Print(e.Out)
 	return tbl, nil
 }
 
-// RunFig20 reproduces Figure 20: KVell-4/8 vs p2KVS-4/8 across YCSB.
+// runFig20 reproduces Figure 20: KVell-4/8 vs p2KVS-4/8 across YCSB.
 // Expected shape: p2KVS wins write-heavy (LOAD/A/F) and scans (E); KVell
 // is competitive on point reads (B/C/D) thanks to its in-memory index.
-func RunFig20(e Env) (*Table, error) {
-	e = e.WithDefaults()
+func runFig20(e Env) (*Table, error) {
 	tbl := NewTable("Figure 20: KVell vs p2KVS (simulated QPS)",
 		"workload", "KVell-4", "KVell-8", "p2KVS-4", "p2KVS-8")
 	systems := []ycsbSystem{
@@ -291,14 +174,10 @@ func RunFig20(e Env) (*Table, error) {
 		p2System("p2KVS-4", 4, true),
 		p2System("p2KVS-8", 8, true),
 	}
-	workloads := ycsb.Order
-	if e.Quick {
-		workloads = []string{"LOAD", "C", "E"}
-	}
 	const threads = 16
-	for _, name := range workloads {
-		spec := ycsb.Workloads[name]
-		row := []interface{}{name}
+	for _, name := range ends(e, loadgen.YCSBOrder...) {
+		spec := loadgen.MustLookup(name)
+		row := []interface{}{ycsbLabel(name)}
 		for _, sys := range systems {
 			qps, err := measureYCSBCell(e, sys, spec, threads, e.ValueSize)
 			if err != nil {
@@ -308,17 +187,15 @@ func RunFig20(e Env) (*Table, error) {
 		}
 		tbl.Add(row...)
 	}
-	tbl.Print(e.Out)
 	return tbl, nil
 }
 
-// RunFig21 reproduces Figure 21: hardware utilization of p2KVS-8 vs
+// runFig21 reproduces Figure 21: hardware utilization of p2KVS-8 vs
 // KVell-8 under continuous random writes — device write bandwidth,
 // memory, total metered CPU and per-worker CPU. Expected shape: p2KVS
 // sustains much higher device bandwidth (LSM aggregates small writes);
 // KVell's memory is dominated by its in-memory indexes.
-func RunFig21(e Env) (*Table, error) {
-	e = e.WithDefaults()
+func runFig21(e Env) (*Table, error) {
 	tbl := NewTable("Figure 21: hardware utilization under random writes",
 		"system", "simQPS", "write MB/s", "mem (MB)", "total CPU (core-%)", "avg per-worker CPU %")
 
@@ -344,15 +221,8 @@ func RunFig21(e Env) (*Table, error) {
 		s.Close()
 		st := fs.Device().Stats()
 		simSec := res.Wall.Seconds() / scale
-		avgWorker := 0.0
-		for _, u := range per {
-			avgWorker += u.Frac
-		}
-		if len(per) > 0 {
-			avgWorker /= float64(len(per))
-		}
 		tbl.Add("p2KVS-8", res.SimQPS, float64(st.WrittenBytes)/simSec/1e6,
-			float64(mem)/1e6, 100*cores, 100*avgWorker)
+			float64(mem)/1e6, 100*cores, 100*avgBusy(per))
 	}
 	// KVell-8.
 	{
@@ -360,17 +230,14 @@ func RunFig21(e Env) (*Table, error) {
 		g := metrics.NewGroup()
 		s, err := kvell.Open("kvl", kvell.Options{
 			FS: fs, Workers: 8, CacheBytes: 8 << 20, Meters: g,
-			PerOpCost: simPerOpCost(fs),
+			PerOpCost: time.Duration(1500 * simScale(fs)),
 		})
 		if err != nil {
 			return nil, err
 		}
-		choosers := perThreadUniform(16, e.Keys)
-		var done atomic.Int64
+		choosers := perThreadChoosers("uniform", 16, e.Keys)
 		res, err := e.measure(16, scale, func(tid, _ int) error {
-			idx := choosers[tid].Next()
-			done.Add(1)
-			return s.Put(workload.Key(idx), workload.Value(idx, e.ValueSize))
+			return put(s, choosers[tid].Next(), e.ValueSize)
 		})
 		if err != nil {
 			s.Close()
@@ -381,16 +248,20 @@ func RunFig21(e Env) (*Table, error) {
 		s.Close()
 		st := fs.Device().Stats()
 		simSec := res.Wall.Seconds() / scale
-		avgWorker := 0.0
-		for _, u := range per {
-			avgWorker += u.Frac
-		}
-		if len(per) > 0 {
-			avgWorker /= float64(len(per))
-		}
 		tbl.Add("KVell-8", res.SimQPS, float64(st.WrittenBytes)/simSec/1e6,
-			float64(m.IndexBytes+m.CacheBytes)/1e6, 100*cores, 100*avgWorker)
+			float64(m.IndexBytes+m.CacheBytes)/1e6, 100*cores, 100*avgBusy(per))
 	}
-	tbl.Print(e.Out)
 	return tbl, nil
+}
+
+// avgBusy is the mean busy fraction over the metered workers.
+func avgBusy(per []metrics.Utilization) float64 {
+	if len(per) == 0 {
+		return 0
+	}
+	sum := 0.0
+	for _, u := range per {
+		sum += u.Frac
+	}
+	return sum / float64(len(per))
 }

@@ -10,31 +10,27 @@ import (
 	"p2kvs/internal/kv"
 	"p2kvs/internal/lsm"
 	"p2kvs/internal/vfs"
-	"p2kvs/internal/workload"
 )
 
-// RunFig22 reproduces Figure 22: p2KVS over LevelDB instances vs plain
+// runFig22 reproduces Figure 22: p2KVS over LevelDB instances vs plain
 // LevelDB at matching thread counts, random write and random read.
 // Expected shape: LevelDB's own write throughput barely moves with
 // threads (single writer path); p2KVS-N scales both writes and reads.
-func RunFig22(e Env) (*Table, error) {
+func runFig22(e Env) (*Table, error) {
 	return runPortability(e, "Figure 22: p2KVS on LevelDB (simulated QPS)",
 		func(fs vfs.FS, dir string) (kvStore, error) {
-			o := lsm.LevelDBOptions(fs)
-			benchLSMSizes(&o)
-			applySimCosts(&o, fs)
-			return lsm.Open(dir, o)
+			return openLSM(fs, dir, lsm.LevelDBOptions)
 		},
 		func(fs vfs.FS, workers int) (kvStore, error) {
 			return openP2(fs, "p2", workers, true, lsm.LevelDBOptions, nil)
 		})
 }
 
-// RunFig23 reproduces Figure 23: p2KVS over WiredTiger-style instances
+// runFig23 reproduces Figure 23: p2KVS over WiredTiger-style instances
 // vs the plain engine. Expected shape: the single instance serializes
 // writers on the store latch; p2KVS-N shards the latch away. OBM-write
 // is disabled automatically (no batch capability), per §4.6.
-func RunFig23(e Env) (*Table, error) {
+func runFig23(e Env) (*Table, error) {
 	return runPortability(e, "Figure 23: p2KVS on WiredTiger (simulated QPS)",
 		func(fs vfs.FS, dir string) (kvStore, error) {
 			return btreekv.Open(dir, wtOpts(fs))
@@ -55,67 +51,42 @@ func RunFig23(e Env) (*Table, error) {
 // wtOpts builds WiredTiger-style options with the scaled software-path
 // costs (~3us per update under the latch, ~2us per read).
 func wtOpts(fs vfs.FS) btreekv.Options {
-	o := btreekv.Options{FS: fs, CheckpointBytes: 1 << 20}
-	if dfs, ok := fs.(*device.FS); ok {
-		if prof := dfs.Device().Profile(); prof.Name != "null" {
-			s := scaleFor(prof)
-			o.PerUpdateCost = time.Duration(3000 * s)
-			o.PerReadCost = time.Duration(2000 * s)
-		}
+	s := simScale(fs)
+	return btreekv.Options{
+		FS: fs, CheckpointBytes: 1 << 20,
+		PerUpdateCost: time.Duration(3000 * s),
+		PerReadCost:   time.Duration(2000 * s),
 	}
-	return o
 }
 
 func runPortability(e Env, title string,
 	openSingle func(fs vfs.FS, dir string) (kvStore, error),
 	openSharded func(fs vfs.FS, workers int) (kvStore, error)) (*Table, error) {
-	e = e.WithDefaults()
 	tbl := NewTable(title,
 		"threads", "engine write", "p2KVS write", "engine read", "p2KVS read")
-	threadCounts := []int{1, 2, 4, 8, 16}
-	if e.Quick {
-		threadCounts = []int{1, 4}
-	}
-	for _, threads := range threadCounts {
+	for _, threads := range ends(e, 1, 2, 4, 8, 16) {
 		row := []interface{}{threads}
 		for _, mode := range []string{"write", "read"} {
 			for _, sharded := range []bool{false, true} {
-				mem := vfs.NewMem()
-				open := func(fs vfs.FS) (kvStore, error) {
+				preload := 0
+				if mode == "read" {
+					preload = e.ValueSize
+				}
+				s, scale, err := openOn(e, device.NVMe, preload, func(fs vfs.FS) (kvStore, error) {
 					if sharded {
 						return openSharded(fs, threads)
 					}
 					return openSingle(fs, "db")
-				}
-				if mode == "read" {
-					l, err := open(device.WrapFS(mem, device.New(device.Null, 1)))
-					if err != nil {
-						return nil, err
-					}
-					if err := preloadKV(l, e.Keys, e.ValueSize); err != nil {
-						l.Close()
-						return nil, err
-					}
-					if err := l.Close(); err != nil {
-						return nil, err
-					}
-				}
-				scale := scaleFor(device.NVMe)
-				s, err := open(device.WrapFS(mem, device.New(device.NVMe, scale)))
+				})
 				if err != nil {
 					return nil, err
 				}
-				choosers := perThreadUniform(threads, e.Keys)
+				choosers := perThreadChoosers("uniform", threads, e.Keys)
 				res, err := e.measure(threads, scale, func(tid, _ int) error {
-					idx := choosers[tid].Next()
 					if mode == "read" {
-						_, err := s.Get(workload.Key(idx))
-						if err == kv.ErrNotFound {
-							err = nil
-						}
-						return err
+						return get(s, choosers[tid].Next())
 					}
-					return s.Put(workload.Key(idx), workload.Value(idx, e.ValueSize))
+					return put(s, choosers[tid].Next(), e.ValueSize)
 				})
 				s.Close()
 				if err != nil {
@@ -124,10 +95,7 @@ func runPortability(e Env, title string,
 				row = append(row, res.SimQPS)
 			}
 		}
-		// Reorder: engine write, p2 write, engine read, p2 read — rows
-		// were appended in that order already.
 		tbl.Add(row...)
 	}
-	tbl.Print(e.Out)
 	return tbl, nil
 }

@@ -5,40 +5,39 @@ import (
 	"sort"
 )
 
-// Runner is one experiment entry point.
-type Runner func(Env) (*Table, error)
-
-// Experiments maps experiment IDs (cmd/p2kvs-bench subcommands) to
-// runners; the per-experiment index in DESIGN.md mirrors this table.
-var Experiments = map[string]Runner{
-	"fig1":               RunFig1,
-	"fig4":               RunFig4,
-	"fig5":               RunFig5,
-	"fig6":               RunFig6,
-	"fig7":               RunFig7,
-	"fig8":               RunFig8,
-	"fig12":              RunFig12,
-	"table2":             RunTable2,
-	"fig13":              RunFig13,
-	"fig14":              RunFig14,
-	"fig15":              RunFig15,
-	"fig16":              RunFig16,
-	"fig17":              RunFig17,
-	"fig18":              RunFig18,
-	"fig20":              RunFig20,
-	"fig21":              RunFig21,
-	"fig22":              RunFig22,
-	"fig23":              RunFig23,
-	"ablation-batch":     RunAblationBatch,
-	"ablation-cache":     RunAblationCache,
-	"ablation-partition": RunAblationPartition,
-	"ablation-scan":      RunAblationScan,
+// experiments maps experiment IDs (dbbench -experiment <id>) to runners;
+// the per-experiment index in DESIGN.md mirrors this table. A runner gets
+// an Env with its defaults filled in and returns the table it built; Run
+// prints it.
+var experiments = map[string]func(Env) (*Table, error){
+	"fig1":               runFig1,
+	"fig4":               runFig4,
+	"fig5":               runFig5,
+	"fig6":               runFig6,
+	"fig7":               runFig7,
+	"fig8":               runFig8,
+	"fig12":              runFig12,
+	"table2":             runTable2,
+	"fig13":              runFig13,
+	"fig14":              runFig14,
+	"fig15":              runFig15,
+	"fig16":              runFig16,
+	"fig17":              runFig17,
+	"fig18":              runFig18,
+	"fig20":              runFig20,
+	"fig21":              runFig21,
+	"fig22":              runFig22,
+	"fig23":              runFig23,
+	"ablation-batch":     runAblationBatch,
+	"ablation-cache":     runAblationCache,
+	"ablation-partition": runAblationPartition,
+	"ablation-scan":      runAblationScan,
 }
 
 // Names returns the experiment IDs in stable order.
 func Names() []string {
-	out := make([]string, 0, len(Experiments))
-	for name := range Experiments {
+	out := make([]string, 0, len(experiments))
+	for name := range experiments {
 		out = append(out, name)
 	}
 	sort.Strings(out)
@@ -47,9 +46,14 @@ func Names() []string {
 
 // Run executes one experiment by name.
 func Run(name string, e Env) (*Table, error) {
-	r, ok := Experiments[name]
+	r, ok := experiments[name]
 	if !ok {
 		return nil, fmt.Errorf("bench: unknown experiment %q (have %v)", name, Names())
 	}
-	return r(e)
+	e = e.WithDefaults()
+	tbl, err := r(e)
+	if err == nil {
+		tbl.Print(e.Out)
+	}
+	return tbl, err
 }

@@ -2,29 +2,47 @@ package bench
 
 import (
 	"strings"
+	"sync"
 	"testing"
 )
 
 // TestSmokeAllExperiments runs every registered experiment in Quick mode:
 // each must complete without error and produce at least one data row.
-// (The full-budget runs live in the repo-root bench_test.go and in
-// cmd/p2kvs-bench; this is the correctness gate.)
+// The experiments mostly sleep on their simulated devices, so all of
+// them run at once (t.Parallel would cap that at GOMAXPROCS); numbers
+// measured this way mean nothing, only completion and shape are checked.
+// (Full-budget runs: dbbench -experiment.)
 func TestSmokeAllExperiments(t *testing.T) {
 	if testing.Short() {
 		t.Skip("smoke experiments are seconds-long each; skipped in -short")
 	}
+	type result struct {
+		tbl *Table
+		err error
+		out strings.Builder
+	}
+	results := make(map[string]*result)
+	var wg sync.WaitGroup
 	for _, name := range Names() {
-		name := name
+		r := &result{}
+		results[name] = r
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			r.tbl, r.err = Run(name, Env{Quick: true, Out: &r.out})
+		}()
+	}
+	wg.Wait()
+	for _, name := range Names() {
 		t.Run(name, func(t *testing.T) {
-			var sb strings.Builder
-			tbl, err := Run(name, Env{Quick: true, Out: &sb})
-			if err != nil {
-				t.Fatalf("%s failed: %v", name, err)
+			r := results[name]
+			if r.err != nil {
+				t.Fatalf("%s failed: %v", name, r.err)
 			}
-			if tbl == nil || len(tbl.Rows) == 0 {
+			if r.tbl == nil || len(r.tbl.Rows) == 0 {
 				t.Fatalf("%s produced no rows", name)
 			}
-			if !strings.Contains(sb.String(), tbl.Title) {
+			if !strings.Contains(r.out.String(), r.tbl.Title) {
 				t.Fatalf("%s did not print its table", name)
 			}
 		})

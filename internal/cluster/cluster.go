@@ -26,7 +26,6 @@ package cluster
 import (
 	"errors"
 	"fmt"
-	"net"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -73,19 +72,10 @@ type Client struct {
 	opts  Options
 
 	mu    sync.Mutex
-	conns map[string]*rconn
+	conns map[string]*Conn
 	rr    atomic.Uint64 // replica round-robin cursor
 
 	closed atomic.Bool
-}
-
-// rconn is one endpoint's persistent connection. The mutex spans a full
-// request/reply exchange, keeping the RESP stream framed.
-type rconn struct {
-	mu sync.Mutex
-	nc net.Conn
-	rd *server.Reader
-	wr *server.Writer
 }
 
 // New builds a client over the given nodes. The node list order defines
@@ -107,7 +97,7 @@ func New(nodes []Node, opts Options) (*Client, error) {
 		nodes: nodes,
 		ring:  keyspace.NewConsistent(len(nodes), opts.Ring),
 		opts:  opts,
-		conns: make(map[string]*rconn),
+		conns: make(map[string]*Conn),
 	}, nil
 }
 
@@ -117,12 +107,7 @@ func (c *Client) Close() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for _, rc := range c.conns {
-		rc.mu.Lock()
-		if rc.nc != nil {
-			rc.nc.Close()
-			rc.nc = nil
-		}
-		rc.mu.Unlock()
+		rc.Close()
 	}
 }
 
@@ -144,89 +129,24 @@ func (c *Client) readAddr(n int) string {
 	return node.Replicas[i-1]
 }
 
-func (c *Client) conn(addr string) *rconn {
+func (c *Client) conn(addr string) *Conn {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	rc, ok := c.conns[addr]
 	if !ok {
-		rc = &rconn{}
+		rc = NewConn(addr, c.opts.DialTimeout)
 		c.conns[addr] = rc
 	}
 	return rc
 }
 
-// exchange sends one command and reads one reply on addr's connection,
-// redialing once on a stale connection.
+// exchange sends one command and reads one reply on addr's pooled
+// connection.
 func (c *Client) exchange(addr string, args ...[]byte) (server.Reply, error) {
-	reps, err := c.exchangeN(addr, [][][]byte{args})
-	if err != nil {
-		return server.Reply{}, err
-	}
-	return reps[0], nil
-}
-
-// exchangeN pipelines cmds on addr's connection and reads one reply
-// each. A transport error on a cached connection gets one redial+retry;
-// an error reply is returned to the caller, not retried.
-func (c *Client) exchangeN(addr string, cmds [][][]byte) ([]server.Reply, error) {
 	if c.closed.Load() {
-		return nil, errors.New("cluster: client closed")
+		return server.Reply{}, errors.New("cluster: client closed")
 	}
-	rc := c.conn(addr)
-	rc.mu.Lock()
-	defer rc.mu.Unlock()
-	fresh := false
-	if rc.nc == nil {
-		if err := rc.dial(addr, c.opts.DialTimeout); err != nil {
-			return nil, err
-		}
-		fresh = true
-	}
-	reps, err := rc.roundTrip(cmds)
-	if err != nil && !fresh {
-		// Stale pooled connection (server restarted, idle timeout):
-		// one redial, one retry.
-		rc.nc.Close()
-		if err = rc.dial(addr, c.opts.DialTimeout); err != nil {
-			return nil, err
-		}
-		reps, err = rc.roundTrip(cmds)
-	}
-	if err != nil {
-		rc.nc.Close()
-		rc.nc = nil
-		return nil, fmt.Errorf("cluster: %s: %w", addr, err)
-	}
-	return reps, nil
-}
-
-func (rc *rconn) dial(addr string, timeout time.Duration) error {
-	nc, err := net.DialTimeout("tcp", addr, timeout)
-	if err != nil {
-		return fmt.Errorf("cluster: dial %s: %w", addr, err)
-	}
-	rc.nc = nc
-	rc.rd = server.NewReader(nc)
-	rc.wr = server.NewWriter(nc)
-	return nil
-}
-
-func (rc *rconn) roundTrip(cmds [][][]byte) ([]server.Reply, error) {
-	for _, cmd := range cmds {
-		rc.wr.WriteCommand(cmd...)
-	}
-	if err := rc.wr.Flush(); err != nil {
-		return nil, err
-	}
-	reps := make([]server.Reply, len(cmds))
-	for i := range cmds {
-		rep, err := rc.rd.ReadReply()
-		if err != nil {
-			return nil, err
-		}
-		reps[i] = rep
-	}
-	return reps, nil
+	return c.conn(addr).Do(args...)
 }
 
 // replyErr converts an error reply into a Go error.
@@ -300,6 +220,26 @@ func (c *Client) split(keys [][]byte, route func(node int) string) []leg {
 	return out
 }
 
+// fanOut splits keys into per-endpoint legs, runs the legs in parallel
+// and, within a leg, hands do up to MaxBatch key indices (into keys) at a
+// time. A leg stops at its first error; the other legs run on.
+func (c *Client) fanOut(keys [][]byte, route func(node int) string, do func(addr string, chunk []int) error) error {
+	legs := c.split(keys, route)
+	errs := make([]error, len(legs))
+	var wg sync.WaitGroup
+	for li, l := range legs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for off := 0; off < len(l.idx) && errs[li] == nil; off += c.opts.MaxBatch {
+				errs[li] = do(l.addr, l.idx[off:min(off+c.opts.MaxBatch, len(l.idx))])
+			}
+		}()
+	}
+	wg.Wait()
+	return errors.Join(errs...)
+}
+
 // MGet reads keys across the cluster: per-endpoint legs run in
 // parallel, each leg batching up to MaxBatch keys per MGET. The result
 // is in caller order; missing keys are nil entries.
@@ -308,47 +248,30 @@ func (c *Client) MGet(keys [][]byte) ([][]byte, error) {
 		return nil, nil
 	}
 	out := make([][]byte, len(keys))
-	legs := c.split(keys, c.readAddr)
-	errs := make([]error, len(legs))
-	var wg sync.WaitGroup
-	for li := range legs {
-		wg.Add(1)
-		go func(li int) {
-			defer wg.Done()
-			l := legs[li]
-			for off := 0; off < len(l.idx); off += c.opts.MaxBatch {
-				end := off + c.opts.MaxBatch
-				if end > len(l.idx) {
-					end = len(l.idx)
-				}
-				chunk := l.idx[off:end]
-				args := make([][]byte, 0, len(chunk)+1)
-				args = append(args, []byte("MGET"))
-				for _, i := range chunk {
-					args = append(args, keys[i])
-				}
-				rep, err := c.exchange(l.addr, args...)
-				if err == nil {
-					err = replyErr(rep)
-				}
-				if err == nil && len(rep.Elems) != len(chunk) {
-					err = fmt.Errorf("cluster: %s: MGET arity mismatch", l.addr)
-				}
-				if err != nil {
-					errs[li] = err
-					return
-				}
-				for j, i := range chunk {
-					e := rep.Elems[j]
-					if !e.Nil {
-						out[i] = e.Str
-					}
-				}
+	err := c.fanOut(keys, c.readAddr, func(addr string, chunk []int) error {
+		args := make([][]byte, 0, len(chunk)+1)
+		args = append(args, []byte("MGET"))
+		for _, i := range chunk {
+			args = append(args, keys[i])
+		}
+		rep, err := c.exchange(addr, args...)
+		if err == nil {
+			err = replyErr(rep)
+		}
+		if err == nil && len(rep.Elems) != len(chunk) {
+			err = fmt.Errorf("cluster: %s: MGET arity mismatch", addr)
+		}
+		if err != nil {
+			return err
+		}
+		for j, i := range chunk {
+			if e := rep.Elems[j]; !e.Nil {
+				out[i] = e.Str
 			}
-		}(li)
-	}
-	wg.Wait()
-	return out, errors.Join(errs...)
+		}
+		return nil
+	})
+	return out, err
 }
 
 // MSet writes pairs across the cluster, one parallel leg per primary,
@@ -359,40 +282,19 @@ func (c *Client) MSet(keys, values [][]byte) error {
 	if len(keys) != len(values) {
 		return errors.New("cluster: MSet keys/values length mismatch")
 	}
-	if len(keys) == 0 {
-		return nil
-	}
-	legs := c.split(keys, func(n int) string { return c.nodes[n].Addr })
-	errs := make([]error, len(legs))
-	var wg sync.WaitGroup
-	for li := range legs {
-		wg.Add(1)
-		go func(li int) {
-			defer wg.Done()
-			l := legs[li]
-			for off := 0; off < len(l.idx); off += c.opts.MaxBatch {
-				end := off + c.opts.MaxBatch
-				if end > len(l.idx) {
-					end = len(l.idx)
-				}
-				args := make([][]byte, 0, 2*(end-off)+1)
-				args = append(args, []byte("MSET"))
-				for _, i := range l.idx[off:end] {
-					args = append(args, keys[i], values[i])
-				}
-				rep, err := c.exchange(l.addr, args...)
-				if err == nil {
-					err = replyErr(rep)
-				}
-				if err != nil {
-					errs[li] = err
-					return
-				}
-			}
-		}(li)
-	}
-	wg.Wait()
-	return errors.Join(errs...)
+	primary := func(n int) string { return c.nodes[n].Addr }
+	return c.fanOut(keys, primary, func(addr string, chunk []int) error {
+		args := make([][]byte, 0, 2*len(chunk)+1)
+		args = append(args, []byte("MSET"))
+		for _, i := range chunk {
+			args = append(args, keys[i], values[i])
+		}
+		rep, err := c.exchange(addr, args...)
+		if err == nil {
+			err = replyErr(rep)
+		}
+		return err
+	})
 }
 
 // Nodes returns the ring's node list (read-only view).

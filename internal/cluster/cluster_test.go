@@ -16,7 +16,7 @@ import (
 // startNode boots one in-process replication-enabled server node.
 func startNode(t *testing.T, workers int, replicaOf string) string {
 	t.Helper()
-	st, err := replboot.MemStore(workers, 1<<20)
+	st, err := replboot.MemStore(workers, 1<<20, replboot.Sim{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -24,7 +24,7 @@ func startNode(t *testing.T, workers int, replicaOf string) string {
 		Store:        st,
 		ReplDir:      "repl",
 		ReplFS:       vfs.NewMem(),
-		RestoreStore: replboot.MemRestore(1 << 20),
+		RestoreStore: replboot.MemRestore(1<<20, replboot.Sim{}),
 		ReplicaOf:    replicaOf,
 	})
 	lis, err := net.Listen("tcp", "127.0.0.1:0")

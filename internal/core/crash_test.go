@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"p2kvs/internal/keyspace"
 	"p2kvs/internal/kv"
 	"p2kvs/internal/vfs"
 )
@@ -102,55 +101,6 @@ func TestWritePreparedCommitSurvives(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		if _, err := s2.Get([]byte(fmt.Sprintf("p-%02d", i))); err != nil {
 			t.Fatalf("committed prepared txn key %d lost: %v", i, err)
-		}
-	}
-}
-
-// TestMigrateReshard covers the §4.2 future-work path: reshard a store
-// from 3 to 5 workers via Migrate with consistent-hash partitioners; all
-// data must survive on the new layout.
-func TestMigrateReshard(t *testing.T) {
-	fs := vfs.NewMem()
-	openN := func(root string, workers int) *Store {
-		opts := DefaultOptions(lsmFactory(fs, root))
-		opts.Workers = workers
-		opts.Partitioner = keyspace.NewConsistent(workers, 64)
-		opts.TxnFS = fs
-		opts.TxnDir = root + "/txn"
-		s, err := Open(opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return s
-	}
-	src := openN("old", 3)
-	const n = 800
-	for i := 0; i < n; i++ {
-		if err := src.Put([]byte(fmt.Sprintf("key-%05d", i)), []byte(fmt.Sprintf("v%d", i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	dst := openN("new", 5)
-	moved, err := Migrate(src, dst, 128)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if moved != n {
-		t.Fatalf("migrated %d pairs, want %d", moved, n)
-	}
-	src.Close()
-	defer dst.Close()
-	for i := 0; i < n; i += 7 {
-		key := fmt.Sprintf("key-%05d", i)
-		v, err := dst.Get([]byte(key))
-		if err != nil || string(v) != fmt.Sprintf("v%d", i) {
-			t.Fatalf("Get(%s) on resharded store = %q %v", key, v, err)
-		}
-	}
-	// Every destination worker received data.
-	for _, ws := range dst.Stats() {
-		if ws.Ops == 0 {
-			t.Fatalf("worker %d got nothing during reshard", ws.ID)
 		}
 	}
 }

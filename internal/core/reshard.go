@@ -22,8 +22,10 @@ import (
 //     started, but receive no routed traffic: the routing generation
 //     still maps every key to its old owner. The moved key ranges are
 //     computed once from the old and new consistent-hash rings
-//     (keyspace.MovedRanges) — the same plan the offline Migrate path
-//     shares.
+//     (keyspace.MovedRanges). A shrink first purges every survivor of
+//     keys the old ring does not assign to it: leftovers of an earlier
+//     failed or crashed attempt would otherwise outlive a later delete
+//     on their real owner (the copy stream carries live pairs only).
 //
 //  2. Copy + double-write. A short barrier parks each source worker (an
 //     old owner losing arcs) just long enough to activate the
@@ -178,6 +180,11 @@ func (s *Store) Reshard(ctx context.Context, newN int) error {
 		newWorkers = append(append([]*worker{}, oldRT.workers...), added...)
 	} else {
 		newWorkers = append([]*worker{}, oldRT.workers[:newN]...)
+		// The shrink-side equivalent of the grow's InstanceReset: a
+		// survivor must enter the run holding nothing foreign.
+		if err := s.purgeForeign(newWorkers, oldC); err != nil {
+			return s.abortReshard(nil, added, oldRT, newN, fmt.Errorf("core: purging stale leftovers before shrink: %w", err))
+		}
 	}
 
 	// sources are the old owners losing arcs — the workers that must
@@ -528,15 +535,27 @@ func (s *Store) abortReshard(run *reshardRun, added []*worker, oldRT *routing, n
 		// Shrink: survivors received copies and mirrors of moved pairs;
 		// under the still-active old ring those are foreign. Best-effort
 		// removal — leftovers are invisible (scans and iterators filter
-		// by ownership) and the next successful run re-copies them.
-		for _, w := range oldRT.workers[:newN] {
-			if keys, _, err := collectForeign(w, oldRT.part, w.id); err == nil {
-				_ = s.deleteKeysQueued(w, keys)
-			}
-		}
+		// by ownership) and the next shrink's prepare purges them before
+		// it copies anything.
+		_ = s.purgeForeign(oldRT.workers[:newN], oldRT.part)
 	}
 	s.tracker.Abort(cause)
 	return cause
+}
+
+// purgeForeign deletes, through each worker's queue, every key part does
+// not assign to that worker.
+func (s *Store) purgeForeign(workers []*worker, part keyspace.Partitioner) error {
+	for _, w := range workers {
+		keys, _, err := collectForeign(w, part, w.id)
+		if err == nil {
+			err = s.deleteKeysQueued(w, keys)
+		}
+		if err != nil {
+			return fmt.Errorf("worker %d: %w", w.id, err)
+		}
+	}
+	return nil
 }
 
 // collectForeign returns (deep-copied) keys in w's engine that partition
@@ -558,34 +577,23 @@ func collectForeign(w *worker, part keyspace.Partitioner, self int) ([][]byte, i
 	return keys, bytes, it.Error()
 }
 
-// applyQueued pushes one write batch through w's queue and waits for the
-// engine to acknowledge it — ordered with concurrent writes and
-// invalidating the hot cache like any other write. Shared by the reshard
-// cleanup/abort paths and the offline Migrate.
-func applyQueued(w *worker, ops []wop) error {
-	r := &request{typ: reqWrite, batch: batchRef{ops: ops}, done: make(chan struct{})}
-	if err := w.q.pushWait(nil, r); err != nil {
-		return err
-	}
-	<-r.done
-	return r.err
-}
-
-// deleteKeysQueued deletes keys from w through its request queue, in
-// copyBatchSize batches.
+// deleteKeysQueued deletes keys from w in copyBatchSize batches pushed
+// through its request queue — ordered with concurrent writes and
+// invalidating the hot cache like any other write.
 func (s *Store) deleteKeysQueued(w *worker, keys [][]byte) error {
 	for len(keys) > 0 {
-		n := copyBatchSize
-		if n > len(keys) {
-			n = len(keys)
-		}
+		n := min(copyBatchSize, len(keys))
 		ops := make([]wop, n)
 		for i, k := range keys[:n] {
 			ops[i] = wop{del: true, key: k}
 		}
 		keys = keys[n:]
-		if err := applyQueued(w, ops); err != nil {
+		r := &request{typ: reqWrite, batch: batchRef{ops: ops}, done: make(chan struct{})}
+		if err := w.q.pushWait(nil, r); err != nil {
 			return err
+		}
+		if <-r.done; r.err != nil {
+			return r.err
 		}
 	}
 	return nil
@@ -638,4 +646,3 @@ func deleteForeignDirect(engine kv.Engine, part keyspace.Partitioner, self int) 
 	}
 	return deleted, nil
 }
-

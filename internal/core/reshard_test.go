@@ -386,59 +386,37 @@ func TestReshardUnsupportedAndNoop(t *testing.T) {
 	}
 }
 
-// TestMigrateMatchesReshard is the regression guard for the shared
-// keyspace.MovedRanges plan: an offline Migrate between two fixed
-// consistent rings and an online Reshard across the same transition must
-// land byte-identical per-worker contents.
-func TestMigrateMatchesReshard(t *testing.T) {
+// TestReshardShrinkPurgesStaleLeftovers: copies a failed or crashed
+// shrink left on the survivors must not outlive a later delete on the
+// key's real owner — the copy stream carries live pairs only, so only
+// the prepare-time purge can remove them.
+func TestReshardShrinkPurgesStaleLeftovers(t *testing.T) {
 	fs := vfs.NewMem()
-	const n = 900
-
-	online := openElastic(t, fs, "on", 4)
-	defer online.Close()
-	openFixed := func(root string, workers int) *Store {
-		opts := DefaultOptions(lsmFactory(fs, root))
-		opts.Workers = workers
-		opts.Partitioner = keyspace.NewConsistent(workers, 64)
-		opts.TxnFS = fs
-		opts.TxnDir = root + "/txn"
-		s, err := Open(opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return s
-	}
-	offSrc := openFixed("offsrc", 4)
-	for i := 0; i < n; i++ {
-		k := []byte(fmt.Sprintf("key-%05d", i))
-		v := []byte(fmt.Sprintf("v%d", i))
-		if err := online.Put(k, v); err != nil {
-			t.Fatal(err)
-		}
-		if err := offSrc.Put(k, v); err != nil {
-			t.Fatal(err)
+	s := openElastic(t, fs, "stale", 3)
+	defer s.Close()
+	ring := keyspace.NewConsistent(3, 64)
+	var k []byte
+	for i := 0; ; i++ {
+		if k = []byte(fmt.Sprintf("key-%04d", i)); ring.Pick(k) == 2 {
+			break
 		}
 	}
-	offDst := openFixed("offdst", 5)
-	defer offDst.Close()
-	if _, err := Migrate(offSrc, offDst, 128); err != nil {
+	if err := s.Put(k, []byte("v1")); err != nil {
 		t.Fatal(err)
 	}
-	offSrc.Close()
-	if err := online.Reshard(context.Background(), 5); err != nil {
+	for i := 0; i < 2; i++ {
+		if err := s.Engine(i).Put(k, []byte("stale")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Delete(k); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 5; i++ {
-		got := engineDump(t, online, i)
-		want := engineDump(t, offDst, i)
-		if len(got) != len(want) {
-			t.Fatalf("worker %d: reshard holds %d pairs, migrate %d", i, len(got), len(want))
-		}
-		for k, v := range want {
-			if got[k] != v {
-				t.Fatalf("worker %d key %q: reshard %q, migrate %q", i, k, got[k], v)
-			}
-		}
+	if err := s.Reshard(context.Background(), 2); err != nil {
+		t.Fatalf("Reshard: %v", err)
+	}
+	if v, err := s.Get(k); !errors.Is(err, kv.ErrNotFound) {
+		t.Fatalf("Get(%s) after shrink = %q, %v; want ErrNotFound (deleted key resurrected)", k, v, err)
 	}
 }
 

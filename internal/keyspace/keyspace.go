@@ -46,7 +46,7 @@ func (h Hash) N() int { return h.n }
 // a key maps to the first point clockwise from its own hash. Growing
 // from N to N+1 workers relocates only ~1/(N+1) of the keys, instead of
 // reshuffling nearly everything as Hash does — the property that makes
-// runtime scaling (core.Migrate) cheap.
+// runtime scaling (core.Store.Reshard) cheap.
 type Consistent struct {
 	n      int
 	points []uint64 // sorted ring positions

@@ -40,8 +40,8 @@ func (r MovedRange) Contains(h uint64) bool {
 
 // MovedRanges computes the exact set of ring arcs whose owner changes
 // between two consistent-hash generations — the single source of truth
-// for which keys an old→new transition relocates, shared by the offline
-// Migrate path and the online resharding copy/double-write planner.
+// for which keys an old→new transition relocates; the online resharding
+// copy/double-write planner is built on it.
 //
 // The construction merges both rings' virtual points; between two
 // adjacent merged points the owner is constant under either ring (no

@@ -1,37 +1,90 @@
-// Package workload generates the benchmark key/value streams: the
-// db_bench-style micro-benchmarks (fillseq, fillrandom, updaterandom,
-// readseq, readrandom, scan) and the key-choice distributions YCSB needs
-// (uniform, YCSB-standard scrambled zipfian with theta 0.99, and
-// "latest").
-package workload
+// Package loadgen is the repository's one load-generation library, shared
+// by dbbench, netbench, internal/bench and the examples: the key and
+// self-validating value codec, the key choosers, the op-mix table
+// (db_bench micro kinds, wire phases and YCSB LOAD/A-F), the closed-loop
+// runner with its outcome taxonomy and report line, the BENCH json
+// emitter, the acked-write journal, the INFO parser, and the one place
+// every store-shaping command-line flag is declared.
+package loadgen
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math"
 	"math/rand"
+	"strconv"
+	"strings"
 	"sync/atomic"
 )
 
 // Key renders key index i as a fixed-width 16-byte key (db_bench style).
-func Key(i uint64) []byte {
-	return []byte(fmt.Sprintf("user%012d", i))
+func Key(i uint64) []byte { return appendKey(make([]byte, 0, 16), i) }
+
+func appendKey(b []byte, i uint64) []byte {
+	b = append(b, "user"...)
+	return appendPadded(b, i, 12)
 }
 
-// Value produces a deterministic pseudo-random value of the given size
-// for key index i, so validation can recompute expected contents.
-func Value(i uint64, size int) []byte {
-	v := make([]byte, size)
-	var state uint64 = i*0x9E3779B97F4A7C15 + 1
-	for off := 0; off < size; off += 8 {
+// appendPadded appends v in decimal, zero-padded to at least width digits.
+func appendPadded(b []byte, v uint64, width int) []byte {
+	var tmp [20]byte
+	d := strconv.AppendUint(tmp[:0], v, 10)
+	for n := len(d); n < width; n++ {
+		b = append(b, '0')
+	}
+	return append(b, d...)
+}
+
+// Value renders the self-validating value of key index i at write
+// sequence seq: the header "s<seq>|<key>|" followed by pseudo-random
+// padding (a function of i and seq) up to size bytes. A size below the
+// header length yields the bare header. Load drivers whose values
+// depend on the key alone write seq 0; the crash harness counts seq up
+// per key so a recovered value names the write it came from.
+func Value(i uint64, seq int64, size int) []byte {
+	v := make([]byte, 0, max(size, 32))
+	v = append(v, 's')
+	v = appendPadded(v, uint64(seq), 8)
+	v = append(v, '|')
+	v = appendKey(v, i)
+	v = append(v, '|')
+	state := i*0x9E3779B97F4A7C15 + uint64(seq)*0xC2B2AE3D27D4EB4F + 1
+	var b [8]byte
+	for len(v) < size {
 		state ^= state << 13
 		state ^= state >> 7
 		state ^= state << 17
-		var b [8]byte
 		binary.LittleEndian.PutUint64(b[:], state)
-		copy(v[off:], b[:])
+		v = append(v, b[:min(8, size-len(v))]...)
 	}
 	return v
+}
+
+// Verify checks that v is exactly the value Value produced for key
+// index i at some sequence in [lo, hi] and returns that sequence. It
+// rejects a malformed header, another key's value, a sequence outside
+// the window (below lo: an acknowledged write was lost; above hi: a
+// write nobody issued) and any flipped byte in the padding.
+func Verify(i uint64, v []byte, lo, hi int64) (int64, error) {
+	head, rest, ok := bytes.Cut(v, []byte{'|'})
+	if !ok || len(head) < 2 || head[0] != 's' {
+		return 0, fmt.Errorf("no seq header in %.48q", v)
+	}
+	seq, err := strconv.ParseInt(string(head[1:]), 10, 64)
+	if err != nil || seq < 0 {
+		return 0, fmt.Errorf("bad seq header in %.48q", v)
+	}
+	if key, _, ok := bytes.Cut(rest, []byte{'|'}); !ok || !bytes.Equal(key, Key(i)) {
+		return 0, fmt.Errorf("key echo mismatch in %.48q (want %s)", v, Key(i))
+	}
+	if seq < lo || seq > hi {
+		return seq, fmt.Errorf("seq %d outside [%d, %d] in %.48q", seq, lo, hi, v)
+	}
+	if !bytes.Equal(v, Value(i, seq, len(v))) {
+		return seq, fmt.Errorf("padding corrupted in %.48q", v)
+	}
+	return seq, nil
 }
 
 // ---------------------------------------------------------------------------
@@ -176,37 +229,21 @@ func (l *Latest) Next() uint64 {
 	return n - 1 - off
 }
 
-// ---------------------------------------------------------------------------
-// Micro-benchmark op streams (db_bench)
-// ---------------------------------------------------------------------------
+// Dists lists the key distributions NewChooser accepts.
+var Dists = []string{"uniform", "zipfian", "latest", "seq"}
 
-// MicroKind names a db_bench workload.
-type MicroKind string
-
-// db_bench workloads used in Figures 1, 5, 12, 14, 15, 22, 23.
-const (
-	FillSeq      MicroKind = "fillseq"
-	FillRandom   MicroKind = "fillrandom"
-	UpdateRandom MicroKind = "updaterandom"
-	ReadSeq      MicroKind = "readseq"
-	ReadRandom   MicroKind = "readrandom"
-)
-
-// Micro yields key indexes for a db_bench workload over n keys.
-// For fill/update workloads every index should be written; for read
-// workloads the store is assumed pre-loaded with [0, n).
-func Micro(kind MicroKind, n uint64, seed int64) Chooser {
-	switch kind {
-	case FillSeq, ReadSeq:
-		return NewSequential(n)
-	case FillRandom:
-		// A random permutation stream: uniform without replacement is
-		// approximated by uniform (matching db_bench fillrandom, which
-		// writes random keys allowing overwrites).
-		return NewUniform(n, seed)
-	case UpdateRandom, ReadRandom:
-		return NewUniform(n, seed)
-	default:
-		panic("workload: unknown micro kind " + string(kind))
+// NewChooser builds the chooser named dist over [0, n). "latest" draws
+// back from frontier, the shared insertion counter.
+func NewChooser(dist string, n uint64, frontier *atomic.Uint64, seed int64) (Chooser, error) {
+	switch dist {
+	case "uniform":
+		return NewUniform(n, seed), nil
+	case "zipfian":
+		return NewZipfian(n, seed), nil
+	case "latest":
+		return NewLatest(frontier, seed), nil
+	case "seq":
+		return NewSequential(n), nil
 	}
+	return nil, fmt.Errorf("unknown distribution %q (valid: %s)", dist, strings.Join(Dists, ", "))
 }

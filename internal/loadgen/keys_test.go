@@ -1,4 +1,4 @@
-package workload
+package loadgen
 
 import (
 	"bytes"
@@ -22,9 +22,9 @@ func TestKeyFormat(t *testing.T) {
 }
 
 func TestValueDeterministicAndSized(t *testing.T) {
-	v1 := Value(7, 128)
-	v2 := Value(7, 128)
-	v3 := Value(8, 128)
+	v1 := Value(7, 0, 128)
+	v2 := Value(7, 0, 128)
+	v3 := Value(8, 0, 128)
 	if len(v1) != 128 {
 		t.Fatalf("len = %d", len(v1))
 	}
@@ -34,7 +34,7 @@ func TestValueDeterministicAndSized(t *testing.T) {
 	if bytes.Equal(v1, v3) {
 		t.Fatal("different keys produced identical values")
 	}
-	if len(Value(1, 13)) != 13 {
+	if len(Value(1, 0, 45)) != 45 {
 		t.Fatal("odd sizes must work")
 	}
 }
@@ -128,10 +128,10 @@ func TestLatestEmptyFrontier(t *testing.T) {
 }
 
 func TestMicroKinds(t *testing.T) {
-	for _, kind := range []MicroKind{FillSeq, FillRandom, UpdateRandom, ReadSeq, ReadRandom} {
-		c := Micro(kind, 1000, 1)
+	for _, kind := range []string{"fillseq", "fillrandom", "updaterandom", "readseq", "readrandom"} {
+		c := NewGenerator(MustLookup(kind), 1000, NewFrontier(1000), 1)
 		for i := 0; i < 100; i++ {
-			if v := c.Next(); v >= 1000 {
+			if v := c.Next().KeyIdx; v >= 1000 {
 				t.Fatalf("%s out of range: %d", kind, v)
 			}
 		}
@@ -141,7 +141,7 @@ func TestMicroKinds(t *testing.T) {
 			t.Fatal("unknown kind must panic")
 		}
 	}()
-	Micro("bogus", 10, 1)
+	MustLookup("bogus")
 }
 
 func TestZetaApproximation(t *testing.T) {

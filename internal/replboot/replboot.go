@@ -63,14 +63,9 @@ func open(fs vfs.FS, workers int, backlog, cache int64) (*core.Store, error) {
 }
 
 // MemStore opens a fresh replication-enabled LSM store over a private
-// in-memory filesystem. backlog <= 0 selects the default budget.
-func MemStore(workers int, backlog int64) (*core.Store, error) {
-	return MemStoreSim(workers, backlog, Sim{})
-}
-
-// MemStoreSim is MemStore with the node's private filesystem routed
-// through a simulated device.
-func MemStoreSim(workers int, backlog int64, sim Sim) (*core.Store, error) {
+// in-memory filesystem, routed through sim's device when it has one.
+// backlog <= 0 selects the default budget.
+func MemStore(workers int, backlog int64, sim Sim) (*core.Store, error) {
 	return open(sim.wrap(vfs.NewMem()), workers, backlog, sim.BlockCache)
 }
 
@@ -78,16 +73,10 @@ func MemStoreSim(workers int, backlog int64, sim Sim) (*core.Store, error) {
 // and materializes the full-sync image at srcDir into a fresh in-memory
 // filesystem (the old store was already closed by the caller) and opens
 // a replication-enabled store from it, adopting the image's worker
-// count.
-func MemRestore(backlog int64) func(srcFS vfs.FS, srcDir string) (*core.Store, error) {
-	return MemRestoreSim(backlog, Sim{})
-}
-
-// MemRestoreSim is MemRestore with the rebuilt store routed through a
-// simulated device. The image itself is materialized without IO charges
-// (bootstrap, not steady state); recovery reads and all serving IO after
-// the open are charged.
-func MemRestoreSim(backlog int64, sim Sim) func(srcFS vfs.FS, srcDir string) (*core.Store, error) {
+// count. The image itself is materialized without IO charges (bootstrap,
+// not steady state); recovery reads and all serving IO after the open go
+// through sim's device.
+func MemRestore(backlog int64, sim Sim) func(srcFS vfs.FS, srcDir string) (*core.Store, error) {
 	return func(srcFS vfs.FS, srcDir string) (*core.Store, error) {
 		dst := vfs.NewMem()
 		place := func(worker int, rel string) string {

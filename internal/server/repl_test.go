@@ -27,7 +27,7 @@ type replNode struct {
 // non-empty, makes it follow that primary from startup.
 func startReplNode(t *testing.T, workers int, backlog int64, replicaOf string) *replNode {
 	t.Helper()
-	st, err := replboot.MemStore(workers, backlog)
+	st, err := replboot.MemStore(workers, backlog, replboot.Sim{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +35,7 @@ func startReplNode(t *testing.T, workers int, backlog int64, replicaOf string) *
 		Store:        st,
 		ReplDir:      "repl",
 		ReplFS:       vfs.NewMem(),
-		RestoreStore: replboot.MemRestore(backlog),
+		RestoreStore: replboot.MemRestore(backlog, replboot.Sim{}),
 		ReplicaOf:    replicaOf,
 	})
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
