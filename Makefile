@@ -3,7 +3,7 @@ FUZZTIME ?= 10s
 SERVE_ADDR ?= 127.0.0.1:6380
 SUITE ?= list
 
-.PHONY: build test test-race vet benchmark-module fuzz-short stress serve netbench ci clean
+.PHONY: build test test-race vet benchmark-module stats-golden fuzz-short stress serve netbench ci clean
 
 build:
 	$(GO) build ./...
@@ -22,6 +22,12 @@ vet:
 # break it unnoticed without this.
 benchmark-module:
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
+
+# Regenerate the goldens that pin the stats schema (StatsJSON field names,
+# INFO keys) after a deliberate change to a tagged stats struct; CI reruns
+# it and fails on a diff.
+stats-golden:
+	$(GO) test ./internal/core ./internal/server -run 'Golden' -update
 
 # Short fuzzing pass over every fuzz target (Go runs one -fuzz target per
 # invocation, so each gets its own line).

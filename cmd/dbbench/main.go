@@ -27,6 +27,7 @@ import (
 	"p2kvs/internal/bench"
 	"p2kvs/internal/kv"
 	"p2kvs/internal/loadgen"
+	"p2kvs/internal/stats"
 )
 
 func main() {
@@ -348,46 +349,32 @@ func (c *checkpointSaver) stop() {
 }
 
 // reportStore prints the store-side summary from one StatsSnapshot (the
-// document INFO and -stats_json serve): robustness (health, background
-// retries, injected faults — non-zero only under the fault-injection
-// VFS), the request lifecycle (admission rejections, deadline expiries,
-// worker-side shedding, queue high-water), the compaction scheduler
-// (hard stall and soft slowdown time kept apart so the two backpressure
-// tiers are distinguishable) and online checkpoints. Per-worker lines
-// appear only for workers that have something to say.
+// document INFO and -stats_json serve), one line per INFO group: the
+// queues, admission and the compaction scheduler (store), health,
+// background retries and injected faults (robustness), online checkpoints
+// (persistence). A worker that is unhealthy or turned requests away gets
+// a line of its own.
 func reportStore(store *p2kvs.Store) {
 	snap := store.StatsSnapshot()
-	a := snap.Aggregate
-	if a.Health == kv.StateHealthy.String() && a.FlushRetries+a.CompactRetries+a.InjectedFaults == 0 {
-		fmt.Printf("robustness     : %d workers healthy; 0 flush retries; 0 compaction retries\n", snap.Workers)
-	} else {
-		for _, w := range snap.PerWorker {
-			fmt.Printf("robustness w%-2d : state=%s flush_retries=%d compact_retries=%d injected_faults=%d",
-				w.ID, w.Health, w.FlushRetries, w.CompactRetries, w.InjectedFaults)
-			if w.HealthErr != "" {
-				fmt.Printf(" err=%q", w.HealthErr)
+	line := func(label string, v any, groups ...string) {
+		fmt.Printf("%-15s:", label)
+		for _, g := range groups {
+			for _, p := range stats.Pairs(v, "", g) {
+				fmt.Printf(" %s=%s", p[0], p[1])
 			}
-			fmt.Println()
 		}
+		fmt.Println()
 	}
-	fmt.Printf("overload       : %d rejected; %d expired; %d shed; max queue depth %d\n",
-		a.Rejected, a.Expired, a.Shed, a.QueueHighWater)
+	line("store", snap.Aggregate, "Store")
+	line("robustness", snap.Aggregate, "Robustness")
 	for _, w := range snap.PerWorker {
-		if w.Rejected+w.Expired+w.Shed > 0 {
-			fmt.Printf("overload w%-2d   : rejected=%d expired=%d shed=%d queue_hw=%d\n",
-				w.ID, w.Rejected, w.Expired, w.Shed, w.QueueHighWater)
+		if w.State != kv.StateHealthy || w.Rejected+w.Expired+w.Shed > 0 {
+			line(fmt.Sprintf("worker %d", w.ID), w, "Store", "Robustness")
 		}
 	}
-	fmt.Printf("compaction     : %d compactions (%d sub); concurrent high-water %d; stall=%dms slowdown=%dms (%d slowdowns)\n",
-		a.Compactions, a.Subcompactions, a.ConcurrentCompactionsHW,
-		a.CompactionStallUs/1000, a.CompactionSlowdownUs/1000, a.CompactionSlowdowns)
-	if snap.Checkpoints > 0 {
-		line := fmt.Sprintf("checkpoint     : %d checkpoints; barrier=%s; %d linked, %d copied, %d reused; %d bytes copied",
-			snap.Checkpoints, time.Duration(snap.CheckpointBarrierNs),
-			a.CheckpointFilesLinked, a.CheckpointFilesCopied, a.CheckpointFilesReused, a.CheckpointBytesCopied)
-		if f := saver.fails.Load(); f > 0 {
-			line += fmt.Sprintf("; %d FAILED", f)
-		}
-		fmt.Println(line)
+	line("persistence", snap, "Persistence")
+	line("", snap.Aggregate, "Persistence")
+	if f := saver.fails.Load(); f > 0 {
+		fmt.Printf("%-15s: %d checkpoints FAILED\n", "", f)
 	}
 }

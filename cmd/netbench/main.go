@@ -21,6 +21,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 	"time"
 
 	"p2kvs/internal/cluster"
@@ -215,31 +216,23 @@ func bgsaveAndWait(c *cluster.Conn) {
 	fmt.Fprintln(os.Stderr, "netbench: bgsave did not commit within 15s")
 }
 
-// serverCounters are the INFO fields reported after a run, one group per
-// line: batching (proof that pipeline coalescing reached the engine's
-// batch paths), compaction scheduler, checkpoints, and — when the server
-// runs one — the hot-key cache.
-var serverCounters = [][]string{
-	{"coalesced_set_ops", "coalesced_get_ops", "store_batch_write_ops", "store_multiget_ops", "store_batched_ops"},
-	{"store_compactions", "store_subcompactions", "store_concurrent_compactions_hw", "store_compaction_stall_us", "store_compaction_slowdown_us", "store_compaction_slowdowns"},
-	{"store_checkpoints", "store_checkpoint_barrier_ns", "store_last_checkpoint_unix", "store_checkpoint_files_linked", "store_checkpoint_files_copied", "store_checkpoint_files_reused", "store_checkpoint_bytes_copied"},
-	{"cache_hits", "cache_neg_hits", "cache_misses", "cache_fills", "cache_evictions", "cache_invalidations", "cache_bytes", "cache_entries"},
-}
-
+// reportServerCounters prints the server's INFO after a run, one line per
+// section and key=value per counter: Stats and Store prove that pipeline
+// coalescing reached the engine's batch paths and show the compaction
+// scheduler, Persistence the checkpoints, Cache the hot-key cache. The
+// keys are whatever the server's stats schema puts in each section.
 func reportServerCounters(c *cluster.Conn) {
-	f, err := loadgen.FetchInfo(c)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "netbench: info:", err)
+	rep, err := c.Do([]byte("INFO"))
+	if err != nil || rep.IsError() {
+		fmt.Fprintln(os.Stderr, "netbench: info:", rep.String(), err)
 		return
 	}
-	for _, group := range serverCounters {
-		if group[0] == "cache_hits" && f.Int("cache_enabled") == 0 {
-			continue
+	for _, line := range strings.Split(string(rep.Str), "\r\n") {
+		if k, v, ok := strings.Cut(line, ":"); ok {
+			fmt.Printf(" %s=%s", k, v)
+		} else if line != "" {
+			fmt.Printf("\nserver %s:", strings.TrimPrefix(line, "# "))
 		}
-		fmt.Print("server:")
-		for _, k := range group {
-			fmt.Printf(" %s=%d", k, f.Int(k))
-		}
-		fmt.Println()
 	}
+	fmt.Println()
 }

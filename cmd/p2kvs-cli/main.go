@@ -29,6 +29,7 @@ import (
 	"p2kvs"
 	"p2kvs/internal/cluster"
 	"p2kvs/internal/loadgen"
+	"p2kvs/internal/stats"
 )
 
 func main() {
@@ -152,8 +153,11 @@ func execute(store *p2kvs.Store, line string) (quit bool) {
 		}
 	case "stats":
 		for _, ws := range store.Stats() {
-			fmt.Printf("worker %d: ops=%d batches=%d batched-ops=%d queue-wait=%v\n",
-				ws.ID, ws.Ops, ws.Batches, ws.BatchedOps, ws.QueueWait)
+			fmt.Printf("worker %d:", ws.ID)
+			for _, p := range stats.Pairs(ws, "", "Store") {
+				fmt.Printf(" %s=%s", p[0], p[1])
+			}
+			fmt.Println()
 		}
 	default:
 		fail("unknown command %q", cmd)

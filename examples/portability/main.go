@@ -45,12 +45,8 @@ func main() {
 		readQPS := drive(store, false)
 
 		// How much OBM aggregated on this engine.
-		var opsN, batches int64
-		for _, ws := range store.Stats() {
-			opsN += ws.Ops
-			batches += ws.Batches
-		}
-		avgBatch := float64(opsN) / float64(batches)
+		agg := store.StatsSnapshot().Aggregate
+		avgBatch := float64(agg.Ops) / float64(agg.Batches)
 		store.Close()
 		fmt.Printf("%-12s %-10.0f %-10.0f %.2f ops/batch\n", engine, writeQPS, readQPS, avgBatch)
 	}

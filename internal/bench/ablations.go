@@ -26,15 +26,11 @@ func runAblationBatch(e Env) (*Table, error) {
 			s.Close()
 			return nil, err
 		}
-		var ops, batches int64
-		for _, ws := range s.Stats() {
-			ops += ws.Ops
-			batches += ws.Batches
-		}
+		agg := s.StatsSnapshot().Aggregate
 		s.Close()
 		avg := 0.0
-		if batches > 0 {
-			avg = float64(ops) / float64(batches)
+		if agg.Batches > 0 {
+			avg = float64(agg.Ops) / float64(agg.Batches)
 		}
 		tbl.Add(max, res.SimQPS, avg)
 	}

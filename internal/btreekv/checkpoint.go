@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"p2kvs/internal/kv"
+	"p2kvs/internal/stats"
 	"p2kvs/internal/vfs"
 )
 
@@ -57,8 +58,8 @@ func (w *ckptWriter) WriteTo(fs vfs.FS, dir string, seq uint64) ([]kv.Checkpoint
 		return nil, err
 	}
 	var files []kv.CheckpointFile
-	var stats kv.CheckpointStats
-	stats.Checkpoints = 1
+	var done kv.CheckpointStats // this checkpoint's share of the lifetime counters
+	done.Checkpoints = 1
 
 	// The checkpoint file is immutable per generation and generations
 	// never repeat, so one already in the backup set is reusable as-is.
@@ -68,18 +69,18 @@ func (w *ckptWriter) WriteTo(fs vfs.FS, dir string, seq uint64) ([]kv.Checkpoint
 		dst := dir + "/" + name
 		switch {
 		case fs.Exists(dst):
-			stats.FilesReused++
+			done.FilesReused++
 		default:
 			if err := fs.Link(ckptName(d.dir, w.gen), dst); err == nil {
-				stats.FilesLinked++
+				done.FilesLinked++
 			} else {
 				if err := vfs.CopyFile(d.opts.FS, ckptName(d.dir, w.gen), fs, dst); err != nil {
 					return nil, err
 				}
-				stats.FilesCopied++
+				done.FilesCopied++
 				if f, err := fs.Open(dst); err == nil {
 					if sz, err := f.Size(); err == nil {
-						stats.BytesCopied += sz
+						done.BytesCopied += sz
 					}
 					f.Close()
 				}
@@ -94,8 +95,8 @@ func (w *ckptWriter) WriteTo(fs vfs.FS, dir string, seq uint64) ([]kv.Checkpoint
 	if err := vfs.CopyPrefix(d.opts.FS, walName(d.dir, w.gen), fs, dir+"/"+jname, w.walSize); err != nil {
 		return nil, err
 	}
-	stats.FilesCopied++
-	stats.BytesCopied += w.walSize
+	done.FilesCopied++
+	done.BytesCopied += w.walSize
 	files = append(files, kv.CheckpointFile{Name: jname, Restore: fmt.Sprintf("journal-%06d.log", w.gen)})
 
 	mname := fmt.Sprintf("META-ckpt%06d", seq)
@@ -105,11 +106,7 @@ func (w *ckptWriter) WriteTo(fs vfs.FS, dir string, seq uint64) ([]kv.Checkpoint
 	files = append(files, kv.CheckpointFile{Name: mname, Restore: "META"})
 
 	d.mu.Lock()
-	d.ckptStats.Checkpoints += stats.Checkpoints
-	d.ckptStats.FilesLinked += stats.FilesLinked
-	d.ckptStats.FilesCopied += stats.FilesCopied
-	d.ckptStats.FilesReused += stats.FilesReused
-	d.ckptStats.BytesCopied += stats.BytesCopied
+	stats.Merge(&d.ckptStats, done)
 	d.mu.Unlock()
 	return files, nil
 }

@@ -217,13 +217,6 @@ func (s *Store) Checkpoint(fs vfs.FS, dir string) (*checkpoint.Manifest, error) 
 	return m, nil
 }
 
-// CheckpointBarrierNs reports the duration of the most recent checkpoint's
-// worker pause, in nanoseconds (0 before the first checkpoint).
-func (s *Store) CheckpointBarrierNs() int64 { return s.ckptBarrierNs.Load() }
-
-// Checkpoints reports how many checkpoints committed on this store.
-func (s *Store) Checkpoints() int64 { return s.ckptCount.Load() }
-
 // LastCheckpointUnix reports the commit time (unix seconds) of the most
 // recent checkpoint, 0 when none has been taken — the LASTSAVE answer.
 func (s *Store) LastCheckpointUnix() int64 { return s.lastCkptUnix.Load() }

@@ -161,12 +161,7 @@ func TestCheckpointIncrementalReusesSSTs(t *testing.T) {
 
 	// Every shared SST must have been reused in place: the engines' reuse
 	// counter accounts for each, and no SST bytes were copied twice.
-	var agg kv.CheckpointStats
-	for _, ws := range s.Stats() {
-		agg.FilesLinked += ws.Checkpoint.FilesLinked
-		agg.FilesCopied += ws.Checkpoint.FilesCopied
-		agg.FilesReused += ws.Checkpoint.FilesReused
-	}
+	agg := s.StatsSnapshot().Aggregate
 	if agg.FilesReused < int64(shared) {
 		t.Fatalf("reused %d files, want at least the %d shared SSTs", agg.FilesReused, shared)
 	}
@@ -209,7 +204,8 @@ func TestCheckpointBarrierShortUnderLoad(t *testing.T) {
 	close(stop)
 	wg.Wait()
 
-	barrier := s.CheckpointBarrierNs()
+	snap := s.StatsSnapshot()
+	barrier := snap.CheckpointBarrierNs
 	if barrier <= 0 {
 		t.Fatal("checkpoint_barrier_ns not recorded")
 	}
@@ -217,8 +213,8 @@ func TestCheckpointBarrierShortUnderLoad(t *testing.T) {
 	if barrier > int64(100*time.Millisecond) {
 		t.Fatalf("barrier stalled writers %v", time.Duration(barrier))
 	}
-	if s.Checkpoints() != 1 || s.LastCheckpointUnix() == 0 {
-		t.Fatalf("store counters: checkpoints=%d last=%d", s.Checkpoints(), s.LastCheckpointUnix())
+	if snap.Checkpoints != 1 || s.LastCheckpointUnix() == 0 {
+		t.Fatalf("store counters: checkpoints=%d last=%d", snap.Checkpoints, s.LastCheckpointUnix())
 	}
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"testing"
@@ -80,6 +81,17 @@ func TestDegradedShardFailsFastOthersServe(t *testing.T) {
 	ffs.Inject(vfs.Rule{Op: vfs.OpCreate, Path: "inst-00"})
 	if err := s.Engine(0).Flush(); !errors.Is(err, kv.ErrDegraded) {
 		t.Fatalf("shard-0 flush err = %v, want ErrDegraded", err)
+	}
+
+	// The injected-fault counter belongs to the filesystem the workers
+	// share, so the aggregate reports it once, not once per worker.
+	if k, got := ffs.InjectedFaults(), s.StatsSnapshot().Aggregate.InjectedFaults; k == 0 || got != k {
+		t.Fatalf("aggregate injected_faults = %d, want the FaultFS's %d > 0", got, k)
+	}
+
+	// On the wire the state is its name and the error its message.
+	if raw, err := s.StatsJSON(); err != nil || !bytes.Contains(raw, []byte(`"health":"read-only","health_err":"`)) {
+		t.Fatalf("StatsJSON of a degraded store: %v\n%s", err, raw)
 	}
 
 	st := s.Stats()

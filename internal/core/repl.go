@@ -66,9 +66,6 @@ func (s *Store) ApplyRepl(worker int, gsn uint64, ops []kv.BatchOp) error {
 // is disabled). The server's PSYNC handler streams from it.
 func (s *Store) ReplLog() *repl.Log { return s.opts.ReplLog }
 
-// GSN reports the store's current Global Sequence Number watermark.
-func (s *Store) GSN() uint64 { return s.gsn.Load() }
-
 // ReplLastGSN reports each worker's replication stream watermark — the
 // per-worker cursors a replica of this store would resume from. Nil when
 // replication is disabled.

@@ -95,8 +95,8 @@ func TestReplShipAndApplyConverges(t *testing.T) {
 			t.Fatalf("worker %d watermark: primary %d, replica %d", i, pw[i], rw[i])
 		}
 	}
-	if r.GSN() < p.GSN()-uint64(len(pw)) {
-		t.Fatalf("replica GSN counter did not ratchet: %d vs %d", r.GSN(), p.GSN())
+	if r.StatsSnapshot().ReplGSN < p.StatsSnapshot().ReplGSN-uint64(len(pw)) {
+		t.Fatalf("replica GSN counter did not ratchet: %d vs %d", r.StatsSnapshot().ReplGSN, p.StatsSnapshot().ReplGSN)
 	}
 }
 
@@ -328,14 +328,14 @@ func TestApplyReplValidation(t *testing.T) {
 	if err := s.ApplyRepl(0, 100, []kv.BatchOp{{Kind: kv.OpPut, Key: []byte("k"), Value: []byte("v")}}); err != nil {
 		t.Fatal(err)
 	}
-	if got := s.GSN(); got != 100 {
+	if got := s.StatsSnapshot().ReplGSN; got != 100 {
 		t.Fatalf("GSN counter did not ratchet to 100: %d", got)
 	}
 	// A local write after the ratchet must draw a GSN above the stream's.
 	if err := s.Put([]byte("local"), []byte("x")); err != nil {
 		t.Fatal(err)
 	}
-	if got := s.GSN(); got != 101 {
+	if got := s.StatsSnapshot().ReplGSN; got != 101 {
 		t.Fatalf("local allocation did not continue the sequence: %d", got)
 	}
 	v, err := s.Get([]byte("k"))
@@ -367,5 +367,32 @@ func TestReplDisabledKeepsLegacyWatermarks(t *testing.T) {
 	}
 	if s.ReplLog() != nil || s.ReplLastGSN() != nil {
 		t.Fatal("replication accessors must be nil when disabled")
+	}
+}
+
+// TestStatsSnapshotReplLastGSN: the stats document carries each worker's
+// replication watermark, and the aggregate their max — the hand-written
+// JSON projection used to drop the field, so it always read 0.
+func TestStatsSnapshotReplLastGSN(t *testing.T) {
+	const workers = 4
+	s := openReplStore(t, vfs.NewMem(), workers, 1<<20)
+	defer s.Close()
+	for i := 0; i < 64; i++ {
+		if err := s.Put([]byte(fmt.Sprintf("key-%03d", i)), []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	snap, last := s.StatsSnapshot(), s.ReplLastGSN()
+	var max uint64
+	for i, w := range snap.PerWorker {
+		if w.ReplLastGSN == 0 || w.ReplLastGSN != last[i] {
+			t.Errorf("worker %d: repl_last_gsn = %d, want ReplLastGSN()[%d] = %d > 0", i, w.ReplLastGSN, i, last[i])
+		}
+		if last[i] > max {
+			max = last[i]
+		}
+	}
+	if snap.Aggregate.ReplLastGSN != max {
+		t.Errorf("aggregate repl_last_gsn = %d, want the max %d", snap.Aggregate.ReplLastGSN, max)
 	}
 }

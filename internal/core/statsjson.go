@@ -3,226 +3,60 @@ package core
 import (
 	"encoding/json"
 
-	"p2kvs/internal/kv"
 	"p2kvs/internal/reshard"
+	"p2kvs/internal/stats"
 )
 
-// WorkerStatsJSON is the stable JSON projection of WorkerStats. Durations
-// become microseconds and the engine health report is flattened to plain
-// strings, so every consumer of store statistics — the network server's
-// INFO and /metrics, dbbench, external scrapers — sees one schema instead
-// of re-inventing ad-hoc formatting.
-type WorkerStatsJSON struct {
-	ID             int    `json:"id"`
-	Ops            int64  `json:"ops"`
-	Batches        int64  `json:"batches"`
-	BatchedOps     int64  `json:"batched_ops"`
-	BatchWriteOps  int64  `json:"batch_write_ops"`
-	MultiGetOps    int64  `json:"multiget_ops"`
-	QueueWaitUs    int64  `json:"queue_wait_us"`
-	Rejected       int64  `json:"rejected"`
-	Expired        int64  `json:"expired"`
-	Shed           int64  `json:"shed"`
-	QueueHighWater int    `json:"queue_high_water"`
-	Health         string `json:"health"`
-	HealthErr      string `json:"health_err,omitempty"`
-	FlushRetries   int64  `json:"flush_retries"`
-	CompactRetries int64  `json:"compact_retries"`
-	InjectedFaults int64  `json:"injected_faults"`
-	// Disk-full robustness: whether the engine is currently degraded by
-	// space exhaustion, how many times it entered that state, and how many
-	// times the space watchdog auto-resumed it (in the aggregate, DiskFull
-	// ORs across workers and the counters sum).
-	DiskFull       bool  `json:"disk_full"`
-	DiskFullEvents int64 `json:"disk_full_events"`
-	AutoResumes    int64 `json:"auto_resumes"`
-	// At-rest integrity: checksum-mismatch detections, files currently
-	// under quarantine (counts sum in the aggregate; LastCorruption is the
-	// most recent worker's report), and files restored from backup.
-	CorruptionEvents int64  `json:"corruption_events"`
-	QuarantinedFiles int64  `json:"quarantined_files"`
-	RepairedFiles    int64  `json:"repaired_files"`
-	LastCorruption   string `json:"last_corruption,omitempty"`
-	// Compaction-scheduler counters: stall (hard-block) vs slowdown (soft
-	// delay) time are reported separately; ConcurrentCompactionsHW is the
-	// high-water mark of compactions running at once (max, not sum, in the
-	// aggregate).
-	CompactionStallUs       int64 `json:"compaction_stall_us"`
-	CompactionSlowdownUs    int64 `json:"compaction_slowdown_us"`
-	CompactionSlowdowns     int64 `json:"compaction_slowdowns"`
-	Compactions             int64 `json:"compactions"`
-	Subcompactions          int64 `json:"subcompactions"`
-	ConcurrentCompactionsHW int64 `json:"concurrent_compactions_hw"`
-	// Checkpoint counters: how often this worker's engine was captured and
-	// how the backup image was materialized (hard links and reuse are the
-	// incremental fast paths; copied bytes are the real IO cost).
-	Checkpoints           int64 `json:"checkpoints"`
-	CheckpointFilesLinked int64 `json:"checkpoint_files_linked"`
-	CheckpointFilesCopied int64 `json:"checkpoint_files_copied"`
-	CheckpointFilesReused int64 `json:"checkpoint_files_reused"`
-	CheckpointBytesCopied int64 `json:"checkpoint_bytes_copied"`
-	// Replication stream watermark: the GSN of this worker's most
-	// recently applied write batch (its replica cursor). Zero when
-	// replication is disabled; the aggregate takes the max.
-	ReplLastGSN uint64 `json:"repl_last_gsn"`
-	// Hot-cache invalidation watermark bumps performed by this worker on
-	// applied writes (counters sum in the aggregate).
-	CacheInvalidations int64 `json:"cache_invalidations"`
-}
-
-// StatsSnapshot is the JSON view of the whole store: an aggregate over all
-// workers (ID -1, health = worst worker state, queue high-water = max)
-// plus the per-worker breakdown.
+// StatsSnapshot is the stats document of the whole store — what
+// StatsJSON, /metrics, INFO and the bench reports all read: an aggregate
+// over all workers (ID -1, each field folded by its agg tag) plus the
+// per-worker breakdown and the store-level state.
 type StatsSnapshot struct {
-	Workers   int               `json:"workers"`
-	Aggregate WorkerStatsJSON   `json:"aggregate"`
-	PerWorker []WorkerStatsJSON `json:"per_worker"`
+	Workers   int           `json:"workers"`
+	Aggregate WorkerStats   `json:"aggregate"`
+	PerWorker []WorkerStats `json:"per_worker"`
 	// Store-level checkpoint state: committed checkpoints, the last
 	// barrier's worker-pause duration, and the last commit time (unix
 	// seconds, 0 before the first checkpoint).
-	Checkpoints         int64 `json:"store_checkpoints"`
-	CheckpointBarrierNs int64 `json:"checkpoint_barrier_ns"`
-	LastCheckpointUnix  int64 `json:"last_checkpoint_unix"`
+	Checkpoints         int64 `json:"store_checkpoints" info:"Persistence"`
+	CheckpointBarrierNs int64 `json:"checkpoint_barrier_ns" info:"Persistence,store_checkpoint_barrier_ns"`
+	LastCheckpointUnix  int64 `json:"last_checkpoint_unix" info:"Persistence,store_last_checkpoint_unix"`
 	// Replication backlog state (all zero/empty when Options.ReplLog is
 	// nil): the store's GSN watermark, the backlog's retained size and
 	// lifetime append/trim counters, and the number of attached replica
 	// pins currently deferring tail truncation.
-	ReplGSN            uint64 `json:"repl_gsn"`
-	ReplBacklogBytes   int64  `json:"repl_backlog_bytes"`
-	ReplBacklogRecords int64  `json:"repl_backlog_records"`
-	ReplAppended       int64  `json:"repl_appended"`
-	ReplTrimmed        int64  `json:"repl_trimmed"`
+	ReplGSN            uint64 `json:"repl_gsn" info:"Replication,master_repl_gsn"`
+	ReplBacklogBytes   int64  `json:"repl_backlog_bytes" info:"Replication"`
+	ReplBacklogRecords int64  `json:"repl_backlog_records" info:"Replication"`
+	ReplAppended       int64  `json:"repl_appended" info:"Replication,repl_backlog_appended"`
+	ReplTrimmed        int64  `json:"repl_trimmed" info:"Replication,repl_backlog_trimmed"`
 	ReplPins           int    `json:"repl_pins"`
 	// Hot-key read cache state (all zero when Options.HotCacheBytes is
 	// zero): hits served without touching a worker (positive and cached
 	// not-found separately), misses that fell through to the queues,
 	// successful fills, clock evictions, writer watermark bumps, and the
 	// resident footprint.
-	CacheEnabled       bool  `json:"cache_enabled"`
-	CacheHits          int64 `json:"cache_hits"`
-	CacheNegHits       int64 `json:"cache_neg_hits"`
-	CacheMisses        int64 `json:"cache_misses"`
-	CacheFills         int64 `json:"cache_fills"`
-	CacheEvictions     int64 `json:"cache_evictions"`
-	CacheInvalidations int64 `json:"cache_invalidations"`
-	CacheBytes         int64 `json:"cache_bytes"`
-	CacheEntries       int64 `json:"cache_entries"`
+	CacheEnabled       bool  `json:"cache_enabled" info:"Cache"`
+	CacheHits          int64 `json:"cache_hits" info:"Cache"`
+	CacheNegHits       int64 `json:"cache_neg_hits" info:"Cache"`
+	CacheMisses        int64 `json:"cache_misses" info:"Cache"`
+	CacheFills         int64 `json:"cache_fills" info:"Cache"`
+	CacheEvictions     int64 `json:"cache_evictions" info:"Cache"`
+	CacheInvalidations int64 `json:"cache_invalidations" info:"Cache"`
+	CacheBytes         int64 `json:"cache_bytes" info:"Cache"`
+	CacheEntries       int64 `json:"cache_entries" info:"Cache"`
 	// Reshard carries the online-resharding subsystem's counters (zero
 	// state "idle" when no reshard has run).
 	Reshard reshard.Stats `json:"reshard"`
 }
 
-func workerStatsJSON(ws WorkerStats) WorkerStatsJSON {
-	out := WorkerStatsJSON{
-		ID:             ws.ID,
-		Ops:            ws.Ops,
-		Batches:        ws.Batches,
-		BatchedOps:     ws.BatchedOps,
-		BatchWriteOps:  ws.BatchWriteOps,
-		MultiGetOps:    ws.MultiGetOps,
-		QueueWaitUs:    ws.QueueWait.Microseconds(),
-		Rejected:       ws.Rejected,
-		Expired:        ws.Expired,
-		Shed:           ws.Shed,
-		QueueHighWater: ws.QueueHighWater,
-		Health:         ws.Health.State.String(),
-		FlushRetries:   ws.Health.FlushRetries,
-		CompactRetries: ws.Health.CompactRetries,
-		InjectedFaults: ws.Health.InjectedFaults,
-		DiskFull:       ws.Health.DiskFull,
-		DiskFullEvents: ws.Health.DiskFullEvents,
-		AutoResumes:    ws.Health.AutoResumes,
-
-		CorruptionEvents: ws.Health.CorruptionEvents,
-		QuarantinedFiles: ws.Health.QuarantinedFiles,
-		RepairedFiles:    ws.Health.RepairedFiles,
-
-		CompactionStallUs:       ws.Compaction.StallTime.Microseconds(),
-		CompactionSlowdownUs:    ws.Compaction.SlowdownTime.Microseconds(),
-		CompactionSlowdowns:     ws.Compaction.Slowdowns,
-		Compactions:             ws.Compaction.Compactions,
-		Subcompactions:          ws.Compaction.Subcompactions,
-		ConcurrentCompactionsHW: ws.Compaction.MaxConcurrent,
-
-		Checkpoints:           ws.Checkpoint.Checkpoints,
-		CheckpointFilesLinked: ws.Checkpoint.FilesLinked,
-		CheckpointFilesCopied: ws.Checkpoint.FilesCopied,
-		CheckpointFilesReused: ws.Checkpoint.FilesReused,
-		CheckpointBytesCopied: ws.Checkpoint.BytesCopied,
-
-		CacheInvalidations: ws.CacheInvalidations,
-	}
-	if ws.Health.Err != nil {
-		out.HealthErr = ws.Health.Err.Error()
-	}
-	if ws.Health.LastCorruption != nil {
-		out.LastCorruption = ws.Health.LastCorruption.Error()
-	}
-	return out
-}
-
-// StatsSnapshot captures Stats() in the stable JSON schema.
+// StatsSnapshot captures Stats() plus the store-level state.
 func (s *Store) StatsSnapshot() StatsSnapshot {
-	stats := s.Stats()
-	snap := StatsSnapshot{
-		Workers:   len(stats),
-		PerWorker: make([]WorkerStatsJSON, 0, len(stats)),
+	snap := StatsSnapshot{PerWorker: s.Stats(), Aggregate: WorkerStats{ID: -1}}
+	snap.Workers = len(snap.PerWorker)
+	for i := range snap.PerWorker {
+		stats.Merge(&snap.Aggregate, &snap.PerWorker[i])
 	}
-	agg := WorkerStatsJSON{ID: -1, Health: kv.StateHealthy.String()}
-	worst := kv.StateHealthy
-	for _, ws := range stats {
-		j := workerStatsJSON(ws)
-		snap.PerWorker = append(snap.PerWorker, j)
-		agg.Ops += j.Ops
-		agg.Batches += j.Batches
-		agg.BatchedOps += j.BatchedOps
-		agg.BatchWriteOps += j.BatchWriteOps
-		agg.MultiGetOps += j.MultiGetOps
-		agg.QueueWaitUs += j.QueueWaitUs
-		agg.Rejected += j.Rejected
-		agg.Expired += j.Expired
-		agg.Shed += j.Shed
-		agg.FlushRetries += j.FlushRetries
-		agg.CompactRetries += j.CompactRetries
-		agg.InjectedFaults += j.InjectedFaults
-		agg.DiskFull = agg.DiskFull || j.DiskFull
-		agg.DiskFullEvents += j.DiskFullEvents
-		agg.AutoResumes += j.AutoResumes
-		agg.CorruptionEvents += j.CorruptionEvents
-		agg.QuarantinedFiles += j.QuarantinedFiles
-		agg.RepairedFiles += j.RepairedFiles
-		if j.LastCorruption != "" {
-			agg.LastCorruption = j.LastCorruption
-		}
-		agg.CompactionStallUs += j.CompactionStallUs
-		agg.CompactionSlowdownUs += j.CompactionSlowdownUs
-		agg.CompactionSlowdowns += j.CompactionSlowdowns
-		agg.Compactions += j.Compactions
-		agg.Subcompactions += j.Subcompactions
-		agg.Checkpoints += j.Checkpoints
-		agg.CheckpointFilesLinked += j.CheckpointFilesLinked
-		agg.CheckpointFilesCopied += j.CheckpointFilesCopied
-		agg.CheckpointFilesReused += j.CheckpointFilesReused
-		agg.CheckpointBytesCopied += j.CheckpointBytesCopied
-		agg.CacheInvalidations += j.CacheInvalidations
-		if j.ConcurrentCompactionsHW > agg.ConcurrentCompactionsHW {
-			agg.ConcurrentCompactionsHW = j.ConcurrentCompactionsHW
-		}
-		if j.QueueHighWater > agg.QueueHighWater {
-			agg.QueueHighWater = j.QueueHighWater
-		}
-		if j.ReplLastGSN > agg.ReplLastGSN {
-			agg.ReplLastGSN = j.ReplLastGSN
-		}
-		if ws.Health.State > worst {
-			worst = ws.Health.State
-			agg.Health = worst.String()
-			if ws.Health.Err != nil {
-				agg.HealthErr = ws.Health.Err.Error()
-			}
-		}
-	}
-	snap.Aggregate = agg
 	snap.Checkpoints = s.ckptCount.Load()
 	snap.CheckpointBarrierNs = s.ckptBarrierNs.Load()
 	snap.LastCheckpointUnix = s.lastCkptUnix.Load()

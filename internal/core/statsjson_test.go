@@ -37,9 +37,20 @@ func TestStatsJSONStableSchema(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var snap StatsSnapshot
+	// Decode by wire name, as a scraper would: health is a string.
+	var snap struct {
+		Workers   int `json:"workers"`
+		Aggregate struct {
+			ID     int    `json:"id"`
+			Ops    int64  `json:"ops"`
+			Health string `json:"health"`
+		} `json:"aggregate"`
+		PerWorker []struct {
+			Ops int64 `json:"ops"`
+		} `json:"per_worker"`
+	}
 	if err := json.Unmarshal(raw, &snap); err != nil {
-		t.Fatalf("StatsJSON not round-trippable: %v\n%s", err, raw)
+		t.Fatalf("StatsJSON does not decode: %v\n%s", err, raw)
 	}
 	if snap.Workers != 3 || len(snap.PerWorker) != 3 {
 		t.Fatalf("workers = %d / %d per-worker entries, want 3", snap.Workers, len(snap.PerWorker))

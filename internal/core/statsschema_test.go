@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding"
 	"flag"
 	"fmt"
 	"os"
@@ -9,19 +10,31 @@ import (
 	"strings"
 	"testing"
 
+	"p2kvs/internal/kv"
 	"p2kvs/internal/vfs"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite golden schema files")
 
-// statsSchema flattens a struct type into "path type jsontag" lines, one
-// per leaf field, recursing through nested structs and slices. The result
-// is the externally visible stats schema: INFO, /metrics and any scraper
-// built on StatsJSON depend on these names.
+var (
+	errorType = reflect.TypeOf((*error)(nil)).Elem()
+	textType  = reflect.TypeOf((*encoding.TextMarshaler)(nil)).Elem()
+)
+
+// statsSchema flattens a struct type into "path kind" lines the way
+// encoding/json sees it: one per leaf field, embedded structs flattened,
+// nested structs and slices descended into, errors and text marshalers
+// strings as they are on the wire. The result is the externally visible
+// stats schema: INFO, /metrics and any scraper built on StatsJSON depend
+// on these names.
 func statsSchema(t reflect.Type, prefix string, out *[]string) {
 	for i := 0; i < t.NumField(); i++ {
 		f := t.Field(i)
 		tag := strings.Split(f.Tag.Get("json"), ",")[0]
+		if f.Anonymous && tag == "" {
+			statsSchema(f.Type, prefix, out)
+			continue
+		}
 		if tag == "" {
 			tag = f.Name
 		}
@@ -31,11 +44,14 @@ func statsSchema(t reflect.Type, prefix string, out *[]string) {
 			ft = ft.Elem()
 			path += "[]"
 		}
-		if ft.Kind() == reflect.Struct {
+		switch {
+		case ft.Implements(errorType), ft.Implements(textType):
+			*out = append(*out, path+" string")
+		case ft.Kind() == reflect.Struct:
 			statsSchema(ft, path+".", out)
-			continue
+		default:
+			*out = append(*out, fmt.Sprintf("%s %s", path, ft.Kind()))
 		}
-		*out = append(*out, fmt.Sprintf("%s %s", path, ft.Kind()))
 	}
 }
 
@@ -117,8 +133,8 @@ func TestStatsSnapshotPopulatesSchema(t *testing.T) {
 		if w.ID != i {
 			t.Fatalf("per-worker ID %d at index %d", w.ID, i)
 		}
-		if w.Health == "" {
-			t.Fatalf("worker %d has empty health", i)
+		if w.State != kv.StateHealthy {
+			t.Fatalf("worker %d health = %v", i, w.State)
 		}
 		ops += w.Ops
 	}

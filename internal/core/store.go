@@ -15,6 +15,7 @@ import (
 	"p2kvs/internal/kv"
 	"p2kvs/internal/reshard"
 	"p2kvs/internal/scrub"
+	"p2kvs/internal/stats"
 )
 
 // routing is one generation of the store's request routing: the
@@ -977,7 +978,7 @@ func (s *Store) Scrub(ctx context.Context, lim kv.RateLimiter) (kv.ScrubResult, 
 	var res kv.ScrubResult
 	var firstErr error
 	for i := range results {
-		res.Merge(results[i])
+		stats.Merge(&res, results[i])
 		if errs[i] != nil && firstErr == nil {
 			firstErr = errs[i]
 		}

@@ -559,75 +559,76 @@ func (w *worker) stop(deadline time.Time) error {
 		w.id, len(dropped), kv.ErrClosed)
 }
 
-// WorkerStats summarizes one worker's activity.
+// WorkerStats summarizes one worker's activity. It is the one declaration
+// of the per-worker stats schema: the tags name each field in StatsJSON,
+// /metrics and (behind "store_") INFO, and say how the aggregate folds it
+// (internal/stats). The embedded engine reports are zero-valued for
+// engines without the matching capability.
 type WorkerStats struct {
-	ID         int
-	Ops        int64
-	Batches    int64
-	BatchedOps int64 // ops that traveled in a batch of >= 2
+	ID         int   `json:"id" agg:"-"`
+	Ops        int64 `json:"ops" agg:"sum" info:"Store"`
+	Batches    int64 `json:"batches" agg:"sum" info:"Store"`
+	BatchedOps int64 `json:"batched_ops" agg:"sum" info:"Store"` // ops that traveled in a batch of >= 2
 	// BatchWriteOps counts write ops committed to the engine inside a
 	// multi-op WriteBatch (one journal IO for the whole batch); MultiGetOps
 	// counts keys resolved through the engine's multiget. Both rise when
 	// OBM — or the network layer's pipeline coalescing — succeeds in
 	// batching work before it reaches the engine.
-	BatchWriteOps int64
-	MultiGetOps   int64
-	QueueWait     time.Duration
+	BatchWriteOps int64 `json:"batch_write_ops" agg:"sum" info:"Store"`
+	MultiGetOps   int64 `json:"multiget_ops" agg:"sum" info:"Store"`
+	QueueWaitUs   int64 `json:"queue_wait_us" agg:"sum" info:"Store"`
 	// Rejected counts requests bounced by admission control with
 	// kv.ErrOverloaded (AdmitReject / AdmitWait on a full queue).
-	Rejected int64
+	Rejected int64 `json:"rejected" agg:"sum" info:"Store"`
 	// Expired counts requests whose context ended before execution, as
 	// observed by their submitters (kv.ErrDeadlineExceeded).
-	Expired int64
+	Expired int64 `json:"expired" agg:"sum" info:"Store"`
 	// Shed counts requests discarded by the worker at dequeue or drain —
 	// dead work that never touched the engine.
-	Shed int64
+	Shed int64 `json:"shed" agg:"sum" info:"Store"`
 	// QueueHighWater is the deepest this worker's queue has ever been.
-	QueueHighWater int
-	// Health is the engine's background-error report; zero-valued
-	// (StateHealthy) for engines without health reporting.
-	Health kv.Health
-	// Compaction is the engine's compaction-scheduler report; zero-valued
-	// for engines without compaction stats.
-	Compaction kv.CompactionStats
-	// Checkpoint is the engine's online-backup activity report;
-	// zero-valued for engines without checkpoint support.
-	Checkpoint kv.CheckpointStats
+	QueueHighWater int `json:"queue_high_water" agg:"max" info:"Store"`
+
+	kv.Health
+	kv.CompactionStats
+	kv.CheckpointStats
+
 	// ReplLastGSN is this worker's replication stream watermark — the GSN
 	// of its most recently applied-and-shipped write batch. Zero when
 	// replication is disabled (Options.ReplLog nil).
-	ReplLastGSN uint64
+	ReplLastGSN uint64 `json:"repl_last_gsn" agg:"max"`
 	// CacheInvalidations counts hot-cache watermark bumps this worker
 	// performed on applied writes. Zero when the cache is disabled.
-	CacheInvalidations int64
+	CacheInvalidations int64 `json:"cache_invalidations" agg:"sum"`
 }
 
 func (w *worker) stats() WorkerStats {
 	st := WorkerStats{
-		ID:             w.id,
-		Ops:            w.ops.Load(),
-		Batches:        w.batches.Load(),
-		BatchedOps:     w.batchedOps.Load(),
-		BatchWriteOps:  w.batchWriteOps.Load(),
-		MultiGetOps:    w.multiGetOps.Load(),
-		QueueWait:      time.Duration(w.queueWaitNs.Load()),
-		Rejected:       w.rejected.Load(),
-		Expired:        w.expired.Load(),
-		Shed:           w.shed.Load(),
-		QueueHighWater: w.q.highWaterMark(),
+		ID:                 w.id,
+		Ops:                w.ops.Load(),
+		Batches:            w.batches.Load(),
+		BatchedOps:         w.batchedOps.Load(),
+		BatchWriteOps:      w.batchWriteOps.Load(),
+		MultiGetOps:        w.multiGetOps.Load(),
+		QueueWaitUs:        w.queueWaitNs.Load() / 1e3,
+		Rejected:           w.rejected.Load(),
+		Expired:            w.expired.Load(),
+		Shed:               w.shed.Load(),
+		QueueHighWater:     w.q.highWaterMark(),
+		CacheInvalidations: w.cacheInv.Load(),
 	}
 	if w.hr != nil {
 		st.Health = w.hr.Health()
+		st.Err, st.LastCorruption = kv.Cause(st.Err), kv.Cause(st.LastCorruption)
 	}
 	if cr, ok := w.engine.(kv.CompactionStatsReporter); ok {
-		st.Compaction = cr.CompactionStats()
+		st.CompactionStats = cr.CompactionStats()
 	}
 	if kr, ok := w.engine.(kv.CheckpointStatsReporter); ok {
-		st.Checkpoint = kr.CheckpointStats()
+		st.CheckpointStats = kr.CheckpointStats()
 	}
 	if w.repl != nil {
 		st.ReplLastGSN = w.lastGSN.Load()
 	}
-	st.CacheInvalidations = w.cacheInv.Load()
 	return st
 }

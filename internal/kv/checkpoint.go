@@ -17,16 +17,16 @@ type CheckpointFile struct {
 // cumulative over the engine's lifetime.
 type CheckpointStats struct {
 	// Checkpoints counts completed engine checkpoints.
-	Checkpoints int64
+	Checkpoints int64 `json:"checkpoints" agg:"sum"`
 	// FilesLinked / FilesCopied / FilesReused break down how checkpoint
 	// files were materialized: hard-linked (zero bytes moved), copied, or
 	// already present in the backup set from an earlier checkpoint
 	// (incremental reuse). BytesCopied counts only bytes physically
 	// copied — the number the incremental path drives to zero.
-	FilesLinked int64
-	FilesCopied int64
-	FilesReused int64
-	BytesCopied int64
+	FilesLinked int64 `json:"checkpoint_files_linked" agg:"sum" info:"Persistence"`
+	FilesCopied int64 `json:"checkpoint_files_copied" agg:"sum" info:"Persistence"`
+	FilesReused int64 `json:"checkpoint_files_reused" agg:"sum" info:"Persistence"`
+	BytesCopied int64 `json:"checkpoint_bytes_copied" agg:"sum" info:"Persistence"`
 }
 
 // CheckpointStatsReporter is the optional capability of reporting

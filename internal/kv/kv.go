@@ -14,7 +14,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"time"
 )
 
 // ErrNotFound is returned by Get when the key does not exist (or its most
@@ -101,44 +100,66 @@ func (s HealthState) String() string {
 	return "unknown"
 }
 
-// Health is a snapshot of an engine's background-error condition.
+// MarshalText makes a state cross JSON and INFO as its name.
+func (s HealthState) MarshalText() ([]byte, error) { return []byte(s.String()), nil }
+
+// Health is a snapshot of an engine's background-error condition. Like
+// CompactionStats and CheckpointStats it is embedded in the accessing
+// layer's per-worker stats, so its tags are its schema (internal/stats).
 type Health struct {
-	State HealthState
+	State HealthState `json:"health" agg:"worst" info:"Store"`
 	// Err is the background error that caused a non-healthy state; nil
 	// when State is StateHealthy.
-	Err error
+	Err error `json:"health_err,omitempty" agg:"worst" info:"Robustness"`
 	// FlushRetries / CompactRetries count background job attempts beyond
 	// the first, cumulative over the engine's lifetime.
-	FlushRetries   int64
-	CompactRetries int64
+	FlushRetries   int64 `json:"flush_retries" agg:"sum" info:"Robustness"`
+	CompactRetries int64 `json:"compact_retries" agg:"sum" info:"Robustness"`
 	// InjectedFaults counts faults fired by a fault-injecting filesystem
-	// under the engine, when one is present (vfs.FaultCounter); 0 otherwise.
-	InjectedFaults int64
+	// under the engine, when one is present (vfs.FaultCounter); 0
+	// otherwise. The counter belongs to the filesystem, which the workers
+	// share, so the aggregate takes the max.
+	InjectedFaults int64 `json:"injected_faults" agg:"max" info:"Robustness"`
 	// DiskFull reports that the current degraded state was caused by
 	// space exhaustion (ENOSPC): reads keep working, writes fail, and the
 	// engine's watchdog will auto-Resume once space frees. Always false
 	// when State is StateHealthy.
-	DiskFull bool
+	DiskFull bool `json:"disk_full" agg:"or" info:"Robustness"`
 	// DiskFullEvents counts transitions into disk-full degraded mode over
 	// the engine's lifetime; AutoResumes counts how many times the space
 	// watchdog brought the engine back without an explicit Resume call.
-	DiskFullEvents int64
-	AutoResumes    int64
+	DiskFullEvents int64 `json:"disk_full_events" agg:"sum" info:"Robustness"`
+	AutoResumes    int64 `json:"auto_resumes" agg:"sum" info:"Robustness"`
 	// CorruptionEvents counts at-rest integrity failures detected over the
 	// engine's lifetime (checksum mismatches on reads, scrubs or recovery).
-	CorruptionEvents int64
+	CorruptionEvents int64 `json:"corruption_events" agg:"sum" info:"Robustness"`
 	// QuarantinedFiles is the number of files currently quarantined:
 	// detected corrupt and fenced off so reads covering them fail with
 	// ErrCorruption while the rest of the keyspace keeps serving.
-	QuarantinedFiles int64
+	QuarantinedFiles int64 `json:"quarantined_files" agg:"sum" info:"Robustness"`
 	// RepairedFiles counts quarantined files restored from a verified
 	// backup copy and returned to service.
-	RepairedFiles int64
+	RepairedFiles int64 `json:"repaired_files" agg:"sum" info:"Robustness"`
 	// LastCorruption is the most recent corruption error, nil when none
 	// has ever been detected (it is informational and does not imply the
 	// engine is still degraded — the file may have been repaired).
-	LastCorruption error
+	LastCorruption error `json:"last_corruption,omitempty" agg:"last" info:"Robustness"`
 }
+
+// Cause wraps err so that it crosses JSON as its message while
+// errors.Is/As still see the chain; nil stays nil. The accessing layer
+// applies it to the error fields of the Health it publishes.
+func Cause(err error) error {
+	if err == nil {
+		return nil
+	}
+	return cause{err}
+}
+
+type cause struct{ error }
+
+func (c cause) Unwrap() error                { return c.error }
+func (c cause) MarshalText() ([]byte, error) { return []byte(c.Error()), nil }
 
 // HealthReporter is the optional capability of reporting background-error
 // health. The p2KVS accessing layer surfaces it in per-worker stats.
@@ -149,18 +170,18 @@ type HealthReporter interface {
 // CompactionStats is a snapshot of an engine's compaction-scheduler and
 // write-backpressure activity.
 type CompactionStats struct {
-	// StallTime is cumulative time writers spent hard-blocked on L0/flush
-	// backpressure; SlowdownTime is cumulative time spent in soft-slowdown
-	// sleeps below the stall threshold. Slowdowns counts delayed writes.
-	StallTime    time.Duration
-	SlowdownTime time.Duration
-	Slowdowns    int64
 	// Compactions counts installed compactions; Subcompactions counts
 	// key-range splits executed inside them; MaxConcurrent is the
 	// high-water mark of compactions running at once.
-	Compactions    int64
-	Subcompactions int64
-	MaxConcurrent  int64
+	Compactions    int64 `json:"compactions" agg:"sum" info:"Store"`
+	Subcompactions int64 `json:"subcompactions" agg:"sum" info:"Store"`
+	MaxConcurrent  int64 `json:"concurrent_compactions_hw" agg:"max" info:"Store"`
+	// StallUs is cumulative time writers spent hard-blocked on L0/flush
+	// backpressure; SlowdownUs is cumulative time spent in soft-slowdown
+	// sleeps below the stall threshold. Slowdowns counts delayed writes.
+	StallUs    int64 `json:"compaction_stall_us" agg:"sum" info:"Store"`
+	SlowdownUs int64 `json:"compaction_slowdown_us" agg:"sum" info:"Store"`
+	Slowdowns  int64 `json:"compaction_slowdowns" agg:"sum" info:"Store"`
 }
 
 // CompactionStatsReporter is the optional capability of reporting
@@ -181,21 +202,13 @@ type RateLimiter interface {
 // ScrubResult summarizes one integrity scrub pass over an engine.
 type ScrubResult struct {
 	// FilesScanned / BytesScanned measure the verified surface.
-	FilesScanned int64
-	BytesScanned int64
+	FilesScanned int64 `json:"files_scanned" agg:"sum"`
+	BytesScanned int64 `json:"bytes_scanned" agg:"sum"`
 	// CorruptionsFound counts files that failed verification during this
 	// pass (each is quarantined); FilesRepaired counts those restored from
 	// backup during the same pass.
-	CorruptionsFound int64
-	FilesRepaired    int64
-}
-
-// Merge accumulates another result into r.
-func (r *ScrubResult) Merge(o ScrubResult) {
-	r.FilesScanned += o.FilesScanned
-	r.BytesScanned += o.BytesScanned
-	r.CorruptionsFound += o.CorruptionsFound
-	r.FilesRepaired += o.FilesRepaired
+	CorruptionsFound int64 `json:"corruptions_found" agg:"sum"`
+	FilesRepaired    int64 `json:"files_repaired" agg:"sum"`
 }
 
 // Scrubber is the optional capability of proactively verifying every live

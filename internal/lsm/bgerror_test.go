@@ -103,8 +103,8 @@ func TestFlushRetryExhaustionDegrades(t *testing.T) {
 	}
 	// Reads still serve the data stranded in the immutable memtable.
 	checkN(t, db, 50)
-	if m := db.Metrics(); m.State != kv.StateReadOnly || m.FlushRetries == 0 {
-		t.Fatalf("metrics = state %v retries %d", m.State, m.FlushRetries)
+	if h := db.Health(); h.State != kv.StateReadOnly || h.FlushRetries == 0 {
+		t.Fatalf("health = state %v retries %d", h.State, h.FlushRetries)
 	}
 
 	// Fault clears; Resume must drain the queue and restore writes.

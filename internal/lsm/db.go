@@ -17,7 +17,6 @@ import (
 	"p2kvs/internal/manifest"
 	"p2kvs/internal/memtable"
 	"p2kvs/internal/spacewatch"
-	"p2kvs/internal/vfs"
 	"p2kvs/internal/wal"
 )
 
@@ -884,47 +883,21 @@ func (d *DB) CompactAll() error {
 	}
 }
 
-// Metrics returns live structural counters.
+// Metrics is the live structure sizes (Table 2 memory accounting);
+// counters are in Perf, Health and CompactionStats.
 type Metrics struct {
 	MemTableBytes  int64
 	ImmutableCount int
 	LevelFiles     [manifest.NumLevels]int
 	LevelBytes     [manifest.NumLevels]int64
 	WALBytes       int64
-	// Robustness counters (see bgerror.go).
-	State          kv.HealthState
-	FlushRetries   int64
-	CompactRetries int64
-	InjectedFaults int64 // non-zero only under a fault-injecting FS
-	// Compaction-scheduler counters (see scheduler.go).
-	StallNs               int64 // time writers spent hard-stalled
-	SlowdownNs            int64 // time writers spent in soft slowdown sleeps
-	Slowdowns             int64 // writes that took a slowdown sleep
-	Compactions           int64
-	Subcompactions        int64 // key-range splits executed inside compactions
-	ConcurrentCompactions int64 // high-water mark of jobs running at once
 }
 
-// Metrics snapshots structure sizes (Table 2 memory accounting).
+// Metrics snapshots structure sizes.
 func (d *DB) Metrics() Metrics {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	m := Metrics{
-		MemTableBytes:         d.memH.mem.ArenaSize(),
-		ImmutableCount:        len(d.imm),
-		State:                 kv.HealthState(d.stateA.Load()),
-		FlushRetries:          d.perf.flushRetries.Load(),
-		CompactRetries:        d.perf.compactRetries.Load(),
-		StallNs:               d.perf.stallNs.Load(),
-		SlowdownNs:            d.perf.slowdownNs.Load(),
-		Slowdowns:             d.perf.slowdowns.Load(),
-		Compactions:           d.perf.compactions.Load(),
-		Subcompactions:        d.perf.subcompactions.Load(),
-		ConcurrentCompactions: d.perf.concurrentCompactHW.Load(),
-	}
-	if fc, ok := d.opts.FS.(vfs.FaultCounter); ok {
-		m.InjectedFaults = fc.InjectedFaults()
-	}
+	m := Metrics{MemTableBytes: d.memH.mem.ArenaSize(), ImmutableCount: len(d.imm)}
 	for _, h := range d.imm {
 		m.MemTableBytes += h.mem.ArenaSize()
 	}

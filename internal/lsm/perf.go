@@ -13,35 +13,24 @@ import (
 type Perf struct {
 	// Write-path breakdown (Figure 6). WAL and WALLock come from the wal
 	// package; the rest is metered in the engine write path.
-	Writes                   int64
-	WALTime                  time.Duration // log encode + IO
-	WALLockTime              time.Duration // group-logging queueing/wakeup
-	MemTime                  time.Duration // skiplist insertion
-	MemLockTime              time.Duration // writer-lock wait before insertion
-	StallTime                time.Duration // write stalls (L0/immutable backpressure)
-	SlowdownTime             time.Duration // soft-slowdown sleeps (below the stall trigger)
-	Slowdowns                int64         // writes that took a slowdown sleep
-	TotalTime                time.Duration // end-to-end Write() time
-	UserBytes                int64         // key+value bytes accepted from callers
-	FlushBytes               int64         // bytes written by memtable flushes
-	CompactRead              int64         // bytes read by compactions
-	CompactWrite             int64         // bytes written by compactions
-	Compactions              int64
-	Subcompactions           int64 // key-range splits executed inside compactions
-	MaxConcurrentCompactions int64 // high-water mark of concurrent jobs
-	Flushes                  int64
-	GetCount                 int64
-	BloomSkips               int64 // table probes skipped by bloom filters
-	TableProbes              int64 // SSTable Get probes actually performed
-	WriteGroupIOs            int64 // WAL IOs after group aggregation
-	// Checkpoint counters (checkpoint.go): how backup files were
-	// materialized — hard-linked, physically copied, or reused from an
-	// earlier checkpoint in the same backup set.
-	Checkpoints           int64
-	CheckpointFilesLinked int64
-	CheckpointFilesCopied int64
-	CheckpointFilesReused int64
-	CheckpointBytesCopied int64
+	Writes        int64
+	WALTime       time.Duration // log encode + IO
+	WALLockTime   time.Duration // group-logging queueing/wakeup
+	MemTime       time.Duration // skiplist insertion
+	MemLockTime   time.Duration // writer-lock wait before insertion
+	StallTime     time.Duration // write stalls (L0/immutable backpressure)
+	SlowdownTime  time.Duration // soft-slowdown sleeps (below the stall trigger)
+	TotalTime     time.Duration // end-to-end Write() time
+	UserBytes     int64         // key+value bytes accepted from callers
+	FlushBytes    int64         // bytes written by memtable flushes
+	CompactRead   int64         // bytes read by compactions
+	CompactWrite  int64         // bytes written by compactions
+	Compactions   int64
+	Flushes       int64
+	GetCount      int64
+	BloomSkips    int64 // table probes skipped by bloom filters
+	TableProbes   int64 // SSTable Get probes actually performed
+	WriteGroupIOs int64 // WAL IOs after group aggregation
 }
 
 // perfCounters is the atomic backing store for Perf.
@@ -92,29 +81,21 @@ type perfCounters struct {
 // Perf snapshots the engine's counters.
 func (d *DB) Perf() Perf {
 	p := Perf{
-		Writes:                   d.perf.writes.Load(),
-		MemTime:                  time.Duration(d.perf.memNs.Load()),
-		MemLockTime:              time.Duration(d.perf.memLockNs.Load()),
-		StallTime:                time.Duration(d.perf.stallNs.Load()),
-		SlowdownTime:             time.Duration(d.perf.slowdownNs.Load()),
-		Slowdowns:                d.perf.slowdowns.Load(),
-		TotalTime:                time.Duration(d.perf.totalNs.Load()),
-		UserBytes:                d.perf.userBytes.Load(),
-		FlushBytes:               d.perf.flushBytes.Load(),
-		CompactRead:              d.perf.compactRead.Load(),
-		CompactWrite:             d.perf.compactWrite.Load(),
-		Compactions:              d.perf.compactions.Load(),
-		Subcompactions:           d.perf.subcompactions.Load(),
-		MaxConcurrentCompactions: d.perf.concurrentCompactHW.Load(),
-		Flushes:                  d.perf.flushes.Load(),
-		GetCount:                 d.perf.gets.Load(),
-		BloomSkips:               d.perf.bloomSkips.Load(),
-		TableProbes:              d.perf.tableProbes.Load(),
-		Checkpoints:              d.perf.ckptCount.Load(),
-		CheckpointFilesLinked:    d.perf.ckptFilesLinked.Load(),
-		CheckpointFilesCopied:    d.perf.ckptFilesCopied.Load(),
-		CheckpointFilesReused:    d.perf.ckptFilesReused.Load(),
-		CheckpointBytesCopied:    d.perf.ckptBytesCopied.Load(),
+		Writes:       d.perf.writes.Load(),
+		MemTime:      time.Duration(d.perf.memNs.Load()),
+		MemLockTime:  time.Duration(d.perf.memLockNs.Load()),
+		StallTime:    time.Duration(d.perf.stallNs.Load()),
+		SlowdownTime: time.Duration(d.perf.slowdownNs.Load()),
+		TotalTime:    time.Duration(d.perf.totalNs.Load()),
+		UserBytes:    d.perf.userBytes.Load(),
+		FlushBytes:   d.perf.flushBytes.Load(),
+		CompactRead:  d.perf.compactRead.Load(),
+		CompactWrite: d.perf.compactWrite.Load(),
+		Compactions:  d.perf.compactions.Load(),
+		Flushes:      d.perf.flushes.Load(),
+		GetCount:     d.perf.gets.Load(),
+		BloomSkips:   d.perf.bloomSkips.Load(),
+		TableProbes:  d.perf.tableProbes.Load(),
 	}
 	p.WALTime = time.Duration(d.perf.walIONsBase.Load())
 	p.WALLockTime = time.Duration(d.perf.walLockNsBase.Load())
@@ -142,12 +123,12 @@ func (p Perf) OtherTime() time.Duration {
 // CompactionStats implements kv.CompactionStatsReporter.
 func (d *DB) CompactionStats() kv.CompactionStats {
 	return kv.CompactionStats{
-		StallTime:      time.Duration(d.perf.stallNs.Load()),
-		SlowdownTime:   time.Duration(d.perf.slowdownNs.Load()),
-		Slowdowns:      d.perf.slowdowns.Load(),
 		Compactions:    d.perf.compactions.Load(),
 		Subcompactions: d.perf.subcompactions.Load(),
 		MaxConcurrent:  d.perf.concurrentCompactHW.Load(),
+		StallUs:        d.perf.stallNs.Load() / 1e3,
+		SlowdownUs:     d.perf.slowdownNs.Load() / 1e3,
+		Slowdowns:      d.perf.slowdowns.Load(),
 	}
 }
 

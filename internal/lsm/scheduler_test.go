@@ -177,9 +177,9 @@ func TestParallelCompactionStress(t *testing.T) {
 		}
 	}
 	checkLeveledInvariant(t, db)
-	p := db.Perf()
-	t.Logf("compactions=%d sub=%d concurrent_hw=%d stall=%v slowdown=%v (%d)",
-		p.Compactions, p.Subcompactions, p.MaxConcurrentCompactions, p.StallTime, p.SlowdownTime, p.Slowdowns)
+	p := db.CompactionStats()
+	t.Logf("compactions=%d sub=%d concurrent_hw=%d stall=%dus slowdown=%dus (%d)",
+		p.Compactions, p.Subcompactions, p.MaxConcurrent, p.StallUs, p.SlowdownUs, p.Slowdowns)
 	if p.Compactions == 0 {
 		t.Fatal("stress run never compacted")
 	}
@@ -216,7 +216,7 @@ func TestSubcompactionsStitched(t *testing.T) {
 	if err := db.CompactAll(); err != nil {
 		t.Fatal(err)
 	}
-	if got := db.Perf().Subcompactions; got < 2 {
+	if got := db.CompactionStats().Subcompactions; got < 2 {
 		t.Fatalf("Subcompactions = %d, want >= 2", got)
 	}
 	// Every key must resolve to the value of the LAST batch that wrote it.
@@ -488,16 +488,12 @@ func TestSlowdownBackpressure(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	p := db.Perf()
-	if p.SlowdownTime <= 0 || p.Slowdowns == 0 {
-		t.Fatalf("no slowdown recorded: time=%v count=%d (L0=%d)", p.SlowdownTime, p.Slowdowns, db.Metrics().LevelFiles[0])
+	p := db.CompactionStats()
+	if p.SlowdownUs <= 0 || p.Slowdowns == 0 {
+		t.Fatalf("no slowdown recorded: time=%dus count=%d (L0=%d)", p.SlowdownUs, p.Slowdowns, db.Metrics().LevelFiles[0])
 	}
-	if p.StallTime != 0 {
-		t.Fatalf("hard stall fired below the stall trigger: %v", p.StallTime)
-	}
-	m := db.Metrics()
-	if m.SlowdownNs != int64(p.SlowdownTime) || m.Slowdowns != p.Slowdowns {
-		t.Fatalf("Metrics/Perf slowdown mismatch: %d/%d vs %v/%d", m.SlowdownNs, m.Slowdowns, p.SlowdownTime, p.Slowdowns)
+	if p.StallUs != 0 {
+		t.Fatalf("hard stall fired below the stall trigger: %dus", p.StallUs)
 	}
 }
 
@@ -522,7 +518,7 @@ func TestConcurrentCompactionsObserved(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	val := strings.Repeat("x", 200)
 	deadline := time.Now().Add(10 * time.Second)
-	for db.Perf().MaxConcurrentCompactions < 2 && time.Now().Before(deadline) {
+	for db.CompactionStats().MaxConcurrent < 2 && time.Now().Before(deadline) {
 		for i := 0; i < 500; i++ {
 			k := fmt.Sprintf("key-%06d", rng.Intn(20000))
 			if err := db.Put([]byte(k), []byte(val)); err != nil {
@@ -530,7 +526,7 @@ func TestConcurrentCompactionsObserved(t *testing.T) {
 			}
 		}
 	}
-	if hw := db.Perf().MaxConcurrentCompactions; hw < 2 {
+	if hw := db.CompactionStats().MaxConcurrent; hw < 2 {
 		t.Fatalf("concurrency high-water = %d, want >= 2", hw)
 	}
 	checkLeveledInvariant(t, db)

@@ -3,13 +3,13 @@ package server
 import (
 	"context"
 	"errors"
-	"fmt"
 	"net"
 	"strconv"
 	"strings"
 	"time"
 
 	"p2kvs/internal/kv"
+	"p2kvs/internal/stats"
 	"p2kvs/internal/vfs"
 )
 
@@ -345,10 +345,9 @@ func (c *conn) execReshard(cmd [][]byte) {
 	}
 	arg := strings.ToUpper(string(cmd[1]))
 	if arg == "STATUS" {
-		st := c.srv.store().ReshardStats()
 		var b strings.Builder
-		fmt.Fprintf(&b, "reshard_in_progress:%d\r\n", boolInt(c.srv.resharding.Load()))
-		writeReshardStats(&b, st)
+		stats.Lines(&b, c.srv.snapshot(), "", "Reshard")
+		stats.Lines(&b, c.srv.store().ReshardStats(), "", "")
 		c.wr.WriteBulkString(b.String())
 		return
 	}
@@ -390,9 +389,9 @@ func (c *conn) execScrub() {
 		c.writeStoreErr(err)
 		return
 	}
-	c.wr.WriteBulkString(fmt.Sprintf(
-		"scrub_files_scanned:%d\r\nscrub_bytes_scanned:%d\r\nscrub_corruptions_found:%d\r\nscrub_files_repaired:%d\r\n",
-		res.FilesScanned, res.BytesScanned, res.CorruptionsFound, res.FilesRepaired))
+	var b strings.Builder
+	stats.Lines(&b, res, "scrub_", "")
+	c.wr.WriteBulkString(b.String())
 }
 
 // rejectIfReplica enforces replica read-only mode: while the server

@@ -6,7 +6,6 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
-	"time"
 
 	"p2kvs/internal/core"
 	"p2kvs/internal/histogram"
@@ -19,25 +18,12 @@ type debugListener struct {
 	srv *http.Server
 }
 
-// metricsPayload is the /metrics JSON schema.
+// metricsPayload is the /metrics JSON schema: the server's snapshot under
+// its INFO key names, per-command latency, and the store's stats document.
 type metricsPayload struct {
-	Server   serverMetrics                `json:"server"`
+	Server   *snapshot                    `json:"server"`
 	Commands map[string]histogram.Summary `json:"commands"`
 	Store    core.StatsSnapshot           `json:"store"`
-}
-
-type serverMetrics struct {
-	UptimeSeconds  int64 `json:"uptime_seconds"`
-	Accepted       int64 `json:"connections_accepted"`
-	Active         int64 `json:"connections_active"`
-	Commands       int64 `json:"commands"`
-	Pipelines      int64 `json:"pipelines"`
-	CoalescedSets  int64 `json:"coalesced_set_ops"`
-	CoalescedGets  int64 `json:"coalesced_get_ops"`
-	Loadshed       int64 `json:"loadshed_replies"`
-	Timeouts       int64 `json:"timeout_replies"`
-	Unknown        int64 `json:"unknown_commands"`
-	ProtocolErrors int64 `json:"protocol_errors"`
 }
 
 func (s *Server) metricsSnapshot() metricsPayload {
@@ -47,23 +33,7 @@ func (s *Server) metricsSnapshot() metricsPayload {
 			cmds[name] = sum
 		}
 	}
-	return metricsPayload{
-		Server: serverMetrics{
-			UptimeSeconds:  int64(time.Since(s.start).Seconds()),
-			Accepted:       s.stats.accepted.Load(),
-			Active:         s.stats.active.Load(),
-			Commands:       s.stats.commands.Load(),
-			Pipelines:      s.stats.pipelines.Load(),
-			CoalescedSets:  s.stats.coalescedSets.Load(),
-			CoalescedGets:  s.stats.coalescedGets.Load(),
-			Loadshed:       s.stats.loadshed.Load(),
-			Timeouts:       s.stats.timeouts.Load(),
-			Unknown:        s.stats.unknown.Load(),
-			ProtocolErrors: s.stats.protoErrors.Load(),
-		},
-		Commands: cmds,
-		Store:    s.store().StatsSnapshot(),
-	}
+	return metricsPayload{Server: s.snapshot(), Commands: cmds, Store: s.store().StatsSnapshot()}
 }
 
 func startDebug(s *Server, addr string) (*debugListener, error) {

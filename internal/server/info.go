@@ -5,43 +5,103 @@ import (
 	"strings"
 	"time"
 
-	"p2kvs/internal/reshard"
+	"p2kvs/internal/kv"
+	"p2kvs/internal/stats"
 )
 
+// snapshot is the server's own counters and gauges under their INFO key
+// names: INFO renders each info group under its section header and
+// /metrics serves the struct as its "server" document.
+type snapshot struct {
+	UptimeSeconds int64  `json:"uptime_seconds" info:"Server"`
+	TCPAddr       string `json:"tcp_addr,omitempty" info:"Server"`
+	Workers       int    `json:"workers" info:"Server"`
+
+	ConnectedClients int64 `json:"connected_clients" info:"Clients"`
+	TotalConnections int64 `json:"total_connections_received" info:"Clients"`
+	MaxClients       int   `json:"maxclients" info:"Clients"`
+
+	Commands       int64 `json:"total_commands_processed" info:"Stats"`
+	Pipelines      int64 `json:"pipelines_processed" info:"Stats"`
+	CoalescedSets  int64 `json:"coalesced_set_ops" info:"Stats"`
+	CoalescedGets  int64 `json:"coalesced_get_ops" info:"Stats"`
+	Loadshed       int64 `json:"loadshed_replies" info:"Stats"`
+	Timeouts       int64 `json:"timeout_replies" info:"Stats"`
+	Unknown        int64 `json:"unknown_commands" info:"Stats"`
+	ProtocolErrors int64 `json:"protocol_errors" info:"Stats"`
+
+	CorruptionReplies int64 `json:"corruption_replies" info:"Robustness"`
+	PanicsRecovered   int64 `json:"conn_panics_recovered" info:"Robustness"`
+	IdleClosed        int64 `json:"conn_idle_closed" info:"Robustness"`
+
+	Saving     bool `json:"store_checkpoint_in_progress" info:"Persistence"`
+	Resharding bool `json:"reshard_in_progress" info:"Reshard"`
+
+	FullSyncsServed    int64 `json:"repl_full_syncs_served" info:"Replication"`
+	PartialSyncsServed int64 `json:"repl_partial_syncs_served" info:"Replication"`
+	// Replica is the tail of # Replication, after the per-link lines.
+	FullSyncs    int64 `json:"replica_full_syncs" info:"Replica"`
+	PartialSyncs int64 `json:"replica_partial_syncs" info:"Replica"`
+}
+
+func (s *Server) snapshot() *snapshot {
+	st, rs := s.stats, s.repl
+	sn := &snapshot{
+		UptimeSeconds:      int64(time.Since(s.start).Seconds()),
+		Workers:            s.store().Workers(),
+		ConnectedClients:   st.active.Load(),
+		TotalConnections:   st.accepted.Load(),
+		MaxClients:         s.cfg.MaxConns,
+		Commands:           st.commands.Load(),
+		Pipelines:          st.pipelines.Load(),
+		CoalescedSets:      st.coalescedSets.Load(),
+		CoalescedGets:      st.coalescedGets.Load(),
+		Loadshed:           st.loadshed.Load(),
+		Timeouts:           st.timeouts.Load(),
+		Unknown:            st.unknown.Load(),
+		ProtocolErrors:     st.protoErrors.Load(),
+		CorruptionReplies:  st.corruptionReplies.Load(),
+		PanicsRecovered:    st.panics.Load(),
+		IdleClosed:         st.idleClosed.Load(),
+		Saving:             s.saving.Load(),
+		Resharding:         s.resharding.Load(),
+		FullSyncsServed:    rs.fullSyncsServed.Load(),
+		PartialSyncsServed: rs.partialSyncsServed.Load(),
+		FullSyncs:          rs.fullSyncsDone.Load(),
+		PartialSyncs:       rs.partialSyncsDone.Load(),
+	}
+	if s.lis != nil {
+		sn.TCPAddr = s.lis.Addr().String()
+	}
+	return sn
+}
+
+// errLine appends an INFO line carrying an error's text, if there is one.
+func errLine(b *strings.Builder, key string, err error) {
+	if err != nil {
+		fmt.Fprintf(b, "%s:%s\r\n", key, strings.ReplaceAll(err.Error(), "\r\n", " "))
+	}
+}
+
 // infoText renders the INFO reply: redis-style "key:value" lines in
-// sections. The store section is the flattened aggregate of
-// Store.StatsSnapshot — the same numbers /metrics serves as JSON.
+// sections, every plain counter generated from the tagged stats structs
+// (internal/stats) — the numbers /metrics serves as JSON. Only computed
+// and conditional lines are written by hand.
 func (s *Server) infoText() string {
 	var b strings.Builder
 	st := s.store()
-	snap := st.StatsSnapshot()
+	snap, sv := st.StatsSnapshot(), s.snapshot()
+	agg := &snap.Aggregate
+	section := func(name string) { b.WriteString("# " + name + "\r\n") }
 
-	fmt.Fprintf(&b, "# Server\r\n")
-	fmt.Fprintf(&b, "uptime_seconds:%d\r\n", int64(time.Since(s.start).Seconds()))
-	if s.lis != nil {
-		fmt.Fprintf(&b, "tcp_addr:%s\r\n", s.lis.Addr())
+	for _, name := range []string{"Server", "Clients", "Stats"} {
+		section(name)
+		stats.Lines(&b, sv, "", name)
 	}
-	fmt.Fprintf(&b, "workers:%d\r\n", snap.Workers)
 
-	fmt.Fprintf(&b, "# Clients\r\n")
-	fmt.Fprintf(&b, "connected_clients:%d\r\n", s.stats.active.Load())
-	fmt.Fprintf(&b, "total_connections_received:%d\r\n", s.stats.accepted.Load())
-	fmt.Fprintf(&b, "maxclients:%d\r\n", s.cfg.MaxConns)
-
-	fmt.Fprintf(&b, "# Stats\r\n")
-	fmt.Fprintf(&b, "total_commands_processed:%d\r\n", s.stats.commands.Load())
-	fmt.Fprintf(&b, "pipelines_processed:%d\r\n", s.stats.pipelines.Load())
-	fmt.Fprintf(&b, "coalesced_set_ops:%d\r\n", s.stats.coalescedSets.Load())
-	fmt.Fprintf(&b, "coalesced_get_ops:%d\r\n", s.stats.coalescedGets.Load())
-	fmt.Fprintf(&b, "loadshed_replies:%d\r\n", s.stats.loadshed.Load())
-	fmt.Fprintf(&b, "timeout_replies:%d\r\n", s.stats.timeouts.Load())
-	fmt.Fprintf(&b, "unknown_commands:%d\r\n", s.stats.unknown.Load())
-	fmt.Fprintf(&b, "protocol_errors:%d\r\n", s.stats.protoErrors.Load())
-
-	fmt.Fprintf(&b, "# Commandstats\r\n")
+	section("Commandstats")
 	for _, name := range latCommands {
-		h := s.stats.lat[name]
-		sum := h.Summary()
+		sum := s.stats.lat[name].Summary()
 		if sum.Count == 0 {
 			continue
 		}
@@ -49,106 +109,37 @@ func (s *Server) infoText() string {
 			name, sum.Count, sum.MeanUs, sum.P50Us, sum.P95Us, sum.P99Us, sum.MaxUs)
 	}
 
-	fmt.Fprintf(&b, "# Store\r\n")
-	agg := snap.Aggregate
-	fmt.Fprintf(&b, "store_ops:%d\r\n", agg.Ops)
-	fmt.Fprintf(&b, "store_batches:%d\r\n", agg.Batches)
-	fmt.Fprintf(&b, "store_batched_ops:%d\r\n", agg.BatchedOps)
-	fmt.Fprintf(&b, "store_batch_write_ops:%d\r\n", agg.BatchWriteOps)
-	fmt.Fprintf(&b, "store_multiget_ops:%d\r\n", agg.MultiGetOps)
-	fmt.Fprintf(&b, "store_queue_wait_us:%d\r\n", agg.QueueWaitUs)
-	fmt.Fprintf(&b, "store_rejected:%d\r\n", agg.Rejected)
-	fmt.Fprintf(&b, "store_expired:%d\r\n", agg.Expired)
-	fmt.Fprintf(&b, "store_shed:%d\r\n", agg.Shed)
-	fmt.Fprintf(&b, "store_queue_high_water:%d\r\n", agg.QueueHighWater)
-	fmt.Fprintf(&b, "store_health:%s\r\n", agg.Health)
-	fmt.Fprintf(&b, "store_compactions:%d\r\n", agg.Compactions)
-	fmt.Fprintf(&b, "store_subcompactions:%d\r\n", agg.Subcompactions)
-	fmt.Fprintf(&b, "store_concurrent_compactions_hw:%d\r\n", agg.ConcurrentCompactionsHW)
-	fmt.Fprintf(&b, "store_compaction_stall_us:%d\r\n", agg.CompactionStallUs)
-	fmt.Fprintf(&b, "store_compaction_slowdown_us:%d\r\n", agg.CompactionSlowdownUs)
-	fmt.Fprintf(&b, "store_compaction_slowdowns:%d\r\n", agg.CompactionSlowdowns)
+	section("Store")
+	stats.Lines(&b, agg, "store_", "Store")
 
-	fmt.Fprintf(&b, "# Cache\r\n")
-	fmt.Fprintf(&b, "cache_enabled:%d\r\n", boolInt(snap.CacheEnabled))
-	fmt.Fprintf(&b, "cache_hits:%d\r\n", snap.CacheHits)
-	fmt.Fprintf(&b, "cache_neg_hits:%d\r\n", snap.CacheNegHits)
-	fmt.Fprintf(&b, "cache_misses:%d\r\n", snap.CacheMisses)
-	fmt.Fprintf(&b, "cache_fills:%d\r\n", snap.CacheFills)
-	fmt.Fprintf(&b, "cache_evictions:%d\r\n", snap.CacheEvictions)
-	fmt.Fprintf(&b, "cache_invalidations:%d\r\n", snap.CacheInvalidations)
-	fmt.Fprintf(&b, "cache_bytes:%d\r\n", snap.CacheBytes)
-	fmt.Fprintf(&b, "cache_entries:%d\r\n", snap.CacheEntries)
+	section("Cache")
+	stats.Lines(&b, &snap, "", "Cache")
 
-	fmt.Fprintf(&b, "# Robustness\r\n")
-	fmt.Fprintf(&b, "store_degraded:%d\r\n", boolInt(agg.Health == "read-only"))
-	fmt.Fprintf(&b, "store_disk_full:%d\r\n", boolInt(agg.DiskFull))
-	fmt.Fprintf(&b, "store_disk_full_events:%d\r\n", agg.DiskFullEvents)
-	fmt.Fprintf(&b, "store_auto_resumes:%d\r\n", agg.AutoResumes)
-	fmt.Fprintf(&b, "store_corruption_events:%d\r\n", agg.CorruptionEvents)
-	fmt.Fprintf(&b, "store_quarantined_files:%d\r\n", agg.QuarantinedFiles)
-	fmt.Fprintf(&b, "store_repaired_files:%d\r\n", agg.RepairedFiles)
-	if agg.LastCorruption != "" {
-		fmt.Fprintf(&b, "store_last_corruption:%s\r\n", strings.ReplaceAll(agg.LastCorruption, "\r\n", " "))
+	section("Robustness")
+	degraded := 0
+	if agg.State == kv.StateReadOnly {
+		degraded = 1
 	}
+	fmt.Fprintf(&b, "store_degraded:%d\r\n", degraded)
+	stats.Lines(&b, agg, "store_", "Robustness")
 	ss := st.ScrubStatus()
 	fmt.Fprintf(&b, "scrub_passes:%d\r\n", ss.Passes)
-	fmt.Fprintf(&b, "scrub_last_files_scanned:%d\r\n", ss.Result.FilesScanned)
-	fmt.Fprintf(&b, "scrub_last_bytes_scanned:%d\r\n", ss.Result.BytesScanned)
-	fmt.Fprintf(&b, "scrub_last_corruptions_found:%d\r\n", ss.Result.CorruptionsFound)
-	fmt.Fprintf(&b, "scrub_last_files_repaired:%d\r\n", ss.Result.FilesRepaired)
+	stats.Lines(&b, ss.Result, "scrub_last_", "")
 	fmt.Fprintf(&b, "scrub_last_finished_unix:%d\r\n", ss.FinishedUnix)
-	fmt.Fprintf(&b, "corruption_replies:%d\r\n", s.stats.corruptionReplies.Load())
-	fmt.Fprintf(&b, "conn_panics_recovered:%d\r\n", s.stats.panics.Load())
-	fmt.Fprintf(&b, "conn_idle_closed:%d\r\n", s.stats.idleClosed.Load())
+	stats.Lines(&b, sv, "", "Robustness")
 
-	fmt.Fprintf(&b, "# Persistence\r\n")
-	fmt.Fprintf(&b, "store_checkpoints:%d\r\n", snap.Checkpoints)
-	fmt.Fprintf(&b, "store_checkpoint_barrier_ns:%d\r\n", snap.CheckpointBarrierNs)
-	fmt.Fprintf(&b, "store_last_checkpoint_unix:%d\r\n", snap.LastCheckpointUnix)
-	fmt.Fprintf(&b, "store_checkpoint_in_progress:%d\r\n", boolInt(s.saving.Load()))
-	fmt.Fprintf(&b, "store_checkpoint_files_linked:%d\r\n", agg.CheckpointFilesLinked)
-	fmt.Fprintf(&b, "store_checkpoint_files_copied:%d\r\n", agg.CheckpointFilesCopied)
-	fmt.Fprintf(&b, "store_checkpoint_files_reused:%d\r\n", agg.CheckpointFilesReused)
-	fmt.Fprintf(&b, "store_checkpoint_bytes_copied:%d\r\n", agg.CheckpointBytesCopied)
-	if err := s.lastSaveError(); err != nil {
-		fmt.Fprintf(&b, "store_last_checkpoint_error:%s\r\n", strings.ReplaceAll(err.Error(), "\r\n", " "))
-	}
+	section("Persistence")
+	stats.Lines(&b, &snap, "", "Persistence")
+	stats.Lines(&b, sv, "", "Persistence")
+	stats.Lines(&b, agg, "store_", "Persistence")
+	errLine(&b, "store_last_checkpoint_error", s.lastSaveError())
 
-	fmt.Fprintf(&b, "# Reshard\r\n")
-	fmt.Fprintf(&b, "reshard_in_progress:%d\r\n", boolInt(s.resharding.Load()))
-	writeReshardStats(&b, snap.Reshard)
-	if err := s.lastReshardError(); err != nil {
-		fmt.Fprintf(&b, "reshard_last_run_error:%s\r\n", strings.ReplaceAll(err.Error(), "\r\n", " "))
-	}
+	section("Reshard")
+	stats.Lines(&b, sv, "", "Reshard")
+	stats.Lines(&b, snap.Reshard, "", "")
+	errLine(&b, "reshard_last_run_error", s.lastReshardError())
 
-	s.repl.infoSection(&b, st)
+	section("Replication")
+	s.repl.infoSection(&b, st, &snap, sv)
 	return b.String()
-}
-
-// writeReshardStats renders the resharding counters as INFO-style lines;
-// shared by the # Reshard section and the RESHARD STATUS reply.
-func writeReshardStats(b *strings.Builder, st reshard.Stats) {
-	fmt.Fprintf(b, "reshard_state:%s\r\n", st.State)
-	fmt.Fprintf(b, "reshard_epoch:%d\r\n", st.Epoch)
-	fmt.Fprintf(b, "reshard_from:%d\r\n", st.From)
-	fmt.Fprintf(b, "reshard_to:%d\r\n", st.To)
-	fmt.Fprintf(b, "reshard_completed:%d\r\n", st.Completed)
-	fmt.Fprintf(b, "reshard_aborted:%d\r\n", st.Aborted)
-	fmt.Fprintf(b, "reshard_moved_keys:%d\r\n", st.MovedKeys)
-	fmt.Fprintf(b, "reshard_moved_bytes:%d\r\n", st.MovedBytes)
-	fmt.Fprintf(b, "reshard_double_writes:%d\r\n", st.DoubleWrites)
-	fmt.Fprintf(b, "reshard_skipped_stale:%d\r\n", st.SkippedStale)
-	fmt.Fprintf(b, "reshard_barrier_ns:%d\r\n", st.BarrierNs)
-	fmt.Fprintf(b, "reshard_cutover_retries:%d\r\n", st.CutoverRetries)
-	if st.LastErr != "" {
-		fmt.Fprintf(b, "reshard_last_err:%s\r\n", strings.ReplaceAll(st.LastErr, "\r\n", " "))
-	}
-}
-
-func boolInt(b bool) int {
-	if b {
-		return 1
-	}
-	return 0
 }

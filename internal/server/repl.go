@@ -14,6 +14,7 @@ import (
 	"p2kvs/internal/checkpoint"
 	"p2kvs/internal/core"
 	"p2kvs/internal/repl"
+	"p2kvs/internal/stats"
 	"p2kvs/internal/vfs"
 )
 
@@ -871,9 +872,10 @@ func cleanupImageDir(fs vfs.FS, dir string) {
 // INFO
 // ---------------------------------------------------------------------------
 
-// infoSection renders the "# Replication" block of INFO.
-func (rs *replState) infoSection(b *strings.Builder, st *core.Store) {
-	fmt.Fprintf(b, "# Replication\r\n")
+// infoSection renders the body of INFO's "# Replication" section: the
+// backlog counters from the store snapshot, the sync counters from the
+// server's, and by hand what is computed under the link locks.
+func (rs *replState) infoSection(b *strings.Builder, st *core.Store, snap *core.StatsSnapshot, sv *snapshot) {
 	mgr := rs.manager()
 	role := "master"
 	if mgr != nil {
@@ -885,16 +887,10 @@ func (rs *replState) infoSection(b *strings.Builder, st *core.Store) {
 		fmt.Fprintf(b, "repl_enabled:0\r\n")
 		return
 	}
-	fmt.Fprintf(b, "repl_enabled:1\r\n")
 	ls := log.Stats()
-	fmt.Fprintf(b, "repl_id:%s\r\n", ls.ID)
-	fmt.Fprintf(b, "master_repl_gsn:%d\r\n", st.GSN())
-	fmt.Fprintf(b, "repl_backlog_bytes:%d\r\n", ls.Bytes)
-	fmt.Fprintf(b, "repl_backlog_records:%d\r\n", ls.Records)
-	fmt.Fprintf(b, "repl_backlog_appended:%d\r\n", ls.Appended)
-	fmt.Fprintf(b, "repl_backlog_trimmed:%d\r\n", ls.Trimmed)
-	fmt.Fprintf(b, "repl_full_syncs_served:%d\r\n", rs.fullSyncsServed.Load())
-	fmt.Fprintf(b, "repl_partial_syncs_served:%d\r\n", rs.partialSyncsServed.Load())
+	fmt.Fprintf(b, "repl_enabled:1\r\nrepl_id:%s\r\n", ls.ID)
+	stats.Lines(b, snap, "", "Replication")
+	stats.Lines(b, sv, "", "Replication")
 
 	rs.mu.Lock()
 	links := make([]*replLink, 0, len(rs.links))
@@ -908,9 +904,7 @@ func (rs *replState) infoSection(b *strings.Builder, st *core.Store) {
 		ack, lastAck, full := l.snapshot()
 		var lag uint64
 		for w := 0; w < len(last) && w < len(ack); w++ {
-			if last[w] > ack[w] {
-				lag += last[w] - ack[w]
-			}
+			lag += maxLag(last[w], ack[w])
 		}
 		kind := "partial"
 		if full {
@@ -922,18 +916,17 @@ func (rs *replState) infoSection(b *strings.Builder, st *core.Store) {
 		}
 		fmt.Fprintf(b, "replica%d:addr=%s,sync=%s,lag_gsn=%d,last_ack_ms=%d\r\n", i, l.addr, kind, lag, ago)
 	}
-
+	var lastErr string
 	if mgr != nil {
 		mgr.mu.Lock()
-		status, lastErr := mgr.status, mgr.lastErr
+		status := mgr.status
+		lastErr = mgr.lastErr
 		cursors := append([]uint64(nil), mgr.cursors...)
 		master := append([]uint64(nil), mgr.masterGSN...)
 		addr := mgr.addr
 		mgr.mu.Unlock()
 		host, port, _ := net.SplitHostPort(addr)
-		fmt.Fprintf(b, "master_host:%s\r\n", host)
-		fmt.Fprintf(b, "master_port:%s\r\n", port)
-		fmt.Fprintf(b, "master_link_status:%s\r\n", status)
+		fmt.Fprintf(b, "master_host:%s\r\nmaster_port:%s\r\nmaster_link_status:%s\r\n", host, port, status)
 		// Until the first heartbeat delivers the primary's watermarks the
 		// lag is unknown, not zero: a resync may still be replaying. -1
 		// keeps pollers waiting instead of declaring convergence early.
@@ -942,21 +935,15 @@ func (rs *replState) infoSection(b *strings.Builder, st *core.Store) {
 		} else {
 			var lag uint64
 			for w := 0; w < len(master) && w < len(cursors); w++ {
-				if master[w] > cursors[w] {
-					lag += master[w] - cursors[w]
-				}
+				lag += maxLag(master[w], cursors[w])
 				fmt.Fprintf(b, "replica_lag_worker_%d:%d\r\n", w, maxLag(master[w], cursors[w]))
 			}
 			fmt.Fprintf(b, "replica_lag_gsn:%d\r\n", lag)
 		}
-		fmt.Fprintf(b, "replica_full_syncs:%d\r\n", rs.fullSyncsDone.Load())
-		fmt.Fprintf(b, "replica_partial_syncs:%d\r\n", rs.partialSyncsDone.Load())
-		if lastErr != "" {
-			fmt.Fprintf(b, "master_link_last_error:%s\r\n", strings.ReplaceAll(lastErr, "\r\n", " "))
-		}
-	} else {
-		fmt.Fprintf(b, "replica_full_syncs:%d\r\n", rs.fullSyncsDone.Load())
-		fmt.Fprintf(b, "replica_partial_syncs:%d\r\n", rs.partialSyncsDone.Load())
+	}
+	stats.Lines(b, sv, "", "Replica")
+	if lastErr != "" {
+		fmt.Fprintf(b, "master_link_last_error:%s\r\n", strings.ReplaceAll(lastErr, "\r\n", " "))
 	}
 }
 

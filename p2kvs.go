@@ -57,9 +57,6 @@ type (
 	// document backs the network server's INFO/metrics and dbbench's
 	// -stats_json output.
 	StatsSnapshot = core.StatsSnapshot
-	// WorkerStatsJSON is the JSON form of one worker's stats inside a
-	// StatsSnapshot.
-	WorkerStatsJSON = core.WorkerStatsJSON
 	// ReshardStats reports the state and counters of the last (or
 	// in-flight) online reshard; see Store.ReshardStats.
 	ReshardStats = reshard.Stats
