@@ -352,29 +352,31 @@ func (c *checkpointSaver) stop() {
 // document INFO and -stats_json serve), one line per INFO group: the
 // queues, admission and the compaction scheduler (store), health,
 // background retries and injected faults (robustness), online checkpoints
-// (persistence). A worker that is unhealthy or turned requests away gets
-// a line of its own.
+// (persistence, once one was taken). A worker that is unhealthy or turned
+// requests away gets its own store and robustness lines.
 func reportStore(store *p2kvs.Store) {
 	snap := store.StatsSnapshot()
-	line := func(label string, v any, groups ...string) {
+	line := func(label, group string, vs ...any) {
 		fmt.Printf("%-15s:", label)
-		for _, g := range groups {
-			for _, p := range stats.Pairs(v, "", g) {
+		for _, v := range vs {
+			for _, p := range stats.Pairs(v, "", group) {
 				fmt.Printf(" %s=%s", p[0], p[1])
 			}
 		}
 		fmt.Println()
 	}
-	line("store", snap.Aggregate, "Store")
-	line("robustness", snap.Aggregate, "Robustness")
+	line("store", "Store", snap.Aggregate)
+	line("robustness", "Robustness", snap.Aggregate)
 	for _, w := range snap.PerWorker {
 		if w.State != kv.StateHealthy || w.Rejected+w.Expired+w.Shed > 0 {
-			line(fmt.Sprintf("worker %d", w.ID), w, "Store", "Robustness")
+			line(fmt.Sprintf("store w%d", w.ID), "Store", w)
+			line(fmt.Sprintf("robustness w%d", w.ID), "Robustness", w)
 		}
 	}
-	line("persistence", snap, "Persistence")
-	line("", snap.Aggregate, "Persistence")
+	if snap.Checkpoints > 0 {
+		line("persistence", "Persistence", snap, snap.Aggregate)
+	}
 	if f := saver.fails.Load(); f > 0 {
-		fmt.Printf("%-15s: %d checkpoints FAILED\n", "", f)
+		fmt.Printf("%-15s: %d checkpoints FAILED\n", "persistence", f)
 	}
 }

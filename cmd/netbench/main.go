@@ -216,23 +216,29 @@ func bgsaveAndWait(c *cluster.Conn) {
 	fmt.Fprintln(os.Stderr, "netbench: bgsave did not commit within 15s")
 }
 
-// reportServerCounters prints the server's INFO after a run, one line per
-// section and key=value per counter: Stats and Store prove that pipeline
-// coalescing reached the engine's batch paths and show the compaction
-// scheduler, Persistence the checkpoints, Cache the hot-key cache. The
-// keys are whatever the server's stats schema puts in each section.
+// reportServerCounters prints four sections of the server's INFO after a
+// run, one line each and key=value per counter: Stats and Store prove
+// that pipeline coalescing reached the engine's batch paths and show the
+// compaction scheduler, Persistence the checkpoints, Cache (when the
+// server runs one) the hot-key cache. The keys are whatever the server's
+// stats schema puts in each section.
 func reportServerCounters(c *cluster.Conn) {
 	rep, err := c.Do([]byte("INFO"))
 	if err != nil || rep.IsError() {
 		fmt.Fprintln(os.Stderr, "netbench: info:", rep.String(), err)
 		return
 	}
-	for _, line := range strings.Split(string(rep.Str), "\r\n") {
-		if k, v, ok := strings.Cut(line, ":"); ok {
-			fmt.Printf(" %s=%s", k, v)
-		} else if line != "" {
-			fmt.Printf("\nserver %s:", strings.TrimPrefix(line, "# "))
+	for _, sec := range strings.Split(string(rep.Str), "# ")[1:] {
+		name, body, _ := strings.Cut(strings.TrimSpace(sec), "\r\n")
+		if !(name == "Stats" || name == "Store" || name == "Persistence" ||
+			name == "Cache" && strings.HasPrefix(body, "cache_enabled:1")) {
+			continue
 		}
+		fmt.Printf("server %s:", name)
+		for _, l := range strings.Split(body, "\r\n") {
+			k, v, _ := strings.Cut(l, ":")
+			fmt.Printf(" %s=%s", k, v)
+		}
+		fmt.Println()
 	}
-	fmt.Println()
 }

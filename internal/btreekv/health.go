@@ -57,21 +57,19 @@ func (d *DB) Health() kv.Health {
 		AutoResumes:      d.autoResumes.Load(),
 		CorruptionEvents: d.corruptionEvents.Load(),
 		RepairedFiles:    d.repairedFiles.Load(),
-	}
-	if fc, ok := d.opts.FS.(vfs.FaultCounter); ok {
-		h.InjectedFaults = fc.InjectedFaults()
+		InjectedFaults:   vfs.InjectedFaults(d.opts.FS),
 	}
 	if cerr, _ := d.corruption(); cerr != nil {
 		// Containment active: the one base/journal under quarantine.
 		h.QuarantinedFiles = 1
-		h.LastCorruption = cerr
+		h.LastCorruption = kv.CauseOf(cerr)
 		h.State = kv.StateReadOnly
-		h.Err = cerr
+		h.Err = kv.CauseOf(cerr)
 	}
 	d.mu.RLock()
 	if d.bgErr != nil {
 		h.State = kv.StateReadOnly
-		h.Err = d.bgErr
+		h.Err = kv.CauseOf(d.bgErr)
 		h.DiskFull = d.diskFull
 	}
 	d.mu.RUnlock()

@@ -217,10 +217,6 @@ func (s *Store) Checkpoint(fs vfs.FS, dir string) (*checkpoint.Manifest, error) 
 	return m, nil
 }
 
-// LastCheckpointUnix reports the commit time (unix seconds) of the most
-// recent checkpoint, 0 when none has been taken — the LASTSAVE answer.
-func (s *Store) LastCheckpointUnix() int64 { return s.lastCkptUnix.Load() }
-
 func engineLabel(name string) string {
 	if name == "" {
 		return "unspecified"

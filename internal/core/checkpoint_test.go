@@ -213,8 +213,8 @@ func TestCheckpointBarrierShortUnderLoad(t *testing.T) {
 	if barrier > int64(100*time.Millisecond) {
 		t.Fatalf("barrier stalled writers %v", time.Duration(barrier))
 	}
-	if snap.Checkpoints != 1 || s.LastCheckpointUnix() == 0 {
-		t.Fatalf("store counters: checkpoints=%d last=%d", snap.Checkpoints, s.LastCheckpointUnix())
+	if snap.Checkpoints != 1 || snap.LastCheckpointUnix == 0 {
+		t.Fatalf("store counters: checkpoints=%d last=%d", snap.Checkpoints, snap.LastCheckpointUnix)
 	}
 }
 

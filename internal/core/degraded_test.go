@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"testing"
@@ -89,9 +90,18 @@ func TestDegradedShardFailsFastOthersServe(t *testing.T) {
 		t.Fatalf("aggregate injected_faults = %d, want the FaultFS's %d > 0", got, k)
 	}
 
-	// On the wire the state is its name and the error its message.
-	if raw, err := s.StatsJSON(); err != nil || !bytes.Contains(raw, []byte(`"health":"read-only","health_err":"`)) {
+	// On the wire the state is its name and the error its message, and
+	// the document decodes back into the type that produced it.
+	raw, err := s.StatsJSON()
+	if err != nil || !bytes.Contains(raw, []byte(`"health":"read-only","health_err":"`)) {
 		t.Fatalf("StatsJSON of a degraded store: %v\n%s", err, raw)
+	}
+	var back StatsSnapshot
+	if err := json.Unmarshal(raw, &back); err != nil {
+		t.Fatalf("StatsJSON of a degraded store does not decode: %v\n%s", err, raw)
+	}
+	if w0, live := back.PerWorker[0], s.Stats()[0]; w0.State != kv.StateReadOnly || w0.Err == nil || w0.Err.Error() != live.Err.Error() {
+		t.Fatalf("decoded shard 0 = %v / %v, want read-only with %q", w0.State, w0.Err, live.Err)
 	}
 
 	st := s.Stats()

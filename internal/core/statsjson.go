@@ -3,6 +3,8 @@ package core
 import (
 	"encoding/json"
 
+	"p2kvs/internal/hotcache"
+	"p2kvs/internal/repl"
 	"p2kvs/internal/reshard"
 	"p2kvs/internal/stats"
 )
@@ -21,34 +23,20 @@ type StatsSnapshot struct {
 	Checkpoints         int64 `json:"store_checkpoints" info:"Persistence"`
 	CheckpointBarrierNs int64 `json:"checkpoint_barrier_ns" info:"Persistence,store_checkpoint_barrier_ns"`
 	LastCheckpointUnix  int64 `json:"last_checkpoint_unix" info:"Persistence,store_last_checkpoint_unix"`
-	// Replication backlog state (all zero/empty when Options.ReplLog is
-	// nil): the store's GSN watermark, the backlog's retained size and
-	// lifetime append/trim counters, and the number of attached replica
-	// pins currently deferring tail truncation.
-	ReplGSN            uint64 `json:"repl_gsn" info:"Replication,master_repl_gsn"`
-	ReplBacklogBytes   int64  `json:"repl_backlog_bytes" info:"Replication"`
-	ReplBacklogRecords int64  `json:"repl_backlog_records" info:"Replication"`
-	ReplAppended       int64  `json:"repl_appended" info:"Replication,repl_backlog_appended"`
-	ReplTrimmed        int64  `json:"repl_trimmed" info:"Replication,repl_backlog_trimmed"`
-	ReplPins           int    `json:"repl_pins"`
+	// Replication backlog state (all zero when Options.ReplLog is nil):
+	// the store's GSN watermark, then the backlog's retained size, lifetime
+	// append/trim counters and attached replica pins.
+	ReplGSN uint64 `json:"repl_gsn" info:"Replication,master_repl_gsn"`
+	repl.BacklogStats
 	// Hot-key read cache state (all zero when Options.HotCacheBytes is
-	// zero): hits served without touching a worker (positive and cached
-	// not-found separately), misses that fell through to the queues,
-	// successful fills, clock evictions, writer watermark bumps, and the
-	// resident footprint.
-	CacheEnabled       bool  `json:"cache_enabled" info:"Cache"`
-	CacheHits          int64 `json:"cache_hits" info:"Cache"`
-	CacheNegHits       int64 `json:"cache_neg_hits" info:"Cache"`
-	CacheMisses        int64 `json:"cache_misses" info:"Cache"`
-	CacheFills         int64 `json:"cache_fills" info:"Cache"`
-	CacheEvictions     int64 `json:"cache_evictions" info:"Cache"`
-	CacheInvalidations int64 `json:"cache_invalidations" info:"Cache"`
-	CacheBytes         int64 `json:"cache_bytes" info:"Cache"`
-	CacheEntries       int64 `json:"cache_entries" info:"Cache"`
+	// zero).
+	hotcache.Stats
 	// Reshard carries the online-resharding subsystem's counters (zero
 	// state "idle" when no reshard has run).
 	Reshard reshard.Stats `json:"reshard"`
 }
+
+func init() { stats.Merge(&WorkerStats{}, WorkerStats{}) } // dry run: vets the agg tags
 
 // StatsSnapshot captures Stats() plus the store-level state.
 func (s *Store) StatsSnapshot() StatsSnapshot {
@@ -61,27 +49,11 @@ func (s *Store) StatsSnapshot() StatsSnapshot {
 	snap.CheckpointBarrierNs = s.ckptBarrierNs.Load()
 	snap.LastCheckpointUnix = s.lastCkptUnix.Load()
 	if l := s.opts.ReplLog; l != nil {
-		rs := l.Stats()
 		snap.ReplGSN = s.gsn.Load()
-		snap.ReplBacklogBytes = rs.Bytes
-		snap.ReplBacklogRecords = rs.Records
-		snap.ReplAppended = rs.Appended
-		snap.ReplTrimmed = rs.Trimmed
-		snap.ReplPins = rs.Pins
+		snap.BacklogStats = l.Stats()
 	}
 	snap.Reshard = s.tracker.Snapshot()
-	if s.cache != nil {
-		cs := s.cache.Stats()
-		snap.CacheEnabled = true
-		snap.CacheHits = cs.Hits
-		snap.CacheNegHits = cs.NegHits
-		snap.CacheMisses = cs.Misses
-		snap.CacheFills = cs.Fills
-		snap.CacheEvictions = cs.Evictions
-		snap.CacheInvalidations = cs.Invalidations
-		snap.CacheBytes = cs.Bytes
-		snap.CacheEntries = cs.Entries
-	}
+	snap.Stats = s.cache.Stats()
 	return snap
 }
 

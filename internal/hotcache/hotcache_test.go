@@ -36,8 +36,8 @@ func TestNegativeEntry(t *testing.T) {
 		t.Fatalf("negative Get = %q neg=%v ok=%v", v, neg, ok)
 	}
 	st := c.Stats()
-	if st.NegHits != 1 {
-		t.Fatalf("neg_hits = %d", st.NegHits)
+	if st.CacheNegHits != 1 {
+		t.Fatalf("neg_hits = %d", st.CacheNegHits)
 	}
 	// A write flips the negative entry invisible.
 	c.Invalidate(k)
@@ -58,8 +58,8 @@ func TestInvalidateHidesEntry(t *testing.T) {
 	if v, _, ok := c.Get([]byte("k")); !ok || string(v) != "new" {
 		t.Fatalf("refill Get = %q %v", v, ok)
 	}
-	if st := c.Stats(); st.Invalidations != 1 {
-		t.Fatalf("invalidations = %d", st.Invalidations)
+	if st := c.Stats(); st.CacheInvalidations != 1 {
+		t.Fatalf("invalidations = %d", st.CacheInvalidations)
 	}
 }
 
@@ -75,7 +75,7 @@ func TestStaleTicketFillRejected(t *testing.T) {
 	if _, _, ok := c.Get(k); ok {
 		t.Fatal("fill with a stale ticket was served")
 	}
-	if st := c.Stats(); st.Fills != 0 || st.Entries != 0 {
+	if st := c.Stats(); st.CacheFills != 0 || st.CacheEntries != 0 {
 		t.Fatalf("stale fill was inserted: %+v", st)
 	}
 }
@@ -87,13 +87,13 @@ func TestBudgetEviction(t *testing.T) {
 		c.Fill(k, make([]byte, 100), false, c.Snapshot(k))
 	}
 	st := c.Stats()
-	if st.Bytes > numShards*1024 {
-		t.Fatalf("cache over budget: %d bytes", st.Bytes)
+	if st.CacheBytes > numShards*1024 {
+		t.Fatalf("cache over budget: %d bytes", st.CacheBytes)
 	}
-	if st.Evictions == 0 {
+	if st.CacheEvictions == 0 {
 		t.Fatal("no evictions despite overflow")
 	}
-	if st.Entries == 0 {
+	if st.CacheEntries == 0 {
 		t.Fatal("cache emptied itself")
 	}
 }
@@ -111,7 +111,7 @@ func TestOversizedFillSkipped(t *testing.T) {
 	if _, _, ok := c.Get(big); ok {
 		t.Fatal("oversized value cached")
 	}
-	if after.Entries != before.Entries || after.Evictions != before.Evictions {
+	if after.CacheEntries != before.CacheEntries || after.CacheEvictions != before.CacheEvictions {
 		t.Fatalf("oversized fill churned the shard: before=%+v after=%+v", before, after)
 	}
 }
@@ -172,8 +172,8 @@ func TestShardDistribution(t *testing.T) {
 		c.Fill(k, []byte("v"), false, c.Snapshot(k))
 	}
 	st := c.Stats()
-	if st.Entries != n {
-		t.Fatalf("entries = %d, want %d", st.Entries, n)
+	if st.CacheEntries != n {
+		t.Fatalf("entries = %d, want %d", st.CacheEntries, n)
 	}
 	avg := n / numShards
 	for i := range c.shards {

@@ -14,7 +14,18 @@ import (
 	"context"
 	"errors"
 	"fmt"
+
+	"p2kvs/internal/stats"
 )
+
+// The tagged report structs below are merged across workers; a field whose
+// agg rule is missing or unusable fails this dry run, at start-up.
+func init() {
+	stats.Merge(&Health{}, Health{})
+	stats.Merge(&CompactionStats{}, CompactionStats{})
+	stats.Merge(&CheckpointStats{}, CheckpointStats{})
+	stats.Merge(&ScrubResult{}, ScrubResult{})
+}
 
 // ErrNotFound is returned by Get when the key does not exist (or its most
 // recent version is a tombstone).
@@ -88,20 +99,29 @@ const (
 	StateReadOnly
 )
 
+var stateNames = [...]string{"healthy", "retrying", "read-only"}
+
 func (s HealthState) String() string {
-	switch s {
-	case StateHealthy:
-		return "healthy"
-	case StateRetrying:
-		return "retrying"
-	case StateReadOnly:
-		return "read-only"
+	if uint(s) < uint(len(stateNames)) {
+		return stateNames[s]
 	}
 	return "unknown"
 }
 
 // MarshalText makes a state cross JSON and INFO as its name.
 func (s HealthState) MarshalText() ([]byte, error) { return []byte(s.String()), nil }
+
+// UnmarshalText reads a state back from its name, so a stats document
+// decodes into the struct that produced it.
+func (s *HealthState) UnmarshalText(b []byte) error {
+	for i, name := range stateNames {
+		if name == string(b) {
+			*s = HealthState(i)
+			return nil
+		}
+	}
+	return fmt.Errorf("kv: unknown health state %q", b)
+}
 
 // Health is a snapshot of an engine's background-error condition. Like
 // CompactionStats and CheckpointStats it is embedded in the accessing
@@ -110,13 +130,13 @@ type Health struct {
 	State HealthState `json:"health" agg:"worst" info:"Store"`
 	// Err is the background error that caused a non-healthy state; nil
 	// when State is StateHealthy.
-	Err error `json:"health_err,omitempty" agg:"worst" info:"Robustness"`
+	Err *Cause `json:"health_err,omitempty" agg:"worst" info:"Robustness"`
 	// FlushRetries / CompactRetries count background job attempts beyond
 	// the first, cumulative over the engine's lifetime.
 	FlushRetries   int64 `json:"flush_retries" agg:"sum" info:"Robustness"`
 	CompactRetries int64 `json:"compact_retries" agg:"sum" info:"Robustness"`
 	// InjectedFaults counts faults fired by a fault-injecting filesystem
-	// under the engine, when one is present (vfs.FaultCounter); 0
+	// under the engine, when one is present (vfs.InjectedFaults); 0
 	// otherwise. The counter belongs to the filesystem, which the workers
 	// share, so the aggregate takes the max.
 	InjectedFaults int64 `json:"injected_faults" agg:"max" info:"Robustness"`
@@ -143,23 +163,32 @@ type Health struct {
 	// LastCorruption is the most recent corruption error, nil when none
 	// has ever been detected (it is informational and does not imply the
 	// engine is still degraded — the file may have been repaired).
-	LastCorruption error `json:"last_corruption,omitempty" agg:"last" info:"Robustness"`
+	LastCorruption *Cause `json:"last_corruption,omitempty" agg:"last" info:"Robustness"`
 }
 
-// Cause wraps err so that it crosses JSON as its message while
-// errors.Is/As still see the chain; nil stays nil. The accessing layer
-// applies it to the error fields of the Health it publishes.
-func Cause(err error) error {
+// Cause is the type of Health's error fields: an error that crosses JSON
+// and INFO as its message and decodes back from it. On the reporting side
+// errors.Is/As see the wrapped chain; a decoded Cause carries the message
+// only.
+type Cause struct{ err error }
+
+// CauseOf wraps err; nil stays nil, so "no error" is a nil *Cause.
+func CauseOf(err error) *Cause {
 	if err == nil {
 		return nil
 	}
-	return cause{err}
+	return &Cause{err}
 }
 
-type cause struct{ error }
+func (c *Cause) Error() string                { return c.err.Error() }
+func (c *Cause) Unwrap() error                { return c.err }
+func (c *Cause) MarshalText() ([]byte, error) { return []byte(c.Error()), nil }
 
-func (c cause) Unwrap() error                { return c.error }
-func (c cause) MarshalText() ([]byte, error) { return []byte(c.Error()), nil }
+// UnmarshalText restores the message of a marshalled Cause.
+func (c *Cause) UnmarshalText(b []byte) error {
+	c.err = errors.New(string(b))
+	return nil
+}
 
 // HealthReporter is the optional capability of reporting background-error
 // health. The p2KVS accessing layer surfaces it in per-worker stats.

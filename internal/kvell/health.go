@@ -57,27 +57,25 @@ func (s *Store) Health() kv.Health {
 		DiskFullEvents:   s.diskFullEvents.Load(),
 		AutoResumes:      s.autoResumes.Load(),
 		CorruptionEvents: s.corruptionEvents.Load(),
-	}
-	if fc, ok := s.opts.FS.(vfs.FaultCounter); ok {
-		h.InjectedFaults = fc.InjectedFaults()
+		InjectedFaults:   vfs.InjectedFaults(s.opts.FS),
 	}
 	// worker.corrupt is written only during open, before the worker
 	// goroutine starts — safe to read without the queue.
 	for _, w := range s.workers {
 		if w.corrupt != nil {
 			h.QuarantinedFiles++ // one poisoned partition ≈ one quarantined slab set
-			h.LastCorruption = w.corrupt
+			h.LastCorruption = kv.CauseOf(w.corrupt)
 			h.State = kv.StateReadOnly
-			h.Err = w.corrupt
+			h.Err = kv.CauseOf(w.corrupt)
 		}
 	}
 	s.mu.RLock()
 	if h.LastCorruption == nil {
-		h.LastCorruption = s.lastCorr
+		h.LastCorruption = kv.CauseOf(s.lastCorr)
 	}
 	if s.bgErr != nil {
 		h.State = kv.StateReadOnly
-		h.Err = s.bgErr
+		h.Err = kv.CauseOf(s.bgErr)
 		h.DiskFull = s.diskFull
 	}
 	s.mu.RUnlock()

@@ -207,9 +207,7 @@ func (d *DB) Health() kv.Health {
 		State:          kv.HealthState(d.stateA.Load()),
 		FlushRetries:   d.perf.flushRetries.Load(),
 		CompactRetries: d.perf.compactRetries.Load(),
-	}
-	if fc, ok := d.opts.FS.(vfs.FaultCounter); ok {
-		h.InjectedFaults = fc.InjectedFaults()
+		InjectedFaults: vfs.InjectedFaults(d.opts.FS),
 	}
 	h.DiskFullEvents = d.perf.diskFullEvents.Load()
 	h.AutoResumes = d.perf.autoResumes.Load()
@@ -219,12 +217,12 @@ func (d *DB) Health() kv.Health {
 	if h.State != kv.StateHealthy || h.CorruptionEvents > 0 {
 		d.mu.Lock()
 		if d.bgErr != nil {
-			h.Err = d.bgErr
+			h.Err = kv.CauseOf(d.bgErr)
 		} else {
-			h.Err = d.bgCause
+			h.Err = kv.CauseOf(d.bgCause)
 		}
 		h.DiskFull = d.diskFull
-		h.LastCorruption = d.lastCorruption
+		h.LastCorruption = kv.CauseOf(d.lastCorruption)
 		d.mu.Unlock()
 	}
 	return h

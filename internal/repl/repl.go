@@ -60,21 +60,18 @@ func NewID() string {
 	return hex.EncodeToString(b[:])
 }
 
-// Stats is a point-in-time counter snapshot of a Log.
-type Stats struct {
-	ID       string
-	Workers  int
-	MaxBytes int64
+// BacklogStats is a point-in-time counter snapshot of a Log. The store
+// embeds it in its stats document, so the tags are its schema
+// (internal/stats).
+type BacklogStats struct {
 	// Bytes / Records are the backlog's current retained size.
-	Bytes   int64
-	Records int64
+	Bytes   int64 `json:"repl_backlog_bytes" info:"Replication"`
+	Records int64 `json:"repl_backlog_records" info:"Replication"`
 	// Appended / Trimmed count records over the log's lifetime.
-	Appended int64
-	Trimmed  int64
+	Appended int64 `json:"repl_appended" info:"Replication,repl_backlog_appended"`
+	Trimmed  int64 `json:"repl_trimmed" info:"Replication,repl_backlog_trimmed"`
 	// Pins is the number of attached cursors currently deferring trims.
-	Pins int
-	// LastGSN[w] is the highest GSN appended for worker w.
-	LastGSN []uint64
+	Pins int `json:"repl_pins"`
 }
 
 // Log is the primary-side replication backlog: per-worker ordered record
@@ -314,20 +311,14 @@ func (l *Log) LastGSN() []uint64 {
 }
 
 // Stats snapshots the log's counters.
-func (l *Log) Stats() Stats {
+func (l *Log) Stats() BacklogStats {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	st := Stats{
-		ID:       l.id,
-		Workers:  l.workers,
-		MaxBytes: l.maxBytes,
+	return BacklogStats{
 		Bytes:    l.bytes,
 		Records:  l.recs,
 		Appended: l.appended.Load(),
 		Trimmed:  l.trimmed.Load(),
 		Pins:     len(l.pins),
-		LastGSN:  make([]uint64, l.workers),
 	}
-	copy(st.LastGSN, l.last)
-	return st
 }

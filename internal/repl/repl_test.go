@@ -226,7 +226,7 @@ func TestBacklogTrimAndOutOfWindow(t *testing.T) {
 		t.Fatal("trimmed cursor must not be covered")
 	}
 	// The retained tail must still be contiguous from start+1.
-	recs, err := l.Since(0, l.Stats().LastGSN[0]-1)
+	recs, err := l.Since(0, l.LastGSN()[0]-1)
 	if err != nil || len(recs) != 1 {
 		t.Fatalf("tail read: %+v, %v", recs, err)
 	}
@@ -253,7 +253,7 @@ func TestSlowReplicaPinNeverHoles(t *testing.T) {
 		if len(recs) != 100 {
 			t.Fatalf("pinned worker %d: got %d records, want 100", w, len(recs))
 		}
-		if !l.Covers(l.Stats().LastGSN) {
+		if !l.Covers(l.LastGSN()) {
 			t.Fatal("last cursors must be covered")
 		}
 	}

@@ -293,7 +293,7 @@ func (c *conn) execOne(cmd [][]byte) {
 	case "REPLICAOF", "SLAVEOF":
 		c.execReplicaOf(cmd)
 	case "LASTSAVE":
-		c.wr.WriteInt(c.srv.store().LastCheckpointUnix())
+		c.wr.WriteInt(c.srv.store().StatsSnapshot().LastCheckpointUnix)
 	case "COMMAND":
 		// redis-cli handshake: an empty reply keeps it happy.
 		c.wr.WriteArrayHeader(0)

@@ -887,8 +887,7 @@ func (rs *replState) infoSection(b *strings.Builder, st *core.Store, snap *core.
 		fmt.Fprintf(b, "repl_enabled:0\r\n")
 		return
 	}
-	ls := log.Stats()
-	fmt.Fprintf(b, "repl_enabled:1\r\nrepl_id:%s\r\n", ls.ID)
+	fmt.Fprintf(b, "repl_enabled:1\r\nrepl_id:%s\r\n", log.ID())
 	stats.Lines(b, snap, "", "Replication")
 	stats.Lines(b, sv, "", "Replication")
 
@@ -899,7 +898,7 @@ func (rs *replState) infoSection(b *strings.Builder, st *core.Store, snap *core.
 	}
 	rs.mu.Unlock()
 	fmt.Fprintf(b, "connected_replicas:%d\r\n", len(links))
-	last := ls.LastGSN
+	last := log.LastGSN()
 	for i, l := range links {
 		ack, lastAck, full := l.snapshot()
 		var lag uint64

@@ -36,25 +36,17 @@ func plan(t reflect.Type) []field {
 		return p.([]field)
 	}
 	var out []field
-	var walk func(t reflect.Type, index []int)
-	walk = func(t reflect.Type, index []int) {
-		for i := 0; i < t.NumField(); i++ {
-			f := t.Field(i)
-			idx := append(index[:len(index):len(index)], i)
-			key, opts, _ := strings.Cut(f.Tag.Get("json"), ",")
-			switch {
-			case f.Anonymous && key == "" && f.Type.Kind() == reflect.Struct:
-				walk(f.Type, idx)
-			case key != "-" && f.IsExported():
-				if key == "" {
-					key = f.Name
-				}
-				group, infoKey, _ := strings.Cut(f.Tag.Get("info"), ",")
-				out = append(out, field{idx, key, strings.Contains(opts, "omitempty"), f.Tag.Get("agg"), group, infoKey})
-			}
+	for _, f := range reflect.VisibleFields(t) {
+		key, opts, _ := strings.Cut(f.Tag.Get("json"), ",")
+		if f.Anonymous && f.Type.Kind() == reflect.Struct || key == "-" || !f.IsExported() {
+			continue
 		}
+		if key == "" {
+			key = f.Name
+		}
+		group, infoKey, _ := strings.Cut(f.Tag.Get("info"), ",")
+		out = append(out, field{f.Index, key, strings.Contains(opts, "omitempty"), f.Tag.Get("agg"), group, infoKey})
 	}
-	walk(t, nil)
 	plans.Store(t, out)
 	return out
 }
@@ -62,12 +54,21 @@ func plan(t reflect.Type) []field {
 // Merge folds src into *dst, two values of one struct type, by each field's
 // agg rule: sum, max, or, last (a non-zero value overrides), worst (the
 // worst-tagged fields move together, taken from the value whose first such
-// field is greatest) or - (left alone). A field without a rule panics: a
-// counter that silently dropped out of the aggregate would be worse.
+// field, an integer, is greatest) or - (left alone). A field with no rule,
+// or a rule its type cannot carry, panics with its name. That depends on
+// the type alone, so packages merge two zero values of each type they
+// aggregate from init: a mis-tagged counter then stops every binary and
+// test at start-up instead of an INFO request on a live server.
 func Merge(dst, src any) {
 	d, s := reflect.ValueOf(dst).Elem(), reflect.Indirect(reflect.ValueOf(src))
+	var f field
+	defer func() {
+		if r := recover(); r != nil {
+			panic(fmt.Sprintf("stats: %s field %q: agg rule %q: %v", d.Type(), f.key, f.agg, r))
+		}
+	}()
 	var worstSeen, worse bool
-	for _, f := range plan(d.Type()) {
+	for _, f = range plan(d.Type()) {
 		dv, sv := d.FieldByIndex(f.index), s.FieldByIndex(f.index)
 		switch f.agg {
 		case "sum":
@@ -95,7 +96,7 @@ func Merge(dst, src any) {
 			}
 		case "-":
 		default:
-			panic(fmt.Sprintf("stats: %s field %q has no agg rule", d.Type(), f.key))
+			panic("not one of sum, max, or, last, worst, -")
 		}
 	}
 }

@@ -59,10 +59,10 @@ func TestMergeWorkerStatsByTag(t *testing.T) {
 			i++
 			set(reflect.ValueOf(&ws).Elem().FieldByIndex(index), w*1000+i)
 		})
-		ws.Err = errors.New(strings.Repeat("e", int(w)))
+		ws.Err = kv.CauseOf(errors.New(strings.Repeat("e", int(w))))
 		ws.DiskFull = w == 2
 		if w == 1 {
-			ws.LastCorruption = errors.New("rot")
+			ws.LastCorruption = kv.CauseOf(errors.New("rot"))
 		}
 		stats.Merge(&agg, ws)
 	}
@@ -96,16 +96,38 @@ func TestMergeWorkerStatsByTag(t *testing.T) {
 	}
 }
 
-func TestMergeWithoutRulePanics(t *testing.T) {
-	defer func() {
-		if r := recover(); r == nil || !strings.Contains(r.(string), `"n"`) {
-			t.Fatalf("recovered %v, want a panic naming the field", r)
-		}
-	}()
-	type bare struct {
-		N int64 `json:"n"`
+// TestMergeDryRun: merging two zero values, what packages do from init,
+// panics naming the field for a missing rule, a rule the field's type
+// cannot carry, and a worst group that does not lead with the integer it
+// is ranked by; the types the repo merges pass.
+func TestMergeDryRun(t *testing.T) {
+	bad := map[string]any{
+		"no rule": struct {
+			N int64 `json:"n"`
+		}{},
+		"sum of a bool": struct {
+			N bool `json:"n" agg:"sum"`
+		}{},
+		"or of an int": struct {
+			N int `json:"n" agg:"or"`
+		}{},
+		"worst led by error": struct {
+			N     error `json:"n" agg:"worst"`
+			State int   `agg:"worst"`
+		}{},
 	}
-	stats.Merge(&bare{}, bare{N: 1})
+	for name, v := range bad {
+		func() {
+			defer func() {
+				if r := recover(); r == nil || !strings.Contains(r.(string), `field "n"`) {
+					t.Errorf("%s: recovered %v, want a panic naming the field", name, r)
+				}
+			}()
+			stats.Merge(reflect.New(reflect.TypeOf(v)).Interface(), v)
+		}()
+	}
+	stats.Merge(&core.WorkerStats{}, core.WorkerStats{})
+	stats.Merge(&kv.ScrubResult{}, kv.ScrubResult{})
 }
 
 type inner struct {

@@ -39,11 +39,13 @@ type FaultFS struct {
 // to recognize (in tests) synthetic transient failures.
 var ErrInjected = errors.New("vfs: injected fault")
 
-// FaultCounter is implemented by filesystems that count injected faults;
-// engines surface the count in their metrics when their FS provides it.
-type FaultCounter interface {
-	// InjectedFaults returns the number of faults fired so far.
-	InjectedFaults() int64
+// InjectedFaults returns the number of faults fs has fired so far, 0 for a
+// filesystem that injects none; engines surface it in their Health.
+func InjectedFaults(fs FS) int64 {
+	if f, ok := fs.(interface{ InjectedFaults() int64 }); ok {
+		return f.InjectedFaults()
+	}
+	return 0
 }
 
 // Op identifies a filesystem operation class for fault matching.
@@ -178,7 +180,7 @@ func (f *FaultFS) ClearRules() {
 	f.mu.Unlock()
 }
 
-// InjectedFaults implements FaultCounter.
+// InjectedFaults returns the number of faults fired so far.
 func (f *FaultFS) InjectedFaults() int64 { return f.injected.Load() }
 
 // CorruptAt deterministically corrupts data at rest: it XORs the lowest
