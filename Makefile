@@ -3,7 +3,7 @@ FUZZTIME ?= 10s
 SERVE_ADDR ?= 127.0.0.1:6380
 SUITE ?= list
 
-.PHONY: build test test-race vet benchmark-module stats-golden fuzz-short stress serve netbench ci clean
+.PHONY: build test test-race vet benchmark-module stats-golden loc fuzz-short stress serve netbench ci clean
 
 build:
 	$(GO) build ./...
@@ -28,6 +28,15 @@ benchmark-module:
 # it and fails on a diff.
 stats-golden:
 	$(GO) test ./internal/core ./internal/server -run 'Golden' -update
+
+# Non-test and test Go lines (wc -l) per package outside benchmark/, then
+# the total: the numbers ROADMAP re-anchors and "net-negative" PR claims
+# quote. CI prints it, so a claim is read from the log, not recounted.
+loc:
+	@find . -name '*.go' -not -path './benchmark/*' -not -path './.*' -print0 | xargs -0 wc -l | \
+	awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); if ($$2 ~ /_test\.go$$/) t[d] += $$1; else n[d] += $$1; dirs[d] = 1 } \
+	     END { for (d in dirs) { printf "%-30s %7d non-test %7d test\n", d, n[d], t[d]; N += n[d]; T += t[d] } \
+	           printf "%-30s %7d non-test %7d test\n", "total", N, T }' | sort
 
 # Short fuzzing pass over every fuzz target (Go runs one -fuzz target per
 # invocation, so each gets its own line).

@@ -1,0 +1,83 @@
+package core
+
+import (
+	"errors"
+	"testing"
+
+	"p2kvs/internal/kv"
+)
+
+// nopEngine does no work and allocates nothing, so every allocation the
+// pins below count happens above the engine: in the accessing layer's
+// routing, admission, queue, worker and completion code.
+type nopEngine struct{ val []byte }
+
+func (e *nopEngine) Put(key, value []byte) error    { return nil }
+func (e *nopEngine) Get(key []byte) ([]byte, error) { return e.val, nil }
+func (e *nopEngine) Delete(key []byte) error        { return nil }
+func (e *nopEngine) Write(b *kv.Batch) error        { return nil }
+func (e *nopEngine) Flush() error                   { return nil }
+func (e *nopEngine) Close() error                   { return nil }
+func (e *nopEngine) NewIterator() (kv.Iterator, error) {
+	return nil, errors.New("nopEngine: no iterator")
+}
+
+// TestAllocsAboveEngine pins what one request costs above the engine, so
+// the request representation cannot silently grow back. The bounds are
+// what this tree measures; the parent commit (bcf5110, where a write was
+// re-represented four times between the public call and the WAL) measured
+//
+//	Put 6   PutAsync 5   Get 3   WriteCtx(8 ops, one shard) 15
+//
+// with the same engine and options, and no pin may exceed its parent
+// number. AllocsPerRun counts every goroutine's allocations, the worker's
+// included.
+func TestAllocsAboveEngine(t *testing.T) {
+	opts := DefaultOptions(func(int, func(uint64) bool) (kv.Engine, error) {
+		return &nopEngine{val: []byte("v")}, nil
+	})
+	opts.Workers = 1
+	s, err := Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+
+	key, val := []byte("alloc-key"), []byte("alloc-value")
+	var batch kv.Batch
+	for i := 0; i < 8; i++ {
+		batch.Put([]byte{'k', byte('0' + i)}, val)
+	}
+	acked := make(chan error, 1)
+	ack := func(err error) { acked <- err }
+
+	for _, c := range []struct {
+		name string
+		max  float64
+		op   func() error
+	}{
+		{"Put", 5, func() error { return s.Put(key, val) }},
+		{"PutAsync", 4, func() error {
+			if err := s.PutAsync(key, val, ack); err != nil {
+				return err
+			}
+			return <-acked
+		}},
+		{"Get", 3, func() error { _, err := s.Get(key); return err }},
+		{"WriteCtx8", 10, func() error { return s.WriteCtx(nil, &batch) }},
+	} {
+		var opErr error
+		got := testing.AllocsPerRun(200, func() {
+			if err := c.op(); err != nil {
+				opErr = err
+			}
+		})
+		if opErr != nil {
+			t.Fatalf("%s: %v", c.name, opErr)
+		}
+		t.Logf("%s: %.0f allocs/op above the engine", c.name, got)
+		if got > c.max {
+			t.Errorf("%s: %.0f allocs/op above the engine, pinned at %.0f", c.name, got, c.max)
+		}
+	}
+}

@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"time"
 
 	"p2kvs/internal/checkpoint"
@@ -75,35 +74,13 @@ func (s *Store) Checkpoint(fs vfs.FS, dir string) (*checkpoint.Manifest, error) 
 	}
 
 	// --- Barrier: pause every worker at a common GSN watermark. ---
+	// The barrier must land even on a saturated queue (it bypasses
+	// admission control) and waits behind the queued work it fences.
 	start := time.Now()
-	var ready sync.WaitGroup
-	release := make(chan struct{})
-	barriers := make([]*request, 0, len(workers))
-	abort := func(err error) (*checkpoint.Manifest, error) {
-		close(release)
-		for _, r := range barriers {
-			<-r.done
-		}
-		return nil, err
+	release, err := barrierWorkers(workers, nil)
+	if err != nil {
+		return nil, fmt.Errorf("core: checkpoint barrier: %w", err)
 	}
-	for _, w := range workers {
-		r := &request{
-			typ:            reqBarrier,
-			noMerge:        true,
-			barrierReady:   &ready,
-			barrierRelease: release,
-			done:           make(chan struct{}),
-		}
-		ready.Add(1)
-		// pushWait bypasses admission control: a barrier must land even on
-		// a saturated queue, and it waits behind the queued work it fences.
-		if err := w.q.pushWait(nil, r); err != nil {
-			ready.Done()
-			return abort(fmt.Errorf("core: checkpoint barrier on worker %d: %w", w.id, err))
-		}
-		barriers = append(barriers, r)
-	}
-	ready.Wait()
 
 	// All workers are parked: capture the watermarks and every engine's
 	// checkpoint state. PrepareCheckpoint is designed to be cheap (no bulk
@@ -128,9 +105,6 @@ func (s *Store) Checkpoint(fs vfs.FS, dir string) (*checkpoint.Manifest, error) 
 		txnSize, txnFloors = s.txn.checkpointCut(len(workers))
 	}
 	close(release)
-	for _, r := range barriers {
-		<-r.done
-	}
 	barrierNs := time.Since(start).Nanoseconds()
 	defer func() {
 		for _, cw := range writers {

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
@@ -275,11 +277,11 @@ func TestCrossPartitionTransactionRollback(t *testing.T) {
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
 		key := []byte(fmt.Sprintf("B-%02d", i))
-		w := s.pick(key)
-		r := &request{typ: reqWrite, batch: batchRef{ops: []wop{{key: key, value: []byte("b")}}}, gsn: gsn, noMerge: true}
+		w := s.route.Load().pick(key)
+		r := &request{typ: reqWrite, ops: []kv.BatchOp{{Kind: kv.OpPut, Key: key, Value: []byte("b")}}, gsn: gsn, noMerge: true}
 		wg.Add(1)
 		r.callback = func(error) { wg.Done() }
-		w.q.push(r)
+		w.q.pushWait(nil, r)
 	}
 	wg.Wait()
 	// All instance writes are durable (SyncWAL on), commit never written.
@@ -348,6 +350,12 @@ func TestScanBothStrategies(t *testing.T) {
 			if string(p.Key) != want {
 				t.Fatalf("strategy %v: pair %d = %q, want %q", strat, i, p.Key, want)
 			}
+		}
+		// A cancelled context ends either strategy's scan, typed.
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		if _, err := s.ScanCtx(ctx, []byte("s0050"), 25); !errors.Is(err, kv.ErrDeadlineExceeded) || !errors.Is(err, context.Canceled) {
+			t.Fatalf("strategy %v: scan under a cancelled context: err = %v, want ErrDeadlineExceeded wrapping context.Canceled", strat, err)
 		}
 		s.Close()
 	}
@@ -545,10 +553,10 @@ func TestQueuePeekSemantics(t *testing.T) {
 	mk := func(typ reqType) *request {
 		return &request{typ: typ, done: make(chan struct{})}
 	}
-	q.push(mk(reqWrite))
-	q.push(mk(reqWrite))
-	q.push(mk(reqRead)) // type switch: must cut the batch
-	q.push(mk(reqWrite))
+	q.pushWait(nil, mk(reqWrite))
+	q.pushWait(nil, mk(reqWrite))
+	q.pushWait(nil, mk(reqRead)) // type switch: must cut the batch
+	q.pushWait(nil, mk(reqWrite))
 
 	batch, _ := q.popBatch(true, 32)
 	if len(batch) != 2 || batch[0].typ != reqWrite {
@@ -563,8 +571,8 @@ func TestQueuePeekSemantics(t *testing.T) {
 		t.Fatalf("third batch = %d", len(batch))
 	}
 	// SCAN is never merged.
-	q.push(mk(reqScan))
-	q.push(mk(reqScan))
+	q.pushWait(nil, mk(reqScan))
+	q.pushWait(nil, mk(reqScan))
 	batch, _ = q.popBatch(true, 32)
 	if len(batch) != 1 {
 		t.Fatalf("scan batch = %d, want 1", len(batch))
@@ -573,8 +581,8 @@ func TestQueuePeekSemantics(t *testing.T) {
 	r1, r2 := mk(reqWrite), mk(reqWrite)
 	r1.noMerge = true
 	q.popBatch(true, 32) // drain remaining scan
-	q.push(r1)
-	q.push(r2)
+	q.pushWait(nil, r1)
+	q.pushWait(nil, r2)
 	batch, _ = q.popBatch(true, 32)
 	if len(batch) != 1 {
 		t.Fatalf("noMerge batch = %d, want 1", len(batch))
@@ -587,7 +595,7 @@ func TestQueuePeekSemantics(t *testing.T) {
 	if got, expired := q.popBatch(true, 32); got != nil || expired != nil {
 		t.Fatal("closed empty queue must return nil")
 	}
-	if q.push(mk(reqWrite)) {
+	if q.pushWait(nil, mk(reqWrite)) == nil {
 		t.Fatal("push on closed queue must fail")
 	}
 }

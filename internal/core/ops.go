@@ -1,0 +1,536 @@
+package core
+
+import (
+	"bytes"
+	"context"
+	"errors"
+	"math"
+	"sort"
+	"sync"
+
+	"p2kvs/internal/keyspace"
+	"p2kvs/internal/kv"
+)
+
+// Data-plane operations: every one builds requests of the one shape
+// (queue.go), routes and admits them under the routing read lock
+// (routing.go), and completes through a done channel, a callback or — for
+// multi-leg operations — one fanIn.
+
+// writeOne routes a single-key write and hands it to writeTo.
+func (s *Store) writeOne(ctx context.Context, op kv.BatchOp, cb func(error)) error {
+	s.routeMu.RLock()
+	return s.writeTo(ctx, s.route.Load().pick(op.Key), []kv.BatchOp{op}, cb)
+}
+
+// writeTo health-checks w and admits ops on it as one write request, then
+// releases the routing read lock its caller picked w under. With cb nil it
+// waits for completion (sync path); otherwise cb runs on the worker when
+// the write completes (async path).
+func (s *Store) writeTo(ctx context.Context, w *worker, ops []kv.BatchOp, cb func(error)) error {
+	r := &request{typ: reqWrite, ops: ops, callback: cb}
+	if cb == nil {
+		r.done = make(chan struct{})
+	}
+	err := s.writeAdmitErr(w)
+	if err == nil {
+		err = s.admit(ctx, w, r)
+	}
+	s.routeMu.RUnlock()
+	if err != nil || cb != nil {
+		return err
+	}
+	return s.waitDone(w, r)
+}
+
+// Put implements kv.Engine (①②③ in Figure 9b: submit, enqueue, sleep
+// until the worker completes the request).
+func (s *Store) Put(key, value []byte) error {
+	return s.PutCtx(nil, key, value)
+}
+
+// PutCtx is Put bounded by a context: the deadline covers queue admission,
+// queue wait and execution, and an expired request never reaches the
+// engine.
+func (s *Store) PutCtx(ctx context.Context, key, value []byte) error {
+	return s.writeOne(ctx, kv.BatchOp{Kind: kv.OpPut, Key: key, Value: value}, nil)
+}
+
+// Delete implements kv.Engine.
+func (s *Store) Delete(key []byte) error {
+	return s.DeleteCtx(nil, key)
+}
+
+// DeleteCtx is Delete bounded by a context.
+func (s *Store) DeleteCtx(ctx context.Context, key []byte) error {
+	return s.writeOne(ctx, kv.BatchOp{Kind: kv.OpDelete, Key: key}, nil)
+}
+
+// PutAsync is the asynchronous write interface (§4.1): it enqueues and
+// returns immediately; cb runs on the worker when the write completes.
+// Backpressure applies when the worker queue is full.
+func (s *Store) PutAsync(key, value []byte, cb func(error)) error {
+	return s.PutAsyncCtx(nil, key, value, cb)
+}
+
+// PutAsyncCtx is PutAsync under a context: admission respects the
+// deadline, and a request that expires while queued is shed — cb then
+// receives kv.ErrDeadlineExceeded.
+func (s *Store) PutAsyncCtx(ctx context.Context, key, value []byte, cb func(error)) error {
+	return s.writeOne(ctx, kv.BatchOp{Kind: kv.OpPut, Key: key, Value: value}, cb)
+}
+
+// DeleteAsync is the asynchronous deletion interface.
+func (s *Store) DeleteAsync(key []byte, cb func(error)) error {
+	return s.DeleteAsyncCtx(nil, key, cb)
+}
+
+// DeleteAsyncCtx is DeleteAsync under a context.
+func (s *Store) DeleteAsyncCtx(ctx context.Context, key []byte, cb func(error)) error {
+	return s.writeOne(ctx, kv.BatchOp{Kind: kv.OpDelete, Key: key}, cb)
+}
+
+// Get implements kv.Engine.
+func (s *Store) Get(key []byte) ([]byte, error) {
+	return s.GetCtx(nil, key)
+}
+
+// newRead is the first half of the one hot-cache read-through. A hit
+// (positive or negative) is served right here, on the submitter's
+// goroutine — no queue admission, no worker round-trip — and r is nil. A
+// miss returns the read request, carrying the key's invalidation watermark
+// snapshotted before the read can be submitted.
+func (s *Store) newRead(key []byte) (r *request, val []byte, err error) {
+	if v, neg, ok := s.cache.Get(key); ok {
+		if neg {
+			return nil, nil, kv.ErrNotFound
+		}
+		return nil, v, nil
+	}
+	return &request{typ: reqRead, key: key, ticket: s.cache.Snapshot(key)}, nil, nil
+}
+
+// readResult is the second half, for a read the worker completed without
+// error: it fills the cache — only if no write bumped the watermark since
+// newRead — and maps an absent key to kv.ErrNotFound.
+func (s *Store) readResult(r *request) ([]byte, error) {
+	s.cache.Fill(r.key, r.val, !r.found, r.ticket)
+	if !r.found {
+		return nil, kv.ErrNotFound
+	}
+	return r.val, nil
+}
+
+// GetCtx is Get bounded by a context, read through the hot-key cache
+// (newRead / readResult) when one is enabled.
+func (s *Store) GetCtx(ctx context.Context, key []byte) ([]byte, error) {
+	r, v, err := s.newRead(key)
+	if r == nil {
+		return v, err
+	}
+	r.done = make(chan struct{})
+	if err := s.submit(ctx, key, r); err != nil {
+		return nil, err
+	}
+	return s.readResult(r)
+}
+
+// GetAsync is the asynchronous read interface; cb receives the value (nil
+// when absent along with kv.ErrNotFound).
+func (s *Store) GetAsync(key []byte, cb func([]byte, error)) error {
+	return s.GetAsyncCtx(nil, key, cb)
+}
+
+// GetAsyncCtx is GetAsync under a context. A hot-cache hit runs cb
+// synchronously, before GetAsyncCtx returns — the read never enters a
+// queue.
+func (s *Store) GetAsyncCtx(ctx context.Context, key []byte, cb func([]byte, error)) error {
+	r, v, err := s.newRead(key)
+	if r == nil {
+		cb(v, err)
+		return nil
+	}
+	r.callback = func(err error) {
+		if err != nil {
+			cb(nil, err)
+			return
+		}
+		cb(s.readResult(r))
+	}
+	return s.submit(ctx, key, r)
+}
+
+// MultiGet resolves several keys in one call: keys are grouped per
+// worker, each group travels as read requests that OBM merges into the
+// engine's multiget, and results return positionally (nil = not found).
+// This is the application-facing face of the paper's read batching — a
+// caller with a natural read batch gets the Figure 10b path
+// deterministically instead of opportunistically.
+func (s *Store) MultiGet(keys [][]byte) ([][]byte, error) {
+	return s.MultiGetCtx(nil, keys)
+}
+
+// MultiGetCtx is MultiGet bounded by one shared context: every per-worker
+// read leg carries the same deadline. Hot-cache hits (positive and
+// negative) are resolved up front without admission; only the misses
+// travel as read legs. The first admission failure short-circuits the
+// remaining legs — a rejected multiget must not keep pushing work at
+// queues that are already refusing it. All legs are admitted under one
+// routing read lock, so every leg of one multiget observes the same ring
+// generation.
+func (s *Store) MultiGetCtx(ctx context.Context, keys [][]byte) ([][]byte, error) {
+	if s.closed.Load() {
+		return nil, kv.ErrClosed
+	}
+	out := make([][]byte, len(keys))
+	reqs := make([]*request, len(keys))
+	legs := newFanIn()
+	fin := legs.finish
+	s.routeMu.RLock()
+	rt := s.route.Load()
+	for i, k := range keys {
+		r, v, _ := s.newRead(k)
+		if r == nil {
+			out[i] = v // a negative hit leaves nil = not found
+			continue
+		}
+		reqs[i], r.callback = r, fin
+		legs.add()
+		if err := s.admit(ctx, rt.pick(k), r); err != nil {
+			fin(err)
+			break // short-circuit: don't amplify overload with more legs
+		}
+	}
+	s.routeMu.RUnlock()
+	if err := legs.wait(ctx); err != nil {
+		return nil, err
+	}
+	for i, r := range reqs {
+		if r != nil {
+			out[i], _ = s.readResult(r)
+		}
+	}
+	return out, nil
+}
+
+// Write implements kv.BatchWriter. A batch confined to one partition
+// commits directly on that instance. A batch spanning partitions becomes
+// a GSN transaction (§4.5): begin is persisted, the split WriteBatches
+// carry the same GSN into each instance's WAL and are excluded from OBM
+// merging, and commit is persisted once every instance acknowledges. A
+// crash between begin and commit rolls the pieces back at recovery.
+func (s *Store) Write(b *kv.Batch) error {
+	return s.WriteCtx(nil, b)
+}
+
+// WriteCtx is Write bounded by one context shared by every transaction
+// leg: either all legs are admitted under the same deadline or the batch
+// fails before the transaction begins; a deadline that fires mid-flight
+// leaves the transaction uncommitted, and recovery rolls it back exactly
+// like any other failed leg.
+func (s *Store) WriteCtx(ctx context.Context, b *kv.Batch) error {
+	if b.Len() == 0 {
+		return nil
+	}
+	commit, err := s.write(ctx, b, false)
+	if err != nil || commit == nil {
+		return err
+	}
+	return commit()
+}
+
+// WritePrepared applies the batch like Write but separates the two
+// transaction phases: it returns once every instance has durably applied
+// its WriteBatch under a fresh GSN, leaving the caller to invoke commit.
+// A crash before commit rolls the whole transaction back at recovery on
+// every instance (Figure 11) — which is also what makes this the hook
+// for layering higher isolation levels, the extension §4.5 sketches.
+// Note that an online reshard's cutover waits for prepared transactions
+// to settle, so a commit closure held open for long stalls (and
+// eventually fails) a concurrent Reshard.
+func (s *Store) WritePrepared(b *kv.Batch) (commit func() error, err error) {
+	if b.Len() == 0 {
+		return func() error { return nil }, nil
+	}
+	return s.write(nil, b, true)
+}
+
+// write splits, health-checks and admits b under one routing read lock:
+// every leg targets the owner of its keys under a single ring generation,
+// and a reshard cutover cannot slip between the split and the enqueues. A
+// batch confined to one partition commits directly on that instance and
+// returns a nil commit — unless the caller asked for the prepared form,
+// which is a GSN transaction however many legs it has.
+func (s *Store) write(ctx context.Context, b *kv.Batch, prepared bool) (commit func() error, err error) {
+	ctx = liveCtx(ctx)
+	s.routeMu.RLock()
+	subs := s.route.Load().split(b.Ops())
+	if len(subs) == 1 && !prepared {
+		for w, ops := range subs {
+			return nil, s.writeTo(ctx, w, ops, nil)
+		}
+	}
+	if s.txn == nil {
+		s.routeMu.RUnlock()
+		return nil, errors.New("core: cross-partition batch requires Options.TxnFS for atomicity")
+	}
+	// Fail fast before persisting the transaction begin: a degraded shard
+	// cannot apply its piece (and an already-dead context never will), so
+	// the whole transaction would only be rolled back at recovery anyway.
+	for w := range subs {
+		if err := s.writeAdmitErr(w); err != nil {
+			s.routeMu.RUnlock()
+			return nil, err
+		}
+	}
+	if ctx != nil {
+		if err := ctx.Err(); err != nil {
+			s.routeMu.RUnlock()
+			return nil, ctxError(err)
+		}
+	}
+	gsn := s.gsn.Add(1)
+	if err := s.txn.begin(gsn); err != nil {
+		s.routeMu.RUnlock()
+		return nil, err
+	}
+	s.preparedTxns.Add(1)
+	var settleOnce sync.Once
+	settle := func() { settleOnce.Do(func() { s.preparedTxns.Add(-1) }) }
+	legs := newFanIn()
+	fin := legs.finish
+	for w, ops := range subs {
+		legs.add()
+		// Every leg shares ctx, so all legs observe one deadline.
+		r := &request{typ: reqWrite, ops: ops, gsn: gsn, noMerge: true, callback: fin}
+		if err := s.admit(ctx, w, r); err != nil {
+			fin(err)
+		}
+	}
+	s.routeMu.RUnlock()
+	if err := legs.wait(ctx); err != nil {
+		// A leg failed, or the deadline fired mid-transaction: leave it
+		// uncommitted, recovery rolls every applied leg back on every
+		// instance.
+		s.txn.abandon(gsn)
+		settle()
+		return nil, err
+	}
+	return func() error {
+		defer settle()
+		return s.txn.commit(gsn)
+	}, nil
+}
+
+// ---------------------------------------------------------------------------
+// Range queries (§4.4)
+// ---------------------------------------------------------------------------
+
+// Pair is a key/value result.
+type Pair struct {
+	Key   []byte
+	Value []byte
+}
+
+// scanFan admits one copy of leg per worker under a single routing read
+// lock, then waits for the legs with the lock released. On elastic
+// stores each leg carries an ownership filter for the captured ring
+// generation: during a reshard (and until its cleanup finishes) a
+// worker's engine may hold keys it does not own — stale moved ranges on
+// old owners, bulk-copied pairs on new ones — and exactly one leg owns
+// each key, so the union is exact with no duplicates or phantoms.
+func (s *Store) scanFan(ctx context.Context, leg request) ([]Pair, error) {
+	fan := newFanIn()
+	leg.callback = fan.finish
+	s.routeMu.RLock()
+	rt := s.route.Load()
+	legs := make([]request, len(rt.workers))
+	for i, w := range rt.workers {
+		r := &legs[i]
+		*r = leg
+		if s.ring != nil {
+			r.scanPart, r.scanSelf = rt.part, i
+		}
+		fan.add()
+		if err := s.admit(ctx, w, r); err != nil {
+			fan.finish(err)
+		}
+	}
+	s.routeMu.RUnlock()
+	if err := fan.wait(ctx); err != nil {
+		return nil, err
+	}
+	var all []Pair
+	for i := range legs {
+		all = append(all, legs[i].scanOut...)
+	}
+	sort.Slice(all, func(i, j int) bool { return bytes.Compare(all[i].Key, all[j].Key) < 0 })
+	return all, nil
+}
+
+// Range reads every live pair with begin <= key <= end. The request is
+// forked into per-instance sub-RANGEs executed in parallel and merged —
+// no extra reads, since partitions are disjoint.
+func (s *Store) Range(begin, end []byte) ([]Pair, error) {
+	return s.RangeCtx(nil, begin, end)
+}
+
+// RangeCtx is Range bounded by one context shared by every sub-RANGE leg.
+func (s *Store) RangeCtx(ctx context.Context, begin, end []byte) ([]Pair, error) {
+	return s.scanFan(ctx, request{typ: reqScan, scanStart: begin, scanEnd: end, scanLimit: math.MaxInt})
+}
+
+// Scan reads up to n pairs with key >= start. Under ScanParallel every
+// instance scans n pairs and the union is filtered (extra reads traded
+// for parallelism, §4.4); under ScanMerged a global merged iterator reads
+// exactly n pairs serially.
+func (s *Store) Scan(start []byte, n int) ([]Pair, error) {
+	return s.ScanCtx(nil, start, n)
+}
+
+// ScanCtx is Scan bounded by one context shared by every scan leg.
+func (s *Store) ScanCtx(ctx context.Context, start []byte, n int) ([]Pair, error) {
+	if n <= 0 {
+		return nil, nil
+	}
+	if s.opts.Scan == ScanMerged {
+		return s.scanMerged(ctx, start, n)
+	}
+	all, err := s.scanFan(ctx, request{typ: reqScan, scanStart: start, scanLimit: n})
+	if err != nil {
+		return nil, err
+	}
+	if len(all) > n {
+		all = all[:n]
+	}
+	return all, nil
+}
+
+// scanMerged runs the scan on the caller's goroutine over the global merged
+// iterator; like a ScanParallel leg, it ends with kv.ErrDeadlineExceeded
+// when ctx does.
+func (s *Store) scanMerged(ctx context.Context, start []byte, n int) ([]Pair, error) {
+	it, err := s.NewIterator()
+	if err != nil {
+		return nil, err
+	}
+	defer it.Close()
+	r := request{scanStart: start, scanLimit: n, ctx: liveCtx(ctx)}
+	err = r.scan(it)
+	return r.scanOut, err
+}
+
+// NewIterator implements kv.Engine with a global merged iterator over the
+// per-instance iterators — the RocksDB-MergeIterator-style construction
+// from §4.4. It bypasses the worker queues (engines are thread-safe and
+// iterators snapshot). On elastic stores the merged view filters each
+// child by key ownership under the captured ring generation, so stale
+// moved ranges awaiting cleanup (or mid-copy duplicates) are never
+// yielded; children are created under the routing read lock so the
+// worker set cannot be retired mid-construction.
+func (s *Store) NewIterator() (kv.Iterator, error) {
+	if s.closed.Load() {
+		return nil, kv.ErrClosed
+	}
+	s.routeMu.RLock()
+	rt := s.route.Load()
+	children := make([]kv.Iterator, 0, len(rt.workers))
+	for _, w := range rt.workers {
+		it, err := w.engine.NewIterator()
+		if err != nil {
+			s.routeMu.RUnlock()
+			for _, c := range children {
+				c.Close()
+			}
+			return nil, err
+		}
+		children = append(children, it)
+	}
+	s.routeMu.RUnlock()
+	m := &mergedIter{children: children}
+	if s.ring != nil {
+		m.part = rt.part
+	}
+	return m, nil
+}
+
+// ---------------------------------------------------------------------------
+// Merged iterator
+// ---------------------------------------------------------------------------
+
+type mergedIter struct {
+	children []kv.Iterator
+	cur      int // index of child with the smallest key, -1 when invalid
+	err      error
+	// part, when non-nil, filters child i to the keys it owns under the
+	// routing generation the iterator was created against (elastic
+	// stores only): a stale copy of a moved key on its old owner must
+	// not shadow — or duplicate — the authoritative copy. In steady
+	// state no child holds foreign keys and the filter never skips.
+	part keyspace.Partitioner
+}
+
+// skipForeign advances each child past keys it does not own.
+func (m *mergedIter) skipForeign() {
+	if m.part == nil {
+		return
+	}
+	for i, c := range m.children {
+		for c.Valid() && m.part.Pick(c.Key()) != i {
+			c.Next()
+		}
+	}
+}
+
+func (m *mergedIter) refresh() {
+	m.skipForeign()
+	m.cur = -1
+	for i, c := range m.children {
+		if err := c.Error(); err != nil && m.err == nil {
+			m.err = err
+		}
+		if !c.Valid() {
+			continue
+		}
+		if m.cur < 0 || bytes.Compare(c.Key(), m.children[m.cur].Key()) < 0 {
+			m.cur = i
+		}
+	}
+}
+
+func (m *mergedIter) SeekToFirst() {
+	for _, c := range m.children {
+		c.SeekToFirst()
+	}
+	m.refresh()
+}
+
+func (m *mergedIter) Seek(target []byte) {
+	for _, c := range m.children {
+		c.Seek(target)
+	}
+	m.refresh()
+}
+
+func (m *mergedIter) Next() {
+	if m.cur < 0 {
+		return
+	}
+	m.children[m.cur].Next()
+	m.refresh()
+}
+
+func (m *mergedIter) Valid() bool   { return m.err == nil && m.cur >= 0 }
+func (m *mergedIter) Key() []byte   { return m.children[m.cur].Key() }
+func (m *mergedIter) Value() []byte { return m.children[m.cur].Value() }
+func (m *mergedIter) Error() error  { return m.err }
+
+func (m *mergedIter) Close() error {
+	var first error
+	for _, c := range m.children {
+		if err := c.Close(); err != nil && first == nil {
+			first = err
+		}
+	}
+	return first
+}

@@ -32,13 +32,17 @@ const (
 // request is one unit of work in a worker queue.
 type request struct {
 	typ reqType
-
-	// Write-type payload: one or more ops (a user WriteBatch keeps its
-	// ops together in a single request).
-	batch batchRef
-	gsn   uint64
 	// noMerge excludes this request from OBM (transaction legs, §4.5).
 	noMerge bool
+
+	// Write-type payload: one or more ops (a user WriteBatch keeps its
+	// ops together in a single request). This is the one representation a
+	// write has above the engine: the worker hands this slice (or, for a
+	// merged run, one concatenation of them) to the engine batch, the
+	// replication backlog, the reshard mirror and the hot-cache
+	// invalidation alike.
+	ops []kv.BatchOp
+	gsn uint64
 	// streamGSN, when non-zero, marks a replicated record being applied on
 	// a replica: the worker ships it to its own backlog under this
 	// primary-assigned GSN instead of allocating a fresh one. Always
@@ -60,8 +64,10 @@ type request struct {
 	copyFloor uint64
 	copySkip  *atomic.Int64
 
-	// Read-type payload.
-	key []byte
+	// Read-type payload. ticket is the key's hot-cache invalidation
+	// watermark, snapshotted before the read was submitted (Store.newRead).
+	key    []byte
+	ticket uint64
 
 	// Scan payload. scanEnd, when non-nil, bounds a RANGE leg
 	// (inclusive); scanLimit bounds a SCAN leg. scanPart, when non-nil,
@@ -78,7 +84,7 @@ type request struct {
 	val     []byte
 	found   bool
 	err     error
-	scanOut [][2][]byte
+	scanOut []Pair
 
 	// Completion: exactly one of done / callback is set. The sync path
 	// blocks on done (the paper's "suspends itself without further CPU
@@ -87,12 +93,12 @@ type request struct {
 	done     chan struct{}
 	callback func(err error)
 
-	// Barrier payload (reqBarrier, always noMerge). The worker signals
-	// barrierReady when it reaches the request — every operation enqueued
-	// before the barrier has been applied — then parks until
-	// barrierRelease closes. While all workers are parked the store is at
-	// a cross-instance GSN watermark the checkpoint can capture.
-	barrierReady   *sync.WaitGroup
+	// Barrier payload (reqBarrier, always noMerge). The worker finishes
+	// its leg of barrierReady when it reaches the request — every
+	// operation enqueued before the barrier has been applied — then parks
+	// until barrierRelease closes. While all workers are parked the store
+	// is at a cross-instance GSN watermark the checkpoint can capture.
+	barrierReady   *fanIn
 	barrierRelease chan struct{}
 
 	// ctx, when non-nil, carries the request deadline. It is set only
@@ -102,18 +108,6 @@ type request struct {
 	ctx context.Context
 
 	enqueuedAt time.Time
-}
-
-// batchRef is the write payload; ops mirror kv.BatchOp semantics but stay
-// a private flat struct (worker.go converts to kv.Batch when committing).
-type batchRef struct {
-	ops []wop
-}
-
-type wop struct {
-	del   bool
-	key   []byte
-	value []byte
 }
 
 func (r *request) complete(err error) {
@@ -182,15 +176,8 @@ func (q *reqQueue) wakeSpaceLocked() {
 	q.spaceWaiters = q.spaceWaiters[:0]
 }
 
-// push enqueues, blocking while the queue is full (backpressure for the
-// async interface). Returns false if the queue is closed. This is the
-// historical AdmitBlock fast path; pushWait adds cancellation.
-func (q *reqQueue) push(r *request) bool {
-	return q.pushWait(nil, r) == nil
-}
-
-// pushWait enqueues, blocking while the queue is full. A nil done waits
-// indefinitely (exact push semantics); otherwise the wait aborts with
+// pushWait enqueues, blocking while the queue is full (backpressure). A
+// nil done waits indefinitely; otherwise the wait aborts with
 // kv.ErrDeadlineExceeded when done fires. Returns kv.ErrClosed if the
 // queue is closed before the request lands.
 func (q *reqQueue) pushWait(done <-chan struct{}, r *request) error {

@@ -30,7 +30,7 @@ func TestQueueConcurrentPushPop(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perProducer; i++ {
 				r := &request{typ: reqWrite, key: []byte(fmt.Sprintf("%d-%d", p, i))}
-				if !q.push(r) {
+				if q.pushWait(nil, r) != nil {
 					t.Errorf("push failed on open queue")
 					return
 				}
@@ -66,12 +66,12 @@ func TestQueueConcurrentPushPop(t *testing.T) {
 // must wake (and fail) when the queue closes, not hang forever.
 func TestQueueBlockedPushWakesOnClose(t *testing.T) {
 	q := newReqQueue(1)
-	if !q.push(&request{typ: reqWrite}) {
+	if q.pushWait(nil, &request{typ: reqWrite}) != nil {
 		t.Fatal("first push must succeed")
 	}
 	result := make(chan bool, 1)
 	go func() {
-		result <- q.push(&request{typ: reqWrite}) // blocks: queue full
+		result <- q.pushWait(nil, &request{typ: reqWrite}) == nil // blocks: queue full
 	}()
 	// Give the producer time to actually block, then close.
 	time.Sleep(10 * time.Millisecond)
@@ -91,7 +91,7 @@ func TestQueueBlockedPushWakesOnClose(t *testing.T) {
 // abandoned waiter must not leak (a later pop must not panic or hang).
 func TestQueueBlockedPushWakesOnCtx(t *testing.T) {
 	q := newReqQueue(1)
-	q.push(&request{typ: reqWrite})
+	q.pushWait(nil, &request{typ: reqWrite})
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
 	errCh := make(chan error, 1)
@@ -141,7 +141,7 @@ func TestQueueCompact(t *testing.T) {
 	const total = 200
 	q := newReqQueue(total + 64)
 	for i := 0; i < total; i++ {
-		q.push(&request{typ: reqWrite, key: []byte(fmt.Sprintf("k-%04d", i))})
+		q.pushWait(nil, &request{typ: reqWrite, key: []byte(fmt.Sprintf("k-%04d", i))})
 	}
 	// Pop the first 100 one at a time (OBM off): head passes 64 and
 	// head*2 >= len(items), which must trigger compact().
@@ -156,7 +156,7 @@ func TestQueueCompact(t *testing.T) {
 	}
 	// Interleave new pushes with the compacted remainder; order must hold.
 	for i := total; i < total+20; i++ {
-		q.push(&request{typ: reqWrite, key: []byte(fmt.Sprintf("k-%04d", i))})
+		q.pushWait(nil, &request{typ: reqWrite, key: []byte(fmt.Sprintf("k-%04d", i))})
 	}
 	for i := 100; i < total+20; i++ {
 		batch, _ := q.popBatch(false, 1)
@@ -186,11 +186,11 @@ func TestQueueShedsExpired(t *testing.T) {
 		}
 		return r
 	}
-	q.push(mk(dead, "h1"))  // expired at head
-	q.push(mk(dead, "h2"))  // expired at head
-	q.push(mk(live, "a"))   // live batch
-	q.push(mk(dead, "mid")) // expired mid-batch
-	q.push(mk(live, "b"))
+	q.pushWait(nil, mk(dead, "h1"))  // expired at head
+	q.pushWait(nil, mk(dead, "h2"))  // expired at head
+	q.pushWait(nil, mk(live, "a"))   // live batch
+	q.pushWait(nil, mk(dead, "mid")) // expired mid-batch
+	q.pushWait(nil, mk(live, "b"))
 
 	batch, expired := q.popBatch(true, 32)
 	if len(expired) != 3 {
@@ -202,7 +202,7 @@ func TestQueueShedsExpired(t *testing.T) {
 	// A queue holding only expired work returns (nil, expired) and the
 	// next call blocks for live work rather than spinning; verify via
 	// close.
-	q.push(mk(dead, "only"))
+	q.pushWait(nil, mk(dead, "only"))
 	batch, expired = q.popBatch(true, 32)
 	if batch != nil || len(expired) != 1 {
 		t.Fatalf("expired-only pop = %v / %v", batch, expired)
@@ -216,8 +216,8 @@ func TestQueueShedsExpired(t *testing.T) {
 // TestQueueDrain: drain empties the queue and frees blocked producers.
 func TestQueueDrain(t *testing.T) {
 	q := newReqQueue(2)
-	q.push(&request{typ: reqWrite, key: []byte("a")})
-	q.push(&request{typ: reqWrite, key: []byte("b")})
+	q.pushWait(nil, &request{typ: reqWrite, key: []byte("a")})
+	q.pushWait(nil, &request{typ: reqWrite, key: []byte("b")})
 	q.close()
 	got := q.drain()
 	if len(got) != 2 || string(got[0].key) != "a" || string(got[1].key) != "b" {

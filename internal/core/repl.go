@@ -17,9 +17,9 @@ import (
 
 // ApplyRepl applies one replicated record — worker's write batch under
 // the GSN the primary's worker assigned — and waits for the engine to
-// acknowledge it. It bypasses admission control the same way checkpoint
-// barriers do (replicated writes are never load-shed or rejected; a full
-// queue simply backpressures the stream), and it never tags the engine's
+// acknowledge it. It is control-plane work (worker.do: replicated writes
+// are never load-shed or rejected; a full queue simply backpressures the
+// stream), and it never tags the engine's
 // WAL record with the GSN — stream GSNs live in the replication layer,
 // engine-level GSN tagging stays reserved for transaction legs.
 //
@@ -43,23 +43,10 @@ func (s *Store) ApplyRepl(worker int, gsn uint64, ops []kv.BatchOp) error {
 			break
 		}
 	}
-	w := workers[worker]
-	wops := make([]wop, len(ops))
-	for i, op := range ops {
-		wops[i] = wop{del: op.Kind == kv.OpDelete, key: op.Key, value: op.Value}
-	}
-	r := &request{
-		typ:       reqWrite,
-		batch:     batchRef{ops: wops},
-		streamGSN: gsn,
-		noMerge:   true,
-		done:      make(chan struct{}),
-	}
-	if err := w.q.pushWait(nil, r); err != nil {
-		return err
-	}
-	<-r.done
-	return r.err
+	// ops may alias the decoder's frame buffer: do returns only after the
+	// worker applied them, and everything downstream that outlives the
+	// apply (backlog, mirror, engine) copies.
+	return workers[worker].do(&request{typ: reqWrite, ops: ops, streamGSN: gsn, noMerge: true})
 }
 
 // ReplLog exposes the store's replication backlog (nil when replication

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"sync"
 	"time"
 
 	"p2kvs/internal/keyspace"
@@ -126,7 +125,7 @@ func (s *Store) Elastic() bool {
 // pauses bounded by Options.CutoverBudget per cutover attempt. Reshard
 // calls serialize; a failed run aborts back to the old shape.
 func (s *Store) Reshard(ctx context.Context, newN int) error {
-	if s.ring == nil || s.txn == nil || s.opts.ReplLog != nil || s.opts.InstanceReset == nil {
+	if !s.Elastic() {
 		return ErrReshardUnsupported
 	}
 	if newN < 1 {
@@ -155,34 +154,25 @@ func (s *Store) Reshard(ctx context.Context, newN int) error {
 	plan := keyspace.NewMovedSet(moved)
 
 	var added []*worker
-	if newN > oldN {
-		for id := oldN; id < newN; id++ {
-			// Wipe first: a crashed earlier attempt may have left a
-			// partial copy in this instance directory.
-			if err := s.opts.InstanceReset(id); err != nil {
-				return s.abortReshard(nil, added, oldRT, newN, fmt.Errorf("core: resetting instance %d: %w", id, err))
-			}
-			engine, err := s.opts.EngineFactory(id, nil)
-			if err != nil {
-				return s.abortReshard(nil, added, oldRT, newN, fmt.Errorf("core: opening instance %d: %w", id, err))
-			}
-			w := newWorker(id, engine, s.opts)
-			w.gsnSrc = &s.gsn
-			w.txn = s.txn
-			w.cache = s.cache
-			w.resh = &s.resh
-			w.start()
-			added = append(added, w)
+	for id := oldN; id < newN; id++ { // a grow
+		// Wipe first: a crashed earlier attempt may have left a partial
+		// copy in this instance directory.
+		if err := s.opts.InstanceReset(id); err != nil {
+			return s.abortReshard(nil, added, oldRT, newN, fmt.Errorf("core: resetting instance %d: %w", id, err))
 		}
+		engine, err := s.opts.EngineFactory(id, nil)
+		if err != nil {
+			return s.abortReshard(nil, added, oldRT, newN, fmt.Errorf("core: opening instance %d: %w", id, err))
+		}
+		w := s.newWorker(id, engine)
+		w.start()
+		added = append(added, w)
 	}
-	var newWorkers []*worker
-	if newN > oldN {
-		newWorkers = append(append([]*worker{}, oldRT.workers...), added...)
-	} else {
-		newWorkers = append([]*worker{}, oldRT.workers[:newN]...)
+	newWorkers := append(append([]*worker{}, oldRT.workers[:min(oldN, newN)]...), added...)
+	if newN < oldN {
 		// The shrink-side equivalent of the grow's InstanceReset: a
 		// survivor must enter the run holding nothing foreign.
-		if err := s.purgeForeign(newWorkers, oldC); err != nil {
+		if err := purgeForeign(newWorkers, oldC); err != nil {
 			return s.abortReshard(nil, added, oldRT, newN, fmt.Errorf("core: purging stale leftovers before shrink: %w", err))
 		}
 	}
@@ -265,15 +255,9 @@ func (s *Store) Reshard(ctx context.Context, newN int) error {
 	// serving.
 	s.tracker.SetState(reshard.StateCleanup)
 	if newN > oldN {
-		for _, w := range sources {
-			keys, _, cerr := collectForeign(w, newC, w.id)
-			if cerr == nil {
-				cerr = s.deleteKeysQueued(w, keys)
-			}
-			if cerr != nil && !s.closed.Load() {
-				s.tracker.Fail(fmt.Errorf("core: reshard cleanup on worker %d: %w", w.id, cerr))
-				return fmt.Errorf("core: reshard committed but cleanup failed (reopen to finish): %w", cerr)
-			}
+		if cerr := purgeForeign(sources, newC); cerr != nil && !s.closed.Load() {
+			s.tracker.Fail(fmt.Errorf("core: reshard cleanup on %w", cerr))
+			return fmt.Errorf("core: reshard committed but cleanup failed (reopen to finish): %w", cerr)
 		}
 	} else {
 		// Retired workers stop serving but keep their engines open:
@@ -397,39 +381,37 @@ func (s *Store) tryCutover(run *reshardRun, sources, newWorkers []*worker, newC 
 	return true, barrierNs, nil
 }
 
-// barrierWorkers pushes a barrier to every listed worker and waits for
-// all of them to park. timeout, when non-nil, bounds both the queue-space
-// wait and the park wait; a miss returns errBarrierTimeout with every
-// already-pushed barrier released. On success the workers are parked and
-// the caller owns the returned release channel.
+// barrierWorkers pushes a barrier to every listed worker — past admission
+// control: a barrier must land even on a saturated queue, and it waits
+// behind the queued work it fences — and waits for all of them to park.
+// It is the one barrier, shared by checkpoints (every worker, no timeout)
+// and reshard (the source workers). timeout, when non-nil, bounds both the
+// queue-space wait and the park wait; a miss returns errBarrierTimeout
+// with every already-pushed barrier released. On success the workers are
+// parked and the caller owns the returned release channel.
 func barrierWorkers(workers []*worker, timeout <-chan struct{}) (release chan struct{}, err error) {
 	release = make(chan struct{})
-	var ready sync.WaitGroup
+	parked := newFanIn()
 	for _, w := range workers {
+		parked.add()
 		r := &request{
 			typ:            reqBarrier,
 			noMerge:        true,
-			barrierReady:   &ready,
+			barrierReady:   parked,
 			barrierRelease: release,
 			done:           make(chan struct{}),
 		}
-		ready.Add(1)
 		if perr := w.q.pushWait(timeout, r); perr != nil {
-			ready.Done()
 			close(release)
 			if errors.Is(perr, kv.ErrDeadlineExceeded) {
 				return nil, errBarrierTimeout
 			}
-			return nil, perr
+			return nil, fmt.Errorf("worker %d: %w", w.id, perr)
 		}
 	}
-	parked := make(chan struct{})
-	go func() {
-		ready.Wait()
-		close(parked)
-	}()
+	parked.finish(nil) // the coordinator's own count
 	select {
-	case <-parked:
+	case <-parked.done:
 		return release, nil
 	case <-timeout:
 		close(release)
@@ -443,7 +425,7 @@ func barrierWorkers(workers []*worker, timeout <-chan struct{}) (release chan st
 func (s *Store) copyMoved(ctx context.Context, run *reshardRun, sources []*worker, its []kv.Iterator) error {
 	ctx = liveCtx(ctx)
 	for si, src := range sources {
-		pending := make(map[int][]wop)
+		pending := make(map[int][]kv.BatchOp)
 		flush := func(to int) error {
 			ops := pending[to]
 			if len(ops) == 0 {
@@ -463,22 +445,17 @@ func (s *Store) copyMoved(ctx context.Context, run *reshardRun, sources []*worke
 			}
 			var bytes int64
 			for _, op := range ops {
-				bytes += int64(len(op.key) + len(op.value))
+				bytes += int64(len(op.Key) + len(op.Value))
 			}
-			r := &request{
+			err := run.targets[to].do(&request{
 				typ:       reqWrite,
-				batch:     batchRef{ops: ops},
+				ops:       ops,
 				copySeen:  run.seen,
 				copyFloor: run.floor,
 				copySkip:  s.tracker.SkippedStale(),
-				done:      make(chan struct{}),
-			}
-			if err := run.targets[to].q.pushWait(nil, r); err != nil {
+			})
+			if err != nil {
 				return fmt.Errorf("core: reshard copy to worker %d: %w", to, err)
-			}
-			<-r.done
-			if r.err != nil {
-				return fmt.Errorf("core: reshard copy apply on worker %d: %w", to, r.err)
 			}
 			s.tracker.AddMoved(int64(len(ops)), bytes)
 			return nil
@@ -492,11 +469,11 @@ func (s *Store) copyMoved(ctx context.Context, run *reshardRun, sources []*worke
 			if !ok || mr.From != src.id {
 				continue
 			}
-			op := wop{
-				key:   append([]byte(nil), it.Key()...),
-				value: append([]byte(nil), it.Value()...),
-			}
-			pending[mr.To] = append(pending[mr.To], op)
+			pending[mr.To] = append(pending[mr.To], kv.BatchOp{
+				Kind:  kv.OpPut,
+				Key:   append([]byte(nil), it.Key()...),
+				Value: append([]byte(nil), it.Value()...),
+			})
 			if len(pending[mr.To]) >= copyBatchSize {
 				if err := flush(mr.To); err != nil {
 					return err
@@ -537,19 +514,27 @@ func (s *Store) abortReshard(run *reshardRun, added []*worker, oldRT *routing, n
 		// removal — leftovers are invisible (scans and iterators filter
 		// by ownership) and the next shrink's prepare purges them before
 		// it copies anything.
-		_ = s.purgeForeign(oldRT.workers[:newN], oldRT.part)
+		_ = purgeForeign(oldRT.workers[:newN], oldRT.part)
 	}
 	s.tracker.Abort(cause)
 	return cause
 }
 
-// purgeForeign deletes, through each worker's queue, every key part does
-// not assign to that worker.
-func (s *Store) purgeForeign(workers []*worker, part keyspace.Partitioner) error {
+// purgeForeign deletes every key part does not assign to the worker whose
+// engine holds it, in copyBatchSize batches through that worker's queue —
+// ordered with concurrent writes and invalidating the hot cache like any
+// other write.
+func purgeForeign(workers []*worker, part keyspace.Partitioner) error {
 	for _, w := range workers {
-		keys, _, err := collectForeign(w, part, w.id)
-		if err == nil {
-			err = s.deleteKeysQueued(w, keys)
+		keys, err := foreignKeys(w, part)
+		for err == nil && len(keys) > 0 {
+			n := min(copyBatchSize, len(keys))
+			ops := make([]kv.BatchOp, n)
+			for i, k := range keys[:n] {
+				ops[i] = kv.BatchOp{Kind: kv.OpDelete, Key: k}
+			}
+			keys = keys[n:]
+			err = w.do(&request{typ: reqWrite, ops: ops})
 		}
 		if err != nil {
 			return fmt.Errorf("worker %d: %w", w.id, err)
@@ -558,91 +543,19 @@ func (s *Store) purgeForeign(workers []*worker, part keyspace.Partitioner) error
 	return nil
 }
 
-// collectForeign returns (deep-copied) keys in w's engine that partition
-// part does not assign to worker self, with their total byte volume.
-func collectForeign(w *worker, part keyspace.Partitioner, self int) ([][]byte, int64, error) {
+// foreignKeys returns (deep-copied) the keys in w's engine that part does
+// not assign to w.
+func foreignKeys(w *worker, part keyspace.Partitioner) ([][]byte, error) {
 	it, err := w.engine.NewIterator()
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	defer it.Close()
 	var keys [][]byte
-	var bytes int64
 	for it.SeekToFirst(); it.Valid(); it.Next() {
-		if part.Pick(it.Key()) != self {
-			keys = append(keys, append([]byte(nil), it.Key()...))
-			bytes += int64(len(it.Key()) + len(it.Value()))
-		}
-	}
-	return keys, bytes, it.Error()
-}
-
-// deleteKeysQueued deletes keys from w in copyBatchSize batches pushed
-// through its request queue — ordered with concurrent writes and
-// invalidating the hot cache like any other write.
-func (s *Store) deleteKeysQueued(w *worker, keys [][]byte) error {
-	for len(keys) > 0 {
-		n := min(copyBatchSize, len(keys))
-		ops := make([]wop, n)
-		for i, k := range keys[:n] {
-			ops[i] = wop{del: true, key: k}
-		}
-		keys = keys[n:]
-		r := &request{typ: reqWrite, batch: batchRef{ops: ops}, done: make(chan struct{})}
-		if err := w.q.pushWait(nil, r); err != nil {
-			return err
-		}
-		if <-r.done; r.err != nil {
-			return r.err
-		}
-	}
-	return nil
-}
-
-// deleteForeignDirect removes keys partition part does not assign to
-// worker self straight through the engine — the pre-serve path of Open's
-// interrupted-cleanup recovery, before any worker goroutine starts.
-func deleteForeignDirect(engine kv.Engine, part keyspace.Partitioner, self int) (int, error) {
-	it, err := engine.NewIterator()
-	if err != nil {
-		return 0, err
-	}
-	var keys [][]byte
-	for it.SeekToFirst(); it.Valid(); it.Next() {
-		if part.Pick(it.Key()) != self {
+		if part.Pick(it.Key()) != w.id {
 			keys = append(keys, append([]byte(nil), it.Key()...))
 		}
 	}
-	if err := it.Error(); err != nil {
-		it.Close()
-		return 0, err
-	}
-	if err := it.Close(); err != nil {
-		return 0, err
-	}
-	deleted := 0
-	for len(keys) > 0 {
-		n := copyBatchSize
-		if n > len(keys) {
-			n = len(keys)
-		}
-		var b kv.Batch
-		for _, k := range keys[:n] {
-			b.Delete(k)
-		}
-		keys = keys[n:]
-		if bw, ok := engine.(kv.BatchWriter); ok {
-			if err := bw.Write(&b); err != nil {
-				return deleted, err
-			}
-		} else {
-			for _, op := range b.Ops() {
-				if err := engine.Delete(op.Key); err != nil {
-					return deleted, err
-				}
-			}
-		}
-		deleted += n
-	}
-	return deleted, nil
+	return keys, it.Error()
 }

@@ -1,0 +1,223 @@
+package core
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"sync"
+
+	"p2kvs/internal/keyspace"
+	"p2kvs/internal/kv"
+)
+
+// routing is one generation of the store's request routing: the
+// partitioner snapshot and the worker set it maps into, always swapped
+// together in a single atomic pointer so no request can ever combine a
+// new ring's Pick with an old worker slice (or vice versa). For elastic
+// stores part holds a keyspace.Consistent value captured from the Ring,
+// not the Ring itself — the Ring advances at cutover, but a routing
+// generation must stay internally consistent for as long as anything
+// references it.
+type routing struct {
+	part    keyspace.Partitioner
+	workers []*worker
+}
+
+func (rt *routing) pick(key []byte) *worker {
+	return rt.workers[rt.part.Pick(key)]
+}
+
+// split partitions a user batch's ops into per-worker write payloads under
+// this routing generation. The payloads are copies of the op list (not of
+// the key and value bytes): a caller whose deadline fires may reuse its
+// batch while a leg is still queued.
+func (rt *routing) split(ops []kv.BatchOp) map[*worker][]kv.BatchOp {
+	subs := make(map[*worker][]kv.BatchOp)
+	for _, op := range ops {
+		w := rt.pick(op.Key)
+		subs[w] = append(subs[w], op)
+	}
+	return subs
+}
+
+// ---------------------------------------------------------------------------
+// Request lifecycle: admission control + deadline-aware submission
+// ---------------------------------------------------------------------------
+
+// ctxError maps a context termination into the typed request-lifecycle
+// error. The result matches kv.ErrDeadlineExceeded and the context cause
+// (context.DeadlineExceeded / context.Canceled) under errors.Is.
+func ctxError(cause error) error {
+	if cause == nil {
+		return kv.ErrDeadlineExceeded
+	}
+	return fmt.Errorf("%w: %w", kv.ErrDeadlineExceeded, cause)
+}
+
+// liveCtx normalizes a request context: contexts that can never end
+// (context.Background, context.TODO) are dropped so the context-free hot
+// path stays allocation- and check-free.
+func liveCtx(ctx context.Context) context.Context {
+	if ctx == nil || ctx.Done() == nil {
+		return nil
+	}
+	return ctx
+}
+
+// admit runs admission control and enqueues r on w's queue. It is the
+// single gate every data-plane request passes: already-expired contexts
+// fail here (the request never enters the queue), a full queue behaves per
+// Options.Admission, and the request carries its context so the worker
+// can shed it if it expires while queued. Callers route and admit under
+// routeMu.RLock so the enqueue lands on a worker that owns the key under
+// the routing generation it was picked from.
+func (s *Store) admit(ctx context.Context, w *worker, r *request) error {
+	if s.closed.Load() {
+		return kv.ErrClosed
+	}
+	ctx = liveCtx(ctx)
+	var done <-chan struct{}
+	if ctx != nil {
+		if err := ctx.Err(); err != nil {
+			w.expired.Add(1)
+			return ctxError(err)
+		}
+		r.ctx = ctx
+		done = ctx.Done()
+	}
+	// AdmitReject never waits; AdmitWait has no budget to wait with when
+	// the request carries no deadline.
+	noDeadline := s.opts.Admission == AdmitWait && ctx == nil
+	if s.opts.Admission == AdmitReject || noDeadline {
+		err := w.q.tryPush(r)
+		if errors.Is(err, kv.ErrOverloaded) {
+			w.rejected.Add(1)
+			if noDeadline {
+				return fmt.Errorf("core: shard %d: bounded wait requires a deadline: %w", w.id, kv.ErrOverloaded)
+			}
+			return fmt.Errorf("core: shard %d: %w", w.id, kv.ErrOverloaded)
+		}
+		return err
+	}
+	err := w.q.pushWait(done, r)
+	if errors.Is(err, kv.ErrDeadlineExceeded) {
+		w.expired.Add(1)
+		return ctxError(ctx.Err())
+	}
+	return err
+}
+
+// do is the one control-plane submit: it enqueues r on w past admission
+// control and waits for the worker to complete it. Replicated records,
+// reshard copy / mirror / cleanup batches are never load-shed or rejected
+// — a full queue simply backpressures their producer — and they are
+// ordered with concurrent data-plane writes and invalidate the hot cache
+// like any other write, because they travel the same queue.
+func (w *worker) do(r *request) error {
+	r.done = make(chan struct{})
+	if err := w.q.pushWait(nil, r); err != nil {
+		return err
+	}
+	<-r.done
+	return r.err
+}
+
+// waitDone blocks until the worker completes r (admitted via admit, with
+// r.done set). When the request's context ends first, the caller unblocks
+// with kv.ErrDeadlineExceeded and the worker sheds the orphaned request
+// when it reaches it (nobody reads its result).
+func (s *Store) waitDone(w *worker, r *request) error {
+	if r.ctx == nil {
+		<-r.done
+		return r.err
+	}
+	select {
+	case <-r.done:
+		return r.err
+	case <-r.ctx.Done():
+		w.expired.Add(1)
+		return ctxError(r.ctx.Err())
+	}
+}
+
+// submit routes a read by key and admits it under the routing read lock;
+// with r.done set (sync path) it then waits for completion, the lock
+// released.
+func (s *Store) submit(ctx context.Context, key []byte, r *request) error {
+	s.routeMu.RLock()
+	w := s.route.Load().pick(key)
+	err := s.admit(ctx, w, r)
+	s.routeMu.RUnlock()
+	if err != nil || r.done == nil {
+		return err
+	}
+	return s.waitDone(w, r)
+}
+
+// writeAdmitErr fast-fails writes aimed at a degraded shard, translated
+// per admission policy: AdmitReject reports it as overload (the shard
+// cannot absorb the write now) while still matching kv.ErrDegraded.
+func (s *Store) writeAdmitErr(w *worker) error {
+	err := w.degradedErr()
+	if err != nil && s.opts.Admission == AdmitReject {
+		w.rejected.Add(1)
+		return fmt.Errorf("%w: %w", kv.ErrOverloaded, err)
+	}
+	return err
+}
+
+// fanIn is the one completion of a multi-leg operation — a multiget's read
+// legs, a transaction's write legs, a scan's per-worker legs, a barrier's
+// parked workers. It counts legs, keeps the first error and closes done
+// when the last leg finishes; legs report through finish, usually as their
+// request's callback. The submitter holds one count of its own from
+// newFanIn until wait, so legs that finish while later ones are still
+// being admitted cannot close done early.
+type fanIn struct {
+	mu      sync.Mutex
+	pending int
+	err     error
+	done    chan struct{}
+}
+
+func newFanIn() *fanIn { return &fanIn{pending: 1, done: make(chan struct{})} }
+
+// add registers one more leg; call it before the leg can finish.
+func (f *fanIn) add() {
+	f.mu.Lock()
+	f.pending++
+	f.mu.Unlock()
+}
+
+// finish completes one leg (a leg that failed admission finishes with that
+// error).
+func (f *fanIn) finish(err error) {
+	f.mu.Lock()
+	if err != nil && f.err == nil {
+		f.err = err
+	}
+	f.pending--
+	last := f.pending == 0
+	f.mu.Unlock()
+	if last {
+		close(f.done)
+	}
+}
+
+// wait drops the submitter's own count and blocks until every leg has
+// finished, returning the first leg error. When ctx ends first it returns
+// kv.ErrDeadlineExceeded and leaves the stragglers to the workers — they
+// shed or complete orphaned legs whose results nobody reads.
+func (f *fanIn) wait(ctx context.Context) error {
+	f.finish(nil)
+	if ctx = liveCtx(ctx); ctx == nil {
+		<-f.done
+	} else {
+		select {
+		case <-f.done:
+		case <-ctx.Done():
+			return ctxError(ctx.Err())
+		}
+	}
+	return f.err // ordered after every finish by the close of done
+}

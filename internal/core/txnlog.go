@@ -154,15 +154,6 @@ func (t *txnLog) noteLeg(gsn uint64, worker int, streamGSN uint64) {
 	legs[worker] = streamGSN
 }
 
-// size reports the log's current byte length at a completed-record
-// boundary — the stable prefix a checkpoint captures. The log is
-// append-only, so [0, size) never changes after this returns.
-func (t *txnLog) size() int64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.w.Size()
-}
-
 // checkpointCut atomically captures the stable log prefix a checkpoint
 // copies and, per worker, the lowest stream GSN shipped by a transaction
 // whose commit is NOT inside that prefix (0 = none). Restoring the image

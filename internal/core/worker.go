@@ -96,7 +96,10 @@ type worker struct {
 	shed     atomic.Int64
 }
 
-func newWorker(id int, engine kv.Engine, opts Options) *worker {
+// newWorker wires worker id over engine to the store's shared state; the
+// caller starts it.
+func (s *Store) newWorker(id int, engine kv.Engine) *worker {
+	opts := s.opts
 	w := &worker{
 		id:     id,
 		engine: engine,
@@ -106,10 +109,12 @@ func newWorker(id int, engine kv.Engine, opts Options) *worker {
 		max:    opts.MaxBatch,
 		pin:    opts.PinWorkers,
 		repl:   opts.ReplLog,
+		gsnSrc: &s.gsn,
+		txn:    s.txn,
+		cache:  s.cache,
+		resh:   &s.resh,
 	}
-	if hr, ok := engine.(kv.HealthReporter); ok {
-		w.hr = hr
-	}
+	w.hr, _ = engine.(kv.HealthReporter)
 	if opts.Meters != nil {
 		w.meter = opts.Meters.Meter(workerName(id))
 	}
@@ -201,7 +206,7 @@ func (w *worker) execute(reqs []*request) {
 // runs until the coordinator releases. The coordinator uses the pause to
 // capture every engine's checkpoint state at one GSN watermark.
 func (w *worker) executeBarrier(r *request) {
-	r.barrierReady.Done()
+	r.barrierReady.finish(nil)
 	<-r.barrierRelease
 	r.complete(nil)
 }
@@ -218,15 +223,15 @@ func filterCopied(reqs []*request) {
 		if r.copySeen == nil {
 			continue
 		}
-		kept := r.batch.ops[:0]
-		for _, op := range r.batch.ops {
-			if r.copySeen.Seen(op.key, r.copyFloor) {
+		kept := r.ops[:0]
+		for _, op := range r.ops {
+			if r.copySeen.Seen(op.Key, r.copyFloor) {
 				r.copySkip.Add(1)
 				continue
 			}
 			kept = append(kept, op)
 		}
-		r.batch.ops = kept
+		r.ops = kept
 	}
 }
 
@@ -235,150 +240,127 @@ func filterCopied(reqs []*request) {
 // state: one pointer load). Per moved target: copy the op bytes (the
 // submitter may reuse its buffers once acked), record every key in the
 // run's SeenSet under a fresh GSN before enqueueing, then wait for the
-// target to apply. The wait is what makes an acknowledged write durable
+// target to apply (worker.do, one target after another — a grow has one
+// target per source). The wait is what makes an acknowledged write durable
 // on both owners — cutover needs no drain phase, and a read after the
 // flip sees every pre-flip acked write. Self-owned keys (this worker is
 // the target: copy batches and incoming mirrors) are skipped, which also
 // terminates the forwarding chain. A mirror failure latches the run as
 // failed — the reshard aborts — but does not fail the primary write,
 // whose own engine already committed it.
-func (w *worker) mirrorMoved(reqs []*request) {
+func (w *worker) mirrorMoved(ops []kv.BatchOp) {
 	run := w.resh.Load()
 	if run == nil {
 		return
 	}
-	var mirrors map[int]*request
-	for _, r := range reqs {
-		for _, op := range r.batch.ops {
-			mr, ok := run.plan.FindKey(op.key)
-			if !ok || mr.To == w.id {
-				continue
-			}
-			if mirrors == nil {
-				mirrors = make(map[int]*request)
-			}
-			m := mirrors[mr.To]
-			if m == nil {
-				m = &request{typ: reqWrite, done: make(chan struct{})}
-				mirrors[mr.To] = m
-			}
-			cop := wop{del: op.del, key: append([]byte(nil), op.key...)}
-			if !op.del {
-				cop.value = append([]byte(nil), op.value...)
-			}
-			m.batch.ops = append(m.batch.ops, cop)
+	var mirrors map[int][]kv.BatchOp
+	for _, op := range ops {
+		mr, ok := run.plan.FindKey(op.Key)
+		if !ok || mr.To == w.id {
+			continue
 		}
+		if mirrors == nil {
+			mirrors = make(map[int][]kv.BatchOp)
+		}
+		op.Key = append([]byte(nil), op.Key...)
+		if op.Kind == kv.OpPut {
+			op.Value = append([]byte(nil), op.Value...)
+		}
+		mirrors[mr.To] = append(mirrors[mr.To], op)
 	}
-	if mirrors == nil {
-		return
-	}
-	for to, m := range mirrors {
+	for to, moved := range mirrors {
 		g := w.gsnSrc.Add(1)
-		for _, op := range m.batch.ops {
-			run.seen.Record(op.key, g)
+		for _, op := range moved {
+			run.seen.Record(op.Key, g)
 		}
-		if err := run.targets[to].q.pushWait(nil, m); err != nil {
+		run.tracker.AddDoubleWrites(int64(len(moved)))
+		if err := run.targets[to].do(&request{typ: reqWrite, ops: moved}); err != nil {
 			run.fail(fmt.Errorf("core: reshard mirror to worker %d: %w", to, err))
-			m.err = err
-			close(m.done)
-		}
-		run.tracker.AddDoubleWrites(int64(len(m.batch.ops)))
-	}
-	for to, m := range mirrors {
-		<-m.done
-		if m.err != nil {
-			run.fail(fmt.Errorf("core: reshard mirror apply on worker %d: %w", to, m.err))
 		}
 	}
 }
 
 // executeWrites applies a run of write-type requests. With OBM and an
 // engine that supports WriteBatch, the whole run commits as a single
-// batch — one log IO instead of len(reqs) (Figure 10a). The batch-write
-// path is also what a single multi-op user WriteBatch takes.
+// batch — one log IO instead of len(reqs) (Figure 10a). A merged run never
+// carries a GSN: transaction legs and replicated records are noMerge, so
+// they arrive alone. Engines without batch-write (e.g. WiredTiger, §4.6)
+// commit every request of the run on its own; OBM-write degenerates
+// gracefully.
 func (w *worker) executeWrites(reqs []*request) {
 	filterCopied(reqs)
-	if bw, ok := w.engine.(kv.BatchWriter); ok && w.caps.BatchWrite {
-		var b kv.Batch
-		gsn := reqs[0].gsn
-		uniformGSN := true
+	if len(reqs) == 1 || !w.caps.BatchWrite {
 		for _, r := range reqs {
-			if r.gsn != gsn {
-				uniformGSN = false
-			}
-			appendOps(&b, r)
-		}
-		if b.Len() == 0 {
-			// Every op was a stale bulk-copy duplicate; nothing for the
-			// engine.
-			for _, r := range reqs {
-				r.complete(nil)
-			}
-			return
-		}
-		if b.Len() > 1 {
-			w.batchWriteOps.Add(int64(b.Len()))
-		}
-		var err error
-		if gw, ok := w.engine.(gsnWriter); ok && uniformGSN && gsn != 0 {
-			err = gw.WriteGSN(&b, gsn)
-		} else {
-			err = bw.Write(&b)
-		}
-		if err == nil {
-			if w.repl != nil {
-				var txnGSN uint64
-				if uniformGSN {
-					txnGSN = gsn
-				}
-				w.ship(reqs[0].streamGSN, txnGSN, b.Ops())
-			} else if uniformGSN && gsn > w.lastGSN.Load() {
-				w.lastGSN.Store(gsn)
-			}
-			w.mirrorMoved(reqs)
-		}
-		if w.cache != nil {
-			// Invalidate before completing: the bump must be visible
-			// before any submitter observes the acknowledgement. Bump on
-			// error too — a failed write may have partially applied.
-			for _, op := range b.Ops() {
-				w.cache.Invalidate(op.Key)
-			}
-			w.cacheInv.Add(int64(b.Len()))
-		}
-		for _, r := range reqs {
-			r.complete(err)
+			r.complete(w.commit(r.ops, r.gsn, r.streamGSN))
 		}
 		return
 	}
-	// Engine without batch-write (e.g. WiredTiger, §4.6): per-op path;
-	// OBM-write degenerates gracefully.
+	n := 0
 	for _, r := range reqs {
-		var err error
-		for _, op := range r.batch.ops {
-			if op.del {
-				err = w.engine.Delete(op.key)
+		n += len(r.ops)
+	}
+	ops := make([]kv.BatchOp, 0, n)
+	for _, r := range reqs {
+		ops = append(ops, r.ops...)
+	}
+	err := w.commit(ops, 0, 0)
+	for _, r := range reqs {
+		r.complete(err)
+	}
+}
+
+// commit applies one op list — a request's payload, or a merged run's
+// concatenation — to the engine, as one WriteBatch when the engine has
+// them (the path a multi-op user WriteBatch takes too) and op by op
+// otherwise. The same slice then feeds the replication backlog, the
+// reshard mirror and the hot-cache invalidation. txnGSN, when non-zero,
+// names the cross-instance transaction these ops are a leg of and tags the
+// engine's WAL record (gsnWriter); streamGSN marks a replicated record.
+func (w *worker) commit(ops []kv.BatchOp, txnGSN, streamGSN uint64) error {
+	if len(ops) == 0 {
+		return nil // every op was a stale bulk-copy duplicate
+	}
+	var err error
+	if bw, ok := w.engine.(kv.BatchWriter); ok && w.caps.BatchWrite {
+		if len(ops) > 1 {
+			w.batchWriteOps.Add(int64(len(ops)))
+		}
+		b := kv.BatchOf(ops)
+		if gw, ok := w.engine.(gsnWriter); ok && txnGSN != 0 {
+			err = gw.WriteGSN(&b, txnGSN)
+		} else {
+			err = bw.Write(&b)
+		}
+	} else {
+		for _, op := range ops {
+			if op.Kind == kv.OpDelete {
+				err = w.engine.Delete(op.Key)
 			} else {
-				err = w.engine.Put(op.key, op.value)
+				err = w.engine.Put(op.Key, op.Value)
 			}
 			if err != nil {
 				break
 			}
 		}
-		if err == nil {
-			if w.repl != nil {
-				w.ship(r.streamGSN, r.gsn, batchOps(r.batch.ops))
-			}
-			w.mirrorMoved([]*request{r})
-		}
-		if w.cache != nil {
-			for _, op := range r.batch.ops {
-				w.cache.Invalidate(op.key)
-			}
-			w.cacheInv.Add(int64(len(r.batch.ops)))
-		}
-		r.complete(err)
 	}
+	if err == nil {
+		if w.repl != nil {
+			w.ship(streamGSN, txnGSN, ops)
+		} else if txnGSN > w.lastGSN.Load() {
+			w.lastGSN.Store(txnGSN)
+		}
+		w.mirrorMoved(ops)
+	}
+	if w.cache != nil {
+		// Invalidate before completing: the bump must be visible before
+		// any submitter observes the acknowledgement. Bump on error too —
+		// a failed write may have partially applied.
+		for _, op := range ops {
+			w.cache.Invalidate(op.Key)
+		}
+		w.cacheInv.Add(int64(len(ops)))
+	}
+	return err
 }
 
 // ship records one applied write batch in the replication backlog. The
@@ -404,30 +386,6 @@ func (w *worker) ship(streamGSN, txnGSN uint64, ops []kv.BatchOp) {
 		w.lastGSN.Store(g)
 	}
 	w.repl.Append(w.id, g, ops)
-}
-
-// batchOps converts the queue's private write ops to the shared BatchOp
-// form the replication log records.
-func batchOps(ops []wop) []kv.BatchOp {
-	out := make([]kv.BatchOp, len(ops))
-	for i, op := range ops {
-		if op.del {
-			out[i] = kv.BatchOp{Kind: kv.OpDelete, Key: op.key}
-		} else {
-			out[i] = kv.BatchOp{Kind: kv.OpPut, Key: op.key, Value: op.value}
-		}
-	}
-	return out
-}
-
-func appendOps(b *kv.Batch, r *request) {
-	for _, op := range r.batch.ops {
-		if op.del {
-			b.Delete(op.key)
-		} else {
-			b.Put(op.key, op.value)
-		}
-	}
 }
 
 // executeReads resolves a run of GETs, via multiget when the engine has
@@ -482,12 +440,7 @@ func (w *worker) doGet(r *request) {
 	}
 }
 
-// executeScan serves one SCAN leg on this worker's instance. With an
-// ownership filter set (elastic stores), keys this worker does not own
-// under the captured ring generation — stale moved ranges awaiting
-// cleanup, or mid-copy duplicates — are skipped without consuming the
-// leg's limit, so a SCAN n during a reshard still fills n slots with
-// owned keys.
+// executeScan serves one SCAN leg on this worker's instance.
 func (w *worker) executeScan(r *request) {
 	it, err := w.engine.NewIterator()
 	if err != nil {
@@ -495,23 +448,41 @@ func (w *worker) executeScan(r *request) {
 		return
 	}
 	defer it.Close()
+	r.complete(r.scan(it))
+}
+
+// scan runs the request's scan over it into scanOut — the one walker behind
+// both scan strategies (a per-worker leg's engine iterator, ScanMerged's
+// global merged one). With an ownership filter set (elastic stores), keys
+// the leg's worker does not own under the captured ring generation — stale
+// moved ranges awaiting cleanup, or mid-copy duplicates — are skipped
+// without consuming the limit, so a SCAN n during a reshard still fills n
+// slots with owned keys. A context that ends mid-walk ends the walk.
+func (r *request) scan(it kv.Iterator) error {
 	if r.scanStart == nil {
 		it.SeekToFirst()
 	} else {
 		it.Seek(r.scanStart)
 	}
-	for ; it.Valid() && len(r.scanOut) < r.scanLimit; it.Next() {
+	for ; ; it.Next() {
+		if r.expired() {
+			return ctxError(r.ctx.Err())
+		}
+		if !it.Valid() || len(r.scanOut) >= r.scanLimit {
+			break
+		}
 		if r.scanEnd != nil && bytes.Compare(it.Key(), r.scanEnd) > 0 {
 			break
 		}
 		if r.scanPart != nil && r.scanPart.Pick(it.Key()) != r.scanSelf {
 			continue
 		}
-		k := append([]byte(nil), it.Key()...)
-		v := append([]byte(nil), it.Value()...)
-		r.scanOut = append(r.scanOut, [2][]byte{k, v})
+		r.scanOut = append(r.scanOut, Pair{
+			Key:   append([]byte(nil), it.Key()...),
+			Value: append([]byte(nil), it.Value()...),
+		})
 	}
-	r.complete(it.Error())
+	return it.Error()
 }
 
 // park drains and joins the worker like stop but leaves its engine open:

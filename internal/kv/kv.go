@@ -403,12 +403,6 @@ func (b *Batch) Delete(key []byte) {
 	b.size += len(key)
 }
 
-// Append copies all operations from other into b.
-func (b *Batch) Append(other *Batch) {
-	b.ops = append(b.ops, other.ops...)
-	b.size += other.size
-}
-
 // Ops exposes the recorded operations in insertion order.
 func (b *Batch) Ops() []BatchOp { return b.ops }
 

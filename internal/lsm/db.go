@@ -305,61 +305,24 @@ func (d *DB) installMemtable() error {
 // ---------------------------------------------------------------------------
 
 // encodeBatchPayload serializes a batch for the WAL:
-// baseSeq u64 | count u32 | (kind u8 | klen uvarint | key | [vlen | value])*
+// baseSeq u64 | count u32 | ops (the shared kv op codec).
 func encodeBatchPayload(baseSeq uint64, b *kv.Batch) []byte {
-	size := 12
-	for _, op := range b.Ops() {
-		size += 1 + 2*binary.MaxVarintLen32 + len(op.Key) + len(op.Value)
-	}
-	buf := make([]byte, 12, size)
+	buf := make([]byte, 12, 12+kv.OpsBound(b.Ops()))
 	binary.LittleEndian.PutUint64(buf[0:], baseSeq)
 	binary.LittleEndian.PutUint32(buf[8:], uint32(b.Len()))
-	var tmp [binary.MaxVarintLen32]byte
-	for _, op := range b.Ops() {
-		buf = append(buf, byte(op.Kind))
-		n := binary.PutUvarint(tmp[:], uint64(len(op.Key)))
-		buf = append(buf, tmp[:n]...)
-		buf = append(buf, op.Key...)
-		if op.Kind == kv.OpPut {
-			n = binary.PutUvarint(tmp[:], uint64(len(op.Value)))
-			buf = append(buf, tmp[:n]...)
-			buf = append(buf, op.Value...)
-		}
-	}
-	return buf
+	return kv.AppendOps(buf, b.Ops())
 }
 
+// decodeBatchPayload is the inverse; the ops alias p.
 func decodeBatchPayload(p []byte) (baseSeq uint64, ops []kv.BatchOp, err error) {
 	if len(p) < 12 {
 		return 0, nil, errors.New("lsm: short batch payload")
 	}
-	baseSeq = binary.LittleEndian.Uint64(p)
-	count := int(binary.LittleEndian.Uint32(p[8:]))
-	p = p[12:]
-	for i := 0; i < count; i++ {
-		if len(p) < 1 {
-			return 0, nil, errors.New("lsm: truncated batch op")
-		}
-		kind := kv.OpKind(p[0])
-		p = p[1:]
-		klen, n := binary.Uvarint(p)
-		if n <= 0 || int(klen) > len(p[n:]) {
-			return 0, nil, errors.New("lsm: truncated batch key")
-		}
-		key := append([]byte(nil), p[n:n+int(klen)]...)
-		p = p[n+int(klen):]
-		var value []byte
-		if kind == kv.OpPut {
-			vlen, m := binary.Uvarint(p)
-			if m <= 0 || int(vlen) > len(p[m:]) {
-				return 0, nil, errors.New("lsm: truncated batch value")
-			}
-			value = append([]byte(nil), p[m:m+int(vlen)]...)
-			p = p[m+int(vlen):]
-		}
-		ops = append(ops, kv.BatchOp{Kind: kind, Key: key, Value: value})
+	ops, _, err = kv.DecodeOps(p[12:], uint64(binary.LittleEndian.Uint32(p[8:])))
+	if err != nil {
+		return 0, nil, fmt.Errorf("lsm: batch payload: %w", err)
 	}
-	return baseSeq, ops, nil
+	return binary.LittleEndian.Uint64(p), ops, nil
 }
 
 // Put implements kv.Engine.

@@ -1,6 +1,7 @@
 package lsm
 
 import (
+	"encoding/hex"
 	"testing"
 
 	"p2kvs/internal/kv"
@@ -23,16 +24,13 @@ func FuzzDecodeBatchPayload(f *testing.F) {
 	f.Add(huge)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		base, ops, err := decodeBatchPayload(data)
+		_, ops, err := decodeBatchPayload(data)
 		if err != nil {
 			return
 		}
-		_ = base
 		for _, op := range ops {
 			if op.Kind != kv.OpPut && op.Kind != kv.OpDelete {
-				// Unknown kinds may decode (1 byte is 1 byte); replay
-				// treats non-delete as set, which is safe.
-				_ = op
+				t.Fatalf("decoded unknown op kind %d", op.Kind)
 			}
 		}
 	})
@@ -65,4 +63,23 @@ func FuzzBatchPayloadRoundTrip(f *testing.F) {
 			t.Fatalf("op1 key = %q", ops[1].Key)
 		}
 	})
+}
+
+// TestBatchPayloadGolden pins the WAL payload bytes: what the parent commit's
+// hand-written encoder produced for kv's golden batch (kv/opcodec_test.go),
+// so a store written before the shared op codec still replays.
+func TestBatchPayloadGolden(t *testing.T) {
+	const golden = "0807060504030201" + "03000000" + "0105616c706861036f6e65020462657461010567616d6d6100"
+	var b kv.Batch
+	b.Put([]byte("alpha"), []byte("one"))
+	b.Delete([]byte("beta"))
+	b.Put([]byte("gamma"), nil)
+	payload := encodeBatchPayload(0x0102030405060708, &b)
+	if got := hex.EncodeToString(payload); got != golden {
+		t.Fatalf("WAL payload = %s\nwant          %s", got, golden)
+	}
+	base, ops, err := decodeBatchPayload(payload)
+	if err != nil || base != 0x0102030405060708 || len(ops) != 3 || ops[1].Kind != kv.OpDelete || string(ops[0].Value) != "one" {
+		t.Fatalf("decode: base %x ops %+v err %v", base, ops, err)
+	}
 }

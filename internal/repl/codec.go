@@ -13,10 +13,7 @@ import (
 // the frame CRC somehow missed:
 //
 //	nops  uvarint
-//	per op:
-//	  kind  byte            (kv.OpPut | kv.OpDelete)
-//	  klen  uvarint, key    bytes
-//	  vlen  uvarint, value  bytes   (puts only)
+//	ops   the shared op body codec (kv.AppendOps / kv.DecodeOps)
 //
 // Encoded payloads are owned by the record: EncodeOps copies key/value
 // bytes out of the caller's buffers (the RESP reader and OBM batches
@@ -33,22 +30,8 @@ const maxOpsPerRecord = 1 << 16
 
 // EncodeOps serializes a batch's ops into an owned payload.
 func EncodeOps(ops []kv.BatchOp) []byte {
-	n := binary.MaxVarintLen64
-	for _, op := range ops {
-		n += 1 + 2*binary.MaxVarintLen64 + len(op.Key) + len(op.Value)
-	}
-	buf := make([]byte, 0, n)
-	buf = binary.AppendUvarint(buf, uint64(len(ops)))
-	for _, op := range ops {
-		buf = append(buf, byte(op.Kind))
-		buf = binary.AppendUvarint(buf, uint64(len(op.Key)))
-		buf = append(buf, op.Key...)
-		if op.Kind == kv.OpPut {
-			buf = binary.AppendUvarint(buf, uint64(len(op.Value)))
-			buf = append(buf, op.Value...)
-		}
-	}
-	return buf
+	buf := make([]byte, 0, binary.MaxVarintLen64+kv.OpsBound(ops))
+	return kv.AppendOps(binary.AppendUvarint(buf, uint64(len(ops))), ops)
 }
 
 // DecodeOps parses a payload back into ops. The returned ops alias the
@@ -58,50 +41,15 @@ func DecodeOps(payload []byte) ([]kv.BatchOp, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("%w: bad op count", ErrBadPayload)
 	}
-	payload = payload[n:]
 	if nops > maxOpsPerRecord {
 		return nil, fmt.Errorf("%w: op count %d exceeds limit", ErrBadPayload, nops)
 	}
-	ops := make([]kv.BatchOp, 0, nops)
-	for i := uint64(0); i < nops; i++ {
-		if len(payload) < 1 {
-			return nil, fmt.Errorf("%w: truncated op kind", ErrBadPayload)
-		}
-		kind := kv.OpKind(payload[0])
-		payload = payload[1:]
-		if kind != kv.OpPut && kind != kv.OpDelete {
-			return nil, fmt.Errorf("%w: unknown op kind %d", ErrBadPayload, kind)
-		}
-		key, rest, err := takeBytes(payload)
-		if err != nil {
-			return nil, fmt.Errorf("%w: key: %v", ErrBadPayload, err)
-		}
-		payload = rest
-		op := kv.BatchOp{Kind: kind, Key: key}
-		if kind == kv.OpPut {
-			val, rest, err := takeBytes(payload)
-			if err != nil {
-				return nil, fmt.Errorf("%w: value: %v", ErrBadPayload, err)
-			}
-			payload = rest
-			op.Value = val
-		}
-		ops = append(ops, op)
+	ops, rest, err := kv.DecodeOps(payload[n:], nops)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrBadPayload, err)
 	}
-	if len(payload) != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrBadPayload, len(payload))
+	if len(rest) != 0 {
+		return nil, fmt.Errorf("%w: %d trailing bytes", ErrBadPayload, len(rest))
 	}
 	return ops, nil
-}
-
-func takeBytes(b []byte) ([]byte, []byte, error) {
-	l, n := binary.Uvarint(b)
-	if n <= 0 {
-		return nil, nil, errors.New("bad length prefix")
-	}
-	b = b[n:]
-	if uint64(len(b)) < l {
-		return nil, nil, errors.New("truncated bytes")
-	}
-	return b[:l], b[l:], nil
 }

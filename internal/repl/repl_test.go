@@ -2,6 +2,7 @@ package repl
 
 import (
 	"bytes"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"testing"
@@ -42,6 +43,27 @@ func TestEncodeDecodeOpsRoundTrip(t *testing.T) {
 	}
 	if got, err := DecodeOps(EncodeOps(nil)); err != nil || len(got) != 0 {
 		t.Fatalf("empty round trip: %v %v", got, err)
+	}
+}
+
+// TestEncodeOpsGolden pins the data-frame payload bytes: what the parent
+// commit's hand-written encoder produced for kv's golden batch
+// (kv/opcodec_test.go), so a replica built before the shared op codec still
+// decodes this primary's stream.
+func TestEncodeOpsGolden(t *testing.T) {
+	const golden = "03" + "0105616c706861036f6e65020462657461010567616d6d6100"
+	in := []kv.BatchOp{
+		{Kind: kv.OpPut, Key: []byte("alpha"), Value: []byte("one")},
+		{Kind: kv.OpDelete, Key: []byte("beta")},
+		{Kind: kv.OpPut, Key: []byte("gamma")},
+	}
+	if got := hex.EncodeToString(EncodeOps(in)); got != golden {
+		t.Fatalf("data-frame payload = %s\nwant                 %s", got, golden)
+	}
+	raw, _ := hex.DecodeString(golden)
+	out, err := DecodeOps(raw)
+	if err != nil || len(out) != 3 || string(out[0].Value) != "one" || out[1].Kind != kv.OpDelete {
+		t.Fatalf("decode: %+v, %v", out, err)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"p2kvs/internal/block"
+	"p2kvs/internal/kv"
 )
 
 // Replica cursor state — the small file a replica persists so a process
@@ -49,7 +50,7 @@ func DecodeState(data []byte) (replid string, cursors []uint64, err error) {
 	if binary.LittleEndian.Uint32(data) != block.Checksum(payload) {
 		return "", nil, fmt.Errorf("%w: crc mismatch", ErrBadState)
 	}
-	idB, rest, err := takeBytes(payload)
+	idB, rest, err := kv.TakeBytes(payload)
 	if err != nil {
 		return "", nil, fmt.Errorf("%w: replid: %v", ErrBadState, err)
 	}

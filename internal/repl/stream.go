@@ -7,6 +7,7 @@ import (
 	"io"
 
 	"p2kvs/internal/block"
+	"p2kvs/internal/kv"
 )
 
 // Wire framing — the replication stream that follows a PSYNC handshake.
@@ -173,7 +174,7 @@ func EncodeFile(name string, content []byte) []byte {
 // DecodeFile parses a full-sync file frame payload. The content aliases
 // the payload buffer.
 func DecodeFile(payload []byte) (name string, content []byte, err error) {
-	nameB, rest, err := takeBytes(payload)
+	nameB, rest, err := kv.TakeBytes(payload)
 	if err != nil {
 		return "", nil, fmt.Errorf("%w: file name: %v", ErrBadPayload, err)
 	}

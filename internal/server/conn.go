@@ -75,8 +75,15 @@ func (c *conn) serve() {
 // complete commands are processed (and answered) before the error closes
 // the connection.
 func (c *conn) readWindow() ([][][]byte, error) {
-	if t := c.srv.cfg.ConnIdleTimeout; t > 0 && !c.srv.draining.Load() {
+	if t := c.srv.cfg.ConnIdleTimeout; t > 0 {
 		c.nc.SetReadDeadline(time.Now().Add(t))
+		// Shutdown sets draining, then kicks. Checking the flag only after
+		// arming closes the race: a kick that landed before the line above
+		// was overwritten by it, and is redone here; one that lands later
+		// overwrites the idle deadline itself.
+		if c.srv.draining.Load() {
+			c.beginDrain()
+		}
 	}
 	first, err := c.rd.ReadCommand()
 	if err != nil {

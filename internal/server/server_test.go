@@ -151,6 +151,13 @@ type testServer struct {
 
 func startTestServer(t *testing.T, workers int, gate chan struct{}, tweak func(*core.Options), cfg Config) *testServer {
 	t.Helper()
+	return startTestServerOn(t, workers, gate, tweak, cfg, nil)
+}
+
+// startTestServerOn is startTestServer with the listener passed through
+// wrap (when non-nil), so a test can interpose on accepted connections.
+func startTestServerOn(t *testing.T, workers int, gate chan struct{}, tweak func(*core.Options), cfg Config, wrap func(net.Listener) net.Listener) *testServer {
+	t.Helper()
 	engines := make([]*stubEngine, workers)
 	copts := core.DefaultOptions(func(id int, _ func(uint64) bool) (kv.Engine, error) {
 		engines[id] = newStubEngine(gate)
@@ -171,6 +178,9 @@ func startTestServer(t *testing.T, workers int, gate chan struct{}, tweak func(*
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
+	}
+	if wrap != nil {
+		lis = wrap(lis)
 	}
 	ts := &testServer{srv: srv, store: store, engines: engines, addr: lis.Addr().String(), done: make(chan struct{})}
 	go func() {
