@@ -3,7 +3,7 @@ FUZZTIME ?= 10s
 SERVE_ADDR ?= 127.0.0.1:6380
 SUITE ?= list
 
-.PHONY: build test test-race vet benchmark-module stats-golden loc fuzz-short stress serve netbench ci clean
+.PHONY: build test test-race alloc-pins vet benchmark-module stats-golden loc fuzz-short stress serve netbench ci clean
 
 build:
 	$(GO) build ./...
@@ -13,6 +13,12 @@ test:
 
 test-race:
 	$(GO) test -race ./...
+
+# The AllocsPerRun pins along the point-lookup path (block, cache, sstable,
+# lsm, core). They skip under the race detector (internal/raceflag), so the
+# test-race run does not check them; this one does.
+alloc-pins:
+	$(GO) test -count=1 -run 'Allocs' ./internal/...
 
 vet:
 	$(GO) vet ./...
@@ -82,7 +88,7 @@ serve:
 netbench:
 	$(GO) run ./cmd/netbench -addr $(SERVE_ADDR) -conns 8 -pipeline 16 -num 20000
 
-ci: vet build test-race benchmark-module
+ci: vet build test-race alloc-pins benchmark-module
 
 clean:
 	$(GO) clean ./...

@@ -10,6 +10,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+
+	"p2kvs/internal/ikey"
 )
 
 const restartInterval = 16
@@ -92,116 +94,209 @@ func (b *Builder) Reset() {
 // ErrCorrupt reports a malformed block.
 var ErrCorrupt = errors.New("block: corrupt")
 
-// Iter iterates over an encoded block.
+// inlineKey is the key length an Iter materialises without touching the
+// heap; longer keys spill into an allocated buffer that later entries reuse.
+const inlineKey = 64
+
+// Iter iterates over an encoded block. It reads the block in place: the
+// restart array is never decoded, restart keys are compared where they lie,
+// and the one key an entry scan has to materialise (prefix compression)
+// lands in an array inside the Iter — so an Iter declared as a local
+// variable and positioned with Init costs no allocation.
 type Iter struct {
 	data     []byte // entry region
-	restarts []uint32
+	restarts []byte // encoded restart array, 4 bytes per restart point
 
 	off   int // offset of the *next* entry to decode
-	key   []byte
 	value []byte
 	valid bool
 	err   error
+
+	// The current key is keyBuf[:keyLen] until one outgrows the array;
+	// from then on it lives in spill (non-nil marks that mode). An index
+	// into the array, not a slice of it: a struct holding a pointer to
+	// itself could not stay on the stack.
+	keyLen int
+	spill  []byte
+	keyBuf [inlineKey]byte
 }
 
-// NewIter parses an encoded block.
+// NewIter parses an encoded block into a heap-allocated Iter.
 func NewIter(block []byte) (*Iter, error) {
+	it := new(Iter)
+	if err := it.Init(block); err != nil {
+		return nil, err
+	}
+	return it, nil
+}
+
+// Init points the iterator at an encoded block, unpositioned, after checking
+// that the restart array is well formed and every restart offset lies inside
+// the entry region. It may be called again to reuse the Iter for another
+// block; a spilled key buffer is kept, so long keys cost one allocation per
+// Iter, not one per block.
+func (it *Iter) Init(block []byte) error {
+	*it = Iter{spill: it.spill[:0]}
 	if len(block) < 4 {
-		return nil, ErrCorrupt
+		return ErrCorrupt
 	}
 	n := int(binary.LittleEndian.Uint32(block[len(block)-4:]))
 	tail := 4 + 4*n
 	if n < 1 || tail > len(block) {
-		return nil, ErrCorrupt
+		return ErrCorrupt
 	}
 	restartOff := len(block) - tail
-	restarts := make([]uint32, n)
-	for i := 0; i < n; i++ {
-		restarts[i] = binary.LittleEndian.Uint32(block[restartOff+4*i:])
-		if int(restarts[i]) > restartOff {
-			return nil, ErrCorrupt
+	restarts := block[restartOff : len(block)-4]
+	for i := 0; i < len(restarts); i += 4 {
+		if int(binary.LittleEndian.Uint32(restarts[i:])) > restartOff {
+			return ErrCorrupt
 		}
 	}
-	return &Iter{data: block[:restartOff], restarts: restarts}, nil
+	it.data, it.restarts = block[:restartOff], restarts
+	return nil
 }
 
-// decodeAt decodes the entry at off given the previous key state in
-// it.key; returns the offset of the next entry.
-func (it *Iter) decodeAt(off int) (next int, ok bool) {
+func (it *Iter) numRestarts() int { return len(it.restarts) / 4 }
+
+func (it *Iter) restart(i int) int {
+	return int(binary.LittleEndian.Uint32(it.restarts[4*i:]))
+}
+
+// fail leaves the iterator invalid, recording corruption when corrupt.
+func (it *Iter) fail(corrupt bool) {
+	it.valid = false
+	if corrupt {
+		it.err = ErrCorrupt
+	}
+}
+
+// entryAt decodes the header of the entry at off: its shared-prefix length,
+// its unshared key bytes and value (both slices of the block) and the offset
+// of the entry after it. ok is false at the end of the entry region and on
+// corruption, which it records.
+func (it *Iter) entryAt(off int) (shared int, unshared, value []byte, next int, ok bool) {
 	if off >= len(it.data) {
-		it.valid = false
-		return off, false
+		it.fail(false)
+		return 0, nil, nil, off, false
 	}
-	shared, n1 := binary.Uvarint(it.data[off:])
+	s, n1 := binary.Uvarint(it.data[off:])
 	if n1 <= 0 {
-		it.err = ErrCorrupt
-		it.valid = false
-		return off, false
+		it.fail(true)
+		return 0, nil, nil, off, false
 	}
-	unshared, n2 := binary.Uvarint(it.data[off+n1:])
+	u, n2 := binary.Uvarint(it.data[off+n1:])
 	if n2 <= 0 {
-		it.err = ErrCorrupt
-		it.valid = false
-		return off, false
+		it.fail(true)
+		return 0, nil, nil, off, false
 	}
-	vlen, n3 := binary.Uvarint(it.data[off+n1+n2:])
+	v, n3 := binary.Uvarint(it.data[off+n1+n2:])
 	if n3 <= 0 {
-		it.err = ErrCorrupt
-		it.valid = false
-		return off, false
+		it.fail(true)
+		return 0, nil, nil, off, false
 	}
 	p := off + n1 + n2 + n3
-	end := p + int(unshared) + int(vlen)
-	if int(shared) > len(it.key) || end > len(it.data) {
-		it.err = ErrCorrupt
-		it.valid = false
+	// Compared as uint64 so an absurd length cannot wrap the sum.
+	if u > uint64(len(it.data)-p) || v > uint64(len(it.data)-p)-u {
+		it.fail(true)
+		return 0, nil, nil, off, false
+	}
+	end := p + int(u) + int(v)
+	return int(s), it.data[p : p+int(u)], it.data[p+int(u) : end], end, true
+}
+
+// decodeAt decodes the entry at off on top of the previous entry's key (the
+// current Key), and returns the offset of the next entry.
+func (it *Iter) decodeAt(off int) (next int, ok bool) {
+	shared, unshared, value, next, ok := it.entryAt(off)
+	if !ok {
 		return off, false
 	}
-	it.key = append(it.key[:shared], it.data[p:p+int(unshared)]...)
-	it.value = it.data[p+int(unshared) : end]
+	if shared > len(it.Key()) {
+		it.fail(true)
+		return off, false
+	}
+	switch n := shared + len(unshared); {
+	case it.spill != nil:
+		it.spill = append(it.spill[:shared], unshared...)
+	case n <= inlineKey:
+		copy(it.keyBuf[shared:], unshared)
+		it.keyLen = n
+	default:
+		it.spill = append(append(make([]byte, 0, 2*n), it.keyBuf[:shared]...), unshared...)
+	}
+	it.value = value
 	it.valid = true
-	return end, true
+	return next, true
+}
+
+// resetKey empties the previous-key state ahead of decoding a restart entry.
+func (it *Iter) resetKey() {
+	it.keyLen = 0
+	if it.spill != nil {
+		it.spill = it.spill[:0]
+	}
 }
 
 // SeekToFirst positions at the first entry.
 func (it *Iter) SeekToFirst() {
-	it.key = it.key[:0]
+	it.resetKey()
 	it.off, _ = it.decodeAt(0)
 }
 
 // Seek positions at the first entry with key >= target under bytewise
 // ordering.
-func (it *Iter) Seek(target []byte) { it.SeekWith(bytes.Compare, target) }
+func (it *Iter) Seek(target []byte) { it.seek(target, false) }
 
-// SeekWith positions at the first entry with cmp(key, target) >= 0. The
-// block must have been built in cmp order; SSTables use this with the
-// internal-key comparator.
-func (it *Iter) SeekWith(cmp func(a, b []byte) int, target []byte) {
+// SeekInternal is Seek for a block of internal keys (ikey.Compare order:
+// user key ascending, newer versions first), which is what SSTable data and
+// index blocks hold.
+func (it *Iter) SeekInternal(target []byte) { it.seek(target, true) }
+
+// compare is a static dispatch on purpose: a comparator passed as a func
+// value would make every key and seek target escape to the heap.
+func compare(internal bool, a, b []byte) int {
+	if internal {
+		return ikey.Compare(a, b)
+	}
+	return bytes.Compare(a, b)
+}
+
+func (it *Iter) seek(target []byte, internal bool) {
 	// Binary search the restart points for the last restart whose full
-	// key is < target.
-	lo, hi := 0, len(it.restarts)-1
+	// key is < target. A restart entry shares nothing with its
+	// predecessor, so its key is compared where it lies in the block.
+	lo, hi := 0, it.numRestarts()-1
 	for lo < hi {
 		mid := (lo + hi + 1) / 2
-		it.key = it.key[:0]
-		if _, ok := it.decodeAt(int(it.restarts[mid])); !ok {
+		shared, key, _, _, ok := it.entryAt(it.restart(mid))
+		if !ok {
 			return
 		}
-		if cmp(it.key, target) < 0 {
+		if shared != 0 || (internal && len(key) < ikey.TrailerLen) {
+			it.fail(true)
+			return
+		}
+		if compare(internal, key, target) < 0 {
 			lo = mid
 		} else {
 			hi = mid - 1
 		}
 	}
 	// Linear scan from the chosen restart.
-	it.key = it.key[:0]
-	off := int(it.restarts[lo])
+	it.resetKey()
+	off := it.restart(lo)
 	for {
 		next, ok := it.decodeAt(off)
 		if !ok {
 			return
 		}
 		it.off = next
-		if cmp(it.key, target) >= 0 {
+		key := it.Key()
+		if internal && len(key) < ikey.TrailerLen {
+			it.fail(true)
+			return
+		}
+		if compare(internal, key, target) >= 0 {
 			return
 		}
 		off = next
@@ -220,9 +315,14 @@ func (it *Iter) Next() {
 func (it *Iter) Valid() bool { return it.valid }
 
 // Key returns the current key (valid until the next call).
-func (it *Iter) Key() []byte { return it.key }
+func (it *Iter) Key() []byte {
+	if it.spill != nil {
+		return it.spill
+	}
+	return it.keyBuf[:it.keyLen]
+}
 
-// Value returns the current value.
+// Value returns the current value, a slice of the block.
 func (it *Iter) Value() []byte { return it.value }
 
 // Err returns the first corruption error encountered.
@@ -230,8 +330,8 @@ func (it *Iter) Err() error { return it.err }
 
 // Get is a convenience point lookup inside one block.
 func Get(blk, key []byte) ([]byte, bool, error) {
-	it, err := NewIter(blk)
-	if err != nil {
+	var it Iter
+	if err := it.Init(blk); err != nil {
 		return nil, false, err
 	}
 	it.Seek(key)
@@ -246,5 +346,5 @@ func Get(blk, key []byte) ([]byte, bool, error) {
 
 // String renders a small debug description.
 func (it *Iter) String() string {
-	return fmt.Sprintf("block.Iter{entries-region=%dB restarts=%d}", len(it.data), len(it.restarts))
+	return fmt.Sprintf("block.Iter{entries-region=%dB restarts=%d}", len(it.data), it.numRestarts())
 }

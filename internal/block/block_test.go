@@ -6,6 +6,9 @@ import (
 	"sort"
 	"testing"
 	"testing/quick"
+
+	"p2kvs/internal/ikey"
+	"p2kvs/internal/raceflag"
 )
 
 func buildBlock(pairs [][2]string) []byte {
@@ -52,8 +55,8 @@ func TestRestartPointsExercised(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(it.restarts) < 2 {
-		t.Fatalf("expected multiple restarts, got %d", len(it.restarts))
+	if it.numRestarts() < 2 {
+		t.Fatalf("expected multiple restarts, got %d", it.numRestarts())
 	}
 	// Seek to each key exactly.
 	for _, p := range pairs {
@@ -136,19 +139,83 @@ func TestBuilderReset(t *testing.T) {
 	}
 }
 
-func TestSeekWithCustomComparator(t *testing.T) {
-	// Build in reverse-bytewise order and seek with the matching
-	// comparator.
-	rev := func(a, b []byte) int { return bytes.Compare(b, a) }
+func TestSeekInternalOrder(t *testing.T) {
+	// Internal-key order: user key ascending, then newer versions first.
+	// Enough entries for several restart points, three versions per key.
 	var b Builder
-	keys := []string{"z", "m", "a"}
-	for _, k := range keys {
-		b.Add([]byte(k), []byte(k))
+	for i := 0; i < 40; i++ {
+		uk := []byte(fmt.Sprintf("key%03d", i))
+		for _, seq := range []uint64{30, 20, 10} {
+			b.Add(ikey.Make(uk, seq, ikey.KindSet), []byte(fmt.Sprintf("v%d@%d", i, seq)))
+		}
 	}
-	it, _ := NewIter(b.Finish())
-	it.SeekWith(rev, []byte("n"))
-	if !it.Valid() || string(it.Key()) != "m" {
-		t.Fatalf("SeekWith landed on %q, want m", it.Key())
+	it, err := NewIter(b.Finish())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 40; i++ {
+		uk := []byte(fmt.Sprintf("key%03d", i))
+		for _, c := range []struct{ snap, want uint64 }{{ikey.MaxSeq, 30}, {25, 20}, {20, 20}, {10, 10}} {
+			it.SeekInternal(ikey.SeekKey(uk, c.snap))
+			if !it.Valid() {
+				t.Fatalf("SeekInternal(%s@%d) invalid", uk, c.snap)
+			}
+			gotUK, gotSeq, _, _ := ikey.Decode(it.Key())
+			if !bytes.Equal(gotUK, uk) || gotSeq != c.want {
+				t.Fatalf("SeekInternal(%s@%d) landed on %s@%d, want seq %d", uk, c.snap, gotUK, gotSeq, c.want)
+			}
+		}
+		// Below the oldest version the seek moves on to the next user key.
+		it.SeekInternal(ikey.SeekKey(uk, 5))
+		if i == 39 {
+			if it.Valid() {
+				t.Fatalf("seek past the last version landed on %q", it.Key())
+			}
+			continue
+		}
+		if gotUK, _, _, _ := ikey.Decode(it.Key()); string(gotUK) != fmt.Sprintf("key%03d", i+1) {
+			t.Fatalf("SeekInternal(%s@5) landed on %s", uk, gotUK)
+		}
+	}
+}
+
+// TestSeekAllocs pins the in-place search: once an Iter exists, positioning
+// it allocates nothing — no decoded restart array, no materialised restart
+// keys, and entry keys up to inlineKey bytes land in the Iter's own buffer.
+func TestSeekAllocs(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("allocation pins are not meaningful under the race detector")
+	}
+	var b Builder
+	for i := 0; i < 200; i++ {
+		b.Add(ikey.Make([]byte(fmt.Sprintf("user%012d", i)), 7, ikey.KindSet), make([]byte, 32))
+	}
+	blk := b.Finish()
+	it, err := NewIter(blk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	target := ikey.SeekKey([]byte(fmt.Sprintf("user%012d", 137)), ikey.MaxSeq)
+	if n := testing.AllocsPerRun(100, func() {
+		it.SeekInternal(target)
+		it.Next()
+		it.Seek(target)
+		it.SeekToFirst()
+	}); n != 0 {
+		t.Errorf("seek on a constructed Iter: %.0f allocs, want 0", n)
+	}
+	// A cursor declared as a local and pointed at a block costs nothing at all.
+	if n := testing.AllocsPerRun(100, func() {
+		var local Iter
+		if err := local.Init(blk); err != nil {
+			t.Fatal(err)
+		}
+		local.SeekInternal(target)
+		if !local.Valid() {
+			t.Fatal("seek missed")
+		}
+	}); n != 0 {
+		t.Errorf("Init+SeekInternal on a local Iter: %.0f allocs, want 0", n)
 	}
 }
 
@@ -191,5 +258,38 @@ func TestQuickRoundTripAndSeek(t *testing.T) {
 	}
 	if err := quick.Check(fn, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestLongKeysSpill covers keys longer than the Iter's inline buffer, which
+// move to a heap buffer mid-block (short keys first, so the switch happens
+// while a shared prefix is live).
+func TestLongKeysSpill(t *testing.T) {
+	var pairs [][2]string
+	for i := 0; i < 20; i++ {
+		pairs = append(pairs, [2]string{fmt.Sprintf("a%03d", i), "short"})
+	}
+	long := "b" + string(bytes.Repeat([]byte{'x'}, 2*inlineKey))
+	for i := 0; i < 50; i++ {
+		pairs = append(pairs, [2]string{fmt.Sprintf("%s%03d", long, i), fmt.Sprintf("long%d", i)})
+	}
+	it, err := NewIter(buildBlock(pairs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	i := 0
+	for it.SeekToFirst(); it.Valid(); it.Next() {
+		if string(it.Key()) != pairs[i][0] || string(it.Value()) != pairs[i][1] {
+			t.Fatalf("entry %d = %q/%q, want %q/%q", i, it.Key(), it.Value(), pairs[i][0], pairs[i][1])
+		}
+		i++
+	}
+	if i != len(pairs) || it.Err() != nil {
+		t.Fatalf("iterated %d of %d, err %v", i, len(pairs), it.Err())
+	}
+	for _, p := range pairs {
+		if it.Seek([]byte(p[0])); !it.Valid() || string(it.Key()) != p[0] || string(it.Value()) != p[1] {
+			t.Fatalf("Seek(%q) landed on %q", p[0], it.Key())
+		}
 	}
 }

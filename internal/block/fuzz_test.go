@@ -3,6 +3,8 @@ package block
 import (
 	"bytes"
 	"testing"
+
+	"p2kvs/internal/ikey"
 )
 
 // FuzzIterParse: arbitrary bytes fed to the block parser must never
@@ -38,6 +40,12 @@ func FuzzIterParse(f *testing.F) {
 		}
 		// Seeks on arbitrary parsed blocks must also be safe.
 		it.Seek([]byte("probe"))
+		if it.Valid() {
+			_ = it.Key()
+		}
+		// ... and so must the internal-key seek SSTables use, whose
+		// comparator reads an 8-byte trailer off every key it is shown.
+		it.SeekInternal(ikey.SeekKey([]byte("probe"), 7))
 		if it.Valid() {
 			_ = it.Key()
 		}

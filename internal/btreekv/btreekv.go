@@ -390,7 +390,7 @@ func (d *DB) Get(key []byte) ([]byte, error) {
 		// absence) is unreadable — fail loudly, never guess NotFound.
 		return nil, cerr
 	}
-	if d.base != nil {
+	if d.base != nil && d.base.MayContain(key) {
 		v, _, found, deleted, err := d.base.Get(key, ikey.MaxSeq)
 		if err != nil {
 			if errors.Is(err, kv.ErrCorruption) {
@@ -399,7 +399,8 @@ func (d *DB) Get(key []byte) ([]byte, error) {
 			return nil, err
 		}
 		if found && !deleted {
-			return v, nil
+			// v is a slice of the data block; the caller owns what Get returns.
+			return append([]byte(nil), v...), nil
 		}
 	}
 	return nil, kv.ErrNotFound

@@ -5,12 +5,12 @@
 // within a DB, so stale entries cannot alias.
 package cache
 
-import (
-	"container/list"
-	"sync"
-)
+import "sync"
 
 const numShards = 16
+
+// entryOverhead is what an entry is charged on top of its block bytes.
+const entryOverhead = 48
 
 // Cache is a byte-budgeted sharded LRU. Safe for concurrent use.
 type Cache struct {
@@ -22,17 +22,20 @@ type key struct {
 	off uint64
 }
 
+// entry is one cached block and its own LRU links: inserting a block costs
+// this one allocation, and a hit moves pointers without allocating.
 type entry struct {
-	k   key
-	val []byte
+	k          key
+	val        []byte
+	prev, next *entry
 }
 
 type shard struct {
 	mu     sync.Mutex
 	budget int64
 	used   int64
-	lru    *list.List // front = most recent
-	m      map[key]*list.Element
+	lru    entry // list sentinel: lru.next is the most recent entry, lru.prev the least
+	m      map[key]*entry
 	hits   int64
 	misses int64
 }
@@ -43,9 +46,27 @@ func New(budget int64) *Cache {
 	c := &Cache{}
 	per := budget / numShards
 	for i := range c.shards {
-		c.shards[i] = shard{budget: per, lru: list.New(), m: make(map[key]*list.Element)}
+		s := &c.shards[i]
+		s.budget, s.m = per, make(map[key]*entry)
+		s.lru.prev, s.lru.next = &s.lru, &s.lru
 	}
 	return c
+}
+
+func (s *shard) unlink(e *entry) {
+	e.prev.next, e.next.prev = e.next, e.prev
+}
+
+func (s *shard) pushFront(e *entry) {
+	e.prev, e.next = &s.lru, s.lru.next
+	e.prev.next, e.next.prev = e, e
+}
+
+// remove drops e from the shard entirely.
+func (s *shard) remove(e *entry) {
+	s.unlink(e)
+	delete(s.m, e.k)
+	s.used -= int64(len(e.val)) + entryOverhead
 }
 
 func (c *Cache) shard(k key) *shard {
@@ -68,10 +89,11 @@ func (c *Cache) Get(id, off uint64) ([]byte, bool) {
 	s := c.shard(k)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if el, ok := s.m[k]; ok {
-		s.lru.MoveToFront(el)
+	if e, ok := s.m[k]; ok {
+		s.unlink(e)
+		s.pushFront(e)
 		s.hits++
-		return el.Value.(*entry).val, true
+		return e.val, true
 	}
 	s.misses++
 	return nil, false
@@ -90,37 +112,28 @@ func (c *Cache) Put(id, off uint64, val []byte) {
 	if s.budget <= 0 {
 		return
 	}
-	if int64(len(val))+48 > s.budget {
+	e, cached := s.m[k]
+	if int64(len(val))+entryOverhead > s.budget {
 		// The entry could never fit: inserting it would evict the whole
 		// shard and then be trimmed away itself. Drop it up front — and
 		// drop any smaller cached version, which the write supersedes.
-		if el, ok := s.m[k]; ok {
-			e := el.Value.(*entry)
-			s.lru.Remove(el)
-			delete(s.m, k)
-			s.used -= int64(len(e.val)) + 48
+		if cached {
+			s.remove(e)
 		}
 		return
 	}
-	if el, ok := s.m[k]; ok {
-		old := el.Value.(*entry)
-		s.used += int64(len(val) - len(old.val))
-		old.val = val
-		s.lru.MoveToFront(el)
+	if cached {
+		s.used += int64(len(val) - len(e.val))
+		e.val = val
+		s.unlink(e)
 	} else {
-		el := s.lru.PushFront(&entry{k: k, val: val})
-		s.m[k] = el
-		s.used += int64(len(val)) + 48
+		e = &entry{k: k, val: val}
+		s.m[k] = e
+		s.used += int64(len(val)) + entryOverhead
 	}
-	for s.used > s.budget {
-		back := s.lru.Back()
-		if back == nil {
-			break
-		}
-		e := back.Value.(*entry)
-		s.lru.Remove(back)
-		delete(s.m, e.k)
-		s.used -= int64(len(e.val)) + 48
+	s.pushFront(e)
+	for s.used > s.budget && s.lru.prev != &s.lru {
+		s.remove(s.lru.prev)
 	}
 }
 

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+
+	"p2kvs/internal/raceflag"
 )
 
 func TestGetPut(t *testing.T) {
@@ -166,4 +168,67 @@ func TestConcurrentAccess(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+}
+
+// TestLRUExactOrder pins the eviction order of the intrusive list in one
+// shard: least recently used goes first, a hit and an overwrite both count
+// as use, and the charged bytes follow the resident entries.
+func TestLRUExactOrder(t *testing.T) {
+	// Offsets that land in the shard of (1, 0), found by asking the cache.
+	c := New(numShards * 4 * (100 + entryOverhead)) // 4 entries of 100 B per shard
+	home := c.shard(key{1, 0})
+	var offs []uint64
+	for off := uint64(0); len(offs) < 6; off += 4096 {
+		if c.shard(key{1, off}) == home {
+			offs = append(offs, off)
+		}
+	}
+	for _, off := range offs[:4] {
+		c.Put(1, off, make([]byte, 100))
+	}
+	c.Get(1, offs[0])                    // order, oldest first: 1 2 3 0
+	c.Put(1, offs[1], make([]byte, 100)) // 2 3 0 1
+	c.Put(1, offs[4], make([]byte, 100)) // evicts 2
+	c.Put(1, offs[5], make([]byte, 100)) // evicts 3
+	for i, want := range []bool{true, true, false, false, true, true} {
+		if _, ok := c.Get(1, offs[i]); ok != want {
+			t.Errorf("entry %d resident = %v, want %v", i, ok, want)
+		}
+	}
+	if want := int64(4 * (100 + entryOverhead)); home.used != want || len(home.m) != 4 {
+		t.Fatalf("shard holds %d bytes in %d entries, want %d in 4", home.used, len(home.m), want)
+	}
+	c.Put(1, offs[0], make([]byte, 1<<20)) // can never fit: drops the cached copy too
+	if _, ok := c.Get(1, offs[0]); ok || len(home.m) != 3 {
+		t.Fatalf("oversized Put left the superseded block cached (%d entries)", len(home.m))
+	}
+}
+
+// TestAllocs pins the intrusive LRU: a hit allocates nothing, and an insert
+// into a cache at its budget allocates the entry and nothing else.
+func TestAllocs(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("allocation pins are not meaningful under the race detector")
+	}
+	c := New(numShards * 64 * (4096 + entryOverhead))
+	blk := make([]byte, 4096)
+	for i := 0; i < 4096; i++ { // well past the budget: every shard is evicting
+		c.Put(1, uint64(i)*4096, blk)
+	}
+	c.Put(9, 0, blk)
+	if n := testing.AllocsPerRun(200, func() {
+		if _, ok := c.Get(9, 0); !ok {
+			t.Fatal("miss on a resident block")
+		}
+		c.Get(9, 4096) // a miss allocates nothing either
+	}); n != 0 {
+		t.Errorf("Get: %.0f allocs, want 0", n)
+	}
+	next := uint64(4096)
+	if n := testing.AllocsPerRun(2000, func() {
+		c.Put(1, next*4096, blk)
+		next++
+	}); n > 1 {
+		t.Errorf("steady-state Put: %.0f allocs, want <= 1", n)
+	}
 }

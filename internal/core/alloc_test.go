@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"p2kvs/internal/kv"
+	"p2kvs/internal/raceflag"
 )
 
 // nopEngine does no work and allocates nothing, so every allocation the
@@ -23,16 +24,24 @@ func (e *nopEngine) NewIterator() (kv.Iterator, error) {
 }
 
 // TestAllocsAboveEngine pins what one request costs above the engine, so
-// the request representation cannot silently grow back. The bounds are
-// what this tree measures; the parent commit (bcf5110, where a write was
-// re-represented four times between the public call and the WAL) measured
+// the request representation cannot silently grow back. What each tree
+// measured, same engine and options throughout:
 //
-//	Put 6   PutAsync 5   Get 3   WriteCtx(8 ops, one shard) 15
+//	              Put  PutAsync  Get  WriteCtx(8 ops, one shard)
+//	bcf5110        6      5       3      15   a write re-represented four times
+//	3bb6c95        5      4       3      10   one request shape
+//	this tree      2      3       0       7   sync requests pooled with their
+//	                                          completion channel; the worker
+//	                                          owns its batch slice
 //
-// with the same engine and options, and no pin may exceed its parent
-// number. AllocsPerRun counts every goroutine's allocations, the worker's
-// included.
+// The sync pins (Put 3, Get 1) leave one allocation of slack over that; Put's
+// two are its one-op slice and the engine batch header. PutAsync and WriteCtx
+// keep the pins of 3bb6c95: the callback and multi-leg paths are not pooled.
+// AllocsPerRun counts every goroutine's allocations, the worker's included.
 func TestAllocsAboveEngine(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("allocation pins are not meaningful under the race detector: sync.Pool drops Puts there")
+	}
 	opts := DefaultOptions(func(int, func(uint64) bool) (kv.Engine, error) {
 		return &nopEngine{val: []byte("v")}, nil
 	})
@@ -56,14 +65,14 @@ func TestAllocsAboveEngine(t *testing.T) {
 		max  float64
 		op   func() error
 	}{
-		{"Put", 5, func() error { return s.Put(key, val) }},
+		{"Put", 3, func() error { return s.Put(key, val) }},
 		{"PutAsync", 4, func() error {
 			if err := s.PutAsync(key, val, ack); err != nil {
 				return err
 			}
 			return <-acked
 		}},
-		{"Get", 3, func() error { _, err := s.Get(key); return err }},
+		{"Get", 1, func() error { _, err := s.Get(key); return err }},
 		{"WriteCtx8", 10, func() error { return s.WriteCtx(nil, &batch) }},
 	} {
 		var opErr error

@@ -558,41 +558,41 @@ func TestQueuePeekSemantics(t *testing.T) {
 	q.pushWait(nil, mk(reqRead)) // type switch: must cut the batch
 	q.pushWait(nil, mk(reqWrite))
 
-	batch, _ := q.popBatch(true, 32)
+	batch, _ := q.popBatch(true, 32, nil)
 	if len(batch) != 2 || batch[0].typ != reqWrite {
 		t.Fatalf("first batch = %d reqs", len(batch))
 	}
-	batch, _ = q.popBatch(true, 32)
+	batch, _ = q.popBatch(true, 32, nil)
 	if len(batch) != 1 || batch[0].typ != reqRead {
 		t.Fatalf("second batch = %d of type %v", len(batch), batch[0].typ)
 	}
-	batch, _ = q.popBatch(true, 32)
+	batch, _ = q.popBatch(true, 32, nil)
 	if len(batch) != 1 || batch[0].typ != reqWrite {
 		t.Fatalf("third batch = %d", len(batch))
 	}
 	// SCAN is never merged.
 	q.pushWait(nil, mk(reqScan))
 	q.pushWait(nil, mk(reqScan))
-	batch, _ = q.popBatch(true, 32)
+	batch, _ = q.popBatch(true, 32, nil)
 	if len(batch) != 1 {
 		t.Fatalf("scan batch = %d, want 1", len(batch))
 	}
 	// noMerge requests stay alone.
 	r1, r2 := mk(reqWrite), mk(reqWrite)
 	r1.noMerge = true
-	q.popBatch(true, 32) // drain remaining scan
+	q.popBatch(true, 32, nil) // drain remaining scan
 	q.pushWait(nil, r1)
 	q.pushWait(nil, r2)
-	batch, _ = q.popBatch(true, 32)
+	batch, _ = q.popBatch(true, 32, nil)
 	if len(batch) != 1 {
 		t.Fatalf("noMerge batch = %d, want 1", len(batch))
 	}
 	// Closed queue drains then returns nil.
 	q.close()
-	if got, _ := q.popBatch(true, 32); len(got) != 1 {
+	if got, _ := q.popBatch(true, 32, nil); len(got) != 1 {
 		t.Fatalf("drain after close = %d", len(got))
 	}
-	if got, expired := q.popBatch(true, 32); got != nil || expired != nil {
+	if got, expired := q.popBatch(true, 32, nil); got != nil || expired != nil {
 		t.Fatal("closed empty queue must return nil")
 	}
 	if q.pushWait(nil, mk(reqWrite)) == nil {

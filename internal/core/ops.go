@@ -15,7 +15,9 @@ import (
 // Data-plane operations: every one builds requests of the one shape
 // (queue.go), routes and admits them under the routing read lock
 // (routing.go), and completes through a done channel, a callback or — for
-// multi-leg operations — one fanIn.
+// multi-leg operations — one fanIn. The single-leg synchronous ones (GetCtx,
+// PutCtx, DeleteCtx) draw their request from the syncRequests pool and give
+// it back once they own it again.
 
 // writeOne routes a single-key write and hands it to writeTo.
 func (s *Store) writeOne(ctx context.Context, op kv.BatchOp, cb func(error)) error {
@@ -28,19 +30,29 @@ func (s *Store) writeOne(ctx context.Context, op kv.BatchOp, cb func(error)) err
 // waits for completion (sync path); otherwise cb runs on the worker when
 // the write completes (async path).
 func (s *Store) writeTo(ctx context.Context, w *worker, ops []kv.BatchOp, cb func(error)) error {
-	r := &request{typ: reqWrite, ops: ops, callback: cb}
-	if cb == nil {
-		r.done = make(chan struct{})
+	var r *request
+	if cb != nil {
+		r = &request{typ: reqWrite, ops: ops, callback: cb}
+	} else {
+		r = getSyncRequest()
+		r.typ, r.ops = reqWrite, ops
 	}
 	err := s.writeAdmitErr(w)
 	if err == nil {
 		err = s.admit(ctx, w, r)
 	}
 	s.routeMu.RUnlock()
-	if err != nil || cb != nil {
+	if cb != nil {
 		return err
 	}
-	return s.waitDone(w, r)
+	owned := err != nil // never enqueued
+	if !owned {
+		owned, err = s.waitDone(w, r)
+	}
+	if owned {
+		putSyncRequest(r)
+	}
+	return err
 }
 
 // Put implements kv.Engine (①②③ in Figure 9b: submit, enqueue, sleep
@@ -98,17 +110,23 @@ func (s *Store) Get(key []byte) ([]byte, error) {
 // newRead is the first half of the one hot-cache read-through. A hit
 // (positive or negative) is served right here, on the submitter's
 // goroutine — no queue admission, no worker round-trip — and r is nil. A
-// miss returns the read request, carrying the key's invalidation watermark
+// miss returns the read request, taken from alloc (the sync pool or the
+// heap, by who will own it) and carrying the key's invalidation watermark
 // snapshotted before the read can be submitted.
-func (s *Store) newRead(key []byte) (r *request, val []byte, err error) {
+func (s *Store) newRead(key []byte, alloc func() *request) (r *request, val []byte, err error) {
 	if v, neg, ok := s.cache.Get(key); ok {
 		if neg {
 			return nil, nil, kv.ErrNotFound
 		}
 		return nil, v, nil
 	}
-	return &request{typ: reqRead, key: key, ticket: s.cache.Snapshot(key)}, nil, nil
+	r = alloc()
+	r.typ, r.key, r.ticket = reqRead, key, s.cache.Snapshot(key)
+	return r, nil, nil
 }
+
+// heapRequest is newRead's allocator for requests no single waiter owns.
+func heapRequest() *request { return new(request) }
 
 // readResult is the second half, for a read the worker completed without
 // error: it fills the cache — only if no write bumped the watermark since
@@ -122,17 +140,21 @@ func (s *Store) readResult(r *request) ([]byte, error) {
 }
 
 // GetCtx is Get bounded by a context, read through the hot-key cache
-// (newRead / readResult) when one is enabled.
+// (newRead / readResult) when one is enabled. The returned slice is the
+// caller's: nothing in the store keeps a reference to it.
 func (s *Store) GetCtx(ctx context.Context, key []byte) ([]byte, error) {
-	r, v, err := s.newRead(key)
+	r, v, err := s.newRead(key, getSyncRequest)
 	if r == nil {
 		return v, err
 	}
-	r.done = make(chan struct{})
-	if err := s.submit(ctx, key, r); err != nil {
-		return nil, err
+	owned, err := s.submit(ctx, key, r)
+	if err == nil {
+		v, err = s.readResult(r)
 	}
-	return s.readResult(r)
+	if owned {
+		putSyncRequest(r)
+	}
+	return v, err
 }
 
 // GetAsync is the asynchronous read interface; cb receives the value (nil
@@ -145,7 +167,7 @@ func (s *Store) GetAsync(key []byte, cb func([]byte, error)) error {
 // synchronously, before GetAsyncCtx returns — the read never enters a
 // queue.
 func (s *Store) GetAsyncCtx(ctx context.Context, key []byte, cb func([]byte, error)) error {
-	r, v, err := s.newRead(key)
+	r, v, err := s.newRead(key, heapRequest)
 	if r == nil {
 		cb(v, err)
 		return nil
@@ -157,7 +179,8 @@ func (s *Store) GetAsyncCtx(ctx context.Context, key []byte, cb func([]byte, err
 		}
 		cb(s.readResult(r))
 	}
-	return s.submit(ctx, key, r)
+	_, err = s.submit(ctx, key, r)
+	return err
 }
 
 // MultiGet resolves several keys in one call: keys are grouped per
@@ -189,7 +212,7 @@ func (s *Store) MultiGetCtx(ctx context.Context, keys [][]byte) ([][]byte, error
 	s.routeMu.RLock()
 	rt := s.route.Load()
 	for i, k := range keys {
-		r, v, _ := s.newRead(k)
+		r, v, _ := s.newRead(k, heapRequest)
 		if r == nil {
 			out[i] = v // a negative hit leaves nil = not found
 			continue

@@ -89,7 +89,10 @@ type request struct {
 	// Completion: exactly one of done / callback is set. The sync path
 	// blocks on done (the paper's "suspends itself without further CPU
 	// consumption", ②); the async path gets callback(err) from the
-	// worker (the Put(K,V,callback) extension, §4.1).
+	// worker (the Put(K,V,callback) extension, §4.1). done has capacity 1
+	// and a request has exactly one waiter and is completed exactly once,
+	// so completing is a send that never blocks — which, unlike a close,
+	// leaves the channel reusable when the request is (syncRequests).
 	done     chan struct{}
 	callback func(err error)
 
@@ -110,13 +113,37 @@ type request struct {
 	enqueuedAt time.Time
 }
 
+// complete hands the request back to its submitter. It is the worker's last
+// touch of r: once the waiter has received from done it may recycle r.
 func (r *request) complete(err error) {
 	r.err = err
 	if r.callback != nil {
 		r.callback(err)
 		return
 	}
-	close(r.done)
+	r.done <- struct{}{}
+}
+
+// newDone makes the completion channel of a request someone waits on.
+func newDone() chan struct{} { return make(chan struct{}, 1) }
+
+// syncRequests recycles the requests of single-leg synchronous operations
+// (GetCtx, PutCtx, DeleteCtx), each with its completion channel. The rule is
+// ownership: whoever waited for a request and saw it complete — or never got
+// it into a queue — is its only holder and returns it; a waiter whose context
+// ended first cannot know the worker is done with the request and leaves it
+// to the garbage collector. Callback, multi-leg and control-plane requests
+// have no such single owner and stay ordinary allocations.
+var syncRequests = sync.Pool{New: func() any { return &request{done: newDone()} }}
+
+func getSyncRequest() *request { return syncRequests.Get().(*request) }
+
+// putSyncRequest recycles r. The caller observed r's completion (its done
+// channel is drained) or failed to enqueue it, and has copied out the
+// results it wants.
+func putSyncRequest(r *request) {
+	*r = request{done: r.done}
+	syncRequests.Put(r)
 }
 
 // expired reports whether the request's context ended (deadline or
@@ -245,8 +272,9 @@ func (q *reqQueue) removeSpaceWaiter(ch chan struct{}) {
 // OBM slot, and the caller completes them with kv.ErrDeadlineExceeded
 // without touching the engine. batch == nil with a non-empty expired means
 // "only dead work was pending — call again"; batch == nil and expired ==
-// nil means closed-and-drained.
-func (q *reqQueue) popBatch(obm bool, max int) (batch, expired []*request) {
+// nil means closed-and-drained. The batch is appended to scratch[:0], which
+// the one consumer owns and passes back in on every call.
+func (q *reqQueue) popBatch(obm bool, max int, scratch []*request) (batch, expired []*request) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	for q.len() == 0 && !q.closed {
@@ -266,7 +294,7 @@ func (q *reqQueue) popBatch(obm bool, max int) (batch, expired []*request) {
 	}
 	first := q.items[q.head]
 	q.head++
-	batch = []*request{first}
+	batch = append(scratch[:0], first)
 	if obm && first.typ != reqScan && !first.noMerge {
 		for q.len() > 0 && len(batch) < max {
 			next := q.items[q.head]

@@ -40,7 +40,7 @@ func TestQueueConcurrentPushPop(t *testing.T) {
 	seen := make(map[string]bool)
 	got := 0
 	for got < producers*perProducer {
-		batch, expired := q.popBatch(true, 32)
+		batch, expired := q.popBatch(true, 32, nil)
 		if len(expired) != 0 {
 			t.Fatalf("no request carries a ctx, yet %d were shed", len(expired))
 		}
@@ -110,7 +110,7 @@ func TestQueueBlockedPushWakesOnCtx(t *testing.T) {
 		t.Fatalf("%d abandoned space waiters leaked", len(q.spaceWaiters))
 	}
 	// The queue still functions after the aborted wait.
-	if batch, _ := q.popBatch(false, 1); len(batch) != 1 {
+	if batch, _ := q.popBatch(false, 1, nil); len(batch) != 1 {
 		t.Fatalf("pop after aborted wait = %d requests", len(batch))
 	}
 	if err := q.tryPush(&request{typ: reqWrite}); err != nil {
@@ -146,7 +146,7 @@ func TestQueueCompact(t *testing.T) {
 	// Pop the first 100 one at a time (OBM off): head passes 64 and
 	// head*2 >= len(items), which must trigger compact().
 	for i := 0; i < 100; i++ {
-		batch, _ := q.popBatch(false, 1)
+		batch, _ := q.popBatch(false, 1, nil)
 		if len(batch) != 1 || string(batch[0].key) != fmt.Sprintf("k-%04d", i) {
 			t.Fatalf("pop %d = %q", i, batch[0].key)
 		}
@@ -159,7 +159,7 @@ func TestQueueCompact(t *testing.T) {
 		q.pushWait(nil, &request{typ: reqWrite, key: []byte(fmt.Sprintf("k-%04d", i))})
 	}
 	for i := 100; i < total+20; i++ {
-		batch, _ := q.popBatch(false, 1)
+		batch, _ := q.popBatch(false, 1, nil)
 		if len(batch) != 1 || string(batch[0].key) != fmt.Sprintf("k-%04d", i) {
 			t.Fatalf("post-compact pop %d = %q", i, batch[0].key)
 		}
@@ -192,7 +192,7 @@ func TestQueueShedsExpired(t *testing.T) {
 	q.pushWait(nil, mk(dead, "mid")) // expired mid-batch
 	q.pushWait(nil, mk(live, "b"))
 
-	batch, expired := q.popBatch(true, 32)
+	batch, expired := q.popBatch(true, 32, nil)
 	if len(expired) != 3 {
 		t.Fatalf("shed %d, want 3", len(expired))
 	}
@@ -203,12 +203,12 @@ func TestQueueShedsExpired(t *testing.T) {
 	// next call blocks for live work rather than spinning; verify via
 	// close.
 	q.pushWait(nil, mk(dead, "only"))
-	batch, expired = q.popBatch(true, 32)
+	batch, expired = q.popBatch(true, 32, nil)
 	if batch != nil || len(expired) != 1 {
 		t.Fatalf("expired-only pop = %v / %v", batch, expired)
 	}
 	q.close()
-	if batch, expired = q.popBatch(true, 32); batch != nil || expired != nil {
+	if batch, expired = q.popBatch(true, 32, nil); batch != nil || expired != nil {
 		t.Fatal("closed empty queue must return nil, nil")
 	}
 }

@@ -399,7 +399,7 @@ func barrierWorkers(workers []*worker, timeout <-chan struct{}) (release chan st
 			noMerge:        true,
 			barrierReady:   parked,
 			barrierRelease: release,
-			done:           make(chan struct{}),
+			done:           newDone(), // nobody waits; the worker's completion just lands here
 		}
 		if perr := w.q.pushWait(timeout, r); perr != nil {
 			close(release)

@@ -114,7 +114,7 @@ func (s *Store) admit(ctx context.Context, w *worker, r *request) error {
 // ordered with concurrent data-plane writes and invalidate the hot cache
 // like any other write, because they travel the same queue.
 func (w *worker) do(r *request) error {
-	r.done = make(chan struct{})
+	r.done = newDone()
 	if err := w.q.pushWait(nil, r); err != nil {
 		return err
 	}
@@ -122,34 +122,37 @@ func (w *worker) do(r *request) error {
 	return r.err
 }
 
-// waitDone blocks until the worker completes r (admitted via admit, with
-// r.done set). When the request's context ends first, the caller unblocks
-// with kv.ErrDeadlineExceeded and the worker sheds the orphaned request
-// when it reaches it (nobody reads its result).
-func (s *Store) waitDone(w *worker, r *request) error {
+// waitDone blocks until the worker completes r (a sync request, admitted
+// via admit) and reports r's error. When the request's context ends first,
+// the caller unblocks with kv.ErrDeadlineExceeded and the worker sheds the
+// orphaned request when it reaches it (nobody reads its result); completed
+// is then false — the worker may still touch r, so the caller must not
+// recycle it.
+func (s *Store) waitDone(w *worker, r *request) (completed bool, err error) {
 	if r.ctx == nil {
 		<-r.done
-		return r.err
+		return true, r.err
 	}
 	select {
 	case <-r.done:
-		return r.err
+		return true, r.err
 	case <-r.ctx.Done():
 		w.expired.Add(1)
-		return ctxError(r.ctx.Err())
+		return false, ctxError(r.ctx.Err())
 	}
 }
 
-// submit routes a read by key and admits it under the routing read lock;
-// with r.done set (sync path) it then waits for completion, the lock
-// released.
-func (s *Store) submit(ctx context.Context, key []byte, r *request) error {
+// submit routes a read by key and admits it under the routing read lock. A
+// callback request is done with at that point. A sync request then waits for
+// completion, the lock released; owned reports whether r is the caller's
+// alone again — it never reached a queue, or its completion was observed.
+func (s *Store) submit(ctx context.Context, key []byte, r *request) (owned bool, err error) {
 	s.routeMu.RLock()
 	w := s.route.Load().pick(key)
-	err := s.admit(ctx, w, r)
+	err = s.admit(ctx, w, r)
 	s.routeMu.RUnlock()
-	if err != nil || r.done == nil {
-		return err
+	if err != nil || r.callback != nil {
+		return err != nil, err
 	}
 	return s.waitDone(w, r)
 }

@@ -157,8 +157,9 @@ func (w *worker) loop() {
 		runtime.LockOSThread()
 		defer runtime.UnlockOSThread()
 	}
+	var scratch []*request // the batch slice, reused from one dequeue to the next
 	for {
-		reqs, expired := w.q.popBatch(w.obm, w.max)
+		reqs, expired := w.q.popBatch(w.obm, w.max, scratch)
 		for _, r := range expired {
 			w.shed.Add(1)
 			r.complete(ctxError(r.ctx.Err()))
@@ -177,6 +178,8 @@ func (w *worker) loop() {
 			w.queueWaitNs.Add(int64(now.Sub(r.enqueuedAt)))
 		}
 		w.execute(reqs)
+		clear(reqs) // completed requests belong to their submitters again
+		scratch = reqs
 		if w.meter != nil {
 			w.meter.Idle()
 		}

@@ -186,10 +186,15 @@ func (d *DB) noteWriteFailure(h *memHandle, err error) {
 // durability (which a blind retry would double-apply at replay), so it is
 // rewritten from a clean snapshot; once that rewrite succeeds, the orphan
 // SSTs the edit would have installed are deleted — they are unreferenced
-// by the fresh snapshot, so this is crash-safe.
+// by the fresh snapshot, so this is crash-safe. A successful edit installs a
+// new current version, which is published to readers before applyEdit
+// returns; callers must not hold d.mu.
 func (d *DB) applyEdit(edit *manifest.VersionEdit, orphans ...uint64) error {
 	err := d.vs.LogAndApply(edit)
 	if err == nil {
+		d.mu.Lock()
+		d.publishReadStateLocked()
+		d.mu.Unlock()
 		return nil
 	}
 	if rerr := d.vs.Rotate(); rerr == nil {

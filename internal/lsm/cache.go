@@ -2,7 +2,9 @@ package lsm
 
 import (
 	"fmt"
+	"maps"
 	"sync"
+	"sync/atomic"
 
 	"p2kvs/internal/cache"
 	"p2kvs/internal/sstable"
@@ -12,26 +14,41 @@ import (
 // tableCache keeps SSTable readers open so point lookups don't re-read
 // index and filter blocks on every probe (RocksDB's table cache). Entries
 // are evicted when compaction deletes their files.
+//
+// A lookup of an open table takes no lock: the reader map is immutable and
+// replaced wholesale (copy-on-write under mu) by the rare open or evict — a
+// table is opened once and probed millions of times.
 type tableCache struct {
 	fs     vfs.FS
 	dir    string
 	blocks *cache.Cache // shared data-block cache (nil = disabled)
 
-	mu      sync.Mutex
-	readers map[uint64]*sstable.Reader
+	mu      sync.Mutex // serializes replacements of readers
+	readers atomic.Pointer[map[uint64]*sstable.Reader]
 }
 
 func newTableCache(fs vfs.FS, dir string, blocks *cache.Cache) *tableCache {
-	return &tableCache{fs: fs, dir: dir, blocks: blocks, readers: make(map[uint64]*sstable.Reader)}
+	c := &tableCache{fs: fs, dir: dir, blocks: blocks}
+	c.readers.Store(&map[uint64]*sstable.Reader{})
+	return c
+}
+
+// replaceLocked publishes a copy of the reader map with num mapped to r, or
+// removed when r is nil. Caller holds c.mu.
+func (c *tableCache) replaceLocked(num uint64, r *sstable.Reader) {
+	next := maps.Clone(*c.readers.Load())
+	if r != nil {
+		next[num] = r
+	} else {
+		delete(next, num)
+	}
+	c.readers.Store(&next)
 }
 
 func (c *tableCache) get(num uint64) (*sstable.Reader, error) {
-	c.mu.Lock()
-	if r, ok := c.readers[num]; ok {
-		c.mu.Unlock()
+	if r, ok := (*c.readers.Load())[num]; ok {
 		return r, nil
 	}
-	c.mu.Unlock()
 
 	f, err := c.fs.Open(sstName(c.dir, num))
 	if err != nil {
@@ -46,20 +63,22 @@ func (c *tableCache) get(num uint64) (*sstable.Reader, error) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if existing, ok := c.readers[num]; ok {
+	if existing, ok := (*c.readers.Load())[num]; ok {
 		// Lost a racing open; keep the first.
 		r.Close()
 		return existing, nil
 	}
-	c.readers[num] = r
+	c.replaceLocked(num, r)
 	return r, nil
 }
 
 // evict closes and forgets the reader for a deleted file.
 func (c *tableCache) evict(num uint64) {
 	c.mu.Lock()
-	r, ok := c.readers[num]
-	delete(c.readers, num)
+	r, ok := (*c.readers.Load())[num]
+	if ok {
+		c.replaceLocked(num, nil)
+	}
 	c.mu.Unlock()
 	if ok {
 		r.Close()
@@ -68,11 +87,9 @@ func (c *tableCache) evict(num uint64) {
 
 // approximateMemory estimates pinned index+filter bytes (Table 2).
 func (c *tableCache) approximateMemory() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	// Index + filter are roughly 2% of table size at our block/key sizes.
 	var total int64
-	for _, r := range c.readers {
+	for _, r := range *c.readers.Load() {
 		total += r.Size() / 50
 	}
 	return total
@@ -81,8 +98,8 @@ func (c *tableCache) approximateMemory() int64 {
 func (c *tableCache) closeAll() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for num, r := range c.readers {
+	for _, r := range *c.readers.Load() {
 		r.Close()
-		delete(c.readers, num)
 	}
+	c.readers.Store(&map[uint64]*sstable.Reader{})
 }

@@ -59,7 +59,7 @@ func (d *DB) PrepareCheckpoint() (kv.CheckpointWriter, error) {
 	}
 	d.mu.Lock()
 	d.ckptPins++
-	// Nested manifest lock inside d.mu: same order as acquireReadState.
+	// Nested manifest lock inside d.mu: same order as publishReadStateLocked.
 	snap := d.vs.SnapshotEdit()
 	var wals []walCapture
 	for _, h := range d.imm {

@@ -45,6 +45,12 @@ type DB struct {
 	wal  *wal.Writer  // == memH.walw; nil when DisableWAL
 	vs   *manifest.Set
 
+	// rs is what reads consult instead of memH, imm and vs: an immutable
+	// readState, rebuilt and swapped under mu by publishReadStateLocked
+	// wherever one of the three changes, and loaded without any lock by
+	// Get, MultiGet, iterators and snapshots.
+	rs atomic.Pointer[readState]
+
 	// Running compactions (scheduler.go). compWG tracks their goroutines
 	// so Close can wait them out before tearing down the manifest.
 	compRunning []*compactionJob
@@ -296,6 +302,7 @@ func (d *DB) installMemtable() error {
 	d.mu.Lock()
 	d.memH = h
 	d.wal = h.walw
+	d.publishReadStateLocked()
 	d.mu.Unlock()
 	return nil
 }
@@ -519,6 +526,7 @@ func (d *DB) rotateLocked() {
 	d.imm = append(d.imm, old)
 	d.memH = h
 	d.wal = h.walw
+	d.publishReadStateLocked()
 	d.kick()
 }
 
@@ -549,27 +557,51 @@ func (d *DB) Sync() error {
 // Read path
 // ---------------------------------------------------------------------------
 
-// readState captures a consistent snapshot of the structures Get/iterate
-// consult.
+// readState is the set of structures a read consults: the memtables, newest
+// first, and the SSTable version under them. A published readState is never
+// modified; a change to any part publishes a new one.
 type readState struct {
-	seq  uint64
 	mem  *memtable.MemTable
 	imms []*memtable.MemTable // newest first
 	ver  *manifest.Version
 }
 
-func (d *DB) acquireReadState() readState {
-	seq := d.seq.Load()
-	d.mu.Lock()
-	rs := readState{seq: seq, mem: d.memH.mem, ver: d.vs.Current()}
-	for i := len(d.imm) - 1; i >= 0; i-- {
-		rs.imms = append(rs.imms, d.imm[i].mem)
+// publishReadStateLocked rebuilds the read state from memH, imm and the
+// current version and swaps it in. Caller holds d.mu, which orders the
+// publishes: each one reads the fields as they are now, so the state readers
+// load never goes backwards. It runs at the four places those fields change —
+// installMemtable, rotateLocked, flushOne's pop of the flushed memtable and
+// applyEdit's version install — and each of them publishes before its change
+// can matter to a reader: a fresh memtable before any writer can pin it, a
+// flushed table's version before the memtable that fed it is dropped.
+func (d *DB) publishReadStateLocked() {
+	rs := &readState{mem: d.memH.mem, ver: d.vs.Current()}
+	if n := len(d.imm); n > 0 {
+		rs.imms = make([]*memtable.MemTable, n)
+		for i, h := range d.imm {
+			rs.imms[n-1-i] = h.mem
+		}
 	}
-	d.mu.Unlock()
-	return rs
+	d.rs.Store(rs)
 }
 
-// Get implements kv.Engine.
+// readView returns the read state and sequence number of one read. The
+// state is loaded first, the sequence second, so the sequence is never older
+// than the state: every entry in the state's tables got its number before the
+// table was built, hence before this load. The other order lets two flushes
+// and a compaction slip between the loads; compaction keeps only the newest
+// version of a key, the stale sequence hides exactly that version, and an
+// acknowledged key reads as not found
+// (TestReadsDuringRotationFlushCompaction). A write acknowledged before the
+// read began is in a memtable published before it was acknowledged, or in the
+// table that memtable became, so the state loaded here holds it.
+func (d *DB) readView() (rs *readState, seq uint64) {
+	rs = d.rs.Load()
+	return rs, d.seq.Load()
+}
+
+// Get implements kv.Engine. It takes no engine-wide lock, and on a
+// block-cache hit its one allocation is the value it returns.
 func (d *DB) Get(key []byte) ([]byte, error) {
 	if d.closed.Load() {
 		return nil, kv.ErrClosed
@@ -585,8 +617,8 @@ func (d *DB) Get(key []byte) ([]byte, error) {
 	// both safe and sufficient.
 	var lastErr error
 	for attempt := 0; attempt < 4; attempt++ {
-		rs := d.acquireReadState()
-		v, err := d.getAt(rs, key)
+		rs, seq := d.readView()
+		v, err := d.getAt(rs, seq, key)
 		if !isStaleFileErr(err) {
 			return v, err
 		}
@@ -601,98 +633,104 @@ func isStaleFileErr(err error) bool {
 	return err != nil && errors.Is(err, os.ErrNotExist)
 }
 
-func (d *DB) getAt(rs readState, key []byte) ([]byte, error) {
-	if v, found, deleted := rs.mem.Get(key, rs.seq); found {
-		if deleted {
-			return nil, kv.ErrNotFound
-		}
-		return append([]byte(nil), v...), nil
+// getAt resolves key against rs at snapshot seq. This is where the one copy
+// of a point lookup happens: memtables and tables hand back slices of their
+// own storage (a skiplist entry, a cached block), and the caller of Get owns
+// what it is given, so the winning value is copied here and nowhere else.
+func (d *DB) getAt(rs *readState, seq uint64, key []byte) ([]byte, error) {
+	v, found, deleted := rs.mem.Get(key, seq)
+	for i := 0; !found && i < len(rs.imms); i++ {
+		v, found, deleted = rs.imms[i].Get(key, seq)
 	}
-	for _, m := range rs.imms {
-		if v, found, deleted := m.Get(key, rs.seq); found {
-			if deleted {
-				return nil, kv.ErrNotFound
-			}
-			return append([]byte(nil), v...), nil
-		}
-	}
-	return d.getFromTables(rs, key)
-}
-
-func (d *DB) getFromTables(rs readState, key []byte) ([]byte, error) {
-	// L0: newest file first; first hit wins.
-	l0 := rs.ver.Levels[0]
-	var (
-		bestVal            []byte
-		bestSeq            uint64
-		bestFound, bestDel bool
-	)
-	probe := func(fm *manifest.FileMeta) error {
-		if !fm.Overlaps(key, key) {
-			return nil
-		}
-		// A quarantined file may hold the newest version of this key;
-		// serving from the surviving files could resurrect stale data, so
-		// the read fails loudly instead (DESIGN.md §12).
-		if qerr := d.quarErr(fm.Num); qerr != nil {
-			return qerr
-		}
-		r, err := d.tcache.get(fm.Num)
-		if err != nil {
-			d.noteCorruption(err)
-			return err
-		}
-		if !r.MayContain(key) {
-			d.perf.bloomSkips.Add(1)
-			return nil
-		}
-		d.perf.tableProbes.Add(1)
-		v, seq, found, deleted, err := r.Get(key, rs.seq)
-		if err != nil {
-			d.noteCorruption(err)
-			return err
-		}
-		if found && (!bestFound || seq > bestSeq) {
-			bestVal, bestSeq, bestFound, bestDel = v, seq, true, deleted
-		}
-		return nil
-	}
-	for i := len(l0) - 1; i >= 0; i-- {
-		if err := probe(l0[i]); err != nil {
+	if !found {
+		var hit tableHit
+		if err := d.getFromTables(rs.ver, seq, key, &hit); err != nil {
 			return nil, err
 		}
-		if bestFound && d.opts.Style == Leveled {
+		v, found, deleted = hit.val, hit.found, hit.deleted
+	}
+	if !found || deleted {
+		return nil, kv.ErrNotFound
+	}
+	return append([]byte(nil), v...), nil
+}
+
+// tableHit accumulates the newest version of a key seen across the tables
+// probed so far; val is a slice of the table's data block.
+type tableHit struct {
+	val            []byte
+	seq            uint64
+	found, deleted bool
+}
+
+// probeTable looks key up in one table and keeps the result in best when it
+// is newer than what best holds. The bloom filter is consulted here, once:
+// a negative counts as a bloom skip, a positive as a table probe.
+func (d *DB) probeTable(fm *manifest.FileMeta, key []byte, seq uint64, best *tableHit) error {
+	if !fm.Overlaps(key, key) {
+		return nil
+	}
+	// A quarantined file may hold the newest version of this key;
+	// serving from the surviving files could resurrect stale data, so
+	// the read fails loudly instead (DESIGN.md §12).
+	if qerr := d.quarErr(fm.Num); qerr != nil {
+		return qerr
+	}
+	r, err := d.tcache.get(fm.Num)
+	if err != nil {
+		d.noteCorruption(err)
+		return err
+	}
+	if !r.MayContain(key) {
+		d.perf.bloomSkips.Add(1)
+		return nil
+	}
+	d.perf.tableProbes.Add(1)
+	v, vseq, found, deleted, err := r.Get(key, seq)
+	if err != nil {
+		d.noteCorruption(err)
+		return err
+	}
+	if found && (!best.found || vseq > best.seq) {
+		*best = tableHit{val: v, seq: vseq, found: true, deleted: deleted}
+	}
+	return nil
+}
+
+func (d *DB) getFromTables(ver *manifest.Version, seq uint64, key []byte, best *tableHit) error {
+	// L0: newest file first; first hit wins.
+	l0 := ver.Levels[0]
+	for i := len(l0) - 1; i >= 0; i-- {
+		if err := d.probeTable(l0[i], key, seq, best); err != nil {
+			return err
+		}
+		if best.found && d.opts.Style == Leveled {
 			break // newest L0 file with the key wins
 		}
 	}
-	if !bestFound {
-		for level := 1; level < manifest.NumLevels && !bestFound; level++ {
-			files := rs.ver.Levels[level]
-			if d.opts.Style == Leveled {
-				// Non-overlapping: binary search by largest user key.
-				idx := sort.Search(len(files), func(i int) bool {
-					return string(ikey.UserKey(files[i].Largest)) >= string(key)
-				})
-				if idx < len(files) {
-					if err := probe(files[idx]); err != nil {
-						return nil, err
-					}
+	for level := 1; level < manifest.NumLevels && !best.found; level++ {
+		files := ver.Levels[level]
+		if d.opts.Style == Leveled {
+			// Non-overlapping: binary search by largest user key.
+			idx := sort.Search(len(files), func(i int) bool {
+				return string(ikey.UserKey(files[i].Largest)) >= string(key)
+			})
+			if idx < len(files) {
+				if err := d.probeTable(files[idx], key, seq, best); err != nil {
+					return err
 				}
-			} else {
-				// Fragmented: any file whose range covers key may hold a
-				// version; take the newest.
-				for _, fm := range files {
-					if err := probe(fm); err != nil {
-						return nil, err
-					}
+			}
+		} else {
+			// Fragmented: any file whose range covers key may hold a
+			// version; take the newest.
+			for _, fm := range files {
+				if err := d.probeTable(fm, key, seq, best); err != nil {
+					return err
 				}
 			}
 		}
 	}
-	if !bestFound || bestDel {
-		return nil, kv.ErrNotFound
-	}
-	return bestVal, nil
+	return nil
 }
 
 // MultiGet implements kv.MultiGetter: it resolves all keys against one
@@ -707,13 +745,13 @@ func (d *DB) MultiGet(keys [][]byte) ([][]byte, error) {
 		return nil, errors.New("lsm: MultiGet disabled by options")
 	}
 	d.perf.gets.Add(int64(len(keys)))
-	rs := d.acquireReadState()
+	rs, seq := d.readView()
 	out := make([][]byte, len(keys))
 	if len(keys) == 1 {
 		if c := d.opts.ReadPerOpCost; c > 0 {
 			time.Sleep(c)
 		}
-		v, err := d.getAt(rs, keys[0])
+		v, err := d.getAt(rs, seq, keys[0])
 		if err != nil && err != kv.ErrNotFound {
 			return nil, err
 		}
@@ -738,7 +776,7 @@ func (d *DB) MultiGet(keys [][]byte) ([][]byte, error) {
 				// standalone software path, overlapped across keys.
 				time.Sleep(c * 35 / 100)
 			}
-			v, err := d.getAt(rs, k)
+			v, err := d.getAt(rs, seq, k)
 			if isStaleFileErr(err) {
 				// Compaction raced this batch; resolve the key against a
 				// fresh read state.

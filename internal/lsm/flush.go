@@ -62,6 +62,7 @@ func (d *DB) flushOne() bool {
 
 	d.mu.Lock()
 	d.imm = d.imm[1:]
+	d.publishReadStateLocked()
 	d.kick()
 	d.cond.Broadcast()
 	d.mu.Unlock()

@@ -145,7 +145,7 @@ type dbIter struct {
 var _ kv.Iterator = (*dbIter)(nil)
 
 // newIterAt builds an internal iterator forest for a read state.
-func (d *DB) newIterAt(rs readState) (*dbIter, error) {
+func (d *DB) newIterAt(rs *readState, seq uint64) (*dbIter, error) {
 	var children []internalIterator
 	children = append(children, memIterAdapter{rs.mem.NewIterator()})
 	for _, m := range rs.imms {
@@ -174,7 +174,7 @@ func (d *DB) newIterAt(rs readState) (*dbIter, error) {
 			}
 		}
 	}
-	return &dbIter{merge: newMergingIter(children), snap: rs.seq}, nil
+	return &dbIter{merge: newMergingIter(children), snap: seq}, nil
 }
 
 // NewIterator implements kv.Engine.
@@ -184,7 +184,8 @@ func (d *DB) NewIterator() (kv.Iterator, error) {
 	}
 	var lastErr error
 	for attempt := 0; attempt < 4; attempt++ {
-		it, err := d.newIterAt(d.acquireReadState())
+		rs, seq := d.readView()
+		it, err := d.newIterAt(rs, seq)
 		if !isStaleFileErr(err) {
 			return it, err
 		}

@@ -1,0 +1,351 @@
+package lsm
+
+import (
+	"encoding/binary"
+	"errors"
+	"fmt"
+	"os"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"p2kvs/internal/kv"
+	"p2kvs/internal/raceflag"
+	"p2kvs/internal/vfs"
+)
+
+func lookupKey(i int) []byte { return []byte(fmt.Sprintf("user%012d", i)) }
+
+// settledDB loads n 128-byte records, flushes and compacts them into the
+// levels, and leaves the memtable empty: every Get goes to the tables.
+func settledDB(tb testing.TB, n int, blockCache int64) *DB {
+	tb.Helper()
+	opts := RocksDBOptions(vfs.NewMem())
+	opts.BlockCacheSize = blockCache
+	db, err := Open("db", opts)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { db.Close() })
+	val := make([]byte, 128)
+	var b kv.Batch
+	for i := 0; i < n; i++ {
+		b.Put(lookupKey(i), val)
+		if b.Len() == 256 || i == n-1 {
+			if err := db.Write(&b); err != nil {
+				tb.Fatal(err)
+			}
+			b = kv.Batch{}
+		}
+	}
+	if err := db.CompactAll(); err != nil {
+		tb.Fatal(err)
+	}
+	return db
+}
+
+// TestGetAllocs pins the point-lookup path of the engine: the value handed
+// to the caller is the only allocation of a Get served from a memtable or
+// from a cached block, and a block-cache miss adds the block buffer and the
+// cache entry that holds it.
+func TestGetAllocs(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("allocation pins are not meaningful under the race detector")
+	}
+	get := func(db *DB, key []byte) func() {
+		return func() {
+			if v, err := db.Get(key); err != nil || len(v) != 128 {
+				t.Fatalf("Get(%s) = %d bytes, %v", key, len(v), err)
+			}
+		}
+	}
+
+	t.Run("memtable", func(t *testing.T) {
+		db, err := Open("db", RocksDBOptions(vfs.NewMem()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer db.Close()
+		for i := 0; i < 1000; i++ {
+			db.Put(lookupKey(i), make([]byte, 128))
+		}
+		if n := testing.AllocsPerRun(200, get(db, lookupKey(500))); n > 1 {
+			t.Errorf("Get from the memtable: %.0f allocs, want <= 1", n)
+		}
+	})
+
+	t.Run("cached block", func(t *testing.T) {
+		db := settledDB(t, 50000, 64<<20)
+		if n := testing.AllocsPerRun(200, get(db, lookupKey(31337))); n > 1 {
+			t.Errorf("Get from a cached block: %.0f allocs, want <= 1", n)
+		}
+		if n := testing.AllocsPerRun(200, func() {
+			if _, err := db.Get([]byte("user-absent")); err != kv.ErrNotFound {
+				t.Fatalf("Get(absent) = %v", err)
+			}
+		}); n != 0 {
+			t.Errorf("Get of an absent key: %.0f allocs, want 0", n)
+		}
+	})
+
+	t.Run("block miss", func(t *testing.T) {
+		// A cache of one block per shard at most: striding a block's worth
+		// of keys per lookup makes every Get read its block.
+		db := settledDB(t, 50000, 16*8192)
+		var lookups []func()
+		for i := 0; i <= 500; i++ {
+			lookups = append(lookups, get(db, lookupKey(i*997%50000)))
+		}
+		i := 0
+		_, missesBefore := db.BlockCacheStats()
+		n := testing.AllocsPerRun(500, func() {
+			lookups[i]()
+			i++
+		})
+		_, missesAfter := db.BlockCacheStats()
+		if missesAfter-missesBefore < 400 {
+			t.Fatalf("only %d of 501 lookups missed the block cache", missesAfter-missesBefore)
+		}
+		if n > 3 {
+			t.Errorf("Get on a block-cache miss: %.0f allocs, want <= 3", n)
+		}
+	})
+}
+
+// TestOneBloomEvaluationPerProbedTable: every table whose range covers the
+// key has its filter consulted exactly once per lookup — it is either a
+// bloom skip or a table probe, never both and never twice.
+func TestOneBloomEvaluationPerProbedTable(t *testing.T) {
+	opts := RocksDBOptions(vfs.NewMem())
+	opts.BackgroundCompaction = false
+	opts.L0CompactionTrigger = 1 << 20 // keep every flushed table in L0
+	opts.L0SlowdownTrigger, opts.L0StallTrigger = 1<<20, 1<<20
+	db, err := Open("db", opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	// Four overlapping L0 tables over the same key range; table t holds the
+	// keys with i%4 == t, so any present key is in exactly one of them.
+	const tables, n = 4, 4000
+	for tbl := 0; tbl < tables; tbl++ {
+		for i := tbl; i < n; i += tables {
+			db.Put(lookupKey(i), []byte("v"))
+		}
+		// Range ends shared by all tables, so every table covers every key.
+		db.Put(lookupKey(n+tbl), []byte("v"))
+		db.Put([]byte(fmt.Sprintf("a-low-end-%d", tbl)), []byte("v"))
+		if err := db.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := len(db.rs.Load().ver.Levels[0]); got != tables {
+		t.Fatalf("%d L0 tables, want %d", got, tables)
+	}
+
+	before := db.Perf()
+	const lookups = 1000
+	for i := 0; i < lookups; i++ {
+		// Absent keys inside the shared range: every table's filter runs.
+		if _, err := db.Get([]byte(fmt.Sprintf("user%012d-absent", i+1))); err != kv.ErrNotFound {
+			t.Fatal(err)
+		}
+	}
+	after := db.Perf()
+	skips, probes := after.BloomSkips-before.BloomSkips, after.TableProbes-before.TableProbes
+	if skips+probes != lookups*tables {
+		t.Errorf("absent keys: %d bloom skips + %d table probes = %d filter evaluations, want %d (one per covering table)",
+			skips, probes, skips+probes, lookups*tables)
+	}
+	if probes > lookups*tables/20 {
+		t.Errorf("%d of %d evaluations were false positives", probes, lookups*tables)
+	}
+
+	// A present key stops at the newest table that holds it: tables newer
+	// than that one are skipped by their filters, that one is probed.
+	before = db.Perf()
+	for i := 0; i < n; i++ {
+		if _, err := db.Get(lookupKey(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	after = db.Perf()
+	skips, probes = after.BloomSkips-before.BloomSkips, after.TableProbes-before.TableProbes
+	// Table t (0 = oldest) is reached after the tables-1-t newer ones.
+	want := int64(0)
+	for tbl := 0; tbl < tables; tbl++ {
+		want += int64(n/tables) * int64(tables-tbl)
+	}
+	if skips+probes != want {
+		t.Errorf("present keys: %d skips + %d probes = %d filter evaluations, want %d", skips, probes, skips+probes, want)
+	}
+	if probes < n {
+		t.Errorf("%d table probes for %d present keys", probes, n)
+	}
+}
+
+// TestReadsDuringRotationFlushCompaction is the proof that every site that
+// changes what a read must consult republishes the read state: readers Get a
+// key set without any lock while a writer overwrites it through memtable
+// rotations, flushes and compactions. Every read must return a version at
+// least as new as the last write acknowledged before the read began, and no
+// file-not-found may escape Get's stale-version retry.
+func TestReadsDuringRotationFlushCompaction(t *testing.T) {
+	opts := smallOpts(vfs.NewMem())
+	opts.MemTableSize = 8 << 10 // rotate every few dozen writes
+	db, err := Open("db", opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+
+	const keys, readers = 64, 4
+	rounds := 400
+	if testing.Short() {
+		rounds = 100
+	}
+	encode := func(version uint64) []byte {
+		v := make([]byte, 200)
+		binary.LittleEndian.PutUint64(v, version)
+		return v
+	}
+	var acked [keys]atomic.Uint64 // newest acknowledged version of each key
+	for k := 0; k < keys; k++ {
+		if err := db.Put(lookupKey(k), encode(1)); err != nil {
+			t.Fatal(err)
+		}
+		acked[k].Store(1)
+	}
+
+	var (
+		stop  atomic.Bool
+		wg    sync.WaitGroup
+		reads atomic.Int64
+	)
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			for i := r; !stop.Load(); i++ {
+				k := i % keys
+				floor := acked[k].Load()
+				v, err := db.Get(lookupKey(k))
+				if err != nil {
+					if errors.Is(err, os.ErrNotExist) {
+						t.Errorf("stale-file error escaped Get: %v", err)
+					} else {
+						t.Errorf("Get(%d): %v", k, err)
+					}
+					return
+				}
+				if got := binary.LittleEndian.Uint64(v); got < floor {
+					t.Errorf("Get(%d) returned version %d after version %d was acknowledged", k, got, floor)
+					return
+				}
+				reads.Add(1)
+			}
+		}(r)
+	}
+
+	flushes := db.Perf().Flushes
+	for round := 2; round < rounds+2; round++ {
+		for k := 0; k < keys; k++ {
+			if err := db.Put(lookupKey(k), encode(uint64(round))); err != nil {
+				t.Fatal(err)
+			}
+			acked[k].Store(uint64(round))
+		}
+		switch {
+		case round%97 == 0:
+			if err := db.CompactAll(); err != nil {
+				t.Fatal(err)
+			}
+		case round%31 == 0:
+			if err := db.Flush(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	// Let the readers run against the settling background work too.
+	deadline := time.Now().Add(2 * time.Second)
+	for reads.Load() < 1000 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	stop.Store(true)
+	wg.Wait()
+
+	p := db.Perf()
+	if p.Flushes-flushes < 5 || p.Compactions == 0 {
+		t.Fatalf("run exercised %d flushes and %d compactions; too quiet to prove anything", p.Flushes-flushes, p.Compactions)
+	}
+	t.Logf("%d verified reads across %d flushes and %d compactions", reads.Load(), p.Flushes-flushes, p.Compactions)
+}
+
+// TestGetResultIsCallerOwned: the slice Get returns is the caller's to
+// scribble on, whether it came from the memtable or from a cached block.
+func TestGetResultIsCallerOwned(t *testing.T) {
+	db, err := Open("db", RocksDBOptions(vfs.NewMem()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	key := []byte("owned")
+	db.Put(key, []byte("original"))
+	check := func(from string) {
+		t.Helper()
+		for i := 0; i < 2; i++ {
+			v, err := db.Get(key)
+			if err != nil || string(v) != "original" {
+				t.Fatalf("%s, read %d: Get = %q, %v", from, i, v, err)
+			}
+			copy(v, "SCRIBBLE")
+		}
+	}
+	check("memtable")
+	if err := db.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	check("table") // the second read is a block-cache hit
+}
+
+// BenchmarkGetHit and BenchmarkGetMiss are the ten-second inner loop for
+// the point-lookup path: settled data, uniform keys, the block cache larger
+// than the data (hit) or a small fraction of it (miss).
+//
+//	go test -run '^$' -bench 'BenchmarkGet' -benchmem ./internal/lsm
+func BenchmarkGetHit(b *testing.B)  { benchmarkGet(b, 64<<20) }
+func BenchmarkGetMiss(b *testing.B) { benchmarkGet(b, 256<<10) }
+
+var benchSink []byte
+
+func benchmarkGet(b *testing.B, blockCache int64) {
+	const n = 200000
+	db := settledDB(b, n, blockCache)
+	keys := make([][]byte, n)
+	for i := range keys {
+		keys[i] = lookupKey(i)
+	}
+	x := uint64(88172645463325252)
+	next := func() []byte { // xorshift: cheap, allocation-free, uniform
+		x ^= x << 13
+		x ^= x >> 7
+		x ^= x << 17
+		return keys[x%n]
+	}
+	for i := 0; i < n; i++ { // touch every block once so "hit" means hit
+		db.Get(next())
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		v, err := db.Get(next())
+		if err != nil {
+			b.Fatal(err)
+		}
+		benchSink = v
+	}
+	b.StopTimer()
+	hits, misses := db.BlockCacheStats()
+	b.ReportMetric(float64(hits)/float64(hits+misses), "cache-hit-ratio")
+}

@@ -16,17 +16,19 @@ import "p2kvs/internal/kv"
 // compaction-with-snapshots disabled. Suitable for the short-lived
 // read-committed windows p2KVS needs; not for long-lived time travel.
 type Snapshot struct {
-	db *DB
-	rs readState
+	db  *DB
+	seq uint64
+	rs  *readState
 }
 
 // NewSnapshot captures the current read view.
 func (d *DB) NewSnapshot() *Snapshot {
-	return &Snapshot{db: d, rs: d.acquireReadState()}
+	rs, seq := d.readView()
+	return &Snapshot{db: d, seq: seq, rs: rs}
 }
 
 // Seq exposes the snapshot's sequence number.
-func (s *Snapshot) Seq() uint64 { return s.rs.seq }
+func (s *Snapshot) Seq() uint64 { return s.seq }
 
 // Get reads the newest version visible at the snapshot.
 func (s *Snapshot) Get(key []byte) ([]byte, error) {
@@ -34,7 +36,7 @@ func (s *Snapshot) Get(key []byte) ([]byte, error) {
 		return nil, kv.ErrClosed
 	}
 	s.db.perf.gets.Add(1)
-	return s.db.getAt(s.rs, key)
+	return s.db.getAt(s.rs, s.seq, key)
 }
 
 // NewIterator scans the snapshot.
@@ -42,7 +44,7 @@ func (s *Snapshot) NewIterator() (kv.Iterator, error) {
 	if s.db.closed.Load() {
 		return nil, kv.ErrClosed
 	}
-	return s.db.newIterAt(s.rs)
+	return s.db.newIterAt(s.rs, s.seq)
 }
 
 // Release drops the snapshot's references. (No refcounting is needed —
@@ -50,6 +52,6 @@ func (s *Snapshot) NewIterator() (kv.Iterator, error) {
 // is part of the API contract so callers are portable to engines that do
 // refcount.)
 func (s *Snapshot) Release() {
-	s.rs = readState{}
+	s.rs = nil
 	s.db = nil
 }

@@ -10,6 +10,7 @@ package memtable
 
 import (
 	"encoding/binary"
+	"sync"
 	"sync/atomic"
 
 	"p2kvs/internal/arena"
@@ -73,10 +74,23 @@ func (m *MemTable) Add(seq uint64, kind ikey.Kind, ukey, value []byte) {
 	m.size.Add(int64(len(entry)) + 32) // payload + node overhead estimate
 }
 
-// Get returns the newest version of ukey visible at snapshot seq.
+// seekBufs recycles the encoded seek entry a Get hands the skiplist. The
+// list is reached through an interface and compares through a func value,
+// so the entry cannot live on Get's stack; a pooled buffer keeps the probe —
+// which every point lookup makes, hit or miss — off the heap.
+var seekBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// Get returns the newest version of ukey visible at snapshot seq. The
+// returned value is a slice of the memtable's own entry.
 func (m *MemTable) Get(ukey []byte, seq uint64) (value []byte, found, deleted bool) {
-	seek := encodeEntry(nil, ikey.SeekKey(ukey, seq), nil)
+	buf := seekBufs.Get().(*[]byte)
+	// The seek entry: an internal key with an empty value (encodeEntry's
+	// layout, built in place).
+	seek := binary.AppendUvarint((*buf)[:0], uint64(len(ukey)+ikey.TrailerLen))
+	seek = append(ikey.Encode(seek, ukey, seq, ikey.KindSet), 0)
 	e := m.list.FindGreaterOrEqual(seek)
+	*buf = seek
+	seekBufs.Put(buf)
 	if e == nil {
 		return nil, false, false
 	}

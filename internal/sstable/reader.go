@@ -193,7 +193,8 @@ func (r *Reader) readBlock(handle []byte) ([]byte, error) {
 // corruption found. V1 tables verify structurally only (handles parse,
 // compressed blocks inflate): they carry no checksums to check.
 func (r *Reader) Verify() (int64, error) {
-	idx, err := block.NewIter(r.index)
+	var idx block.Iter
+	err := idx.Init(r.index)
 	if err != nil {
 		return 0, corruptf(r.name, -1, "index block: %v", err)
 	}
@@ -241,17 +242,28 @@ func (r *Reader) Verify() (int64, error) {
 	return read, nil
 }
 
+// seekKeyBuf sizes the stack buffer Get encodes its seek key into; a longer
+// user key falls back to one allocation.
+const seekKeyBuf = 64 + ikey.TrailerLen
+
 // Get returns the newest version of ukey visible at snapshot seq,
 // reporting the version's sequence number, whether a version was found,
 // and whether that version is a tombstone. Callers comparing versions
 // across overlapping tables (L0, fragmented levels) use foundSeq to pick
 // the newest.
+//
+// Get searches the pinned index block and one data block in place and
+// copies nothing: value is a slice of the data block, which the block cache
+// may share with other readers, so the caller must copy it before handing
+// it to anyone who might write to it. It does not consult the bloom filter;
+// a caller that wants the filter's shortcut asks MayContain first.
 func (r *Reader) Get(ukey []byte, seq uint64) (value []byte, foundSeq uint64, found, deleted bool, err error) {
-	if !r.MayContain(ukey) {
-		return nil, 0, false, false, nil
-	}
-	it := r.NewIterator()
-	it.Seek(ikey.SeekKey(ukey, seq))
+	var (
+		it  Iter // never escapes: the two block cursors live on this stack
+		buf [seekKeyBuf]byte
+	)
+	it.init(r)
+	it.Seek(ikey.Encode(buf[:0], ukey, seq, ikey.KindSet))
 	if it.err != nil {
 		return nil, 0, false, false, it.err
 	}
@@ -268,42 +280,47 @@ func (r *Reader) Get(ukey []byte, seq uint64) (value []byte, foundSeq uint64, fo
 	if kind == ikey.KindDelete {
 		return nil, gotSeq, true, true, nil
 	}
-	return append([]byte(nil), it.Value()...), gotSeq, true, false, nil
+	return it.Value(), gotSeq, true, false, nil
 }
 
-// Iter is a two-level iterator over the table's internal keys.
+// Iter is a two-level iterator over the table's internal keys. The index
+// and data cursors are part of the Iter itself and the data cursor is
+// re-pointed at each block in turn, so walking a table allocates only the
+// blocks it reads.
 type Iter struct {
-	r     *Reader
-	index *block.Iter
-	data  *block.Iter
-	err   error
+	r      *Reader
+	index  block.Iter
+	data   block.Iter
+	loaded bool // data is positioned inside the block index points at
+	err    error
 }
 
 // NewIterator returns an iterator over the table.
 func (r *Reader) NewIterator() *Iter {
-	idx, err := block.NewIter(r.index)
-	it := &Iter{r: r, index: idx, err: err}
+	it := new(Iter)
+	it.init(r)
 	return it
 }
 
+func (it *Iter) init(r *Reader) {
+	it.r = r
+	it.err = it.index.Init(r.index)
+}
+
 func (it *Iter) loadDataBlock() bool {
+	it.loaded = false
 	if it.err != nil || !it.index.Valid() {
-		it.data = nil
 		return false
 	}
 	blk, err := it.r.readBlock(it.index.Value())
+	if err == nil {
+		err = it.data.Init(blk)
+	}
 	if err != nil {
 		it.err = err
-		it.data = nil
 		return false
 	}
-	di, err := block.NewIter(blk)
-	if err != nil {
-		it.err = err
-		it.data = nil
-		return false
-	}
-	it.data = di
+	it.loaded = true
 	return true
 }
 
@@ -325,17 +342,17 @@ func (it *Iter) Seek(target []byte) {
 	}
 	// Index keys are the last internal key of each block, so the first
 	// index entry >= target names the block that may contain it.
-	it.index.SeekWith(ikey.Compare, target)
+	it.index.SeekInternal(target)
 	if !it.loadDataBlock() {
 		return
 	}
-	it.data.SeekWith(ikey.Compare, target)
+	it.data.SeekInternal(target)
 	it.skipForwardIfExhausted()
 }
 
 // Next advances the iterator.
 func (it *Iter) Next() {
-	if it.data == nil {
+	if !it.loaded {
 		return
 	}
 	it.data.Next()
@@ -343,10 +360,10 @@ func (it *Iter) Next() {
 }
 
 func (it *Iter) skipForwardIfExhausted() {
-	for it.data != nil && !it.data.Valid() {
+	for it.loaded && !it.data.Valid() {
 		if it.data.Err() != nil {
 			it.err = it.data.Err()
-			it.data = nil
+			it.loaded = false
 			return
 		}
 		it.index.Next()
@@ -358,7 +375,7 @@ func (it *Iter) skipForwardIfExhausted() {
 }
 
 // Valid reports whether the iterator is positioned at an entry.
-func (it *Iter) Valid() bool { return it.err == nil && it.data != nil && it.data.Valid() }
+func (it *Iter) Valid() bool { return it.err == nil && it.loaded && it.data.Valid() }
 
 // Key returns the current internal key.
 func (it *Iter) Key() []byte { return it.data.Key() }

@@ -9,6 +9,7 @@ import (
 
 	"p2kvs/internal/cache"
 	"p2kvs/internal/ikey"
+	"p2kvs/internal/raceflag"
 	"p2kvs/internal/vfs"
 )
 
@@ -357,5 +358,68 @@ func TestReaderWithBlockCache(t *testing.T) {
 	}
 	if v, _, found, _, _ := r.Get([]byte("key000100"), ikey.MaxSeq); !found || string(v) != "val100" {
 		t.Fatalf("cached read wrong: %q %v", v, found)
+	}
+}
+
+// TestGetAllocs pins the in-place point lookup: with the data block cached,
+// Get builds no iterator, no seek key and no value copy — the value it
+// returns is a slice of the cached block. A miss pays for the block it reads
+// and the cache entry that holds it, nothing else.
+func TestGetAllocs(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("allocation pins are not meaningful under the race detector")
+	}
+	fs := vfs.NewMem()
+	f, _ := fs.Create("a.sst")
+	w := NewWriter(f, 1)
+	for i := 0; i < 20000; i++ {
+		w.Add(ikey.Make([]byte(fmt.Sprintf("user%012d", i)), uint64(i+1), ikey.KindSet), make([]byte, 128))
+	}
+	if _, err := w.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	rf, _ := fs.Open("a.sst")
+	r, err := OpenWithCache(rf, cache.New(64<<20), 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+
+	hot := []byte(fmt.Sprintf("user%012d", 12345))
+	if n := testing.AllocsPerRun(200, func() {
+		v, _, found, _, err := r.Get(hot, ikey.MaxSeq)
+		if err != nil || !found || len(v) != 128 {
+			t.Fatalf("Get = %d bytes, found %v, err %v", len(v), found, err)
+		}
+	}); n != 0 {
+		t.Errorf("Get on a cached block: %.0f allocs, want 0", n)
+	}
+
+	uncached, err := Open(rf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(200, func() {
+		if _, _, found, _, err := uncached.Get(hot, ikey.MaxSeq); err != nil || !found {
+			t.Fatalf("Get found %v, err %v", found, err)
+		}
+	}); n > 1 {
+		t.Errorf("Get reading its block: %.0f allocs, want <= 1 (the block buffer)", n)
+	}
+}
+
+// TestGetWithoutFilter: Get answers from the index and data blocks alone, so
+// a caller that skips MayContain still gets the right answer for absent keys.
+func TestGetWithoutFilter(t *testing.T) {
+	r, _ := buildTable(t, sortedPairs(3000))
+	defer r.Close()
+	for _, k := range []string{"key", "key001500x", "zzz"} {
+		if _, _, found, _, err := r.Get([]byte(k), ikey.MaxSeq); found || err != nil {
+			t.Fatalf("Get(%q) = found %v, err %v", k, found, err)
+		}
+	}
+	long := bytes.Repeat([]byte("k"), 3*seekKeyBuf) // outgrows the stack seek buffer
+	if _, _, found, _, err := r.Get(long, ikey.MaxSeq); found || err != nil {
+		t.Fatalf("Get(long key) = found %v, err %v", found, err)
 	}
 }
