@@ -30,10 +30,11 @@ benchmark-module:
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
 # Regenerate the goldens that pin the stats schema (StatsJSON field names,
-# INFO keys) after a deliberate change to a tagged stats struct; CI reruns
-# it and fails on a diff.
+# INFO keys) and the shared store flag set after a deliberate change to a
+# tagged stats struct or to loadgen.StoreFlags; CI reruns it and fails on a
+# diff.
 stats-golden:
-	$(GO) test ./internal/core ./internal/server -run 'Golden' -update
+	$(GO) test ./internal/core ./internal/server ./internal/loadgen -run 'Golden' -update
 
 # Non-test and test Go lines (wc -l) per package outside benchmark/, then
 # the total: the numbers ROADMAP re-anchors and "net-negative" PR claims

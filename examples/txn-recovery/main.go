@@ -17,6 +17,7 @@ import (
 	"p2kvs/internal/kv"
 	"p2kvs/internal/lsm"
 	"p2kvs/internal/vfs"
+	"p2kvs/internal/wal"
 )
 
 func main() {
@@ -24,7 +25,7 @@ func main() {
 	open := func() *core.Store {
 		opts := core.DefaultOptions(func(id int, filter func(uint64) bool) (kv.Engine, error) {
 			o := lsm.RocksDBOptions(fs)
-			o.SyncWAL = true // durability per commit, so the crash is meaningful
+			o.WALSync = wal.PolicyCommit // durability per commit, so the crash is meaningful
 			return lsm.OpenWith(fmt.Sprintf("bank/inst-%02d", id), o, lsm.OpenOptions{RecoverFilter: filter})
 		})
 		opts.Workers = 4

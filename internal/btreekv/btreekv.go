@@ -38,12 +38,9 @@ import (
 type Options struct {
 	// FS hosts the engine's files. Required.
 	FS vfs.FS
-	// SyncWAL fsyncs the journal on every commit. Equivalent to
-	// WALSync = wal.PolicyCommit; kept for existing call sites.
-	SyncWAL bool
-	// WALSync selects the journal durability policy; the zero value
-	// defers to SyncWAL. WALSyncInterval bounds staleness under
-	// wal.PolicyInterval (default 100ms).
+	// WALSync selects the journal durability policy (the zero value,
+	// wal.PolicyNever, never fsyncs on commit). WALSyncInterval bounds
+	// staleness under wal.PolicyInterval (default 100ms).
 	WALSync         wal.SyncPolicy
 	WALSyncInterval time.Duration
 	// CheckpointBytes is the dirty-buffer budget that triggers a
@@ -120,27 +117,25 @@ func encodeMeta(gen uint64) []byte {
 	return []byte(fmt.Sprintf("%s crc=%08x\n", body, block.Checksum([]byte(body))))
 }
 
-// parseMeta reads either the guarded form ("gen=N crc=XXXXXXXX") or the
-// legacy unguarded "gen=N" written before the checksum format. Any
-// mismatch or malformed content is reported as corruption: guessing at a
-// generation is never acceptable.
+// parseMeta reads the guarded form "gen=N crc=XXXXXXXX". Anything else —
+// the bare "gen=N" of before PR 7 included — is reported as corruption:
+// guessing at a generation is never acceptable.
 func parseMeta(raw []byte) (uint64, error) {
-	s := strings.TrimRight(string(raw), "\n")
-	var gen uint64
-	if i := strings.IndexByte(s, ' '); i >= 0 {
-		body, guard := s[:i], s[i+1:]
-		var crc uint32
-		if _, err := fmt.Sscanf(guard, "crc=%08x", &crc); err != nil {
-			return 0, &kv.CorruptionError{File: "META", Detail: "malformed checksum field"}
-		}
-		if block.Checksum([]byte(body)) != crc {
-			return 0, &kv.CorruptionError{File: "META", Detail: "checksum mismatch"}
-		}
-		s = body
+	body, guard, ok := strings.Cut(strings.TrimRight(string(raw), "\n"), " ")
+	if !ok {
+		return 0, &kv.CorruptionError{File: "META", Detail: "missing checksum field"}
 	}
-	// Strict round-trip: "gen=20crc=..." (a guarded META whose space
-	// rotted into a digit) must not scan as generation 20.
-	if _, err := fmt.Sscanf(s, "gen=%d", &gen); err != nil || s != fmt.Sprintf("gen=%d", gen) {
+	var crc uint32
+	if _, err := fmt.Sscanf(guard, "crc=%08x", &crc); err != nil {
+		return 0, &kv.CorruptionError{File: "META", Detail: "malformed checksum field"}
+	}
+	if block.Checksum([]byte(body)) != crc {
+		return 0, &kv.CorruptionError{File: "META", Detail: "checksum mismatch"}
+	}
+	// Strict round-trip: Sscanf stops at the first non-digit, so trailing
+	// bytes under a matching checksum must not scan as a generation.
+	var gen uint64
+	if _, err := fmt.Sscanf(body, "gen=%d", &gen); err != nil || body != fmt.Sprintf("gen=%d", gen) {
 		return 0, &kv.CorruptionError{File: "META", Detail: "malformed generation field"}
 	}
 	return gen, nil
@@ -154,9 +149,6 @@ func Open(dir string, opts Options) (*DB, error) {
 	if opts.CheckpointBytes <= 0 {
 		opts.CheckpointBytes = 8 << 20
 	}
-	if opts.WALSync == wal.PolicyNever && opts.SyncWAL {
-		opts.WALSync = wal.PolicyCommit
-	}
 	if err := opts.FS.MkdirAll(dir); err != nil {
 		return nil, err
 	}
@@ -164,14 +156,11 @@ func Open(dir string, opts Options) (*DB, error) {
 
 	// Load the checkpoint generation from META.
 	if opts.FS.Exists(metaName(dir)) {
-		f, err := opts.FS.Open(metaName(dir))
+		raw, err := vfs.ReadFile(opts.FS, metaName(dir))
 		if err != nil {
 			return nil, err
 		}
-		var buf [64]byte
-		n, _ := f.ReadAt(buf[:], 0)
-		f.Close()
-		gen, err := parseMeta(buf[:n])
+		gen, err := parseMeta(raw)
 		if err != nil {
 			return nil, fmt.Errorf("btreekv: corrupt META: %w", err)
 		}
@@ -203,12 +192,7 @@ func Open(dir string, opts Options) (*DB, error) {
 
 	// Replay the journal into the dirty tree.
 	if opts.FS.Exists(walName(dir, d.gen)) {
-		f, err := opts.FS.Open(walName(dir, d.gen))
-		if err != nil {
-			return nil, err
-		}
-		recs, err := wal.ReadAll(f)
-		f.Close()
+		recs, err := wal.ReadAll(opts.FS, walName(dir, d.gen))
 		if err != nil {
 			if !errors.Is(err, kv.ErrCorruption) {
 				return nil, err
@@ -501,16 +485,7 @@ func (d *DB) checkpointLocked() error {
 	if err != nil {
 		return err
 	}
-	mf, err := d.opts.FS.Create(metaName(d.dir) + ".new")
-	if err != nil {
-		return err
-	}
-	mf.Write(encodeMeta(newGen))
-	if err := mf.Sync(); err != nil {
-		return err
-	}
-	mf.Close()
-	if err := d.opts.FS.Rename(metaName(d.dir)+".new", metaName(d.dir)); err != nil {
+	if err := vfs.WriteFileAtomic(d.opts.FS, metaName(d.dir), encodeMeta(newGen)); err != nil {
 		return err
 	}
 

@@ -8,11 +8,12 @@ import (
 
 	"p2kvs/internal/kv"
 	"p2kvs/internal/vfs"
+	"p2kvs/internal/wal"
 )
 
 func openSmall(t *testing.T, fs vfs.FS, dir string) *DB {
 	t.Helper()
-	db, err := Open(dir, Options{FS: fs, CheckpointBytes: 32 << 10, SyncWAL: true})
+	db, err := Open(dir, Options{FS: fs, CheckpointBytes: 32 << 10, WALSync: wal.PolicyCommit})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +108,7 @@ func TestCrashRecoveryJournal(t *testing.T) {
 	fs.Crash()
 	fs.Restart()
 
-	db2, err := Open("wt", Options{FS: fs, CheckpointBytes: 32 << 10, SyncWAL: true})
+	db2, err := Open("wt", Options{FS: fs, CheckpointBytes: 32 << 10, WALSync: wal.PolicyCommit})
 	if err != nil {
 		t.Fatal(err)
 	}

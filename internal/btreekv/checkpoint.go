@@ -66,25 +66,8 @@ func (w *ckptWriter) WriteTo(fs vfs.FS, dir string, seq uint64) ([]kv.Checkpoint
 	if w.hasBase {
 		name := fmt.Sprintf("ckpt-%06d.db", w.gen)
 		files = append(files, kv.CheckpointFile{Name: name, Restore: name})
-		dst := dir + "/" + name
-		switch {
-		case fs.Exists(dst):
-			done.FilesReused++
-		default:
-			if err := fs.Link(ckptName(d.dir, w.gen), dst); err == nil {
-				done.FilesLinked++
-			} else {
-				if err := vfs.CopyFile(d.opts.FS, ckptName(d.dir, w.gen), fs, dst); err != nil {
-					return nil, err
-				}
-				done.FilesCopied++
-				if f, err := fs.Open(dst); err == nil {
-					if sz, err := f.Size(); err == nil {
-						done.BytesCopied += sz
-					}
-					f.Close()
-				}
-			}
+		if err := done.AddFile(d.opts.FS, ckptName(d.dir, w.gen), fs, dir+"/"+name); err != nil {
+			return nil, err
 		}
 	}
 

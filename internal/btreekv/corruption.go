@@ -7,6 +7,7 @@ import (
 
 	"p2kvs/internal/kv"
 	"p2kvs/internal/sstable"
+	"p2kvs/internal/vfs"
 )
 
 // At-rest corruption containment (DESIGN.md §12).
@@ -117,8 +118,7 @@ func (d *DB) Scrub(ctx context.Context, lim kv.RateLimiter) (kv.ScrubResult, err
 
 // tryRepairBase restores the base checkpoint from the RepairSource,
 // reporting whether containment was lifted. The candidate bytes are
-// written to a temp file and re-verified end to end before the swap —
-// trusting a backup blindly would just relocate the corruption.
+// verified end to end before they replace the damaged file.
 func (d *DB) tryRepairBase() bool {
 	src := d.opts.RepairSource
 	if src == nil {
@@ -140,37 +140,7 @@ func (d *DB) tryRepairBase() bool {
 	}
 	fs := d.opts.FS
 	path := ckptName(d.dir, d.gen)
-	tmp := path + ".repair"
-	f, err := fs.Create(tmp)
-	if err != nil {
-		return false
-	}
-	_, werr := f.Write(data)
-	serr := f.Sync()
-	f.Close()
-	if werr != nil || serr != nil {
-		fs.Remove(tmp)
-		return false
-	}
-	vf, err := fs.Open(tmp)
-	if err != nil {
-		fs.Remove(tmp)
-		return false
-	}
-	r, err := sstable.OpenNamed(vf, nil, 0, name)
-	if err != nil {
-		vf.Close()
-		fs.Remove(tmp)
-		return false
-	}
-	if _, err := r.Verify(); err != nil {
-		r.Close()
-		fs.Remove(tmp)
-		return false
-	}
-	r.Close()
-	if err := fs.Rename(tmp, path); err != nil {
-		fs.Remove(tmp)
+	if sstable.VerifyImage(name, data) != nil || vfs.WriteFileAtomic(fs, path, data) != nil {
 		return false
 	}
 	nf, err := fs.Open(path)

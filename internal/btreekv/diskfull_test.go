@@ -8,11 +8,12 @@ import (
 
 	"p2kvs/internal/kv"
 	"p2kvs/internal/vfs"
+	"p2kvs/internal/wal"
 )
 
 func TestDiskFullDegradesAndAutoResumes(t *testing.T) {
 	qfs := vfs.NewQuota(vfs.NewMem(), 128<<10)
-	d, err := Open("db", Options{FS: qfs, SyncWAL: true, CheckpointBytes: 16 << 10})
+	d, err := Open("db", Options{FS: qfs, WALSync: wal.PolicyCommit, CheckpointBytes: 16 << 10})
 	if err != nil {
 		t.Fatal(err)
 	}

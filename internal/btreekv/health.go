@@ -122,8 +122,8 @@ func (d *DB) autoResume() {
 	_ = d.Resume()
 }
 
-// reclaimSpace deletes files nothing references: *.new temporaries from
-// interrupted checkpoint/open sequences and checkpoint/journal files of
+// reclaimSpace deletes files nothing references: *.new and *.tmp
+// temporaries from interrupted checkpoint/open sequences and checkpoint/journal files of
 // generations other than the current one. It only runs while the store
 // is degraded (no checkpoint can be mid-flight — they run under the
 // latch and the degraded check precedes them) and defers to backup pins,
@@ -145,7 +145,7 @@ func (d *DB) reclaimSpace() {
 		full := d.dir + "/" + name
 		var g uint64
 		switch {
-		case strings.HasSuffix(name, ".new"):
+		case strings.HasSuffix(name, ".new"), strings.HasSuffix(name, ".tmp"):
 			victims = append(victims, full)
 		case parseGen(name, "ckpt-%06d.db", &g) && g != gen:
 			victims = append(victims, full)

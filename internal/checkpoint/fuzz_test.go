@@ -44,7 +44,7 @@ func checkParse(t *testing.T, data []byte) {
 		t.Fatalf("accepted manifest with %d worker gsns for %d workers", len(m.WorkerGSN), m.Workers)
 	}
 	for _, f := range m.Files {
-		if f.Worker < -1 || f.Worker >= m.Workers || !safeRel(f.Path) || !safeRel(f.Restore) {
+		if f.Worker < -1 || f.Worker >= m.Workers || !SafeRel(f.Path) || !SafeRel(f.Restore) {
 			t.Fatalf("accepted manifest with invalid file %+v", f)
 		}
 	}

@@ -255,7 +255,7 @@ func Parse(data []byte) (*Manifest, error) {
 			if err != nil {
 				return fail("bad file crc")
 			}
-			if !safeRel(fields[4]) || !safeRel(fields[5]) {
+			if !SafeRel(fields[4]) || !SafeRel(fields[5]) {
 				return fail("unsafe file path")
 			}
 			m.Files = append(m.Files, File{
@@ -282,9 +282,9 @@ func Parse(data []byte) (*Manifest, error) {
 	return m, nil
 }
 
-// safeRel accepts only clean relative paths that cannot escape the backup
-// root or an engine directory.
-func safeRel(p string) bool {
+// SafeRel accepts only clean relative paths that cannot escape the backup
+// root, an engine directory, or a replica's image staging directory.
+func SafeRel(p string) bool {
 	if p == "" || strings.HasPrefix(p, "/") {
 		return false
 	}
@@ -312,12 +312,7 @@ func Load(fs vfs.FS, dir string) (*Manifest, error) {
 // Write commits the manifest: temporary name, sync, atomic rename. After
 // it returns, the checkpoint it describes is durable and complete.
 func Write(fs vfs.FS, dir string, m *Manifest) error {
-	name := dir + "/" + ManifestName
-	tmp := name + ".tmp"
-	if err := vfs.WriteFile(fs, tmp, m.Encode()); err != nil {
-		return err
-	}
-	return fs.Rename(tmp, name)
+	return vfs.WriteFileAtomic(fs, dir+"/"+ManifestName, m.Encode())
 }
 
 // GC removes files in the backup set no committed manifest references:
@@ -379,7 +374,7 @@ func Restore(srcFS vfs.FS, srcDir string, dstFS vfs.FS, place func(worker int, r
 				ErrChecksumMismatch, f.Path, size, crc, f.Size, f.CRC)
 		}
 		dst := place(f.Worker, f.Restore)
-		if err := vfs.CopyFile(srcFS, src, dstFS, dst); err != nil {
+		if _, err := vfs.CopyFile(srcFS, src, dstFS, dst); err != nil {
 			return nil, fmt.Errorf("checkpoint: restoring %s: %w", f.Path, err)
 		}
 	}

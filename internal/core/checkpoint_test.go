@@ -13,6 +13,7 @@ import (
 	"p2kvs/internal/checkpoint"
 	"p2kvs/internal/kv"
 	"p2kvs/internal/kvell"
+	"p2kvs/internal/lsm"
 	"p2kvs/internal/vfs"
 )
 
@@ -123,6 +124,14 @@ func TestCheckpointIncrementalReusesSSTs(t *testing.T) {
 	}
 	if err := s.Flush(); err != nil {
 		t.Fatal(err)
+	}
+	// Let the compactions the load triggered finish first: one landing
+	// between the two checkpoints replaces its inputs, and the second
+	// image then shares no SST with the first.
+	for i := 0; i < s.Workers(); i++ {
+		if err := s.Engine(i).(*lsm.DB).CompactAll(); err != nil {
+			t.Fatal(err)
+		}
 	}
 	m1, err := s.Checkpoint(fs, "bak")
 	if err != nil {

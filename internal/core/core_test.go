@@ -13,6 +13,7 @@ import (
 	"p2kvs/internal/kvell"
 	"p2kvs/internal/lsm"
 	"p2kvs/internal/vfs"
+	"p2kvs/internal/wal"
 )
 
 // lsmFactory builds the RocksDB-preset factory used by most tests.
@@ -22,7 +23,7 @@ func lsmFactory(fs vfs.FS, root string) EngineFactory {
 		opts.MemTableSize = 32 << 10
 		opts.BaseLevelSize = 128 << 10
 		opts.TargetFileSize = 32 << 10
-		opts.SyncWAL = true
+		opts.WALSync = wal.PolicyCommit
 		return lsm.OpenWith(fmt.Sprintf("%s/inst-%02d", root, id), opts, lsm.OpenOptions{RecoverFilter: filter})
 	}
 }
@@ -284,7 +285,7 @@ func TestCrossPartitionTransactionRollback(t *testing.T) {
 		w.q.pushWait(nil, r)
 	}
 	wg.Wait()
-	// All instance writes are durable (SyncWAL on), commit never written.
+	// All instance writes are durable (WALSync commit), commit never written.
 	fs.Crash()
 	s.Close() // stop the zombie store (a real crash kills the process)
 	fs.Restart()

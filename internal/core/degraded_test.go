@@ -12,6 +12,7 @@ import (
 	"p2kvs/internal/kv"
 	"p2kvs/internal/lsm"
 	"p2kvs/internal/vfs"
+	"p2kvs/internal/wal"
 )
 
 // faultLSMFactory is lsmFactory over an arbitrary (fault-injecting) FS
@@ -22,7 +23,7 @@ func faultLSMFactory(fs vfs.FS, root string) EngineFactory {
 		opts.MemTableSize = 32 << 10
 		opts.BaseLevelSize = 128 << 10
 		opts.TargetFileSize = 32 << 10
-		opts.SyncWAL = true
+		opts.WALSync = wal.PolicyCommit
 		opts.BgMaxRetries = 2
 		opts.BgBaseBackoff = time.Millisecond
 		opts.BgMaxBackoff = 2 * time.Millisecond

@@ -9,7 +9,6 @@ package core
 import (
 	"context"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"p2kvs/internal/keyspace"
@@ -54,15 +53,12 @@ type request struct {
 	// Resharding bulk-copy payload: when copySeen is non-nil this write
 	// carries snapshot-pinned pairs streamed to a new owner, and the
 	// worker re-checks each key against the double-write SeenSet at apply
-	// time — a key mirrored after copyFloor has a fresher value already
-	// in (or ahead in) this queue, so the stale copy is dropped and
-	// counted in copySkip. The check must happen at apply, not enqueue:
-	// a mirror racing with this batch records its key before enqueueing,
-	// so whichever order the two land in the queue, the mirror's value
-	// survives.
-	copySeen  *reshard.SeenSet
-	copyFloor uint64
-	copySkip  *atomic.Int64
+	// time — a mirrored key has a fresher value already in (or ahead in)
+	// this queue, so the stale copy is dropped (the set counts it). The
+	// check must happen at apply, not enqueue: a mirror racing with this
+	// batch records its key before enqueueing, so whichever order the two
+	// land in the queue, the mirror's value survives.
+	copySeen *reshard.SeenSet
 
 	// Read-type payload. ticket is the key's hot-cache invalidation
 	// watermark, snapshotted before the read was submitted (Store.newRead).

@@ -30,11 +30,11 @@ import (
 //     old owner losing arcs) just long enough to activate the
 //     double-write interceptor and pin an engine snapshot; from then on
 //     every applied write whose key has moved is synchronously mirrored
-//     by the source worker to the new owner, GSN-tagged in a SeenSet.
-//     The coordinator then streams the snapshot-pinned image of the
-//     moved ranges to the new owners, while writes keep flowing. A
-//     bulk-copied pair whose key was mirrored after the snapshot floor
-//     is dropped at apply time on the target — the mirror is fresher.
+//     by the source worker to the new owner and its key recorded in a
+//     SeenSet. The coordinator then streams the snapshot-pinned image of
+//     the moved ranges to the new owners, while writes keep flowing. A
+//     bulk-copied pair whose key was mirrored is dropped at apply time on
+//     the target — the mirror is fresher.
 //     Because the mirror wait is synchronous, an acknowledged write is
 //     durable on both owners, so cutover needs no drain phase and reads
 //     after the flip observe every pre-flip acknowledged write.
@@ -92,18 +92,14 @@ const (
 )
 
 // reshardRun is the state an in-flight reshard shares with the workers:
-// the moved-range plan, the double-write SeenSet with its snapshot GSN
-// floor, and the target worker for every new-shape worker id.
+// the moved-range plan, the double-write SeenSet, and the target worker
+// for every new-shape worker id.
 type reshardRun struct {
 	plan    *keyspace.MovedSet
 	seen    *reshard.SeenSet
-	floor   uint64
 	targets []*worker // indexed by new-shape worker id
 	tracker *reshard.Tracker
 }
-
-func (run *reshardRun) fail(err error) { run.tracker.Fail(err) }
-func (run *reshardRun) failed() bool   { return run.tracker.Failed() }
 
 // ReshardStats reports the resharding subsystem's counters (current or
 // most recent run; zero-valued when no reshard has run).
@@ -156,7 +152,11 @@ func (s *Store) Reshard(ctx context.Context, newN int) error {
 	var added []*worker
 	for id := oldN; id < newN; id++ { // a grow
 		// Wipe first: a crashed earlier attempt may have left a partial
-		// copy in this instance directory.
+		// copy in this instance directory. A worker an earlier shrink
+		// retired may still hold the directory's engine open; it goes
+		// before the wipe, or two engines would write one directory and
+		// the writes acked to the new one would not survive a crash.
+		s.closeRetired(id)
 		if err := s.opts.InstanceReset(id); err != nil {
 			return s.abortReshard(nil, added, oldRT, newN, fmt.Errorf("core: resetting instance %d: %w", id, err))
 		}
@@ -199,10 +199,10 @@ func (s *Store) Reshard(ctx context.Context, newN int) error {
 	// landed, so it is applied before the worker parks — inside the
 	// pinned iterators; everything applied after the park is mirrored.
 	// No routing lock is needed (or wanted: the park wait is unbounded,
-	// and a submitter's completion callback may itself submit) — the
-	// floor only has to precede the run's publication, so every mirror
-	// GSN exceeds it.
-	run.floor = s.gsn.Load()
+	// and a submitter's completion callback may itself submit). The run
+	// is published before any iterator is pinned, so nothing a mirror
+	// records can be older than the copy image: membership in the SeenSet
+	// alone marks a copied pair stale.
 	s.resh.Store(run)
 	release, err := barrierWorkers(sources, nil)
 	if err != nil {
@@ -234,7 +234,8 @@ func (s *Store) Reshard(ctx context.Context, newN int) error {
 	s.tracker.SetState(reshard.StateCopy)
 	err = s.copyMoved(ctx, run, sources, its)
 	closeIters()
-	if err == nil && run.failed() {
+	s.tracker.Update(func(st *reshard.Stats) { st.SkippedStale += run.seen.Drops() })
+	if err == nil && run.tracker.Failed() {
 		err = errors.New("core: reshard failed during copy (see reshard_last_err)")
 	}
 	if err != nil {
@@ -262,9 +263,10 @@ func (s *Store) Reshard(ctx context.Context, newN int) error {
 	} else {
 		// Retired workers stop serving but keep their engines open:
 		// merged iterators created before the cutover may still be
-		// reading them. Close closes the engines; the stale instance
-		// directories are wiped by the next grow's prepare or by Open's
-		// cleanup recovery.
+		// reading them. The engines close at Close, or when a later grow
+		// reuses their id (closeRetired) — an iterator that old ends with
+		// the engine's closed error there; the stale instance directories
+		// are wiped by that grow's prepare or by Open's cleanup recovery.
 		retired := oldRT.workers[newN:]
 		for _, w := range retired {
 			w.park()
@@ -280,6 +282,20 @@ func (s *Store) Reshard(ctx context.Context, newN int) error {
 	}
 	s.tracker.Complete(newEpoch)
 	return nil
+}
+
+// closeRetired closes the engine of the worker a shrink retired under id,
+// if one is still parked, and forgets it.
+func (s *Store) closeRetired(id int) {
+	s.retiredMu.Lock()
+	defer s.retiredMu.Unlock()
+	for i, w := range s.retired {
+		if w.id == id {
+			_ = w.engine.Close() // the directory is about to be wiped
+			s.retired = append(s.retired[:i], s.retired[i+1:]...)
+			return
+		}
+	}
 }
 
 // cutover runs the bounded-pause retry loop: park the sources, drain
@@ -301,7 +317,7 @@ func (s *Store) cutover(ctx context.Context, run *reshardRun, sources, newWorker
 				return fmt.Errorf("core: reshard cutover: %w", err)
 			}
 		}
-		if run.failed() {
+		if run.tracker.Failed() {
 			return errors.New("core: reshard failed before cutover (see reshard_last_err)")
 		}
 		if attempt >= cutoverAttempts {
@@ -312,10 +328,10 @@ func (s *Store) cutover(ctx context.Context, run *reshardRun, sources, newWorker
 			return err
 		}
 		if committed {
-			s.tracker.SetBarrierNs(barrierNs)
+			s.tracker.Update(func(st *reshard.Stats) { st.BarrierNs = barrierNs })
 			return nil
 		}
-		s.tracker.AddCutoverRetry()
+		s.tracker.Update(func(st *reshard.Stats) { st.CutoverRetries++ })
 		time.Sleep(cutoverRetrySleep)
 	}
 }
@@ -358,7 +374,7 @@ func (s *Store) tryCutover(run *reshardRun, sources, newWorkers []*worker, newC 
 		abandon()
 		return false, 0, nil
 	}
-	if run.failed() {
+	if run.tracker.Failed() {
 		abandon()
 		return false, 0, errors.New("core: reshard failed at cutover (see reshard_last_err)")
 	}
@@ -440,24 +456,21 @@ func (s *Store) copyMoved(ctx context.Context, run *reshardRun, sources []*worke
 					return fmt.Errorf("core: reshard copy: %w", err)
 				}
 			}
-			if run.failed() {
+			if run.tracker.Failed() {
 				return errors.New("core: reshard failed during copy (see reshard_last_err)")
 			}
 			var bytes int64
 			for _, op := range ops {
 				bytes += int64(len(op.Key) + len(op.Value))
 			}
-			err := run.targets[to].do(&request{
-				typ:       reqWrite,
-				ops:       ops,
-				copySeen:  run.seen,
-				copyFloor: run.floor,
-				copySkip:  s.tracker.SkippedStale(),
-			})
+			err := run.targets[to].do(&request{typ: reqWrite, ops: ops, copySeen: run.seen})
 			if err != nil {
 				return fmt.Errorf("core: reshard copy to worker %d: %w", to, err)
 			}
-			s.tracker.AddMoved(int64(len(ops)), bytes)
+			s.tracker.Update(func(st *reshard.Stats) {
+				st.MovedKeys += int64(len(ops))
+				st.MovedBytes += bytes
+			})
 			return nil
 		}
 		it := its[si]

@@ -10,6 +10,7 @@ import (
 
 	"p2kvs/internal/keyspace"
 	"p2kvs/internal/kv"
+	"p2kvs/internal/lsm"
 	"p2kvs/internal/reshard"
 	"p2kvs/internal/vfs"
 )
@@ -18,7 +19,12 @@ import (
 // partitioner, transaction directory, InstanceReset hook, hot cache on.
 func openElastic(t *testing.T, fs *vfs.MemFS, root string, workers int) *Store {
 	t.Helper()
-	opts := DefaultOptions(lsmFactory(fs, root))
+	return openElasticWith(t, fs, root, workers, lsmFactory(fs, root))
+}
+
+func openElasticWith(t *testing.T, fs *vfs.MemFS, root string, workers int, factory EngineFactory) *Store {
+	t.Helper()
+	opts := DefaultOptions(factory)
 	opts.Workers = workers
 	opts.Partitioner = keyspace.NewRing(workers, 64)
 	opts.TxnFS = fs
@@ -474,6 +480,93 @@ func TestReshardConcurrentTxns(t *testing.T) {
 					t.Fatalf("committed txn leg %s missing after reshard: %v", key, err)
 				}
 			}
+		}
+	}
+}
+
+// soleTenant wraps an engine factory with the invariant a directory-backed
+// engine depends on: at most one open engine per instance directory.
+type soleTenant struct {
+	mu        sync.Mutex
+	open      map[int]int
+	violation string
+}
+
+type tenantEngine struct {
+	*lsm.DB
+	left func()
+}
+
+func (e *tenantEngine) Close() error {
+	err := e.DB.Close()
+	e.left()
+	return err
+}
+
+func (st *soleTenant) wrap(inner EngineFactory) EngineFactory {
+	return func(id int, filter func(uint64) bool) (kv.Engine, error) {
+		st.mu.Lock()
+		if st.open[id] > 0 && st.violation == "" {
+			st.violation = fmt.Sprintf("instance %d opened while another engine still holds its directory", id)
+		}
+		st.mu.Unlock()
+		e, err := inner(id, filter)
+		if err != nil {
+			return nil, err
+		}
+		st.mu.Lock()
+		st.open[id]++
+		st.mu.Unlock()
+		var once sync.Once
+		return &tenantEngine{DB: e.(*lsm.DB), left: func() {
+			once.Do(func() {
+				st.mu.Lock()
+				st.open[id]--
+				st.mu.Unlock()
+			})
+		}}, nil
+	}
+}
+
+// TestReshardGrowReusesRetiredID: a shrink parks the retired worker with
+// its engine open; a later grow that hands the same id to a new worker
+// must close that engine before it wipes and reopens the directory.
+// Otherwise two engines write one directory and what the new one
+// acknowledged is gone after a crash.
+func TestReshardGrowReusesRetiredID(t *testing.T) {
+	fs := vfs.NewMem()
+	tenants := &soleTenant{open: map[int]int{}}
+	factory := tenants.wrap(lsmFactory(fs, "el"))
+	s := openElasticWith(t, fs, "el", 2, factory)
+	put := func(round string, n int) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			if err := s.Put([]byte(fmt.Sprintf("key-%04d", i)), []byte(round)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	const n = 400
+	put("before", n)
+	for _, to := range []int{1, 2} {
+		if err := s.Reshard(context.Background(), to); err != nil {
+			t.Fatalf("Reshard to %d: %v", to, err)
+		}
+	}
+	put("after", n) // acked on the regrown worker 1, fsynced (PolicyCommit)
+
+	fs.Crash()
+	s.Close()
+	fs.Restart()
+	if tenants.violation != "" {
+		t.Fatal(tenants.violation)
+	}
+	s2 := openElasticWith(t, fs, "el", 2, factory)
+	defer s2.Close()
+	for i := 0; i < n; i++ {
+		k := fmt.Sprintf("key-%04d", i)
+		if v, err := s2.Get([]byte(k)); err != nil || string(v) != "after" {
+			t.Fatalf("after crash: Get(%s) = %q, %v; the acked value is \"after\"", k, v, err)
 		}
 	}
 }

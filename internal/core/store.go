@@ -52,8 +52,9 @@ type Store struct {
 	// record.
 	preparedTxns atomic.Int64
 	// retired holds workers dropped by a shrink: their goroutines are
-	// parked and they receive no traffic, but their engines stay open
-	// until Close so iterators created before the cutover remain valid.
+	// parked and they receive no traffic, but their engines stay open —
+	// until Close, or until a grow reuses the id and must wipe the
+	// directory — so iterators created before the cutover remain valid.
 	retiredMu sync.Mutex
 	retired   []*worker
 
@@ -123,7 +124,7 @@ func Open(opts Options) (*Store, error) {
 					topo.Workers, opts.Workers)
 			}
 			s.epoch.Store(topo.Epoch)
-			s.tracker.SetEpoch(topo.Epoch)
+			s.tracker.Update(func(st *reshard.Stats) { st.Epoch = topo.Epoch })
 		}
 		t, committed, maxGSN, err := openTxnLog(opts.TxnFS, opts.TxnDir)
 		if err != nil {
@@ -233,13 +234,21 @@ func (s *Store) Stats() []WorkerStats {
 }
 
 // Resume implements kv.Resumer by fanning out to every worker engine that
-// supports it, re-attempting recovery of degraded shards. Healthy shards
-// treat it as a no-op.
+// supports it, re-attempting recovery of degraded shards, and by healing
+// the transaction log if a failed append tainted it. Healthy shards (and a
+// healthy log) treat it as a no-op.
 func (s *Store) Resume() error {
 	if s.closed.Load() {
 		return kv.ErrClosed
 	}
 	var firstErr error
+	if s.txn != nil {
+		// Not under a checkpoint: it copies a prefix of the file heal
+		// replaces.
+		s.ckptMu.Lock()
+		firstErr = s.txn.heal()
+		s.ckptMu.Unlock()
+	}
 	for _, w := range s.ws() {
 		if r, ok := w.engine.(kv.Resumer); ok {
 			if err := r.Resume(); err != nil && firstErr == nil {

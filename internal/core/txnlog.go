@@ -21,6 +21,9 @@ import (
 // log-prefix cut, so "restore image + stream from cursors" re-delivers
 // exactly the records the rollback dropped.
 type txnLog struct {
+	fs  vfs.FS
+	dir string
+
 	mu sync.Mutex
 	w  *wal.Writer
 	// inflight maps a begun-but-unresolved transaction's GSN to the
@@ -43,15 +46,23 @@ func openTxnLog(fs vfs.FS, dir string) (_ *txnLog, committed map[uint64]bool, ma
 	if err := fs.MkdirAll(dir); err != nil {
 		return nil, nil, 0, err
 	}
+	w, committed, maxGSN, err := replatformTxnLog(fs, dir)
+	if err != nil {
+		return nil, nil, 0, err
+	}
+	return &txnLog{fs: fs, dir: dir, w: w, inflight: make(map[uint64]map[int]uint64)}, committed, maxGSN, nil
+}
+
+// replatformTxnLog reads dir's TXNLOG (a torn tail ends the read
+// silently: that record never committed), rewrites it compacted — commits
+// only — into TXNLOG.new and renames that into place, returning the writer
+// positioned after the rewrite. Every open starts from it, and it is the
+// only way out of a tainted writer (heal).
+func replatformTxnLog(fs vfs.FS, dir string) (_ *wal.Writer, committed map[uint64]bool, maxGSN uint64, err error) {
 	name := dir + "/TXNLOG"
 	committed = make(map[uint64]bool)
 	if fs.Exists(name) {
-		f, err := fs.Open(name)
-		if err != nil {
-			return nil, nil, 0, err
-		}
-		recs, err := wal.ReadAll(f)
-		f.Close()
+		recs, err := wal.ReadAll(fs, name)
 		if err != nil {
 			return nil, nil, 0, err
 		}
@@ -68,21 +79,42 @@ func openTxnLog(fs vfs.FS, dir string) (_ *txnLog, committed map[uint64]bool, ma
 			}
 		}
 	}
-	// Rewrite compacted (commits only) into a fresh log, swap atomically.
 	f, err := fs.Create(name + ".new")
 	if err != nil {
 		return nil, nil, 0, err
 	}
-	w := wal.NewWriter(f, wal.Options{SyncOnCommit: true})
+	w := wal.NewWriter(f, wal.Options{Policy: wal.PolicyCommit})
 	for gsn := range committed {
 		if err := w.Append(gsn, encodeTxnRec(txnCommit, gsn)); err != nil {
+			w.Close()
 			return nil, nil, 0, err
 		}
 	}
 	if err := fs.Rename(name+".new", name); err != nil {
+		w.Close()
 		return nil, nil, 0, err
 	}
-	return &txnLog{w: w, inflight: make(map[uint64]map[int]uint64)}, committed, maxGSN, nil
+	return w, committed, maxGSN, nil
+}
+
+// heal gives the log a fresh writer when a failed append tainted the
+// current one (a tainted writer refuses every later append, so without
+// this one injected fault would fail every cross-partition write until
+// the process restarts). Begin records of transactions still in flight are
+// not carried over: recovery only ever asks which GSNs committed.
+func (t *txnLog) heal() error {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if !t.w.Tainted() {
+		return nil
+	}
+	w, _, _, err := replatformTxnLog(t.fs, t.dir)
+	if err != nil {
+		return err
+	}
+	t.w.Close() // nothing can be appended to it any more; its bytes were just re-read
+	t.w = w
+	return nil
 }
 
 func encodeTxnRec(typ byte, gsn uint64) []byte {

@@ -12,6 +12,7 @@ import (
 	"p2kvs/internal/kv"
 	"p2kvs/internal/metrics"
 	"p2kvs/internal/repl"
+	"p2kvs/internal/reshard"
 )
 
 // gsnWriter is the optional engine capability of tagging a batch's WAL
@@ -214,13 +215,13 @@ func (w *worker) executeBarrier(r *request) {
 	r.complete(nil)
 }
 
-// filterCopied drops ops from reshard bulk-copy requests whose keys were
-// double-written after the copy snapshot's GSN floor: the mirrored value
-// is fresher than the snapshot-pinned one (it is already applied, or
-// strictly ahead of this request in this FIFO queue, since mirrors record
-// their key before enqueueing). Checked at apply time, not enqueue time,
-// so every interleaving of copy batch vs racing mirror resolves in the
-// mirror's favour.
+// filterCopied drops ops from reshard bulk-copy requests whose keys the
+// run has double-written: the mirrored value is at least as fresh as the
+// snapshot-pinned one, and it is already applied, or strictly ahead of
+// this request in this FIFO queue, since mirrors record their key before
+// enqueueing. Checked at apply time, not enqueue time, so every
+// interleaving of copy batch vs racing mirror resolves in the mirror's
+// favour.
 func filterCopied(reqs []*request) {
 	for _, r := range reqs {
 		if r.copySeen == nil {
@@ -228,11 +229,9 @@ func filterCopied(reqs []*request) {
 		}
 		kept := r.ops[:0]
 		for _, op := range r.ops {
-			if r.copySeen.Seen(op.Key, r.copyFloor) {
-				r.copySkip.Add(1)
-				continue
+			if !r.copySeen.Seen(op.Key) {
+				kept = append(kept, op)
 			}
-			kept = append(kept, op)
 		}
 		r.ops = kept
 	}
@@ -242,7 +241,7 @@ func filterCopied(reqs []*request) {
 // moved to another worker under the in-flight reshard (nil run in steady
 // state: one pointer load). Per moved target: copy the op bytes (the
 // submitter may reuse its buffers once acked), record every key in the
-// run's SeenSet under a fresh GSN before enqueueing, then wait for the
+// run's SeenSet before enqueueing, then wait for the
 // target to apply (worker.do, one target after another — a grow has one
 // target per source). The wait is what makes an acknowledged write durable
 // on both owners — cutover needs no drain phase, and a read after the
@@ -272,13 +271,12 @@ func (w *worker) mirrorMoved(ops []kv.BatchOp) {
 		mirrors[mr.To] = append(mirrors[mr.To], op)
 	}
 	for to, moved := range mirrors {
-		g := w.gsnSrc.Add(1)
 		for _, op := range moved {
-			run.seen.Record(op.Key, g)
+			run.seen.Record(op.Key)
 		}
-		run.tracker.AddDoubleWrites(int64(len(moved)))
+		run.tracker.Update(func(st *reshard.Stats) { st.DoubleWrites += int64(len(moved)) })
 		if err := run.targets[to].do(&request{typ: reqWrite, ops: moved}); err != nil {
-			run.fail(fmt.Errorf("core: reshard mirror to worker %d: %w", to, err))
+			run.tracker.Fail(fmt.Errorf("core: reshard mirror to worker %d: %w", to, err))
 		}
 	}
 }

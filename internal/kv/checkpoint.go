@@ -29,6 +29,30 @@ type CheckpointStats struct {
 	BytesCopied int64 `json:"checkpoint_bytes_copied" agg:"sum" info:"Persistence"`
 }
 
+// AddFile gives the backup set at dstFS:dst the bytes of the immutable,
+// uniquely named engine file srcFS:src at the least cost, and counts which
+// it was: a dst already present is the same file from an earlier
+// checkpoint (reused — what makes the second checkpoint incremental, zero
+// unchanged bytes move), else a hard link, else — a cross-FS destination
+// or a linkless filesystem — a full copy.
+func (st *CheckpointStats) AddFile(srcFS vfs.FS, src string, dstFS vfs.FS, dst string) error {
+	if dstFS.Exists(dst) {
+		st.FilesReused++
+		return nil
+	}
+	if dstFS.Link(src, dst) == nil {
+		st.FilesLinked++
+		return nil
+	}
+	n, err := vfs.CopyFile(srcFS, src, dstFS, dst)
+	if err != nil {
+		return err
+	}
+	st.FilesCopied++
+	st.BytesCopied += n
+	return nil
+}
+
 // CheckpointStatsReporter is the optional capability of reporting
 // checkpoint statistics. The p2KVS accessing layer surfaces it in
 // per-worker stats.

@@ -32,65 +32,27 @@ import (
 //     which is the engine's only self-repair (slabs have no per-file
 //     backup granularity; a full shard restore is the remedy otherwise).
 //
-// Slot format v2 adds a CRC-32C over key||value to the header
-// (klen u16 | vlen u32 | crc u32). Slabs written before the format
-// carry no checksums; a worker directory with data but no FORMAT marker
-// stays on v1 read/write so old stores remain usable, and fresh
-// directories always start at v2.
+// A slot is klen u16 | vlen u32 | crc u32 | key | value, the CRC-32C
+// covering key||value. A worker directory carries a FORMAT marker naming
+// that layout, written by the open that finds the directory blank, before
+// any slot is; slab bytes without the marker are the unchecksummed layout
+// of before PR 7, which nothing reads any more — open refuses the
+// directory instead of parsing it.
 
 const (
-	slotHdrV1 = 6  // klen u16 | vlen u32
-	slotHdrV2 = 10 // klen u16 | vlen u32 | crc u32 (CRC-32C of key||value)
+	slotHdr = 10 // klen u16 | vlen u32 | crc u32 (CRC-32C of key||value)
 
 	formatName = "FORMAT"
 	formatV2   = "slab-format=2\n"
 )
 
-// detectFormat fixes the worker's slot layout: a FORMAT marker or a fresh
-// directory selects v2 (checksummed); pre-existing data without the
-// marker stays v1 — mixing headers inside one slab would corrupt it.
-func (w *worker) detectFormat() error {
-	if w.fs.Exists(w.dir + "/" + formatName) {
-		w.hdr = slotHdrV2
-		return nil
+// errNoFormat refuses a worker directory that holds slab bytes without the
+// FORMAT marker.
+func (w *worker) errNoFormat() error {
+	return &kv.CorruptionError{
+		File:   fmt.Sprintf("w%02d/%s", w.id, formatName),
+		Detail: "kvell: slab data without a FORMAT marker (the marker was lost, or the slabs predate slot checksums; neither is readable)",
 	}
-	for class := range slabClasses {
-		name := w.slabName(class)
-		if !w.fs.Exists(name) {
-			continue
-		}
-		f, err := w.fs.Open(name)
-		if err != nil {
-			return err
-		}
-		size, serr := f.Size()
-		f.Close()
-		if serr != nil {
-			return serr
-		}
-		if size > 0 {
-			w.hdr = slotHdrV1
-			return nil
-		}
-	}
-	w.hdr = slotHdrV2
-	return vfsWriteFormat(w)
-}
-
-func vfsWriteFormat(w *worker) error {
-	f, err := w.fs.Create(w.dir + "/" + formatName)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write([]byte(formatV2)); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 // corruptSlotErr builds the typed error for a damaged slot.
@@ -107,14 +69,11 @@ func (w *worker) corruptSlotErr(class int, slot int64, detail string) error {
 func (w *worker) verifySlot(rec []byte, class int, slot int64) (klen, vlen int, err error) {
 	klen = int(binary.LittleEndian.Uint16(rec))
 	vlen = int(binary.LittleEndian.Uint32(rec[2:]))
-	if w.hdr+klen+vlen > len(rec) {
+	if slotHdr+klen+vlen > len(rec) {
 		return 0, 0, w.corruptSlotErr(class, slot, "kvell: slot header out of bounds")
 	}
-	if w.hdr == slotHdrV2 {
-		want := binary.LittleEndian.Uint32(rec[6:])
-		if block.Checksum(rec[w.hdr:w.hdr+klen+vlen]) != want {
-			return 0, 0, w.corruptSlotErr(class, slot, "kvell: slot checksum mismatch")
-		}
+	if block.Checksum(rec[slotHdr:slotHdr+klen+vlen]) != binary.LittleEndian.Uint32(rec[6:]) {
+		return 0, 0, w.corruptSlotErr(class, slot, "kvell: slot checksum mismatch")
 	}
 	return klen, vlen, nil
 }
@@ -136,10 +95,9 @@ var _ kv.Scrubber = (*Store)(nil)
 // worker goroutine (slabs are share-nothing; reading them from outside
 // would race in-place updates), one slab per request so foreground ops
 // interleave between slabs; the rate limiter is charged on the caller's
-// goroutine after each slab so a slow budget never parks a worker.
-// v1 (pre-checksum) slabs are bounds-checked only. KVell cannot repair in
-// place — slabs have no per-file backup granularity — so FilesRepaired is
-// always zero here; restore-from-backup is the repair path.
+// goroutine after each slab so a slow budget never parks a worker. KVell
+// cannot repair in place — slabs have no per-file backup granularity — so
+// FilesRepaired is always zero here; restore-from-backup is the repair path.
 func (s *Store) Scrub(ctx context.Context, lim kv.RateLimiter) (kv.ScrubResult, error) {
 	var res kv.ScrubResult
 	for _, w := range s.workers {

@@ -2,7 +2,6 @@ package kvell
 
 import (
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"testing"
@@ -179,84 +178,5 @@ func TestScrubFindsFlipWithoutReads(t *testing.T) {
 	}
 	if v, err := s.Get([]byte("k-0004")); err != nil || string(v) != "v-0004" {
 		t.Fatalf("Get(k-0004) = %q, %v", v, err)
-	}
-}
-
-// TestLegacyV1SlabsStayReadable: a slab written before checksums (6-byte
-// headers, no FORMAT marker) must recover, serve and accept writes in v1
-// format — mixing header widths inside one slab would destroy it.
-func TestLegacyV1SlabsStayReadable(t *testing.T) {
-	fs := vfs.NewFault(vfs.NewMem())
-	// Hand-craft a v1 worker directory: two live slots in slab-128, no
-	// FORMAT file.
-	if err := fs.MkdirAll("db/w00"); err != nil {
-		t.Fatal(err)
-	}
-	f, err := fs.Create("db/w00/slab-128.dat")
-	if err != nil {
-		t.Fatal(err)
-	}
-	buf := make([]byte, 2*128)
-	v1Slot := func(slot int, key, val string) {
-		rec := buf[slot*128:]
-		binary.LittleEndian.PutUint16(rec, uint16(len(key)))
-		binary.LittleEndian.PutUint32(rec[2:], uint32(len(val)))
-		copy(rec[slotHdrV1:], key)
-		copy(rec[slotHdrV1+len(key):], val)
-	}
-	v1Slot(0, "a", "va")
-	v1Slot(1, "b", "vb")
-	if _, err := f.Write(buf); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-
-	s, err := Open("db", corrOpts(fs))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, kvp := range [][2]string{{"a", "va"}, {"b", "vb"}} {
-		v, err := s.Get([]byte(kvp[0]))
-		if err != nil || string(v) != kvp[1] {
-			t.Fatalf("Get(%q) = %q, %v", kvp[0], v, err)
-		}
-	}
-	// Writes keep the legacy format; a v2 FORMAT marker must NOT appear.
-	if err := s.Put([]byte("c"), []byte("vc")); err != nil {
-		t.Fatal(err)
-	}
-	if fs.Exists("db/w00/FORMAT") {
-		t.Fatal("v1 directory was upgraded to v2 in place")
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// And a reopen still reads everything back.
-	s2, err := Open("db", corrOpts(fs))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s2.Close()
-	for _, kvp := range [][2]string{{"a", "va"}, {"b", "vb"}, {"c", "vc"}} {
-		v, err := s2.Get([]byte(kvp[0]))
-		if err != nil || string(v) != kvp[1] {
-			t.Fatalf("reopened Get(%q) = %q, %v", kvp[0], v, err)
-		}
-	}
-	if h := s2.Health(); h.CorruptionEvents != 0 {
-		t.Fatalf("legacy slabs flagged as corrupt: %+v", h)
-	}
-
-	// Fresh directories do commit to v2.
-	s3, err := Open("db2", corrOpts(fs))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s3.Close()
-	if !fs.Exists("db2/w00/FORMAT") {
-		t.Fatal("fresh directory did not write the v2 FORMAT marker")
 	}
 }

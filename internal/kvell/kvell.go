@@ -6,10 +6,9 @@
 // on disk, so scans walk the index and issue random reads — the cost
 // profile Figures 20/21 contrast with p2KVS.
 //
-// Slot layout inside a slab (format v2): klen u16 | vlen u32 | crc u32 |
-// key | value, padded to the class size, where crc is a CRC-32C over
-// key||value (at-rest integrity, corruption.go; pre-checksum v1 slabs
-// omit the crc field and stay readable). klen == 0xFFFF marks a free slot
+// Slot layout inside a slab: klen u16 | vlen u32 | crc u32 | key | value,
+// padded to the class size, where crc is a CRC-32C over key||value
+// (at-rest integrity, corruption.go). klen == 0xFFFF marks a free slot
 // (tombstone), which is how recovery distinguishes live items when it
 // rebuilds the in-memory index by scanning the slabs (KVell's documented
 // recovery strategy).
@@ -125,9 +124,6 @@ type worker struct {
 	// noteCorrupt reports a detected slot corruption to the store.
 	noteCorrupt func(error)
 
-	// hdr is the slot header length: slotHdrV2 for checksummed slabs,
-	// slotHdrV1 for legacy ones (corruption.go). Fixed at open.
-	hdr int
 	// corrupt, when non-nil, poisons the worker: recovery found a slot it
 	// could not trust, so the rebuilt index may be missing durably written
 	// keys. Index misses, scans and writes fail with this error; index
@@ -213,9 +209,8 @@ func (w *worker) open() error {
 	if err := w.fs.MkdirAll(w.dir); err != nil {
 		return err
 	}
-	if err := w.detectFormat(); err != nil {
-		return err
-	}
+	marker := w.dir + "/" + formatName
+	marked := w.fs.Exists(marker)
 	for class := range slabClasses {
 		name := w.slabName(class)
 		var f vfs.File
@@ -232,6 +227,9 @@ func (w *worker) open() error {
 		size, err := f.Size()
 		if err != nil {
 			return err
+		}
+		if size > 0 && !marked {
+			return w.errNoFormat()
 		}
 		sl.nslots = size / sl.slotSize
 		// Rebuild the index by scanning the slab with large sequential
@@ -268,11 +266,14 @@ func (w *worker) open() error {
 					w.noteCorrupt(err)
 					continue
 				}
-				key := append([]byte(nil), rec[w.hdr:w.hdr+kl]...)
+				key := append([]byte(nil), rec[slotHdr:slotHdr+kl]...)
 				w.index.Set(key, loc{class: class, slot: slot})
 			}
 		}
 		w.slabs[class] = sl
+	}
+	if !marked {
+		return vfs.WriteFileAtomic(w.fs, marker, []byte(formatV2))
 	}
 	return nil
 }
@@ -369,16 +370,16 @@ func (w *worker) readSlot(l loc, key []byte) ([]byte, error) {
 		w.noteCorrupt(err)
 		return nil, err
 	}
-	if key != nil && !bytes.Equal(buf[w.hdr:w.hdr+klen], key) {
+	if key != nil && !bytes.Equal(buf[slotHdr:slotHdr+klen], key) {
 		err := w.corruptSlotErr(l.class, l.slot, "kvell: index/slot key mismatch")
 		w.noteCorrupt(err)
 		return nil, err
 	}
-	return append([]byte(nil), buf[w.hdr+klen:w.hdr+klen+vlen]...), nil
+	return append([]byte(nil), buf[slotHdr+klen:slotHdr+klen+vlen]...), nil
 }
 
 func (w *worker) put(key, value []byte) error {
-	need := w.hdr + len(key) + len(value)
+	need := slotHdr + len(key) + len(value)
 	class, err := classFor(need)
 	if err != nil {
 		return err
@@ -403,11 +404,9 @@ func (w *worker) put(key, value []byte) error {
 	buf := make([]byte, sl.slotSize)
 	binary.LittleEndian.PutUint16(buf, uint16(len(key)))
 	binary.LittleEndian.PutUint32(buf[2:], uint32(len(value)))
-	copy(buf[w.hdr:], key)
-	copy(buf[w.hdr+len(key):], value)
-	if w.hdr == slotHdrV2 {
-		binary.LittleEndian.PutUint32(buf[6:], block.Checksum(buf[w.hdr:w.hdr+len(key)+len(value)]))
-	}
+	copy(buf[slotHdr:], key)
+	copy(buf[slotHdr+len(key):], value)
+	binary.LittleEndian.PutUint32(buf[6:], block.Checksum(buf[slotHdr:slotHdr+len(key)+len(value)]))
 	if _, err := sl.f.WriteAt(buf, slot*sl.slotSize); err != nil {
 		return err
 	}

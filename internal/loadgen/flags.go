@@ -31,8 +31,7 @@ func StoreFlags(fs *flag.FlagSet, def p2kvs.Options) func() (p2kvs.Options, erro
 	fs.IntVar(&o.Workers, "workers", def.Workers, "p2KVS worker count")
 	fs.StringVar(&o.SimulateDevice, "device", "", "simulated device: "+strings.Join(Devices, ", ")+" (empty = none)")
 	fs.Float64Var(&o.DeviceScale, "devscale", 1.0, "simulated device time scale")
-	fs.BoolVar(&o.SyncWAL, "sync", false, "fsync per commit")
-	walSync := fs.String("wal_sync", "", "WAL durability policy: never, commit, or an interval like 100ms; empty defers to -sync")
+	walSync := fs.String("wal_sync", "never", "WAL durability policy: never, commit (fsync before every ack), or an interval like 100ms")
 	admission := fs.String("admission", admissions[def.Admission], "admission policy: "+strings.Join(admissions, ", "))
 	fs.IntVar(&o.QueueDepth, "queue_depth", 0, "per-worker queue depth (0 = default 4096)")
 	fs.IntVar(&o.MaxBatch, "max_batch", 0, "OBM batch cap (0 = default 32)")
@@ -64,9 +63,8 @@ func StoreFlags(fs *flag.FlagSet, def p2kvs.Options) func() (p2kvs.Options, erro
 		}
 		o.Admission = p2kvs.AdmissionPolicy(policy)
 		switch *walSync {
-		case "": // defer to -sync
 		case "never":
-			o.WALSync, o.SyncWAL = p2kvs.SyncNever, false
+			o.WALSync = p2kvs.SyncNever
 		case "commit":
 			o.WALSync = p2kvs.SyncOnCommit
 		default:

@@ -5,6 +5,7 @@ import (
 
 	"p2kvs/internal/kv"
 	"p2kvs/internal/manifest"
+	"p2kvs/internal/stats"
 	"p2kvs/internal/vfs"
 	"p2kvs/internal/wal"
 )
@@ -76,13 +77,9 @@ func (d *DB) PrepareCheckpoint() (kv.CheckpointWriter, error) {
 
 // CheckpointStats implements kv.CheckpointStatsReporter.
 func (d *DB) CheckpointStats() kv.CheckpointStats {
-	return kv.CheckpointStats{
-		Checkpoints: d.perf.ckptCount.Load(),
-		FilesLinked: d.perf.ckptFilesLinked.Load(),
-		FilesCopied: d.perf.ckptFilesCopied.Load(),
-		FilesReused: d.perf.ckptFilesReused.Load(),
-		BytesCopied: d.perf.ckptBytesCopied.Load(),
-	}
+	d.perf.ckptMu.Lock()
+	defer d.perf.ckptMu.Unlock()
+	return d.perf.ckpt
 }
 
 type ckptWriter struct {
@@ -99,30 +96,17 @@ func (w *ckptWriter) WriteTo(fs vfs.FS, dir string, seq uint64) ([]kv.Checkpoint
 		return nil, err
 	}
 	var files []kv.CheckpointFile
+	done := kv.CheckpointStats{Checkpoints: 1} // this checkpoint's share of the lifetime counters
 
 	// SSTs: immutable and uniquely numbered (file numbers are never
-	// reused — MarkFileNumUsed), so a same-named file already present in
-	// the backup set from an earlier checkpoint is byte-identical and can
-	// be reused outright. This is what makes the second checkpoint
-	// incremental: zero unchanged SST bytes move.
+	// reused — MarkFileNumUsed), so a same-named file already in the
+	// backup set is byte-identical and AddFile reuses it outright.
 	for _, a := range w.snap.Added {
 		name := fmt.Sprintf("%06d.sst", a.Meta.Num)
 		files = append(files, kv.CheckpointFile{Name: name, Restore: name})
-		dst := dir + "/" + name
-		if fs.Exists(dst) {
-			d.perf.ckptFilesReused.Add(1)
-			continue
-		}
-		if err := fs.Link(sstName(d.dir, a.Meta.Num), dst); err == nil {
-			d.perf.ckptFilesLinked.Add(1)
-			continue
-		}
-		// Cross-FS destination or linkless filesystem: full copy.
-		if err := vfs.CopyFile(d.opts.FS, sstName(d.dir, a.Meta.Num), fs, dst); err != nil {
+		if err := done.AddFile(d.opts.FS, sstName(d.dir, a.Meta.Num), fs, dir+"/"+name); err != nil {
 			return nil, err
 		}
-		d.perf.ckptFilesCopied.Add(1)
-		d.perf.ckptBytesCopied.Add(a.Meta.Size)
 	}
 
 	// WAL prefixes. These change between checkpoints, so their backup
@@ -133,8 +117,8 @@ func (w *ckptWriter) WriteTo(fs vfs.FS, dir string, seq uint64) ([]kv.Checkpoint
 		if err := vfs.CopyPrefix(d.opts.FS, walName(d.dir, wc.num), fs, dir+"/"+name, wc.size); err != nil {
 			return nil, err
 		}
-		d.perf.ckptFilesCopied.Add(1)
-		d.perf.ckptBytesCopied.Add(wc.size)
+		done.FilesCopied++
+		done.BytesCopied += wc.size
 		files = append(files, kv.CheckpointFile{Name: name, Restore: fmt.Sprintf("%06d.log", wc.num)})
 	}
 
@@ -144,7 +128,7 @@ func (w *ckptWriter) WriteTo(fs vfs.FS, dir string, seq uint64) ([]kv.Checkpoint
 	if err != nil {
 		return nil, err
 	}
-	mlog := wal.NewWriter(mf, wal.Options{SyncOnCommit: true})
+	mlog := wal.NewWriter(mf, wal.Options{Policy: wal.PolicyCommit})
 	if err := mlog.Append(0, w.snap.Encode()); err != nil {
 		mlog.Close()
 		return nil, err
@@ -153,7 +137,9 @@ func (w *ckptWriter) WriteTo(fs vfs.FS, dir string, seq uint64) ([]kv.Checkpoint
 		return nil, err
 	}
 	files = append(files, kv.CheckpointFile{Name: mname, Restore: "MANIFEST"})
-	d.perf.ckptCount.Add(1)
+	d.perf.ckptMu.Lock()
+	stats.Merge(&d.perf.ckpt, done)
+	d.perf.ckptMu.Unlock()
 	return files, nil
 }
 

@@ -131,7 +131,7 @@ func (d *DB) compactLoop() {
 func (d *DB) levelTarget(level int) int64 {
 	t := d.opts.BaseLevelSize
 	for i := 1; i < level; i++ {
-		t *= int64(d.opts.LevelMultiplier)
+		t *= levelMultiplier
 	}
 	return t
 }
@@ -374,9 +374,6 @@ func (d *DB) mergeFiles(inputs []*manifest.FileMeta, outLevel int, dropTombs boo
 				return nil, err
 			}
 			w = sstable.NewWriter(f, curNum)
-			if d.opts.Compression {
-				w.EnableCompression()
-			}
 			wf = f
 		}
 		if err = w.Add(ik, merge.Value()); err != nil {

@@ -9,6 +9,7 @@ import (
 	"p2kvs/internal/kv"
 	"p2kvs/internal/manifest"
 	"p2kvs/internal/sstable"
+	"p2kvs/internal/vfs"
 )
 
 // Corruption containment, repair and scrubbing (DESIGN.md §12).
@@ -160,47 +161,13 @@ func (d *DB) tryRepair(num uint64) bool {
 	return false
 }
 
-// installRepair writes candidate bytes for file num to a temp file,
-// re-verifies every block end to end (trusting a backup blindly would just
-// relocate the corruption), and renames it into place.
+// installRepair verifies candidate bytes for file num end to end and
+// installs them over the damaged file.
 func (d *DB) installRepair(num uint64, data []byte) error {
-	fs := d.opts.FS
-	tmp := sstName(d.dir, num) + ".repair"
-	f, err := fs.Create(tmp)
-	if err != nil {
+	if err := sstable.VerifyImage(fmt.Sprintf("%06d.sst", num), data); err != nil {
 		return err
 	}
-	_, werr := f.Write(data)
-	serr := f.Sync()
-	cerr := f.Close()
-	if werr == nil {
-		werr = serr
-	}
-	if werr == nil {
-		werr = cerr
-	}
-	if werr != nil {
-		fs.Remove(tmp)
-		return werr
-	}
-	rf, err := fs.Open(tmp)
-	if err != nil {
-		fs.Remove(tmp)
-		return err
-	}
-	r, err := sstable.OpenNamed(rf, nil, 0, fmt.Sprintf("%06d.sst", num))
-	if err != nil {
-		rf.Close()
-		fs.Remove(tmp)
-		return err
-	}
-	_, verr := r.Verify()
-	r.Close()
-	if verr != nil {
-		fs.Remove(tmp)
-		return verr
-	}
-	return fs.Rename(tmp, sstName(d.dir, num))
+	return vfs.WriteFileAtomic(d.opts.FS, sstName(d.dir, num), data)
 }
 
 // parkQuarantined moves an unrepairable file into <dir>/quarantine/ so

@@ -207,12 +207,7 @@ func (d *DB) replayWALs(oo OpenOptions) error {
 	sort.Slice(logNums, func(i, j int) bool { return logNums[i] < logNums[j] })
 
 	for _, num := range logNums {
-		f, err := d.opts.FS.Open(walName(d.dir, num))
-		if err != nil {
-			return err
-		}
-		recs, err := wal.ReadAll(f)
-		f.Close()
+		recs, err := wal.ReadAll(d.opts.FS, walName(d.dir, num))
 		if err != nil {
 			return err
 		}
@@ -463,7 +458,7 @@ func (d *DB) maybeStall() error {
 		if span < 1 {
 			span = 1
 		}
-		delay := d.opts.SlowdownDelay * time.Duration(l0-d.opts.L0SlowdownTrigger+1) / time.Duration(span)
+		delay := slowdownDelay * time.Duration(l0-d.opts.L0SlowdownTrigger+1) / time.Duration(span)
 		if delay > 0 {
 			time.Sleep(delay)
 			d.perf.slowdownNs.Add(int64(delay))

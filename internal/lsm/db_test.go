@@ -9,6 +9,7 @@ import (
 	"p2kvs/internal/kv"
 	"p2kvs/internal/manifest"
 	"p2kvs/internal/vfs"
+	"p2kvs/internal/wal"
 )
 
 // smallOpts returns options tuned so tiny tests exercise rotation and
@@ -314,7 +315,7 @@ func TestMultiGet(t *testing.T) {
 func TestRecoveryFromWAL(t *testing.T) {
 	fs := vfs.NewMem()
 	opts := smallOpts(fs)
-	opts.SyncWAL = true
+	opts.WALSync = wal.PolicyCommit
 	db, _ := Open("db", opts)
 	for i := 0; i < 200; i++ {
 		db.Put([]byte(fmt.Sprintf("k%04d", i)), []byte(fmt.Sprintf("v%d", i)))
@@ -354,7 +355,7 @@ func TestRecoveryFromWAL(t *testing.T) {
 func TestRecoveryAfterFlushAndCompaction(t *testing.T) {
 	fs := vfs.NewMem()
 	opts := smallOpts(fs)
-	opts.SyncWAL = true
+	opts.WALSync = wal.PolicyCommit
 	db, _ := Open("db", opts)
 	fill(t, db, 2000, 1)
 	db.CompactAll()
@@ -387,7 +388,7 @@ func TestRecoveryAfterFlushAndCompaction(t *testing.T) {
 func TestRecoveryWithGSNFilter(t *testing.T) {
 	fs := vfs.NewMem()
 	opts := smallOpts(fs)
-	opts.SyncWAL = true
+	opts.WALSync = wal.PolicyCommit
 	db, _ := Open("db", opts)
 	var b1, b2 kv.Batch
 	b1.Put([]byte("committed"), []byte("yes"))

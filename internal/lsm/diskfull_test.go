@@ -8,6 +8,7 @@ import (
 
 	"p2kvs/internal/kv"
 	"p2kvs/internal/vfs"
+	"p2kvs/internal/wal"
 )
 
 // fillUntilNoSpace writes until the engine reports a space-exhaustion
@@ -35,7 +36,7 @@ func TestDiskFullDegradesAndAutoResumes(t *testing.T) {
 	qfs := vfs.NewQuota(vfs.NewMem(), 256<<10)
 	o := RocksDBOptions(qfs)
 	o.MemTableSize = 16 << 10
-	o.SyncWAL = true
+	o.WALSync = wal.PolicyCommit
 	o.BgBaseBackoff = time.Millisecond
 	o.BgMaxBackoff = 8 * time.Millisecond
 	d, err := Open("db", o)

@@ -9,7 +9,7 @@ import (
 )
 
 func newTestWAL(f vfs.File) *wal.Writer {
-	return wal.NewWriter(f, wal.Options{SyncOnCommit: true})
+	return wal.NewWriter(f, wal.Options{Policy: wal.PolicyCommit})
 }
 
 // TestSyncFailureSurfacesToWriter: with synchronous durability, an
@@ -18,7 +18,7 @@ func newTestWAL(f vfs.File) *wal.Writer {
 func TestSyncFailureSurfacesToWriter(t *testing.T) {
 	fs := vfs.NewFault(vfs.NewMem())
 	opts := smallOpts(fs)
-	opts.SyncWAL = true
+	opts.WALSync = wal.PolicyCommit
 	db, _ := Open("db", opts)
 	defer db.Close()
 	if err := db.Put([]byte("ok"), []byte("v")); err != nil {

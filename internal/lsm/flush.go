@@ -102,9 +102,6 @@ func (d *DB) doFlush(h *memHandle) error {
 		return err
 	}
 	w := sstable.NewWriter(f, num)
-	if d.opts.Compression {
-		w.EnableCompression()
-	}
 	it := h.mem.NewIterator()
 	for it.SeekToFirst(); it.Valid(); it.Next() {
 		if err := w.Add(it.Key(), it.Value()); err != nil {

@@ -19,7 +19,7 @@ import (
 func TestForensicRecovery(t *testing.T) {
 	fs := vfs.NewMem()
 	opts := smallOpts(fs)
-	opts.SyncWAL = true
+	opts.WALSync = wal.PolicyCommit
 	db, _ := Open("db", opts)
 	fill(t, db, 2000, 1)
 	db.CompactAll()
@@ -55,8 +55,7 @@ func TestForensicRecovery(t *testing.T) {
 		full := "db/" + n
 		switch {
 		case strings.HasSuffix(n, ".log"):
-			f, _ := fs.Open(full)
-			recs, rerr := wal.ReadAll(f)
+			recs, rerr := wal.ReadAll(fs, full)
 			count := 0
 			for _, r := range recs {
 				_, ops, _ := decodeBatchPayload(r.Payload)
@@ -68,7 +67,6 @@ func TestForensicRecovery(t *testing.T) {
 				}
 			}
 			t.Logf("  %s: %d records total, err=%v, hits=%d", n, len(recs), rerr, count)
-			f.Close()
 		case strings.HasSuffix(n, ".sst"):
 			f, _ := fs.Open(full)
 			r, oerr := sstable.Open(f)

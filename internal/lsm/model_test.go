@@ -7,6 +7,7 @@ import (
 
 	"p2kvs/internal/kv"
 	"p2kvs/internal/vfs"
+	"p2kvs/internal/wal"
 )
 
 // TestQuickEngineAgainstModel is the engine-level property test: any
@@ -154,7 +155,7 @@ func TestWriteStallEngages(t *testing.T) {
 func TestSecondCrashAfterRecovery(t *testing.T) {
 	fs := vfs.NewMem()
 	opts := smallOpts(fs)
-	opts.SyncWAL = true
+	opts.WALSync = wal.PolicyCommit
 
 	db, _ := Open("db", opts)
 	for i := 0; i < 100; i++ {
@@ -196,57 +197,6 @@ func TestSecondCrashAfterRecovery(t *testing.T) {
 		if err != nil || string(v) != want {
 			t.Fatalf("after double crash: Get(k%03d) = %q %v, want %q", i, v, err, want)
 		}
-	}
-}
-
-// TestCompressionEndToEnd: the Compression option must round-trip through
-// flush, compaction and recovery, and shrink on-disk size for
-// compressible data.
-func TestCompressionEndToEnd(t *testing.T) {
-	run := func(compress bool) (int64, *DB, *vfs.MemFS) {
-		fs := vfs.NewMem()
-		opts := smallOpts(fs)
-		opts.Compression = compress
-		db, err := Open("db", opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		val := make([]byte, 256) // zeros: highly compressible
-		for i := 0; i < 2000; i++ {
-			db.Put([]byte(fmt.Sprintf("key%06d", i)), val)
-		}
-		if err := db.CompactAll(); err != nil {
-			t.Fatal(err)
-		}
-		m := db.Metrics()
-		var disk int64
-		for _, b := range m.LevelBytes {
-			disk += b
-		}
-		return disk, db, fs
-	}
-	rawSize, dbRaw, _ := run(false)
-	dbRaw.Close()
-	compSize, dbComp, fs := run(true)
-	if compSize >= rawSize/2 {
-		t.Fatalf("compression ineffective: %d vs %d raw", compSize, rawSize)
-	}
-	// Reads and recovery over compressed tables.
-	for i := 0; i < 2000; i += 333 {
-		if _, err := dbComp.Get([]byte(fmt.Sprintf("key%06d", i))); err != nil {
-			t.Fatalf("Get over compressed table: %v", err)
-		}
-	}
-	dbComp.Close()
-	opts := smallOpts(fs)
-	opts.Compression = true
-	db2, err := Open("db", opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db2.Close()
-	if _, err := db2.Get([]byte("key000100")); err != nil {
-		t.Fatalf("Get after reopen of compressed store: %v", err)
 	}
 }
 

@@ -34,6 +34,14 @@ const (
 	Fragmented
 )
 
+const (
+	// slowdownDelay is the maximum per-write sleep applied at the top of
+	// the slowdown band (scaled down linearly toward L0SlowdownTrigger).
+	slowdownDelay = time.Millisecond
+	// levelMultiplier is the per-level size ratio.
+	levelMultiplier = 10
+)
+
 // Options configures the engine.
 type Options struct {
 	// FS hosts all engine files. Wrap with internal/device to simulate a
@@ -50,14 +58,10 @@ type Options struct {
 	PipelinedWrite bool
 	// GroupCommit enables leader/follower WAL aggregation (Figure 3).
 	GroupCommit bool
-	// SyncWAL fsyncs the log on every commit. Default false = RocksDB
-	// async logging, as configured in the paper's experiments (§3.4).
-	// Equivalent to WALSync = wal.PolicyCommit; kept for existing call
-	// sites.
-	SyncWAL bool
 	// WALSync selects the WAL durability policy (wal.PolicyNever /
-	// PolicyInterval / PolicyCommit). The zero value defers to SyncWAL.
-	// See DESIGN.md §11 for the contract each policy gives at SIGKILL.
+	// PolicyInterval / PolicyCommit). The zero value, PolicyNever, is
+	// RocksDB async logging, as configured in the paper's experiments
+	// (§3.4). See DESIGN.md §11 for what each policy gives at SIGKILL.
 	WALSync wal.SyncPolicy
 	// WALSyncInterval bounds durability staleness under PolicyInterval
 	// (default 100ms).
@@ -85,20 +89,15 @@ type Options struct {
 	// the hard stall. Defaults to the midpoint of L0CompactionTrigger and
 	// L0StallTrigger.
 	L0SlowdownTrigger int
-	// SlowdownDelay is the maximum per-write sleep applied at the top of
-	// the slowdown band (scaled down linearly toward L0SlowdownTrigger).
-	SlowdownDelay time.Duration
 	// MaxBackgroundCompactions bounds how many compactions of disjoint
 	// level/key ranges run concurrently (default 2).
 	MaxBackgroundCompactions int
 	// MaxSubCompactions splits one large merge into up to this many
 	// key-range subcompactions that run in parallel (default 1 = off).
 	MaxSubCompactions int
-	// BaseLevelSize is the L1 capacity; each level is LevelMultiplier
-	// larger.
+	// BaseLevelSize is the L1 capacity; each level is levelMultiplier
+	// times larger.
 	BaseLevelSize int64
-	// LevelMultiplier is the per-level size ratio (default 10).
-	LevelMultiplier int
 	// TargetFileSize bounds individual SSTables.
 	TargetFileSize int64
 	// Style selects Leveled or Fragmented compaction.
@@ -113,8 +112,6 @@ type Options struct {
 	// paper's RocksDB instances run an 8 MB block cache, §5.5). 0 uses
 	// the default; negative disables caching.
 	BlockCacheSize int64
-	// Compression enables per-block DEFLATE compression of SSTables.
-	Compression bool
 	// WALPerRecordCost / WALPerByteCost are forwarded to the WAL's
 	// software-path cost model (see internal/wal Options); zero for
 	// production use, set by the simulated-time benchmarks.
@@ -159,9 +156,6 @@ func (o Options) withDefaults() Options {
 	if o.L0SlowdownTrigger <= 0 {
 		o.L0SlowdownTrigger = (o.L0CompactionTrigger + o.L0StallTrigger) / 2
 	}
-	if o.SlowdownDelay <= 0 {
-		o.SlowdownDelay = time.Millisecond
-	}
 	if o.MaxBackgroundCompactions <= 0 {
 		o.MaxBackgroundCompactions = 2
 	}
@@ -170,9 +164,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.BaseLevelSize <= 0 {
 		o.BaseLevelSize = 16 << 20
-	}
-	if o.LevelMultiplier <= 0 {
-		o.LevelMultiplier = 10
 	}
 	if o.TargetFileSize <= 0 {
 		o.TargetFileSize = 2 << 20
@@ -188,9 +179,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.BgMaxBackoff <= 0 {
 		o.BgMaxBackoff = time.Second
-	}
-	if o.WALSync == wal.PolicyNever && o.SyncWAL {
-		o.WALSync = wal.PolicyCommit
 	}
 	if o.WALSync == wal.PolicyInterval && o.WALSyncInterval <= 0 {
 		o.WALSyncInterval = 100 * time.Millisecond

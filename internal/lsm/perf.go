@@ -1,6 +1,7 @@
 package lsm
 
 import (
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -70,12 +71,9 @@ type perfCounters struct {
 	repairedFiles    atomic.Int64
 	quarCount        atomic.Int64
 
-	// Checkpoint activity (checkpoint.go).
-	ckptCount       atomic.Int64
-	ckptFilesLinked atomic.Int64
-	ckptFilesCopied atomic.Int64
-	ckptFilesReused atomic.Int64
-	ckptBytesCopied atomic.Int64
+	// Checkpoint activity (checkpoint.go), merged in once per checkpoint.
+	ckptMu sync.Mutex
+	ckpt   kv.CheckpointStats
 }
 
 // Perf snapshots the engine's counters.

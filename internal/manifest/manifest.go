@@ -235,12 +235,7 @@ func Open(fs vfs.FS, dir string) (*Set, error) {
 	s := &Set{fs: fs, dir: dir, current: &Version{}, NextFile: 1}
 	name := dir + "/MANIFEST"
 	if fs.Exists(name) {
-		f, err := fs.Open(name)
-		if err != nil {
-			return nil, err
-		}
-		recs, err := wal.ReadAll(f)
-		f.Close()
+		recs, err := wal.ReadAll(fs, name)
 		if err != nil {
 			return nil, err
 		}
@@ -271,7 +266,7 @@ func (s *Set) rotateLocked() error {
 	if err != nil {
 		return err
 	}
-	log := wal.NewWriter(f, wal.Options{SyncOnCommit: true})
+	log := wal.NewWriter(f, wal.Options{Policy: wal.PolicyCommit})
 	if err := log.Append(0, s.snapshotEdit().Encode()); err != nil {
 		log.Close()
 		return err

@@ -74,40 +74,51 @@ func (s State) String() string {
 // ---------------------------------------------------------------------------
 
 // SeenSet records every key the double-write interceptor mirrored during
-// a reshard's copy window, tagged with the apply-time GSN of the mirror.
-// The copy stream checks it at apply time: a copied pair whose key was
-// double-written after the snapshot floor is stale by construction (the
-// mirror already delivered a fresher value through the same FIFO queue)
-// and is dropped. Record-before-enqueue on the mirror side plus FIFO
-// apply order on the new owner make the reconciliation deterministic:
-// a live write and the bulk copy can land in either order, but the
-// fresher value always survives.
+// a reshard's copy window. The copy stream checks it at apply time: a
+// copied pair whose key is in the set is stale by construction (the set
+// only exists once the run is published, so whatever it holds was written
+// during the run: the mirror already delivered a value at least as fresh
+// as the pinned image through the same FIFO queue) and is dropped.
+// Record-before-enqueue on the mirror side plus FIFO apply order on the
+// new owner make the reconciliation deterministic: a live write and the
+// bulk copy can land in either order, but the fresher value always
+// survives.
 type SeenSet struct {
-	mu sync.Mutex
-	m  map[string]uint64
+	mu    sync.Mutex
+	m     map[string]struct{}
+	drops int64
 }
 
 // NewSeenSet returns an empty set.
 func NewSeenSet() *SeenSet {
-	return &SeenSet{m: make(map[string]uint64)}
+	return &SeenSet{m: make(map[string]struct{})}
 }
 
-// Record notes that key was double-written under gsn. Later records for
-// the same key keep the highest GSN.
-func (s *SeenSet) Record(key []byte, gsn uint64) {
+// Record notes that key was double-written.
+func (s *SeenSet) Record(key []byte) {
 	s.mu.Lock()
-	if gsn > s.m[string(key)] {
-		s.m[string(key)] = gsn
+	s.m[string(key)] = struct{}{}
+	s.mu.Unlock()
+}
+
+// Seen reports whether key was recorded. The copy stream is the only
+// asker and drops the pair it asked about on a yes, so a yes is counted
+// as one drop.
+func (s *SeenSet) Seen(key []byte) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	_, ok := s.m[string(key)]
+	if ok {
+		s.drops++
 	}
-	s.mu.Unlock()
+	return ok
 }
 
-// Seen reports whether key was recorded with a GSN above floor.
-func (s *SeenSet) Seen(key []byte, floor uint64) bool {
+// Drops reports how many copied pairs the set superseded.
+func (s *SeenSet) Drops() int64 {
 	s.mu.Lock()
-	g, ok := s.m[string(key)]
-	s.mu.Unlock()
-	return ok && g > floor
+	defer s.mu.Unlock()
+	return s.drops
 }
 
 // Len reports how many distinct keys have been recorded.
@@ -165,26 +176,10 @@ func SaveTopology(fs vfs.FS, dir string, t Topology) error {
 		return err
 	}
 	body := []byte(fmt.Sprintf("%08x\n%s", crc32.Checksum(payload, crcTable), payload))
-	tmp := dir + "/" + TopologyFile + ".tmp"
 	if err := fs.MkdirAll(dir); err != nil {
 		return err
 	}
-	f, err := fs.Create(tmp)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(body); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	return fs.Rename(tmp, dir+"/"+TopologyFile)
+	return vfs.WriteFileAtomic(fs, dir+"/"+TopologyFile, body)
 }
 
 // LoadTopology reads dir's topology record. A missing record returns
@@ -225,27 +220,17 @@ func LoadTopology(fs vfs.FS, dir string) (*Topology, error) {
 // Progress tracker
 // ---------------------------------------------------------------------------
 
-// Tracker is the lock-free progress record of a store's resharding
-// activity: the current phase, lifetime counters, and the failure latch
-// the double-write interceptor trips so the coordinator aborts before
-// cutover instead of committing a ring that missed mirrored writes.
+// Tracker is the progress record of a store's resharding activity: the
+// current phase and the lifetime counters, declared once as Stats and
+// guarded by one mutex (a reshard touches them a few times per copy batch,
+// never per request), and the failure latch the double-write interceptor
+// trips so the coordinator aborts before cutover instead of committing a
+// ring that missed mirrored writes.
 type Tracker struct {
-	state          atomic.Int32
-	epoch          atomic.Uint64
-	from           atomic.Int64
-	to             atomic.Int64
-	completed      atomic.Int64
-	aborted        atomic.Int64
-	movedKeys      atomic.Int64
-	movedBytes     atomic.Int64
-	doubleWrites   atomic.Int64
-	skippedStale   atomic.Int64
-	barrierNs      atomic.Int64
-	cutoverRetries atomic.Int64
-	failed         atomic.Bool
-
-	errMu   sync.Mutex
-	lastErr string
+	mu     sync.Mutex
+	state  State
+	stats  Stats // State is filled in by Snapshot
+	failed atomic.Bool
 }
 
 // Stats is the JSON/INFO projection of a Tracker.
@@ -280,26 +265,44 @@ type Stats struct {
 	LastErr string `json:"reshard_last_err,omitempty"`
 }
 
+// Update applies f to the counters under the tracker's lock — the one
+// mutator behind every tally (moved pairs, double-writes, barrier time,
+// the epoch a reopen restores).
+func (t *Tracker) Update(f func(*Stats)) {
+	t.mu.Lock()
+	f(&t.stats)
+	t.mu.Unlock()
+}
+
+// Snapshot captures the tracker as Stats.
+func (t *Tracker) Snapshot() Stats {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	st := t.stats
+	st.State = t.state.String()
+	return st
+}
+
 // Begin records the start of a from->to transition.
 func (t *Tracker) Begin(from, to int, epoch uint64) {
-	t.from.Store(int64(from))
-	t.to.Store(int64(to))
-	t.epoch.Store(epoch)
 	t.failed.Store(false)
-	t.setErr(nil)
-	t.state.Store(int32(StatePrepare))
+	t.mu.Lock()
+	t.stats.From, t.stats.To, t.stats.Epoch, t.stats.LastErr = from, to, epoch, ""
+	t.state = StatePrepare
+	t.mu.Unlock()
 }
 
 // SetState advances the phase.
-func (t *Tracker) SetState(s State) { t.state.Store(int32(s)) }
-
-// State reports the current phase.
-func (t *Tracker) State() State { return State(t.state.Load()) }
+func (t *Tracker) SetState(s State) {
+	t.mu.Lock()
+	t.state = s
+	t.mu.Unlock()
+}
 
 // Fail latches a double-write (or copy) failure; the first error wins.
 func (t *Tracker) Fail(err error) {
 	if t.failed.CompareAndSwap(false, true) {
-		t.setErr(err)
+		t.Update(func(st *Stats) { st.LastErr = err.Error() })
 	}
 }
 
@@ -308,70 +311,21 @@ func (t *Tracker) Failed() bool { return t.failed.Load() }
 
 // Complete records a committed transition at the given epoch.
 func (t *Tracker) Complete(epoch uint64) {
-	t.epoch.Store(epoch)
-	t.completed.Add(1)
-	t.state.Store(int32(StateDone))
+	t.mu.Lock()
+	t.stats.Epoch = epoch
+	t.stats.Completed++
+	t.state = StateDone
+	t.mu.Unlock()
 }
 
-// Abort records a rolled-back transition.
+// Abort records a rolled-back transition; a nil err keeps the latched
+// cause.
 func (t *Tracker) Abort(err error) {
-	t.aborted.Add(1)
+	t.mu.Lock()
+	t.stats.Aborted++
 	if err != nil {
-		t.setErr(err)
+		t.stats.LastErr = err.Error()
 	}
-	t.state.Store(int32(StateAborted))
-}
-
-// AddMoved tallies copied pairs.
-func (t *Tracker) AddMoved(keys, bytes int64) {
-	t.movedKeys.Add(keys)
-	t.movedBytes.Add(bytes)
-}
-
-// AddDoubleWrites tallies mirrored ops.
-func (t *Tracker) AddDoubleWrites(n int64) { t.doubleWrites.Add(n) }
-
-// SkippedStale exposes the stale-copy drop counter for the apply path.
-func (t *Tracker) SkippedStale() *atomic.Int64 { return &t.skippedStale }
-
-// SetBarrierNs records the cutover pause duration.
-func (t *Tracker) SetBarrierNs(ns int64) { t.barrierNs.Store(ns) }
-
-// AddCutoverRetry counts a released-and-retried cutover attempt.
-func (t *Tracker) AddCutoverRetry() { t.cutoverRetries.Add(1) }
-
-// SetEpoch records the committed ring generation (used at open, when the
-// persisted topology carries an epoch from a previous process).
-func (t *Tracker) SetEpoch(e uint64) { t.epoch.Store(e) }
-
-func (t *Tracker) setErr(err error) {
-	t.errMu.Lock()
-	if err == nil {
-		t.lastErr = ""
-	} else {
-		t.lastErr = err.Error()
-	}
-	t.errMu.Unlock()
-}
-
-// Snapshot captures the tracker as Stats.
-func (t *Tracker) Snapshot() Stats {
-	t.errMu.Lock()
-	lastErr := t.lastErr
-	t.errMu.Unlock()
-	return Stats{
-		State:          t.State().String(),
-		Epoch:          t.epoch.Load(),
-		From:           int(t.from.Load()),
-		To:             int(t.to.Load()),
-		Completed:      t.completed.Load(),
-		Aborted:        t.aborted.Load(),
-		MovedKeys:      t.movedKeys.Load(),
-		MovedBytes:     t.movedBytes.Load(),
-		DoubleWrites:   t.doubleWrites.Load(),
-		SkippedStale:   t.skippedStale.Load(),
-		BarrierNs:      t.barrierNs.Load(),
-		CutoverRetries: t.cutoverRetries.Load(),
-		LastErr:        lastErr,
-	}
+	t.state = StateAborted
+	t.mu.Unlock()
 }

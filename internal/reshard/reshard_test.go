@@ -62,30 +62,22 @@ func TestTopologyCorruptionDetected(t *testing.T) {
 	}
 }
 
-func TestSeenSetFloorAndSupersede(t *testing.T) {
+func TestSeenSetMembershipAndDrops(t *testing.T) {
 	s := NewSeenSet()
 	key := []byte("k1")
-	if s.Seen(key, 0) {
+	if s.Seen(key) {
 		t.Fatal("empty set reports key as seen")
 	}
-	s.Record(key, 10)
-	if !s.Seen(key, 5) {
-		t.Fatal("gsn 10 not seen above floor 5")
+	s.Record(key)
+	s.Record(key) // a second mirror of the same key is one member
+	if !s.Seen(key) || !s.Seen(key) {
+		t.Fatal("recorded key not seen")
 	}
-	if s.Seen(key, 10) {
-		t.Fatal("gsn 10 seen above floor 10 (floor is exclusive)")
+	if s.Seen([]byte("k2")) {
+		t.Fatal("unrecorded key seen")
 	}
-	// A stale re-record must not lower the retained GSN.
-	s.Record(key, 7)
-	if !s.Seen(key, 9) {
-		t.Fatal("re-record with lower gsn clobbered the higher one")
-	}
-	s.Record(key, 20)
-	if !s.Seen(key, 19) || s.Seen(key, 20) {
-		t.Fatal("highest gsn not retained")
-	}
-	if s.Len() != 1 {
-		t.Fatalf("Len = %d, want 1", s.Len())
+	if s.Len() != 1 || s.Drops() != 2 {
+		t.Fatalf("Len = %d, Drops = %d; want 1 member, 2 drops (one per yes)", s.Len(), s.Drops())
 	}
 }
 
@@ -98,8 +90,8 @@ func TestSeenSetConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 500; i++ {
 				k := []byte(fmt.Sprintf("key-%03d", i%100))
-				s.Record(k, uint64(g*1000+i))
-				s.Seen(k, 50)
+				s.Record(k)
+				s.Seen(k)
 			}
 		}(g)
 	}
@@ -111,20 +103,22 @@ func TestSeenSetConcurrent(t *testing.T) {
 
 func TestTrackerLifecycle(t *testing.T) {
 	var tr Tracker
-	if tr.State() != StateIdle {
-		t.Fatalf("zero tracker state = %v", tr.State())
+	if st := tr.Snapshot().State; st != "idle" {
+		t.Fatalf("zero tracker state = %q", st)
 	}
 	tr.Begin(4, 5, 0)
-	if tr.State() != StatePrepare || tr.Failed() {
-		t.Fatalf("after Begin: state=%v failed=%v", tr.State(), tr.Failed())
+	if st := tr.Snapshot().State; st != "prepare" || tr.Failed() {
+		t.Fatalf("after Begin: state=%q failed=%v", st, tr.Failed())
 	}
 	tr.SetState(StateCopy)
-	tr.AddMoved(10, 2048)
-	tr.AddDoubleWrites(3)
-	tr.SkippedStale().Add(2)
+	tr.Update(func(st *Stats) {
+		st.MovedKeys += 10
+		st.MovedBytes += 2048
+		st.DoubleWrites += 3
+		st.SkippedStale += 2
+	})
 	tr.SetState(StateCutover)
-	tr.AddCutoverRetry()
-	tr.SetBarrierNs(123456)
+	tr.Update(func(st *Stats) { st.CutoverRetries++; st.BarrierNs = 123456 })
 	tr.Complete(1)
 	st := tr.Snapshot()
 	want := Stats{

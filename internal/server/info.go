@@ -63,8 +63,8 @@ func (s *Server) snapshot() *snapshot {
 		CorruptionReplies:  st.corruptionReplies.Load(),
 		PanicsRecovered:    st.panics.Load(),
 		IdleClosed:         st.idleClosed.Load(),
-		Saving:             s.saving.Load(),
-		Resharding:         s.resharding.Load(),
+		Saving:             s.save.running.Load(),
+		Resharding:         s.resharding.running.Load(),
 		FullSyncsServed:    rs.fullSyncsServed.Load(),
 		PartialSyncsServed: rs.partialSyncsServed.Load(),
 		FullSyncs:          rs.fullSyncsDone.Load(),
@@ -132,12 +132,12 @@ func (s *Server) infoText() string {
 	stats.Lines(&b, &snap, "", "Persistence")
 	stats.Lines(&b, sv, "", "Persistence")
 	stats.Lines(&b, agg, "store_", "Persistence")
-	errLine(&b, "store_last_checkpoint_error", s.lastSaveError())
+	errLine(&b, "store_last_checkpoint_error", s.save.lastError())
 
 	section("Reshard")
 	stats.Lines(&b, sv, "", "Reshard")
 	stats.Lines(&b, snap.Reshard, "", "")
-	errLine(&b, "reshard_last_run_error", s.lastReshardError())
+	errLine(&b, "reshard_last_run_error", s.resharding.lastError())
 
 	section("Replication")
 	s.repl.infoSection(&b, st, &snap, sv)

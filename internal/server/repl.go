@@ -622,7 +622,8 @@ func (m *replicaMgr) receiveFullSync(nc net.Conn, rd *Reader) error {
 			if err != nil {
 				return err
 			}
-			if !safeImagePath(name) {
+			// A hostile FrameFile name must not escape the staging directory.
+			if !checkpoint.SafeRel(name) {
 				return fmt.Errorf("unsafe image path %q", name)
 			}
 			if err := writeImageFile(fs, dir, name, content); err != nil {
@@ -668,7 +669,9 @@ func (m *replicaMgr) installImage(fs vfs.FS, dir string, man *checkpoint.Manifes
 	m.srv.storeP.Store(st)
 	m.setLineage(man.ReplID, append([]uint64(nil), man.WorkerGSN...))
 	m.persistState()
-	cleanupImageDir(fs, dir)
+	// The staging image is consumed. Best effort: a leftover costs disk,
+	// never correctness.
+	_ = vfs.RemoveTree(fs, dir)
 	return nil
 }
 
@@ -802,12 +805,7 @@ func (m *replicaMgr) persistState() {
 	if err := fs.MkdirAll(m.srv.cfg.ReplDir); err != nil {
 		return
 	}
-	tmp := m.statePath() + ".tmp"
-	if err := vfs.WriteFile(fs, tmp, repl.EncodeState(replid, cursors)); err != nil {
-		m.srv.cfg.Logf("p2kvs-server: persisting %s: %v", replStateName, err)
-		return
-	}
-	if err := fs.Rename(tmp, m.statePath()); err != nil {
+	if err := vfs.WriteFileAtomic(fs, m.statePath(), repl.EncodeState(replid, cursors)); err != nil {
 		m.srv.cfg.Logf("p2kvs-server: persisting %s: %v", replStateName, err)
 	}
 }
@@ -822,21 +820,6 @@ func (m *replicaMgr) clearState() {
 
 // --- image staging helpers ----------------------------------------------
 
-// safeImagePath accepts only clean relative paths (the same rule the
-// checkpoint manifest parser enforces), so a hostile FrameFile name can
-// never escape the staging directory.
-func safeImagePath(p string) bool {
-	if p == "" || strings.HasPrefix(p, "/") {
-		return false
-	}
-	for _, part := range strings.Split(p, "/") {
-		if part == "" || part == "." || part == ".." {
-			return false
-		}
-	}
-	return true
-}
-
 func writeImageFile(fs vfs.FS, root, name string, content []byte) error {
 	if i := strings.LastIndexByte(name, '/'); i >= 0 {
 		if err := fs.MkdirAll(root + "/" + name[:i]); err != nil {
@@ -844,28 +827,6 @@ func writeImageFile(fs vfs.FS, root, name string, content []byte) error {
 		}
 	}
 	return vfs.WriteFile(fs, root+"/"+name, content)
-}
-
-// cleanupImageDir removes a consumed staging image. Best effort; a
-// leftover costs disk, never correctness.
-func cleanupImageDir(fs vfs.FS, dir string) {
-	names, err := fs.List(dir)
-	if err != nil {
-		return
-	}
-	for _, n := range names {
-		if fs.Remove(dir+"/"+n) != nil {
-			// Probably a subdirectory: descend one level (images are at
-			// most root + worker-N/ deep).
-			subs, err := fs.List(dir + "/" + n)
-			if err != nil {
-				continue
-			}
-			for _, s := range subs {
-				fs.Remove(dir + "/" + n + "/" + s)
-			}
-		}
-	}
 }
 
 // ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"fmt"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -160,85 +161,72 @@ type Server struct {
 	downOnce   sync.Once
 	downErr    error
 
-	// BGSAVE state: one background checkpoint at a time; the last
-	// failure is surfaced in INFO so an unattended BGSAVE cannot fail
-	// silently.
-	saving      atomic.Bool
-	saveWG      sync.WaitGroup
-	saveErrMu   sync.Mutex
-	lastSaveErr error
-
-	// RESHARD state, mirroring the BGSAVE shape: one online reshard at a
-	// time, acknowledged immediately, completion observable via
-	// RESHARD STATUS and INFO's # Reshard section.
-	resharding     atomic.Bool
-	reshardWG      sync.WaitGroup
-	reshardErrMu   sync.Mutex
-	lastReshardErr error
+	// BGSAVE and RESHARD each run one job at a time in the background:
+	// acknowledged immediately, the last failure surfaced in INFO so an
+	// unattended run cannot fail silently (a reshard's progress is in
+	// RESHARD STATUS and INFO's # Reshard section besides).
+	save, resharding bgJob
 
 	start time.Time
+}
+
+// bgJob is a single-flight background task that remembers how its last
+// run ended.
+type bgJob struct {
+	running atomic.Bool
+	wg      sync.WaitGroup
+	mu      sync.Mutex
+	lastErr error
+}
+
+// start runs fn in the background and logs its outcome under what; it
+// returns false, without running fn, while the previous run is in flight.
+func (j *bgJob) start(logf func(string, ...any), what string, fn func() error) bool {
+	if !j.running.CompareAndSwap(false, true) {
+		return false
+	}
+	j.wg.Add(1)
+	go func() {
+		defer j.wg.Done()
+		defer j.running.Store(false)
+		err := fn()
+		j.mu.Lock()
+		j.lastErr = err
+		j.mu.Unlock()
+		if err != nil {
+			logf("p2kvs-server: %s failed: %v", what, err)
+		} else {
+			logf("p2kvs-server: %s complete", what)
+		}
+	}()
+	return true
+}
+
+func (j *bgJob) lastError() error {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.lastErr
 }
 
 // bgsave starts a background checkpoint into cfg.CheckpointDir. It
 // returns false when one is already running.
 func (s *Server) bgsave() bool {
-	if !s.saving.CompareAndSwap(false, true) {
-		return false
-	}
 	fs := s.cfg.CheckpointFS
 	if fs == nil {
 		fs = vfs.NewOS()
 	}
-	s.saveWG.Add(1)
-	go func() {
-		defer s.saveWG.Done()
-		defer s.saving.Store(false)
+	return s.save.start(s.cfg.Logf, "background save", func() error {
 		_, err := s.store().Checkpoint(fs, s.cfg.CheckpointDir)
-		s.saveErrMu.Lock()
-		s.lastSaveErr = err
-		s.saveErrMu.Unlock()
-		if err != nil {
-			s.cfg.Logf("p2kvs-server: background save failed: %v", err)
-		} else {
-			s.cfg.Logf("p2kvs-server: background save complete")
-		}
-	}()
-	return true
-}
-
-func (s *Server) lastSaveError() error {
-	s.saveErrMu.Lock()
-	defer s.saveErrMu.Unlock()
-	return s.lastSaveErr
+		return err
+	})
 }
 
 // reshard starts an online reshard to n workers in the background. It
 // returns false when one is already running.
 func (s *Server) reshard(n int) bool {
-	if !s.resharding.CompareAndSwap(false, true) {
-		return false
-	}
-	s.reshardWG.Add(1)
-	go func() {
-		defer s.reshardWG.Done()
-		defer s.resharding.Store(false)
-		err := s.store().Reshard(context.Background(), n)
-		s.reshardErrMu.Lock()
-		s.lastReshardErr = err
-		s.reshardErrMu.Unlock()
-		if err != nil {
-			s.cfg.Logf("p2kvs-server: reshard to %d workers failed: %v", n, err)
-		} else {
-			s.cfg.Logf("p2kvs-server: reshard to %d workers complete", n)
-		}
-	}()
-	return true
-}
-
-func (s *Server) lastReshardError() error {
-	s.reshardErrMu.Lock()
-	defer s.reshardErrMu.Unlock()
-	return s.lastReshardErr
+	return s.resharding.start(s.cfg.Logf, fmt.Sprintf("reshard to %d workers", n), func() error {
+		return s.store().Reshard(context.Background(), n)
+	})
 }
 
 // New builds a Server; call Serve or ListenAndServe to run it.
@@ -424,8 +412,8 @@ func (s *Server) shutdown(ctx context.Context) error {
 	// store closes underneath it; likewise an in-flight reshard runs to
 	// completion (or abort) so the committed topology is never torn by
 	// the close.
-	s.saveWG.Wait()
-	s.reshardWG.Wait()
+	s.save.wg.Wait()
+	s.resharding.wg.Wait()
 	s.cfg.Logf("p2kvs-server: drained, closing store")
 	if err := s.store().Close(); err != nil && drainErr == nil {
 		drainErr = err

@@ -2,126 +2,14 @@ package sstable
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"testing"
 
-	"p2kvs/internal/block"
-	"p2kvs/internal/bloom"
 	"p2kvs/internal/ikey"
 	"p2kvs/internal/kv"
 	"p2kvs/internal/vfs"
 )
-
-// writeV1Table hand-writes a legacy (format v1, unchecksummed) table: raw
-// unsealed blocks and the 48-byte footer. The current writer only emits
-// v2, so this is what a table written before the checksum format looks
-// like on disk.
-func writeV1Table(t *testing.T, fs vfs.FS, name string, pairs [][2]string) {
-	t.Helper()
-	f, err := fs.Create(name)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var (
-		off     int64
-		index   block.Builder
-		data    block.Builder
-		ukeys   [][]byte
-		lastKey []byte
-	)
-	write := func(p []byte) {
-		if _, err := f.Write(p); err != nil {
-			t.Fatal(err)
-		}
-		off += int64(len(p))
-	}
-	flush := func() {
-		if data.Empty() {
-			return
-		}
-		blk := data.Finish()
-		blkOff := off
-		write(blk)
-		var handle [2 * binary.MaxVarintLen64]byte
-		n := binary.PutUvarint(handle[:], uint64(blkOff))
-		n += binary.PutUvarint(handle[n:], uint64(len(blk)))
-		index.Add(lastKey, handle[:n])
-		data.Reset()
-	}
-	for i, p := range pairs {
-		ik := ikey.Make([]byte(p[0]), uint64(i+1), ikey.KindSet)
-		lastKey = append(lastKey[:0], ik...)
-		ukeys = append(ukeys, []byte(p[0]))
-		data.Add(ik, []byte(p[1]))
-		if data.EstimatedSize() >= targetBlockSize {
-			flush()
-		}
-	}
-	flush()
-	filterOff := off
-	filterBlk := bloom.New(10).Build(ukeys)
-	write(filterBlk)
-	indexOff := off
-	indexBlk := index.Finish()
-	write(indexBlk)
-	var footer [footerLen]byte
-	binary.LittleEndian.PutUint64(footer[0:], uint64(filterOff))
-	binary.LittleEndian.PutUint64(footer[8:], uint64(len(filterBlk)))
-	binary.LittleEndian.PutUint64(footer[16:], uint64(indexOff))
-	binary.LittleEndian.PutUint64(footer[24:], uint64(len(indexBlk)))
-	binary.LittleEndian.PutUint64(footer[32:], uint64(len(pairs)))
-	binary.LittleEndian.PutUint64(footer[40:], tableMagic)
-	write(footer[:])
-	if err := f.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-}
-
-// TestV1TableStillReadable: tables written before the checksum format must
-// keep serving — format detection is by footer magic, and the v1 path
-// skips trailer verification it has no trailers for.
-func TestV1TableStillReadable(t *testing.T) {
-	fs := vfs.NewMem()
-	pairs := sortedPairs(3000) // multi-block
-	writeV1Table(t, fs, "v1.sst", pairs)
-
-	f, err := fs.Open("v1.sst")
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := OpenNamed(f, nil, 0, "v1.sst")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	if r.sealed {
-		t.Fatal("v1 table mis-detected as sealed v2")
-	}
-	if r.Entries() != len(pairs) {
-		t.Fatalf("Entries = %d, want %d", r.Entries(), len(pairs))
-	}
-	for _, idx := range []int{0, 1, 1499, 2998, 2999} {
-		v, _, found, _, err := r.Get([]byte(pairs[idx][0]), ikey.MaxSeq)
-		if err != nil || !found || string(v) != pairs[idx][1] {
-			t.Fatalf("Get(%q) = %q %v %v", pairs[idx][0], v, found, err)
-		}
-	}
-	it := r.NewIterator()
-	n := 0
-	for it.SeekToFirst(); it.Valid(); it.Next() {
-		n++
-	}
-	if it.Err() != nil || n != len(pairs) {
-		t.Fatalf("iterated %d (err %v), want %d", n, it.Err(), len(pairs))
-	}
-	// Verify still runs structurally on v1 (handles parse, blocks read).
-	if _, err := r.Verify(); err != nil {
-		t.Fatalf("structural Verify of clean v1 table: %v", err)
-	}
-}
 
 // TestV2FlipSweep flips single bits across the whole file and requires
 // every flip to be detected at Open or Verify — except in the footer's

@@ -2,11 +2,9 @@ package sstable
 
 import (
 	"bytes"
-	"compress/flate"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 
 	"p2kvs/internal/block"
 	"p2kvs/internal/bloom"
@@ -18,6 +16,12 @@ import (
 
 // ErrCorrupt reports a malformed table.
 var ErrCorrupt = errors.New("sstable: corrupt")
+
+// ErrUnsupported reports a well-formed table this reader cannot serve: a
+// block handle whose raw-length field is set names a DEFLATE-compressed
+// block, which only builds before PR 20 could write (behind an option no
+// binary set).
+var ErrUnsupported = errors.New("sstable: unsupported format")
 
 // corruptf builds a corruption error for one failed check. When the reader
 // has a name, the error is a kv.CorruptionError (matching both
@@ -35,8 +39,7 @@ func corruptf(name string, off int64, format string, args ...any) error {
 // Reader serves lookups and scans from one table. The index and filter
 // blocks are pinned in memory (they are what RocksDB keeps in its table
 // cache); data blocks are read on demand, charging the simulated device
-// one random read per block. V2 tables verify every block's CRC-32C on
-// load; v1 (legacy, pre-checksum) tables are served unverified.
+// one random read per block. Every block's CRC-32C is verified on load.
 type Reader struct {
 	f       vfs.File
 	name    string // for corruption reports; may be empty
@@ -44,7 +47,6 @@ type Reader struct {
 	index   []byte
 	filter  []byte
 	entries int
-	sealed  bool         // format v2: blocks carry CRC trailers
 	cache   *cache.Cache // optional shared block cache
 	cacheID uint64
 }
@@ -70,30 +72,16 @@ func OpenNamed(f vfs.File, c *cache.Cache, cacheID uint64, name string) (*Reader
 	if size < footerLen {
 		return nil, corruptf(name, -1, "file too small for a footer (%d bytes)", size)
 	}
-	var magicBuf [8]byte
-	if _, err := f.ReadAt(magicBuf[:], size-8); err != nil {
+	r := &Reader{f: f, name: name, size: size, cache: c, cacheID: cacheID}
+	var footer [footerLen]byte
+	if _, err := f.ReadAt(footer[:], size-footerLen); err != nil {
 		return nil, err
 	}
-	r := &Reader{f: f, name: name, size: size, cache: c, cacheID: cacheID}
-	var footer [footerLenV2]byte
-	switch binary.LittleEndian.Uint64(magicBuf[:]) {
-	case tableMagicV2:
-		if size < footerLenV2 {
-			return nil, corruptf(name, -1, "file too small for a v2 footer (%d bytes)", size)
-		}
-		if _, err := f.ReadAt(footer[:], size-footerLenV2); err != nil {
-			return nil, err
-		}
-		if got, want := block.Checksum(footer[:40]), binary.LittleEndian.Uint32(footer[40:]); got != want {
-			return nil, corruptf(name, size-footerLenV2, "footer crc mismatch (stored %08x, content %08x)", want, got)
-		}
-		r.sealed = true
-	case tableMagic:
-		if _, err := f.ReadAt(footer[:footerLen], size-footerLen); err != nil {
-			return nil, err
-		}
-	default:
+	if binary.LittleEndian.Uint64(footer[48:]) != tableMagic {
 		return nil, corruptf(name, size-8, "bad magic")
+	}
+	if got, want := block.Checksum(footer[:40]), binary.LittleEndian.Uint32(footer[40:]); got != want {
+		return nil, corruptf(name, size-footerLen, "footer crc mismatch (stored %08x, content %08x)", want, got)
 	}
 	filterOff := int64(binary.LittleEndian.Uint64(footer[0:]))
 	filterLen := int64(binary.LittleEndian.Uint64(footer[8:]))
@@ -112,13 +100,11 @@ func OpenNamed(f vfs.File, c *cache.Cache, cacheID uint64, name string) (*Reader
 	if _, err := f.ReadAt(r.index, indexOff); err != nil {
 		return nil, err
 	}
-	if r.sealed {
-		if r.filter, err = block.Unseal(r.filter); err != nil {
-			return nil, corruptf(name, filterOff, "filter block crc mismatch")
-		}
-		if r.index, err = block.Unseal(r.index); err != nil {
-			return nil, corruptf(name, indexOff, "index block crc mismatch")
-		}
+	if r.filter, err = block.Unseal(r.filter); err != nil {
+		return nil, corruptf(name, filterOff, "filter block crc mismatch")
+	}
+	if r.index, err = block.Unseal(r.index); err != nil {
+		return nil, corruptf(name, indexOff, "index block crc mismatch")
 	}
 	return r, nil
 }
@@ -140,47 +126,56 @@ func (r *Reader) MayContain(ukey []byte) bool {
 	return bloom.MayContain(r.filter, ukey)
 }
 
-func (r *Reader) readBlock(handle []byte) ([]byte, error) {
-	off, n1 := binary.Uvarint(handle)
-	length, n2 := binary.Uvarint(handle[n1:])
-	if n1 <= 0 || n2 <= 0 || int64(off)+int64(length) > r.size {
-		return nil, corruptf(r.name, -1, "bad block handle")
+// parseHandle decodes an index entry's (offset, stored length) pair. The
+// optional third field is the raw length of a compressed block: absent or
+// zero means stored as built, anything else is a block this reader has no
+// decompressor for.
+func (r *Reader) parseHandle(handle []byte) (off, length uint64, err error) {
+	off, n := binary.Uvarint(handle)
+	if n <= 0 {
+		return 0, 0, corruptf(r.name, -1, "bad block handle")
 	}
-	// Optional third field: raw (uncompressed) length; 0 or absent means
-	// the block is stored uncompressed.
-	rawLen := uint64(0)
-	if rest := handle[n1+n2:]; len(rest) > 0 {
-		v, n3 := binary.Uvarint(rest)
-		if n3 <= 0 {
-			return nil, corruptf(r.name, -1, "bad block handle")
+	handle = handle[n:]
+	length, n = binary.Uvarint(handle)
+	if n <= 0 || int64(off)+int64(length) > r.size {
+		return 0, 0, corruptf(r.name, -1, "bad block handle")
+	}
+	if handle = handle[n:]; len(handle) > 0 {
+		rawLen, n := binary.Uvarint(handle)
+		if n <= 0 {
+			return 0, 0, corruptf(r.name, -1, "bad block handle")
 		}
-		rawLen = v
+		if rawLen != 0 {
+			return 0, 0, fmt.Errorf("%w: block at offset %d of %q is compressed", ErrUnsupported, off, r.name)
+		}
 	}
-	if blk, ok := r.cache.Get(r.cacheID, off); ok {
-		return blk, nil
-	}
+	return off, length, nil
+}
+
+// loadBlock reads one data block from the device and verifies its seal.
+func (r *Reader) loadBlock(off, length uint64) ([]byte, error) {
 	blk := make([]byte, length)
 	if _, err := r.f.ReadAt(blk, int64(off)); err != nil {
 		return nil, err
 	}
-	if r.sealed {
-		var err error
-		if blk, err = block.Unseal(blk); err != nil {
-			return nil, corruptf(r.name, int64(off), "data block crc mismatch (%d bytes)", length)
-		}
+	blk, err := block.Unseal(blk)
+	if err != nil {
+		return nil, corruptf(r.name, int64(off), "data block crc mismatch (%d bytes)", length)
 	}
-	if rawLen > 0 {
-		raw := make([]byte, 0, rawLen)
-		zr := flate.NewReader(bytes.NewReader(blk))
-		buf := bytes.NewBuffer(raw)
-		if _, err := io.Copy(buf, zr); err != nil {
-			return nil, corruptf(r.name, int64(off), "inflate: %v", err)
-		}
-		zr.Close()
-		blk = buf.Bytes()
-		if uint64(len(blk)) != rawLen {
-			return nil, corruptf(r.name, int64(off), "inflated %d bytes, want %d", len(blk), rawLen)
-		}
+	return blk, nil
+}
+
+func (r *Reader) readBlock(handle []byte) ([]byte, error) {
+	off, length, err := r.parseHandle(handle)
+	if err != nil {
+		return nil, err
+	}
+	if blk, ok := r.cache.Get(r.cacheID, off); ok {
+		return blk, nil
+	}
+	blk, err := r.loadBlock(off, length)
+	if err != nil {
+		return nil, err
 	}
 	r.cache.Put(r.cacheID, off, blk)
 	return blk, nil
@@ -190,8 +185,7 @@ func (r *Reader) readBlock(handle []byte) ([]byte, error) {
 // footer (verified at Open), the pinned filter and index, and each data
 // block named by the index — bypassing the block cache, so the bytes come
 // from the device. It returns the number of bytes read and the first
-// corruption found. V1 tables verify structurally only (handles parse,
-// compressed blocks inflate): they carry no checksums to check.
+// corruption found.
 func (r *Reader) Verify() (int64, error) {
 	var idx block.Iter
 	err := idx.Init(r.index)
@@ -200,46 +194,43 @@ func (r *Reader) Verify() (int64, error) {
 	}
 	read := int64(len(r.filter) + len(r.index))
 	for idx.SeekToFirst(); idx.Valid(); idx.Next() {
-		handle := idx.Value()
-		off, n1 := binary.Uvarint(handle)
-		length, n2 := binary.Uvarint(handle[n1:])
-		if n1 <= 0 || n2 <= 0 || int64(off)+int64(length) > r.size {
-			return read, corruptf(r.name, -1, "bad block handle")
-		}
-		rawLen := uint64(0)
-		if rest := handle[n1+n2:]; len(rest) > 0 {
-			v, n3 := binary.Uvarint(rest)
-			if n3 <= 0 {
-				return read, corruptf(r.name, -1, "bad block handle")
-			}
-			rawLen = v
-		}
-		blk := make([]byte, length)
-		if _, err := r.f.ReadAt(blk, int64(off)); err != nil {
+		off, length, err := r.parseHandle(idx.Value())
+		if err != nil {
 			return read, err
 		}
+		_, err = r.loadBlock(off, length)
 		read += int64(length)
-		if r.sealed {
-			if blk, err = block.Unseal(blk); err != nil {
-				return read, corruptf(r.name, int64(off), "data block crc mismatch (%d bytes)", length)
-			}
-		}
-		if rawLen > 0 {
-			zr := flate.NewReader(bytes.NewReader(blk))
-			n, err := io.Copy(io.Discard, zr)
-			zr.Close()
-			if err != nil {
-				return read, corruptf(r.name, int64(off), "inflate: %v", err)
-			}
-			if uint64(n) != rawLen {
-				return read, corruptf(r.name, int64(off), "inflated %d bytes, want %d", n, rawLen)
-			}
+		if err != nil {
+			return read, err
 		}
 	}
 	if idx.Err() != nil {
 		return read, corruptf(r.name, -1, "index block: %v", idx.Err())
 	}
 	return read, nil
+}
+
+// VerifyImage checks candidate bytes for table file name end to end —
+// footer, filter, index and every data block through their checksums —
+// before a repair installs them: trusting a backup blindly would just
+// relocate the corruption.
+func VerifyImage(name string, data []byte) error {
+	mem := vfs.NewMem()
+	if err := vfs.WriteFile(mem, name, data); err != nil {
+		return err
+	}
+	f, err := mem.Open(name)
+	if err != nil {
+		return err
+	}
+	r, err := OpenNamed(f, nil, 0, name)
+	if err != nil {
+		f.Close()
+		return err
+	}
+	defer r.Close()
+	_, err = r.Verify()
+	return err
 }
 
 // seekKeyBuf sizes the stack buffer Get encodes its seek key into; a longer

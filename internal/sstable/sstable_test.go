@@ -253,84 +253,6 @@ func TestQuickTableModel(t *testing.T) {
 	}
 }
 
-func TestCompressedTableRoundTrip(t *testing.T) {
-	fs := vfs.NewMem()
-	f, _ := fs.Create("c.sst")
-	w := NewWriter(f, 1)
-	w.EnableCompression()
-	// Highly compressible values: repeated text.
-	const n = 3000
-	for i := 0; i < n; i++ {
-		ik := ikey.Make([]byte(fmt.Sprintf("key%06d", i)), uint64(i+1), ikey.KindSet)
-		if err := w.Add(ik, bytes.Repeat([]byte("abcd"), 32)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	meta, err := w.Finish()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Compression must materially shrink the file: raw payload is
-	// n*(17+8+128) bytes; compressed should be far below it.
-	raw := int64(n * (17 + 8 + 128))
-	if meta.Size >= raw/2 {
-		t.Fatalf("compressed size %d vs raw %d — compression ineffective", meta.Size, raw)
-	}
-	rf, _ := fs.Open("c.sst")
-	r, err := Open(rf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	for i := 0; i < n; i += 97 {
-		v, _, found, _, err := r.Get([]byte(fmt.Sprintf("key%06d", i)), ikey.MaxSeq)
-		if err != nil || !found || len(v) != 128 {
-			t.Fatalf("Get(%d) = %dB %v %v", i, len(v), found, err)
-		}
-	}
-	// Full scan decodes every block.
-	it := r.NewIterator()
-	count := 0
-	for it.SeekToFirst(); it.Valid(); it.Next() {
-		count++
-	}
-	if it.Err() != nil || count != n {
-		t.Fatalf("scan = %d entries, err %v", count, it.Err())
-	}
-}
-
-func TestIncompressibleBlocksStayRaw(t *testing.T) {
-	// Random values: deflate can't shrink them, so blocks must be stored
-	// raw (handle rawLen == 0) and round-trip fine.
-	fs := vfs.NewMem()
-	f, _ := fs.Create("r.sst")
-	w := NewWriter(f, 1)
-	w.EnableCompression()
-	rnd := make([]byte, 128)
-	for i := range rnd {
-		rnd[i] = byte(i*37 + 11)
-	}
-	for i := 0; i < 500; i++ {
-		for j := range rnd {
-			rnd[j] ^= byte(i + j*13)
-		}
-		ik := ikey.Make([]byte(fmt.Sprintf("key%06d", i)), uint64(i+1), ikey.KindSet)
-		w.Add(ik, rnd)
-	}
-	if _, err := w.Finish(); err != nil {
-		t.Fatal(err)
-	}
-	rf, _ := fs.Open("r.sst")
-	r, err := Open(rf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	if _, _, found, _, err := r.Get([]byte("key000250"), ikey.MaxSeq); err != nil || !found {
-		t.Fatalf("Get = %v %v", found, err)
-	}
-}
-
 func TestReaderWithBlockCache(t *testing.T) {
 	fs := vfs.NewMem()
 	f, _ := fs.Create("b.sst")

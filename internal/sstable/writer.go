@@ -3,25 +3,22 @@
 // prefix-compressed data blocks followed by a bloom-filter block, an index
 // block (one separator entry per data block) and a fixed footer.
 //
-// Format v2 (what the writer emits) seals every stored block — data,
-// filter and index — with a CRC-32C trailer over its stored
-// (post-compression) bytes, and checksums the footer itself:
+// Every stored block — data, filter and index — is sealed with a CRC-32C
+// trailer, and the footer checksums itself:
 //
 //	[sealed data block]*  [sealed filter]  [sealed index]  [footer (56B)]
 //
-// Footer v2: filterOff u64 | filterLen u64 | indexOff u64 | indexLen u64 |
+// Footer: filterOff u64 | filterLen u64 | indexOff u64 | indexLen u64 |
 // entries u64 | crc32c u32 (over the first 40 bytes) | pad u32 | magic u64.
 //
-// Format v1 (no checksums, 48-byte footer: the same five u64 fields then
-// the v1 magic) is still readable: both formats end in their 8-byte magic,
-// so Open sniffs the tail to pick the parse. Readers of v2 tables verify
-// every block on load and surface mismatches as kv.CorruptionError —
-// a flipped bit at rest is detected, never served.
+// Readers verify every block on load and surface mismatches as
+// kv.CorruptionError — a flipped bit at rest is detected, never served.
+// This is the only table format: a file ending in any other magic (the
+// unchecksummed 48-byte footer of before PR 7 included) fails Open, and a
+// block handle that names a compressed block fails with ErrUnsupported.
 package sstable
 
 import (
-	"bytes"
-	"compress/flate"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -34,10 +31,8 @@ import (
 
 const (
 	targetBlockSize = 4 << 10
-	footerLen       = 48 // format v1 (legacy, unchecksummed)
-	footerLenV2     = 56
-	tableMagic      = 0x70324b5653535400 // "p2KVSSST\0"-ish, format v1
-	tableMagicV2    = 0x70324b5653535432 // trailing '2', format v2
+	footerLen       = 56
+	tableMagic      = 0x70324b5653535432 // "p2KVSST2"
 )
 
 // Meta summarizes a finished table for the version set.
@@ -52,27 +47,21 @@ type Meta struct {
 // Writer streams a table to a file. Add must be called in strictly
 // ascending internal-key order.
 type Writer struct {
-	f        vfs.File
-	off      int64
-	data     block.Builder
-	index    block.Builder
-	filter   *bloom.Filter
-	ukeys    [][]byte
-	meta     Meta
-	lastKey  []byte
-	err      error
-	compress bool
+	f       vfs.File
+	off     int64
+	data    block.Builder
+	index   block.Builder
+	filter  *bloom.Filter
+	ukeys   [][]byte
+	meta    Meta
+	lastKey []byte
+	err     error
 }
 
 // NewWriter begins a table in f.
 func NewWriter(f vfs.File, fileNum uint64) *Writer {
 	return &Writer{f: f, filter: bloom.New(10), meta: Meta{FileNum: fileNum}}
 }
-
-// EnableCompression turns on per-block DEFLATE compression. Blocks are
-// stored compressed only when that actually shrinks them, so the choice
-// is safe for incompressible values.
-func (w *Writer) EnableCompression() { w.compress = true }
 
 // Add appends an internal-key/value entry.
 func (w *Writer) Add(ik, value []byte) error {
@@ -100,49 +89,21 @@ func (w *Writer) flushDataBlock() {
 	if w.data.Empty() {
 		return
 	}
-	blk := w.data.Finish()
-	rawLen := 0 // 0 in the handle marks an uncompressed block
-	if w.compress {
-		if comp, ok := deflateBlock(blk); ok {
-			rawLen = len(blk)
-			blk = comp
-		}
-	}
-	// The checksum seals the stored bytes (after compression), so the
-	// reader verifies integrity before spending CPU on inflation.
-	blk = block.Seal(blk)
+	blk := block.Seal(w.data.Finish())
 	off := w.off
 	if err := w.writeRaw(blk); err != nil {
 		return
 	}
-	// Index entry: last key of the block -> (offset, storedSize, rawSize).
-	// storedSize includes the checksum trailer.
-	var handle [3 * binary.MaxVarintLen64]byte
+	// Index entry: last key of the block -> (offset, storedSize, 0).
+	// storedSize includes the checksum trailer; the third field is the
+	// format's raw-length slot, zero for a block stored as built — the
+	// only kind there is (see parseHandle).
+	var handle [2*binary.MaxVarintLen64 + 1]byte
 	n := binary.PutUvarint(handle[:], uint64(off))
 	n += binary.PutUvarint(handle[n:], uint64(len(blk)))
-	n += binary.PutUvarint(handle[n:], uint64(rawLen))
-	w.index.Add(w.lastKey, handle[:n])
+	handle[n] = 0
+	w.index.Add(w.lastKey, handle[:n+1])
 	w.data.Reset()
-}
-
-// deflateBlock compresses blk, reporting false when compression does not
-// pay (output not smaller).
-func deflateBlock(blk []byte) ([]byte, bool) {
-	var buf bytes.Buffer
-	zw, err := flate.NewWriter(&buf, flate.BestSpeed)
-	if err != nil {
-		return nil, false
-	}
-	if _, err := zw.Write(blk); err != nil {
-		return nil, false
-	}
-	if err := zw.Close(); err != nil {
-		return nil, false
-	}
-	if buf.Len() >= len(blk) {
-		return nil, false
-	}
-	return buf.Bytes(), true
 }
 
 func (w *Writer) writeRaw(p []byte) error {
@@ -182,14 +143,14 @@ func (w *Writer) Finish() (Meta, error) {
 		return Meta{}, err
 	}
 
-	var footer [footerLenV2]byte
+	var footer [footerLen]byte
 	binary.LittleEndian.PutUint64(footer[0:], uint64(filterOff))
 	binary.LittleEndian.PutUint64(footer[8:], uint64(len(filterBlk)))
 	binary.LittleEndian.PutUint64(footer[16:], uint64(indexOff))
 	binary.LittleEndian.PutUint64(footer[24:], uint64(len(indexBlk)))
 	binary.LittleEndian.PutUint64(footer[32:], uint64(w.meta.Entries))
 	binary.LittleEndian.PutUint32(footer[40:], block.Checksum(footer[:40]))
-	binary.LittleEndian.PutUint64(footer[48:], tableMagicV2)
+	binary.LittleEndian.PutUint64(footer[48:], tableMagic)
 	if err := w.writeRaw(footer[:]); err != nil {
 		return Meta{}, err
 	}

@@ -12,6 +12,7 @@ import (
 	"p2kvs/internal/kvell"
 	"p2kvs/internal/lsm"
 	"p2kvs/internal/vfs"
+	"p2kvs/internal/wal"
 )
 
 // TestBitFlipAtRestTorture is the at-rest integrity contract, end to end,
@@ -56,7 +57,7 @@ func bitFlipConfigs() []bitFlipCfg {
 				o.MemTableSize = 16 << 10
 				o.BaseLevelSize = 64 << 10
 				o.TargetFileSize = 16 << 10
-				o.SyncWAL = true
+				o.WALSync = wal.PolicyCommit
 				return lsm.Open(dir, o)
 			},
 			subdirs: []string{""},
@@ -64,7 +65,7 @@ func bitFlipConfigs() []bitFlipCfg {
 		{
 			name: "btreekv",
 			open: func(fs vfs.FS, dir string) (kv.Engine, error) {
-				return btreekv.Open(dir, btreekv.Options{FS: fs, SyncWAL: true, CheckpointBytes: 8 << 10})
+				return btreekv.Open(dir, btreekv.Options{FS: fs, WALSync: wal.PolicyCommit, CheckpointBytes: 8 << 10})
 			},
 			subdirs: []string{""},
 		},

@@ -11,6 +11,7 @@ import (
 	"p2kvs/internal/kvell"
 	"p2kvs/internal/lsm"
 	"p2kvs/internal/vfs"
+	"p2kvs/internal/wal"
 )
 
 // TestDiskFullTorture drives every engine family through repeated
@@ -50,7 +51,7 @@ func diskFullConfigs() []diskFullCfg {
 		{
 			name: "btreekv",
 			open: func(fs vfs.FS) (kv.Engine, error) {
-				return btreekv.Open("db", btreekv.Options{FS: fs, SyncWAL: true, CheckpointBytes: 8 << 10})
+				return btreekv.Open("db", btreekv.Options{FS: fs, WALSync: wal.PolicyCommit, CheckpointBytes: 8 << 10})
 			},
 		},
 		{
@@ -77,7 +78,7 @@ func diskFullTorture(t *testing.T, cfg diskFullCfg, rounds int) {
 		t.Fatalf("%s does not report health", cfg.name)
 	}
 
-	shadow := model{}
+	shadow := newModel()
 	seq := 0
 	// nextKey returns a fresh, never-written key: new keys force file
 	// extension on every engine, so the shrunken budget always bites.
@@ -86,8 +87,8 @@ func diskFullTorture(t *testing.T, cfg diskFullCfg, rounds int) {
 		return fmt.Sprintf("df-%06d", seq)
 	}
 	put := func(k, v string) error {
-		if _, ok := shadow[k]; !ok {
-			shadow[k] = map[string]bool{absent: true}
+		if _, ok := shadow.sets[k]; !ok {
+			shadow.collapse(k, absent)
 		}
 		err := eng.Put([]byte(k), []byte(v))
 		if err != nil {
@@ -102,7 +103,7 @@ func diskFullTorture(t *testing.T, cfg diskFullCfg, rounds int) {
 	// says whether a Get error other than ErrNotFound is acceptable —
 	// it never is: reads must serve in every state.
 	verify := func(phase string) {
-		for k, possible := range shadow {
+		for k, possible := range shadow.sets {
 			v, err := eng.Get([]byte(k))
 			switch {
 			case errors.Is(err, kv.ErrNotFound):

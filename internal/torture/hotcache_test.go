@@ -10,6 +10,7 @@ import (
 	"p2kvs/internal/kv"
 	"p2kvs/internal/lsm"
 	"p2kvs/internal/vfs"
+	"p2kvs/internal/wal"
 )
 
 // The hot-cache coherence dimension: the same shadow-model torture the
@@ -36,7 +37,7 @@ func hotCacheConfigs() []storeCfg {
 			mk: func(fs vfs.FS) core.EngineFactory {
 				return func(id int, _ func(uint64) bool) (kv.Engine, error) {
 					return btreekv.Open(fmt.Sprintf("st/inst-%02d", id),
-						btreekv.Options{FS: fs, SyncWAL: true, CheckpointBytes: 8 << 10})
+						btreekv.Options{FS: fs, WALSync: wal.PolicyCommit, CheckpointBytes: 8 << 10})
 				}
 			},
 			menu: []vfs.Rule{
@@ -85,11 +86,10 @@ func hotCacheTorture(t *testing.T, cfg storeCfg, nOps int, seed int64) {
 	const poolSize = 120
 	const hotSet = 12 // reads skew here: these keys live in the cache
 	pool := make([]string, poolSize)
-	shadow := model{}
 	for i := range pool {
 		pool[i] = fmt.Sprintf("key-%03d", i)
-		shadow[pool[i]] = map[string]bool{absent: true}
 	}
+	shadow := newModel(pool...)
 	pickKey := func() string {
 		if rng.Intn(100) < 60 {
 			return pool[rng.Intn(hotSet)]
@@ -111,15 +111,15 @@ func hotCacheTorture(t *testing.T, cfg storeCfg, nOps int, seed int64) {
 	checkRead := func(tag, k string, v []byte, err error) {
 		switch {
 		case err == nil:
-			if !shadow[k][string(v)] {
+			if !shadow.sets[k][string(v)] {
 				t.Fatalf("%s: Get(%s) = %q, not in possibility set %v (stale cache entry?)",
-					tag, k, v, keys(shadow[k]))
+					tag, k, v, keys(shadow.sets[k]))
 			}
-			shadow.collapse(k, string(v))
+			shadow.observe(k, string(v))
 		case err == kv.ErrNotFound:
-			if !shadow[k][absent] {
+			if !shadow.sets[k][absent] {
 				t.Fatalf("%s: Get(%s) absent; acked value lost (set %v) (stale negative entry?)",
-					tag, k, keys(shadow[k]))
+					tag, k, keys(shadow.sets[k]))
 			}
 			shadow.collapse(k, absent)
 		default:
@@ -140,13 +140,13 @@ func hotCacheTorture(t *testing.T, cfg storeCfg, nOps int, seed int64) {
 		live := map[string]string{}
 		for _, p := range pairs {
 			k, v := string(p.Key), string(p.Value)
-			if !shadow[k][v] {
-				t.Fatalf("%s: dump value %q for %s not in possibility set %v", tag, v, k, keys(shadow[k]))
+			if !shadow.sets[k][v] {
+				t.Fatalf("%s: dump value %q for %s not in possibility set %v", tag, v, k, keys(shadow.sets[k]))
 			}
-			shadow.collapse(k, v)
+			shadow.observe(k, v)
 			live[k] = v
 		}
-		for k, set := range shadow {
+		for k, set := range shadow.sets {
 			if _, ok := live[k]; ok {
 				continue
 			}
@@ -210,6 +210,7 @@ func hotCacheTorture(t *testing.T, cfg storeCfg, nOps int, seed int64) {
 				if s, err = open(); err != nil {
 					t.Fatalf("%s: reopen after crash: %v", tag, err)
 				}
+				shadow.recovered()
 				crashes++
 			}
 			equivSweep(tag)
@@ -242,7 +243,7 @@ func hotCacheTorture(t *testing.T, cfg storeCfg, nOps int, seed int64) {
 			}
 			if err := s.Write(&b); err != nil {
 				for j := range ks {
-					shadow.admit(ks[j], vs[j])
+					shadow.admitTentative(ks[j], vs[j])
 				}
 			} else {
 				for j := range ks {

@@ -13,6 +13,7 @@ import (
 	"p2kvs/internal/kvell"
 	"p2kvs/internal/lsm"
 	"p2kvs/internal/vfs"
+	"p2kvs/internal/wal"
 )
 
 // The restore-equivalence dimension: a store run under fault injection
@@ -38,7 +39,7 @@ func lsmStoreFactory(preset func(vfs.FS) lsm.Options) func(fs vfs.FS) core.Engin
 			o.MemTableSize = 16 << 10
 			o.BaseLevelSize = 64 << 10
 			o.TargetFileSize = 16 << 10
-			o.SyncWAL = true
+			o.WALSync = wal.PolicyCommit
 			return lsm.OpenWith(fmt.Sprintf("st/inst-%02d", id), o, lsm.OpenOptions{RecoverFilter: filter})
 		}
 	}
@@ -55,7 +56,7 @@ func storeConfigs() []storeCfg {
 			mk: func(fs vfs.FS) core.EngineFactory {
 				return func(id int, _ func(uint64) bool) (kv.Engine, error) {
 					return btreekv.Open(fmt.Sprintf("st/inst-%02d", id),
-						btreekv.Options{FS: fs, SyncWAL: true, CheckpointBytes: 8 << 10})
+						btreekv.Options{FS: fs, WALSync: wal.PolicyCommit, CheckpointBytes: 8 << 10})
 				}
 			},
 			menu: []vfs.Rule{
@@ -114,11 +115,10 @@ func restoreTorture(t *testing.T, cfg storeCfg, nOps int, seed int64) {
 
 	const poolSize = 120
 	pool := make([]string, poolSize)
-	shadow := model{}
 	for i := range pool {
 		pool[i] = fmt.Sprintf("key-%03d", i)
-		shadow[pool[i]] = map[string]bool{absent: true}
 	}
+	shadow := newModel(pool...)
 
 	armed := false
 	heal := func() {
@@ -152,17 +152,17 @@ func restoreTorture(t *testing.T, cfg storeCfg, nOps int, seed int64) {
 		seen := map[string]bool{}
 		for _, p := range pairs {
 			k, v := string(p.Key), string(p.Value)
-			set, known := shadow[k]
+			set, known := shadow.sets[k]
 			if !known {
 				t.Fatalf("%s: dump surfaced unknown key %q", tag, k)
 			}
 			if !set[v] {
 				t.Fatalf("%s: dump value %q for %s not in possibility set %v", tag, v, k, keys(set))
 			}
-			shadow.collapse(k, v)
+			shadow.observe(k, v)
 			seen[k] = true
 		}
-		for k, set := range shadow {
+		for k, set := range shadow.sets {
 			if seen[k] {
 				continue
 			}
@@ -250,6 +250,7 @@ func restoreTorture(t *testing.T, cfg storeCfg, nOps int, seed int64) {
 					if s, err = open(); err != nil {
 						t.Fatalf("%s: reopen after mid-checkpoint crash: %v", tag, err)
 					}
+					shadow.recovered()
 					crashes++
 				}
 				// The live store keeps serving...
@@ -271,6 +272,7 @@ func restoreTorture(t *testing.T, cfg storeCfg, nOps int, seed int64) {
 				if s, err = open(); err != nil {
 					t.Fatalf("%s: reopen after crash: %v", tag, err)
 				}
+				shadow.recovered()
 				crashes++
 			}
 
@@ -309,7 +311,7 @@ func restoreTorture(t *testing.T, cfg storeCfg, nOps int, seed int64) {
 			}
 			if err := s.Write(&b); err != nil {
 				for j := range ks {
-					shadow.admit(ks[j], vs[j])
+					shadow.admitTentative(ks[j], vs[j])
 				}
 			} else {
 				// Later entries in a batch overwrite earlier ones for the
@@ -322,13 +324,13 @@ func restoreTorture(t *testing.T, cfg storeCfg, nOps int, seed int64) {
 			v, err := s.Get([]byte(k))
 			switch {
 			case err == nil:
-				if !shadow[k][string(v)] {
-					t.Fatalf("op %d: Get(%s) = %q, not in %v", i, k, v, keys(shadow[k]))
+				if !shadow.sets[k][string(v)] {
+					t.Fatalf("op %d: Get(%s) = %q, not in %v", i, k, v, keys(shadow.sets[k]))
 				}
-				shadow.collapse(k, string(v))
+				shadow.observe(k, string(v))
 			case err == kv.ErrNotFound:
-				if !shadow[k][absent] {
-					t.Fatalf("op %d: Get(%s) absent; acked value lost (set %v)", i, k, keys(shadow[k]))
+				if !shadow.sets[k][absent] {
+					t.Fatalf("op %d: Get(%s) absent; acked value lost (set %v)", i, k, keys(shadow.sets[k]))
 				}
 				shadow.collapse(k, absent)
 			default:
@@ -347,6 +349,7 @@ func restoreTorture(t *testing.T, cfg storeCfg, nOps int, seed int64) {
 		if s, err = open(); err != nil {
 			t.Fatalf("final reopen: %v", err)
 		}
+		shadow.recovered()
 		crashes++
 	}
 	live := dumpLive("final")

@@ -11,6 +11,12 @@
 //   - an acknowledged Get collapses the ambiguity to the observed value:
 //     once the operation that created the ambiguity has returned, the
 //     user-visible value can no longer change spontaneously;
+//   - except that a value from a FAILED multi-key Write is tentative: a
+//     cross-partition batch that errors after one leg applied leaves that
+//     leg readable until the next recovery rolls the uncommitted
+//     transaction back (§4.5 promises atomic recovery, not read
+//     isolation), so observing it proves nothing about what a crash will
+//     leave — the prior possibilities stay until a post-recovery read;
 //   - a crash+restart never invalidates an acknowledged (synced) write
 //     and never manufactures values outside the possibility set.
 //
@@ -30,15 +36,52 @@ import (
 	"p2kvs/internal/kvell"
 	"p2kvs/internal/lsm"
 	"p2kvs/internal/vfs"
+	"p2kvs/internal/wal"
 )
 
 const absent = "\x00absent\x00"
 
-// model maps key -> set of possible values (absent included).
-type model map[string]map[string]bool
+// model maps key -> set of possible values (absent included), and knows
+// which of those values are tentative.
+type model struct {
+	sets      map[string]map[string]bool
+	tentative map[string]bool // values of failed multi-key Writes, until recovered()
+}
 
-func (m model) collapse(k, v string) { m[k] = map[string]bool{v: true} }
-func (m model) admit(k, v string)    { m[k][v] = true }
+// newModel starts every key definitely-absent.
+func newModel(keys ...string) *model {
+	m := &model{sets: map[string]map[string]bool{}, tentative: map[string]bool{}}
+	for _, k := range keys {
+		m.collapse(k, absent)
+	}
+	return m
+}
+
+// collapse records an acknowledged write (or an exact observation).
+func (m *model) collapse(k, v string) { m.sets[k] = map[string]bool{v: true} }
+
+// admit records a failed single-key write: it may or may not surface.
+func (m *model) admit(k, v string) { m.sets[k][v] = true }
+
+// admitTentative records one value of a failed multi-key Write. v must be
+// unique to that Write.
+func (m *model) admitTentative(k, v string) {
+	m.sets[k][v] = true
+	m.tentative[v] = true
+}
+
+// observe folds an acknowledged read of a possible value into the model:
+// it settles the key, unless the value is tentative.
+func (m *model) observe(k, v string) {
+	if !m.tentative[v] {
+		m.collapse(k, v)
+	}
+}
+
+// recovered marks a crash (or image restore) and reopen: every failed
+// transaction has been rolled back or, its commit record having made it to
+// disk after all, kept for good, so what reads now is settled.
+func (m *model) recovered() { clear(m.tentative) }
 
 type tortureCfg struct {
 	name  string
@@ -53,7 +96,7 @@ func lsmOpen(preset func(vfs.FS) lsm.Options) func(vfs.FS) (kv.Engine, error) {
 		o.MemTableSize = 16 << 10
 		o.BaseLevelSize = 64 << 10
 		o.TargetFileSize = 16 << 10
-		o.SyncWAL = true // acked == durable, the property the model checks
+		o.WALSync = wal.PolicyCommit // acked == durable, the property the model checks
 		o.BgMaxRetries = 3
 		o.BgBaseBackoff = time.Millisecond
 		o.BgMaxBackoff = 4 * time.Millisecond
@@ -94,7 +137,7 @@ func configs() []tortureCfg {
 		{
 			name: "btreekv",
 			open: func(fs vfs.FS) (kv.Engine, error) {
-				return btreekv.Open("db", btreekv.Options{FS: fs, SyncWAL: true, CheckpointBytes: 8 << 10})
+				return btreekv.Open("db", btreekv.Options{FS: fs, WALSync: wal.PolicyCommit, CheckpointBytes: 8 << 10})
 			},
 			// Journal-sync failures taint the log and force the engine
 			// through its checkpoint-based self-heal. No torn writes: the
@@ -156,11 +199,10 @@ func torture(t *testing.T, cfg tortureCfg, nOps int, seed int64) {
 	// Fixed key pool; every key starts definitely-absent.
 	const poolSize = 150
 	pool := make([]string, poolSize)
-	shadow := model{}
 	for i := range pool {
 		pool[i] = fmt.Sprintf("key-%03d", i)
-		shadow[pool[i]] = map[string]bool{absent: true}
 	}
+	shadow := newModel(pool...)
 
 	// recover clears rules and resumes a degraded engine so the run
 	// doesn't trivially drown in fail-fast errors.
@@ -237,15 +279,15 @@ func torture(t *testing.T, cfg tortureCfg, nOps int, seed int64) {
 			v, err := eng.Get([]byte(k))
 			switch {
 			case err == nil:
-				if !shadow[k][string(v)] {
-					t.Fatalf("op %d: Get(%s) = %q, not in possibility set %v", i, k, v, keys(shadow[k]))
+				if !shadow.sets[k][string(v)] {
+					t.Fatalf("op %d: Get(%s) = %q, not in possibility set %v", i, k, v, keys(shadow.sets[k]))
 				}
 				shadow.collapse(k, string(v))
 				okOps++
 				consecFails = 0
 			case errors.Is(err, kv.ErrNotFound):
-				if !shadow[k][absent] {
-					t.Fatalf("op %d: Get(%s) reported absent; acked value lost (set %v)", i, k, keys(shadow[k]))
+				if !shadow.sets[k][absent] {
+					t.Fatalf("op %d: Get(%s) reported absent; acked value lost (set %v)", i, k, keys(shadow.sets[k]))
 				}
 				shadow.collapse(k, absent)
 				okOps++
@@ -283,12 +325,12 @@ func torture(t *testing.T, cfg tortureCfg, nOps int, seed int64) {
 		v, err := eng.Get([]byte(k))
 		switch {
 		case err == nil:
-			if !shadow[k][string(v)] {
-				t.Fatalf("final: Get(%s) = %q, not in %v", k, v, keys(shadow[k]))
+			if !shadow.sets[k][string(v)] {
+				t.Fatalf("final: Get(%s) = %q, not in %v", k, v, keys(shadow.sets[k]))
 			}
 		case errors.Is(err, kv.ErrNotFound):
-			if !shadow[k][absent] {
-				t.Fatalf("final: %s absent; acked value lost (set %v)", k, keys(shadow[k]))
+			if !shadow.sets[k][absent] {
+				t.Fatalf("final: %s absent; acked value lost (set %v)", k, keys(shadow.sets[k]))
 			}
 		default:
 			t.Fatalf("final: Get(%s): %v", k, err)
@@ -301,7 +343,7 @@ func torture(t *testing.T, cfg tortureCfg, nOps int, seed int64) {
 	}
 	for it.SeekToFirst(); it.Valid(); it.Next() {
 		k, v := string(it.Key()), string(it.Value())
-		set, known := shadow[k]
+		set, known := shadow.sets[k]
 		if !known {
 			t.Fatalf("final: iterator surfaced unknown key %q", k)
 		}

@@ -89,30 +89,6 @@ func TestOSFSLinkSameFile(t *testing.T) {
 	}
 }
 
-func TestLinkOrCopyFallback(t *testing.T) {
-	fs := NewMem()
-	if err := WriteFile(fs, "src", []byte("data")); err != nil {
-		t.Fatal(err)
-	}
-	linked, err := LinkOrCopy(fs, "src", "dst")
-	if err != nil || !linked {
-		t.Fatalf("same-FS LinkOrCopy: linked=%v err=%v", linked, err)
-	}
-	// A destination that already exists refuses the link; LinkOrCopy must
-	// fall back to copying rather than failing.
-	if err := WriteFile(fs, "existing", []byte("old")); err != nil {
-		t.Fatal(err)
-	}
-	linked, err = LinkOrCopy(fs, "src", "existing")
-	if err != nil || linked {
-		t.Fatalf("fallback LinkOrCopy: linked=%v err=%v", linked, err)
-	}
-	got, err := ReadFile(fs, "existing")
-	if err != nil || string(got) != "data" {
-		t.Fatalf("fallback copy = %q, %v", got, err)
-	}
-}
-
 func TestFaultFSLinkInjection(t *testing.T) {
 	mem := NewMem()
 	ffs := NewFaultSeeded(mem, 1)

@@ -45,6 +45,24 @@ func WriteFile(fs FS, name string, data []byte) error {
 	return f.Close()
 }
 
+// WriteFileAtomic replaces name with data: temporary name, sync, rename.
+// A crash (or an error) at any point leaves name holding either its old
+// contents or the new ones in full — the commit step of every small
+// state record (TOPOLOGY, the replica state, a backup manifest, format
+// markers) and of a verified repair image.
+func WriteFileAtomic(fs FS, name string, data []byte) error {
+	tmp := name + ".tmp"
+	if err := WriteFile(fs, tmp, data); err != nil {
+		fs.Remove(tmp)
+		return err
+	}
+	if err := fs.Rename(tmp, name); err != nil {
+		fs.Remove(tmp)
+		return err
+	}
+	return nil
+}
+
 // CopyPrefix copies the first n bytes of src (on srcFS) to dst (on dstFS),
 // creating dst through a temporary name so a partially written copy never
 // shadows a complete one. It is the backbone of checkpointing: WAL files
@@ -98,30 +116,19 @@ func CopyPrefix(srcFS FS, src string, dstFS FS, dst string, n int64) error {
 	return dstFS.Rename(tmp, dst)
 }
 
-// CopyFile copies all of src (on srcFS) to dst (on dstFS) via CopyPrefix.
-func CopyFile(srcFS FS, src string, dstFS FS, dst string) error {
+// CopyFile copies all of src (on srcFS) to dst (on dstFS) via CopyPrefix,
+// reporting the bytes copied.
+func CopyFile(srcFS FS, src string, dstFS FS, dst string) (int64, error) {
 	in, err := srcFS.Open(src)
 	if err != nil {
-		return err
+		return 0, err
 	}
 	size, err := in.Size()
 	in.Close()
 	if err != nil {
-		return err
+		return 0, err
 	}
-	return CopyPrefix(srcFS, src, dstFS, dst, size)
-}
-
-// LinkOrCopy makes newname hold the same bytes as oldname, preferring a
-// hard link (zero data movement) and falling back to a full copy when the
-// filesystem refuses the link (e.g. a cross-device destination).
-// Both names are on the same FS. Returns linked=true when the cheap path
-// was taken.
-func LinkOrCopy(fs FS, oldname, newname string) (linked bool, err error) {
-	if err := fs.Link(oldname, newname); err == nil {
-		return true, nil
-	}
-	return false, CopyFile(fs, oldname, fs, newname)
+	return size, CopyPrefix(srcFS, src, dstFS, dst, size)
 }
 
 // RemoveTree deletes dir and everything beneath it, tolerating an absent

@@ -105,10 +105,12 @@ func ProbeSpace(fs FS, dir string) bool {
 type MemFS struct {
 	mu    sync.Mutex
 	files map[string]*memFileData
-	// frozen rejects all writes; set by Crash to emulate a dead machine
-	// until Restart is called. (Scripted fault injection lives in
-	// FaultFS, which composes over any FS; MemFS only models the
-	// volatile page cache a power failure loses.)
+	// frozen rejects every mutation — writes, syncs, renames, removals —
+	// from Crash until Restart. A test's "crashed" store keeps running (a
+	// real crash kills it), and nothing it does afterwards may reach what
+	// recovery reads: a Sync that succeeded on bytes Crash just dropped
+	// lets an engine believe a MANIFEST edit durable and delete files the
+	// surviving MANIFEST still names. (Scripted faults live in FaultFS.)
 	frozen bool
 }
 
@@ -125,12 +127,20 @@ func NewMem() *MemFS {
 
 func clean(name string) string { return path.Clean(strings.ReplaceAll(name, "\\", "/")) }
 
+var errCrashed = errors.New("vfs: filesystem crashed")
+
+func (fs *MemFS) crashed() bool {
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	return fs.frozen
+}
+
 // Create implements FS.
 func (fs *MemFS) Create(name string) (File, error) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	if fs.frozen {
-		return nil, errors.New("vfs: filesystem crashed")
+		return nil, errCrashed
 	}
 	d := &memFileData{}
 	fs.files[clean(name)] = d
@@ -152,6 +162,9 @@ func (fs *MemFS) Open(name string) (File, error) {
 func (fs *MemFS) Remove(name string) error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
+	if fs.frozen {
+		return errCrashed
+	}
 	key := clean(name)
 	if _, ok := fs.files[key]; !ok {
 		return fmt.Errorf("vfs: remove %s: %w", name, ErrNotExist)
@@ -166,6 +179,9 @@ func (fs *MemFS) Remove(name string) error {
 func (fs *MemFS) RemoveTree(dir string) error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
+	if fs.frozen {
+		return errCrashed
+	}
 	prefix := clean(dir)
 	if prefix != "" && !strings.HasSuffix(prefix, "/") {
 		prefix += "/"
@@ -185,7 +201,7 @@ func (fs *MemFS) Rename(oldname, newname string) error {
 	if fs.frozen {
 		// A crashed filesystem cannot mutate its namespace: letting a
 		// rename through here would install e.g. a post-crash manifest.
-		return errors.New("vfs: filesystem crashed")
+		return errCrashed
 	}
 	od, ok := fs.files[clean(oldname)]
 	if !ok {
@@ -235,7 +251,7 @@ func (fs *MemFS) Link(oldname, newname string) error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	if fs.frozen {
-		return errors.New("vfs: filesystem crashed")
+		return errCrashed
 	}
 	od, ok := fs.files[clean(oldname)]
 	if !ok {
@@ -281,11 +297,8 @@ func (f *memFile) Write(p []byte) (int, error) {
 	if f.closed {
 		return 0, errors.New("vfs: write on closed file")
 	}
-	f.fs.mu.Lock()
-	frozen := f.fs.frozen
-	f.fs.mu.Unlock()
-	if frozen {
-		return 0, errors.New("vfs: filesystem crashed")
+	if f.fs.crashed() {
+		return 0, errCrashed
 	}
 	f.d.mu.Lock()
 	f.d.data = append(f.d.data, p...)
@@ -297,11 +310,8 @@ func (f *memFile) WriteAt(p []byte, off int64) (int, error) {
 	if f.closed {
 		return 0, errors.New("vfs: write on closed file")
 	}
-	f.fs.mu.Lock()
-	frozen := f.fs.frozen
-	f.fs.mu.Unlock()
-	if frozen {
-		return 0, errors.New("vfs: filesystem crashed")
+	if f.fs.crashed() {
+		return 0, errCrashed
 	}
 	f.d.mu.Lock()
 	end := off + int64(len(p))
@@ -339,6 +349,9 @@ func (f *memFile) ReadAt(p []byte, off int64) (int, error) {
 }
 
 func (f *memFile) Sync() error {
+	if f.fs.crashed() {
+		return errCrashed
+	}
 	f.d.mu.Lock()
 	f.d.durable = len(f.d.data)
 	f.d.mu.Unlock()

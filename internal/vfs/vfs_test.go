@@ -366,3 +366,36 @@ func TestWriteAtOnCrashedFS(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestCrashedFSRejectsSyncAndRemove: the goroutines of a "crashed" process
+// keep running in a test, so between Crash and Restart nothing may change
+// what recovery will read. A Sync that reported success on bytes Crash had
+// just dropped would let an engine believe a manifest edit durable and
+// delete files the surviving manifest still names — and the delete must
+// not go through either.
+func TestCrashedFSRejectsSyncAndRemove(t *testing.T) {
+	fs := NewMem()
+	f, err := fs.Create("db/MANIFEST")
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.Write([]byte("edit-1"))
+	if err := f.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	f.Write([]byte("edit-2")) // in the page cache when the power fails
+	fs.Crash()
+	if err := f.Sync(); err == nil {
+		t.Fatal("Sync succeeded on a crashed filesystem")
+	}
+	if err := fs.Remove("db/MANIFEST"); err == nil {
+		t.Fatal("Remove succeeded on a crashed filesystem")
+	}
+	if err := RemoveTree(fs, "db"); err == nil {
+		t.Fatal("RemoveTree succeeded on a crashed filesystem")
+	}
+	fs.Restart()
+	if got, err := ReadFile(fs, "db/MANIFEST"); err != nil || string(got) != "edit-1" {
+		t.Fatalf("after restart = %q, %v; want the synced prefix", got, err)
+	}
+}

@@ -33,10 +33,10 @@ func TestAppendENOSPCTaints(t *testing.T) {
 	}
 }
 
-// TestSyncOnCommitENOSPC checks that a failed commit fsync (disk full at
+// TestPolicyCommitENOSPC checks that a failed commit fsync (disk full at
 // sync time, after the write landed) fails the append and taints the log:
 // the record's durability was never acknowledged.
-func TestSyncOnCommitENOSPC(t *testing.T) {
+func TestPolicyCommitENOSPC(t *testing.T) {
 	fs := vfs.NewFault(vfs.NewMem())
 	f, err := fs.Create("wal/000001.log")
 	if err != nil {
@@ -82,11 +82,7 @@ func TestRotationAfterSpaceFreed(t *testing.T) {
 	}
 
 	// The dead log replays its acked prefix and nothing after it.
-	rf, err := fs.Open("wal/000001.log")
-	if err != nil {
-		t.Fatal(err)
-	}
-	recs, err := ReadAll(rf)
+	recs, err := ReadAll(fs, "wal/000001.log")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +122,6 @@ func TestSyncPolicyDurability(t *testing.T) {
 	}{
 		{"never", Options{}, false},
 		{"commit", Options{Policy: PolicyCommit}, true},
-		{"legacy-bool", Options{SyncOnCommit: true}, true},
 		// A 1ns interval syncs on (virtually) every append.
 		{"interval-tight", Options{Policy: PolicyInterval, SyncEvery: time.Nanosecond}, true},
 		// A 1h interval behaves like never within a test's lifetime.
@@ -147,11 +142,7 @@ func TestSyncPolicyDurability(t *testing.T) {
 			}
 			mem.Crash()
 			mem.Restart()
-			rf, err := mem.Open("db/wal.log")
-			if err != nil {
-				t.Fatal(err)
-			}
-			recs, err := ReadAll(rf)
+			recs, err := ReadAll(mem, "db/wal.log")
 			if err != nil {
 				t.Fatal(err)
 			}

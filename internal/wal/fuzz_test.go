@@ -7,8 +7,8 @@ import (
 )
 
 // FuzzReadAll: arbitrary log-file contents must never panic the replayer
-// — garbage and torn tails end the replay silently (crash-truncation
-// semantics), valid prefixes are returned.
+// — torn tails end the replay silently (crash-truncation semantics),
+// garbage is an error, valid prefixes are returned.
 func FuzzReadAll(f *testing.F) {
 	// Seed: a valid two-record log.
 	fs := vfs.NewMem()
@@ -28,9 +28,8 @@ func FuzzReadAll(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fz := vfs.NewMem()
-		file, _ := fz.Create("f")
-		file.Write(data)
-		recs, err := ReadAll(file)
+		vfs.WriteFile(fz, "f", data)
+		recs, err := ReadAll(fz, "f")
 		if err != nil {
 			return
 		}

@@ -13,15 +13,15 @@ import (
 // the writer refuses further appends (taint), and (c) replay stops
 // cleanly at the last valid record — for both durability modes.
 func TestTornTailRecovery(t *testing.T) {
-	for _, syncOnCommit := range []bool{false, true} {
-		t.Run(fmt.Sprintf("SyncOnCommit=%v", syncOnCommit), func(t *testing.T) {
+	for _, policy := range []SyncPolicy{PolicyNever, PolicyCommit} {
+		t.Run(fmt.Sprintf("policy=%v", policy), func(t *testing.T) {
 			mem := vfs.NewMem()
 			fs := vfs.NewFault(mem)
 			f, err := fs.Create("wal")
 			if err != nil {
 				t.Fatal(err)
 			}
-			w := NewWriter(f, Options{SyncOnCommit: syncOnCommit})
+			w := NewWriter(f, Options{Policy: policy})
 			if err := w.Append(1, []byte("first-record")); err != nil {
 				t.Fatal(err)
 			}
@@ -43,11 +43,7 @@ func TestTornTailRecovery(t *testing.T) {
 
 			// Replay sees exactly the two complete records; the torn tail
 			// is silently truncated, not an error and not garbage.
-			r, err := mem.Open("wal")
-			if err != nil {
-				t.Fatal(err)
-			}
-			recs, err := ReadAll(r)
+			recs, err := ReadAll(mem, "wal")
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -80,8 +76,7 @@ func TestTornTailGroupCommit(t *testing.T) {
 	if err := w.Append(3, []byte("later")); !errors.Is(err, ErrTainted) {
 		t.Fatalf("append after taint = %v, want ErrTainted", err)
 	}
-	r, _ := mem.Open("wal")
-	recs, err := ReadAll(r)
+	recs, err := ReadAll(mem, "wal")
 	if err != nil || len(recs) != 1 || recs[0].GSN != 1 {
 		t.Fatalf("replay = %v, %v (want the single good record)", recs, err)
 	}

@@ -6,8 +6,8 @@
 // leader spends waking them — is the paper's "WAL lock" latency component
 // (Figure 6), so Append meters it separately from the log IO itself.
 //
-// Log format v2 opens the file with an 8-byte magic preamble, then
-// records (little endian):
+// A log opens with an 8-byte magic preamble ("p2wal-2\n"), then records
+// (little endian):
 //
 //	crc32(hdr[4:]) u32 | crc32(payload) u32 | len(payload) u32 | gsn u64 | payload
 //
@@ -15,21 +15,20 @@
 // the GSN, so no field a replay decision depends on is ever trusted
 // unverified: at-rest rot anywhere in a committed record — header or
 // payload — is detected and reported instead of being mistaken for a
-// crash-torn tail. Files without the preamble are legacy v1 logs
-// (crc32(payload) u32 | len u32 | gsn u64 | payload, unprotected header)
-// and replay with a best-effort rot heuristic; every new log is v2.
+// crash-torn tail. It is the only format ReadAll parses: a file that does
+// not open with the preamble (the headerless layout of before PR 7, or a
+// preamble that rotted) is refused as corrupt, never guessed at.
 //
 // The gsn field carries p2KVS's Global Sequence Number for cross-instance
 // transaction rollback (§4.5); engines running standalone write 0.
 package wal
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"io"
-	"math/bits"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -38,15 +37,11 @@ import (
 	"p2kvs/internal/vfs"
 )
 
-const (
-	headerLen   = 16 // v1: pcrc u32 | plen u32 | gsn u64
-	headerLenV2 = 20 // hcrc u32 | pcrc u32 | plen u32 | gsn u64
-)
+const headerLen = 20 // hcrc u32 | pcrc u32 | plen u32 | gsn u64
 
-// magicV2 opens every log written at format v2. Its presence is the
-// format sniff at replay; ReadAll also flags near-miss preambles so rot
-// in the magic itself cannot demote a v2 log to the laxer v1 parse.
-var magicV2 = []byte("p2wal-2\n")
+// magic opens every log. The first write carries it, so a file that holds
+// any record holds the whole preamble.
+var magic = []byte("p2wal-2\n")
 
 // SyncPolicy selects when the log fsyncs, i.e. what an acknowledged
 // append guarantees if the process dies. See DESIGN.md §11 for the full
@@ -84,16 +79,11 @@ func (p SyncPolicy) String() string {
 
 // Options configures a Writer.
 type Options struct {
-	// Policy selects the durability policy (default PolicyNever, unless
-	// the legacy SyncOnCommit flag below promotes it).
+	// Policy selects the durability policy (default PolicyNever).
 	Policy SyncPolicy
 	// SyncEvery bounds durability staleness under PolicyInterval
 	// (default 100ms). Ignored by the other policies.
 	SyncEvery time.Duration
-	// SyncOnCommit is the legacy boolean form of PolicyCommit, kept so
-	// existing call sites and configs keep their meaning: when set and
-	// Policy is the zero value, the writer runs PolicyCommit.
-	SyncOnCommit bool
 	// GroupCommit enables leader/follower aggregation. Disabled, every
 	// append performs its own IO under the log mutex.
 	GroupCommit bool
@@ -169,9 +159,6 @@ func NewWriter(f vfs.File, opts Options) *Writer {
 	}
 	if opts.MaxGroupCount <= 0 {
 		opts.MaxGroupCount = 1024
-	}
-	if opts.SyncOnCommit && opts.Policy == PolicyNever {
-		opts.Policy = PolicyCommit
 	}
 	if opts.Policy == PolicyInterval && opts.SyncEvery <= 0 {
 		opts.SyncEvery = 100 * time.Millisecond
@@ -305,13 +292,13 @@ func (w *Writer) appendGrouped(gsn uint64, payload []byte) error {
 func (w *Writer) writeRecords(group []*waiter) error {
 	w.buf = w.buf[:0]
 	if w.size == 0 {
-		// First bytes of the log: the v2 preamble rides in the same write
-		// as the first record, so a torn first write still leaves either
+		// First bytes of the log: the preamble rides in the same write as
+		// the first record, so a torn first write still leaves either
 		// nothing or a well-formed prefix.
-		w.buf = append(w.buf, magicV2...)
+		w.buf = append(w.buf, magic...)
 	}
 	for _, m := range group {
-		var hdr [headerLenV2]byte
+		var hdr [headerLen]byte
 		binary.LittleEndian.PutUint32(hdr[4:], crc32.ChecksumIEEE(m.payload))
 		binary.LittleEndian.PutUint32(hdr[8:], uint32(len(m.payload)))
 		binary.LittleEndian.PutUint64(hdr[12:], m.gsn)
@@ -413,74 +400,37 @@ type Record struct {
 	Payload []byte
 }
 
-// ReadAll replays a log file. An incomplete record at the tail ends the
+// ReadAll replays the log file name on fs. An incomplete record at the tail ends the
 // replay silently — the standard crash-truncation semantics: a torn tail
 // means the record never committed (every writer path appends prefixes,
 // so a crash or torn write can only shorten the file). A COMPLETE record
-// whose checksum fails is different: all its bytes are present, so they
-// were written and then altered at rest. That is surfaced as a
+// or header whose checksum fails is different: all its bytes are present,
+// so they were written and then altered at rest. That is surfaced as a
 // kv.CorruptionError alongside the valid prefix, letting callers
 // distinguish "lost the unacknowledged tail" (fine) from "lost committed
 // records to bit rot" (must not be served as a silent truncation).
 //
-// The length field itself is outside the payload checksum, so rot there
-// could disguise a committed record as a torn tail (a too-large length
-// runs past EOF) and silently swallow it plus everything after it. A
-// torn-looking tail is therefore cross-checked before being dropped: if
-// some prefix of the remaining bytes matches the header's checksum, the
-// payload is in fact fully present under a different length than the
-// header claims — that is length-field rot, reported as corruption. A
-// genuine crash tail has no matching prefix (the missing payload bytes
-// were never written), so crash semantics are unchanged.
-func ReadAll(f vfs.File) ([]Record, error) {
-	size, err := f.Size()
+// Every header is self-checksummed, so a complete header that fails its
+// checksum is rot, never a tear (writes are prefix-atomic: bytes that are
+// present were written as intended). Truncation — a partial preamble, a
+// partial header, or a payload running past EOF under a VERIFIED header —
+// is the only crash artifact and the only silent exit. A file whose first
+// bytes are not the preamble is not a log this reader knows: corruption.
+func ReadAll(fs vfs.FS, name string) ([]Record, error) {
+	data, err := vfs.ReadFile(fs, name)
 	if err != nil {
 		return nil, err
 	}
-	data := make([]byte, size)
-	if size > 0 {
-		if _, err := f.ReadAt(data, 0); err != nil && err != io.EOF {
-			return nil, err
+	if n := min(len(data), len(magic)); !bytes.Equal(data[:n], magic[:n]) {
+		return nil, &kv.CorruptionError{
+			Offset: 0,
+			Detail: "wal: file does not open with the log preamble (damaged, or an unsupported format)",
 		}
 	}
-	if len(data) >= len(magicV2) {
-		if hd := hamming(data[:len(magicV2)], magicV2); hd == 0 {
-			return readV2(data)
-		} else if hd <= 8 {
-			// Within a byte's worth of bit damage of the v2 magic: almost
-			// certainly a rotted v2 preamble, not a legacy log (a v1 file
-			// opens with a payload CRC — the odds of one landing this close
-			// to the magic are ~2^-35). Falling through to the v1 parse
-			// here would misread every v2 header and could silently drop
-			// the whole log.
-			return nil, &kv.CorruptionError{
-				Offset: 0,
-				Detail: "wal: file preamble damaged (near-miss of the v2 magic)",
-			}
-		}
-	}
-	return readV1(data)
-}
-
-// hamming counts differing bits between equal-length slices.
-func hamming(a, b []byte) int {
-	n := 0
-	for i := range a {
-		n += bits.OnesCount8(a[i] ^ b[i])
-	}
-	return n
-}
-
-// readV2 replays a v2 log: every header is self-checksummed, so a
-// complete header that fails its checksum is rot, never a tear (writes
-// are prefix-atomic: bytes that are present were written as intended).
-// Truncation — a partial header or a payload running past EOF under a
-// VERIFIED header — is the only crash artifact and the only silent exit.
-func readV2(data []byte) ([]Record, error) {
 	var recs []Record
-	off := len(magicV2)
-	for off+headerLenV2 <= len(data) {
-		hdr := data[off : off+headerLenV2]
+	off := len(magic)
+	for off+headerLen <= len(data) {
+		hdr := data[off : off+headerLen]
 		if crc32.ChecksumIEEE(hdr[4:]) != binary.LittleEndian.Uint32(hdr) {
 			return recs, &kv.CorruptionError{
 				Offset: int64(off),
@@ -490,7 +440,7 @@ func readV2(data []byte) ([]Record, error) {
 		pcrc := binary.LittleEndian.Uint32(hdr[4:])
 		plen := int(binary.LittleEndian.Uint32(hdr[8:]))
 		gsn := binary.LittleEndian.Uint64(hdr[12:])
-		start := off + headerLenV2
+		start := off + headerLen
 		if start+plen > len(data) {
 			break // verified header, missing payload bytes: torn tail
 		}
@@ -505,57 +455,4 @@ func readV2(data []byte) ([]Record, error) {
 		off = start + plen
 	}
 	return recs, nil
-}
-
-// readV1 replays a legacy log, whose header fields are unprotected. A
-// too-large rotted length is indistinguishable from a torn tail by
-// structure alone, so the torn-tail exit cross-checks the remaining bytes
-// against the header's payload checksum first (see ReadAll's doc).
-func readV1(data []byte) ([]Record, error) {
-	var recs []Record
-	off := 0
-	for off+headerLen <= len(data) {
-		crc := binary.LittleEndian.Uint32(data[off:])
-		plen := int(binary.LittleEndian.Uint32(data[off+4:]))
-		gsn := binary.LittleEndian.Uint64(data[off+8:])
-		start := off + headerLen
-		if start+plen > len(data) {
-			if l, rot := tailLengthRot(data[start:], crc); rot {
-				return recs, &kv.CorruptionError{
-					Offset: int64(off),
-					Detail: fmt.Sprintf("wal: record header claims %d payload bytes past EOF, but a complete %d-byte payload matches its checksum: length field rot", plen, l),
-				}
-			}
-			break // torn tail
-		}
-		payload := data[start : start+plen]
-		if crc32.ChecksumIEEE(payload) != crc {
-			return recs, &kv.CorruptionError{
-				Offset: int64(off),
-				Detail: "wal: record checksum mismatch on a complete record",
-			}
-		}
-		recs = append(recs, Record{GSN: gsn, Payload: append([]byte(nil), payload...)})
-		off = start + plen
-	}
-	return recs, nil
-}
-
-// tailLengthRot reports whether some prefix of tail checksums to want —
-// evidence that a record whose header length points past EOF actually has
-// its whole payload on disk and the length field rotted. The scan is
-// incremental (one CRC pass over the tail) and only runs on the rare
-// torn-tail recovery path. A spurious match against a genuinely torn
-// payload requires a 2^-32 CRC collision.
-func tailLengthRot(tail []byte, want uint32) (int, bool) {
-	var c uint32
-	for l := 0; ; l++ {
-		if c == want {
-			return l, true
-		}
-		if l == len(tail) {
-			return 0, false
-		}
-		c = crc32.Update(c, crc32.IEEETable, tail[l:l+1])
-	}
 }

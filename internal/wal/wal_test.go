@@ -1,10 +1,8 @@
 package wal
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -39,8 +37,7 @@ func TestAppendReadRoundTrip(t *testing.T) {
 			if err := w.Close(); err != nil {
 				t.Fatal(err)
 			}
-			rf, _ := fs.Open("wal")
-			recs, err := ReadAll(rf)
+			recs, err := ReadAll(fs, "wal")
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -82,8 +79,7 @@ func TestConcurrentAppendersAllDurable(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	rf, _ := fs.Open("wal")
-	recs, err := ReadAll(rf)
+	recs, err := ReadAll(fs, "wal")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,8 +146,7 @@ func TestTornTailIgnored(t *testing.T) {
 	f3.Write([]byte{9, 9, 9, 9, 9}) // partial header
 	f3.Close()
 
-	rf, _ := fs.Open("wal2")
-	recs, err := ReadAll(rf)
+	recs, err := ReadAll(fs, "wal2")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,8 +177,7 @@ func TestCorruptRecordReported(t *testing.T) {
 	f2.Write(raw)
 	f2.Close()
 
-	rf2, _ := fs.Open("wal")
-	recs, err := ReadAll(rf2)
+	recs, err := ReadAll(fs, "wal")
 	if !errors.Is(err, kv.ErrCorruption) {
 		t.Fatalf("err = %v, want kv.ErrCorruption", err)
 	}
@@ -210,15 +204,14 @@ func TestAppendAfterClose(t *testing.T) {
 	}
 }
 
-func TestSyncOnCommitSurvivesCrash(t *testing.T) {
+func TestPolicyCommitSurvivesCrash(t *testing.T) {
 	fs := vfs.NewMem()
 	f, _ := fs.Create("wal")
-	w := NewWriter(f, Options{SyncOnCommit: true})
+	w := NewWriter(f, Options{Policy: PolicyCommit})
 	w.Append(7, []byte("must-survive"))
 	fs.Crash()
 	fs.Restart()
-	rf, _ := fs.Open("wal")
-	recs, err := ReadAll(rf)
+	recs, err := ReadAll(fs, "wal")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,12 +223,11 @@ func TestSyncOnCommitSurvivesCrash(t *testing.T) {
 func TestUnsyncedLostOnCrash(t *testing.T) {
 	fs := vfs.NewMem()
 	f, _ := fs.Create("wal")
-	w := NewWriter(f, Options{SyncOnCommit: false})
+	w := NewWriter(f, Options{})
 	w.Append(7, []byte("volatile"))
 	fs.Crash()
 	fs.Restart()
-	rf, _ := fs.Open("wal")
-	recs, _ := ReadAll(rf)
+	recs, _ := ReadAll(fs, "wal")
 	if len(recs) != 0 {
 		t.Fatalf("unsynced record survived crash: %+v", recs)
 	}
@@ -252,8 +244,7 @@ func TestQuickRoundTrip(t *testing.T) {
 			}
 		}
 		w.Close()
-		rf, _ := fs.Open("wal")
-		recs, err := ReadAll(rf)
+		recs, err := ReadAll(fs, "wal")
 		if err != nil || len(recs) != len(payloads) {
 			return false
 		}
@@ -352,7 +343,7 @@ func writeRaw(t *testing.T, fs vfs.FS, name string, raw []byte) {
 func buildLog(t *testing.T, fs vfs.FS, name string, n int) []byte {
 	t.Helper()
 	f, _ := fs.Create(name)
-	w := NewWriter(f, Options{SyncOnCommit: true})
+	w := NewWriter(f, Options{Policy: PolicyCommit})
 	for i := 0; i < n; i++ {
 		if err := w.Append(uint64(i+1), []byte(fmt.Sprintf("payload-%04d", i))); err != nil {
 			t.Fatal(err)
@@ -370,10 +361,9 @@ func TestV2LengthFieldRotReported(t *testing.T) {
 	raw := buildLog(t, fs, "wal", 3)
 	// Record 0's length field: magic(8) + hcrc(4)+pcrc(4) = offset 16.
 	// Set a high bit so the claimed payload runs far past EOF.
-	raw[len(magicV2)+8+2] ^= 0x80
+	raw[len(magic)+8+2] ^= 0x80
 	writeRaw(t, fs, "wal2", raw)
-	rf, _ := fs.Open("wal2")
-	recs, err := ReadAll(rf)
+	recs, err := ReadAll(fs, "wal2")
 	if !errors.Is(err, kv.ErrCorruption) {
 		t.Fatalf("err = %v, want kv.ErrCorruption", err)
 	}
@@ -387,23 +377,21 @@ func TestV2LengthFieldRotReported(t *testing.T) {
 func TestV2GSNRotReported(t *testing.T) {
 	fs := vfs.NewMem()
 	raw := buildLog(t, fs, "wal", 2)
-	raw[len(magicV2)+12] ^= 0x01 // record 0's gsn, lowest byte
+	raw[len(magic)+12] ^= 0x01 // record 0's gsn, lowest byte
 	writeRaw(t, fs, "wal2", raw)
-	rf, _ := fs.Open("wal2")
-	if _, err := ReadAll(rf); !errors.Is(err, kv.ErrCorruption) {
+	if _, err := ReadAll(fs, "wal2"); !errors.Is(err, kv.ErrCorruption) {
 		t.Fatalf("err = %v, want kv.ErrCorruption", err)
 	}
 }
 
-// TestV2MagicRotReported: damage to the preamble itself must not demote
-// the file to the v1 parse (which would misread every header).
+// TestV2MagicRotReported: damage to the preamble itself is corruption —
+// there is no other format for the file to be mistaken for.
 func TestV2MagicRotReported(t *testing.T) {
 	fs := vfs.NewMem()
 	raw := buildLog(t, fs, "wal", 2)
 	raw[3] ^= 0x04
 	writeRaw(t, fs, "wal2", raw)
-	rf, _ := fs.Open("wal2")
-	if _, err := ReadAll(rf); !errors.Is(err, kv.ErrCorruption) {
+	if _, err := ReadAll(fs, "wal2"); !errors.Is(err, kv.ErrCorruption) {
 		t.Fatalf("err = %v, want kv.ErrCorruption", err)
 	}
 }
@@ -415,48 +403,11 @@ func TestV2TornPayloadStillTruncates(t *testing.T) {
 	fs := vfs.NewMem()
 	raw := buildLog(t, fs, "wal", 3)
 	writeRaw(t, fs, "wal2", raw[:len(raw)-5]) // tear into the last payload
-	rf, _ := fs.Open("wal2")
-	recs, err := ReadAll(rf)
+	recs, err := ReadAll(fs, "wal2")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(recs) != 2 {
 		t.Fatalf("replayed %d records, want the 2 intact ones", len(recs))
-	}
-}
-
-// TestV1LengthFieldRotCaughtByHeuristic: legacy logs lack the header
-// checksum, but the torn-tail cross-check still catches the common case —
-// a rotted length with the payload fully present.
-func TestV1LengthFieldRotCaughtByHeuristic(t *testing.T) {
-	fs := vfs.NewMem()
-	// Hand-build a v1 log: no preamble, 16-byte headers.
-	var raw []byte
-	for i := 0; i < 2; i++ {
-		payload := []byte(fmt.Sprintf("legacy-%04d", i))
-		var hdr [headerLen]byte
-		binary.LittleEndian.PutUint32(hdr[0:], crc32.ChecksumIEEE(payload))
-		binary.LittleEndian.PutUint32(hdr[4:], uint32(len(payload)))
-		binary.LittleEndian.PutUint64(hdr[8:], uint64(i+1))
-		raw = append(raw, hdr[:]...)
-		raw = append(raw, payload...)
-	}
-	writeRaw(t, fs, "v1", raw)
-	rf, _ := fs.Open("v1")
-	recs, err := ReadAll(rf)
-	if err != nil || len(recs) != 2 {
-		t.Fatalf("clean v1 replay = %d recs, %v", len(recs), err)
-	}
-
-	mut := append([]byte(nil), raw...)
-	mut[4+2] ^= 0x80 // record 0's length field: claims past EOF
-	writeRaw(t, fs, "v1rot", mut)
-	rf2, _ := fs.Open("v1rot")
-	recs, err = ReadAll(rf2)
-	if !errors.Is(err, kv.ErrCorruption) {
-		t.Fatalf("v1 length rot: err = %v, want kv.ErrCorruption", err)
-	}
-	if len(recs) != 0 {
-		t.Fatalf("v1 length rot yielded %d records", len(recs))
 	}
 }

@@ -1,0 +1,131 @@
+package p2kvs
+
+import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
+	"path/filepath"
+	"reflect"
+	"strings"
+	"testing"
+
+	"p2kvs/internal/lsm"
+)
+
+// The option census: a knob earns its place by having two values in use
+// outside tests. Every field of Options must be settable from the shared
+// command-line flag set (loadgen.StoreFlags — the four binaries) or carry
+// a reason here; every field of lsm.Options must be assigned by some
+// non-test source file (a preset, the facade, an internal/bench
+// experiment) or carry a reason here. A field that fails is a constant in
+// disguise: delete it, or — if it has a real second value — wire it up.
+
+// notFlags: Options fields no flag sets, and why they stay.
+var notFlags = map[string]string{
+	"DisableOBM":        "paper mechanism switch (§4.3): embedders and the OBM ablation turn it off",
+	"PinWorkers":        "paper mechanism switch (§4.1 thread pinning); host-dependent, so not a tool default",
+	"MergedScan":        "paper mechanism switch (§4.4): the two SCAN strategies",
+	"BlockCacheSize":    "memory sizing for embedders; dbbench's experiments size the cache per figure at the lsm layer",
+	"SimulateHostCosts": "the simulated-time cost model (DESIGN 'Time and cost model'); examples/ycsb-demo sets it",
+}
+
+// testShaped: lsm.Options fields only tests assign, and why they stay.
+var testShaped = map[string]string{
+	"MaxImmutables":       "tests bound the flush queue to force write stalls",
+	"L0CompactionTrigger": "tests tighten it to keep several compactions in flight (torture lsm-parallel)",
+	"L0StallTrigger":      "same: the stall and slowdown bands are placed relative to it",
+	"BgMaxRetries":        "tests shorten the retry schedule so a persistent fault degrades in milliseconds",
+	"BgBaseBackoff":       "same",
+	"BgMaxBackoff":        "same",
+}
+
+func TestOptionsCensus(t *testing.T) {
+	flagged := assignedFields(t, []string{"internal/loadgen/flags.go"}, "")
+	for _, f := range reflect.VisibleFields(reflect.TypeOf(Options{})) {
+		_, excused := notFlags[f.Name]
+		switch {
+		case flagged[f.Name] && excused:
+			t.Errorf("Options.%s is set by StoreFlags and also excused in notFlags: drop the excuse", f.Name)
+		case !flagged[f.Name] && !excused:
+			t.Errorf("Options.%s is set by no flag of loadgen.StoreFlags and has no entry in notFlags: a knob with one value in use is a constant", f.Name)
+		}
+	}
+	for name := range notFlags {
+		if _, ok := reflect.TypeOf(Options{}).FieldByName(name); !ok {
+			t.Errorf("notFlags names Options.%s, which does not exist", name)
+		}
+	}
+
+	// Every non-test Go file of the product and of the benchmark module
+	// (examples do not count as users); withDefaults assigns defaults,
+	// not values in use.
+	var files []string
+	for _, root := range []string{".", "cmd", "internal", "benchmark"} {
+		filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+			if err != nil {
+				return err
+			}
+			if d.IsDir() && root == "." && path != "." {
+				return filepath.SkipDir
+			}
+			if strings.HasSuffix(path, ".go") && !strings.HasSuffix(path, "_test.go") {
+				files = append(files, path)
+			}
+			return nil
+		})
+	}
+	used := assignedFields(t, files, "withDefaults")
+	for _, f := range reflect.VisibleFields(reflect.TypeOf(lsm.Options{})) {
+		_, excused := testShaped[f.Name]
+		switch {
+		case used[f.Name] && excused:
+			t.Errorf("lsm.Options.%s is assigned by non-test code and also excused in testShaped: drop the excuse", f.Name)
+		case !used[f.Name] && !excused:
+			t.Errorf("lsm.Options.%s is assigned by no non-test file and has no entry in testShaped: make it a constant", f.Name)
+		}
+	}
+	for name := range testShaped {
+		if _, ok := reflect.TypeOf(lsm.Options{}).FieldByName(name); !ok {
+			t.Errorf("testShaped names lsm.Options.%s, which does not exist", name)
+		}
+	}
+}
+
+// assignedFields returns the field names the files assign — x.F = …,
+// &x.F (flag.XxxVar) or a composite-literal key F: … — outside the
+// function named skipFunc. It is syntactic: a same-named field of another
+// struct counts too, which can only excuse a knob, never condemn one.
+func assignedFields(t *testing.T, files []string, skipFunc string) map[string]bool {
+	t.Helper()
+	out := map[string]bool{}
+	fset := token.NewFileSet()
+	for _, name := range files {
+		f, err := parser.ParseFile(fset, name, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.FuncDecl:
+				return n.Name.Name != skipFunc || skipFunc == ""
+			case *ast.AssignStmt:
+				for _, lhs := range n.Lhs {
+					if sel, ok := lhs.(*ast.SelectorExpr); ok {
+						out[sel.Sel.Name] = true
+					}
+				}
+			case *ast.UnaryExpr:
+				if sel, ok := n.X.(*ast.SelectorExpr); ok && n.Op == token.AND {
+					out[sel.Sel.Name] = true
+				}
+			case *ast.KeyValueExpr:
+				if id, ok := n.Key.(*ast.Ident); ok {
+					out[id.Name] = true
+				}
+			}
+			return true
+		})
+	}
+	return out
+}

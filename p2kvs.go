@@ -173,21 +173,14 @@ type Options struct {
 	DrainTimeout time.Duration
 	// PinWorkers locks worker goroutines to OS threads.
 	PinWorkers bool
-	// SyncWAL makes per-commit durability synchronous on engines with a
-	// WAL. Equivalent to WALSync = SyncOnCommit; kept for existing call
-	// sites.
-	SyncWAL bool
-	// WALSync selects the WAL durability policy explicitly; the zero
-	// value (SyncNever) defers to SyncWAL. WALSyncInterval bounds
+	// WALSync selects the WAL durability policy (SyncNever, the zero
+	// value; SyncInterval; SyncOnCommit). WALSyncInterval bounds
 	// staleness under SyncInterval (default 100ms). Ignored by engines
 	// without a log (KVell).
 	WALSync         SyncPolicy
 	WALSyncInterval time.Duration
 	// MergedScan switches SCAN to the serial global-iterator strategy.
 	MergedScan bool
-	// Compression enables per-block DEFLATE compression in the LSM
-	// engines (ignored by the B+-tree and slab engines).
-	Compression bool
 	// BlockCacheSize overrides the per-instance data-block cache budget
 	// (LSM engines; 0 = default 8 MiB, negative disables).
 	BlockCacheSize int64
@@ -371,10 +364,8 @@ func engineFactory(fs vfs.FS, opts Options) (core.EngineFactory, error) {
 			default:
 				lo = lsm.RocksDBOptions(fs)
 			}
-			lo.SyncWAL = opts.SyncWAL
 			lo.WALSync = opts.WALSync
 			lo.WALSyncInterval = opts.WALSyncInterval
-			lo.Compression = opts.Compression
 			lo.BlockCacheSize = opts.BlockCacheSize
 			lo.MaxBackgroundCompactions = opts.MaxBackgroundCompactions
 			lo.MaxSubCompactions = opts.MaxSubCompactions
@@ -392,7 +383,6 @@ func engineFactory(fs vfs.FS, opts Options) (core.EngineFactory, error) {
 		return func(id int, _ func(uint64) bool) (kv.Engine, error) {
 			return btreekv.Open(instDir(id), btreekv.Options{
 				FS:              fs,
-				SyncWAL:         opts.SyncWAL,
 				WALSync:         opts.WALSync,
 				WALSyncInterval: opts.WALSyncInterval,
 				RepairSource:    repairSourceFor(opts, id),

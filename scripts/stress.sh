@@ -4,8 +4,9 @@
 # suite; SUITE=list prints the names. CI is a matrix over the same names.
 #
 # Knobs (environment): GO, CYCLES / ASYNC_CYCLES (crash-suite kill cycles,
-# 25 / 5), REPL_CYCLES / REPL_ASYNC_CYCLES (repl-suite, 9 / 3), FUZZTIME
-# (per fuzz smoke, 30s).
+# 25 / 5), REPL_CYCLES / REPL_ASYNC_CYCLES (repl-suite, 9 / 3), RESHARD_RUNS
+# (reshard-suite repeats of TestReshardTorture, 200), FUZZTIME (per fuzz
+# smoke, 30s).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -46,6 +47,7 @@ cache      $GO test -race -timeout 5m ./internal/hotcache
 cache      $GO test -race -short -timeout 5m -run 'HotCache|MultiGetAdmit|ShardDistribution|OversizedPut' ./internal/core ./internal/cache ./internal/torture
 cache      bench_line hotcache ycsbc_speedup 1.5 $GO run ./cmd/dbbench -hotcache_bench -num 20000 -threads 4 -p2 -workers 4 -devscale 0.2
 reshard    $GO test -race -short -timeout 10m -run 'ReshardTorture' ./internal/torture
+reshard    repeat ${RESHARD_RUNS:-200} $GO test -count=1 -timeout 5m -run 'ReshardTorture' ./internal/torture
 reshard    $GO test -race -timeout 5m ./internal/reshard ./internal/keyspace
 reshard    $GO test -race -timeout 10m -run 'Reshard' ./internal/core ./internal/server
 reshard    $GO test -race -timeout 5m -run 'FacadeElastic' .
@@ -89,6 +91,19 @@ crash() {
     build_bins
     "$BIN/netbench" -crash "$BIN/p2kvs-server" -crash_mode "$mode" -crash_cycles "$cycles" \
         -conns 4 -pipeline 8 -seed 0 "$@"
+}
+
+# repeat <n> <command…>: run the command n times, each a process of its own
+# (go test -count=n stops at the first failure and would hide the rate),
+# and require every run to pass — how a 1-in-450 shape is seen before merge.
+repeat() {
+    local n=$1 i fails=0
+    shift
+    for i in $(seq 1 "$n"); do
+        "$@" >/dev/null 2>&1 || { fails=$((fails+1)); echo "stress: run $i/$n failed: $*" >&2; }
+    done
+    echo "stress: $((n-fails))/$n passed: $*"
+    [ "$fails" -eq 0 ]
 }
 
 # bench_line <benchmark> <field> <min> <command…>: run the command, echo its
