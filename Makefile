@@ -3,7 +3,9 @@ FUZZTIME ?= 10s
 SERVE_ADDR ?= 127.0.0.1:6380
 SUITE ?= list
 
-.PHONY: build test test-race alloc-pins vet benchmark-module stats-golden loc fuzz-short stress serve netbench ci clean
+LOC_DIR ?= .
+
+.PHONY: build test test-race alloc-pins vet benchmark-module stats-golden loc loc-diff fuzz-short stress serve netbench ci clean
 
 build:
 	$(GO) build ./...
@@ -14,8 +16,9 @@ test:
 test-race:
 	$(GO) test -race ./...
 
-# The AllocsPerRun pins along the point-lookup path (block, cache, sstable,
-# lsm, core). They skip under the race detector (internal/raceflag), so the
+# The AllocsPerRun pins: the point-lookup path (block, cache, sstable, lsm,
+# core), a healthy engine's Health and the write-admission gate (guard,
+# core), a 100,000-argument RESP command (server). They skip under the race detector (internal/raceflag), so the
 # test-race run does not check them; this one does.
 alloc-pins:
 	$(GO) test -count=1 -run 'Allocs' ./internal/...
@@ -40,10 +43,21 @@ stats-golden:
 # the total: the numbers ROADMAP re-anchors and "net-negative" PR claims
 # quote. CI prints it, so a claim is read from the log, not recounted.
 loc:
-	@find . -name '*.go' -not -path './benchmark/*' -not -path './.*' -print0 | xargs -0 wc -l | \
+	@cd $(LOC_DIR) && find . -name '*.go' -not -path './benchmark/*' -not -path './.*' -print0 | xargs -0 wc -l | \
 	awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); if ($$2 ~ /_test\.go$$/) t[d] += $$1; else n[d] += $$1; dirs[d] = 1 } \
 	     END { for (d in dirs) { printf "%-30s %7d non-test %7d test\n", d, n[d], t[d]; N += n[d]; T += t[d] } \
 	           printf "%-30s %7d non-test %7d test\n", "total", N, T }' | sort
+
+# make loc-diff BASE=<ref>: the same count on <ref> (git archive into a
+# temporary directory) and on the working tree, as per-package and total
+# deltas. CI prints it into the pull request's step summary.
+loc-diff:
+	@test -n "$(BASE)" || { echo "usage: make loc-diff BASE=<ref>" >&2; exit 2; }
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && git archive $(BASE) | tar -x -C "$$tmp" && \
+	{ $(MAKE) -s loc LOC_DIR="$$tmp" | sed 's/^/base /'; $(MAKE) -s loc | sed 's/^/head /'; } | \
+	awk '{ n[$$1,$$2] = $$3; t[$$1,$$2] = $$5; dirs[$$2] = 1 } \
+	     END { for (d in dirs) { dn = n["head",d] - n["base",d]; dt = t["head",d] - t["base",d]; \
+	           if (dn || dt || d == "total") printf "%-30s %+7d non-test %+7d test\n", d, dn, dt } }' | sort
 
 # Short fuzzing pass over every fuzz target (Go runs one -fuzz target per
 # invocation, so each gets its own line).

@@ -19,16 +19,15 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"strings"
 
 	"p2kvs/internal/block"
 	"p2kvs/internal/bptree"
+	"p2kvs/internal/guard"
 	"p2kvs/internal/ikey"
 	"p2kvs/internal/kv"
-	"p2kvs/internal/spacewatch"
 	"p2kvs/internal/sstable"
 	"p2kvs/internal/vfs"
 	"p2kvs/internal/wal"
@@ -77,29 +76,21 @@ type DB struct {
 	wal    *wal.Writer
 	closed bool
 
-	// Online-backup pinning (see PrepareCheckpoint): while > 0, retired
-	// generations' files are parked in ckptDeferred instead of deleted,
-	// because a backup in progress may still be copying them.
-	ckptPins     int
-	ckptDeferred []string
-	ckptStats    kv.CheckpointStats // under mu
+	// Online-backup pins (see PrepareCheckpoint): while one is held, a
+	// backup in progress may still be copying a retired generation, so its
+	// files are retired through Remove.
+	kv.CheckpointState
 
-	// Disk-full degraded state (health.go): bgErr blocks writes while set
-	// (it matches kv.ErrDegraded); spaceWatch auto-resumes once space
-	// frees.
-	bgErr          error
-	diskFull       bool
-	diskFullEvents atomic.Int64
-	autoResumes    atomic.Int64
-	spaceWatch     *spacewatch.Watchdog
+	// g holds the degraded state (health.go): a full disk or a detected
+	// corruption blocks writes through it, and it resumes the store once
+	// space frees.
+	g *guard.Guard
 
 	// Corruption containment (corruption.go). Guarded by corrMu — its own
 	// mutex so read paths holding the shared latch can record detections.
-	corrMu           sync.Mutex
-	corrErr          error
-	corrBaseOnly     bool
-	corruptionEvents atomic.Int64
-	repairedFiles    atomic.Int64
+	corrMu       sync.Mutex
+	corrErr      error
+	corrBaseOnly bool
 }
 
 var _ kv.Engine = (*DB)(nil)
@@ -153,6 +144,7 @@ func Open(dir string, opts Options) (*DB, error) {
 		return nil, err
 	}
 	d := &DB{opts: opts, dir: dir, dirty: bptree.New[dirtyVal]()}
+	d.g = guard.New("btreekv", opts.FS, dir, d.reclaimSpace, d.Resume, 0, 0)
 
 	// Load the checkpoint generation from META.
 	if opts.FS.Exists(metaName(dir)) {
@@ -238,13 +230,6 @@ func Open(dir string, opts Options) (*DB, error) {
 	if err := opts.FS.Rename(walName(dir, d.gen)+".new", walName(dir, d.gen)); err != nil {
 		return nil, err
 	}
-	if cerr, _ := d.corruption(); cerr != nil {
-		// Writes into a shard whose recovered state is unsound only widen
-		// the blast radius; degrade them (same state machine as disk-full,
-		// but lifted by repair/restore rather than the space watchdog).
-		d.bgErr = &degradedError{cause: cerr}
-	}
-	d.spaceWatch = spacewatch.New(d.diskFullDegraded, d.spaceProbe, d.autoResume, 0, 0)
 	return d, nil
 }
 
@@ -296,19 +281,11 @@ func (d *DB) update(key, value []byte, tomb bool) error {
 		d.mu.Unlock()
 		return kv.ErrClosed
 	}
-	if d.bgErr != nil {
-		// Disk-full degraded: fail writes fast; reads keep serving and
-		// the watchdog resumes once space frees.
-		err := d.bgErr
+	if err := d.g.Err(); err != nil {
+		// Degraded (disk full, or a corruption that makes the recovered
+		// state unsound): fail writes fast; reads keep serving.
 		d.mu.Unlock()
 		return err
-	}
-	if cerr, _ := d.corruption(); cerr != nil {
-		// Corruption detected at runtime (read path can't take the write
-		// latch to install bgErr): block writes here with the same
-		// degraded semantics.
-		d.mu.Unlock()
-		return &degradedError{cause: cerr}
 	}
 	if d.opts.PerUpdateCost > 0 {
 		time.Sleep(d.opts.PerUpdateCost)
@@ -317,9 +294,9 @@ func (d *DB) update(key, value []byte, tomb bool) error {
 		switch {
 		case vfs.IsNoSpace(err):
 			// Checkpoint self-heal would write a whole new generation on
-			// the same full disk; degrade instead and let the watchdog
+			// the same full disk; degrade instead and let the guard
 			// re-platform at Resume.
-			d.degradeLocked(err)
+			d.g.Degrade("journal append", err)
 		case d.wal.Tainted():
 			// The journal may end in a torn or unsynced record; anything
 			// appended behind it would be silently dropped at replay.
@@ -338,7 +315,7 @@ func (d *DB) update(key, value []byte, tomb bool) error {
 			// The write itself was acked (journal append succeeded); only
 			// the reconciliation hit the full disk. Degrade so further
 			// writes don't pile onto an unreconcilable dirty buffer.
-			d.degradeLocked(err)
+			d.g.Degrade("checkpoint", err)
 			err = nil
 		}
 		d.mu.Unlock()
@@ -510,23 +487,12 @@ func (d *DB) checkpointLocked() error {
 		d.base = nil
 	}
 	oldWAL.Close()
-	d.removeObsoleteLocked(walName(d.dir, oldGen))
+	d.Remove(d.opts.FS, walName(d.dir, oldGen))
 	if oldBase != nil {
 		oldBase.Close()
-		d.removeObsoleteLocked(ckptName(d.dir, oldGen))
+		d.Remove(d.opts.FS, ckptName(d.dir, oldGen))
 	}
 	return nil
-}
-
-// removeObsoleteLocked deletes a retired generation's file, or defers the
-// deletion while an online backup pins the captured generation. Caller
-// holds the write latch.
-func (d *DB) removeObsoleteLocked(path string) {
-	if d.ckptPins > 0 {
-		d.ckptDeferred = append(d.ckptDeferred, path)
-		return
-	}
-	d.opts.FS.Remove(path)
 }
 
 // Flush implements kv.Engine (checkpoint + journal sync).
@@ -559,10 +525,8 @@ func (d *DB) Close() error {
 	}
 	d.closed = true
 	d.mu.Unlock()
-	// Stop the watchdog without holding the latch — its predicate takes it.
-	if d.spaceWatch != nil {
-		d.spaceWatch.Close()
-	}
+	// Stop the guard without holding the latch — a resume in flight takes it.
+	d.g.Close()
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	err := d.wal.Close()

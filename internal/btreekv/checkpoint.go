@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"p2kvs/internal/kv"
-	"p2kvs/internal/stats"
 	"p2kvs/internal/vfs"
 )
 
@@ -27,20 +26,13 @@ func (d *DB) PrepareCheckpoint() (kv.CheckpointWriter, error) {
 	if d.closed {
 		return nil, kv.ErrClosed
 	}
-	d.ckptPins++
+	d.Pin()
 	return &ckptWriter{
 		d:       d,
 		gen:     d.gen,
 		walSize: d.wal.Size(),
 		hasBase: d.base != nil,
 	}, nil
-}
-
-// CheckpointStats implements kv.CheckpointStatsReporter.
-func (d *DB) CheckpointStats() kv.CheckpointStats {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return d.ckptStats
 }
 
 type ckptWriter struct {
@@ -88,9 +80,7 @@ func (w *ckptWriter) WriteTo(fs vfs.FS, dir string, seq uint64) ([]kv.Checkpoint
 	}
 	files = append(files, kv.CheckpointFile{Name: mname, Restore: "META"})
 
-	d.mu.Lock()
-	stats.Merge(&d.ckptStats, done)
-	d.mu.Unlock()
+	d.Add(done)
 	return files, nil
 }
 
@@ -100,16 +90,5 @@ func (w *ckptWriter) Release() {
 		return
 	}
 	w.released = true
-	d := w.d
-	d.mu.Lock()
-	d.ckptPins--
-	var drain []string
-	if d.ckptPins == 0 {
-		drain = d.ckptDeferred
-		d.ckptDeferred = nil
-	}
-	d.mu.Unlock()
-	for _, p := range drain {
-		d.opts.FS.Remove(p)
-	}
+	w.d.Unpin(w.d.opts.FS)
 }

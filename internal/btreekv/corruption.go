@@ -25,7 +25,7 @@ import (
 //     have lost its newest version, so even a base hit could be stale.
 //     Every read fails with kv.ErrCorruption until the shard is restored.
 //
-// Either way writes degrade (mirroring the §11 disk-full state machine):
+// Either way writes degrade (through the engine guard, like a full disk):
 // appending to a shard whose recovered state is unsound only widens the
 // blast radius. Repair: Scrub re-fetches the base from the RepairSource
 // (the newest backup generation), re-verifies it end to end and swaps it
@@ -37,7 +37,7 @@ func baseName(gen uint64) string { return fmt.Sprintf("ckpt-%06d.db", gen) }
 // base-corrupt/journal-intact case where dirty hits keep serving. Safe to
 // call from read paths (own mutex, not the store latch).
 func (d *DB) noteCorruption(err error, baseOnly bool) {
-	d.corruptionEvents.Add(1)
+	d.g.NoteCorruption(err)
 	d.corrMu.Lock()
 	if d.corrErr == nil {
 		d.corrErr = err
@@ -47,6 +47,11 @@ func (d *DB) noteCorruption(err error, baseOnly bool) {
 		d.corrBaseOnly = false
 	}
 	d.corrMu.Unlock()
+	// Writes into a shard whose state is unsound only widen the blast
+	// radius. Recorded first, degraded second: a Resume in between
+	// re-degrades from the record.
+	d.g.Quarantined.Store(1) // the one base/journal under containment
+	d.g.Degrade("integrity check", err)
 }
 
 // corruption returns the active corruption error (nil when sound) and
@@ -161,9 +166,10 @@ func (d *DB) tryRepairBase() bool {
 	d.corrBaseOnly = false
 	d.corrMu.Unlock()
 	// Lift the write block iff corruption was what installed it.
-	if d.bgErr != nil && errors.Is(d.bgErr, kv.ErrCorruption) {
-		d.bgErr = nil
+	if errors.Is(d.g.Err(), kv.ErrCorruption) {
+		d.g.Clear()
 	}
-	d.repairedFiles.Add(1)
+	d.g.Quarantined.Store(0)
+	d.g.Repaired.Add(1)
 	return true
 }

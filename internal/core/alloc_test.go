@@ -5,7 +5,9 @@ import (
 	"testing"
 
 	"p2kvs/internal/kv"
+	"p2kvs/internal/lsm"
 	"p2kvs/internal/raceflag"
+	"p2kvs/internal/vfs"
 )
 
 // nopEngine does no work and allocates nothing, so every allocation the
@@ -88,5 +90,24 @@ func TestAllocsAboveEngine(t *testing.T) {
 		if got > c.max {
 			t.Errorf("%s: %.0f allocs/op above the engine, pinned at %.0f", c.name, got, c.max)
 		}
+	}
+}
+
+// TestDegradedErrAllocs pins the write-admission gate: every write asks its
+// worker's engine for Health, which on a healthy lsm reads atomics only.
+func TestDegradedErrAllocs(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("allocation pins are not meaningful under the race detector")
+	}
+	db, err := lsm.Open("db", lsm.RocksDBOptions(vfs.NewMem()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	w := &worker{}
+	w.hr = db
+	var gate error
+	if n := testing.AllocsPerRun(200, func() { gate = w.degradedErr() }); n != 0 || gate != nil {
+		t.Errorf("degradedErr over a healthy lsm: %.0f allocs, gate %v; want 0, nil", n, gate)
 	}
 }

@@ -1,6 +1,11 @@
 package kv
 
-import "p2kvs/internal/vfs"
+import (
+	"sync"
+
+	"p2kvs/internal/stats"
+	"p2kvs/internal/vfs"
+)
 
 // CheckpointFile describes one file an engine emitted into a checkpoint
 // image.
@@ -51,6 +56,77 @@ func (st *CheckpointStats) AddFile(srcFS vfs.FS, src string, dstFS vfs.FS, dst s
 	st.FilesCopied++
 	st.BytesCopied += n
 	return nil
+}
+
+// CheckpointState is what an engine keeps between checkpoints: the pins of
+// the checkpoints still materializing, the file removals parked behind
+// them, and the lifetime statistics. An engine embeds it (which makes the
+// engine a CheckpointStatsReporter), pins in PrepareCheckpoint, unpins in
+// the writer's Release, and retires every file through Remove. The mutex
+// is a leaf: nothing is called with it held.
+type CheckpointState struct {
+	mu           sync.Mutex
+	ckptPins     int
+	ckptDeferred []string
+	stats        CheckpointStats
+}
+
+// Pin holds every file retired from now on on disk until the matching
+// Unpin: a checkpoint captured after the pin may still be linking or
+// copying it.
+func (c *CheckpointState) Pin() {
+	c.mu.Lock()
+	c.ckptPins++
+	c.mu.Unlock()
+}
+
+// Unpin drops one pin; the last one out executes the parked removals.
+func (c *CheckpointState) Unpin(fs vfs.FS) {
+	c.mu.Lock()
+	c.ckptPins--
+	var drain []string
+	if c.ckptPins == 0 {
+		drain, c.ckptDeferred = c.ckptDeferred, nil
+	}
+	c.mu.Unlock()
+	for _, p := range drain {
+		fs.Remove(p)
+	}
+}
+
+// Remove deletes an obsolete engine file, or parks the deletion while a
+// pin is held.
+func (c *CheckpointState) Remove(fs vfs.FS, path string) {
+	c.mu.Lock()
+	if c.ckptPins > 0 {
+		c.ckptDeferred = append(c.ckptDeferred, path)
+		c.mu.Unlock()
+		return
+	}
+	c.mu.Unlock()
+	fs.Remove(path)
+}
+
+// Held reports whether a pin is held: files that look unreferenced may
+// belong to a checkpoint in progress.
+func (c *CheckpointState) Held() bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.ckptPins > 0
+}
+
+// Add merges one finished checkpoint's share into the lifetime statistics.
+func (c *CheckpointState) Add(done CheckpointStats) {
+	c.mu.Lock()
+	stats.Merge(&c.stats, done)
+	c.mu.Unlock()
+}
+
+// CheckpointStats implements CheckpointStatsReporter.
+func (c *CheckpointState) CheckpointStats() CheckpointStats {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.stats
 }
 
 // CheckpointStatsReporter is the optional capability of reporting

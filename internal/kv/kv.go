@@ -40,6 +40,26 @@ var ErrClosed = errors.New("kv: engine closed")
 // Resumer engine to re-attempt recovery.
 var ErrDegraded = errors.New("kv: engine degraded to read-only")
 
+// DegradedError is the error that blocks writes while an engine is
+// read-only: which engine, which of its jobs failed, and the failure. One
+// type for every engine family (the engine guard installs it); it matches
+// ErrDegraded under errors.Is and unwraps to the cause, so a caller can
+// still classify that (vfs.IsNoSpace, ErrCorruption).
+type DegradedError struct {
+	Engine string
+	Job    string
+	Cause  error
+}
+
+func (e *DegradedError) Error() string {
+	return fmt.Sprintf("%s: %s failed, engine degraded to read-only: %v", e.Engine, e.Job, e.Cause)
+}
+
+func (e *DegradedError) Unwrap() error { return e.Cause }
+
+// Is makes errors.Is(err, ErrDegraded) match any DegradedError.
+func (e *DegradedError) Is(target error) bool { return target == ErrDegraded }
+
 // ErrOverloaded is returned by admission control when a request cannot be
 // accepted without unbounded waiting — the target shard's queue is full
 // (or the shard is degraded) under a fail-fast admission policy. The
@@ -142,12 +162,12 @@ type Health struct {
 	InjectedFaults int64 `json:"injected_faults" agg:"max" info:"Robustness"`
 	// DiskFull reports that the current degraded state was caused by
 	// space exhaustion (ENOSPC): reads keep working, writes fail, and the
-	// engine's watchdog will auto-Resume once space frees. Always false
+	// engine's guard will auto-Resume once space frees. Always false
 	// when State is StateHealthy.
 	DiskFull bool `json:"disk_full" agg:"or" info:"Robustness"`
 	// DiskFullEvents counts transitions into disk-full degraded mode over
-	// the engine's lifetime; AutoResumes counts how many times the space
-	// watchdog brought the engine back without an explicit Resume call.
+	// the engine's lifetime; AutoResumes counts how many times the guard's
+	// poll brought the engine back without an explicit Resume call.
 	DiskFullEvents int64 `json:"disk_full_events" agg:"sum" info:"Robustness"`
 	AutoResumes    int64 `json:"auto_resumes" agg:"sum" info:"Robustness"`
 	// CorruptionEvents counts at-rest integrity failures detected over the

@@ -33,13 +33,6 @@ func (s *Store) PrepareCheckpoint() (kv.CheckpointWriter, error) {
 	return &ckptWriter{s: s, pairs: pairs}, nil
 }
 
-// CheckpointStats implements kv.CheckpointStatsReporter.
-func (s *Store) CheckpointStats() kv.CheckpointStats {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.ckptStats
-}
-
 type ckptWriter struct {
 	s     *Store
 	pairs [][2][]byte
@@ -55,11 +48,7 @@ func (w *ckptWriter) WriteTo(fs vfs.FS, dir string, seq uint64) ([]kv.Checkpoint
 	if err := vfs.WriteFile(fs, dir+"/"+name, data); err != nil {
 		return nil, err
 	}
-	w.s.mu.Lock()
-	w.s.ckptStats.Checkpoints++
-	w.s.ckptStats.FilesCopied++
-	w.s.ckptStats.BytesCopied += int64(len(data))
-	w.s.mu.Unlock()
+	w.s.Add(kv.CheckpointStats{Checkpoints: 1, FilesCopied: 1, BytesCopied: int64(len(data))})
 	return []kv.CheckpointFile{{Name: name, Restore: snapshotName}}, nil
 }
 

@@ -78,16 +78,6 @@ func (w *worker) verifySlot(rec []byte, class int, slot int64) (klen, vlen int, 
 	return klen, vlen, nil
 }
 
-// noteCorruption records a detection at store level (health counters).
-func (s *Store) noteCorruption(err error) {
-	s.corruptionEvents.Add(1)
-	s.mu.Lock()
-	if s.lastCorr == nil {
-		s.lastCorr = err
-	}
-	s.mu.Unlock()
-}
-
 var _ kv.Scrubber = (*Store)(nil)
 
 // Scrub implements kv.Scrubber: every slab of every worker is re-read and
@@ -140,7 +130,7 @@ func (w *worker) scrubSlab(class int) (bytes, corrupt int64) {
 		if _, err := sl.f.ReadAt(chunk, base*sl.slotSize); err != nil {
 			// An unreadable region counts as corrupt; keep scanning.
 			corrupt++
-			w.noteCorrupt(w.corruptSlotErr(class, base, "kvell: slab unreadable during scrub"))
+			w.g.NoteCorruption(w.corruptSlotErr(class, base, "kvell: slab unreadable during scrub"))
 			continue
 		}
 		bytes += int64(len(chunk))
@@ -151,7 +141,7 @@ func (w *worker) scrubSlab(class int) (bytes, corrupt int64) {
 			}
 			if _, _, err := w.verifySlot(rec, class, base+i); err != nil {
 				corrupt++
-				w.noteCorrupt(err)
+				w.g.NoteCorruption(err)
 			}
 		}
 	}

@@ -21,15 +21,14 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"p2kvs/internal/block"
 	"p2kvs/internal/bloom"
 	"p2kvs/internal/bptree"
+	"p2kvs/internal/guard"
 	"p2kvs/internal/kv"
 	"p2kvs/internal/metrics"
-	"p2kvs/internal/spacewatch"
 	"p2kvs/internal/vfs"
 )
 
@@ -70,23 +69,16 @@ type Store struct {
 	workers []*worker
 	closed  bool
 	// mu guards closed: submitters hold it shared while enqueueing so
-	// Close cannot close a queue mid-send. It also guards ckptStats and
-	// the degraded state.
-	mu        sync.RWMutex
-	ckptStats kv.CheckpointStats
+	// Close cannot close a queue mid-send.
+	mu sync.RWMutex
 
-	// Disk-full degraded state (health.go): while bgErr is set writes are
-	// rejected at submit (the error matches kv.ErrDegraded) and reads keep
-	// serving; spaceWatch auto-resumes once space frees.
-	bgErr          error
-	diskFull       bool
-	diskFullEvents atomic.Int64
-	autoResumes    atomic.Int64
-	spaceWatch     *spacewatch.Watchdog
+	// No file is ever retired, so only the statistics half is used.
+	kv.CheckpointState
 
-	// At-rest integrity counters (corruption.go). lastCorr is mu-guarded.
-	corruptionEvents atomic.Int64
-	lastCorr         error
+	// g holds the degraded state (health.go): while it is degraded writes
+	// are rejected at submit and reads keep serving; it resumes the store
+	// once space frees.
+	g *guard.Guard
 }
 
 var _ kv.Engine = (*Store)(nil)
@@ -119,10 +111,9 @@ type worker struct {
 	queue     chan *request
 	meter     *metrics.Meter
 	perOpCost time.Duration
-	// degrade reports a space-exhaustion write failure to the store.
-	degrade func(error)
-	// noteCorrupt reports a detected slot corruption to the store.
-	noteCorrupt func(error)
+	// g is the store's guard: a space-exhaustion write failure degrades
+	// it, a detected slot corruption is counted by it.
+	g *guard.Guard
 
 	// corrupt, when non-nil, poisons the worker: recovery found a slot it
 	// could not trust, so the rebuilt index may be missing durably written
@@ -165,6 +156,7 @@ func Open(dir string, opts Options) (*Store, error) {
 		return nil, err
 	}
 	s := &Store{opts: opts, dir: dir}
+	s.g = guard.New("kvell", opts.FS, dir, nil, s.Resume, 0, 0)
 	for i := 0; i < opts.Workers; i++ {
 		w := &worker{
 			id:        i,
@@ -174,9 +166,8 @@ func Open(dir string, opts Options) (*Store, error) {
 			index:     bptree.New[loc](),
 			cache:     newPageCache(opts.CacheBytes / int64(opts.Workers)),
 			perOpCost: opts.PerOpCost,
-			degrade:   s.noteNoSpace,
+			g:         s.g,
 		}
-		w.noteCorrupt = s.noteCorruption
 		if opts.Meters != nil {
 			w.meter = opts.Meters.Meter(fmt.Sprintf("kvell-w%d", i))
 		}
@@ -186,6 +177,12 @@ func Open(dir string, opts Options) (*Store, error) {
 		w.wg.Add(1)
 		go w.loop()
 		s.workers = append(s.workers, w)
+		if w.corrupt != nil {
+			// One poisoned partition ≈ one quarantined slab set; the store
+			// is read-only until it is restored (Resume does not lift it).
+			s.g.Quarantined.Add(1)
+			s.g.Degrade("integrity check", w.corrupt)
+		}
 	}
 	// A restored backup image materializes as a SNAPSHOT file (see
 	// checkpoint.go); replay it through the normal write path.
@@ -195,7 +192,6 @@ func Open(dir string, opts Options) (*Store, error) {
 			return nil, err
 		}
 	}
-	s.spaceWatch = spacewatch.New(s.diskFullDegraded, s.spaceProbe, s.autoResume, 0, 0)
 	return s, nil
 }
 
@@ -263,7 +259,7 @@ func (w *worker) open() error {
 					if w.corrupt == nil {
 						w.corrupt = err
 					}
-					w.noteCorrupt(err)
+					w.g.NoteCorruption(err)
 					continue
 				}
 				key := append([]byte(nil), rec[slotHdr:slotHdr+kl]...)
@@ -315,7 +311,7 @@ func (w *worker) handle(req *request) {
 		if w.corrupt != nil {
 			// Read-only-minus: appending to a partition whose recovered
 			// index may be missing keys only widens the blast radius.
-			req.err = &degradedError{cause: w.corrupt}
+			req.err = &kv.DegradedError{Engine: "kvell", Job: "integrity check", Cause: w.corrupt}
 			return
 		}
 		if req.op == kv.OpPut {
@@ -324,7 +320,7 @@ func (w *worker) handle(req *request) {
 			req.err = w.delete(req.key)
 		}
 		if req.err != nil && vfs.IsNoSpace(req.err) {
-			w.degrade(req.err)
+			w.g.Degrade("slab write", req.err)
 		}
 	case opScan:
 		req.out, req.err = w.scan(req.start, req.limit)
@@ -362,17 +358,17 @@ func (w *worker) readSlot(l loc, key []byte) ([]byte, error) {
 	}
 	if klen := binary.LittleEndian.Uint16(buf); klen == freeMark || klen == 0 {
 		err := w.corruptSlotErr(l.class, l.slot, "kvell: indexed slot marked free on disk")
-		w.noteCorrupt(err)
+		w.g.NoteCorruption(err)
 		return nil, err
 	}
 	klen, vlen, err := w.verifySlot(buf, l.class, l.slot)
 	if err != nil {
-		w.noteCorrupt(err)
+		w.g.NoteCorruption(err)
 		return nil, err
 	}
 	if key != nil && !bytes.Equal(buf[slotHdr:slotHdr+klen], key) {
 		err := w.corruptSlotErr(l.class, l.slot, "kvell: index/slot key mismatch")
-		w.noteCorrupt(err)
+		w.g.NoteCorruption(err)
 		return nil, err
 	}
 	return append([]byte(nil), buf[slotHdr+klen:slotHdr+klen+vlen]...), nil
@@ -480,11 +476,12 @@ func (s *Store) submit(w *worker, req *request) error {
 		s.mu.RUnlock()
 		return kv.ErrClosed
 	}
-	if s.bgErr != nil && (req.op == kv.OpPut || req.op == kv.OpDelete) {
-		// Disk-full degraded: reject writes fast, keep serving reads.
-		err := s.bgErr
-		s.mu.RUnlock()
-		return err
+	if req.op == kv.OpPut || req.op == kv.OpDelete {
+		// Degraded: reject writes fast, keep serving reads.
+		if err := s.g.Err(); err != nil {
+			s.mu.RUnlock()
+			return err
+		}
 	}
 	req.done = make(chan struct{})
 	w.queue <- req
@@ -571,7 +568,7 @@ func (s *Store) Flush() error {
 			}
 			if err := sl.f.Sync(); err != nil {
 				if vfs.IsNoSpace(err) {
-					s.noteNoSpace(err)
+					s.g.Degrade("slab sync", err)
 				}
 				return err
 			}
@@ -613,9 +610,7 @@ func (s *Store) Close() error {
 	}
 	s.closed = true
 	s.mu.Unlock()
-	if s.spaceWatch != nil {
-		s.spaceWatch.Close()
-	}
+	s.g.Close()
 	for _, w := range s.workers {
 		close(w.queue)
 		w.wg.Wait()

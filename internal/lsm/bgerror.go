@@ -19,32 +19,11 @@ import (
 // case — EIO on fsync, a torn write) are retried in place with capped
 // exponential backoff, keeping the memtable and WAL alive so no
 // acknowledged write is lost. Only when retries are exhausted (or the
-// error is permanent) does the engine degrade to read-only: writes fail
-// fast with an error matching kv.ErrDegraded while reads keep serving the
-// existing state. Resume() clears the degraded state and re-kicks the
-// background work, rotating away from a tainted WAL so writes can land.
-//
-//	healthy ──bg failure──▶ retrying ──success──▶ healthy
-//	                           │
-//	                 retries exhausted / permanent
-//	                           ▼
-//	                       read-only ──Resume()──▶ healthy (re-attempts)
-
-// degradedError is the write-blocking error installed when retries are
-// exhausted. It matches kv.ErrDegraded via errors.Is and unwraps to the
-// background failure that caused it.
-type degradedError struct {
-	job   string
-	cause error
-}
-
-func (e *degradedError) Error() string {
-	return fmt.Sprintf("lsm: %s failed, engine degraded to read-only: %v", e.job, e.cause)
-}
-
-func (e *degradedError) Unwrap() error { return e.cause }
-
-func (e *degradedError) Is(target error) bool { return target == kv.ErrDegraded }
+// error is permanent, or the disk is full) does the engine degrade to
+// read-only. The retry budget is this engine's; the degraded state, the
+// disk-full poll and Health are the engine guard's (internal/guard, whose
+// package comment has the state diagram). Resume rotates away from a
+// tainted WAL so writes can land and re-kicks the background work.
 
 // isPermanentBgErr reports whether a background error cannot be cured by
 // retrying. Everything else — including injected faults — is assumed
@@ -53,40 +32,12 @@ func isPermanentBgErr(err error) bool {
 	return errors.Is(err, kv.ErrClosed) || errors.Is(err, wal.ErrClosed)
 }
 
-// updateStateLocked recomputes the health state from the error fields and
-// publishes it to the lock-free mirror. Caller holds d.mu.
-func (d *DB) updateStateLocked() {
-	var s kv.HealthState
-	switch {
-	case d.bgErr != nil:
-		s = kv.StateReadOnly
-	case d.flushFailing || d.compactFailing:
-		s = kv.StateRetrying
-	default:
-		s = kv.StateHealthy
-	}
-	d.stateA.Store(int32(s))
-}
-
-// degradeLocked installs the write-blocking degraded error (first failure
-// wins) and wakes every stalled writer and Flush waiter so they observe
-// it. A degrade caused by space exhaustion additionally enters disk-full
-// mode: the space watchdog starts polling (reclaiming obsolete files and
-// probing for freed space) so the engine auto-resumes without operator
-// intervention. Caller holds d.mu.
+// degradeLocked makes the engine read-only (first failure wins) and wakes
+// every stalled writer and Flush waiter so they observe it. Caller holds
+// d.mu: the stall, flush and compaction loops test the guard inside it, so
+// none can miss the broadcast.
 func (d *DB) degradeLocked(job string, cause error) {
-	if d.bgErr == nil {
-		d.bgErr = &degradedError{job: job, cause: cause}
-		d.bgCause = cause
-		if vfs.IsNoSpace(cause) {
-			d.diskFull = true
-			d.perf.diskFullEvents.Add(1)
-			if d.spaceWatch != nil {
-				d.spaceWatch.Kick()
-			}
-		}
-	}
-	d.updateStateLocked()
+	d.g.Degrade(job, cause)
 	d.cond.Broadcast()
 }
 
@@ -100,10 +51,9 @@ func (d *DB) noteBgFailure(job string, err error, attempt int) bool {
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if d.bgErr != nil {
+	if d.g.Err() != nil {
 		return false
 	}
-	d.bgCause = err
 	if job == "flush" {
 		d.flushFailing = true
 	} else {
@@ -111,13 +61,13 @@ func (d *DB) noteBgFailure(job string, err error, attempt int) bool {
 	}
 	// ENOSPC degrades immediately rather than burning the retry budget:
 	// re-running the job cannot free space, while degrading at once lets
-	// the watchdog start reclaiming and keeps reads served in the
+	// the guard start reclaiming and keeps reads served in the
 	// meantime.
 	if isPermanentBgErr(err) || vfs.IsNoSpace(err) || attempt+1 >= d.opts.BgMaxRetries {
 		d.degradeLocked(job, err)
 		return false
 	}
-	d.updateStateLocked()
+	d.g.Retrying(err)
 	return true
 }
 
@@ -129,10 +79,9 @@ func (d *DB) clearBgFailure(job string) {
 	} else {
 		d.compactFailing = false
 	}
-	if !d.flushFailing && !d.compactFailing && d.bgErr == nil {
-		d.bgCause = nil
+	if !d.flushFailing && !d.compactFailing {
+		d.g.Retrying(nil)
 	}
-	d.updateStateLocked()
 	d.mu.Unlock()
 }
 
@@ -205,31 +154,12 @@ func (d *DB) applyEdit(edit *manifest.VersionEdit, orphans ...uint64) error {
 	return err
 }
 
-// Health implements kv.HealthReporter. The healthy fast path reads only
-// atomics.
+// Health implements kv.HealthReporter: the guard's report plus this
+// engine's retry counters. Healthy, it reads only atomics.
 func (d *DB) Health() kv.Health {
-	h := kv.Health{
-		State:          kv.HealthState(d.stateA.Load()),
-		FlushRetries:   d.perf.flushRetries.Load(),
-		CompactRetries: d.perf.compactRetries.Load(),
-		InjectedFaults: vfs.InjectedFaults(d.opts.FS),
-	}
-	h.DiskFullEvents = d.perf.diskFullEvents.Load()
-	h.AutoResumes = d.perf.autoResumes.Load()
-	h.CorruptionEvents = d.perf.corruptionEvents.Load()
-	h.QuarantinedFiles = d.perf.quarCount.Load()
-	h.RepairedFiles = d.perf.repairedFiles.Load()
-	if h.State != kv.StateHealthy || h.CorruptionEvents > 0 {
-		d.mu.Lock()
-		if d.bgErr != nil {
-			h.Err = kv.CauseOf(d.bgErr)
-		} else {
-			h.Err = kv.CauseOf(d.bgCause)
-		}
-		h.DiskFull = d.diskFull
-		h.LastCorruption = kv.CauseOf(d.lastCorruption)
-		d.mu.Unlock()
-	}
+	h := d.g.Health()
+	h.FlushRetries = d.perf.flushRetries.Load()
+	h.CompactRetries = d.perf.compactRetries.Load()
 	return h
 }
 
@@ -241,12 +171,9 @@ func (d *DB) Resume() error {
 		return kv.ErrClosed
 	}
 	d.mu.Lock()
-	d.bgErr = nil
-	d.bgCause = nil
+	d.g.Clear()
 	d.flushFailing = false
 	d.compactFailing = false
-	d.diskFull = false
-	d.updateStateLocked()
 	if d.wal != nil && d.wal.Tainted() {
 		d.rotateLocked()
 	}
@@ -260,42 +187,17 @@ func (d *DB) Resume() error {
 	return nil
 }
 
-// ---------------------------------------------------------------------------
-// Disk-full handling: obsolete-file GC and the auto-resume watchdog
-// ---------------------------------------------------------------------------
-
-// diskFullDegraded is the watchdog's "still stuck?" predicate.
-func (d *DB) diskFullDegraded() bool {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.diskFull && d.bgErr != nil
-}
-
-// spaceProbe first garbage-collects files no longer referenced by the
-// current version (a full disk is exactly when reclaiming them matters
-// most), then checks whether a small durable write succeeds.
-func (d *DB) spaceProbe() bool {
-	d.reclaimSpace()
-	return vfs.ProbeSpace(d.opts.FS, d.dir)
-}
-
-// autoResume is invoked by the watchdog once the probe succeeds while the
-// engine is still disk-full degraded.
-func (d *DB) autoResume() {
-	d.perf.autoResumes.Add(1)
-	_ = d.Resume()
-}
-
-// reclaimSpace deletes files in the instance directory that nothing
-// references: SSTs absent from the current version and logs older than
-// the manifest's LogNum (already flushed). It only runs while the engine
-// is degraded — no flush or compaction can start then, so a name absent
-// from the snapshot taken under d.mu cannot become live again (file
-// numbers are never reused) — and defers to checkpoint pins, which may
-// still reference retired files.
+// reclaimSpace is what the guard runs before each space probe (a full disk
+// is exactly when garbage matters most): it deletes files in the instance
+// directory that nothing references — SSTs absent from the current version
+// and logs older than the manifest's LogNum (already flushed). It only runs
+// while the engine is degraded — no flush or compaction can start then, so
+// a name absent from the snapshot taken under d.mu cannot become live again
+// (file numbers are never reused) — and defers to checkpoint pins, which
+// may still reference retired files.
 func (d *DB) reclaimSpace() {
 	d.mu.Lock()
-	if d.bgErr == nil || d.closed.Load() || d.ckptPins > 0 || len(d.compRunning) > 0 {
+	if d.g.Err() == nil || d.closed.Load() || d.Held() || len(d.compRunning) > 0 {
 		d.mu.Unlock()
 		return
 	}

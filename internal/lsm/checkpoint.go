@@ -5,7 +5,6 @@ import (
 
 	"p2kvs/internal/kv"
 	"p2kvs/internal/manifest"
-	"p2kvs/internal/stats"
 	"p2kvs/internal/vfs"
 	"p2kvs/internal/wal"
 )
@@ -19,7 +18,7 @@ import (
 //     IO happens here — barrier time is writer-stall time.
 //   - WriteTo runs with writes resumed. It hard-links the captured SSTs
 //     (immutable once written, and the pin keeps compactions from deleting
-//     them — see removeObsolete), copies the [0, size) prefix of each
+//     them — kv.CheckpointState.Remove), copies the [0, size) prefix of each
 //     captured WAL (WALs are append-only, so a prefix at a record boundary
 //     is a stable crash-consistent image), and writes the captured
 //     manifest snapshot as the image's trimmed MANIFEST.
@@ -40,26 +39,13 @@ type walCapture struct {
 var _ kv.Checkpointer = (*DB)(nil)
 var _ kv.CheckpointStatsReporter = (*DB)(nil)
 
-// removeObsolete deletes an obsolete engine file, or defers the deletion
-// while checkpoint pins hold the captured view's files on disk.
-func (d *DB) removeObsolete(path string) {
-	d.mu.Lock()
-	if d.ckptPins > 0 {
-		d.ckptDeferred = append(d.ckptDeferred, path)
-		d.mu.Unlock()
-		return
-	}
-	d.mu.Unlock()
-	d.opts.FS.Remove(path)
-}
-
 // PrepareCheckpoint implements kv.Checkpointer.
 func (d *DB) PrepareCheckpoint() (kv.CheckpointWriter, error) {
 	if d.closed.Load() {
 		return nil, kv.ErrClosed
 	}
+	d.Pin()
 	d.mu.Lock()
-	d.ckptPins++
 	// Nested manifest lock inside d.mu: same order as publishReadStateLocked.
 	snap := d.vs.SnapshotEdit()
 	var wals []walCapture
@@ -73,13 +59,6 @@ func (d *DB) PrepareCheckpoint() (kv.CheckpointWriter, error) {
 	}
 	d.mu.Unlock()
 	return &ckptWriter{d: d, snap: snap, wals: wals}, nil
-}
-
-// CheckpointStats implements kv.CheckpointStatsReporter.
-func (d *DB) CheckpointStats() kv.CheckpointStats {
-	d.perf.ckptMu.Lock()
-	defer d.perf.ckptMu.Unlock()
-	return d.perf.ckpt
 }
 
 type ckptWriter struct {
@@ -137,9 +116,7 @@ func (w *ckptWriter) WriteTo(fs vfs.FS, dir string, seq uint64) ([]kv.Checkpoint
 		return nil, err
 	}
 	files = append(files, kv.CheckpointFile{Name: mname, Restore: "MANIFEST"})
-	d.perf.ckptMu.Lock()
-	stats.Merge(&d.perf.ckpt, done)
-	d.perf.ckptMu.Unlock()
+	d.Add(done)
 	return files, nil
 }
 
@@ -150,16 +127,5 @@ func (w *ckptWriter) Release() {
 		return
 	}
 	w.released = true
-	d := w.d
-	d.mu.Lock()
-	d.ckptPins--
-	var drain []string
-	if d.ckptPins == 0 {
-		drain = d.ckptDeferred
-		d.ckptDeferred = nil
-	}
-	d.mu.Unlock()
-	for _, p := range drain {
-		d.opts.FS.Remove(p)
-	}
+	w.d.Unpin(w.d.opts.FS)
 }

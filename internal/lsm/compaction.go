@@ -54,8 +54,8 @@ func (d *DB) claimManualJob(level int, begin, end []byte) (*compactionJob, error
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	for {
-		if d.bgErr != nil {
-			return nil, d.bgErr
+		if err := d.g.Err(); err != nil {
+			return nil, err
 		}
 		if d.closed.Load() {
 			return nil, kv.ErrClosed
@@ -423,7 +423,7 @@ func (d *DB) installCompaction(inLevel int, inputs []*manifest.FileMeta, outLeve
 		d.tcache.evict(f.Num)
 		// Deferred while a checkpoint pin holds: the captured version may
 		// still reference this input (DESIGN.md §10).
-		d.removeObsolete(sstName(d.dir, f.Num))
+		d.Remove(d.opts.FS, sstName(d.dir, f.Num))
 	}
 	return nil
 }

@@ -67,7 +67,7 @@ func corruptFileNum(err error) (uint64, bool) {
 // quarErr returns the corruption error recorded against file num, nil when
 // the file is healthy. The healthy fast path is one atomic load.
 func (d *DB) quarErr(num uint64) error {
-	if d.perf.quarCount.Load() == 0 {
+	if d.g.Quarantined.Load() == 0 {
 		return nil
 	}
 	d.mu.Lock()
@@ -81,12 +81,11 @@ func (d *DB) quarErr(num uint64) error {
 func (d *DB) recordCorruption(num uint64, err error) bool {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.lastCorruption = err
 	if _, already := d.quar[num]; already {
 		return false
 	}
 	d.quar[num] = err
-	d.perf.quarCount.Store(int64(len(d.quar)))
+	d.g.Quarantined.Store(int64(len(d.quar)))
 	return true
 }
 
@@ -99,12 +98,9 @@ func (d *DB) noteCorruption(err error) bool {
 	if err == nil || !errors.Is(err, kv.ErrCorruption) {
 		return false
 	}
-	d.perf.corruptionEvents.Add(1)
+	d.g.NoteCorruption(err)
 	num, ok := corruptFileNum(err)
 	if !ok {
-		d.mu.Lock()
-		d.lastCorruption = err
-		d.mu.Unlock()
 		return true
 	}
 	if d.recordCorruption(num, err) && !d.closed.Load() {
@@ -144,7 +140,7 @@ func (d *DB) tryRepair(num uint64) bool {
 		if data, ok := src.Fetch(name); ok && d.installRepair(num, data) == nil {
 			d.mu.Lock()
 			delete(d.quar, num)
-			d.perf.quarCount.Store(int64(len(d.quar)))
+			d.g.Quarantined.Store(int64(len(d.quar)))
 			d.mu.Unlock()
 			// Drop the reader holding the corrupt image so the next probe
 			// opens the repaired file; remove any parked copy from an
@@ -153,7 +149,7 @@ func (d *DB) tryRepair(num uint64) bool {
 			if p := quarantinePath(d.dir, num); d.opts.FS.Exists(p) {
 				d.opts.FS.Remove(p)
 			}
-			d.perf.repairedFiles.Add(1)
+			d.g.Repaired.Add(1)
 			return true
 		}
 	}
@@ -209,7 +205,7 @@ func (d *DB) loadQuarantine() {
 			Detail: "lsm: parked in quarantine by a previous run",
 		}
 	}
-	d.perf.quarCount.Store(int64(len(d.quar)))
+	d.g.Quarantined.Store(int64(len(d.quar)))
 }
 
 // jobQuarantinedLocked reports whether any file a compaction job would
@@ -285,7 +281,7 @@ func (d *DB) Scrub(ctx context.Context, lim kv.RateLimiter) (kv.ScrubResult, err
 			continue // compacted away mid-scrub
 		}
 		if errors.Is(err, kv.ErrCorruption) {
-			d.perf.corruptionEvents.Add(1)
+			d.g.NoteCorruption(err)
 			res.CorruptionsFound++
 			num, ok := corruptFileNum(err)
 			if !ok {

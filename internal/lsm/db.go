@@ -12,11 +12,11 @@ import (
 	"time"
 
 	"p2kvs/internal/cache"
+	"p2kvs/internal/guard"
 	"p2kvs/internal/ikey"
 	"p2kvs/internal/kv"
 	"p2kvs/internal/manifest"
 	"p2kvs/internal/memtable"
-	"p2kvs/internal/spacewatch"
 	"p2kvs/internal/wal"
 )
 
@@ -56,36 +56,28 @@ type DB struct {
 	compRunning []*compactionJob
 	compWG      sync.WaitGroup
 
-	// Background-error state (see bgerror.go). bgErr is the write-blocking
-	// degraded error; bgCause the most recent background failure; the
-	// *Failing flags track jobs currently in their retry loop. stateA
-	// mirrors the derived kv.HealthState for lock-free health checks.
-	// diskFull marks a degraded state caused by ENOSPC; spaceWatch polls
-	// for freed space and auto-resumes the engine.
-	bgErr          error
-	bgCause        error
+	// g holds the degraded state, the disk-full poll and the health
+	// counters (bgerror.go); it is degraded only under mu, so a loop that
+	// tests g.Err inside mu and waits on cond misses no transition. The
+	// *Failing flags track jobs currently in their retry loop.
+	g              *guard.Guard
 	flushFailing   bool
 	compactFailing bool
-	diskFull       bool
-	stateA         atomic.Int32
-	spaceWatch     *spacewatch.Watchdog
 
-	// Checkpoint pinning (checkpoint.go): while ckptPins > 0 an
-	// in-progress checkpoint still references the captured version's SSTs
-	// and WAL prefixes, so file deletions are parked in ckptDeferred and
-	// executed when the last pin releases.
-	ckptPins     int
-	ckptDeferred []string
+	// Checkpoint pins (checkpoint.go): while one is held, an in-progress
+	// checkpoint still references the captured version's SSTs and WAL
+	// prefixes, so every obsolete file is retired through Remove.
+	kv.CheckpointState
 
 	// Corruption quarantine (corruption.go): file number -> the corruption
-	// error that condemned it. Reads covering a quarantined file's range
-	// fail with kv.ErrCorruption; compactions skip it; repair lifts the
-	// entry. repairing guards against concurrent repair attempts on one
-	// file; repairWG tracks async repair goroutines for Close.
-	quar           map[uint64]error
-	repairing      map[uint64]bool
-	lastCorruption error
-	repairWG       sync.WaitGroup
+	// error that condemned it; g.Quarantined mirrors its size. Reads
+	// covering a quarantined file's range fail with kv.ErrCorruption;
+	// compactions skip it; repair lifts the entry. repairing guards against
+	// concurrent repair attempts on one file; repairWG tracks async repair
+	// goroutines for Close.
+	quar      map[uint64]error
+	repairing map[uint64]bool
+	repairWG  sync.WaitGroup
 
 	writerMu sync.Mutex // serializes writes when !PipelinedWrite
 
@@ -150,6 +142,7 @@ func OpenWith(dir string, opts Options, oo OpenOptions) (*DB, error) {
 		stopC:     make(chan struct{}),
 	}
 	d.cond = sync.NewCond(&d.mu)
+	d.g = guard.New("lsm", opts.FS, dir, d.reclaimSpace, d.Resume, opts.BgBaseBackoff, opts.BgMaxBackoff)
 	d.seq.Store(vs.LastSeq)
 	d.loadQuarantine()
 
@@ -168,8 +161,6 @@ func OpenWith(dir string, opts Options, oo OpenOptions) (*DB, error) {
 		go d.flushLoop()
 		go d.compactLoop()
 	}
-	d.spaceWatch = spacewatch.New(d.diskFullDegraded, d.spaceProbe, d.autoResume,
-		opts.BgBaseBackoff, opts.BgMaxBackoff)
 	return d, nil
 }
 
@@ -369,8 +360,7 @@ func (d *DB) WriteGSN(b *kv.Batch, gsn uint64) error {
 
 	// Pin the current memtable+WAL pair so rotation can't separate them.
 	d.mu.Lock()
-	if d.bgErr != nil {
-		err := d.bgErr
+	if err := d.g.Err(); err != nil {
 		d.mu.Unlock()
 		return err
 	}
@@ -433,7 +423,7 @@ func (d *DB) maybeStall() error {
 	}
 	d.mu.Lock()
 	waited := time.Time{}
-	for d.bgErr == nil && !d.closed.Load() &&
+	for d.g.Err() == nil && !d.closed.Load() &&
 		(len(d.imm) >= d.opts.MaxImmutables ||
 			len(d.vs.Current().Levels[0]) >= d.opts.L0StallTrigger) {
 		if waited.IsZero() {
@@ -445,7 +435,7 @@ func (d *DB) maybeStall() error {
 	if !waited.IsZero() {
 		d.perf.stallNs.Add(int64(time.Since(waited)))
 	}
-	err := d.bgErr
+	err := d.g.Err()
 	l0 := len(d.vs.Current().Levels[0])
 	slowdown := err == nil && !d.closed.Load() &&
 		l0 >= d.opts.L0SlowdownTrigger && l0 < d.opts.L0StallTrigger
@@ -605,11 +595,16 @@ func (d *DB) Get(key []byte) ([]byte, error) {
 	if d.opts.ReadPerOpCost > 0 {
 		time.Sleep(d.opts.ReadPerOpCost)
 	}
-	// A concurrent compaction may delete a file referenced by the read
-	// state captured here (this engine does not refcount versions, per
-	// its no-snapshots-across-compaction contract); the data has then
-	// moved to the compaction output, so retrying with a fresh state is
-	// both safe and sufficient.
+	return d.getRetry(key)
+}
+
+// getRetry resolves key against the current read state. A concurrent
+// compaction may delete a file that state references (this engine does not
+// refcount versions, per its no-snapshots-across-compaction contract); the
+// data has then moved to the compaction output, so retrying with a fresh
+// state is both safe and sufficient. Every point lookup that reports
+// os.ErrNotExist to its caller has been through here.
+func (d *DB) getRetry(key []byte) ([]byte, error) {
 	var lastErr error
 	for attempt := 0; attempt < 4; attempt++ {
 		rs, seq := d.readView()
@@ -740,19 +735,19 @@ func (d *DB) MultiGet(keys [][]byte) ([][]byte, error) {
 		return nil, errors.New("lsm: MultiGet disabled by options")
 	}
 	d.perf.gets.Add(int64(len(keys)))
-	rs, seq := d.readView()
 	out := make([][]byte, len(keys))
 	if len(keys) == 1 {
 		if c := d.opts.ReadPerOpCost; c > 0 {
 			time.Sleep(c)
 		}
-		v, err := d.getAt(rs, seq, keys[0])
+		v, err := d.getRetry(keys[0])
 		if err != nil && err != kv.ErrNotFound {
 			return nil, err
 		}
 		out[0] = v
 		return out, nil
 	}
+	rs, seq := d.readView()
 	var (
 		wg       sync.WaitGroup
 		errMu    sync.Mutex
@@ -775,7 +770,7 @@ func (d *DB) MultiGet(keys [][]byte) ([][]byte, error) {
 			if isStaleFileErr(err) {
 				// Compaction raced this batch; resolve the key against a
 				// fresh read state.
-				v, err = d.Get(k)
+				v, err = d.getRetry(k)
 			}
 			switch err {
 			case nil:
@@ -820,25 +815,19 @@ func (d *DB) Flush() error {
 	if !d.opts.BackgroundCompaction {
 		for d.flushOne() {
 		}
-		return d.bgErrSnapshot()
+		return d.g.Err()
 	}
 	d.mu.Lock()
-	for len(d.imm) > 0 && d.bgErr == nil && !d.closed.Load() {
+	for len(d.imm) > 0 && d.g.Err() == nil && !d.closed.Load() {
 		d.kick()
 		d.cond.Wait()
 	}
-	err := d.bgErr
+	err := d.g.Err()
 	d.mu.Unlock()
 	if err == nil && d.closed.Load() {
 		return kv.ErrClosed
 	}
 	return err
-}
-
-func (d *DB) bgErrSnapshot() error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.bgErr
 }
 
 // CompactAll drains pending flushes and compacts until no level is over
@@ -851,11 +840,10 @@ func (d *DB) CompactAll() error {
 	}
 	for {
 		d.mu.Lock()
-		for len(d.compRunning) > 0 && d.bgErr == nil && !d.closed.Load() {
+		for len(d.compRunning) > 0 && d.g.Err() == nil && !d.closed.Load() {
 			d.cond.Wait()
 		}
-		if d.bgErr != nil {
-			err := d.bgErr
+		if err := d.g.Err(); err != nil {
 			d.mu.Unlock()
 			return err
 		}
@@ -917,9 +905,7 @@ func (d *DB) Close() error {
 	d.mu.Lock()
 	d.cond.Broadcast()
 	d.mu.Unlock()
-	if d.spaceWatch != nil {
-		d.spaceWatch.Close()
-	}
+	d.g.Close()
 	d.bgWG.Wait()
 	// Running compactions must drain before the manifest closes: they
 	// write version edits through d.vs.

@@ -31,7 +31,7 @@ func (d *DB) flushLoop() {
 // succeeds, so a failed flush loses nothing. Returns true if it did work.
 func (d *DB) flushOne() bool {
 	d.mu.Lock()
-	if len(d.imm) == 0 || d.bgErr != nil {
+	if len(d.imm) == 0 || d.g.Err() != nil {
 		d.mu.Unlock()
 		return false
 	}
@@ -79,7 +79,7 @@ func (d *DB) doFlush(h *memHandle) error {
 			h.walw.Close()
 			// Deferred while a checkpoint pin holds: the captured image may
 			// still be copying this log's prefix.
-			d.removeObsolete(walName(d.dir, h.logNum))
+			d.Remove(d.opts.FS, walName(d.dir, h.logNum))
 		}
 	}
 	if d.opts.MemTableOnly || h.mem.Empty() {

@@ -1,7 +1,6 @@
 package lsm
 
 import (
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -58,22 +57,9 @@ type perfCounters struct {
 	walLockNsBase       atomic.Int64
 	walGroupBase        atomic.Int64
 
-	// Robustness: background job attempts beyond the first, disk-full
-	// degrade transitions, and watchdog-driven auto-resumes.
+	// Robustness: background job attempts beyond the first.
 	flushRetries   atomic.Int64
 	compactRetries atomic.Int64
-	diskFullEvents atomic.Int64
-	autoResumes    atomic.Int64
-
-	// At-rest integrity (corruption.go): checksum mismatches detected,
-	// files restored from backup, and a lock-free mirror of len(d.quar).
-	corruptionEvents atomic.Int64
-	repairedFiles    atomic.Int64
-	quarCount        atomic.Int64
-
-	// Checkpoint activity (checkpoint.go), merged in once per checkpoint.
-	ckptMu sync.Mutex
-	ckpt   kv.CheckpointStats
 }
 
 // Perf snapshots the engine's counters.

@@ -216,7 +216,7 @@ func (d *DB) finishLeveledJobLocked(v *manifest.Version, level int, inputs []*ma
 // scheduleCompactionsLocked starts background jobs until the pool is full
 // or no non-conflicting work remains. Caller holds d.mu.
 func (d *DB) scheduleCompactionsLocked() {
-	for d.bgErr == nil && !d.closed.Load() &&
+	for d.g.Err() == nil && !d.closed.Load() &&
 		len(d.compRunning) < d.opts.MaxBackgroundCompactions {
 		job := d.pickJobLocked()
 		if job == nil {

@@ -269,12 +269,6 @@ func (c *conn) execOne(cmd [][]byte) {
 		} else {
 			c.wr.WriteSimple("PONG")
 		}
-	case "ECHO":
-		if len(cmd) != 2 {
-			c.argErr(name)
-		} else {
-			c.wr.WriteBulk(cmd[1])
-		}
 	case "SET":
 		c.execSet(cmd)
 	case "GET":
@@ -297,7 +291,7 @@ func (c *conn) execOne(cmd [][]byte) {
 		c.execScrub()
 	case "PSYNC":
 		c.execPsync(cmd)
-	case "REPLICAOF", "SLAVEOF":
+	case "REPLICAOF":
 		c.execReplicaOf(cmd)
 	case "LASTSAVE":
 		c.wr.WriteInt(c.srv.store().StatsSnapshot().LastCheckpointUnix)

@@ -428,8 +428,7 @@ func (c *conn) streamBacklog(log *repl.Log, pinID string, link *replLink, cursor
 	}
 }
 
-// execReplicaOf implements REPLICAOF <host> <port> / REPLICAOF NO ONE
-// (SLAVEOF is accepted as the legacy alias).
+// execReplicaOf implements REPLICAOF <host> <port> / REPLICAOF NO ONE.
 func (c *conn) execReplicaOf(cmd [][]byte) {
 	if len(cmd) != 3 {
 		c.argErr("replicaof")

@@ -18,6 +18,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"slices"
 )
 
 // Protocol limits. Oversized frames fail with a ProtocolError instead of
@@ -115,14 +116,12 @@ func parseInt(b []byte) (int64, error) {
 }
 
 // readBulkBody reads n payload bytes plus the trailing CRLF into dst
-// (grown as needed) and returns the payload slice.
+// and returns the payload slice. dst grows geometrically: growing it to
+// the exact size would re-copy every earlier argument of the command per
+// argument.
 func (r *Reader) readBulkBody(dst []byte, n int) ([]byte, error) {
 	need := n + 2
-	if cap(dst) < len(dst)+need {
-		grown := make([]byte, len(dst), len(dst)+need)
-		copy(grown, dst)
-		dst = grown
-	}
+	dst = slices.Grow(dst, need)
 	body := dst[len(dst) : len(dst)+need]
 	if _, err := io.ReadFull(r.br, body); err != nil {
 		return nil, err

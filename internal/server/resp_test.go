@@ -6,6 +6,9 @@ import (
 	"io"
 	"strings"
 	"testing"
+	"time"
+
+	"p2kvs/internal/raceflag"
 )
 
 func readAllCommands(t *testing.T, in string) ([][][]byte, error) {
@@ -186,5 +189,55 @@ func TestParseInt(t *testing.T) {
 		if _, err := parseInt([]byte(in)); err == nil {
 			t.Errorf("parseInt(%q): expected error", in)
 		}
+	}
+}
+
+// manyArgCommand is one multibulk command of nargs 8-byte arguments.
+func manyArgCommand(nargs int) []byte {
+	var buf bytes.Buffer
+	w := NewWriter(&buf)
+	args := make([][]byte, nargs)
+	for i := range args {
+		args[i] = []byte("xxxxxxxx")
+	}
+	w.WriteCommand(args...)
+	w.Flush()
+	return buf.Bytes()
+}
+
+// Parsing a command is linear in its argument count: the shared argument
+// buffer grows geometrically, so a legal 100,000-argument MSET costs ten
+// times a 10,000-argument one (356 ms → 10.7 s when every argument
+// re-copied all earlier ones) and a handful of allocations.
+func TestReadCommandManyArgsAllocs(t *testing.T) {
+	parse := func(payload []byte, want int) time.Duration {
+		best := time.Duration(1<<63 - 1)
+		for i := 0; i < 3; i++ {
+			start := time.Now()
+			cmd, err := NewReader(bytes.NewReader(payload)).ReadCommand()
+			if d := time.Since(start); d < best {
+				best = d
+			}
+			if err != nil || len(cmd) != want {
+				t.Fatalf("n=%d: err=%v len=%d", want, err, len(cmd))
+			}
+		}
+		return best
+	}
+	small, large := manyArgCommand(10_000), manyArgCommand(100_000)
+	ts, tl := parse(small, 10_000), parse(large, 100_000)
+	if ratio := float64(tl) / float64(ts); ratio >= 25 {
+		t.Errorf("100k args %v vs 10k args %v: ratio %.1f, want < 25", tl, ts, ratio)
+	}
+	if raceflag.Enabled {
+		return // the detector's shadow allocations are not the parser's
+	}
+	allocs := testing.AllocsPerRun(3, func() {
+		if _, err := NewReader(bytes.NewReader(large)).ReadCommand(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 64 {
+		t.Errorf("100k-argument command: %.0f allocations, want <= 64", allocs)
 	}
 }

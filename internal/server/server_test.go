@@ -546,3 +546,26 @@ func waitFor(t *testing.T, cond func() bool) {
 	}
 	t.Fatal("condition not reached within 5s")
 }
+
+// An empty value is a value: it reads back as an empty bulk string, not the
+// null bulk that means key-not-found — on the single-command path and
+// through a coalesced pipelined run alike.
+func TestEmptyValueRoundTrip(t *testing.T) {
+	ts := startTestServer(t, 2, nil, nil, Config{})
+	c := dialTest(t, ts)
+	if r := c.do(t, "SET", "k", ""); r.IsError() {
+		t.Fatalf("SET: %s", r)
+	}
+	if r := c.do(t, "GET", "k"); r.Nil || len(r.Str) != 0 {
+		t.Fatalf("GET of an empty value: nil=%v str=%q", r.Nil, r.Str)
+	}
+	for _, r := range c.pipeline(t, []string{"SET", "a", ""}, []string{"SET", "b", "x"}) {
+		if r.IsError() {
+			t.Fatalf("pipelined SET: %s", r)
+		}
+	}
+	reps := c.pipeline(t, []string{"GET", "a"}, []string{"GET", "b"})
+	if reps[0].Nil || len(reps[0].Str) != 0 || string(reps[1].Str) != "x" {
+		t.Fatalf("pipelined GETs: a nil=%v %q, b %q", reps[0].Nil, reps[0].Str, reps[1].Str)
+	}
+}

@@ -78,7 +78,7 @@ func IsNoSpace(err error) bool {
 
 // ProbeSpace reports whether dir currently accepts a small durable write:
 // it creates a scratch file, writes and syncs a few hundred bytes, and
-// removes it. The disk-full watchdogs use this to decide when space has
+// removes it. The engine guard uses this to decide when space has
 // been freed and the engine may auto-resume.
 func ProbeSpace(fs FS, dir string) bool {
 	name := dir + "/.space-probe"

@@ -4,10 +4,7 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
-	"io/fs"
-	"path/filepath"
 	"reflect"
-	"strings"
 	"testing"
 
 	"p2kvs/internal/lsm"
@@ -60,22 +57,7 @@ func TestOptionsCensus(t *testing.T) {
 	// Every non-test Go file of the product and of the benchmark module
 	// (examples do not count as users); withDefaults assigns defaults,
 	// not values in use.
-	var files []string
-	for _, root := range []string{".", "cmd", "internal", "benchmark"} {
-		filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
-			if err != nil {
-				return err
-			}
-			if d.IsDir() && root == "." && path != "." {
-				return filepath.SkipDir
-			}
-			if strings.HasSuffix(path, ".go") && !strings.HasSuffix(path, "_test.go") {
-				files = append(files, path)
-			}
-			return nil
-		})
-	}
-	used := assignedFields(t, files, "withDefaults")
+	used := assignedFields(t, goFiles(t, ".", "cmd", "internal", "benchmark"), "withDefaults")
 	for _, f := range reflect.VisibleFields(reflect.TypeOf(lsm.Options{})) {
 		_, excused := testShaped[f.Name]
 		switch {

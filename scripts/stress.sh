@@ -219,6 +219,7 @@ serve_smoke() {
     echo "$OUT" | grep -q "silent mismatches" || smoke_fail "netbench -verify did not report its corruption tally"
     echo "$OUT" | grep -q "bgsave: Background saving started" || smoke_fail "BGSAVE was not accepted"
     [ -f "$BIN/backup/CHECKPOINT" ] || smoke_fail "BGSAVE committed but no CHECKPOINT manifest on disk"
+    [ "$(resp_cmd "$ADDR" LASTSAVE | tr -d ':\r\n')" -gt 0 ] || smoke_fail "LASTSAVE still 0 after BGSAVE committed"
     counters "$OUT" positive store_checkpoints store_last_checkpoint_unix \
         coalesced_set_ops coalesced_get_ops store_batch_write_ops store_multiget_ops
     # Values may legitimately be zero on a short in-memory run; only

@@ -1,0 +1,199 @@
+package p2kvs
+
+import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
+	"os"
+	"path/filepath"
+	"regexp"
+	"strconv"
+	"strings"
+	"testing"
+)
+
+// The surface census, one level out from the option census: a RESP verb or
+// an exported engine/store method earns its place by having a caller
+// outside tests — a tool under cmd/, the cluster client, the load
+// generator, the stress table — or a reason here. It is syntactic, like
+// assignedFields: a same-named string or method elsewhere can only excuse
+// an entry, never condemn one.
+
+// unsentVerbs: verbs conn.execOne dispatches that no tool sends, and why
+// they stay.
+var unsentVerbs = map[string]string{
+	"COMMAND":   "the redis-cli handshake",
+	"SELECT":    "the redis-cli handshake",
+	"QUIT":      "the redis-cli exit",
+	"SHUTDOWN":  "operator command: drain and stop from a client, the wire twin of SIGTERM",
+	"REPLICAOF": "operator command: the runtime form of p2kvs-server -replicaof (manual failover, README 'Replication')",
+}
+
+// verbSenders: where a verb must appear as a string literal (or, in the
+// stress table, as a word). internal/server/repl.go is the replica side of
+// the replication protocol, a client of PSYNC.
+var verbSenders = []string{"cmd", "internal/cluster", "internal/loadgen", "internal/server/repl.go"}
+
+// uncalledMethods: exported methods of the store and engine types that no
+// non-test file outside benchmark/ calls, and why they stay.
+var uncalledMethods = map[string]string{
+	"core.Store.GetAsync":    "the paper's §4.1 asynchronous interface; the repo benchmark's read loop drives it (benchmark/, its own module)",
+	"core.Store.DeleteAsync": "the same interface, completed for the third op",
+	"lsm.DB.CompactRange":    "manual compaction of a key range: tests use it to place data in a chosen level",
+	"lsm.DB.NewSnapshot":     "explicit snapshots: the isolation contract of iterators is tested through it",
+}
+
+func TestSurfaceCensus(t *testing.T) {
+	fset := token.NewFileSet()
+	sources := goFiles(t, "cmd", "internal", "examples", ".")
+	parsed := map[string]*ast.File{}
+	for _, name := range sources {
+		f, err := parser.ParseFile(fset, name, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		parsed[name] = f
+	}
+
+	// RESP verbs: the case arms of execOne's switch.
+	var verbs []string
+	ast.Inspect(parsed["internal/server/conn.go"], func(n ast.Node) bool {
+		fd, ok := n.(*ast.FuncDecl)
+		if !ok || fd.Name.Name != "execOne" {
+			return true
+		}
+		ast.Inspect(fd, func(n ast.Node) bool {
+			if cc, ok := n.(*ast.CaseClause); ok {
+				for _, e := range cc.List {
+					if lit, ok := e.(*ast.BasicLit); ok && lit.Kind == token.STRING {
+						v, _ := strconv.Unquote(lit.Value)
+						verbs = append(verbs, v)
+					}
+				}
+			}
+			return true
+		})
+		return false
+	})
+	if len(verbs) < 10 {
+		t.Fatalf("found only %d verbs in conn.execOne: the census no longer sees the dispatch", len(verbs))
+	}
+	sent := map[string]bool{}
+	for name, f := range parsed {
+		if !underAny(name, verbSenders) {
+			continue
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if lit, ok := n.(*ast.BasicLit); ok && lit.Kind == token.STRING {
+				if v, err := strconv.Unquote(lit.Value); err == nil {
+					sent[v] = true
+				}
+			}
+			return true
+		})
+	}
+	stress, err := os.ReadFile("scripts/stress.sh")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range regexp.MustCompile(`[A-Z]+`).FindAllString(string(stress), -1) {
+		sent[w] = true
+	}
+	checkCensus(t, "RESP verb", verbs, sent, unsentVerbs)
+
+	// Exported methods of the store and the three engine types.
+	var methods []string
+	declared := map[*ast.Ident]bool{}
+	for _, typ := range [][2]string{{"core", "Store"}, {"lsm", "DB"}, {"btreekv", "DB"}, {"kvell", "Store"}} {
+		for name, f := range parsed {
+			if !strings.HasPrefix(name, "internal/"+typ[0]+"/") {
+				continue
+			}
+			for _, d := range f.Decls {
+				fd, ok := d.(*ast.FuncDecl)
+				if !ok || fd.Recv == nil || !fd.Name.IsExported() {
+					continue
+				}
+				recv := fd.Recv.List[0].Type
+				if star, ok := recv.(*ast.StarExpr); ok {
+					recv = star.X
+				}
+				if id, ok := recv.(*ast.Ident); ok && id.Name == typ[1] {
+					methods = append(methods, typ[0]+"."+typ[1]+"."+fd.Name.Name)
+					declared[fd.Name] = true
+				}
+			}
+		}
+	}
+	called := map[string]bool{}
+	for _, f := range parsed {
+		ast.Inspect(f, func(n ast.Node) bool {
+			if sel, ok := n.(*ast.SelectorExpr); ok {
+				called[sel.Sel.Name] = true
+			}
+			return true
+		})
+	}
+	calledQualified := map[string]bool{}
+	for _, m := range methods {
+		calledQualified[m] = called[m[strings.LastIndexByte(m, '.')+1:]]
+	}
+	checkCensus(t, "exported method", methods, calledQualified, uncalledMethods)
+}
+
+// checkCensus fails every name that is neither used nor excused, every
+// excuse for a name that is used, and every excuse for a name that is gone.
+func checkCensus(t *testing.T, kind string, names []string, used map[string]bool, excuses map[string]string) {
+	t.Helper()
+	exists := map[string]bool{}
+	for _, n := range names {
+		exists[n] = true
+		_, excused := excuses[n]
+		switch {
+		case used[n] && excused:
+			t.Errorf("%s %s has a non-test caller and is also excused: drop the excuse", kind, n)
+		case !used[n] && !excused:
+			t.Errorf("%s %s has no caller outside tests and no excuse: delete it, or give it a user", kind, n)
+		}
+	}
+	for n := range excuses {
+		if !exists[n] {
+			t.Errorf("the census excuses %s %s, which does not exist", kind, n)
+		}
+	}
+}
+
+// goFiles lists the non-test Go files under the roots; "." is the root
+// directory alone, not its subtree.
+func goFiles(t *testing.T, roots ...string) []string {
+	t.Helper()
+	var files []string
+	for _, root := range roots {
+		err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+			if err != nil {
+				return err
+			}
+			if d.IsDir() && root == "." && path != "." {
+				return filepath.SkipDir
+			}
+			if strings.HasSuffix(path, ".go") && !strings.HasSuffix(path, "_test.go") {
+				files = append(files, path)
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	return files
+}
+
+func underAny(name string, prefixes []string) bool {
+	for _, p := range prefixes {
+		if name == p || strings.HasPrefix(name, p+"/") {
+			return true
+		}
+	}
+	return false
+}
