@@ -5,7 +5,7 @@ SUITE ?= list
 
 LOC_DIR ?= .
 
-.PHONY: build test test-race alloc-pins vet benchmark-module stats-golden loc loc-diff fuzz-short stress serve netbench ci clean
+.PHONY: build test test-race alloc-pins alloc-profile vet benchmark-module stats-golden loc loc-diff fuzz-short stress serve netbench ci clean
 
 build:
 	$(GO) build ./...
@@ -17,11 +17,23 @@ test-race:
 	$(GO) test -race ./...
 
 # The AllocsPerRun pins: the point-lookup path (block, cache, sstable, lsm,
-# core), a healthy engine's Health and the write-admission gate (guard,
-# core), a 100,000-argument RESP command (server). They skip under the race detector (internal/raceflag), so the
+# core), the write path (core above the engine, lsm.Write, wal.Append,
+# memtable.Add, sstable.Writer.Add), a healthy engine's Health and the
+# write-admission gate (guard, core), a 100,000-argument RESP command
+# (server). They skip under the race detector (internal/raceflag), so the
 # test-race run does not check them; this one does.
 alloc-pins:
 	$(GO) test -count=1 -run 'Allocs' ./internal/...
+
+# Where the write path allocates, by object count: the two write benchmarks
+# of bench_test.go under a memory profile sampled every 4 KiB. The next diet
+# starts from this table, not from a patched benchmark/.
+PROFILE_DIR ?= /tmp/p2kvs-alloc-profile
+alloc-profile:
+	mkdir -p $(PROFILE_DIR)
+	$(GO) test -run '^$$' -bench 'PutAsync|LSMWriteBatch' -benchmem -benchtime 1000000x \
+		-memprofile $(PROFILE_DIR)/mem.prof -memprofilerate 4096 -o $(PROFILE_DIR)/p2kvs.test .
+	$(GO) tool pprof -sample_index=alloc_objects -top -nodecount 25 $(PROFILE_DIR)/p2kvs.test $(PROFILE_DIR)/mem.prof
 
 vet:
 	$(GO) vet ./...

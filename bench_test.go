@@ -8,6 +8,7 @@ package p2kvs_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"io"
 	"sync"
@@ -50,7 +51,7 @@ func BenchmarkExperiment(b *testing.B) {
 // ---------------------------------------------------------------------------
 
 func BenchmarkSkiplistInsertConcurrent(b *testing.B) {
-	l := skiplist.NewConcurrent(bytes.Compare, nil)
+	l := skiplist.NewConcurrent(bytes.Compare)
 	keys := make([][]byte, b.N)
 	for i := range keys {
 		keys[i] = []byte(fmt.Sprintf("key-%012d", i))
@@ -62,7 +63,7 @@ func BenchmarkSkiplistInsertConcurrent(b *testing.B) {
 }
 
 func BenchmarkSkiplistInsertBasic(b *testing.B) {
-	l := skiplist.NewBasic(bytes.Compare, nil)
+	l := skiplist.NewBasic(bytes.Compare)
 	keys := make([][]byte, b.N)
 	for i := range keys {
 		keys[i] = []byte(fmt.Sprintf("key-%012d", i))
@@ -117,6 +118,38 @@ func BenchmarkLSMPut128(b *testing.B) {
 	b.SetBytes(int64(16 + len(val)))
 }
 
+// BenchmarkLSMWriteBatch is the engine half of the write path on its own
+// (WAL payload, log append, memtable insert; flushes and compactions run
+// behind it): 16-op batches, the size OBM merges on a busy worker. With
+// BenchmarkP2KVSPutAsync it is what `make alloc-profile` profiles.
+func BenchmarkLSMWriteBatch(b *testing.B) {
+	db, err := lsm.Open("db", lsm.RocksDBOptions(vfs.NewMem()))
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer db.Close()
+	const opsPerBatch = 16
+	keys := make([][]byte, opsPerBatch)
+	for j := range keys {
+		keys[j] = make([]byte, 16)
+	}
+	val := loadgen.Value(1, 0, 128)
+	var batch kv.Batch
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		batch.Reset()
+		for j, k := range keys {
+			binary.BigEndian.PutUint64(k[8:], uint64(i*opsPerBatch+j)*0x9E3779B97F4A7C15)
+			batch.Put(k, val)
+		}
+		if err := db.Write(&batch); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.SetBytes(int64(opsPerBatch * (16 + len(val))))
+}
+
 func BenchmarkLSMGet(b *testing.B) {
 	fs := vfs.NewMem()
 	db, err := lsm.Open("db", lsm.RocksDBOptions(fs))
@@ -163,12 +196,17 @@ func BenchmarkP2KVSPutAsync(b *testing.B) {
 	}
 	defer s.Close()
 	val := loadgen.Value(1, 0, 128)
+	keys := make([][]byte, b.N) // a key is the store's until its callback runs
+	for i := range keys {
+		keys[i] = loadgen.Key(uint64(i))
+	}
 	var pending sync.WaitGroup
 	cb := func(error) { pending.Done() }
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		pending.Add(1)
-		if err := s.PutAsync(loadgen.Key(uint64(i)), val, cb); err != nil {
+		if err := s.PutAsync(keys[i], val, cb); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -23,7 +23,7 @@ func TestAllocBasic(t *testing.T) {
 }
 
 func TestAllocationsDoNotOverlap(t *testing.T) {
-	a := NewSize(64)
+	a := NewSlab[byte](64)
 	x := a.Alloc(10)
 	y := a.Alloc(10)
 	copy(x, "xxxxxxxxxx")
@@ -34,7 +34,7 @@ func TestAllocationsDoNotOverlap(t *testing.T) {
 }
 
 func TestChunkRollover(t *testing.T) {
-	a := NewSize(32)
+	a := NewSlab[byte](32)
 	for i := 0; i < 10; i++ {
 		b := a.Alloc(20)
 		if len(b) != 20 {
@@ -48,25 +48,41 @@ func TestChunkRollover(t *testing.T) {
 }
 
 func TestOversizedAllocation(t *testing.T) {
-	a := NewSize(16)
+	a := NewSlab[byte](16)
 	b := a.Alloc(100)
 	if len(b) != 100 {
 		t.Fatalf("len = %d", len(b))
 	}
 }
 
-func TestCopy(t *testing.T) {
-	a := New()
-	src := []byte("hello")
-	dst := a.Copy(src)
-	src[0] = 'X'
-	if string(dst) != "hello" {
-		t.Fatalf("copy aliases source: %q", dst)
+func TestTypedSlab(t *testing.T) {
+	type node struct {
+		entry []byte
+		next  *node
+	}
+	s := NewSlab[node](4)
+	var prev *node
+	for i := 0; i < 10; i++ {
+		ns := s.Alloc(1)
+		if len(ns) != 1 || cap(ns) != 1 || ns[0].entry != nil || ns[0].next != nil {
+			t.Fatalf("alloc %d: len %d cap %d %+v, want one zeroed node", i, len(ns), cap(ns), ns[0])
+		}
+		ns[0].next = prev
+		prev = &ns[0]
+	}
+	for n, i := prev, 0; n != nil; n, i = n.next, i+1 {
+		if i >= 10 {
+			t.Fatal("a node was handed out twice")
+		}
+	}
+	// 10 nodes from chunks of 4: three chunks of 4 nodes, 32 bytes each.
+	if got := s.Size(); got != 3*4*32 {
+		t.Fatalf("Size = %d, want %d", got, 3*4*32)
 	}
 }
 
 func TestConcurrentAlloc(t *testing.T) {
-	a := NewSize(1 << 10)
+	a := NewSlab[byte](1 << 10)
 	var wg sync.WaitGroup
 	results := make([][][]byte, 8)
 	for g := 0; g < 8; g++ {

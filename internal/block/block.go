@@ -67,13 +67,13 @@ func (b *Builder) Entries() int { return b.entries }
 
 // Finish encodes the restart array and returns the complete block.
 func (b *Builder) Finish() []byte {
-	restarts := append([]uint32{0}, b.restarts...)
 	var tmp [4]byte
-	for _, r := range restarts {
+	b.buf.Write(tmp[:]) // the first entry is always a restart point, at offset 0
+	for _, r := range b.restarts {
 		binary.LittleEndian.PutUint32(tmp[:], r)
 		b.buf.Write(tmp[:])
 	}
-	binary.LittleEndian.PutUint32(tmp[:], uint32(len(restarts)))
+	binary.LittleEndian.PutUint32(tmp[:], uint32(len(b.restarts)+1))
 	b.buf.Write(tmp[:])
 	return b.buf.Bytes()
 }

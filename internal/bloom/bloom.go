@@ -26,10 +26,11 @@ func New(bitsPerKey int) *Filter {
 	return &Filter{bitsPerKey: bitsPerKey, k: k}
 }
 
-// Build returns the encoded filter block for the given keys. The last
+// Build returns the encoded filter block for keys given by their Hash,
+// one element per key added (duplicates count towards the size). The last
 // byte stores k so readers are self-describing.
-func (f *Filter) Build(keys [][]byte) []byte {
-	bits := len(keys) * f.bitsPerKey
+func (f *Filter) Build(hashes []uint32) []byte {
+	bits := len(hashes) * f.bitsPerKey
 	if bits < 64 {
 		bits = 64
 	}
@@ -37,8 +38,7 @@ func (f *Filter) Build(keys [][]byte) []byte {
 	bits = nbytes * 8
 	buf := make([]byte, nbytes+1)
 	buf[nbytes] = byte(f.k)
-	for _, key := range keys {
-		h := Hash(key)
+	for _, h := range hashes {
 		delta := h>>17 | h<<15
 		for i := 0; i < f.k; i++ {
 			pos := h % uint32(bits)

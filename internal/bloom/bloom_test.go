@@ -6,13 +6,21 @@ import (
 	"testing/quick"
 )
 
+func hashesOf(keys [][]byte) []uint32 {
+	hs := make([]uint32, len(keys))
+	for i, k := range keys {
+		hs[i] = Hash(k)
+	}
+	return hs
+}
+
 func TestNoFalseNegatives(t *testing.T) {
 	f := New(10)
 	var keys [][]byte
 	for i := 0; i < 2000; i++ {
 		keys = append(keys, []byte(fmt.Sprintf("key-%d", i)))
 	}
-	filter := f.Build(keys)
+	filter := f.Build(hashesOf(keys))
 	for _, k := range keys {
 		if !MayContain(filter, k) {
 			t.Fatalf("false negative for %q", k)
@@ -26,7 +34,7 @@ func TestFalsePositiveRate(t *testing.T) {
 	for i := 0; i < 10000; i++ {
 		keys = append(keys, []byte(fmt.Sprintf("in-%d", i)))
 	}
-	filter := f.Build(keys)
+	filter := f.Build(hashesOf(keys))
 	fp := 0
 	const probes = 10000
 	for i := 0; i < probes; i++ {
@@ -43,7 +51,7 @@ func TestFalsePositiveRate(t *testing.T) {
 func TestQuickNoFalseNegatives(t *testing.T) {
 	fn := func(keys [][]byte, bits uint8) bool {
 		f := New(int(bits%20) + 1)
-		filter := f.Build(keys)
+		filter := f.Build(hashesOf(keys))
 		for _, k := range keys {
 			if !MayContain(filter, k) {
 				return false

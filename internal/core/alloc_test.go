@@ -29,16 +29,20 @@ func (e *nopEngine) NewIterator() (kv.Iterator, error) {
 // the request representation cannot silently grow back. What each tree
 // measured, same engine and options throughout:
 //
-//	              Put  PutAsync  Get  WriteCtx(8 ops, one shard)
-//	bcf5110        6      5       3      15   a write re-represented four times
-//	3bb6c95        5      4       3      10   one request shape
-//	this tree      2      3       0       7   sync requests pooled with their
-//	                                          completion channel; the worker
-//	                                          owns its batch slice
+//	              Put  PutAsync  Get  GetAsync  WriteCtx(8 ops, one shard)
+//	bcf5110        6      5       3      -       15   a write re-represented four times
+//	3bb6c95        5      4       3      -       10   one request shape
+//	a1e88e3        2      3       0      -        7   sync requests pooled with their
+//	                                                  completion channel; the worker
+//	                                                  owns its batch slice
+//	this tree      0      0       0      1        6   callback requests pooled too, the
+//	                                                  one op inline in the request, the
+//	                                                  engine batch header in the worker
 //
-// The sync pins (Put 3, Get 1) leave one allocation of slack over that; Put's
-// two are its one-op slice and the engine batch header. PutAsync and WriteCtx
-// keep the pins of 3bb6c95: the callback and multi-leg paths are not pooled.
+// The single-key pins (1 each) leave one allocation of slack over that;
+// GetAsync's one is the closure that adapts its two-argument callback.
+// WriteCtx keeps the pin of 3bb6c95: its legs are read by the submitter after
+// completion, so they are not pooled, and the split builds a map.
 // AllocsPerRun counts every goroutine's allocations, the worker's included.
 func TestAllocsAboveEngine(t *testing.T) {
 	if raceflag.Enabled {
@@ -61,20 +65,27 @@ func TestAllocsAboveEngine(t *testing.T) {
 	}
 	acked := make(chan error, 1)
 	ack := func(err error) { acked <- err }
+	getAck := func(_ []byte, err error) { acked <- err }
 
 	for _, c := range []struct {
 		name string
 		max  float64
 		op   func() error
 	}{
-		{"Put", 3, func() error { return s.Put(key, val) }},
-		{"PutAsync", 4, func() error {
+		{"Put", 1, func() error { return s.Put(key, val) }},
+		{"PutAsync", 1, func() error {
 			if err := s.PutAsync(key, val, ack); err != nil {
 				return err
 			}
 			return <-acked
 		}},
 		{"Get", 1, func() error { _, err := s.Get(key); return err }},
+		{"GetAsync", 1, func() error {
+			if err := s.GetAsync(key, getAck); err != nil {
+				return err
+			}
+			return <-acked
+		}},
 		{"WriteCtx8", 10, func() error { return s.WriteCtx(nil, &batch) }},
 	} {
 		var opErr error

@@ -15,42 +15,39 @@ import (
 // Data-plane operations: every one builds requests of the one shape
 // (queue.go), routes and admits them under the routing read lock
 // (routing.go), and completes through a done channel, a callback or — for
-// multi-leg operations — one fanIn. The single-leg synchronous ones (GetCtx,
-// PutCtx, DeleteCtx) draw their request from the syncRequests pool and give
-// it back once they own it again.
+// multi-leg operations — one fanIn. The single-key ones (GetCtx, PutCtx,
+// DeleteCtx and their callback forms) draw their request from the requests
+// pool; it goes back by the ownership rule stated there.
 
-// writeOne routes a single-key write and hands it to writeTo.
+// writeOne routes a single-key write, carried inline by a pooled request,
+// and hands it to writeTo.
 func (s *Store) writeOne(ctx context.Context, op kv.BatchOp, cb func(error)) error {
+	r := getRequest()
+	r.one[0] = op
+	r.ops, r.callback, r.recycle = r.one[:], cb, cb != nil
 	s.routeMu.RLock()
-	return s.writeTo(ctx, s.route.Load().pick(op.Key), []kv.BatchOp{op}, cb)
+	return s.writeTo(ctx, s.route.Load().pick(op.Key), r)
 }
 
-// writeTo health-checks w and admits ops on it as one write request, then
-// releases the routing read lock its caller picked w under. With cb nil it
-// waits for completion (sync path); otherwise cb runs on the worker when
-// the write completes (async path).
-func (s *Store) writeTo(ctx context.Context, w *worker, ops []kv.BatchOp, cb func(error)) error {
-	var r *request
-	if cb != nil {
-		r = &request{typ: reqWrite, ops: ops, callback: cb}
-	} else {
-		r = getSyncRequest()
-		r.typ, r.ops = reqWrite, ops
-	}
+// writeTo health-checks w and admits the pooled write request r on it, then
+// releases the routing read lock its caller picked w under. Without a
+// callback it waits for completion (sync path); otherwise the callback runs
+// on the worker when the write completes (async path), and is not run at all
+// when writeTo returns an error.
+func (s *Store) writeTo(ctx context.Context, w *worker, r *request) error {
+	r.typ = reqWrite
+	async := r.callback != nil // r is the worker's from admission on: read it now
 	err := s.writeAdmitErr(w)
 	if err == nil {
 		err = s.admit(ctx, w, r)
 	}
 	s.routeMu.RUnlock()
-	if cb != nil {
-		return err
-	}
 	owned := err != nil // never enqueued
-	if !owned {
+	if !owned && !async {
 		owned, err = s.waitDone(w, r)
 	}
 	if owned {
-		putSyncRequest(r)
+		putRequest(r)
 	}
 	return err
 }
@@ -80,7 +77,9 @@ func (s *Store) DeleteCtx(ctx context.Context, key []byte) error {
 
 // PutAsync is the asynchronous write interface (§4.1): it enqueues and
 // returns immediately; cb runs on the worker when the write completes.
-// Backpressure applies when the worker queue is full.
+// Backpressure applies when the worker queue is full. key and value are not
+// copied on the way to the engine: they must stay unmodified until cb runs
+// (or PutAsync returns an error, in which case cb never runs).
 func (s *Store) PutAsync(key, value []byte, cb func(error)) error {
 	return s.PutAsyncCtx(nil, key, value, cb)
 }
@@ -92,7 +91,8 @@ func (s *Store) PutAsyncCtx(ctx context.Context, key, value []byte, cb func(erro
 	return s.writeOne(ctx, kv.BatchOp{Kind: kv.OpPut, Key: key, Value: value}, cb)
 }
 
-// DeleteAsync is the asynchronous deletion interface.
+// DeleteAsync is the asynchronous deletion interface; key must stay
+// unmodified until cb runs, as for PutAsync.
 func (s *Store) DeleteAsync(key []byte, cb func(error)) error {
 	return s.DeleteAsyncCtx(nil, key, cb)
 }
@@ -110,9 +110,9 @@ func (s *Store) Get(key []byte) ([]byte, error) {
 // newRead is the first half of the one hot-cache read-through. A hit
 // (positive or negative) is served right here, on the submitter's
 // goroutine — no queue admission, no worker round-trip — and r is nil. A
-// miss returns the read request, taken from alloc (the sync pool or the
-// heap, by who will own it) and carrying the key's invalidation watermark
-// snapshotted before the read can be submitted.
+// miss returns the read request, taken from alloc (the pool or the heap, by
+// whether one goroutine will know when it is done with) and carrying the
+// key's invalidation watermark snapshotted before the read can be submitted.
 func (s *Store) newRead(key []byte, alloc func() *request) (r *request, val []byte, err error) {
 	if v, neg, ok := s.cache.Get(key); ok {
 		if neg {
@@ -125,7 +125,8 @@ func (s *Store) newRead(key []byte, alloc func() *request) (r *request, val []by
 	return r, nil, nil
 }
 
-// heapRequest is newRead's allocator for requests no single waiter owns.
+// heapRequest is newRead's allocator for a multiget's legs: MultiGetCtx
+// reads them after the fan-in completes, so no completer may recycle them.
 func heapRequest() *request { return new(request) }
 
 // readResult is the second half, for a read the worker completed without
@@ -143,7 +144,7 @@ func (s *Store) readResult(r *request) ([]byte, error) {
 // (newRead / readResult) when one is enabled. The returned slice is the
 // caller's: nothing in the store keeps a reference to it.
 func (s *Store) GetCtx(ctx context.Context, key []byte) ([]byte, error) {
-	r, v, err := s.newRead(key, getSyncRequest)
+	r, v, err := s.newRead(key, getRequest)
 	if r == nil {
 		return v, err
 	}
@@ -152,26 +153,29 @@ func (s *Store) GetCtx(ctx context.Context, key []byte) ([]byte, error) {
 		v, err = s.readResult(r)
 	}
 	if owned {
-		putSyncRequest(r)
+		putRequest(r)
 	}
 	return v, err
 }
 
 // GetAsync is the asynchronous read interface; cb receives the value (nil
-// when absent along with kv.ErrNotFound).
+// when absent along with kv.ErrNotFound). key must stay unmodified until cb
+// runs; the value cb receives is the caller's to keep, exactly as GetCtx's
+// result is.
 func (s *Store) GetAsync(key []byte, cb func([]byte, error)) error {
 	return s.GetAsyncCtx(nil, key, cb)
 }
 
 // GetAsyncCtx is GetAsync under a context. A hot-cache hit runs cb
 // synchronously, before GetAsyncCtx returns — the read never enters a
-// queue.
+// queue. When GetAsyncCtx returns an error cb never runs.
 func (s *Store) GetAsyncCtx(ctx context.Context, key []byte, cb func([]byte, error)) error {
-	r, v, err := s.newRead(key, heapRequest)
+	r, v, err := s.newRead(key, getRequest)
 	if r == nil {
 		cb(v, err)
 		return nil
 	}
+	r.recycle = true
 	r.callback = func(err error) {
 		if err != nil {
 			cb(nil, err)
@@ -179,7 +183,10 @@ func (s *Store) GetAsyncCtx(ctx context.Context, key []byte, cb func([]byte, err
 		}
 		cb(s.readResult(r))
 	}
-	_, err = s.submit(ctx, key, r)
+	owned, err := s.submit(ctx, key, r)
+	if owned { // never enqueued
+		putRequest(r)
+	}
 	return err
 }
 
@@ -290,7 +297,9 @@ func (s *Store) write(ctx context.Context, b *kv.Batch, prepared bool) (commit f
 	subs := s.route.Load().split(b.Ops())
 	if len(subs) == 1 && !prepared {
 		for w, ops := range subs {
-			return nil, s.writeTo(ctx, w, ops, nil)
+			r := getRequest()
+			r.ops = ops
+			return nil, s.writeTo(ctx, w, r)
 		}
 	}
 	if s.txn == nil {

@@ -129,3 +129,332 @@ func TestGetResultIsCallerOwned(t *testing.T) {
 		}
 	}
 }
+
+// TestAsyncSlotReuse is the benchmark's slot discipline against the worker's
+// op scratch: a client owns a few key/value buffers, hands one to PutAsync,
+// and the instant the callback fires scribbles over both and refills them for
+// its next write. Four workers merge runs of such writes into one engine
+// batch through a scratch slice that aliases the clients' buffers. Every key
+// is written once with a value derived from it and read back at the end: a
+// worker that touched an op after completing its request would have stored a
+// scribbled key or value (and is a reported race under -race).
+func TestAsyncSlotReuse(t *testing.T) {
+	s := openStore(t, vfs.NewMem(), 4)
+	defer s.Close()
+
+	const clients, window, perClient = 4, 32, 6000
+	keyOf := func(c, i int) string { return fmt.Sprintf("slot-%d-%06d", c, i) }
+	valOf := func(key []byte) []byte { return append([]byte("value-of-"), key...) }
+	type slot struct{ key, val []byte }
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			free := make(chan *slot, window)
+			for i := 0; i < window; i++ {
+				free <- &slot{}
+			}
+			for i := 0; i < perClient; i++ {
+				sl := <-free
+				sl.key = append(sl.key[:0], keyOf(c, i)...)
+				sl.val = append(sl.val[:0], valOf(sl.key)...)
+				err := s.PutAsync(sl.key, sl.val, func(err error) {
+					if err != nil {
+						t.Errorf("PutAsync(%s): %v", sl.key, err)
+					}
+					for j := range sl.key {
+						sl.key[j] = 0xFF
+					}
+					for j := range sl.val {
+						sl.val[j] = 0xFF
+					}
+					free <- sl
+				})
+				if err != nil {
+					t.Errorf("PutAsync: %v", err)
+					return
+				}
+			}
+			for i := 0; i < window; i++ { // every write acknowledged
+				<-free
+			}
+		}(c)
+	}
+	wg.Wait()
+
+	if st := s.StatsSnapshot(); st.Aggregate.BatchWriteOps == 0 {
+		t.Fatal("no write run was merged; the test did not exercise the op scratch")
+	}
+	for c := 0; c < clients; c++ {
+		for i := 0; i < perClient; i++ {
+			key := []byte(keyOf(c, i))
+			if v, err := s.Get(key); err != nil || !bytes.Equal(v, valOf(key)) {
+				t.Fatalf("Get(%s) = %q, %v", key, v, err)
+			}
+		}
+	}
+}
+
+// recycleLog records, through recycleHook, every pooled callback request on
+// its way back into the pool: how often each key's request was recycled and
+// whether its callback had returned by then.
+type recycleLog struct {
+	mu       sync.Mutex
+	returned map[string]bool // set by the test's callbacks as their last act
+	recycled map[string]int
+	early    map[string]bool // recycled while the callback had not returned
+	legs     []string        // recycled, or marked for it, without being a single-key callback request
+}
+
+func watchRecycles(t *testing.T) *recycleLog {
+	l := &recycleLog{returned: map[string]bool{}, recycled: map[string]int{}, early: map[string]bool{}}
+	hook := func(r *request) {
+		key := string(r.key)
+		if r.typ == reqWrite && len(r.ops) > 0 {
+			key = string(r.ops[0].Key)
+		}
+		l.mu.Lock()
+		defer l.mu.Unlock()
+		if r.done == nil || len(r.ops) > 1 {
+			l.legs = append(l.legs, key)
+		}
+		if !r.recycle {
+			return // a sync request, recycled by its waiter
+		}
+		l.recycled[key]++
+		if !l.returned[key] {
+			l.early[key] = true
+		}
+	}
+	recycleHook.Store(&hook)
+	t.Cleanup(func() { recycleHook.Store(nil) })
+	return l
+}
+
+// callback returns a completion callback for key that checks the error and
+// marks the callback returned as its very last act.
+func (l *recycleLog) callback(t *testing.T, key []byte, want error, done *sync.WaitGroup) func(error) {
+	done.Add(1)
+	return func(err error) {
+		if !errors.Is(err, want) {
+			t.Errorf("callback(%s) = %v, want %v", key, err, want)
+		}
+		time.Sleep(100 * time.Microsecond) // a recycle racing the callback's tail would land here
+		l.mu.Lock()
+		l.returned[string(key)] = true
+		l.mu.Unlock()
+		done.Done()
+	}
+}
+
+// checkOnce asserts every key's request was recycled exactly once, after its
+// callback returned (ran says whether a callback was expected to run at all).
+func (l *recycleLog) checkOnce(t *testing.T, ran bool, keys ...[]byte) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for _, k := range keys {
+		for { // the recycle follows the callback's return on the completer's goroutine
+			l.mu.Lock()
+			n, returned, early := l.recycled[string(k)], l.returned[string(k)], l.early[string(k)]
+			l.mu.Unlock()
+			if n == 1 && returned == ran && early == !ran {
+				break
+			}
+			if n > 1 || (n == 1 && early == ran) || time.Now().After(deadline) {
+				t.Fatalf("request of %s: recycled %d times (before its callback returned: %v), callback returned %v; want once, after a callback that ran: %v",
+					k, n, early, returned, ran)
+			}
+			time.Sleep(100 * time.Microsecond)
+		}
+	}
+}
+
+// poolIsClean draws requests from the pool the way the next operation would
+// and checks each is blank: a completer that touched a request after
+// recycling it leaves its mark — a stale field, or a completion token in
+// done that would wake the next waiter before its request ran.
+func poolIsClean(t *testing.T) {
+	t.Helper()
+	var drawn []*request
+	for i := 0; i < 64; i++ {
+		r := getRequest()
+		drawn = append(drawn, r)
+		if len(r.done) != 0 || r.callback != nil || r.ops != nil || r.key != nil || r.ctx != nil ||
+			r.one[0].Key != nil || r.one[0].Value != nil || r.recycle || r.err != nil || r.val != nil {
+			t.Fatalf("the pool handed out a used request: %+v (done holds %d)", r, len(r.done))
+		}
+	}
+	for _, r := range drawn {
+		requests.Put(r)
+	}
+}
+
+// TestCallbackRequestRecycledOnce walks a pooled callback request down every
+// way it can end other than the worker executing it — failed by the
+// close-drain, shed at the queue head with an expired context, refused at
+// admission — plus the ordinary one, and checks the ownership rule each time:
+// recycled exactly once, by whoever ran the callback, after it returned; and
+// by the submitter, with no callback, when it never reached a queue.
+func TestCallbackRequestRecycledOnce(t *testing.T) {
+	val := []byte("v")
+	wedge := func(t *testing.T, tune func(*Options)) (s *Store, gate chan struct{}, l *recycleLog, wedged *sync.WaitGroup) {
+		gate = make(chan struct{})
+		l = watchRecycles(t)
+		s, engines := openStubStore(t, 1, map[int]chan struct{}{0: gate}, tune)
+		wedged = new(sync.WaitGroup)
+		if err := s.PutAsync(shardKey(0, 0), val, l.callback(t, shardKey(0, 0), nil, wedged)); err != nil {
+			t.Fatal(err)
+		}
+		waitWedged(t, engines[0], 1)
+		return s, gate, l, wedged
+	}
+
+	t.Run("executed and shed", func(t *testing.T) {
+		s, gate, l, done := wedge(t, nil)
+		defer s.Close()
+		// Behind the wedge: live writes and reads, and ones whose context
+		// will have ended by the time the worker reaches them.
+		ctx, cancel := context.WithCancel(context.Background())
+		live := [][]byte{shardKey(0, 0), shardKey(0, 1), shardKey(0, 2), shardKey(0, 3)}
+		dead := [][]byte{shardKey(0, 10), shardKey(0, 11)}
+		s.PutAsync(live[1], val, l.callback(t, live[1], nil, done))
+		s.DeleteAsync(live[2], l.callback(t, live[2], nil, done))
+		readCB := l.callback(t, live[3], kv.ErrNotFound, done)
+		s.GetAsync(live[3], func(_ []byte, err error) { readCB(err) })
+		s.PutAsyncCtx(ctx, dead[0], val, l.callback(t, dead[0], kv.ErrDeadlineExceeded, done))
+		shedCB := l.callback(t, dead[1], kv.ErrDeadlineExceeded, done)
+		s.GetAsyncCtx(ctx, dead[1], func(_ []byte, err error) { shedCB(err) })
+		cancel()
+		close(gate)
+		done.Wait()
+		l.checkOnce(t, true, append(live, dead...)...)
+		poolIsClean(t)
+	})
+
+	t.Run("close drain", func(t *testing.T) {
+		s, gate, l, wedged := wedge(t, func(o *Options) { o.DrainTimeout = 50 * time.Millisecond })
+		var done sync.WaitGroup
+		keys := [][]byte{shardKey(0, 1), shardKey(0, 2)}
+		s.PutAsync(keys[0], val, l.callback(t, keys[0], kv.ErrClosed, &done))
+		drainCB := l.callback(t, keys[1], kv.ErrClosed, &done)
+		s.GetAsync(keys[1], func(_ []byte, err error) { drainCB(err) })
+		if err := s.Close(); !errors.Is(err, kv.ErrClosed) {
+			t.Fatalf("Close = %v, want the wedge report", err)
+		}
+		done.Wait()
+		l.checkOnce(t, true, keys...)
+		close(gate) // the abandoned worker finishes the wedged write, and recycles it
+		wedged.Wait()
+		l.checkOnce(t, true, shardKey(0, 0))
+		poolIsClean(t)
+	})
+
+	t.Run("refused admission", func(t *testing.T) {
+		s, gate, l, wedged := wedge(t, func(o *Options) { o.QueueDepth = 1; o.Admission = AdmitReject })
+		defer s.Close()
+		var never sync.WaitGroup
+		fill := shardKey(0, 1) // takes the one queue slot
+		if err := s.PutAsync(fill, val, l.callback(t, fill, nil, wedged)); err != nil {
+			t.Fatal(err)
+		}
+		refused := [][]byte{shardKey(0, 2), shardKey(0, 3), shardKey(0, 4)}
+		if err := s.PutAsync(refused[0], val, l.callback(t, refused[0], nil, &never)); !errors.Is(err, kv.ErrOverloaded) {
+			t.Fatalf("PutAsync on a full queue = %v, want ErrOverloaded", err)
+		}
+		neverCB := l.callback(t, refused[1], nil, &never)
+		if err := s.GetAsync(refused[1], func(_ []byte, err error) { neverCB(err) }); !errors.Is(err, kv.ErrOverloaded) {
+			t.Fatalf("GetAsync on a full queue = %v, want ErrOverloaded", err)
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		if err := s.DeleteAsyncCtx(ctx, refused[2], l.callback(t, refused[2], nil, &never)); !errors.Is(err, kv.ErrDeadlineExceeded) {
+			t.Fatalf("DeleteAsyncCtx under an ended context = %v, want ErrDeadlineExceeded", err)
+		}
+		l.checkOnce(t, false, refused...) // by the submitter; the callbacks never run
+		close(gate)
+		wedged.Wait()
+		l.checkOnce(t, true, shardKey(0, 0), fill)
+		poolIsClean(t)
+	})
+}
+
+// TestMultiLegRequestsStayOffThePool: the legs of a MultiGetCtx and of a
+// cross-partition WriteCtx are read by their submitter after the fan-in
+// completes, when no completer could know it is safe to recycle them. They
+// are caught here in the queue behind a wedged worker: none carries a pooled
+// request's completion channel or the recycle mark, and none ever passes
+// through putRequest.
+func TestMultiLegRequestsStayOffThePool(t *testing.T) {
+	l := watchRecycles(t)
+	gates := map[int]chan struct{}{0: make(chan struct{}), 1: make(chan struct{})}
+	engines := make([]*stubEngine, 2)
+	opts := DefaultOptions(func(id int, _ func(uint64) bool) (kv.Engine, error) {
+		engines[id] = newStubEngine(gates[id])
+		return engines[id], nil
+	})
+	opts.Workers = 2
+	opts.Partitioner = firstByteMod{n: 2}
+	mem := vfs.NewMem()
+	opts.TxnFS, opts.TxnDir = mem, "txn"
+	s, err := Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	var wedged sync.WaitGroup
+	for shard := 0; shard < 2; shard++ {
+		k := shardKey(shard, 0)
+		if err := s.PutAsync(k, []byte("v"), l.callback(t, k, nil, &wedged)); err != nil {
+			t.Fatal(err)
+		}
+		waitWedged(t, engines[shard], 1)
+	}
+
+	var ops sync.WaitGroup
+	ops.Add(2)
+	go func() {
+		defer ops.Done()
+		if _, err := s.MultiGetCtx(nil, [][]byte{shardKey(0, 1), shardKey(1, 1), shardKey(0, 2)}); err != nil {
+			t.Errorf("MultiGetCtx: %v", err)
+		}
+	}()
+	go func() {
+		defer ops.Done()
+		var b kv.Batch
+		b.Put(shardKey(0, 3), []byte("v"))
+		b.Put(shardKey(1, 3), []byte("v"))
+		if err := s.WriteCtx(nil, &b); err != nil {
+			t.Errorf("WriteCtx: %v", err)
+		}
+	}()
+	rt := s.route.Load()
+	queuedLegs := func(w *worker) []*request {
+		w.q.mu.Lock()
+		defer w.q.mu.Unlock()
+		return append([]*request(nil), w.q.items[w.q.head:]...)
+	}
+	for deadline := time.Now().Add(5 * time.Second); len(queuedLegs(rt.workers[0])) < 3 || len(queuedLegs(rt.workers[1])) < 2; {
+		if time.Now().After(deadline) {
+			t.Fatal("the legs never queued")
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+	for _, w := range rt.workers {
+		for _, r := range queuedLegs(w) {
+			if r.done != nil || r.recycle || r.callback == nil {
+				t.Errorf("worker %d: a leg (typ %d) came from the pool or is marked for it: done %v, recycle %v", w.id, r.typ, r.done != nil, r.recycle)
+			}
+		}
+	}
+	close(gates[0])
+	close(gates[1])
+	ops.Wait()
+	wedged.Wait()
+	l.checkOnce(t, true, shardKey(0, 0), shardKey(1, 0))
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if len(l.legs) > 0 || len(l.recycled) != 2 {
+		t.Fatalf("requests recycled: %v, multi-leg among them: %q; want only the two wedge writes", l.recycled, l.legs)
+	}
+}

@@ -9,6 +9,7 @@ package core
 import (
 	"context"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"p2kvs/internal/keyspace"
@@ -39,8 +40,10 @@ type request struct {
 	// write has above the engine: the worker hands this slice (or, for a
 	// merged run, one concatenation of them) to the engine batch, the
 	// replication backlog, the reshard mirror and the hot-cache
-	// invalidation alike.
+	// invalidation alike. A single-key write carries its op inline: ops
+	// is one[:], so the commonest write costs no slice of its own.
 	ops []kv.BatchOp
+	one [1]kv.BatchOp
 	gsn uint64
 	// streamGSN, when non-zero, marks a replicated record being applied on
 	// a replica: the worker ships it to its own backlog under this
@@ -82,15 +85,19 @@ type request struct {
 	err     error
 	scanOut []Pair
 
-	// Completion: exactly one of done / callback is set. The sync path
-	// blocks on done (the paper's "suspends itself without further CPU
-	// consumption", ②); the async path gets callback(err) from the
-	// worker (the Put(K,V,callback) extension, §4.1). done has capacity 1
-	// and a request has exactly one waiter and is completed exactly once,
-	// so completing is a send that never blocks — which, unlike a close,
-	// leaves the channel reusable when the request is (syncRequests).
+	// Completion: through callback when one is set, through done
+	// otherwise. The sync path blocks on done (the paper's "suspends
+	// itself without further CPU consumption", ②); the async path gets
+	// callback(err) from the worker (the Put(K,V,callback) extension,
+	// §4.1). done has capacity 1 and a request has exactly one waiter and
+	// is completed exactly once, so completing is a send that never blocks
+	// — which, unlike a close, leaves the channel reusable when the request
+	// is (requests). recycle marks a pooled callback request: nobody reads
+	// it once its callback has returned, so whoever ran the callback puts
+	// it back.
 	done     chan struct{}
 	callback func(err error)
+	recycle  bool
 
 	// Barrier payload (reqBarrier, always noMerge). The worker finishes
 	// its leg of barrierReady when it reaches the request — every
@@ -109,37 +116,52 @@ type request struct {
 	enqueuedAt time.Time
 }
 
-// complete hands the request back to its submitter. It is the worker's last
-// touch of r: once the waiter has received from done it may recycle r.
+// complete hands the request back to its submitter. It is the completer's
+// last touch of r: once the waiter has received from done, or the callback
+// of a pooled request has returned, r is recycled.
 func (r *request) complete(err error) {
 	r.err = err
-	if r.callback != nil {
-		r.callback(err)
+	if r.callback == nil {
+		r.done <- struct{}{}
 		return
 	}
-	r.done <- struct{}{}
+	r.callback(err)
+	if r.recycle {
+		putRequest(r)
+	}
 }
 
 // newDone makes the completion channel of a request someone waits on.
 func newDone() chan struct{} { return make(chan struct{}, 1) }
 
-// syncRequests recycles the requests of single-leg synchronous operations
-// (GetCtx, PutCtx, DeleteCtx), each with its completion channel. The rule is
-// ownership: whoever waited for a request and saw it complete — or never got
-// it into a queue — is its only holder and returns it; a waiter whose context
+// requests recycles the requests of single-key operations — GetCtx, PutCtx,
+// DeleteCtx and the callback forms GetAsyncCtx, PutAsyncCtx, DeleteAsyncCtx —
+// each with its completion channel. The rule is ownership: only the
+// goroutine that observed a request's completion returns it. For a sync
+// request that is the waiter that received from done; a waiter whose context
 // ended first cannot know the worker is done with the request and leaves it
-// to the garbage collector. Callback, multi-leg and control-plane requests
-// have no such single owner and stay ordinary allocations.
-var syncRequests = sync.Pool{New: func() any { return &request{done: newDone()} }}
+// to the garbage collector. For a callback request it is whoever ran the
+// callback (a worker, or the close-drain), once the callback has returned. A
+// request that never got into a queue is still its submitter's. Multi-leg
+// requests (their submitter reads them after completion, when the worker
+// could not know it is safe to recycle) and control-plane ones stay ordinary
+// allocations.
+var requests = sync.Pool{New: func() any { return &request{done: newDone()} }}
 
-func getSyncRequest() *request { return syncRequests.Get().(*request) }
+func getRequest() *request { return requests.Get().(*request) }
 
-// putSyncRequest recycles r. The caller observed r's completion (its done
-// channel is drained) or failed to enqueue it, and has copied out the
-// results it wants.
-func putSyncRequest(r *request) {
+// recycleHook, set by tests only, sees every request on its way back into
+// the pool, before it is reset.
+var recycleHook atomic.Pointer[func(*request)]
+
+// putRequest recycles r. The caller is r's only holder (see requests) and
+// has copied out the results it wants.
+func putRequest(r *request) {
+	if hook := recycleHook.Load(); hook != nil {
+		(*hook)(r)
+	}
 	*r = request{done: r.done}
-	syncRequests.Put(r)
+	requests.Put(r)
 }
 
 // expired reports whether the request's context ended (deadline or

@@ -143,15 +143,17 @@ func (s *Store) waitDone(w *worker, r *request) (completed bool, err error) {
 }
 
 // submit routes a read by key and admits it under the routing read lock. A
-// callback request is done with at that point. A sync request then waits for
-// completion, the lock released; owned reports whether r is the caller's
-// alone again — it never reached a queue, or its completion was observed.
+// callback request is done with at that point — it is the worker's, and may
+// already be back in the pool. A sync request then waits for completion, the
+// lock released; owned reports whether r is the caller's alone again — it
+// never reached a queue, or its completion was observed.
 func (s *Store) submit(ctx context.Context, key []byte, r *request) (owned bool, err error) {
+	async := r.callback != nil
 	s.routeMu.RLock()
 	w := s.route.Load().pick(key)
 	err = s.admit(ctx, w, r)
 	s.routeMu.RUnlock()
-	if err != nil || r.callback != nil {
+	if err != nil || async {
 		return err != nil, err
 	}
 	return s.waitDone(w, r)

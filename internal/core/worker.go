@@ -38,6 +38,17 @@ type worker struct {
 
 	wg sync.WaitGroup
 
+	// Scratch of the worker goroutine, reused from one dequeue to the next:
+	// the concatenated ops of a merged write run, the engine batch that
+	// wraps a commit's ops, the keys of a merged read run. The ops and keys
+	// alias submitters' buffers, so each is cleared once the engine call and
+	// its followers (repl.Log.Append and mirrorMoved copy what they keep,
+	// cache invalidation only reads) are done with it — before any
+	// submitter is told it may reuse those buffers.
+	opsScratch []kv.BatchOp
+	batch      kv.Batch
+	keyScratch [][]byte
+
 	// Stats for the sensitivity studies.
 	ops         atomic.Int64
 	batches     atomic.Int64
@@ -296,15 +307,13 @@ func (w *worker) executeWrites(reqs []*request) {
 		}
 		return
 	}
-	n := 0
-	for _, r := range reqs {
-		n += len(r.ops)
-	}
-	ops := make([]kv.BatchOp, 0, n)
+	ops := w.opsScratch[:0]
 	for _, r := range reqs {
 		ops = append(ops, r.ops...)
 	}
 	err := w.commit(ops, 0, 0)
+	clear(ops)
+	w.opsScratch = ops
 	for _, r := range reqs {
 		r.complete(err)
 	}
@@ -326,12 +335,15 @@ func (w *worker) commit(ops []kv.BatchOp, txnGSN, streamGSN uint64) error {
 		if len(ops) > 1 {
 			w.batchWriteOps.Add(int64(len(ops)))
 		}
-		b := kv.BatchOf(ops)
+		// The batch header lives in the worker, not on a heap the engine
+		// interface would force it to: engines do not keep it past Write.
+		w.batch = kv.BatchOf(ops)
 		if gw, ok := w.engine.(gsnWriter); ok && txnGSN != 0 {
-			err = gw.WriteGSN(&b, txnGSN)
+			err = gw.WriteGSN(&w.batch, txnGSN)
 		} else {
-			err = bw.Write(&b)
+			err = bw.Write(&w.batch)
 		}
+		w.batch = kv.Batch{}
 	} else {
 		for _, op := range ops {
 			if op.Kind == kv.OpDelete {
@@ -395,12 +407,14 @@ func (w *worker) ship(streamGSN, txnGSN uint64, ops []kv.BatchOp) {
 // fallback).
 func (w *worker) executeReads(reqs []*request) {
 	if mg, ok := w.engine.(kv.MultiGetter); ok && w.caps.MultiGet && len(reqs) > 1 {
-		keys := make([][]byte, len(reqs))
-		for i, r := range reqs {
-			keys[i] = r.key
+		keys := w.keyScratch[:0]
+		for _, r := range reqs {
+			keys = append(keys, r.key)
 		}
 		w.multiGetOps.Add(int64(len(keys)))
 		vals, err := mg.MultiGet(keys)
+		clear(keys)
+		w.keyScratch = keys
 		for i, r := range reqs {
 			if err != nil {
 				r.complete(err)

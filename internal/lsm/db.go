@@ -237,6 +237,7 @@ func (d *DB) replayWALs(oo OpenOptions) error {
 		// order and surface stale values after a second crash.
 		it := d.memH.mem.NewIterator()
 		wrote := false
+		var payload []byte
 		for it.SeekToFirst(); it.Valid(); it.Next() {
 			uk, seq, kind, err := ikey.Decode(it.Key())
 			if err != nil {
@@ -248,7 +249,8 @@ func (d *DB) replayWALs(oo OpenOptions) error {
 			} else {
 				batch.Put(uk, it.Value())
 			}
-			if err := d.wal.Append(0, encodeBatchPayload(seq, &batch)); err != nil {
+			payload = appendBatchPayload(payload[:0], seq, &batch)
+			if err := d.wal.Append(0, payload); err != nil {
 				return err
 			}
 			wrote = true
@@ -297,14 +299,20 @@ func (d *DB) installMemtable() error {
 // Write path
 // ---------------------------------------------------------------------------
 
-// encodeBatchPayload serializes a batch for the WAL:
+// appendBatchPayload serializes a batch for the WAL behind dst:
 // baseSeq u64 | count u32 | ops (the shared kv op codec).
-func encodeBatchPayload(baseSeq uint64, b *kv.Batch) []byte {
-	buf := make([]byte, 12, 12+kv.OpsBound(b.Ops()))
-	binary.LittleEndian.PutUint64(buf[0:], baseSeq)
-	binary.LittleEndian.PutUint32(buf[8:], uint32(b.Len()))
-	return kv.AppendOps(buf, b.Ops())
+func appendBatchPayload(dst []byte, baseSeq uint64, b *kv.Batch) []byte {
+	dst = binary.LittleEndian.AppendUint64(dst, baseSeq)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(b.Len()))
+	return kv.AppendOps(dst, b.Ops())
 }
+
+// payloadBufs recycles the encoded WAL payload of a write. wal.Append
+// copies the payload into the log's own buffer before it returns — as a
+// leader, a follower or alone — so the buffer is the writer's again the
+// moment Append is back, whatever happened to the record. A pool, not a
+// field of the DB: a pipelined DB has many writers inside WriteGSN at once.
+var payloadBufs = sync.Pool{New: func() any { return new([]byte) }}
 
 // decodeBatchPayload is the inverse; the ops alias p.
 func decodeBatchPayload(p []byte) (baseSeq uint64, ops []kv.BatchOp, err error) {
@@ -383,8 +391,11 @@ func (d *DB) WriteGSN(b *kv.Batch, gsn uint64) error {
 	baseSeq := d.seq.Add(n) - n + 1
 
 	if !d.opts.DisableWAL {
-		payload := encodeBatchPayload(baseSeq, b)
-		if err := h.walw.Append(gsn, payload); err != nil {
+		buf := payloadBufs.Get().(*[]byte)
+		*buf = appendBatchPayload((*buf)[:0], baseSeq, b)
+		err := h.walw.Append(gsn, *buf)
+		payloadBufs.Put(buf)
+		if err != nil {
 			d.noteWriteFailure(h, err)
 			return err
 		}
@@ -881,9 +892,9 @@ type Metrics struct {
 func (d *DB) Metrics() Metrics {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	m := Metrics{MemTableBytes: d.memH.mem.ArenaSize(), ImmutableCount: len(d.imm)}
+	m := Metrics{MemTableBytes: d.memH.mem.ReservedBytes(), ImmutableCount: len(d.imm)}
 	for _, h := range d.imm {
-		m.MemTableBytes += h.mem.ArenaSize()
+		m.MemTableBytes += h.mem.ReservedBytes()
 	}
 	v := d.vs.Current()
 	for i := range v.Levels {

@@ -13,10 +13,10 @@ func FuzzDecodeBatchPayload(f *testing.F) {
 	var b kv.Batch
 	b.Put([]byte("key"), []byte("value"))
 	b.Delete([]byte("gone"))
-	f.Add(encodeBatchPayload(42, &b))
+	f.Add(appendBatchPayload(nil, 42, &b))
 	f.Add([]byte{})
 	f.Add([]byte{1, 2, 3})
-	valid := encodeBatchPayload(1, &b)
+	valid := appendBatchPayload(nil, 1, &b)
 	truncated := valid[:len(valid)-2]
 	f.Add(truncated)
 	huge := append([]byte(nil), valid...)
@@ -48,7 +48,7 @@ func FuzzBatchPayloadRoundTrip(f *testing.F) {
 		} else {
 			b.Put(k2, nil)
 		}
-		payload := encodeBatchPayload(7, &b)
+		payload := appendBatchPayload(nil, 7, &b)
 		base, ops, err := decodeBatchPayload(payload)
 		if err != nil {
 			t.Fatal(err)
@@ -74,7 +74,7 @@ func TestBatchPayloadGolden(t *testing.T) {
 	b.Put([]byte("alpha"), []byte("one"))
 	b.Delete([]byte("beta"))
 	b.Put([]byte("gamma"), nil)
-	payload := encodeBatchPayload(0x0102030405060708, &b)
+	payload := appendBatchPayload(nil, 0x0102030405060708, &b)
 	if got := hex.EncodeToString(payload); got != golden {
 		t.Fatalf("WAL payload = %s\nwant          %s", got, golden)
 	}

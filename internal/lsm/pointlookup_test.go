@@ -363,3 +363,60 @@ func benchmarkGet(b *testing.B, blockCache int64) {
 	hits, misses := db.BlockCacheStats()
 	b.ReportMetric(float64(hits)/float64(hits+misses), "cache-hit-ratio")
 }
+
+// TestWriteAllocs pins the engine's write path — WAL payload, log append,
+// memtable insert — at its amortised refills: an arena chunk per MiB of
+// entries, a node and a tower slab chunk per few thousand, the log file's
+// growth. Nothing is allocated per Write or per op, on the pipelined
+// concurrent-memtable preset and on the serialized exclusive one alike.
+func TestWriteAllocs(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("allocation pins are not meaningful under the race detector")
+	}
+	for _, preset := range []struct {
+		name string
+		opts func(vfs.FS) Options
+	}{{"rocksdb", RocksDBOptions}, {"leveldb", LevelDBOptions}} {
+		for _, nops := range []int{1, 16} {
+			opts := preset.opts(vfs.NewMem())
+			opts.MemTableSize = 1 << 30 // no flush in the window: the sstable writer has its own pin
+			db, err := Open("db", opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			keys := make([][]byte, nops)
+			for i := range keys {
+				keys[i] = make([]byte, 16)
+			}
+			val := make([]byte, 128)
+			seq := uint64(0)
+			var b kv.Batch
+			write := func() {
+				b.Reset()
+				for _, k := range keys {
+					seq++
+					binary.BigEndian.PutUint64(k[8:], seq*0x9E3779B97F4A7C15)
+					b.Put(k, val)
+				}
+				if err := db.Write(&b); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i := 0; i < 100; i++ { // warm: first chunks, payload and log buffers
+				write()
+			}
+			// AllocsPerRun reports whole allocations per run: a run is 10,000 writes.
+			const perRun = 10_000
+			got := testing.AllocsPerRun(1, func() {
+				for i := 0; i < perRun; i++ {
+					write()
+				}
+			}) / perRun
+			db.Close()
+			t.Logf("%s, %d-op Write: %.4f allocs/write", preset.name, nops, got)
+			if got > 0.05 {
+				t.Errorf("%s, %d-op Write: %.4f allocs/write, want <= 0.05", preset.name, nops, got)
+			}
+		}
+	}
+}

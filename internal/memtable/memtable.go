@@ -5,11 +5,15 @@
 // versions of a user key coexist until flush.
 //
 // Entry encoding inside the skiplist: varint(len(ikey)) | ikey |
-// varint(len(value)) | value.
+// varint(len(value)) | value, where ikey = ukey | trailer. Add encodes an
+// entry once, straight into the arena, and links those bytes; they never
+// change afterwards, which is what lets readers compare against and return
+// slices of them without a lock.
 package memtable
 
 import (
 	"encoding/binary"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 
@@ -30,9 +34,9 @@ func New(concurrent bool) *MemTable {
 	ar := arena.New()
 	var list skiplist.List
 	if concurrent {
-		list = skiplist.NewConcurrent(entryCompare, ar)
+		list = skiplist.NewConcurrent(entryCompare)
 	} else {
-		list = skiplist.NewBasic(entryCompare, ar)
+		list = skiplist.NewBasic(entryCompare)
 	}
 	return &MemTable{list: list, arena: ar}
 }
@@ -54,24 +58,27 @@ func entryValue(e []byte) []byte {
 	return rest[m : m+int(vlen)]
 }
 
-func encodeEntry(dst []byte, ik, value []byte) []byte {
-	var tmp [binary.MaxVarintLen32]byte
-	n := binary.PutUvarint(tmp[:], uint64(len(ik)))
-	dst = append(dst, tmp[:n]...)
-	dst = append(dst, ik...)
-	n = binary.PutUvarint(tmp[:], uint64(len(value)))
-	dst = append(dst, tmp[:n]...)
+// appendEntry appends the encoded entry for a version of ukey to dst.
+func appendEntry(dst []byte, seq uint64, kind ikey.Kind, ukey, value []byte) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(ukey)+ikey.TrailerLen))
+	dst = ikey.Encode(dst, ukey, seq, kind)
+	dst = binary.AppendUvarint(dst, uint64(len(value)))
 	return append(dst, value...)
 }
+
+func uvarintLen(x int) int { return (bits.Len64(uint64(x)|1) + 6) / 7 }
 
 // Add inserts a version of ukey. Concurrency rules follow the underlying
 // skiplist: the concurrent flavour accepts parallel Add calls, the basic
 // flavour requires the caller (the engine's write path) to serialize.
 func (m *MemTable) Add(seq uint64, kind ikey.Kind, ukey, value []byte) {
-	ik := ikey.Make(ukey, seq, kind)
-	entry := encodeEntry(make([]byte, 0, len(ik)+len(value)+8), ik, value)
+	klen := len(ukey) + ikey.TrailerLen
+	size := uvarintLen(klen) + klen + uvarintLen(len(value)) + len(value)
+	// The arena slice has exactly the entry's capacity, so the appends
+	// below fill it in place and cannot move it.
+	entry := appendEntry(m.arena.Alloc(size)[:0], seq, kind, ukey, value)
 	m.list.Insert(entry)
-	m.size.Add(int64(len(entry)) + 32) // payload + node overhead estimate
+	m.size.Add(int64(size) + 32) // payload + node overhead estimate
 }
 
 // seekBufs recycles the encoded seek entry a Get hands the skiplist. The
@@ -84,10 +91,8 @@ var seekBufs = sync.Pool{New: func() any { return new([]byte) }}
 // returned value is a slice of the memtable's own entry.
 func (m *MemTable) Get(ukey []byte, seq uint64) (value []byte, found, deleted bool) {
 	buf := seekBufs.Get().(*[]byte)
-	// The seek entry: an internal key with an empty value (encodeEntry's
-	// layout, built in place).
-	seek := binary.AppendUvarint((*buf)[:0], uint64(len(ukey)+ikey.TrailerLen))
-	seek = append(ikey.Encode(seek, ukey, seq, ikey.KindSet), 0)
+	// The seek entry: the newest visible version, with an empty value.
+	seek := appendEntry((*buf)[:0], seq, ikey.KindSet, ukey, nil)
 	e := m.list.FindGreaterOrEqual(seek)
 	*buf = seek
 	seekBufs.Put(buf)
@@ -108,8 +113,11 @@ func (m *MemTable) Get(ukey []byte, seq uint64) (value []byte, found, deleted bo
 // ApproximateSize reports buffered bytes for flush decisions.
 func (m *MemTable) ApproximateSize() int64 { return m.size.Load() }
 
-// ArenaSize reports reserved arena memory (Table 2 accounting).
-func (m *MemTable) ArenaSize() int64 { return m.arena.Size() }
+// ReservedBytes reports the memory the memtable holds on to: the entry
+// arena plus the skiplist's node and tower slabs (Table 2 accounting).
+// Entries live only in the arena and a node pays for its own height, so
+// this tracks ApproximateSize instead of exceeding it by half.
+func (m *MemTable) ReservedBytes() int64 { return m.arena.Size() + m.list.ReservedBytes() }
 
 // Len reports the number of buffered versions.
 func (m *MemTable) Len() int { return m.list.Len() }
@@ -130,7 +138,8 @@ func (it *Iter) SeekToFirst() { it.it.SeekToFirst() }
 
 // Seek positions at the first entry with internal key >= target.
 func (it *Iter) Seek(target []byte) {
-	it.it.Seek(encodeEntry(nil, target, nil))
+	seek := binary.AppendUvarint(make([]byte, 0, len(target)+binary.MaxVarintLen32+1), uint64(len(target)))
+	it.it.Seek(append(append(seek, target...), 0))
 }
 
 // Next advances.

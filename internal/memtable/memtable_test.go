@@ -1,12 +1,14 @@
 package memtable
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sync"
 	"testing"
 	"testing/quick"
 
 	"p2kvs/internal/ikey"
+	"p2kvs/internal/raceflag"
 )
 
 func both() map[string]bool {
@@ -114,8 +116,61 @@ func TestApproximateSizeGrows(t *testing.T) {
 	if m.ApproximateSize() < 1000 {
 		t.Fatalf("size = %d", m.ApproximateSize())
 	}
-	if m.ArenaSize() <= 0 {
-		t.Fatal("arena size must be positive")
+	if m.ReservedBytes() < 1000 {
+		t.Fatalf("reserved = %d, must cover the entry", m.ReservedBytes())
+	}
+}
+
+// TestReservedTracksApproximateSize: ApproximateSize charges an entry its
+// encoded length plus 32 bytes of node overhead, and that is what decides
+// rotation. With entries living only in the arena and towers sized by
+// height, what a memtable actually holds when it rotates stays within a
+// quarter of that estimate — for the benchmark's record shape (16-byte key,
+// 128-byte value), on both skiplist flavours.
+func TestReservedTracksApproximateSize(t *testing.T) {
+	const budget = 16 << 20
+	for name, concurrent := range both() {
+		t.Run(name, func(t *testing.T) {
+			m := New(concurrent)
+			key, val := make([]byte, 16), make([]byte, 128)
+			for seq := uint64(1); m.ApproximateSize() < budget; seq++ {
+				binary.BigEndian.PutUint64(key[8:], seq*0x9E3779B97F4A7C15)
+				m.Add(seq, ikey.KindSet, key, val)
+			}
+			approx, reserved := m.ApproximateSize(), m.ReservedBytes()
+			t.Logf("%d entries: approximate %d, reserved %d (%.3fx)", m.Len(), approx, reserved, float64(reserved)/float64(approx))
+			if float64(reserved) > 1.25*float64(approx) {
+				t.Errorf("reserved %d bytes against an estimate of %d: more than 1.25x", reserved, approx)
+			}
+			if reserved < approx*3/4 {
+				t.Errorf("reserved %d bytes against an estimate of %d: the accessor misses a slab", reserved, approx)
+			}
+		})
+	}
+}
+
+// TestAddAllocs pins Add at its slab refills: one arena chunk per MiB of
+// entries and a node and a tower chunk per few thousand — nothing per entry.
+func TestAddAllocs(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("allocation pins are not meaningful under the race detector")
+	}
+	for name, concurrent := range both() {
+		m := New(concurrent)
+		key, val := make([]byte, 16), make([]byte, 128)
+		seq := uint64(0)
+		// AllocsPerRun reports whole allocations per run: a run is 10,000 Adds.
+		got := testing.AllocsPerRun(10, func() {
+			for i := 0; i < 10_000; i++ {
+				seq++
+				binary.BigEndian.PutUint64(key[8:], seq*0x9E3779B97F4A7C15)
+				m.Add(seq, ikey.KindSet, key, val)
+			}
+		}) / 10_000
+		t.Logf("%s: %.4f allocs/Add", name, got)
+		if got > 0.01 {
+			t.Errorf("%s: %.4f allocs/Add, want <= 0.01 (slab refills only)", name, got)
+		}
 	}
 }
 

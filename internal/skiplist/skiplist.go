@@ -10,6 +10,13 @@
 // and never store duplicate-compare-equal entries' *positions* specially:
 // entries must be unique under the comparator (the memtable guarantees
 // this by suffixing keys with monotonically increasing sequence numbers).
+//
+// A list links the caller's entry, it does not copy it: the entry must
+// already be where it will live (the memtable's arena) and must never be
+// modified once inserted — readers compare against it without any lock.
+// What a list allocates itself are nodes and towers, from typed slabs
+// (arena.Slab) that die with the list: a node pays for a tower of its own
+// height, not for maxHeight.
 package skiplist
 
 import (
@@ -23,6 +30,11 @@ import (
 const (
 	maxHeight = 12
 	branching = 4
+
+	// Slab chunk sizes, in elements: 4096 nodes (48 B each) carry about
+	// 5,500 tower slots at branching 4, so the two slabs refill together.
+	nodeChunk  = 4096
+	towerChunk = 6144
 )
 
 // Comparator orders entries; negative when a<b, zero when equal.
@@ -32,11 +44,15 @@ type Comparator func(a, b []byte) int
 // Basic list require external synchronization; Concurrent supports fully
 // parallel Insert. Reads are always safe concurrently with inserts.
 type List interface {
+	// Insert links entry; see the package comment for what the caller
+	// promises about it.
 	Insert(entry []byte)
 	// FindGreaterOrEqual returns the first entry >= target, or nil.
 	FindGreaterOrEqual(target []byte) []byte
 	// Len reports the number of inserted entries.
 	Len() int
+	// ReservedBytes reports the memory reserved for nodes and towers.
+	ReservedBytes() int64
 	// Iterator returns a point-in-time-ish iterator (entries inserted
 	// during iteration may or may not be observed).
 	Iterator() Iterator
@@ -57,26 +73,28 @@ type Iterator interface {
 
 type cnode struct {
 	entry []byte
-	tower [maxHeight]atomic.Pointer[cnode]
+	tower []atomic.Pointer[cnode] // one slot per level the node is linked at
 }
 
 // Concurrent is a lock-free-insert skiplist.
 type Concurrent struct {
 	cmp    Comparator
-	arena  *arena.Arena
+	nodes  *arena.Slab[cnode]
+	towers *arena.Slab[atomic.Pointer[cnode]]
 	head   *cnode
 	height atomic.Int32
 	count  atomic.Int64
 	seed   atomic.Uint64
 }
 
-// NewConcurrent creates a concurrent skiplist. Entries are copied into ar
-// (pass nil to allocate a private arena).
-func NewConcurrent(cmp Comparator, ar *arena.Arena) *Concurrent {
-	if ar == nil {
-		ar = arena.New()
+// NewConcurrent creates a concurrent skiplist.
+func NewConcurrent(cmp Comparator) *Concurrent {
+	s := &Concurrent{
+		cmp:    cmp,
+		nodes:  arena.NewSlab[cnode](nodeChunk),
+		towers: arena.NewSlab[atomic.Pointer[cnode]](towerChunk),
+		head:   &cnode{tower: make([]atomic.Pointer[cnode], maxHeight)},
 	}
-	s := &Concurrent{cmp: cmp, arena: ar, head: &cnode{}}
 	s.height.Store(1)
 	s.seed.Store(0x9E3779B97F4A7C15)
 	return s
@@ -101,12 +119,13 @@ func (s *Concurrent) randomHeight() int {
 	}
 }
 
-// Insert adds entry; entry bytes are copied into the arena. Safe for
-// concurrent callers.
+// Insert implements List. Safe for concurrent callers: the slabs hand each
+// of them its own node and tower, and the node is published by the CAS
+// that links it at level 0.
 func (s *Concurrent) Insert(entry []byte) {
-	stored := s.arena.Copy(entry)
-	n := &cnode{entry: stored}
 	height := s.randomHeight()
+	n := &s.nodes.Alloc(1)[0]
+	n.entry, n.tower = entry, s.towers.Alloc(height)
 
 	// Raise the list height if needed.
 	for {
@@ -122,7 +141,7 @@ func (s *Concurrent) Insert(entry []byte) {
 	var prev, next [maxHeight]*cnode
 	p := s.head
 	for level := maxHeight - 1; level >= 0; level-- {
-		p2, n2 := s.findSpliceForLevel(stored, p, level)
+		p2, n2 := s.findSpliceForLevel(entry, p, level)
 		prev[level], next[level] = p2, n2
 		p = p2
 	}
@@ -132,7 +151,7 @@ func (s *Concurrent) Insert(entry []byte) {
 			if prev[level].tower[level].CompareAndSwap(next[level], n) {
 				break
 			}
-			prev[level], next[level] = s.findSpliceForLevel(stored, prev[level], level)
+			prev[level], next[level] = s.findSpliceForLevel(entry, prev[level], level)
 		}
 	}
 	s.count.Add(1)
@@ -179,6 +198,9 @@ func (s *Concurrent) FindGreaterOrEqual(target []byte) []byte {
 // Len implements List.
 func (s *Concurrent) Len() int { return int(s.count.Load()) }
 
+// ReservedBytes implements List.
+func (s *Concurrent) ReservedBytes() int64 { return s.nodes.Size() + s.towers.Size() }
+
 // Iterator implements List. The cursor rides node pointers directly:
 // safe under concurrent inserts because nodes are immutable once linked
 // and never unlinked.
@@ -217,7 +239,8 @@ type bnode struct {
 // measures for the non-concurrent memtable).
 type Basic struct {
 	cmp   Comparator
-	arena *arena.Arena
+	nodes *arena.Slab[bnode]
+	nexts *arena.Slab[*bnode]
 	rng   *rand.Rand
 
 	mu     sync.RWMutex
@@ -227,13 +250,11 @@ type Basic struct {
 }
 
 // NewBasic creates an exclusive-write skiplist.
-func NewBasic(cmp Comparator, ar *arena.Arena) *Basic {
-	if ar == nil {
-		ar = arena.New()
-	}
+func NewBasic(cmp Comparator) *Basic {
 	return &Basic{
 		cmp:    cmp,
-		arena:  ar,
+		nodes:  arena.NewSlab[bnode](nodeChunk),
+		nexts:  arena.NewSlab[*bnode](towerChunk),
 		rng:    rand.New(rand.NewSource(0xC0FFEE)),
 		head:   &bnode{next: make([]*bnode, maxHeight)},
 		height: 1,
@@ -243,12 +264,12 @@ func NewBasic(cmp Comparator, ar *arena.Arena) *Basic {
 // Insert implements List. Callers must serialize Insert calls; the
 // internal lock only protects readers from torn updates.
 func (s *Basic) Insert(entry []byte) {
-	stored := s.arena.Copy(entry)
 	height := 1
 	for height < maxHeight && s.rng.Intn(branching) == 0 {
 		height++
 	}
-	n := &bnode{entry: stored, next: make([]*bnode, height)}
+	n := &s.nodes.Alloc(1)[0]
+	n.entry, n.next = entry, s.nexts.Alloc(height)
 
 	s.mu.Lock()
 	if height > s.height {
@@ -256,7 +277,7 @@ func (s *Basic) Insert(entry []byte) {
 	}
 	prev := s.head
 	for level := s.height - 1; level >= 0; level-- {
-		for prev.next[level] != nil && s.cmp(prev.next[level].entry, stored) < 0 {
+		for prev.next[level] != nil && s.cmp(prev.next[level].entry, entry) < 0 {
 			prev = prev.next[level]
 		}
 		if level < height {
@@ -297,6 +318,9 @@ func (s *Basic) Len() int {
 	defer s.mu.RUnlock()
 	return s.count
 }
+
+// ReservedBytes implements List.
+func (s *Basic) ReservedBytes() int64 { return s.nodes.Size() + s.nexts.Size() }
 
 // Iterator implements List. The read lock is taken per positioning call,
 // so a single writer may interleave between steps; entries already

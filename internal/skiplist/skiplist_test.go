@@ -8,12 +8,14 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+
+	"p2kvs/internal/arena"
 )
 
 func lists() map[string]func() List {
 	return map[string]func() List{
-		"concurrent": func() List { return NewConcurrent(bytes.Compare, nil) },
-		"basic":      func() List { return NewBasic(bytes.Compare, nil) },
+		"concurrent": func() List { return NewConcurrent(bytes.Compare) },
+		"basic":      func() List { return NewBasic(bytes.Compare) },
 	}
 }
 
@@ -164,7 +166,7 @@ func TestQuickAgainstSortedSlice(t *testing.T) {
 }
 
 func TestConcurrentInserters(t *testing.T) {
-	l := NewConcurrent(bytes.Compare, nil)
+	l := NewConcurrent(bytes.Compare)
 	const (
 		goroutines = 8
 		perG       = 1000
@@ -201,7 +203,7 @@ func TestConcurrentInserters(t *testing.T) {
 }
 
 func TestConcurrentReadDuringWrite(t *testing.T) {
-	l := NewConcurrent(bytes.Compare, nil)
+	l := NewConcurrent(bytes.Compare)
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
@@ -220,16 +222,90 @@ func TestConcurrentReadDuringWrite(t *testing.T) {
 	<-done
 }
 
-func TestInsertDoesNotAliasCallerBuffer(t *testing.T) {
+// TestInsertLinksCallersEntry is the Insert contract: the list stores the
+// slice it was handed — no copy — and accounts only for its nodes and towers.
+func TestInsertLinksCallersEntry(t *testing.T) {
 	for name, mk := range lists() {
 		t.Run(name, func(t *testing.T) {
 			l := mk()
-			buf := []byte("mutable")
-			l.Insert(buf)
-			buf[0] = 'X'
-			if got := l.FindGreaterOrEqual([]byte("mutable")); string(got) != "mutable" {
-				t.Fatalf("list aliased caller buffer: %q", got)
+			if l.ReservedBytes() != 0 {
+				t.Fatalf("an empty list reserves %d bytes", l.ReservedBytes())
+			}
+			ar := arena.New()
+			entry := ar.Alloc(5)
+			copy(entry, "owned")
+			l.Insert(entry)
+			got := l.FindGreaterOrEqual([]byte("owned"))
+			if string(got) != "owned" || &got[0] != &entry[0] {
+				t.Fatalf("FindGE = %q at %p, want the inserted slice at %p", got, &got[0], &entry[0])
+			}
+			if l.ReservedBytes() <= 0 {
+				t.Fatal("ReservedBytes must count the node and tower slabs")
 			}
 		})
+	}
+}
+
+// TestConcurrentInsertersAndReaders: inserters take entries from one shared
+// arena and link them while readers iterate and seek. Under -race this
+// checks the slab hand-out (nodes and towers cross several chunk refills)
+// and the publication of a node's entry and tower through the linking CAS;
+// readers must only ever see a sorted list of complete entries.
+func TestConcurrentInsertersAndReaders(t *testing.T) {
+	l := NewConcurrent(bytes.Compare)
+	ar := arena.New()
+	const (
+		inserters = 4
+		perG      = 3 * nodeChunk / inserters // three node chunks in all
+	)
+	var writers, readers sync.WaitGroup
+	stop := make(chan struct{})
+	for r := 0; r < 2; r++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			it := l.Iterator()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				var prev []byte
+				for it.SeekToFirst(); it.Valid(); it.Next() {
+					e := it.Entry()
+					if len(e) != 10 || e[0] != 'g' || (prev != nil && bytes.Compare(prev, e) >= 0) {
+						t.Errorf("reader saw %q after %q", e, prev)
+						return
+					}
+					prev = e
+				}
+				if e := l.FindGreaterOrEqual([]byte("g01-")); e != nil && !bytes.HasPrefix(e, []byte("g0")) {
+					t.Errorf("FindGE(g01-) = %q", e)
+					return
+				}
+			}
+		}()
+	}
+	for g := 0; g < inserters; g++ {
+		writers.Add(1)
+		go func(g int) {
+			defer writers.Done()
+			for i := 0; i < perG; i++ {
+				e := ar.Alloc(10)
+				copy(e, fmt.Sprintf("g%02d-%06d", g, i))
+				l.Insert(e)
+			}
+		}(g)
+	}
+	writers.Wait()
+	close(stop)
+	readers.Wait()
+	if l.Len() != inserters*perG {
+		t.Fatalf("len = %d, want %d", l.Len(), inserters*perG)
+	}
+	// A node of height h holds h tower slots; the slabs reserve whole chunks.
+	if got, min := l.ReservedBytes(), int64(inserters*perG*(48+8)); got < min {
+		t.Fatalf("ReservedBytes = %d, want at least %d", got, min)
 	}
 }

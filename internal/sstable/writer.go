@@ -52,7 +52,7 @@ type Writer struct {
 	data    block.Builder
 	index   block.Builder
 	filter  *bloom.Filter
-	ukeys   [][]byte
+	hashes  []uint32 // bloom.Hash of every entry's user key, in Add order
 	meta    Meta
 	lastKey []byte
 	err     error
@@ -76,7 +76,7 @@ func (w *Writer) Add(ik, value []byte) error {
 		w.meta.Smallest = append([]byte(nil), ik...)
 	}
 	w.lastKey = append(w.lastKey[:0], ik...)
-	w.ukeys = append(w.ukeys, append([]byte(nil), ikey.UserKey(ik)...))
+	w.hashes = append(w.hashes, bloom.Hash(ikey.UserKey(ik)))
 	w.data.Add(ik, value)
 	w.meta.Entries++
 	if w.data.EstimatedSize() >= targetBlockSize {
@@ -132,7 +132,7 @@ func (w *Writer) Finish() (Meta, error) {
 	w.meta.Largest = append([]byte(nil), w.lastKey...)
 
 	filterOff := w.off
-	filterBlk := block.Seal(w.filter.Build(w.ukeys))
+	filterBlk := block.Seal(w.filter.Build(w.hashes))
 	if err := w.writeRaw(filterBlk); err != nil {
 		return Meta{}, err
 	}

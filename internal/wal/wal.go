@@ -149,7 +149,10 @@ type Writer struct {
 	lockNs   atomic.Int64
 	groupSum atomic.Int64
 
-	buf []byte // leader scratch
+	// Leader scratch: the encoded group and its members. Only the one
+	// writer in flight (mu held, or writing set) touches them.
+	buf   []byte
+	group []*waiter
 }
 
 // NewWriter starts a log in f.
@@ -199,11 +202,7 @@ func (w *Writer) appendSolo(gsn uint64, payload []byte) error {
 	if w.tainted {
 		return ErrTainted
 	}
-	ioStart := time.Now()
-	err := w.writeRecords([]*waiter{{gsn: gsn, payload: payload}})
-	w.ioNs.Add(int64(time.Since(ioStart)))
-	w.groupIOs.Add(1)
-	w.groupSum.Add(1)
+	err := w.writeRecords(gsn, payload, nil)
 	if err != nil {
 		w.tainted = true
 	}
@@ -211,8 +210,6 @@ func (w *Writer) appendSolo(gsn uint64, payload []byte) error {
 }
 
 func (w *Writer) appendGrouped(gsn uint64, payload []byte) error {
-	wt := &waiter{gsn: gsn, payload: payload}
-
 	enqueue := time.Now()
 	w.mu.Lock()
 	if w.closed {
@@ -223,6 +220,19 @@ func (w *Writer) appendGrouped(gsn uint64, payload []byte) error {
 		w.mu.Unlock()
 		return ErrTainted
 	}
+	if !w.writing && len(w.pending) == 0 {
+		// Uncontended: nobody to follow and nobody to lead — the only case
+		// a log with one appender (a p2KVS worker's) ever sees. Write as a
+		// group of one without queueing a waiter; appenders that arrive
+		// meanwhile queue behind writing exactly as behind any leader.
+		w.writing = true
+		w.mu.Unlock()
+		w.lockNs.Add(int64(time.Since(enqueue)))
+		err := w.writeRecords(gsn, payload, nil)
+		w.finishGroup(nil, err)
+		return err
+	}
+	wt := &waiter{gsn: gsn, payload: payload}
 	w.pending = append(w.pending, wt)
 	// Park until either a leader completed our write, or we are at the
 	// head of the queue with no leader in flight — then we lead.
@@ -249,27 +259,33 @@ func (w *Writer) appendGrouped(gsn uint64, payload []byte) error {
 		w.lockNs.Add(int64(time.Since(enqueue)))
 		return ErrTainted
 	}
-	// Leader path: claim a group bounded by count and bytes.
+	// Leader path: claim a group bounded by count and bytes. The group
+	// moves to the leader's own slice and the queue closes up in place, so
+	// pending keeps its capacity from one group to the next.
 	n, bytes := 0, 0
 	for n < len(w.pending) && n < w.opts.MaxGroupCount && bytes < w.opts.MaxGroupBytes {
 		bytes += len(w.pending[n].payload)
 		n++
 	}
-	group := w.pending[:n:n]
-	w.pending = w.pending[n:]
+	w.group = append(w.group[:0], w.pending[:n]...)
+	group := w.group
+	rest := copy(w.pending, w.pending[n:])
+	clear(w.pending[rest:])
+	w.pending = w.pending[:rest]
 	w.writing = true
 	w.mu.Unlock()
 	w.lockNs.Add(int64(time.Since(enqueue)))
 
-	ioStart := time.Now()
-	err := w.writeRecords(group)
-	w.ioNs.Add(int64(time.Since(ioStart)))
-	w.groupIOs.Add(1)
-	w.groupSum.Add(int64(n))
+	err := w.writeRecords(0, nil, group)
+	w.finishGroup(group, err)
+	return err
+}
 
-	// Wake the followers; the time spent doing so is lock overhead (the
-	// paper's third cause: "the more threads in the group, the more CPU
-	// time is used to unlock the follower threads").
+// finishGroup ends a leader's turn: it wakes the group's followers and
+// lets the next queue head lead. The time spent doing so is lock overhead
+// (the paper's third cause: "the more threads in the group, the more CPU
+// time is used to unlock the follower threads").
+func (w *Writer) finishGroup(group []*waiter, err error) {
 	wakeStart := time.Now()
 	w.mu.Lock()
 	if err != nil {
@@ -281,15 +297,33 @@ func (w *Writer) appendGrouped(gsn uint64, payload []byte) error {
 		m.done = true
 		m.err = err
 	}
+	clear(group) // the scratch must not keep the waiters, or their payloads, alive
 	w.writing = false
 	w.cond.Broadcast()
 	w.mu.Unlock()
 	w.lockNs.Add(int64(time.Since(wakeStart)))
-	return err
 }
 
-// writeRecords encodes the group into one buffer and performs one write.
-func (w *Writer) writeRecords(group []*waiter) error {
+// addRecord encodes one record behind those already in the buffer. The
+// header is built where it will be written from, so no part of it leaves
+// the buffer for the checksum to read.
+func (w *Writer) addRecord(gsn uint64, payload []byte) {
+	off := len(w.buf)
+	var zero [headerLen]byte
+	w.buf = append(w.buf, zero[:]...)
+	w.buf = append(w.buf, payload...)
+	hdr := w.buf[off : off+headerLen]
+	binary.LittleEndian.PutUint32(hdr[4:], crc32.ChecksumIEEE(payload))
+	binary.LittleEndian.PutUint32(hdr[8:], uint32(len(payload)))
+	binary.LittleEndian.PutUint64(hdr[12:], gsn)
+	binary.LittleEndian.PutUint32(hdr[0:], crc32.ChecksumIEEE(hdr[4:]))
+}
+
+// writeRecords encodes a claimed group — or, with a nil group, the one
+// record (gsn, payload) — into one buffer and performs one write. The caller
+// is the only writer in flight: it holds mu, or set writing.
+func (w *Writer) writeRecords(gsn uint64, payload []byte, group []*waiter) error {
+	ioStart := time.Now()
 	w.buf = w.buf[:0]
 	if w.size == 0 {
 		// First bytes of the log: the preamble rides in the same write as
@@ -297,18 +331,28 @@ func (w *Writer) writeRecords(group []*waiter) error {
 		// nothing or a well-formed prefix.
 		w.buf = append(w.buf, magic...)
 	}
-	for _, m := range group {
-		var hdr [headerLen]byte
-		binary.LittleEndian.PutUint32(hdr[4:], crc32.ChecksumIEEE(m.payload))
-		binary.LittleEndian.PutUint32(hdr[8:], uint32(len(m.payload)))
-		binary.LittleEndian.PutUint64(hdr[12:], m.gsn)
-		binary.LittleEndian.PutUint32(hdr[0:], crc32.ChecksumIEEE(hdr[4:]))
-		w.buf = append(w.buf, hdr[:]...)
-		w.buf = append(w.buf, m.payload...)
+	n := 1
+	if group == nil {
+		w.addRecord(gsn, payload)
+	} else {
+		n = len(group)
+		for _, m := range group {
+			w.addRecord(m.gsn, m.payload)
+		}
 	}
+	err := w.flush(n)
+	w.ioNs.Add(int64(time.Since(ioStart)))
+	w.groupIOs.Add(1)
+	w.groupSum.Add(int64(n))
+	return err
+}
+
+// flush performs the one write (and the policy's sync) for the n records
+// in the buffer.
+func (w *Writer) flush(n int) error {
 	if w.opts.PerRecordCost > 0 || w.opts.PerByteCost > 0 {
 		// Simulated-time model of the leader's serialized software path.
-		cost := time.Duration(len(group))*w.opts.PerRecordCost +
+		cost := time.Duration(n)*w.opts.PerRecordCost +
 			time.Duration(len(w.buf))*w.opts.PerByteCost
 		if cost > 0 {
 			time.Sleep(cost)

@@ -129,6 +129,86 @@ func TestGroupingAggregates(t *testing.T) {
 	w.Close()
 }
 
+// gatedFile parks every write until the test lets it through.
+type gatedFile struct {
+	vfs.File
+	entered chan struct{}
+	release chan struct{}
+}
+
+func (f *gatedFile) Write(p []byte) (int, error) {
+	f.entered <- struct{}{}
+	<-f.release
+	return f.File.Write(p)
+}
+
+// TestFollowersBehindUncontendedLeader: an appender that takes the
+// uncontended path is a leader like any other. Two appenders arriving while
+// its write is in flight queue behind it; when it finishes the queue head
+// leads both as one group and the other is woken as a follower. Every record
+// lands once, in arrival order, and the queue keeps its capacity.
+func TestFollowersBehindUncontendedLeader(t *testing.T) {
+	fs := vfs.NewMem()
+	inner, _ := fs.Create("wal")
+	f := &gatedFile{File: inner, entered: make(chan struct{}), release: make(chan struct{})}
+	w := NewWriter(f, DefaultOptions())
+
+	errs := make(chan error, 3)
+	appendAsync := func(gsn uint64, payload string) {
+		go func() { errs <- w.Append(gsn, []byte(payload)) }()
+	}
+	queued := func(n int) {
+		t.Helper()
+		for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(50 * time.Microsecond) {
+			w.mu.Lock()
+			got := len(w.pending)
+			w.mu.Unlock()
+			if got == n {
+				return
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("%d appenders queued, want %d", got, n)
+			}
+		}
+	}
+
+	appendAsync(1, "leader")
+	<-f.entered // the leader is inside its write, holding no lock
+	appendAsync(2, "head")
+	queued(1)
+	appendAsync(3, "follower")
+	queued(2)
+	f.release <- struct{}{} // leader's write
+	<-f.entered             // the head now leads {head, follower}
+	f.release <- struct{}{}
+	for i := 0; i < 3; i++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	if st := w.Stats(); st.GroupIOs != 2 || st.GroupSize != 3 {
+		t.Fatalf("%d log writes carrying %d records, want 2 carrying 3", st.GroupIOs, st.GroupSize)
+	}
+	w.mu.Lock()
+	if len(w.pending) != 0 || cap(w.pending) < 2 {
+		t.Errorf("queue after the group: len %d cap %d, want empty with its capacity kept", len(w.pending), cap(w.pending))
+	}
+	w.mu.Unlock()
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	recs, err := ReadAll(fs, "wal")
+	if err != nil || len(recs) != 3 {
+		t.Fatalf("replayed %d records, %v", len(recs), err)
+	}
+	for i, want := range []string{"leader", "head", "follower"} {
+		if recs[i].GSN != uint64(i+1) || string(recs[i].Payload) != want {
+			t.Errorf("record %d = gsn %d %q, want gsn %d %q", i, recs[i].GSN, recs[i].Payload, i+1, want)
+		}
+	}
+}
+
 func TestTornTailIgnored(t *testing.T) {
 	fs := vfs.NewMem()
 	f, _ := fs.Create("wal")

@@ -42,7 +42,12 @@ import (
 // Re-exported types: the facade aliases the internal contract types so
 // applications never import internal packages.
 type (
-	// Store is a p2KVS store (the accessing layer + workers).
+	// Store is a p2KVS store (the accessing layer + workers). Its
+	// asynchronous forms (PutAsync, DeleteAsync, GetAsync and their Ctx
+	// variants) hand key and value to the engine without copying them:
+	// both must stay unmodified until the callback runs. A callback runs on
+	// a worker goroutine, so it should be short; the value GetAsync passes
+	// it is the caller's to keep, as Get's result is.
 	Store = core.Store
 	// Batch accumulates write operations for atomic commit.
 	Batch = kv.Batch
