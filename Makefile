@@ -26,14 +26,20 @@ alloc-pins:
 	$(GO) test -count=1 -run 'Allocs' ./internal/...
 
 # Where the write path allocates, by object count: the two write benchmarks
-# of bench_test.go under a memory profile sampled every 4 KiB. The next diet
-# starts from this table, not from a patched benchmark/.
+# of bench_test.go under a memory profile sampled every 4 KiB. Under it, where
+# the read path allocates, by bytes: a point lookup's cost to the heap is the
+# size of what a block-cache miss takes, not how many objects (-focus keeps the
+# benchmark's own set-up, a bulk load, out of the table). The next diet
+# starts from these tables, not from a patched benchmark/.
 PROFILE_DIR ?= /tmp/p2kvs-alloc-profile
 alloc-profile:
 	mkdir -p $(PROFILE_DIR)
 	$(GO) test -run '^$$' -bench 'PutAsync|LSMWriteBatch' -benchmem -benchtime 1000000x \
 		-memprofile $(PROFILE_DIR)/mem.prof -memprofilerate 4096 -o $(PROFILE_DIR)/p2kvs.test .
 	$(GO) tool pprof -sample_index=alloc_objects -top -nodecount 25 $(PROFILE_DIR)/p2kvs.test $(PROFILE_DIR)/mem.prof
+	$(GO) test -run '^$$' -bench 'GetMiss' -benchmem -benchtime 1000000x \
+		-memprofile $(PROFILE_DIR)/read.prof -memprofilerate 4096 -o $(PROFILE_DIR)/lsm.test ./internal/lsm
+	$(GO) tool pprof -sample_index=alloc_space -top -nodecount 15 -focus='\(\*DB\)\.Get$$' $(PROFILE_DIR)/lsm.test $(PROFILE_DIR)/read.prof
 
 vet:
 	$(GO) vet ./...

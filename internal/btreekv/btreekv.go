@@ -360,8 +360,7 @@ func (d *DB) Get(key []byte) ([]byte, error) {
 			return nil, err
 		}
 		if found && !deleted {
-			// v is a slice of the data block; the caller owns what Get returns.
-			return append([]byte(nil), v...), nil
+			return v, nil // already the caller's own copy
 		}
 	}
 	return nil, kv.ErrNotFound
@@ -402,6 +401,7 @@ func (d *DB) checkpointLocked() error {
 	var baseIt *sstable.Iter
 	if d.base != nil {
 		baseIt = d.base.NewIterator()
+		defer baseIt.Close()
 		baseIt.SeekToFirst()
 	}
 	emitBaseUpTo := func(bound []byte) error {
@@ -578,6 +578,7 @@ func (d *DB) NewIterator() (kv.Iterator, error) {
 	}
 	if d.base != nil {
 		it := d.base.NewIterator()
+		defer it.Close()
 		for it.SeekToFirst(); it.Valid(); it.Next() {
 			uk := ikey.UserKey(it.Key())
 			emitDirtyUpTo(uk)

@@ -191,13 +191,14 @@ func (d *DB) Resume() error {
 // is exactly when garbage matters most): it deletes files in the instance
 // directory that nothing references — SSTs absent from the current version
 // and logs older than the manifest's LogNum (already flushed). It only runs
-// while the engine is degraded — no flush or compaction can start then, so
-// a name absent from the snapshot taken under d.mu cannot become live again
-// (file numbers are never reused) — and defers to checkpoint pins, which
-// may still reference retired files.
+// while the engine is degraded and no flush or compaction that started before
+// it degraded is still running — none can start then, so a name absent from
+// the snapshot taken under d.mu cannot become live again (file numbers are
+// never reused) — and defers to checkpoint pins, which may still reference
+// retired files.
 func (d *DB) reclaimSpace() {
 	d.mu.Lock()
-	if d.g.Err() == nil || d.closed.Load() || d.Held() || len(d.compRunning) > 0 {
+	if d.g.Err() == nil || d.closed.Load() || d.Held() || len(d.compRunning) > 0 || d.flushing > 0 {
 		d.mu.Unlock()
 		return
 	}

@@ -45,20 +45,28 @@ func (c *tableCache) replaceLocked(num uint64, r *sstable.Reader) {
 	c.readers.Store(&next)
 }
 
+// openTable opens table num for the point-lookup path, a scan or a
+// compaction alike. The base name in its corruption errors is what maps a
+// checksum mismatch back to the file number to quarantine (corruption.go).
+func openTable(fs vfs.FS, dir string, num uint64, blocks *cache.Cache) (*sstable.Reader, error) {
+	f, err := fs.Open(sstName(dir, num))
+	if err != nil {
+		return nil, err
+	}
+	r, err := sstable.OpenNamed(f, blocks, num, fmt.Sprintf("%06d.sst", num))
+	if err != nil {
+		f.Close()
+	}
+	return r, err
+}
+
 func (c *tableCache) get(num uint64) (*sstable.Reader, error) {
 	if r, ok := (*c.readers.Load())[num]; ok {
 		return r, nil
 	}
 
-	f, err := c.fs.Open(sstName(c.dir, num))
+	r, err := openTable(c.fs, c.dir, num, c.blocks)
 	if err != nil {
-		return nil, err
-	}
-	// The base name in corruption errors is what maps a checksum mismatch
-	// back to the file number to quarantine (see corruption.go).
-	r, err := sstable.OpenNamed(f, c.blocks, num, fmt.Sprintf("%06d.sst", num))
-	if err != nil {
-		f.Close()
 		return nil, err
 	}
 	c.mu.Lock()
@@ -72,7 +80,10 @@ func (c *tableCache) get(num uint64) (*sstable.Reader, error) {
 	return r, nil
 }
 
-// evict closes and forgets the reader for a deleted file.
+// evict closes and forgets the reader for a deleted, parked or re-installed
+// file, and drops the file's blocks from the block cache: they would hold
+// budget until they aged out, and a repaired image under the same number must
+// not be served the old one's bytes.
 func (c *tableCache) evict(num uint64) {
 	c.mu.Lock()
 	r, ok := (*c.readers.Load())[num]
@@ -83,16 +94,7 @@ func (c *tableCache) evict(num uint64) {
 	if ok {
 		r.Close()
 	}
-}
-
-// approximateMemory estimates pinned index+filter bytes (Table 2).
-func (c *tableCache) approximateMemory() int64 {
-	// Index + filter are roughly 2% of table size at our block/key sizes.
-	var total int64
-	for _, r := range *c.readers.Load() {
-		total += r.Size() / 50
-	}
-	return total
+	c.blocks.EvictFile(num)
 }
 
 func (c *tableCache) closeAll() {

@@ -2,7 +2,6 @@ package lsm
 
 import (
 	"bytes"
-	"fmt"
 	"sort"
 	"sync"
 
@@ -279,14 +278,11 @@ func (d *DB) subcompactionBounds(inputs []*manifest.FileMeta) [][2][]byte {
 func (d *DB) mergeFiles(inputs []*manifest.FileMeta, outLevel int, dropTombs bool, lo, hi []byte) (outputs []manifest.FileMeta, err error) {
 	var children []internalIterator
 	for _, fm := range inputs {
-		f, ferr := d.opts.FS.Open(sstName(d.dir, fm.Num))
-		if ferr != nil {
-			closeAll(children)
-			return nil, ferr
-		}
-		r, rerr := sstable.OpenNamed(f, d.blocks, fm.Num, fmt.Sprintf("%06d.sst", fm.Num))
+		// No block cache: a merge reads each block once, through one buffer
+		// per input, and must not evict live blocks to cache those of files it
+		// is about to delete.
+		r, rerr := openTable(d.opts.FS, d.dir, fm.Num, nil)
 		if rerr != nil {
-			f.Close()
 			closeAll(children)
 			return nil, rerr
 		}

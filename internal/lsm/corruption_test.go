@@ -343,3 +343,41 @@ func TestCompactionSkipsQuarantined(t *testing.T) {
 		t.Fatalf("CompactRange = %v, want ErrCorruption", err)
 	}
 }
+
+// TestScanCorruptionIsTypedAndQuarantined: a checksum mismatch met by a scan
+// is the same event as one met by Get — kv.ErrCorruption naming the file,
+// counted in Health, the file quarantined — not a bare sstable error nobody
+// hears about. (Scan readers used to be opened without a name.)
+func TestScanCorruptionIsTypedAndQuarantined(t *testing.T) {
+	fs, path, sst, _, _ := buildCorruptDB(t, "db")
+	if err := fs.CorruptAt(path, 10); err != nil { // inside the first data block
+		t.Fatal(err)
+	}
+	db, err := Open("db", smallOpts(fs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+
+	it, err := db.NewIterator()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for it.SeekToFirst(); it.Valid(); it.Next() {
+	}
+	err = it.Error()
+	it.Close()
+	var ce *kv.CorruptionError
+	if !errors.Is(err, kv.ErrCorruption) || !errors.As(err, &ce) || ce.File != sst {
+		t.Fatalf("scan across a flipped byte: err = %v, want kv.ErrCorruption naming %s", err, sst)
+	}
+	h := db.Health()
+	if h.CorruptionEvents == 0 || h.QuarantinedFiles != 1 || h.LastCorruption == nil {
+		t.Fatalf("Health after the scan: %d corruption events, %d quarantined, last %v",
+			h.CorruptionEvents, h.QuarantinedFiles, h.LastCorruption)
+	}
+	// The next scan is refused up front: it would have to cross the file.
+	if _, err := db.NewIterator(); !errors.Is(err, kv.ErrCorruption) {
+		t.Fatalf("NewIterator over a quarantined file: err = %v, want kv.ErrCorruption", err)
+	}
+}

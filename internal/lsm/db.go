@@ -17,6 +17,7 @@ import (
 	"p2kvs/internal/kv"
 	"p2kvs/internal/manifest"
 	"p2kvs/internal/memtable"
+	"p2kvs/internal/sstable"
 	"p2kvs/internal/wal"
 )
 
@@ -55,6 +56,7 @@ type DB struct {
 	// so Close can wait them out before tearing down the manifest.
 	compRunning []*compactionJob
 	compWG      sync.WaitGroup
+	flushing    int // flushOne calls past their degraded check; reclaimSpace waits them out
 
 	// g holds the degraded state, the disk-full poll and the health
 	// counters (bgerror.go); it is degraded only under mu, so a loop that
@@ -634,40 +636,36 @@ func isStaleFileErr(err error) bool {
 	return err != nil && errors.Is(err, os.ErrNotExist)
 }
 
-// getAt resolves key against rs at snapshot seq. This is where the one copy
-// of a point lookup happens: memtables and tables hand back slices of their
-// own storage (a skiplist entry, a cached block), and the caller of Get owns
-// what it is given, so the winning value is copied here and nowhere else.
+// getAt resolves key against rs at snapshot seq. The caller of Get owns what
+// it is given, so a point lookup copies the winning value exactly once: here
+// for a memtable hit (a memtable hands back a slice of its skiplist entry),
+// inside sstable.Reader.Find for a table hit (a pin on a cached block never
+// leaves that package).
 func (d *DB) getAt(rs *readState, seq uint64, key []byte) ([]byte, error) {
 	v, found, deleted := rs.mem.Get(key, seq)
 	for i := 0; !found && i < len(rs.imms); i++ {
 		v, found, deleted = rs.imms[i].Get(key, seq)
 	}
-	if !found {
-		var hit tableHit
-		if err := d.getFromTables(rs.ver, seq, key, &hit); err != nil {
-			return nil, err
+	if found {
+		if deleted {
+			return nil, kv.ErrNotFound
 		}
-		v, found, deleted = hit.val, hit.found, hit.deleted
+		return append([]byte(nil), v...), nil
 	}
-	if !found || deleted {
+	var hit sstable.Hit
+	if err := d.getFromTables(rs.ver, seq, key, &hit); err != nil {
+		return nil, err
+	}
+	if !hit.Found || hit.Deleted {
 		return nil, kv.ErrNotFound
 	}
-	return append([]byte(nil), v...), nil
-}
-
-// tableHit accumulates the newest version of a key seen across the tables
-// probed so far; val is a slice of the table's data block.
-type tableHit struct {
-	val            []byte
-	seq            uint64
-	found, deleted bool
+	return hit.Val, nil
 }
 
 // probeTable looks key up in one table and keeps the result in best when it
 // is newer than what best holds. The bloom filter is consulted here, once:
 // a negative counts as a bloom skip, a positive as a table probe.
-func (d *DB) probeTable(fm *manifest.FileMeta, key []byte, seq uint64, best *tableHit) error {
+func (d *DB) probeTable(fm *manifest.FileMeta, key []byte, seq uint64, best *sstable.Hit) error {
 	if !fm.Overlaps(key, key) {
 		return nil
 	}
@@ -687,29 +685,25 @@ func (d *DB) probeTable(fm *manifest.FileMeta, key []byte, seq uint64, best *tab
 		return nil
 	}
 	d.perf.tableProbes.Add(1)
-	v, vseq, found, deleted, err := r.Get(key, seq)
-	if err != nil {
+	if err := r.Find(key, seq, best); err != nil {
 		d.noteCorruption(err)
 		return err
-	}
-	if found && (!best.found || vseq > best.seq) {
-		*best = tableHit{val: v, seq: vseq, found: true, deleted: deleted}
 	}
 	return nil
 }
 
-func (d *DB) getFromTables(ver *manifest.Version, seq uint64, key []byte, best *tableHit) error {
+func (d *DB) getFromTables(ver *manifest.Version, seq uint64, key []byte, best *sstable.Hit) error {
 	// L0: newest file first; first hit wins.
 	l0 := ver.Levels[0]
 	for i := len(l0) - 1; i >= 0; i-- {
 		if err := d.probeTable(l0[i], key, seq, best); err != nil {
 			return err
 		}
-		if best.found && d.opts.Style == Leveled {
+		if best.Found && d.opts.Style == Leveled {
 			break // newest L0 file with the key wins
 		}
 	}
-	for level := 1; level < manifest.NumLevels && !best.found; level++ {
+	for level := 1; level < manifest.NumLevels && !best.Found; level++ {
 		files := ver.Levels[level]
 		if d.opts.Style == Leveled {
 			// Non-overlapping: binary search by largest user key.

@@ -36,7 +36,13 @@ func (d *DB) flushOne() bool {
 		return false
 	}
 	h := d.imm[0]
+	d.flushing++
 	d.mu.Unlock()
+	defer func() {
+		d.mu.Lock()
+		d.flushing--
+		d.mu.Unlock()
+	}()
 
 	// Wait for in-flight writers that pinned this memtable before
 	// rotation; without this barrier a late insert could be acked,

@@ -37,7 +37,10 @@ type tableIterAdapter struct {
 	r *sstable.Reader
 }
 
-func (t tableIterAdapter) Close() error { return t.r.Close() }
+func (t tableIterAdapter) Close() error {
+	t.Iter.Close()
+	return t.r.Close()
+}
 
 // mergingIter merges children by internal-key order.
 type mergingIter struct {
@@ -132,6 +135,7 @@ func (m *mergingIter) Close() error {
 
 // dbIter collapses internal versions into live user keys at a snapshot.
 type dbIter struct {
+	db    *DB
 	merge *mergingIter
 	snap  uint64
 
@@ -152,13 +156,13 @@ func (d *DB) newIterAt(rs *readState, seq uint64) (*dbIter, error) {
 		children = append(children, memIterAdapter{m.NewIterator()})
 	}
 	addTable := func(fm *manifest.FileMeta) error {
-		f, err := d.opts.FS.Open(sstName(d.dir, fm.Num))
-		if err != nil {
-			return err
+		// A scan covers every file's range, a quarantined one's included.
+		if qerr := d.quarErr(fm.Num); qerr != nil {
+			return qerr
 		}
-		r, err := sstable.OpenWithCache(f, d.blocks, fm.Num)
+		r, err := openTable(d.opts.FS, d.dir, fm.Num, d.blocks)
 		if err != nil {
-			f.Close()
+			d.noteCorruption(err)
 			return err
 		}
 		children = append(children, tableIterAdapter{r.NewIterator(), r})
@@ -167,14 +171,12 @@ func (d *DB) newIterAt(rs *readState, seq uint64) (*dbIter, error) {
 	for level := 0; level < manifest.NumLevels; level++ {
 		for _, fm := range rs.ver.Levels[level] {
 			if err := addTable(fm); err != nil {
-				for _, c := range children {
-					c.Close()
-				}
+				closeAll(children)
 				return nil, err
 			}
 		}
 	}
-	return &dbIter{merge: newMergingIter(children), snap: seq}, nil
+	return &dbIter{db: d, merge: newMergingIter(children), snap: seq}, nil
 }
 
 // NewIterator implements kv.Engine.
@@ -224,6 +226,7 @@ func (it *dbIter) advance() {
 	}
 	if err := it.merge.Err(); err != nil && it.err == nil {
 		it.err = err
+		it.db.noteCorruption(err) // a scan quarantines what it trips over, as Get does
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 
 	"p2kvs/internal/block"
 	"p2kvs/internal/bloom"
@@ -54,16 +55,12 @@ type Reader struct {
 // Open reads the footer, index and filter of a table file.
 func Open(f vfs.File) (*Reader, error) { return OpenNamed(f, nil, 0, "") }
 
-// OpenWithCache opens the table with a shared block cache; cacheID must
-// be unique per file within the cache's lifetime (the engine uses the
-// file number).
-func OpenWithCache(f vfs.File, c *cache.Cache, cacheID uint64) (*Reader, error) {
-	return OpenNamed(f, c, cacheID, "")
-}
-
-// OpenNamed opens the table recording name as the file's identity in
-// corruption reports: checksum failures surface as kv.CorruptionError
-// naming it. An empty name keeps the anonymous ErrCorrupt errors.
+// OpenNamed opens the table with an optional shared block cache — cacheID
+// must be unique per file among the cache's resident blocks (the engine uses
+// the file number and evicts it with the reader) — recording name as the
+// file's identity in corruption reports: checksum failures surface as
+// kv.CorruptionError naming it. An empty name keeps the anonymous ErrCorrupt
+// errors.
 func OpenNamed(f vfs.File, c *cache.Cache, cacheID uint64, name string) (*Reader, error) {
 	size, err := f.Size()
 	if err != nil {
@@ -152,33 +149,17 @@ func (r *Reader) parseHandle(handle []byte) (off, length uint64, err error) {
 	return off, length, nil
 }
 
-// loadBlock reads one data block from the device and verifies its seal.
-func (r *Reader) loadBlock(off, length uint64) ([]byte, error) {
-	blk := make([]byte, length)
-	if _, err := r.f.ReadAt(blk, int64(off)); err != nil {
+// loadBlock reads the sealed data block at off into buf and verifies its
+// seal, returning the content: buf without the trailer.
+func (r *Reader) loadBlock(buf []byte, off uint64) ([]byte, error) {
+	if _, err := r.f.ReadAt(buf, int64(off)); err != nil {
 		return nil, err
 	}
-	blk, err := block.Unseal(blk)
+	content, err := block.Unseal(buf)
 	if err != nil {
-		return nil, corruptf(r.name, int64(off), "data block crc mismatch (%d bytes)", length)
+		return nil, corruptf(r.name, int64(off), "data block crc mismatch (%d bytes)", len(buf))
 	}
-	return blk, nil
-}
-
-func (r *Reader) readBlock(handle []byte) ([]byte, error) {
-	off, length, err := r.parseHandle(handle)
-	if err != nil {
-		return nil, err
-	}
-	if blk, ok := r.cache.Get(r.cacheID, off); ok {
-		return blk, nil
-	}
-	blk, err := r.loadBlock(off, length)
-	if err != nil {
-		return nil, err
-	}
-	r.cache.Put(r.cacheID, off, blk)
-	return blk, nil
+	return content, nil
 }
 
 // Verify reads every block of the table back through its checksums: the
@@ -193,12 +174,14 @@ func (r *Reader) Verify() (int64, error) {
 		return 0, corruptf(r.name, -1, "index block: %v", err)
 	}
 	read := int64(len(r.filter) + len(r.index))
+	var buf []byte // one buffer for the whole table, grown to its largest block
 	for idx.SeekToFirst(); idx.Valid(); idx.Next() {
 		off, length, err := r.parseHandle(idx.Value())
 		if err != nil {
 			return read, err
 		}
-		_, err = r.loadBlock(off, length)
+		buf = slices.Grow(buf[:0], int(length))[:length]
+		_, err = r.loadBlock(buf, off)
 		read += int64(length)
 		if err != nil {
 			return read, err
@@ -237,56 +220,75 @@ func VerifyImage(name string, data []byte) error {
 // user key falls back to one allocation.
 const seekKeyBuf = 64 + ikey.TrailerLen
 
-// Get returns the newest version of ukey visible at snapshot seq,
-// reporting the version's sequence number, whether a version was found,
-// and whether that version is a tombstone. Callers comparing versions
-// across overlapping tables (L0, fragmented levels) use foundSeq to pick
-// the newest.
+// Hit accumulates the newest version of a key across the tables probed so
+// far (L0, fragmented levels). Val is the caller's: Find copies into it.
+type Hit struct {
+	Val            []byte
+	Seq            uint64
+	Found, Deleted bool
+}
+
+// Find looks up the newest version of ukey visible at snapshot seq and keeps
+// it in best when it is newer than what best holds, copying the value into
+// best.Val — once, and only for a version that wins.
 //
-// Get searches the pinned index block and one data block in place and
-// copies nothing: value is a slice of the data block, which the block cache
-// may share with other readers, so the caller must copy it before handing
-// it to anyone who might write to it. It does not consult the bloom filter;
-// a caller that wants the filter's shortcut asks MayContain first.
-func (r *Reader) Get(ukey []byte, seq uint64) (value []byte, foundSeq uint64, found, deleted bool, err error) {
+// Find searches the pinned index block and one data block in place; the pin
+// on the data block is dropped before it returns, so nothing it hands back
+// points into the block cache. It does not consult the bloom filter; a caller
+// that wants the filter's shortcut asks MayContain first.
+func (r *Reader) Find(ukey []byte, seq uint64, best *Hit) error {
 	var (
 		it  Iter // never escapes: the two block cursors live on this stack
 		buf [seekKeyBuf]byte
 	)
 	it.init(r)
+	defer it.Close()
 	it.Seek(ikey.Encode(buf[:0], ukey, seq, ikey.KindSet))
-	if it.err != nil {
-		return nil, 0, false, false, it.err
-	}
-	if !it.Valid() {
-		return nil, 0, false, false, nil
+	if it.err != nil || !it.Valid() {
+		return it.err
 	}
 	gotUkey, gotSeq, kind, err := ikey.Decode(it.Key())
 	if err != nil {
-		return nil, 0, false, false, err
+		return err
 	}
-	if !bytes.Equal(gotUkey, ukey) {
-		return nil, 0, false, false, nil
+	if !bytes.Equal(gotUkey, ukey) || (best.Found && gotSeq <= best.Seq) {
+		return nil
 	}
-	if kind == ikey.KindDelete {
-		return nil, gotSeq, true, true, nil
+	best.Seq, best.Found, best.Deleted = gotSeq, true, kind == ikey.KindDelete
+	best.Val = best.Val[:0]
+	if !best.Deleted {
+		best.Val = append(best.Val, it.Value()...)
 	}
-	return it.Value(), gotSeq, true, false, nil
+	return nil
+}
+
+// Get is Find for a single table: the newest version of ukey visible at
+// snapshot seq, its sequence number, whether one was found and whether it is
+// a tombstone. The value is a fresh copy.
+func (r *Reader) Get(ukey []byte, seq uint64) (value []byte, foundSeq uint64, found, deleted bool, err error) {
+	var h Hit
+	err = r.Find(ukey, seq, &h)
+	return h.Val, h.Seq, h.Found, h.Deleted, err
 }
 
 // Iter is a two-level iterator over the table's internal keys. The index
 // and data cursors are part of the Iter itself and the data cursor is
-// re-pointed at each block in turn, so walking a table allocates only the
-// blocks it reads.
+// re-pointed at each block in turn. The current data block is pinned in the
+// block cache — or, on a reader without one, read into a buffer the Iter owns
+// and reuses block after block — so walking a table allocates nothing per
+// block. Key is the Iter's own copy; Value points into the current block and
+// is valid until the next positioning call or Close.
 type Iter struct {
 	r      *Reader
 	index  block.Iter
 	data   block.Iter
-	loaded bool // data is positioned inside the block index points at
+	pin    *cache.Block // the current data block of a cached reader
+	own    []byte       // the block buffer of an uncached reader
+	loaded bool         // data is positioned inside the block index points at
 	err    error
 }
 
-// NewIterator returns an iterator over the table.
+// NewIterator returns an iterator over the table. The caller must Close it.
 func (r *Reader) NewIterator() *Iter {
 	it := new(Iter)
 	it.init(r)
@@ -298,21 +300,57 @@ func (it *Iter) init(r *Reader) {
 	it.err = it.index.Init(r.index)
 }
 
-func (it *Iter) loadDataBlock() bool {
+// Close drops the pin on the current data block. The Iter is unpositioned
+// afterwards and may be positioned again.
+func (it *Iter) Close() {
 	it.loaded = false
+	if it.pin != nil {
+		it.pin.Release()
+		it.pin = nil
+	}
+}
+
+func (it *Iter) loadDataBlock() bool {
+	it.Close()
 	if it.err != nil || !it.index.Valid() {
 		return false
 	}
-	blk, err := it.r.readBlock(it.index.Value())
+	blk, err := it.readBlock()
 	if err == nil {
 		err = it.data.Init(blk)
 	}
 	if err != nil {
 		it.err = err
+		it.Close()
 		return false
 	}
 	it.loaded = true
 	return true
+}
+
+// readBlock returns the content of the data block the index points at:
+// pinned in the block cache, where a miss reads it into a buffer the cache
+// recycles, or read into the buffer the Iter owns. On error a pin it took is
+// left for the caller's Close.
+func (it *Iter) readBlock() ([]byte, error) {
+	r := it.r
+	off, length, err := r.parseHandle(it.index.Value())
+	if err != nil {
+		return nil, err
+	}
+	if r.cache == nil {
+		it.own = slices.Grow(it.own[:0], int(length))[:length]
+		return r.loadBlock(it.own, off)
+	}
+	var hit bool
+	if it.pin, hit = r.cache.Get(r.cacheID, off, int(length)); !hit {
+		content, err := r.loadBlock(it.pin.Data(), off)
+		if err != nil {
+			return nil, err
+		}
+		it.pin = r.cache.Insert(it.pin, len(content))
+	}
+	return it.pin.Data(), nil
 }
 
 // SeekToFirst implements iteration start.
@@ -368,10 +406,11 @@ func (it *Iter) skipForwardIfExhausted() {
 // Valid reports whether the iterator is positioned at an entry.
 func (it *Iter) Valid() bool { return it.err == nil && it.loaded && it.data.Valid() }
 
-// Key returns the current internal key.
+// Key returns the current internal key, held in the Iter's own array.
 func (it *Iter) Key() []byte { return it.data.Key() }
 
-// Value returns the current value.
+// Value returns the current value, a slice of the current data block: copy
+// it before the next positioning call or Close.
 func (it *Iter) Value() []byte { return it.data.Value() }
 
 // Err returns the first error encountered.

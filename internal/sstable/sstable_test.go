@@ -253,6 +253,26 @@ func TestQuickTableModel(t *testing.T) {
 	}
 }
 
+// allocTable writes n 128-byte records (a few hundred data blocks at 20,000)
+// and returns the file to open readers on.
+func allocTable(t *testing.T, n int) vfs.File {
+	t.Helper()
+	fs := vfs.NewMem()
+	f, _ := fs.Create("a.sst")
+	w := NewWriter(f, 1)
+	for i := 0; i < n; i++ {
+		w.Add(ikey.Make([]byte(fmt.Sprintf("user%012d", i)), uint64(i+1), ikey.KindSet), make([]byte, 128))
+	}
+	if _, err := w.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	rf, err := fs.Open("a.sst")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rf
+}
+
 func TestReaderWithBlockCache(t *testing.T) {
 	fs := vfs.NewMem()
 	f, _ := fs.Create("b.sst")
@@ -266,7 +286,7 @@ func TestReaderWithBlockCache(t *testing.T) {
 	}
 	rf, _ := fs.Open("b.sst")
 	c := cache.New(1 << 20)
-	r, err := OpenWithCache(rf, c, 7)
+	r, err := OpenNamed(rf, c, 7, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,52 +301,142 @@ func TestReaderWithBlockCache(t *testing.T) {
 	if v, _, found, _, _ := r.Get([]byte("key000100"), ikey.MaxSeq); !found || string(v) != "val100" {
 		t.Fatalf("cached read wrong: %q %v", v, found)
 	}
+	if n := c.Pinned(); n != 0 {
+		t.Fatalf("%d blocks still pinned after the lookups returned", n)
+	}
+}
+
+// TestIterPinsOneBlock: an iterator on a cached reader holds exactly one pin
+// while positioned — through evictions, in a cache of a few blocks — and none
+// once it is exhausted or closed; what it read is what an uncached reader
+// reads.
+func TestIterPinsOneBlock(t *testing.T) {
+	rf := allocTable(t, 5000)
+	c := cache.New(64 << 10) // 4 KiB a shard: every block evicts another
+	r, err := OpenNamed(rf, c, 3, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain, err := Open(rf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	it, want := r.NewIterator(), plain.NewIterator()
+	n := 0
+	want.SeekToFirst()
+	for it.SeekToFirst(); it.Valid(); it.Next() {
+		if !want.Valid() || !bytes.Equal(it.Key(), want.Key()) || !bytes.Equal(it.Value(), want.Value()) {
+			t.Fatalf("entry %d: cached iterator at %q, uncached at %q", n, it.Key(), want.Key())
+		}
+		if p := c.Pinned(); p != 1 {
+			t.Fatalf("entry %d: %d blocks pinned, want 1", n, p)
+		}
+		want.Next()
+		n++
+	}
+	if it.Err() != nil || want.Valid() || n != 5000 {
+		t.Fatalf("scan ended after %d entries, err %v", n, it.Err())
+	}
+	if p := c.Pinned(); p != 0 {
+		t.Fatalf("%d blocks pinned by an exhausted iterator", p)
+	}
+	it.Seek(ikey.SeekKey([]byte("user000000002500"), ikey.MaxSeq))
+	if !it.Valid() || c.Pinned() != 1 {
+		t.Fatalf("re-seek: valid %v, %d pinned", it.Valid(), c.Pinned())
+	}
+	it.Close()
+	if it.Valid() || c.Pinned() != 0 {
+		t.Fatalf("after Close: valid %v, %d pinned", it.Valid(), c.Pinned())
+	}
 }
 
 // TestGetAllocs pins the in-place point lookup: with the data block cached,
-// Get builds no iterator, no seek key and no value copy — the value it
-// returns is a slice of the cached block. A miss pays for the block it reads
-// and the cache entry that holds it, nothing else.
+// Find builds no iterator and no seek key, and its one copy — the value, out
+// of the pinned block — lands in the caller's buffer. A miss reads into a
+// buffer the cache recycles; without a cache the lookup pays for the block
+// buffer and nothing else.
 func TestGetAllocs(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("allocation pins are not meaningful under the race detector")
 	}
-	fs := vfs.NewMem()
-	f, _ := fs.Create("a.sst")
-	w := NewWriter(f, 1)
-	for i := 0; i < 20000; i++ {
-		w.Add(ikey.Make([]byte(fmt.Sprintf("user%012d", i)), uint64(i+1), ikey.KindSet), make([]byte, 128))
-	}
-	if _, err := w.Finish(); err != nil {
-		t.Fatal(err)
-	}
-	rf, _ := fs.Open("a.sst")
-	r, err := OpenWithCache(rf, cache.New(64<<20), 3)
+	rf := allocTable(t, 20000)
+	r, err := OpenNamed(rf, cache.New(64<<20), 3, "")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer r.Close()
 
 	hot := []byte(fmt.Sprintf("user%012d", 12345))
-	if n := testing.AllocsPerRun(200, func() {
-		v, _, found, _, err := r.Get(hot, ikey.MaxSeq)
-		if err != nil || !found || len(v) != 128 {
-			t.Fatalf("Get = %d bytes, found %v, err %v", len(v), found, err)
+	hit := Hit{Val: make([]byte, 0, 128)}
+	find := func(r *Reader) func() {
+		return func() {
+			hit.Found = false
+			if err := r.Find(hot, ikey.MaxSeq, &hit); err != nil || !hit.Found || len(hit.Val) != 128 {
+				t.Fatalf("Find = %d bytes, found %v, err %v", len(hit.Val), hit.Found, err)
+			}
 		}
+	}
+	if n := testing.AllocsPerRun(200, find(r)); n != 0 {
+		t.Errorf("Find on a cached block: %.0f allocs, want 0", n)
+	}
+
+	evicting, err := OpenNamed(rf, cache.New(64<<10), 4, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var keys [][]byte
+	for i := 0; i <= 2000; i++ { // a block or more between consecutive lookups
+		keys = append(keys, []byte(fmt.Sprintf("user%012d", i*997%20000)))
+	}
+	i := 0
+	if n := testing.AllocsPerRun(2000, func() {
+		hit.Found = false
+		if err := evicting.Find(keys[i], ikey.MaxSeq, &hit); err != nil || !hit.Found {
+			t.Fatalf("Find found %v, err %v", hit.Found, err)
+		}
+		i++
 	}); n != 0 {
-		t.Errorf("Get on a cached block: %.0f allocs, want 0", n)
+		t.Errorf("Find evicting a block to read its own: %.0f allocs, want 0", n)
 	}
 
 	uncached, err := Open(rf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := testing.AllocsPerRun(200, func() {
-		if _, _, found, _, err := uncached.Get(hot, ikey.MaxSeq); err != nil || !found {
-			t.Fatalf("Get found %v, err %v", found, err)
+	if n := testing.AllocsPerRun(200, find(uncached)); n > 1 {
+		t.Errorf("Find reading its block: %.0f allocs, want <= 1 (the block buffer)", n)
+	}
+}
+
+// TestScanAllocs: walking a whole table through a reader without a block
+// cache reads every block into one buffer the Iter owns — the Iter, that
+// buffer and its growth to the largest block are all a scan allocates.
+func TestScanAllocs(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("allocation pins are not meaningful under the race detector")
+	}
+	r, err := Open(allocTable(t, 20000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(5, func() {
+		it, entries := r.NewIterator(), 0
+		for it.SeekToFirst(); it.Valid(); it.Next() {
+			entries++
 		}
-	}); n > 1 {
-		t.Errorf("Get reading its block: %.0f allocs, want <= 1 (the block buffer)", n)
+		it.Close()
+		if it.Err() != nil || entries != 20000 {
+			t.Fatalf("scan saw %d entries, err %v", entries, it.Err())
+		}
+	}); n > 4 {
+		t.Errorf("full scan of an uncached table: %.0f allocs in total, want <= 4", n)
+	}
+	if n := testing.AllocsPerRun(5, func() {
+		if _, err := r.Verify(); err != nil {
+			t.Fatal(err)
+		}
+	}); n > 4 {
+		t.Errorf("Verify: %.0f allocs in total, want <= 4 (one buffer, grown)", n)
 	}
 }
 
