@@ -404,10 +404,12 @@ func (d *DB) checkpointLocked() error {
 		defer baseIt.Close()
 		baseIt.SeekToFirst()
 	}
-	emitBaseUpTo := func(bound []byte) error {
+	// emitBaseUpTo copies the base's entries below bound; all lifts the
+	// bound (a nil bound is the empty key, which sorts first).
+	emitBaseUpTo := func(bound []byte, all bool) error {
 		for baseIt != nil && baseIt.Valid() {
 			uk := ikey.UserKey(baseIt.Key())
-			if bound != nil && bytes.Compare(uk, bound) >= 0 {
+			if !all && bytes.Compare(uk, bound) >= 0 {
 				return nil
 			}
 			if err := w.Add(ikey.Make(uk, 1, ikey.KindSet), baseIt.Value()); err != nil {
@@ -422,7 +424,7 @@ func (d *DB) checkpointLocked() error {
 	}
 	var mergeErr error
 	d.dirty.Ascend(nil, func(k []byte, v dirtyVal) bool {
-		if err := emitBaseUpTo(k); err != nil {
+		if err := emitBaseUpTo(k, false); err != nil {
 			mergeErr = err
 			return false
 		}
@@ -439,7 +441,7 @@ func (d *DB) checkpointLocked() error {
 		return true
 	})
 	if mergeErr == nil {
-		mergeErr = emitBaseUpTo(nil)
+		mergeErr = emitBaseUpTo(nil, true)
 	}
 	if mergeErr != nil {
 		f.Close()

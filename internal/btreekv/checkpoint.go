@@ -17,7 +17,6 @@ import (
 // writes continue.
 
 var _ kv.Checkpointer = (*DB)(nil)
-var _ kv.CheckpointStatsReporter = (*DB)(nil)
 
 // PrepareCheckpoint implements kv.Checkpointer.
 func (d *DB) PrepareCheckpoint() (kv.CheckpointWriter, error) {

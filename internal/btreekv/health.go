@@ -20,7 +20,7 @@ import (
 // Health implements kv.HealthReporter.
 func (d *DB) Health() kv.Health { return d.g.Health() }
 
-// Resume implements kv.Resumer: it clears the degraded state and, if the
+// Resume implements kv.HealthReporter: it clears the degraded state and, if the
 // incident tainted the journal, re-platforms on a fresh checkpoint +
 // journal so new writes land in a readable log. A re-platform failure
 // re-degrades (space may not actually be back). A corruption still under

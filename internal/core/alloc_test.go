@@ -19,6 +19,7 @@ func (e *nopEngine) Put(key, value []byte) error    { return nil }
 func (e *nopEngine) Get(key []byte) ([]byte, error) { return e.val, nil }
 func (e *nopEngine) Delete(key []byte) error        { return nil }
 func (e *nopEngine) Write(b *kv.Batch) error        { return nil }
+func (e *nopEngine) Caps() kv.Caps                  { return kv.Caps{BatchWrite: true} }
 func (e *nopEngine) Flush() error                   { return nil }
 func (e *nopEngine) Close() error                   { return nil }
 func (e *nopEngine) NewIterator() (kv.Iterator, error) {

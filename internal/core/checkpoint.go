@@ -53,7 +53,7 @@ func (s *Store) Checkpoint(fs vfs.FS, dir string) (*checkpoint.Manifest, error) 
 	// count), and retired workers' engines stay open until Close.
 	workers := s.ws()
 	for _, w := range workers {
-		if _, ok := w.engine.(kv.Checkpointer); !ok {
+		if w.ck == nil {
 			return nil, fmt.Errorf("%w (worker %d)", ErrCheckpointUnsupported, w.id)
 		}
 	}
@@ -92,7 +92,7 @@ func (s *Store) Checkpoint(fs vfs.FS, dir string) (*checkpoint.Manifest, error) 
 	var prepErr error
 	for i, w := range workers {
 		workerGSN[i] = w.lastGSN.Load()
-		cw, err := w.engine.(kv.Checkpointer).PrepareCheckpoint()
+		cw, err := w.ck.PrepareCheckpoint()
 		if err != nil {
 			prepErr = fmt.Errorf("core: preparing checkpoint of worker %d: %w", w.id, err)
 			break

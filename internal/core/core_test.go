@@ -393,31 +393,34 @@ func TestGlobalIterator(t *testing.T) {
 	}
 }
 
+// portabilityFactories opens one store per engine family (§4.6): the
+// RocksDB preset, the LevelDB preset, the WiredTiger-style engine (no batch
+// caps), and the KVell-style engine.
+var portabilityFactories = map[string]func(fs *vfs.MemFS) EngineFactory{
+	"rocksdb": func(fs *vfs.MemFS) EngineFactory { return lsmFactory(fs, "px") },
+	"leveldb": func(fs *vfs.MemFS) EngineFactory {
+		return func(id int, filter func(uint64) bool) (kv.Engine, error) {
+			opts := lsm.LevelDBOptions(fs)
+			opts.MemTableSize = 32 << 10
+			return lsm.OpenWith(fmt.Sprintf("px/inst-%02d", id), opts, lsm.OpenOptions{RecoverFilter: filter})
+		}
+	},
+	"wiredtiger": func(fs *vfs.MemFS) EngineFactory {
+		return func(id int, _ func(uint64) bool) (kv.Engine, error) {
+			return btreekv.Open(fmt.Sprintf("px/wt-%02d", id), btreekv.Options{FS: fs, CheckpointBytes: 32 << 10})
+		}
+	},
+	"kvell": func(fs *vfs.MemFS) EngineFactory {
+		return func(id int, _ func(uint64) bool) (kv.Engine, error) {
+			return kvell.Open(fmt.Sprintf("px/kv-%02d", id), kvell.Options{FS: fs, Workers: 1})
+		}
+	},
+}
+
 // TestPortabilityMatrix runs the same workload over p2KVS on all four
-// engine families (§4.6): the RocksDB preset, the LevelDB preset, the
-// WiredTiger-style engine (no batch caps), and the KVell-style engine.
+// engine families.
 func TestPortabilityMatrix(t *testing.T) {
-	factories := map[string]func(fs *vfs.MemFS) EngineFactory{
-		"rocksdb": func(fs *vfs.MemFS) EngineFactory { return lsmFactory(fs, "px") },
-		"leveldb": func(fs *vfs.MemFS) EngineFactory {
-			return func(id int, filter func(uint64) bool) (kv.Engine, error) {
-				opts := lsm.LevelDBOptions(fs)
-				opts.MemTableSize = 32 << 10
-				return lsm.OpenWith(fmt.Sprintf("px/inst-%02d", id), opts, lsm.OpenOptions{RecoverFilter: filter})
-			}
-		},
-		"wiredtiger": func(fs *vfs.MemFS) EngineFactory {
-			return func(id int, _ func(uint64) bool) (kv.Engine, error) {
-				return btreekv.Open(fmt.Sprintf("px/wt-%02d", id), btreekv.Options{FS: fs, CheckpointBytes: 32 << 10})
-			}
-		},
-		"kvell": func(fs *vfs.MemFS) EngineFactory {
-			return func(id int, _ func(uint64) bool) (kv.Engine, error) {
-				return kvell.Open(fmt.Sprintf("px/kv-%02d", id), kvell.Options{FS: fs, Workers: 1})
-			}
-		},
-	}
-	for name, mk := range factories {
+	for name, mk := range portabilityFactories {
 		t.Run(name, func(t *testing.T) {
 			fs := vfs.NewMem()
 			opts := DefaultOptions(mk(fs))
@@ -456,6 +459,52 @@ func TestPortabilityMatrix(t *testing.T) {
 				t.Fatalf("scan = %d pairs, %v", len(pairs), err)
 			}
 		})
+	}
+}
+
+// TestEmptyValueIsPresent: a key stored with an empty value is a present key
+// on every path that spells "absent" as a nil slice — a read run OBM merged
+// into an engine multiget, MultiGet's slots, hot-cache hits — on all four
+// engine families, cache on and off.
+func TestEmptyValueIsPresent(t *testing.T) {
+	for name, mk := range portabilityFactories {
+		for _, cacheBytes := range []int64{0, 1 << 20} {
+			t.Run(fmt.Sprintf("%s/cache=%d", name, cacheBytes), func(t *testing.T) {
+				opts := DefaultOptions(mk(vfs.NewMem()))
+				opts.Workers = 1 // every read queues behind the others: runs merge
+				opts.HotCacheBytes = cacheBytes
+				s, err := Open(opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer s.Close()
+				k := []byte("empty")
+				if err := s.Put(k, []byte{}); err != nil {
+					t.Fatal(err)
+				}
+				var wg sync.WaitGroup
+				for g := 0; g < 8; g++ {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						for i := 0; i < 250; i++ {
+							if v, err := s.Get(k); err != nil || v == nil || len(v) != 0 {
+								t.Errorf("Get = %q (nil %v), %v, want a present empty value", v, v == nil, err)
+								return
+							}
+						}
+					}()
+				}
+				wg.Wait()
+				for round := 0; round < 2; round++ { // the second round meets the cache's fills
+					vals, err := s.MultiGet([][]byte{k, []byte("absent"), k})
+					if err != nil || vals[0] == nil || vals[1] != nil || vals[2] == nil {
+						t.Fatalf("MultiGet = %q (nil %v %v %v), %v, want present, absent, present",
+							vals, vals[0] == nil, vals[1] == nil, vals[2] == nil, err)
+					}
+				}
+			})
+		}
 	}
 }
 

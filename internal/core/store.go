@@ -80,7 +80,6 @@ type Store struct {
 
 var _ kv.Engine = (*Store)(nil)
 var _ kv.BatchWriter = (*Store)(nil)
-var _ kv.Resumer = (*Store)(nil)
 
 // ws returns the current routing generation's worker set.
 func (s *Store) ws() []*worker { return s.route.Load().workers }
@@ -233,10 +232,10 @@ func (s *Store) Stats() []WorkerStats {
 	return out
 }
 
-// Resume implements kv.Resumer by fanning out to every worker engine that
-// supports it, re-attempting recovery of degraded shards, and by healing
-// the transaction log if a failed append tainted it. Healthy shards (and a
-// healthy log) treat it as a no-op.
+// Resume fans kv.HealthReporter's Resume out to every worker engine that has
+// it, re-attempting recovery of degraded shards, and heals the transaction
+// log if a failed append tainted it. Healthy shards (and a healthy log)
+// treat it as a no-op.
 func (s *Store) Resume() error {
 	if s.closed.Load() {
 		return kv.ErrClosed
@@ -250,8 +249,8 @@ func (s *Store) Resume() error {
 		s.ckptMu.Unlock()
 	}
 	for _, w := range s.ws() {
-		if r, ok := w.engine.(kv.Resumer); ok {
-			if err := r.Resume(); err != nil && firstErr == nil {
+		if w.hr != nil {
+			if err := w.hr.Resume(); err != nil && firstErr == nil {
 				firstErr = err
 			}
 		}
@@ -272,8 +271,8 @@ func (s *Store) Scrub(ctx context.Context, lim kv.RateLimiter) (kv.ScrubResult, 
 	results := make([]kv.ScrubResult, len(workers))
 	legs := newFanIn()
 	for i, w := range workers {
-		sc, ok := w.engine.(kv.Scrubber)
-		if !ok {
+		sc := w.sc
+		if sc == nil {
 			continue
 		}
 		legs.add()

@@ -15,21 +15,12 @@ import (
 	"p2kvs/internal/reshard"
 )
 
-// gsnWriter is the optional engine capability of tagging a batch's WAL
-// record with a p2KVS Global Sequence Number (the LSM engine implements
-// it; see §4.5 — GSN is "a prefix of the original log sequence number").
-type gsnWriter interface {
-	WriteGSN(b *kv.Batch, gsn uint64) error
-}
-
 // worker owns one KVS instance, one request queue, and one goroutine —
 // the horizontal dimension of p2KVS (§4.1). The worker never proactively
 // waits for requests to accumulate: batching is opportunistic.
 type worker struct {
 	id     int
 	engine kv.Engine
-	caps   kv.Caps
-	hr     kv.HealthReporter // nil when the engine does not report health
 	q      *reqQueue
 	obm    bool
 	max    int
@@ -37,6 +28,17 @@ type worker struct {
 	meter  *metrics.Meter
 
 	wg sync.WaitGroup
+
+	// What the engine can do beyond kv.Engine, asked once (newWorker); nil
+	// means it cannot and the fallback runs. bw and mg are nil too when the
+	// engine's Caps disown the method.
+	bw kv.BatchWriter             // else one Put/Delete per op
+	gw kv.GSNWriter               // else transaction legs commit untagged
+	mg kv.MultiGetter             // else a read run issues concurrent Gets
+	hr kv.HealthReporter          // else always healthy, nothing to resume
+	cr kv.CompactionStatsReporter // else zero compaction stats
+	ck kv.Checkpointer            // else Checkpoint refuses the store
+	sc kv.Scrubber                // else Scrub skips the shard
 
 	// Scratch of the worker goroutine, reused from one dequeue to the next:
 	// the concatenated ops of a merged write run, the engine batch that
@@ -115,7 +117,6 @@ func (s *Store) newWorker(id int, engine kv.Engine) *worker {
 	w := &worker{
 		id:     id,
 		engine: engine,
-		caps:   kv.CapsOf(engine),
 		q:      newReqQueue(opts.QueueDepth),
 		obm:    opts.OBM,
 		max:    opts.MaxBatch,
@@ -126,7 +127,18 @@ func (s *Store) newWorker(id int, engine kv.Engine) *worker {
 		cache:  s.cache,
 		resh:   &s.resh,
 	}
-	w.hr, _ = engine.(kv.HealthReporter)
+	caps := kv.CapsOf(engine)
+	if caps.BatchWrite {
+		w.bw, _ = w.engine.(kv.BatchWriter)
+		w.gw, _ = w.engine.(kv.GSNWriter)
+	}
+	if caps.MultiGet {
+		w.mg, _ = w.engine.(kv.MultiGetter)
+	}
+	w.hr, _ = w.engine.(kv.HealthReporter)
+	w.cr, _ = w.engine.(kv.CompactionStatsReporter)
+	w.ck, _ = w.engine.(kv.Checkpointer)
+	w.sc, _ = w.engine.(kv.Scrubber)
 	if opts.Meters != nil {
 		w.meter = opts.Meters.Meter(workerName(id))
 	}
@@ -301,7 +313,7 @@ func (w *worker) mirrorMoved(ops []kv.BatchOp) {
 // gracefully.
 func (w *worker) executeWrites(reqs []*request) {
 	filterCopied(reqs)
-	if len(reqs) == 1 || !w.caps.BatchWrite {
+	if len(reqs) == 1 || w.bw == nil {
 		for _, r := range reqs {
 			r.complete(w.commit(r.ops, r.gsn, r.streamGSN))
 		}
@@ -325,23 +337,23 @@ func (w *worker) executeWrites(reqs []*request) {
 // otherwise. The same slice then feeds the replication backlog, the
 // reshard mirror and the hot-cache invalidation. txnGSN, when non-zero,
 // names the cross-instance transaction these ops are a leg of and tags the
-// engine's WAL record (gsnWriter); streamGSN marks a replicated record.
+// engine's WAL record (kv.GSNWriter); streamGSN marks a replicated record.
 func (w *worker) commit(ops []kv.BatchOp, txnGSN, streamGSN uint64) error {
 	if len(ops) == 0 {
 		return nil // every op was a stale bulk-copy duplicate
 	}
 	var err error
-	if bw, ok := w.engine.(kv.BatchWriter); ok && w.caps.BatchWrite {
+	if w.bw != nil {
 		if len(ops) > 1 {
 			w.batchWriteOps.Add(int64(len(ops)))
 		}
 		// The batch header lives in the worker, not on a heap the engine
 		// interface would force it to: engines do not keep it past Write.
 		w.batch = kv.BatchOf(ops)
-		if gw, ok := w.engine.(gsnWriter); ok && txnGSN != 0 {
-			err = gw.WriteGSN(&w.batch, txnGSN)
+		if w.gw != nil && txnGSN != 0 {
+			err = w.gw.WriteGSN(&w.batch, txnGSN)
 		} else {
-			err = bw.Write(&w.batch)
+			err = w.bw.Write(&w.batch)
 		}
 		w.batch = kv.Batch{}
 	} else {
@@ -406,13 +418,13 @@ func (w *worker) ship(streamGSN, txnGSN uint64, ops []kv.BatchOp) {
 // the engine's internal read parallelism (§4.6's LevelDB/WiredTiger
 // fallback).
 func (w *worker) executeReads(reqs []*request) {
-	if mg, ok := w.engine.(kv.MultiGetter); ok && w.caps.MultiGet && len(reqs) > 1 {
+	if w.mg != nil && len(reqs) > 1 {
 		keys := w.keyScratch[:0]
 		for _, r := range reqs {
 			keys = append(keys, r.key)
 		}
 		w.multiGetOps.Add(int64(len(keys)))
-		vals, err := mg.MultiGet(keys)
+		vals, err := w.mg.MultiGet(keys)
 		clear(keys)
 		w.keyScratch = keys
 		for i, r := range reqs {
@@ -446,7 +458,8 @@ func (w *worker) doGet(r *request) {
 	v, err := w.engine.Get(r.key)
 	switch err {
 	case nil:
-		r.val, r.found = v, true
+		// Above here nil means absent (MultiGet slots, hot-cache fills).
+		r.val, r.found = kv.Present(v), true
 		r.complete(nil)
 	case kv.ErrNotFound:
 		r.complete(nil)
@@ -606,11 +619,11 @@ func (w *worker) stats() WorkerStats {
 	if w.hr != nil {
 		st.Health = w.hr.Health()
 	}
-	if cr, ok := w.engine.(kv.CompactionStatsReporter); ok {
-		st.CompactionStats = cr.CompactionStats()
+	if w.cr != nil {
+		st.CompactionStats = w.cr.CompactionStats()
 	}
-	if kr, ok := w.engine.(kv.CheckpointStatsReporter); ok {
-		st.CheckpointStats = kr.CheckpointStats()
+	if w.ck != nil {
+		st.CheckpointStats = w.ck.CheckpointStats()
 	}
 	if w.repl != nil {
 		st.ReplLastGSN = w.lastGSN.Load()

@@ -32,6 +32,8 @@ package hotcache
 import (
 	"sync"
 	"sync/atomic"
+
+	"p2kvs/internal/kv"
 )
 
 const (
@@ -149,7 +151,8 @@ func (c *Cache) Invalidate(key []byte) {
 // Get returns the cached value for key. ok reports a usable hit;
 // negative reports that the hit is a cached "not found". A stale entry
 // (watermark moved past its ticket) is removed and reported as a miss.
-// The returned slice is a private copy — callers own it.
+// The returned slice is a private copy — callers own it — and non-nil on a
+// positive hit: a cached empty value is a value (kv.Present).
 func (c *Cache) Get(key []byte) (val []byte, negative, ok bool) {
 	if c == nil {
 		return nil, false, false
@@ -179,7 +182,7 @@ func (c *Cache) Get(key []byte) (val []byte, negative, ok bool) {
 		return nil, true, true
 	}
 	s.hits++
-	return append([]byte(nil), e.val...), false, true
+	return kv.Present(append([]byte(nil), e.val...)), false, true
 }
 
 // Fill inserts the result of an engine read performed under ticket (from

@@ -60,10 +60,10 @@ func (st *CheckpointStats) AddFile(srcFS vfs.FS, src string, dstFS vfs.FS, dst s
 
 // CheckpointState is what an engine keeps between checkpoints: the pins of
 // the checkpoints still materializing, the file removals parked behind
-// them, and the lifetime statistics. An engine embeds it (which makes the
-// engine a CheckpointStatsReporter), pins in PrepareCheckpoint, unpins in
-// the writer's Release, and retires every file through Remove. The mutex
-// is a leaf: nothing is called with it held.
+// them, and the lifetime statistics. An engine embeds it (which gives the
+// engine the CheckpointStats half of Checkpointer), pins in
+// PrepareCheckpoint, unpins in the writer's Release, and retires every file
+// through Remove. The mutex is a leaf: nothing is called with it held.
 type CheckpointState struct {
 	mu           sync.Mutex
 	ckptPins     int
@@ -122,18 +122,11 @@ func (c *CheckpointState) Add(done CheckpointStats) {
 	c.mu.Unlock()
 }
 
-// CheckpointStats implements CheckpointStatsReporter.
+// CheckpointStats implements Checkpointer's statistics half.
 func (c *CheckpointState) CheckpointStats() CheckpointStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.stats
-}
-
-// CheckpointStatsReporter is the optional capability of reporting
-// checkpoint statistics. The p2KVS accessing layer surfaces it in
-// per-worker stats.
-type CheckpointStatsReporter interface {
-	CheckpointStats() CheckpointStats
 }
 
 // CheckpointWriter is the slow half of a two-phase engine checkpoint. It
@@ -160,7 +153,9 @@ type CheckpointWriter interface {
 // layer has the engine's worker paused at a GSN barrier; it must be fast
 // (capture references, sizes and positions — no bulk IO) because its
 // runtime is write-stall time. The returned writer does the bulk IO after
-// writes resume.
+// writes resume. CheckpointStats reports the lifetime totals, which the
+// accessing layer surfaces in per-worker stats.
 type Checkpointer interface {
 	PrepareCheckpoint() (CheckpointWriter, error)
+	CheckpointStats() CheckpointStats
 }

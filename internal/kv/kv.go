@@ -3,11 +3,17 @@
 // WiredTiger-style B+-tree engine, and the KVell-style slab engine) and
 // consumed by the p2KVS framework.
 //
-// The interface is deliberately minimal: p2KVS (the paper's contribution)
-// treats engines as black boxes and only relies on standard point
-// operations plus two *optional* capabilities — batched writes and batched
-// reads — which it discovers via interface assertions, mirroring §4.6 of
-// the paper (OBM-write is disabled on engines without batch support).
+// p2KVS (the paper's contribution) treats engines as black boxes: Engine is
+// all it requires. Everything else is an optional capability, an interface an
+// engine may implement; the accessing layer asks for each once, when it
+// builds the engine's worker, and runs a fallback where the answer is no.
+// The request path has three, mirroring §4.5 and §4.6 of the paper —
+// BatchWriter and MultiGetter (OBM degrades to per-request calls without
+// them; Caps lets a configured engine disown one) and GSNWriter (atomic
+// recovery of a cross-partition Write). The operational ones are
+// HealthReporter, CompactionStatsReporter, Checkpointer and Scrubber.
+// DESIGN.md §5 holds the table: who asks, which engines answer, and the
+// kvtest case (internal/kv/kvtest) that checks each on every engine.
 package kv
 
 import (
@@ -37,7 +43,7 @@ var ErrClosed = errors.New("kv: engine closed")
 // ErrDegraded is the base error returned by write-type operations while an
 // engine is in read-only degraded mode (background-error retries
 // exhausted). Callers match it with errors.Is and may call Resume on a
-// Resumer engine to re-attempt recovery.
+// HealthReporter engine to re-attempt recovery.
 var ErrDegraded = errors.New("kv: engine degraded to read-only")
 
 // DegradedError is the error that blocks writes while an engine is
@@ -211,9 +217,16 @@ func (c *Cause) UnmarshalText(b []byte) error {
 }
 
 // HealthReporter is the optional capability of reporting background-error
-// health. The p2KVS accessing layer surfaces it in per-worker stats.
+// health and of re-attempting recovery from degraded read-only mode (every
+// engine gets both from the one guard.Guard it embeds). The p2KVS accessing
+// layer surfaces Health in per-worker stats and fails writes fast on a
+// read-only shard.
 type HealthReporter interface {
 	Health() Health
+	// Resume clears the degraded state and re-kicks background work. It
+	// returns an error only if the engine is closed; whether recovery
+	// ultimately succeeds is observable via Health.
+	Resume() error
 }
 
 // CompactionStats is a snapshot of an engine's compaction-scheduler and
@@ -280,15 +293,6 @@ type RepairSource interface {
 	Fetch(name string) ([]byte, bool)
 }
 
-// Resumer is the optional capability of re-attempting recovery from
-// degraded read-only mode.
-type Resumer interface {
-	// Resume clears the degraded state and re-kicks background work. It
-	// returns an error only if the engine is closed; whether recovery
-	// ultimately succeeds is observable via Health.
-	Resume() error
-}
-
 // Engine is the minimal synchronous key-value store contract.
 type Engine interface {
 	// Put inserts or overwrites a key.
@@ -312,7 +316,13 @@ type Engine interface {
 // WriteBatch). Engines lacking it (e.g. the WiredTiger-style engine) make
 // p2KVS fall back to per-request writes.
 type BatchWriter interface {
-	// Write applies the batch atomically.
+	// Write applies the batch's operations in order and atomically: one
+	// journal record, so recovery sees all of it or none of it. It
+	// promises no isolation — a read that runs while Write does may see
+	// part of the batch (the lsm engine numbers a batch's entries before
+	// it inserts them; RocksDB's unordered_write makes the same trade).
+	// The accessing layer needs none: one worker is an instance's only
+	// caller, and §4.5 promises atomic recovery, not read isolation.
 	Write(batch *Batch) error
 }
 
@@ -321,8 +331,36 @@ type BatchWriter interface {
 // read-type batched requests.
 type MultiGetter interface {
 	// MultiGet returns one value slot per key; a nil slot means the key
-	// was not found. The error reports infrastructure failures only.
+	// was not found, so a present key's slot is never nil (Present). The
+	// error reports infrastructure failures only.
 	MultiGet(keys [][]byte) ([][]byte, error)
+}
+
+// GSNWriter is the optional capability behind §4.5's transactions: a
+// BatchWriter that can tag the batch's journal record with a p2KVS Global
+// Sequence Number ("a prefix of the original log sequence number"), and
+// whose recovery drops the tagged records a filter rejects — the legs of a
+// cross-partition Write whose commit record never reached the transaction
+// log. Without it the accessing layer commits such a leg untagged, and a
+// crash between two legs leaves the applied one in place.
+type GSNWriter interface {
+	// WriteGSN is BatchWriter.Write with the record tagged gsn; 0 tags
+	// nothing.
+	WriteGSN(batch *Batch, gsn uint64) error
+}
+
+// present is the value of every present key whose value is empty.
+var present = []byte{}
+
+// Present returns v as the value of a present key. Where a nil slice means
+// "absent" (a MultiGet slot, a hot-cache hit, a RESP bulk reply), a key
+// stored with an empty value must not read as nil: it reads as one shared
+// zero-length slice, which costs no allocation.
+func Present(v []byte) []byte {
+	if v == nil {
+		return present
+	}
+	return v
 }
 
 // Caps describes which optional capabilities an engine supports under its
@@ -334,32 +372,19 @@ type Caps struct {
 	MultiGet   bool
 }
 
-// CapabilityReporter is implemented by engines that report their
-// configured capabilities. p2KVS consults it before enabling OBM's batch
-// paths; engines without it are probed via interface assertions.
+// CapabilityReporter is implemented by engines with a batch path. p2KVS
+// consults it before enabling OBM's batch paths.
 type CapabilityReporter interface {
 	Caps() Caps
 }
 
-// CapsOf determines an engine's capabilities, preferring its own report.
+// CapsOf is an engine's own report of its batch capabilities; an engine
+// that reports nothing has none.
 func CapsOf(e Engine) Caps {
 	if r, ok := e.(CapabilityReporter); ok {
 		return r.Caps()
 	}
-	var c Caps
-	if _, ok := e.(BatchWriter); ok {
-		c.BatchWrite = true
-	}
-	if _, ok := e.(MultiGetter); ok {
-		c.MultiGet = true
-	}
-	return c
-}
-
-// Syncer is the optional capability of exposing durability control.
-type Syncer interface {
-	// Sync persists the journal up to the last acknowledged write.
-	Sync() error
+	return Caps{}
 }
 
 // Iterator walks keys in ascending byte order.

@@ -1,0 +1,1234 @@
+// Package kvtest is the engine contract of internal/kv, written once as a
+// test suite. An engine package hands Run a way to open itself and gets
+// every behaviour the accessing layer relies on checked through the kv
+// interfaces alone: nothing here imports an engine, and no case knows an
+// engine's name. A case that needs an optional capability runs when the
+// engine implements the interface (and, for the two batch paths, its Caps
+// own up to it) and is skipped, with the reason printed, when it does not.
+//
+// Every case runs on vfs.NewMem() from a fixed seed it logs, so a failure
+// replays.
+package kvtest
+
+import (
+	"bytes"
+	"context"
+	"errors"
+	"fmt"
+	"math/rand"
+	"runtime"
+	"sort"
+	"strings"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"p2kvs/internal/kv"
+	"p2kvs/internal/vfs"
+)
+
+// Config is what the suite cannot learn from the engine itself.
+type Config struct {
+	// Open opens (creating or recovering) an engine at dir on fs. filter,
+	// when non-nil, is §4.5's recovery filter: journal records tagged with a
+	// GSN it rejects are dropped at replay. An engine without kv.GSNWriter
+	// ignores it.
+	Open func(fs vfs.FS, dir string, filter func(gsn uint64) bool) (kv.Engine, error)
+	// CrashSafe promises that an acknowledged write survives MemFS.Crash:
+	// the engine journals, and Open configures the journal to sync on commit.
+	CrashSafe bool
+	// Maintain, when set, is an engine-specific maintenance operation (a
+	// full compaction) the model case mixes into its random operations.
+	Maintain func(kv.Engine) error
+}
+
+// caps is what one configuration can do, as the suite probed it.
+type caps struct {
+	batch, multiget, gsn, health, checkpoint, scrub bool
+	// emptyKey: the engine stores the zero-length key. One that cannot
+	// must refuse it (an acknowledged write is never lost), and the model
+	// then leaves it out.
+	emptyKey bool
+}
+
+// Run checks cfg's engine against the whole contract, one subtest per case.
+func Run(t *testing.T, cfg Config) {
+	c := probe(t, cfg)
+	cases := []struct {
+		name  string
+		needs string // the missing capability, "" when the case can run
+		run   func(*testing.T, Config, caps)
+	}{
+		{"model", "", testModel},
+		{"closed", "", testClosed},
+		{"batch", need(c.batch, "kv.BatchWriter its Caps report"), testBatch},
+		{"multiget", need(c.multiget, "kv.MultiGetter its Caps report"), testMultiGet},
+		{"iterator", "", testIterator},
+		{"concurrent", "", testConcurrent},
+		{"guard", need(c.health, "kv.HealthReporter"), testGuard},
+		{"checkpoint", need(c.checkpoint, "kv.Checkpointer"), testCheckpoint},
+		{"bit-flip", need(c.scrub, "kv.Scrubber"), testBitFlip},
+		{"gsn", need(c.gsn, "kv.GSNWriter"), testGSN},
+	}
+	var report []string
+	for _, tc := range cases {
+		tc := tc
+		if tc.needs != "" {
+			report = append(report, fmt.Sprintf("%s skipped (no %s)", tc.name, tc.needs))
+			t.Run(tc.name, func(t *testing.T) { t.Skipf("the engine has no %s", tc.needs) })
+			continue
+		}
+		report = append(report, tc.name+" ran")
+		t.Run(tc.name, func(t *testing.T) { tc.run(t, cfg, c) })
+	}
+	t.Logf("kvtest: %s", strings.Join(report, " · "))
+}
+
+func need(have bool, capability string) string {
+	if have {
+		return ""
+	}
+	return capability
+}
+
+// probe opens a scratch engine and asks it what it can do. Caps must agree
+// with the methods: a batch path the engine claims exists, and one it
+// disowns answers with an error, never with data.
+func probe(t *testing.T, cfg Config) caps {
+	t.Helper()
+	e := open(t, cfg, vfs.NewMem(), "probe", nil)
+	defer e.Close()
+	reported := kv.CapsOf(e)
+	_, isBW := e.(kv.BatchWriter)
+	mg, isMG := e.(kv.MultiGetter)
+	if reported.BatchWrite && !isBW || reported.MultiGet && !isMG {
+		t.Fatalf("Caps %+v claim a method the engine lacks (BatchWriter %v, MultiGetter %v)", reported, isBW, isMG)
+	}
+	if isMG && !reported.MultiGet {
+		if _, err := mg.MultiGet([][]byte{[]byte("k")}); err == nil {
+			t.Fatal("Caps disown MultiGet, yet calling it succeeds")
+		}
+	}
+	c := caps{batch: reported.BatchWrite, multiget: reported.MultiGet}
+	_, isGSN := e.(kv.GSNWriter)
+	c.gsn = isGSN && c.batch
+	_, c.health = e.(kv.HealthReporter)
+	_, c.checkpoint = e.(kv.Checkpointer)
+	_, c.scrub = e.(kv.Scrubber)
+	if err := e.Put(nil, []byte("v")); err == nil {
+		c.emptyKey = true
+	} else {
+		t.Logf("kvtest: the engine refuses the empty key (%v); the model leaves it out", err)
+		if _, err := e.Get(nil); !errors.Is(err, kv.ErrNotFound) {
+			t.Fatalf("Get of the refused empty key: %v, want kv.ErrNotFound", err)
+		}
+	}
+	return c
+}
+
+func open(t *testing.T, cfg Config, fs vfs.FS, dir string, filter func(uint64) bool) kv.Engine {
+	t.Helper()
+	e, err := cfg.Open(fs, dir, filter)
+	if err != nil {
+		t.Fatalf("open %s: %v", dir, err)
+	}
+	return e
+}
+
+// restart ends e the hard way when the engine promises to survive that — a
+// power cut: unsynced bytes are lost, the old instance is stopped inside the
+// frozen window so it cannot touch what recovery reads — and with a clean
+// Close otherwise, then reopens dir.
+func restart(t *testing.T, cfg Config, mem *vfs.MemFS, fs vfs.FS, e kv.Engine, dir string, filter func(uint64) bool) kv.Engine {
+	t.Helper()
+	if cfg.CrashSafe {
+		mem.Crash()
+		e.Close()
+		mem.Restart()
+	} else if err := e.Close(); err != nil {
+		t.Fatalf("close: %v", err)
+	}
+	return open(t, cfg, fs, dir, filter)
+}
+
+// mustGet fails unless key reads as want; a nil want means absent.
+func mustGet(t *testing.T, e kv.Engine, key string, want []byte, when string) {
+	t.Helper()
+	got, err := e.Get([]byte(key))
+	switch {
+	case want == nil && errors.Is(err, kv.ErrNotFound):
+	case want == nil:
+		t.Fatalf("%s: Get(%q) = %q, %v, want kv.ErrNotFound", when, key, got, err)
+	case err != nil || !bytes.Equal(got, want):
+		t.Fatalf("%s: Get(%q) = %q, %v, want %q", when, key, got, err, want)
+	}
+}
+
+// mustScan fails unless a fresh iterator yields exactly want, in ascending
+// key order.
+func mustScan(t *testing.T, e kv.Engine, want map[string][]byte, when string) {
+	t.Helper()
+	keys := make([]string, 0, len(want))
+	for k := range want {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	it, err := e.NewIterator()
+	if err != nil {
+		t.Fatalf("%s: NewIterator: %v", when, err)
+	}
+	i := 0
+	for it.SeekToFirst(); it.Valid(); it.Next() {
+		if i >= len(keys) || string(it.Key()) != keys[i] || !bytes.Equal(it.Value(), want[keys[i]]) {
+			t.Fatalf("%s: scan position %d holds %q=%q, the model has %d keys and expects %q there",
+				when, i, it.Key(), it.Value(), len(keys), append(keys, "<end>")[i])
+		}
+		i++
+	}
+	if err := it.Error(); err != nil || i != len(keys) {
+		t.Fatalf("%s: scan ended after %d of %d keys, error %v", when, i, len(keys), err)
+	}
+	if err := it.Close(); err != nil {
+		t.Fatalf("%s: iterator Close: %v", when, err)
+	}
+}
+
+// ---------------------------------------------------------------------------
+// model
+// ---------------------------------------------------------------------------
+
+// testModel: any sequence of writes, reads, scans, flushes, maintenance,
+// reopens and (for an engine that promises it) power cuts leaves the engine
+// agreeing with a map. Keys and values include the empty ones.
+func testModel(t *testing.T, cfg Config, c caps) {
+	for _, seed := range []int64{1, 2, 3} {
+		seed := seed
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) { model(t, cfg, c, seed) })
+	}
+}
+
+func model(t *testing.T, cfg Config, c caps, seed int64) {
+	const nOps = 500
+	rng := rand.New(rand.NewSource(seed))
+	mem := vfs.NewMem()
+	e := open(t, cfg, mem, "db", nil)
+	defer func() { e.Close() }()
+
+	pool := make([]string, 40)
+	for i := range pool {
+		pool[i] = fmt.Sprintf("key-%03d", i)
+	}
+	if c.emptyKey {
+		pool[0] = ""
+	}
+	want := map[string][]byte{}
+	value := func(i int) []byte {
+		switch rng.Intn(8) {
+		case 0:
+			return []byte{}
+		case 1:
+			return bytes.Repeat([]byte{byte('a' + i%26)}, 300+rng.Intn(1200))
+		}
+		return []byte(fmt.Sprintf("v%d-%d", i, rng.Int63()))
+	}
+	checkAll := func(when string) {
+		t.Helper()
+		for _, k := range pool {
+			mustGet(t, e, k, want[k], when)
+		}
+		mustScan(t, e, want, when)
+	}
+
+	for i := 0; i < nOps; i++ {
+		when := fmt.Sprintf("seed %d op %d", seed, i)
+		k := pool[rng.Intn(len(pool))]
+		p := rng.Intn(100)
+		if p >= 52 && p < 62 && !c.batch {
+			p = 0 // no batch path: the share goes to single puts
+		}
+		switch {
+		case p < 40:
+			v := value(i)
+			if err := e.Put([]byte(k), v); err != nil {
+				t.Fatalf("%s: Put(%q): %v", when, k, err)
+			}
+			want[k] = v
+		case p < 52:
+			if err := e.Delete([]byte(k)); err != nil {
+				t.Fatalf("%s: Delete(%q): %v", when, k, err)
+			}
+			delete(want, k)
+		case p < 62:
+			var b kv.Batch
+			for j := 1 + rng.Intn(4); j > 0; j-- {
+				bk := pool[rng.Intn(len(pool))]
+				if rng.Intn(4) == 0 {
+					b.Delete([]byte(bk))
+					delete(want, bk)
+				} else {
+					v := value(i)
+					b.Put([]byte(bk), v)
+					want[bk] = v
+				}
+			}
+			if err := e.(kv.BatchWriter).Write(&b); err != nil {
+				t.Fatalf("%s: Write: %v", when, err)
+			}
+		case p < 77:
+			mustGet(t, e, k, want[k], when)
+		case p < 82:
+			mustGet(t, e, fmt.Sprintf("never-%d", i), nil, when)
+		case p < 86:
+			mustScan(t, e, want, when)
+		case p < 91:
+			if err := e.Flush(); err != nil {
+				t.Fatalf("%s: Flush: %v", when, err)
+			}
+		case p < 94:
+			if err := e.Close(); err != nil {
+				t.Fatalf("%s: Close: %v", when, err)
+			}
+			e = open(t, cfg, mem, "db", nil)
+			checkAll(when + " after a reopen")
+		case p < 97:
+			e = restart(t, cfg, mem, mem, e, "db", nil)
+			checkAll(when + " after a restart")
+		case cfg.Maintain != nil:
+			if err := cfg.Maintain(e); err != nil {
+				t.Fatalf("%s: Maintain: %v", when, err)
+			}
+		}
+	}
+	checkAll(fmt.Sprintf("seed %d at the end", seed))
+}
+
+// ---------------------------------------------------------------------------
+// closed
+// ---------------------------------------------------------------------------
+
+// testClosed: Close is idempotent, keeps what was written, and after it
+// every method of every capability the engine has returns kv.ErrClosed.
+func testClosed(t *testing.T, cfg Config, c caps) {
+	mem := vfs.NewMem()
+	e := open(t, cfg, mem, "db", nil)
+	if err := e.Put([]byte("k"), []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	if err := e.Close(); err != nil {
+		t.Fatalf("second Close: %v", err)
+	}
+
+	var b kv.Batch
+	b.Put([]byte("x"), []byte("y"))
+	calls := map[string]func() error{
+		"Put":         func() error { return e.Put([]byte("x"), []byte("y")) },
+		"Get":         func() error { _, err := e.Get([]byte("k")); return err },
+		"Delete":      func() error { return e.Delete([]byte("k")) },
+		"NewIterator": func() error { _, err := e.NewIterator(); return err },
+		"Flush":       e.Flush,
+	}
+	if c.batch {
+		calls["Write"] = func() error { return e.(kv.BatchWriter).Write(&b) }
+	}
+	if c.gsn {
+		calls["WriteGSN"] = func() error { return e.(kv.GSNWriter).WriteGSN(&b, 7) }
+	}
+	if c.multiget {
+		calls["MultiGet"] = func() error { _, err := e.(kv.MultiGetter).MultiGet([][]byte{[]byte("k"), []byte("x")}); return err }
+	}
+	if c.health {
+		hr := e.(kv.HealthReporter)
+		calls["Resume"] = hr.Resume
+		hr.Health() // reports whatever it last knew; it must not panic
+	}
+	if c.checkpoint {
+		ck := e.(kv.Checkpointer)
+		calls["PrepareCheckpoint"] = func() error { _, err := ck.PrepareCheckpoint(); return err }
+		ck.CheckpointStats()
+	}
+	if c.scrub {
+		calls["Scrub"] = func() error { _, err := e.(kv.Scrubber).Scrub(context.Background(), nil); return err }
+	}
+	if cr, ok := e.(kv.CompactionStatsReporter); ok {
+		cr.CompactionStats()
+	}
+	for name, call := range calls {
+		if err := call(); !errors.Is(err, kv.ErrClosed) {
+			t.Errorf("%s after Close: %v, want kv.ErrClosed", name, err)
+		}
+	}
+
+	e = open(t, cfg, mem, "db", nil)
+	defer e.Close()
+	mustGet(t, e, "k", []byte("v"), "reopened after a clean Close")
+}
+
+// ---------------------------------------------------------------------------
+// batch
+// ---------------------------------------------------------------------------
+
+// testBatch: a batch applies its operations in order, and recovery sees all
+// of it or none of it — whether its journal write tore or it was
+// acknowledged, however many memtables it spans. (It promises no isolation:
+// see kv.BatchWriter.)
+func testBatch(t *testing.T, cfg Config, c caps) {
+	mem := vfs.NewMem()
+	ffs := vfs.NewFault(mem)
+	e := open(t, cfg, ffs, "db", nil)
+	defer func() { e.Close() }()
+	bw := e.(kv.BatchWriter)
+
+	var b kv.Batch
+	b.Put([]byte("a"), []byte("1"))
+	b.Put([]byte("b"), []byte("2"))
+	b.Delete([]byte("a"))
+	b.Put([]byte("c"), []byte{})
+	if err := bw.Write(&b); err != nil {
+		t.Fatal(err)
+	}
+	mustGet(t, e, "a", nil, "a delete after a put in one batch")
+	mustGet(t, e, "b", []byte("2"), "a put in a batch")
+	mustGet(t, e, "c", []byte{}, "an empty value in a batch")
+	if err := bw.Write(&kv.Batch{}); err != nil {
+		t.Fatalf("an empty batch: %v", err)
+	}
+	if !cfg.CrashSafe {
+		return
+	}
+
+	// An acknowledged batch far larger than a memtable, then one whose
+	// journal write tears, then the power goes.
+	const big = 200
+	b.Reset()
+	for i := 0; i < big; i++ {
+		b.Put([]byte(fmt.Sprintf("big-%03d", i)), bytes.Repeat([]byte{'x'}, 100))
+	}
+	if err := bw.Write(&b); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Flush(); err != nil { // so the next write to tear is the journal's
+		t.Fatal(err)
+	}
+	trio := []string{"t-x", "t-y", "t-z"}
+	b.Reset()
+	for _, k := range trio {
+		b.Put([]byte(k), []byte("torn"))
+	}
+	ffs.Inject(vfs.Rule{Op: vfs.OpWrite, CountN: 1, TornWrite: true})
+	werr := bw.Write(&b)
+	ffs.ClearRules()
+	e = restart(t, cfg, mem, ffs, e, "db", nil)
+	for i := 0; i < big; i++ {
+		mustGet(t, e, fmt.Sprintf("big-%03d", i), bytes.Repeat([]byte{'x'}, 100), "an acknowledged batch after the restart")
+	}
+	kept := 0
+	for _, k := range trio {
+		v, err := e.Get([]byte(k))
+		if err == nil && string(v) == "torn" {
+			kept++
+		} else if !errors.Is(err, kv.ErrNotFound) {
+			t.Fatalf("Get(%s) after the torn batch = %q, %v", k, v, err)
+		}
+	}
+	if kept != 0 && kept != 3 || werr == nil && kept != 3 {
+		t.Fatalf("recovery kept %d of 3 keys of a batch whose Write returned %v", kept, werr)
+	}
+}
+
+// ---------------------------------------------------------------------------
+// multiget
+// ---------------------------------------------------------------------------
+
+// testMultiGet: MultiGet(keys) is N × Get — absent keys are nil slots,
+// present ones never are, whether the value sits in memory or on disk,
+// whether the call carries one key or many.
+func testMultiGet(t *testing.T, cfg Config, c caps) {
+	e := open(t, cfg, vfs.NewMem(), "db", nil)
+	defer e.Close()
+	mg := e.(kv.MultiGetter)
+	var keys [][]byte
+	for i := 0; i < 60; i++ {
+		k := []byte(fmt.Sprintf("k%03d", i))
+		keys = append(keys, k)
+		var err error
+		switch i % 4 {
+		case 0: // stays absent
+		case 1:
+			err = e.Put(k, []byte{})
+		case 2:
+			if err = e.Put(k, []byte("doomed")); err == nil {
+				err = e.Delete(k)
+			}
+		default:
+			err = e.Put(k, []byte(fmt.Sprintf("v%d", i)))
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == 30 { // the first half answers from disk, the second from memory
+			if err := e.Flush(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	keys = append(keys, keys[1], keys[3]) // duplicates
+	check := func(keys [][]byte) {
+		t.Helper()
+		vals, err := mg.MultiGet(keys)
+		if err != nil || len(vals) != len(keys) {
+			t.Fatalf("MultiGet of %d keys: %d slots, %v", len(keys), len(vals), err)
+		}
+		for i, k := range keys {
+			v, err := e.Get(k)
+			switch {
+			case errors.Is(err, kv.ErrNotFound):
+				if vals[i] != nil {
+					t.Fatalf("MultiGet slot %q = %q, Get says absent", k, vals[i])
+				}
+			case err != nil:
+				t.Fatalf("Get(%q): %v", k, err)
+			case vals[i] == nil || !bytes.Equal(vals[i], v):
+				t.Fatalf("MultiGet slot %q = %q (nil %v), Get = %q", k, vals[i], vals[i] == nil, v)
+			}
+		}
+	}
+	check(keys)
+	for _, k := range keys[:8] {
+		check([][]byte{k})
+	}
+	check(nil)
+}
+
+// ---------------------------------------------------------------------------
+// iterator
+// ---------------------------------------------------------------------------
+
+// testIterator: ascending order over live keys only, Seek lands on the first
+// key at or after its target, the end is an invalid position that stays
+// invalid, and an iterator sees the store as of NewIterator — a put, an
+// overwrite and a delete issued later are invisible to it.
+func testIterator(t *testing.T, cfg Config, c caps) {
+	e := open(t, cfg, vfs.NewMem(), "db", nil)
+	defer e.Close()
+	mustScan(t, e, nil, "an empty store")
+
+	want := map[string][]byte{}
+	const n = 300
+	key := func(i int) string { return fmt.Sprintf("k%04d", i*2) } // odd numbers stay free
+	for i := 0; i < n; i++ {
+		want[key(i)] = []byte(fmt.Sprintf("v%d", i))
+		if err := e.Put([]byte(key(i)), want[key(i)]); err != nil {
+			t.Fatal(err)
+		}
+		if i == n/2 {
+			if err := e.Flush(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for i := 0; i < n; i += 10 {
+		delete(want, key(i))
+		if err := e.Delete([]byte(key(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < n; i += 7 {
+		if _, live := want[key(i)]; live {
+			want[key(i)] = []byte("updated")
+			if err := e.Put([]byte(key(i)), want[key(i)]); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	mustScan(t, e, want, "after puts, deletes and overwrites")
+
+	it, err := e.NewIterator()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer it.Close()
+	for _, probe := range []struct{ target, want string }{
+		{key(3), key(3)},                   // a live key
+		{"k0007", key(4)},                  // between two keys
+		{key(10), key(11)},                 // a deleted key
+		{"", key(1)},                       // before the first (key(0) is deleted)
+		{key(n-1) + "x", ""},               // past the last
+		{key(n - 1), key(n - 1)},           // the last
+		{fmt.Sprintf("k%04d", 2*n+50), ""}, // far past the end
+		{key(n/2 + 1), key(n/2 + 1)},       // back again after running off the end
+	} {
+		it.Seek([]byte(probe.target))
+		if probe.want == "" {
+			if it.Valid() {
+				t.Fatalf("Seek(%q) past the end is valid at %q", probe.target, it.Key())
+			}
+			it.Next()
+			if it.Valid() {
+				t.Fatal("Next past the end made the iterator valid")
+			}
+			continue
+		}
+		if !it.Valid() || string(it.Key()) != probe.want || !bytes.Equal(it.Value(), want[probe.want]) {
+			t.Fatalf("Seek(%q) is at %q (valid %v), want %q", probe.target, it.Key(), it.Valid(), probe.want)
+		}
+	}
+
+	// The snapshot rule.
+	snap, err := e.NewIterator()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer snap.Close()
+	frozen := map[string][]byte{}
+	for k, v := range want {
+		frozen[k] = v
+	}
+	for i := 1; i <= 20; i++ {
+		added, live, gone := fmt.Sprintf("k%04d", 2*i+1), key(3*i+1), key(3*i+2)
+		for _, err := range []error{
+			e.Put([]byte(added), []byte("added later")),
+			e.Put([]byte(live), []byte("overwritten later")),
+			e.Delete([]byte(gone)),
+		} {
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		want[added], want[live] = []byte("added later"), []byte("overwritten later")
+		delete(want, gone)
+	}
+	i := 0
+	for snap.SeekToFirst(); snap.Valid(); snap.Next() {
+		if v, ok := frozen[string(snap.Key())]; !ok || !bytes.Equal(v, snap.Value()) {
+			t.Fatalf("an iterator saw %q=%q, written after NewIterator", snap.Key(), snap.Value())
+		}
+		i++
+	}
+	if err := snap.Error(); err != nil || i != len(frozen) {
+		t.Fatalf("the snapshot scan saw %d of %d keys, error %v", i, len(frozen), err)
+	}
+	mustScan(t, e, want, "a fresh iterator after the later writes")
+}
+
+// ---------------------------------------------------------------------------
+// concurrent
+// ---------------------------------------------------------------------------
+
+// testConcurrent: readers against writers. A writer reads its own writes; a
+// reader never sees a key hold another key's value, and never sees a key's
+// version go backwards. What the race detector finds on the way is the other
+// half of the case.
+func testConcurrent(t *testing.T, cfg Config, c caps) {
+	e := open(t, cfg, vfs.NewMem(), "db", nil)
+	defer e.Close()
+	const nKeys, nWrites, nReaders = 16, 1500, 4
+	key := func(i int) []byte { return []byte(fmt.Sprintf("c%02d", i)) }
+	// version parses "<key>=<version>" and checks the key half.
+	version := func(k, v []byte) (int, error) {
+		var ver int
+		if !bytes.HasPrefix(v, append(append([]byte(nil), k...), '=')) {
+			return 0, fmt.Errorf("key %q holds %q", k, v)
+		}
+		_, err := fmt.Sscanf(string(v[len(k)+1:]), "%d", &ver)
+		return ver, err
+	}
+	cr, _ := e.(kv.CompactionStatsReporter)
+	var before kv.CompactionStats
+	if cr != nil {
+		before = cr.CompactionStats()
+	}
+
+	var stop atomic.Bool
+	var wg sync.WaitGroup
+	for r := 0; r < nReaders; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(r)))
+			last := make([]int, nKeys)
+			see := func(i int, v []byte) bool {
+				ver, err := version(key(i), v)
+				if err != nil || ver < last[i] {
+					t.Errorf("reader %d: key %d read %q after version %d (%v)", r, i, v, last[i], err)
+					return false
+				}
+				last[i] = ver
+				return true
+			}
+			for n := 0; !stop.Load(); n++ {
+				i := rng.Intn(nKeys)
+				switch {
+				case n%50 == 49:
+					it, err := e.NewIterator()
+					if err != nil {
+						t.Errorf("reader %d: NewIterator: %v", r, err)
+						return
+					}
+					for it.SeekToFirst(); it.Valid(); it.Next() {
+						if _, err := version(it.Key(), it.Value()); err != nil {
+							t.Errorf("reader %d: scan: %v", r, err)
+						}
+					}
+					if err := it.Error(); err != nil {
+						t.Errorf("reader %d: scan: %v", r, err)
+					}
+					it.Close()
+				case c.multiget && n%10 == 9:
+					j := (i + 1) % nKeys
+					vals, err := e.(kv.MultiGetter).MultiGet([][]byte{key(i), key(j)})
+					if err != nil {
+						t.Errorf("reader %d: MultiGet: %v", r, err)
+						return
+					}
+					if vals[0] != nil && !see(i, vals[0]) || vals[1] != nil && !see(j, vals[1]) {
+						return
+					}
+				default:
+					v, err := e.Get(key(i))
+					if errors.Is(err, kv.ErrNotFound) {
+						continue
+					}
+					if err != nil {
+						t.Errorf("reader %d: Get: %v", r, err)
+						return
+					}
+					if !see(i, v) {
+						return
+					}
+				}
+				if cr != nil && n%100 == 0 {
+					cr.CompactionStats()
+				}
+			}
+		}(r)
+	}
+	// Two writers, each the only writer of its half of the keys.
+	var writers sync.WaitGroup
+	for w := 0; w < 2; w++ {
+		writers.Add(1)
+		go func(w int) {
+			defer writers.Done()
+			for n := 1; n <= nWrites/2 && !t.Failed(); n++ {
+				i := (2*n + w) % nKeys
+				v := []byte(fmt.Sprintf("%s=%d", key(i), n))
+				if err := e.Put(key(i), v); err != nil {
+					t.Errorf("writer %d, write %d: %v", w, n, err)
+					return
+				}
+				if got, err := e.Get(key(i)); err != nil || !bytes.Equal(got, v) {
+					t.Errorf("writer %d, write %d: read back %q, %v", w, n, got, err)
+					return
+				}
+				switch {
+				case n%97 == 0:
+					if err := e.Delete(key((i + 6) % nKeys)); err != nil {
+						t.Errorf("writer %d, delete at write %d: %v", w, n, err)
+					}
+				case n%250 == 0:
+					if err := e.Flush(); err != nil {
+						t.Errorf("writer %d, flush at write %d: %v", w, n, err)
+					}
+				}
+			}
+		}(w)
+	}
+	writers.Wait()
+	stop.Store(true)
+	wg.Wait()
+	if cr != nil {
+		after := cr.CompactionStats()
+		if after.Compactions < before.Compactions || after.Subcompactions < before.Subcompactions ||
+			after.StallUs < before.StallUs || after.SlowdownUs < before.SlowdownUs || after.Slowdowns < before.Slowdowns {
+			t.Errorf("compaction statistics went backwards: %+v then %+v", before, after)
+		}
+	}
+}
+
+// ---------------------------------------------------------------------------
+// guard
+// ---------------------------------------------------------------------------
+
+// eventually polls cond for up to two seconds.
+func eventually(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(2 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+	}
+}
+
+// fillDisk shrinks the budget under what is already stored — every write,
+// sync and create fails, the guard's space probe included — and writes
+// fresh keys until the engine reports the failure.
+func fillDisk(t *testing.T, e kv.Engine, qfs *vfs.QuotaFS, round int) {
+	t.Helper()
+	qfs.SetBudget(1)
+	for i := 0; ; i++ {
+		err := e.Put([]byte(fmt.Sprintf("fill-%d-%06d", round, i)), make([]byte, 400))
+		if err != nil {
+			if !vfs.IsNoSpace(err) {
+				t.Fatalf("write on a full disk: %v, want a no-space error", err)
+			}
+			break
+		}
+		if i == 10000 {
+			t.Fatal("never hit the quota")
+		}
+	}
+	eventually(t, "disk-full read-only mode", func() bool {
+		h := e.(kv.HealthReporter).Health()
+		return h.State == kv.StateReadOnly && h.DiskFull
+	})
+}
+
+// testGuard: what happens when an engine can no longer write is one
+// behaviour, whichever family the engine belongs to — ENOSPC makes it
+// read-only behind a typed kv.DegradedError, reads keep serving, freed space
+// resumes it once and on its own, and no goroutine outlives the incident.
+func testGuard(t *testing.T, cfg Config, c caps) {
+	before := runtime.NumGoroutine()
+	qfs := vfs.NewQuota(vfs.NewMem(), -1)
+	e := open(t, cfg, qfs, "db", nil)
+	defer e.Close()
+	hr := e.(kv.HealthReporter)
+	for i := 0; i < 20; i++ {
+		if err := e.Put([]byte(fmt.Sprintf("acked-%02d", i)), []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if h := hr.Health(); h.State != kv.StateHealthy || h.Err != nil {
+		t.Fatalf("before any failure: %+v", h)
+	}
+	opened := runtime.NumGoroutine()
+
+	// Full disk: read-only, flagged disk-full, counted once.
+	fillDisk(t, e, qfs, 1)
+	err := e.Put([]byte("blocked"), []byte("v"))
+	var de *kv.DegradedError
+	if !errors.Is(err, kv.ErrDegraded) || !vfs.IsNoSpace(err) || !errors.As(err, &de) || de.Engine == "" || de.Job == "" {
+		t.Fatalf("write while disk-full: %v (%+v), want a kv.DegradedError naming engine and job, wrapping no-space", err, de)
+	}
+	for i := 0; i < 20; i++ {
+		mustGet(t, e, fmt.Sprintf("acked-%02d", i), []byte("v"), "while disk-full")
+	}
+
+	// A second failure while degraded does not replace the first cause.
+	first := hr.Health().Err.Error()
+	if err := e.Flush(); err == nil {
+		t.Fatal("Flush on a full disk succeeded")
+	}
+	time.Sleep(30 * time.Millisecond) // several poll rounds, every probe fails
+	if h := hr.Health(); h.Err.Error() != first || h.DiskFullEvents != 1 || h.AutoResumes != 0 {
+		t.Fatalf("while the disk stays full: %+v, want cause %q, 1 event, no resume", h, first)
+	}
+
+	// Space comes back: one auto-resume, writes land again, and the poll is
+	// gone once nothing is degraded.
+	qfs.SetBudget(64 << 20)
+	eventually(t, "auto-resume", func() bool { return hr.Health().State == kv.StateHealthy })
+	if h := hr.Health(); h.AutoResumes != 1 || h.DiskFullEvents != 1 || h.DiskFull || h.Err != nil {
+		t.Fatalf("after auto-resume: %+v", h)
+	}
+	eventually(t, "the first write after resume", func() bool { return e.Put([]byte("after"), []byte("v")) == nil })
+	eventually(t, "the poll to exit", func() bool { return runtime.NumGoroutine() <= opened })
+	if h := hr.Health(); h.AutoResumes != 1 {
+		t.Fatalf("a resumed engine was resumed again: %+v", h)
+	}
+
+	// A later incident starts a fresh poll; Close in the middle of it leaves
+	// no goroutine behind.
+	fillDisk(t, e, qfs, 2)
+	if h := hr.Health(); h.DiskFullEvents != 2 {
+		t.Fatalf("second incident: %+v, want 2 disk-full events", h)
+	}
+	e.Close()
+	eventually(t, "every goroutine to exit after Close", func() bool { return runtime.NumGoroutine() <= before })
+}
+
+// ---------------------------------------------------------------------------
+// checkpoint
+// ---------------------------------------------------------------------------
+
+// testCheckpoint: a checkpoint prepared while a writer keeps writing and
+// materialised while it overwrites and deletes what was captured restores,
+// in a fresh directory, to the store as it was at PrepareCheckpoint.
+// (PrepareCheckpoint's caller holds the keys it cares about still — the
+// accessing layer parks the worker at a barrier — so the model keys are
+// quiet during the capture and only the writer's own keys move.)
+func testCheckpoint(t *testing.T, cfg Config, c caps) {
+	mem := vfs.NewMem()
+	e := open(t, cfg, mem, "db", nil)
+	defer e.Close()
+	ck := e.(kv.Checkpointer)
+
+	want := map[string][]byte{}
+	for i := 0; i < 400; i++ {
+		k := fmt.Sprintf("m%04d", i)
+		want[k] = []byte(fmt.Sprintf("captured-%d", i))
+		if i%9 == 0 {
+			want[k] = []byte{}
+		}
+		if err := e.Put([]byte(k), want[k]); err != nil {
+			t.Fatal(err)
+		}
+		if i == 250 { // part on disk, part in the journal
+			if err := e.Flush(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for i := 0; i < 400; i += 13 {
+		k := fmt.Sprintf("m%04d", i)
+		delete(want, k)
+		if err := e.Delete([]byte(k)); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// The noise writer: its own keys, from before the capture until after
+	// the image is written.
+	var stop atomic.Bool
+	var noise sync.WaitGroup
+	noise.Add(1)
+	go func() {
+		defer noise.Done()
+		for n := 0; !stop.Load(); n++ {
+			if err := e.Put([]byte(fmt.Sprintf("noise-%03d", n%200)), []byte(fmt.Sprintf("noise=%d", n))); err != nil {
+				t.Errorf("noise write %d: %v", n, err)
+				return
+			}
+		}
+	}()
+	stats := ck.CheckpointStats()
+	cw, err := ck.PrepareCheckpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// After the capture the captured keys move too, and the engine gets
+	// reasons to retire the files the image is made of.
+	for i := 0; i < 400; i++ {
+		k := []byte(fmt.Sprintf("m%04d", i))
+		if i%2 == 0 {
+			err = e.Put(k, []byte("after the capture"))
+		} else {
+			err = e.Delete(k)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := e.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if cfg.Maintain != nil {
+		if err := cfg.Maintain(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	files, err := cw.WriteTo(mem, "image", 1)
+	cw.Release()
+	stop.Store(true)
+	noise.Wait()
+	if err != nil {
+		t.Fatalf("WriteTo: %v", err)
+	}
+	if got := ck.CheckpointStats(); got.Checkpoints != stats.Checkpoints+1 ||
+		got.FilesLinked+got.FilesCopied+got.FilesReused <= stats.FilesLinked+stats.FilesCopied+stats.FilesReused {
+		t.Fatalf("checkpoint statistics %+v after one checkpoint over %+v", got, stats)
+	}
+
+	fresh := vfs.NewMem()
+	for _, f := range files {
+		if _, err := vfs.CopyFile(mem, "image/"+f.Name, fresh, "restored/"+f.Restore); err != nil {
+			t.Fatalf("materialising %s at %s: %v", f.Name, f.Restore, err)
+		}
+	}
+	r := open(t, cfg, fresh, "restored", nil)
+	defer r.Close()
+	for k, v := range want {
+		mustGet(t, r, k, v, "in the restored image")
+	}
+	it, err := r.NewIterator()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer it.Close()
+	captured := 0
+	for it.SeekToFirst(); it.Valid(); it.Next() {
+		k, v := string(it.Key()), it.Value()
+		if strings.HasPrefix(k, "noise-") {
+			if !bytes.HasPrefix(v, []byte("noise=")) {
+				t.Fatalf("the image holds %q=%q, which nobody wrote", k, v)
+			}
+			continue
+		}
+		if w, ok := want[k]; !ok || !bytes.Equal(v, w) {
+			t.Fatalf("the image holds %q=%q; at the capture it was %q (present %v)", k, v, w, ok)
+		}
+		captured++
+	}
+	if err := it.Error(); err != nil || captured != len(want) {
+		t.Fatalf("the image holds %d of the %d captured keys, scan error %v", captured, len(want), err)
+	}
+	// The source kept serving, and kept what came after.
+	mustGet(t, e, "m0002", []byte("after the capture"), "in the source after the checkpoint")
+	mustGet(t, e, "m0001", nil, "in the source after the checkpoint")
+}
+
+// ---------------------------------------------------------------------------
+// bit-flip
+// ---------------------------------------------------------------------------
+
+// namesFS remembers every file name an engine creates, so the case can find
+// the engine's durable files without knowing its layout (FS.List is flat).
+type namesFS struct {
+	vfs.FS
+	mu    sync.Mutex
+	names map[string]bool
+}
+
+func (n *namesFS) note(name string) {
+	n.mu.Lock()
+	n.names[name] = true
+	n.mu.Unlock()
+}
+
+func (n *namesFS) Create(name string) (vfs.File, error) {
+	n.note(name)
+	return n.FS.Create(name)
+}
+
+func (n *namesFS) Rename(oldname, newname string) error {
+	n.note(newname)
+	return n.FS.Rename(oldname, newname)
+}
+
+// durable lists the non-empty files that exist now, by name.
+func (n *namesFS) durable() []string {
+	var out []string
+	for name := range n.names {
+		if f, err := n.FS.Open(name); err == nil {
+			if size, _ := f.Size(); size > 0 {
+				out = append(out, name)
+			}
+			f.Close()
+		}
+	}
+	sort.Strings(out)
+	return out
+}
+
+// flipOneBit flips one bit at a uniformly random offset of the files'
+// concatenation and says where. (A MemFS file opens writable.)
+func flipOneBit(t *testing.T, mem *vfs.MemFS, files []string, rng *rand.Rand) string {
+	t.Helper()
+	sizes := make([]int64, len(files))
+	var total int64
+	for i, name := range files {
+		f, err := mem.Open(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sizes[i], _ = f.Size()
+		f.Close()
+		total += sizes[i]
+	}
+	if total == 0 {
+		t.Fatal("the engine left nothing durable to damage")
+	}
+	off := rng.Int63n(total)
+	i := 0
+	for off >= sizes[i] {
+		off -= sizes[i]
+		i++
+	}
+	f, err := mem.Open(files[i])
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	var b [1]byte
+	if _, err := f.ReadAt(b[:], off); err != nil {
+		t.Fatal(err)
+	}
+	b[0] ^= 1 << uint(rng.Intn(8))
+	if _, err := f.WriteAt(b[:], off); err != nil {
+		t.Fatal(err)
+	}
+	return fmt.Sprintf("%s @%d of %d", files[i], off, sizes[i])
+}
+
+// countingLimiter is a kv.RateLimiter that never waits and adds up what it
+// was charged.
+type countingLimiter struct{ n atomic.Int64 }
+
+func (l *countingLimiter) WaitN(_ context.Context, n int) error {
+	l.n.Add(int64(n))
+	return nil
+}
+
+// testBitFlip: bits of the durable files flip while the engine is down — one
+// in most rounds, a few at once in the others.
+// From then on every read returns what was written or a typed
+// kv.ErrCorruption — never another value, never "absent" for a live key,
+// never a panic; an engine may also refuse to open, with the same typed
+// error. A scrub pass reads through its limiter, and damage a read can trip
+// over is known after the pass (or after the open before it), before any read. What the engine does next —
+// how much it fences off, whether it repairs — is the engine's own business
+// and its own tests'.
+func testBitFlip(t *testing.T, cfg Config, c caps) {
+	const rounds, enough = 24, 3
+	rng := rand.New(rand.NewSource(0x5EED))
+	bitten := 0
+	for round := 0; round < rounds && bitten < enough; round++ {
+		mem := vfs.NewMem()
+		fs := &namesFS{FS: mem, names: map[string]bool{}}
+		e := open(t, cfg, fs, "db", nil)
+		want := map[string][]byte{}
+		for i := 0; i < 150; i++ {
+			k := fmt.Sprintf("key-%03d", i)
+			want[k] = []byte(fmt.Sprintf("round-%02d-val-%03d-%x", round, i, rng.Int63()))
+			if err := e.Put([]byte(k), want[k]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < 10; i++ { // so that "absent" is a right answer too
+			k := fmt.Sprintf("key-%03d", rng.Intn(150))
+			delete(want, k)
+			if err := e.Delete([]byte(k)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := e.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		// A pass over the sound store reads everything, through its limiter,
+		// and finds nothing.
+		var lim countingLimiter
+		res, err := e.(kv.Scrubber).Scrub(context.Background(), &lim)
+		if err != nil || res.FilesScanned == 0 || res.BytesScanned == 0 || res.CorruptionsFound != 0 || lim.n.Load() < res.BytesScanned {
+			t.Fatalf("round %d: scrub of a sound store: %+v, %v, limiter charged %d bytes", round, res, err, lim.n.Load())
+		}
+		if err := e.Close(); err != nil {
+			t.Fatal(err)
+		}
+
+		victim := flipOneBit(t, mem, fs.durable(), rng)
+		for extra := round % 4; extra > 1; extra-- {
+			victim += ", " + flipOneBit(t, mem, fs.durable(), rng)
+		}
+
+		e, err = cfg.Open(fs, "db", nil)
+		if err != nil {
+			if !errors.Is(err, kv.ErrCorruption) {
+				t.Fatalf("round %d (%s): open after the flip: %v, want success or kv.ErrCorruption", round, victim, err)
+			}
+			bitten++
+			continue
+		}
+		res, err = e.(kv.Scrubber).Scrub(context.Background(), nil)
+		if err != nil {
+			t.Fatalf("round %d (%s): Scrub: %v", round, victim, err)
+		}
+		known := res.CorruptionsFound > 0
+		if c.health {
+			h := e.(kv.HealthReporter).Health()
+			if res.CorruptionsFound > 0 && (h.CorruptionEvents == 0 || h.LastCorruption == nil) {
+				t.Fatalf("round %d (%s): scrub found %d corruptions, Health reports none: %+v", round, victim, res.CorruptionsFound, h)
+			}
+			known = known || h.CorruptionEvents > 0
+		}
+		refused := 0
+		for i := 0; i < 150; i++ {
+			k := fmt.Sprintf("key-%03d", i)
+			v, err := e.Get([]byte(k))
+			var ce *kv.CorruptionError
+			switch {
+			case errors.Is(err, kv.ErrCorruption):
+				if !errors.As(err, &ce) {
+					t.Fatalf("round %d (%s): Get(%s): %v is not a *kv.CorruptionError", round, victim, k, err)
+				}
+				refused++
+			case errors.Is(err, kv.ErrNotFound):
+				if want[k] != nil {
+					t.Fatalf("round %d (%s): Get(%s) lost an acknowledged write", round, victim, k)
+				}
+			case err != nil:
+				t.Fatalf("round %d (%s): Get(%s): %v, want the value or kv.ErrCorruption", round, victim, k, err)
+			case want[k] == nil || !bytes.Equal(v, want[k]):
+				t.Fatalf("round %d (%s): Get(%s) = %q, want %q (nil: absent) — a wrong value", round, victim, k, v, want[k])
+			}
+		}
+		if refused > 0 {
+			if !known {
+				t.Fatalf("round %d (%s): %d reads hit corruption the scrub pass before them did not report", round, victim, refused)
+			}
+			bitten++
+		}
+		if err := e.Close(); err != nil {
+			t.Fatalf("round %d (%s): close: %v", round, victim, err)
+		}
+	}
+	if bitten < enough {
+		t.Fatalf("only %d of %d flips landed on live data: the case proved nothing", bitten, rounds)
+	}
+}
+
+// ---------------------------------------------------------------------------
+// gsn
+// ---------------------------------------------------------------------------
+
+// testGSN: a batch tagged with a GSN that recovery's filter rejects is gone
+// after a restart, one it accepts stays, and untagged writes never meet the
+// filter.
+func testGSN(t *testing.T, cfg Config, c caps) {
+	write := func(e kv.Engine, key string, gsn uint64) {
+		t.Helper()
+		var b kv.Batch
+		b.Put([]byte(key), []byte("v"))
+		b.Put([]byte(key+"-too"), []byte{})
+		if err := e.(kv.GSNWriter).WriteGSN(&b, gsn); err != nil {
+			t.Fatal(err)
+		}
+	}
+	only10 := func(gsn uint64) bool { return gsn == 10 }
+
+	t.Run("journal-resident", func(t *testing.T) {
+		mem := vfs.NewMem()
+		e := open(t, cfg, mem, "db", nil)
+		defer func() { e.Close() }()
+		write(e, "committed", 10)
+		write(e, "uncommitted", 11)
+		write(e, "plain", 0)
+		mustGet(t, e, "uncommitted", []byte("v"), "before the restart (no read isolation)")
+		e = restart(t, cfg, mem, mem, e, "db", only10)
+		mustGet(t, e, "committed", []byte("v"), "accepted by the filter")
+		mustGet(t, e, "committed-too", []byte{}, "accepted by the filter")
+		mustGet(t, e, "uncommitted", nil, "rejected by the filter")
+		mustGet(t, e, "uncommitted-too", nil, "rejected by the filter")
+		mustGet(t, e, "plain", []byte("v"), "untagged")
+
+		write(e, "second", 12)
+		e = restart(t, cfg, mem, mem, e, "db", func(uint64) bool { return true })
+		mustGet(t, e, "second", []byte("v"), "under an accepting filter")
+		mustGet(t, e, "uncommitted", nil, "rolled back by the restart before")
+	})
+
+	t.Run("flushed", func(t *testing.T) {
+		t.Skip("ROADMAP item 1: a flushed uncommitted transaction leg is permanent — the leg below survives the rejecting filter; un-skip with the fix")
+		mem := vfs.NewMem()
+		e := open(t, cfg, mem, "db", nil)
+		defer func() { e.Close() }()
+		write(e, "leg", 42)
+		if err := e.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		e = restart(t, cfg, mem, mem, e, "db", func(gsn uint64) bool { return gsn != 42 })
+		mustGet(t, e, "leg", nil, "a flushed leg of a transaction that never committed")
+	})
+}

@@ -22,7 +22,6 @@ import (
 const snapshotName = "SNAPSHOT"
 
 var _ kv.Checkpointer = (*Store)(nil)
-var _ kv.CheckpointStatsReporter = (*Store)(nil)
 
 // PrepareCheckpoint implements kv.Checkpointer.
 func (s *Store) PrepareCheckpoint() (kv.CheckpointWriter, error) {

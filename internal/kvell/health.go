@@ -20,7 +20,7 @@ import "p2kvs/internal/kv"
 // Health implements kv.HealthReporter.
 func (s *Store) Health() kv.Health { return s.g.Health() }
 
-// Resume implements kv.Resumer. There is no log to re-platform: clearing
+// Resume implements kv.HealthReporter. There is no log to re-platform: clearing
 // the degraded state is sufficient, the next write retries its slot. A
 // store with a poisoned partition stays read-only — only a restore proves
 // what its index is missing.

@@ -490,8 +490,15 @@ func (s *Store) submit(w *worker, req *request) error {
 	return req.err
 }
 
-// Put implements kv.Engine.
+var errEmptyKey = errors.New("kvell: the empty key cannot be stored")
+
+// Put implements kv.Engine. The slot format spends klen 0 on "never
+// written", so the empty key has no durable form: it is refused, not
+// acknowledged and lost at the next recovery.
 func (s *Store) Put(key, value []byte) error {
+	if len(key) == 0 {
+		return errEmptyKey
+	}
 	return s.submit(s.pick(key), &request{op: kv.OpPut, key: key, value: value})
 }
 
@@ -559,8 +566,14 @@ func (s *Store) NewIterator() (kv.Iterator, error) {
 	return &snapshotIter{pairs: pairs, pos: -1}, nil
 }
 
-// Flush implements kv.Engine: syncs every slab.
+// Flush implements kv.Engine: syncs every slab. Like submit it holds mu
+// shared, so Close cannot close the slab files under the walk.
 func (s *Store) Flush() error {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	if s.closed {
+		return kv.ErrClosed
+	}
 	for _, w := range s.workers {
 		for _, sl := range w.slabs {
 			if sl == nil {

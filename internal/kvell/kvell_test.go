@@ -1,13 +1,9 @@
 package kvell
 
 import (
-	"bytes"
 	"fmt"
-	"sync"
 	"testing"
-	"testing/quick"
 
-	"p2kvs/internal/kv"
 	"p2kvs/internal/vfs"
 )
 
@@ -18,32 +14,6 @@ func open(t *testing.T, fs vfs.FS, workers int) *Store {
 		t.Fatal(err)
 	}
 	return s
-}
-
-func TestPutGetDelete(t *testing.T) {
-	fs := vfs.NewMem()
-	s := open(t, fs, 4)
-	defer s.Close()
-	if err := s.Put([]byte("k1"), []byte("v1")); err != nil {
-		t.Fatal(err)
-	}
-	v, err := s.Get([]byte("k1"))
-	if err != nil || string(v) != "v1" {
-		t.Fatalf("Get = %q %v", v, err)
-	}
-	if _, err := s.Get([]byte("absent")); err != kv.ErrNotFound {
-		t.Fatalf("absent err = %v", err)
-	}
-	if err := s.Delete([]byte("k1")); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Get([]byte("k1")); err != kv.ErrNotFound {
-		t.Fatal("deleted key still readable")
-	}
-	// Deleting absent key is fine.
-	if err := s.Delete([]byte("never")); err != nil {
-		t.Fatal(err)
-	}
 }
 
 func TestInPlaceUpdateReusesSlot(t *testing.T) {
@@ -126,121 +96,23 @@ func TestScanSortedAcrossPartitions(t *testing.T) {
 	}
 }
 
-func TestIterator(t *testing.T) {
-	fs := vfs.NewMem()
-	s := open(t, fs, 3)
-	defer s.Close()
-	for i := 0; i < 300; i++ {
-		s.Put([]byte(fmt.Sprintf("k%05d", i)), []byte("v"))
-	}
-	it, err := s.NewIterator()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer it.Close()
-	n := 0
-	prev := ""
-	for it.SeekToFirst(); it.Valid(); it.Next() {
-		k := string(it.Key())
-		if prev != "" && k <= prev {
-			t.Fatalf("out of order: %q after %q", k, prev)
-		}
-		prev = k
-		n++
-	}
-	if n != 300 {
-		t.Fatalf("iterated %d", n)
-	}
-	it.Seek([]byte("k00250"))
-	if !it.Valid() || string(it.Key()) != "k00250" {
-		t.Fatalf("Seek landed on %q", it.Key())
-	}
-}
-
-func TestRecoveryRebuildsIndex(t *testing.T) {
+// TestMetrics: the key count follows puts and deletes exactly, and a reopen
+// rebuilds it from the slabs.
+func TestMetrics(t *testing.T) {
 	fs := vfs.NewMem()
 	s := open(t, fs, 2)
-	for i := 0; i < 400; i++ {
-		s.Put([]byte(fmt.Sprintf("k%05d", i)), []byte(fmt.Sprintf("v%d", i)))
-	}
-	s.Delete([]byte("k00003"))
-	s.Flush()
-	s.Close()
-
-	s2 := open(t, fs, 2)
-	defer s2.Close()
-	m := s2.Metrics()
-	if m.Keys != 399 {
-		t.Fatalf("recovered %d keys, want 399", m.Keys)
-	}
-	for i := 0; i < 400; i += 17 {
-		key := fmt.Sprintf("k%05d", i)
-		v, err := s2.Get([]byte(key))
-		if i == 3 {
-			continue
-		}
-		if err != nil || string(v) != fmt.Sprintf("v%d", i) {
-			t.Fatalf("Get(%s) = %q %v", key, v, err)
-		}
-	}
-	if _, err := s2.Get([]byte("k00003")); err != kv.ErrNotFound {
-		t.Fatal("deleted key resurrected by recovery")
-	}
-}
-
-func TestConcurrentClients(t *testing.T) {
-	fs := vfs.NewMem()
-	s := open(t, fs, 4)
-	defer s.Close()
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < 200; i++ {
-				key := []byte(fmt.Sprintf("g%d-%04d", g, i))
-				if err := s.Put(key, key); err != nil {
-					t.Error(err)
-					return
-				}
-				if v, err := s.Get(key); err != nil || !bytes.Equal(v, key) {
-					t.Errorf("readback %s = %q %v", key, v, err)
-					return
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-	if m := s.Metrics(); m.Keys != 1600 {
-		t.Fatalf("keys = %d", m.Keys)
-	}
-}
-
-func TestMetricsAndCaps(t *testing.T) {
-	fs := vfs.NewMem()
-	s := open(t, fs, 2)
-	defer s.Close()
 	for i := 0; i < 100; i++ {
 		s.Put([]byte(fmt.Sprintf("k%03d", i)), make([]byte, 64))
 	}
-	m := s.Metrics()
-	if m.IndexBytes <= 0 || m.Keys != 100 {
+	s.Delete([]byte("k003"))
+	if m := s.Metrics(); m.IndexBytes <= 0 || m.Keys != 99 {
 		t.Fatalf("metrics = %+v", m)
 	}
-	if caps := kv.CapsOf(s); caps.BatchWrite || caps.MultiGet {
-		t.Fatal("kvell must report no batch caps")
-	}
-}
-
-func TestClosedOps(t *testing.T) {
-	fs := vfs.NewMem()
-	s := open(t, fs, 1)
 	s.Close()
-	if err := s.Close(); err != nil {
-		t.Fatal("double close")
-	}
-	if err := s.Put([]byte("k"), []byte("v")); err != kv.ErrClosed {
-		t.Fatalf("Put after close = %v", err)
+	s = open(t, fs, 2)
+	defer s.Close()
+	if m := s.Metrics(); m.Keys != 99 {
+		t.Fatalf("recovered %d keys, want 99", m.Keys)
 	}
 }
 
@@ -259,47 +131,5 @@ func TestPageCacheEviction(t *testing.T) {
 	c.drop([]byte("key49"))
 	if _, ok := c.get([]byte("key49")); ok {
 		t.Fatal("dropped entry still cached")
-	}
-}
-
-func TestQuickAgainstMap(t *testing.T) {
-	type op struct {
-		Key    uint8
-		Len    uint8
-		Delete bool
-	}
-	fn := func(ops []op) bool {
-		fs := vfs.NewMem()
-		s, err := Open("q", Options{FS: fs, Workers: 3, CacheBytes: 4 << 10})
-		if err != nil {
-			return false
-		}
-		defer s.Close()
-		model := map[string][]byte{}
-		for i, o := range ops {
-			k := fmt.Sprintf("key-%03d", o.Key%48)
-			if o.Delete {
-				delete(model, k)
-				if s.Delete([]byte(k)) != nil {
-					return false
-				}
-			} else {
-				v := bytes.Repeat([]byte{byte(i)}, int(o.Len)%200+1)
-				model[k] = v
-				if s.Put([]byte(k), v) != nil {
-					return false
-				}
-			}
-		}
-		for k, want := range model {
-			v, err := s.Get([]byte(k))
-			if err != nil || !bytes.Equal(v, want) {
-				return false
-			}
-		}
-		return s.Metrics().Keys == len(model)
-	}
-	if err := quick.Check(fn, &quick.Config{MaxCount: 40}); err != nil {
-		t.Fatal(err)
 	}
 }

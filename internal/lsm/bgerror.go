@@ -163,7 +163,7 @@ func (d *DB) Health() kv.Health {
 	return h
 }
 
-// Resume implements kv.Resumer: it clears the degraded state and
+// Resume implements kv.HealthReporter: it clears the degraded state and
 // re-attempts the failed background work. If the current WAL was tainted
 // by the incident, the memtable is rotated so new writes get a fresh log.
 func (d *DB) Resume() error {

@@ -37,7 +37,6 @@ type walCapture struct {
 }
 
 var _ kv.Checkpointer = (*DB)(nil)
-var _ kv.CheckpointStatsReporter = (*DB)(nil)
 
 // PrepareCheckpoint implements kv.Checkpointer.
 func (d *DB) PrepareCheckpoint() (kv.CheckpointWriter, error) {

@@ -70,58 +70,6 @@ func buildCorruptDB(t *testing.T, dir string) (*vfs.FaultFS, string, string, []b
 	return fs, path, sst, pristine, want
 }
 
-// TestCorruptSSTNeverWrongValue is the core containment contract: after a
-// bit flip at rest, every read returns either the correct value or
-// kv.ErrCorruption — never a silently wrong or silently missing answer.
-func TestCorruptSSTNeverWrongValue(t *testing.T) {
-	fs, path, _, _, want := buildCorruptDB(t, "db")
-	// Flip a bit inside the first data block (the SST starts with data
-	// blocks at offset 0).
-	if err := fs.CorruptAt(path, 10); err != nil {
-		t.Fatal(err)
-	}
-	db, err := Open("db", smallOpts(fs))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
-
-	var corrupt, served int
-	for k, v := range want {
-		got, err := db.Get([]byte(k))
-		switch {
-		case err == nil:
-			served++
-			if string(got) != v {
-				t.Fatalf("Get(%q) = %q, want %q: silently wrong value", k, got, v)
-			}
-		case errors.Is(err, kv.ErrCorruption):
-			corrupt++
-		default:
-			t.Fatalf("Get(%q): unexpected error %v", k, err)
-		}
-	}
-	if corrupt == 0 {
-		t.Fatal("bit flip went undetected: no read returned ErrCorruption")
-	}
-	t.Logf("reads: %d corruption, %d served", corrupt, served)
-
-	h := db.Health()
-	if h.CorruptionEvents == 0 {
-		t.Fatalf("CorruptionEvents = 0, want > 0")
-	}
-	if h.QuarantinedFiles != 1 {
-		t.Fatalf("QuarantinedFiles = %d, want 1", h.QuarantinedFiles)
-	}
-	if h.LastCorruption == nil {
-		t.Fatal("LastCorruption not reported")
-	}
-	var ce *kv.CorruptionError
-	if !errors.As(h.LastCorruption, &ce) {
-		t.Fatalf("LastCorruption = %v, want *kv.CorruptionError", h.LastCorruption)
-	}
-}
-
 // TestCorruptSSTParkedAndPersists checks that with no repair source the bad
 // file is parked in <dir>/quarantine/ and that a reopened engine still
 // fails the file's range with ErrCorruption (not ErrNotExist).

@@ -95,10 +95,9 @@ type DB struct {
 
 var _ kv.Engine = (*DB)(nil)
 var _ kv.BatchWriter = (*DB)(nil)
+var _ kv.GSNWriter = (*DB)(nil)
 var _ kv.MultiGetter = (*DB)(nil)
-var _ kv.Syncer = (*DB)(nil)
 var _ kv.HealthReporter = (*DB)(nil)
-var _ kv.Resumer = (*DB)(nil)
 
 // OpenOptions carries per-open recovery hooks beyond the engine Options.
 type OpenOptions struct {
@@ -346,8 +345,8 @@ func (d *DB) Delete(key []byte) error {
 // through one WAL record.
 func (d *DB) Write(b *kv.Batch) error { return d.WriteGSN(b, 0) }
 
-// WriteGSN is Write with a p2KVS Global Sequence Number recorded in the
-// log for cross-instance transaction recovery.
+// WriteGSN implements kv.GSNWriter: Write with a p2KVS Global Sequence
+// Number recorded in the log for cross-instance transaction recovery.
 func (d *DB) WriteGSN(b *kv.Batch, gsn uint64) error {
 	if d.closed.Load() {
 		return kv.ErrClosed
@@ -540,17 +539,6 @@ func (d *DB) kick() {
 	}
 }
 
-// Sync implements kv.Syncer.
-func (d *DB) Sync() error {
-	d.mu.Lock()
-	w := d.wal
-	d.mu.Unlock()
-	if w == nil {
-		return nil
-	}
-	return w.Sync()
-}
-
 // ---------------------------------------------------------------------------
 // Read path
 // ---------------------------------------------------------------------------
@@ -640,7 +628,9 @@ func isStaleFileErr(err error) bool {
 // it is given, so a point lookup copies the winning value exactly once: here
 // for a memtable hit (a memtable hands back a slice of its skiplist entry),
 // inside sstable.Reader.Find for a table hit (a pin on a cached block never
-// leaves that package).
+// leaves that package). Copying an empty value yields nil either way, and
+// MultiGet hands these results out as slots where nil means absent: a hit
+// goes out through kv.Present.
 func (d *DB) getAt(rs *readState, seq uint64, key []byte) ([]byte, error) {
 	v, found, deleted := rs.mem.Get(key, seq)
 	for i := 0; !found && i < len(rs.imms); i++ {
@@ -650,7 +640,7 @@ func (d *DB) getAt(rs *readState, seq uint64, key []byte) ([]byte, error) {
 		if deleted {
 			return nil, kv.ErrNotFound
 		}
-		return append([]byte(nil), v...), nil
+		return kv.Present(append([]byte(nil), v...)), nil
 	}
 	var hit sstable.Hit
 	if err := d.getFromTables(rs.ver, seq, key, &hit); err != nil {
@@ -659,7 +649,7 @@ func (d *DB) getAt(rs *readState, seq uint64, key []byte) ([]byte, error) {
 	if !hit.Found || hit.Deleted {
 		return nil, kv.ErrNotFound
 	}
-	return hit.Val, nil
+	return kv.Present(hit.Val), nil
 }
 
 // probeTable looks key up in one table and keeps the result in best when it

@@ -36,61 +36,6 @@ func presets(fs vfs.FS) map[string]Options {
 	}
 }
 
-func TestPutGetDelete(t *testing.T) {
-	for name, opts := range presets(vfs.NewMem()) {
-		t.Run(name, func(t *testing.T) {
-			db, err := Open("db-"+name, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer db.Close()
-
-			if err := db.Put([]byte("k"), []byte("v")); err != nil {
-				t.Fatal(err)
-			}
-			v, err := db.Get([]byte("k"))
-			if err != nil || string(v) != "v" {
-				t.Fatalf("Get = %q, %v", v, err)
-			}
-			if _, err := db.Get([]byte("absent")); err != kv.ErrNotFound {
-				t.Fatalf("Get(absent) err = %v", err)
-			}
-			if err := db.Delete([]byte("k")); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := db.Get([]byte("k")); err != kv.ErrNotFound {
-				t.Fatalf("Get after delete err = %v", err)
-			}
-			// Overwrite.
-			db.Put([]byte("k"), []byte("v1"))
-			db.Put([]byte("k"), []byte("v2"))
-			v, _ = db.Get([]byte("k"))
-			if string(v) != "v2" {
-				t.Fatalf("overwrite lost: %q", v)
-			}
-		})
-	}
-}
-
-func TestWriteBatchAtomicVisibility(t *testing.T) {
-	fs := vfs.NewMem()
-	db, _ := Open("db", smallOpts(fs))
-	defer db.Close()
-	var b kv.Batch
-	b.Put([]byte("a"), []byte("1"))
-	b.Put([]byte("b"), []byte("2"))
-	b.Delete([]byte("a"))
-	if err := db.Write(&b); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := db.Get([]byte("a")); err != kv.ErrNotFound {
-		t.Fatal("delete inside batch must win over earlier put")
-	}
-	if v, _ := db.Get([]byte("b")); string(v) != "2" {
-		t.Fatal("batch put lost")
-	}
-}
-
 func TestFlushAndGetFromSST(t *testing.T) {
 	for name, opts := range presets(vfs.NewMem()) {
 		t.Run(name, func(t *testing.T) {
@@ -218,140 +163,6 @@ func TestFragmentedLowerWriteAmp(t *testing.T) {
 	}
 }
 
-func TestIteratorFullScan(t *testing.T) {
-	for name, opts := range presets(vfs.NewMem()) {
-		t.Run(name, func(t *testing.T) {
-			db, _ := Open("db-"+name, opts)
-			defer db.Close()
-			const n = 1500
-			fill(t, db, n, 1)
-			// Delete every 10th key; overwrite every 7th.
-			for i := 0; i < n; i += 10 {
-				db.Delete([]byte(fmt.Sprintf("key%06d", i)))
-			}
-			for i := 0; i < n; i += 7 {
-				db.Put([]byte(fmt.Sprintf("key%06d", i)), []byte("upd"))
-			}
-			db.CompactAll()
-
-			it, err := db.NewIterator()
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer it.Close()
-			count := 0
-			prev := ""
-			for it.SeekToFirst(); it.Valid(); it.Next() {
-				k := string(it.Key())
-				if prev != "" && k <= prev {
-					t.Fatalf("iterator out of order: %q after %q", k, prev)
-				}
-				prev = k
-				var i int
-				fmt.Sscanf(k, "key%d", &i)
-				if i%10 == 0 && i%7 != 0 {
-					t.Fatalf("deleted key %q surfaced", k)
-				}
-				if i%7 == 0 && string(it.Value()) != "upd" {
-					t.Fatalf("key %q value %q, want upd", k, it.Value())
-				}
-				count++
-			}
-			if it.Error() != nil {
-				t.Fatal(it.Error())
-			}
-			want := 0
-			for i := 0; i < n; i++ {
-				if i%10 == 0 && i%7 != 0 {
-					continue
-				}
-				want++
-			}
-			if count != want {
-				t.Fatalf("scanned %d keys, want %d", count, want)
-			}
-
-			// Seek semantics.
-			it2, _ := db.NewIterator()
-			defer it2.Close()
-			it2.Seek([]byte("key000500"))
-			if !it2.Valid() {
-				t.Fatal("seek found nothing")
-			}
-			if string(it2.Key()) < "key000500" {
-				t.Fatalf("seek landed before target: %q", it2.Key())
-			}
-		})
-	}
-}
-
-func TestMultiGet(t *testing.T) {
-	fs := vfs.NewMem()
-	db, _ := Open("db", smallOpts(fs))
-	defer db.Close()
-	for i := 0; i < 100; i++ {
-		db.Put([]byte(fmt.Sprintf("k%03d", i)), []byte(fmt.Sprintf("v%d", i)))
-	}
-	keys := [][]byte{[]byte("k005"), []byte("missing"), []byte("k099")}
-	vals, err := db.MultiGet(keys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(vals[0]) != "v5" || vals[1] != nil || string(vals[2]) != "v99" {
-		t.Fatalf("MultiGet = %q", vals)
-	}
-
-	// LevelDB preset must report no multiget capability.
-	ldb, _ := Open("db2", LevelDBOptions(fs))
-	defer ldb.Close()
-	if ldb.Caps().MultiGet {
-		t.Fatal("LevelDB preset must not report MultiGet")
-	}
-	if _, err := ldb.MultiGet(keys); err == nil {
-		t.Fatal("MultiGet must fail when disabled")
-	}
-}
-
-func TestRecoveryFromWAL(t *testing.T) {
-	fs := vfs.NewMem()
-	opts := smallOpts(fs)
-	opts.WALSync = wal.PolicyCommit
-	db, _ := Open("db", opts)
-	for i := 0; i < 200; i++ {
-		db.Put([]byte(fmt.Sprintf("k%04d", i)), []byte(fmt.Sprintf("v%d", i)))
-	}
-	db.Delete([]byte("k0100"))
-	// Crash: drop unsynced state. The old instance's goroutines must be
-	// stopped too — a real crash kills the process, but here the zombie
-	// would keep mutating the shared directory under the recovered DB.
-	fs.Crash()
-	db.Close()
-	fs.Restart()
-
-	db2, err := Open("db", opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db2.Close()
-	for i := 0; i < 200; i++ {
-		key := fmt.Sprintf("k%04d", i)
-		v, err := db2.Get([]byte(key))
-		if i == 100 {
-			if err != kv.ErrNotFound {
-				t.Fatalf("deleted key recovered: %q %v", v, err)
-			}
-			continue
-		}
-		if err != nil || string(v) != fmt.Sprintf("v%d", i) {
-			t.Fatalf("Get(%s) after recovery = %q, %v", key, v, err)
-		}
-	}
-	// New writes after recovery must work.
-	if err := db2.Put([]byte("post"), []byte("crash")); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestRecoveryAfterFlushAndCompaction(t *testing.T) {
 	fs := vfs.NewMem()
 	opts := smallOpts(fs)
@@ -382,35 +193,6 @@ func TestRecoveryAfterFlushAndCompaction(t *testing.T) {
 		if err != nil || string(v) != fmt.Sprintf("r1-val%06d", i) {
 			t.Fatalf("Get(%s) = %q %v", key, v, err)
 		}
-	}
-}
-
-func TestRecoveryWithGSNFilter(t *testing.T) {
-	fs := vfs.NewMem()
-	opts := smallOpts(fs)
-	opts.WALSync = wal.PolicyCommit
-	db, _ := Open("db", opts)
-	var b1, b2 kv.Batch
-	b1.Put([]byte("committed"), []byte("yes"))
-	b2.Put([]byte("uncommitted"), []byte("no"))
-	db.WriteGSN(&b1, 10)
-	db.WriteGSN(&b2, 11)
-	fs.Crash()
-	db.Close() // stop the zombie instance
-	fs.Restart()
-
-	db2, err := OpenWith("db", opts, OpenOptions{
-		RecoverFilter: func(gsn uint64) bool { return gsn == 10 },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db2.Close()
-	if v, err := db2.Get([]byte("committed")); err != nil || string(v) != "yes" {
-		t.Fatalf("committed txn lost: %q %v", v, err)
-	}
-	if _, err := db2.Get([]byte("uncommitted")); err != kv.ErrNotFound {
-		t.Fatal("uncommitted txn survived rollback")
 	}
 }
 
@@ -507,32 +289,5 @@ func TestPerfBreakdownAccumulates(t *testing.T) {
 	}
 	if p.OtherTime() < 0 {
 		t.Fatal("negative residual")
-	}
-}
-
-func TestCloseIdempotentAndRejectsOps(t *testing.T) {
-	fs := vfs.NewMem()
-	db, _ := Open("db", smallOpts(fs))
-	db.Put([]byte("k"), []byte("v"))
-	if err := db.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.Close(); err != nil {
-		t.Fatal("second close must be nil")
-	}
-	if err := db.Put([]byte("x"), []byte("y")); err != kv.ErrClosed {
-		t.Fatalf("Put after close = %v", err)
-	}
-	if _, err := db.Get([]byte("k")); err != kv.ErrClosed {
-		t.Fatalf("Get after close = %v", err)
-	}
-	// Reopen sees the data (clean close keeps the WAL).
-	db2, err := Open("db", smallOpts(fs))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db2.Close()
-	if v, err := db2.Get([]byte("k")); err != nil || string(v) != "v" {
-		t.Fatalf("reopen Get = %q %v", v, err)
 	}
 }

@@ -144,6 +144,7 @@ type dbIter struct {
 	valid  bool
 	err    error
 	skipUK []byte // user key whose remaining (older) versions are shadowed
+	skip   bool   // skipUK is set (it may be the empty key)
 }
 
 var _ kv.Iterator = (*dbIter)(nil)
@@ -209,12 +210,12 @@ func (it *dbIter) advance() {
 			it.merge.Next()
 			continue
 		}
-		if it.skipUK != nil && bytes.Equal(uk, it.skipUK) {
+		if it.skip && bytes.Equal(uk, it.skipUK) {
 			// Older version of a key we already surfaced or tombstoned.
 			it.merge.Next()
 			continue
 		}
-		it.skipUK = append(it.skipUK[:0], uk...)
+		it.skipUK, it.skip = append(it.skipUK[:0], uk...), true
 		if kind == ikey.KindDelete {
 			it.merge.Next()
 			continue
@@ -232,14 +233,14 @@ func (it *dbIter) advance() {
 
 // SeekToFirst implements kv.Iterator.
 func (it *dbIter) SeekToFirst() {
-	it.skipUK = nil
+	it.skip = false
 	it.merge.SeekToFirst()
 	it.advance()
 }
 
 // Seek implements kv.Iterator.
 func (it *dbIter) Seek(target []byte) {
-	it.skipUK = nil
+	it.skip = false
 	it.merge.Seek(ikey.SeekKey(target, it.snap))
 	it.advance()
 }

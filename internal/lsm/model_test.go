@@ -3,116 +3,10 @@ package lsm
 import (
 	"fmt"
 	"testing"
-	"testing/quick"
 
-	"p2kvs/internal/kv"
 	"p2kvs/internal/vfs"
 	"p2kvs/internal/wal"
 )
-
-// TestQuickEngineAgainstModel is the engine-level property test: any
-// random sequence of puts/deletes/batches/flushes/compactions/reopens
-// must leave the engine agreeing with a map model — for all three
-// presets.
-func TestQuickEngineAgainstModel(t *testing.T) {
-	type op struct {
-		Kind   uint8 // 0-4 put, 5 delete, 6 batch of 3, 7 flush, 8 compact
-		Key    uint8
-		Val    uint16
-		Preset uint8
-		Reopen bool
-	}
-	fn := func(ops []op, presetPick uint8) bool {
-		fs := vfs.NewMem()
-		var opts Options
-		switch presetPick % 3 {
-		case 0:
-			opts = RocksDBOptions(fs)
-		case 1:
-			opts = LevelDBOptions(fs)
-		default:
-			opts = PebblesDBOptions(fs)
-		}
-		opts.MemTableSize = 4 << 10
-		opts.BaseLevelSize = 16 << 10
-		opts.TargetFileSize = 4 << 10
-
-		db, err := Open("m", opts)
-		if err != nil {
-			return false
-		}
-		defer func() { db.Close() }()
-		model := map[string]string{}
-
-		key := func(k uint8) string { return fmt.Sprintf("key-%03d", k%48) }
-		for i, o := range ops {
-			switch {
-			case o.Kind <= 4:
-				k, v := key(o.Key), fmt.Sprintf("v%d-%d", i, o.Val)
-				if db.Put([]byte(k), []byte(v)) != nil {
-					return false
-				}
-				model[k] = v
-			case o.Kind == 5:
-				k := key(o.Key)
-				if db.Delete([]byte(k)) != nil {
-					return false
-				}
-				delete(model, k)
-			case o.Kind == 6:
-				var b kv.Batch
-				for j := uint8(0); j < 3; j++ {
-					k, v := key(o.Key+j), fmt.Sprintf("b%d-%d", i, j)
-					b.Put([]byte(k), []byte(v))
-					model[k] = v
-				}
-				if db.Write(&b) != nil {
-					return false
-				}
-			case o.Kind == 7:
-				if db.Flush() != nil {
-					return false
-				}
-			default:
-				if db.CompactAll() != nil {
-					return false
-				}
-			}
-			if o.Reopen && i%7 == 0 {
-				if db.Close() != nil {
-					return false
-				}
-				db, err = Open("m", opts)
-				if err != nil {
-					return false
-				}
-			}
-		}
-		// Full agreement with the model, point reads and iteration.
-		for k, want := range model {
-			v, err := db.Get([]byte(k))
-			if err != nil || string(v) != want {
-				return false
-			}
-		}
-		it, err := db.NewIterator()
-		if err != nil {
-			return false
-		}
-		defer it.Close()
-		count := 0
-		for it.SeekToFirst(); it.Valid(); it.Next() {
-			if model[string(it.Key())] != string(it.Value()) {
-				return false
-			}
-			count++
-		}
-		return count == len(model) && it.Error() == nil
-	}
-	if err := quick.Check(fn, &quick.Config{MaxCount: 30}); err != nil {
-		t.Fatal(err)
-	}
-}
 
 // TestWriteStallEngages verifies backpressure: with a tiny L0 stall
 // trigger and compaction disabled-in-practice (huge level targets are

@@ -8,58 +8,6 @@ import (
 	"p2kvs/internal/vfs"
 )
 
-// TestIteratorSnapshotIsolation: an iterator observes the store as of its
-// creation; later writes, deletes and even flushes/compactions must not
-// leak into an open scan.
-func TestIteratorSnapshotIsolation(t *testing.T) {
-	fs := vfs.NewMem()
-	db, _ := Open("db", smallOpts(fs))
-	defer db.Close()
-	const n = 500
-	for i := 0; i < n; i++ {
-		db.Put([]byte(fmt.Sprintf("k%04d", i)), []byte("old"))
-	}
-	it, err := db.NewIterator()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer it.Close()
-
-	// Mutate heavily after the iterator exists.
-	for i := 0; i < n; i++ {
-		db.Put([]byte(fmt.Sprintf("k%04d", i)), []byte("new"))
-	}
-	for i := 0; i < n; i += 3 {
-		db.Delete([]byte(fmt.Sprintf("k%04d", i)))
-	}
-	db.Put([]byte("zzz-added-later"), []byte("x"))
-
-	count := 0
-	for it.SeekToFirst(); it.Valid(); it.Next() {
-		if string(it.Value()) != "old" {
-			t.Fatalf("iterator leaked post-snapshot write: %q=%q", it.Key(), it.Value())
-		}
-		if string(it.Key()) == "zzz-added-later" {
-			t.Fatal("iterator leaked post-snapshot insert")
-		}
-		count++
-	}
-	if it.Error() != nil {
-		t.Fatal(it.Error())
-	}
-	if count != n {
-		t.Fatalf("snapshot scan saw %d keys, want %d", count, n)
-	}
-
-	// A fresh iterator sees the new state.
-	it2, _ := db.NewIterator()
-	defer it2.Close()
-	it2.Seek([]byte("k0001"))
-	if !it2.Valid() || string(it2.Value()) != "new" {
-		t.Fatalf("fresh iterator = %q/%q", it2.Key(), it2.Value())
-	}
-}
-
 // TestGetSnapshotDuringCompaction: point reads taken while compactions
 // churn must never observe missing or stale data.
 func TestGetSnapshotDuringCompaction(t *testing.T) {
@@ -96,46 +44,6 @@ func TestGetSnapshotDuringCompaction(t *testing.T) {
 	if err := <-errc; err != nil {
 		t.Fatal(err)
 	}
-}
-
-// TestExplicitSnapshots covers the Snapshot API (§4.5's read-committed
-// building block): reads at a snapshot ignore later writes; Seq is
-// monotone; Release is safe.
-func TestExplicitSnapshots(t *testing.T) {
-	fs := vfs.NewMem()
-	db, _ := Open("db", smallOpts(fs))
-	defer db.Close()
-	db.Put([]byte("k"), []byte("v1"))
-	s1 := db.NewSnapshot()
-	db.Put([]byte("k"), []byte("v2"))
-	s2 := db.NewSnapshot()
-	if s2.Seq() <= s1.Seq() {
-		t.Fatalf("snapshot seqs not monotone: %d then %d", s1.Seq(), s2.Seq())
-	}
-
-	if v, err := s1.Get([]byte("k")); err != nil || string(v) != "v1" {
-		t.Fatalf("s1.Get = %q %v", v, err)
-	}
-	if v, err := s2.Get([]byte("k")); err != nil || string(v) != "v2" {
-		t.Fatalf("s2.Get = %q %v", v, err)
-	}
-	// Snapshot iterator agrees.
-	it, err := s1.NewIterator()
-	if err != nil {
-		t.Fatal(err)
-	}
-	it.SeekToFirst()
-	if !it.Valid() || string(it.Value()) != "v1" {
-		t.Fatalf("snapshot iterator = %q", it.Value())
-	}
-	it.Close()
-	// A key written after the snapshot is invisible to it.
-	db.Put([]byte("later"), []byte("x"))
-	if _, err := s2.Get([]byte("later")); err == nil {
-		t.Fatal("snapshot saw a later write")
-	}
-	s1.Release()
-	s2.Release()
 }
 
 // TestReadsRaceCompactionFileDeletion hammers reads and iterators while

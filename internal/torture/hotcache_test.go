@@ -5,12 +5,9 @@ import (
 	"math/rand"
 	"testing"
 
-	"p2kvs/internal/btreekv"
 	"p2kvs/internal/core"
 	"p2kvs/internal/kv"
-	"p2kvs/internal/lsm"
 	"p2kvs/internal/vfs"
-	"p2kvs/internal/wal"
 )
 
 // The hot-cache coherence dimension: the same shadow-model torture the
@@ -29,31 +26,12 @@ import (
 // invalidation all churn constantly, and reads are skewed at a hot
 // subset so hits actually happen.
 
-func hotCacheConfigs() []storeCfg {
-	return []storeCfg{
-		{name: "lsm-rocksdb", mk: lsmStoreFactory(lsm.RocksDBOptions), menu: lsmMenu, crash: true},
-		{
-			name: "btreekv",
-			mk: func(fs vfs.FS) core.EngineFactory {
-				return func(id int, _ func(uint64) bool) (kv.Engine, error) {
-					return btreekv.Open(fmt.Sprintf("st/inst-%02d", id),
-						btreekv.Options{FS: fs, WALSync: wal.PolicyCommit, CheckpointBytes: 8 << 10})
-				}
-			},
-			menu: []vfs.Rule{
-				{Op: vfs.OpSync, Prob: 0.05},
-			},
-			crash: true,
-		},
-	}
-}
-
 func TestHotCacheShadowTorture(t *testing.T) {
 	nOps := 1600
 	if testing.Short() {
 		nOps = 800
 	}
-	for _, cfg := range hotCacheConfigs() {
+	for _, cfg := range pick("lsm-rocksdb", "btreekv") {
 		cfg := cfg
 		t.Run(cfg.name, func(t *testing.T) {
 			t.Parallel()
@@ -62,13 +40,13 @@ func TestHotCacheShadowTorture(t *testing.T) {
 	}
 }
 
-func hotCacheTorture(t *testing.T, cfg storeCfg, nOps int, seed int64) {
+func hotCacheTorture(t *testing.T, cfg family, nOps int, seed int64) {
 	rng := rand.New(rand.NewSource(seed))
 	mem := vfs.NewMem()
 	ffs := vfs.NewFaultSeeded(mem, seed)
 
 	open := func() (*core.Store, error) {
-		opts := core.DefaultOptions(cfg.mk(ffs))
+		opts := core.DefaultOptions(cfg.factory(ffs, "st"))
 		opts.Workers = 3
 		opts.TxnFS = ffs
 		opts.TxnDir = "st/txn"

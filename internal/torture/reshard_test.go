@@ -11,10 +11,8 @@ import (
 	"p2kvs/internal/core"
 	"p2kvs/internal/keyspace"
 	"p2kvs/internal/kv"
-	"p2kvs/internal/lsm"
 	"p2kvs/internal/reshard"
 	"p2kvs/internal/vfs"
-	"p2kvs/internal/wal"
 )
 
 // Torture for online resharding: the full store (elastic ring, hot cache
@@ -28,18 +26,7 @@ import (
 const reshardTortureDir = "p2"
 
 func openTortureStore(ffs vfs.FS, workers int) (*core.Store, error) {
-	opts := core.DefaultOptions(func(id int, filter func(uint64) bool) (kv.Engine, error) {
-		o := lsm.RocksDBOptions(ffs)
-		o.MemTableSize = 16 << 10
-		o.BaseLevelSize = 64 << 10
-		o.TargetFileSize = 16 << 10
-		o.WALSync = wal.PolicyCommit // acked == durable, the property the model checks
-		o.BgMaxRetries = 3
-		o.BgBaseBackoff = time.Millisecond
-		o.BgMaxBackoff = 4 * time.Millisecond
-		return lsm.OpenWith(fmt.Sprintf("%s/inst-%02d", reshardTortureDir, id), o,
-			lsm.OpenOptions{RecoverFilter: filter})
-	})
+	opts := core.DefaultOptions(pick("lsm-rocksdb")[0].factory(ffs, reshardTortureDir))
 	opts.Workers = workers
 	opts.Partitioner = keyspace.NewRing(workers, 64)
 	opts.TxnFS = ffs

@@ -6,14 +6,10 @@ import (
 	"math/rand"
 	"testing"
 
-	"p2kvs/internal/btreekv"
 	"p2kvs/internal/checkpoint"
 	"p2kvs/internal/core"
 	"p2kvs/internal/kv"
-	"p2kvs/internal/kvell"
-	"p2kvs/internal/lsm"
 	"p2kvs/internal/vfs"
-	"p2kvs/internal/wal"
 )
 
 // The restore-equivalence dimension: a store run under fault injection
@@ -25,67 +21,12 @@ import (
 // IO, then a crash): the live store and the previous backup generation
 // must both survive the wreck.
 
-type storeCfg struct {
-	name  string
-	mk    func(fs vfs.FS) core.EngineFactory
-	menu  []vfs.Rule
-	crash bool
-}
-
-func lsmStoreFactory(preset func(vfs.FS) lsm.Options) func(fs vfs.FS) core.EngineFactory {
-	return func(fs vfs.FS) core.EngineFactory {
-		return func(id int, filter func(uint64) bool) (kv.Engine, error) {
-			o := preset(fs)
-			o.MemTableSize = 16 << 10
-			o.BaseLevelSize = 64 << 10
-			o.TargetFileSize = 16 << 10
-			o.WALSync = wal.PolicyCommit
-			return lsm.OpenWith(fmt.Sprintf("st/inst-%02d", id), o, lsm.OpenOptions{RecoverFilter: filter})
-		}
-	}
-}
-
-func storeConfigs() []storeCfg {
-	return []storeCfg{
-		{name: "lsm-rocksdb", mk: lsmStoreFactory(lsm.RocksDBOptions), menu: lsmMenu, crash: true},
-		{name: "lsm-parallel", mk: lsmStoreFactory(parallelCompaction), menu: lsmMenu, crash: true},
-		{name: "lsm-leveldb", mk: lsmStoreFactory(lsm.LevelDBOptions), menu: lsmMenu, crash: true},
-		{name: "lsm-pebblesdb", mk: lsmStoreFactory(lsm.PebblesDBOptions), menu: lsmMenu, crash: true},
-		{
-			name: "btreekv",
-			mk: func(fs vfs.FS) core.EngineFactory {
-				return func(id int, _ func(uint64) bool) (kv.Engine, error) {
-					return btreekv.Open(fmt.Sprintf("st/inst-%02d", id),
-						btreekv.Options{FS: fs, WALSync: wal.PolicyCommit, CheckpointBytes: 8 << 10})
-				}
-			},
-			menu: []vfs.Rule{
-				{Op: vfs.OpSync, Prob: 0.05},
-			},
-			crash: true,
-		},
-		{
-			name: "kvell",
-			mk: func(fs vfs.FS) core.EngineFactory {
-				return func(id int, _ func(uint64) bool) (kv.Engine, error) {
-					return kvell.Open(fmt.Sprintf("st/inst-%02d", id),
-						kvell.Options{FS: fs, Workers: 1, QueueDepth: 16})
-				}
-			},
-			menu: []vfs.Rule{
-				{Op: vfs.OpWrite, Prob: 0.05},
-			},
-			crash: false,
-		},
-	}
-}
-
 func TestRestoreEquivalenceTorture(t *testing.T) {
 	nOps := 1200
 	if testing.Short() {
 		nOps = 600
 	}
-	for _, cfg := range storeConfigs() {
+	for _, cfg := range families {
 		cfg := cfg
 		t.Run(cfg.name, func(t *testing.T) {
 			t.Parallel()
@@ -94,13 +35,13 @@ func TestRestoreEquivalenceTorture(t *testing.T) {
 	}
 }
 
-func restoreTorture(t *testing.T, cfg storeCfg, nOps int, seed int64) {
+func restoreTorture(t *testing.T, cfg family, nOps int, seed int64) {
 	rng := rand.New(rand.NewSource(seed))
 	mem := vfs.NewMem()
 	ffs := vfs.NewFaultSeeded(mem, seed)
 
 	open := func() (*core.Store, error) {
-		opts := core.DefaultOptions(cfg.mk(ffs))
+		opts := core.DefaultOptions(cfg.factory(ffs, "st"))
 		opts.Workers = 3
 		opts.TxnFS = ffs
 		opts.TxnDir = "st/txn"
@@ -188,7 +129,7 @@ func restoreTorture(t *testing.T, cfg storeCfg, nOps int, seed int64) {
 		if _, err := checkpoint.Restore(mem, bakDir, dst, place); err != nil {
 			t.Fatalf("%s: Restore: %v", tag, err)
 		}
-		ropts := core.DefaultOptions(cfg.mk(dst))
+		ropts := core.DefaultOptions(cfg.factory(dst, "st"))
 		ropts.Workers = 3
 		ropts.TxnFS = dst
 		ropts.TxnDir = "st/txn"

@@ -29,14 +29,9 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
-	"time"
 
-	"p2kvs/internal/btreekv"
 	"p2kvs/internal/kv"
-	"p2kvs/internal/kvell"
-	"p2kvs/internal/lsm"
 	"p2kvs/internal/vfs"
-	"p2kvs/internal/wal"
 )
 
 const absent = "\x00absent\x00"
@@ -83,89 +78,6 @@ func (m *model) observe(k, v string) {
 // disk after all, kept for good, so what reads now is settled.
 func (m *model) recovered() { clear(m.tentative) }
 
-type tortureCfg struct {
-	name  string
-	open  func(fs vfs.FS) (kv.Engine, error)
-	menu  []vfs.Rule // armed/disarmed in windows during the run
-	crash bool       // engine guarantees acked writes survive Crash/Restart
-}
-
-func lsmOpen(preset func(vfs.FS) lsm.Options) func(vfs.FS) (kv.Engine, error) {
-	return func(fs vfs.FS) (kv.Engine, error) {
-		o := preset(fs)
-		o.MemTableSize = 16 << 10
-		o.BaseLevelSize = 64 << 10
-		o.TargetFileSize = 16 << 10
-		o.WALSync = wal.PolicyCommit // acked == durable, the property the model checks
-		o.BgMaxRetries = 3
-		o.BgBaseBackoff = time.Millisecond
-		o.BgMaxBackoff = 4 * time.Millisecond
-		return lsm.Open("db", o)
-	}
-}
-
-// lsmMenu is the full fault menu: commit-sync failures, torn writes
-// (WAL tails, SST builds, MANIFEST records), file-creation failures
-// (flush outputs, WAL/MANIFEST rotation) and latency spikes.
-var lsmMenu = []vfs.Rule{
-	{Op: vfs.OpSync, Path: ".log", Prob: 0.05},
-	{Op: vfs.OpWrite, Prob: 0.02, TornWrite: true},
-	{Op: vfs.OpCreate, Prob: 0.02},
-	{Op: vfs.OpAny, Prob: 0.05, DelayOnly: true, Delay: 200 * time.Microsecond},
-}
-
-// parallelCompaction tightens the triggers and widens the compaction pool
-// so the run keeps several compactions of disjoint ranges in flight, with
-// subcompactions splitting the merges — concurrent version installs under
-// fault injection and crash cycles.
-func parallelCompaction(fs vfs.FS) lsm.Options {
-	o := lsm.RocksDBOptions(fs)
-	o.MaxBackgroundCompactions = 3
-	o.MaxSubCompactions = 2
-	o.L0CompactionTrigger = 2
-	o.L0SlowdownTrigger = 4
-	o.L0StallTrigger = 8
-	return o
-}
-
-func configs() []tortureCfg {
-	return []tortureCfg{
-		{name: "lsm-rocksdb", open: lsmOpen(lsm.RocksDBOptions), menu: lsmMenu, crash: true},
-		{name: "lsm-parallel", open: lsmOpen(parallelCompaction), menu: lsmMenu, crash: true},
-		{name: "lsm-leveldb", open: lsmOpen(lsm.LevelDBOptions), menu: lsmMenu, crash: true},
-		{name: "lsm-pebblesdb", open: lsmOpen(lsm.PebblesDBOptions), menu: lsmMenu, crash: true},
-		{
-			name: "btreekv",
-			open: func(fs vfs.FS) (kv.Engine, error) {
-				return btreekv.Open("db", btreekv.Options{FS: fs, WALSync: wal.PolicyCommit, CheckpointBytes: 8 << 10})
-			},
-			// Journal-sync failures taint the log and force the engine
-			// through its checkpoint-based self-heal. No torn writes: the
-			// engine has no retry machinery for checkpoint IO.
-			menu: []vfs.Rule{
-				{Op: vfs.OpSync, Prob: 0.05},
-				{Op: vfs.OpAny, Prob: 0.05, DelayOnly: true, Delay: 200 * time.Microsecond},
-			},
-			crash: true,
-		},
-		{
-			name: "kvell",
-			open: func(fs vfs.FS) (kv.Engine, error) {
-				return kvell.Open("db", kvell.Options{FS: fs, Workers: 2, QueueDepth: 16})
-			},
-			// Clean write errors only: KVell updates slots in place with
-			// no log, so its contract gives no crash guarantee (no crash
-			// cycles) and a torn in-place write is unrecoverable by
-			// design.
-			menu: []vfs.Rule{
-				{Op: vfs.OpWrite, Prob: 0.05},
-				{Op: vfs.OpAny, Prob: 0.05, DelayOnly: true, Delay: 200 * time.Microsecond},
-			},
-			crash: false,
-		},
-	}
-}
-
 func TestTorture(t *testing.T) {
 	// -short trims the run for CI's overload-torture job: one seed and
 	// fewer ops, but still several armed fault windows (50 of every 150
@@ -176,7 +88,7 @@ func TestTorture(t *testing.T) {
 		seeds, nOps = seeds[:1], 600
 	}
 	for _, seed := range seeds {
-		for _, cfg := range configs() {
+		for _, cfg := range families {
 			cfg, seed := cfg, seed
 			t.Run(fmt.Sprintf("%s/seed=%d", cfg.name, seed), func(t *testing.T) {
 				t.Parallel()
@@ -186,11 +98,11 @@ func TestTorture(t *testing.T) {
 	}
 }
 
-func torture(t *testing.T, cfg tortureCfg, nOps int, seed int64) {
+func torture(t *testing.T, cfg family, nOps int, seed int64) {
 	rng := rand.New(rand.NewSource(seed))
 	mem := vfs.NewMem()
 	ffs := vfs.NewFaultSeeded(mem, seed)
-	eng, err := cfg.open(ffs)
+	eng, err := cfg.open(ffs, "db", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,17 +120,14 @@ func torture(t *testing.T, cfg tortureCfg, nOps int, seed int64) {
 	// doesn't trivially drown in fail-fast errors.
 	armed := false
 	recover := func(err error) {
-		if !errors.Is(err, kv.ErrDegraded) {
-			if hr, ok := eng.(kv.HealthReporter); !ok || hr.Health().State != kv.StateReadOnly {
-				return
-			}
+		hr := eng.(kv.HealthReporter) // every family embeds one guard
+		if !errors.Is(err, kv.ErrDegraded) && hr.Health().State != kv.StateReadOnly {
+			return
 		}
 		ffs.ClearRules()
 		armed = false
-		if r, ok := eng.(kv.Resumer); ok {
-			if rerr := r.Resume(); rerr != nil {
-				t.Fatalf("op %s: Resume failed: %v", err, rerr)
-			}
+		if rerr := hr.Resume(); rerr != nil {
+			t.Fatalf("op %s: Resume failed: %v", err, rerr)
 		}
 	}
 
@@ -244,7 +153,7 @@ func torture(t *testing.T, cfg tortureCfg, nOps int, seed int64) {
 			mem.Crash()
 			_ = eng.Close()
 			mem.Restart()
-			if eng, err = cfg.open(ffs); err != nil {
+			if eng, err = cfg.open(ffs, "db", nil); err != nil {
 				t.Fatalf("op %d: reopen after crash: %v", i, err)
 			}
 			crashes++
@@ -317,7 +226,7 @@ func torture(t *testing.T, cfg tortureCfg, nOps int, seed int64) {
 		mem.Crash()
 		_ = eng.Close()
 		mem.Restart()
-		if eng, err = cfg.open(ffs); err != nil {
+		if eng, err = cfg.open(ffs, "db", nil); err != nil {
 			t.Fatalf("final reopen: %v", err)
 		}
 	}

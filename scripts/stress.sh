@@ -30,9 +30,10 @@ backup     $GO test -race -timeout 5m -run 'Checkpoint|Restore|Barrier' ./intern
 backup     $GO test -race -timeout 5m -run 'Manifest|ParseMutations|ParseRejects' ./internal/checkpoint
 backup     $GO test -race -timeout 5m -run 'Backup|Restore' .
 scrub      $GO test -fuzz=FuzzBlockRead -fuzztime=$FUZZTIME ./internal/block
-scrub      $GO test -race -timeout 10m -run 'BitFlipAtRestTorture' ./internal/torture
+scrub      $GO test -race -timeout 10m -run 'Conformance.*/bit-flip' ./internal/lsm ./internal/btreekv ./internal/kvell
 scrub      $GO test -race -timeout 5m -run 'Corrupt|Scrub|Quarantine|Repair|Flip|Rot|Checksum|Limiter|Runner' ./internal/block ./internal/wal ./internal/lsm ./internal/btreekv ./internal/kvell ./internal/scrub ./internal/vfs ./internal/server
-crash      $GO test -race -short -timeout 5m -run 'DiskFull' ./internal/torture ./internal/lsm ./internal/btreekv ./internal/kvell
+crash      $GO test -race -short -timeout 5m -run 'DiskFull' ./internal/torture
+crash      $GO test -race -timeout 5m -run 'Conformance.*/guard' ./internal/lsm ./internal/btreekv ./internal/kvell
 crash      crash commit ${CYCLES:-25}
 crash      crash interval ${ASYNC_CYCLES:-5}
 crash      crash never ${ASYNC_CYCLES:-5}
@@ -52,6 +53,7 @@ reshard    $GO test -race -timeout 5m ./internal/reshard ./internal/keyspace
 reshard    $GO test -race -timeout 10m -run 'Reshard' ./internal/core ./internal/server
 reshard    $GO test -race -timeout 5m -run 'FacadeElastic' .
 reshard    $GO run ./cmd/dbbench -p2 -workers 4 -elastic -num 60000 -threads 4 -benchmarks fillrandom,updatezipfian -reshard_at 30000 -reshard_to 5 -verify
+engines    $GO test -race -count=3 -run Conformance ./internal/lsm ./internal/btreekv ./internal/kvell
 serve      $GO test -fuzz=FuzzRESPParse -fuzztime=$FUZZTIME ./internal/server
 serve      serve_smoke
 serve      bench_line cluster_get_scaling scaling 2.2 $GO run ./cmd/netbench -cluster 3

@@ -41,7 +41,21 @@ var uncalledMethods = map[string]string{
 	"core.Store.GetAsync":    "the paper's §4.1 asynchronous interface; the repo benchmark's read loop drives it (benchmark/, its own module)",
 	"core.Store.DeleteAsync": "the same interface, completed for the third op",
 	"lsm.DB.CompactRange":    "manual compaction of a key range: tests use it to place data in a chosen level",
-	"lsm.DB.NewSnapshot":     "explicit snapshots: the isolation contract of iterators is tested through it",
+}
+
+// maxKVInterfaces bounds the engine contract: internal/kv declares every
+// interface an engine can be asked for, and no more than this many.
+const maxKVInterfaces = 13
+
+// unassertedInterfaces: interfaces of internal/kv that no non-test code of
+// the accessing layer (internal/core, internal/server, the facade, kv.CapsOf)
+// type-asserts an engine to, and why they stay.
+var unassertedInterfaces = map[string]string{
+	"Engine":           "the contract itself: what an EngineFactory returns",
+	"Iterator":         "what Engine.NewIterator returns",
+	"CheckpointWriter": "what Checkpointer.PrepareCheckpoint returns",
+	"RateLimiter":      "a parameter of Scrubber.Scrub; internal/scrub implements it",
+	"RepairSource":     "an engine option, not a capability: the facade's backupRepairSource implements it",
 }
 
 func TestSurfaceCensus(t *testing.T) {
@@ -140,6 +154,80 @@ func TestSurfaceCensus(t *testing.T) {
 		calledQualified[m] = called[m[strings.LastIndexByte(m, '.')+1:]]
 	}
 	checkCensus(t, "exported method", methods, calledQualified, uncalledMethods)
+
+	// The engine contract: every interface of internal/kv is something the
+	// accessing layer asks an engine for, or is excused; the asking happens
+	// once per engine, in core's newWorker, and only for interfaces kv
+	// declares — so no other package can grow a capability of its own.
+	inKV := func(name string) bool { return filepath.Dir(name) == "internal/kv" }
+	var ifaces []string
+	for name, f := range parsed {
+		if !inKV(name) {
+			continue
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if ts, ok := n.(*ast.TypeSpec); ok {
+				if _, ok := ts.Type.(*ast.InterfaceType); ok {
+					ifaces = append(ifaces, ts.Name.Name)
+				}
+			}
+			return true
+		})
+	}
+	if len(ifaces) == 0 || len(ifaces) > maxKVInterfaces {
+		t.Errorf("internal/kv declares %d interfaces %v, want 1..%d: merge one into a neighbour or delete one", len(ifaces), ifaces, maxKVInterfaces)
+	}
+	isKV := map[string]bool{}
+	for _, name := range ifaces {
+		isKV[name] = true
+	}
+	asserted := map[string]bool{}
+	inConstructor := 0
+	for name, f := range parsed {
+		layer := underAny(name, []string{"internal/core", "internal/server"})
+		if !layer && !inKV(name) && strings.Contains(name, "/") {
+			continue // not the accessing layer, the facade or kv itself
+		}
+		for _, d := range f.Decls {
+			fd, ok := d.(*ast.FuncDecl)
+			if !ok {
+				continue
+			}
+			ast.Inspect(fd, func(n ast.Node) bool {
+				ta, ok := n.(*ast.TypeAssertExpr)
+				if !ok || ta.Type == nil {
+					return true
+				}
+				var kvName string
+				switch typ := ta.Type.(type) {
+				case *ast.SelectorExpr:
+					if pkg, ok := typ.X.(*ast.Ident); ok && pkg.Name == "kv" {
+						kvName = typ.Sel.Name
+					}
+				case *ast.Ident:
+					if inKV(name) {
+						kvName = typ.Name
+					}
+				}
+				asserted[kvName] = true
+				if sel, ok := ta.X.(*ast.SelectorExpr); ok && layer && sel.Sel.Name == "engine" {
+					switch {
+					case fd.Name.Name != "newWorker":
+						t.Errorf("%s: %s asserts a worker's engine to a type: ask once, in newWorker, and keep the answer in a field", fset.Position(ta.Pos()), fd.Name.Name)
+					case !isKV[kvName]:
+						t.Errorf("%s: newWorker asks the engine for a capability internal/kv does not declare", fset.Position(ta.Pos()))
+					default:
+						inConstructor++
+					}
+				}
+				return true
+			})
+		}
+	}
+	if inConstructor == 0 {
+		t.Error("found no engine assertion in core's newWorker: the census no longer sees where capabilities are resolved")
+	}
+	checkCensus(t, "internal/kv interface", ifaces, asserted, unassertedInterfaces)
 }
 
 // checkCensus fails every name that is neither used nor excused, every
