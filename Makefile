@@ -5,7 +5,7 @@ SUITE ?= list
 
 LOC_DIR ?= .
 
-.PHONY: build test test-race alloc-pins alloc-profile vet benchmark-module stats-golden loc loc-diff fuzz-short stress serve netbench ci clean
+.PHONY: build test test-race alloc-pins alloc-profile cpu-profile vet benchmark-module stats-golden loc loc-diff fuzz-short stress serve netbench ci clean
 
 build:
 	$(GO) build ./...
@@ -40,6 +40,26 @@ alloc-profile:
 	$(GO) test -run '^$$' -bench 'GetMiss' -benchmem -benchtime 1000000x \
 		-memprofile $(PROFILE_DIR)/read.prof -memprofilerate 4096 -o $(PROFILE_DIR)/lsm.test ./internal/lsm
 	$(GO) tool pprof -sample_index=alloc_space -top -nodecount 15 -focus='\(\*DB\)\.Get$$' $(PROFILE_DIR)/lsm.test $(PROFILE_DIR)/read.prof
+
+# Where the time goes, from the same benchmarks plus one client's synchronous
+# Get (internal/core's BenchmarkGet), each under a CPU profile of its own,
+# printed cumulatively for the whole process — the scheduler's share of a
+# thread handoff (schedule, findRunnable, futex) sits under no product
+# function, so a -focus would hide it. The write path; a Get its caller runs
+# (direct=true) and one handed to the worker (direct=false, the only form
+# before PR 27); the engine lookup under both. A time claim starts from these
+# tables as a count claim starts from alloc-profile's.
+cpu-profile:
+	mkdir -p $(PROFILE_DIR)
+	$(GO) test -c -o $(PROFILE_DIR)/p2kvs.test .
+	$(GO) test -c -o $(PROFILE_DIR)/core.test ./internal/core
+	$(GO) test -c -o $(PROFILE_DIR)/lsm.test ./internal/lsm
+	cd $(PROFILE_DIR) && for run in 'p2kvs write PutAsync|LSMWriteBatch' 'core get-direct Get$$/direct=true' \
+			'core get-queued Get$$/direct=false' 'lsm get-engine GetMiss'; do \
+		set -- $$run; \
+		./$$1.test -test.run '^$$' -test.bench "$$3" -test.benchtime 3s -test.cpuprofile $$2.prof && \
+		$(GO) tool pprof -top -cum -nodecount 25 $$1.test $$2.prof || exit 1; \
+	done
 
 vet:
 	$(GO) vet ./...
@@ -109,6 +129,7 @@ fuzz-short:
 #   repl        <- make repl-stress, scripts/repl-stress.sh, crashkv -replica
 #                  (+ CI's FuzzReplStream smoke): netbench -crash -crash_replica
 #   cache       <- make cache-stress; the hotcache BENCH line must show >= 1.5x
+#               (+ the long form of the direct read's history stress, 2 s a cell)
 #   reshard     <- make reshard-stress (minus the deleted MigrateMatchesReshard)
 #   engines     the conformance suite (internal/kv/kvtest) x3 on the five engine
 #               configurations; scrub and crash run its bit-flip and guard cases,

@@ -214,17 +214,40 @@ func BenchmarkP2KVSPutAsync(b *testing.B) {
 	b.SetBytes(int64(16 + len(val)))
 }
 
-func BenchmarkP2KVSGetParallel(b *testing.B) {
+// getBenchKeys is the key space the Get benchmarks preload and read.
+const getBenchKeys = 50000
+
+func openGetBench(b *testing.B) *p2kvs.Store {
 	s, err := p2kvs.Open(p2kvs.Options{Dir: "bench-db", Workers: 4, InMemory: true})
 	if err != nil {
 		b.Fatal(err)
 	}
-	defer s.Close()
-	const n = 50000
 	val := loadgen.Value(1, 0, 128)
-	for i := 0; i < n; i++ {
+	for i := 0; i < getBenchKeys; i++ {
 		s.Put(loadgen.Key(uint64(i)), val)
 	}
+	return s
+}
+
+// BenchmarkP2KVSGet is one client's synchronous Get against idle workers:
+// every one is a direct read. internal/core's BenchmarkGet sets the queued
+// form beside it.
+func BenchmarkP2KVSGet(b *testing.B) {
+	s := openGetBench(b)
+	defer s.Close()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := s.Get(loadgen.Key(uint64(i % getBenchKeys))); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkP2KVSGetParallel(b *testing.B) {
+	s := openGetBench(b)
+	defer s.Close()
+	const n = getBenchKeys
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
 		i := 0

@@ -2,6 +2,9 @@ package core
 
 import (
 	"errors"
+	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"p2kvs/internal/kv"
@@ -121,5 +124,94 @@ func TestDegradedErrAllocs(t *testing.T) {
 	var gate error
 	if n := testing.AllocsPerRun(200, func() { gate = w.degradedErr() }); n != 0 || gate != nil {
 		t.Errorf("degradedErr over a healthy lsm: %.0f allocs, gate %v; want 0, nil", n, gate)
+	}
+}
+
+// gatedNop is nopEngine with one operation parked until gate closes, each
+// arrival announced on entered: every Write (a worker wedged mid-apply), or,
+// with reads set, every Get (a read stalled on its device).
+type gatedNop struct {
+	nopEngine
+	reads         bool
+	entered, gate chan struct{}
+	closed        atomic.Bool
+}
+
+func newGatedNop(reads bool) *gatedNop {
+	return &gatedNop{nopEngine: nopEngine{val: []byte("v")}, reads: reads, entered: make(chan struct{}, 1), gate: make(chan struct{})}
+}
+
+func (e *gatedNop) park(parks bool) {
+	if parks {
+		e.entered <- struct{}{}
+		<-e.gate
+	}
+}
+
+func (e *gatedNop) Write(*kv.Batch) error { e.park(!e.reads); return nil }
+
+func (e *gatedNop) Get([]byte) ([]byte, error) { e.park(e.reads); return e.val, nil }
+
+func (e *gatedNop) Close() error { e.closed.Store(true); return nil }
+
+// TestDirectReadAllocs pins the direct read's cost and its rule. On an idle
+// worker a Get allocates nothing above the engine and touches no pooled
+// request: the caller ran the read itself. With one write parked in the
+// worker the same call takes the queue — a pooled request goes round — and
+// returns only once the worker has reached it.
+func TestDirectReadAllocs(t *testing.T) {
+	eng := newGatedNop(false)
+	opts := DefaultOptions(func(int, func(uint64) bool) (kv.Engine, error) { return eng, nil })
+	opts.Workers = 1
+	s, err := Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	release := sync.OnceFunc(func() { close(eng.gate) })
+	defer release() // before Close, whichever way the test ends: the worker may be parked on the gate
+	var recycled atomic.Int64
+	hook := func(*request) { recycled.Add(1) }
+	recycleHook.Store(&hook)
+	defer recycleHook.Store(nil)
+	key := []byte("alloc-key")
+	get := func() {
+		if _, err := s.Get(key); err != nil {
+			t.Error(err)
+		}
+	}
+
+	if raceflag.Enabled {
+		get()
+	} else if n := testing.AllocsPerRun(200, get); n != 0 {
+		t.Errorf("Get on an idle worker: %.0f allocs/op above the engine, pinned at 0", n)
+	}
+	direct := s.Stats()[0].DirectReads
+	if direct == 0 || recycled.Load() != 0 || s.Stats()[0].Ops != 0 {
+		t.Fatalf("idle worker: %d direct reads, %d requests recycled, %d ops on the worker; want every Get direct",
+			direct, recycled.Load(), s.Stats()[0].Ops)
+	}
+
+	if err := s.PutAsync(key, []byte("w"), func(error) {}); err != nil {
+		t.Fatal(err)
+	}
+	<-eng.entered // the worker is inside the engine with the write
+	got := make(chan struct{})
+	go func() { get(); close(got) }()
+	for s.ws()[0].q.pending.Load() != 2 { // the parked write and the queued read
+		select {
+		case <-got:
+			t.Fatal("Get returned while a write submitted before it was unapplied")
+		default:
+			runtime.Gosched()
+		}
+	}
+	release()
+	<-got
+	if st := s.Stats()[0]; st.DirectReads != direct || st.Ops != 2 {
+		t.Errorf("busy worker: direct reads %d -> %d, worker ops %d; want the Get queued behind the write", direct, st.DirectReads, st.Ops)
+	}
+	for recycled.Load() != 2 { // the callback write's request and the read's
+		runtime.Gosched()
 	}
 }

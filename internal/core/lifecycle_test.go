@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -504,5 +505,87 @@ func waitWedged(t *testing.T, e *stubEngine, n int64) {
 			t.Fatalf("engine entered %d writes, want %d", e.entered.Load(), n)
 		}
 		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestClosedStoreServesNoHotKey: a closed store refuses every read form with
+// kv.ErrClosed, for a key resident in the hot cache exactly as for one that
+// is not — the cache sits above the queues, so admission alone cannot say so.
+func TestClosedStoreServesNoHotKey(t *testing.T) {
+	s, _ := openStubStore(t, 2, nil, func(o *Options) { o.HotCacheBytes = 1 << 20 })
+	hot, cold := shardKey(0, 1), shardKey(1, 1)
+	if err := s.Put(hot, []byte("hot-value")); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ { // the first read fills, the second must hit
+		if v, err := s.Get(hot); err != nil || string(v) != "hot-value" {
+			t.Fatalf("Get(hot) = %q, %v", v, err)
+		}
+	}
+	if hits := s.StatsSnapshot().CacheHits; hits == 0 {
+		t.Fatal("hot key not resident before Close")
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range [][]byte{hot, cold} {
+		if v, err := s.Get(key); err != kv.ErrClosed {
+			t.Errorf("Get(%s) after Close = %q, %v; want kv.ErrClosed", key, v, err)
+		}
+		ran := false
+		if err := s.GetAsync(key, func([]byte, error) { ran = true }); err != kv.ErrClosed || ran {
+			t.Errorf("GetAsync(%s) after Close = %v, callback ran = %v; want kv.ErrClosed and no callback", key, err, ran)
+		}
+		if vals, err := s.MultiGet([][]byte{key}); err != kv.ErrClosed {
+			t.Errorf("MultiGet(%s) after Close = %q, %v; want kv.ErrClosed", key, vals, err)
+		}
+	}
+}
+
+// TestCloseDrainDeadlineDirectRead: a direct read runs under the routing
+// read lock, and Close passes through the write side before it closes an
+// engine. With a drain deadline that wait is bounded: a caller wedged inside
+// an engine read cannot hang Close, any more than a wedged worker can — and,
+// as with a wedged worker, Close reports it and the engine is closed only
+// once the call has returned, never under it.
+func TestCloseDrainDeadlineDirectRead(t *testing.T) {
+	eng := newGatedNop(true)
+	opts := DefaultOptions(func(int, func(uint64) bool) (kv.Engine, error) { return eng, nil })
+	opts.Workers = 1
+	opts.DrainTimeout = 50 * time.Millisecond
+	s, err := Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make(chan error, 1)
+	go func() {
+		_, err := s.Get([]byte("k"))
+		got <- err
+	}()
+	<-eng.entered // the caller is inside the engine, under routeMu.RLock
+	closed := make(chan error, 1)
+	go func() { closed <- s.Close() }()
+	select {
+	case err := <-closed:
+		if !errors.Is(err, kv.ErrClosed) || !strings.Contains(err.Error(), "drain deadline") {
+			t.Errorf("Close = %v; want the wedge reported", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close hung behind a direct read wedged in the engine, DrainTimeout set")
+	}
+	if eng.closed.Load() {
+		t.Error("engine closed under the read still inside it")
+	}
+	close(eng.gate)
+	if err := <-got; err != nil {
+		t.Errorf("the wedged Get, released after Close = %v", err)
+	}
+	for start := time.Now(); !eng.closed.Load(); time.Sleep(time.Millisecond) {
+		if time.Since(start) > 5*time.Second {
+			t.Fatal("engine never closed after the wedged read returned")
+		}
+	}
+	if n := s.Stats()[0].DirectReads; n != 1 {
+		t.Errorf("direct reads = %d, want the one wedged Get", n)
 	}
 }

@@ -107,55 +107,119 @@ func (s *Store) Get(key []byte) ([]byte, error) {
 	return s.GetCtx(nil, key)
 }
 
-// newRead is the first half of the one hot-cache read-through. A hit
-// (positive or negative) is served right here, on the submitter's
-// goroutine — no queue admission, no worker round-trip — and r is nil. A
-// miss returns the read request, taken from alloc (the pool or the heap, by
-// whether one goroutine will know when it is done with) and carrying the
-// key's invalidation watermark snapshotted before the read can be submitted.
-func (s *Store) newRead(key []byte, alloc func() *request) (r *request, val []byte, err error) {
-	if v, neg, ok := s.cache.Get(key); ok {
-		if neg {
-			return nil, nil, kv.ErrNotFound
-		}
-		return nil, v, nil
+// hotRead is the first half of the one hot-cache read-through: a hit
+// (positive or negative) is served right here, on the submitter's goroutine
+// — no queue admission, no worker round-trip. A closed store answers
+// nothing, hot keys included: it reports a miss, and admission refuses the
+// read its caller then submits.
+func (s *Store) hotRead(key []byte) (val []byte, hit bool, err error) {
+	if s.closed.Load() {
+		return nil, false, nil
 	}
-	r = alloc()
-	r.typ, r.key, r.ticket = reqRead, key, s.cache.Snapshot(key)
-	return r, nil, nil
+	v, neg, ok := s.cache.Get(key)
+	if ok && neg {
+		err = kv.ErrNotFound
+	}
+	return v, ok, err
 }
 
-// heapRequest is newRead's allocator for a multiget's legs: MultiGetCtx
-// reads them after the fan-in completes, so no completer may recycle them.
-func heapRequest() *request { return new(request) }
-
-// readResult is the second half, for a read the worker completed without
-// error: it fills the cache — only if no write bumped the watermark since
-// newRead — and maps an absent key to kv.ErrNotFound.
-func (s *Store) readResult(r *request) ([]byte, error) {
-	s.cache.Fill(r.key, r.val, !r.found, r.ticket)
-	if !r.found {
+// readResult is the second half, for an engine read (worker.get) that
+// returned no error, on whichever goroutine ran it: it fills the cache —
+// only if no write bumped the watermark since the ticket was taken — and
+// maps an absent key to kv.ErrNotFound.
+func (s *Store) readResult(key, val []byte, found bool, ticket uint64) ([]byte, error) {
+	s.cache.Fill(key, val, !found, ticket)
+	if !found {
 		return nil, kv.ErrNotFound
 	}
-	return r.val, nil
+	return val, nil
+}
+
+// submit is what lies between the two halves for a single-key read that
+// missed: it routes key and gets the read to its engine under the routing
+// read lock, taken and released here and nowhere else. ticket is the key's
+// invalidation watermark, snapshotted before the read can reach an engine.
+//
+// cb == nil is a synchronous read and submit returns its result. When the
+// key's worker is idle and ctx carries no deadline the caller runs the
+// engine read itself (see GetCtx) and no request leaves the pool; otherwise
+// the read is queued and waited for. cb != nil is an asynchronous read: it
+// is always queued, submit returns once it is admitted — the request is the
+// worker's from then on, and may already be back in the pool — and cb
+// receives the result. When submit returns an error cb never runs.
+func (s *Store) submit(ctx context.Context, key []byte, ticket uint64, cb func([]byte, error)) ([]byte, error) {
+	s.routeMu.RLock()
+	w := s.route.Load().pick(key)
+	// closed is read under the lock Close passes through before it closes
+	// any engine: no direct read is inside an engine being closed. A closed
+	// store falls through to admission's kv.ErrClosed.
+	if cb == nil && s.opts.DirectReads && liveCtx(ctx) == nil && w.q.pending.Load() == 0 && !s.closed.Load() {
+		val, found, err := w.get(key)
+		s.routeMu.RUnlock()
+		w.directReads.Add(1)
+		if err != nil {
+			return nil, err
+		}
+		return s.readResult(key, val, found, ticket)
+	}
+	r := getRequest()
+	r.typ, r.key, r.ticket = reqRead, key, ticket
+	if cb != nil {
+		r.recycle = true
+		r.callback = func(err error) {
+			if err != nil {
+				cb(nil, err)
+				return
+			}
+			cb(s.readResult(r.key, r.val, r.found, r.ticket))
+		}
+	}
+	err := s.admit(ctx, w, r)
+	s.routeMu.RUnlock()
+	if err != nil || cb != nil {
+		if err != nil { // never enqueued
+			putRequest(r)
+		}
+		return nil, err
+	}
+	// A wait its context ended leaves r to the worker, which may still
+	// touch it: only an observed completion makes it the caller's again.
+	completed, err := s.waitDone(w, r)
+	var val []byte
+	if err == nil {
+		val, err = s.readResult(key, r.val, r.found, ticket)
+	}
+	if completed {
+		putRequest(r)
+	}
+	return val, err
 }
 
 // GetCtx is Get bounded by a context, read through the hot-key cache
-// (newRead / readResult) when one is enabled. The returned slice is the
+// (hotRead / readResult) when one is enabled. The returned slice is the
 // caller's: nothing in the store keeps a reference to it.
+//
+// The rule for a cache miss: when the key's worker is idle — nothing queued,
+// nothing executing — and ctx carries no deadline, the caller runs the
+// engine read itself, under the routing read lock, and no goroutine is
+// woken (Options.DirectReads). Idle means every write submitted to that
+// worker before the test has been applied, so the read sees all of them; a
+// write submitted after it is concurrent with the read. Anything else takes
+// the queue: a busy worker has something to batch the read with (OBM), and
+// only a waiter that is not the executor can abandon a read at its deadline.
+//
+// What the rule gives up: synchronous readers never make a worker busy, so
+// under read-only synchronous traffic every Get is direct, at any client
+// count — as many readers are inside one engine at once as there are
+// callers, where the queue admitted one worker, and OBM's MultiGet is never
+// chosen. The engines' point lookups are concurrent-safe (kvtest's
+// concurrent case); whether a device is better served by that or by one
+// batched reader per instance has not been measured here (ROADMAP 2c′).
 func (s *Store) GetCtx(ctx context.Context, key []byte) ([]byte, error) {
-	r, v, err := s.newRead(key, getRequest)
-	if r == nil {
+	if v, hit, err := s.hotRead(key); hit {
 		return v, err
 	}
-	owned, err := s.submit(ctx, key, r)
-	if err == nil {
-		v, err = s.readResult(r)
-	}
-	if owned {
-		putRequest(r)
-	}
-	return v, err
+	return s.submit(ctx, key, s.cache.Snapshot(key), nil)
 }
 
 // GetAsync is the asynchronous read interface; cb receives the value (nil
@@ -168,25 +232,14 @@ func (s *Store) GetAsync(key []byte, cb func([]byte, error)) error {
 
 // GetAsyncCtx is GetAsync under a context. A hot-cache hit runs cb
 // synchronously, before GetAsyncCtx returns — the read never enters a
-// queue. When GetAsyncCtx returns an error cb never runs.
+// queue; a miss always does (the caller asked not to run the read itself).
+// When GetAsyncCtx returns an error cb never runs.
 func (s *Store) GetAsyncCtx(ctx context.Context, key []byte, cb func([]byte, error)) error {
-	r, v, err := s.newRead(key, getRequest)
-	if r == nil {
+	if v, hit, err := s.hotRead(key); hit {
 		cb(v, err)
 		return nil
 	}
-	r.recycle = true
-	r.callback = func(err error) {
-		if err != nil {
-			cb(nil, err)
-			return
-		}
-		cb(s.readResult(r))
-	}
-	owned, err := s.submit(ctx, key, r)
-	if owned { // never enqueued
-		putRequest(r)
-	}
+	_, err := s.submit(ctx, key, s.cache.Snapshot(key), cb)
 	return err
 }
 
@@ -219,12 +272,14 @@ func (s *Store) MultiGetCtx(ctx context.Context, keys [][]byte) ([][]byte, error
 	s.routeMu.RLock()
 	rt := s.route.Load()
 	for i, k := range keys {
-		r, v, _ := s.newRead(k, heapRequest)
-		if r == nil {
+		if v, hit, _ := s.hotRead(k); hit {
 			out[i] = v // a negative hit leaves nil = not found
 			continue
 		}
-		reqs[i], r.callback = r, fin
+		// Off the heap, not the pool: the legs are read after the fan-in
+		// completes, so no completer may recycle them.
+		r := &request{typ: reqRead, key: k, ticket: s.cache.Snapshot(k), callback: fin}
+		reqs[i] = r
 		legs.add()
 		if err := s.admit(ctx, rt.pick(k), r); err != nil {
 			fin(err)
@@ -237,7 +292,7 @@ func (s *Store) MultiGetCtx(ctx context.Context, keys [][]byte) ([][]byte, error
 	}
 	for i, r := range reqs {
 		if r != nil {
-			out[i], _ = s.readResult(r)
+			out[i], _ = s.readResult(r.key, r.val, r.found, r.ticket)
 		}
 	}
 	return out, nil

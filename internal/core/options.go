@@ -67,6 +67,13 @@ type Options struct {
 	// OBM enables opportunistic request batching (§4.3). Default on via
 	// DefaultOptions; the sensitivity study (Figure 17) disables it.
 	OBM bool
+	// DirectReads lets a synchronous, deadline-free Get whose worker is
+	// idle run the engine read on the caller's goroutine instead of
+	// handing it to the worker (Store.submit) — an extension: at queue
+	// depth one there is nothing for OBM to amortise the handoff with.
+	// Default on via DefaultOptions; the paper-figure experiments, which
+	// model one worker as one thread, turn it off.
+	DirectReads bool
 	// MaxBatch bounds requests per OBM batch (32 by default, the paper's
 	// tail-latency guard).
 	MaxBatch int
@@ -134,12 +141,13 @@ type Options struct {
 }
 
 // DefaultOptions returns the paper's default configuration (8 workers,
-// OBM on, batch cap 32).
+// OBM on, batch cap 32), with direct reads on.
 func DefaultOptions(factory EngineFactory) Options {
 	return Options{
 		Workers:       8,
 		EngineFactory: factory,
 		OBM:           true,
+		DirectReads:   true,
 		MaxBatch:      32,
 		QueueDepth:    4096,
 	}

@@ -64,7 +64,7 @@ type request struct {
 	copySeen *reshard.SeenSet
 
 	// Read-type payload. ticket is the key's hot-cache invalidation
-	// watermark, snapshotted before the read was submitted (Store.newRead).
+	// watermark, snapshotted before the read was submitted (Store.submit).
 	key    []byte
 	ticket uint64
 
@@ -195,6 +195,17 @@ type reqQueue struct {
 	// highWater is the maximum queue depth ever observed — the overload
 	// signal surfaced in WorkerStats.
 	highWater int
+
+	// pending counts requests enqueued and not yet finished: enqueueLocked
+	// is its only increment, and the worker loop subtracts a run only after
+	// the engine applied it (or it was shed, or drained at the close
+	// deadline). Zero therefore means every request ever submitted to this
+	// worker has taken effect — the idle test of Store.submit's direct read,
+	// loaded by readers on other cores on every GET, hence the padding that
+	// keeps it off the line mu and the deque live on.
+	_       [64]byte
+	pending atomic.Int64
+	_       [56]byte
 }
 
 func newReqQueue(capacity int) *reqQueue {
@@ -207,6 +218,7 @@ func (q *reqQueue) len() int { return len(q.items) - q.head }
 
 func (q *reqQueue) enqueueLocked(r *request) {
 	r.enqueuedAt = time.Now()
+	q.pending.Add(1)
 	q.items = append(q.items, r)
 	if d := q.len(); d > q.highWater {
 		q.highWater = d
@@ -346,6 +358,7 @@ func (q *reqQueue) drain() []*request {
 	}
 	q.items = q.items[:0]
 	q.head = 0
+	q.pending.Add(-int64(len(out)))
 	q.wakeSpaceLocked()
 	return out
 }

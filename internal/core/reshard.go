@@ -514,7 +514,7 @@ func (s *Store) abortReshard(run *reshardRun, added []*worker, oldRT *routing, n
 		s.resh.Store(nil)
 	}
 	for _, w := range added {
-		_ = w.stop(time.Time{})
+		_ = w.stop(time.Time{}, nil)
 	}
 	if s.opts.InstanceReset != nil {
 		for _, w := range added {

@@ -22,7 +22,7 @@ func openElastic(t *testing.T, fs *vfs.MemFS, root string, workers int) *Store {
 	return openElasticWith(t, fs, root, workers, lsmFactory(fs, root))
 }
 
-func openElasticWith(t *testing.T, fs *vfs.MemFS, root string, workers int, factory EngineFactory) *Store {
+func openElasticWith(t *testing.T, fs *vfs.MemFS, root string, workers int, factory EngineFactory, tune ...func(*Options)) *Store {
 	t.Helper()
 	opts := DefaultOptions(factory)
 	opts.Workers = workers
@@ -32,6 +32,9 @@ func openElasticWith(t *testing.T, fs *vfs.MemFS, root string, workers int, fact
 	opts.HotCacheBytes = 1 << 20
 	opts.InstanceReset = func(id int) error {
 		return vfs.RemoveTree(fs, fmt.Sprintf("%s/inst-%02d", root, id))
+	}
+	for _, f := range tune {
+		f(&opts)
 	}
 	s, err := Open(opts)
 	if err != nil {

@@ -142,23 +142,6 @@ func (s *Store) waitDone(w *worker, r *request) (completed bool, err error) {
 	}
 }
 
-// submit routes a read by key and admits it under the routing read lock. A
-// callback request is done with at that point — it is the worker's, and may
-// already be back in the pool. A sync request then waits for completion, the
-// lock released; owned reports whether r is the caller's alone again — it
-// never reached a queue, or its completion was observed.
-func (s *Store) submit(ctx context.Context, key []byte, r *request) (owned bool, err error) {
-	async := r.callback != nil
-	s.routeMu.RLock()
-	w := s.route.Load().pick(key)
-	err = s.admit(ctx, w, r)
-	s.routeMu.RUnlock()
-	if err != nil || async {
-		return err != nil, err
-	}
-	return s.waitDone(w, r)
-}
-
 // writeAdmitErr fast-fails writes aimed at a degraded shard, translated
 // per admission policy: AdmitReject reports it as overload (the shard
 // cannot absorb the write now) while still matching kv.ErrDegraded.

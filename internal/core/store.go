@@ -137,7 +137,7 @@ func Open(opts Options) (*Store, error) {
 	workers := make([]*worker, 0, opts.Workers)
 	fail := func(err error) (*Store, error) {
 		for _, w := range workers {
-			w.stop(time.Time{})
+			w.stop(time.Time{}, nil)
 		}
 		if s.txn != nil {
 			s.txn.close()
@@ -290,6 +290,34 @@ func (s *Store) Scrub(ctx context.Context, lim kv.RateLimiter) (kv.ScrubResult, 
 	return res, err
 }
 
+// fenceSubmitters passes through the routing write lock once: closed is
+// set, so once it is through nobody is left between picking a worker and
+// leaving its queue or — a direct read (Store.submit) — its engine. fenced
+// closes at that point, and no engine is closed before it (worker.stop).
+// A non-zero deadline bounds the wait here, as it bounds a worker's drain,
+// not that rule: a direct read wedged in a stalled engine leaves fenced open
+// past the deadline, and the engines close behind it whenever it returns.
+func (s *Store) fenceSubmitters(deadline time.Time) (fenced <-chan struct{}) {
+	through := make(chan struct{})
+	fence := func() {
+		s.routeMu.Lock()
+		s.routeMu.Unlock()
+		close(through)
+	}
+	if deadline.IsZero() {
+		fence()
+		return through
+	}
+	go fence()
+	timer := time.NewTimer(time.Until(deadline))
+	defer timer.Stop()
+	select {
+	case <-through:
+	case <-timer.C:
+	}
+	return through
+}
+
 // Close implements kv.Engine: drains queues, stops workers, closes
 // instances and the transaction log. A crash of any worker engine close
 // is reported but the remaining workers still close (§4.6: a crash of any
@@ -311,9 +339,14 @@ func (s *Store) Close() error {
 	if s.opts.DrainTimeout > 0 {
 		deadline = time.Now().Add(s.opts.DrainTimeout)
 	}
+	workers := s.ws()
+	for _, w := range workers {
+		w.q.close() // a submitter blocked on a full queue leaves with kv.ErrClosed
+	}
+	fenced := s.fenceSubmitters(deadline)
 	var firstErr error
-	for _, w := range s.ws() {
-		if err := w.stop(deadline); err != nil && firstErr == nil {
+	for _, w := range workers {
+		if err := w.stop(deadline, fenced); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}

@@ -51,11 +51,14 @@ type worker struct {
 	batch      kv.Batch
 	keyScratch [][]byte
 
-	// Stats for the sensitivity studies.
+	// Stats for the sensitivity studies. ops and batches count what this
+	// worker's goroutine executed; directReads counts the GETs submitters
+	// ran on the engine themselves (Store.submit).
 	ops         atomic.Int64
 	batches     atomic.Int64
 	batchedOps  atomic.Int64
 	queueWaitNs atomic.Int64
+	directReads atomic.Int64
 
 	// Engine-level batching stats: ops that reached the engine inside a
 	// multi-op WriteBatch (OBM-merged runs and user/network batches) and
@@ -188,6 +191,9 @@ func (w *worker) loop() {
 			w.shed.Add(1)
 			r.complete(ctxError(r.ctx.Err()))
 		}
+		if len(expired) > 0 {
+			w.q.pending.Add(-int64(len(expired)))
+		}
 		if reqs == nil {
 			if len(expired) > 0 {
 				continue // only dead work was pending
@@ -202,6 +208,10 @@ func (w *worker) loop() {
 			w.queueWaitNs.Add(int64(now.Sub(r.enqueuedAt)))
 		}
 		w.execute(reqs)
+		// Only now, with the run applied to the engine — not when it was
+		// dequeued: a direct read (Store.submit) that finds pending zero
+		// must find every earlier submission in the engine.
+		w.q.pending.Add(-int64(len(reqs)))
 		clear(reqs) // completed requests belong to their submitters again
 		scratch = reqs
 		if w.meter != nil {
@@ -454,18 +464,25 @@ func (w *worker) executeReads(reqs []*request) {
 	wg.Wait()
 }
 
-func (w *worker) doGet(r *request) {
-	v, err := w.engine.Get(r.key)
+// get is the one engine point lookup, on whichever goroutine runs it (the
+// worker's for a queued read, the caller's for a direct one). Above here an
+// absent key is found == false, not an error, and a present value is
+// non-nil (MultiGet slots, hot-cache fills).
+func (w *worker) get(key []byte) (val []byte, found bool, err error) {
+	v, err := w.engine.Get(key)
 	switch err {
 	case nil:
-		// Above here nil means absent (MultiGet slots, hot-cache fills).
-		r.val, r.found = kv.Present(v), true
-		r.complete(nil)
+		return kv.Present(v), true, nil
 	case kv.ErrNotFound:
-		r.complete(nil)
-	default:
-		r.complete(err)
+		return nil, false, nil
 	}
+	return nil, false, err
+}
+
+func (w *worker) doGet(r *request) {
+	var err error
+	r.val, r.found, err = w.get(r.key)
+	r.complete(err)
 }
 
 // executeScan serves one SCAN leg on this worker's instance.
@@ -526,8 +543,11 @@ func (w *worker) park() {
 // (typically wedged inside a stalled engine call), every still-queued
 // request is failed with kv.ErrClosed so its submitter unblocks, the
 // engine is closed asynchronously once the worker finally returns, and
-// stop reports the wedge instead of hanging.
-func (w *worker) stop(deadline time.Time) error {
+// stop reports the wedge instead of hanging. readers, when non-nil, closes
+// once no direct read is left inside any engine (Store.fenceSubmitters):
+// a caller wedged in this engine holds its close back exactly as a wedged
+// worker does. It is already closed whenever deadline is zero.
+func (w *worker) stop(deadline time.Time, readers <-chan struct{}) error {
 	w.q.close()
 	if deadline.IsZero() {
 		w.wg.Wait()
@@ -536,6 +556,9 @@ func (w *worker) stop(deadline time.Time) error {
 	done := make(chan struct{})
 	go func() {
 		w.wg.Wait()
+		if readers != nil {
+			<-readers
+		}
 		close(done)
 	}()
 	timer := time.NewTimer(time.Until(deadline))
@@ -554,7 +577,7 @@ func (w *worker) stop(deadline time.Time) error {
 		<-done
 		_ = w.engine.Close()
 	}()
-	return fmt.Errorf("core: worker %d: drain deadline exceeded; %d queued requests failed: %w",
+	return fmt.Errorf("core: worker %d: drain deadline exceeded with the worker or a direct read still inside its engine; %d queued requests failed: %w",
 		w.id, len(dropped), kv.ErrClosed)
 }
 
@@ -564,10 +587,16 @@ func (w *worker) stop(deadline time.Time) error {
 // (internal/stats). The embedded engine reports are zero-valued for
 // engines without the matching capability.
 type WorkerStats struct {
-	ID         int   `json:"id" agg:"-"`
+	ID int `json:"id" agg:"-"`
+	// Ops and Batches count what the worker goroutine executed: requests
+	// dequeued, and engine calls they were merged into. A read its caller
+	// ran directly (DirectReads) is in neither.
 	Ops        int64 `json:"ops" agg:"sum" info:"Store"`
 	Batches    int64 `json:"batches" agg:"sum" info:"Store"`
 	BatchedOps int64 `json:"batched_ops" agg:"sum" info:"Store"` // ops that traveled in a batch of >= 2
+	// DirectReads counts synchronous GETs that found this worker idle and
+	// read its engine on the caller's goroutine, never entering the queue.
+	DirectReads int64 `json:"direct_reads" agg:"sum" info:"Store"`
 	// BatchWriteOps counts write ops committed to the engine inside a
 	// multi-op WriteBatch (one journal IO for the whole batch); MultiGetOps
 	// counts keys resolved through the engine's multiget. Both rise when
@@ -607,6 +636,7 @@ func (w *worker) stats() WorkerStats {
 		Ops:                w.ops.Load(),
 		Batches:            w.batches.Load(),
 		BatchedOps:         w.batchedOps.Load(),
+		DirectReads:        w.directReads.Load(),
 		BatchWriteOps:      w.batchWriteOps.Load(),
 		MultiGetOps:        w.multiGetOps.Load(),
 		QueueWaitUs:        w.queueWaitNs.Load() / 1e3,
