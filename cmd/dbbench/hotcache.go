@@ -2,14 +2,17 @@
 // read cache under skewed load. Two identical stores are built over the
 // same simulated device profile — one with the cache disabled, one with
 // it enabled — loaded with the same keys, and driven through zipfian
-// ycsb-c (100% reads) and ycsb-b (95% reads / 5% writes). The result is
-// emitted as a single BENCH json line for scripted consumption; the
-// headline number is the ycsb-c speedup.
+// ycsb-c (100% reads), ycsb-b (95% reads / 5% writes) and ycsb-a (50 / 50:
+// half the ops write the keys the other half read, so the cache earns
+// anything there only by write-through). The result is emitted as a single
+// BENCH json line for scripted consumption; the headline number is the
+// ycsb-c speedup.
 package main
 
 import (
 	"fmt"
 	"os"
+	"strings"
 
 	"p2kvs"
 	"p2kvs/internal/loadgen"
@@ -41,34 +44,40 @@ func runHotCacheBench(opts p2kvs.Options, run runConfig) {
 		}
 		return s
 	}
-	opsPerSec := func(s *p2kvs.Store, mix string) float64 {
-		tally, elapsed := run.phase(s, loadgen.MustLookup(mix), run.num)
-		return float64(tally.Ops.Load()) / elapsed.Seconds()
+	mixes := []string{"ycsb-c", "ycsb-b", "ycsb-a"}
+	measure := func(s *p2kvs.Store) (ops []float64) {
+		for _, mix := range mixes {
+			tally, elapsed := run.phase(s, loadgen.MustLookup(mix), run.num)
+			ops = append(ops, float64(tally.Ops.Load())/elapsed.Seconds())
+		}
+		return ops
 	}
 
-	off := boot("hotcache-off", 0)
-	cOff, bOff := opsPerSec(off, "ycsb-c"), opsPerSec(off, "ycsb-b")
-	off.Close()
-	fmt.Printf("ycsb-c nocache : %12.0f ops/sec\n", cOff)
-	fmt.Printf("ycsb-b nocache : %12.0f ops/sec\n", bOff)
+	offStore := boot("hotcache-off", 0)
+	off := measure(offStore)
+	offStore.Close()
+	for i, mix := range mixes {
+		fmt.Printf("%s nocache : %12.0f ops/sec\n", mix, off[i])
+	}
 
 	// Under test: cache on. A warm pass populates the hot set before
 	// measurement, as any steady-state serving tier would be.
-	on := boot("hotcache-on", opts.HotCacheBytes)
-	opsPerSec(on, "ycsb-c")
-	cOn, bOn := opsPerSec(on, "ycsb-c"), opsPerSec(on, "ycsb-b")
-	snap := on.StatsSnapshot()
-	on.Close()
-	fmt.Printf("ycsb-c cache   : %12.0f ops/sec (%.2fx)\n", cOn, cOn/cOff)
-	fmt.Printf("ycsb-b cache   : %12.0f ops/sec (%.2fx)\n", bOn, bOn/bOff)
+	onStore := boot("hotcache-on", opts.HotCacheBytes)
+	run.phase(onStore, loadgen.MustLookup(mixes[0]), run.num)
+	on := measure(onStore)
+	snap := onStore.StatsSnapshot()
+	onStore.Close()
+	for i, mix := range mixes {
+		fmt.Printf("%s cache   : %12.0f ops/sec (%.2fx)\n", mix, on[i], on[i]/off[i])
+	}
 	hitRate := 0.0
 	if tot := snap.CacheHits + snap.CacheNegHits + snap.CacheMisses; tot > 0 {
 		hitRate = float64(snap.CacheHits+snap.CacheNegHits) / float64(tot)
 	}
-	fmt.Printf("cache          : hits=%d misses=%d hit_rate=%.3f invalidations=%d\n",
-		snap.CacheHits, snap.CacheMisses, hitRate, snap.CacheInvalidations)
+	fmt.Printf("cache          : hits=%d misses=%d hit_rate=%.3f invalidations=%d updates=%d\n",
+		snap.CacheHits, snap.CacheMisses, hitRate, snap.CacheInvalidations, snap.CacheUpdates)
 
-	loadgen.EmitBench(os.Stdout, "hotcache",
+	fields := []any{
 		"engine", opts.Engine,
 		"workers", opts.Workers,
 		"keys", run.num,
@@ -77,14 +86,15 @@ func runHotCacheBench(opts p2kvs.Options, run runConfig) {
 		"device", opts.SimulateDevice,
 		"device_scale", opts.DeviceScale,
 		"cache_bytes", opts.HotCacheBytes,
-		"ycsbc_ops_nocache", cOff,
-		"ycsbc_ops_cache", cOn,
-		"ycsbc_speedup", cOn/cOff,
-		"ycsbb_ops_nocache", bOff,
-		"ycsbb_ops_cache", bOn,
-		"ycsbb_speedup", bOn/bOff,
+	}
+	for i, mix := range mixes {
+		name := strings.ReplaceAll(mix, "-", "") // ycsbc_speedup, ...
+		fields = append(fields, name+"_ops_nocache", off[i], name+"_ops_cache", on[i], name+"_speedup", on[i]/off[i])
+	}
+	loadgen.EmitBench(os.Stdout, "hotcache", append(fields,
 		"cache_hits", snap.CacheHits,
 		"cache_misses", snap.CacheMisses,
 		"cache_hit_rate", hitRate,
-		"cache_invalidations", snap.CacheInvalidations)
+		"cache_invalidations", snap.CacheInvalidations,
+		"cache_updates", snap.CacheUpdates)...)
 }

@@ -143,7 +143,10 @@ func newGatedNop(reads bool) *gatedNop {
 
 func (e *gatedNop) park(parks bool) {
 	if parks {
-		e.entered <- struct{}{}
+		select {
+		case e.entered <- struct{}{}:
+		default: // already announced and not collected: arrivals past the open gate
+		}
 		<-e.gate
 	}
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"sync"
 	"time"
 
 	"p2kvs/internal/checkpoint"
@@ -41,22 +42,23 @@ func (s *Store) Checkpoint(fs vfs.FS, dir string) (*checkpoint.Manifest, error) 
 	if s.closed.Load() {
 		return nil, kv.ErrClosed
 	}
+	// No reshard from here until the workers are released: two coordinators'
+	// barriers queue in no common order, and a shrink's retiring worker waits
+	// on a mirror to a survivor this barrier would have parked — either way
+	// both hang. A checkpoint therefore waits for a running reshard to
+	// finish; one that starts while the image is written out below overlaps
+	// it — the captured set stays a correct image of its epoch (restore opens
+	// at the manifest's worker count), and a retired worker's engine and
+	// directory outlive the image (closeRetired waits on ckptMu, which is why
+	// reshMu is taken first).
+	s.reshMu.Lock()
+	resumeReshards := sync.OnceFunc(s.reshMu.Unlock)
+	defer resumeReshards()
 	// One checkpoint at a time: concurrent calls would race on the backup
 	// set's sequence numbers.
 	s.ckptMu.Lock()
 	defer s.ckptMu.Unlock()
 
-	// Capture one routing generation: a reshard cutover mid-checkpoint
-	// must not change the worker set being imaged. The captured set stays
-	// valid either way — a checkpoint of the pre-cutover shape is a
-	// correct image of that epoch (restore opens at the manifest's worker
-	// count), and retired workers' engines stay open until Close.
-	workers := s.ws()
-	for _, w := range workers {
-		if w.ck == nil {
-			return nil, fmt.Errorf("%w (worker %d)", ErrCheckpointUnsupported, w.id)
-		}
-	}
 	prev, err := checkpoint.Load(fs, dir)
 	if err != nil && !errors.Is(err, checkpoint.ErrNoManifest) {
 		return nil, fmt.Errorf("core: backup set has a damaged manifest (clear %s to start fresh): %w", dir, err)
@@ -76,6 +78,12 @@ func (s *Store) Checkpoint(fs vfs.FS, dir string) (*checkpoint.Manifest, error) 
 	// --- Barrier: pause every worker at a common GSN watermark. ---
 	// The barrier must land even on a saturated queue (it bypasses
 	// admission control) and waits behind the queued work it fences.
+	workers := s.ws()
+	for _, w := range workers {
+		if w.ck == nil {
+			return nil, fmt.Errorf("%w (worker %d)", ErrCheckpointUnsupported, w.id)
+		}
+	}
 	start := time.Now()
 	release, err := barrierWorkers(workers, nil)
 	if err != nil {
@@ -105,6 +113,7 @@ func (s *Store) Checkpoint(fs vfs.FS, dir string) (*checkpoint.Manifest, error) 
 		txnSize, txnFloors = s.txn.checkpointCut(len(workers))
 	}
 	close(release)
+	resumeReshards()
 	barrierNs := time.Since(start).Nanoseconds()
 	defer func() {
 		for _, cw := range writers {

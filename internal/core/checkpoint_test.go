@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"strings"
@@ -338,5 +339,45 @@ func TestCheckpointEngineVariants(t *testing.T) {
 				t.Fatalf("restored dump differs: want %d pairs, got %d", len(want), len(got))
 			}
 		})
+	}
+}
+
+// TestCheckpointOutlivesShrinkAndGrow: a checkpoint writes its image after
+// the barrier released, so reshards may run beside it — and a shrink followed
+// by a grow hands a captured worker's id, and directory, to a blank engine.
+// That grow must wait for the image.
+func TestCheckpointOutlivesShrinkAndGrow(t *testing.T) {
+	s := openElastic(t, vfs.NewMem(), "cg", 5)
+	defer s.Close()
+	for i := 0; i < 500; i++ {
+		if err := s.Put([]byte(fmt.Sprintf("key-%05d", i)), []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	slow := vfs.NewFault(vfs.NewMem()) // the backup device: every write takes a while
+	slow.Inject(vfs.Rule{Op: vfs.OpWrite, DelayOnly: true, Delay: 5 * time.Millisecond})
+	done := make(chan error, 1)
+	go func() {
+		_, err := s.Checkpoint(slow, "bak")
+		done <- err
+	}()
+	for s.ckptBarrierNs.Load() == 0 { // recorded once the workers are released
+		select {
+		case err := <-done:
+			t.Fatalf("checkpoint ended before its image was written: %v", err)
+		default:
+			time.Sleep(100 * time.Microsecond)
+		}
+	}
+	for _, n := range []int{4, 5} {
+		if err := s.Reshard(context.Background(), n); err != nil {
+			t.Fatalf("Reshard(%d) beside the image copy: %v", n, err)
+		}
+	}
+	if err := <-done; err != nil {
+		t.Fatalf("checkpoint overlapped by a shrink and a grow: %v", err)
 	}
 }

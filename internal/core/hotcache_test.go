@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"strconv"
@@ -97,52 +98,114 @@ func TestHotCacheHitsBypassQueues(t *testing.T) {
 	acks.Wait()
 }
 
-// TestHotCacheWriteInvalidates proves read-your-writes through the
-// cache: a cached value (or cached not-found) stops being served the
-// moment a write that supersedes it is acknowledged.
-func TestHotCacheWriteInvalidates(t *testing.T) {
+// TestHotCacheWriteThrough: a write to a resident key rewrites the cached
+// entry, so the read after it is a hit with the new value — through every
+// write form, a merged run and a batch that repeat the key included. The
+// engine answers "v" to every read, so any other value came from the cache.
+func TestHotCacheWriteThrough(t *testing.T) {
+	eng := newGatedNop(false)
+	opts := DefaultOptions(func(int, func(uint64) bool) (kv.Engine, error) { return eng, nil })
+	opts.Workers, opts.HotCacheBytes = 1, 1<<20
+	s, err := Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	release := sync.OnceFunc(func() { close(eng.gate) })
+	defer release() // before Close: the worker may be parked on the gate
+
+	k := []byte("k")
+	if v, err := s.Get(k); err != nil || string(v) != "v" { // the one miss: k is resident from here on
+		t.Fatalf("warmup get = %q, %v", v, err)
+	}
+	misses := s.StatsSnapshot().CacheMisses
+	hit := func(after, want string) {
+		t.Helper()
+		v, err := s.Get(k)
+		if want == "" && !errors.Is(err, kv.ErrNotFound) || want != "" && (err != nil || string(v) != want) {
+			t.Fatalf("get after %s = %q, %v; want %q", after, v, err, want)
+		}
+		if got := s.StatsSnapshot().CacheMisses; got != misses {
+			t.Fatalf("get after %s missed the cache (misses %d -> %d)", after, misses, got)
+		}
+	}
+
+	// One merged run: the worker is parked in the engine while four async
+	// writes queue behind it, three of them to k.
+	var acks sync.WaitGroup
+	ack := func(err error) {
+		if err != nil {
+			t.Error(err)
+		}
+		acks.Done()
+	}
+	acks.Add(5)
+	if err := s.PutAsync([]byte("parks-the-worker"), []byte("x"), ack); err != nil {
+		t.Fatal(err)
+	}
+	<-eng.entered
+	for _, err := range []error{
+		s.PutAsync(k, []byte("a"), ack),
+		s.DeleteAsync(k, ack),
+		s.PutAsync([]byte("cold"), []byte("b"), ack),
+		s.PutAsync(k, []byte("c"), ack),
+	} {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	release()
+	acks.Wait()
+	if st := s.Stats()[0]; st.BatchedOps != 4 {
+		t.Fatalf("the four queued writes ran as %d batched ops, want one merged run", st.BatchedOps)
+	}
+	hit("a merged async run", "c")
+
+	if err := s.Put(k, []byte("d")); err != nil {
+		t.Fatal(err)
+	}
+	hit("Put", "d")
+	if err := s.Delete(k); err != nil {
+		t.Fatal(err)
+	}
+	hit("Delete", "") // a negative hit
+	if err := s.Put(k, []byte("e")); err != nil {
+		t.Fatal(err)
+	}
+	hit("Put over a negative entry", "e")
+	var b kv.Batch
+	b.Put(k, []byte("f"))
+	b.Delete(k)
+	b.Put(k, []byte("a longer value than any before it"))
+	if err := s.Write(&b); err != nil {
+		t.Fatal(err)
+	}
+	hit("a batch that repeats the key", "a longer value than any before it")
+
+	// 11 keys written, 10 of them k; "cold" was never read, so it stayed out.
+	snap := s.StatsSnapshot()
+	if snap.CacheInvalidations != 11 || snap.Aggregate.CacheInvalidations != 11 || snap.CacheUpdates != 9 || snap.CacheEntries != 1 {
+		t.Fatalf("invalidations %d (workers: %d), updates %d, entries %d; want 11, 11, 9, 1",
+			snap.CacheInvalidations, snap.Aggregate.CacheInvalidations, snap.CacheUpdates, snap.CacheEntries)
+	}
+}
+
+// TestHotCacheTxnLegsWriteThrough: the legs of a cross-partition batch are
+// data-plane writes like any other.
+func TestHotCacheTxnLegsWriteThrough(t *testing.T) {
 	s, _ := openStubStore(t, 2, nil, func(o *Options) {
 		o.HotCacheBytes = 1 << 20
 		o.TxnFS = vfs.NewMem() // cross-partition batches need the GSN log
 		o.TxnDir = "txn"
 	})
 	defer s.Close()
-
-	k := shardKey(0, 1)
-	// Negative entry first: Get(absent) caches NotFound...
-	if _, err := s.Get(k); !errors.Is(err, kv.ErrNotFound) {
-		t.Fatalf("initial get err = %v", err)
+	k, k2 := shardKey(0, 1), shardKey(1, 1)
+	for _, key := range [][]byte{k, k2} { // resident, as negative entries
+		if _, err := s.Get(key); !errors.Is(err, kv.ErrNotFound) {
+			t.Fatalf("warmup get err = %v", err)
+		}
 	}
-	if _, err := s.Get(k); !errors.Is(err, kv.ErrNotFound) {
-		t.Fatalf("cached negative get err = %v", err)
-	}
-	// ...and a later Put flips it: the stale NotFound must never be
-	// served again.
-	if err := s.Put(k, []byte("v1")); err != nil {
-		t.Fatal(err)
-	}
-	if v, err := s.Get(k); err != nil || string(v) != "v1" {
-		t.Fatalf("get after put = %q, %v (stale negative entry?)", v, err)
-	}
-	// Overwrite invalidates the cached positive entry.
-	if err := s.Put(k, []byte("v2")); err != nil {
-		t.Fatal(err)
-	}
-	if v, err := s.Get(k); err != nil || string(v) != "v2" {
-		t.Fatalf("get after overwrite = %q, %v", v, err)
-	}
-	// Delete flips the positive entry negative.
-	if err := s.Delete(k); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Get(k); !errors.Is(err, kv.ErrNotFound) {
-		t.Fatalf("get after delete err = %v (stale positive entry?)", err)
-	}
-	// Cross-partition batch writes invalidate on every touched shard.
-	k2 := shardKey(1, 1)
-	if _, err := s.Get(k2); !errors.Is(err, kv.ErrNotFound) {
-		t.Fatal("warm k2 negative")
-	}
+	misses := s.StatsSnapshot().CacheMisses
 	var b kv.Batch
 	b.Put(k, []byte("b1"))
 	b.Put(k2, []byte("b2"))
@@ -155,10 +218,75 @@ func TestHotCacheWriteInvalidates(t *testing.T) {
 	if v, err := s.Get(k2); err != nil || string(v) != "b2" {
 		t.Fatalf("get k2 after batch = %q, %v", v, err)
 	}
+	if snap := s.StatsSnapshot(); snap.CacheMisses != misses || snap.CacheUpdates != 2 {
+		t.Fatalf("misses %d -> %d, updates %d; want both reads hits on rewritten entries", misses, snap.CacheMisses, snap.CacheUpdates)
+	}
+}
 
-	snap := s.StatsSnapshot()
-	if snap.CacheInvalidations == 0 || snap.Aggregate.CacheInvalidations == 0 {
-		t.Fatalf("invalidations not counted: %+v", snap)
+// TestHotCacheGrowDropsMovedKeys: a grow's cleanup deletes the moved keys from
+// their old owners through the same queue writes take. Those keys live on
+// under their new owner: the cache must forget them, not learn the deletes.
+func TestHotCacheGrowDropsMovedKeys(t *testing.T) {
+	s := openElastic(t, vfs.NewMem(), "hc", 3)
+	defer s.Close()
+	const n = 500
+	key := func(i int) []byte { return []byte(fmt.Sprintf("key-%05d", i)) }
+	for i := 0; i < n; i++ {
+		if err := s.Put(key(i), []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Get(key(i)); err != nil { // resident
+			t.Fatal(err)
+		}
+	}
+	if err := s.Reshard(context.Background(), 5); err != nil {
+		t.Fatal(err)
+	}
+	dropped := 0
+	for i := 0; i < n; i++ {
+		v, neg, ok := s.cache.Get(key(i))
+		switch {
+		case !ok:
+			dropped++
+		case neg || string(v) != "v":
+			t.Fatalf("after the grow the cache holds %q (negative=%v) for live key %s", v, neg, key(i))
+		}
+		if v, err := s.Get(key(i)); err != nil || string(v) != "v" {
+			t.Fatalf("Get(%s) after the grow = %q, %v", key(i), v, err)
+		}
+	}
+	if moved := s.ReshardStats().MovedKeys; dropped == 0 || int64(dropped) != moved {
+		t.Fatalf("%d resident keys dropped, %d keys moved; want every moved key dropped and no other", dropped, moved)
+	}
+}
+
+// TestHotCacheFailedWriteDrops: a write the engine failed may have partially
+// applied, so its keys leave the cache — nothing is installed from it.
+func TestHotCacheFailedWriteDrops(t *testing.T) {
+	ffs := vfs.NewFault(vfs.NewMem())
+	opts := DefaultOptions(faultLSMFactory(ffs, "p2"))
+	opts.Workers, opts.HotCacheBytes = 1, 1<<20
+	s, err := Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	k := []byte("k")
+	if err := s.Put(k, []byte("v1")); err != nil {
+		t.Fatal(err)
+	}
+	if v, err := s.Get(k); err != nil || string(v) != "v1" { // resident
+		t.Fatalf("warmup get = %q, %v", v, err)
+	}
+	ffs.Inject(vfs.Rule{Op: vfs.OpWrite, Path: ".log", CountN: 1, TornWrite: true})
+	if err := s.Put(k, []byte("v2")); err == nil {
+		t.Fatal("put over a torn WAL write succeeded")
+	}
+	if v, neg, ok := s.cache.Get(k); ok {
+		t.Fatalf("after a failed write the cache still serves %q (negative=%v)", v, neg)
+	}
+	if v, err := s.Get(k); err != nil || string(v) != "v1" {
+		t.Fatalf("get after the failed write = %q, %v; want the engine's v1", v, err)
 	}
 }
 

@@ -125,7 +125,7 @@ func (s *Store) hotRead(key []byte) (val []byte, hit bool, err error) {
 
 // readResult is the second half, for an engine read (worker.get) that
 // returned no error, on whichever goroutine ran it: it fills the cache —
-// only if no write bumped the watermark since the ticket was taken — and
+// only if no write bumped the key's stripe since the ticket was taken — and
 // maps an absent key to kv.ErrNotFound.
 func (s *Store) readResult(key, val []byte, found bool, ticket uint64) ([]byte, error) {
 	s.cache.Fill(key, val, !found, ticket)
@@ -138,7 +138,7 @@ func (s *Store) readResult(key, val []byte, found bool, ticket uint64) ([]byte, 
 // submit is what lies between the two halves for a single-key read that
 // missed: it routes key and gets the read to its engine under the routing
 // read lock, taken and released here and nowhere else. ticket is the key's
-// invalidation watermark, snapshotted before the read can reach an engine.
+// hot-cache stripe value, snapshotted before the read can reach an engine.
 //
 // cb == nil is a synchronous read and submit returns its result. When the
 // key's worker is idle and ctx carries no deadline the caller runs the

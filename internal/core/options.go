@@ -114,8 +114,8 @@ type Options struct {
 	ScrubRate     int64
 	// HotCacheBytes, when non-zero, enables the hot-key read cache above
 	// the worker queues: GET results (including not-found) are cached and
-	// served without queue admission or a worker round-trip, invalidated
-	// by per-key GSN-ordered watermark bumps on every applied write.
+	// served without queue admission or a worker round-trip; every applied
+	// write rewrites its resident entry before it is acknowledged.
 	// Positive values set the byte budget; negative selects the default
 	// 32 MiB. Zero (the default) disables the cache.
 	HotCacheBytes int64

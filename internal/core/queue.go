@@ -34,14 +34,18 @@ type request struct {
 	typ reqType
 	// noMerge excludes this request from OBM (transaction legs, §4.5).
 	noMerge bool
+	// unrouted marks a control-plane write (worker.do): nothing routed its
+	// keys to this worker, so the hot cache drops them instead of taking
+	// their values (worker.commit).
+	unrouted bool
 
 	// Write-type payload: one or more ops (a user WriteBatch keeps its
 	// ops together in a single request). This is the one representation a
 	// write has above the engine: the worker hands this slice (or, for a
 	// merged run, one concatenation of them) to the engine batch, the
-	// replication backlog, the reshard mirror and the hot-cache
-	// invalidation alike. A single-key write carries its op inline: ops
-	// is one[:], so the commonest write costs no slice of its own.
+	// replication backlog, the reshard mirror and the hot cache alike. A
+	// single-key write carries its op inline: ops is one[:], so the
+	// commonest write costs no slice of its own.
 	ops []kv.BatchOp
 	one [1]kv.BatchOp
 	gsn uint64
@@ -63,8 +67,8 @@ type request struct {
 	// land in the queue, the mirror's value survives.
 	copySeen *reshard.SeenSet
 
-	// Read-type payload. ticket is the key's hot-cache invalidation
-	// watermark, snapshotted before the read was submitted (Store.submit).
+	// Read-type payload. ticket is the key's hot-cache stripe value,
+	// snapshotted before the read was submitted (Store.submit).
 	key    []byte
 	ticket uint64
 

@@ -285,13 +285,17 @@ func (s *Store) Reshard(ctx context.Context, newN int) error {
 }
 
 // closeRetired closes the engine of the worker a shrink retired under id,
-// if one is still parked, and forgets it.
+// if one is still parked, and forgets it. A checkpoint that captured the
+// worker before the shrink may still be writing its image: that is waited
+// for (no later one can hold the worker; Reshard's caller holds reshMu).
 func (s *Store) closeRetired(id int) {
 	s.retiredMu.Lock()
 	defer s.retiredMu.Unlock()
 	for i, w := range s.retired {
 		if w.id == id {
+			s.ckptMu.Lock()
 			_ = w.engine.Close() // the directory is about to be wiped
+			s.ckptMu.Unlock()
 			s.retired = append(s.retired[:i], s.retired[i+1:]...)
 			return
 		}
@@ -535,8 +539,8 @@ func (s *Store) abortReshard(run *reshardRun, added []*worker, oldRT *routing, n
 
 // purgeForeign deletes every key part does not assign to the worker whose
 // engine holds it, in copyBatchSize batches through that worker's queue —
-// ordered with concurrent writes and invalidating the hot cache like any
-// other write.
+// ordered with concurrent writes. The keys may be alive on their owner, so
+// the hot cache must drop them, not record the deletes: worker.do sees to it.
 func purgeForeign(workers []*worker, part keyspace.Partitioner) error {
 	for _, w := range workers {
 		keys, err := foreignKeys(w, part)

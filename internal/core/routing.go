@@ -111,10 +111,10 @@ func (s *Store) admit(ctx context.Context, w *worker, r *request) error {
 // control and waits for the worker to complete it. Replicated records,
 // reshard copy / mirror / cleanup batches are never load-shed or rejected
 // — a full queue simply backpressures their producer — and they are
-// ordered with concurrent data-plane writes and invalidate the hot cache
-// like any other write, because they travel the same queue.
+// ordered with concurrent data-plane writes because they travel the same
+// queue. The hot cache drops their keys (request.unrouted).
 func (w *worker) do(r *request) error {
-	r.done = newDone()
+	r.done, r.unrouted = newDone(), true
 	if err := w.q.pushWait(nil, r); err != nil {
 		return err
 	}

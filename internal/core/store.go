@@ -40,8 +40,9 @@ type Store struct {
 	ring *keyspace.Ring
 	// resh is the active resharding run (nil in steady state); workers
 	// consult it on every applied write batch to double-write moved keys.
-	// reshMu serializes Reshard calls; tracker feeds reshard_* stats;
-	// epoch is the committed ring generation (persisted in TOPOLOGY).
+	// reshMu serializes Reshard calls and keeps a checkpoint's barrier out
+	// of one (Checkpoint; taken before ckptMu); tracker feeds reshard_*
+	// stats; epoch is the committed ring generation (persisted in TOPOLOGY).
 	resh    atomic.Pointer[reshardRun]
 	reshMu  sync.Mutex
 	tracker reshard.Tracker
@@ -71,9 +72,9 @@ type Store struct {
 
 	// cache is the hot-key read cache above the worker queues
 	// (Options.HotCacheBytes); nil when disabled. Hits bypass admission
-	// entirely; workers invalidate written keys on apply, so a cached
-	// value is never served past the acknowledgement of a write that
-	// supersedes it. Built fresh at Open — it never survives a crash or
+	// entirely; workers write through it on apply, so a cached value is
+	// never served past the acknowledgement of a write that supersedes
+	// it. Built fresh at Open — it never survives a crash or
 	// restore, so it cannot resurrect pre-reopen state.
 	cache *hotcache.Cache
 }

@@ -44,8 +44,8 @@ type worker struct {
 	// the concatenated ops of a merged write run, the engine batch that
 	// wraps a commit's ops, the keys of a merged read run. The ops and keys
 	// alias submitters' buffers, so each is cleared once the engine call and
-	// its followers (repl.Log.Append and mirrorMoved copy what they keep,
-	// cache invalidation only reads) are done with it — before any
+	// its followers (repl.Log.Append, mirrorMoved and the hot cache's
+	// write-through copy what they keep) are done with it — before any
 	// submitter is told it may reuse those buffers.
 	opsScratch []kv.BatchOp
 	batch      kv.Batch
@@ -87,12 +87,10 @@ type worker struct {
 	txn    *txnLog
 
 	// cache is the store's hot-key read cache (nil when disabled). The
-	// worker bumps the invalidation watermark of every written key after
-	// the engine applied the batch and before any submitter is woken:
-	// once a write is acknowledged, no reader can be served a cached
-	// value that predates it. Failed writes bump too — a fault-injected
-	// engine may have partially applied the batch, so the cached value
-	// can no longer be trusted. cacheInv counts the bumps.
+	// worker writes every op through it (commit) after the engine applied
+	// the batch and before any submitter is woken: once a write is
+	// acknowledged, no reader can be served a cached value that predates
+	// it. cacheInv counts the written keys (one stripe bump each).
 	cache    *hotcache.Cache
 	cacheInv atomic.Int64
 
@@ -325,15 +323,16 @@ func (w *worker) executeWrites(reqs []*request) {
 	filterCopied(reqs)
 	if len(reqs) == 1 || w.bw == nil {
 		for _, r := range reqs {
-			r.complete(w.commit(r.ops, r.gsn, r.streamGSN))
+			r.complete(w.commit(r.ops, r.gsn, r.streamGSN, r.unrouted))
 		}
 		return
 	}
-	ops := w.opsScratch[:0]
+	ops, unrouted := w.opsScratch[:0], false
 	for _, r := range reqs {
 		ops = append(ops, r.ops...)
+		unrouted = unrouted || r.unrouted
 	}
-	err := w.commit(ops, 0, 0)
+	err := w.commit(ops, 0, 0, unrouted)
 	clear(ops)
 	w.opsScratch = ops
 	for _, r := range reqs {
@@ -345,10 +344,12 @@ func (w *worker) executeWrites(reqs []*request) {
 // concatenation — to the engine, as one WriteBatch when the engine has
 // them (the path a multi-op user WriteBatch takes too) and op by op
 // otherwise. The same slice then feeds the replication backlog, the
-// reshard mirror and the hot-cache invalidation. txnGSN, when non-zero,
-// names the cross-instance transaction these ops are a leg of and tags the
-// engine's WAL record (kv.GSNWriter); streamGSN marks a replicated record.
-func (w *worker) commit(ops []kv.BatchOp, txnGSN, streamGSN uint64) error {
+// reshard mirror and the hot cache. txnGSN, when non-zero, names the
+// cross-instance transaction these ops are a leg of and tags the engine's
+// WAL record (kv.GSNWriter); streamGSN marks a replicated record. unrouted
+// says some of ops did not come through the data plane's routing (worker.do),
+// so this worker may not own their keys.
+func (w *worker) commit(ops []kv.BatchOp, txnGSN, streamGSN uint64, unrouted bool) error {
 	if len(ops) == 0 {
 		return nil // every op was a stale bulk-copy duplicate
 	}
@@ -387,11 +388,15 @@ func (w *worker) commit(ops []kv.BatchOp, txnGSN, streamGSN uint64) error {
 		w.mirrorMoved(ops)
 	}
 	if w.cache != nil {
-		// Invalidate before completing: the bump must be visible before
-		// any submitter observes the acknowledgement. Bump on error too —
-		// a failed write may have partially applied.
+		// Before completing: no submitter observes the acknowledgement
+		// ahead of the cache. A resident entry takes the op's value only
+		// when this worker can vouch for it — the write succeeded (a failed
+		// one may have partially applied) and was routed here as the key's
+		// owner (a purge deletes keys that live on under another owner);
+		// otherwise it is dropped.
+		drop := err != nil || unrouted
 		for _, op := range ops {
-			w.cache.Invalidate(op.Key)
+			w.cache.Update(op, drop)
 		}
 		w.cacheInv.Add(int64(len(ops)))
 	}
@@ -625,8 +630,8 @@ type WorkerStats struct {
 	// of its most recently applied-and-shipped write batch. Zero when
 	// replication is disabled (Options.ReplLog nil).
 	ReplLastGSN uint64 `json:"repl_last_gsn" agg:"max"`
-	// CacheInvalidations counts hot-cache watermark bumps this worker
-	// performed on applied writes. Zero when the cache is disabled.
+	// CacheInvalidations counts the keys this worker wrote through the hot
+	// cache (one stripe bump each). Zero when the cache is disabled.
 	CacheInvalidations int64 `json:"cache_invalidations" agg:"sum"`
 }
 

@@ -1,32 +1,36 @@
 // Package hotcache implements the accessing layer's hot-key read cache:
 // a sharded, byte-budgeted map of recently read values that sits ABOVE
 // the worker queues, so a hit never pays queue admission or a worker
-// round-trip. Coherence rides on the same apply-order the store's GSN
-// machinery already enforces, via striped invalidation watermarks:
+// round-trip. Coherence is write-through, ordered by the key's shard lock:
 //
-//   - Every key hashes to one of a fixed number of stripes, each an
-//     atomic counter ("watermark").
-//   - A reader that misses snapshots its key's stripe BEFORE submitting
-//     the engine read (a "ticket"), and may Fill the cache afterwards
-//     only while the stripe still equals the ticket.
-//   - A writer bumps the stripe of every written key after the engine
-//     applied the batch and before the write is acknowledged.
-//   - A cached entry is served only while the stripe still equals the
-//     entry's ticket (every Get revalidates).
+//   - A writer — the key's worker, after the engine applied the write and
+//     before anyone is acknowledged — calls Update for every op in op
+//     order. Under the shard lock it bumps the key's stripe (one of a fixed
+//     number of atomic counters) and, if the key is resident, rewrites the
+//     entry in place to what the op left in the engine: the new value, or a
+//     negative entry for a delete. A key that is not resident stays out —
+//     reads decide what is hot.
+//   - A reader that misses snapshots its key's stripe BEFORE the engine read
+//     (a "ticket") and may Fill the result only while, under the shard lock,
+//     the stripe still equals the ticket.
+//   - Get serves whatever is resident. Residency is validity.
 //
-// The protocol is conservative: any write racing a read-and-fill either
-// bumps the stripe before the Fill (the fill is rejected) or after it
-// (the entry's ticket is stale, so it is invisible to every later Get).
-// A value can be served concurrently with an in-flight write to the same
-// key only while that write is unacknowledged — which is exactly the
-// window where serving the pre-write value is linearizable. Because the
-// bump happens before the writer's acknowledgement, read-your-writes
-// holds. Stripe collisions only ever invalidate more than necessary,
-// never less.
+// A write racing a read-and-fill of the same key either runs its Update
+// first (the fill is rejected) or second (it overwrites what the fill
+// inserted): the resident entry is always what the key's latest Update left,
+// or an engine read no Update has followed. A value older than a write is
+// therefore served only while that write is unacknowledged — the window in
+// which the pre-write value is linearizable — and read-your-writes holds. A
+// stripe collision costs a rejected fill, never a resident neighbour.
 //
-// Misses are cached too (negative entries), under the same stripe rules:
-// a later write to the key bumps the stripe and the "not found" stops
-// being served.
+// A writer that cannot vouch for the engine's state of a key — the write
+// failed and may have partially applied, or it did not come through the
+// data plane's routing (a reshard copy, mirror or purge, which may delete a
+// key this worker no longer owns) — calls Update with drop set: the stripe
+// is bumped and a resident entry removed, and the next read refills it.
+//
+// Misses are cached too (negative entries); a put through Update turns one
+// positive.
 package hotcache
 
 import (
@@ -37,13 +41,13 @@ import (
 )
 
 const (
-	// stripes is the invalidation watermark count (power of two). More
-	// stripes mean fewer false invalidations from colliding keys; 4096
-	// costs 32 KiB per cache.
-	stripes     = 4096
-	stripeMask  = stripes - 1
-	numShards   = 16
-	shardMask   = numShards - 1
+	// stripes is the fill-gate counter count (power of two). More stripes
+	// mean fewer fills rejected over a colliding key's write; 4096 costs
+	// 32 KiB per cache.
+	stripes    = 4096
+	stripeMask = stripes - 1
+	numShards  = 16
+	shardMask  = numShards - 1
 	// entryOverhead approximates per-entry bookkeeping (map slot, ring
 	// slot, header) charged against the byte budget.
 	entryOverhead = 64
@@ -59,7 +63,8 @@ type Stats struct {
 	CacheMisses        int64 `json:"cache_misses" info:"Cache"`        // lookups that fell through to the store
 	CacheFills         int64 `json:"cache_fills" info:"Cache"`         // entries inserted (ticket still valid)
 	CacheEvictions     int64 `json:"cache_evictions" info:"Cache"`     // entries evicted by the clock for space
-	CacheInvalidations int64 `json:"cache_invalidations" info:"Cache"` // stripe bumps performed by writers
+	CacheInvalidations int64 `json:"cache_invalidations" info:"Cache"` // stripe bumps performed by writers, one per written key
+	CacheUpdates       int64 `json:"cache_updates" info:"Cache"`       // resident entries a write rewrote in place
 	CacheBytes         int64 `json:"cache_bytes" info:"Cache"`         // resident bytes (values + overhead)
 	CacheEntries       int64 `json:"cache_entries" info:"Cache"`       // resident entries (including negative)
 }
@@ -67,23 +72,23 @@ type Stats struct {
 // Cache is the hot-key read cache. Safe for concurrent use; a nil
 // *Cache is valid and caches nothing, so callers need no nil checks.
 type Cache struct {
-	marks         [stripes]atomic.Uint64
-	invalidations atomic.Int64
-	shards        [numShards]shard
+	marks  [stripes]atomic.Uint64
+	shards [numShards]shard
 }
 
 type entry struct {
-	key    string
-	val    []byte
-	neg    bool   // negative entry: the key was absent
-	ticket uint64 // stripe value the fill was snapshotted under
-	ref    bool   // clock reference bit
-	dead   bool   // removed from the map, awaiting ring cleanup
+	key  string
+	val  []byte // len 0 on a negative entry; the buffer is kept for the next put
+	neg  bool   // negative entry: the key was absent
+	ref  bool   // clock reference bit
+	dead bool   // removed from the map, awaiting ring cleanup
 }
 
-func (e *entry) cost() int64 {
-	return int64(len(e.key)) + int64(len(e.val)) + entryOverhead
+func cost(keyLen, valLen int) int64 {
+	return int64(keyLen) + int64(valLen) + entryOverhead
 }
+
+func (e *entry) cost() int64 { return cost(len(e.key), len(e.val)) }
 
 type shard struct {
 	mu     sync.Mutex
@@ -98,6 +103,8 @@ type shard struct {
 	misses  int64
 	fills   int64
 	evicted int64
+	bumps   int64
+	updates int64
 }
 
 // New creates a cache with the given total byte budget (split evenly
@@ -126,9 +133,9 @@ func hash(key []byte) uint64 {
 	return h
 }
 
-// Snapshot returns the key's current invalidation watermark — the ticket
-// a reader must take BEFORE submitting the engine read it may later Fill
-// the result of.
+// Snapshot returns the key's current stripe value — the ticket a reader
+// must take BEFORE submitting the engine read it may later Fill the result
+// of.
 func (c *Cache) Snapshot(key []byte) uint64 {
 	if c == nil {
 		return 0
@@ -136,43 +143,52 @@ func (c *Cache) Snapshot(key []byte) uint64 {
 	return c.marks[hash(key)&stripeMask].Load()
 }
 
-// Invalidate bumps the key's watermark. Writers call it for every
-// written key after the engine applied the write and before the write is
-// acknowledged; any cached entry for the key (and, collaterally, for
-// stripe-colliding keys) stops being served. Lock-free.
-func (c *Cache) Invalidate(key []byte) {
+// Update records that the key's worker applied op. Workers call it for
+// every written key, in op order, after the engine call returned and before
+// the write is acknowledged. It bumps the key's stripe — a fill whose engine
+// read may predate op is rejected — and rewrites a resident entry in place:
+// a put stores the new value (into the old buffer when it fits), a delete
+// turns the entry negative. With drop set the resident entry is removed
+// instead (see the package comment for who must). A key that is not
+// resident is never inserted. The cache copies what it keeps of op.
+func (c *Cache) Update(op kv.BatchOp, drop bool) {
 	if c == nil {
 		return
 	}
-	c.marks[hash(key)&stripeMask].Add(1)
-	c.invalidations.Add(1)
+	h := hash(op.Key)
+	s := &c.shards[(h>>32)&shardMask]
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	// Under the shard lock, as Fill's check is: a fill of this key ran
+	// wholly before this Update (and is overwritten below) or sees the bump.
+	c.marks[h&stripeMask].Add(1)
+	s.bumps++
+	e, resident := s.m[string(op.Key)]
+	if !resident {
+		return
+	}
+	if drop || cost(len(op.Key), len(op.Value)) > s.budget {
+		s.remove(e) // dropped, or a value that could never fit
+		return
+	}
+	s.set(e, op.Value, op.Kind == kv.OpDelete)
+	s.updates++
+	s.evict()
 }
 
-// Get returns the cached value for key. ok reports a usable hit;
-// negative reports that the hit is a cached "not found". A stale entry
-// (watermark moved past its ticket) is removed and reported as a miss.
-// The returned slice is a private copy — callers own it — and non-nil on a
-// positive hit: a cached empty value is a value (kv.Present).
+// Get returns the cached value for key. ok reports a hit; negative reports
+// that the hit is a cached "not found". The returned slice is a private
+// copy — callers own it — and non-nil on a positive hit: a cached empty
+// value is a value (kv.Present).
 func (c *Cache) Get(key []byte) (val []byte, negative, ok bool) {
 	if c == nil {
 		return nil, false, false
 	}
-	h := hash(key)
-	cur := c.marks[h&stripeMask].Load()
-	s := &c.shards[(h>>32)&shardMask]
+	s := &c.shards[(hash(key)>>32)&shardMask]
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	e, present := s.m[string(key)]
-	if !present {
-		s.misses++
-		return nil, false, false
-	}
-	if e.ticket != cur {
-		// Invalidated since it was filled: drop it so the space frees
-		// without waiting for the clock.
-		delete(s.m, e.key)
-		e.dead = true
-		s.used -= e.cost()
+	e, resident := s.m[string(key)]
+	if !resident {
 		s.misses++
 		return nil, false, false
 	}
@@ -186,59 +202,61 @@ func (c *Cache) Get(key []byte) (val []byte, negative, ok bool) {
 }
 
 // Fill inserts the result of an engine read performed under ticket (from
-// Snapshot). The insert is dropped if the key's watermark has moved —
-// the value may predate a concurrent write — or if the entry could never
-// fit the shard budget. negative records a "not found" result. The cache
-// copies key and val; callers keep ownership of both.
+// Snapshot). The insert is dropped if the key's stripe has moved — the value
+// may predate a concurrent write — or if the entry could never fit the shard
+// budget. negative records a "not found" result. The cache copies key and
+// val; callers keep ownership of both.
 func (c *Cache) Fill(key, val []byte, negative bool, ticket uint64) {
 	if c == nil {
 		return
 	}
 	h := hash(key)
 	if c.marks[h&stripeMask].Load() != ticket {
-		return
+		return // cheap early out; the check that counts is under the lock
 	}
 	s := &c.shards[(h>>32)&shardMask]
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	// Revalidate under the shard lock: a bump between the check above and
-	// the lock acquisition must not produce a servable entry. (Even if it
-	// slipped through, the entry's stale ticket would keep it invisible —
-	// this just avoids wasting budget on it.)
-	if c.marks[h&stripeMask].Load() != ticket {
-		return
+	if c.marks[h&stripeMask].Load() != ticket || cost(len(key), len(val)) > s.budget {
+		return // stale, or could never fit: inserting would just churn the shard
 	}
-	cost := int64(len(key)) + int64(len(val)) + entryOverhead
-	if cost > s.budget {
-		return // could never fit; inserting would just churn the shard
+	e, resident := s.m[string(key)]
+	if !resident {
+		// New entries start with the reference bit clear: an entry that is
+		// never touched again is the first victim (scan resistance), while
+		// anything re-read before the hand arrives earns its second chance.
+		e = &entry{key: string(key)}
+		s.m[e.key] = e
+		s.ring = append(s.ring, e)
+		s.used += e.cost()
 	}
-	if old, ok := s.m[string(key)]; ok {
-		s.used -= old.cost()
-		old.dead = true
-		delete(s.m, old.key)
-	}
-	// New entries start with the reference bit clear: an entry that is
-	// never touched again is the first victim (scan resistance), while
-	// anything re-read before the hand arrives earns its second chance.
-	e := &entry{
-		key:    string(key),
-		neg:    negative,
-		ticket: ticket,
-	}
-	if !negative {
-		e.val = append([]byte(nil), val...)
-	}
-	s.m[e.key] = e
-	s.ring = append(s.ring, e)
-	s.used += cost
+	s.set(e, val, negative) // resident: a racing reader's fill of the same key
 	s.fills++
 	s.evict()
-	// Dead entries (invalidated by Get) are normally reclaimed by the
-	// clock, but a shard living under budget never runs it — compact when
-	// the ring is mostly corpses so it cannot grow without bound.
+	// Dead entries (dropped by Update) are normally reclaimed by the clock,
+	// but a shard living under budget never runs it — compact when the ring
+	// is mostly corpses so it cannot grow without bound.
 	if len(s.ring) > 2*len(s.m)+16 {
 		s.compact()
 	}
+}
+
+// set rewrites e in place, keeping its value buffer. Called with s.mu held.
+func (s *shard) set(e *entry, val []byte, neg bool) {
+	if neg {
+		val = nil
+	}
+	s.used -= e.cost()
+	e.val, e.neg = append(e.val[:0], val...), neg
+	s.used += e.cost()
+}
+
+// remove takes e out of the map; its ring slot is reclaimed by the clock or
+// by compact. Called with s.mu held.
+func (s *shard) remove(e *entry) {
+	delete(s.m, e.key)
+	e.dead = true
+	s.used -= e.cost()
 }
 
 // compact rebuilds the ring without dead entries. Called with s.mu held.
@@ -274,8 +292,7 @@ func (s *shard) evict() {
 			s.hand++
 			continue
 		}
-		delete(s.m, e.key)
-		s.used -= e.cost()
+		s.remove(e)
 		s.evicted++
 		s.removeAtHand()
 	}
@@ -295,7 +312,7 @@ func (c *Cache) Stats() Stats {
 	if c == nil {
 		return Stats{}
 	}
-	st := Stats{CacheEnabled: true, CacheInvalidations: c.invalidations.Load()}
+	st := Stats{CacheEnabled: true}
 	for i := range c.shards {
 		s := &c.shards[i]
 		s.mu.Lock()
@@ -304,6 +321,8 @@ func (c *Cache) Stats() Stats {
 		st.CacheMisses += s.misses
 		st.CacheFills += s.fills
 		st.CacheEvictions += s.evicted
+		st.CacheInvalidations += s.bumps
+		st.CacheUpdates += s.updates
 		st.CacheBytes += s.used
 		st.CacheEntries += int64(len(s.m))
 		s.mu.Unlock()

@@ -2,13 +2,24 @@ package hotcache
 
 import (
 	"fmt"
+	"strconv"
 	"sync"
+	"sync/atomic"
 	"testing"
+
+	"p2kvs/internal/kv"
+	"p2kvs/internal/raceflag"
 )
 
 func fill(c *Cache, key, val string) {
 	c.Fill([]byte(key), []byte(val), false, c.Snapshot([]byte(key)))
 }
+
+func put(key, val string) kv.BatchOp {
+	return kv.BatchOp{Kind: kv.OpPut, Key: []byte(key), Value: []byte(val)}
+}
+
+func del(key string) kv.BatchOp { return kv.BatchOp{Kind: kv.OpDelete, Key: []byte(key)} }
 
 func TestFillGet(t *testing.T) {
 	c := New(1 << 20)
@@ -35,49 +46,125 @@ func TestNegativeEntry(t *testing.T) {
 	if !ok || !neg || v != nil {
 		t.Fatalf("negative Get = %q neg=%v ok=%v", v, neg, ok)
 	}
-	st := c.Stats()
-	if st.CacheNegHits != 1 {
+	if st := c.Stats(); st.CacheNegHits != 1 {
 		t.Fatalf("neg_hits = %d", st.CacheNegHits)
 	}
-	// A write flips the negative entry invisible.
-	c.Invalidate(k)
-	if _, _, ok := c.Get(k); ok {
-		t.Fatal("negative entry served after invalidation")
+}
+
+// get asserts what the cache serves for key: want == "" is a negative hit.
+func get(t *testing.T, c *Cache, key, want string) {
+	t.Helper()
+	v, neg, ok := c.Get([]byte(key))
+	if !ok || neg != (want == "") || string(v) != want {
+		t.Fatalf("Get(%s) = %q neg=%v ok=%v, want %q", key, v, neg, ok, want)
 	}
 }
 
-func TestInvalidateHidesEntry(t *testing.T) {
+func TestUpdateRewritesResidentEntry(t *testing.T) {
+	c := New(1 << 20)
+	fill(c, "k", "old-value")
+	before := c.Stats()
+	c.Update(put("k", "new"), false)
+	get(t, c, "k", "new")
+	// put -> delete -> put, through a negative entry, and growing past the
+	// old buffer on the way back.
+	c.Update(del("k"), false)
+	get(t, c, "k", "")
+	c.Update(put("k", "a-longer-value-than-before"), false)
+	get(t, c, "k", "a-longer-value-than-before")
+	st := c.Stats()
+	if st.CacheInvalidations != 3 || st.CacheUpdates != 3 || st.CacheFills != before.CacheFills || st.CacheEntries != 1 {
+		t.Fatalf("stats after three updates: %+v", st)
+	}
+	if want := cost(1, len("a-longer-value-than-before")); st.CacheBytes != want {
+		t.Fatalf("resident bytes = %d, want %d", st.CacheBytes, want)
+	}
+	// A negative entry a put turns positive.
+	c.Fill([]byte("absent"), nil, true, c.Snapshot([]byte("absent")))
+	c.Update(put("absent", "now-here"), false)
+	get(t, c, "absent", "now-here")
+}
+
+func TestUpdateNeverInserts(t *testing.T) {
+	c := New(1 << 20)
+	c.Update(put("cold", "v"), false)
+	c.Update(del("colder"), false)
+	if _, _, ok := c.Get([]byte("cold")); ok {
+		t.Fatal("a write inserted a key no read had made resident")
+	}
+	if st := c.Stats(); st.CacheEntries != 0 || st.CacheUpdates != 0 || st.CacheInvalidations != 2 {
+		t.Fatalf("stats: %+v", st)
+	}
+}
+
+func TestUpdateDrop(t *testing.T) {
 	c := New(1 << 20)
 	fill(c, "k", "old")
-	c.Invalidate([]byte("k"))
+	c.Update(del("k"), true) // e.g. a purge of a key that lives on elsewhere
 	if _, _, ok := c.Get([]byte("k")); ok {
-		t.Fatal("stale entry served after Invalidate")
+		t.Fatal("entry served after a dropping update")
 	}
-	// Refill under the new watermark works again.
+	if st := c.Stats(); st.CacheEntries != 0 || st.CacheBytes != 0 || st.CacheUpdates != 0 || st.CacheInvalidations != 1 {
+		t.Fatalf("stats: %+v", st)
+	}
+	// Refill works again.
 	fill(c, "k", "new")
-	if v, _, ok := c.Get([]byte("k")); !ok || string(v) != "new" {
-		t.Fatalf("refill Get = %q %v", v, ok)
-	}
-	if st := c.Stats(); st.CacheInvalidations != 1 {
-		t.Fatalf("invalidations = %d", st.CacheInvalidations)
+	get(t, c, "k", "new")
+}
+
+func TestUpdateOversizedValueDrops(t *testing.T) {
+	c := New(numShards * 1024) // 1 KiB per shard
+	fill(c, "k", "small")
+	c.Update(kv.BatchOp{Kind: kv.OpPut, Key: []byte("k"), Value: make([]byte, 4096)}, false)
+	if st := c.Stats(); st.CacheEntries != 0 || st.CacheBytes != 0 {
+		t.Fatalf("an entry that can never fit stayed: %+v", st)
 	}
 }
 
-func TestStaleTicketFillRejected(t *testing.T) {
+func TestFillGate(t *testing.T) {
 	c := New(1 << 20)
 	k := []byte("k")
 	ticket := c.Snapshot(k)
 	// A write lands between the reader's snapshot and its fill: the value
 	// the reader got from the engine may predate the write, so the fill
 	// must be dropped.
-	c.Invalidate(k)
+	c.Update(put("k", "written"), false)
 	c.Fill(k, []byte("stale"), false, ticket)
 	if _, _, ok := c.Get(k); ok {
-		t.Fatal("fill with a stale ticket was served")
+		t.Fatal("fill with a pre-write ticket was served")
 	}
 	if st := c.Stats(); st.CacheFills != 0 || st.CacheEntries != 0 {
 		t.Fatalf("stale fill was inserted: %+v", st)
 	}
+	// A ticket taken after the write is good.
+	c.Fill(k, []byte("written"), false, c.Snapshot(k))
+	get(t, c, "k", "written")
+	// ...and a fill that beat a write is overwritten by it.
+	c.Update(put("k", "newer"), false)
+	get(t, c, "k", "newer")
+}
+
+// colliding returns a key other than k on k's stripe.
+func colliding(k string) string {
+	for i := 0; ; i++ {
+		n := fmt.Sprintf("neighbour-%d", i)
+		if n != k && hash([]byte(n))&stripeMask == hash([]byte(k))&stripeMask {
+			return n
+		}
+	}
+}
+
+// TestStripeNeighbourKeepsBeingServed: a write costs the keys sharing its
+// stripe a rejected fill at most, never a resident entry.
+func TestStripeNeighbourKeepsBeingServed(t *testing.T) {
+	c := New(1 << 20)
+	n := colliding("k")
+	fill(c, n, "neighbour")
+	ticket := c.Snapshot([]byte(n))
+	c.Update(put("k", "v"), false)
+	get(t, c, n, "neighbour")
+	c.Fill([]byte(n), []byte("late"), false, ticket) // the collision's whole price
+	get(t, c, n, "neighbour")
 }
 
 func TestBudgetEviction(t *testing.T) {
@@ -134,13 +221,11 @@ func TestClockSecondChance(t *testing.T) {
 
 func TestDeadEntriesReclaimed(t *testing.T) {
 	c := New(numShards * 64 * 1024)
-	// Invalidate-then-Get marks entries dead without running the clock
-	// (the shard stays under budget); the ring must not grow unboundedly.
+	// A dropping update marks the entry dead without running the clock (the
+	// shard stays under budget); the ring must not grow unboundedly.
 	for i := 0; i < 10000; i++ {
-		k := []byte("churn-key")
-		c.Fill(k, []byte("v"), false, c.Snapshot(k))
-		c.Invalidate(k)
-		c.Get(k) // observes the stale ticket, marks the entry dead
+		fill(c, "churn-key", "v")
+		c.Update(del("churn-key"), true)
 	}
 	for i := range c.shards {
 		s := &c.shards[i]
@@ -155,7 +240,7 @@ func TestDeadEntriesReclaimed(t *testing.T) {
 func TestNilCacheSafe(t *testing.T) {
 	var c *Cache
 	c.Fill([]byte("k"), []byte("v"), false, c.Snapshot([]byte("k")))
-	c.Invalidate([]byte("k"))
+	c.Update(put("k", "v"), false)
 	if _, _, ok := c.Get([]byte("k")); ok {
 		t.Fatal("nil cache returned a hit")
 	}
@@ -187,12 +272,17 @@ func TestShardDistribution(t *testing.T) {
 	}
 }
 
-// TestConcurrentCoherence hammers one key with racing fill/invalidate/get
-// from many goroutines: after every writer's invalidation is visible, no
-// Get may return a value older than the last write. Run with -race.
+// TestConcurrentCoherence hammers one key with racing fills, updates and
+// gets. The updater is the key's one writer (as a worker is): it applies a
+// version to the "engine" and then writes it through; fillers read the engine
+// under a ticket, as a missing reader does. No Get may see a version older
+// than the newest written through before it, and the run ends on the last
+// value. Run with -race.
 func TestConcurrentCoherence(t *testing.T) {
 	c := New(1 << 20)
 	k := []byte("contended")
+	var engine, through atomic.Int64 // newest version applied / written through
+	ver := func(v int64) []byte { return []byte(fmt.Sprintf("%d", v)) }
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
@@ -200,35 +290,64 @@ func TestConcurrentCoherence(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 5000; i++ {
 				ticket := c.Snapshot(k)
-				c.Fill(k, []byte(fmt.Sprintf("v%d", i)), false, ticket)
-				c.Get(k)
+				c.Fill(k, ver(engine.Load()), false, ticket)
 			}
 		}()
 	}
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 5000; i++ {
-				c.Invalidate(k)
+	const last = 5000
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for v := int64(1); v <= last; v++ {
+			engine.Store(v)
+			if v%7 == 0 {
+				c.Update(del(string(k)), true) // a drop: the next fill brings v back
+			} else {
+				c.Update(put(string(k), string(ver(v))), false)
 			}
-		}()
-	}
+			through.Store(v)
+		}
+	}()
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 20000; i++ {
-				c.Get(k)
+				lo := through.Load()
+				v, _, ok := c.Get(k)
+				if !ok {
+					continue
+				}
+				if seen, err := strconv.ParseInt(string(v), 10, 64); err != nil || seen < lo {
+					t.Errorf("Get = %q after version %d was written through", v, lo)
+					return
+				}
 			}
 		}()
 	}
 	wg.Wait()
+	fill(c, string(k), string(ver(engine.Load()))) // resident whatever the last racing fill did
+	get(t, c, string(k), fmt.Sprint(last))
+}
 
-	// Final determinism check: one last invalidate makes everything
-	// currently cached invisible.
-	c.Invalidate(k)
-	if _, _, ok := c.Get(k); ok {
-		t.Fatal("entry served past a final invalidation")
+// TestUpdateAllocs pins the write path's share of the cache: rewriting a
+// resident entry with a value that fits its buffer, and passing a
+// non-resident key by, allocate nothing.
+func TestUpdateAllocs(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("allocation pins are not meaningful under the race detector")
+	}
+	c := New(1 << 20)
+	fill(c, "resident", "value-1")
+	ops := []kv.BatchOp{put("resident", "value-2"), del("resident"), put("resident", "value-3"), put("cold", "v")}
+	if n := testing.AllocsPerRun(200, func() {
+		for _, op := range ops {
+			c.Update(op, false)
+		}
+	}); n != 0 {
+		t.Errorf("Update: %.0f allocs per %d ops, pinned at 0", n, len(ops))
+	}
+	if st := c.Stats(); st.CacheUpdates == 0 || st.CacheEntries != 1 {
+		t.Fatalf("the pinned loop rewrote nothing: %+v", st)
 	}
 }

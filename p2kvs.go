@@ -221,8 +221,9 @@ type Options struct {
 	RepairFrom string
 	// HotCacheBytes, when non-zero, enables the sharded hot-key read
 	// cache above the worker queues: Get/MultiGet hits are served
-	// without queue admission, and writers invalidate by GSN-ordered
-	// watermark bumps so a hit is never stale. Positive values set the
+	// without queue admission, and every applied write rewrites its
+	// resident entry before it is acknowledged, so a hit is never older
+	// than the last acknowledged write. Positive values set the
 	// byte budget; negative selects the default 32 MiB. Zero (the
 	// default) disables the cache.
 	HotCacheBytes int64

@@ -237,7 +237,7 @@ serve_smoke() {
     echo "$OUT"
     echo "$OUT" | grep -q "silent mismatches" || smoke_fail "zipfian netbench -verify did not report its corruption tally"
     counters "$OUT" positive cache_hits
-    counters "$OUT" present cache_misses cache_fills cache_invalidations cache_bytes cache_entries
+    counters "$OUT" present cache_misses cache_fills cache_invalidations cache_updates cache_bytes cache_entries
     echo "serve-smoke: pipelines batched, BGSAVE committed, hot cache hit: $(echo "$OUT" | grep -o 'cache_hits=[0-9]*')"
 
     OUT=$(resp_cmd "$ADDR" SCRUB)
