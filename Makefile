@@ -45,7 +45,8 @@ alloc-profile:
 # Get (internal/core's BenchmarkGet), each under a CPU profile of its own,
 # printed cumulatively for the whole process — the scheduler's share of a
 # thread handoff (schedule, findRunnable, futex) sits under no product
-# function, so a -focus would hide it. The write path; a Get its caller runs
+# function, so a -focus would hide it. The write path; the memtable under it
+# on its own (three key shapes in, one out); a Get its caller runs
 # (direct=true) and one handed to the worker (direct=false, the only form
 # before PR 27); the engine lookup under both. A time claim starts from these
 # tables as a count claim starts from alloc-profile's.
@@ -54,7 +55,8 @@ cpu-profile:
 	$(GO) test -c -o $(PROFILE_DIR)/p2kvs.test .
 	$(GO) test -c -o $(PROFILE_DIR)/core.test ./internal/core
 	$(GO) test -c -o $(PROFILE_DIR)/lsm.test ./internal/lsm
-	cd $(PROFILE_DIR) && for run in 'p2kvs write PutAsync|LSMWriteBatch' 'core get-direct Get$$/direct=true' \
+	cd $(PROFILE_DIR) && for run in 'p2kvs write PutAsync|LSMWriteBatch' 'p2kvs memtable MemtableAdd|MemtableGet' \
+			'core get-direct Get$$/direct=true' \
 			'core get-queued Get$$/direct=false' 'lsm get-engine GetMiss'; do \
 		set -- $$run; \
 		./$$1.test -test.run '^$$' -test.bench "$$3" -test.benchtime 3s -test.cpuprofile $$2.prof && \
@@ -106,6 +108,7 @@ fuzz-short:
 	$(GO) test -fuzz=FuzzReadAll -fuzztime=$(FUZZTIME) ./internal/wal
 	$(GO) test -fuzz=FuzzIterParse -fuzztime=$(FUZZTIME) ./internal/block
 	$(GO) test -fuzz=FuzzBuilderRoundTrip -fuzztime=$(FUZZTIME) ./internal/block
+	$(GO) test -fuzz=FuzzAbbrevOrder -fuzztime=$(FUZZTIME) ./internal/memtable
 	$(GO) test -fuzz=FuzzDecodeBatchPayload -fuzztime=$(FUZZTIME) ./internal/lsm
 	$(GO) test -fuzz=FuzzBatchPayloadRoundTrip -fuzztime=$(FUZZTIME) ./internal/lsm
 	$(GO) test -fuzz=FuzzRESPParse -fuzztime=$(FUZZTIME) ./internal/server

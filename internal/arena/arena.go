@@ -1,9 +1,14 @@
 // Package arena implements the bump allocators backing a memtable: a byte
-// arena for its entries and typed slabs for the skiplist's nodes and
-// towers. LSM memtables allocate millions of short-lived objects that all
-// die together when the memtable is flushed; chunked bump allocation keeps
-// them off the general-purpose heap one by one and makes the memtable's
-// memory footprint directly observable (Table 2 accounting).
+// arena for its entries and a word slab for the skiplist's nodes. LSM
+// memtables allocate millions of short-lived objects that all die together
+// when the memtable is flushed; chunked bump allocation keeps them off the
+// general-purpose heap one by one and makes the memtable's memory footprint
+// directly observable (Table 2 accounting).
+//
+// An allocation has an address that is not a Go pointer — a Ref: chunk
+// number, offset, length — so whoever links allocations together (the
+// skiplist) can do it in plain integers, and a slab of bytes or words is
+// memory the garbage collector never scans.
 package arena
 
 import (
@@ -15,19 +20,29 @@ const defaultChunkSize = 1 << 20 // 1 MiB
 
 // Slab is a chunked bump allocator of T. Alloc is safe for concurrent use;
 // nothing is ever handed out twice, and freeing is wholesale via dropping
-// the Slab. Go pointers may live in a Slab's elements (they may not in a
-// byte arena), which is why skiplist nodes get slabs of their own type.
+// the Slab.
 type Slab[T any] struct {
 	chunk    int   // elements per chunk
 	elemSize int64 // bytes per element
 
-	mu    chunkMutex
-	cur   []T // the unused tail of the current chunk
-	total atomic.Int64
+	mu     chunkMutex
+	cur    []T    // the unused tail of the current chunk
+	curIdx uint32 // its place in chunks
+	total  atomic.Int64
+
+	// chunks is every chunk handed out from, in Ref.Chunk order, in a table
+	// with room to spare: the first n slots are in use. Readers resolve Refs
+	// while Alloc adds chunks, so a slot is written once, before any Ref into
+	// its chunk exists, and a full table is replaced by a copy twice as long.
+	chunks atomic.Pointer[[][]T]
+	n      int
 }
 
 // Arena is the byte slab memtable entries are encoded into.
 type Arena = Slab[byte]
+
+// Ref addresses one allocation of a slab.
+type Ref struct{ Chunk, Off, Len uint32 }
 
 // chunkMutex is a tiny spinlock: allocation critical sections are a few
 // instructions, and the concurrent memtable allocates on the write hot
@@ -52,22 +67,54 @@ func NewSlab[T any](chunk int) *Slab[T] {
 }
 
 // Alloc returns n zeroed elements carved from the slab, with no spare
-// capacity behind them.
-func (s *Slab[T]) Alloc(n int) []T {
+// capacity behind them, and their address. An allocation never straddles
+// two chunks; one larger than a chunk gets a chunk of its own.
+func (s *Slab[T]) Alloc(n int) ([]T, Ref) {
 	if n > s.chunk {
-		// Oversized allocations get dedicated chunks.
-		s.total.Add(int64(n) * s.elemSize)
-		return make([]T, n)
+		b := make([]T, n)
+		s.mu.lock()
+		idx := s.push(b)
+		s.mu.unlock()
+		return b, Ref{Chunk: idx, Len: uint32(n)}
 	}
 	s.mu.lock()
 	if len(s.cur) < n {
 		s.cur = make([]T, s.chunk)
-		s.total.Add(int64(s.chunk) * s.elemSize)
+		s.curIdx = s.push(s.cur)
 	}
+	ref := Ref{Chunk: s.curIdx, Off: uint32(s.chunk - len(s.cur)), Len: uint32(n)}
 	b := s.cur[:n:n]
 	s.cur = s.cur[n:]
 	s.mu.unlock()
-	return b
+	return b, ref
+}
+
+// push publishes c as the next chunk and returns its number. Caller holds mu.
+func (s *Slab[T]) push(c []T) uint32 {
+	var table [][]T
+	if p := s.chunks.Load(); p != nil {
+		table = *p
+	}
+	if s.n == len(table) {
+		grown := make([][]T, max(8, 2*len(table)))
+		copy(grown, table)
+		s.chunks.Store(&grown)
+		table = grown
+	}
+	table[s.n] = c
+	s.n++
+	s.total.Add(int64(len(c)) * s.elemSize)
+	return uint32(s.n - 1)
+}
+
+// Chunk returns chunk i whole. Whoever holds a Ref into it, however it
+// learnt of it, may read what was written there before the Ref was shared.
+func (s *Slab[T]) Chunk(i uint32) []T { return (*s.chunks.Load())[i] }
+
+// At returns the allocation r addresses.
+func (s *Slab[T]) At(r Ref) []T {
+	end := r.Off + r.Len
+	return s.Chunk(r.Chunk)[r.Off:end:end]
 }
 
 // Size reports the total bytes reserved by the slab (capacity, not the

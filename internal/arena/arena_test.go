@@ -8,7 +8,7 @@ import (
 
 func TestAllocBasic(t *testing.T) {
 	a := New()
-	b := a.Alloc(16)
+	b, _ := a.Alloc(16)
 	if len(b) != 16 {
 		t.Fatalf("len = %d", len(b))
 	}
@@ -24,8 +24,8 @@ func TestAllocBasic(t *testing.T) {
 
 func TestAllocationsDoNotOverlap(t *testing.T) {
 	a := NewSlab[byte](64)
-	x := a.Alloc(10)
-	y := a.Alloc(10)
+	x, _ := a.Alloc(10)
+	y, _ := a.Alloc(10)
 	copy(x, "xxxxxxxxxx")
 	copy(y, "yyyyyyyyyy")
 	if !bytes.Equal(x, []byte("xxxxxxxxxx")) {
@@ -36,7 +36,7 @@ func TestAllocationsDoNotOverlap(t *testing.T) {
 func TestChunkRollover(t *testing.T) {
 	a := NewSlab[byte](32)
 	for i := 0; i < 10; i++ {
-		b := a.Alloc(20)
+		b, _ := a.Alloc(20)
 		if len(b) != 20 {
 			t.Fatal("bad alloc")
 		}
@@ -49,9 +49,34 @@ func TestChunkRollover(t *testing.T) {
 
 func TestOversizedAllocation(t *testing.T) {
 	a := NewSlab[byte](16)
-	b := a.Alloc(100)
+	_, small := a.Alloc(4)
+	b, ref := a.Alloc(100)
 	if len(b) != 100 {
 		t.Fatalf("len = %d", len(b))
+	}
+	// A chunk of its own; the current one keeps filling behind it.
+	if _, next := a.Alloc(4); ref.Off != 0 || ref.Chunk == small.Chunk || next != (Ref{small.Chunk, 4, 4}) {
+		t.Fatalf("small at %+v, oversized at %+v, the next small one at %+v", small, ref, next)
+	}
+}
+
+// TestRefResolves: At gives back exactly what Alloc handed out, across chunk
+// refills, for every allocation made so far.
+func TestRefResolves(t *testing.T) {
+	a := NewSlab[byte](64)
+	var refs []Ref
+	for i := 0; i < 50; i++ {
+		b, ref := a.Alloc(1 + i%24)
+		for j := range b {
+			b[j] = byte(i)
+		}
+		refs = append(refs, ref)
+		for k, r := range refs {
+			got := a.At(r)
+			if len(got) != 1+k%24 || cap(got) != len(got) || got[0] != byte(k) || got[len(got)-1] != byte(k) {
+				t.Fatalf("after %d allocations At(%+v) = %v", i+1, r, got)
+			}
+		}
 	}
 }
 
@@ -63,7 +88,7 @@ func TestTypedSlab(t *testing.T) {
 	s := NewSlab[node](4)
 	var prev *node
 	for i := 0; i < 10; i++ {
-		ns := s.Alloc(1)
+		ns, _ := s.Alloc(1)
 		if len(ns) != 1 || cap(ns) != 1 || ns[0].entry != nil || ns[0].next != nil {
 			t.Fatalf("alloc %d: len %d cap %d %+v, want one zeroed node", i, len(ns), cap(ns), ns[0])
 		}
@@ -90,10 +115,15 @@ func TestConcurrentAlloc(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 500; i++ {
-				b := a.Alloc(8)
+				b, ref := a.Alloc(8)
 				b[0] = byte(g)
 				b[7] = byte(i)
 				results[g] = append(results[g], b)
+				// Resolving races the others' chunk refills and table growth.
+				if got := a.At(ref); &got[0] != &b[0] {
+					t.Errorf("At(%+v) is not the allocation", ref)
+					return
+				}
 			}
 		}(g)
 	}

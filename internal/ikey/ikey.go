@@ -28,12 +28,20 @@ const MaxSeq = uint64(1)<<56 - 1
 // TrailerLen is the encoded trailer size in bytes.
 const TrailerLen = 8
 
+// Trailer packs (seq, kind) into the word an internal key ends in; a larger
+// trailer is a newer version.
+func Trailer(seq uint64, kind Kind) uint64 { return seq<<8 | uint64(kind) }
+
+// Split returns the user key and the trailer of an internal key.
+func Split(ik []byte) (ukey []byte, trailer uint64) {
+	n := len(ik) - TrailerLen
+	return ik[:n], binary.LittleEndian.Uint64(ik[n:])
+}
+
 // Encode appends the internal key for (ukey, seq, kind) to dst.
 func Encode(dst, ukey []byte, seq uint64, kind Kind) []byte {
 	dst = append(dst, ukey...)
-	var t [TrailerLen]byte
-	binary.LittleEndian.PutUint64(t[:], seq<<8|uint64(kind))
-	return append(dst, t[:]...)
+	return binary.LittleEndian.AppendUint64(dst, Trailer(seq, kind))
 }
 
 // Make allocates and returns the internal key for (ukey, seq, kind).

@@ -133,7 +133,8 @@ func (d *DB) noteWriteFailure(h *memHandle, err error) {
 // applyEdit durably records a version edit. On failure the MANIFEST log
 // may hold a torn tail (stranding later edits) or a record of unknown
 // durability (which a blind retry would double-apply at replay), so it is
-// rewritten from a clean snapshot; once that rewrite succeeds, the orphan
+// rewritten from a clean snapshot (should that fail too, the next
+// LogAndApply rewrites it before appending); once that rewrite succeeds, the orphan
 // SSTs the edit would have installed are deleted — they are unreferenced
 // by the fresh snapshot, so this is crash-safe. A successful edit installs a
 // new current version, which is published to readers before applyEdit

@@ -127,6 +127,42 @@ func TestFlushRetryExhaustionDegrades(t *testing.T) {
 	}
 }
 
+// TestFailedManifestRepairCostsOneRetry: a torn MANIFEST record taints the
+// MANIFEST's log and applyEdit rewrites it; when that rewrite fails too, the
+// taint outlives the incident. The next edit must repair the log and land —
+// not be refused for the old failure, which under a budget the incident had
+// already drawn on degraded the engine after the fault was gone (the
+// TestRestoreEquivalenceTorture flake: "wal: log tainted by failed write"
+// from a Flush after heal and Resume).
+func TestFailedManifestRepairCostsOneRetry(t *testing.T) {
+	fs := vfs.NewFault(vfs.NewMem())
+	o := faultOpts(fs)
+	o.BgMaxRetries = 2
+	db, err := Open("db", o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	putN(t, db, 50)
+	fs.Inject(vfs.Rule{Op: vfs.OpWrite, Path: "MANIFEST", CountN: 1, OneShot: true, TornWrite: true})
+	fs.Inject(vfs.Rule{Op: vfs.OpCreate, Path: "MANIFEST.new", CountN: 1, OneShot: true})
+	if err := db.Flush(); err != nil {
+		t.Fatalf("flush after the incident: %v", err)
+	}
+	if h := db.Health(); h.State != kv.StateHealthy || h.FlushRetries != 1 || h.InjectedFaults != 2 {
+		t.Fatalf("health = state %v, %d flush retries, %d injected faults; want healthy, 1, 2", h.State, h.FlushRetries, h.InjectedFaults)
+	}
+	checkN(t, db, 50)
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	db2, err := Open("db", faultOpts(fs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db2.Close()
+	checkN(t, db2, 50)
+}
+
 // TestBackgroundFlushRetrySucceeds exercises the retry path on the real
 // background flush thread.
 func TestBackgroundFlushRetrySucceeds(t *testing.T) {

@@ -364,10 +364,17 @@ func (s *Set) apply(e *VersionEdit) {
 }
 
 // LogAndApply durably records the edit and applies it to the current
-// version.
+// version. A log that an earlier failed append tainted, and that the Rotate
+// owed after it could not replace either, is replaced first: the edit must
+// not be refused for a failure that was not its own.
 func (s *Set) LogAndApply(e *VersionEdit) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if s.log.Tainted() {
+		if err := s.rotateLocked(); err != nil {
+			return err
+		}
+	}
 	if err := s.log.Append(0, e.Encode()); err != nil {
 		return err
 	}
