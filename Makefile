@@ -48,16 +48,18 @@ alloc-profile:
 # function, so a -focus would hide it. The write path; the memtable under it
 # on its own (three key shapes in, one out); a Get its caller runs
 # (direct=true) and one handed to the worker (direct=false, the only form
-# before PR 27); the engine lookup under both. A time claim starts from these
+# before PR 27); the engine lookup under both; the MemFS device under all of
+# them (a 2 MiB append, a block read). A time claim starts from these
 # tables as a count claim starts from alloc-profile's.
 cpu-profile:
 	mkdir -p $(PROFILE_DIR)
 	$(GO) test -c -o $(PROFILE_DIR)/p2kvs.test .
 	$(GO) test -c -o $(PROFILE_DIR)/core.test ./internal/core
 	$(GO) test -c -o $(PROFILE_DIR)/lsm.test ./internal/lsm
+	$(GO) test -c -o $(PROFILE_DIR)/vfs.test ./internal/vfs
 	cd $(PROFILE_DIR) && for run in 'p2kvs write PutAsync|LSMWriteBatch' 'p2kvs memtable MemtableAdd|MemtableGet' \
 			'core get-direct Get$$/direct=true' \
-			'core get-queued Get$$/direct=false' 'lsm get-engine GetMiss'; do \
+			'core get-queued Get$$/direct=false' 'lsm get-engine GetMiss' 'vfs memfs MemFSAppend|MemFSReadAt'; do \
 		set -- $$run; \
 		./$$1.test -test.run '^$$' -test.bench "$$3" -test.benchtime 3s -test.cpuprofile $$2.prof && \
 		$(GO) tool pprof -top -cum -nodecount 25 $$1.test $$2.prof || exit 1; \
@@ -112,6 +114,7 @@ fuzz-short:
 	$(GO) test -fuzz=FuzzDecodeBatchPayload -fuzztime=$(FUZZTIME) ./internal/lsm
 	$(GO) test -fuzz=FuzzBatchPayloadRoundTrip -fuzztime=$(FUZZTIME) ./internal/lsm
 	$(GO) test -fuzz=FuzzRESPParse -fuzztime=$(FUZZTIME) ./internal/server
+	$(GO) test -fuzz=FuzzMemFile -fuzztime=$(FUZZTIME) ./internal/vfs
 	$(GO) test -fuzz=FuzzParse -fuzztime=$(FUZZTIME) ./internal/checkpoint
 	$(GO) test -fuzz=FuzzReplStream -fuzztime=$(FUZZTIME) ./internal/repl
 

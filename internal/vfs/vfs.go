@@ -4,18 +4,26 @@
 // the device simulator (internal/device), and gives the tests
 // fault-injection hooks (torn writes, lost syncs) to exercise recovery
 // paths without killing the process.
+//
+// MemFS is the benchmarks' device, so its append is on every write path:
+// a file is a list of chunks that double from 4 KiB to 256 KiB and then
+// stay at 256 KiB, so an append copies only the bytes it writes and never
+// the bytes already stored. Its crash model (MemFS.Crash) drops every
+// file's unsynced suffix and fences each file under that file's own lock.
 package vfs
 
 import (
 	"errors"
 	"fmt"
 	"io"
+	"math/bits"
 	"os"
 	"path"
 	"path/filepath"
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"syscall"
 )
 
@@ -111,13 +119,92 @@ type MemFS struct {
 	// recovery reads: a Sync that succeeded on bytes Crash just dropped
 	// lets an engine believe a MANIFEST edit durable and delete files the
 	// surviving MANIFEST still names. (Scripted faults live in FaultFS.)
-	frozen bool
+	// Namespace operations read it under mu; Write, WriteAt and Sync read
+	// it under the file's own lock, which Crash takes after setting it, so
+	// a write either lands before Crash truncates the file or fails.
+	frozen atomic.Bool
 }
 
+// memFileData is a file's bytes: chunk k has capacity chunkCap(k) (4 KiB
+// doubling to 256 KiB, then 256 KiB each), every chunk but the last is
+// full, and a chunk's length is the bytes it holds. Appending fills the
+// tail and allocates the next chunk when it is full, so no byte is ever
+// copied twice; an offset maps to its chunk by arithmetic (locate).
 type memFileData struct {
 	mu      sync.Mutex
-	data    []byte
+	chunks  [][]byte
+	size    int
 	durable int // bytes guaranteed to survive Crash()
+	// first backs chunks up to 16 of them (2.75 MiB, past a 2 MiB table),
+	// so a table's appends allocate its chunks and nothing else.
+	first [16][]byte
+}
+
+const (
+	chunkMin     = 4 << 10
+	chunkShifts  = 6 // chunk k holds chunkMin << min(k, chunkShifts) bytes
+	chunkMax     = chunkMin << chunkShifts
+	doublingEnds = chunkMax - chunkMin // chunks 0..5 hold the first 252 KiB
+)
+
+func chunkCap(k int) int { return chunkMin << min(k, chunkShifts) }
+
+// locate returns the chunk holding byte off and off's position in it.
+func locate(off int) (k, pos int) {
+	if off < doublingEnds {
+		k = bits.Len(uint(off/chunkMin+1)) - 1
+		return k, off - chunkMin*(1<<k-1)
+	}
+	off -= doublingEnds
+	return chunkShifts + off/chunkMax, off % chunkMax
+}
+
+// at returns the file's bytes from off (< size) to the end of off's chunk.
+func (d *memFileData) at(off int) []byte {
+	k, pos := locate(off)
+	return d.chunks[k][pos:]
+}
+
+// extend appends n bytes to the file: those of p, or zeros when p is nil.
+func (d *memFileData) extend(p []byte, n int) {
+	if d.chunks == nil {
+		d.chunks = d.first[:0]
+	}
+	for n > 0 {
+		last := len(d.chunks) - 1
+		if last < 0 || len(d.chunks[last]) == cap(d.chunks[last]) {
+			last++
+			d.chunks = append(d.chunks, make([]byte, 0, chunkCap(last)))
+		}
+		c := d.chunks[last]
+		m := min(n, cap(c)-len(c))
+		tail := c[len(c) : len(c)+m]
+		if p == nil {
+			clear(tail) // a chunk Crash shortened keeps old bytes past its length
+		} else {
+			copy(tail, p)
+			p = p[m:]
+		}
+		d.chunks[last] = c[:len(c)+m]
+		d.size += m
+		n -= m
+	}
+}
+
+// truncate drops every byte from n on, and every chunk left empty.
+func (d *memFileData) truncate(n int) {
+	if n >= d.size {
+		return
+	}
+	k, pos := locate(n)
+	keep := k
+	if pos > 0 {
+		d.chunks[k] = d.chunks[k][:pos]
+		keep++
+	}
+	clear(d.chunks[keep:])
+	d.chunks = d.chunks[:keep]
+	d.size = n
 }
 
 // NewMem returns an empty in-memory filesystem.
@@ -129,17 +216,11 @@ func clean(name string) string { return path.Clean(strings.ReplaceAll(name, "\\"
 
 var errCrashed = errors.New("vfs: filesystem crashed")
 
-func (fs *MemFS) crashed() bool {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	return fs.frozen
-}
-
 // Create implements FS.
 func (fs *MemFS) Create(name string) (File, error) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	if fs.frozen {
+	if fs.frozen.Load() {
 		return nil, errCrashed
 	}
 	d := &memFileData{}
@@ -162,7 +243,7 @@ func (fs *MemFS) Open(name string) (File, error) {
 func (fs *MemFS) Remove(name string) error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	if fs.frozen {
+	if fs.frozen.Load() {
 		return errCrashed
 	}
 	key := clean(name)
@@ -179,7 +260,7 @@ func (fs *MemFS) Remove(name string) error {
 func (fs *MemFS) RemoveTree(dir string) error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	if fs.frozen {
+	if fs.frozen.Load() {
 		return errCrashed
 	}
 	prefix := clean(dir)
@@ -198,7 +279,7 @@ func (fs *MemFS) RemoveTree(dir string) error {
 func (fs *MemFS) Rename(oldname, newname string) error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	if fs.frozen {
+	if fs.frozen.Load() {
 		// A crashed filesystem cannot mutate its namespace: letting a
 		// rename through here would install e.g. a post-crash manifest.
 		return errCrashed
@@ -250,7 +331,7 @@ func (fs *MemFS) Exists(name string) bool {
 func (fs *MemFS) Link(oldname, newname string) error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	if fs.frozen {
+	if fs.frozen.Load() {
 		return errCrashed
 	}
 	od, ok := fs.files[clean(oldname)]
@@ -270,21 +351,17 @@ func (fs *MemFS) Link(oldname, newname string) error {
 func (fs *MemFS) Crash() {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	fs.frozen = true
+	fs.frozen.Store(true)
 	for _, d := range fs.files {
 		d.mu.Lock()
-		d.data = d.data[:d.durable]
+		d.truncate(d.durable)
 		d.mu.Unlock()
 	}
 }
 
 // Restart unfreezes a crashed filesystem so recovery can run against the
 // surviving (durable) state.
-func (fs *MemFS) Restart() {
-	fs.mu.Lock()
-	fs.frozen = false
-	fs.mu.Unlock()
-}
+func (fs *MemFS) Restart() { fs.frozen.Store(false) }
 
 type memFile struct {
 	fs       *MemFS
@@ -293,55 +370,72 @@ type memFile struct {
 	closed   bool
 }
 
+// lockLive takes the file's lock for a mutation, or fails once Crash has
+// begun: the check sits under the lock Crash takes to truncate the file.
+func (f *memFile) lockLive() error {
+	f.d.mu.Lock()
+	if f.fs.frozen.Load() {
+		f.d.mu.Unlock()
+		return errCrashed
+	}
+	return nil
+}
+
+var errClosed = errors.New("vfs: write on closed file")
+
 func (f *memFile) Write(p []byte) (int, error) {
 	if f.closed {
-		return 0, errors.New("vfs: write on closed file")
+		return 0, errClosed
 	}
-	if f.fs.crashed() {
-		return 0, errCrashed
+	if err := f.lockLive(); err != nil {
+		return 0, err
 	}
-	f.d.mu.Lock()
-	f.d.data = append(f.d.data, p...)
+	f.d.extend(p, len(p))
 	f.d.mu.Unlock()
 	return len(p), nil
 }
 
 func (f *memFile) WriteAt(p []byte, off int64) (int, error) {
 	if f.closed {
-		return 0, errors.New("vfs: write on closed file")
+		return 0, errClosed
 	}
-	if f.fs.crashed() {
-		return 0, errCrashed
+	if err := f.lockLive(); err != nil {
+		return 0, err
 	}
-	f.d.mu.Lock()
-	end := off + int64(len(p))
-	if end > int64(len(f.d.data)) {
-		grown := make([]byte, end)
-		copy(grown, f.d.data)
-		f.d.data = grown
+	d, o := f.d, int(off)
+	if o > d.size {
+		d.extend(nil, o-d.size)
 	}
-	copy(f.d.data[off:end], p)
+	n := 0
+	for n < len(p) && o+n < d.size {
+		n += copy(d.at(o+n), p[n:])
+	}
+	d.extend(p[n:], len(p)-n)
 	// In-place updates are not append-only: data already marked durable
 	// may be overwritten; conservatively shrink the durable watermark.
-	if int(off) < f.d.durable {
-		f.d.durable = int(off)
+	if o < d.durable {
+		d.durable = o
 	}
-	f.d.mu.Unlock()
+	d.mu.Unlock()
 	return len(p), nil
 }
 
 func (f *memFile) ReadAt(p []byte, off int64) (int, error) {
-	f.d.mu.Lock()
-	defer f.d.mu.Unlock()
+	d := f.d
+	d.mu.Lock()
+	defer d.mu.Unlock()
 	// Zero-length reads succeed regardless of offset, matching
 	// os.File.ReadAt (pread with count 0 never reports EOF).
 	if len(p) == 0 {
 		return 0, nil
 	}
-	if off >= int64(len(f.d.data)) {
+	if off >= int64(d.size) {
 		return 0, io.EOF
 	}
-	n := copy(p, f.d.data[off:])
+	n, o := 0, int(off)
+	for n < len(p) && o+n < d.size {
+		n += copy(p[n:], d.at(o+n))
+	}
 	if n < len(p) {
 		return n, io.EOF
 	}
@@ -349,11 +443,10 @@ func (f *memFile) ReadAt(p []byte, off int64) (int, error) {
 }
 
 func (f *memFile) Sync() error {
-	if f.fs.crashed() {
-		return errCrashed
+	if err := f.lockLive(); err != nil {
+		return err
 	}
-	f.d.mu.Lock()
-	f.d.durable = len(f.d.data)
+	f.d.durable = f.d.size
 	f.d.mu.Unlock()
 	return nil
 }
@@ -361,7 +454,7 @@ func (f *memFile) Sync() error {
 func (f *memFile) Size() (int64, error) {
 	f.d.mu.Lock()
 	defer f.d.mu.Unlock()
-	return int64(len(f.d.data)), nil
+	return int64(f.d.size), nil
 }
 
 func (f *memFile) Close() error {

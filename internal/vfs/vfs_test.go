@@ -58,14 +58,19 @@ func TestMemFSReadAtOffsets(t *testing.T) {
 }
 
 // TestReadAtBoundarySemantics pins memFile.ReadAt to os.File.ReadAt
-// semantics at the end-of-file boundaries by running the same table
-// against both implementations.
+// semantics at the end-of-file boundaries and across MemFS chunk edges by
+// running the same table against both implementations, on a file of more
+// than 512 KiB (eight chunks).
 func TestReadAtBoundarySemantics(t *testing.T) {
-	const content = "0123456789"
+	const size = 600<<10 + 3
+	content := make([]byte, size)
+	for i := range content {
+		content[i] = byte(i % 251)
+	}
 
 	mem := NewMem()
 	mf, _ := mem.Create("f")
-	mf.Write([]byte(content))
+	mf.Write(content)
 
 	osfs := NewOS()
 	path := t.TempDir() + "/f"
@@ -73,7 +78,7 @@ func TestReadAtBoundarySemantics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wf.Write([]byte(content))
+	wf.Write(content)
 	wf.Close()
 	of, err := osfs.Open(path)
 	if err != nil {
@@ -89,14 +94,18 @@ func TestReadAtBoundarySemantics(t *testing.T) {
 		wantErr error
 	}{
 		{"interior full read", 4, 3, 4, nil},
-		{"read ending exactly at EOF", 4, 6, 4, nil},
-		{"whole file exactly", 10, 0, 10, nil},
-		{"short read crossing EOF", 4, 8, 2, io.EOF},
-		{"read starting at EOF", 4, 10, 0, io.EOF},
-		{"read starting past EOF", 4, 15, 0, io.EOF},
+		{"read across the first chunk edge", 8, 4<<10 - 4, 8, nil},
+		{"read across where chunks stop doubling", 4 << 10, 252<<10 - 100, 4 << 10, nil},
+		{"read over seven chunks", 500 << 10, 10 << 10, 500 << 10, nil},
+		{"read ending exactly at EOF", 4, size - 4, 4, nil},
+		{"whole file exactly", size, 0, size, nil},
+		{"short read crossing EOF", 4, size - 2, 2, io.EOF},
+		{"short multi-chunk read crossing EOF", 400 << 10, 300 << 10, size - 300<<10, io.EOF},
+		{"read starting at EOF", 4, size, 0, io.EOF},
+		{"read starting past EOF", 4, size + 5, 0, io.EOF},
 		{"empty read interior", 0, 3, 0, nil},
-		{"empty read exactly at EOF", 0, 10, 0, nil},
-		{"empty read past EOF", 0, 15, 0, nil},
+		{"empty read exactly at EOF", 0, size, 0, nil},
+		{"empty read past EOF", 0, size + 5, 0, nil},
 	}
 	for _, tc := range cases {
 		for _, impl := range []struct {
@@ -109,8 +118,8 @@ func TestReadAtBoundarySemantics(t *testing.T) {
 				t.Errorf("%s: %s.ReadAt(len=%d, off=%d) = (%d, %v), want (%d, %v)",
 					tc.name, impl.name, tc.bufLen, tc.off, n, err, tc.wantN, tc.wantErr)
 			}
-			if n > 0 && string(buf[:n]) != content[tc.off:tc.off+int64(n)] {
-				t.Errorf("%s: %s read %q", tc.name, impl.name, buf[:n])
+			if n > 0 && !bytes.Equal(buf[:n], content[tc.off:tc.off+int64(n)]) {
+				t.Errorf("%s: %s read other bytes", tc.name, impl.name)
 			}
 		}
 	}
