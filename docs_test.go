@@ -51,6 +51,21 @@ func TestDocsNameRealCounters(t *testing.T) {
 	}
 }
 
+// designLineCeiling is DESIGN.md's length, ratcheted down: a change that
+// adds a paragraph removes one, and one that shortens the document lowers
+// the ceiling.
+const designLineCeiling = 1490
+
+func TestDesignLineCeiling(t *testing.T) {
+	raw, err := os.ReadFile("DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := strings.Count(string(raw), "\n"); n > designLineCeiling {
+		t.Errorf("DESIGN.md has %d lines, ceiling %d: replace text instead of adding it", n, designLineCeiling)
+	}
+}
+
 // goneOnPurpose: names the documents mention because they were deleted.
 var goneOnPurpose = map[string]string{
 	"Options.SyncWAL": "README says the boolean is gone and what to write instead",

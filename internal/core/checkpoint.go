@@ -213,7 +213,7 @@ func partitionerName(p keyspace.Partitioner) string {
 	switch p.(type) {
 	case keyspace.Hash:
 		return "hash"
-	case keyspace.Consistent, *keyspace.Ring:
+	case keyspace.Consistent:
 		return "consistent"
 	case keyspace.Range:
 		return "range"

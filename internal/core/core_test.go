@@ -279,7 +279,7 @@ func TestCrossPartitionTransactionRollback(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		key := []byte(fmt.Sprintf("B-%02d", i))
 		w := s.route.Load().pick(key)
-		r := &request{typ: reqWrite, ops: []kv.BatchOp{{Kind: kv.OpPut, Key: key, Value: []byte("b")}}, gsn: gsn, noMerge: true}
+		r := &request{typ: reqWrite, ops: []kv.BatchOp{{Kind: kv.OpPut, Key: key, Value: []byte("b")}}, gsn: gsn}
 		wg.Add(1)
 		r.callback = func(error) { wg.Done() }
 		w.q.pushWait(nil, r)
@@ -620,22 +620,27 @@ func TestQueuePeekSemantics(t *testing.T) {
 	if len(batch) != 1 || batch[0].typ != reqWrite {
 		t.Fatalf("third batch = %d", len(batch))
 	}
-	// SCAN is never merged.
-	q.pushWait(nil, mk(reqScan))
-	q.pushWait(nil, mk(reqScan))
-	batch, _ = q.popBatch(true, 32, nil)
-	if len(batch) != 1 {
-		t.Fatalf("scan batch = %d, want 1", len(batch))
+	// A closure between two writes splits the run, and two closures never
+	// merge with each other.
+	q.pushWait(nil, mk(reqWrite))
+	q.pushWait(nil, mk(reqRun))
+	q.pushWait(nil, mk(reqRun))
+	q.pushWait(nil, mk(reqWrite))
+	for i, want := range []reqType{reqWrite, reqRun, reqRun, reqWrite} {
+		if batch, _ = q.popBatch(true, 32, nil); len(batch) != 1 || batch[0].typ != want {
+			t.Fatalf("closure split, batch %d = %d of type %v, want 1 of %v", i, len(batch), batch[0].typ, want)
+		}
 	}
-	// noMerge requests stay alone.
-	r1, r2 := mk(reqWrite), mk(reqWrite)
-	r1.noMerge = true
-	q.popBatch(true, 32, nil) // drain remaining scan
-	q.pushWait(nil, r1)
-	q.pushWait(nil, r2)
-	batch, _ = q.popBatch(true, 32, nil)
-	if len(batch) != 1 {
-		t.Fatalf("noMerge batch = %d, want 1", len(batch))
+	// A transaction leg (gsn != 0) stays alone between mergeable writes.
+	leg := mk(reqWrite)
+	leg.gsn = 7
+	for _, r := range []*request{mk(reqWrite), leg, mk(reqWrite)} {
+		q.pushWait(nil, r)
+	}
+	for i, want := range []uint64{0, 7} {
+		if batch, _ = q.popBatch(true, 32, nil); len(batch) != 1 || batch[0].gsn != want {
+			t.Fatalf("transaction leg, batch %d = %d with gsn %d, want 1 with %d", i, len(batch), batch[0].gsn, want)
+		}
 	}
 	// Closed queue drains then returns nil.
 	q.close()

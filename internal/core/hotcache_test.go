@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -257,6 +258,66 @@ func TestHotCacheGrowDropsMovedKeys(t *testing.T) {
 	}
 	if moved := s.ReshardStats().MovedKeys; dropped == 0 || int64(dropped) != moved {
 		t.Fatalf("%d resident keys dropped, %d keys moved; want every moved key dropped and no other", dropped, moved)
+	}
+}
+
+// TestHotCacheControlWriteRunsAlone: a control-plane write (worker.do) queued
+// right behind a client write does not merge with it. The client write
+// rewrites its resident entry; the control write drops its own key, which
+// its worker may not own.
+func TestHotCacheControlWriteRunsAlone(t *testing.T) {
+	eng := newGatedNop(false)
+	opts := DefaultOptions(func(int, func(uint64) bool) (kv.Engine, error) { return eng, nil })
+	opts.Workers, opts.HotCacheBytes = 1, 1<<20
+	s, err := Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	release := sync.OnceFunc(func() { close(eng.gate) })
+	defer release() // before Close: the worker may be parked on the gate
+
+	client, control := []byte("client"), []byte("control")
+	for _, k := range [][]byte{client, control} {
+		if _, err := s.Get(k); err != nil { // resident
+			t.Fatal(err)
+		}
+	}
+	var acks sync.WaitGroup
+	acks.Add(2)
+	ack := func(err error) {
+		if err != nil {
+			t.Error(err)
+		}
+		acks.Done()
+	}
+	if err := s.PutAsync([]byte("parks-the-worker"), []byte("x"), ack); err != nil {
+		t.Fatal(err)
+	}
+	<-eng.entered
+	if err := s.PutAsync(client, []byte("new"), ack); err != nil {
+		t.Fatal(err)
+	}
+	w := s.ws()[0]
+	done := make(chan error, 1)
+	go func() {
+		done <- w.do(func(w *worker) error {
+			return w.commit([]kv.BatchOp{{Kind: kv.OpDelete, Key: control}}, 0, 0, true)
+		})
+	}()
+	for w.q.pending.Load() != 3 { // the parked write, the client write, the closure
+		runtime.Gosched()
+	}
+	release()
+	acks.Wait()
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if v, neg, ok := s.cache.Get(client); !ok || neg || string(v) != "new" {
+		t.Errorf("after the client write the cache holds %q (negative=%v, resident=%v), want \"new\"", v, neg, ok)
+	}
+	if v, neg, ok := s.cache.Get(control); ok {
+		t.Errorf("after the control write the cache still holds %q (negative=%v), want it dropped", v, neg)
 	}
 }
 

@@ -389,7 +389,7 @@ func (s *Store) write(ctx context.Context, b *kv.Batch, prepared bool) (commit f
 	for w, ops := range subs {
 		legs.add()
 		// Every leg shares ctx, so all legs observe one deadline.
-		r := &request{typ: reqWrite, ops: ops, gsn: gsn, noMerge: true, callback: fin}
+		r := &request{typ: reqWrite, ops: ops, gsn: gsn, callback: fin}
 		if err := s.admit(ctx, w, r); err != nil {
 			fin(err)
 		}
@@ -419,25 +419,70 @@ type Pair struct {
 	Value []byte
 }
 
-// scanFan admits one copy of leg per worker under a single routing read
-// lock, then waits for the legs with the lock released. On elastic
-// stores each leg carries an ownership filter for the captured ring
-// generation: during a reshard (and until its cleanup finishes) a
-// worker's engine may hold keys it does not own — stale moved ranges on
-// old owners, bulk-copied pairs on new ones — and exactly one leg owns
-// each key, so the union is exact with no duplicates or phantoms.
-func (s *Store) scanFan(ctx context.Context, leg request) ([]Pair, error) {
+// scanQuery is one SCAN or RANGE: the keys from start (nil: the first),
+// none past end (inclusive) when end is non-nil, at most limit of them.
+// part, when non-nil, keeps only the keys it assigns to partition self
+// (routing.ownership); a skipped key does not consume the limit, so a SCAN
+// n during a reshard still fills n slots with owned keys.
+type scanQuery struct {
+	start, end []byte
+	limit      int
+	part       keyspace.Partitioner
+	self       int
+}
+
+// scan runs q over it — the one walker behind both scan strategies (a
+// per-worker leg's engine iterator, ScanMerged's global merged one). A ctx
+// that ends mid-walk ends the walk.
+func (q scanQuery) scan(ctx context.Context, it kv.Iterator) ([]Pair, error) {
+	if q.start == nil {
+		it.SeekToFirst()
+	} else {
+		it.Seek(q.start)
+	}
+	var out []Pair
+	for ; ; it.Next() {
+		if ctx != nil && ctx.Err() != nil {
+			return nil, ctxError(ctx.Err())
+		}
+		if !it.Valid() || len(out) >= q.limit {
+			break
+		}
+		if q.end != nil && bytes.Compare(it.Key(), q.end) > 0 {
+			break
+		}
+		if q.part != nil && q.part.Pick(it.Key()) != q.self {
+			continue
+		}
+		out = append(out, Pair{
+			Key:   append([]byte(nil), it.Key()...),
+			Value: append([]byte(nil), it.Value()...),
+		})
+	}
+	return out, it.Error()
+}
+
+// scanFan admits one leg of q per worker under a single routing read lock,
+// each a closure that walks its worker's engine iterator, then waits for
+// the legs with the lock released and merges their sorted results.
+func (s *Store) scanFan(ctx context.Context, q scanQuery) ([]Pair, error) {
+	ctx = liveCtx(ctx)
 	fan := newFanIn()
-	leg.callback = fan.finish
 	s.routeMu.RLock()
 	rt := s.route.Load()
-	legs := make([]request, len(rt.workers))
+	outs := make([][]Pair, len(rt.workers))
 	for i, w := range rt.workers {
-		r := &legs[i]
-		*r = leg
-		if s.ring != nil {
-			r.scanPart, r.scanSelf = rt.part, i
-		}
+		leg := q
+		leg.part, leg.self = rt.ownership(), i
+		r := &request{typ: reqRun, callback: fan.finish, run: func(w *worker) error {
+			it, err := w.engine.NewIterator()
+			if err != nil {
+				return err
+			}
+			defer it.Close()
+			outs[i], err = leg.scan(ctx, it)
+			return err
+		}}
 		fan.add()
 		if err := s.admit(ctx, w, r); err != nil {
 			fan.finish(err)
@@ -448,8 +493,8 @@ func (s *Store) scanFan(ctx context.Context, leg request) ([]Pair, error) {
 		return nil, err
 	}
 	var all []Pair
-	for i := range legs {
-		all = append(all, legs[i].scanOut...)
+	for _, out := range outs {
+		all = append(all, out...)
 	}
 	sort.Slice(all, func(i, j int) bool { return bytes.Compare(all[i].Key, all[j].Key) < 0 })
 	return all, nil
@@ -464,7 +509,7 @@ func (s *Store) Range(begin, end []byte) ([]Pair, error) {
 
 // RangeCtx is Range bounded by one context shared by every sub-RANGE leg.
 func (s *Store) RangeCtx(ctx context.Context, begin, end []byte) ([]Pair, error) {
-	return s.scanFan(ctx, request{typ: reqScan, scanStart: begin, scanEnd: end, scanLimit: math.MaxInt})
+	return s.scanFan(ctx, scanQuery{start: begin, end: end, limit: math.MaxInt})
 }
 
 // Scan reads up to n pairs with key >= start. Under ScanParallel every
@@ -483,7 +528,7 @@ func (s *Store) ScanCtx(ctx context.Context, start []byte, n int) ([]Pair, error
 	if s.opts.Scan == ScanMerged {
 		return s.scanMerged(ctx, start, n)
 	}
-	all, err := s.scanFan(ctx, request{typ: reqScan, scanStart: start, scanLimit: n})
+	all, err := s.scanFan(ctx, scanQuery{start: start, limit: n})
 	if err != nil {
 		return nil, err
 	}
@@ -502,9 +547,7 @@ func (s *Store) scanMerged(ctx context.Context, start []byte, n int) ([]Pair, er
 		return nil, err
 	}
 	defer it.Close()
-	r := request{scanStart: start, scanLimit: n, ctx: liveCtx(ctx)}
-	err = r.scan(it)
-	return r.scanOut, err
+	return scanQuery{start: start, limit: n}.scan(liveCtx(ctx), it)
 }
 
 // NewIterator implements kv.Engine with a global merged iterator over the
@@ -534,11 +577,7 @@ func (s *Store) NewIterator() (kv.Iterator, error) {
 		children = append(children, it)
 	}
 	s.routeMu.RUnlock()
-	m := &mergedIter{children: children}
-	if s.ring != nil {
-		m.part = rt.part
-	}
-	return m, nil
+	return &mergedIter{children: children, part: rt.ownership()}, nil
 }
 
 // ---------------------------------------------------------------------------

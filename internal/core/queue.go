@@ -12,32 +12,25 @@ import (
 	"sync/atomic"
 	"time"
 
-	"p2kvs/internal/keyspace"
 	"p2kvs/internal/kv"
-	"p2kvs/internal/reshard"
 )
 
 // reqType is the request-type OBM merges by: consecutive same-type
-// requests form one batched request (§4.3); SCAN never merges.
+// requests form one batched request (§4.3); a closure never merges.
 type reqType uint8
 
 // Request types.
 const (
-	reqWrite   reqType = iota // PUT / UPDATE / DELETE (always batchable together)
-	reqRead                   // GET
-	reqScan                   // SCAN / RANGE leg — executed alone
-	reqBarrier                // checkpoint barrier — pauses the worker, never merged
+	reqWrite reqType = iota // PUT / UPDATE / DELETE (always batchable together)
+	reqRead                 // GET
+	reqRun                  // a closure: a scan leg, a barrier, a control-plane write
 )
 
-// request is one unit of work in a worker queue.
+// request is one unit of work in a worker queue: a data-plane read or write,
+// which OBM may merge with its neighbours, or a closure (run), which the
+// worker calls alone, on its own goroutine, in queue order.
 type request struct {
 	typ reqType
-	// noMerge excludes this request from OBM (transaction legs, §4.5).
-	noMerge bool
-	// unrouted marks a control-plane write (worker.do): nothing routed its
-	// keys to this worker, so the hot cache drops them instead of taking
-	// their values (worker.commit).
-	unrouted bool
 
 	// Write-type payload: one or more ops (a user WriteBatch keeps its
 	// ops together in a single request). This is the one representation a
@@ -48,46 +41,22 @@ type request struct {
 	// commonest write costs no slice of its own.
 	ops []kv.BatchOp
 	one [1]kv.BatchOp
+	// gsn, when non-zero, makes the write a leg of a cross-instance
+	// transaction (§4.5): it commits alone, its engine record tagged.
 	gsn uint64
-	// streamGSN, when non-zero, marks a replicated record being applied on
-	// a replica: the worker ships it to its own backlog under this
-	// primary-assigned GSN instead of allocating a fresh one. Always
-	// noMerge. It is never passed to the engine's WriteGSN — engine-level
-	// GSN tagging stays reserved for transaction legs, whose records the
-	// recover filter checks against the committed-transaction map.
-	streamGSN uint64
-
-	// Resharding bulk-copy payload: when copySeen is non-nil this write
-	// carries snapshot-pinned pairs streamed to a new owner, and the
-	// worker re-checks each key against the double-write SeenSet at apply
-	// time — a mirrored key has a fresher value already in (or ahead in)
-	// this queue, so the stale copy is dropped (the set counts it). The
-	// check must happen at apply, not enqueue: a mirror racing with this
-	// batch records its key before enqueueing, so whichever order the two
-	// land in the queue, the mirror's value survives.
-	copySeen *reshard.SeenSet
 
 	// Read-type payload. ticket is the key's hot-cache stripe value,
 	// snapshotted before the read was submitted (Store.submit).
 	key    []byte
 	ticket uint64
 
-	// Scan payload. scanEnd, when non-nil, bounds a RANGE leg
-	// (inclusive); scanLimit bounds a SCAN leg. scanPart, when non-nil,
-	// restricts the leg to keys owned by partition scanSelf under that
-	// partitioner snapshot (elastic stores: a worker's engine may hold
-	// foreign keys mid-reshard); skipped keys do not consume scanLimit.
-	scanStart []byte
-	scanEnd   []byte
-	scanLimit int
-	scanPart  keyspace.Partitioner
-	scanSelf  int
+	// run is a closure's body (reqRun); its error completes the request.
+	run func(w *worker) error
 
 	// Results.
-	val     []byte
-	found   bool
-	err     error
-	scanOut []Pair
+	val   []byte
+	found bool
+	err   error
 
 	// Completion: through callback when one is set, through done
 	// otherwise. The sync path blocks on done (the paper's "suspends
@@ -102,14 +71,6 @@ type request struct {
 	done     chan struct{}
 	callback func(err error)
 	recycle  bool
-
-	// Barrier payload (reqBarrier, always noMerge). The worker finishes
-	// its leg of barrierReady when it reaches the request — every
-	// operation enqueued before the barrier has been applied — then parks
-	// until barrierRelease closes. While all workers are parked the store
-	// is at a cross-instance GSN watermark the checkpoint can capture.
-	barrierReady   *fanIn
-	barrierRelease chan struct{}
 
 	// ctx, when non-nil, carries the request deadline. It is set only
 	// for contexts that can actually expire (Done() != nil), so the
@@ -173,6 +134,10 @@ func putRequest(r *request) {
 func (r *request) expired() bool {
 	return r.ctx != nil && r.ctx.Err() != nil
 }
+
+// mergeable reports whether OBM may merge r into a run: a closure runs
+// alone, and so does a transaction leg, whose engine record carries its GSN.
+func (r *request) mergeable() bool { return r.typ != reqRun && r.gsn == 0 }
 
 // reqQueue is the per-worker request queue. It is a mutex-guarded deque
 // rather than a channel because OBM needs to *peek* at the head request's
@@ -298,8 +263,8 @@ func (q *reqQueue) removeSpaceWaiter(ch chan struct{}) {
 
 // popBatch implements the queue side of Algorithm 1: it blocks for the
 // first live request, then — when obm is true — greedily takes consecutive
-// same-type mergeable requests up to max. SCANs and noMerge requests are
-// returned alone.
+// same-type mergeable requests up to max. Closures and transaction legs
+// are returned alone.
 //
 // Requests whose context already expired are shed instead of batched
 // (head-of-line shedding): they come back in expired, never occupying an
@@ -329,7 +294,7 @@ func (q *reqQueue) popBatch(obm bool, max int, scratch []*request) (batch, expir
 	first := q.items[q.head]
 	q.head++
 	batch = append(scratch[:0], first)
-	if obm && first.typ != reqScan && !first.noMerge {
+	if obm && first.mergeable() {
 		for q.len() > 0 && len(batch) < max {
 			next := q.items[q.head]
 			if next.expired() {
@@ -337,7 +302,7 @@ func (q *reqQueue) popBatch(obm bool, max int, scratch []*request) (batch, expir
 				expired = append(expired, next)
 				continue
 			}
-			if next.typ != first.typ || next.noMerge {
+			if next.typ != first.typ || !next.mergeable() {
 				break
 			}
 			q.head++

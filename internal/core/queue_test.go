@@ -7,9 +7,20 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"p2kvs/internal/kv"
 )
+
+// TestRequestFootprint pins the size of the one queued shape, which every
+// pooled Put, PutAsync and Get zeroes on recycle: a request is a read, a
+// write or a closure, and a feature that needs the worker's goroutine
+// submits a closure (worker.do) instead of adding a payload field here.
+func TestRequestFootprint(t *testing.T) {
+	if n := unsafe.Sizeof(request{}); n > 248 {
+		t.Errorf("request is %d bytes, pinned at 248", n)
+	}
+}
 
 // TestQueueConcurrentPushPop hammers one queue with many producers and a
 // single consumer (the worker model) under a small capacity, so pushes

@@ -15,7 +15,7 @@ import (
 // ratchets to the primary's GSN, so checkpoints taken on the replica
 // record real cursors; and scrub sees ordinary engine files.
 
-// ApplyRepl applies one replicated record — worker's write batch under
+// ApplyRepl applies one replicated record — worker id's write batch under
 // the GSN the primary's worker assigned — and waits for the engine to
 // acknowledge it. It is control-plane work (worker.do: replicated writes
 // are never load-shed or rejected; a full queue simply backpressures the
@@ -26,10 +26,10 @@ import (
 // The store's global GSN counter ratchets up to the record's GSN first,
 // so local allocations (transaction legs, checkpoint watermarks, a later
 // promotion to primary) always continue the sequence.
-func (s *Store) ApplyRepl(worker int, gsn uint64, ops []kv.BatchOp) error {
+func (s *Store) ApplyRepl(id int, gsn uint64, ops []kv.BatchOp) error {
 	workers := s.ws()
-	if worker < 0 || worker >= len(workers) {
-		return fmt.Errorf("core: ApplyRepl: worker %d out of range [0,%d)", worker, len(workers))
+	if id < 0 || id >= len(workers) {
+		return fmt.Errorf("core: ApplyRepl: worker %d out of range [0,%d)", id, len(workers))
 	}
 	if len(ops) == 0 {
 		return nil
@@ -46,7 +46,7 @@ func (s *Store) ApplyRepl(worker int, gsn uint64, ops []kv.BatchOp) error {
 	// ops may alias the decoder's frame buffer: do returns only after the
 	// worker applied them, and everything downstream that outlives the
 	// apply (backlog, mirror, engine) copies.
-	return workers[worker].do(&request{typ: reqWrite, ops: ops, streamGSN: gsn, noMerge: true})
+	return workers[id].do(func(w *worker) error { return w.commit(ops, 0, gsn, true) })
 }
 
 // ReplLog exposes the store's replication backlog (nil when replication

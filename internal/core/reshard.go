@@ -42,8 +42,8 @@ import (
 //  3. Cutover. A bounded barrier re-parks the source workers; within the
 //     pause budget (Options.CutoverBudget, default 10ms) the coordinator
 //     waits for prepared cross-partition transactions to settle, commits
-//     the new topology (the crash-recovery pivot), and atomically swaps
-//     the epoch-versioned ring and the routing generation. If the budget
+//     the new topology (the crash-recovery pivot), bumps the epoch and
+//     atomically swaps the routing generation. If the budget
 //     cannot be met the barrier is released, writers resume, and the
 //     cutover retries — writers never pause longer than the budget per
 //     attempt. After the flip the moved ranges are deleted from their
@@ -64,7 +64,7 @@ import (
 
 // ErrReshardUnsupported reports a Reshard call on a store that was not
 // opened in the elastic configuration.
-var ErrReshardUnsupported = errors.New("core: resharding requires an elastic store (a keyspace.Ring partitioner, a transaction directory, an InstanceReset hook, and no replication)")
+var ErrReshardUnsupported = errors.New("core: resharding requires an elastic store (a keyspace.Consistent partitioner, a transaction directory, an InstanceReset hook, and no replication)")
 
 // errBarrierTimeout is the internal signal that one cutover attempt could
 // not park the source workers inside the pause budget.
@@ -109,10 +109,10 @@ func (s *Store) ReshardStats() reshard.Stats { return s.tracker.Snapshot() }
 func (s *Store) Epoch() uint64 { return s.epoch.Load() }
 
 // Elastic reports whether this store satisfies Reshard's preconditions
-// (ring partitioner, transaction log, instance-reset hook, no
+// (consistent-hash partitioner, transaction log, instance-reset hook, no
 // replication) — i.e. whether Reshard can ever succeed on it.
 func (s *Store) Elastic() bool {
-	return s.ring != nil && s.txn != nil && s.opts.ReplLog == nil && s.opts.InstanceReset != nil
+	return s.route.Load().ownership() != nil && s.txn != nil && s.opts.ReplLog == nil && s.opts.InstanceReset != nil
 }
 
 // Reshard changes the worker count of a live elastic store to newN with
@@ -138,14 +138,11 @@ func (s *Store) Reshard(ctx context.Context, newN int) error {
 	if newN == oldN {
 		return nil
 	}
-	oldC, ok := oldRT.part.(keyspace.Consistent)
-	if !ok {
-		return ErrReshardUnsupported
-	}
+	oldC := oldRT.part.(keyspace.Consistent) // what Elastic checked
 	s.tracker.Begin(oldN, newN, s.epoch.Load())
 
 	// --- Prepare: plan the move, spawn new workers on blank engines. ---
-	newC := keyspace.NewConsistent(newN, s.ring.Replicas())
+	newC := keyspace.NewConsistent(newN, oldC.Replicas())
 	moved := keyspace.MovedRanges(oldC, newC)
 	plan := keyspace.NewMovedSet(moved)
 
@@ -392,7 +389,6 @@ func (s *Store) tryCutover(run *reshardRun, sources, newWorkers []*worker, newC 
 		return false, 0, fmt.Errorf("core: committing reshard topology: %w", err)
 	}
 	s.epoch.Store(newEpoch)
-	s.ring.Advance(newC)
 	s.route.Store(&routing{part: newC, workers: newWorkers})
 	s.resh.Store(nil)
 	close(release)
@@ -404,23 +400,26 @@ func (s *Store) tryCutover(run *reshardRun, sources, newWorkers []*worker, newC 
 // barrierWorkers pushes a barrier to every listed worker — past admission
 // control: a barrier must land even on a saturated queue, and it waits
 // behind the queued work it fences — and waits for all of them to park.
-// It is the one barrier, shared by checkpoints (every worker, no timeout)
-// and reshard (the source workers). timeout, when non-nil, bounds both the
-// queue-space wait and the park wait; a miss returns errBarrierTimeout
-// with every already-pushed barrier released. On success the workers are
-// parked and the caller owns the returned release channel.
+// A barrier is a closure: reached, it finishes its leg of parked (every
+// operation enqueued before it has been applied), then parks the worker
+// until release closes. It is the one barrier, shared by checkpoints (every
+// worker, no timeout) and reshard (the source workers). timeout, when
+// non-nil, bounds both the queue-space wait and the park wait; a miss
+// returns errBarrierTimeout with every already-pushed barrier released. On
+// success the workers are parked and the caller owns the returned release
+// channel.
 func barrierWorkers(workers []*worker, timeout <-chan struct{}) (release chan struct{}, err error) {
 	release = make(chan struct{})
 	parked := newFanIn()
+	park := func(*worker) error {
+		parked.finish(nil)
+		<-release
+		return nil
+	}
 	for _, w := range workers {
 		parked.add()
-		r := &request{
-			typ:            reqBarrier,
-			noMerge:        true,
-			barrierReady:   parked,
-			barrierRelease: release,
-			done:           newDone(), // nobody waits; the worker's completion just lands here
-		}
+		// Nobody waits on done; the worker's completion just lands there.
+		r := &request{typ: reqRun, run: park, done: newDone()}
 		if perr := w.q.pushWait(timeout, r); perr != nil {
 			close(release)
 			if errors.Is(perr, kv.ErrDeadlineExceeded) {
@@ -440,8 +439,13 @@ func barrierWorkers(workers []*worker, timeout <-chan struct{}) (release chan st
 }
 
 // copyMoved streams every moved pair from the pinned source iterators to
-// its new owner, in batches through the target queues. Target workers
-// drop pairs superseded by a double-write at apply time (filterCopied).
+// its new owner, in batches through the target queues. A batch is a closure
+// that drops, at apply time, the pairs the run has double-written: the
+// mirrored value is at least as fresh as the snapshot-pinned one, and it is
+// already applied or strictly ahead in this FIFO queue, since a mirror
+// records its key before enqueueing. Checked at apply, not enqueue, so every
+// interleaving of copy batch and racing mirror resolves in the mirror's
+// favour (the SeenSet counts the drops).
 func (s *Store) copyMoved(ctx context.Context, run *reshardRun, sources []*worker, its []kv.Iterator) error {
 	ctx = liveCtx(ctx)
 	for si, src := range sources {
@@ -467,7 +471,15 @@ func (s *Store) copyMoved(ctx context.Context, run *reshardRun, sources []*worke
 			for _, op := range ops {
 				bytes += int64(len(op.Key) + len(op.Value))
 			}
-			err := run.targets[to].do(&request{typ: reqWrite, ops: ops, copySeen: run.seen})
+			err := run.targets[to].do(func(t *worker) error {
+				fresh := ops[:0]
+				for _, op := range ops {
+					if !run.seen.Seen(op.Key) {
+						fresh = append(fresh, op)
+					}
+				}
+				return t.commit(fresh, 0, 0, true)
+			})
 			if err != nil {
 				return fmt.Errorf("core: reshard copy to worker %d: %w", to, err)
 			}
@@ -540,7 +552,8 @@ func (s *Store) abortReshard(run *reshardRun, added []*worker, oldRT *routing, n
 // purgeForeign deletes every key part does not assign to the worker whose
 // engine holds it, in copyBatchSize batches through that worker's queue —
 // ordered with concurrent writes. The keys may be alive on their owner, so
-// the hot cache must drop them, not record the deletes: worker.do sees to it.
+// the hot cache must drop them, not record the deletes: an unrouted commit
+// sees to it.
 func purgeForeign(workers []*worker, part keyspace.Partitioner) error {
 	for _, w := range workers {
 		keys, err := foreignKeys(w, part)
@@ -551,7 +564,7 @@ func purgeForeign(workers []*worker, part keyspace.Partitioner) error {
 				ops[i] = kv.BatchOp{Kind: kv.OpDelete, Key: k}
 			}
 			keys = keys[n:]
-			err = w.do(&request{typ: reqWrite, ops: ops})
+			err = w.do(func(w *worker) error { return w.commit(ops, 0, 0, true) })
 		}
 		if err != nil {
 			return fmt.Errorf("worker %d: %w", w.id, err)

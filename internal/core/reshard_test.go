@@ -26,7 +26,7 @@ func openElasticWith(t *testing.T, fs *vfs.MemFS, root string, workers int, fact
 	t.Helper()
 	opts := DefaultOptions(factory)
 	opts.Workers = workers
-	opts.Partitioner = keyspace.NewRing(workers, 64)
+	opts.Partitioner = keyspace.NewConsistent(workers, 64)
 	opts.TxnFS = fs
 	opts.TxnDir = root + "/txn"
 	opts.HotCacheBytes = 1 << 20
@@ -254,7 +254,7 @@ func TestReshardReopen(t *testing.T) {
 	// Reopening at the old worker count must refuse: half-routed data.
 	opts := DefaultOptions(lsmFactory(fs, "ro"))
 	opts.Workers = 3
-	opts.Partitioner = keyspace.NewRing(3, 64)
+	opts.Partitioner = keyspace.NewConsistent(3, 64)
 	opts.TxnFS = fs
 	opts.TxnDir = "ro/txn"
 	if _, err := Open(opts); err == nil {

@@ -11,13 +11,11 @@ import (
 )
 
 // routing is one generation of the store's request routing: the
-// partitioner snapshot and the worker set it maps into, always swapped
-// together in a single atomic pointer so no request can ever combine a
-// new ring's Pick with an old worker slice (or vice versa). For elastic
-// stores part holds a keyspace.Consistent value captured from the Ring,
-// not the Ring itself — the Ring advances at cutover, but a routing
-// generation must stay internally consistent for as long as anything
-// references it.
+// partitioner and the worker set it maps into, always swapped together in
+// a single atomic pointer so no request can ever combine a new ring's Pick
+// with an old worker slice (or vice versa). It is the store's one record
+// of its ring: a reshard installs a new generation, and Store.epoch counts
+// them.
 type routing struct {
 	part    keyspace.Partitioner
 	workers []*worker
@@ -25,6 +23,18 @@ type routing struct {
 
 func (rt *routing) pick(key []byte) *worker {
 	return rt.workers[rt.part.Pick(key)]
+}
+
+// ownership returns the partitioner a scan leg or merged iterator filters
+// each worker's keys by, or nil when no filter is needed. Only a
+// consistent-hash store reshards, so only its engines can hold keys they do
+// not own — stale moved ranges awaiting cleanup, mid-copy duplicates — and
+// exactly one worker owns each key, so the filtered union is exact.
+func (rt *routing) ownership() keyspace.Partitioner {
+	if _, ok := rt.part.(keyspace.Consistent); ok {
+		return rt.part
+	}
+	return nil
 }
 
 // split partitions a user batch's ops into per-worker write payloads under
@@ -107,14 +117,15 @@ func (s *Store) admit(ctx context.Context, w *worker, r *request) error {
 	return err
 }
 
-// do is the one control-plane submit: it enqueues r on w past admission
-// control and waits for the worker to complete it. Replicated records,
-// reshard copy / mirror / cleanup batches are never load-shed or rejected
-// — a full queue simply backpressures their producer — and they are
+// do is the one control-plane submit: it enqueues fn on w as a closure past
+// admission control and waits for the worker to call it and return. Replicated
+// records, reshard copy / mirror / cleanup batches are never load-shed or
+// rejected — a full queue simply backpressures their producer — and they are
 // ordered with concurrent data-plane writes because they travel the same
-// queue. The hot cache drops their keys (request.unrouted).
-func (w *worker) do(r *request) error {
-	r.done, r.unrouted = newDone(), true
+// queue. Each commits its ops with worker.commit's unrouted set, so the hot
+// cache drops their keys.
+func (w *worker) do(fn func(w *worker) error) error {
+	r := &request{typ: reqRun, run: fn, done: newDone()}
 	if err := w.q.pushWait(nil, r); err != nil {
 		return err
 	}

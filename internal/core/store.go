@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"p2kvs/internal/hotcache"
-	"p2kvs/internal/keyspace"
 	"p2kvs/internal/kv"
 	"p2kvs/internal/reshard"
 	"p2kvs/internal/scrub"
@@ -35,9 +34,6 @@ type Store struct {
 	route   atomic.Pointer[routing]
 	routeMu sync.RWMutex
 
-	// ring is non-nil for elastic stores (Options.Partitioner is a
-	// *keyspace.Ring); only those can Reshard.
-	ring *keyspace.Ring
 	// resh is the active resharding run (nil in steady state); workers
 	// consult it on every applied write batch to double-write moved keys.
 	// reshMu serializes Reshard calls and keeps a checkpoint's barrier out
@@ -102,10 +98,6 @@ func Open(opts Options) (*Store, error) {
 		return nil, errors.New("core: replication log size must match worker count")
 	}
 	s := &Store{opts: opts}
-	s.ring, _ = opts.Partitioner.(*keyspace.Ring)
-	if s.ring != nil && opts.ReplLog != nil {
-		return nil, errors.New("core: replication and elastic resharding are mutually exclusive (the replication backlog is sized to a fixed worker count)")
-	}
 	if opts.HotCacheBytes > 0 {
 		s.cache = hotcache.New(opts.HotCacheBytes)
 	}
@@ -153,12 +145,7 @@ func Open(opts Options) (*Store, error) {
 		workers = append(workers, s.newWorker(i, engine))
 	}
 
-	part := opts.Partitioner
-	if s.ring != nil {
-		c, _ := s.ring.Snapshot()
-		part = c
-	}
-	s.route.Store(&routing{part: part, workers: workers})
+	s.route.Store(&routing{part: opts.Partitioner, workers: workers})
 	for _, w := range workers {
 		w.start()
 	}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"fmt"
 	"runtime"
 	"sync"
@@ -224,47 +223,13 @@ func (w *worker) execute(reqs []*request) {
 	if len(reqs) > 1 {
 		w.batchedOps.Add(int64(len(reqs)))
 	}
-	switch reqs[0].typ {
+	switch r := reqs[0]; r.typ {
 	case reqWrite:
 		w.executeWrites(reqs)
 	case reqRead:
 		w.executeReads(reqs)
-	case reqScan:
-		w.executeScan(reqs[0])
-	case reqBarrier:
-		w.executeBarrier(reqs[0])
-	}
-}
-
-// executeBarrier parks the worker at a checkpoint barrier: everything
-// enqueued before the barrier has been applied, nothing enqueued after it
-// runs until the coordinator releases. The coordinator uses the pause to
-// capture every engine's checkpoint state at one GSN watermark.
-func (w *worker) executeBarrier(r *request) {
-	r.barrierReady.finish(nil)
-	<-r.barrierRelease
-	r.complete(nil)
-}
-
-// filterCopied drops ops from reshard bulk-copy requests whose keys the
-// run has double-written: the mirrored value is at least as fresh as the
-// snapshot-pinned one, and it is already applied, or strictly ahead of
-// this request in this FIFO queue, since mirrors record their key before
-// enqueueing. Checked at apply time, not enqueue time, so every
-// interleaving of copy batch vs racing mirror resolves in the mirror's
-// favour.
-func filterCopied(reqs []*request) {
-	for _, r := range reqs {
-		if r.copySeen == nil {
-			continue
-		}
-		kept := r.ops[:0]
-		for _, op := range r.ops {
-			if !r.copySeen.Seen(op.Key) {
-				kept = append(kept, op)
-			}
-		}
-		r.ops = kept
+	case reqRun:
+		r.complete(r.run(w))
 	}
 }
 
@@ -306,7 +271,7 @@ func (w *worker) mirrorMoved(ops []kv.BatchOp) {
 			run.seen.Record(op.Key)
 		}
 		run.tracker.Update(func(st *reshard.Stats) { st.DoubleWrites += int64(len(moved)) })
-		if err := run.targets[to].do(&request{typ: reqWrite, ops: moved}); err != nil {
+		if err := run.targets[to].do(func(t *worker) error { return t.commit(moved, 0, 0, true) }); err != nil {
 			run.tracker.Fail(fmt.Errorf("core: reshard mirror to worker %d: %w", to, err))
 		}
 	}
@@ -315,24 +280,21 @@ func (w *worker) mirrorMoved(ops []kv.BatchOp) {
 // executeWrites applies a run of write-type requests. With OBM and an
 // engine that supports WriteBatch, the whole run commits as a single
 // batch — one log IO instead of len(reqs) (Figure 10a). A merged run never
-// carries a GSN: transaction legs and replicated records are noMerge, so
-// they arrive alone. Engines without batch-write (e.g. WiredTiger, §4.6)
-// commit every request of the run on its own; OBM-write degenerates
-// gracefully.
+// carries a GSN: a transaction leg is not mergeable, so it arrives alone.
+// Engines without batch-write (e.g. WiredTiger, §4.6) commit every request
+// of the run on its own; OBM-write degenerates gracefully.
 func (w *worker) executeWrites(reqs []*request) {
-	filterCopied(reqs)
 	if len(reqs) == 1 || w.bw == nil {
 		for _, r := range reqs {
-			r.complete(w.commit(r.ops, r.gsn, r.streamGSN, r.unrouted))
+			r.complete(w.commit(r.ops, r.gsn, 0, false))
 		}
 		return
 	}
-	ops, unrouted := w.opsScratch[:0], false
+	ops := w.opsScratch[:0]
 	for _, r := range reqs {
 		ops = append(ops, r.ops...)
-		unrouted = unrouted || r.unrouted
 	}
-	err := w.commit(ops, 0, 0, unrouted)
+	err := w.commit(ops, 0, 0, false)
 	clear(ops)
 	w.opsScratch = ops
 	for _, r := range reqs {
@@ -340,15 +302,17 @@ func (w *worker) executeWrites(reqs []*request) {
 	}
 }
 
-// commit applies one op list — a request's payload, or a merged run's
-// concatenation — to the engine, as one WriteBatch when the engine has
-// them (the path a multi-op user WriteBatch takes too) and op by op
-// otherwise. The same slice then feeds the replication backlog, the
-// reshard mirror and the hot cache. txnGSN, when non-zero, names the
-// cross-instance transaction these ops are a leg of and tags the engine's
-// WAL record (kv.GSNWriter); streamGSN marks a replicated record. unrouted
-// says some of ops did not come through the data plane's routing (worker.do),
-// so this worker may not own their keys.
+// commit applies one op list — a request's payload, a merged run's
+// concatenation, or a control-plane closure's batch — to the engine, as one
+// WriteBatch when the engine has them (the path a multi-op user WriteBatch
+// takes too) and op by op otherwise. The same slice then feeds the
+// replication backlog, the reshard mirror and the hot cache. txnGSN, when
+// non-zero, names the cross-instance transaction these ops are a leg of and
+// tags the engine's WAL record (kv.GSNWriter). streamGSN, when non-zero,
+// marks a replicated record applied on a replica: ship keeps the primary's
+// GSN for it, and the engine record stays untagged. unrouted says the ops
+// did not come through the data plane's routing (a worker.do closure), so
+// this worker may not own their keys.
 func (w *worker) commit(ops []kv.BatchOp, txnGSN, streamGSN uint64, unrouted bool) error {
 	if len(ops) == 0 {
 		return nil // every op was a stale bulk-copy duplicate
@@ -488,51 +452,6 @@ func (w *worker) doGet(r *request) {
 	var err error
 	r.val, r.found, err = w.get(r.key)
 	r.complete(err)
-}
-
-// executeScan serves one SCAN leg on this worker's instance.
-func (w *worker) executeScan(r *request) {
-	it, err := w.engine.NewIterator()
-	if err != nil {
-		r.complete(err)
-		return
-	}
-	defer it.Close()
-	r.complete(r.scan(it))
-}
-
-// scan runs the request's scan over it into scanOut — the one walker behind
-// both scan strategies (a per-worker leg's engine iterator, ScanMerged's
-// global merged one). With an ownership filter set (elastic stores), keys
-// the leg's worker does not own under the captured ring generation — stale
-// moved ranges awaiting cleanup, or mid-copy duplicates — are skipped
-// without consuming the limit, so a SCAN n during a reshard still fills n
-// slots with owned keys. A context that ends mid-walk ends the walk.
-func (r *request) scan(it kv.Iterator) error {
-	if r.scanStart == nil {
-		it.SeekToFirst()
-	} else {
-		it.Seek(r.scanStart)
-	}
-	for ; ; it.Next() {
-		if r.expired() {
-			return ctxError(r.ctx.Err())
-		}
-		if !it.Valid() || len(r.scanOut) >= r.scanLimit {
-			break
-		}
-		if r.scanEnd != nil && bytes.Compare(it.Key(), r.scanEnd) > 0 {
-			break
-		}
-		if r.scanPart != nil && r.scanPart.Pick(it.Key()) != r.scanSelf {
-			continue
-		}
-		r.scanOut = append(r.scanOut, Pair{
-			Key:   append([]byte(nil), it.Key()...),
-			Value: append([]byte(nil), it.Value()...),
-		})
-	}
-	return it.Error()
 }
 
 // park drains and joins the worker like stop but leaves its engine open:

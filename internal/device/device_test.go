@@ -199,18 +199,21 @@ func TestWriteAtBuffered(t *testing.T) {
 
 func TestWritebackBackpressure(t *testing.T) {
 	// Buffered writes are free until the dirty window fills, then they
-	// block at drain rate; Drain (fsync) pays the debt down.
+	// block at drain rate; Drain (fsync) pays the debt down. The window
+	// takes ~16ms to drain, so the full window the blocked write leaves
+	// behind survives that write's own sleep overrunning by a few ms on a
+	// loaded box.
 	prof := Profile{Name: "t", SeqReadBW: 1e9, SeqWriteBW: 1e9, Parallelism: 4}
 	d := New(prof, 1)
-	d.wbWindow = 1 << 20 // 1 MiB window at 1 GB/s -> ~1ms to drain
+	d.wbWindow = 16 << 20 // 16 MiB window at 1 GB/s -> ~16ms to drain
 
 	start := time.Now()
-	d.WriteBuffered(512 << 10) // half the window: no block
+	d.WriteBuffered(8 << 20) // half the window: no block
 	if el := time.Since(start); el > 500*time.Microsecond {
 		t.Fatalf("under-window buffered write blocked %v", el)
 	}
 	start = time.Now()
-	d.WriteBuffered(4 << 20) // 4 MiB over a 1 MiB window: must block ~3.5ms
+	d.WriteBuffered(12 << 20) // 4 MiB over the window: must block ~4ms
 	if el := time.Since(start); el < 2*time.Millisecond {
 		t.Fatalf("over-window buffered write blocked only %v", el)
 	}
@@ -220,7 +223,7 @@ func TestWritebackBackpressure(t *testing.T) {
 		t.Fatalf("drain with full window returned in %v", el)
 	}
 	st := d.Stats()
-	if st.WrittenBytes != (512<<10)+(4<<20) {
+	if st.WrittenBytes != (8<<20)+(12<<20) {
 		t.Fatalf("writeback accounting: %+v", st)
 	}
 }

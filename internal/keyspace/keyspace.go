@@ -48,9 +48,10 @@ func (h Hash) N() int { return h.n }
 // reshuffling nearly everything as Hash does — the property that makes
 // runtime scaling (core.Store.Reshard) cheap.
 type Consistent struct {
-	n      int
-	points []uint64 // sorted ring positions
-	owner  []int    // owner[i] = worker for points[i]
+	n        int
+	replicas int
+	points   []uint64 // sorted ring positions
+	owner    []int    // owner[i] = worker for points[i]
 }
 
 // DefaultReplicas is the virtual-node count per worker.
@@ -64,7 +65,7 @@ func NewConsistent(n, replicas int) Consistent {
 	if replicas < 1 {
 		replicas = DefaultReplicas
 	}
-	c := Consistent{n: n}
+	c := Consistent{n: n, replicas: replicas}
 	for w := 0; w < n; w++ {
 		for r := 0; r < replicas; r++ {
 			point := fnv64([]byte(fmt.Sprintf("worker-%d-replica-%d", w, r)))
@@ -114,6 +115,10 @@ func (c Consistent) Pick(key []byte) int {
 
 // N implements Partitioner.
 func (c Consistent) N() int { return c.n }
+
+// Replicas reports the virtual-point count per worker: a ring over another
+// worker count built with it keeps every surviving worker's points.
+func (c Consistent) Replicas() int { return c.replicas }
 
 // Range partitions by static split points: keys < splits[0] go to worker
 // 0, etc. Contiguous key ranges stay on one worker (range queries touch

@@ -96,11 +96,13 @@ func TestConsistentMovedFractionBound(t *testing.T) {
 
 // TestConsistentStableUnderReplicaChoice: the partition a key lands on is
 // a pure function of (n, replicas) — two independently built rings agree
-// on every key. This is the property that lets a restored store rebuild
+// on every key, the second built from the first's N and Replicas as a
+// reshard does. This is the property that lets a restored store rebuild
 // its partitioner from the manifest instead of serializing ring state.
 func TestConsistentStableUnderReplicaChoice(t *testing.T) {
 	keys := propertyKeys(5000)
-	a, b := NewConsistent(8, 128), NewConsistent(8, 128)
+	a := NewConsistent(8, 128)
+	b := NewConsistent(a.N(), a.Replicas())
 	for _, k := range keys {
 		if a.Pick(k) != b.Pick(k) {
 			t.Fatalf("independently built rings disagree on %q", k)

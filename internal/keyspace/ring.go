@@ -1,9 +1,6 @@
 package keyspace
 
-import (
-	"sort"
-	"sync/atomic"
-)
+import "sort"
 
 // KeyPoint returns key's position on the consistent-hash ring — the same
 // hash Consistent.Pick routes by. Exported so the resharding planner can
@@ -122,67 +119,3 @@ func (m *MovedSet) Moved(key []byte) bool {
 
 // Len reports the number of moved arcs.
 func (m *MovedSet) Len() int { return len(m.ranges) + len(m.wrap) }
-
-// Ring is an epoch-versioned consistent-hash partitioner whose generation
-// can be swapped atomically — the routing pivot of online resharding. A
-// Pick observes exactly one generation; Advance installs the next ring
-// and bumps the epoch in a single pointer swap, so no reader ever sees a
-// half-updated mapping. Callers that must pair the generation with other
-// state (the worker set it maps into) serialize the swap externally.
-type Ring struct {
-	replicas int
-	v        atomic.Pointer[ringGen]
-}
-
-type ringGen struct {
-	ring  Consistent
-	epoch uint64
-}
-
-// NewRing creates a ring partitioner over n workers at epoch 0. replicas
-// <= 0 selects DefaultReplicas; every generation of one Ring uses the
-// same replica count, so worker virtual points are stable across epochs.
-func NewRing(n, replicas int) *Ring {
-	if replicas < 1 {
-		replicas = DefaultReplicas
-	}
-	r := &Ring{replicas: replicas}
-	r.v.Store(&ringGen{ring: NewConsistent(n, replicas)})
-	return r
-}
-
-// Pick implements Partitioner against the current generation.
-func (r *Ring) Pick(key []byte) int { return r.v.Load().ring.Pick(key) }
-
-// N implements Partitioner: the current generation's worker count.
-func (r *Ring) N() int { return r.v.Load().ring.N() }
-
-// Epoch reports the current generation number (0 at creation, +1 per
-// Advance).
-func (r *Ring) Epoch() uint64 { return r.v.Load().epoch }
-
-// Replicas reports the virtual-point count per worker.
-func (r *Ring) Replicas() int { return r.replicas }
-
-// Snapshot returns the current generation's ring and epoch as one
-// consistent pair.
-func (r *Ring) Snapshot() (Consistent, uint64) {
-	g := r.v.Load()
-	return g.ring, g.epoch
-}
-
-// Advance atomically installs next as the new generation and returns the
-// new epoch.
-func (r *Ring) Advance(next Consistent) uint64 {
-	g := r.v.Load()
-	ng := &ringGen{ring: next, epoch: g.epoch + 1}
-	r.v.Store(ng)
-	return ng.epoch
-}
-
-// AdvanceTo builds a ring over n workers (same replica count) and
-// installs it, returning the ring and the new epoch.
-func (r *Ring) AdvanceTo(n int) (Consistent, uint64) {
-	next := NewConsistent(n, r.replicas)
-	return next, r.Advance(next)
-}

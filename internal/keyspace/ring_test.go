@@ -99,51 +99,6 @@ func TestMovedSetFractionBound(t *testing.T) {
 	}
 }
 
-// TestRingEpochTransitions drives the epoch-versioned Ring through a walk
-// of grow/shrink transitions and checks the swap invariants the cutover
-// path depends on: the epoch increments by exactly one per Advance, a
-// Snapshot pair is internally consistent, Pick always agrees with the
-// generation a Snapshot reports, and after advancing, the ring behaves
-// identically to a freshly built Consistent of the same size (so a
-// restarted store reconstructs the exact same mapping from the persisted
-// worker count alone).
-func TestRingEpochTransitions(t *testing.T) {
-	keys := propertyKeys(5000)
-	rng := rand.New(rand.NewSource(7))
-	r := NewRing(4, DefaultReplicas)
-	if r.Epoch() != 0 || r.N() != 4 {
-		t.Fatalf("fresh ring: epoch=%d n=%d", r.Epoch(), r.N())
-	}
-	n := 4
-	for step := 0; step < 20; step++ {
-		want := NewConsistent(n, DefaultReplicas)
-		snap, epoch := r.Snapshot()
-		if epoch != uint64(step) {
-			t.Fatalf("step %d: epoch %d", step, epoch)
-		}
-		if snap.N() != n || r.N() != n {
-			t.Fatalf("step %d: n=%d want %d", step, r.N(), n)
-		}
-		for _, k := range keys[:500] {
-			if r.Pick(k) != want.Pick(k) || snap.Pick(k) != want.Pick(k) {
-				t.Fatalf("step %d: ring disagrees with fresh Consistent(%d) on %q", step, n, k)
-			}
-		}
-		if n <= 2 || rng.Intn(2) == 0 {
-			n++
-		} else {
-			n--
-		}
-		next, newEpoch := r.AdvanceTo(n)
-		if newEpoch != uint64(step+1) {
-			t.Fatalf("Advance at step %d returned epoch %d", step, newEpoch)
-		}
-		if next.N() != n {
-			t.Fatalf("AdvanceTo(%d) built ring of size %d", n, next.N())
-		}
-	}
-}
-
 // TestMovedRangesIdentity: a transition to the same worker count moves
 // nothing — the degenerate case the no-op reshard path relies on.
 func TestMovedRangesIdentity(t *testing.T) {

@@ -270,6 +270,12 @@ func (d *DB) replayWALs(oo OpenOptions) error {
 	return nil
 }
 
+// walOptions configures every WAL this DB opens.
+func (d *DB) walOptions() wal.Options {
+	return wal.Options{Policy: d.opts.WALSync, SyncEvery: d.opts.WALSyncInterval,
+		PerRecordCost: d.opts.WALPerRecordCost, PerByteCost: d.opts.WALPerByteCost}
+}
+
 // installMemtable creates a fresh memtable + WAL and makes them current.
 // Caller must not hold d.mu.
 func (d *DB) installMemtable() error {
@@ -280,13 +286,7 @@ func (d *DB) installMemtable() error {
 		if err != nil {
 			return err
 		}
-		h.walw = wal.NewWriter(f, wal.Options{
-			Policy:        d.opts.WALSync,
-			SyncEvery:     d.opts.WALSyncInterval,
-			GroupCommit:   d.opts.GroupCommit,
-			PerRecordCost: d.opts.WALPerRecordCost,
-			PerByteCost:   d.opts.WALPerByteCost,
-		})
+		h.walw = wal.NewWriter(f, d.walOptions())
 	}
 	d.mu.Lock()
 	d.memH = h
@@ -504,13 +504,7 @@ func (d *DB) rotateLocked() {
 			d.degradeLocked("wal rotation", err)
 			return
 		}
-		h.walw = wal.NewWriter(f, wal.Options{
-			Policy:        d.opts.WALSync,
-			SyncEvery:     d.opts.WALSyncInterval,
-			GroupCommit:   d.opts.GroupCommit,
-			PerRecordCost: d.opts.WALPerRecordCost,
-			PerByteCost:   d.opts.WALPerByteCost,
-		})
+		h.walw = wal.NewWriter(f, d.walOptions())
 	}
 	// Fold the retiring WAL's timing stats into the base counters so
 	// Perf() stays cumulative across rotations.

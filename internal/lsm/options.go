@@ -56,8 +56,6 @@ type Options struct {
 	// writes). Without it the whole write path is serialized under one
 	// writer lock (LevelDB behaviour).
 	PipelinedWrite bool
-	// GroupCommit enables leader/follower WAL aggregation (Figure 3).
-	GroupCommit bool
 	// WALSync selects the WAL durability policy (wal.PolicyNever /
 	// PolicyInterval / PolicyCommit). The zero value, PolicyNever, is
 	// RocksDB async logging, as configured in the paper's experiments
@@ -194,7 +192,6 @@ func RocksDBOptions(fs vfs.FS) Options {
 		FS:                   fs,
 		ConcurrentMemTable:   true,
 		PipelinedWrite:       true,
-		GroupCommit:          true,
 		MultiGet:             true,
 		Style:                Leveled,
 		BackgroundCompaction: true,
@@ -206,7 +203,6 @@ func RocksDBOptions(fs vfs.FS) Options {
 func LevelDBOptions(fs vfs.FS) Options {
 	return Options{
 		FS:                   fs,
-		GroupCommit:          true,
 		Style:                Leveled,
 		BackgroundCompaction: true,
 	}

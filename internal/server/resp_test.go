@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -206,13 +207,18 @@ func manyArgCommand(nargs int) []byte {
 }
 
 // Parsing a command is linear in its argument count: the shared argument
-// buffer grows geometrically, so a legal 100,000-argument MSET costs ten
-// times a 10,000-argument one (356 ms → 10.7 s when every argument
-// re-copied all earlier ones) and a handful of allocations.
+// buffer grows geometrically, so a legal 100,000-argument MSET costs about a
+// hundred times a 1,000-argument one (110–150× on a 2-vCPU VM, cache effects
+// included) and a handful of allocations. When every argument re-copied all
+// earlier ones, 10,000 → 100,000 arguments went 356 ms → 10.7 s, 30× per
+// tenfold, so ≥ 900× over this span. The bound sits well clear of both, and
+// each timing is a best-of-fifteen from a collected heap, so other test
+// binaries loading the box cannot push a linear parse past it.
 func TestReadCommandManyArgsAllocs(t *testing.T) {
 	parse := func(payload []byte, want int) time.Duration {
 		best := time.Duration(1<<63 - 1)
-		for i := 0; i < 3; i++ {
+		for i := 0; i < 15; i++ {
+			runtime.GC()
 			start := time.Now()
 			cmd, err := NewReader(bytes.NewReader(payload)).ReadCommand()
 			if d := time.Since(start); d < best {
@@ -224,10 +230,10 @@ func TestReadCommandManyArgsAllocs(t *testing.T) {
 		}
 		return best
 	}
-	small, large := manyArgCommand(10_000), manyArgCommand(100_000)
-	ts, tl := parse(small, 10_000), parse(large, 100_000)
-	if ratio := float64(tl) / float64(ts); ratio >= 25 {
-		t.Errorf("100k args %v vs 10k args %v: ratio %.1f, want < 25", tl, ts, ratio)
+	small, large := manyArgCommand(1_000), manyArgCommand(100_000)
+	ts, tl := parse(small, 1_000), parse(large, 100_000)
+	if ratio := float64(tl) / float64(ts); ratio >= 400 {
+		t.Errorf("100k args %v vs 1k args %v: ratio %.1f, want < 400", tl, ts, ratio)
 	}
 	if raceflag.Enabled {
 		return // the detector's shadow allocations are not the parser's

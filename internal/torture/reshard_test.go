@@ -28,7 +28,7 @@ const reshardTortureDir = "p2"
 func openTortureStore(ffs vfs.FS, workers int) (*core.Store, error) {
 	opts := core.DefaultOptions(pick("lsm-rocksdb")[0].factory(ffs, reshardTortureDir))
 	opts.Workers = workers
-	opts.Partitioner = keyspace.NewRing(workers, 64)
+	opts.Partitioner = keyspace.NewConsistent(workers, 64)
 	opts.TxnFS = ffs
 	opts.TxnDir = reshardTortureDir + "/txn"
 	opts.HotCacheBytes = 1 << 20
@@ -358,7 +358,7 @@ func TestFailedTxnLegIsTentative(t *testing.T) {
 	defer func() { store.Close() }()
 
 	// One key per worker.
-	ring, _ := keyspace.NewRing(2, 64).Snapshot()
+	ring := keyspace.NewConsistent(2, 64)
 	var ks [2]string
 	for i := 0; ks[0] == "" || ks[1] == ""; i++ {
 		k := fmt.Sprintf("key-%03d", i)

@@ -16,27 +16,24 @@ func (discardFile) Sync() error                 { return nil }
 func (discardFile) Close() error                { return nil }
 
 // TestAppendAllocs pins the append of a log with one appender — what every
-// p2KVS worker's engine has — at zero allocations once the scratch buffer has
-// grown to the record size, with group commit on (the uncontended-leader
-// path) and off.
+// p2KVS worker's engine has, the uncontended-leader path — at zero
+// allocations once the scratch buffer has grown to the record size.
 func TestAppendAllocs(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("allocation pins are not meaningful under the race detector")
 	}
 	payload := make([]byte, 2048)
-	for _, group := range []bool{true, false} {
-		w := NewWriter(discardFile{}, Options{GroupCommit: group})
-		if err := w.Append(0, payload); err != nil { // grows the buffer
-			t.Fatal(err)
+	w := NewWriter(discardFile{}, Options{})
+	if err := w.Append(0, payload); err != nil { // grows the buffer
+		t.Fatal(err)
+	}
+	var appendErr error
+	n := testing.AllocsPerRun(1000, func() {
+		if err := w.Append(7, payload); err != nil {
+			appendErr = err
 		}
-		var appendErr error
-		n := testing.AllocsPerRun(1000, func() {
-			if err := w.Append(7, payload); err != nil {
-				appendErr = err
-			}
-		})
-		if appendErr != nil || n != 0 {
-			t.Errorf("GroupCommit=%v: %.2f allocs/append, err %v; want 0, nil", group, n, appendErr)
-		}
+	})
+	if appendErr != nil || n != 0 {
+		t.Errorf("%.2f allocs/append, err %v; want 0, nil", n, appendErr)
 	}
 }

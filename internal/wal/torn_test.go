@@ -65,7 +65,7 @@ func TestTornTailGroupCommit(t *testing.T) {
 	mem := vfs.NewMem()
 	fs := vfs.NewFault(mem)
 	f, _ := fs.Create("wal")
-	w := NewWriter(f, Options{GroupCommit: true})
+	w := NewWriter(f, Options{})
 	if err := w.Append(1, []byte("good")); err != nil {
 		t.Fatal(err)
 	}

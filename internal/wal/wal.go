@@ -39,6 +39,13 @@ import (
 
 const headerLen = 20 // hcrc u32 | pcrc u32 | plen u32 | gsn u64
 
+// A leader aggregates at most maxGroupCount records and about maxGroupBytes
+// of payload into one log IO (RocksDB's defaults).
+const (
+	maxGroupBytes = 1 << 20
+	maxGroupCount = 1024
+)
+
 // magic opens every log. The first write carries it, so a file that holds
 // any record holds the whole preamble.
 var magic = []byte("p2wal-2\n")
@@ -84,13 +91,6 @@ type Options struct {
 	// SyncEvery bounds durability staleness under PolicyInterval
 	// (default 100ms). Ignored by the other policies.
 	SyncEvery time.Duration
-	// GroupCommit enables leader/follower aggregation. Disabled, every
-	// append performs its own IO under the log mutex.
-	GroupCommit bool
-	// MaxGroupBytes bounds how much payload one leader aggregates.
-	MaxGroupBytes int
-	// MaxGroupCount bounds how many waiters one leader aggregates.
-	MaxGroupCount int
 	// PerRecordCost / PerByteCost model the serialized host software
 	// path of logging — encoding records, checksumming, the kernel IO
 	// stack — which the leader performs for the whole group (§3.3: this
@@ -100,11 +100,6 @@ type Options struct {
 	// CPU path is the model).
 	PerRecordCost time.Duration
 	PerByteCost   time.Duration
-}
-
-// DefaultOptions mirror RocksDB defaults.
-func DefaultOptions() Options {
-	return Options{GroupCommit: true, MaxGroupBytes: 1 << 20, MaxGroupCount: 1024}
 }
 
 // Stats aggregates the write-path timing the paper's Figure 6 plots.
@@ -135,11 +130,13 @@ type Writer struct {
 	writing bool
 	closed  bool
 	tainted bool
-	size    int64
 
-	// lastSync is only touched on the write path (solo appends hold mu;
-	// grouped appends serialize through the single active leader), so it
-	// needs no extra synchronization.
+	// size is the end of the last completed write. The one writer in flight
+	// advances it; Size reads it without the lock.
+	size atomic.Int64
+
+	// lastSync is only touched by the one writer in flight, so it needs no
+	// extra synchronization.
 	lastSync time.Time
 
 	appends  atomic.Int64
@@ -157,12 +154,6 @@ type Writer struct {
 
 // NewWriter starts a log in f.
 func NewWriter(f vfs.File, opts Options) *Writer {
-	if opts.MaxGroupBytes <= 0 {
-		opts.MaxGroupBytes = 1 << 20
-	}
-	if opts.MaxGroupCount <= 0 {
-		opts.MaxGroupCount = 1024
-	}
 	if opts.Policy == PolicyInterval && opts.SyncEvery <= 0 {
 		opts.SyncEvery = 100 * time.Millisecond
 	}
@@ -181,35 +172,11 @@ var ErrClosed = errors.New("wal: closed")
 var ErrTainted = errors.New("wal: log tainted by failed write")
 
 // Append durably (subject to Options.Policy) appends one record and blocks
-// until it is written. Safe for concurrent use.
+// until it is written. Safe for concurrent use: concurrent appenders form a
+// group whose leader writes every member's record in one IO.
 func (w *Writer) Append(gsn uint64, payload []byte) error {
 	w.appends.Add(1)
 	w.bytes.Add(int64(len(payload)))
-	if !w.opts.GroupCommit {
-		return w.appendSolo(gsn, payload)
-	}
-	return w.appendGrouped(gsn, payload)
-}
-
-func (w *Writer) appendSolo(gsn uint64, payload []byte) error {
-	lockStart := time.Now()
-	w.mu.Lock()
-	w.lockNs.Add(int64(time.Since(lockStart)))
-	defer w.mu.Unlock()
-	if w.closed {
-		return ErrClosed
-	}
-	if w.tainted {
-		return ErrTainted
-	}
-	err := w.writeRecords(gsn, payload, nil)
-	if err != nil {
-		w.tainted = true
-	}
-	return err
-}
-
-func (w *Writer) appendGrouped(gsn uint64, payload []byte) error {
 	enqueue := time.Now()
 	w.mu.Lock()
 	if w.closed {
@@ -222,7 +189,8 @@ func (w *Writer) appendGrouped(gsn uint64, payload []byte) error {
 	}
 	if !w.writing && len(w.pending) == 0 {
 		// Uncontended: nobody to follow and nobody to lead — the only case
-		// a log with one appender (a p2KVS worker's) ever sees. Write as a
+		// a log with one appender (a p2KVS worker's, or one appending under
+		// its owner's mutex: MANIFEST, TXNLOG, a journal) ever sees. Write as a
 		// group of one without queueing a waiter; appenders that arrive
 		// meanwhile queue behind writing exactly as behind any leader.
 		w.writing = true
@@ -263,7 +231,7 @@ func (w *Writer) appendGrouped(gsn uint64, payload []byte) error {
 	// moves to the leader's own slice and the queue closes up in place, so
 	// pending keeps its capacity from one group to the next.
 	n, bytes := 0, 0
-	for n < len(w.pending) && n < w.opts.MaxGroupCount && bytes < w.opts.MaxGroupBytes {
+	for n < len(w.pending) && n < maxGroupCount && bytes < maxGroupBytes {
 		bytes += len(w.pending[n].payload)
 		n++
 	}
@@ -321,11 +289,11 @@ func (w *Writer) addRecord(gsn uint64, payload []byte) {
 
 // writeRecords encodes a claimed group — or, with a nil group, the one
 // record (gsn, payload) — into one buffer and performs one write. The caller
-// is the only writer in flight: it holds mu, or set writing.
+// is the only writer in flight: it set writing.
 func (w *Writer) writeRecords(gsn uint64, payload []byte, group []*waiter) error {
 	ioStart := time.Now()
 	w.buf = w.buf[:0]
-	if w.size == 0 {
+	if w.size.Load() == 0 {
 		// First bytes of the log: the preamble rides in the same write as
 		// the first record, so a torn first write still leaves either
 		// nothing or a well-formed prefix.
@@ -361,7 +329,7 @@ func (w *Writer) flush(n int) error {
 	if _, err := w.f.Write(w.buf); err != nil {
 		return err
 	}
-	w.size += int64(len(w.buf))
+	w.size.Add(int64(len(w.buf)))
 	switch w.opts.Policy {
 	case PolicyCommit:
 		// One fsync for the whole group: the leader pays it once and
@@ -399,12 +367,9 @@ func (w *Writer) Tainted() bool {
 	return w.tainted
 }
 
-// Size returns the bytes written so far.
-func (w *Writer) Size() int64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.size
-}
+// Size returns the bytes written so far: the end of the last completed
+// write, which is a record boundary. It may be read while appends run.
+func (w *Writer) Size() int64 { return w.size.Load() }
 
 // Stats snapshots the timing counters.
 func (w *Writer) Stats() Stats {

@@ -340,7 +340,7 @@ func openWithFS(opts Options, fs vfs.FS) (*Store, error) {
 		copts.ReplLog = repl.NewLog(opts.Workers, opts.ReplBacklogBytes)
 	}
 	if opts.Elastic {
-		copts.Partitioner = keyspace.NewRing(opts.Workers, ringReplicas)
+		copts.Partitioner = keyspace.NewConsistent(opts.Workers, ringReplicas)
 		copts.CutoverBudget = opts.CutoverBudget
 		copts.InstanceReset = func(id int) error {
 			return vfs.RemoveTree(fs, fmt.Sprintf("%s/inst-%02d", opts.Dir, id))
