@@ -17,7 +17,7 @@ func runAblationBatch(e Env) (*Table, error) {
 		"max batch", "simQPS", "avg formed batch")
 	for _, max := range ends(e, 1, 4, 8, 16, 32, 128) {
 		fs, scale := newDevFS(device.NVMe)
-		s, err := openP2(fs, "p2", 4, true, lsm.RocksDBOptions, nil, func(o *core.Options) { o.MaxBatch = max })
+		s, err := openP2(fs, "p2", 4, true, lsm.RocksDBOptions, func(o *core.Options) { o.MaxBatch = max })
 		if err != nil {
 			return nil, err
 		}
@@ -48,7 +48,7 @@ func runAblationPartition(e Env) (*Table, error) {
 	for _, dist := range []string{"uniform", "zipfian"} {
 		for _, part := range []string{"hash", "range"} {
 			fs, scale := newDevFS(device.NVMe)
-			s, err := openP2(fs, "p2", workers, true, lsm.RocksDBOptions, nil, func(o *core.Options) {
+			s, err := openP2(fs, "p2", workers, true, lsm.RocksDBOptions, func(o *core.Options) {
 				if part == "range" {
 					// Static splits assuming uniform key text (user....).
 					splits := make([][]byte, workers-1)
@@ -96,7 +96,7 @@ func runAblationScan(e Env) (*Table, error) {
 		row := []interface{}{size}
 		for _, merged := range []bool{false, true} {
 			s, scale, err := openOn(e, device.NVMe, e.ValueSize, func(fs vfs.FS) (*core.Store, error) {
-				return openP2(fs, "p2", 8, true, lsm.RocksDBOptions, nil, func(o *core.Options) {
+				return openP2(fs, "p2", 8, true, lsm.RocksDBOptions, func(o *core.Options) {
 					if merged {
 						o.Scan = core.ScanMerged
 					}
@@ -177,7 +177,7 @@ func runAblationDirectRead(e Env) (*Table, error) {
 		for _, prof := range []device.Profile{device.NVMe, device.Null} {
 			for _, direct := range []bool{false, true} {
 				s, scale, err := openOn(e, prof, e.ValueSize, func(fs vfs.FS) (*core.Store, error) {
-					return openP2(fs, "p2", 4, true, lsm.RocksDBOptions, nil, func(o *core.Options) { o.DirectReads = direct })
+					return openP2(fs, "p2", 4, true, lsm.RocksDBOptions, func(o *core.Options) { o.DirectReads = direct })
 				})
 				if err != nil {
 					return nil, err

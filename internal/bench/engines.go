@@ -10,7 +10,6 @@ import (
 	"p2kvs/internal/kv"
 	"p2kvs/internal/loadgen"
 	"p2kvs/internal/lsm"
-	"p2kvs/internal/metrics"
 	"p2kvs/internal/vfs"
 )
 
@@ -76,9 +75,9 @@ func openRocks(fs vfs.FS, dir string, mutate ...func(*lsm.Options)) (*lsm.DB, er
 
 // openP2 opens a p2KVS store over LSM instances with the given preset — the
 // paper's p2KVS: every request crosses to its worker, one worker = one thread
-// on one simulated core (Meters, the engines' per-op cost sleeps). The
-// direct-read extension is off here and measured by ablation-direct-read.
-func openP2(fs vfs.FS, dir string, workers int, obm bool, preset func(vfs.FS) lsm.Options, meters *metrics.Group, mutate ...func(*core.Options)) (*core.Store, error) {
+// on one simulated core (WorkerStats.BusyUs, the engines' per-op cost sleeps).
+// The direct-read extension is off here and measured by ablation-direct-read.
+func openP2(fs vfs.FS, dir string, workers int, obm bool, preset func(vfs.FS) lsm.Options, mutate ...func(*core.Options)) (*core.Store, error) {
 	opts := core.DefaultOptions(func(id int, filter func(uint64) bool) (kv.Engine, error) {
 		return lsm.OpenWith(fmt.Sprintf("%s/inst-%02d", dir, id), lsmOptions(fs, preset), lsm.OpenOptions{RecoverFilter: filter})
 	})
@@ -87,7 +86,6 @@ func openP2(fs vfs.FS, dir string, workers int, obm bool, preset func(vfs.FS) ls
 	opts.DirectReads = false
 	opts.TxnFS = fs
 	opts.TxnDir = dir + "/txn"
-	opts.Meters = meters
 	for _, m := range mutate {
 		m(&opts)
 	}
@@ -149,6 +147,16 @@ func perThreadChoosers(dist string, threads, keys int) []loadgen.Chooser {
 		out[t], _ = loadgen.NewChooser(dist, uint64(keys), nil, int64(t+1))
 	}
 	return out
+}
+
+// cores is busy time over the measured window in units of one core (1.0 =
+// one core busy throughout, the paper's "100%"): the CPU accounting of Table
+// 2 and Figure 21, which the paper took with mpstat/pidstat.
+func cores(busy time.Duration, res Res) float64 {
+	if res.Wall <= 0 {
+		return 0
+	}
+	return float64(busy) / float64(res.Wall)
 }
 
 // writeUtilization converts device stats to a fraction of the profile's

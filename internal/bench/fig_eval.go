@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"p2kvs/internal/core"
@@ -11,7 +12,6 @@ import (
 	"p2kvs/internal/histogram"
 	"p2kvs/internal/loadgen"
 	"p2kvs/internal/lsm"
-	"p2kvs/internal/metrics"
 	"p2kvs/internal/vfs"
 )
 
@@ -79,7 +79,7 @@ func runFig12(e Env) (*Table, error) {
 	}
 	for _, w := range []int{4, 8} {
 		fs, scale := newDevFS(device.NVMe)
-		s, err := openP2(fs, "p2", w, true, lsm.RocksDBOptions, nil)
+		s, err := openP2(fs, "p2", w, true, lsm.RocksDBOptions)
 		if err != nil {
 			return nil, err
 		}
@@ -99,8 +99,9 @@ func runFig12(e Env) (*Table, error) {
 }
 
 // runTable2 reproduces Table 2: memory and (virtual) CPU usage under the
-// random-write workload. Memory is engine-reported structure memory plus
-// Go heap delta; CPU is metered worker busy-share in core-equivalents.
+// random-write workload. Memory is the Go heap delta; CPU is busy time over
+// the measured window in core-equivalents — the user threads' own puts for
+// RocksDB, the workers' WorkerStats.BusyUs for p2KVS.
 func runTable2(e Env) (*Table, error) {
 	const threads = 16
 	tbl := NewTable("Table 2: memory and CPU under random writes",
@@ -121,42 +122,39 @@ func runTable2(e Env) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		g := metrics.NewGroup()
-		meters := make([]*metrics.Meter, threads)
-		for i := range meters {
-			meters[i] = g.Meter(fmt.Sprintf("user-%d", i))
-		}
+		var busy atomic.Int64
 		choosers := perThreadChoosers("uniform", threads, e.Keys)
-		if _, err := e.measure(threads, scale, func(tid, _ int) error {
-			meters[tid].Busy()
-			defer meters[tid].Idle()
-			return put(db, choosers[tid].Next(), e.ValueSize)
-		}); err != nil {
+		res, err := e.measure(threads, scale, func(tid, _ int) error {
+			start := time.Now()
+			err := put(db, choosers[tid].Next(), e.ValueSize)
+			busy.Add(int64(time.Since(start)))
+			return err
+		})
+		if err != nil {
 			db.Close()
 			return nil, err
 		}
-		_, cores := g.Snapshot()
 		mem := heapNow() - base
 		db.Close()
-		tbl.Add("RocksDB (16 user threads)", mem, 100*cores)
+		tbl.Add("RocksDB (16 user threads)", mem, 100*cores(time.Duration(busy.Load()), res))
 	}
 	// p2KVS-4 and p2KVS-8: workers busy, user threads asleep.
 	for _, workers := range []int{4, 8} {
 		fs, scale := newDevFS(device.NVMe)
 		base := heapNow()
-		g := metrics.NewGroup()
-		s, err := openP2(fs, "p2", workers, true, lsm.RocksDBOptions, g)
+		s, err := openP2(fs, "p2", workers, true, lsm.RocksDBOptions)
 		if err != nil {
 			return nil, err
 		}
-		if _, err := asyncFill(e, s, threads, scale, e.ValueSize); err != nil {
+		res, err := asyncFill(e, s, threads, scale, e.ValueSize)
+		if err != nil {
 			s.Close()
 			return nil, err
 		}
-		_, cores := g.Snapshot()
+		busy := time.Duration(s.StatsSnapshot().Aggregate.BusyUs) * time.Microsecond
 		mem := heapNow() - base
 		s.Close()
-		tbl.Add(fmt.Sprintf("p2KVS-%d", workers), mem, 100*cores)
+		tbl.Add(fmt.Sprintf("p2KVS-%d", workers), mem, 100*cores(busy, res))
 	}
 	return tbl, nil
 }
@@ -179,7 +177,7 @@ func runFig13(e Env) (*Table, error) {
 	for _, intensity := range ends(e, 50_000.0, 100_000, 200_000, 400_000) {
 		for _, sy := range systems {
 			fs, scale := newDevFS(device.NVMe)
-			s, err := openP2(fs, "p2", sy.workers, sy.obm, lsm.RocksDBOptions, nil)
+			s, err := openP2(fs, "p2", sy.workers, sy.obm, lsm.RocksDBOptions)
 			if err != nil {
 				return nil, err
 			}
@@ -247,7 +245,7 @@ func runFig14(e Env) (*Table, error) {
 		}
 		for _, obm := range []bool{false, true} {
 			systems = append(systems, func(fs vfs.FS) (kvStore, error) {
-				return openP2(fs, "p2", 8, obm, lsm.RocksDBOptions, nil)
+				return openP2(fs, "p2", 8, obm, lsm.RocksDBOptions)
 			})
 		}
 		for _, open := range systems {
@@ -284,7 +282,7 @@ func runFig15(e Env) (*Table, error) {
 	}
 	defer db.Close()
 	s, _, err := openOn(e, device.NVMe, e.ValueSize, func(fs vfs.FS) (*core.Store, error) {
-		return openP2(fs, "p2", 8, true, lsm.RocksDBOptions, nil)
+		return openP2(fs, "p2", 8, true, lsm.RocksDBOptions)
 	})
 	if err != nil {
 		return nil, err

@@ -9,7 +9,6 @@ import (
 	"p2kvs/internal/kvell"
 	"p2kvs/internal/loadgen"
 	"p2kvs/internal/lsm"
-	"p2kvs/internal/metrics"
 	"p2kvs/internal/vfs"
 )
 
@@ -44,7 +43,7 @@ func lsmSystem(name string, preset func(vfs.FS) lsm.Options) ycsbSystem {
 
 func p2System(name string, workers int, obm bool) ycsbSystem {
 	return ycsbSystem{name: name, open: func(fs vfs.FS) (kvStore, error) {
-		return openP2(fs, "p2", workers, obm, lsm.RocksDBOptions, nil)
+		return openP2(fs, "p2", workers, obm, lsm.RocksDBOptions)
 	}}
 }
 
@@ -192,9 +191,10 @@ func runFig20(e Env) (*Table, error) {
 
 // runFig21 reproduces Figure 21: hardware utilization of p2KVS-8 vs
 // KVell-8 under continuous random writes — device write bandwidth,
-// memory, total metered CPU and per-worker CPU. Expected shape: p2KVS
-// sustains much higher device bandwidth (LSM aggregates small writes);
-// KVell's memory is dominated by its in-memory indexes.
+// memory, total and per-worker CPU (worker busy time over the window).
+// Expected shape: p2KVS sustains much higher device bandwidth (LSM
+// aggregates small writes); KVell's memory is dominated by its in-memory
+// indexes.
 func runFig21(e Env) (*Table, error) {
 	tbl := NewTable("Figure 21: hardware utilization under random writes",
 		"system", "simQPS", "write MB/s", "mem (MB)", "total CPU (core-%)", "avg per-worker CPU %")
@@ -202,8 +202,7 @@ func runFig21(e Env) (*Table, error) {
 	// p2KVS-8.
 	{
 		fs, scale := newDevFS(device.NVMe)
-		g := metrics.NewGroup()
-		s, err := openP2(fs, "p2", 8, true, lsm.RocksDBOptions, g)
+		s, err := openP2(fs, "p2", 8, true, lsm.RocksDBOptions)
 		if err != nil {
 			return nil, err
 		}
@@ -212,7 +211,7 @@ func runFig21(e Env) (*Table, error) {
 			s.Close()
 			return nil, err
 		}
-		per, cores := g.Snapshot()
+		c := cores(time.Duration(s.StatsSnapshot().Aggregate.BusyUs)*time.Microsecond, res)
 		var mem int64
 		for i := 0; i < 8; i++ {
 			m := s.Engine(i).(*lsm.DB).Metrics()
@@ -222,14 +221,13 @@ func runFig21(e Env) (*Table, error) {
 		st := fs.Device().Stats()
 		simSec := res.Wall.Seconds() / scale
 		tbl.Add("p2KVS-8", res.SimQPS, float64(st.WrittenBytes)/simSec/1e6,
-			float64(mem)/1e6, 100*cores, 100*avgBusy(per))
+			float64(mem)/1e6, 100*c, 100*c/8)
 	}
 	// KVell-8.
 	{
 		fs, scale := newDevFS(device.NVMe)
-		g := metrics.NewGroup()
 		s, err := kvell.Open("kvl", kvell.Options{
-			FS: fs, Workers: 8, CacheBytes: 8 << 20, Meters: g,
+			FS: fs, Workers: 8, CacheBytes: 8 << 20,
 			PerOpCost: time.Duration(1500 * simScale(fs)),
 		})
 		if err != nil {
@@ -243,25 +241,13 @@ func runFig21(e Env) (*Table, error) {
 			s.Close()
 			return nil, err
 		}
-		per, cores := g.Snapshot()
 		m := s.Metrics()
+		c := cores(time.Duration(m.BusyNs), res)
 		s.Close()
 		st := fs.Device().Stats()
 		simSec := res.Wall.Seconds() / scale
 		tbl.Add("KVell-8", res.SimQPS, float64(st.WrittenBytes)/simSec/1e6,
-			float64(m.IndexBytes+m.CacheBytes)/1e6, 100*cores, 100*avgBusy(per))
+			float64(m.IndexBytes+m.CacheBytes)/1e6, 100*c, 100*c/8)
 	}
 	return tbl, nil
-}
-
-// avgBusy is the mean busy fraction over the metered workers.
-func avgBusy(per []metrics.Utilization) float64 {
-	if len(per) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, u := range per {
-		sum += u.Frac
-	}
-	return sum / float64(len(per))
 }

@@ -22,7 +22,7 @@ func runFig22(e Env) (*Table, error) {
 			return openLSM(fs, dir, lsm.LevelDBOptions)
 		},
 		func(fs vfs.FS, workers int) (kvStore, error) {
-			return openP2(fs, "p2", workers, true, lsm.LevelDBOptions, nil)
+			return openP2(fs, "p2", workers, true, lsm.LevelDBOptions)
 		})
 }
 

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"p2kvs/internal/btreekv"
 	"p2kvs/internal/kv"
@@ -526,6 +527,32 @@ func TestPinnedWorkers(t *testing.T) {
 	}
 	if v, err := s.Get([]byte("pin-050")); err != nil || string(v) != "pin-050" {
 		t.Fatalf("Get = %q %v", v, err)
+	}
+}
+
+// TestWorkerBusyTime: BusyUs counts the time a worker goroutine spends
+// executing what it dequeued, and only that worker's.
+func TestWorkerBusyTime(t *testing.T) {
+	s := openStore(t, vfs.NewMem(), 4)
+	defer s.Close()
+	const nap = 20 * time.Millisecond
+	if err := s.ws()[1].do(func(*worker) error { time.Sleep(nap); return nil }); err != nil {
+		t.Fatal(err)
+	}
+	// The worker adds the batch's time after it has woken the submitter.
+	var snap StatsSnapshot
+	for deadline := time.Now().Add(time.Second); ; time.Sleep(time.Millisecond) {
+		if snap = s.StatsSnapshot(); snap.PerWorker[1].BusyUs >= nap.Microseconds() || time.Now().After(deadline) {
+			break
+		}
+	}
+	for _, st := range snap.PerWorker {
+		if st.ID == 1 && st.BusyUs < nap.Microseconds() || st.ID != 1 && st.BusyUs >= 2000 {
+			t.Errorf("worker %d: BusyUs = %d after a %v closure on worker 1", st.ID, st.BusyUs, nap)
+		}
+	}
+	if snap.Aggregate.BusyUs < nap.Microseconds() {
+		t.Errorf("aggregate BusyUs = %d", snap.Aggregate.BusyUs)
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 
 	"p2kvs/internal/keyspace"
 	"p2kvs/internal/kv"
-	"p2kvs/internal/metrics"
 	"p2kvs/internal/repl"
 	"p2kvs/internal/vfs"
 )
@@ -104,8 +103,6 @@ type Options struct {
 	// Restore can refuse an image taken with a different engine. Optional;
 	// empty means "unspecified" and restores skip the compatibility check.
 	EngineName string
-	// Meters, when non-nil, receives one busy meter per worker.
-	Meters *metrics.Group
 	// ScrubInterval enables a background integrity scrub of every worker
 	// engine on this cadence (0 = no background scrubbing; Store.Scrub
 	// remains available for on-demand passes). ScrubRate bounds the scrub's

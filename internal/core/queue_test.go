@@ -241,22 +241,3 @@ func TestQueueDrain(t *testing.T) {
 		t.Fatal("second drain must be empty")
 	}
 }
-
-// TestWorkerName is the regression test for the id >= 100 bug: the old
-// rune arithmetic produced garbage ("p2kvs-w:0" and worse) past two
-// digits.
-func TestWorkerName(t *testing.T) {
-	cases := map[int]string{
-		0:   "p2kvs-w00",
-		7:   "p2kvs-w07",
-		42:  "p2kvs-w42",
-		99:  "p2kvs-w99",
-		100: "p2kvs-w100",
-		123: "p2kvs-w123",
-	}
-	for id, want := range cases {
-		if got := workerName(id); got != want {
-			t.Errorf("workerName(%d) = %q, want %q", id, got, want)
-		}
-	}
-}

@@ -9,7 +9,6 @@ import (
 
 	"p2kvs/internal/hotcache"
 	"p2kvs/internal/kv"
-	"p2kvs/internal/metrics"
 	"p2kvs/internal/repl"
 	"p2kvs/internal/reshard"
 )
@@ -24,7 +23,6 @@ type worker struct {
 	obm    bool
 	max    int
 	pin    bool
-	meter  *metrics.Meter
 
 	wg sync.WaitGroup
 
@@ -57,6 +55,7 @@ type worker struct {
 	batches     atomic.Int64
 	batchedOps  atomic.Int64
 	queueWaitNs atomic.Int64
+	busyNs      atomic.Int64
 	directReads atomic.Int64
 
 	// Engine-level batching stats: ops that reached the engine inside a
@@ -139,9 +138,6 @@ func (s *Store) newWorker(id int, engine kv.Engine) *worker {
 	w.cr, _ = w.engine.(kv.CompactionStatsReporter)
 	w.ck, _ = w.engine.(kv.Checkpointer)
 	w.sc, _ = w.engine.(kv.Scrubber)
-	if opts.Meters != nil {
-		w.meter = opts.Meters.Meter(workerName(id))
-	}
 	return w
 }
 
@@ -162,10 +158,6 @@ func (w *worker) degradedErr() error {
 		return fmt.Errorf("core: shard %d: %w", w.id, kv.ErrDegraded)
 	}
 	return nil
-}
-
-func workerName(id int) string {
-	return fmt.Sprintf("p2kvs-w%02d", id)
 }
 
 func (w *worker) start() {
@@ -197,23 +189,18 @@ func (w *worker) loop() {
 			}
 			return
 		}
-		if w.meter != nil {
-			w.meter.Busy()
-		}
 		now := time.Now()
 		for _, r := range reqs {
 			w.queueWaitNs.Add(int64(now.Sub(r.enqueuedAt)))
 		}
 		w.execute(reqs)
+		w.busyNs.Add(int64(time.Since(now)))
 		// Only now, with the run applied to the engine — not when it was
 		// dequeued: a direct read (Store.submit) that finds pending zero
 		// must find every earlier submission in the engine.
 		w.q.pending.Add(-int64(len(reqs)))
 		clear(reqs) // completed requests belong to their submitters again
 		scratch = reqs
-		if w.meter != nil {
-			w.meter.Idle()
-		}
 	}
 }
 
@@ -529,6 +516,10 @@ type WorkerStats struct {
 	BatchWriteOps int64 `json:"batch_write_ops" agg:"sum" info:"Store"`
 	MultiGetOps   int64 `json:"multiget_ops" agg:"sum" info:"Store"`
 	QueueWaitUs   int64 `json:"queue_wait_us" agg:"sum" info:"Store"`
+	// BusyUs is the time the worker goroutine spent executing batches — the
+	// paper's per-core CPU utilization (Table 2, Figure 21) is BusyUs over
+	// the measured window.
+	BusyUs int64 `json:"busy_us" agg:"sum" info:"Store"`
 	// Rejected counts requests bounced by admission control with
 	// kv.ErrOverloaded (AdmitReject / AdmitWait on a full queue).
 	Rejected int64 `json:"rejected" agg:"sum" info:"Store"`
@@ -564,6 +555,7 @@ func (w *worker) stats() WorkerStats {
 		BatchWriteOps:      w.batchWriteOps.Load(),
 		MultiGetOps:        w.multiGetOps.Load(),
 		QueueWaitUs:        w.queueWaitNs.Load() / 1e3,
+		BusyUs:             w.busyNs.Load() / 1e3,
 		Rejected:           w.rejected.Load(),
 		Expired:            w.expired.Load(),
 		Shed:               w.shed.Load(),

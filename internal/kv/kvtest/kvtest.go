@@ -46,10 +46,6 @@ type Config struct {
 // caps is what one configuration can do, as the suite probed it.
 type caps struct {
 	batch, multiget, gsn, health, checkpoint, scrub bool
-	// emptyKey: the engine stores the zero-length key. One that cannot
-	// must refuse it (an acknowledged write is never lost), and the model
-	// then leaves it out.
-	emptyKey bool
 }
 
 // Run checks cfg's engine against the whole contract, one subtest per case.
@@ -116,14 +112,6 @@ func probe(t *testing.T, cfg Config) caps {
 	_, c.health = e.(kv.HealthReporter)
 	_, c.checkpoint = e.(kv.Checkpointer)
 	_, c.scrub = e.(kv.Scrubber)
-	if err := e.Put(nil, []byte("v")); err == nil {
-		c.emptyKey = true
-	} else {
-		t.Logf("kvtest: the engine refuses the empty key (%v); the model leaves it out", err)
-		if _, err := e.Get(nil); !errors.Is(err, kv.ErrNotFound) {
-			t.Fatalf("Get of the refused empty key: %v, want kv.ErrNotFound", err)
-		}
-	}
 	return c
 }
 
@@ -219,9 +207,7 @@ func model(t *testing.T, cfg Config, c caps, seed int64) {
 	for i := range pool {
 		pool[i] = fmt.Sprintf("key-%03d", i)
 	}
-	if c.emptyKey {
-		pool[0] = ""
-	}
+	pool[0] = ""
 	want := map[string][]byte{}
 	value := func(i int) []byte {
 		switch rng.Intn(8) {

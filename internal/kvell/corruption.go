@@ -64,10 +64,23 @@ func (w *worker) corruptSlotErr(class int, slot int64, detail string) error {
 	}
 }
 
+// slotKeyLen reads a slot's klen: the key length, and whether the slot is
+// live (neither never written nor freed).
+func slotKeyLen(rec []byte) (klen int, live bool) {
+	switch k := binary.LittleEndian.Uint16(rec); k {
+	case 0, freeMark:
+		return 0, false
+	case emptyKeyMark:
+		return 0, true
+	default:
+		return int(k), true
+	}
+}
+
 // verifySlot checks a live slot image (header already known non-free).
 // It returns the parsed klen/vlen on success.
 func (w *worker) verifySlot(rec []byte, class int, slot int64) (klen, vlen int, err error) {
-	klen = int(binary.LittleEndian.Uint16(rec))
+	klen, _ = slotKeyLen(rec)
 	vlen = int(binary.LittleEndian.Uint32(rec[2:]))
 	if slotHdr+klen+vlen > len(rec) {
 		return 0, 0, w.corruptSlotErr(class, slot, "kvell: slot header out of bounds")
@@ -136,7 +149,7 @@ func (w *worker) scrubSlab(class int) (bytes, corrupt int64) {
 		bytes += int64(len(chunk))
 		for i := int64(0); i < n; i++ {
 			rec := chunk[i*sl.slotSize : (i+1)*sl.slotSize]
-			if klen := binary.LittleEndian.Uint16(rec); klen == freeMark || klen == 0 {
+			if _, live := slotKeyLen(rec); !live {
 				continue
 			}
 			if _, _, err := w.verifySlot(rec, class, base+i); err != nil {

@@ -8,10 +8,10 @@
 //
 // Slot layout inside a slab: klen u16 | vlen u32 | crc u32 | key | value,
 // padded to the class size, where crc is a CRC-32C over key||value
-// (at-rest integrity, corruption.go). klen == 0xFFFF marks a free slot
-// (tombstone), which is how recovery distinguishes live items when it
-// rebuilds the in-memory index by scanning the slabs (KVell's documented
-// recovery strategy).
+// (at-rest integrity, corruption.go). klen 0 marks a never-written slot and
+// 0xFFFF a freed one (tombstone), which is how recovery distinguishes live
+// items when it rebuilds the in-memory index by scanning the slabs (KVell's
+// documented recovery strategy); the empty key is stored under klen 0xFFFE.
 package kvell
 
 import (
@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"p2kvs/internal/block"
@@ -28,7 +29,6 @@ import (
 	"p2kvs/internal/bptree"
 	"p2kvs/internal/guard"
 	"p2kvs/internal/kv"
-	"p2kvs/internal/metrics"
 	"p2kvs/internal/vfs"
 )
 
@@ -44,9 +44,6 @@ type Options struct {
 	CacheBytes int64
 	// QueueDepth bounds each worker's request queue. Default 64.
 	QueueDepth int
-	// Meters, when non-nil, receives one busy-time meter per worker
-	// (Figure 21d per-core utilization).
-	Meters *metrics.Group
 	// PerOpCost models the per-request software path (index walk, slab
 	// bookkeeping) in simulated time; zero for production use, set by
 	// the scaled-time benchmarks.
@@ -55,7 +52,12 @@ type Options struct {
 
 var slabClasses = []int{128, 256, 512, 1024, 2048, 4096}
 
-const freeMark = 0xFFFF
+// Slot klen values that are not key lengths: slab classes cap a key far
+// below either.
+const (
+	freeMark     = 0xFFFF // a freed slot
+	emptyKeyMark = 0xFFFE // a live slot holding the zero-length key
+)
 
 type loc struct {
 	class int   // index into slabClasses
@@ -109,8 +111,8 @@ type worker struct {
 	fs        vfs.FS
 	dir       string
 	queue     chan *request
-	meter     *metrics.Meter
 	perOpCost time.Duration
+	busyNs    atomic.Int64 // time spent handling requests (Metrics.BusyNs)
 	// g is the store's guard: a space-exhaustion write failure degrades
 	// it, a detected slot corruption is counted by it.
 	g *guard.Guard
@@ -167,9 +169,6 @@ func Open(dir string, opts Options) (*Store, error) {
 			cache:     newPageCache(opts.CacheBytes / int64(opts.Workers)),
 			perOpCost: opts.PerOpCost,
 			g:         s.g,
-		}
-		if opts.Meters != nil {
-			w.meter = opts.Meters.Meter(fmt.Sprintf("kvell-w%d", i))
 		}
 		if err := w.open(); err != nil {
 			return nil, err
@@ -245,8 +244,7 @@ func (w *worker) open() error {
 			for i := int64(0); i < n; i++ {
 				rec := chunk[i*sl.slotSize : (i+1)*sl.slotSize]
 				slot := base + i
-				klen := binary.LittleEndian.Uint16(rec)
-				if klen == freeMark || klen == 0 {
+				if _, live := slotKeyLen(rec); !live {
 					sl.free = append(sl.free, slot)
 					continue
 				}
@@ -289,13 +287,9 @@ func classFor(need int) (int, error) {
 func (w *worker) loop() {
 	defer w.wg.Done()
 	for req := range w.queue {
-		if w.meter != nil {
-			w.meter.Busy()
-		}
+		start := time.Now()
 		w.handle(req)
-		if w.meter != nil {
-			w.meter.Idle()
-		}
+		w.busyNs.Add(int64(time.Since(start)))
 		close(req.done)
 	}
 }
@@ -356,7 +350,7 @@ func (w *worker) readSlot(l loc, key []byte) ([]byte, error) {
 	if _, err := sl.f.ReadAt(buf, l.slot*sl.slotSize); err != nil {
 		return nil, err
 	}
-	if klen := binary.LittleEndian.Uint16(buf); klen == freeMark || klen == 0 {
+	if _, live := slotKeyLen(buf); !live {
 		err := w.corruptSlotErr(l.class, l.slot, "kvell: indexed slot marked free on disk")
 		w.g.NoteCorruption(err)
 		return nil, err
@@ -398,7 +392,11 @@ func (w *worker) put(key, value []byte) error {
 	}
 
 	buf := make([]byte, sl.slotSize)
-	binary.LittleEndian.PutUint16(buf, uint16(len(key)))
+	klen := uint16(len(key))
+	if klen == 0 {
+		klen = emptyKeyMark
+	}
+	binary.LittleEndian.PutUint16(buf, klen)
 	binary.LittleEndian.PutUint32(buf[2:], uint32(len(value)))
 	copy(buf[slotHdr:], key)
 	copy(buf[slotHdr+len(key):], value)
@@ -490,15 +488,8 @@ func (s *Store) submit(w *worker, req *request) error {
 	return req.err
 }
 
-var errEmptyKey = errors.New("kvell: the empty key cannot be stored")
-
-// Put implements kv.Engine. The slot format spends klen 0 on "never
-// written", so the empty key has no durable form: it is refused, not
-// acknowledged and lost at the next recovery.
+// Put implements kv.Engine.
 func (s *Store) Put(key, value []byte) error {
-	if len(key) == 0 {
-		return errEmptyKey
-	}
 	return s.submit(s.pick(key), &request{op: kv.OpPut, key: key, value: value})
 }
 
@@ -595,11 +586,13 @@ func (s *Store) Flush() error {
 func (s *Store) Caps() kv.Caps { return kv.Caps{} }
 
 // Metrics reports memory accounting (Figure 21b): in-memory indexes plus
-// page cache.
+// page cache; and the workers' summed busy time, over which Figure 21d's
+// per-core utilization is computed.
 type Metrics struct {
 	IndexBytes int64
 	CacheBytes int64
 	Keys       int
+	BusyNs     int64
 }
 
 // Metrics snapshots the store. Approximate: indexes are read without
@@ -610,6 +603,7 @@ func (s *Store) Metrics() Metrics {
 		m.IndexBytes += w.index.ApproxBytes()
 		m.CacheBytes += w.cache.bytes()
 		m.Keys += w.index.Len()
+		m.BusyNs += w.busyNs.Load()
 	}
 	return m
 }

@@ -3,6 +3,7 @@ package kvell
 import (
 	"fmt"
 	"testing"
+	"time"
 
 	"p2kvs/internal/vfs"
 )
@@ -113,6 +114,30 @@ func TestMetrics(t *testing.T) {
 	defer s.Close()
 	if m := s.Metrics(); m.Keys != 99 {
 		t.Fatalf("recovered %d keys, want 99", m.Keys)
+	}
+}
+
+// TestMetricsBusyTime: BusyNs adds up the time workers spend on requests
+// and nothing of the time they wait for one.
+func TestMetricsBusyTime(t *testing.T) {
+	const perOp, n = 2 * time.Millisecond, 10
+	s, err := Open("kvell", Options{FS: vfs.NewMem(), Workers: 2, PerOpCost: perOp})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	for i := 0; i < n; i++ {
+		if err := s.Put([]byte(fmt.Sprintf("k%d", i)), []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	busy := s.Metrics().BusyNs
+	if busy < int64(n*perOp) {
+		t.Fatalf("BusyNs = %v after %d requests of %v each", time.Duration(busy), n, perOp)
+	}
+	time.Sleep(20 * time.Millisecond)
+	if idle := s.Metrics().BusyNs - busy; idle != 0 {
+		t.Fatalf("idle workers accrued %v of busy time", time.Duration(idle))
 	}
 }
 

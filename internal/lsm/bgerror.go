@@ -181,10 +181,6 @@ func (d *DB) Resume() error {
 	d.kick()
 	d.cond.Broadcast()
 	d.mu.Unlock()
-	if !d.opts.BackgroundCompaction {
-		for d.flushOne() {
-		}
-	}
 	return nil
 }
 

@@ -10,11 +10,10 @@ import (
 	"p2kvs/internal/vfs"
 )
 
-// faultOpts is smallOpts with foreground maintenance and a fast, small
-// retry budget so degradation is reachable in test time.
+// faultOpts is smallOpts with manual maintenance and a fast, small retry
+// budget so degradation is reachable in test time.
 func faultOpts(fs vfs.FS) Options {
-	o := smallOpts(fs)
-	o.BackgroundCompaction = false
+	o := manualOpts(smallOpts(fs))
 	o.BgMaxRetries = 3
 	o.BgBaseBackoff = time.Millisecond
 	o.BgMaxBackoff = 4 * time.Millisecond

@@ -87,7 +87,7 @@ func (d *DB) claimManualJob(level int, begin, end []byte) (*compactionJob, error
 		if d.opts.Style == Fragmented && level < manifest.NumLevels-2 {
 			job = &compactionJob{
 				level: level, out: out, inputs: inputs,
-				lo: lo, hi: hi, wholeLevel: true, fragmented: true, manual: true,
+				lo: lo, hi: hi, wholeLevel: true, fragmented: true,
 				dropTombs: d.noDataBelow(v, out, lo, hi) && len(v.Levels[out]) == 0,
 			}
 			if d.conflictsLocked(job) {
@@ -95,9 +95,6 @@ func (d *DB) claimManualJob(level int, begin, end []byte) (*compactionJob, error
 			}
 		} else {
 			job = d.finishLeveledJobLocked(v, level, inputs)
-			if job != nil {
-				job.manual = true
-			}
 		}
 		if job != nil {
 			d.startJobLocked(job)

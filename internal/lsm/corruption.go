@@ -239,61 +239,73 @@ var _ kv.Scrubber = (*DB)(nil)
 // files already quarantined get a repair retry instead of a futile
 // re-read. Live WALs are not scanned: their tail is being appended
 // concurrently, and every record is CRC-checked at replay, which is the
-// only time WAL bytes are trusted.
+// only time WAL bytes are trusted. A compaction during the pass retires
+// tables it listed and writes ones it did not, so the pass lists the version
+// again until no table is new — at most four times.
 func (d *DB) Scrub(ctx context.Context, lim kv.RateLimiter) (kv.ScrubResult, error) {
 	var res kv.ScrubResult
 	if d.closed.Load() {
 		return res, kv.ErrClosed
 	}
-	d.mu.Lock()
-	v := d.vs.Current()
-	var files []*manifest.FileMeta
-	for _, level := range v.Levels {
-		files = append(files, level...)
-	}
-	d.mu.Unlock()
-	for _, fm := range files {
-		if err := ctx.Err(); err != nil {
-			return res, err
-		}
-		if d.quarErr(fm.Num) != nil {
-			if d.tryRepair(fm.Num) {
-				res.FilesRepaired++
+	visited := make(map[uint64]bool)
+	for round := 0; round < 4; round++ {
+		d.mu.Lock()
+		var files []*manifest.FileMeta
+		for _, level := range d.vs.Current().Levels {
+			for _, fm := range level {
+				if !visited[fm.Num] {
+					visited[fm.Num] = true
+					files = append(files, fm)
+				}
 			}
-			continue
 		}
-		if lim != nil {
-			if err := lim.WaitN(ctx, int(fm.Size)); err != nil {
+		d.mu.Unlock()
+		if len(files) == 0 {
+			break
+		}
+		for _, fm := range files {
+			if err := ctx.Err(); err != nil {
 				return res, err
 			}
-		}
-		r, err := d.tcache.get(fm.Num)
-		if err == nil {
-			var n int64
-			n, err = r.Verify()
-			res.FilesScanned++
-			res.BytesScanned += n
-		}
-		if err == nil {
-			continue
-		}
-		if isStaleFileErr(err) {
-			continue // compacted away mid-scrub
-		}
-		if errors.Is(err, kv.ErrCorruption) {
-			d.g.NoteCorruption(err)
-			res.CorruptionsFound++
-			num, ok := corruptFileNum(err)
-			if !ok {
-				num = fm.Num
+			if d.quarErr(fm.Num) != nil {
+				if d.tryRepair(fm.Num) {
+					res.FilesRepaired++
+				}
+				continue
 			}
-			d.recordCorruption(num, err)
-			if d.tryRepair(num) {
-				res.FilesRepaired++
+			if lim != nil {
+				if err := lim.WaitN(ctx, int(fm.Size)); err != nil {
+					return res, err
+				}
 			}
-			continue
+			r, err := d.tcache.get(fm.Num)
+			if err == nil {
+				var n int64
+				n, err = r.Verify()
+				res.FilesScanned++
+				res.BytesScanned += n
+			}
+			if err == nil {
+				continue
+			}
+			if isStaleFileErr(err) {
+				continue // compacted away mid-scrub; its outputs are listed next round
+			}
+			if errors.Is(err, kv.ErrCorruption) {
+				d.g.NoteCorruption(err)
+				res.CorruptionsFound++
+				num, ok := corruptFileNum(err)
+				if !ok {
+					num = fm.Num
+				}
+				d.recordCorruption(num, err)
+				if d.tryRepair(num) {
+					res.FilesRepaired++
+				}
+				continue
+			}
+			return res, err
 		}
-		return res, err
 	}
 	return res, nil
 }

@@ -157,11 +157,9 @@ func OpenWith(dir string, opts Options, oo OpenOptions) (*DB, error) {
 			return nil, err
 		}
 	}
-	if opts.BackgroundCompaction {
-		d.bgWG.Add(2)
-		go d.flushLoop()
-		go d.compactLoop()
-	}
+	d.bgWG.Add(2)
+	go d.flushLoop()
+	go d.compactLoop()
 	return d, nil
 }
 
@@ -376,17 +374,7 @@ func (d *DB) WriteGSN(b *kv.Batch, gsn uint64) error {
 	h := d.memH
 	h.writers.Add(1)
 	d.mu.Unlock()
-	// The pin must drop before maybeRotate: with synchronous flush
-	// (BackgroundCompaction off) rotation flushes inline, and flushOne
-	// waits out h.writers — still holding our own pin there deadlocks.
-	released := false
-	release := func() {
-		if !released {
-			released = true
-			h.writers.Done()
-		}
-	}
-	defer release()
+	defer h.writers.Done()
 
 	n := uint64(b.Len())
 	baseSeq := d.seq.Add(n) - n + 1
@@ -418,7 +406,6 @@ func (d *DB) WriteGSN(b *kv.Batch, gsn uint64) error {
 	d.perf.userBytes.Add(int64(b.Size()))
 	d.perf.totalNs.Add(int64(time.Since(start)))
 
-	release()
 	d.maybeRotate(h)
 	return nil
 }
@@ -430,9 +417,6 @@ func (d *DB) WriteGSN(b *kv.Batch, gsn uint64) error {
 // L0 pressure, so throughput degrades smoothly instead of falling off the
 // stall cliff (RocksDB's delayed-write path).
 func (d *DB) maybeStall() error {
-	if !d.opts.BackgroundCompaction {
-		return nil
-	}
 	d.mu.Lock()
 	waited := time.Time{}
 	for d.g.Err() == nil && !d.closed.Load() &&
@@ -485,9 +469,6 @@ func (d *DB) maybeRotate(h *memHandle) {
 	}
 	d.rotateLocked()
 	d.mu.Unlock()
-	if !d.opts.BackgroundCompaction {
-		d.flushOne()
-	}
 }
 
 // rotateLocked retires the current memtable into the flush queue and
@@ -800,13 +781,6 @@ func (d *DB) Flush() error {
 	if !d.memH.mem.Empty() {
 		d.rotateLocked()
 	}
-	d.mu.Unlock()
-	if !d.opts.BackgroundCompaction {
-		for d.flushOne() {
-		}
-		return d.g.Err()
-	}
-	d.mu.Lock()
 	for len(d.imm) > 0 && d.g.Err() == nil && !d.closed.Load() {
 		d.kick()
 		d.cond.Wait()
@@ -845,7 +819,6 @@ func (d *DB) CompactAll() error {
 			d.mu.Unlock()
 			return nil
 		}
-		job.manual = true
 		d.startJobLocked(job)
 		d.mu.Unlock()
 		err := d.execJob(job)

@@ -22,6 +22,17 @@ func smallOpts(fs vfs.FS) Options {
 	return o
 }
 
+// manualOpts leaves o's flush and compaction goroutines nothing to start on
+// their own: no write fills a memtable, and no L0 count or level size
+// schedules a compaction or slows a writer. Only explicit Flush and
+// CompactRange calls do work, so a test can count exactly what they did.
+func manualOpts(o Options) Options {
+	o.MemTableSize = 1 << 30
+	o.L0CompactionTrigger, o.L0SlowdownTrigger, o.L0StallTrigger = 1<<20, 1<<20, 1<<20
+	o.BaseLevelSize = 1 << 40
+	return o
+}
+
 func presets(fs vfs.FS) map[string]Options {
 	shrink := func(o Options) Options {
 		o.MemTableSize = 16 << 10

@@ -103,9 +103,6 @@ type Options struct {
 	// MultiGet enables the batched-read capability (RocksDB has it,
 	// LevelDB does not).
 	MultiGet bool
-	// BackgroundCompaction runs flush/compaction in background goroutines
-	// (default true). Tests may disable it to drive compaction manually.
-	BackgroundCompaction bool
 	// BlockCacheSize is the per-instance data-block cache budget (the
 	// paper's RocksDB instances run an 8 MB block cache, §5.5). 0 uses
 	// the default; negative disables caching.
@@ -189,12 +186,11 @@ func (o Options) withDefaults() Options {
 // writes, multiget, async WAL.
 func RocksDBOptions(fs vfs.FS) Options {
 	return Options{
-		FS:                   fs,
-		ConcurrentMemTable:   true,
-		PipelinedWrite:       true,
-		MultiGet:             true,
-		Style:                Leveled,
-		BackgroundCompaction: true,
+		FS:                 fs,
+		ConcurrentMemTable: true,
+		PipelinedWrite:     true,
+		MultiGet:           true,
+		Style:              Leveled,
 	}
 }
 
@@ -202,9 +198,8 @@ func RocksDBOptions(fs vfs.FS) Options {
 // memtable, serialized write path, batch-write but no multiget.
 func LevelDBOptions(fs vfs.FS) Options {
 	return Options{
-		FS:                   fs,
-		Style:                Leveled,
-		BackgroundCompaction: true,
+		FS:    fs,
+		Style: Leveled,
 	}
 }
 

@@ -147,11 +147,7 @@ func TestGetAllocs(t *testing.T) {
 // key has its filter consulted exactly once per lookup — it is either a
 // bloom skip or a table probe, never both and never twice.
 func TestOneBloomEvaluationPerProbedTable(t *testing.T) {
-	opts := RocksDBOptions(vfs.NewMem())
-	opts.BackgroundCompaction = false
-	opts.L0CompactionTrigger = 1 << 20 // keep every flushed table in L0
-	opts.L0SlowdownTrigger, opts.L0StallTrigger = 1<<20, 1<<20
-	db, err := Open("db", opts)
+	db, err := Open("db", manualOpts(RocksDBOptions(vfs.NewMem()))) // every flushed table stays in L0
 	if err != nil {
 		t.Fatal(err)
 	}

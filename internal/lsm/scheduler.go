@@ -46,7 +46,6 @@ type compactionJob struct {
 	wholeLevel bool                 // fragmented jobs lock the whole level pair
 	fragmented bool                 // merge inputs only, append to out
 	dropTombs  bool
-	manual     bool // CompactRange / CompactAll job (runs on the caller)
 }
 
 // rangesOverlap reports whether [alo, ahi] and [blo, bhi] intersect

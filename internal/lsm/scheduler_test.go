@@ -189,8 +189,7 @@ func TestParallelCompactionStress(t *testing.T) {
 // subcompaction splitter and checks the stitched result is complete,
 // ordered and actually used the parallel path.
 func TestSubcompactionsStitched(t *testing.T) {
-	o := smallOpts(vfs.NewMem())
-	o.BackgroundCompaction = false
+	o := manualOpts(smallOpts(vfs.NewMem()))
 	o.MaxSubCompactions = 4
 	db, err := Open("db", o)
 	if err != nil {
@@ -213,7 +212,7 @@ func TestSubcompactionsStitched(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := db.CompactAll(); err != nil {
+	if err := db.CompactRange(nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	if got := db.CompactionStats().Subcompactions; got < 2 {
@@ -247,9 +246,7 @@ func TestSubcompactionsStitched(t *testing.T) {
 func TestMergeFilesCleanupOnError(t *testing.T) {
 	mem := vfs.NewMem()
 	ffs := vfs.NewFault(mem)
-	o := smallOpts(ffs)
-	o.BackgroundCompaction = false
-	db, err := Open("db", o)
+	db, err := Open("db", manualOpts(smallOpts(ffs)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,8 +282,8 @@ func TestMergeFilesCleanupOnError(t *testing.T) {
 	// Every SST write fails: the merge dies mid-flight, after possibly
 	// finishing one or more outputs.
 	ffs.Inject(vfs.Rule{Op: vfs.OpWrite, Path: ".sst", Prob: 1})
-	if err := db.CompactAll(); err == nil {
-		t.Fatal("CompactAll succeeded despite injected SST write faults")
+	if err := db.CompactRange(nil, nil); err == nil {
+		t.Fatal("CompactRange succeeded despite injected SST write faults")
 	}
 	ffs.ClearRules()
 
@@ -303,7 +300,7 @@ func TestMergeFilesCleanupOnError(t *testing.T) {
 	}
 
 	// The engine must still work: same merge, no faults.
-	if err := db.CompactAll(); err != nil {
+	if err := db.CompactRange(nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 300; i++ {
@@ -320,9 +317,8 @@ func TestMergeFilesCleanupOnError(t *testing.T) {
 // must append to L1 without rewriting L1's existing files, and must not
 // drop tombstones while the output level is non-empty.
 func TestCompactRangeFragmentedKeepsNextLevel(t *testing.T) {
-	o := smallOpts(vfs.NewMem())
+	o := manualOpts(smallOpts(vfs.NewMem()))
 	o.Style = Fragmented
-	o.BackgroundCompaction = false
 	db, err := Open("db", o)
 	if err != nil {
 		t.Fatal(err)

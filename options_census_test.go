@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -15,8 +16,9 @@ import (
 // command-line flag set (loadgen.StoreFlags — the four binaries) or carry
 // a reason here; every field of lsm.Options must be assigned by some
 // non-test source file (a preset, the facade, an internal/bench
-// experiment) or carry a reason here. A field that fails is a constant in
-// disguise: delete it, or — if it has a real second value — wire it up.
+// experiment), and not set to one and the same literal by all of them, or
+// carry a reason here. A field that fails is a constant in disguise: delete
+// it, or — if it has a real second value — wire it up.
 
 // notFlags: Options fields no flag sets, and why they stay.
 var notFlags = map[string]string{
@@ -57,7 +59,9 @@ func TestOptionsCensus(t *testing.T) {
 	// Every non-test Go file of the product and of the benchmark module
 	// (examples do not count as users); withDefaults assigns defaults,
 	// not values in use.
-	used := assignedFields(t, goFiles(t, ".", "cmd", "internal", "benchmark"), "withDefaults")
+	files := goFiles(t, ".", "cmd", "internal", "benchmark")
+	used := assignedFields(t, files, "withDefaults")
+	single := oneValueFields(t, files, "withDefaults")
 	for _, f := range reflect.VisibleFields(reflect.TypeOf(lsm.Options{})) {
 		_, excused := testShaped[f.Name]
 		switch {
@@ -65,6 +69,8 @@ func TestOptionsCensus(t *testing.T) {
 			t.Errorf("lsm.Options.%s is assigned by non-test code and also excused in testShaped: drop the excuse", f.Name)
 		case !used[f.Name] && !excused:
 			t.Errorf("lsm.Options.%s is assigned by no non-test file and has no entry in testShaped: make it a constant", f.Name)
+		case single[f.Name] != "" && !excused:
+			t.Errorf("lsm.Options.%s is %s in every non-test literal and assignment: a knob with one value in use is a constant", f.Name, single[f.Name])
 		}
 	}
 	for name := range testShaped {
@@ -110,4 +116,126 @@ func assignedFields(t *testing.T, files []string, skipFunc string) map[string]bo
 		})
 	}
 	return out
+}
+
+// oneValueFields returns the lsm.Options fields that every composite literal
+// of that type and every x.F = … assignment in files (outside skipFunc) set
+// to one and the same literal, with that literal; a composite literal that
+// omits a field sets it to its zero value. Anything but a literal — a
+// variable, a call, a named constant, a flag binding (&x.F) — counts as a
+// value of its own. Like assignedFields it is syntactic, so a same-named
+// field of another struct can only excuse a knob, never condemn one.
+func oneValueFields(t *testing.T, files []string, skipFunc string) map[string]string {
+	t.Helper()
+	const dynamic = "(not a literal)"
+	values := map[string]map[string]bool{}
+	for _, f := range reflect.VisibleFields(reflect.TypeOf(lsm.Options{})) {
+		values[f.Name] = map[string]bool{}
+	}
+	note := func(field, v string) {
+		if vs, ok := values[field]; ok {
+			vs[v] = true
+		}
+	}
+	fset := token.NewFileSet()
+	for _, name := range files {
+		f, err := parser.ParseFile(fset, name, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inLSM := filepath.Dir(name) == filepath.Join("internal", "lsm")
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.FuncDecl:
+				return n.Name.Name != skipFunc || skipFunc == ""
+			case *ast.CompositeLit:
+				if !isLSMOptions(n.Type, inLSM) {
+					return true
+				}
+				set := map[string]string{}
+				for _, elt := range n.Elts {
+					if kv, ok := elt.(*ast.KeyValueExpr); ok {
+						if id, ok := kv.Key.(*ast.Ident); ok {
+							set[id.Name] = literal(kv.Value, dynamic)
+						}
+					}
+				}
+				for field := range values {
+					if v, ok := set[field]; ok {
+						note(field, v)
+					} else {
+						note(field, "the zero value")
+					}
+				}
+			case *ast.AssignStmt:
+				for i, lhs := range n.Lhs {
+					if sel, ok := lhs.(*ast.SelectorExpr); ok {
+						v := dynamic
+						if n.Tok == token.ASSIGN && len(n.Rhs) == len(n.Lhs) {
+							v = literal(n.Rhs[i], dynamic)
+						}
+						note(sel.Sel.Name, v)
+					}
+				}
+			case *ast.UnaryExpr:
+				if sel, ok := n.X.(*ast.SelectorExpr); ok && n.Op == token.AND {
+					note(sel.Sel.Name, dynamic)
+				}
+			}
+			return true
+		})
+	}
+	out := map[string]string{}
+	for field, vs := range values {
+		if len(vs) == 1 && !vs[dynamic] {
+			for v := range vs {
+				out[field] = v
+			}
+		}
+	}
+	return out
+}
+
+// isLSMOptions reports whether a composite literal's type is lsm.Options
+// (spelled Options inside package lsm).
+func isLSMOptions(typ ast.Expr, inLSM bool) bool {
+	switch typ := typ.(type) {
+	case *ast.SelectorExpr:
+		pkg, ok := typ.X.(*ast.Ident)
+		return ok && pkg.Name == "lsm" && typ.Sel.Name == "Options"
+	case *ast.Ident:
+		return inLSM && typ.Name == "Options"
+	}
+	return false
+}
+
+// literal spells a constant expression made of literals — 4 << 20, true,
+// -1 — with the zero values spelled alike, and anything else as dynamic.
+func literal(e ast.Expr, dynamic string) string {
+	switch e := e.(type) {
+	case *ast.BasicLit:
+		if e.Value == "0" || e.Value == `""` {
+			return "the zero value"
+		}
+		return e.Value
+	case *ast.Ident:
+		switch e.Name {
+		case "false", "nil":
+			return "the zero value"
+		case "true":
+			return "true"
+		}
+	case *ast.ParenExpr:
+		return literal(e.X, dynamic)
+	case *ast.UnaryExpr:
+		if x := literal(e.X, dynamic); x != dynamic {
+			return e.Op.String() + x
+		}
+	case *ast.BinaryExpr:
+		x, y := literal(e.X, dynamic), literal(e.Y, dynamic)
+		if x != dynamic && y != dynamic {
+			return x + " " + e.Op.String() + " " + y
+		}
+	}
+	return dynamic
 }
