@@ -4,6 +4,7 @@ import (
 	"p2kvs/internal/core"
 	"p2kvs/internal/device"
 	"p2kvs/internal/keyspace"
+	"p2kvs/internal/kv"
 	"p2kvs/internal/loadgen"
 	"p2kvs/internal/lsm"
 	"p2kvs/internal/vfs"
@@ -85,38 +86,50 @@ func runAblationPartition(e Env) (*Table, error) {
 	return tbl, nil
 }
 
-// runAblationScan compares the two SCAN strategies from §4.4 across scan
-// sizes. Expected shape: the speculative parallel scan wins at small
-// sizes (latency-bound); the merged iterator closes in as sizes grow and
-// over-read dominates.
+// runAblationScan measures the SCAN path the store picks (§4.4) against the
+// merged iterator walked by the client, across scan sizes and client
+// threads. The store fans a scan out to every worker only when every worker
+// is idle and fewer scans than workers run, and otherwise walks the merged
+// iterator itself; a fan-out runs one closure per worker, so the legs the
+// workers ran over the worker count is the number of fan-outs. Expected
+// shape: one thread fans out every scan and wins several-fold (over-read is
+// free on an idle device); at 16 threads nearly every scan walks and the
+// pick matches the merged walk.
 func runAblationScan(e Env) (*Table, error) {
-	tbl := NewTable("Ablation: SCAN strategy (p2KVS-8, 1 thread)",
-		"scan size", "parallel simQPS", "merged simQPS")
-	for _, size := range ends(e, 10, 100, 1000) {
-		row := []interface{}{size}
-		for _, merged := range []bool{false, true} {
-			s, scale, err := openOn(e, device.NVMe, e.ValueSize, func(fs vfs.FS) (*core.Store, error) {
-				return openP2(fs, "p2", 8, true, lsm.RocksDBOptions, func(o *core.Options) {
-					if merged {
-						o.Scan = core.ScanMerged
-					}
+	const workers = 8
+	tbl := NewTable("Ablation: SCAN path (p2KVS-8, uniform start keys)",
+		"threads", "scan size", "picked simQPS", "merged walk simQPS", "fan-out share %")
+	s, scale, err := openOn(e, device.NVMe, e.ValueSize, func(fs vfs.FS) (*core.Store, error) {
+		return openP2(fs, "p2", workers, true, lsm.RocksDBOptions)
+	})
+	if err != nil {
+		return nil, err
+	}
+	defer s.Close()
+	// walk hides the store's Scan, so loadgen walks its merged iterator on
+	// the client thread: the path a scan takes when the store is busy.
+	walk := struct{ kv.Engine }{s}
+	for _, threads := range ends(e, 1, 4, 16) {
+		for _, size := range ends(e, 10, 100, 1000) {
+			row := []interface{}{threads, size}
+			legs := s.StatsSnapshot().Aggregate.Ops
+			var scans int64 // the store's own, by either path
+			for i, sys := range []loadgen.KV{s, walk} {
+				starts := perThreadChoosers("uniform", threads, e.Keys-size)
+				res, err := e.measure(threads, scale, func(tid, _ int) error {
+					return loadgen.Exec(sys, loadgen.Op{Type: loadgen.OpScan, KeyIdx: starts[tid].Next(), ScanLen: size}, 0, 0, nil)
 				})
-			})
-			if err != nil {
-				return nil, err
+				if err != nil {
+					return nil, err
+				}
+				if i == 0 {
+					scans = res.Ops
+				}
+				row = append(row, res.SimQPS)
 			}
-			ch := loadgen.NewUniform(uint64(e.Keys-size), 3)
-			res, err := e.measure(1, scale, func(_, _ int) error {
-				_, err := s.Scan(loadgen.Key(ch.Next()), size)
-				return err
-			})
-			s.Close()
-			if err != nil {
-				return nil, err
-			}
-			row = append(row, res.SimQPS)
+			fanOuts := float64(s.StatsSnapshot().Aggregate.Ops-legs) / workers
+			tbl.Add(append(row, 100*fanOuts/float64(scans))...)
 		}
-		tbl.Add(row...)
 	}
 	return tbl, nil
 }

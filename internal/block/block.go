@@ -9,7 +9,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
-	"fmt"
 
 	"p2kvs/internal/ikey"
 )
@@ -119,15 +118,6 @@ type Iter struct {
 	keyLen int
 	spill  []byte
 	keyBuf [inlineKey]byte
-}
-
-// NewIter parses an encoded block into a heap-allocated Iter.
-func NewIter(block []byte) (*Iter, error) {
-	it := new(Iter)
-	if err := it.Init(block); err != nil {
-		return nil, err
-	}
-	return it, nil
 }
 
 // Init points the iterator at an encoded block, unpositioned, after checking
@@ -327,24 +317,3 @@ func (it *Iter) Value() []byte { return it.value }
 
 // Err returns the first corruption error encountered.
 func (it *Iter) Err() error { return it.err }
-
-// Get is a convenience point lookup inside one block.
-func Get(blk, key []byte) ([]byte, bool, error) {
-	var it Iter
-	if err := it.Init(blk); err != nil {
-		return nil, false, err
-	}
-	it.Seek(key)
-	if it.Err() != nil {
-		return nil, false, it.Err()
-	}
-	if it.Valid() && bytes.Equal(it.Key(), key) {
-		return it.Value(), true, nil
-	}
-	return nil, false, nil
-}
-
-// String renders a small debug description.
-func (it *Iter) String() string {
-	return fmt.Sprintf("block.Iter{entries-region=%dB restarts=%d}", len(it.data), it.numRestarts())
-}

@@ -293,3 +293,28 @@ func TestLongKeysSpill(t *testing.T) {
 		}
 	}
 }
+
+// NewIter parses an encoded block into a heap-allocated Iter.
+func NewIter(block []byte) (*Iter, error) {
+	it := new(Iter)
+	if err := it.Init(block); err != nil {
+		return nil, err
+	}
+	return it, nil
+}
+
+// Get is a point lookup inside one block.
+func Get(blk, key []byte) ([]byte, bool, error) {
+	var it Iter
+	if err := it.Init(blk); err != nil {
+		return nil, false, err
+	}
+	it.Seek(key)
+	if it.Err() != nil {
+		return nil, false, it.Err()
+	}
+	if it.Valid() && bytes.Equal(it.Key(), key) {
+		return it.Value(), true, nil
+	}
+	return nil, false, nil
+}

@@ -327,40 +327,87 @@ func TestRangeQuery(t *testing.T) {
 	}
 }
 
-func TestScanBothStrategies(t *testing.T) {
-	for _, strat := range []ScanStrategy{ScanParallel, ScanMerged} {
-		fs := vfs.NewMem()
-		opts := DefaultOptions(lsmFactory(fs, "p2"))
-		opts.Workers = 4
-		opts.Scan = strat
-		s, err := Open(opts)
-		if err != nil {
-			t.Fatal(err)
+// TestScanBothPaths: ScanCtx fans out one leg per worker when it has the store
+// to itself, and walks the merged iterator on the caller beside as many scans
+// as workers or beside queued work; both paths read the same pairs, a
+// cancelled context ends either, typed, and scans from many goroutines at
+// once leave none counted in flight.
+func TestScanBothPaths(t *testing.T) {
+	s := openStore(t, vfs.NewMem(), 4)
+	defer s.Close()
+	for i := 0; i < 300; i++ {
+		s.Put([]byte(fmt.Sprintf("s%04d", i)), []byte("v"))
+	}
+	ops := func() (n int64) {
+		for _, ws := range s.Stats() {
+			n += ws.Ops
 		}
-		for i := 0; i < 300; i++ {
-			s.Put([]byte(fmt.Sprintf("s%04d", i)), []byte("v"))
+		return n
+	}
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	settle := func() { // a worker decrements pending after it answers
+		for !s.route.Load().idle() {
+			time.Sleep(100 * time.Microsecond)
 		}
+	}
+	check := func(path string, legs int64) {
+		t.Helper()
+		if legs > 0 {
+			settle()
+		}
+		before := ops()
 		pairs, err := s.Scan([]byte("s0050"), 25)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(pairs) != 25 {
-			t.Fatalf("strategy %v: scan returned %d", strat, len(pairs))
+		if err != nil || len(pairs) != 25 {
+			t.Fatalf("%s: scan returned %d pairs, %v", path, len(pairs), err)
 		}
 		for i, p := range pairs {
-			want := fmt.Sprintf("s%04d", 50+i)
-			if string(p.Key) != want {
-				t.Fatalf("strategy %v: pair %d = %q, want %q", strat, i, p.Key, want)
+			if want := fmt.Sprintf("s%04d", 50+i); string(p.Key) != want {
+				t.Fatalf("%s: pair %d = %q, want %q", path, i, p.Key, want)
 			}
 		}
-		// A cancelled context ends either strategy's scan, typed.
-		ctx, cancel := context.WithCancel(context.Background())
-		cancel()
-		if _, err := s.ScanCtx(ctx, []byte("s0050"), 25); !errors.Is(err, kv.ErrDeadlineExceeded) || !errors.Is(err, context.Canceled) {
-			t.Fatalf("strategy %v: scan under a cancelled context: err = %v, want ErrDeadlineExceeded wrapping context.Canceled", strat, err)
+		if got := ops() - before; got != legs {
+			t.Fatalf("%s: workers ran %d scan legs, want %d", path, got, legs)
 		}
-		s.Close()
+		if legs > 0 {
+			settle()
+		}
+		if _, err := s.ScanCtx(cancelled, []byte("s0050"), 25); !errors.Is(err, kv.ErrDeadlineExceeded) || !errors.Is(err, context.Canceled) {
+			t.Fatalf("%s: scan under a cancelled context: err = %v, want ErrDeadlineExceeded wrapping context.Canceled", path, err)
+		}
 	}
+	check("fan-out", 4)
+	s.scans.Add(4)
+	check("beside four scans", 0)
+	s.scans.Add(-4)
+	check("fan-out again", 4)
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 20; i++ {
+				if g == 0 { // writes past the scanned range keep workers busy
+					s.Put([]byte(fmt.Sprintf("t%04d", i)), []byte("v"))
+					continue
+				}
+				if pairs, err := s.Scan([]byte("s0050"), 25); err != nil || len(pairs) != 25 || string(pairs[24].Key) != "s0074" {
+					t.Errorf("concurrent scan: %d pairs, %v", len(pairs), err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if n := s.scans.Load(); n != 0 {
+		t.Fatalf("%d scans still counted in flight", n)
+	}
+	// Park worker 0: the scan must not queue behind it.
+	parked, release := make(chan struct{}), make(chan struct{})
+	defer close(release)
+	go s.ws()[0].do(func(*worker) error { close(parked); <-release; return nil })
+	<-parked
+	check("beside queued work", 0)
 }
 
 func TestGlobalIterator(t *testing.T) {
@@ -506,27 +553,6 @@ func TestEmptyValueIsPresent(t *testing.T) {
 				}
 			})
 		}
-	}
-}
-
-func TestPinnedWorkers(t *testing.T) {
-	fs := vfs.NewMem()
-	opts := DefaultOptions(lsmFactory(fs, "p2"))
-	opts.Workers = 2
-	opts.PinWorkers = true
-	s, err := Open(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	for i := 0; i < 100; i++ {
-		k := []byte(fmt.Sprintf("pin-%03d", i))
-		if err := s.Put(k, k); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if v, err := s.Get([]byte("pin-050")); err != nil || string(v) != "pin-050" {
-		t.Fatalf("Get = %q %v", v, err)
 	}
 }
 

@@ -147,7 +147,7 @@ func TestHotCacheWriteThrough(t *testing.T) {
 	<-eng.entered
 	for _, err := range []error{
 		s.PutAsync(k, []byte("a"), ack),
-		s.DeleteAsync(k, ack),
+		s.PutAsync(k, []byte("a2"), ack),
 		s.PutAsync([]byte("cold"), []byte("b"), ack),
 		s.PutAsync(k, []byte("c"), ack),
 	} {

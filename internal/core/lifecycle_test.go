@@ -308,16 +308,14 @@ func TestAdmitWaitBoundedByDeadline(t *testing.T) {
 		s.Close()
 	}()
 
-	// Fill: one wedged in the engine, one in the queue. Both carry a
-	// deadline (AdmitWait without one is a fast reject).
-	bg, cancelBg := context.WithTimeout(context.Background(), time.Hour)
-	defer cancelBg()
-	if err := s.PutAsyncCtx(bg, shardKey(0, 0), []byte("v"), func(error) {}); err != nil {
+	// Fill: one wedged in the engine, one in the queue (a queue with room
+	// admits a request without a deadline under AdmitWait too).
+	if err := s.PutAsync(shardKey(0, 0), []byte("v"), func(error) {}); err != nil {
 		t.Fatal(err)
 	}
 	waitWedged(t, engines[0], 1)
 
-	if err := s.PutAsyncCtx(bg, shardKey(0, 1), []byte("v"), func(error) {}); err != nil {
+	if err := s.PutAsync(shardKey(0, 1), []byte("v"), func(error) {}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -410,16 +408,16 @@ func TestCtxAPIHappyPath(t *testing.T) {
 	if _, err := s.GetCtx(ctx, []byte("0-missing")); !errors.Is(err, kv.ErrNotFound) {
 		t.Fatalf("GetCtx miss = %v", err)
 	}
-	if err := s.DeleteCtx(ctx, []byte("1-b")); err != nil {
+	if err := s.Delete([]byte("1-b")); err != nil {
 		t.Fatal(err)
 	}
 	vals, err := s.MultiGetCtx(ctx, [][]byte{[]byte("0-a"), []byte("1-b")})
 	if err != nil || string(vals[0]) != "1" || vals[1] != nil {
 		t.Fatalf("MultiGetCtx = %q, %v", vals, err)
 	}
-	pairs, err := s.RangeCtx(ctx, []byte("0-a"), []byte("0-a"))
+	pairs, err := s.ScanCtx(ctx, []byte("0-a"), 1)
 	if err != nil || len(pairs) != 1 || !bytes.Equal(pairs[0].Value, []byte("1")) {
-		t.Fatalf("RangeCtx = %v, %v", pairs, err)
+		t.Fatalf("ScanCtx = %v, %v", pairs, err)
 	}
 	if pairs, err = s.ScanCtx(ctx, nil, 10); err != nil || len(pairs) != 1 {
 		t.Fatalf("ScanCtx = %v, %v", pairs, err)
@@ -440,11 +438,10 @@ func TestCtxAPIExpired(t *testing.T) {
 	if _, err := s.GetCtx(ctx, []byte("0-a")); !errors.Is(err, kv.ErrDeadlineExceeded) {
 		t.Fatalf("GetCtx = %v", err)
 	}
-	if err := s.DeleteCtx(ctx, []byte("0-a")); !errors.Is(err, kv.ErrDeadlineExceeded) {
-		t.Fatalf("DeleteCtx = %v", err)
-	}
-	if _, err := s.RangeCtx(ctx, nil, nil); !errors.Is(err, kv.ErrDeadlineExceeded) {
-		t.Fatalf("RangeCtx = %v", err)
+	var del kv.Batch
+	del.Delete([]byte("0-a"))
+	if err := s.WriteCtx(ctx, &del); !errors.Is(err, kv.ErrDeadlineExceeded) {
+		t.Fatalf("WriteCtx = %v", err)
 	}
 	if _, err := s.ScanCtx(ctx, nil, 5); !errors.Is(err, kv.ErrDeadlineExceeded) {
 		t.Fatalf("ScanCtx = %v", err)

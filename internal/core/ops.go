@@ -16,7 +16,7 @@ import (
 // (queue.go), routes and admits them under the routing read lock
 // (routing.go), and completes through a done channel, a callback or — for
 // multi-leg operations — one fanIn. The single-key ones (GetCtx, PutCtx,
-// DeleteCtx and their callback forms) draw their request from the requests
+// Delete and the callback forms) draw their request from the requests
 // pool; it goes back by the ownership rule stated there.
 
 // writeOne routes a single-key write, carried inline by a pooled request,
@@ -67,12 +67,7 @@ func (s *Store) PutCtx(ctx context.Context, key, value []byte) error {
 
 // Delete implements kv.Engine.
 func (s *Store) Delete(key []byte) error {
-	return s.DeleteCtx(nil, key)
-}
-
-// DeleteCtx is Delete bounded by a context.
-func (s *Store) DeleteCtx(ctx context.Context, key []byte) error {
-	return s.writeOne(ctx, kv.BatchOp{Kind: kv.OpDelete, Key: key}, nil)
+	return s.writeOne(nil, kv.BatchOp{Kind: kv.OpDelete, Key: key}, nil)
 }
 
 // PutAsync is the asynchronous write interface (§4.1): it enqueues and
@@ -81,25 +76,7 @@ func (s *Store) DeleteCtx(ctx context.Context, key []byte) error {
 // copied on the way to the engine: they must stay unmodified until cb runs
 // (or PutAsync returns an error, in which case cb never runs).
 func (s *Store) PutAsync(key, value []byte, cb func(error)) error {
-	return s.PutAsyncCtx(nil, key, value, cb)
-}
-
-// PutAsyncCtx is PutAsync under a context: admission respects the
-// deadline, and a request that expires while queued is shed — cb then
-// receives kv.ErrDeadlineExceeded.
-func (s *Store) PutAsyncCtx(ctx context.Context, key, value []byte, cb func(error)) error {
-	return s.writeOne(ctx, kv.BatchOp{Kind: kv.OpPut, Key: key, Value: value}, cb)
-}
-
-// DeleteAsync is the asynchronous deletion interface; key must stay
-// unmodified until cb runs, as for PutAsync.
-func (s *Store) DeleteAsync(key []byte, cb func(error)) error {
-	return s.DeleteAsyncCtx(nil, key, cb)
-}
-
-// DeleteAsyncCtx is DeleteAsync under a context.
-func (s *Store) DeleteAsyncCtx(ctx context.Context, key []byte, cb func(error)) error {
-	return s.writeOne(ctx, kv.BatchOp{Kind: kv.OpDelete, Key: key}, cb)
+	return s.writeOne(nil, kv.BatchOp{Kind: kv.OpPut, Key: key, Value: value}, cb)
 }
 
 // Get implements kv.Engine.
@@ -225,21 +202,16 @@ func (s *Store) GetCtx(ctx context.Context, key []byte) ([]byte, error) {
 // GetAsync is the asynchronous read interface; cb receives the value (nil
 // when absent along with kv.ErrNotFound). key must stay unmodified until cb
 // runs; the value cb receives is the caller's to keep, exactly as GetCtx's
-// result is.
+// result is. A hot-cache hit runs cb synchronously, before GetAsync returns
+// — the read never enters a queue; a miss always does (the caller asked
+// not to run the read itself). When GetAsync returns an error cb never
+// runs.
 func (s *Store) GetAsync(key []byte, cb func([]byte, error)) error {
-	return s.GetAsyncCtx(nil, key, cb)
-}
-
-// GetAsyncCtx is GetAsync under a context. A hot-cache hit runs cb
-// synchronously, before GetAsyncCtx returns — the read never enters a
-// queue; a miss always does (the caller asked not to run the read itself).
-// When GetAsyncCtx returns an error cb never runs.
-func (s *Store) GetAsyncCtx(ctx context.Context, key []byte, cb func([]byte, error)) error {
 	if v, hit, err := s.hotRead(key); hit {
 		cb(v, err)
 		return nil
 	}
-	_, err := s.submit(ctx, key, s.cache.Snapshot(key), cb)
+	_, err := s.submit(nil, key, s.cache.Snapshot(key), cb)
 	return err
 }
 
@@ -431,9 +403,9 @@ type scanQuery struct {
 	self       int
 }
 
-// scan runs q over it — the one walker behind both scan strategies (a
-// per-worker leg's engine iterator, ScanMerged's global merged one). A ctx
-// that ends mid-walk ends the walk.
+// scan runs q over it — the one walker behind both scan paths (a per-worker
+// leg's engine iterator, the caller's global merged one). A ctx that ends
+// mid-walk ends the walk.
 func (q scanQuery) scan(ctx context.Context, it kv.Iterator) ([]Pair, error) {
 	if q.start == nil {
 		it.SeekToFirst()
@@ -504,31 +476,47 @@ func (s *Store) scanFan(ctx context.Context, q scanQuery) ([]Pair, error) {
 // forked into per-instance sub-RANGEs executed in parallel and merged —
 // no extra reads, since partitions are disjoint.
 func (s *Store) Range(begin, end []byte) ([]Pair, error) {
-	return s.RangeCtx(nil, begin, end)
+	return s.scanFan(nil, scanQuery{start: begin, end: end, limit: math.MaxInt})
 }
 
-// RangeCtx is Range bounded by one context shared by every sub-RANGE leg.
-func (s *Store) RangeCtx(ctx context.Context, begin, end []byte) ([]Pair, error) {
-	return s.scanFan(ctx, scanQuery{start: begin, end: end, limit: math.MaxInt})
-}
-
-// Scan reads up to n pairs with key >= start. Under ScanParallel every
-// instance scans n pairs and the union is filtered (extra reads traded
-// for parallelism, §4.4); under ScanMerged a global merged iterator reads
-// exactly n pairs serially.
+// Scan reads up to n pairs with key >= start, by the path ScanCtx picks.
 func (s *Store) Scan(start []byte, n int) ([]Pair, error) {
 	return s.ScanCtx(nil, start, n)
 }
 
-// ScanCtx is Scan bounded by one context shared by every scan leg.
+// ScanCtx is Scan bounded by one context shared by every scan leg. The store
+// picks the path (§4.4) from observable state, as GetCtx picks the direct
+// read. A scan fans out — each worker scans n pairs of its own and the union
+// is cut to the first n — when every worker is idle (a fan-out in flight
+// keeps them busy) and fewer scans than workers are running: (W-1) × n extra
+// reads buy one leg's latency instead of W serial seeks, and nothing else
+// wants those reads. Otherwise the caller walks the global merged iterator
+// and reads exactly n pairs: a fan-out's legs would queue behind the
+// workers' work, and W scans at once already keep W streams busy, which is
+// all a fan-out adds besides its over-read. Either path reads every write
+// acknowledged before the call; a walk may miss one that is only admitted
+// (a PutAsync whose callback has not run), which a leg would queue behind.
 func (s *Store) ScanCtx(ctx context.Context, start []byte, n int) ([]Pair, error) {
 	if n <= 0 {
 		return nil, nil
 	}
-	if s.opts.Scan == ScanMerged {
-		return s.scanMerged(ctx, start, n)
+	q := scanQuery{start: start, limit: n}
+	running := s.scans.Add(1)
+	defer s.scans.Add(-1)
+	rt := s.route.Load()
+	if running > int64(len(rt.workers)) || !rt.idle() {
+		// Refused before it reaches an engine, as admission refuses a leg.
+		if ctx = liveCtx(ctx); ctx != nil && ctx.Err() != nil {
+			return nil, ctxError(ctx.Err())
+		}
+		it, err := s.NewIterator()
+		if err != nil {
+			return nil, err
+		}
+		defer it.Close()
+		return q.scan(ctx, it)
 	}
-	all, err := s.scanFan(ctx, scanQuery{start: start, limit: n})
+	all, err := s.scanFan(ctx, q)
 	if err != nil {
 		return nil, err
 	}
@@ -536,18 +524,6 @@ func (s *Store) ScanCtx(ctx context.Context, start []byte, n int) ([]Pair, error
 		all = all[:n]
 	}
 	return all, nil
-}
-
-// scanMerged runs the scan on the caller's goroutine over the global merged
-// iterator; like a ScanParallel leg, it ends with kv.ErrDeadlineExceeded
-// when ctx does.
-func (s *Store) scanMerged(ctx context.Context, start []byte, n int) ([]Pair, error) {
-	it, err := s.NewIterator()
-	if err != nil {
-		return nil, err
-	}
-	defer it.Close()
-	return scanQuery{start: start, limit: n}.scan(liveCtx(ctx), it)
 }
 
 // NewIterator implements kv.Engine with a global merged iterator over the

@@ -17,21 +17,6 @@ import (
 // atomicity, matching §4.6's capability-dependent behaviour.
 type EngineFactory func(workerID int, recoverFilter func(gsn uint64) bool) (kv.Engine, error)
 
-// ScanStrategy selects how SCAN(start, n) is executed (§4.4).
-type ScanStrategy int
-
-// Scan strategies.
-const (
-	// ScanParallel runs the same scan-size on every instance in parallel
-	// and filters the union — extra reads, minimum latency; the paper's
-	// recommended mode on fast SSDs.
-	ScanParallel ScanStrategy = iota
-	// ScanMerged drives a global merged iterator over per-instance
-	// iterators, reading exactly n keys serially (the conservative
-	// RocksDB MergeIterator-style approach).
-	ScanMerged
-)
-
 // AdmissionPolicy decides what happens when a request targets a worker
 // whose queue is full (or, for writes, whose engine is degraded).
 type AdmissionPolicy int
@@ -79,13 +64,6 @@ type Options struct {
 	// QueueDepth bounds each worker's request queue (backpressure for
 	// the async interface).
 	QueueDepth int
-	// PinWorkers locks each worker goroutine to an OS thread,
-	// approximating the paper's core pinning (Go cannot bind to a
-	// specific core; LockOSThread removes goroutine migration, the
-	// scheduling noise the paper's 10-15%% binding gain comes from).
-	PinWorkers bool
-	// Scan selects the SCAN strategy.
-	Scan ScanStrategy
 	// Admission selects the overload behaviour of request submission
 	// (default AdmitBlock, the original blocking backpressure).
 	Admission AdmissionPolicy

@@ -292,8 +292,9 @@ func poolIsClean(t *testing.T) {
 
 // TestCallbackRequestRecycledOnce walks a pooled callback request down every
 // way it can end other than the worker executing it — failed by the
-// close-drain, shed at the queue head with an expired context, refused at
-// admission — plus the ordinary one, and checks the ownership rule each time:
+// close-drain, refused at admission — plus the ordinary one, beside pooled
+// synchronous requests shed at the queue head once their waiters gave up,
+// and checks the ownership rule each time:
 // recycled exactly once, by whoever ran the callback, after it returned; and
 // by the submitter, with no callback, when it never reached a queue.
 func TestCallbackRequestRecycledOnce(t *testing.T) {
@@ -313,22 +314,43 @@ func TestCallbackRequestRecycledOnce(t *testing.T) {
 	t.Run("executed and shed", func(t *testing.T) {
 		s, gate, l, done := wedge(t, nil)
 		defer s.Close()
-		// Behind the wedge: live writes and reads, and ones whose context
-		// will have ended by the time the worker reaches them.
+		// Behind the wedge: live callback writes and reads, and synchronous
+		// ones whose waiters give up before the worker reaches them. Those
+		// are shed, and nobody may recycle them: their waiters left.
 		ctx, cancel := context.WithCancel(context.Background())
 		live := [][]byte{shardKey(0, 0), shardKey(0, 1), shardKey(0, 2), shardKey(0, 3)}
-		dead := [][]byte{shardKey(0, 10), shardKey(0, 11)}
 		s.PutAsync(live[1], val, l.callback(t, live[1], nil, done))
-		s.DeleteAsync(live[2], l.callback(t, live[2], nil, done))
+		s.PutAsync(live[2], val, l.callback(t, live[2], nil, done))
 		readCB := l.callback(t, live[3], kv.ErrNotFound, done)
 		s.GetAsync(live[3], func(_ []byte, err error) { readCB(err) })
-		s.PutAsyncCtx(ctx, dead[0], val, l.callback(t, dead[0], kv.ErrDeadlineExceeded, done))
-		shedCB := l.callback(t, dead[1], kv.ErrDeadlineExceeded, done)
-		s.GetAsyncCtx(ctx, dead[1], func(_ []byte, err error) { shedCB(err) })
+		var waiters sync.WaitGroup
+		waiters.Add(2)
+		go func() {
+			defer waiters.Done()
+			if err := s.PutCtx(ctx, shardKey(0, 10), val); !errors.Is(err, kv.ErrDeadlineExceeded) {
+				t.Errorf("PutCtx abandoned in the queue = %v, want ErrDeadlineExceeded", err)
+			}
+		}()
+		go func() {
+			defer waiters.Done()
+			if _, err := s.GetCtx(ctx, shardKey(0, 11)); !errors.Is(err, kv.ErrDeadlineExceeded) {
+				t.Errorf("GetCtx abandoned in the queue = %v, want ErrDeadlineExceeded", err)
+			}
+		}()
+		w := s.ws()[0]
+		for w.q.pending.Load() < 6 { // the wedged write, three live, two sync
+			time.Sleep(100 * time.Microsecond)
+		}
 		cancel()
+		waiters.Wait()
 		close(gate)
 		done.Wait()
-		l.checkOnce(t, true, append(live, dead...)...)
+		l.checkOnce(t, true, live...)
+		for deadline := time.Now().Add(5 * time.Second); w.shed.Load() < 2; time.Sleep(100 * time.Microsecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("shed %d abandoned requests, want 2", w.shed.Load())
+			}
+		}
 		poolIsClean(t)
 	})
 
@@ -366,10 +388,8 @@ func TestCallbackRequestRecycledOnce(t *testing.T) {
 		if err := s.GetAsync(refused[1], func(_ []byte, err error) { neverCB(err) }); !errors.Is(err, kv.ErrOverloaded) {
 			t.Fatalf("GetAsync on a full queue = %v, want ErrOverloaded", err)
 		}
-		ctx, cancel := context.WithCancel(context.Background())
-		cancel()
-		if err := s.DeleteAsyncCtx(ctx, refused[2], l.callback(t, refused[2], nil, &never)); !errors.Is(err, kv.ErrDeadlineExceeded) {
-			t.Fatalf("DeleteAsyncCtx under an ended context = %v, want ErrDeadlineExceeded", err)
+		if err := s.PutAsync(refused[2], val, l.callback(t, refused[2], nil, &never)); !errors.Is(err, kv.ErrOverloaded) {
+			t.Fatalf("a second PutAsync on a full queue = %v, want ErrOverloaded", err)
 		}
 		l.checkOnce(t, false, refused...) // by the submitter; the callbacks never run
 		close(gate)

@@ -100,8 +100,8 @@ func (r *request) complete(err error) {
 func newDone() chan struct{} { return make(chan struct{}, 1) }
 
 // requests recycles the requests of single-key operations — GetCtx, PutCtx,
-// DeleteCtx and the callback forms GetAsyncCtx, PutAsyncCtx, DeleteAsyncCtx —
-// each with its completion channel. The rule is ownership: only the
+// Delete and the callback forms GetAsync, PutAsync — each with its
+// completion channel. The rule is ownership: only the
 // goroutine that observed a request's completion returns it. For a sync
 // request that is the waiter that received from done; a waiter whose context
 // ended first cannot know the worker is done with the request and leaves it

@@ -52,18 +52,3 @@ func (s *Store) ApplyRepl(id int, gsn uint64, ops []kv.BatchOp) error {
 // ReplLog exposes the store's replication backlog (nil when replication
 // is disabled). The server's PSYNC handler streams from it.
 func (s *Store) ReplLog() *repl.Log { return s.opts.ReplLog }
-
-// ReplLastGSN reports each worker's replication stream watermark — the
-// per-worker cursors a replica of this store would resume from. Nil when
-// replication is disabled.
-func (s *Store) ReplLastGSN() []uint64 {
-	if s.opts.ReplLog == nil {
-		return nil
-	}
-	workers := s.ws()
-	out := make([]uint64, len(workers))
-	for i, w := range workers {
-		out[i] = w.lastGSN.Load()
-	}
-	return out
-}

@@ -89,7 +89,7 @@ func TestReplShipAndApplyConverges(t *testing.T) {
 	if want, got := dump(t, p), dump(t, r); !samePairs(want, got) {
 		t.Fatalf("replica diverged: primary %d pairs, replica %d", len(want), len(got))
 	}
-	pw, rw := p.ReplLastGSN(), r.ReplLastGSN()
+	pw, rw := watermarks(p), watermarks(r)
 	for i := range pw {
 		if pw[i] != rw[i] {
 			t.Fatalf("worker %d watermark: primary %d, replica %d", i, pw[i], rw[i])
@@ -223,7 +223,7 @@ func TestReplCheckpointMidTxnKeepsStreamComplete(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw := p.ReplLastGSN()
+	raw := watermarks(p)
 	m, err := p.Checkpoint(fs, "bak")
 	if err != nil {
 		t.Fatal(err)
@@ -285,7 +285,7 @@ func TestReplCheckpointAfterAbandonedTxnReleasesCursors(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	raw := p.ReplLastGSN()
+	raw := watermarks(p)
 	m, err := p.Checkpoint(fs, "bak")
 	if err != nil {
 		t.Fatal(err)
@@ -365,8 +365,8 @@ func TestReplDisabledKeepsLegacyWatermarks(t *testing.T) {
 			t.Fatalf("worker %d reports repl watermark without replication: %d", ws.ID, ws.ReplLastGSN)
 		}
 	}
-	if s.ReplLog() != nil || s.ReplLastGSN() != nil {
-		t.Fatal("replication accessors must be nil when disabled")
+	if s.ReplLog() != nil {
+		t.Fatal("the replication backlog must be nil when disabled")
 	}
 }
 
@@ -382,11 +382,11 @@ func TestStatsSnapshotReplLastGSN(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	snap, last := s.StatsSnapshot(), s.ReplLastGSN()
+	snap, last := s.StatsSnapshot(), watermarks(s)
 	var max uint64
 	for i, w := range snap.PerWorker {
 		if w.ReplLastGSN == 0 || w.ReplLastGSN != last[i] {
-			t.Errorf("worker %d: repl_last_gsn = %d, want ReplLastGSN()[%d] = %d > 0", i, w.ReplLastGSN, i, last[i])
+			t.Errorf("worker %d: repl_last_gsn = %d, want the watermark[%d] = %d > 0", i, w.ReplLastGSN, i, last[i])
 		}
 		if last[i] > max {
 			max = last[i]
@@ -395,4 +395,14 @@ func TestStatsSnapshotReplLastGSN(t *testing.T) {
 	if snap.Aggregate.ReplLastGSN != max {
 		t.Errorf("aggregate repl_last_gsn = %d, want the max %d", snap.Aggregate.ReplLastGSN, max)
 	}
+}
+
+// watermarks reads each worker's replication stream watermark — the cursor a
+// replica of the store would resume from.
+func watermarks(s *Store) []uint64 {
+	var out []uint64
+	for _, w := range s.ws() {
+		out = append(out, w.lastGSN.Load())
+	}
+	return out
 }

@@ -105,9 +105,6 @@ type reshardRun struct {
 // most recent run; zero-valued when no reshard has run).
 func (s *Store) ReshardStats() reshard.Stats { return s.tracker.Snapshot() }
 
-// Epoch reports the committed ring epoch (0 until the first reshard).
-func (s *Store) Epoch() uint64 { return s.epoch.Load() }
-
 // Elastic reports whether this store satisfies Reshard's preconditions
 // (consistent-hash partitioner, transaction log, instance-reset hook, no
 // replication) — i.e. whether Reshard can ever succeed on it.

@@ -119,7 +119,7 @@ func TestReshardGrowUnderLoad(t *testing.T) {
 	if got := s.Workers(); got != 5 {
 		t.Fatalf("Workers() = %d after grow", got)
 	}
-	if e := s.Epoch(); e != 1 {
+	if e := s.epoch.Load(); e != 1 {
 		t.Fatalf("epoch = %d, want 1", e)
 	}
 	st := s.ReshardStats()
@@ -263,7 +263,7 @@ func TestReshardReopen(t *testing.T) {
 	// Reopening at the committed count serves everything.
 	s2 := openElastic(t, fs, "ro", 4)
 	defer s2.Close()
-	if e := s2.Epoch(); e != 1 {
+	if e := s2.epoch.Load(); e != 1 {
 		t.Fatalf("epoch after reopen = %d", e)
 	}
 	for i := 0; i < n; i++ {
@@ -355,7 +355,7 @@ func TestReshardAbortKeepsOldShape(t *testing.T) {
 	if st.State != "aborted" || st.Aborted != 1 {
 		t.Fatalf("stats after abort: %+v", st)
 	}
-	if e := s.Epoch(); e != 0 {
+	if e := s.epoch.Load(); e != 0 {
 		t.Fatalf("epoch advanced on abort: %d", e)
 	}
 	// The store still serves and writes at the old shape.

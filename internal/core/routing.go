@@ -25,6 +25,16 @@ func (rt *routing) pick(key []byte) *worker {
 	return rt.workers[rt.part.Pick(key)]
 }
 
+// idle reports whether no worker has anything queued or executing.
+func (rt *routing) idle() bool {
+	for _, w := range rt.workers {
+		if w.q.pending.Load() != 0 {
+			return false
+		}
+	}
+	return true
+}
+
 // ownership returns the partitioner a scan leg or merged iterator filters
 // each worker's keys by, or nil when no filter is needed. Only a
 // consistent-hash store reshards, so only its engines can hold keys they do

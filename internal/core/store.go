@@ -48,6 +48,9 @@ type Store struct {
 	// never lands between a transaction's prepared legs and its commit
 	// record.
 	preparedTxns atomic.Int64
+	// scans counts the ScanCtx calls in flight, on either path (ScanCtx
+	// picks the path from it).
+	scans atomic.Int64
 	// retired holds workers dropped by a shrink: their goroutines are
 	// parked and they receive no traffic, but their engines stay open —
 	// until Close, or until a grow reuses the id and must wipe the

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -22,7 +21,6 @@ type worker struct {
 	q      *reqQueue
 	obm    bool
 	max    int
-	pin    bool
 
 	wg sync.WaitGroup
 
@@ -119,7 +117,6 @@ func (s *Store) newWorker(id int, engine kv.Engine) *worker {
 		q:      newReqQueue(opts.QueueDepth),
 		obm:    opts.OBM,
 		max:    opts.MaxBatch,
-		pin:    opts.PinWorkers,
 		repl:   opts.ReplLog,
 		gsnSrc: &s.gsn,
 		txn:    s.txn,
@@ -169,10 +166,6 @@ func (w *worker) start() {
 // processing on the private instance (❷), finish and wake submitters (❸).
 func (w *worker) loop() {
 	defer w.wg.Done()
-	if w.pin {
-		runtime.LockOSThread()
-		defer runtime.UnlockOSThread()
-	}
 	var scratch []*request // the batch slice, reused from one dequeue to the next
 	for {
 		reqs, expired := w.q.popBatch(w.obm, w.max, scratch)

@@ -15,7 +15,7 @@ import (
 func TestConformance(t *testing.T) {
 	kvtest.Run(t, kvtest.Config{
 		Open: func(fs vfs.FS, dir string, _ func(uint64) bool) (kv.Engine, error) {
-			return Open(dir, Options{FS: fs, Workers: 2, CacheBytes: 4 << 10, QueueDepth: 16})
+			return Open(dir, Options{FS: fs, Workers: 2, CacheBytes: 4 << 10})
 		},
 	})
 }

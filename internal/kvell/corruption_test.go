@@ -14,7 +14,7 @@ import (
 // in w00) and a 1-byte cache budget so reads always hit the slab, where
 // the checksum check lives.
 func corrOpts(fs vfs.FS) Options {
-	return Options{FS: fs, Workers: 1, CacheBytes: 1, QueueDepth: 8}
+	return Options{FS: fs, Workers: 1, CacheBytes: 1}
 }
 
 // TestRuntimeSlotFlipIsPerKey: a bit flip under a running store is caught

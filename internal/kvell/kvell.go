@@ -42,8 +42,6 @@ type Options struct {
 	// CacheBytes is the per-store page-cache budget (the paper gives
 	// KVell 4 GB; scale accordingly). Default 64 MiB.
 	CacheBytes int64
-	// QueueDepth bounds each worker's request queue. Default 64.
-	QueueDepth int
 	// PerOpCost models the per-request software path (index walk, slab
 	// bookkeeping) in simulated time; zero for production use, set by
 	// the scaled-time benchmarks.
@@ -51,6 +49,9 @@ type Options struct {
 }
 
 var slabClasses = []int{128, 256, 512, 1024, 2048, 4096}
+
+// queueDepth bounds each worker's request queue.
+const queueDepth = 64
 
 // Slot klen values that are not key lengths: slab classes cap a key far
 // below either.
@@ -151,9 +152,6 @@ func Open(dir string, opts Options) (*Store, error) {
 	if opts.CacheBytes <= 0 {
 		opts.CacheBytes = 64 << 20
 	}
-	if opts.QueueDepth <= 0 {
-		opts.QueueDepth = 64
-	}
 	if err := opts.FS.MkdirAll(dir); err != nil {
 		return nil, err
 	}
@@ -164,7 +162,7 @@ func Open(dir string, opts Options) (*Store, error) {
 			id:        i,
 			fs:        opts.FS,
 			dir:       fmt.Sprintf("%s/w%02d", dir, i),
-			queue:     make(chan *request, opts.QueueDepth),
+			queue:     make(chan *request, queueDepth),
 			index:     bptree.New[loc](),
 			cache:     newPageCache(opts.CacheBytes / int64(opts.Workers)),
 			perOpCost: opts.PerOpCost,

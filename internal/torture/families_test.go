@@ -90,7 +90,7 @@ var families = []family{
 	{
 		name: "kvell",
 		open: func(fs vfs.FS, dir string, _ func(uint64) bool) (kv.Engine, error) {
-			return kvell.Open(dir, kvell.Options{FS: fs, Workers: 2, QueueDepth: 16})
+			return kvell.Open(dir, kvell.Options{FS: fs, Workers: 2})
 		},
 		// Clean write errors only: KVell updates slots in place with no log,
 		// so its contract gives no crash guarantee (no crash cycles) and a

@@ -265,8 +265,8 @@ func withCompressedHandles(t *testing.T, raw []byte) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	it, err := block.NewIter(index)
-	if err != nil {
+	var it block.Iter
+	if err := it.Init(index); err != nil {
 		t.Fatal(err)
 	}
 	var b block.Builder

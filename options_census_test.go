@@ -6,41 +6,49 @@ import (
 	"go/token"
 	"path/filepath"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
+	"p2kvs/internal/btreekv"
+	"p2kvs/internal/kvell"
 	"p2kvs/internal/lsm"
 )
 
 // The option census: a knob earns its place by having two values in use
 // outside tests. Every field of Options must be settable from the shared
 // command-line flag set (loadgen.StoreFlags — the four binaries) or carry
-// a reason here; every field of lsm.Options must be assigned by some
-// non-test source file (a preset, the facade, an internal/bench
-// experiment), and not set to one and the same literal by all of them, or
-// carry a reason here. A field that fails is a constant in disguise: delete
-// it, or — if it has a real second value — wire it up.
+// a reason here; every field of the engines' Options (lsm, btreekv, kvell)
+// must be assigned by some non-test source file (a preset, the facade, an
+// internal/bench experiment), and not set to one and the same literal by all
+// of them, or carry a reason here. A field that fails is a constant in
+// disguise: delete it, or — if it has a real second value — wire it up.
 
 // notFlags: Options fields no flag sets, and why they stay.
 var notFlags = map[string]string{
-	"DisableOBM":        "paper mechanism switch (§4.3): embedders and the OBM ablation turn it off",
-	"PinWorkers":        "paper mechanism switch (§4.1 thread pinning); host-dependent, so not a tool default",
-	"MergedScan":        "paper mechanism switch (§4.4): the two SCAN strategies",
 	"BlockCacheSize":    "memory sizing for embedders; dbbench's experiments size the cache per figure at the lsm layer",
 	"SimulateHostCosts": "the simulated-time cost model (DESIGN 'Time and cost model'); examples/ycsb-demo sets it",
 }
 
-// testShaped: lsm.Options fields only tests assign, and why they stay.
+// testShaped: engine Options fields only tests assign, and why they stay.
 var testShaped = map[string]string{
-	"MaxImmutables":       "tests bound the flush queue to force write stalls",
-	"L0CompactionTrigger": "tests tighten it to keep several compactions in flight (torture lsm-parallel)",
-	"L0StallTrigger":      "same: the stall and slowdown bands are placed relative to it",
-	"BgMaxRetries":        "tests shorten the retry schedule so a persistent fault degrades in milliseconds",
-	"BgBaseBackoff":       "same",
-	"BgMaxBackoff":        "same",
+	"lsm.MaxImmutables":       "tests bound the flush queue to force write stalls",
+	"lsm.L0CompactionTrigger": "tests tighten it to keep several compactions in flight (torture lsm-parallel)",
+	"lsm.L0StallTrigger":      "same: the stall and slowdown bands are placed relative to it",
+	"lsm.BgMaxRetries":        "tests shorten the retry schedule so a persistent fault degrades in milliseconds",
+	"lsm.BgBaseBackoff":       "same",
+	"lsm.BgMaxBackoff":        "same",
+}
+
+// engineOptions are the Options types the census walks, by package name.
+var engineOptions = map[string]reflect.Type{
+	"lsm":     reflect.TypeOf(lsm.Options{}),
+	"btreekv": reflect.TypeOf(btreekv.Options{}),
+	"kvell":   reflect.TypeOf(kvell.Options{}),
 }
 
 func TestOptionsCensus(t *testing.T) {
-	flagged := assignedFields(t, []string{"internal/loadgen/flags.go"}, "")
+	flagged := assignedFields(t, []string{"internal/loadgen/flags.go"})
 	for _, f := range reflect.VisibleFields(reflect.TypeOf(Options{})) {
 		_, excused := notFlags[f.Name]
 		switch {
@@ -57,34 +65,41 @@ func TestOptionsCensus(t *testing.T) {
 	}
 
 	// Every non-test Go file of the product and of the benchmark module
-	// (examples do not count as users); withDefaults assigns defaults,
-	// not values in use.
+	// (examples do not count as users); withDefaults and the engines' Open
+	// fill in defaults, not values in use.
 	files := goFiles(t, ".", "cmd", "internal", "benchmark")
-	used := assignedFields(t, files, "withDefaults")
-	single := oneValueFields(t, files, "withDefaults")
-	for _, f := range reflect.VisibleFields(reflect.TypeOf(lsm.Options{})) {
-		_, excused := testShaped[f.Name]
-		switch {
-		case used[f.Name] && excused:
-			t.Errorf("lsm.Options.%s is assigned by non-test code and also excused in testShaped: drop the excuse", f.Name)
-		case !used[f.Name] && !excused:
-			t.Errorf("lsm.Options.%s is assigned by no non-test file and has no entry in testShaped: make it a constant", f.Name)
-		case single[f.Name] != "" && !excused:
-			t.Errorf("lsm.Options.%s is %s in every non-test literal and assignment: a knob with one value in use is a constant", f.Name, single[f.Name])
+	defaults := []string{"withDefaults", "Open"}
+	used := assignedFields(t, files, defaults...)
+	for pkg, typ := range engineOptions {
+		single := oneValueFields(t, files, defaults, pkg, typ)
+		for _, f := range reflect.VisibleFields(typ) {
+			name := pkg + "." + f.Name
+			_, excused := testShaped[name]
+			switch {
+			case used[f.Name] && excused:
+				t.Errorf("%s.Options.%s is assigned by non-test code and also excused in testShaped: drop the excuse", pkg, f.Name)
+			case !used[f.Name] && !excused:
+				t.Errorf("%s.Options.%s is assigned by no non-test file and has no entry in testShaped: make it a constant", pkg, f.Name)
+			case single[f.Name] != "" && !excused:
+				t.Errorf("%s.Options.%s is %s in every non-test literal and assignment: a knob with one value in use is a constant", pkg, f.Name, single[f.Name])
+			}
 		}
 	}
 	for name := range testShaped {
-		if _, ok := reflect.TypeOf(lsm.Options{}).FieldByName(name); !ok {
-			t.Errorf("testShaped names lsm.Options.%s, which does not exist", name)
+		pkg, field, _ := strings.Cut(name, ".")
+		if typ, ok := engineOptions[pkg]; !ok {
+			t.Errorf("testShaped names %s, which is not a package the census walks", name)
+		} else if _, ok := typ.FieldByName(field); !ok {
+			t.Errorf("testShaped names %s.Options.%s, which does not exist", pkg, field)
 		}
 	}
 }
 
 // assignedFields returns the field names the files assign — x.F = …,
 // &x.F (flag.XxxVar) or a composite-literal key F: … — outside the
-// function named skipFunc. It is syntactic: a same-named field of another
+// functions named skip. It is syntactic: a same-named field of another
 // struct counts too, which can only excuse a knob, never condemn one.
-func assignedFields(t *testing.T, files []string, skipFunc string) map[string]bool {
+func assignedFields(t *testing.T, files []string, skip ...string) map[string]bool {
 	t.Helper()
 	out := map[string]bool{}
 	fset := token.NewFileSet()
@@ -96,7 +111,7 @@ func assignedFields(t *testing.T, files []string, skipFunc string) map[string]bo
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.FuncDecl:
-				return n.Name.Name != skipFunc || skipFunc == ""
+				return !slices.Contains(skip, n.Name.Name)
 			case *ast.AssignStmt:
 				for _, lhs := range n.Lhs {
 					if sel, ok := lhs.(*ast.SelectorExpr); ok {
@@ -118,18 +133,19 @@ func assignedFields(t *testing.T, files []string, skipFunc string) map[string]bo
 	return out
 }
 
-// oneValueFields returns the lsm.Options fields that every composite literal
-// of that type and every x.F = … assignment in files (outside skipFunc) set
-// to one and the same literal, with that literal; a composite literal that
-// omits a field sets it to its zero value. Anything but a literal — a
-// variable, a call, a named constant, a flag binding (&x.F) — counts as a
-// value of its own. Like assignedFields it is syntactic, so a same-named
-// field of another struct can only excuse a knob, never condemn one.
-func oneValueFields(t *testing.T, files []string, skipFunc string) map[string]string {
+// oneValueFields returns the fields of pkg's Options, typ, that every
+// composite literal of that type and every x.F = … assignment in files
+// (outside the functions named skip) set to one and the same literal, with that literal; a
+// composite literal that omits a field sets it to its zero value. Anything
+// but a literal — a variable, a call, a named constant, a flag binding (&x.F)
+// — counts as a value of its own. Like assignedFields it is syntactic, so a
+// same-named field of another struct can only excuse a knob, never condemn
+// one.
+func oneValueFields(t *testing.T, files, skip []string, pkg string, typ reflect.Type) map[string]string {
 	t.Helper()
 	const dynamic = "(not a literal)"
 	values := map[string]map[string]bool{}
-	for _, f := range reflect.VisibleFields(reflect.TypeOf(lsm.Options{})) {
+	for _, f := range reflect.VisibleFields(typ) {
 		values[f.Name] = map[string]bool{}
 	}
 	note := func(field, v string) {
@@ -143,13 +159,13 @@ func oneValueFields(t *testing.T, files []string, skipFunc string) map[string]st
 		if err != nil {
 			t.Fatal(err)
 		}
-		inLSM := filepath.Dir(name) == filepath.Join("internal", "lsm")
+		inPkg := filepath.Dir(name) == filepath.Join("internal", pkg)
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.FuncDecl:
-				return n.Name.Name != skipFunc || skipFunc == ""
+				return !slices.Contains(skip, n.Name.Name)
 			case *ast.CompositeLit:
-				if !isLSMOptions(n.Type, inLSM) {
+				if !isOptionsOf(n.Type, pkg, inPkg) {
 					return true
 				}
 				set := map[string]string{}
@@ -196,15 +212,15 @@ func oneValueFields(t *testing.T, files []string, skipFunc string) map[string]st
 	return out
 }
 
-// isLSMOptions reports whether a composite literal's type is lsm.Options
-// (spelled Options inside package lsm).
-func isLSMOptions(typ ast.Expr, inLSM bool) bool {
+// isOptionsOf reports whether a composite literal's type is pkg.Options
+// (spelled Options inside pkg).
+func isOptionsOf(typ ast.Expr, pkg string, inPkg bool) bool {
 	switch typ := typ.(type) {
 	case *ast.SelectorExpr:
-		pkg, ok := typ.X.(*ast.Ident)
-		return ok && pkg.Name == "lsm" && typ.Sel.Name == "Options"
+		x, ok := typ.X.(*ast.Ident)
+		return ok && x.Name == pkg && typ.Sel.Name == "Options"
 	case *ast.Ident:
-		return inLSM && typ.Name == "Options"
+		return inPkg && typ.Name == "Options"
 	}
 	return false
 }

@@ -43,9 +43,9 @@ import (
 // applications never import internal packages.
 type (
 	// Store is a p2KVS store (the accessing layer + workers). Its
-	// asynchronous forms (PutAsync, DeleteAsync, GetAsync and their Ctx
-	// variants) hand key and value to the engine without copying them:
-	// both must stay unmodified until the callback runs. A callback runs on
+	// asynchronous forms (PutAsync, GetAsync) hand key and value to the
+	// engine without copying them: both must stay unmodified until the
+	// callback runs. A callback runs on
 	// a worker goroutine, so it should be short; the value GetAsync passes
 	// it is the caller's to keep, as Get's result is.
 	Store = core.Store
@@ -160,8 +160,6 @@ type Options struct {
 	SimulateDevice string
 	// DeviceScale multiplies simulated IO durations (default 1.0).
 	DeviceScale float64
-	// DisableOBM turns off opportunistic batching (sensitivity studies).
-	DisableOBM bool
 	// MaxBatch bounds OBM batch size (default 32).
 	MaxBatch int
 	// QueueDepth bounds each worker's request queue (default 4096);
@@ -176,16 +174,12 @@ type Options struct {
 	// when it passes complete with ErrClosed instead of Close hanging
 	// behind a stalled engine. Zero waits forever (default).
 	DrainTimeout time.Duration
-	// PinWorkers locks worker goroutines to OS threads.
-	PinWorkers bool
 	// WALSync selects the WAL durability policy (SyncNever, the zero
 	// value; SyncInterval; SyncOnCommit). WALSyncInterval bounds
 	// staleness under SyncInterval (default 100ms). Ignored by engines
 	// without a log (KVell).
 	WALSync         SyncPolicy
 	WALSyncInterval time.Duration
-	// MergedScan switches SCAN to the serial global-iterator strategy.
-	MergedScan bool
 	// BlockCacheSize overrides the per-instance data-block cache budget
 	// (LSM engines; 0 = default 8 MiB, negative disables).
 	BlockCacheSize int64
@@ -317,11 +311,9 @@ func openWithFS(opts Options, fs vfs.FS) (*Store, error) {
 	}
 	copts := core.DefaultOptions(factory)
 	copts.Workers = opts.Workers
-	copts.OBM = !opts.DisableOBM
 	if opts.MaxBatch > 0 {
 		copts.MaxBatch = opts.MaxBatch
 	}
-	copts.PinWorkers = opts.PinWorkers
 	if opts.QueueDepth > 0 {
 		copts.QueueDepth = opts.QueueDepth
 	}
@@ -330,9 +322,6 @@ func openWithFS(opts Options, fs vfs.FS) (*Store, error) {
 	copts.TxnFS = fs
 	copts.TxnDir = opts.Dir + "/txn"
 	copts.EngineName = string(opts.Engine)
-	if opts.MergedScan {
-		copts.Scan = core.ScanMerged
-	}
 	copts.ScrubInterval = opts.ScrubInterval
 	copts.ScrubRate = opts.ScrubRate
 	copts.HotCacheBytes = opts.HotCacheBytes
