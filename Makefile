@@ -110,6 +110,7 @@ fuzz-short:
 	$(GO) test -fuzz=FuzzReadAll -fuzztime=$(FUZZTIME) ./internal/wal
 	$(GO) test -fuzz=FuzzIterParse -fuzztime=$(FUZZTIME) ./internal/block
 	$(GO) test -fuzz=FuzzBuilderRoundTrip -fuzztime=$(FUZZTIME) ./internal/block
+	$(GO) test -fuzz=FuzzBlockRead -fuzztime=$(FUZZTIME) ./internal/block
 	$(GO) test -fuzz=FuzzAbbrevOrder -fuzztime=$(FUZZTIME) ./internal/memtable
 	$(GO) test -fuzz=FuzzDecodeBatchPayload -fuzztime=$(FUZZTIME) ./internal/lsm
 	$(GO) test -fuzz=FuzzBatchPayloadRoundTrip -fuzztime=$(FUZZTIME) ./internal/lsm

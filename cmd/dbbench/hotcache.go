@@ -23,11 +23,9 @@ func runHotCacheBench(opts p2kvs.Options, run runConfig) {
 	if opts.HotCacheBytes == 0 {
 		opts.HotCacheBytes = -1 // default budget; 0 would bench nothing
 	}
-	if opts.SimulateDevice == "" {
-		opts.SimulateDevice = "sata"
-	}
+	opts.SimulateDevice = "sata"
 	fmt.Printf("hotcache bench: engine=%s workers=%d keys=%d value=%dB threads=%d device=%s scale=%g cache=%d\n",
-		opts.Engine, opts.Workers, run.num, run.valueSize, run.threads, opts.SimulateDevice, opts.DeviceScale, opts.HotCacheBytes)
+		opts.Engine, opts.Workers, run.num, valueSize, run.threads, opts.SimulateDevice, opts.DeviceScale, opts.HotCacheBytes)
 
 	boot := func(dir string, cache int64) *p2kvs.Store {
 		o := opts
@@ -37,7 +35,7 @@ func runHotCacheBench(opts p2kvs.Options, run runConfig) {
 			// Preload flushes, so reads hit SSTs (and the device), not
 			// just memtables — the cache-off baseline must pay the real
 			// read path.
-			err = loadgen.Preload(s, run.num, run.valueSize)
+			err = loadgen.Preload(s, run.num, valueSize)
 		}
 		if err != nil {
 			fatal(fmt.Errorf("hotcache: %w", err))
@@ -81,7 +79,7 @@ func runHotCacheBench(opts p2kvs.Options, run runConfig) {
 		"engine", opts.Engine,
 		"workers", opts.Workers,
 		"keys", run.num,
-		"value_size", run.valueSize,
+		"value_size", valueSize,
 		"threads", run.threads,
 		"device", opts.SimulateDevice,
 		"device_scale", opts.DeviceScale,

@@ -9,7 +9,7 @@
 // Examples:
 //
 //	dbbench -benchmarks fillrandom,readrandom,ycsb-a -num 100000 -threads 8 \
-//	        -p2 -workers 8 -device nvme -devscale 0.02 -verify
+//	        -p2 -workers 8 -verify
 //	dbbench -experiment fig12 -quick        # -list prints the experiment ids
 //	dbbench -hotcache_bench -p2 -workers 4 -num 20000 -threads 4 -devscale 0.2
 package main
@@ -25,6 +25,7 @@ import (
 
 	"p2kvs"
 	"p2kvs/internal/bench"
+	"p2kvs/internal/core"
 	"p2kvs/internal/kv"
 	"p2kvs/internal/loadgen"
 	"p2kvs/internal/stats"
@@ -34,14 +35,8 @@ func main() {
 	var (
 		benchmarks = flag.String("benchmarks", "fillseq,readrandom", "comma-separated op mixes: fillseq, fillrandom, updaterandom, updatezipfian, readseq, readrandom, readzipfian, scan, ycsb-load, ycsb-a … ycsb-f")
 		num        = flag.Int("num", 0, "operations per benchmark and size of the key space (0 = 100000; under -experiment, 0 = the experiment default)")
-		valueSize  = flag.Int("value_size", 128, "value size in bytes")
 		threads    = flag.Int("threads", 1, "concurrent client threads")
 		p2         = flag.Bool("p2", false, "run under p2KVS with -workers instances (default: one instance)")
-		scanSize   = flag.Int("scan_size", 100, "keys per scan op")
-		opDeadline = flag.Duration("op_deadline", 0, "per-op deadline (0 = none); rejected/expired ops are counted, not fatal")
-		statsJSON  = flag.Bool("stats_json", false, "print the store's StatsJSON document after the run")
-		ckptEvery  = flag.Int("checkpoint_every", 0, "take an online checkpoint every N completed ops (0 = off)")
-		ckptDir    = flag.String("checkpoint_dir", "dbbench-backup", "backup set -checkpoint_every writes into")
 		verify     = flag.Bool("verify", false, "paranoid reads: check every read value against the value codec; corruption errors are counted, a silently wrong value is fatal")
 		hcBench    = flag.Bool("hotcache_bench", false, "run the hot-cache before/after benchmark instead of -benchmarks: zipfian ycsb-c and ycsb-b against cache-off and cache-on stores, emitted as a BENCH json line")
 		reshardAt  = flag.Int("reshard_at", 0, "trigger an online reshard after this many completed ops (0 = never; requires -elastic)")
@@ -63,8 +58,7 @@ func main() {
 	}
 	if *experiment != "" {
 		runExperiments(*experiment, bench.Env{
-			Out: os.Stdout, Quick: *quick, Budget: *budget,
-			Keys: *num, ValueSize: *valueSize, MaxOps: *maxOps,
+			Out: os.Stdout, Quick: *quick, Budget: *budget, Keys: *num, MaxOps: *maxOps,
 		})
 		return
 	}
@@ -87,7 +81,7 @@ func main() {
 	if *num == 0 {
 		*num = 100000
 	}
-	run := runConfig{num: *num, valueSize: *valueSize, threads: *threads, scanSize: *scanSize, deadline: *opDeadline}
+	run := runConfig{num: *num, threads: *threads}
 	if *verify {
 		run.verify = &loadgen.Verifier{}
 	}
@@ -101,21 +95,18 @@ func main() {
 		fatal(err)
 	}
 	defer store.Close()
-	if *ckptEvery > 0 {
-		saver.start(store, *ckptEvery, *ckptDir)
-	}
 	if *reshardAt > 0 {
 		resharder.arm(store, int64(*reshardAt), *reshardTo)
 	}
 
-	fmt.Printf("engine=%s p2=%v workers=%d threads=%d num=%d value=%dB device=%q\n",
-		opts.Engine, *p2, opts.Workers, *threads, *num, *valueSize, opts.SimulateDevice)
+	fmt.Printf("engine=%s p2=%v workers=%d threads=%d num=%d value=%dB\n",
+		opts.Engine, *p2, opts.Workers, *threads, *num, valueSize)
 	loaded := 0 // keys [0, loaded) exist
 	for _, spec := range specs {
 		if spec.Preload && loaded == 0 {
 			fmt.Fprintf(os.Stderr, "(implicit fillseq to populate %d keys)\n", *num)
 			quiet := run
-			quiet.threads, quiet.deadline, quiet.verify = 1, 0, nil
+			quiet.threads, quiet.verify = 1, nil
 			quiet.phase(store, loadgen.MustLookup("fillseq"), *num)
 			loaded = *num
 		}
@@ -129,19 +120,11 @@ func main() {
 		fmt.Println(tally.Line(run.of(spec, keys), elapsed))
 		loaded = *num
 	}
-	saver.stop()
 	if run.verify != nil && !run.verify.Report(os.Stdout) {
 		fatal(fmt.Errorf("FATAL: store served silently wrong values"))
 	}
-	resharder.report(opts.CutoverBudget, run.verify != nil)
+	resharder.report(run.verify != nil)
 	reportStore(store)
-	if *statsJSON {
-		raw, err := store.StatsJSON()
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println(string(raw))
-	}
 }
 
 // usage reports a command-line error: exit status 2, nothing opened yet.
@@ -171,17 +154,22 @@ func runExperiments(ids string, env bench.Env) {
 	}
 }
 
+// The shape of every key-value pair dbbench writes and every scan it runs.
+const (
+	valueSize = 128
+	scanSize  = 100
+)
+
 // runConfig is the per-invocation shape every phase shares.
 type runConfig struct {
-	num, valueSize, threads, scanSize int
-	deadline                          time.Duration
-	verify                            *loadgen.Verifier
+	num, threads int
+	verify       *loadgen.Verifier
 }
 
 func (c runConfig) of(spec loadgen.Spec, keys int) loadgen.Phase {
 	return loadgen.Phase{
 		Spec: spec, Ops: c.num, Keys: keys, Threads: c.threads, Window: 1,
-		ValueSize: c.valueSize, Verify: c.verify,
+		ValueSize: valueSize, Verify: c.verify,
 	}
 }
 
@@ -189,7 +177,7 @@ func (c runConfig) of(spec loadgen.Spec, keys int) loadgen.Phase {
 // taxonomy ends the run.
 func (c runConfig) phase(store *p2kvs.Store, spec loadgen.Spec, keys int) (*loadgen.Tally, time.Duration) {
 	tally, elapsed, err := loadgen.Run(c.of(spec, keys), func(int) (loadgen.Target, error) {
-		return &embedded{store: store, cfg: c}, nil
+		return embedded{store}, nil
 	})
 	if err != nil {
 		fatal(err)
@@ -198,36 +186,18 @@ func (c runConfig) phase(store *p2kvs.Store, spec loadgen.Spec, keys int) (*load
 }
 
 // embedded is the in-process loadgen.Target, one per client thread: one
-// op per window, applied through the store's context-accepting API so
-// -op_deadline holds. It is its own loadgen.KV, bound to the current
-// op's context.
-type embedded struct {
-	store *p2kvs.Store
-	cfg   runConfig
-	ctx   context.Context
-}
+// op per window, applied through the store's API.
+type embedded struct{ store *p2kvs.Store }
 
-func (e *embedded) Do(ops []loadgen.Op, t *loadgen.Tally) error {
+func (e embedded) Do(ops []loadgen.Op, t *loadgen.Tally) error {
 	for _, op := range ops {
-		cancel := context.CancelFunc(func() {})
-		if e.ctx = context.Background(); e.cfg.deadline > 0 {
-			e.ctx, cancel = context.WithTimeout(e.ctx, e.cfg.deadline)
-		}
-		err := loadgen.Exec(e, op, e.cfg.valueSize, e.cfg.scanSize, t.Hit)
-		cancel()
-		saver.tick()
+		err := loadgen.Exec(e.store, op, valueSize, scanSize, t.Hit)
 		resharder.tick()
 		if !t.Count(loadgen.Classify(err)) {
 			return err
 		}
 	}
 	return nil
-}
-
-func (e *embedded) Put(key, value []byte) error    { return e.store.PutCtx(e.ctx, key, value) }
-func (e *embedded) Get(key []byte) ([]byte, error) { return e.store.GetCtx(e.ctx, key) }
-func (e *embedded) Scan(start []byte, n int) ([]p2kvs.Pair, error) {
-	return e.store.ScanCtx(e.ctx, start, n)
 }
 
 // liveResharder fires one online reshard mid-workload: once the worker
@@ -271,9 +241,9 @@ func (r *liveResharder) tick() {
 
 // report waits for a launched reshard, prints its summary and enforces
 // the acceptance gates: a failed reshard is always fatal; under -verify
-// (strict) a cutover pause over budget is too. A threshold never reached
-// (num < reshard_at) is reported, not hung on.
-func (r *liveResharder) report(budget time.Duration, strict bool) {
+// (strict) a cutover pause over the store's budget is too. A threshold
+// never reached (num < reshard_at) is reported, not hung on.
+func (r *liveResharder) report(strict bool) {
 	if r.at == 0 {
 		return
 	}
@@ -284,9 +254,7 @@ func (r *liveResharder) report(budget time.Duration, strict bool) {
 	if <-r.done; r.err != nil {
 		fatal(fmt.Errorf("FATAL: reshard failed: %w", r.err))
 	}
-	if budget == 0 {
-		budget = 10 * time.Millisecond
-	}
+	budget := core.DefaultCutoverBudget
 	st := r.store.ReshardStats()
 	fmt.Printf("reshard        : %d->%d workers in %.1fms; moved %d keys (%d bytes); double_writes=%d stale_skipped=%d; cutover pause=%.1fus (budget %.1fus, retries=%d)\n",
 		st.From, st.To, float64(r.took.Microseconds())/1000,
@@ -298,70 +266,17 @@ func (r *liveResharder) report(budget time.Duration, strict bool) {
 	}
 }
 
-// checkpointSaver takes online checkpoints while the workloads run: every
-// N completed ops the worker threads nudge a dedicated goroutine, which
-// backs the store up into a single incremental set. Triggers arriving
-// while a save is in flight coalesce into one.
-type checkpointSaver struct {
-	every   int64
-	ops     atomic.Int64
-	trigger chan struct{}
-	done    chan struct{}
-	fails   atomic.Int64
-}
-
-var saver checkpointSaver
-
-func (c *checkpointSaver) start(store *p2kvs.Store, every int, dir string) {
-	c.every = int64(every)
-	c.trigger = make(chan struct{}, 1)
-	c.done = make(chan struct{})
-	go func() {
-		defer close(c.done)
-		for range c.trigger {
-			if _, err := p2kvs.Backup(store, dir); err != nil {
-				c.fails.Add(1)
-				fmt.Fprintln(os.Stderr, "dbbench: checkpoint:", err)
-			}
-		}
-	}()
-}
-
-// tick is called by every worker thread after each completed op.
-func (c *checkpointSaver) tick() {
-	if c.every == 0 {
-		return
-	}
-	if c.ops.Add(1)%c.every == 0 {
-		select {
-		case c.trigger <- struct{}{}:
-		default: // a save is already pending; coalesce
-		}
-	}
-}
-
-func (c *checkpointSaver) stop() {
-	if c.every == 0 {
-		return
-	}
-	close(c.trigger)
-	<-c.done
-}
-
 // reportStore prints the store-side summary from one StatsSnapshot (the
-// document INFO and -stats_json serve), one line per INFO group: the
-// queues, admission and the compaction scheduler (store), health,
-// background retries and injected faults (robustness), online checkpoints
-// (persistence, once one was taken). A worker that is unhealthy or turned
+// document INFO serves), one line per INFO group: the queues, admission
+// and the compaction scheduler (store), health, background retries and
+// injected faults (robustness). A worker that is unhealthy or turned
 // requests away gets its own store and robustness lines.
 func reportStore(store *p2kvs.Store) {
 	snap := store.StatsSnapshot()
-	line := func(label, group string, vs ...any) {
+	line := func(label, group string, v any) {
 		fmt.Printf("%-15s:", label)
-		for _, v := range vs {
-			for _, p := range stats.Pairs(v, "", group) {
-				fmt.Printf(" %s=%s", p[0], p[1])
-			}
+		for _, p := range stats.Pairs(v, "", group) {
+			fmt.Printf(" %s=%s", p[0], p[1])
 		}
 		fmt.Println()
 	}
@@ -372,11 +287,5 @@ func reportStore(store *p2kvs.Store) {
 			line(fmt.Sprintf("store w%d", w.ID), "Store", w)
 			line(fmt.Sprintf("robustness w%d", w.ID), "Robustness", w)
 		}
-	}
-	if snap.Checkpoints > 0 {
-		line("persistence", "Persistence", snap, snap.Aggregate)
-	}
-	if f := saver.fails.Load(); f > 0 {
-		fmt.Printf("%-15s: %d checkpoints FAILED\n", "persistence", f)
 	}
 }

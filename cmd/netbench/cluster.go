@@ -169,7 +169,7 @@ func flushTier(primaries []*core.Store) error {
 }
 
 // loadKeys MSets the whole keyspace through the cluster client.
-func loadKeys(nodes []cluster.Node, nkeys, valueSize int) error {
+func loadKeys(nodes []cluster.Node, nkeys int) error {
 	const batch = clusterBatch
 	cl, err := cluster.New(nodes, cluster.Options{MaxBatch: batch})
 	if err != nil {
@@ -246,7 +246,7 @@ func measureGets(nodes []cluster.Node, nkeys, conns int, replicaReads bool) (flo
 // measureStaleness hammers writes through the primaries for dur while
 // sampling each replica's INFO lag, then reports the worst lag observed
 // mid-burst and how long the tier took to fully converge afterwards.
-func measureStaleness(nodes []cluster.Node, nkeys, valueSize int, dur time.Duration) (maxLag int64, convergeMs int64, err error) {
+func measureStaleness(nodes []cluster.Node, nkeys int, dur time.Duration) (maxLag int64, convergeMs int64, err error) {
 	const batch = clusterBatch
 	cl, err := cluster.New(nodes, cluster.Options{MaxBatch: batch})
 	if err != nil {
@@ -307,7 +307,7 @@ func readsPerGet(reads, keys int64) float64 {
 	return float64(reads) / float64(keys)
 }
 
-func runClusterBench(nNodes, nkeys, valueSize, conns int) {
+func runClusterBench(nNodes, nkeys, conns int) {
 	fail := func(stage string, err error) {
 		fatal(fmt.Errorf("cluster %s: %w", stage, err))
 	}
@@ -321,7 +321,7 @@ func runClusterBench(nNodes, nkeys, valueSize, conns int) {
 	if err != nil {
 		fail("boot 1-node", err)
 	}
-	if err := loadKeys(oneNode, nkeys, valueSize); err != nil {
+	if err := loadKeys(oneNode, nkeys); err != nil {
 		stopOne()
 		fail("load 1-node", err)
 	}
@@ -344,7 +344,7 @@ func runClusterBench(nNodes, nkeys, valueSize, conns int) {
 		fail("boot tier", err)
 	}
 	defer stopTier()
-	if err := loadKeys(nodes, nkeys, valueSize); err != nil {
+	if err := loadKeys(nodes, nkeys); err != nil {
 		fail("load tier", err)
 	}
 	if err := flushTier(primaries); err != nil {
@@ -360,7 +360,7 @@ func runClusterBench(nNodes, nkeys, valueSize, conns int) {
 
 	// Replica fanout needs the replicas caught up, or misses would count
 	// as staleness rather than routing.
-	if _, _, err := measureStaleness(nodes, nkeys, valueSize, 0); err != nil {
+	if _, _, err := measureStaleness(nodes, nkeys, 0); err != nil {
 		fail("replica warmup", err)
 	}
 	opsR, _, err := measureGets(nodes, nkeys, conns, true)
@@ -368,7 +368,7 @@ func runClusterBench(nNodes, nkeys, valueSize, conns int) {
 		fail("measure replica fanout", err)
 	}
 	fmt.Printf("fanout  GET : %12.0f keys/sec (primaries+replicas)\n", opsR)
-	maxLag, convergeMs, err := measureStaleness(nodes, nkeys, valueSize, clusterSecs)
+	maxLag, convergeMs, err := measureStaleness(nodes, nkeys, clusterSecs)
 	if err != nil {
 		fail("staleness", err)
 	}

@@ -1,7 +1,7 @@
 package main
 
 // Crash-recovery torture (-crash): spawn a real p2kvs-server process,
-// drive pipelined SET load while journaling every acknowledged write,
+// drive pipelined SET load while tracking every key's acknowledged writes,
 // SIGKILL the server at a random moment (including mid-BGSAVE), restart
 // it, and verify over the wire that the durability contract held:
 //
@@ -47,10 +47,10 @@ import (
 )
 
 type crashConfig struct {
-	serverBin, serverArgs, dir, mode, ackedPath string
-	cycles, conns, pipeline, valueSize          int
-	seed                                        int64
-	replica, verbose                            bool
+	serverBin, serverArgs, dir, mode string
+	cycles, conns, pipeline          int
+	seed                             int64
+	replica                          bool
 }
 
 // walSyncFor maps a -crash_mode to the server's -wal_sync value.
@@ -77,7 +77,6 @@ type harness struct {
 	rng    *rand.Rand
 	addr   string     // where load and verification go (the primary)
 	states []keyState // [conn*crashKeysPerConn + key]
-	acked  *loadgen.AckedLog
 	// totals for the final report (atomics: load connections update them
 	// concurrently)
 	setsAcked, bgsaves, msets atomic.Int64
@@ -104,19 +103,11 @@ func runCrash(cfg crashConfig) {
 	if err := os.MkdirAll(cfg.dir, 0o755); err != nil {
 		crashFatalf("crash_dir: %v", err)
 	}
-	if cfg.ackedPath == "" {
-		cfg.ackedPath = cfg.dir + "/acked.log"
-	}
 	h := &harness{
 		crashConfig: cfg,
 		rng:         rand.New(rand.NewSource(cfg.seed)),
 		states:      make([]keyState, cfg.conns*crashKeysPerConn),
 	}
-	var err error
-	if h.acked, err = loadgen.CreateAckedLog(cfg.ackedPath); err != nil {
-		crashFatalf("acked log: %v", err)
-	}
-	defer h.acked.Close()
 	fmt.Printf("netbench crash: mode=%s replica=%v cycles=%d conns=%d pipeline=%d seed=%d dir=%s server_args=%q\n",
 		cfg.mode, cfg.replica, cfg.cycles, cfg.conns, cfg.pipeline, cfg.seed, cfg.dir, cfg.serverArgs)
 	if cfg.replica {
@@ -203,10 +194,7 @@ func (h *harness) runSingle() {
 		if err := h.verify(); err != nil {
 			crashFatalf("cycle %d: VERIFICATION FAILED: %v", cycle, err)
 		}
-		live := h.loadAndKill(srv.kill)
-		if h.verbose {
-			fmt.Printf("netbench crash: cycle %d: killed after %v (acked so far: %d)\n", cycle, live, h.setsAcked.Load())
-		}
+		h.loadAndKill(srv.kill)
 	}
 	// Final incarnation: verify, prove the store still accepts writes,
 	// then shut down gracefully.
@@ -226,7 +214,7 @@ func (h *harness) runSingle() {
 // connection, so some kills land mid-checkpoint, plus any extra
 // loaders), lets it run for a random 150–600ms, then calls kill
 // mid-flight and waits for the loaders to notice.
-func (h *harness) loadAndKill(kill func(), extra ...func(stop chan struct{})) time.Duration {
+func (h *harness) loadAndKill(kill func(), extra ...func(stop chan struct{})) {
 	stop := make(chan struct{})
 	loaders := append([]func(chan struct{}){h.bgsaveConn}, extra...)
 	for c := 0; c < h.conns; c++ {
@@ -246,7 +234,6 @@ func (h *harness) loadAndKill(kill func(), extra ...func(stop chan struct{})) ti
 	h.kills++
 	close(stop)
 	wg.Wait()
-	return live.Round(time.Millisecond)
 }
 
 // stopped reports whether the cycle's kill has happened.
@@ -260,7 +247,7 @@ func stopped(stop chan struct{}) bool {
 }
 
 // loadConn owns key partition c and writes it with monotonically
-// increasing per-key sequence numbers, journaling every ack. It exits on
+// increasing per-key sequence numbers, recording every ack. It exits on
 // the first connection error (the kill).
 func (h *harness) loadConn(c int, stop chan struct{}) {
 	conn := cluster.NewConn(h.addr, 0)
@@ -276,7 +263,7 @@ func (h *harness) loadConn(c int, stop chan struct{}) {
 			st := &h.states[id]
 			st.attempted++
 			ids[i], seqs[i] = id, st.attempted
-			cmds[i] = [][]byte{cmdSet, loadgen.Key(id), loadgen.Value(id, st.attempted, h.valueSize)}
+			cmds[i] = [][]byte{cmdSet, loadgen.Key(id), loadgen.Value(id, st.attempted, valueSize)}
 		}
 		reps, err := conn.Pipeline(cmds)
 		if err != nil {
@@ -289,7 +276,6 @@ func (h *harness) loadConn(c int, stop chan struct{}) {
 			st := &h.states[ids[i]]
 			st.acked = max(st.acked, seqs[i])
 			h.setsAcked.Add(1)
-			h.acked.Append("set", string(cmds[i][1]), fmt.Sprint(seqs[i]))
 		}
 	}
 }
@@ -541,10 +527,7 @@ func (h *harness) runPair() {
 	partialResyncs := 0
 	for cycle := 0; cycle < h.cycles; cycle++ {
 		stage := fmt.Sprintf("cycle %d", cycle)
-		n := converged(stage, 60*time.Second)
-		if h.verbose {
-			fmt.Printf("netbench crash: %s: converged, %d keys identical\n", stage, n)
-		}
+		converged(stage, 60*time.Second)
 		// Load against the primary, then kill the cycle's victim
 		// mid-stream. Victims rotate so every cut point is exercised.
 		victim := cycle % 3

@@ -5,7 +5,7 @@
 // round-trip quantiles and the server-side coalescing counters pulled
 // from INFO — the observable proof that pipelined runs reached the
 // engine as WriteBatch / multiget calls. Two further modes reuse the same
-// client, value codec and journal: -cluster N (in-process GET scaling of
+// client and value codec: -cluster N (in-process GET scaling of
 // an N-node tier, see cluster.go) and -crash (SIGKILL torture of a real
 // server process, optionally a primary/replica pair, see crash.go).
 //
@@ -33,14 +33,11 @@ func main() {
 		addr       = flag.String("addr", "127.0.0.1:6380", "server address")
 		conns      = flag.Int("conns", 8, "concurrent client connections")
 		pipeline   = flag.Int("pipeline", 16, "commands per pipeline window")
-		num        = flag.Int("num", 100000, "operations per benchmark phase")
-		valueSize  = flag.Int("value_size", 128, "value size in bytes")
-		keys       = flag.Int("keys", 0, "keyspace size (0 = num)")
+		num        = flag.Int("num", 100000, "operations per benchmark phase and size of the key space")
 		dist       = flag.String("dist", "uniform", "key distribution of the set/get/mixed phases: uniform, zipfian, latest, seq")
 		benchmarks = flag.String("benchmarks", "set,get", "comma-separated phases: set, get, mixed (90% GET), or any scan-free dbbench mix (fillseq, readzipfian, ycsb-a, …); reads see what the server holds — put a write phase first on an empty one")
 		seed       = flag.Int64("seed", 1, "base RNG seed (-crash: 0 = time-based)")
 		bgsave     = flag.Bool("bgsave", false, "issue BGSAVE after the phases and wait for the save to commit")
-		ackedLog   = flag.String("acked_log", "", "journal every acked SET (key and value) to this file for later crash-recovery verification (-crash: default <crash_dir>/acked.log)")
 		verify     = flag.Bool("verify", false, "paranoid reads: check every GET hit against the value codec; -CORRUPTION replies are counted, a silently wrong value is fatal")
 
 		clusterN = flag.Int("cluster", 0, "in-process cluster scaling benchmark: boot this many primaries (2-4 intended), each with a read replica and its own simulated SATA device, compare aggregate batched GET throughput against one node, measure replica staleness, emit a BENCH json line")
@@ -51,7 +48,6 @@ func main() {
 		crashRepl  = flag.Bool("crash_replica", false, "under -crash, run a primary/replica pair, rotate the SIGKILL victim and verify convergence and sync kinds")
 		crashDir   = flag.String("crash_dir", "", "data directory for -crash (default: a fresh temp dir)")
 		serverArgs = flag.String("server_args", "", "extra space-separated flags for the servers -crash spawns, e.g. \"-engine wiredtiger -workers 2\"")
-		verbose    = flag.Bool("v", false, "log every -crash cycle's detail")
 	)
 	flag.Parse()
 
@@ -65,12 +61,9 @@ func main() {
 			usage(fmt.Errorf("benchmark %q scans or read-modify-writes, which the wire driver does not issue", s.Name))
 		}
 	}
-	if *keys <= 0 {
-		*keys = *num
-	}
 	switch {
 	case *clusterN > 0:
-		runClusterBench(*clusterN, *keys, *valueSize, *conns)
+		runClusterBench(*clusterN, *num, *conns)
 		return
 	case *crashBin != "":
 		if _, ok := walSyncFor[*crashMode]; !ok {
@@ -78,32 +71,25 @@ func main() {
 		}
 		runCrash(crashConfig{
 			serverBin: *crashBin, serverArgs: *serverArgs, dir: *crashDir, mode: *crashMode,
-			cycles: *crashN, replica: *crashRepl, conns: *conns, pipeline: *pipeline,
-			valueSize: *valueSize, seed: *seed, ackedPath: *ackedLog, verbose: *verbose,
+			cycles: *crashN, replica: *crashRepl, conns: *conns, pipeline: *pipeline, seed: *seed,
 		})
 		return
 	}
 
-	w := wireConfig{addr: *addr, valueSize: *valueSize}
+	w := wireConfig{addr: *addr}
 	if *verify {
 		w.verify = &loadgen.Verifier{}
 	}
-	if *ackedLog != "" {
-		if w.acked, err = loadgen.CreateAckedLog(*ackedLog); err != nil {
-			fatal(fmt.Errorf("acked_log: %w", err))
-		}
-		defer w.acked.Close()
-	}
 
 	fmt.Printf("netbench: addr=%s conns=%d pipeline=%d num=%d value=%dB dist=%s\n",
-		*addr, *conns, *pipeline, *num, *valueSize, *dist)
+		*addr, *conns, *pipeline, *num, valueSize, *dist)
 	// Unlike dbbench, nothing is populated implicitly: the server outlives
 	// this process, and a read phase after a restart, a resync or a
 	// reshard must see the data that went through it, not a fresh copy.
 	for _, spec := range specs {
 		p := loadgen.Phase{
-			Spec: spec, Ops: *num, Keys: *keys, Threads: *conns, Window: *pipeline,
-			ValueSize: *valueSize, Seed: *seed, Verify: w.verify,
+			Spec: spec, Ops: *num, Keys: *num, Threads: *conns, Window: *pipeline,
+			ValueSize: valueSize, Seed: *seed, Verify: w.verify,
 		}
 		tally, elapsed := w.run(p)
 		fmt.Println(tally.Line(p, elapsed))
@@ -130,14 +116,13 @@ func fatal(err error) {
 	os.Exit(1)
 }
 
+// valueSize is the size of every value netbench writes, in bytes.
+const valueSize = 128
+
 // wireConfig is what every connection of the load mode shares.
 type wireConfig struct {
-	addr      string
-	valueSize int
-	verify    *loadgen.Verifier
-	// acked, when non-nil, journals every SET the server acknowledged
-	// (-acked_log) so a crash-recovery check can replay it later.
-	acked *loadgen.AckedLog
+	addr   string
+	verify *loadgen.Verifier
 }
 
 func (w wireConfig) run(p loadgen.Phase) (*loadgen.Tally, time.Duration) {
@@ -167,7 +152,7 @@ func (w *wireConn) Do(ops []loadgen.Op, t *loadgen.Tally) error {
 		if op.Type == loadgen.OpRead {
 			w.cmds = append(w.cmds, [][]byte{cmdGet, loadgen.Key(op.KeyIdx)})
 		} else {
-			w.cmds = append(w.cmds, [][]byte{cmdSet, loadgen.Key(op.KeyIdx), loadgen.Value(op.KeyIdx, 0, w.valueSize)})
+			w.cmds = append(w.cmds, [][]byte{cmdSet, loadgen.Key(op.KeyIdx), loadgen.Value(op.KeyIdx, 0, valueSize)})
 		}
 	}
 	reps, err := w.Pipeline(w.cmds)
@@ -175,20 +160,13 @@ func (w *wireConn) Do(ops []loadgen.Op, t *loadgen.Tally) error {
 		return err
 	}
 	for i, rep := range reps {
-		isGet := ops[i].Type == loadgen.OpRead
 		switch {
 		case rep.IsError():
 			// An error reply leaves the stream framed: count it (even an
 			// unclassified one) and keep the connection going.
 			t.Count(loadgen.ClassifyReply(string(rep.Str)))
-		case isGet && rep.Kind == '$' && !rep.Nil:
+		case ops[i].Type == loadgen.OpRead && rep.Kind == '$' && !rep.Nil:
 			t.Hit(ops[i].KeyIdx, rep.Str)
-		case !isGet && w.acked != nil:
-			// Same-key overwrites are identical by construction (the
-			// value is a function of the key index).
-			if err := w.acked.Append("set", string(w.cmds[i][1]), string(w.cmds[i][2])); err != nil {
-				return err
-			}
 		}
 	}
 	return nil

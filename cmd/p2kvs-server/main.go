@@ -34,7 +34,6 @@ func main() {
 		debugAddr    = flag.String("debug_addr", "", "HTTP debug listen address (/metrics, /debug/pprof); empty disables")
 		cmdTimeout   = flag.Duration("cmd_timeout", 0, "per-command deadline (0 = none)")
 		maxConns     = flag.Int("max_conns", 1024, "max concurrent client connections")
-		maxPipeline  = flag.Int("max_pipeline", 128, "max pipelined commands coalesced per read window")
 		idleTimeout  = flag.Duration("conn_idle_timeout", 0, "close connections idle for this long (0 = never)")
 		writeTimeout = flag.Duration("conn_write_timeout", 0, "per-flush write deadline for slow clients (0 = none)")
 		ckptDir      = flag.String("checkpoint_dir", "", "backup set BGSAVE writes into; empty disables BGSAVE. Doubles as -repair_from when that is unset")
@@ -78,7 +77,6 @@ func main() {
 		Store:           store,
 		CommandTimeout:  *cmdTimeout,
 		MaxConns:        *maxConns,
-		MaxPipeline:     *maxPipeline,
 		ConnIdleTimeout: *idleTimeout,
 		WriteTimeout:    *writeTimeout,
 		DebugAddr:       *debugAddr,
@@ -88,16 +86,7 @@ func main() {
 	if storeOpts.ReplBacklogBytes != 0 {
 		cfg.ReplDir = rdir
 		cfg.ReplicaOf = *replicaOf
-		// A full sync replaces the data directory wholesale: wipe it, then
-		// restore the received image into a fresh store with the same
-		// shape. The staged image lives on the host filesystem (ReplFS nil
-		// = OS), so p2kvs.Restore's manifest verification runs against it.
-		cfg.RestoreStore = func(_ vfs.FS, srcDir string) (*p2kvs.Store, error) {
-			if err := os.RemoveAll(storeOpts.Dir); err != nil {
-				return nil, err
-			}
-			return p2kvs.Restore(srcDir, storeOpts)
-		}
+		cfg.RestoreStore = restoreInto(storeOpts)
 	}
 	srv := server.New(cfg)
 
@@ -124,4 +113,21 @@ func main() {
 		logger.Fatalf("p2kvs-server: serve: %v", err)
 	}
 	logger.Printf("p2kvs-server: clean shutdown")
+}
+
+// restoreInto is a replica's full sync: it restores the received image into
+// a fresh store shaped by opts. The image is staged on the host filesystem
+// (ReplFS nil = OS), so p2kvs.Restore's manifest verification runs against
+// it. A store on the host filesystem is replaced wholesale, so its directory
+// is wiped first; an in-memory store never used that path, and whatever a
+// host directory of that name holds is not its to delete.
+func restoreInto(opts p2kvs.Options) func(vfs.FS, string) (*p2kvs.Store, error) {
+	return func(_ vfs.FS, srcDir string) (*p2kvs.Store, error) {
+		if !opts.InMemory {
+			if err := os.RemoveAll(opts.Dir); err != nil {
+				return nil, err
+			}
+		}
+		return p2kvs.Restore(srcDir, opts)
+	}
 }

@@ -24,20 +24,19 @@ func simScale(fs vfs.FS) float64 {
 }
 
 // applySimCosts attaches the simulated software-path cost model to an
-// engine whose files sit behind a simulated device: ~2us of serialized
-// host CPU per logged record plus ~1.5ns/byte, multiplied by the
-// device's time scale. This is the per-request foreground cost §3 shows
-// bottlenecking a single instance — without it the scaled-time world
-// would make group logging artificially free. Null-device (preload)
-// filesystems get no cost.
+// engine whose files sit behind a simulated device, each cost multiplied by
+// the device's time scale: 1us of serialized host CPU per log write
+// (syscall + group bookkeeping) plus 6ns per byte (encode/checksum/memcpy,
+// ≈ 0.9us per 144B op), so a batched op costs ~2x less software time than a
+// solo op, Figure 7's shape; and 2us per lookup. This is the per-request
+// foreground cost §3 shows bottlenecking a single instance — without it the
+// scaled-time world would make group logging artificially free. Null-device
+// (preload) filesystems get no cost.
 func applySimCosts(o *lsm.Options, fs vfs.FS) {
 	s := simScale(fs)
-	// ~1us flat per log write (syscall + group bookkeeping) plus ~6ns
-	// per byte (encode/checksum/memcpy ≈ 0.9us per 144B op): a batched
-	// op costs ~2x less software time than a solo op, Figure 7's shape.
 	o.WALPerRecordCost = time.Duration(1000 * s)
 	o.WALPerByteCost = time.Duration(6 * s)
-	o.ReadPerOpCost = time.Duration(2000 * s) // 2us real per lookup
+	o.ReadPerOpCost = time.Duration(2000 * s)
 }
 
 // benchLSMSizes shrinks the engine's structural budgets so scaled-down

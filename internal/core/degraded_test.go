@@ -93,13 +93,13 @@ func TestDegradedShardFailsFastOthersServe(t *testing.T) {
 
 	// On the wire the state is its name and the error its message, and
 	// the document decodes back into the type that produced it.
-	raw, err := s.StatsJSON()
+	raw, err := json.Marshal(s.StatsSnapshot())
 	if err != nil || !bytes.Contains(raw, []byte(`"health":"read-only","health_err":"`)) {
-		t.Fatalf("StatsJSON of a degraded store: %v\n%s", err, raw)
+		t.Fatalf("JSON of a degraded store's StatsSnapshot: %v\n%s", err, raw)
 	}
 	var back StatsSnapshot
 	if err := json.Unmarshal(raw, &back); err != nil {
-		t.Fatalf("StatsJSON of a degraded store does not decode: %v\n%s", err, raw)
+		t.Fatalf("JSON of a degraded store's StatsSnapshot does not decode: %v\n%s", err, raw)
 	}
 	if w0, live := back.PerWorker[0], s.Stats()[0]; w0.State != kv.StateReadOnly || w0.Err == nil || w0.Err.Error() != live.Err.Error() {
 		t.Fatalf("decoded shard 0 = %v / %v, want read-only with %q", w0.State, w0.Err, live.Err)

@@ -293,14 +293,14 @@ func TestExpiredRequestsNeverReachEngine(t *testing.T) {
 	}
 }
 
-// TestAdmitWaitBoundedByDeadline: under AdmitWait a full queue holds the
-// submitter only as long as its deadline budget; without a deadline it
-// rejects immediately.
-func TestAdmitWaitBoundedByDeadline(t *testing.T) {
+// TestAdmitBlockBoundedByDeadline: under AdmitBlock a full queue holds the
+// submitter only as long as its deadline; it fails at the deadline, not
+// forever.
+func TestAdmitBlockBoundedByDeadline(t *testing.T) {
 	gate := make(chan struct{})
 	s, engines := openStubStore(t, 1, map[int]chan struct{}{0: gate}, func(o *Options) {
 		o.QueueDepth = 1
-		o.Admission = AdmitWait
+		o.Admission = AdmitBlock
 		o.DrainTimeout = 2 * time.Second
 	})
 	defer func() {
@@ -308,23 +308,15 @@ func TestAdmitWaitBoundedByDeadline(t *testing.T) {
 		s.Close()
 	}()
 
-	// Fill: one wedged in the engine, one in the queue (a queue with room
-	// admits a request without a deadline under AdmitWait too).
+	// Fill: one wedged in the engine, one in the queue.
 	if err := s.PutAsync(shardKey(0, 0), []byte("v"), func(error) {}); err != nil {
 		t.Fatal(err)
 	}
 	waitWedged(t, engines[0], 1)
-
 	if err := s.PutAsync(shardKey(0, 1), []byte("v"), func(error) {}); err != nil {
 		t.Fatal(err)
 	}
 
-	// No deadline: bounded wait has no budget, reject.
-	if err := s.Put(shardKey(0, 2), []byte("v")); !errors.Is(err, kv.ErrOverloaded) {
-		t.Fatalf("deadline-less put under AdmitWait = %v, want ErrOverloaded", err)
-	}
-
-	// With a deadline: waits, then fails at the deadline, not forever.
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
 	start := time.Now()
@@ -334,6 +326,9 @@ func TestAdmitWaitBoundedByDeadline(t *testing.T) {
 	}
 	if d := time.Since(start); d < 30*time.Millisecond || d > 5*time.Second {
 		t.Fatalf("bounded wait lasted %v", d)
+	}
+	if st := s.Stats()[0]; st.Rejected != 0 || st.Expired != 1 {
+		t.Fatalf("a blocked put that timed out counts as expired, not rejected: %+v", st)
 	}
 }
 

@@ -33,10 +33,6 @@ const (
 	// floods bounce at the accessing layer instead of dragging every
 	// co-hashed caller into unbounded queue wait.
 	AdmitReject
-	// AdmitWait waits for queue space only as long as the request's
-	// remaining deadline budget. A request without a deadline has no
-	// budget to spend, so a full queue rejects it like AdmitReject.
-	AdmitWait
 )
 
 // Options configures a p2KVS store.

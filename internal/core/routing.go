@@ -105,16 +105,10 @@ func (s *Store) admit(ctx context.Context, w *worker, r *request) error {
 		r.ctx = ctx
 		done = ctx.Done()
 	}
-	// AdmitReject never waits; AdmitWait has no budget to wait with when
-	// the request carries no deadline.
-	noDeadline := s.opts.Admission == AdmitWait && ctx == nil
-	if s.opts.Admission == AdmitReject || noDeadline {
+	if s.opts.Admission == AdmitReject {
 		err := w.q.tryPush(r)
 		if errors.Is(err, kv.ErrOverloaded) {
 			w.rejected.Add(1)
-			if noDeadline {
-				return fmt.Errorf("core: shard %d: bounded wait requires a deadline: %w", w.id, kv.ErrOverloaded)
-			}
 			return fmt.Errorf("core: shard %d: %w", w.id, kv.ErrOverloaded)
 		}
 		return err

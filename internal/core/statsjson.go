@@ -1,8 +1,6 @@
 package core
 
 import (
-	"encoding/json"
-
 	"p2kvs/internal/hotcache"
 	"p2kvs/internal/repl"
 	"p2kvs/internal/reshard"
@@ -10,7 +8,7 @@ import (
 )
 
 // StatsSnapshot is the stats document of the whole store — what
-// StatsJSON, /metrics, INFO and the bench reports all read: an aggregate
+// /metrics, INFO and the bench reports all read: an aggregate
 // over all workers (ID -1, each field folded by its agg tag) plus the
 // per-worker breakdown and the store-level state.
 type StatsSnapshot struct {
@@ -55,10 +53,4 @@ func (s *Store) StatsSnapshot() StatsSnapshot {
 	snap.Reshard = s.tracker.Snapshot()
 	snap.Stats = s.cache.Stats()
 	return snap
-}
-
-// StatsJSON renders StatsSnapshot as JSON. The encoding is stable (fixed
-// field set and order), so it is safe to diff across runs and scrape.
-func (s *Store) StatsJSON() ([]byte, error) {
-	return json.Marshal(s.StatsSnapshot())
 }

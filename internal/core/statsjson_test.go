@@ -33,13 +33,13 @@ func TestStatsJSONStableSchema(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	raw, err := s.StatsJSON()
+	raw, err := json.Marshal(s.StatsSnapshot())
 	if err != nil {
 		t.Fatal(err)
 	}
 	var snap StatsSnapshot
 	if err := json.Unmarshal(raw, &snap); err != nil {
-		t.Fatalf("StatsJSON not round-trippable: %v\n%s", err, raw)
+		t.Fatalf("StatsSnapshot's JSON not round-trippable: %v\n%s", err, raw)
 	}
 	if snap.Workers != 3 || len(snap.PerWorker) != 3 {
 		t.Fatalf("workers = %d / %d per-worker entries, want 3", snap.Workers, len(snap.PerWorker))
@@ -68,7 +68,7 @@ func TestStatsJSONStableSchema(t *testing.T) {
 	for _, key := range []string{`"aggregate"`, `"per_worker"`, `"batch_write_ops"`, `"multiget_ops"`,
 		`"queue_wait_us"`, `"rejected"`, `"expired"`, `"shed"`, `"queue_high_water"`, `"health"`} {
 		if !bytes.Contains(raw, []byte(key)) {
-			t.Fatalf("StatsJSON missing field %s:\n%s", key, raw)
+			t.Fatalf("StatsSnapshot's JSON missing field %s:\n%s", key, raw)
 		}
 	}
 }

@@ -25,7 +25,7 @@ var (
 // encoding/json sees it: one per leaf field, embedded structs flattened,
 // nested structs and slices descended into, errors and text marshalers
 // strings as they are on the wire. The result is the externally visible
-// stats schema: INFO, /metrics and any scraper built on StatsJSON depend
+// stats schema: INFO, /metrics and any scraper built on the JSON depend
 // on these names.
 func statsSchema(t reflect.Type, prefix string, out *[]string) {
 	for i := 0; i < t.NumField(); i++ {

@@ -86,9 +86,8 @@ type worker struct {
 	// worker writes every op through it (commit) after the engine applied
 	// the batch and before any submitter is woken: once a write is
 	// acknowledged, no reader can be served a cached value that predates
-	// it. cacheInv counts the written keys (one stripe bump each).
-	cache    *hotcache.Cache
-	cacheInv atomic.Int64
+	// it.
+	cache *hotcache.Cache
 
 	// resh points at the store's active-reshard slot. On every applied
 	// write batch the worker consults it and synchronously double-writes
@@ -342,7 +341,6 @@ func (w *worker) commit(ops []kv.BatchOp, txnGSN, streamGSN uint64, unrouted boo
 		for _, op := range ops {
 			w.cache.Update(op, drop)
 		}
-		w.cacheInv.Add(int64(len(ops)))
 	}
 	return err
 }
@@ -486,7 +484,7 @@ func (w *worker) stop(deadline time.Time, readers <-chan struct{}) error {
 }
 
 // WorkerStats summarizes one worker's activity. It is the one declaration
-// of the per-worker stats schema: the tags name each field in StatsJSON,
+// of the per-worker stats schema: the tags name each field in the JSON,
 // /metrics and (behind "store_") INFO, and say how the aggregate folds it
 // (internal/stats). The embedded engine reports are zero-valued for
 // engines without the matching capability.
@@ -514,7 +512,7 @@ type WorkerStats struct {
 	// the measured window.
 	BusyUs int64 `json:"busy_us" agg:"sum" info:"Store"`
 	// Rejected counts requests bounced by admission control with
-	// kv.ErrOverloaded (AdmitReject / AdmitWait on a full queue).
+	// kv.ErrOverloaded (AdmitReject on a full queue).
 	Rejected int64 `json:"rejected" agg:"sum" info:"Store"`
 	// Expired counts requests whose context ended before execution, as
 	// observed by their submitters (kv.ErrDeadlineExceeded).
@@ -533,27 +531,23 @@ type WorkerStats struct {
 	// of its most recently applied-and-shipped write batch. Zero when
 	// replication is disabled (Options.ReplLog nil).
 	ReplLastGSN uint64 `json:"repl_last_gsn" agg:"max"`
-	// CacheInvalidations counts the keys this worker wrote through the hot
-	// cache (one stripe bump each). Zero when the cache is disabled.
-	CacheInvalidations int64 `json:"cache_invalidations" agg:"sum"`
 }
 
 func (w *worker) stats() WorkerStats {
 	st := WorkerStats{
-		ID:                 w.id,
-		Ops:                w.ops.Load(),
-		Batches:            w.batches.Load(),
-		BatchedOps:         w.batchedOps.Load(),
-		DirectReads:        w.directReads.Load(),
-		BatchWriteOps:      w.batchWriteOps.Load(),
-		MultiGetOps:        w.multiGetOps.Load(),
-		QueueWaitUs:        w.queueWaitNs.Load() / 1e3,
-		BusyUs:             w.busyNs.Load() / 1e3,
-		Rejected:           w.rejected.Load(),
-		Expired:            w.expired.Load(),
-		Shed:               w.shed.Load(),
-		QueueHighWater:     w.q.highWaterMark(),
-		CacheInvalidations: w.cacheInv.Load(),
+		ID:             w.id,
+		Ops:            w.ops.Load(),
+		Batches:        w.batches.Load(),
+		BatchedOps:     w.batchedOps.Load(),
+		DirectReads:    w.directReads.Load(),
+		BatchWriteOps:  w.batchWriteOps.Load(),
+		MultiGetOps:    w.multiGetOps.Load(),
+		QueueWaitUs:    w.queueWaitNs.Load() / 1e3,
+		BusyUs:         w.busyNs.Load() / 1e3,
+		Rejected:       w.rejected.Load(),
+		Expired:        w.expired.Load(),
+		Shed:           w.shed.Load(),
+		QueueHighWater: w.q.highWaterMark(),
 	}
 	if w.hr != nil {
 		st.Health = w.hr.Health()

@@ -1,10 +1,6 @@
 package loadgen
 
 import (
-	"bufio"
-	"encoding/hex"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -59,40 +55,5 @@ func TestVerifyRejects(t *testing.T) {
 	// A flipped seq digit names a different write: caught by the window.
 	if _, err := Verify(42, flip(8), 7, 7); err == nil {
 		t.Error("flipped seq digit accepted")
-	}
-}
-
-func TestAckedLogRoundTrip(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "acked.log")
-	w, err := CreateAckedLog(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	records := [][]string{{"set", "k\t1", "v\n\x00"}, {"set", string(Key(9)), "12"}}
-	for _, r := range records {
-		if err := w.Append(r...); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	sc := bufio.NewScanner(f)
-	for i := 0; sc.Scan(); i++ {
-		fields := strings.Split(sc.Text(), "\t")
-		if len(fields) != len(records[i]) {
-			t.Fatalf("record %d has %d fields, want %d", i, len(fields), len(records[i]))
-		}
-		for j, fld := range fields {
-			got, err := hex.DecodeString(fld)
-			if err != nil || string(got) != records[i][j] {
-				t.Fatalf("record %d field %d = %q, %v; want %q", i, j, got, err, records[i][j])
-			}
-		}
 	}
 }

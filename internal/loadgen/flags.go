@@ -10,13 +10,8 @@ import (
 	"p2kvs"
 )
 
-// Engines and Devices list the values -engine and -device accept.
-var (
-	Engines = []string{"rocksdb", "leveldb", "pebblesdb", "wiredtiger", "kvell"}
-	Devices = []string{"nvme", "sata", "hdd"}
-)
-
-var admissions = []string{"block", "reject", "wait"} // indexed by p2kvs.AdmissionPolicy
+// engines lists the values -engine accepts.
+var engines = []string{"rocksdb", "leveldb", "pebblesdb", "wiredtiger", "kvell"}
 
 // StoreFlags declares every store-shaping flag on fs — the one place
 // they exist, so dbbench, p2kvs-server and p2kvs-cli cannot drift apart —
@@ -27,41 +22,25 @@ func StoreFlags(fs *flag.FlagSet, def p2kvs.Options) func() (p2kvs.Options, erro
 	o := def
 	fs.StringVar(&o.Dir, "dir", def.Dir, "data directory (empty = in-memory)")
 	fs.BoolVar(&o.InMemory, "inmemory", false, "use the in-memory filesystem even with -dir set (data lost on exit)")
-	fs.StringVar((*string)(&o.Engine), "engine", "rocksdb", "engine: "+strings.Join(Engines, ", "))
+	fs.StringVar((*string)(&o.Engine), "engine", "rocksdb", "engine: "+strings.Join(engines, ", "))
 	fs.IntVar(&o.Workers, "workers", def.Workers, "p2KVS worker count")
-	fs.StringVar(&o.SimulateDevice, "device", "", "simulated device: "+strings.Join(Devices, ", ")+" (empty = none)")
 	fs.Float64Var(&o.DeviceScale, "devscale", 1.0, "simulated device time scale")
 	walSync := fs.String("wal_sync", "never", "WAL durability policy: never, commit (fsync before every ack), or an interval like 100ms")
-	admission := fs.String("admission", admissions[def.Admission], "admission policy: "+strings.Join(admissions, ", "))
-	fs.IntVar(&o.QueueDepth, "queue_depth", 0, "per-worker queue depth (0 = default 4096)")
-	fs.IntVar(&o.MaxBatch, "max_batch", 0, "OBM batch cap (0 = default 32)")
 	fs.DurationVar(&o.DrainTimeout, "drain_timeout", def.DrainTimeout, "bound on Close's queue drain (0 = wait forever)")
-	fs.IntVar(&o.MaxBackgroundCompactions, "max_bg_compactions", 0, "concurrent compactions per LSM instance (0 = default 2)")
-	fs.IntVar(&o.MaxSubCompactions, "subcompactions", 0, "parallel key-range splits per compaction (0 = default 1, off)")
-	fs.IntVar(&o.L0SlowdownTrigger, "l0_slowdown", 0, "L0 file count that soft-delays writers (0 = engine default)")
 	fs.DurationVar(&o.ScrubInterval, "scrub_interval", 0, "background at-rest integrity scrub cadence (0 = disabled)")
 	fs.Int64Var(&o.ScrubRate, "scrub_rate", 0, "scrub read-bandwidth budget in bytes/sec (0 = unthrottled)")
 	fs.StringVar(&o.RepairFrom, "repair_from", "", "backup directory engines may pull verified files from to self-repair quarantined data")
 	fs.Int64Var(&o.HotCacheBytes, "hot_cache", 0, "hot-key read cache budget in bytes; hits bypass queue admission (-1 = default 32 MiB; 0 disables)")
 	fs.Int64Var(&o.ReplBacklogBytes, "repl_backlog", 0, "replication backlog retention in bytes; non-zero enables replication (-1 = default 16 MiB)")
 	fs.BoolVar(&o.Elastic, "elastic", false, "place keys on a consistent-hash ring and enable online resharding; -workers only seeds the first open (incompatible with replication)")
-	fs.DurationVar(&o.CutoverBudget, "cutover_budget", 0, "max writer pause per reshard cutover attempt (0 = default 10ms)")
 	return func() (p2kvs.Options, error) {
 		o := o
 		if o.Dir == "" {
 			o.Dir, o.InMemory = "mem-db", true
 		}
-		if !slices.Contains(Engines, string(o.Engine)) {
-			return o, fmt.Errorf("unknown engine %q (valid: %s)", o.Engine, strings.Join(Engines, ", "))
+		if !slices.Contains(engines, string(o.Engine)) {
+			return o, fmt.Errorf("unknown engine %q (valid: %s)", o.Engine, strings.Join(engines, ", "))
 		}
-		if o.SimulateDevice != "" && !slices.Contains(Devices, o.SimulateDevice) {
-			return o, fmt.Errorf("unknown device %q (valid: %s)", o.SimulateDevice, strings.Join(Devices, ", "))
-		}
-		policy := slices.Index(admissions, *admission)
-		if policy < 0 {
-			return o, fmt.Errorf("unknown admission policy %q (valid: %s)", *admission, strings.Join(admissions, ", "))
-		}
-		o.Admission = p2kvs.AdmissionPolicy(policy)
 		switch *walSync {
 		case "never":
 			o.WALSync = p2kvs.SyncNever

@@ -71,20 +71,16 @@ func TestStoreFlagsMapping(t *testing.T) {
 	}
 
 	o, err = parse(t, p2kvs.Options{Workers: 8},
-		"-dir", "/data/db", "-inmemory", "-engine", "wiredtiger", "-workers", "3",
-		"-device", "sata", "-devscale", "0.5", "-admission", "wait", "-queue_depth", "64",
-		"-max_batch", "16", "-drain_timeout", "5s", "-max_bg_compactions", "4", "-subcompactions", "2",
-		"-l0_slowdown", "9", "-scrub_interval", "1m", "-scrub_rate", "1024", "-repair_from", "/bk",
-		"-hot_cache", "-1", "-repl_backlog", "4096", "-elastic", "-cutover_budget", "3ms", "-wal_sync", "250ms")
+		"-dir", "/data/db", "-inmemory", "-engine", "wiredtiger", "-workers", "3", "-devscale", "0.5",
+		"-drain_timeout", "5s", "-scrub_interval", "1m", "-scrub_rate", "1024", "-repair_from", "/bk",
+		"-hot_cache", "-1", "-repl_backlog", "4096", "-elastic", "-wal_sync", "250ms")
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := p2kvs.Options{
-		Dir: "/data/db", InMemory: true, Engine: p2kvs.EngineWiredTiger, Workers: 3,
-		SimulateDevice: "sata", DeviceScale: 0.5, Admission: p2kvs.AdmitWait, QueueDepth: 64,
-		MaxBatch: 16, DrainTimeout: 5 * time.Second, MaxBackgroundCompactions: 4, MaxSubCompactions: 2,
-		L0SlowdownTrigger: 9, ScrubInterval: time.Minute, ScrubRate: 1024, RepairFrom: "/bk",
-		HotCacheBytes: -1, ReplBacklogBytes: 4096, Elastic: true, CutoverBudget: 3 * time.Millisecond,
+		Dir: "/data/db", InMemory: true, Engine: p2kvs.EngineWiredTiger, Workers: 3, DeviceScale: 0.5,
+		DrainTimeout: 5 * time.Second, ScrubInterval: time.Minute, ScrubRate: 1024, RepairFrom: "/bk",
+		HotCacheBytes: -1, ReplBacklogBytes: 4096, Elastic: true,
 		WALSync: p2kvs.SyncInterval, WALSyncInterval: 250 * time.Millisecond,
 	}
 	if o != want {
@@ -116,8 +112,6 @@ func TestCommandLineNamesAreValidatedUpFront(t *testing.T) {
 		{"empty list", mixes(" , ", "uniform"), []string{"no benchmarks"}},
 		{"unknown -dist", mixes("set", "gaussian"), []string{`"gaussian"`, "uniform, zipfian, latest, seq"}},
 		{"unknown -engine", store("-engine", "bogus"), []string{`"bogus"`, "rocksdb, leveldb, pebblesdb, wiredtiger, kvell"}},
-		{"unknown -admission", store("-admission", "maybe"), []string{`"maybe"`, "block, reject, wait"}},
-		{"unknown -device", store("-device", "floppy"), []string{`"floppy"`, "nvme, sata, hdd"}},
 		{"bad -wal_sync", store("-wal_sync", "sometimes"), []string{"never, commit, or a positive duration"}},
 		{"negative -wal_sync", store("-wal_sync", "-5ms"), []string{"positive duration"}},
 	}

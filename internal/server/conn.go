@@ -69,9 +69,14 @@ func (c *conn) serve() {
 	}
 }
 
+// maxPipeline caps how many pipelined commands are drained per read window
+// before replies are flushed. It also bounds the size of a coalesced SET/GET
+// run.
+const maxPipeline = 128
+
 // readWindow reads the client's current pipeline: one blocking command,
 // then every command already sitting in the read buffer, capped at
-// MaxPipeline. Returning both commands and an error is valid — the
+// maxPipeline. Returning both commands and an error is valid — the
 // complete commands are processed (and answered) before the error closes
 // the connection.
 func (c *conn) readWindow() ([][][]byte, error) {
@@ -95,7 +100,7 @@ func (c *conn) readWindow() ([][][]byte, error) {
 		return nil, err
 	}
 	cmds := [][][]byte{first}
-	for len(cmds) < c.srv.cfg.MaxPipeline && c.rd.Buffered() > 0 {
+	for len(cmds) < maxPipeline && c.rd.Buffered() > 0 {
 		cmd, err := c.rd.ReadCommand()
 		if err != nil {
 			return cmds, err

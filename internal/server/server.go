@@ -30,10 +30,6 @@ type Config struct {
 	// loop blocks when the cap is reached — backpressure at the listener
 	// instead of unbounded goroutine growth.
 	MaxConns int
-	// MaxPipeline caps how many pipelined commands are drained per read
-	// window before replies are flushed (default 128). It also bounds
-	// the size of a coalesced SET/GET run.
-	MaxPipeline int
 	// ConnIdleTimeout closes a connection that sends no command for this
 	// long, so abandoned sockets cannot pin the MaxConns semaphore
 	// forever. Zero disables the idle check.
@@ -83,9 +79,6 @@ func (c Config) replFS() vfs.FS {
 func (c Config) withDefaults() Config {
 	if c.MaxConns <= 0 {
 		c.MaxConns = 1024
-	}
-	if c.MaxPipeline <= 0 {
-		c.MaxPipeline = 128
 	}
 	if c.Logf == nil {
 		c.Logf = func(string, ...any) {}

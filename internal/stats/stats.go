@@ -1,7 +1,7 @@
 // Package stats derives every view of a counter from its one declaration,
 // a struct field tagged
 //
-//	json:"name"         its key in StatsJSON, /metrics and (behind the
+//	json:"name"         its key in the JSON, /metrics and (behind the
 //	                    caller's prefix) INFO
 //	agg:"rule"          how Merge folds it into the aggregate
 //	info:"Group[,key]"  the INFO group Pairs and Lines render it under;

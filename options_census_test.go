@@ -4,9 +4,12 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"os"
 	"path/filepath"
 	"reflect"
+	"regexp"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -26,18 +29,22 @@ import (
 
 // notFlags: Options fields no flag sets, and why they stay.
 var notFlags = map[string]string{
-	"BlockCacheSize":    "memory sizing for embedders; dbbench's experiments size the cache per figure at the lsm layer",
-	"SimulateHostCosts": "the simulated-time cost model (DESIGN 'Time and cost model'); examples/ycsb-demo sets it",
+	"BlockCacheSize": "memory sizing for embedders; dbbench's experiments size the cache per figure at the lsm layer",
+	"Admission":      "each binary has its own default: p2kvs-server sheds (AdmitReject), the load drivers block",
+	"SimulateDevice": "dbbench -hotcache_bench puts its stores on the simulated SATA device; the paper figures pick devices in internal/bench",
 }
 
 // testShaped: engine Options fields only tests assign, and why they stay.
 var testShaped = map[string]string{
-	"lsm.MaxImmutables":       "tests bound the flush queue to force write stalls",
-	"lsm.L0CompactionTrigger": "tests tighten it to keep several compactions in flight (torture lsm-parallel)",
-	"lsm.L0StallTrigger":      "same: the stall and slowdown bands are placed relative to it",
-	"lsm.BgMaxRetries":        "tests shorten the retry schedule so a persistent fault degrades in milliseconds",
-	"lsm.BgBaseBackoff":       "same",
-	"lsm.BgMaxBackoff":        "same",
+	"lsm.MaxImmutables":            "tests bound the flush queue to force write stalls",
+	"lsm.L0CompactionTrigger":      "tests tighten it to keep several compactions in flight (torture lsm-parallel)",
+	"lsm.L0StallTrigger":           "same: the stall and slowdown bands are placed relative to it",
+	"lsm.L0SlowdownTrigger":        "same",
+	"lsm.MaxBackgroundCompactions": "the scheduler tests and torture lsm-parallel run several compactions at once",
+	"lsm.MaxSubCompactions":        "the subcompaction tests and torture lsm-parallel split one merge by key range",
+	"lsm.BgMaxRetries":             "tests shorten the retry schedule so a persistent fault degrades in milliseconds",
+	"lsm.BgBaseBackoff":            "same",
+	"lsm.BgMaxBackoff":             "same",
 }
 
 // engineOptions are the Options types the census walks, by package name.
@@ -93,6 +100,148 @@ func TestOptionsCensus(t *testing.T) {
 			t.Errorf("testShaped names %s.Options.%s, which does not exist", pkg, field)
 		}
 	}
+}
+
+// The flag census: every flag of the four binaries (cmd/*/*.go and the
+// store flags they share, loadgen.StoreFlags) has a user. A flag is used
+// when a line of scripts/stress.sh, the Makefile or CI that starts one of
+// the binaries passes it, or when a binary starts another with it (a cmd/
+// string literal that is exactly "-name": netbench -crash and its servers).
+// Matching is by name, so a same-named flag can only excuse another, never
+// condemn it. A flag nothing passes is a knob with one value in use: delete
+// it and what only it kept alive, or excuse it here.
+
+// unusedFlags: flags nothing passes, and why they stay.
+var unusedFlags = map[string]string{
+	// Deployment settings: an operator's, with nothing to measure.
+	"debug_addr":         "p2kvs-server's HTTP listener for /metrics and /debug/pprof",
+	"repl_dir":           "where a replica stages full-sync images; the default sits beside -dir",
+	"repair_from":        "the backup self-repair reads; p2kvs-server defaults it to -checkpoint_dir",
+	"crash_dir":          "keeps netbench -crash's server directories for a post-mortem (default: a temp dir it removes)",
+	"max_conns":          "p2kvs-server's connection cap",
+	"drain_timeout":      "bounds the graceful shutdown; each binary sets its own default",
+	"conn_write_timeout": "p2kvs-server's deadline for a client that stops reading",
+	"scrub_interval":     "the background scrub's cadence (the scrub suite drives SCRUB and Store.Scrub)",
+	"scrub_rate":         "the background scrub's read-bandwidth budget",
+	// Tool modes, run by hand.
+	"experiment":    "dbbench's paper tables and figures (internal/bench)",
+	"list":          "prints the -experiment ids",
+	"quick":         "-experiment's smoke budget",
+	"budget":        "-experiment's wall-clock budget per cell",
+	"maxops":        "-experiment's operation cap per cell",
+	"replica_reads": "p2kvs-cli's cluster shell reads from replicas (its -cluster shares netbench's used name)",
+}
+
+// binaryInvocation matches a script line that starts one of the binaries:
+// their names, and the helpers of scripts/stress.sh that wrap them (crash
+// runs netbench -crash, boot runs p2kvs-server, $nb is netbench). A match on
+// a line that does not start one (a suite named crash) can only excuse.
+var (
+	binaryInvocation = regexp.MustCompile(`(^|[\s/"'(])(dbbench|netbench|p2kvs-server|p2kvs-cli|\$nb|boot|crash)($|[\s"')])`)
+	flagToken        = regexp.MustCompile(`(?:^|[\s'"(])-([a-z][a-z0-9_]*)`)
+	flagLiteral      = regexp.MustCompile(`^-[a-z][a-z0-9_]*$`)
+)
+
+func TestFlagCensus(t *testing.T) {
+	cmdFiles, err := filepath.Glob("cmd/*/*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cmdFiles = slices.DeleteFunc(cmdFiles, func(f string) bool { return strings.HasSuffix(f, "_test.go") })
+	declared := map[string][]string{} // flag name -> the binaries (or StoreFlags) declaring it
+	used := map[string]bool{}
+	fset := token.NewFileSet()
+	for _, name := range append(cmdFiles, "internal/loadgen/flags.go") {
+		f, err := parser.ParseFile(fset, name, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		owner := filepath.Base(filepath.Dir(name))
+		if owner == "loadgen" {
+			owner = "loadgen.StoreFlags"
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.CallExpr:
+				if flag, ok := flagName(n); ok {
+					declared[flag] = append(declared[flag], owner)
+				}
+			case *ast.BasicLit:
+				if n.Kind != token.STRING || owner == "loadgen.StoreFlags" {
+					break
+				}
+				if s, err := strconv.Unquote(n.Value); err == nil && flagLiteral.MatchString(s) {
+					used[s[1:]] = true
+				}
+			}
+			return true
+		})
+	}
+	for _, script := range []string{"scripts/stress.sh", "Makefile", ".github/workflows/ci.yml"} {
+		raw, err := os.ReadFile(script)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, line := range strings.Split(strings.ReplaceAll(string(raw), "\\\n", " "), "\n") {
+			if strings.HasPrefix(strings.TrimSpace(line), "#") || !binaryInvocation.MatchString(line) {
+				continue
+			}
+			for _, m := range flagToken.FindAllStringSubmatch(line, -1) {
+				used[m[1]] = true
+			}
+		}
+	}
+	if len(declared) == 0 {
+		t.Fatal("found no flag declarations: the census no longer sees how the binaries declare flags")
+	}
+	count := 0
+	for flag, owners := range declared {
+		count += len(owners)
+		_, excused := unusedFlags[flag]
+		switch {
+		case used[flag] && excused:
+			t.Errorf("-%s (%s) is passed by a script or a binary and also excused: drop the excuse", flag, strings.Join(owners, ", "))
+		case !used[flag] && !excused:
+			t.Errorf("-%s (%s) is passed by no stress row, Makefile target, CI step or spawning binary and has no excuse: delete it", flag, strings.Join(owners, ", "))
+		}
+	}
+	for flag := range unusedFlags {
+		if declared[flag] == nil {
+			t.Errorf("unusedFlags excuses -%s, which no binary declares", flag)
+		}
+	}
+	t.Logf("%d flags, %d excused", count, len(unusedFlags))
+}
+
+// flagName returns the name a flag-declaring call gives its flag:
+// fs.Int(name, value, usage) or fs.IntVar(&v, name, value, usage), by the
+// flag package's method names and arities, so a lookup such as
+// info.Int("key") is not a declaration.
+func flagName(call *ast.CallExpr) (string, bool) {
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	if !ok {
+		return "", false
+	}
+	arg := 0
+	switch sel.Sel.Name {
+	case "Bool", "Int", "Int64", "Uint", "Uint64", "String", "Float64", "Duration", "Func", "BoolFunc":
+		if len(call.Args) != 3 {
+			return "", false
+		}
+	case "BoolVar", "IntVar", "Int64Var", "UintVar", "Uint64Var", "StringVar", "Float64Var", "DurationVar", "TextVar", "Var":
+		if len(call.Args) < 3 {
+			return "", false
+		}
+		arg = 1
+	default:
+		return "", false
+	}
+	lit, ok := call.Args[arg].(*ast.BasicLit)
+	if !ok || lit.Kind != token.STRING {
+		return "", false
+	}
+	name, err := strconv.Unquote(lit.Value)
+	return name, err == nil
 }
 
 // assignedFields returns the field names the files assign — x.F = …,

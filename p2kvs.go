@@ -58,15 +58,14 @@ type (
 	// WorkerStats summarizes one worker's activity.
 	WorkerStats = core.WorkerStats
 	// StatsSnapshot is the stable-schema stats document returned by
-	// Store.StatsSnapshot and serialized by Store.StatsJSON; the same
-	// document backs the network server's INFO/metrics and dbbench's
-	// -stats_json output.
+	// Store.StatsSnapshot; the same document backs the network server's
+	// INFO and /metrics and dbbench's store lines.
 	StatsSnapshot = core.StatsSnapshot
 	// ReshardStats reports the state and counters of the last (or
 	// in-flight) online reshard; see Store.ReshardStats.
 	ReshardStats = reshard.Stats
 	// AdmissionPolicy selects the overload behaviour of request
-	// submission (see the AdmitBlock/AdmitReject/AdmitWait constants).
+	// submission (see the AdmitBlock/AdmitReject constants).
 	AdmissionPolicy = core.AdmissionPolicy
 	// SyncPolicy selects WAL durability on engines with a log (see the
 	// SyncNever/SyncInterval/SyncOnCommit constants).
@@ -92,9 +91,6 @@ const (
 	// AdmitReject fails fast with ErrOverloaded on a full or degraded
 	// shard.
 	AdmitReject = core.AdmitReject
-	// AdmitWait waits for queue space only within the request's
-	// remaining deadline budget.
-	AdmitWait = core.AdmitWait
 )
 
 // ErrNotFound is returned by Get when a key does not exist.
@@ -109,7 +105,7 @@ var ErrClosed = kv.ErrClosed
 var ErrDegraded = kv.ErrDegraded
 
 // ErrOverloaded is returned by admission control when a shard cannot
-// accept a request without unbounded waiting (AdmitReject / AdmitWait).
+// accept a request without waiting (AdmitReject).
 // The request was not enqueued; retrying after backoff is safe.
 var ErrOverloaded = kv.ErrOverloaded
 
@@ -160,15 +156,9 @@ type Options struct {
 	SimulateDevice string
 	// DeviceScale multiplies simulated IO durations (default 1.0).
 	DeviceScale float64
-	// MaxBatch bounds OBM batch size (default 32).
-	MaxBatch int
-	// QueueDepth bounds each worker's request queue (default 4096);
-	// admission control triggers when a shard's queue is full.
-	QueueDepth int
-	// Admission selects the overload behaviour of request submission:
-	// AdmitBlock (default, blocking backpressure), AdmitReject
-	// (fail fast with ErrOverloaded) or AdmitWait (wait only within the
-	// request deadline).
+	// Admission selects what a request meets at a full worker queue (4096
+	// requests): AdmitBlock (default, blocking backpressure) or AdmitReject
+	// (fail fast with ErrOverloaded).
 	Admission AdmissionPolicy
 	// DrainTimeout bounds Close's drain: queued requests still pending
 	// when it passes complete with ErrClosed instead of Close hanging
@@ -183,22 +173,6 @@ type Options struct {
 	// BlockCacheSize overrides the per-instance data-block cache budget
 	// (LSM engines; 0 = default 8 MiB, negative disables).
 	BlockCacheSize int64
-	// MaxBackgroundCompactions bounds how many compactions of disjoint
-	// levels/key ranges each LSM instance runs concurrently (0 = engine
-	// default 2).
-	MaxBackgroundCompactions int
-	// MaxSubCompactions splits one large merge into up to this many
-	// parallel key-range subcompactions (0 = engine default 1, off).
-	MaxSubCompactions int
-	// L0SlowdownTrigger is the per-instance L0 file count at which writers
-	// are delayed with a scaled sleep instead of blocked (0 = engine
-	// default, midway between the compaction and stall triggers).
-	L0SlowdownTrigger int
-	// SimulateHostCosts charges the per-request host software costs the
-	// paper identifies (log encode/checksum ~1us + ~6ns/B, lookup ~2us)
-	// in simulated time, multiplied by DeviceScale. Only meaningful
-	// together with SimulateDevice; see DESIGN.md "Time and cost model".
-	SimulateHostCosts bool
 	// ScrubInterval enables a background at-rest integrity scrub on this
 	// cadence: every worker engine re-reads its files and verifies their
 	// block checksums, quarantining (and, with RepairFrom, repairing) what
@@ -230,11 +204,6 @@ type Options struct {
 	// ReplBacklogBytes — replication logs are sized to a fixed worker
 	// count.
 	Elastic bool
-	// CutoverBudget bounds the writer pause of one reshard cutover
-	// attempt; an attempt that cannot commit inside it releases the
-	// writers and retries. Zero selects the 10ms default. Only meaningful
-	// with Elastic.
-	CutoverBudget time.Duration
 	// ReplBacklogBytes, when non-zero, enables GSN log-shipping
 	// replication: every applied write batch is retained (with its
 	// apply-time Global Sequence Number) in an in-memory backlog that
@@ -311,12 +280,6 @@ func openWithFS(opts Options, fs vfs.FS) (*Store, error) {
 	}
 	copts := core.DefaultOptions(factory)
 	copts.Workers = opts.Workers
-	if opts.MaxBatch > 0 {
-		copts.MaxBatch = opts.MaxBatch
-	}
-	if opts.QueueDepth > 0 {
-		copts.QueueDepth = opts.QueueDepth
-	}
 	copts.Admission = opts.Admission
 	copts.DrainTimeout = opts.DrainTimeout
 	copts.TxnFS = fs
@@ -330,7 +293,6 @@ func openWithFS(opts Options, fs vfs.FS) (*Store, error) {
 	}
 	if opts.Elastic {
 		copts.Partitioner = keyspace.NewConsistent(opts.Workers, ringReplicas)
-		copts.CutoverBudget = opts.CutoverBudget
 		copts.InstanceReset = func(id int) error {
 			return vfs.RemoveTree(fs, fmt.Sprintf("%s/inst-%02d", opts.Dir, id))
 		}
@@ -362,16 +324,7 @@ func engineFactory(fs vfs.FS, opts Options) (core.EngineFactory, error) {
 			lo.WALSync = opts.WALSync
 			lo.WALSyncInterval = opts.WALSyncInterval
 			lo.BlockCacheSize = opts.BlockCacheSize
-			lo.MaxBackgroundCompactions = opts.MaxBackgroundCompactions
-			lo.MaxSubCompactions = opts.MaxSubCompactions
-			lo.L0SlowdownTrigger = opts.L0SlowdownTrigger
 			lo.RepairSource = repairSourceFor(opts, id)
-			if opts.SimulateHostCosts && opts.SimulateDevice != "" {
-				s := scale(opts)
-				lo.WALPerRecordCost = time.Duration(1000 * s)
-				lo.WALPerByteCost = time.Duration(6 * s)
-				lo.ReadPerOpCost = time.Duration(2000 * s)
-			}
 			return lsm.OpenWith(instDir(id), lo, lsm.OpenOptions{RecoverFilter: filter})
 		}, nil
 	case EngineWiredTiger:

@@ -76,7 +76,6 @@ func TestFacadeSimulatedDevice(t *testing.T) {
 func TestFacadeLifecycle(t *testing.T) {
 	s, err := Open(Options{
 		Dir: "db", Workers: 2, InMemory: true,
-		QueueDepth:   8,
 		Admission:    AdmitReject,
 		DrainTimeout: time.Second,
 	})

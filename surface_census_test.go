@@ -333,3 +333,57 @@ func underAny(name string, prefixes []string) bool {
 	}
 	return false
 }
+
+// TestFuzzShortRunsEveryTarget: make fuzz-short has one -fuzz=<Name> line
+// per fuzz target, run on the package that declares it (Go fuzzes one
+// target per invocation, so a target without a line is never fuzzed).
+func TestFuzzShortRunsEveryTarget(t *testing.T) {
+	raw, err := os.ReadFile("Makefile")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, recipe, ok := strings.Cut(string(raw), "\nfuzz-short:\n")
+	if !ok {
+		t.Fatal("Makefile has no fuzz-short target")
+	}
+	lines := map[string]bool{} // "Name ./pkg"
+	fuzzLine := regexp.MustCompile(`-fuzz=(\w+) .*(\./\S+)$`)
+	for _, line := range strings.Split(recipe, "\n") {
+		if !strings.HasPrefix(line, "\t") {
+			break
+		}
+		if m := fuzzLine.FindStringSubmatch(line); m != nil {
+			lines[m[1]+" "+m[2]] = true
+		}
+	}
+	target := regexp.MustCompile(`(?m)^func (Fuzz\w*)\(`)
+	found := 0
+	err = filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && path != "." && (path == "benchmark" || strings.HasPrefix(d.Name(), ".")) {
+			return filepath.SkipDir
+		}
+		if !strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		src, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		for _, m := range target.FindAllStringSubmatch(string(src), -1) {
+			found++
+			if want := m[1] + " ./" + filepath.Dir(path); !lines[want] {
+				t.Errorf("%s declares %s, which make fuzz-short does not run: add `$(GO) test -fuzz=%s -fuzztime=$(FUZZTIME) ./%s`", path, m[1], m[1], filepath.Dir(path))
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if found == 0 {
+		t.Fatal("found no fuzz targets: the census no longer sees how they are declared")
+	}
+}
