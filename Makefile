@@ -5,7 +5,7 @@ SUITE ?= list
 
 LOC_DIR ?= .
 
-.PHONY: build test test-race alloc-pins alloc-profile cpu-profile vet benchmark-module stats-golden loc loc-diff fuzz-short stress serve netbench ci clean
+.PHONY: build test test-race alloc-pins alloc-profile cpu-profile vet fmt-check benchmark-module stats-golden loc loc-diff fuzz-short stress serve netbench ci clean
 
 build:
 	$(GO) build ./...
@@ -67,6 +67,11 @@ cpu-profile:
 
 vet:
 	$(GO) vet ./...
+
+# gofmt over every Go file, benchmark/ included: fails listing any file
+# whose formatting gofmt would change.
+fmt-check:
+	@out=$$(gofmt -l .) && test -z "$$out" || { echo "fmt-check: gofmt -w these files:" >&2; echo "$$out" >&2; exit 1; }
 
 # The frozen benchmark/ directory is its own module (replace p2kvs => ../):
 # root ./... neither builds nor tests it, so a refactor of internal/* could
@@ -154,7 +159,7 @@ serve:
 netbench:
 	$(GO) run ./cmd/netbench -addr $(SERVE_ADDR) -conns 8 -pipeline 16 -num 20000
 
-ci: vet build test-race alloc-pins benchmark-module
+ci: vet fmt-check build test-race alloc-pins benchmark-module
 
 clean:
 	$(GO) clean ./...

@@ -232,12 +232,10 @@ type HealthReporter interface {
 // CompactionStats is a snapshot of an engine's compaction-scheduler and
 // write-backpressure activity.
 type CompactionStats struct {
-	// Compactions counts installed compactions; Subcompactions counts
-	// key-range splits executed inside them; MaxConcurrent is the
+	// Compactions counts installed compactions; MaxConcurrent is the
 	// high-water mark of compactions running at once.
-	Compactions    int64 `json:"compactions" agg:"sum" info:"Store"`
-	Subcompactions int64 `json:"subcompactions" agg:"sum" info:"Store"`
-	MaxConcurrent  int64 `json:"concurrent_compactions_hw" agg:"max" info:"Store"`
+	Compactions   int64 `json:"compactions" agg:"sum" info:"Store"`
+	MaxConcurrent int64 `json:"concurrent_compactions_hw" agg:"max" info:"Store"`
 	// StallUs is cumulative time writers spent hard-blocked on L0/flush
 	// backpressure; SlowdownUs is cumulative time spent in soft-slowdown
 	// sleeps below the stall threshold. Slowdowns counts delayed writes.

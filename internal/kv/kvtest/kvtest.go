@@ -727,7 +727,7 @@ func testConcurrent(t *testing.T, cfg Config, c caps) {
 	wg.Wait()
 	if cr != nil {
 		after := cr.CompactionStats()
-		if after.Compactions < before.Compactions || after.Subcompactions < before.Subcompactions ||
+		if after.Compactions < before.Compactions ||
 			after.StallUs < before.StallUs || after.SlowdownUs < before.SlowdownUs || after.Slowdowns < before.Slowdowns {
 			t.Errorf("compaction statistics went backwards: %+v then %+v", before, after)
 		}

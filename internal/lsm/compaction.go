@@ -2,8 +2,6 @@ package lsm
 
 import (
 	"bytes"
-	"sort"
-	"sync"
 
 	"p2kvs/internal/ikey"
 	"p2kvs/internal/kv"
@@ -69,34 +67,19 @@ func (d *DB) claimManualJob(level int, begin, end []byte) (*compactionJob, error
 		if len(inputs) == 0 {
 			return nil, nil
 		}
-		out := level + 1
 		// Fail fast when the requested range touches a quarantined file on
 		// either side of the merge: waiting on d.cond would hang (the
 		// quarantine only lifts via repair) and compacting around the file
 		// could invert version order if it is later repaired.
 		if len(d.quar) > 0 {
 			ilo, ihi := keyRange(inputs)
-			for _, f := range append(append([]*manifest.FileMeta(nil), inputs...), v.Levels[out]...) {
+			for _, f := range append(append([]*manifest.FileMeta(nil), inputs...), v.Levels[level+1]...) {
 				if qerr, ok := d.quar[f.Num]; ok && f.Overlaps(ilo, ihi) {
 					return nil, qerr
 				}
 			}
 		}
-		lo, hi := keyRange(inputs)
-		var job *compactionJob
-		if d.opts.Style == Fragmented && level < manifest.NumLevels-2 {
-			job = &compactionJob{
-				level: level, out: out, inputs: inputs,
-				lo: lo, hi: hi, wholeLevel: true, fragmented: true,
-				dropTombs: d.noDataBelow(v, out, lo, hi) && len(v.Levels[out]) == 0,
-			}
-			if d.conflictsLocked(job) {
-				job = nil
-			}
-		} else {
-			job = d.finishLeveledJobLocked(v, level, inputs)
-		}
-		if job != nil {
+		if job := d.jobLocked(v, level, inputs); job != nil {
 			d.startJobLocked(job)
 			return job, nil
 		}
@@ -107,7 +90,7 @@ func (d *DB) claimManualJob(level int, begin, end []byte) (*compactionJob, error
 
 // compactLoop is the background compaction dispatcher (Figure 2 ③). Each
 // kick (flush landed, compaction finished, Resume) tops the pool back up
-// to MaxBackgroundCompactions; the jobs themselves run on their own
+// to maxBackgroundCompactions; the jobs themselves run on their own
 // goroutines with per-job retry/backoff (see runCompaction).
 func (d *DB) compactLoop() {
 	defer d.bgWG.Done()
@@ -159,120 +142,12 @@ func (d *DB) noDataBelow(v *manifest.Version, out int, lo, hi []byte) bool {
 	return true
 }
 
-// mergeSplit merges the inputs, splitting the work into up to
-// MaxSubCompactions key-range subcompactions that run concurrently when
-// the merge is large enough to amortize the extra iterator setup. The
-// per-range output lists are stitched back together in key order so the
-// caller installs a single VersionEdit.
-func (d *DB) mergeSplit(inputs []*manifest.FileMeta, outLevel int, dropTombs bool) ([]manifest.FileMeta, error) {
-	bounds := d.subcompactionBounds(inputs)
-	if len(bounds) <= 1 {
-		return d.mergeFiles(inputs, outLevel, dropTombs, nil, nil)
-	}
-	outs := make([][]manifest.FileMeta, len(bounds))
-	errs := make([]error, len(bounds))
-	var wg sync.WaitGroup
-	for i, b := range bounds {
-		wg.Add(1)
-		go func(i int, lo, hi []byte) {
-			defer wg.Done()
-			outs[i], errs[i] = d.mergeFiles(inputs, outLevel, dropTombs, lo, hi)
-		}(i, b[0], b[1])
-	}
-	wg.Wait()
-	var firstErr error
-	for _, err := range errs {
-		if err != nil {
-			firstErr = err
-			break
-		}
-	}
-	if firstErr != nil {
-		// Subcompactions that finished cleanly still leave no trace: their
-		// outputs were never installed, so remove them.
-		for i, err := range errs {
-			if err != nil {
-				continue
-			}
-			for _, m := range outs[i] {
-				d.opts.FS.Remove(sstName(d.dir, m.Num))
-			}
-		}
-		return nil, firstErr
-	}
-	d.perf.subcompactions.Add(int64(len(bounds)))
-	var all []manifest.FileMeta
-	for _, o := range outs {
-		all = append(all, o...)
-	}
-	return all, nil
-}
-
-// subcompactionBounds picks the key ranges a merge is split into:
-// [nil,k1), [k1,k2), ... [kn,nil). Split points come from the input
-// files' own boundaries, so each range covers roughly one file's worth of
-// data per input run. Returns a single open range when splitting is
-// disabled or not worthwhile.
-func (d *DB) subcompactionBounds(inputs []*manifest.FileMeta) [][2][]byte {
-	whole := [][2][]byte{{nil, nil}}
-	n := d.opts.MaxSubCompactions
-	if n <= 1 {
-		return whole
-	}
-	var total int64
-	for _, f := range inputs {
-		total += f.Size
-	}
-	// A merge smaller than two output files gains nothing from splitting.
-	if total < 2*d.opts.TargetFileSize {
-		return whole
-	}
-	// Candidate split points: every input file boundary key, deduplicated.
-	var keys [][]byte
-	for _, f := range inputs {
-		keys = append(keys, ikey.UserKey(f.Smallest), ikey.UserKey(f.Largest))
-	}
-	sort.Slice(keys, func(i, j int) bool { return bytes.Compare(keys[i], keys[j]) < 0 })
-	uniq := keys[:0]
-	for _, k := range keys {
-		if len(uniq) == 0 || !bytes.Equal(uniq[len(uniq)-1], k) {
-			uniq = append(uniq, k)
-		}
-	}
-	// Interior candidates only: the smallest key cannot start a second
-	// range and the largest cannot end one early.
-	if len(uniq) < 3 {
-		return whole
-	}
-	interior := uniq[1 : len(uniq)-1]
-	if n-1 > len(interior) {
-		n = len(interior) + 1
-	}
-	bounds := make([][2][]byte, 0, n)
-	var prev []byte
-	for i := 1; i < n; i++ {
-		k := interior[i*len(interior)/n]
-		if prev != nil && bytes.Compare(k, prev) <= 0 {
-			continue
-		}
-		bounds = append(bounds, [2][]byte{prev, k})
-		prev = k
-	}
-	bounds = append(bounds, [2][]byte{prev, nil})
-	if len(bounds) <= 1 {
-		return whole
-	}
-	return bounds
-}
-
 // mergeFiles merge-sorts the input tables and writes outputs split at
-// TargetFileSize, restricted to user keys in [lo, hi) when bounds are
-// given (nil = open) — the subcompaction window. Older duplicate versions
-// are dropped (no snapshot support across compactions); tombstones are
-// dropped when dropTombs. On any error every partial and finished output
-// file is closed and removed, so a failed merge leaves no orphans for the
-// retry to trip over.
-func (d *DB) mergeFiles(inputs []*manifest.FileMeta, outLevel int, dropTombs bool, lo, hi []byte) (outputs []manifest.FileMeta, err error) {
+// TargetFileSize. Older duplicate versions are dropped (no snapshot
+// support across compactions); tombstones are dropped when dropTombs. On
+// any error every partial and finished output file is closed and removed,
+// so a failed merge leaves no orphans for the retry to trip over.
+func (d *DB) mergeFiles(inputs []*manifest.FileMeta, dropTombs bool) (outputs []manifest.FileMeta, err error) {
 	var children []internalIterator
 	for _, fm := range inputs {
 		// No block cache: a merge reads each block once, through one buffer
@@ -329,20 +204,12 @@ func (d *DB) mergeFiles(inputs []*manifest.FileMeta, outLevel int, dropTombs boo
 		return nil
 	}
 
-	if lo == nil {
-		merge.SeekToFirst()
-	} else {
-		merge.Seek(ikey.SeekKey(lo, ikey.MaxSeq))
-	}
 	written := int64(0)
-	for ; merge.Valid(); merge.Next() {
+	for merge.SeekToFirst(); merge.Valid(); merge.Next() {
 		ik := merge.Key()
 		uk, _, kind, derr := ikey.Decode(ik)
 		if derr != nil {
 			return nil, derr
-		}
-		if hi != nil && bytes.Compare(uk, hi) >= 0 {
-			break // next subcompaction's window
 		}
 		if haveUK && bytes.Equal(uk, lastUK) {
 			continue // shadowed older version

@@ -52,8 +52,9 @@ type DB struct {
 	// Get, MultiGet, iterators and snapshots.
 	rs atomic.Pointer[readState]
 
-	// Running compactions (scheduler.go). compWG tracks their goroutines
-	// so Close can wait them out before tearing down the manifest.
+	// Running compactions (scheduler.go). compWG counts them, background
+	// and manual alike, so Close can wait them out before tearing down the
+	// manifest.
 	compRunning []*compactionJob
 	compWG      sync.WaitGroup
 	flushing    int // flushOne calls past their degraded check; reclaimSpace waits them out

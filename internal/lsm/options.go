@@ -40,6 +40,9 @@ const (
 	slowdownDelay = time.Millisecond
 	// levelMultiplier is the per-level size ratio.
 	levelMultiplier = 10
+	// maxBackgroundCompactions bounds how many compactions of disjoint
+	// level/key ranges run concurrently (scheduler.go).
+	maxBackgroundCompactions = 2
 )
 
 // Options configures the engine.
@@ -87,12 +90,6 @@ type Options struct {
 	// the hard stall. Defaults to the midpoint of L0CompactionTrigger and
 	// L0StallTrigger.
 	L0SlowdownTrigger int
-	// MaxBackgroundCompactions bounds how many compactions of disjoint
-	// level/key ranges run concurrently (default 2).
-	MaxBackgroundCompactions int
-	// MaxSubCompactions splits one large merge into up to this many
-	// key-range subcompactions that run in parallel (default 1 = off).
-	MaxSubCompactions int
 	// BaseLevelSize is the L1 capacity; each level is levelMultiplier
 	// times larger.
 	BaseLevelSize int64
@@ -150,12 +147,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.L0SlowdownTrigger <= 0 {
 		o.L0SlowdownTrigger = (o.L0CompactionTrigger + o.L0StallTrigger) / 2
-	}
-	if o.MaxBackgroundCompactions <= 0 {
-		o.MaxBackgroundCompactions = 2
-	}
-	if o.MaxSubCompactions <= 0 {
-		o.MaxSubCompactions = 1
 	}
 	if o.BaseLevelSize <= 0 {
 		o.BaseLevelSize = 16 << 20

@@ -47,7 +47,6 @@ type perfCounters struct {
 	compactRead         atomic.Int64
 	compactWrite        atomic.Int64
 	compactions         atomic.Int64
-	subcompactions      atomic.Int64
 	concurrentCompactHW atomic.Int64 // updated under d.mu (read lock-free)
 	flushes             atomic.Int64
 	gets                atomic.Int64
@@ -107,12 +106,11 @@ func (p Perf) OtherTime() time.Duration {
 // CompactionStats implements kv.CompactionStatsReporter.
 func (d *DB) CompactionStats() kv.CompactionStats {
 	return kv.CompactionStats{
-		Compactions:    d.perf.compactions.Load(),
-		Subcompactions: d.perf.subcompactions.Load(),
-		MaxConcurrent:  d.perf.concurrentCompactHW.Load(),
-		StallUs:        d.perf.stallNs.Load() / 1e3,
-		SlowdownUs:     d.perf.slowdownNs.Load() / 1e3,
-		Slowdowns:      d.perf.slowdowns.Load(),
+		Compactions:   d.perf.compactions.Load(),
+		MaxConcurrent: d.perf.concurrentCompactHW.Load(),
+		StallUs:       d.perf.stallNs.Load() / 1e3,
+		SlowdownUs:    d.perf.slowdownNs.Load() / 1e3,
+		Slowdowns:     d.perf.slowdowns.Load(),
 	}
 }
 

@@ -12,7 +12,7 @@ package lsm
 //
 // The scheduler replaces the bool with a set of running compactionJobs.
 // Jobs whose level pairs and key ranges are disjoint run concurrently, up
-// to Options.MaxBackgroundCompactions. The concurrency rules:
+// to maxBackgroundCompactions. The concurrency rules:
 //
 //   - L0→L1 takes every L0 file (they overlap by construction), so at
 //     most one L0 compaction runs at a time, and while it runs nothing
@@ -44,7 +44,6 @@ type compactionJob struct {
 	lower      []*manifest.FileMeta // out-level files rewritten (leveled only)
 	lo, hi     []byte               // user-key span of every file touched; nil = open
 	wholeLevel bool                 // fragmented jobs lock the whole level pair
-	fragmented bool                 // merge inputs only, append to out
 	dropTombs  bool
 }
 
@@ -85,18 +84,22 @@ func (d *DB) conflictsLocked(job *compactionJob) bool {
 	return false
 }
 
-// startJobLocked registers a job as running and updates the concurrency
-// high-water mark. Caller holds d.mu.
+// startJobLocked registers a job as running, joins it to compWG (Close
+// waits out every job, background or manual) and updates the concurrency
+// high-water mark. Caller holds d.mu and has checked d.closed under it, so
+// no Add races Close's Wait.
 func (d *DB) startJobLocked(job *compactionJob) {
 	d.compRunning = append(d.compRunning, job)
+	d.compWG.Add(1)
 	if n := int64(len(d.compRunning)); n > d.perf.concurrentCompactHW.Load() {
 		d.perf.concurrentCompactHW.Store(n)
 	}
 }
 
 // finishJob deregisters a job, wakes waiters (stalled writers, CompactAll,
-// CompactRange) and re-kicks the scheduler.
+// CompactRange), re-kicks the scheduler and lets Close proceed.
 func (d *DB) finishJob(job *compactionJob) {
+	defer d.compWG.Done()
 	d.mu.Lock()
 	for i, r := range d.compRunning {
 		if r == job {
@@ -144,67 +147,59 @@ func (d *DB) pickJobLocked() *compactionJob {
 // every choice of inputs would conflict with a running compaction.
 // Caller holds d.mu.
 func (d *DB) buildJobLocked(v *manifest.Version, level int) *compactionJob {
-	out := level + 1
-	if d.opts.Style == Fragmented && level < manifest.NumLevels-2 {
-		files := v.Levels[level]
-		if len(files) == 0 {
-			return nil
-		}
-		inputs := append([]*manifest.FileMeta(nil), files...)
-		lo, hi := keyRange(inputs)
-		job := &compactionJob{
-			level: level, out: out, inputs: inputs,
-			lo: lo, hi: hi, wholeLevel: true, fragmented: true,
-			dropTombs: d.noDataBelow(v, out, lo, hi) && len(v.Levels[out]) == 0,
-		}
-		if d.jobQuarantinedLocked(job) || d.conflictsLocked(job) {
-			return nil
-		}
-		return job
+	files := v.Levels[level]
+	if len(files) == 0 {
+		return nil
 	}
-	if level == 0 {
-		files := v.Levels[0]
-		if len(files) == 0 {
-			return nil
-		}
-		inputs := append([]*manifest.FileMeta(nil), files...)
-		return d.finishLeveledJobLocked(v, 0, inputs)
+	if level == 0 || d.writeOnceLevel(level) {
+		return d.jobLocked(v, level, append([]*manifest.FileMeta(nil), files...))
 	}
 	// Deeper leveled levels: try candidate files largest-first (the
 	// original fairness heuristic), settling on the first whose span does
 	// not conflict with a running job.
-	files := append([]*manifest.FileMeta(nil), v.Levels[level]...)
+	files = append([]*manifest.FileMeta(nil), files...)
 	for i := 1; i < len(files); i++ {
 		for j := i; j > 0 && files[j].Size > files[j-1].Size; j-- {
 			files[j], files[j-1] = files[j-1], files[j]
 		}
 	}
 	for _, f := range files {
-		if job := d.finishLeveledJobLocked(v, level, []*manifest.FileMeta{f}); job != nil {
+		if job := d.jobLocked(v, level, []*manifest.FileMeta{f}); job != nil {
 			return job
 		}
 	}
 	return nil
 }
 
-// finishLeveledJobLocked completes a leveled job from chosen inputs:
-// next-level overlap, full span, tombstone decision, conflict check.
-// Caller holds d.mu.
-func (d *DB) finishLeveledJobLocked(v *manifest.Version, level int, inputs []*manifest.FileMeta) *compactionJob {
+// writeOnceLevel reports whether compacting level follows the fragmented
+// policy, which writes each next-level file once: the inputs are merged
+// among themselves and appended there. The last level pair is always
+// merged leveled.
+func (d *DB) writeOnceLevel(level int) bool {
+	return d.opts.Style == Fragmented && level < manifest.NumLevels-2
+}
+
+// jobLocked builds the job that compacts inputs, files of level, into the
+// next level: under the fragmented policy a whole-level job that rewrites
+// nothing there and drops tombstones only into an empty level with no data
+// below; otherwise a leveled job that also rewrites the next-level files
+// the inputs overlap. It returns nil when the job would read a quarantined
+// file or conflicts with a running compaction. Caller holds d.mu.
+func (d *DB) jobLocked(v *manifest.Version, level int, inputs []*manifest.FileMeta) *compactionJob {
 	out := level + 1
 	lo, hi := keyRange(inputs)
-	var lower []*manifest.FileMeta
-	for _, f := range v.Levels[out] {
-		if f.Overlaps(lo, hi) {
-			lower = append(lower, f)
+	job := &compactionJob{level: level, out: out, inputs: inputs, lo: lo, hi: hi}
+	if d.writeOnceLevel(level) {
+		job.wholeLevel = true
+		job.dropTombs = len(v.Levels[out]) == 0 && d.noDataBelow(v, out, lo, hi)
+	} else {
+		for _, f := range v.Levels[out] {
+			if f.Overlaps(lo, hi) {
+				job.lower = append(job.lower, f)
+			}
 		}
-	}
-	all := append(append([]*manifest.FileMeta(nil), inputs...), lower...)
-	flo, fhi := keyRange(all)
-	job := &compactionJob{
-		level: level, out: out, inputs: inputs, lower: lower,
-		lo: flo, hi: fhi,
-		dropTombs: d.noDataBelow(v, out, lo, hi),
+		job.lo, job.hi = keyRange(append(append([]*manifest.FileMeta(nil), inputs...), job.lower...))
+		job.dropTombs = d.noDataBelow(v, out, lo, hi)
 	}
 	if d.jobQuarantinedLocked(job) || d.conflictsLocked(job) {
 		return nil
@@ -216,13 +211,12 @@ func (d *DB) finishLeveledJobLocked(v *manifest.Version, level int, inputs []*ma
 // or no non-conflicting work remains. Caller holds d.mu.
 func (d *DB) scheduleCompactionsLocked() {
 	for d.g.Err() == nil && !d.closed.Load() &&
-		len(d.compRunning) < d.opts.MaxBackgroundCompactions {
+		len(d.compRunning) < maxBackgroundCompactions {
 		job := d.pickJobLocked()
 		if job == nil {
 			return
 		}
 		d.startJobLocked(job)
-		d.compWG.Add(1)
 		go d.runCompaction(job)
 	}
 }
@@ -230,7 +224,6 @@ func (d *DB) scheduleCompactionsLocked() {
 // runCompaction executes one background job with the engine's standard
 // retry/backoff/degrade policy, then releases its range locks.
 func (d *DB) runCompaction(job *compactionJob) {
-	defer d.compWG.Done()
 	defer d.finishJob(job)
 	for attempt := 0; ; attempt++ {
 		select {
@@ -265,14 +258,13 @@ func (d *DB) runCompaction(job *compactionJob) {
 	}
 }
 
-// execJob merges a job's inputs (splitting into subcompactions when
-// profitable) and installs the result.
+// execJob merges a job's inputs and installs the result.
 func (d *DB) execJob(job *compactionJob) error {
 	all := append(append([]*manifest.FileMeta(nil), job.inputs...), job.lower...)
 	for _, f := range all {
 		d.perf.compactRead.Add(f.Size)
 	}
-	outputs, err := d.mergeSplit(all, job.out, job.dropTombs)
+	outputs, err := d.mergeFiles(all, job.dropTombs)
 	if err != nil {
 		return err
 	}

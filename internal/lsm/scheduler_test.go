@@ -102,8 +102,6 @@ func checkLeveledInvariant(t *testing.T, d *DB) {
 // -race this doubles as the scheduler's race test.
 func TestParallelCompactionStress(t *testing.T) {
 	o := smallOpts(vfs.NewMem())
-	o.MaxBackgroundCompactions = 3
-	o.MaxSubCompactions = 2
 	o.L0CompactionTrigger = 2
 	o.L0SlowdownTrigger = 4
 	o.L0StallTrigger = 8
@@ -178,66 +176,11 @@ func TestParallelCompactionStress(t *testing.T) {
 	}
 	checkLeveledInvariant(t, db)
 	p := db.CompactionStats()
-	t.Logf("compactions=%d sub=%d concurrent_hw=%d stall=%dus slowdown=%dus (%d)",
-		p.Compactions, p.Subcompactions, p.MaxConcurrent, p.StallUs, p.SlowdownUs, p.Slowdowns)
+	t.Logf("compactions=%d concurrent_hw=%d stall=%dus slowdown=%dus (%d)",
+		p.Compactions, p.MaxConcurrent, p.StallUs, p.SlowdownUs, p.Slowdowns)
 	if p.Compactions == 0 {
 		t.Fatal("stress run never compacted")
 	}
-}
-
-// TestSubcompactionsStitched forces a large multi-file merge through the
-// subcompaction splitter and checks the stitched result is complete,
-// ordered and actually used the parallel path.
-func TestSubcompactionsStitched(t *testing.T) {
-	o := manualOpts(smallOpts(vfs.NewMem()))
-	o.MaxSubCompactions = 4
-	db, err := Open("db", o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
-
-	// Four L0 files with shifted, overlapping ranges so the input
-	// boundaries give distinct split points.
-	const span = 400
-	val := strings.Repeat("v", 120)
-	for batch := 0; batch < 4; batch++ {
-		for i := 0; i < span; i++ {
-			k := fmt.Sprintf("key-%05d", batch*150+i)
-			if err := db.Put([]byte(k), []byte(fmt.Sprintf("%s-b%d", val, batch))); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := db.Flush(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := db.CompactRange(nil, nil); err != nil {
-		t.Fatal(err)
-	}
-	if got := db.CompactionStats().Subcompactions; got < 2 {
-		t.Fatalf("Subcompactions = %d, want >= 2", got)
-	}
-	// Every key must resolve to the value of the LAST batch that wrote it.
-	for batch := 0; batch < 4; batch++ {
-		for i := 0; i < span; i++ {
-			idx := batch*150 + i
-			last := batch
-			for b := batch + 1; b < 4; b++ {
-				if idx >= b*150 && idx < b*150+span {
-					last = b
-				}
-			}
-			v, err := db.Get([]byte(fmt.Sprintf("key-%05d", idx)))
-			if err != nil {
-				t.Fatalf("Get(key-%05d): %v", idx, err)
-			}
-			if want := fmt.Sprintf("%s-b%d", val, last); string(v) != want {
-				t.Fatalf("key-%05d = %q, want batch %d", idx, v[len(v)-4:], last)
-			}
-		}
-	}
-	checkLeveledInvariant(t, db)
 }
 
 // TestMergeFilesCleanupOnError is the regression test for the mid-merge
@@ -344,8 +287,8 @@ func TestCompactRangeFragmentedKeepsNextLevel(t *testing.T) {
 	if err != nil || job == nil {
 		t.Fatalf("claimManualJob #1 = %v, %v", job, err)
 	}
-	if !job.fragmented || job.lower != nil {
-		t.Fatalf("fragmented job #1 has lower=%v fragmented=%v", job.lower, job.fragmented)
+	if !job.wholeLevel || job.lower != nil {
+		t.Fatalf("fragmented job #1 has lower=%v wholeLevel=%v", job.lower, job.wholeLevel)
 	}
 	if err := db.execJob(job); err != nil {
 		t.Fatal(err)
@@ -375,7 +318,7 @@ func TestCompactRangeFragmentedKeepsNextLevel(t *testing.T) {
 	if err != nil || job == nil {
 		t.Fatalf("claimManualJob #2 = %v, %v", job, err)
 	}
-	if !job.fragmented {
+	if !job.wholeLevel {
 		t.Fatal("manual L0 job not fragmented under Fragmented style")
 	}
 	if job.lower != nil {
@@ -414,6 +357,167 @@ func TestCompactRangeFragmentedKeepsNextLevel(t *testing.T) {
 		v, err := db.Get([]byte(k))
 		if err != nil || !strings.HasPrefix(string(v), "gen1-") {
 			t.Fatalf("Get(%s) = %q, %v; want gen1", k, v, err)
+		}
+	}
+}
+
+// TestFragmentedCompactionPickerKeepsNextLevel checks the write-once rule
+// on the job the background picker builds: under the PebblesDB preset an
+// L0 job over a non-empty L1 merges the whole of L0 among itself, rewrites
+// no L1 file and keeps its tombstones.
+func TestFragmentedCompactionPickerKeepsNextLevel(t *testing.T) {
+	db, err := Open("db", manualOpts(presets(vfs.NewMem())["pebblesdb"]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	put := func(gen int) {
+		t.Helper()
+		for i := 0; i < 200; i++ {
+			if err := db.Put([]byte(fmt.Sprintf("key-%04d", i)), []byte(fmt.Sprintf("gen%d-%04d", gen, i))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := db.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pick := func() *compactionJob {
+		db.mu.Lock()
+		defer db.mu.Unlock()
+		return db.buildJobLocked(db.vs.Current(), 0)
+	}
+
+	put(0)
+	job := pick()
+	if job == nil {
+		t.Fatal("picker built no L0 job")
+	}
+	db.mu.Lock()
+	db.startJobLocked(job)
+	db.mu.Unlock()
+	err = db.execJob(job)
+	db.finishJob(job)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if db.Metrics().LevelFiles[1] == 0 {
+		t.Fatal("setup failed: L1 empty after the first compaction")
+	}
+
+	put(1)
+	if err := db.Delete([]byte("key-0000")); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	job = pick()
+	switch {
+	case job == nil:
+		t.Fatal("picker built no L0 job")
+	case !job.wholeLevel:
+		t.Fatal("picked L0 job is not whole-level under the Fragmented style")
+	case job.lower != nil:
+		t.Fatalf("picked fragmented job would rewrite %d L1 files", len(job.lower))
+	case job.dropTombs:
+		t.Fatal("picked fragmented job would drop tombstones with a non-empty output level")
+	}
+}
+
+// TestCloseWaitsForManualCompaction is the regression test for a Close
+// that returned while a CompactRange job was still merging: the job's
+// install then met the closed MANIFEST, whose fallback rewrite shrank the
+// MANIFEST and deleted the job's outputs after Close had returned.
+func TestCloseWaitsForManualCompaction(t *testing.T) {
+	mem := vfs.NewMem()
+	ffs := vfs.NewFault(mem)
+	db, err := Open("db", manualOpts(smallOpts(ffs)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	val := strings.Repeat("v", 100)
+	for batch := 0; batch < 3; batch++ {
+		for i := 0; i < 400; i++ {
+			if err := db.Put([]byte(fmt.Sprintf("key-%04d", i)), []byte(fmt.Sprintf("%s-%d", val, batch))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := db.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	list := func() []string {
+		names, err := mem.List("db")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return names
+	}
+	// files snapshots the directory: name -> contents.
+	files := func() map[string]string {
+		out := map[string]string{}
+		for _, n := range list() {
+			b, err := vfs.ReadFile(mem, "db/"+n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[n] = string(b)
+		}
+		return out
+	}
+	ssts := func() int {
+		n := 0
+		for _, name := range list() {
+			if strings.HasSuffix(name, ".sst") {
+				n++
+			}
+		}
+		return n
+	}
+	inputs := ssts()
+
+	// Every SST write now takes 2 ms, so the merge is still writing its
+	// outputs when Close starts.
+	ffs.Inject(vfs.Rule{Op: vfs.OpWrite, Path: ".sst", DelayOnly: true, Delay: 2 * time.Millisecond})
+	done := make(chan error, 1)
+	go func() { done <- db.CompactRange(nil, nil) }()
+	for deadline := time.Now().Add(5 * time.Second); ssts() == inputs; time.Sleep(100 * time.Microsecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the manual compaction never created an output")
+		}
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	atClose := files()
+	if err := <-done; err != nil && err != kv.ErrClosed {
+		t.Errorf("CompactRange = %v", err)
+	}
+	after := files()
+	for name, b := range atClose {
+		if a, ok := after[name]; !ok {
+			t.Errorf("%s was deleted after Close returned", name)
+		} else if a != b {
+			t.Errorf("%s changed after Close returned: %d bytes, then %d", name, len(b), len(a))
+		}
+	}
+	for name := range after {
+		if _, ok := atClose[name]; !ok {
+			t.Errorf("%s was created after Close returned", name)
+		}
+	}
+
+	ffs.ClearRules()
+	db, err = Open("db", manualOpts(smallOpts(ffs)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	for i := 0; i < 400; i++ {
+		k := fmt.Sprintf("key-%04d", i)
+		if v, err := db.Get([]byte(k)); err != nil || string(v) != val+"-2" {
+			t.Fatalf("Get(%s) = %q, %v after reopen", k, v, err)
 		}
 	}
 }
@@ -495,10 +599,9 @@ func TestSlowdownBackpressure(t *testing.T) {
 
 // TestConcurrentCompactionsObserved asserts the scheduler genuinely runs
 // jobs in parallel on a multi-level store: the high-water mark must reach
-// at least 2 with a pool of 3 and continuous write pressure.
+// the pool's 2 under continuous write pressure.
 func TestConcurrentCompactionsObserved(t *testing.T) {
 	o := smallOpts(vfs.NewMem())
-	o.MaxBackgroundCompactions = 3
 	o.L0CompactionTrigger = 2
 	o.L0SlowdownTrigger = 6
 	o.L0StallTrigger = 12

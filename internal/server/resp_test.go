@@ -94,12 +94,12 @@ func TestReadCommandBinarySafe(t *testing.T) {
 
 func TestReadCommandProtocolErrors(t *testing.T) {
 	cases := []string{
-		"*2\r\n$3\r\nGET\r\n:5\r\n",     // non-bulk element
-		"*-1\r\n",                       // negative multibulk in a command
-		"*1\r\n$-1\r\n",                 // null bulk in a command
-		"*1\r\n$3\r\nab\r\n\r\n",        // length mismatch
+		"*2\r\n$3\r\nGET\r\n:5\r\n",        // non-bulk element
+		"*-1\r\n",                          // negative multibulk in a command
+		"*1\r\n$-1\r\n",                    // null bulk in a command
+		"*1\r\n$3\r\nab\r\n\r\n",           // length mismatch
 		"*1\r\n$999999999999999999999\r\n", // overflow
-		"*x\r\n",                        // junk count
+		"*x\r\n",                           // junk count
 	}
 	for _, in := range cases {
 		_, err := readAllCommands(t, in)

@@ -130,7 +130,7 @@ type stubIter struct {
 	pos  int
 }
 
-func (it *stubIter) Valid() bool { return it.pos >= 0 && it.pos < len(it.keys) }
+func (it *stubIter) Valid() bool  { return it.pos >= 0 && it.pos < len(it.keys) }
 func (it *stubIter) SeekToFirst() { it.pos = 0 }
 func (it *stubIter) Seek(target []byte) {
 	it.pos = sort.SearchStrings(it.keys, string(target))

@@ -54,14 +54,11 @@ var lsmMenu = []vfs.Rule{
 	{Op: vfs.OpAny, Prob: 0.05, DelayOnly: true, Delay: 200 * time.Microsecond},
 }
 
-// parallelCompaction tightens the triggers and widens the compaction pool
-// so the run keeps several compactions of disjoint ranges in flight, with
-// subcompactions splitting the merges — concurrent version installs under
-// fault injection and crash cycles.
+// parallelCompaction tightens the triggers so the run keeps both of the
+// pool's compactions of disjoint ranges in flight — concurrent version
+// installs under fault injection and crash cycles.
 func parallelCompaction(fs vfs.FS) lsm.Options {
 	o := lsm.RocksDBOptions(fs)
-	o.MaxBackgroundCompactions = 3
-	o.MaxSubCompactions = 2
 	o.L0CompactionTrigger = 2
 	o.L0SlowdownTrigger = 4
 	o.L0StallTrigger = 8

@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"p2kvs/internal/btreekv"
+	"p2kvs/internal/core"
 	"p2kvs/internal/kvell"
 	"p2kvs/internal/lsm"
 )
@@ -21,10 +22,10 @@ import (
 // The option census: a knob earns its place by having two values in use
 // outside tests. Every field of Options must be settable from the shared
 // command-line flag set (loadgen.StoreFlags — the four binaries) or carry
-// a reason here; every field of the engines' Options (lsm, btreekv, kvell)
-// must be assigned by some non-test source file (a preset, the facade, an
-// internal/bench experiment), and not set to one and the same literal by all
-// of them, or carry a reason here. A field that fails is a constant in
+// a reason here; every field of the core store's and the engines' Options
+// (core, lsm, btreekv, kvell) must be assigned by some non-test source file
+// (a preset, the facade, an internal/bench experiment), and not set to one
+// and the same literal by all of them, or carry a reason here. A field that fails is a constant in
 // disguise: delete it, or — if it has a real second value — wire it up.
 
 // notFlags: Options fields no flag sets, and why they stay.
@@ -34,21 +35,22 @@ var notFlags = map[string]string{
 	"SimulateDevice": "dbbench -hotcache_bench puts its stores on the simulated SATA device; the paper figures pick devices in internal/bench",
 }
 
-// testShaped: engine Options fields only tests assign, and why they stay.
+// testShaped: core and engine Options fields only tests assign, and why
+// they stay.
 var testShaped = map[string]string{
-	"lsm.MaxImmutables":            "tests bound the flush queue to force write stalls",
-	"lsm.L0CompactionTrigger":      "tests tighten it to keep several compactions in flight (torture lsm-parallel)",
-	"lsm.L0StallTrigger":           "same: the stall and slowdown bands are placed relative to it",
-	"lsm.L0SlowdownTrigger":        "same",
-	"lsm.MaxBackgroundCompactions": "the scheduler tests and torture lsm-parallel run several compactions at once",
-	"lsm.MaxSubCompactions":        "the subcompaction tests and torture lsm-parallel split one merge by key range",
-	"lsm.BgMaxRetries":             "tests shorten the retry schedule so a persistent fault degrades in milliseconds",
-	"lsm.BgBaseBackoff":            "same",
-	"lsm.BgMaxBackoff":             "same",
+	"lsm.MaxImmutables":       "tests bound the flush queue to force write stalls",
+	"lsm.L0CompactionTrigger": "tests tighten it to keep several compactions in flight (torture lsm-parallel)",
+	"lsm.L0StallTrigger":      "same: the stall and slowdown bands are placed relative to it",
+	"lsm.L0SlowdownTrigger":   "same",
+	"lsm.BgMaxRetries":        "tests shorten the retry schedule so a persistent fault degrades in milliseconds",
+	"lsm.BgBaseBackoff":       "same",
+	"lsm.BgMaxBackoff":        "same",
+	"core.CutoverBudget":      "TestDirectReadHistory widens it to 1s so a loaded -race run does not abort its reshards",
 }
 
 // engineOptions are the Options types the census walks, by package name.
 var engineOptions = map[string]reflect.Type{
+	"core":    reflect.TypeOf(core.Options{}),
 	"lsm":     reflect.TypeOf(lsm.Options{}),
 	"btreekv": reflect.TypeOf(btreekv.Options{}),
 	"kvell":   reflect.TypeOf(kvell.Options{}),

@@ -22,7 +22,7 @@ trap 'kill "${PIDS[@]}" 2>/dev/null || true; rm -rf "$BIN"' EXIT
 # ---------------------------------------------------------------------------
 table() { cat <<'EOF'
 overload   $GO test -race -short -timeout 5m -run 'Torture|Admit|Expired|Deadline|Drain|Close|Queue' ./internal/torture ./internal/core
-compaction $GO test -race -timeout 10m -run 'Compaction|Scheduler|Slowdown|Subcompaction|JobsConflict|RangesOverlap|MergeFiles' ./internal/lsm
+compaction $GO test -race -timeout 10m -run 'Compaction|Slowdown|JobsConflict|RangesOverlap|MergeFiles' ./internal/lsm
 compaction $GO test -race -short -timeout 5m -run 'Torture/lsm-parallel' ./internal/torture
 backup     $GO test -fuzz=FuzzParse -fuzztime=$FUZZTIME ./internal/checkpoint
 backup     $GO test -race -timeout 10m -run 'RestoreEquivalence' ./internal/torture
@@ -40,12 +40,12 @@ crash      crash never ${ASYNC_CYCLES:-5}
 crash      crash commit ${ASYNC_CYCLES:-5} -server_args '-engine wiredtiger'
 repl       $GO test -fuzz=FuzzReplStream -fuzztime=$FUZZTIME ./internal/repl
 repl       $GO test -race -timeout 5m ./internal/repl ./internal/cluster
-repl       $GO test -race -timeout 10m -run 'Repl|Replica|Cluster|Backlog|Psync' ./internal/server
+repl       $GO test -race -timeout 10m -run 'Repl|Replica' ./internal/server
 repl       crash commit ${REPL_CYCLES:-9} -crash_replica
 repl       crash interval ${REPL_ASYNC_CYCLES:-3} -crash_replica
 repl       crash never ${REPL_ASYNC_CYCLES:-3} -crash_replica
 cache      $GO test -race -timeout 5m ./internal/hotcache
-cache      $GO test -race -short -timeout 5m -run 'HotCache|MultiGetAdmit|ShardDistribution|OversizedPut' ./internal/core ./internal/cache ./internal/torture
+cache      $GO test -race -short -timeout 5m -run 'HotCache|MultiGetAdmit|ShardDistribution|OversizedInsert' ./internal/core ./internal/cache ./internal/torture
 cache      $GO test -race -timeout 10m -run 'DirectReadHistory' ./internal/core -direct.window 2s
 cache      bench_line hotcache ycsbc_speedup 1.5 $GO run ./cmd/dbbench -hotcache_bench -num 20000 -threads 4 -p2 -workers 4 -devscale 0.2
 reshard    $GO test -race -short -timeout 10m -run 'ReshardTorture' ./internal/torture
@@ -229,7 +229,7 @@ serve_smoke() {
     # absence is a bug.
     counters "$OUT" present store_checkpoint_barrier_ns store_checkpoint_files_linked \
         store_checkpoint_files_copied store_checkpoint_files_reused store_checkpoint_bytes_copied \
-        store_compactions store_subcompactions store_concurrent_compactions_hw \
+        store_compactions store_concurrent_compactions_hw \
         store_compaction_stall_us store_compaction_slowdown_us store_compaction_slowdowns
 
     # A skewed GET run against the cache-enabled server must serve hits.

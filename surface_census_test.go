@@ -387,3 +387,78 @@ func TestFuzzShortRunsEveryTarget(t *testing.T) {
 		t.Fatal("found no fuzz targets: the census no longer sees how they are declared")
 	}
 }
+
+// TestStressRunTermsNameTests: every -run term of scripts/stress.sh names
+// a test of its row. The part of a pattern before its first / selects
+// top-level tests, and each of its | alternatives must match some Test,
+// Fuzz or Benchmark function declared in a _test.go file of the packages
+// the row runs; a term that matches nothing (a test renamed or moved
+// elsewhere) lets its row pass while running less than it says.
+func TestStressRunTermsNameTests(t *testing.T) {
+	raw, err := os.ReadFile("scripts/stress.sh")
+	if err != nil {
+		t.Fatal(err)
+	}
+	runFlag := regexp.MustCompile(`-run[ =]('[^']*'|"[^"]*"|\S+)`)
+	decl := regexp.MustCompile(`(?m)^func ((?:Test|Fuzz|Benchmark)\w*)\(`)
+	declared := map[string][]string{} // package dir -> its test functions
+	names := func(dir string) []string {
+		if got, ok := declared[dir]; ok {
+			return got
+		}
+		files, err := filepath.Glob(filepath.Join(dir, "*_test.go"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out []string
+		for _, f := range files {
+			src, err := os.ReadFile(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, m := range decl.FindAllStringSubmatch(string(src), -1) {
+				out = append(out, m[1])
+			}
+		}
+		declared[dir] = out
+		return out
+	}
+	rows := 0
+	for _, line := range strings.Split(string(raw), "\n") {
+		m := runFlag.FindStringSubmatchIndex(line)
+		if m == nil {
+			continue
+		}
+		rows++
+		var pkgs []string
+		for _, f := range strings.Fields(line[m[1]:]) {
+			if f == "." || strings.HasPrefix(f, "./") {
+				pkgs = append(pkgs, f)
+			}
+		}
+		if len(pkgs) == 0 {
+			t.Errorf("scripts/stress.sh: a -run row names no package: %s", line)
+			continue
+		}
+		top, _, _ := strings.Cut(strings.Trim(line[m[2]:m[3]], `'"`), "/")
+		for _, term := range strings.Split(top, "|") {
+			re, err := regexp.Compile(term)
+			if err != nil {
+				t.Errorf("scripts/stress.sh: -run term %q: %v", term, err)
+				continue
+			}
+			matched := false
+			for _, pkg := range pkgs {
+				for _, name := range names(pkg) {
+					matched = matched || re.MatchString(name)
+				}
+			}
+			if !matched {
+				t.Errorf("scripts/stress.sh: -run term %q matches no test in %s", term, strings.Join(pkgs, " "))
+			}
+		}
+	}
+	if rows == 0 {
+		t.Fatal("found no -run in scripts/stress.sh: the test no longer sees how its rows select tests")
+	}
+}
