@@ -49,7 +49,9 @@ alloc-profile:
 # on its own (three key shapes in, one out); a Get its caller runs
 # (direct=true) and one handed to the worker (direct=false, the only form
 # before PR 27); the engine lookup under both; the MemFS device under all of
-# them (a 2 MiB append, a block read). A time claim starts from these
+# them (a 2 MiB append, a block read). The engine lookup runs with the block
+# cache too small (GetMiss) and holding every block (GetHit, where the
+# table's index search shows most). A time claim starts from these
 # tables as a count claim starts from alloc-profile's.
 cpu-profile:
 	mkdir -p $(PROFILE_DIR)
@@ -59,7 +61,7 @@ cpu-profile:
 	$(GO) test -c -o $(PROFILE_DIR)/vfs.test ./internal/vfs
 	cd $(PROFILE_DIR) && for run in 'p2kvs write PutAsync|LSMWriteBatch' 'p2kvs memtable MemtableAdd|MemtableGet' \
 			'core get-direct Get$$/direct=true' \
-			'core get-queued Get$$/direct=false' 'lsm get-engine GetMiss' 'vfs memfs MemFSAppend|MemFSReadAt'; do \
+			'core get-queued Get$$/direct=false' 'lsm get-engine GetMiss' 'lsm get-hit GetHit' 'vfs memfs MemFSAppend|MemFSReadAt'; do \
 		set -- $$run; \
 		./$$1.test -test.run '^$$' -test.bench "$$3" -test.benchtime 3s -test.cpuprofile $$2.prof && \
 		$(GO) tool pprof -top -cum -nodecount 25 $$1.test $$2.prof || exit 1; \
@@ -117,6 +119,7 @@ fuzz-short:
 	$(GO) test -fuzz=FuzzBuilderRoundTrip -fuzztime=$(FUZZTIME) ./internal/block
 	$(GO) test -fuzz=FuzzBlockRead -fuzztime=$(FUZZTIME) ./internal/block
 	$(GO) test -fuzz=FuzzAbbrevOrder -fuzztime=$(FUZZTIME) ./internal/memtable
+	$(GO) test -fuzz=FuzzIndexSeek -fuzztime=$(FUZZTIME) ./internal/sstable
 	$(GO) test -fuzz=FuzzDecodeBatchPayload -fuzztime=$(FUZZTIME) ./internal/lsm
 	$(GO) test -fuzz=FuzzBatchPayloadRoundTrip -fuzztime=$(FUZZTIME) ./internal/lsm
 	$(GO) test -fuzz=FuzzRESPParse -fuzztime=$(FUZZTIME) ./internal/server

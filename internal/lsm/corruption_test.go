@@ -1,7 +1,9 @@
 package lsm
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"strings"
@@ -174,6 +176,51 @@ func TestScrubDetectsAndRepairs(t *testing.T) {
 	}
 	if res.FilesScanned == 0 || res.BytesScanned == 0 {
 		t.Fatalf("second scrub scanned nothing: %+v", res)
+	}
+}
+
+// TestScrubFindsIndexRotInOpenTable: a table that has served a Get keeps
+// its index decoded in memory, so rot landing in the index block afterwards
+// never reaches a lookup — only a scrub that re-reads the block from the
+// device sees it, and repairs the file.
+func TestScrubFindsIndexRotInOpenTable(t *testing.T) {
+	fs, path, sst, pristine, want := buildCorruptDB(t, "db")
+	opts := smallOpts(fs)
+	opts.RepairSource = repairMap{sst: pristine}
+	db, err := Open("db", opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	if v, err := db.Get([]byte("key-0007")); err != nil || string(v) != want["key-0007"] {
+		t.Fatalf("Get = %q, %v", v, err)
+	}
+	indexOff := binary.LittleEndian.Uint64(pristine[len(pristine)-56+16:])
+	if err := fs.CorruptAt(path, int64(indexOff)+3); err != nil {
+		t.Fatal(err)
+	}
+
+	res, err := db.Scrub(context.Background(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.CorruptionsFound != 1 || res.FilesRepaired != 1 {
+		t.Fatalf("scrub = %+v, want one corruption found and repaired", res)
+	}
+	if got, err := vfs.ReadFile(fs, path); err != nil || !bytes.Equal(got, pristine) {
+		t.Fatalf("file after repair differs from the backup (err %v)", err)
+	}
+	for k, v := range want {
+		if got, err := db.Get([]byte(k)); err != nil || string(got) != v {
+			t.Fatalf("Get(%q) after repair = %q, %v", k, got, err)
+		}
+	}
+	res, err = db.Scrub(context.Background(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.CorruptionsFound != 0 || res.FilesScanned != 1 || res.BytesScanned != int64(len(pristine)) {
+		t.Fatalf("second scrub = %+v, want clean, one file of %d bytes", res, len(pristine))
 	}
 }
 

@@ -15,7 +15,9 @@
 // kv.CorruptionError — a flipped bit at rest is detected, never served.
 // This is the only table format: a file ending in any other magic (the
 // unchecksummed 48-byte footer of before PR 7 included) fails Open, and a
-// block handle that names a compressed block fails with ErrUnsupported.
+// block handle that names a compressed block fails it with ErrUnsupported.
+// The index is decoded once, at Open, into a packed array of 8-byte key
+// abbreviations that point lookups binary-search (see Reader).
 package sstable
 
 import (

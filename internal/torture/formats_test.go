@@ -11,7 +11,6 @@ import (
 
 	"p2kvs/internal/block"
 	"p2kvs/internal/btreekv"
-	"p2kvs/internal/ikey"
 	"p2kvs/internal/kv"
 	"p2kvs/internal/kvell"
 	"p2kvs/internal/sstable"
@@ -205,24 +204,14 @@ func TestRetiredFormatsRejected(t *testing.T) {
 			return 0, err
 		}, kv.ErrCorruption},
 		{"sstable whose block handles carry a raw length (DEFLATE blocks)", func(t *testing.T, fs *vfs.MemFS) (int, error) {
+			// Refused, never served: Open decodes every handle of the index,
+			// so the table fails there and no lookup or scan ever reads it.
 			vfs.WriteFile(fs, "000001.sst", withCompressedHandles(t, golden("table.sst")))
 			r, err := sstable.OpenNamed(openFile(t, fs, "000001.sst"), nil, 0, "000001.sst")
-			if err != nil {
-				return 0, err
+			if err == nil {
+				r.Close()
 			}
-			defer r.Close()
-			if _, err := r.Verify(); !errors.Is(err, sstable.ErrUnsupported) {
-				t.Fatalf("Verify = %v, want ErrUnsupported", err)
-			}
-			if _, _, found, _, err := r.Get([]byte("key-0007"), ikey.MaxSeq); found || !errors.Is(err, sstable.ErrUnsupported) {
-				t.Fatalf("Get = found %v, %v; want ErrUnsupported", found, err)
-			}
-			n := 0
-			it := r.NewIterator()
-			for it.SeekToFirst(); it.Valid(); it.Next() {
-				n++
-			}
-			return n, it.Err()
+			return 0, err
 		}, sstable.ErrUnsupported},
 		{"kvell directory with slab bytes and no FORMAT marker", func(t *testing.T, fs *vfs.MemFS) (int, error) {
 			vfs.WriteFile(fs, "db/w00/slab-128.dat", golden("kvell/w00/slab-128.dat"))

@@ -31,7 +31,7 @@ backup     $GO test -race -timeout 5m -run 'Manifest|ParseMutations|ParseRejects
 backup     $GO test -race -timeout 5m -run 'Backup|Restore' .
 scrub      $GO test -fuzz=FuzzBlockRead -fuzztime=$FUZZTIME ./internal/block
 scrub      $GO test -race -timeout 10m -run 'Conformance.*/bit-flip' ./internal/lsm ./internal/btreekv ./internal/kvell
-scrub      $GO test -race -timeout 5m -run 'Corrupt|Scrub|Quarantine|Repair|Flip|Rot|Checksum|Limiter|Runner' ./internal/block ./internal/wal ./internal/lsm ./internal/btreekv ./internal/kvell ./internal/scrub ./internal/vfs ./internal/server
+scrub      $GO test -race -timeout 5m -run 'Corrupt|Scrub|Quarantine|Repair|Flip|Rot|Checksum|Limiter|Runner' ./internal/block ./internal/sstable ./internal/wal ./internal/lsm ./internal/btreekv ./internal/kvell ./internal/scrub ./internal/vfs ./internal/server
 crash      $GO test -race -short -timeout 5m -run 'DiskFull' ./internal/torture
 crash      $GO test -race -timeout 5m -run 'Conformance.*/guard' ./internal/lsm ./internal/btreekv ./internal/kvell
 crash      crash commit ${CYCLES:-25}
