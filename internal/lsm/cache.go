@@ -11,9 +11,9 @@ import (
 	"p2kvs/internal/vfs"
 )
 
-// tableCache keeps SSTable readers open so point lookups don't re-read
-// index and filter blocks on every probe (RocksDB's table cache). Entries
-// are evicted when compaction deletes their files.
+// tableCache keeps SSTable readers open so point lookups and scans don't
+// re-read and re-decode index and filter blocks on every probe (RocksDB's
+// table cache). Entries are evicted when compaction deletes their files.
 //
 // A lookup of an open table takes no lock: the reader map is immutable and
 // replaced wholesale (copy-on-write under mu) by the rare open or evict — a
@@ -24,18 +24,36 @@ type tableCache struct {
 	blocks *cache.Cache // shared data-block cache (nil = disabled)
 
 	mu      sync.Mutex // serializes replacements of readers
-	readers atomic.Pointer[map[uint64]*sstable.Reader]
+	readers atomic.Pointer[map[uint64]*tableRef]
+}
+
+// tableRef is a cached reader and its references: one held by the cache
+// while the table is in it, one by each scan or scrub reading it. The
+// reader is closed when the last is dropped, so evicting a table a scan
+// still walks leaves the scan's file handle open. A point lookup takes no
+// reference.
+type tableRef struct {
+	*sstable.Reader
+	refs atomic.Int32
+}
+
+// Close drops a reference, closing the reader with the last.
+func (t *tableRef) Close() error {
+	if t.refs.Add(-1) == 0 {
+		return t.Reader.Close()
+	}
+	return nil
 }
 
 func newTableCache(fs vfs.FS, dir string, blocks *cache.Cache) *tableCache {
 	c := &tableCache{fs: fs, dir: dir, blocks: blocks}
-	c.readers.Store(&map[uint64]*sstable.Reader{})
+	c.readers.Store(&map[uint64]*tableRef{})
 	return c
 }
 
 // replaceLocked publishes a copy of the reader map with num mapped to r, or
 // removed when r is nil. Caller holds c.mu.
-func (c *tableCache) replaceLocked(num uint64, r *sstable.Reader) {
+func (c *tableCache) replaceLocked(num uint64, r *tableRef) {
 	next := maps.Clone(*c.readers.Load())
 	if r != nil {
 		next[num] = r
@@ -60,7 +78,8 @@ func openTable(fs vfs.FS, dir string, num uint64, blocks *cache.Cache) (*sstable
 	return r, err
 }
 
-func (c *tableCache) get(num uint64) (*sstable.Reader, error) {
+// get returns the cached reader of table num, opening it on a miss.
+func (c *tableCache) get(num uint64) (*tableRef, error) {
 	if r, ok := (*c.readers.Load())[num]; ok {
 		return r, nil
 	}
@@ -76,12 +95,38 @@ func (c *tableCache) get(num uint64) (*sstable.Reader, error) {
 		r.Close()
 		return existing, nil
 	}
-	c.replaceLocked(num, r)
-	return r, nil
+	t := &tableRef{Reader: r}
+	t.refs.Store(1)
+	c.replaceLocked(num, t)
+	return t, nil
 }
 
-// evict closes and forgets the reader for a deleted, parked or re-installed
-// file, and drops the file's blocks from the block cache: they would hold
+// acquire is get for a reader held across many reads, a scan's or a
+// scrub's: the caller owns a reference and Closes it when done.
+func (c *tableCache) acquire(num uint64) (*tableRef, error) {
+	for {
+		t, err := c.get(num)
+		if err != nil {
+			return nil, err
+		}
+		// Only a reader still in the map holds the cache's reference; one
+		// evicted since get loaded it is retried, and the next get opens the
+		// file afresh (or finds it gone).
+		c.mu.Lock()
+		cached := (*c.readers.Load())[num] == t
+		if cached {
+			t.refs.Add(1)
+		}
+		c.mu.Unlock()
+		if cached {
+			return t, nil
+		}
+	}
+}
+
+// evict forgets the reader for a deleted, parked or re-installed file,
+// dropping the cache's reference (the reader closes once no scan holds it),
+// and drops the file's blocks from the block cache: they would hold
 // budget until they aged out, and a repaired image under the same number must
 // not be served the old one's bytes.
 func (c *tableCache) evict(num uint64) {
@@ -103,5 +148,5 @@ func (c *tableCache) closeAll() {
 	for _, r := range *c.readers.Load() {
 		r.Close()
 	}
-	c.readers.Store(&map[uint64]*sstable.Reader{})
+	c.readers.Store(&map[uint64]*tableRef{})
 }

@@ -278,10 +278,11 @@ func (d *DB) Scrub(ctx context.Context, lim kv.RateLimiter) (kv.ScrubResult, err
 					return res, err
 				}
 			}
-			r, err := d.tcache.get(fm.Num)
+			t, err := d.tcache.acquire(fm.Num)
 			if err == nil {
 				var n int64
-				n, err = r.Verify()
+				n, err = t.Verify()
+				t.Close()
 				res.FilesScanned++
 				res.BytesScanned += n
 			}

@@ -3,6 +3,7 @@ package lsm
 import (
 	"bytes"
 	"container/heap"
+	"io"
 
 	"p2kvs/internal/ikey"
 	"p2kvs/internal/kv"
@@ -29,12 +30,13 @@ type memIterAdapter struct{ *memtable.Iter }
 func (memIterAdapter) Err() error   { return nil }
 func (memIterAdapter) Close() error { return nil }
 
-// tableIterAdapter lifts sstable.Iter and owns its reader (iterators open
-// private readers so compaction deleting a file cannot yank a shared
-// handle out from under a live scan).
+// tableIterAdapter lifts sstable.Iter and holds its reader: a compaction's
+// private reader, closed with the iterator, or a scan's reference on the
+// table cache's, dropped with it (so compaction evicting the file cannot
+// close the handle under a live scan).
 type tableIterAdapter struct {
 	*sstable.Iter
-	r *sstable.Reader
+	r io.Closer
 }
 
 func (t tableIterAdapter) Close() error {
@@ -161,12 +163,12 @@ func (d *DB) newIterAt(rs *readState, seq uint64) (*dbIter, error) {
 		if qerr := d.quarErr(fm.Num); qerr != nil {
 			return qerr
 		}
-		r, err := openTable(d.opts.FS, d.dir, fm.Num, d.blocks)
+		t, err := d.tcache.acquire(fm.Num)
 		if err != nil {
 			d.noteCorruption(err)
 			return err
 		}
-		children = append(children, tableIterAdapter{r.NewIterator(), r})
+		children = append(children, tableIterAdapter{t.NewIterator(), t})
 		return nil
 	}
 	for level := 0; level < manifest.NumLevels; level++ {
