@@ -51,8 +51,10 @@ alloc-profile:
 # before PR 27); the engine lookup under both; the MemFS device under all of
 # them (a 2 MiB append, a block read). The engine lookup runs with the block
 # cache too small (GetMiss) and holding every block (GetHit, where the
-# table's index search shows most). A time claim starts from these
-# tables as a count claim starts from alloc-profile's.
+# table's index search shows most). The two callers of the k-way merge:
+# compaction (CompactionMerge) and a store's SCAN on both of its paths
+# (StoreScan). A time claim starts from these tables as a count claim
+# starts from alloc-profile's.
 cpu-profile:
 	mkdir -p $(PROFILE_DIR)
 	$(GO) test -c -o $(PROFILE_DIR)/p2kvs.test .
@@ -61,7 +63,8 @@ cpu-profile:
 	$(GO) test -c -o $(PROFILE_DIR)/vfs.test ./internal/vfs
 	cd $(PROFILE_DIR) && for run in 'p2kvs write PutAsync|LSMWriteBatch' 'p2kvs memtable MemtableAdd|MemtableGet' \
 			'core get-direct Get$$/direct=true' \
-			'core get-queued Get$$/direct=false' 'lsm get-engine GetMiss' 'lsm get-hit GetHit' 'vfs memfs MemFSAppend|MemFSReadAt'; do \
+			'core get-queued Get$$/direct=false' 'lsm get-engine GetMiss' 'lsm get-hit GetHit' 'vfs memfs MemFSAppend|MemFSReadAt' \
+			'lsm compaction CompactionMerge' 'core scan StoreScan'; do \
 		set -- $$run; \
 		./$$1.test -test.run '^$$' -test.bench "$$3" -test.benchtime 3s -test.cpuprofile $$2.prof && \
 		$(GO) tool pprof -top -cum -nodecount 25 $$1.test $$2.prof || exit 1; \
@@ -125,6 +128,7 @@ fuzz-short:
 	$(GO) test -fuzz=FuzzRESPParse -fuzztime=$(FUZZTIME) ./internal/server
 	$(GO) test -fuzz=FuzzMemFile -fuzztime=$(FUZZTIME) ./internal/vfs
 	$(GO) test -fuzz=FuzzParse -fuzztime=$(FUZZTIME) ./internal/checkpoint
+	$(GO) test -fuzz=FuzzMergeIterators -fuzztime=$(FUZZTIME) ./internal/kv
 	$(GO) test -fuzz=FuzzReplStream -fuzztime=$(FUZZTIME) ./internal/repl
 
 # make stress SUITE=<name>|all|list — every race/torture/end-to-end battery

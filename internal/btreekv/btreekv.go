@@ -418,7 +418,7 @@ func (d *DB) checkpointLocked() error {
 			baseIt.Next()
 		}
 		if baseIt != nil {
-			return baseIt.Err()
+			return baseIt.Error()
 		}
 		return nil
 	}
@@ -542,10 +542,6 @@ func (d *DB) Close() error {
 // Iterator
 // ---------------------------------------------------------------------------
 
-type iterEntry struct {
-	key, val []byte
-}
-
 // NewIterator implements kv.Engine. It materializes the merged view at
 // call time (the dirty tree is small by construction — bounded by
 // CheckpointBytes — and the base is immutable).
@@ -560,20 +556,20 @@ func (d *DB) NewIterator() (kv.Iterator, error) {
 		// rather than silently omitting the unreadable one.
 		return nil, cerr
 	}
-	var dirtyEntries []iterEntry
+	var dirtyEntries []kv.Pair
 	tombs := map[string]bool{}
 	d.dirty.Ascend(nil, func(k []byte, v dirtyVal) bool {
 		if v.tomb {
 			tombs[string(k)] = true
 		} else {
-			dirtyEntries = append(dirtyEntries, iterEntry{key: append([]byte(nil), k...), val: append([]byte(nil), v.val...)})
+			dirtyEntries = append(dirtyEntries, kv.Pair{Key: append([]byte(nil), k...), Value: append([]byte(nil), v.val...)})
 		}
 		return true
 	})
-	var merged []iterEntry
+	var merged []kv.Pair
 	di := 0
 	emitDirtyUpTo := func(bound []byte) {
-		for di < len(dirtyEntries) && (bound == nil || bytes.Compare(dirtyEntries[di].key, bound) < 0) {
+		for di < len(dirtyEntries) && (bound == nil || bytes.Compare(dirtyEntries[di].Key, bound) < 0) {
 			merged = append(merged, dirtyEntries[di])
 			di++
 		}
@@ -587,41 +583,17 @@ func (d *DB) NewIterator() (kv.Iterator, error) {
 			if tombs[string(uk)] {
 				continue
 			}
-			if di < len(dirtyEntries) && bytes.Equal(dirtyEntries[di].key, uk) {
+			if di < len(dirtyEntries) && bytes.Equal(dirtyEntries[di].Key, uk) {
 				merged = append(merged, dirtyEntries[di])
 				di++
 				continue
 			}
-			merged = append(merged, iterEntry{key: append([]byte(nil), uk...), val: append([]byte(nil), it.Value()...)})
+			merged = append(merged, kv.Pair{Key: append([]byte(nil), uk...), Value: append([]byte(nil), it.Value()...)})
 		}
-		if err := it.Err(); err != nil {
+		if err := it.Error(); err != nil {
 			return nil, err
 		}
 	}
 	emitDirtyUpTo(nil)
-	return &sliceIter{entries: merged, pos: -1}, nil
+	return kv.NewSliceIter(merged), nil
 }
-
-type sliceIter struct {
-	entries []iterEntry
-	pos     int
-}
-
-func (it *sliceIter) Valid() bool  { return it.pos >= 0 && it.pos < len(it.entries) }
-func (it *sliceIter) SeekToFirst() { it.pos = 0 }
-func (it *sliceIter) Seek(target []byte) {
-	for it.pos = 0; it.pos < len(it.entries); it.pos++ {
-		if bytes.Compare(it.entries[it.pos].key, target) >= 0 {
-			return
-		}
-	}
-}
-func (it *sliceIter) Next() {
-	if it.pos < len(it.entries) {
-		it.pos++
-	}
-}
-func (it *sliceIter) Key() []byte   { return it.entries[it.pos].key }
-func (it *sliceIter) Value() []byte { return it.entries[it.pos].val }
-func (it *sliceIter) Error() error  { return nil }
-func (it *sliceIter) Close() error  { return nil }

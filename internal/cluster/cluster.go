@@ -56,12 +56,10 @@ type Options struct {
 	// ReadFromReplicas spreads Get/MGet across each node's primary and
 	// replicas round-robin. Reads become eventually consistent.
 	ReadFromReplicas bool
-	// DialTimeout bounds connection establishment (default 5s).
-	DialTimeout time.Duration
-	// Ring is the virtual-node count per node on the hash ring
-	// (default keyspace.DefaultReplicas).
-	Ring int
 }
+
+// dialTimeout bounds connection establishment.
+const dialTimeout = 5 * time.Second
 
 // Client routes commands across the cluster. Safe for concurrent use;
 // legs to distinct endpoints run in parallel, commands to the same
@@ -87,15 +85,9 @@ func New(nodes []Node, opts Options) (*Client, error) {
 	if opts.MaxBatch <= 0 || opts.MaxBatch > MaxBatch {
 		opts.MaxBatch = MaxBatch
 	}
-	if opts.DialTimeout <= 0 {
-		opts.DialTimeout = 5 * time.Second
-	}
-	if opts.Ring <= 0 {
-		opts.Ring = keyspace.DefaultReplicas
-	}
 	return &Client{
 		nodes: nodes,
-		ring:  keyspace.NewConsistent(len(nodes), opts.Ring),
+		ring:  keyspace.NewConsistent(len(nodes), keyspace.DefaultReplicas),
 		opts:  opts,
 		conns: make(map[string]*Conn),
 	}, nil
@@ -134,7 +126,7 @@ func (c *Client) conn(addr string) *Conn {
 	defer c.mu.Unlock()
 	rc, ok := c.conns[addr]
 	if !ok {
-		rc = NewConn(addr, c.opts.DialTimeout)
+		rc = NewConn(addr, dialTimeout)
 		c.conns[addr] = rc
 	}
 	return rc

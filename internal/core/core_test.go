@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -332,6 +333,70 @@ func TestRangeQuery(t *testing.T) {
 // as workers or beside queued work; both paths read the same pairs, a
 // cancelled context ends either, typed, and scans from many goroutines at
 // once leave none counted in flight.
+// BenchmarkStoreScan is one client's ScanCtx of 10 and of 100 keys over
+// eight lsm workers, on each path the store picks between: the fan-out
+// (every worker idle; each scan first waits for the last one's legs to
+// settle) and the walk of the merged iterator (forced by counting eight
+// scans as running already). The engines are compacted before the first
+// scan, so no background compaction reshapes the tables under a run.
+//
+//	go test -run '^$' -bench 'BenchmarkStoreScan' -benchmem ./internal/core
+func BenchmarkStoreScan(b *testing.B) {
+	const keys, workers = 50000, 8
+	key := func(i int) []byte { return []byte(fmt.Sprintf("key-%012d", i)) }
+	fs := vfs.NewMem()
+	dbs := make([]*lsm.DB, workers)
+	opts := DefaultOptions(func(id int, _ func(uint64) bool) (kv.Engine, error) {
+		db, err := lsm.Open(fmt.Sprintf("bench/inst-%02d", id), lsm.RocksDBOptions(fs))
+		dbs[id] = db
+		return db, err
+	})
+	opts.Workers = workers
+	s, err := Open(opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer s.Close()
+	val := make([]byte, 128)
+	probes := make([][]byte, keys)
+	for i := range probes {
+		probes[i] = key(i)
+		if err := s.Put(probes[i], val); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for _, db := range dbs {
+		if err := db.CompactAll(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for _, path := range []string{"walk", "fan-out"} {
+		for _, n := range []int{10, 100} {
+			b.Run(fmt.Sprintf("path=%s/n=%d", path, n), func(b *testing.B) {
+				if path == "walk" {
+					s.scans.Add(workers)
+					defer s.scans.Add(-workers)
+				}
+				rt := s.route.Load()
+				x := uint64(88172645463325252)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					x ^= x << 13
+					x ^= x >> 7
+					x ^= x << 17
+					for path == "fan-out" && !rt.idle() {
+						runtime.Gosched()
+					}
+					if pairs, err := s.Scan(probes[x%uint64(keys-n)], n); err != nil || len(pairs) != n {
+						b.Fatalf("scan returned %d pairs, %v", len(pairs), err)
+					}
+				}
+			})
+		}
+	}
+}
+
 func TestScanBothPaths(t *testing.T) {
 	s := openStore(t, vfs.NewMem(), 4)
 	defer s.Close()

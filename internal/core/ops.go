@@ -8,7 +8,6 @@ import (
 	"sort"
 	"sync"
 
-	"p2kvs/internal/keyspace"
 	"p2kvs/internal/kv"
 )
 
@@ -386,26 +385,18 @@ func (s *Store) write(ctx context.Context, b *kv.Batch, prepared bool) (commit f
 // ---------------------------------------------------------------------------
 
 // Pair is a key/value result.
-type Pair struct {
-	Key   []byte
-	Value []byte
-}
+type Pair = kv.Pair
 
 // scanQuery is one SCAN or RANGE: the keys from start (nil: the first),
 // none past end (inclusive) when end is non-nil, at most limit of them.
-// part, when non-nil, keeps only the keys it assigns to partition self
-// (routing.ownership); a skipped key does not consume the limit, so a SCAN
-// n during a reshard still fills n slots with owned keys.
 type scanQuery struct {
 	start, end []byte
 	limit      int
-	part       keyspace.Partitioner
-	self       int
 }
 
 // scan runs q over it — the one walker behind both scan paths (a per-worker
-// leg's engine iterator, the caller's global merged one). A ctx that ends
-// mid-walk ends the walk.
+// leg's owned engine iterator, the caller's global merged one). A ctx that
+// ends mid-walk ends the walk.
 func (q scanQuery) scan(ctx context.Context, it kv.Iterator) ([]Pair, error) {
 	if q.start == nil {
 		it.SeekToFirst()
@@ -422,9 +413,6 @@ func (q scanQuery) scan(ctx context.Context, it kv.Iterator) ([]Pair, error) {
 		}
 		if q.end != nil && bytes.Compare(it.Key(), q.end) > 0 {
 			break
-		}
-		if q.part != nil && q.part.Pick(it.Key()) != q.self {
-			continue
 		}
 		out = append(out, Pair{
 			Key:   append([]byte(nil), it.Key()...),
@@ -444,15 +432,13 @@ func (s *Store) scanFan(ctx context.Context, q scanQuery) ([]Pair, error) {
 	rt := s.route.Load()
 	outs := make([][]Pair, len(rt.workers))
 	for i, w := range rt.workers {
-		leg := q
-		leg.part, leg.self = rt.ownership(), i
 		r := &request{typ: reqRun, callback: fan.finish, run: func(w *worker) error {
 			it, err := w.engine.NewIterator()
 			if err != nil {
 				return err
 			}
 			defer it.Close()
-			outs[i], err = leg.scan(ctx, it)
+			outs[i], err = q.scan(ctx, rt.owned(it, i))
 			return err
 		}}
 		fan.add()
@@ -529,11 +515,10 @@ func (s *Store) ScanCtx(ctx context.Context, start []byte, n int) ([]Pair, error
 // NewIterator implements kv.Engine with a global merged iterator over the
 // per-instance iterators — the RocksDB-MergeIterator-style construction
 // from §4.4. It bypasses the worker queues (engines are thread-safe and
-// iterators snapshot). On elastic stores the merged view filters each
-// child by key ownership under the captured ring generation, so stale
-// moved ranges awaiting cleanup (or mid-copy duplicates) are never
-// yielded; children are created under the routing read lock so the
-// worker set cannot be retired mid-construction.
+// iterators snapshot). Each child is owned under the captured routing
+// generation, so stale moved ranges awaiting cleanup (or mid-copy
+// duplicates) are never yielded; children are created under the routing
+// read lock so the worker set cannot be retired mid-construction.
 func (s *Store) NewIterator() (kv.Iterator, error) {
 	if s.closed.Load() {
 		return nil, kv.ErrClosed
@@ -541,7 +526,7 @@ func (s *Store) NewIterator() (kv.Iterator, error) {
 	s.routeMu.RLock()
 	rt := s.route.Load()
 	children := make([]kv.Iterator, 0, len(rt.workers))
-	for _, w := range rt.workers {
+	for i, w := range rt.workers {
 		it, err := w.engine.NewIterator()
 		if err != nil {
 			s.routeMu.RUnlock()
@@ -550,89 +535,8 @@ func (s *Store) NewIterator() (kv.Iterator, error) {
 			}
 			return nil, err
 		}
-		children = append(children, it)
+		children = append(children, rt.owned(it, i))
 	}
 	s.routeMu.RUnlock()
-	return &mergedIter{children: children, part: rt.ownership()}, nil
-}
-
-// ---------------------------------------------------------------------------
-// Merged iterator
-// ---------------------------------------------------------------------------
-
-type mergedIter struct {
-	children []kv.Iterator
-	cur      int // index of child with the smallest key, -1 when invalid
-	err      error
-	// part, when non-nil, filters child i to the keys it owns under the
-	// routing generation the iterator was created against (elastic
-	// stores only): a stale copy of a moved key on its old owner must
-	// not shadow — or duplicate — the authoritative copy. In steady
-	// state no child holds foreign keys and the filter never skips.
-	part keyspace.Partitioner
-}
-
-// skipForeign advances each child past keys it does not own.
-func (m *mergedIter) skipForeign() {
-	if m.part == nil {
-		return
-	}
-	for i, c := range m.children {
-		for c.Valid() && m.part.Pick(c.Key()) != i {
-			c.Next()
-		}
-	}
-}
-
-func (m *mergedIter) refresh() {
-	m.skipForeign()
-	m.cur = -1
-	for i, c := range m.children {
-		if err := c.Error(); err != nil && m.err == nil {
-			m.err = err
-		}
-		if !c.Valid() {
-			continue
-		}
-		if m.cur < 0 || bytes.Compare(c.Key(), m.children[m.cur].Key()) < 0 {
-			m.cur = i
-		}
-	}
-}
-
-func (m *mergedIter) SeekToFirst() {
-	for _, c := range m.children {
-		c.SeekToFirst()
-	}
-	m.refresh()
-}
-
-func (m *mergedIter) Seek(target []byte) {
-	for _, c := range m.children {
-		c.Seek(target)
-	}
-	m.refresh()
-}
-
-func (m *mergedIter) Next() {
-	if m.cur < 0 {
-		return
-	}
-	m.children[m.cur].Next()
-	m.refresh()
-}
-
-func (m *mergedIter) Valid() bool   { return m.err == nil && m.cur >= 0 }
-func (m *mergedIter) Key() []byte   { return m.children[m.cur].Key() }
-func (m *mergedIter) Value() []byte { return m.children[m.cur].Value() }
-func (m *mergedIter) Error() error  { return m.err }
-
-func (m *mergedIter) Close() error {
-	var first error
-	for _, c := range m.children {
-		if err := c.Close(); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
+	return kv.NewMerge(bytes.Compare, children), nil
 }

@@ -548,41 +548,44 @@ func (s *Store) abortReshard(run *reshardRun, added []*worker, oldRT *routing, n
 
 // purgeForeign deletes every key part does not assign to the worker whose
 // engine holds it, in copyBatchSize batches through that worker's queue —
-// ordered with concurrent writes. The keys may be alive on their owner, so
-// the hot cache must drop them, not record the deletes: an unrouted commit
-// sees to it.
+// ordered with concurrent writes — each sent as soon as it fills, while the
+// walk goes on over the engine's snapshot iterator. The keys may be alive on
+// their owner, so the hot cache must drop them, not record the deletes: an
+// unrouted commit sees to it.
 func purgeForeign(workers []*worker, part keyspace.Partitioner) error {
 	for _, w := range workers {
-		keys, err := foreignKeys(w, part)
-		for err == nil && len(keys) > 0 {
-			n := min(copyBatchSize, len(keys))
-			ops := make([]kv.BatchOp, n)
-			for i, k := range keys[:n] {
-				ops[i] = kv.BatchOp{Kind: kv.OpDelete, Key: k}
-			}
-			keys = keys[n:]
-			err = w.do(func(w *worker) error { return w.commit(ops, 0, 0, true) })
-		}
-		if err != nil {
+		if err := purgeWorker(w, part); err != nil {
 			return fmt.Errorf("worker %d: %w", w.id, err)
 		}
 	}
 	return nil
 }
 
-// foreignKeys returns (deep-copied) the keys in w's engine that part does
-// not assign to w.
-func foreignKeys(w *worker, part keyspace.Partitioner) ([][]byte, error) {
+func purgeWorker(w *worker, part keyspace.Partitioner) error {
 	it, err := w.engine.NewIterator()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	defer it.Close()
-	var keys [][]byte
+	var ops []kv.BatchOp
+	send := func() error {
+		batch := ops
+		ops = nil
+		return w.do(func(w *worker) error { return w.commit(batch, 0, 0, true) })
+	}
 	for it.SeekToFirst(); it.Valid(); it.Next() {
-		if part.Pick(it.Key()) != w.id {
-			keys = append(keys, append([]byte(nil), it.Key()...))
+		if part.Pick(it.Key()) == w.id {
+			continue
+		}
+		ops = append(ops, kv.BatchOp{Kind: kv.OpDelete, Key: append([]byte(nil), it.Key()...)})
+		if len(ops) == copyBatchSize {
+			if err := send(); err != nil {
+				return err
+			}
 		}
 	}
-	return keys, it.Error()
+	if err := it.Error(); err != nil || len(ops) == 0 {
+		return err
+	}
+	return send()
 }

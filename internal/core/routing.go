@@ -47,6 +47,19 @@ func (rt *routing) ownership() keyspace.Partitioner {
 	return nil
 }
 
+// owned returns it, an iterator over worker i's engine, restricted to the
+// keys this generation assigns to worker i: a stale copy of a moved key on
+// its old owner must not shadow — or duplicate — the authoritative copy. A
+// skipped key does not count against a scan's limit, so a SCAN n during a
+// reshard still fills n slots with owned keys.
+func (rt *routing) owned(it kv.Iterator, i int) kv.Iterator {
+	part := rt.ownership()
+	if part == nil {
+		return it
+	}
+	return kv.Filter(it, func(key []byte) bool { return part.Pick(key) == i })
+}
+
 // split partitions a user batch's ops into per-worker write payloads under
 // this routing generation. The payloads are copies of the op list (not of
 // the key and value bytes): a caller whose deadline fires may reuse its

@@ -54,7 +54,9 @@ type Consistent struct {
 	owner    []int    // owner[i] = worker for points[i]
 }
 
-// DefaultReplicas is the virtual-node count per worker.
+// DefaultReplicas is the virtual-node count per worker (the moved fraction
+// of a grow N→N+1 approaches the ideal 1/(N+1) as replicas grows; 64 keeps
+// lookup cheap).
 const DefaultReplicas = 64
 
 // NewConsistent creates a consistent-hash partitioner over n workers.

@@ -34,7 +34,7 @@ func (s *Store) PrepareCheckpoint() (kv.CheckpointWriter, error) {
 
 type ckptWriter struct {
 	s     *Store
-	pairs [][2][]byte
+	pairs []kv.Pair
 }
 
 // WriteTo implements kv.CheckpointWriter.
@@ -56,31 +56,31 @@ func (w *ckptWriter) WriteTo(fs vfs.FS, dir string, seq uint64) ([]kv.Checkpoint
 func (w *ckptWriter) Release() {}
 
 // Snapshot layout: count u32 | (klen u16 | vlen u32 | key | value)*.
-func encodeSnapshot(pairs [][2][]byte) []byte {
+func encodeSnapshot(pairs []kv.Pair) []byte {
 	size := 4
 	for _, p := range pairs {
-		size += 6 + len(p[0]) + len(p[1])
+		size += 6 + len(p.Key) + len(p.Value)
 	}
 	buf := make([]byte, 4, size)
 	binary.LittleEndian.PutUint32(buf, uint32(len(pairs)))
 	for _, p := range pairs {
 		var hdr [6]byte
-		binary.LittleEndian.PutUint16(hdr[:], uint16(len(p[0])))
-		binary.LittleEndian.PutUint32(hdr[2:], uint32(len(p[1])))
+		binary.LittleEndian.PutUint16(hdr[:], uint16(len(p.Key)))
+		binary.LittleEndian.PutUint32(hdr[2:], uint32(len(p.Value)))
 		buf = append(buf, hdr[:]...)
-		buf = append(buf, p[0]...)
-		buf = append(buf, p[1]...)
+		buf = append(buf, p.Key...)
+		buf = append(buf, p.Value...)
 	}
 	return buf
 }
 
-func decodeSnapshot(buf []byte) ([][2][]byte, error) {
+func decodeSnapshot(buf []byte) ([]kv.Pair, error) {
 	if len(buf) < 4 {
 		return nil, errors.New("kvell: truncated snapshot header")
 	}
 	count := int(binary.LittleEndian.Uint32(buf))
 	buf = buf[4:]
-	pairs := make([][2][]byte, 0, count)
+	pairs := make([]kv.Pair, 0, count)
 	for i := 0; i < count; i++ {
 		if len(buf) < 6 {
 			return nil, errors.New("kvell: truncated snapshot record header")
@@ -94,7 +94,7 @@ func decodeSnapshot(buf []byte) ([][2][]byte, error) {
 		key := append([]byte(nil), buf[:klen]...)
 		val := append([]byte(nil), buf[klen:klen+vlen]...)
 		buf = buf[klen+vlen:]
-		pairs = append(pairs, [2][]byte{key, val})
+		pairs = append(pairs, kv.Pair{Key: key, Value: val})
 	}
 	return pairs, nil
 }
@@ -112,7 +112,7 @@ func (s *Store) replaySnapshot() error {
 		return err
 	}
 	for _, p := range pairs {
-		if err := s.Put(p[0], p[1]); err != nil {
+		if err := s.Put(p.Key, p.Value); err != nil {
 			return err
 		}
 	}

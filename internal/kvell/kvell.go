@@ -94,7 +94,7 @@ type request struct {
 	start []byte
 	limit int
 	// reply
-	out   [][2][]byte
+	out   []kv.Pair
 	err   error
 	found bool
 	done  chan struct{}
@@ -439,12 +439,12 @@ func (w *worker) delete(key []byte) error {
 // scan returns up to limit (key, value) pairs with key >= start from this
 // worker's partition. Values are fetched with random reads — the reason
 // KVell scans underperform LSM scans (workload E, Figure 20).
-func (w *worker) scan(start []byte, limit int) ([][2][]byte, error) {
+func (w *worker) scan(start []byte, limit int) ([]kv.Pair, error) {
 	if w.corrupt != nil {
 		// A poisoned index cannot prove scan completeness.
 		return nil, w.corrupt
 	}
-	var out [][2][]byte
+	var out []kv.Pair
 	var scanErr error
 	w.index.Ascend(start, func(k []byte, l loc) bool {
 		v, err := w.readSlot(l, k)
@@ -452,7 +452,7 @@ func (w *worker) scan(start []byte, limit int) ([][2][]byte, error) {
 			scanErr = err
 			return false
 		}
-		out = append(out, [2][]byte{append([]byte(nil), k...), v})
+		out = append(out, kv.Pair{Key: append([]byte(nil), k...), Value: v})
 		return len(out) < limit
 	})
 	return out, scanErr
@@ -512,7 +512,7 @@ func (s *Store) Delete(key []byte) error {
 // globally sorted. Each partition is asked for limit items (the key
 // distribution across partitions is unknown a priori — the same
 // over-read p2KVS's parallel SCAN performs, §4.4).
-func (s *Store) Scan(start []byte, limit int) ([][2][]byte, error) {
+func (s *Store) Scan(start []byte, limit int) ([]kv.Pair, error) {
 	reqs := make([]*request, len(s.workers))
 	var wg sync.WaitGroup
 	for i, w := range s.workers {
@@ -524,14 +524,14 @@ func (s *Store) Scan(start []byte, limit int) ([][2][]byte, error) {
 		}(w, reqs[i])
 	}
 	wg.Wait()
-	var all [][2][]byte
+	var all []kv.Pair
 	for _, r := range reqs {
 		if r.err != nil {
 			return nil, r.err
 		}
 		all = append(all, r.out...)
 	}
-	sort.Slice(all, func(i, j int) bool { return bytes.Compare(all[i][0], all[j][0]) < 0 })
+	sort.Slice(all, func(i, j int) bool { return bytes.Compare(all[i].Key, all[j].Key) < 0 })
 	if len(all) > limit {
 		all = all[:limit]
 	}
@@ -552,7 +552,7 @@ func (s *Store) NewIterator() (kv.Iterator, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &snapshotIter{pairs: pairs, pos: -1}, nil
+	return kv.NewSliceIter(pairs), nil
 }
 
 // Flush implements kv.Engine: syncs every slab. Like submit it holds mu
@@ -628,28 +628,6 @@ func (s *Store) Close() error {
 	}
 	return nil
 }
-
-type snapshotIter struct {
-	pairs [][2][]byte
-	pos   int
-}
-
-func (it *snapshotIter) Valid() bool  { return it.pos >= 0 && it.pos < len(it.pairs) }
-func (it *snapshotIter) SeekToFirst() { it.pos = 0 }
-func (it *snapshotIter) Seek(target []byte) {
-	it.pos = sort.Search(len(it.pairs), func(i int) bool {
-		return bytes.Compare(it.pairs[i][0], target) >= 0
-	})
-}
-func (it *snapshotIter) Next() {
-	if it.pos < len(it.pairs) {
-		it.pos++
-	}
-}
-func (it *snapshotIter) Key() []byte   { return it.pairs[it.pos][0] }
-func (it *snapshotIter) Value() []byte { return it.pairs[it.pos][1] }
-func (it *snapshotIter) Error() error  { return nil }
-func (it *snapshotIter) Close() error  { return nil }
 
 // ---------------------------------------------------------------------------
 // Page cache

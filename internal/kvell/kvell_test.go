@@ -88,11 +88,11 @@ func TestScanSortedAcrossPartitions(t *testing.T) {
 	}
 	for i, p := range pairs {
 		want := fmt.Sprintf("k%05d", 100+i)
-		if string(p[0]) != want {
-			t.Fatalf("scan[%d] = %q, want %q", i, p[0], want)
+		if string(p.Key) != want {
+			t.Fatalf("scan[%d] = %q, want %q", i, p.Key, want)
 		}
-		if string(p[1]) != fmt.Sprintf("v%d", 100+i) {
-			t.Fatalf("scan[%d] value = %q", i, p[1])
+		if string(p.Value) != fmt.Sprintf("v%d", 100+i) {
+			t.Fatalf("scan[%d] value = %q", i, p.Value)
 		}
 	}
 }

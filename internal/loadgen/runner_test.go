@@ -9,7 +9,10 @@ import (
 	"testing"
 
 	"p2kvs"
+	"p2kvs/internal/device"
 	"p2kvs/internal/kv"
+	"p2kvs/internal/kvell"
+	"p2kvs/internal/vfs"
 )
 
 func TestOutcomeTaxonomy(t *testing.T) {
@@ -121,5 +124,31 @@ func TestRunAgainstEmbeddedStore(t *testing.T) {
 	if _, _, err := Run(Phase{Spec: MustLookup("fillseq"), Ops: 10, Keys: 10, Threads: 2},
 		func(int) (Target, error) { return nil, boom }); !errors.Is(err, boom) {
 		t.Fatalf("open error lost: %v", err)
+	}
+}
+
+// TestExecScansKVellNatively: a scan of n on KVell goes through its own
+// Scan, which reads one slot per key of each of its workers' n, not through
+// an iterator over the whole store. KVell's scan skips the page cache, so the
+// device's read count is the number of slots read.
+func TestExecScansKVellNatively(t *testing.T) {
+	const keys, workers, n = 2000, 4, 10
+	dev := device.New(device.Null, 1)
+	s, err := kvell.Open("kvell", kvell.Options{FS: device.WrapFS(vfs.NewMem(), dev), Workers: workers})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	for i := uint64(0); i < keys; i++ {
+		if err := s.Put(Key(i), Value(i, 0, 128)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := dev.Stats().ReadOps
+	if err := Exec(s, Op{Type: OpScan, KeyIdx: keys / 2, ScanLen: n}, 128, n, nil); err != nil {
+		t.Fatal(err)
+	}
+	if reads := dev.Stats().ReadOps - before; reads > workers*n {
+		t.Fatalf("a scan of %d made %d slot reads, want at most %d (workers × n)", n, reads, workers*n)
 	}
 }

@@ -148,7 +148,7 @@ func (d *DB) noDataBelow(v *manifest.Version, out int, lo, hi []byte) bool {
 // any error every partial and finished output file is closed and removed,
 // so a failed merge leaves no orphans for the retry to trip over.
 func (d *DB) mergeFiles(inputs []*manifest.FileMeta, dropTombs bool) (outputs []manifest.FileMeta, err error) {
-	var children []internalIterator
+	var children []kv.Iterator
 	for _, fm := range inputs {
 		// No block cache: a merge reads each block once, through one buffer
 		// per input, and must not evict live blocks to cache those of files it
@@ -160,7 +160,7 @@ func (d *DB) mergeFiles(inputs []*manifest.FileMeta, dropTombs bool) (outputs []
 		}
 		children = append(children, tableIterAdapter{r.NewIterator(), r})
 	}
-	merge := newMergingIter(children)
+	merge := kv.NewMerge(ikey.Compare, children)
 	defer merge.Close()
 
 	var (
@@ -241,7 +241,7 @@ func (d *DB) mergeFiles(inputs []*manifest.FileMeta, dropTombs bool) (outputs []
 		}
 		written += int64(len(ik) + len(merge.Value()))
 	}
-	if err = merge.Err(); err != nil {
+	if err = merge.Error(); err != nil {
 		return nil, err
 	}
 	if err = finishOutput(); err != nil {
@@ -250,7 +250,7 @@ func (d *DB) mergeFiles(inputs []*manifest.FileMeta, dropTombs bool) (outputs []
 	return outputs, nil
 }
 
-func closeAll(its []internalIterator) {
+func closeAll(its []kv.Iterator) {
 	for _, it := range its {
 		it.Close()
 	}

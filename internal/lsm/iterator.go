@@ -2,33 +2,13 @@ package lsm
 
 import (
 	"bytes"
-	"container/heap"
 	"io"
 
 	"p2kvs/internal/ikey"
 	"p2kvs/internal/kv"
 	"p2kvs/internal/manifest"
-	"p2kvs/internal/memtable"
 	"p2kvs/internal/sstable"
 )
-
-// internalIterator walks internal keys in ikey order.
-type internalIterator interface {
-	SeekToFirst()
-	Seek(target []byte)
-	Next()
-	Valid() bool
-	Key() []byte
-	Value() []byte
-	Err() error
-	Close() error
-}
-
-// memIterAdapter lifts memtable.Iter to internalIterator.
-type memIterAdapter struct{ *memtable.Iter }
-
-func (memIterAdapter) Err() error   { return nil }
-func (memIterAdapter) Close() error { return nil }
 
 // tableIterAdapter lifts sstable.Iter and holds its reader: a compaction's
 // private reader, closed with the iterator, or a scan's reference on the
@@ -44,93 +24,6 @@ func (t tableIterAdapter) Close() error {
 	return t.r.Close()
 }
 
-// mergingIter merges children by internal-key order.
-type mergingIter struct {
-	children []internalIterator
-	h        iterHeap
-	err      error
-}
-
-type iterHeap []internalIterator
-
-func (h iterHeap) Len() int { return len(h) }
-func (h iterHeap) Less(i, j int) bool {
-	return ikey.Compare(h[i].Key(), h[j].Key()) < 0
-}
-func (h iterHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *iterHeap) Push(x interface{}) { *h = append(*h, x.(internalIterator)) }
-func (h *iterHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
-}
-
-func newMergingIter(children []internalIterator) *mergingIter {
-	return &mergingIter{children: children}
-}
-
-func (m *mergingIter) rebuild() {
-	m.h = m.h[:0]
-	for _, c := range m.children {
-		if err := c.Err(); err != nil && m.err == nil {
-			m.err = err
-		}
-		if c.Valid() {
-			m.h = append(m.h, c)
-		}
-	}
-	heap.Init(&m.h)
-}
-
-func (m *mergingIter) SeekToFirst() {
-	for _, c := range m.children {
-		c.SeekToFirst()
-	}
-	m.rebuild()
-}
-
-func (m *mergingIter) Seek(target []byte) {
-	for _, c := range m.children {
-		c.Seek(target)
-	}
-	m.rebuild()
-}
-
-func (m *mergingIter) Valid() bool { return m.err == nil && len(m.h) > 0 }
-
-func (m *mergingIter) Next() {
-	if !m.Valid() {
-		return
-	}
-	top := m.h[0]
-	top.Next()
-	if err := top.Err(); err != nil && m.err == nil {
-		m.err = err
-		return
-	}
-	if top.Valid() {
-		heap.Fix(&m.h, 0)
-	} else {
-		heap.Pop(&m.h)
-	}
-}
-
-func (m *mergingIter) Key() []byte   { return m.h[0].Key() }
-func (m *mergingIter) Value() []byte { return m.h[0].Value() }
-func (m *mergingIter) Err() error    { return m.err }
-
-func (m *mergingIter) Close() error {
-	var first error
-	for _, c := range m.children {
-		if err := c.Close(); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
-}
-
 // ---------------------------------------------------------------------------
 // DB iterator (user-facing)
 // ---------------------------------------------------------------------------
@@ -138,7 +31,7 @@ func (m *mergingIter) Close() error {
 // dbIter collapses internal versions into live user keys at a snapshot.
 type dbIter struct {
 	db    *DB
-	merge *mergingIter
+	merge *kv.Merge
 	snap  uint64
 
 	key    []byte
@@ -153,10 +46,9 @@ var _ kv.Iterator = (*dbIter)(nil)
 
 // newIterAt builds an internal iterator forest for a read state.
 func (d *DB) newIterAt(rs *readState, seq uint64) (*dbIter, error) {
-	var children []internalIterator
-	children = append(children, memIterAdapter{rs.mem.NewIterator()})
+	children := []kv.Iterator{rs.mem.NewIterator()}
 	for _, m := range rs.imms {
-		children = append(children, memIterAdapter{m.NewIterator()})
+		children = append(children, m.NewIterator())
 	}
 	addTable := func(fm *manifest.FileMeta) error {
 		// A scan covers every file's range, a quarantined one's included.
@@ -179,7 +71,7 @@ func (d *DB) newIterAt(rs *readState, seq uint64) (*dbIter, error) {
 			}
 		}
 	}
-	return &dbIter{db: d, merge: newMergingIter(children), snap: seq}, nil
+	return &dbIter{db: d, merge: kv.NewMerge(ikey.Compare, children), snap: seq}, nil
 }
 
 // NewIterator implements kv.Engine.
@@ -227,7 +119,7 @@ func (it *dbIter) advance() {
 		it.valid = true
 		return
 	}
-	if err := it.merge.Err(); err != nil && it.err == nil {
+	if err := it.merge.Error(); err != nil && it.err == nil {
 		it.err = err
 		it.db.noteCorruption(err) // a scan quarantines what it trips over, as Get does
 	}

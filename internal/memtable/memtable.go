@@ -130,3 +130,9 @@ func (it *Iter) Key() []byte { return it.m.arena.At(it.it.Key()) }
 
 // Value returns the current value.
 func (it *Iter) Value() []byte { return it.m.entryValue(it.it.Key()) }
+
+// Error reports nil: a walk of memory cannot fail.
+func (it *Iter) Error() error { return nil }
+
+// Close releases nothing: the memtable owns the entries.
+func (it *Iter) Close() error { return nil }

@@ -115,8 +115,8 @@ func checkAgainstReference(t *testing.T, r *Reader, iks, targets [][]byte) {
 		next := sort.Search(len(iks), func(i int) bool { return ikey.Compare(iks[i], target) >= 0 })
 		it.Seek(target)
 		switch {
-		case it.Err() != nil:
-			t.Fatalf("Seek(%q): %v", target, it.Err())
+		case it.Error() != nil:
+			t.Fatalf("Seek(%q): %v", target, it.Error())
 		case next == len(iks) && it.Valid():
 			t.Fatalf("Seek(%q) landed on %q past the last key", target, it.Key())
 		case next < len(iks) && (!it.Valid() || !bytes.Equal(it.Key(), iks[next])):

@@ -447,7 +447,12 @@ func (r *Reader) NewIterator() *Iter { return &Iter{r: r} }
 
 // Close drops the pin on the current data block. The Iter is unpositioned
 // afterwards and may be positioned again.
-func (it *Iter) Close() {
+func (it *Iter) Close() error {
+	it.release()
+	return nil
+}
+
+func (it *Iter) release() {
 	it.loaded = false
 	if it.pin != nil {
 		it.pin.Release()
@@ -456,7 +461,7 @@ func (it *Iter) Close() {
 }
 
 func (it *Iter) loadDataBlock() bool {
-	it.Close()
+	it.release()
 	if it.err != nil || it.pos >= len(it.r.handles) {
 		return false
 	}
@@ -466,7 +471,7 @@ func (it *Iter) loadDataBlock() bool {
 	}
 	if err != nil {
 		it.err = err
-		it.Close()
+		it.release()
 		return false
 	}
 	it.loaded = true
@@ -476,7 +481,7 @@ func (it *Iter) loadDataBlock() bool {
 // readBlock returns the content of data block pos: pinned in the block
 // cache, where a miss reads it into a buffer the cache recycles, or read into
 // the buffer the Iter owns. On error a pin it took is left for the caller's
-// Close.
+// release.
 func (it *Iter) readBlock() ([]byte, error) {
 	r, h := it.r, it.r.handles[it.pos]
 	if r.cache == nil {
@@ -548,5 +553,5 @@ func (it *Iter) Key() []byte { return it.data.Key() }
 // it before the next positioning call or Close.
 func (it *Iter) Value() []byte { return it.data.Value() }
 
-// Err returns the first error encountered.
-func (it *Iter) Err() error { return it.err }
+// Error returns the first error encountered.
+func (it *Iter) Error() error { return it.err }

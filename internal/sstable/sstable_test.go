@@ -99,8 +99,8 @@ func TestMultiBlockTable(t *testing.T) {
 		}
 		i++
 	}
-	if it.Err() != nil {
-		t.Fatal(it.Err())
+	if it.Error() != nil {
+		t.Fatal(it.Error())
 	}
 	if i != len(pairs) {
 		t.Fatalf("iterated %d, want %d", i, len(pairs))
@@ -334,8 +334,8 @@ func TestIterPinsOneBlock(t *testing.T) {
 		want.Next()
 		n++
 	}
-	if it.Err() != nil || want.Valid() || n != 5000 {
-		t.Fatalf("scan ended after %d entries, err %v", n, it.Err())
+	if it.Error() != nil || want.Valid() || n != 5000 {
+		t.Fatalf("scan ended after %d entries, err %v", n, it.Error())
 	}
 	if p := c.Pinned(); p != 0 {
 		t.Fatalf("%d blocks pinned by an exhausted iterator", p)
@@ -425,8 +425,8 @@ func TestScanAllocs(t *testing.T) {
 			entries++
 		}
 		it.Close()
-		if it.Err() != nil || entries != 20000 {
-			t.Fatalf("scan saw %d entries, err %v", entries, it.Err())
+		if it.Error() != nil || entries != 20000 {
+			t.Fatalf("scan saw %d entries, err %v", entries, it.Error())
 		}
 	}); n > 4 {
 		t.Errorf("full scan of an uncached table: %.0f allocs in total, want <= 4", n)

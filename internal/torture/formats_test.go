@@ -105,8 +105,8 @@ func TestParentFormatsReopen(t *testing.T) {
 			}
 			n++
 		}
-		if _, err := w.Finish(); err != nil || it.Err() != nil || n != 300 {
-			t.Fatalf("rewrote %d entries: %v, %v", n, it.Err(), err)
+		if _, err := w.Finish(); err != nil || it.Error() != nil || n != 300 {
+			t.Fatalf("rewrote %d entries: %v, %v", n, it.Error(), err)
 		}
 		sameBytes(t, mem, "table.sst", "again.sst")
 	})

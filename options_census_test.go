@@ -14,18 +14,22 @@ import (
 	"testing"
 
 	"p2kvs/internal/btreekv"
+	"p2kvs/internal/cluster"
 	"p2kvs/internal/core"
 	"p2kvs/internal/kvell"
 	"p2kvs/internal/lsm"
+	"p2kvs/internal/server"
+	"p2kvs/internal/wal"
 )
 
 // The option census: a knob earns its place by having two values in use
 // outside tests. Every field of Options must be settable from the shared
 // command-line flag set (loadgen.StoreFlags — the four binaries) or carry
-// a reason here; every field of the core store's and the engines' Options
-// (core, lsm, btreekv, kvell) must be assigned by some non-test source file
-// (a preset, the facade, an internal/bench experiment), and not set to one
-// and the same literal by all of them, or carry a reason here. A field that fails is a constant in
+// a reason here; every field of the core store's, the engines', the WAL's,
+// the cluster client's Options and the server's Config must be assigned by
+// some non-test source file (a preset, the facade, a binary, an
+// internal/bench experiment), and not set to one and the same literal by all
+// of them, or carry a reason here. A field that fails is a constant in
 // disguise: delete it, or — if it has a real second value — wire it up.
 
 // notFlags: Options fields no flag sets, and why they stay.
@@ -35,7 +39,7 @@ var notFlags = map[string]string{
 	"SimulateDevice": "dbbench -hotcache_bench puts its stores on the simulated SATA device; the paper figures pick devices in internal/bench",
 }
 
-// testShaped: core and engine Options fields only tests assign, and why
+// testShaped: fields of the walked option types only tests assign, and why
 // they stay.
 var testShaped = map[string]string{
 	"lsm.MaxImmutables":       "tests bound the flush queue to force write stalls",
@@ -46,14 +50,18 @@ var testShaped = map[string]string{
 	"lsm.BgBaseBackoff":       "same",
 	"lsm.BgMaxBackoff":        "same",
 	"core.CutoverBudget":      "TestDirectReadHistory widens it to 1s so a loaded -race run does not abort its reshards",
+	"server.CheckpointFS":     "tests put a server's checkpoints on a MemFS; p2kvs-server writes them to the host filesystem",
 }
 
-// engineOptions are the Options types the census walks, by package name.
-var engineOptions = map[string]reflect.Type{
+// optionTypes are the option types the census walks, by package name.
+var optionTypes = map[string]reflect.Type{
 	"core":    reflect.TypeOf(core.Options{}),
 	"lsm":     reflect.TypeOf(lsm.Options{}),
 	"btreekv": reflect.TypeOf(btreekv.Options{}),
 	"kvell":   reflect.TypeOf(kvell.Options{}),
+	"wal":     reflect.TypeOf(wal.Options{}),
+	"cluster": reflect.TypeOf(cluster.Options{}),
+	"server":  reflect.TypeOf(server.Config{}),
 }
 
 func TestOptionsCensus(t *testing.T) {
@@ -74,32 +82,32 @@ func TestOptionsCensus(t *testing.T) {
 	}
 
 	// Every non-test Go file of the product and of the benchmark module
-	// (examples do not count as users); withDefaults and the engines' Open
-	// fill in defaults, not values in use.
+	// (examples do not count as users); withDefaults, the engines' Open and
+	// cluster.New fill in defaults, not values in use.
 	files := goFiles(t, ".", "cmd", "internal", "benchmark")
-	defaults := []string{"withDefaults", "Open"}
+	defaults := []string{"withDefaults", "Open", "New"}
 	used := assignedFields(t, files, defaults...)
-	for pkg, typ := range engineOptions {
+	for pkg, typ := range optionTypes {
 		single := oneValueFields(t, files, defaults, pkg, typ)
 		for _, f := range reflect.VisibleFields(typ) {
 			name := pkg + "." + f.Name
 			_, excused := testShaped[name]
 			switch {
 			case used[f.Name] && excused:
-				t.Errorf("%s.Options.%s is assigned by non-test code and also excused in testShaped: drop the excuse", pkg, f.Name)
+				t.Errorf("%s.%s.%s is assigned by non-test code and also excused in testShaped: drop the excuse", pkg, typ.Name(), f.Name)
 			case !used[f.Name] && !excused:
-				t.Errorf("%s.Options.%s is assigned by no non-test file and has no entry in testShaped: make it a constant", pkg, f.Name)
+				t.Errorf("%s.%s.%s is assigned by no non-test file and has no entry in testShaped: make it a constant", pkg, typ.Name(), f.Name)
 			case single[f.Name] != "" && !excused:
-				t.Errorf("%s.Options.%s is %s in every non-test literal and assignment: a knob with one value in use is a constant", pkg, f.Name, single[f.Name])
+				t.Errorf("%s.%s.%s is %s in every non-test literal and assignment: a knob with one value in use is a constant", pkg, typ.Name(), f.Name, single[f.Name])
 			}
 		}
 	}
 	for name := range testShaped {
 		pkg, field, _ := strings.Cut(name, ".")
-		if typ, ok := engineOptions[pkg]; !ok {
+		if typ, ok := optionTypes[pkg]; !ok {
 			t.Errorf("testShaped names %s, which is not a package the census walks", name)
 		} else if _, ok := typ.FieldByName(field); !ok {
-			t.Errorf("testShaped names %s.Options.%s, which does not exist", pkg, field)
+			t.Errorf("testShaped names %s.%s.%s, which does not exist", pkg, typ.Name(), field)
 		}
 	}
 }
@@ -284,7 +292,7 @@ func assignedFields(t *testing.T, files []string, skip ...string) map[string]boo
 	return out
 }
 
-// oneValueFields returns the fields of pkg's Options, typ, that every
+// oneValueFields returns the fields of pkg's option type, typ, that every
 // composite literal of that type and every x.F = … assignment in files
 // (outside the functions named skip) set to one and the same literal, with that literal; a
 // composite literal that omits a field sets it to its zero value. Anything
@@ -316,7 +324,7 @@ func oneValueFields(t *testing.T, files, skip []string, pkg string, typ reflect.
 			case *ast.FuncDecl:
 				return !slices.Contains(skip, n.Name.Name)
 			case *ast.CompositeLit:
-				if !isOptionsOf(n.Type, pkg, inPkg) {
+				if !isTypeOf(n.Type, pkg, typ.Name(), inPkg) {
 					return true
 				}
 				set := map[string]string{}
@@ -363,15 +371,15 @@ func oneValueFields(t *testing.T, files, skip []string, pkg string, typ reflect.
 	return out
 }
 
-// isOptionsOf reports whether a composite literal's type is pkg.Options
-// (spelled Options inside pkg).
-func isOptionsOf(typ ast.Expr, pkg string, inPkg bool) bool {
+// isTypeOf reports whether a composite literal's type is pkg.name (spelled
+// name inside pkg).
+func isTypeOf(typ ast.Expr, pkg, name string, inPkg bool) bool {
 	switch typ := typ.(type) {
 	case *ast.SelectorExpr:
 		x, ok := typ.X.(*ast.Ident)
-		return ok && x.Name == pkg && typ.Sel.Name == "Options"
+		return ok && x.Name == pkg && typ.Sel.Name == name
 	case *ast.Ident:
-		return inPkg && typ.Name == "Options"
+		return inPkg && typ.Name == name
 	}
 	return false
 }

@@ -255,11 +255,6 @@ func buildFS(opts Options) (Options, vfs.FS, error) {
 	return opts, fs, nil
 }
 
-// ringReplicas is the virtual-node count per worker of elastic stores'
-// consistent-hash ring (the moved fraction of a grow N→N+1 approaches
-// the ideal 1/(N+1) as replicas grows; 64 keeps lookup cheap).
-const ringReplicas = 64
-
 func openWithFS(opts Options, fs vfs.FS) (*Store, error) {
 	if opts.Elastic {
 		if opts.ReplBacklogBytes != 0 {
@@ -292,7 +287,7 @@ func openWithFS(opts Options, fs vfs.FS) (*Store, error) {
 		copts.ReplLog = repl.NewLog(opts.Workers, opts.ReplBacklogBytes)
 	}
 	if opts.Elastic {
-		copts.Partitioner = keyspace.NewConsistent(opts.Workers, ringReplicas)
+		copts.Partitioner = keyspace.NewConsistent(opts.Workers, keyspace.DefaultReplicas)
 		copts.InstanceReset = func(id int) error {
 			return vfs.RemoveTree(fs, fmt.Sprintf("%s/inst-%02d", opts.Dir, id))
 		}
