@@ -20,8 +20,9 @@ test-race:
 # core), the write path (core above the engine, lsm.Write, wal.Append,
 # memtable.Add, sstable.Writer.Add), a healthy engine's Health and the
 # write-admission gate (guard, core), a 100,000-argument RESP command
-# (server). They skip under the race detector (internal/raceflag), so the
-# test-race run does not check them; this one does.
+# (server), the pipelined read path (lsm.MultiGet, core.MultiGetCtx, a warm
+# server window). They skip under the race detector (internal/raceflag), so
+# the test-race run does not check them; this one does.
 alloc-pins:
 	$(GO) test -count=1 -run 'Allocs' ./internal/...
 
@@ -29,8 +30,10 @@ alloc-pins:
 # of bench_test.go under a memory profile sampled every 4 KiB. Under it, where
 # the read path allocates, by bytes: a point lookup's cost to the heap is the
 # size of what a block-cache miss takes, not how many objects (-focus keeps the
-# benchmark's own set-up, a bulk load, out of the table). The next diet
-# starts from these tables, not from a patched benchmark/.
+# benchmark's own set-up, a bulk load, out of the table). Then the wire path,
+# by object count: server BenchmarkServerPipeline (two in-memory connections
+# pipelining 16 commands, 90/10 GET/SET; -ignore keeps its preload out). The
+# next diet starts from these tables, not from a patched benchmark/.
 PROFILE_DIR ?= /tmp/p2kvs-alloc-profile
 alloc-profile:
 	mkdir -p $(PROFILE_DIR)
@@ -40,6 +43,9 @@ alloc-profile:
 	$(GO) test -run '^$$' -bench 'GetMiss' -benchmem -benchtime 1000000x \
 		-memprofile $(PROFILE_DIR)/read.prof -memprofilerate 4096 -o $(PROFILE_DIR)/lsm.test ./internal/lsm
 	$(GO) tool pprof -sample_index=alloc_space -top -nodecount 15 -focus='\(\*DB\)\.Get$$' $(PROFILE_DIR)/lsm.test $(PROFILE_DIR)/read.prof
+	$(GO) test -run '^$$' -bench 'ServerPipeline' -benchmem -benchtime 100000x \
+		-memprofile $(PROFILE_DIR)/wire.prof -memprofilerate 4096 -o $(PROFILE_DIR)/server.test ./internal/server
+	$(GO) tool pprof -sample_index=alloc_objects -top -nodecount 25 -ignore='lsmStore' $(PROFILE_DIR)/server.test $(PROFILE_DIR)/wire.prof
 
 # Where the time goes, from the same benchmarks plus one client's synchronous
 # Get (internal/core's BenchmarkGet), each under a CPU profile of its own,
@@ -53,18 +59,20 @@ alloc-profile:
 # cache too small (GetMiss) and holding every block (GetHit, where the
 # table's index search shows most). The two callers of the k-way merge:
 # compaction (CompactionMerge) and a store's SCAN on both of its paths
-# (StoreScan). A time claim starts from these tables as a count claim
-# starts from alloc-profile's.
+# (StoreScan). The wire path: pipelined RESP windows over an in-process
+# store (ServerPipeline). A time claim starts from these tables as a count
+# claim starts from alloc-profile's.
 cpu-profile:
 	mkdir -p $(PROFILE_DIR)
 	$(GO) test -c -o $(PROFILE_DIR)/p2kvs.test .
 	$(GO) test -c -o $(PROFILE_DIR)/core.test ./internal/core
 	$(GO) test -c -o $(PROFILE_DIR)/lsm.test ./internal/lsm
 	$(GO) test -c -o $(PROFILE_DIR)/vfs.test ./internal/vfs
+	$(GO) test -c -o $(PROFILE_DIR)/server.test ./internal/server
 	cd $(PROFILE_DIR) && for run in 'p2kvs write PutAsync|LSMWriteBatch' 'p2kvs memtable MemtableAdd|MemtableGet' \
 			'core get-direct Get$$/direct=true' \
 			'core get-queued Get$$/direct=false' 'lsm get-engine GetMiss' 'lsm get-hit GetHit' 'vfs memfs MemFSAppend|MemFSReadAt' \
-			'lsm compaction CompactionMerge' 'core scan StoreScan'; do \
+			'lsm compaction CompactionMerge' 'core scan StoreScan' 'server wire ServerPipeline'; do \
 		set -- $$run; \
 		./$$1.test -test.run '^$$' -test.bench "$$3" -test.benchtime 3s -test.cpuprofile $$2.prof && \
 		$(GO) tool pprof -top -cum -nodecount 25 $$1.test $$2.prof || exit 1; \

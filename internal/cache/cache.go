@@ -191,6 +191,21 @@ func (c *Cache) Get(id, off uint64, n int) (*Block, bool) {
 	return s.alloc(k, n), false
 }
 
+// Lookup is Get for a reader that will not read the block itself: the
+// resident block pinned, or nil. A miss is not counted; the Get that reads
+// the block counts it.
+func (c *Cache) Lookup(id, off uint64) *Block {
+	k := key{id, off}
+	s := c.shard(k)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if e, ok := s.m[k]; ok {
+		s.hits++
+		return s.pin(e)
+	}
+	return nil
+}
+
 // Insert caches a block Get handed out on a miss, with the first n bytes of
 // its Data as what the block holds from now on, and returns the pinned block
 // to read it through. That is b, unless another reader filled the same block

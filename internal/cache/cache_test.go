@@ -101,6 +101,27 @@ func TestStatsCount(t *testing.T) {
 	}
 }
 
+// TestLookupCountsHitsOnly: a Lookup that misses is followed by the Get that
+// reads the block, so only that Get counts the miss.
+func TestLookupCountsHitsOnly(t *testing.T) {
+	c := New(1 << 20)
+	if b := c.Lookup(1, 0); b != nil {
+		t.Fatal("Lookup on an empty cache returned a block")
+	}
+	put(c, 1, 0, []byte("block")) // one miss
+	b := c.Lookup(1, 0)           // one hit
+	if b == nil || string(b.Data()) != "block" {
+		t.Fatalf("Lookup of a resident block = %v", b)
+	}
+	b.Release()
+	if hits, misses, _ := c.Stats(); hits != 1 || misses != 1 {
+		t.Fatalf("hits=%d misses=%d, want 1 and 1", hits, misses)
+	}
+	if n := c.Pinned(); n != 0 {
+		t.Fatalf("%d pins outstanding", n)
+	}
+}
+
 func TestShardDistribution(t *testing.T) {
 	// Regression: shard selection used only the top 5 bits of the mixed
 	// hash ((h>>59)%16), so structured (id, offset) populations — small

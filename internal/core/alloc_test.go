@@ -39,14 +39,15 @@ func (e *nopEngine) NewIterator() (kv.Iterator, error) {
 //	a1e88e3        2      3       0      -        7   sync requests pooled with their
 //	                                                  completion channel; the worker
 //	                                                  owns its batch slice
-//	this tree      0      0       0      1        6   callback requests pooled too, the
+//	02546c0        0      0       0      1        6   callback requests pooled too, the
 //	                                                  one op inline in the request, the
 //	                                                  engine batch header in the worker
+//	this tree      0      0       0      1        0   a one-partition batch is not split:
+//	                                                  its ops go as is in one pooled request
 //
-// The single-key pins (1 each) leave one allocation of slack over that;
-// GetAsync's one is the closure that adapts its two-argument callback.
-// WriteCtx keeps the pin of 3bb6c95: its legs are read by the submitter after
-// completion, so they are not pooled, and the split builds a map.
+// The pins (1 each) leave one allocation of slack over that; GetAsync's one
+// is the closure that adapts its two-argument callback. A cross-partition
+// WriteCtx still builds its split and unpooled legs (TestMultiLegRequestRecycling).
 // AllocsPerRun counts every goroutine's allocations, the worker's included.
 func TestAllocsAboveEngine(t *testing.T) {
 	if raceflag.Enabled {
@@ -90,7 +91,7 @@ func TestAllocsAboveEngine(t *testing.T) {
 			}
 			return <-acked
 		}},
-		{"WriteCtx8", 10, func() error { return s.WriteCtx(nil, &batch) }},
+		{"WriteCtx8", 1, func() error { return s.WriteCtx(nil, &batch) }},
 	} {
 		var opErr error
 		got := testing.AllocsPerRun(200, func() {
@@ -216,5 +217,58 @@ func TestDirectReadAllocs(t *testing.T) {
 	}
 	for recycled.Load() != 2 { // the callback write's request and the read's
 		runtime.Gosched()
+	}
+}
+
+// multiGetEngine is nopEngine with a multiget that allocates the values it
+// returns and nothing else: its result slice is reused, which its one
+// caller, the worker, allows — it copies the results out before the next
+// call.
+type multiGetEngine struct {
+	nopEngine
+	out [][]byte
+}
+
+func (e *multiGetEngine) Caps() kv.Caps { return kv.Caps{BatchWrite: true, MultiGet: true} }
+
+func (e *multiGetEngine) MultiGet(keys [][]byte) ([][]byte, error) {
+	e.out = e.out[:0]
+	for range keys {
+		e.out = append(e.out, append([]byte(nil), e.val...))
+	}
+	return e.out, nil
+}
+
+// TestMultiGetCtxAllocs pins MultiGetCtx in steady state: its fan-in, its
+// legs and the legs' completion callback come from pools, so a call
+// allocates the slice it returns and, through the engine, the values.
+func TestMultiGetCtxAllocs(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("allocation pins are not meaningful under the race detector: sync.Pool drops Puts there")
+	}
+	opts := DefaultOptions(func(int, func(uint64) bool) (kv.Engine, error) {
+		return &multiGetEngine{nopEngine: nopEngine{val: []byte("v")}}, nil
+	})
+	opts.Workers = 1
+	s, err := Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	keys := make([][]byte, 16)
+	for i := range keys {
+		keys[i] = []byte{'k', byte('a' + i)}
+	}
+	n := testing.AllocsPerRun(200, func() {
+		vals, err := s.MultiGetCtx(nil, keys)
+		if err != nil || len(vals) != len(keys) || string(vals[len(keys)-1]) != "v" {
+			t.Fatalf("MultiGetCtx = %q, %v", vals, err)
+		}
+	})
+	if s.Stats()[0].MultiGetOps == 0 {
+		t.Fatal("no read run reached the engine's multiget")
+	}
+	if want := float64(1 + len(keys)); n > want {
+		t.Errorf("MultiGetCtx of %d keys: %.0f allocs, want <= %.0f (the result slice and the values)", len(keys), n, want)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 
@@ -15,8 +16,9 @@ import (
 // (queue.go), routes and admits them under the routing read lock
 // (routing.go), and completes through a done channel, a callback or — for
 // multi-leg operations — one fanIn. The single-key ones (GetCtx, PutCtx,
-// Delete and the callback forms) draw their request from the requests
-// pool; it goes back by the ownership rule stated there.
+// Delete and the callback forms) and MultiGetCtx's read legs draw their
+// requests from the requests pool; they go back by the ownership rule
+// stated there.
 
 // writeOne routes a single-key write, carried inline by a pooled request,
 // and hands it to writeTo.
@@ -237,9 +239,9 @@ func (s *Store) MultiGetCtx(ctx context.Context, keys [][]byte) ([][]byte, error
 		return nil, kv.ErrClosed
 	}
 	out := make([][]byte, len(keys))
-	reqs := make([]*request, len(keys))
-	legs := newFanIn()
-	fin := legs.finish
+	m := multiGets.Get().(*multiGet)
+	m.pending = 1
+	m.legs = slices.Grow(m.legs, len(keys))[:len(keys)]
 	s.routeMu.RLock()
 	rt := s.route.Load()
 	for i, k := range keys {
@@ -247,27 +249,55 @@ func (s *Store) MultiGetCtx(ctx context.Context, keys [][]byte) ([][]byte, error
 			out[i] = v // a negative hit leaves nil = not found
 			continue
 		}
-		// Off the heap, not the pool: the legs are read after the fan-in
-		// completes, so no completer may recycle them.
-		r := &request{typ: reqRead, key: k, ticket: s.cache.Snapshot(k), callback: fin}
-		reqs[i] = r
-		legs.add()
+		r := getRequest()
+		r.typ, r.key, r.ticket, r.callback = reqRead, k, s.cache.Snapshot(k), m.fin
+		m.legs[i] = r
+		m.add()
 		if err := s.admit(ctx, rt.pick(k), r); err != nil {
-			fin(err)
+			m.fin(err)
 			break // short-circuit: don't amplify overload with more legs
 		}
 	}
 	s.routeMu.RUnlock()
-	if err := legs.wait(ctx); err != nil {
-		return nil, err
+	completed, err := m.wait(ctx)
+	if !completed {
+		return nil, err // the workers may still hold the legs: m goes to the GC
 	}
-	for i, r := range reqs {
-		if r != nil {
+	for i, r := range m.legs {
+		if r == nil {
+			continue
+		}
+		if err == nil {
 			out[i], _ = s.readResult(r.key, r.val, r.found, r.ticket)
 		}
+		putRequest(r)
+	}
+	clear(m.legs)
+	m.legs, m.err = m.legs[:0], nil
+	multiGets.Put(m)
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }
+
+// multiGet is one MultiGetCtx's fan-in and its read legs, positional (nil
+// for a key the hot cache answered), pooled together with the completion
+// callback every leg carries. The legs are pooled requests without the
+// recycle mark: no completer puts them back. The submitter does, once wait
+// has observed every completion; a submitter whose context ended first
+// leaves them, and m, to the garbage collector.
+type multiGet struct {
+	fanIn
+	fin  func(error) // fanIn.finish, bound once
+	legs []*request
+}
+
+var multiGets = sync.Pool{New: func() any {
+	m := &multiGet{fanIn: fanIn{done: make(chan struct{}, 1)}}
+	m.fin = m.finish
+	return m
+}}
 
 // Write implements kv.BatchWriter. A batch confined to one partition
 // commits directly on that instance. A batch spanning partitions becomes
@@ -283,7 +313,10 @@ func (s *Store) Write(b *kv.Batch) error {
 // leg: either all legs are admitted under the same deadline or the batch
 // fails before the transaction begins; a deadline that fires mid-flight
 // leaves the transaction uncommitted, and recovery rolls it back exactly
-// like any other failed leg.
+// like any other failed leg. A batch confined to one partition reaches its
+// worker as is, ops slice and bytes uncopied: like PutCtx's key and value,
+// they must stay unmodified until WriteCtx returns, and a write abandoned
+// at its deadline may still be applied from them afterwards.
 func (s *Store) WriteCtx(ctx context.Context, b *kv.Batch) error {
 	if b.Len() == 0 {
 		return nil
@@ -320,14 +353,13 @@ func (s *Store) WritePrepared(b *kv.Batch) (commit func() error, err error) {
 func (s *Store) write(ctx context.Context, b *kv.Batch, prepared bool) (commit func() error, err error) {
 	ctx = liveCtx(ctx)
 	s.routeMu.RLock()
-	subs := s.route.Load().split(b.Ops())
-	if len(subs) == 1 && !prepared {
-		for w, ops := range subs {
-			r := getRequest()
-			r.ops = ops
-			return nil, s.writeTo(ctx, w, r)
-		}
+	rt := s.route.Load()
+	if w := rt.owner(b.Ops()); w != nil && !prepared {
+		r := getRequest()
+		r.ops = b.Ops()
+		return nil, s.writeTo(ctx, w, r)
 	}
+	subs := rt.split(b.Ops())
 	if s.txn == nil {
 		s.routeMu.RUnlock()
 		return nil, errors.New("core: cross-partition batch requires Options.TxnFS for atomicity")
@@ -366,7 +398,7 @@ func (s *Store) write(ctx context.Context, b *kv.Batch, prepared bool) (commit f
 		}
 	}
 	s.routeMu.RUnlock()
-	if err := legs.wait(ctx); err != nil {
+	if _, err := legs.wait(ctx); err != nil {
 		// A leg failed, or the deadline fired mid-transaction: leave it
 		// uncommitted, recovery rolls every applied leg back on every
 		// instance.
@@ -447,7 +479,7 @@ func (s *Store) scanFan(ctx context.Context, q scanQuery) ([]Pair, error) {
 		}
 	}
 	s.routeMu.RUnlock()
-	if err := fan.wait(ctx); err != nil {
+	if _, err := fan.wait(ctx); err != nil {
 		return nil, err
 	}
 	var all []Pair

@@ -29,13 +29,14 @@ func (e *echoEngine) Get(key []byte) ([]byte, error) {
 	return echoValue(key), nil
 }
 
-// TestAbandonedRequestNeverRecycled: a GetCtx whose deadline fires while its
-// request is queued or executing walks away from that request — the worker
-// still holds it — so it must never come back out of the pool under a second
-// caller. Impatient callers (deadlines shorter than the engine's service
-// time) and patient ones share one worker; every result a patient caller
-// gets must be the value of the key it asked for, and under -race any reuse
-// of a request the worker can still touch is a reported data race.
+// TestAbandonedRequestNeverRecycled: a GetCtx or MultiGetCtx whose deadline
+// fires while its requests are queued or executing walks away from them — the
+// worker still holds them — so they must never come back out of the pool
+// under a second caller. Impatient callers (deadlines shorter than the
+// engine's service time) and patient ones share one worker; every result a
+// patient caller gets must be the value of the key it asked for, and under
+// -race any reuse of a request the worker can still touch is a reported data
+// race.
 func TestAbandonedRequestNeverRecycled(t *testing.T) {
 	opts := DefaultOptions(func(int, func(uint64) bool) (kv.Engine, error) {
 		return &echoEngine{delay: 20 * time.Microsecond}, nil
@@ -60,7 +61,16 @@ func TestAbandonedRequestNeverRecycled(t *testing.T) {
 			for i := 0; i < perCaller; i++ {
 				key := []byte(fmt.Sprintf("impatient-%d-%d", c, i))
 				ctx, cancel := context.WithTimeout(context.Background(), time.Duration(5+i%500)*time.Microsecond)
-				v, err := s.GetCtx(ctx, key)
+				var v []byte
+				var err error
+				if i%4 == 0 { // a multiget's legs share the pool too
+					var vs [][]byte
+					if vs, err = s.MultiGetCtx(ctx, [][]byte{key, key}); err == nil {
+						v = vs[1]
+					}
+				} else {
+					v, err = s.GetCtx(ctx, key)
+				}
 				cancel()
 				switch {
 				case err == nil:
@@ -87,6 +97,14 @@ func TestAbandonedRequestNeverRecycled(t *testing.T) {
 				if err != nil || !bytes.Equal(v, echoValue(key)) {
 					t.Errorf("Get(%s) = %q, %v", key, v, err)
 					return
+				}
+				if i%4 == 1 {
+					other := []byte(fmt.Sprintf("patient-%d-%d-other", c, i))
+					vs, err := s.MultiGet([][]byte{other, key})
+					if err != nil || !bytes.Equal(vs[0], echoValue(other)) || !bytes.Equal(vs[1], v) {
+						t.Errorf("MultiGet(%s, %s) = %q, %v", other, key, vs, err)
+						return
+					}
 				}
 				if i%8 == 0 { // sync writes share the pool
 					if err := s.Put(key, v); err != nil {
@@ -205,10 +223,13 @@ type recycleLog struct {
 	recycled map[string]int
 	early    map[string]bool // recycled while the callback had not returned
 	legs     []string        // recycled, or marked for it, without being a single-key callback request
+	// multiGetLegs counts the recycles of multiget read legs, which their
+	// submitter puts back.
+	multiGetLegs map[string]int
 }
 
 func watchRecycles(t *testing.T) *recycleLog {
-	l := &recycleLog{returned: map[string]bool{}, recycled: map[string]int{}, early: map[string]bool{}}
+	l := &recycleLog{returned: map[string]bool{}, recycled: map[string]int{}, early: map[string]bool{}, multiGetLegs: map[string]int{}}
 	hook := func(r *request) {
 		key := string(r.key)
 		if r.typ == reqWrite && len(r.ops) > 0 {
@@ -218,6 +239,10 @@ func watchRecycles(t *testing.T) *recycleLog {
 		defer l.mu.Unlock()
 		if r.done == nil || len(r.ops) > 1 {
 			l.legs = append(l.legs, key)
+		}
+		if r.typ == reqRead && r.callback != nil && !r.recycle {
+			l.multiGetLegs[key]++
+			return
 		}
 		if !r.recycle {
 			return // a sync request, recycled by its waiter
@@ -399,13 +424,14 @@ func TestCallbackRequestRecycledOnce(t *testing.T) {
 	})
 }
 
-// TestMultiLegRequestsStayOffThePool: the legs of a MultiGetCtx and of a
-// cross-partition WriteCtx are read by their submitter after the fan-in
-// completes, when no completer could know it is safe to recycle them. They
-// are caught here in the queue behind a wedged worker: none carries a pooled
-// request's completion channel or the recycle mark, and none ever passes
-// through putRequest.
-func TestMultiLegRequestsStayOffThePool(t *testing.T) {
+// TestMultiLegRequestRecycling pins who recycles a multi-leg operation's
+// requests. A MultiGetCtx's read legs come from the pool without the recycle
+// mark, so no completer puts them back: the submitter recycles each exactly
+// once, after its fan-in has observed every completion, and a submitter
+// whose context ended first never does — the worker still holds those legs.
+// A cross-partition WriteCtx's legs stay ordinary allocations. The legs are
+// caught in the queue behind wedged workers.
+func TestMultiLegRequestRecycling(t *testing.T) {
 	l := watchRecycles(t)
 	gates := map[int]chan struct{}{0: make(chan struct{}), 1: make(chan struct{})}
 	engines := make([]*stubEngine, 2)
@@ -431,12 +457,21 @@ func TestMultiLegRequestsStayOffThePool(t *testing.T) {
 		waitWedged(t, engines[shard], 1)
 	}
 
+	patient := [][]byte{shardKey(0, 1), shardKey(1, 1), shardKey(0, 2)}
+	abandoned := [][]byte{shardKey(0, 4), shardKey(1, 4)}
+	ctx, cancel := context.WithCancel(context.Background())
 	var ops sync.WaitGroup
-	ops.Add(2)
+	ops.Add(3)
 	go func() {
 		defer ops.Done()
-		if _, err := s.MultiGetCtx(nil, [][]byte{shardKey(0, 1), shardKey(1, 1), shardKey(0, 2)}); err != nil {
+		if _, err := s.MultiGetCtx(nil, patient); err != nil {
 			t.Errorf("MultiGetCtx: %v", err)
+		}
+	}()
+	go func() {
+		defer ops.Done()
+		if _, err := s.MultiGetCtx(ctx, abandoned); !errors.Is(err, kv.ErrDeadlineExceeded) {
+			t.Errorf("MultiGetCtx abandoned in the queue = %v, want ErrDeadlineExceeded", err)
 		}
 	}()
 	go func() {
@@ -454,7 +489,7 @@ func TestMultiLegRequestsStayOffThePool(t *testing.T) {
 		defer w.q.mu.Unlock()
 		return append([]*request(nil), w.q.items[w.q.head:]...)
 	}
-	for deadline := time.Now().Add(5 * time.Second); len(queuedLegs(rt.workers[0])) < 3 || len(queuedLegs(rt.workers[1])) < 2; {
+	for deadline := time.Now().Add(5 * time.Second); len(queuedLegs(rt.workers[0])) < 4 || len(queuedLegs(rt.workers[1])) < 3; {
 		if time.Now().After(deadline) {
 			t.Fatal("the legs never queued")
 		}
@@ -462,11 +497,17 @@ func TestMultiLegRequestsStayOffThePool(t *testing.T) {
 	}
 	for _, w := range rt.workers {
 		for _, r := range queuedLegs(w) {
-			if r.done != nil || r.recycle || r.callback == nil {
-				t.Errorf("worker %d: a leg (typ %d) came from the pool or is marked for it: done %v, recycle %v", w.id, r.typ, r.done != nil, r.recycle)
+			switch {
+			case r.callback == nil || r.recycle:
+				t.Errorf("worker %d: a leg (typ %d) without a callback or marked for a completer's recycle", w.id, r.typ)
+			case r.typ == reqRead && r.done == nil:
+				t.Errorf("worker %d: a multiget leg did not come from the pool", w.id)
+			case r.typ == reqWrite && r.done != nil:
+				t.Errorf("worker %d: a transaction leg came from the pool", w.id)
 			}
 		}
 	}
+	cancel()
 	close(gates[0])
 	close(gates[1])
 	ops.Wait()
@@ -475,6 +516,16 @@ func TestMultiLegRequestsStayOffThePool(t *testing.T) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if len(l.legs) > 0 || len(l.recycled) != 2 {
-		t.Fatalf("requests recycled: %v, multi-leg among them: %q; want only the two wedge writes", l.recycled, l.legs)
+		t.Fatalf("requests recycled: %v, multi-leg writes among them: %q; want only the two wedge writes", l.recycled, l.legs)
+	}
+	for _, k := range patient {
+		if n := l.multiGetLegs[string(k)]; n != 1 {
+			t.Errorf("the multiget leg of %s was recycled %d times, want once", k, n)
+		}
+	}
+	for _, k := range abandoned {
+		if n := l.multiGetLegs[string(k)]; n != 0 {
+			t.Errorf("the abandoned multiget leg of %s was recycled %d times, want never", k, n)
+		}
 	}
 }

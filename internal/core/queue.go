@@ -90,8 +90,9 @@ func (r *request) complete(err error) {
 		r.done <- struct{}{}
 		return
 	}
+	recycle := r.recycle // a multiget leg may be reused the moment its callback returns
 	r.callback(err)
-	if r.recycle {
+	if recycle {
 		putRequest(r)
 	}
 }
@@ -101,16 +102,18 @@ func newDone() chan struct{} { return make(chan struct{}, 1) }
 
 // requests recycles the requests of single-key operations — GetCtx, PutCtx,
 // Delete and the callback forms GetAsync, PutAsync — each with its
-// completion channel. The rule is ownership: only the
-// goroutine that observed a request's completion returns it. For a sync
-// request that is the waiter that received from done; a waiter whose context
-// ended first cannot know the worker is done with the request and leaves it
-// to the garbage collector. For a callback request it is whoever ran the
-// callback (a worker, or the close-drain), once the callback has returned. A
-// request that never got into a queue is still its submitter's. Multi-leg
-// requests (their submitter reads them after completion, when the worker
-// could not know it is safe to recycle) and control-plane ones stay ordinary
-// allocations.
+// completion channel, and the read legs of MultiGetCtx. The rule is
+// ownership: only the goroutine that observed a request's completion returns
+// it. For a sync request that is the waiter that received from done; a
+// waiter whose context ended first cannot know the worker is done with the
+// request and leaves it to the garbage collector. For a callback request it
+// is whoever ran the callback (a worker, or the close-drain), once the
+// callback has returned. A multiget leg is the exception to that: its
+// callback finishes a fan-in, and the submitter, which reads the leg after
+// the fan-in completes, recycles it once wait has observed every leg's
+// completion (multiGet). A request that never got into a queue is still its
+// submitter's. A cross-partition write's legs and control-plane requests
+// stay ordinary allocations.
 var requests = sync.Pool{New: func() any { return &request{done: newDone()} }}
 
 func getRequest() *request { return requests.Get().(*request) }

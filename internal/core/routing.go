@@ -60,10 +60,25 @@ func (rt *routing) owned(it kv.Iterator, i int) kv.Iterator {
 	return kv.Filter(it, func(key []byte) bool { return part.Pick(key) == i })
 }
 
+// owner returns the one worker every op of ops routes to under this routing
+// generation, or nil when they span several (or there are none): a batch
+// with an owner needs no split.
+func (rt *routing) owner(ops []kv.BatchOp) *worker {
+	if len(ops) == 0 {
+		return nil
+	}
+	w := rt.pick(ops[0].Key)
+	for _, op := range ops[1:] {
+		if rt.pick(op.Key) != w {
+			return nil
+		}
+	}
+	return w
+}
+
 // split partitions a user batch's ops into per-worker write payloads under
-// this routing generation. The payloads are copies of the op list (not of
-// the key and value bytes): a caller whose deadline fires may reuse its
-// batch while a leg is still queued.
+// this routing generation. The payloads are copies of the op list, not of
+// the key and value bytes.
 func (rt *routing) split(ops []kv.BatchOp) map[*worker][]kv.BatchOp {
 	subs := make(map[*worker][]kv.BatchOp)
 	for _, op := range ops {
@@ -184,11 +199,13 @@ func (s *Store) writeAdmitErr(w *worker) error {
 
 // fanIn is the one completion of a multi-leg operation — a multiget's read
 // legs, a transaction's write legs, a scan's per-worker legs, a barrier's
-// parked workers. It counts legs, keeps the first error and closes done
+// parked workers. It counts legs, keeps the first error and signals done
 // when the last leg finishes; legs report through finish, usually as their
 // request's callback. The submitter holds one count of its own from
 // newFanIn until wait, so legs that finish while later ones are still
-// being admitted cannot close done early.
+// being admitted cannot signal done early. done has one receiver and
+// capacity 1, so the signal never blocks and, once received, leaves the
+// channel reusable (multiGets).
 type fanIn struct {
 	mu      sync.Mutex
 	pending int
@@ -196,7 +213,7 @@ type fanIn struct {
 	done    chan struct{}
 }
 
-func newFanIn() *fanIn { return &fanIn{pending: 1, done: make(chan struct{})} }
+func newFanIn() *fanIn { return &fanIn{pending: 1, done: make(chan struct{}, 1)} }
 
 // add registers one more leg; call it before the leg can finish.
 func (f *fanIn) add() {
@@ -216,15 +233,16 @@ func (f *fanIn) finish(err error) {
 	last := f.pending == 0
 	f.mu.Unlock()
 	if last {
-		close(f.done)
+		f.done <- struct{}{}
 	}
 }
 
 // wait drops the submitter's own count and blocks until every leg has
 // finished, returning the first leg error. When ctx ends first it returns
 // kv.ErrDeadlineExceeded and leaves the stragglers to the workers — they
-// shed or complete orphaned legs whose results nobody reads.
-func (f *fanIn) wait(ctx context.Context) error {
+// shed or complete orphaned legs whose results nobody reads; completed is
+// then false, and the legs and f are not the submitter's to reuse.
+func (f *fanIn) wait(ctx context.Context) (completed bool, err error) {
 	f.finish(nil)
 	if ctx = liveCtx(ctx); ctx == nil {
 		<-f.done
@@ -232,8 +250,8 @@ func (f *fanIn) wait(ctx context.Context) error {
 		select {
 		case <-f.done:
 		case <-ctx.Done():
-			return ctxError(ctx.Err())
+			return false, ctxError(ctx.Err())
 		}
 	}
-	return f.err // ordered after every finish by the close of done
+	return true, f.err // ordered after every finish by the signal on done
 }

@@ -273,7 +273,7 @@ func (s *Store) Scrub(ctx context.Context, lim kv.RateLimiter) (kv.ScrubResult, 
 			legs.finish(err)
 		}(i, sc)
 	}
-	err := legs.wait(nil) // a leg watches ctx itself
+	_, err := legs.wait(nil) // a leg watches ctx itself
 	var res kv.ScrubResult
 	for i := range results {
 		stats.Merge(&res, results[i])

@@ -80,7 +80,7 @@ func openTable(fs vfs.FS, dir string, num uint64, blocks *cache.Cache) (*sstable
 
 // get returns the cached reader of table num, opening it on a miss.
 func (c *tableCache) get(num uint64) (*tableRef, error) {
-	if r, ok := (*c.readers.Load())[num]; ok {
+	if r := c.peek(num); r != nil {
 		return r, nil
 	}
 
@@ -99,6 +99,12 @@ func (c *tableCache) get(num uint64) (*tableRef, error) {
 	t.refs.Store(1)
 	c.replaceLocked(num, t)
 	return t, nil
+}
+
+// peek is get for a lookup that may not read the device: the open reader of
+// table num, or nil when reaching it would open the file.
+func (c *tableCache) peek(num uint64) *tableRef {
+	return (*c.readers.Load())[num]
 }
 
 // acquire is get for a reader held across many reads, a scan's or a

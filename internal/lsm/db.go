@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -608,6 +609,22 @@ func isStaleFileErr(err error) bool {
 // MultiGet hands these results out as slots where nil means absent: a hit
 // goes out through kv.Present.
 func (d *DB) getAt(rs *readState, seq uint64, key []byte) ([]byte, error) {
+	return d.lookup(rs, seq, key, false)
+}
+
+// probes is one lookup's walk through the tables: whether it may read the
+// device, and the tables it probed and skipped by their bloom filters, counted
+// into Perf once the walk settles.
+type probes struct {
+	cachedOnly     bool
+	tables, blooms int64
+}
+
+// lookup is getAt, or with cachedOnly its memory-only form: it then reads
+// nothing, and a table that is not open or a data block that is not cached
+// ends it with sstable.ErrWouldRead. Such a lookup counts no probes: the one
+// that reads counts them.
+func (d *DB) lookup(rs *readState, seq uint64, key []byte, cachedOnly bool) ([]byte, error) {
 	v, found, deleted := rs.mem.Get(key, seq)
 	for i := 0; !found && i < len(rs.imms); i++ {
 		v, found, deleted = rs.imms[i].Get(key, seq)
@@ -618,8 +635,21 @@ func (d *DB) getAt(rs *readState, seq uint64, key []byte) ([]byte, error) {
 		}
 		return kv.Present(append([]byte(nil), v...)), nil
 	}
-	var hit sstable.Hit
-	if err := d.getFromTables(rs.ver, seq, key, &hit); err != nil {
+	var (
+		hit sstable.Hit
+		p   = probes{cachedOnly: cachedOnly}
+	)
+	err := d.getFromTables(rs.ver, seq, key, &hit, &p)
+	if err == sstable.ErrWouldRead {
+		return nil, err
+	}
+	if p.tables > 0 {
+		d.perf.tableProbes.Add(p.tables)
+	}
+	if p.blooms > 0 {
+		d.perf.bloomSkips.Add(p.blooms)
+	}
+	if err != nil {
 		return nil, err
 	}
 	if !hit.Found || hit.Deleted {
@@ -631,7 +661,7 @@ func (d *DB) getAt(rs *readState, seq uint64, key []byte) ([]byte, error) {
 // probeTable looks key up in one table and keeps the result in best when it
 // is newer than what best holds. The bloom filter is consulted here, once:
 // a negative counts as a bloom skip, a positive as a table probe.
-func (d *DB) probeTable(fm *manifest.FileMeta, key []byte, seq uint64, best *sstable.Hit) error {
+func (d *DB) probeTable(fm *manifest.FileMeta, key []byte, seq uint64, best *sstable.Hit, p *probes) error {
 	if !fm.Overlaps(key, key) {
 		return nil
 	}
@@ -641,28 +671,39 @@ func (d *DB) probeTable(fm *manifest.FileMeta, key []byte, seq uint64, best *sst
 	if qerr := d.quarErr(fm.Num); qerr != nil {
 		return qerr
 	}
-	r, err := d.tcache.get(fm.Num)
-	if err != nil {
+	var (
+		r   *tableRef
+		err error
+	)
+	if p.cachedOnly {
+		if r = d.tcache.peek(fm.Num); r == nil {
+			return sstable.ErrWouldRead
+		}
+	} else if r, err = d.tcache.get(fm.Num); err != nil {
 		d.noteCorruption(err)
 		return err
 	}
 	if !r.MayContain(key) {
-		d.perf.bloomSkips.Add(1)
+		p.blooms++
 		return nil
 	}
-	d.perf.tableProbes.Add(1)
-	if err := r.Find(key, seq, best); err != nil {
-		d.noteCorruption(err)
-		return err
+	p.tables++
+	if p.cachedOnly {
+		err = r.FindCached(key, seq, best)
+	} else {
+		err = r.Find(key, seq, best)
 	}
-	return nil
+	if err != nil && err != sstable.ErrWouldRead {
+		d.noteCorruption(err)
+	}
+	return err
 }
 
-func (d *DB) getFromTables(ver *manifest.Version, seq uint64, key []byte, best *sstable.Hit) error {
+func (d *DB) getFromTables(ver *manifest.Version, seq uint64, key []byte, best *sstable.Hit, p *probes) error {
 	// L0: newest file first; first hit wins.
 	l0 := ver.Levels[0]
 	for i := len(l0) - 1; i >= 0; i-- {
-		if err := d.probeTable(l0[i], key, seq, best); err != nil {
+		if err := d.probeTable(l0[i], key, seq, best, p); err != nil {
 			return err
 		}
 		if best.Found && d.opts.Style == Leveled {
@@ -677,7 +718,7 @@ func (d *DB) getFromTables(ver *manifest.Version, seq uint64, key []byte, best *
 				return string(ikey.UserKey(files[i].Largest)) >= string(key)
 			})
 			if idx < len(files) {
-				if err := d.probeTable(files[idx], key, seq, best); err != nil {
+				if err := d.probeTable(files[idx], key, seq, best, p); err != nil {
 					return err
 				}
 			}
@@ -685,7 +726,7 @@ func (d *DB) getFromTables(ver *manifest.Version, seq uint64, key []byte, best *
 			// Fragmented: any file whose range covers key may hold a
 			// version; take the newest.
 			for _, fm := range files {
-				if err := d.probeTable(fm, key, seq, best); err != nil {
+				if err := d.probeTable(fm, key, seq, best, p); err != nil {
 					return err
 				}
 			}
@@ -694,10 +735,18 @@ func (d *DB) getFromTables(ver *manifest.Version, seq uint64, key []byte, best *
 	return nil
 }
 
-// MultiGet implements kv.MultiGetter: it resolves all keys against one
-// read snapshot with the lookups' IO overlapped (RocksDB's multiget
-// issues batched parallel reads internally — that internal parallelism is
-// what OBM's read batching exploits, Figure 14).
+// multiGetFanOut bounds the goroutines of MultiGet's device pass; a wave of
+// that many keys shares one simulated software-path charge.
+const multiGetFanOut = 16
+
+// MultiGet implements kv.MultiGetter: it resolves all keys against one read
+// snapshot. A key the memtables or blocks already in the block cache answer
+// is resolved on the caller's goroutine; every other key goes whole to a
+// device pass that overlaps the reads, at most multiGetFanOut at a time
+// (RocksDB's multiget issues batched parallel reads internally — that
+// internal parallelism is what OBM's read batching exploits, Figure 14).
+// Overlapping lookups that never wait on the device would buy nothing but
+// goroutine starts.
 func (d *DB) MultiGet(keys [][]byte) ([][]byte, error) {
 	if d.closed.Load() {
 		return nil, kv.ErrClosed
@@ -718,49 +767,82 @@ func (d *DB) MultiGet(keys [][]byte) ([][]byte, error) {
 		out[0] = v
 		return out, nil
 	}
+	if c := d.opts.ReadPerOpCost; c > 0 {
+		// Batched lookups share the snapshot and batch their bloom/index
+		// probing (RocksDB multiget): ~35% of the standalone software
+		// path, overlapped across a wave of keys.
+		waves := (len(keys) + multiGetFanOut - 1) / multiGetFanOut
+		time.Sleep(time.Duration(waves) * c * 35 / 100)
+	}
 	rs, seq := d.readView()
+	var small [multiGetFanOut]int
+	reads := small[:0] // the keys left to the device pass
+	for i, k := range keys {
+		v, err := d.lookup(rs, seq, k, true)
+		switch {
+		case err == nil:
+			out[i] = v
+		case err == kv.ErrNotFound:
+		case err == sstable.ErrWouldRead || isStaleFileErr(err):
+			reads = append(reads, i)
+		default:
+			return nil, err
+		}
+	}
+	if len(reads) > 0 {
+		if err := d.readKeys(rs, seq, keys, out, slices.Clone(reads)); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
+}
+
+// readKeys is MultiGet's device pass: it resolves keys[i] into out[i] for
+// each i in idx against the caller's read view, on at most multiGetFanOut
+// goroutines that each take the next key until none is left. A key whose
+// file a compaction deleted is resolved against a fresh read state
+// (getRetry). A lone key is read on the caller.
+func (d *DB) readKeys(rs *readState, seq uint64, keys, out [][]byte, idx []int) error {
+	read := func(i int) error {
+		v, err := d.getAt(rs, seq, keys[i])
+		if isStaleFileErr(err) {
+			v, err = d.getRetry(keys[i])
+		}
+		switch err {
+		case nil:
+			out[i] = v
+		case kv.ErrNotFound:
+		default:
+			return err
+		}
+		return nil
+	}
+	if len(idx) == 1 {
+		return read(idx[0])
+	}
 	var (
 		wg       sync.WaitGroup
+		next     atomic.Int64
 		errMu    sync.Mutex
 		firstErr error
 	)
-	sem := make(chan struct{}, 16)
-	for i, k := range keys {
+	for range min(len(idx), multiGetFanOut) {
 		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int, k []byte) {
+		go func() {
 			defer wg.Done()
-			defer func() { <-sem }()
-			if c := d.opts.ReadPerOpCost; c > 0 {
-				// Batched lookups share the snapshot and batch their
-				// bloom/index probing (RocksDB multiget): ~35% of the
-				// standalone software path, overlapped across keys.
-				time.Sleep(c * 35 / 100)
-			}
-			v, err := d.getAt(rs, seq, k)
-			if isStaleFileErr(err) {
-				// Compaction raced this batch; resolve the key against a
-				// fresh read state.
-				v, err = d.getRetry(k)
-			}
-			switch err {
-			case nil:
-				out[i] = v
-			case kv.ErrNotFound:
-			default:
-				errMu.Lock()
-				if firstErr == nil {
-					firstErr = err
+			for j := next.Add(1) - 1; j < int64(len(idx)); j = next.Add(1) - 1 {
+				if err := read(idx[j]); err != nil {
+					errMu.Lock()
+					if firstErr == nil {
+						firstErr = err
+					}
+					errMu.Unlock()
 				}
-				errMu.Unlock()
 			}
-		}(i, k)
+		}()
 	}
 	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	return out, nil
+	return firstErr
 }
 
 // Caps reports optional capabilities for p2KVS's feature discovery.

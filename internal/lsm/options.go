@@ -110,9 +110,11 @@ type Options struct {
 	WALPerRecordCost time.Duration
 	WALPerByteCost   time.Duration
 	// ReadPerOpCost models the per-lookup host software path (memtable
-	// search, bloom probes, index walks) in simulated time. MultiGet
-	// amortizes it: the first key pays full cost, subsequent keys 35%,
-	// RocksDB's documented multiget CPU saving. Zero for production use.
+	// search, bloom probes, index walks) in simulated time. A Get, and a
+	// MultiGet of one key, sleeps it in full. A MultiGet of more keys
+	// sleeps 35% of it (RocksDB's documented multiget CPU saving) once per
+	// started wave of 16 keys, the waves' charges overlapped: a 16-key
+	// multiget costs 0.35×, not 1 + 15×0.35. Zero for production use.
 	ReadPerOpCost time.Duration
 
 	// RepairSource, when non-nil, supplies known-good backup bytes for

@@ -211,6 +211,99 @@ func TestOneBloomEvaluationPerProbedTable(t *testing.T) {
 	}
 }
 
+// TestMultiGetAllocs: a multiget whose keys the memtable and cached blocks
+// answer runs on its caller. It allocates the result slice and the values
+// and nothing else; the device pass would add its closures, its counters and
+// a goroutine start per reader.
+func TestMultiGetAllocs(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("allocation pins are not meaningful under the race detector")
+	}
+	db := settledDB(t, 50000, 64<<20)
+	keys := make([][]byte, 16)
+	for i := range keys {
+		keys[i] = lookupKey(i * 3001 % 50000)
+		if i%2 == 0 { // half of them newer in the memtable
+			if err := db.Put(keys[i], make([]byte, 128)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	multiGet := func() {
+		vals, err := db.MultiGet(keys)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, v := range vals {
+			if len(v) != 128 {
+				t.Fatalf("MultiGet: key %s = %d bytes", keys[i], len(v))
+			}
+		}
+	}
+	multiGet() // opens the tables and caches the blocks
+	_, missesBefore := db.BlockCacheStats()
+	n := testing.AllocsPerRun(200, multiGet)
+	if _, misses := db.BlockCacheStats(); misses != missesBefore {
+		t.Fatalf("%d block-cache misses after the warm-up", misses-missesBefore)
+	}
+	if want := float64(1 + len(keys)); n > want {
+		t.Errorf("MultiGet of %d cached keys: %.0f allocs, want <= %.0f (the result slice and the values)", len(keys), n, want)
+	}
+}
+
+// TestMultiGetCountsProbesOnce: a key the memory pass tries and then leaves
+// to the device pass is counted once. A multiget mixing keys in cached
+// blocks, keys in blocks never read and absent keys adds to Perf what the
+// same keys read one Get at a time add.
+func TestMultiGetCountsProbesOnce(t *testing.T) {
+	db := settledDB(t, 50000, 64<<20)
+	var cached, keys [][]byte
+	for i := 0; i < 40; i++ {
+		k := lookupKey(i * 1200)
+		cached = append(cached, k)
+		keys = append(keys, k, lookupKey(i*1200+600), []byte(fmt.Sprintf("user%012d-absent", i*1200)))
+	}
+	for _, k := range cached { // opens the tables and caches these keys' blocks
+		if _, err := db.Get(k); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := db.Perf()
+	hitsBefore, missesBefore := db.BlockCacheStats()
+	vals, err := db.MultiGet(keys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mg := db.Perf()
+	hits, misses := db.BlockCacheStats()
+	if hits == hitsBefore || misses == missesBefore {
+		t.Fatalf("block cache hits +%d, misses +%d: the multiget did not mix cached and uncached keys", hits-hitsBefore, misses-missesBefore)
+	}
+	for i, k := range keys {
+		if want := i%3 != 2; (vals[i] != nil) != want {
+			t.Fatalf("MultiGet: %s present %v, want %v", k, vals[i] != nil, want)
+		}
+	}
+	for _, k := range keys {
+		if _, err := db.Get(k); err != nil && err != kv.ErrNotFound {
+			t.Fatal(err)
+		}
+	}
+	gets := db.Perf()
+	for _, c := range []struct {
+		name            string
+		multi, oneByOne int64
+	}{
+		{"gets", mg.GetCount - before.GetCount, gets.GetCount - mg.GetCount},
+		{"table probes", mg.TableProbes - before.TableProbes, gets.TableProbes - mg.TableProbes},
+		{"bloom skips", mg.BloomSkips - before.BloomSkips, gets.BloomSkips - mg.BloomSkips},
+	} {
+		if c.multi != c.oneByOne {
+			t.Errorf("%s: the multiget counted %d, the same keys one Get at a time %d", c.name, c.multi, c.oneByOne)
+		}
+	}
+}
+
 // TestReadsDuringRotationFlushCompaction is the proof that every site that
 // changes what a read must consult republishes the read state: readers Get a
 // key set without any lock while a writer overwrites it through memtable

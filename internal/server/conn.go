@@ -20,10 +20,39 @@ type conn struct {
 	rd  *Reader
 	wr  *Writer
 
+	// win is the arena the current pipeline window is read and run in.
+	win window
+	// orphans is set when a store call of this window failed: it may have
+	// returned before all its legs completed (today, a deadline under
+	// CommandTimeout), and a leg still queued or executing may alias win,
+	// so the next window starts on a fresh one.
+	orphans bool
+
 	// closing is set by QUIT / SHUTDOWN to end the session after the
 	// current window's replies are flushed.
 	closing bool
 }
+
+// window is a connection's arena for one pipeline window: its commands,
+// their argument headers and bytes, the keys of a coalesced GET run and the
+// batch of a coalesced SET run. Everything in it lives until the next
+// window, which truncates and reuses it — after a window with orphans, or
+// one that grew it past maxWindowBytes or maxWindowArgs, the next starts on
+// a fresh arena and leaves the old one to the garbage collector.
+type window struct {
+	cmdArena
+	cmds  [][][]byte
+	keys  [][]byte
+	batch kv.Batch
+}
+
+// maxWindowBytes and maxWindowArgs bound the argument bytes and headers a
+// connection keeps between windows: one huge command does not pin its
+// buffers for the connection's life.
+const (
+	maxWindowBytes = 1 << 20
+	maxWindowArgs  = 16 << 10
+)
 
 func newConn(s *Server, nc net.Conn) *conn {
 	return &conn{srv: s, nc: nc, rd: NewReader(nc), wr: NewWriter(nc)}
@@ -74,12 +103,17 @@ func (c *conn) serve() {
 // run.
 const maxPipeline = 128
 
-// readWindow reads the client's current pipeline: one blocking command,
-// then every command already sitting in the read buffer, capped at
+// readWindow reads the client's current pipeline into c.win: one blocking
+// command, then every command already sitting in the read buffer, capped at
 // maxPipeline. Returning both commands and an error is valid — the
 // complete commands are processed (and answered) before the error closes
 // the connection.
 func (c *conn) readWindow() ([][][]byte, error) {
+	w := &c.win
+	if c.orphans || cap(w.buf) > maxWindowBytes || cap(w.args) > maxWindowArgs {
+		*w, c.orphans = window{}, false
+	}
+	w.args, w.buf, w.cmds = w.args[:0], w.buf[:0], w.cmds[:0]
 	if t := c.srv.cfg.ConnIdleTimeout; t > 0 {
 		c.nc.SetReadDeadline(time.Now().Add(t))
 		// Shutdown sets draining, then kicks. Checking the flag only after
@@ -90,7 +124,7 @@ func (c *conn) readWindow() ([][][]byte, error) {
 			c.beginDrain()
 		}
 	}
-	first, err := c.rd.ReadCommand()
+	first, err := c.rd.readCommand(&w.cmdArena)
 	if err != nil {
 		var ne net.Error
 		if errors.As(err, &ne) && ne.Timeout() && !c.srv.draining.Load() {
@@ -99,15 +133,15 @@ func (c *conn) readWindow() ([][][]byte, error) {
 		}
 		return nil, err
 	}
-	cmds := [][][]byte{first}
-	for len(cmds) < maxPipeline && c.rd.Buffered() > 0 {
-		cmd, err := c.rd.ReadCommand()
+	w.cmds = append(w.cmds, first)
+	for len(w.cmds) < maxPipeline && c.rd.Buffered() > 0 {
+		cmd, err := c.rd.readCommand(&w.cmdArena)
 		if err != nil {
-			return cmds, err
+			return w.cmds, err
 		}
-		cmds = append(cmds, cmd)
+		w.cmds = append(w.cmds, cmd)
 	}
-	return cmds, nil
+	return w.cmds, nil
 }
 
 // flush writes out every buffered reply, bounded by cfg.WriteTimeout: a
@@ -121,16 +155,40 @@ func (c *conn) flush() error {
 	return c.wr.Flush()
 }
 
-// cmdName returns the upper-cased command verb.
+// verbs are the commands the server knows.
+var verbs = [...]string{"GET", "SET", "DEL", "MGET", "MSET", "SCAN", "PING", "INFO", "BGSAVE", "RESHARD",
+	"SCRUB", "PSYNC", "REPLICAOF", "LASTSAVE", "COMMAND", "SELECT", "QUIT", "SHUTDOWN"}
+
+// cmdName returns the command's verb, matched in any case without
+// converting it, or "" for a command the server does not know.
 func cmdName(cmd [][]byte) string {
-	return strings.ToUpper(string(cmd[0]))
+	for _, v := range verbs {
+		if foldEqual(cmd[0], v) {
+			return v
+		}
+	}
+	return ""
+}
+
+// foldEqual reports whether b spells word, an upper-case ASCII word, in any
+// case.
+func foldEqual(b []byte, word string) bool {
+	if len(b) != len(word) {
+		return false
+	}
+	for i := range b {
+		if b[i]&^0x20 != word[i] {
+			return false
+		}
+	}
+	return true
 }
 
 // runEnd extends a coalescible run: the longest stretch of commands from
 // i that share the verb name and exact arity.
 func runEnd(cmds [][][]byte, i int, name string, arity int) int {
 	j := i
-	for j < len(cmds) && len(cmds[j]) == arity && cmdName(cmds[j]) == name {
+	for j < len(cmds) && len(cmds[j]) == arity && foldEqual(cmds[j][0], name) {
 		j++
 	}
 	return j
@@ -180,6 +238,7 @@ func (c *conn) cmdCtx() (context.Context, context.CancelFunc) {
 // cause is space exhaustion — that variant self-heals once space frees),
 // closed store → -SHUTDOWN.
 func (c *conn) writeStoreErr(err error) {
+	c.orphans = true
 	switch {
 	// Checked before ErrOverloaded: under AdmitReject a degraded shard's
 	// error is wrapped in ErrOverloaded too, and "disk full, retry later /
@@ -219,14 +278,15 @@ func (c *conn) execSetRun(run [][][]byte) {
 		return
 	}
 	start := time.Now()
-	var b kv.Batch
+	b := &c.win.batch
+	b.Reset()
 	for _, cmd := range run {
 		b.Put(cmd[1], cmd[2])
 	}
 	ctx, cancel := c.cmdCtx()
-	err := c.srv.store().WriteCtx(ctx, &b)
+	err := c.srv.store().WriteCtx(ctx, b)
 	cancel()
-	c.srv.stats.latFor("set").Record(time.Since(start))
+	c.srv.stats.latFor("SET").Record(time.Since(start))
 	if err == nil {
 		c.srv.stats.coalescedSets.Add(int64(len(run)))
 	}
@@ -243,14 +303,15 @@ func (c *conn) execSetRun(run [][][]byte) {
 // MultiGetCtx, whose per-shard legs OBM merges into engine multigets.
 func (c *conn) execGetRun(run [][][]byte) {
 	start := time.Now()
-	keys := make([][]byte, len(run))
-	for i, cmd := range run {
-		keys[i] = cmd[1]
+	keys := c.win.keys[:0]
+	for _, cmd := range run {
+		keys = append(keys, cmd[1])
 	}
+	c.win.keys = keys
 	ctx, cancel := c.cmdCtx()
 	vals, err := c.srv.store().MultiGetCtx(ctx, keys)
 	cancel()
-	c.srv.stats.latFor("get").Record(time.Since(start))
+	c.srv.stats.latFor("GET").Record(time.Since(start))
 	if err != nil {
 		for range run {
 			c.writeStoreErr(err)
@@ -320,7 +381,7 @@ func (c *conn) execOne(cmd [][]byte) {
 		c.srv.stats.unknown.Add(1)
 		c.wr.WriteError("ERR unknown command '" + string(cmd[0]) + "'")
 	}
-	c.srv.stats.latFor(strings.ToLower(name)).Record(time.Since(start))
+	c.srv.stats.latFor(name).Record(time.Since(start))
 }
 
 // execBgsave starts a background checkpoint into the configured backup
@@ -349,8 +410,7 @@ func (c *conn) execReshard(cmd [][]byte) {
 		c.argErr("reshard")
 		return
 	}
-	arg := strings.ToUpper(string(cmd[1]))
-	if arg == "STATUS" {
+	if foldEqual(cmd[1], "STATUS") {
 		var b strings.Builder
 		stats.Lines(&b, c.srv.snapshot(), "", "Reshard")
 		stats.Lines(&b, c.srv.store().ReshardStats(), "", "")
@@ -418,7 +478,7 @@ func (c *conn) rejectIfReplica(n int) bool {
 }
 
 func (c *conn) argErr(name string) {
-	c.wr.WriteError("ERR wrong number of arguments for '" + strings.ToLower(name) + "' command")
+	c.wr.WriteError("ERR wrong number of arguments for '" + name + "' command")
 }
 
 func (c *conn) execSet(cmd [][]byte) {
@@ -539,7 +599,7 @@ func (c *conn) execScan(cmd [][]byte) {
 	}
 	count := 10
 	if len(cmd) == 4 {
-		if strings.ToUpper(string(cmd[2])) != "COUNT" {
+		if !foldEqual(cmd[2], "COUNT") {
 			c.wr.WriteError("ERR syntax error")
 			return
 		}

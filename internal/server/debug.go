@@ -6,6 +6,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
+	"strings"
 
 	"p2kvs/internal/core"
 	"p2kvs/internal/histogram"
@@ -30,7 +31,7 @@ func (s *Server) metricsSnapshot() metricsPayload {
 	cmds := make(map[string]histogram.Summary, len(latCommands))
 	for _, name := range latCommands {
 		if sum := s.stats.lat[name].Summary(); sum.Count > 0 {
-			cmds[name] = sum
+			cmds[strings.ToLower(name)] = sum
 		}
 	}
 	return metricsPayload{Server: s.snapshot(), Commands: cmds, Store: s.store().StatsSnapshot()}

@@ -106,7 +106,7 @@ func (s *Server) infoText() string {
 			continue
 		}
 		fmt.Fprintf(&b, "cmdstat_%s:calls=%d,usec_mean=%.1f,usec_p50=%.1f,usec_p95=%.1f,usec_p99=%.1f,usec_max=%.1f\r\n",
-			name, sum.Count, sum.MeanUs, sum.P50Us, sum.P95Us, sum.P99Us, sum.MaxUs)
+			strings.ToLower(name), sum.Count, sum.MeanUs, sum.P50Us, sum.P95Us, sum.P99Us, sum.MaxUs)
 	}
 
 	section("Store")

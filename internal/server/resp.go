@@ -9,9 +9,10 @@
 // This file implements the wire protocol itself: a command reader
 // (multibulk "*N\r\n$len\r\n..." arrays and inline "SET k v\r\n"
 // commands), a reply writer, and a reply reader used by clients
-// (netbench, tests). The reader is allocation-conscious: one flat buffer
-// holds all argument bytes of a command and the args slice is reused
-// across calls when the caller permits.
+// (netbench, tests). The command reader parses into an arena the caller
+// owns (cmdArena): the server's connections keep one per pipeline window
+// and reuse it for the next (conn.go), so a steady pipeline parses without
+// allocating; ReadCommand gives each command an arena of its own.
 package server
 
 import (
@@ -132,28 +133,47 @@ func (r *Reader) readBulkBody(dst []byte, n int) ([]byte, error) {
 	return dst[:len(dst)+n], nil
 }
 
+// cmdArena holds parsed commands: every command's argument headers are a
+// slice of args, and every argument a slice of buf. Appending to either may
+// move it to a larger array, but never moves what earlier commands point
+// at, so every command read into an arena stays valid until its owner
+// truncates the arena and reads over it.
+type cmdArena struct {
+	args [][]byte
+	buf  []byte
+}
+
 // ReadCommand reads one client command: either a multibulk array of bulk
 // strings or an inline (space-separated) line. Empty frames (bare
-// newlines, "*0") are skipped, like Redis. The returned argument slices
-// are freshly allocated and owned by the caller.
+// newlines, "*0") are skipped, like Redis. The command is read into an
+// arena of its own, so its argument slices are the caller's to keep.
 func (r *Reader) ReadCommand() ([][]byte, error) {
+	var a cmdArena
+	return r.readCommand(&a)
+}
+
+// readCommand is ReadCommand into a: the command's argument headers are
+// appended to a.args and their bytes to a.buf, and the command is the
+// stretch of a.args it took. On error a may hold a partial command past
+// the ones already read.
+func (r *Reader) readCommand(a *cmdArena) ([][]byte, error) {
 	for {
 		first, err := r.br.ReadByte()
 		if err != nil {
 			return nil, err
 		}
+		start := len(a.args)
 		if first != '*' {
 			if err := r.br.UnreadByte(); err != nil {
 				return nil, err
 			}
-			args, err := r.readInline()
-			if err != nil {
+			if err := r.readInline(a); err != nil {
 				return nil, err
 			}
-			if len(args) == 0 {
+			if len(a.args) == start {
 				continue // empty line: ignore, per inline protocol
 			}
-			return args, nil
+			return a.args[start:len(a.args):len(a.args)], nil
 		}
 		header, err := r.readLine(MaxInlineLength)
 		if err != nil {
@@ -169,12 +189,7 @@ func (r *Reader) ReadCommand() ([][]byte, error) {
 		if n == 0 {
 			continue
 		}
-		args := make([][]byte, 0, n)
-		// One contiguous buffer holds every argument's bytes; args
-		// subslice it. Bounds recorded first, then re-sliced, because
-		// the buffer may be reallocated while growing.
-		var buf []byte
-		bounds := make([][2]int, 0, n)
+		a.args = slices.Grow(a.args, int(n))
 		for i := int64(0); i < n; i++ {
 			prefix, err := r.br.ReadByte()
 			if err != nil {
@@ -194,28 +209,25 @@ func (r *Reader) ReadCommand() ([][]byte, error) {
 			if sz < 0 || sz > MaxBulkLength {
 				return nil, protoErrf("invalid bulk length %d", sz)
 			}
-			start := len(buf)
-			buf, err = r.readBulkBody(buf, int(sz))
+			buf, err := r.readBulkBody(a.buf, int(sz))
 			if err != nil {
 				return nil, err
 			}
-			bounds = append(bounds, [2]int{start, len(buf)})
+			from := len(a.buf)
+			a.buf = buf
+			a.args = append(a.args, buf[from:len(buf):len(buf)])
 		}
-		for _, b := range bounds {
-			args = append(args, buf[b[0]:b[1]:b[1]])
-		}
-		return args, nil
+		return a.args[start:len(a.args):len(a.args)], nil
 	}
 }
 
-// readInline splits one inline command line on spaces/tabs. No quoting —
-// inline is a telnet convenience, not the bulk path.
-func (r *Reader) readInline() ([][]byte, error) {
+// readInline splits one inline command line on spaces/tabs into a. No
+// quoting — inline is a telnet convenience, not the bulk path.
+func (r *Reader) readInline(a *cmdArena) error {
 	line, err := r.readLine(MaxInlineLength)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	var args [][]byte
 	i := 0
 	for i < len(line) {
 		for i < len(line) && (line[i] == ' ' || line[i] == '\t') {
@@ -226,10 +238,12 @@ func (r *Reader) readInline() ([][]byte, error) {
 			i++
 		}
 		if i > start {
-			args = append(args, append([]byte(nil), line[start:i]...))
+			from := len(a.buf)
+			a.buf = append(a.buf, line[start:i]...)
+			a.args = append(a.args, a.buf[from:len(a.buf):len(a.buf)])
 		}
 	}
-	return args, nil
+	return nil
 }
 
 // ---------------------------------------------------------------------------

@@ -86,9 +86,9 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// latency-tracked command classes. Commands outside the set land in
-// "other".
-var latCommands = []string{"get", "set", "del", "mget", "mset", "scan", "info", "ping", "scrub", "other"}
+// latency-tracked command classes, by verb; INFO and /metrics name them in
+// lower case. Commands outside the set land in "OTHER".
+var latCommands = []string{"GET", "SET", "DEL", "MGET", "MSET", "SCAN", "INFO", "PING", "SCRUB", "OTHER"}
 
 // serverStats is the server-side counter block surfaced by INFO and
 // /metrics.
@@ -119,12 +119,12 @@ func newServerStats() *serverStats {
 	return st
 }
 
-// latFor returns the latency histogram for a (lower-case) command name.
+// latFor returns the latency histogram for a verb (cmdName).
 func (st *serverStats) latFor(name string) *histogram.H {
 	if h, ok := st.lat[name]; ok {
 		return h
 	}
-	return st.lat["other"]
+	return st.lat["OTHER"]
 }
 
 // Server is the RESP front-end.

@@ -26,6 +26,11 @@ var ErrCorrupt = errors.New("sstable: corrupt")
 // binary set). OpenNamed refuses such a table.
 var ErrUnsupported = errors.New("sstable: unsupported format")
 
+// ErrWouldRead is FindCached's answer when the lookup needs a data block
+// that is not resident in the block cache: finding the key would read the
+// device.
+var ErrWouldRead = errors.New("sstable: lookup would read the device")
+
 // corruptf builds a corruption error for one failed check. When the reader
 // has a name, the error is a kv.CorruptionError (matching both
 // kv.ErrCorruption and, via the %w chain below, nothing else); anonymous
@@ -392,8 +397,20 @@ type Hit struct {
 // back points into the block cache. It does not consult the bloom filter; a
 // caller that wants the filter's shortcut asks MayContain first.
 func (r *Reader) Find(ukey []byte, seq uint64, best *Hit) error {
+	return r.find(ukey, seq, best, false)
+}
+
+// FindCached is Find through blocks already in the block cache only: where
+// Find would read a data block from the device, FindCached returns
+// ErrWouldRead and leaves best as it was. A reader without a block cache
+// always would.
+func (r *Reader) FindCached(ukey []byte, seq uint64, best *Hit) error {
+	return r.find(ukey, seq, best, true)
+}
+
+func (r *Reader) find(ukey []byte, seq uint64, best *Hit, cachedOnly bool) error {
 	var (
-		it  = Iter{r: r} // never escapes: the data cursor lives on this stack
+		it  = Iter{r: r, cachedOnly: cachedOnly} // never escapes: the data cursor lives on this stack
 		buf [seekKeyBuf]byte
 	)
 	defer it.Close()
@@ -439,7 +456,10 @@ type Iter struct {
 	pin    *cache.Block // the current data block of a cached reader
 	own    []byte       // the block buffer of an uncached reader
 	loaded bool         // data is positioned inside block pos
-	err    error
+	// cachedOnly makes a block that is not resident in the block cache an
+	// ErrWouldRead instead of a read (FindCached).
+	cachedOnly bool
+	err        error
 }
 
 // NewIterator returns an iterator over the table. The caller must Close it.
@@ -480,10 +500,19 @@ func (it *Iter) loadDataBlock() bool {
 
 // readBlock returns the content of data block pos: pinned in the block
 // cache, where a miss reads it into a buffer the cache recycles, or read into
-// the buffer the Iter owns. On error a pin it took is left for the caller's
-// release.
+// the buffer the Iter owns; a cachedOnly Iter takes a resident block or
+// nothing. On error a pin it took is left for the caller's release.
 func (it *Iter) readBlock() ([]byte, error) {
 	r, h := it.r, it.r.handles[it.pos]
+	if it.cachedOnly {
+		if r.cache != nil {
+			it.pin = r.cache.Lookup(r.cacheID, h.off)
+		}
+		if it.pin == nil {
+			return nil, ErrWouldRead
+		}
+		return it.pin.Data(), nil
+	}
 	if r.cache == nil {
 		it.own = slices.Grow(it.own[:0], int(h.length))[:h.length]
 		return r.loadBlock(it.own, h.off, "data")

@@ -306,6 +306,47 @@ func TestReaderWithBlockCache(t *testing.T) {
 	}
 }
 
+// TestFindCached: FindCached answers through resident blocks exactly as Find
+// does, and where Find would read the device it answers ErrWouldRead, reads
+// nothing and leaves the hit untouched.
+func TestFindCached(t *testing.T) {
+	rf := allocTable(t, 2000)
+	c := cache.New(1 << 20)
+	r, err := OpenNamed(rf, c, 7, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := []byte(fmt.Sprintf("user%012d", 100))
+	best := Hit{Val: []byte("kept")}
+	if err := r.FindCached(key, ikey.MaxSeq, &best); err != ErrWouldRead {
+		t.Fatalf("FindCached of a block never read = %v, want ErrWouldRead", err)
+	}
+	if best.Found || string(best.Val) != "kept" {
+		t.Fatalf("FindCached that would read changed the hit: %+v", best)
+	}
+	if _, misses, _ := c.Stats(); misses != 0 {
+		t.Fatalf("FindCached counted %d misses", misses)
+	}
+	var want Hit
+	if err := r.Find(key, ikey.MaxSeq, &want); err != nil || !want.Found {
+		t.Fatalf("Find = %+v, %v", want, err)
+	}
+	var got Hit
+	if err := r.FindCached(key, ikey.MaxSeq, &got); err != nil || !got.Found || got.Seq != want.Seq || !bytes.Equal(got.Val, want.Val) {
+		t.Fatalf("FindCached of a resident block = %+v, %v; Find gave %+v", got, err, want)
+	}
+	if n := c.Pinned(); n != 0 {
+		t.Fatalf("%d blocks still pinned after the lookups returned", n)
+	}
+	uncached, err := Open(allocTable(t, 200))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := uncached.FindCached(key, ikey.MaxSeq, &got); err != ErrWouldRead {
+		t.Fatalf("FindCached on a reader without a block cache = %v, want ErrWouldRead", err)
+	}
+}
+
 // TestIterPinsOneBlock: an iterator on a cached reader holds exactly one pin
 // while positioned — through evictions, in a cache of a few blocks — and none
 // once it is exhausted or closed; what it read is what an uncached reader
