@@ -17,7 +17,7 @@ test-race:
 	$(GO) test -race ./...
 
 # The AllocsPerRun pins: the point-lookup path (block, cache, sstable, lsm,
-# core), the write path (core above the engine, lsm.Write, wal.Append,
+# core, memtable.Get of a present and an absent key), the write path (core above the engine, lsm.Write, wal.Append,
 # memtable.Add, sstable.Writer.Add), a healthy engine's Health and the
 # write-admission gate (guard, core), a 100,000-argument RESP command
 # (server), the pipelined read path (lsm.MultiGet, core.MultiGetCtx, a warm
@@ -52,7 +52,8 @@ alloc-profile:
 # printed cumulatively for the whole process — the scheduler's share of a
 # thread handoff (schedule, findRunnable, futex) sits under no product
 # function, so a -focus would hide it. The write path; the memtable under it
-# on its own (three key shapes in, one out); a Get its caller runs
+# on its own (three key shapes in; present keys out, and absent ones its
+# filter answers); a Get its caller runs
 # (direct=true) and one handed to the worker (direct=false, the only form
 # before PR 27); the engine lookup under both; the MemFS device under all of
 # them (a 2 MiB append, a block read). The engine lookup runs with the block

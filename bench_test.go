@@ -17,6 +17,7 @@ import (
 	"p2kvs"
 	"p2kvs/internal/arena"
 	"p2kvs/internal/bench"
+	"p2kvs/internal/bloom"
 	"p2kvs/internal/ikey"
 	"p2kvs/internal/kv"
 	"p2kvs/internal/loadgen"
@@ -98,6 +99,9 @@ var memtableShapes = []struct {
 // as deep, and as cold, as the engine's.
 const memtableFill = 22500
 
+// memtableBudget is that write buffer's size, which sizes a memtable's filter.
+const memtableBudget = 4 << 20
+
 func BenchmarkMemtableAdd(b *testing.B) {
 	val := loadgen.Value(1, 0, 128)
 	for _, shape := range memtableShapes {
@@ -107,7 +111,7 @@ func BenchmarkMemtableAdd(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if i%memtableFill == 0 {
-					m = memtable.New(true)
+					m = memtable.New(true, memtableBudget)
 				}
 				key = shape.put(key, uint64(i)*0x9E3779B97F4A7C15)
 				m.Add(uint64(i+1), ikey.KindSet, key, val)
@@ -116,10 +120,12 @@ func BenchmarkMemtableAdd(b *testing.B) {
 	}
 }
 
-// BenchmarkMemtableGet looks up present keys of a full memtable, the probe
-// every point lookup makes first.
+// BenchmarkMemtableGet looks up keys of a full memtable, the probe every
+// point lookup makes first, hashing each key as the lookup does: present
+// keys, which descend, and absent keys of the same shape, which the
+// memtable's filter answers unless it false-positives.
 func BenchmarkMemtableGet(b *testing.B) {
-	m := memtable.New(true)
+	m := memtable.New(true, memtableBudget)
 	val := loadgen.Value(1, 0, 128)
 	put := memtableShapes[0].put
 	key := make([]byte, 0, 16)
@@ -127,13 +133,20 @@ func BenchmarkMemtableGet(b *testing.B) {
 		key = put(key, uint64(i)*0x9E3779B97F4A7C15)
 		m.Add(uint64(i+1), ikey.KindSet, key, val)
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		key = put(key, uint64(i%memtableFill)*0x9E3779B97F4A7C15)
-		if _, found, _ := m.Get(key, ikey.MaxSeq); !found {
-			b.Fatalf("lost key %q", key)
-		}
+	for _, arm := range []struct {
+		name    string
+		first   uint64 // the ids looked up are first .. first+memtableFill-1
+		present bool
+	}{{"present", 0, true}, {"absent", memtableFill, false}} {
+		b.Run(arm.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				key = put(key, (arm.first+uint64(i%memtableFill))*0x9E3779B97F4A7C15)
+				if _, found, _ := m.Get(key, bloom.Hash(key), ikey.MaxSeq); found != arm.present {
+					b.Fatalf("key %q: found = %v", key, found)
+				}
+			}
+		})
 	}
 }
 

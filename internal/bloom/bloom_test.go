@@ -22,7 +22,7 @@ func TestNoFalseNegatives(t *testing.T) {
 	}
 	filter := f.Build(hashesOf(keys))
 	for _, k := range keys {
-		if !MayContain(filter, k) {
+		if !MayContain(filter, Hash(k)) {
 			t.Fatalf("false negative for %q", k)
 		}
 	}
@@ -38,7 +38,7 @@ func TestFalsePositiveRate(t *testing.T) {
 	fp := 0
 	const probes = 10000
 	for i := 0; i < probes; i++ {
-		if MayContain(filter, []byte(fmt.Sprintf("out-%d", i))) {
+		if MayContain(filter, Hash([]byte(fmt.Sprintf("out-%d", i)))) {
 			fp++
 		}
 	}
@@ -53,7 +53,7 @@ func TestQuickNoFalseNegatives(t *testing.T) {
 		f := New(int(bits%20) + 1)
 		filter := f.Build(hashesOf(keys))
 		for _, k := range keys {
-			if !MayContain(filter, k) {
+			if !MayContain(filter, Hash(k)) {
 				return false
 			}
 		}
@@ -68,11 +68,11 @@ func TestEmptyAndDegenerate(t *testing.T) {
 	f := New(10)
 	filter := f.Build(nil)
 	// Empty filter: probes may return either way but must not panic.
-	MayContain(filter, []byte("x"))
-	if !MayContain(nil, []byte("x")) {
+	MayContain(filter, Hash([]byte("x")))
+	if !MayContain(nil, Hash([]byte("x"))) {
 		t.Fatal("nil filter must match everything (fail open)")
 	}
-	if !MayContain([]byte{0}, []byte("x")) {
+	if !MayContain([]byte{0}, Hash([]byte("x"))) {
 		t.Fatal("tiny filter must fail open")
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"p2kvs/internal/bloom"
 	"p2kvs/internal/cache"
 	"p2kvs/internal/guard"
 	"p2kvs/internal/ikey"
@@ -279,7 +280,7 @@ func (d *DB) walOptions() wal.Options {
 // installMemtable creates a fresh memtable + WAL and makes them current.
 // Caller must not hold d.mu.
 func (d *DB) installMemtable() error {
-	h := &memHandle{mem: memtable.New(d.opts.ConcurrentMemTable)}
+	h := &memHandle{mem: memtable.New(d.opts.ConcurrentMemTable, d.opts.MemTableSize)}
 	if !d.opts.DisableWAL {
 		h.logNum = d.vs.NewFileNum()
 		f, err := d.opts.FS.Create(walName(d.dir, h.logNum))
@@ -477,7 +478,7 @@ func (d *DB) maybeRotate(h *memHandle) {
 // installs a fresh one. Caller holds d.mu.
 func (d *DB) rotateLocked() {
 	old := d.memH
-	h := &memHandle{mem: memtable.New(d.opts.ConcurrentMemTable)}
+	h := &memHandle{mem: memtable.New(d.opts.ConcurrentMemTable, d.opts.MemTableSize)}
 	if !d.opts.DisableWAL {
 		h.logNum = d.vs.NewFileNum()
 		f, err := d.opts.FS.Create(walName(d.dir, h.logNum))
@@ -612,10 +613,11 @@ func (d *DB) getAt(rs *readState, seq uint64, key []byte) ([]byte, error) {
 	return d.lookup(rs, seq, key, false)
 }
 
-// probes is one lookup's walk through the tables: whether it may read the
-// device, and the tables it probed and skipped by their bloom filters, counted
-// into Perf once the walk settles.
+// probes is one lookup's walk through the tables: the key's bloom.Hash,
+// whether it may read the device, and the tables it probed and skipped by
+// their bloom filters, counted into Perf once the walk settles.
 type probes struct {
+	hash           uint32
 	cachedOnly     bool
 	tables, blooms int64
 }
@@ -623,11 +625,13 @@ type probes struct {
 // lookup is getAt, or with cachedOnly its memory-only form: it then reads
 // nothing, and a table that is not open or a data block that is not cached
 // ends it with sstable.ErrWouldRead. Such a lookup counts no probes: the one
-// that reads counts them.
+// that reads counts them. The key is hashed once, here: every memtable's
+// filter and every table's bloom filter is asked with that hash.
 func (d *DB) lookup(rs *readState, seq uint64, key []byte, cachedOnly bool) ([]byte, error) {
-	v, found, deleted := rs.mem.Get(key, seq)
+	h := bloom.Hash(key)
+	v, found, deleted := rs.mem.Get(key, h, seq)
 	for i := 0; !found && i < len(rs.imms); i++ {
-		v, found, deleted = rs.imms[i].Get(key, seq)
+		v, found, deleted = rs.imms[i].Get(key, h, seq)
 	}
 	if found {
 		if deleted {
@@ -637,7 +641,7 @@ func (d *DB) lookup(rs *readState, seq uint64, key []byte, cachedOnly bool) ([]b
 	}
 	var (
 		hit sstable.Hit
-		p   = probes{cachedOnly: cachedOnly}
+		p   = probes{hash: h, cachedOnly: cachedOnly}
 	)
 	err := d.getFromTables(rs.ver, seq, key, &hit, &p)
 	if err == sstable.ErrWouldRead {
@@ -683,7 +687,7 @@ func (d *DB) probeTable(fm *manifest.FileMeta, key []byte, seq uint64, best *sst
 		d.noteCorruption(err)
 		return err
 	}
-	if !r.MayContain(key) {
+	if !r.MayContainHash(p.hash) {
 		p.blooms++
 		return nil
 	}

@@ -13,6 +13,16 @@
 // first), user keys that share their first 16 bytes. The bytes never change
 // once linked, which is what lets readers compare against and return slices
 // of them without a lock.
+//
+// Every memtable also keeps a whole-key filter, so a point lookup skips the
+// descent for a key the memtable cannot hold (RocksDB's
+// memtable_whole_key_filtering): one 64-bit word per key, 5 bits set in it,
+// one filter bit per 16 bytes of the memtable's budget. The word and the bits
+// come from murmur3's fmix64 of the key's bloom.Hash, never from that hash's
+// low bits, which the hash partitioner fixes per worker. The caller hashes a
+// key once per lookup and hands Get that hash. Add sets the bits before the
+// node is linked, Get tests them before it descends, and nothing clears
+// them, so a key whose Add has returned is never filtered out.
 package memtable
 
 import (
@@ -21,20 +31,28 @@ import (
 	"sync/atomic"
 
 	"p2kvs/internal/arena"
+	"p2kvs/internal/bloom"
 	"p2kvs/internal/ikey"
 	"p2kvs/internal/skiplist"
 )
 
 // MemTable buffers writes until it reaches its budget and is flushed.
 type MemTable struct {
-	list  *skiplist.List
-	arena *arena.Arena
-	size  atomic.Int64 // approximate payload bytes
+	list   *skiplist.List
+	arena  *arena.Arena
+	filter filter
+	size   atomic.Int64 // approximate payload bytes
 }
 
-// New creates a memtable. concurrent selects the CAS skiplist.
-func New(concurrent bool) *MemTable {
-	m := &MemTable{arena: arena.New()}
+// budgetPerFilterBit is how many bytes of a memtable's budget buy one bit of
+// its filter: a 4 MiB memtable gets 4,096 words, about 11.7 bits for each of
+// the ~22.5 k entries of 16-byte keys and 128-byte values that fill it.
+const budgetPerFilterBit = 16
+
+// New creates a memtable whose filter is sized for budget bytes of entries
+// (the engine's rotation threshold). concurrent selects the CAS skiplist.
+func New(concurrent bool, budget int64) *MemTable {
+	m := &MemTable{arena: arena.New(), filter: make(filter, max(budget/(64*budgetPerFilterBit), 1))}
 	if concurrent {
 		m.list = skiplist.NewConcurrent(m.arena)
 	} else {
@@ -68,13 +86,17 @@ func (m *MemTable) Add(seq uint64, kind ikey.Kind, ukey, value []byte) {
 	buf = ikey.Encode(buf, ukey, seq, kind)
 	buf = binary.AppendUvarint(buf, uint64(len(value)))
 	_ = append(buf, value...)
+	m.filter.add(bloom.Hash(ukey))
 	m.list.Insert(ref)
 	m.size.Add(int64(size) + 32) // payload + node overhead estimate
 }
 
-// Get returns the newest version of ukey visible at snapshot seq. The
-// returned value is a slice of the memtable's own entry.
-func (m *MemTable) Get(ukey []byte, seq uint64) (value []byte, found, deleted bool) {
+// Get returns the newest version of ukey visible at snapshot seq; hash is
+// bloom.Hash(ukey). The returned value is a slice of the memtable's own entry.
+func (m *MemTable) Get(ukey []byte, hash uint32, seq uint64) (value []byte, found, deleted bool) {
+	if !m.filter.mayContain(hash) {
+		return nil, false, false
+	}
 	ref, ok := m.list.FindGreaterOrEqual(ukey, ikey.Trailer(seq, ikey.KindSet))
 	if !ok {
 		return nil, false, false
@@ -93,16 +115,56 @@ func (m *MemTable) Get(ukey []byte, seq uint64) (value []byte, found, deleted bo
 func (m *MemTable) ApproximateSize() int64 { return m.size.Load() }
 
 // ReservedBytes reports the memory the memtable holds on to: the entry
-// arena plus the skiplist's node slab (Table 2 accounting). Entries live
-// only in the arena and a node pays for its own height, so this tracks
-// ApproximateSize instead of exceeding it by half.
-func (m *MemTable) ReservedBytes() int64 { return m.arena.Size() + m.list.ReservedBytes() }
+// arena, the skiplist's node slab and the filter (Table 2 accounting).
+// Entries live only in the arena and a node pays for its own height, so this
+// tracks ApproximateSize instead of exceeding it by half.
+func (m *MemTable) ReservedBytes() int64 {
+	return m.arena.Size() + m.list.ReservedBytes() + 8*int64(len(m.filter))
+}
 
 // Len reports the number of buffered versions.
 func (m *MemTable) Len() int { return m.list.Len() }
 
 // Empty reports whether no entries are buffered.
 func (m *MemTable) Empty() bool { return m.list.Len() == 0 }
+
+// filter is the whole-key filter: a bloom filter blocked to one word, whose
+// words are only ever ORed into.
+type filter []atomic.Uint64
+
+// slot returns the word a key's hash selects and the 5 bits it owns there:
+// the word from the mix's high half, the bits from five 6-bit fields of its
+// low half.
+func (f filter) slot(hash uint32) (*atomic.Uint64, uint64) {
+	x := fmix64(uint64(hash))
+	w := &f[(x>>32)*uint64(len(f))>>32]
+	return w, 1<<(x&63) | 1<<(x>>6&63) | 1<<(x>>12&63) | 1<<(x>>18&63) | 1<<(x>>24&63)
+}
+
+// add sets a key's bits. go.mod's Go has no atomic OR, so it is a CAS loop
+// that stops as soon as the bits are set.
+func (f filter) add(hash uint32) {
+	w, bits := f.slot(hash)
+	for old := w.Load(); old&bits != bits && !w.CompareAndSwap(old, old|bits); old = w.Load() {
+	}
+}
+
+// mayContain reports false only for a key that add never saw.
+func (f filter) mayContain(hash uint32) bool {
+	w, bits := f.slot(hash)
+	return w.Load()&bits == bits
+}
+
+// fmix64 is murmur3's 64-bit finalizer: every input bit flips each output
+// bit with probability one half.
+func fmix64(x uint64) uint64 {
+	x ^= x >> 33
+	x *= 0xff51afd7ed558ccd
+	x ^= x >> 33
+	x *= 0xc4ceb9fe1a85ec53
+	x ^= x >> 33
+	return x
+}
 
 // Iter walks the memtable's internal keys in ascending ikey order.
 type Iter struct {

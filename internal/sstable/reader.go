@@ -278,9 +278,11 @@ func (r *Reader) Name() string { return r.name }
 func (r *Reader) Close() error { return r.f.Close() }
 
 // MayContain consults the bloom filter for a user key.
-func (r *Reader) MayContain(ukey []byte) bool {
-	return bloom.MayContain(r.filter, ukey)
-}
+func (r *Reader) MayContain(ukey []byte) bool { return r.MayContainHash(bloom.Hash(ukey)) }
+
+// MayContainHash consults the bloom filter for the user key whose bloom.Hash
+// is h: a lookup that has hashed its key once asks every table with it.
+func (r *Reader) MayContainHash(h uint32) bool { return bloom.MayContain(r.filter, h) }
 
 // parseHandle decodes an index entry's (offset, stored length) pair and
 // checks that the block lies inside the file. The optional third field is
