@@ -352,15 +352,15 @@ func (d *DB) Get(key []byte) ([]byte, error) {
 		return nil, cerr
 	}
 	if d.base != nil && d.base.MayContain(key) {
-		v, _, found, deleted, err := d.base.Get(key, ikey.MaxSeq)
-		if err != nil {
+		var h sstable.Hit
+		if err := d.base.Find(key, ikey.MaxSeq, &h); err != nil {
 			if errors.Is(err, kv.ErrCorruption) {
 				d.noteCorruption(err, true)
 			}
 			return nil, err
 		}
-		if found && !deleted {
-			return v, nil // already the caller's own copy
+		if h.Found && !h.Deleted {
+			return h.Val, nil // already the caller's own copy
 		}
 	}
 	return nil, kv.ErrNotFound

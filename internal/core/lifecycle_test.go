@@ -149,6 +149,11 @@ func shardKey(shard, i int) []byte {
 	return []byte(fmt.Sprintf("%d-key-%04d", shard, i))
 }
 
+// putCtx is a one-key write bounded by ctx, by the path Put takes.
+func putCtx(s *Store, ctx context.Context, key, value []byte) error {
+	return s.writeOne(ctx, kv.BatchOp{Kind: kv.OpPut, Key: key, Value: value}, nil)
+}
+
 // TestAdmitRejectHotShard is the overload acceptance test: with
 // AdmitReject and a flood aimed at one wedged hot shard, requests to the
 // other shards keep completing with bounded queue wait, and hot-shard
@@ -243,7 +248,7 @@ func TestExpiredRequestsNeverReachEngine(t *testing.T) {
 	// Already-expired context: fails at admission, never enters the queue.
 	expiredCtx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if err := s.PutCtx(expiredCtx, shardKey(0, 1), []byte("x")); !errors.Is(err, kv.ErrDeadlineExceeded) {
+	if err := putCtx(s, expiredCtx, shardKey(0, 1), []byte("x")); !errors.Is(err, kv.ErrDeadlineExceeded) {
 		t.Fatalf("expired-ctx put err = %v, want ErrDeadlineExceeded", err)
 	}
 	if !errors.Is(ctxError(context.Canceled), context.Canceled) {
@@ -320,7 +325,7 @@ func TestAdmitBlockBoundedByDeadline(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	err := s.PutCtx(ctx, shardKey(0, 3), []byte("v"))
+	err := putCtx(s, ctx, shardKey(0, 3), []byte("v"))
 	if !errors.Is(err, kv.ErrDeadlineExceeded) {
 		t.Fatalf("deadline put err = %v, want ErrDeadlineExceeded", err)
 	}
@@ -391,10 +396,10 @@ func TestCtxAPIHappyPath(t *testing.T) {
 	defer s.Close()
 	ctx := context.Background()
 
-	if err := s.PutCtx(ctx, []byte("0-a"), []byte("1")); err != nil {
+	if err := putCtx(s, ctx, []byte("0-a"), []byte("1")); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.PutCtx(ctx, []byte("1-b"), []byte("2")); err != nil {
+	if err := putCtx(s, ctx, []byte("1-b"), []byte("2")); err != nil {
 		t.Fatal(err)
 	}
 	if v, err := s.GetCtx(ctx, []byte("0-a")); err != nil || string(v) != "1" {
@@ -427,8 +432,8 @@ func TestCtxAPIExpired(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 
-	if err := s.PutCtx(ctx, []byte("0-a"), []byte("1")); !errors.Is(err, kv.ErrDeadlineExceeded) {
-		t.Fatalf("PutCtx = %v", err)
+	if err := putCtx(s, ctx, []byte("0-a"), []byte("1")); !errors.Is(err, kv.ErrDeadlineExceeded) {
+		t.Fatalf("putCtx = %v", err)
 	}
 	if _, err := s.GetCtx(ctx, []byte("0-a")); !errors.Is(err, kv.ErrDeadlineExceeded) {
 		t.Fatalf("GetCtx = %v", err)

@@ -15,7 +15,7 @@ import (
 // Data-plane operations: every one builds requests of the one shape
 // (queue.go), routes and admits them under the routing read lock
 // (routing.go), and completes through a done channel, a callback or — for
-// multi-leg operations — one fanIn. The single-key ones (GetCtx, PutCtx,
+// multi-leg operations — one fanIn. The single-key ones (GetCtx, Put,
 // Delete and the callback forms) and MultiGetCtx's read legs draw their
 // requests from the requests pool; they go back by the ownership rule
 // stated there.
@@ -56,14 +56,7 @@ func (s *Store) writeTo(ctx context.Context, w *worker, r *request) error {
 // Put implements kv.Engine (①②③ in Figure 9b: submit, enqueue, sleep
 // until the worker completes the request).
 func (s *Store) Put(key, value []byte) error {
-	return s.PutCtx(nil, key, value)
-}
-
-// PutCtx is Put bounded by a context: the deadline covers queue admission,
-// queue wait and execution, and an expired request never reaches the
-// engine.
-func (s *Store) PutCtx(ctx context.Context, key, value []byte) error {
-	return s.writeOne(ctx, kv.BatchOp{Kind: kv.OpPut, Key: key, Value: value}, nil)
+	return s.writeOne(nil, kv.BatchOp{Kind: kv.OpPut, Key: key, Value: value}, nil)
 }
 
 // Delete implements kv.Engine.
@@ -314,9 +307,9 @@ func (s *Store) Write(b *kv.Batch) error {
 // fails before the transaction begins; a deadline that fires mid-flight
 // leaves the transaction uncommitted, and recovery rolls it back exactly
 // like any other failed leg. A batch confined to one partition reaches its
-// worker as is, ops slice and bytes uncopied: like PutCtx's key and value,
-// they must stay unmodified until WriteCtx returns, and a write abandoned
-// at its deadline may still be applied from them afterwards.
+// worker as is, ops slice and bytes uncopied: they must stay unmodified
+// until WriteCtx returns, and a write abandoned at its deadline may still be
+// applied from them afterwards.
 func (s *Store) WriteCtx(ctx context.Context, b *kv.Batch) error {
 	if b.Len() == 0 {
 		return nil

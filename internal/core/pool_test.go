@@ -352,8 +352,8 @@ func TestCallbackRequestRecycledOnce(t *testing.T) {
 		waiters.Add(2)
 		go func() {
 			defer waiters.Done()
-			if err := s.PutCtx(ctx, shardKey(0, 10), val); !errors.Is(err, kv.ErrDeadlineExceeded) {
-				t.Errorf("PutCtx abandoned in the queue = %v, want ErrDeadlineExceeded", err)
+			if err := putCtx(s, ctx, shardKey(0, 10), val); !errors.Is(err, kv.ErrDeadlineExceeded) {
+				t.Errorf("putCtx abandoned in the queue = %v, want ErrDeadlineExceeded", err)
 			}
 		}()
 		go func() {

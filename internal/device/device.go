@@ -270,10 +270,3 @@ func (d *Device) Stats() Stats {
 	defer d.mu.Unlock()
 	return d.stats
 }
-
-// ResetStats zeroes the counters (used between experiment phases).
-func (d *Device) ResetStats() {
-	d.mu.Lock()
-	d.stats = Stats{}
-	d.mu.Unlock()
-}

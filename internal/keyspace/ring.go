@@ -110,12 +110,3 @@ func (m *MovedSet) Find(h uint64) (MovedRange, bool) {
 func (m *MovedSet) FindKey(key []byte) (MovedRange, bool) {
 	return m.Find(KeyPoint(key))
 }
-
-// Moved reports whether key changes owner in this transition.
-func (m *MovedSet) Moved(key []byte) bool {
-	_, ok := m.FindKey(key)
-	return ok
-}
-
-// Len reports the number of moved arcs.
-func (m *MovedSet) Len() int { return len(m.ranges) + len(m.wrap) }

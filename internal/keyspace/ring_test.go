@@ -65,7 +65,7 @@ func TestMovedRangesDoubleWriteSetIsTight(t *testing.T) {
 			}
 		}
 		for _, k := range keys {
-			if set.Moved(k) && oldRing.Pick(k) == newRing.Pick(k) {
+			if _, moved := set.FindKey(k); moved && oldRing.Pick(k) == newRing.Pick(k) {
 				t.Fatalf("n=%d: non-moved key %q is in the double-write set", n, k)
 			}
 		}
@@ -81,7 +81,7 @@ func TestMovedSetFractionBound(t *testing.T) {
 	frac := func(set *MovedSet) float64 {
 		m := 0
 		for _, k := range keys {
-			if set.Moved(k) {
+			if _, moved := set.FindKey(k); moved {
 				m++
 			}
 		}

@@ -277,17 +277,28 @@ func (d *DB) walOptions() wal.Options {
 		PerRecordCost: d.opts.WALPerRecordCost, PerByteCost: d.opts.WALPerByteCost}
 }
 
-// installMemtable creates a fresh memtable + WAL and makes them current.
-// Caller must not hold d.mu.
-func (d *DB) installMemtable() error {
+// newMemHandle builds a fresh memtable, its whole-key filter sized from the
+// memtable budget, and — unless the WAL is off — the log its writes go to,
+// under a new file number.
+func (d *DB) newMemHandle() (*memHandle, error) {
 	h := &memHandle{mem: memtable.New(d.opts.ConcurrentMemTable, d.opts.MemTableSize)}
 	if !d.opts.DisableWAL {
 		h.logNum = d.vs.NewFileNum()
 		f, err := d.opts.FS.Create(walName(d.dir, h.logNum))
 		if err != nil {
-			return err
+			return nil, err
 		}
 		h.walw = wal.NewWriter(f, d.walOptions())
+	}
+	return h, nil
+}
+
+// installMemtable creates a fresh memtable + WAL and makes them current.
+// Caller must not hold d.mu.
+func (d *DB) installMemtable() error {
+	h, err := d.newMemHandle()
+	if err != nil {
+		return err
 	}
 	d.mu.Lock()
 	d.memH = h
@@ -478,17 +489,12 @@ func (d *DB) maybeRotate(h *memHandle) {
 // installs a fresh one. Caller holds d.mu.
 func (d *DB) rotateLocked() {
 	old := d.memH
-	h := &memHandle{mem: memtable.New(d.opts.ConcurrentMemTable, d.opts.MemTableSize)}
-	if !d.opts.DisableWAL {
-		h.logNum = d.vs.NewFileNum()
-		f, err := d.opts.FS.Create(walName(d.dir, h.logNum))
-		if err != nil {
-			// Without a fresh log no new write can be made durable; block
-			// writes until Resume retries the rotation.
-			d.degradeLocked("wal rotation", err)
-			return
-		}
-		h.walw = wal.NewWriter(f, d.walOptions())
+	h, err := d.newMemHandle()
+	if err != nil {
+		// Without a fresh log no new write can be made durable; block
+		// writes until Resume retries the rotation.
+		d.degradeLocked("wal rotation", err)
+		return
 	}
 	// Fold the retiring WAL's timing stats into the base counters so
 	// Perf() stays cumulative across rotations.

@@ -74,9 +74,9 @@ func TestForensicRecovery(t *testing.T) {
 				t.Logf("  %s: open err %v", n, oerr)
 				continue
 			}
-			val, seq, found, deleted, _ := r.Get([]byte(key), ikey.MaxSeq)
-			if found {
-				t.Logf("  %s: %s = %q seq=%d deleted=%v (entries=%d)", n, key, val, seq, deleted, r.Entries())
+			var h sstable.Hit
+			if r.Find([]byte(key), ikey.MaxSeq, &h); h.Found {
+				t.Logf("  %s: %s = %q seq=%d deleted=%v (entries=%d)", n, key, h.Val, h.Seq, h.Deleted, r.Entries())
 			}
 			r.Close()
 		}

@@ -199,15 +199,6 @@ func (v *Version) clone() *Version {
 	return nv
 }
 
-// NumFiles counts all live tables.
-func (v *Version) NumFiles() int {
-	n := 0
-	for _, l := range v.Levels {
-		n += len(l)
-	}
-	return n
-}
-
 // LevelSize sums file sizes on a level.
 func (v *Version) LevelSize(level int) int64 {
 	var s int64

@@ -34,11 +34,11 @@ type conn struct {
 }
 
 // window is a connection's arena for one pipeline window: its commands,
-// their argument headers and bytes, the keys of a coalesced GET run and the
-// batch of a coalesced SET run. Everything in it lives until the next
-// window, which truncates and reuses it — after a window with orphans, or
-// one that grew it past maxWindowBytes or maxWindowArgs, the next starts on
-// a fresh arena and leaves the old one to the garbage collector.
+// their argument headers and bytes, the keys of a read run and the batch of
+// a write run. Everything in it lives until the next window, which
+// truncates and reuses it — after a window with orphans, or one that grew
+// it past maxWindowBytes or maxWindowArgs, the next starts on a fresh arena
+// and leaves the old one to the garbage collector.
 type window struct {
 	cmdArena
 	cmds  [][][]byte
@@ -66,9 +66,9 @@ func (c *conn) beginDrain() {
 }
 
 // serve is the connection loop: read one pipeline window (first command
-// blocking, then everything already buffered), process it with run
-// coalescing, flush all replies, repeat. During a drain the loop exits
-// between windows — never between a command and its reply.
+// blocking, then everything already buffered), process it run by run, flush
+// all replies, repeat. During a drain the loop exits between windows —
+// never between a command and its reply.
 func (c *conn) serve() {
 	defer c.nc.Close()
 	for {
@@ -99,8 +99,8 @@ func (c *conn) serve() {
 }
 
 // maxPipeline caps how many pipelined commands are drained per read window
-// before replies are flushed. It also bounds the size of a coalesced SET/GET
-// run.
+// before replies are flushed. It also bounds the commands of a read or
+// write run.
 const maxPipeline = 128
 
 // readWindow reads the client's current pipeline into c.win: one blocking
@@ -184,46 +184,62 @@ func foldEqual(b []byte, word string) bool {
 	return true
 }
 
-// runEnd extends a coalescible run: the longest stretch of commands from
-// i that share the verb name and exact arity.
-func runEnd(cmds [][][]byte, i int, name string, arity int) int {
-	j := i
-	for j < len(cmds) && len(cmds[j]) == arity && foldEqual(cmds[j][0], name) {
-		j++
-	}
-	return j
-}
-
-// processWindow executes one pipeline window in order. Contiguous runs of
-// plain SETs collapse into a single WriteCtx batch and runs of GETs into
-// one MultiGetCtx — the network-layer extension of the paper's OBM:
-// instead of hoping requests pile up in the worker queues, a pipelining
-// client hands us the batch boundary explicitly. Replies keep the
-// one-reply-per-command contract, in order.
-func (c *conn) processWindow(cmds [][][]byte) {
-	i := 0
-	for i < len(cmds) && !c.closing {
-		switch cmdName(cmds[i]) {
-		case "SET":
-			if j := runEnd(cmds, i, "SET", 3); j-i >= 2 {
-				c.execSetRun(cmds[i:j])
-				i = j
-				continue
-			}
-		case "GET":
-			if j := runEnd(cmds, i, "GET", 2); j-i >= 2 {
-				c.execGetRun(cmds[i:j])
-				i = j
-				continue
-			}
+// kind sorts a command for processWindow: 'r' for a point read (GET k,
+// MGET k…), 'w' for a point write (SET k v, MSET k v…, DEL k…), 0 for
+// anything else — any of those five verbs at a wrong arity included, left to
+// execOne to refuse.
+func kind(cmd [][]byte) byte {
+	switch n := len(cmd); cmdName(cmd) {
+	case "GET":
+		if n == 2 {
+			return 'r'
 		}
-		c.execOne(cmds[i])
-		i++
+	case "MGET":
+		if n >= 2 {
+			return 'r'
+		}
+	case "SET":
+		if n == 3 {
+			return 'w'
+		}
+	case "MSET":
+		if n >= 3 && n%2 == 1 {
+			return 'w'
+		}
+	case "DEL":
+		if n >= 2 {
+			return 'w'
+		}
+	}
+	return 0
+}
+
+// processWindow executes one pipeline window in order. A maximal stretch of
+// point reads becomes one store read and a stretch of point writes one
+// WriteCtx batch — the paper's OBM merge by request type (Algorithm 1),
+// moved to the network layer: instead of hoping requests pile up in the
+// worker queues, a pipelining client hands us the batch boundary
+// explicitly. Replies keep the one-reply-per-command contract, in order.
+func (c *conn) processWindow(cmds [][][]byte) {
+	for i := 0; i < len(cmds) && !c.closing; {
+		k, j := kind(cmds[i]), i+1
+		for k != 0 && j < len(cmds) && kind(cmds[j]) == k {
+			j++
+		}
+		switch k {
+		case 'r':
+			c.execReads(cmds[i:j])
+		case 'w':
+			c.execWrites(cmds[i:j])
+		default:
+			c.execOne(cmds[i])
+		}
+		i = j
 	}
 }
 
-// cmdCtx builds the per-command (or per-coalesced-run) context from the
-// server's CommandTimeout.
+// cmdCtx builds the context of one store call — a command's, or a run's —
+// from the server's CommandTimeout.
 func (c *conn) cmdCtx() (context.Context, context.CancelFunc) {
 	if t := c.srv.cfg.CommandTimeout; t > 0 {
 		return context.WithTimeout(context.Background(), t)
@@ -269,11 +285,60 @@ func (c *conn) writeStoreErr(err error) {
 	}
 }
 
-// execSetRun commits a coalesced run of pipelined SETs as one WriteCtx
-// batch: one worker request (and one engine WriteBatch) per shard touched
-// instead of one per command. All commands in the run share one fate —
-// the batch either commits or every SET reports the same error.
-func (c *conn) execSetRun(run [][][]byte) {
+// execReads answers a run of GETs and MGETs with one store read: a lone key
+// takes GetCtx, which may read the engine directly; more take MultiGetCtx,
+// whose per-shard legs OBM merges into engine multigets. Each command's
+// replies are sliced out of the one result, and a failed read fails them
+// all.
+func (c *conn) execReads(run [][][]byte) {
+	start := time.Now()
+	keys := c.win.keys[:0]
+	for _, cmd := range run {
+		keys = append(keys, cmd[1:]...)
+	}
+	c.win.keys = keys
+	ctx, cancel := c.cmdCtx()
+	var (
+		one  [1][]byte
+		vals = one[:]
+		err  error
+	)
+	if len(keys) == 1 {
+		one[0], err = c.srv.store().GetCtx(ctx, keys[0])
+		if errors.Is(err, kv.ErrNotFound) {
+			err = nil
+		}
+	} else if vals, err = c.srv.store().MultiGetCtx(ctx, keys); err == nil {
+		c.srv.stats.coalescedGets.Add(int64(len(keys)))
+	}
+	cancel()
+	elapsed := time.Since(start)
+	for _, cmd := range run {
+		switch n := len(cmd) - 1; {
+		case err != nil:
+			c.writeStoreErr(err)
+		case foldEqual(cmd[0], "GET"):
+			c.wr.WriteBulk(vals[0])
+			vals = vals[1:]
+		default:
+			c.wr.WriteArrayHeader(n)
+			for _, v := range vals[:n] {
+				c.wr.WriteBulk(v)
+			}
+			vals = vals[n:]
+		}
+		c.srv.stats.latFor(cmdName(cmd)).Record(elapsed)
+	}
+}
+
+// execWrites commits a run of SETs, MSETs and DELs as one WriteCtx batch,
+// built in the window arena: one worker request (and one engine WriteBatch)
+// per shard touched instead of one per command. The run shares one fate —
+// the batch either commits or every command reports the same error. A DEL
+// replies with the number of keys it submitted (p2KVS deletes are blind —
+// existence is not checked, a documented deviation from Redis'
+// deleted-count).
+func (c *conn) execWrites(run [][][]byte) {
 	if c.rejectIfReplica(len(run)) {
 		return
 	}
@@ -281,50 +346,38 @@ func (c *conn) execSetRun(run [][][]byte) {
 	b := &c.win.batch
 	b.Reset()
 	for _, cmd := range run {
-		b.Put(cmd[1], cmd[2])
+		if foldEqual(cmd[0], "DEL") {
+			for _, k := range cmd[1:] {
+				b.Delete(k)
+			}
+			continue
+		}
+		for i := 1; i < len(cmd); i += 2 {
+			b.Put(cmd[i], cmd[i+1])
+		}
 	}
 	ctx, cancel := c.cmdCtx()
 	err := c.srv.store().WriteCtx(ctx, b)
 	cancel()
-	c.srv.stats.latFor("SET").Record(time.Since(start))
-	if err == nil {
-		c.srv.stats.coalescedSets.Add(int64(len(run)))
+	elapsed := time.Since(start)
+	if err == nil && b.Len() > 1 {
+		c.srv.stats.coalescedSets.Add(int64(b.Len()))
 	}
-	for range run {
-		if err != nil {
+	for _, cmd := range run {
+		switch {
+		case err != nil:
 			c.writeStoreErr(err)
-		} else {
+		case foldEqual(cmd[0], "DEL"):
+			c.wr.WriteInt(int64(len(cmd) - 1))
+		default:
 			c.wr.WriteSimple("OK")
 		}
+		c.srv.stats.latFor(cmdName(cmd)).Record(elapsed)
 	}
 }
 
-// execGetRun resolves a coalesced run of pipelined GETs through
-// MultiGetCtx, whose per-shard legs OBM merges into engine multigets.
-func (c *conn) execGetRun(run [][][]byte) {
-	start := time.Now()
-	keys := c.win.keys[:0]
-	for _, cmd := range run {
-		keys = append(keys, cmd[1])
-	}
-	c.win.keys = keys
-	ctx, cancel := c.cmdCtx()
-	vals, err := c.srv.store().MultiGetCtx(ctx, keys)
-	cancel()
-	c.srv.stats.latFor("GET").Record(time.Since(start))
-	if err != nil {
-		for range run {
-			c.writeStoreErr(err)
-		}
-		return
-	}
-	c.srv.stats.coalescedGets.Add(int64(len(run)))
-	for _, v := range vals {
-		c.wr.WriteBulk(v)
-	}
-}
-
-// execOne dispatches a single (non-coalesced) command.
+// execOne dispatches a command that is neither a point read nor a point
+// write.
 func (c *conn) execOne(cmd [][]byte) {
 	name := cmdName(cmd)
 	start := time.Now()
@@ -335,16 +388,11 @@ func (c *conn) execOne(cmd [][]byte) {
 		} else {
 			c.wr.WriteSimple("PONG")
 		}
-	case "SET":
-		c.execSet(cmd)
-	case "GET":
-		c.execGet(cmd)
-	case "DEL":
-		c.execDel(cmd)
-	case "MGET":
-		c.execMGet(cmd)
-	case "MSET":
-		c.execMSet(cmd)
+	case "GET", "SET", "DEL", "MGET", "MSET":
+		// processWindow runs every well-formed one; this is the rest.
+		// Redis SET options (EX/NX/...) are not supported: they are
+		// refused loudly rather than silently ignored.
+		c.argErr(strings.ToLower(name))
 	case "SCAN":
 		c.execScan(cmd)
 	case "INFO":
@@ -466,7 +514,7 @@ func (c *conn) execScrub() {
 // which this guard never sees. Checked ahead of admission control so a
 // misdirected writer gets the authoritative "-READONLY replica" rather
 // than a retryable -LOADSHED. Returns true (after writing n identical
-// error replies, one per command in a coalesced run) if rejected.
+// error replies, one per command of the write run) if rejected.
 func (c *conn) rejectIfReplica(n int) bool {
 	if !c.srv.repl.isReplica() {
 		return false
@@ -479,111 +527,6 @@ func (c *conn) rejectIfReplica(n int) bool {
 
 func (c *conn) argErr(name string) {
 	c.wr.WriteError("ERR wrong number of arguments for '" + name + "' command")
-}
-
-func (c *conn) execSet(cmd [][]byte) {
-	if len(cmd) != 3 {
-		// Redis SET options (EX/NX/...) are not supported; reject
-		// loudly rather than silently ignoring durability options.
-		c.argErr("set")
-		return
-	}
-	if c.rejectIfReplica(1) {
-		return
-	}
-	ctx, cancel := c.cmdCtx()
-	err := c.srv.store().PutCtx(ctx, cmd[1], cmd[2])
-	cancel()
-	if err != nil {
-		c.writeStoreErr(err)
-		return
-	}
-	c.wr.WriteSimple("OK")
-}
-
-func (c *conn) execGet(cmd [][]byte) {
-	if len(cmd) != 2 {
-		c.argErr("get")
-		return
-	}
-	ctx, cancel := c.cmdCtx()
-	v, err := c.srv.store().GetCtx(ctx, cmd[1])
-	cancel()
-	switch {
-	case err == nil:
-		c.wr.WriteBulk(v)
-	case errors.Is(err, kv.ErrNotFound):
-		c.wr.WriteBulk(nil)
-	default:
-		c.writeStoreErr(err)
-	}
-}
-
-// execDel deletes the given keys as one batch. Reply is the number of
-// keys submitted (p2KVS deletes are blind — existence is not checked, a
-// documented deviation from Redis' deleted-count).
-func (c *conn) execDel(cmd [][]byte) {
-	if len(cmd) < 2 {
-		c.argErr("del")
-		return
-	}
-	if c.rejectIfReplica(1) {
-		return
-	}
-	var b kv.Batch
-	for _, k := range cmd[1:] {
-		b.Delete(k)
-	}
-	ctx, cancel := c.cmdCtx()
-	err := c.srv.store().WriteCtx(ctx, &b)
-	cancel()
-	if err != nil {
-		c.writeStoreErr(err)
-		return
-	}
-	c.wr.WriteInt(int64(len(cmd) - 1))
-}
-
-func (c *conn) execMGet(cmd [][]byte) {
-	if len(cmd) < 2 {
-		c.argErr("mget")
-		return
-	}
-	ctx, cancel := c.cmdCtx()
-	vals, err := c.srv.store().MultiGetCtx(ctx, cmd[1:])
-	cancel()
-	if err != nil {
-		c.writeStoreErr(err)
-		return
-	}
-	c.srv.stats.coalescedGets.Add(int64(len(vals)))
-	c.wr.WriteArrayHeader(len(vals))
-	for _, v := range vals {
-		c.wr.WriteBulk(v)
-	}
-}
-
-func (c *conn) execMSet(cmd [][]byte) {
-	if len(cmd) < 3 || len(cmd)%2 != 1 {
-		c.argErr("mset")
-		return
-	}
-	if c.rejectIfReplica(1) {
-		return
-	}
-	var b kv.Batch
-	for i := 1; i+1 < len(cmd); i += 2 {
-		b.Put(cmd[i], cmd[i+1])
-	}
-	ctx, cancel := c.cmdCtx()
-	err := c.srv.store().WriteCtx(ctx, &b)
-	cancel()
-	if err != nil {
-		c.writeStoreErr(err)
-		return
-	}
-	c.srv.stats.coalescedSets.Add(int64(b.Len()))
-	c.wr.WriteSimple("OK")
 }
 
 // execScan implements a keyspace walk in the shape of Redis SCAN:

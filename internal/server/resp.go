@@ -1,10 +1,10 @@
 // Package server is the network serving layer: a RESP2-compatible
 // (Redis wire protocol) TCP server over the p2KVS accessing layer, so
 // stock Redis clients and redis-cli can drive the store. Pipelined
-// client commands are coalesced into the store's batch entry points
-// (WriteCtx / MultiGetCtx), extending the paper's opportunistic batching
-// idea one layer up: a contiguous run of pipelined SETs reaches the
-// engine as a single WriteBatch, and a run of GETs as one multiget.
+// client commands are merged by request type, as OBM merges a worker's
+// queue, one layer up: a contiguous run of SETs, MSETs and DELs reaches
+// the store as one WriteCtx batch, and a run of GETs and MGETs as one
+// read (MultiGetCtx, or GetCtx for a lone key).
 //
 // This file implements the wire protocol itself: a command reader
 // (multibulk "*N\r\n$len\r\n..." arrays and inline "SET k v\r\n"

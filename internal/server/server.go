@@ -22,7 +22,7 @@ type Config struct {
 	// owns its lifecycle from Shutdown on: a graceful drain ends with
 	// Store.Close.
 	Store *core.Store
-	// CommandTimeout bounds each command (or coalesced pipeline batch)
+	// CommandTimeout bounds each store call (a command's, or a run's)
 	// with a context deadline; expiry surfaces to the client as a
 	// -TIMEOUT reply. Zero means no per-command deadline.
 	CommandTimeout time.Duration
@@ -97,8 +97,8 @@ type serverStats struct {
 	active        atomic.Int64 // connections currently open
 	commands      atomic.Int64 // commands processed
 	pipelines     atomic.Int64 // read windows processed
-	coalescedSets atomic.Int64 // SET ops committed via a coalesced WriteCtx batch
-	coalescedGets atomic.Int64 // GET ops resolved via a coalesced MultiGetCtx
+	coalescedSets atomic.Int64 // write ops committed by a multi-op WriteCtx batch
+	coalescedGets atomic.Int64 // keys resolved by a multi-key MultiGetCtx
 	loadshed      atomic.Int64 // -LOADSHED replies (admission control)
 	timeouts      atomic.Int64 // -TIMEOUT replies (deadline expiry)
 	unknown       atomic.Int64 // unknown commands

@@ -405,6 +405,71 @@ func TestPipelinedGetCoalescing(t *testing.T) {
 	}
 }
 
+// TestMixedWindowMergesByType sends one window of three runs: writes (SET,
+// MSET, DEL), reads (GET, MGET, GET), then a write (DEL). Each run reaches
+// the store in one call — the writes as one engine WriteBatch each, the
+// reads as one multi-key read of all four keys — and every command gets its
+// own reply, in order.
+func TestMixedWindowMergesByType(t *testing.T) {
+	ts := startTestServer(t, 1, nil, nil, Config{})
+	c := dialTest(t, ts)
+	reps := c.pipeline(t,
+		[]string{"SET", "a", "1"},
+		[]string{"MSET", "b", "2", "c", "3"},
+		[]string{"DEL", "c", "x"},
+		[]string{"GET", "a"},
+		[]string{"MGET", "b", "c"},
+		[]string{"GET", "b"},
+		[]string{"DEL", "a"},
+	)
+	// Each reply as its RESP type byte and payload.
+	var render func(Reply) string
+	render = func(r Reply) string {
+		if r.Kind == '*' {
+			elems := make([]string, len(r.Elems))
+			for i, e := range r.Elems {
+				elems[i] = render(e)
+			}
+			return "*" + strings.Join(elems, ",")
+		}
+		return string(r.Kind) + r.String()
+	}
+	got := make([]string, len(reps))
+	for i, r := range reps {
+		got[i] = render(r)
+	}
+	want := []string{"+OK", "+OK", ":2", "$1", "*$2,$(nil)", "$2", ":1"}
+	if strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Fatalf("replies %q, want %q", got, want)
+	}
+	if n := ts.engines[0].batchWrites.Load(); n != 2 {
+		t.Errorf("the two write runs made %d engine writes, want 2", n)
+	}
+	if st := ts.srv.snapshot(); st.CoalescedGets != 4 || st.CoalescedSets != 5 {
+		t.Errorf("coalesced gets %d, sets %d; want the read run's 4 keys in one call and the first write run's 5 ops",
+			st.CoalescedGets, st.CoalescedSets)
+	}
+	if rep := render(c.do(t, "MGET", "a", "b")); rep != "*$(nil),$2" {
+		t.Fatalf("after the window MGET a b = %s", rep)
+	}
+}
+
+// TestCmdstatCountsCommands: a run records its latency once per command it
+// answered, so 16 pipelined GETs are 16 calls of GET.
+func TestCmdstatCountsCommands(t *testing.T) {
+	ts := startTestServer(t, 2, nil, nil, Config{})
+	c := dialTest(t, ts)
+	var gets [][]string
+	for i := 0; i < 16; i++ {
+		gets = append(gets, []string{"GET", fmt.Sprintf("k%d", i)})
+	}
+	before := ts.srv.stats.lat["GET"].Count()
+	c.pipeline(t, gets...)
+	if n := ts.srv.stats.lat["GET"].Count() - before; n != 16 {
+		t.Fatalf("16 pipelined GETs raised cmdstat_get:calls by %d, want 16", n)
+	}
+}
+
 func TestLoadshedReplyUnderAdmitReject(t *testing.T) {
 	gate := make(chan struct{})
 	released := false

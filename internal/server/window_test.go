@@ -56,7 +56,8 @@ func pipeConn(tb testing.TB, srv *Server) net.Conn {
 }
 
 // pipelineWindow encodes cmds as one pipeline and returns it with the
-// replies lsmStore gives it: a SET's +OK, a GET's windowValue.
+// replies lsmStore gives it: a SET's or MSET's +OK, a DEL's key count, a
+// GET's windowValue and an MGET's array of them.
 func pipelineWindow(cmds ...[]string) (req, replies []byte) {
 	var buf, want bytes.Buffer
 	w, rw := NewWriter(&buf), NewWriter(&want)
@@ -66,9 +67,17 @@ func pipelineWindow(cmds ...[]string) (req, replies []byte) {
 			args[i] = []byte(a)
 		}
 		w.WriteCommand(args...)
-		if strings.EqualFold(cmd[0], "SET") {
+		switch strings.ToUpper(cmd[0]) {
+		case "SET", "MSET":
 			rw.WriteSimple("OK")
-		} else {
+		case "DEL":
+			rw.WriteInt(int64(len(cmd) - 1))
+		case "MGET":
+			rw.WriteArrayHeader(len(cmd) - 1)
+			for range cmd[1:] {
+				rw.WriteBulk(windowValue)
+			}
+		default:
 			rw.WriteBulk(windowValue)
 		}
 	}
@@ -87,10 +96,10 @@ func roundTrip(nc net.Conn, req, reply []byte) error {
 }
 
 // TestPipelineWindowAllocs pins what a pipelined command costs once its
-// connection's window arena is warm: a GET allocates its value, a SET
-// nothing. Commands, arguments, the GET run's keys, the SET run's batch,
-// the multiget's legs and fan-in and the write's request are all reused.
-// A coalesced GET run also allocates its two result slices, the store's and
+// connection's window arena is warm: a GET allocates its value, a SET, MSET
+// or DEL nothing. Commands, arguments, the read run's keys, the write run's
+// batch, the multiget's legs and fan-in and the write's request are all
+// reused. A read run also allocates its two result slices, the store's and
 // the engine's: two per run, not per GET.
 func TestPipelineWindowAllocs(t *testing.T) {
 	if raceflag.Enabled {
@@ -98,13 +107,18 @@ func TestPipelineWindowAllocs(t *testing.T) {
 	}
 	srv := New(Config{Store: lsmStore(t, 1, 1000)})
 	nc := pipeConn(t, srv)
-	var coalesced, interleaved [][]string
+	var coalesced, interleaved, multiKey [][]string
 	for i := 0; i < 16; i++ {
 		coalesced = append(coalesced, []string{"GET", windowKey(i * 61)})
 		interleaved = append(interleaved, []string{"get", windowKey(i * 61)}, []string{"Set", windowKey(i*61 + 7), string(windowValue)})
 	}
 	for i := 0; i < 16; i++ {
 		coalesced = append(coalesced, []string{"SET", windowKey(i*61 + 7), string(windowValue)})
+	}
+	// Keys past the store's, so that no other case reads what these delete.
+	for i := 0; i < 8; i++ {
+		k1, k2 := windowKey(2000+2*i), windowKey(2001+2*i)
+		multiKey = append(multiKey, []string{"MSET", k1, string(windowValue), k2, string(windowValue)}, []string{"del", k1, k2})
 	}
 	for _, c := range []struct {
 		name string
@@ -113,6 +127,7 @@ func TestPipelineWindowAllocs(t *testing.T) {
 	}{
 		{"16 GETs then 16 SETs", coalesced, 16 + 2},
 		{"GET and SET alternating", interleaved, 16},
+		{"MSET and DEL alternating", multiKey, 1},
 	} {
 		req, want := pipelineWindow(c.cmds...)
 		reply := make([]byte, len(want))
@@ -201,51 +216,82 @@ func TestTimedOutWindowKeepsItsBytes(t *testing.T) {
 }
 
 // BenchmarkServerPipeline runs the server's wire path in process: two
-// connections, each sending windows of 16 pipelined commands, 90 % GET and
-// 10 % SET over keys in a four-worker lsm store, and reading the replies.
-// One op is one window; ns/cmd is per command.
+// connections, each sending windows of 16 pipelined commands over keys in a
+// four-worker lsm store, and reading the replies. The getset arm is 90 %
+// GET and 10 % SET; the mixed arm puts MGET, MSET and DEL beside them, so
+// its runs mix verbs of one type. One op is one window; ns/cmd is per
+// command.
 func BenchmarkServerPipeline(b *testing.B) {
 	const keys, conns, depth = 20000, 2, 16
 	srv := New(Config{Store: lsmStore(b, 4, keys)})
-	rng := rand.New(rand.NewSource(1))
-	type pipelined struct {
-		req   []byte
-		reply []byte
-	}
-	windows := make([]pipelined, 64)
-	for i := range windows {
-		cmds := make([][]string, depth)
-		for j := range cmds {
-			k := windowKey(rng.Intn(keys))
+	key := func(rng *rand.Rand) string { return windowKey(rng.Intn(keys)) }
+	// spare names a key past the preloaded ones, which no command reads:
+	// MSET and DEL touch only these, so every read's reply, and with it
+	// every window's, keeps the length pipelineWindow expects.
+	spare := func(rng *rand.Rand) string { return windowKey(keys + rng.Intn(keys)) }
+	v := string(windowValue)
+	for _, arm := range []struct {
+		name string
+		cmd  func(*rand.Rand) []string
+	}{
+		{"getset", func(rng *rand.Rand) []string {
 			if rng.Intn(10) == 0 {
-				cmds[j] = []string{"SET", k, string(windowValue)}
-			} else {
-				cmds[j] = []string{"GET", k}
+				return []string{"SET", key(rng), v}
 			}
-		}
-		req, want := pipelineWindow(cmds...)
-		windows[i] = pipelined{req, make([]byte, len(want))}
-	}
-	var ncs [conns]net.Conn
-	for i := range ncs {
-		ncs[i] = pipeConn(b, srv)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	var wg sync.WaitGroup
-	for i, nc := range ncs {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for n := i; n < b.N; n += conns {
-				w := &windows[n%len(windows)]
-				if err := roundTrip(nc, w.req, w.reply); err != nil {
-					b.Error(err)
-					return
+			return []string{"GET", key(rng)}
+		}},
+		{"mixed", func(rng *rand.Rand) []string {
+			switch n := rng.Intn(20); {
+			case n < 11:
+				return []string{"GET", key(rng)}
+			case n < 15:
+				return []string{"MGET", key(rng), key(rng)}
+			case n < 17:
+				return []string{"SET", key(rng), v}
+			case n < 19:
+				return []string{"MSET", spare(rng), v, spare(rng), v}
+			default:
+				return []string{"DEL", spare(rng), spare(rng)}
+			}
+		}},
+	} {
+		b.Run(arm.name, func(b *testing.B) {
+			rng := rand.New(rand.NewSource(1))
+			type pipelined struct {
+				req   []byte
+				reply []byte
+			}
+			windows := make([]pipelined, 64)
+			for i := range windows {
+				cmds := make([][]string, depth)
+				for j := range cmds {
+					cmds[j] = arm.cmd(rng)
 				}
+				req, want := pipelineWindow(cmds...)
+				windows[i] = pipelined{req, make([]byte, len(want))}
 			}
-		}()
+			var ncs [conns]net.Conn
+			for i := range ncs {
+				ncs[i] = pipeConn(b, srv)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			var wg sync.WaitGroup
+			for i, nc := range ncs {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for n := i; n < b.N; n += conns {
+						w := &windows[n%len(windows)]
+						if err := roundTrip(nc, w.req, w.reply); err != nil {
+							b.Error(err)
+							return
+						}
+					}
+				}()
+			}
+			wg.Wait()
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*depth), "ns/cmd")
+		})
 	}
-	wg.Wait()
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*depth), "ns/cmd")
 }

@@ -77,7 +77,7 @@ func TestV2FlipSweep(t *testing.T) {
 		}
 		// Reads during the damage must never produce a wrong value.
 		for _, idx := range []int{0, 299, 599} {
-			v, _, found, _, gerr := r.Get([]byte(pairs[idx][0]), ikey.MaxSeq)
+			v, _, found, _, gerr := lookup(r, []byte(pairs[idx][0]), ikey.MaxSeq)
 			if gerr != nil {
 				if !errors.Is(gerr, kv.ErrCorruption) {
 					t.Fatalf("off %d: Get error %v is not ErrCorruption", off, gerr)

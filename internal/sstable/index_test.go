@@ -257,7 +257,7 @@ func FuzzIndexSeek(f *testing.F) {
 		}
 		for _, target := range targets {
 			it.Seek(target)
-			r.Get(ikey.UserKey(target), ikey.MaxSeq)
+			lookup(r, ikey.UserKey(target), ikey.MaxSeq)
 		}
 		it.Close()
 		r.Verify()
@@ -352,7 +352,7 @@ func TestVerifyFindsRotAfterOpen(t *testing.T) {
 			if _, err := r.Verify(); !errors.Is(err, kv.ErrCorruption) {
 				t.Fatalf("Verify after a flip in the %s at %d = %v, want ErrCorruption", rg.name, rg.off, err)
 			}
-			if v, _, found, _, err := r.Get([]byte(pairs[7][0]), ikey.MaxSeq); err != nil || !found || string(v) != pairs[7][1] {
+			if v, _, found, _, err := lookup(r, []byte(pairs[7][0]), ikey.MaxSeq); err != nil || !found || string(v) != pairs[7][1] {
 				t.Fatalf("Get after the flip = %q, %v, %v: the open reader should still serve", v, found, err)
 			}
 		})

@@ -378,7 +378,7 @@ func VerifyImage(name string, data []byte) error {
 	return err
 }
 
-// seekKeyBuf sizes the stack buffer Get encodes its seek key into; a longer
+// seekKeyBuf sizes the stack buffer find encodes its seek key into; a longer
 // user key falls back to one allocation.
 const seekKeyBuf = 64 + ikey.TrailerLen
 
@@ -433,15 +433,6 @@ func (r *Reader) find(ukey []byte, seq uint64, best *Hit, cachedOnly bool) error
 		best.Val = append(best.Val, it.Value()...)
 	}
 	return nil
-}
-
-// Get is Find for a single table: the newest version of ukey visible at
-// snapshot seq, its sequence number, whether one was found and whether it is
-// a tombstone. The value is a fresh copy.
-func (r *Reader) Get(ukey []byte, seq uint64) (value []byte, foundSeq uint64, found, deleted bool, err error) {
-	var h Hit
-	err = r.Find(ukey, seq, &h)
-	return h.Val, h.Seq, h.Found, h.Deleted, err
 }
 
 // Iter is a two-level iterator over the table's internal keys: a position in

@@ -13,6 +13,15 @@ import (
 	"p2kvs/internal/vfs"
 )
 
+// lookup is Find for a single table: the newest version of ukey visible at
+// snapshot seq, its sequence number, whether one was found and whether it is
+// a tombstone.
+func lookup(r *Reader, ukey []byte, seq uint64) (value []byte, foundSeq uint64, found, deleted bool, err error) {
+	var h Hit
+	err = r.Find(ukey, seq, &h)
+	return h.Val, h.Seq, h.Found, h.Deleted, err
+}
+
 // buildTable writes user keys (with seq = their index+1) into a table and
 // reopens it.
 func buildTable(t *testing.T, pairs [][2]string) (*Reader, Meta) {
@@ -67,7 +76,7 @@ func TestWriteReadSmall(t *testing.T) {
 		t.Fatalf("largest = %q", meta.Largest)
 	}
 	for i, p := range pairs {
-		v, _, found, deleted, err := r.Get([]byte(p[0]), ikey.MaxSeq)
+		v, _, found, deleted, err := lookup(r, []byte(p[0]), ikey.MaxSeq)
 		if err != nil || !found || deleted {
 			t.Fatalf("Get(%q) = found=%v deleted=%v err=%v", p[0], found, deleted, err)
 		}
@@ -75,7 +84,7 @@ func TestWriteReadSmall(t *testing.T) {
 			t.Fatalf("Get(%q) = %q", p[0], v)
 		}
 	}
-	if _, _, found, _, _ := r.Get([]byte("missing"), ikey.MaxSeq); found {
+	if _, _, found, _, _ := lookup(r, []byte("missing"), ikey.MaxSeq); found {
 		t.Fatal("found a missing key")
 	}
 }
@@ -108,7 +117,7 @@ func TestMultiBlockTable(t *testing.T) {
 
 	// Point gets across block boundaries.
 	for _, idx := range []int{0, 1, 999, 1000, 2500, 4998, 4999} {
-		v, _, found, _, err := r.Get([]byte(pairs[idx][0]), ikey.MaxSeq)
+		v, _, found, _, err := lookup(r, []byte(pairs[idx][0]), ikey.MaxSeq)
 		if err != nil || !found || string(v) != pairs[idx][1] {
 			t.Fatalf("Get(%d) = %q %v %v", idx, v, found, err)
 		}
@@ -141,7 +150,7 @@ func TestVersionsAndTombstones(t *testing.T) {
 	}
 	defer r.Close()
 
-	v, fseq, found, deleted, _ := r.Get([]byte("a"), ikey.MaxSeq)
+	v, fseq, found, deleted, _ := lookup(r, []byte("a"), ikey.MaxSeq)
 	if fseq != 5 {
 		t.Fatalf("foundSeq = %d, want 5", fseq)
 	}
@@ -149,17 +158,17 @@ func TestVersionsAndTombstones(t *testing.T) {
 		t.Fatalf("Get(a, max) = %q %v %v", v, found, deleted)
 	}
 	// Snapshot before the newer version sees the old one.
-	v, _, found, deleted, _ = r.Get([]byte("a"), 4)
+	v, _, found, deleted, _ = lookup(r, []byte("a"), 4)
 	if !found || deleted || string(v) != "old" {
 		t.Fatalf("Get(a, 4) = %q %v %v", v, found, deleted)
 	}
 	// b is deleted at max seq…
-	_, _, found, deleted, _ = r.Get([]byte("b"), ikey.MaxSeq)
+	_, _, found, deleted, _ = lookup(r, []byte("b"), ikey.MaxSeq)
 	if !found || !deleted {
 		t.Fatalf("Get(b, max) = found=%v deleted=%v", found, deleted)
 	}
 	// …but visible at an old snapshot.
-	v, _, found, deleted, _ = r.Get([]byte("b"), 2)
+	v, _, found, deleted, _ = lookup(r, []byte("b"), 2)
 	if !found || deleted || string(v) != "gone" {
 		t.Fatalf("Get(b, 2) = %q %v %v", v, found, deleted)
 	}
@@ -235,13 +244,13 @@ func TestQuickTableModel(t *testing.T) {
 		}
 		defer r.Close()
 		for _, k := range keys {
-			v, _, found, deleted, err := r.Get([]byte(k), ikey.MaxSeq)
+			v, _, found, deleted, err := lookup(r, []byte(k), ikey.MaxSeq)
 			if err != nil || !found || deleted || string(v) != raw[k] {
 				return false
 			}
 		}
 		if _, ok := raw[probe]; !ok {
-			_, _, found, _, err := r.Get([]byte(probe), ikey.MaxSeq)
+			_, _, found, _, err := lookup(r, []byte(probe), ikey.MaxSeq)
 			if err != nil || found {
 				return false
 			}
@@ -292,13 +301,13 @@ func TestReaderWithBlockCache(t *testing.T) {
 	}
 	defer r.Close()
 	// Same block twice: second read must be a cache hit.
-	r.Get([]byte("key000100"), ikey.MaxSeq)
-	r.Get([]byte("key000101"), ikey.MaxSeq)
+	lookup(r, []byte("key000100"), ikey.MaxSeq)
+	lookup(r, []byte("key000101"), ikey.MaxSeq)
 	hits, _, _ := c.Stats()
 	if hits == 0 {
 		t.Fatal("block cache never hit")
 	}
-	if v, _, found, _, _ := r.Get([]byte("key000100"), ikey.MaxSeq); !found || string(v) != "val100" {
+	if v, _, found, _, _ := lookup(r, []byte("key000100"), ikey.MaxSeq); !found || string(v) != "val100" {
 		t.Fatalf("cached read wrong: %q %v", v, found)
 	}
 	if n := c.Pinned(); n != 0 {
@@ -487,12 +496,12 @@ func TestGetWithoutFilter(t *testing.T) {
 	r, _ := buildTable(t, sortedPairs(3000))
 	defer r.Close()
 	for _, k := range []string{"key", "key001500x", "zzz"} {
-		if _, _, found, _, err := r.Get([]byte(k), ikey.MaxSeq); found || err != nil {
+		if _, _, found, _, err := lookup(r, []byte(k), ikey.MaxSeq); found || err != nil {
 			t.Fatalf("Get(%q) = found %v, err %v", k, found, err)
 		}
 	}
 	long := bytes.Repeat([]byte("k"), 3*seekKeyBuf) // outgrows the stack seek buffer
-	if _, _, found, _, err := r.Get(long, ikey.MaxSeq); found || err != nil {
+	if _, _, found, _, err := lookup(r, long, ikey.MaxSeq); found || err != nil {
 		t.Fatalf("Get(long key) = found %v, err %v", found, err)
 	}
 }

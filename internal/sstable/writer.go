@@ -163,6 +163,3 @@ func (w *Writer) Finish() (Meta, error) {
 	w.meta.Size = w.off
 	return w.meta, nil
 }
-
-// Abandon marks the writer failed (caller removes the partial file).
-func (w *Writer) Abandon() { w.err = errors.New("sstable: abandoned") }

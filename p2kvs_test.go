@@ -85,7 +85,9 @@ func TestFacadeLifecycle(t *testing.T) {
 	defer s.Close()
 
 	ctx := context.Background()
-	if err := s.PutCtx(ctx, []byte("k"), []byte("v")); err != nil {
+	var put Batch
+	put.Put([]byte("k"), []byte("v"))
+	if err := s.WriteCtx(ctx, &put); err != nil {
 		t.Fatal(err)
 	}
 	if v, err := s.GetCtx(ctx, []byte("k")); err != nil || string(v) != "v" {
@@ -97,7 +99,9 @@ func TestFacadeLifecycle(t *testing.T) {
 
 	dead, cancel := context.WithCancel(ctx)
 	cancel()
-	if err := s.PutCtx(dead, []byte("late"), []byte("v")); !errors.Is(err, ErrDeadlineExceeded) {
+	var late Batch
+	late.Put([]byte("late"), []byte("v"))
+	if err := s.WriteCtx(dead, &late); !errors.Is(err, ErrDeadlineExceeded) {
 		t.Fatalf("expired ctx err = %v, want ErrDeadlineExceeded", err)
 	}
 	if _, err := s.GetCtx(dead, []byte("k")); !errors.Is(err, ErrDeadlineExceeded) {
