@@ -103,11 +103,11 @@ stats-golden:
 # Non-test and test Go lines (wc -l) per package outside benchmark/, then
 # the total: the numbers ROADMAP re-anchors and "net-negative" PR claims
 # quote. CI prints it, so a claim is read from the log, not recounted. The
-# test-support packages (kvtest, replboot: no _test suffix, because other
-# packages' tests import them) count as test lines.
+# test-support package kvtest (no _test suffix, because other packages'
+# tests import it) counts as test lines.
 loc:
 	@cd $(LOC_DIR) && find . -name '*.go' -not -path './benchmark/*' -not -path './.*' -print0 | xargs -0 wc -l | \
-	awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); if ($$2 ~ /_test\.go$$/ || d ~ /\/(kvtest|replboot)$$/) t[d] += $$1; else n[d] += $$1; dirs[d] = 1 } \
+	awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); if ($$2 ~ /_test\.go$$/ || d ~ /\/kvtest$$/) t[d] += $$1; else n[d] += $$1; dirs[d] = 1 } \
 	     END { for (d in dirs) { printf "%-30s %7d non-test %7d test\n", d, n[d], t[d]; N += n[d]; T += t[d] } \
 	           printf "%-30s %7d non-test %7d test\n", "total", N, T }' | sort
 

@@ -2,6 +2,7 @@ package p2kvs
 
 import (
 	"fmt"
+	"os"
 
 	"p2kvs/internal/checkpoint"
 	"p2kvs/internal/vfs"
@@ -60,7 +61,28 @@ func Backup(store *Store, dir string) (BackupInfo, error) {
 // opts.Engine may be left zero/empty to adopt the image's shape; when set
 // they must be compatible with it (same worker count, same engine family).
 func Restore(backupDir string, opts Options) (*Store, error) {
-	src := vfs.NewOS()
+	return restore(vfs.NewOS(), backupDir, opts)
+}
+
+// RestoreReplica returns a replica's full-sync restore, the network
+// server's RestoreStore: it restores the image the replica received into
+// src at dir into a fresh store shaped by opts, as Restore does. A store on
+// the host filesystem is replaced wholesale, so its directory is wiped
+// first; an in-memory store never used that path, and whatever a host
+// directory of that name holds is not its to delete.
+func RestoreReplica(opts Options) func(src vfs.FS, dir string) (*Store, error) {
+	return func(src vfs.FS, dir string) (*Store, error) {
+		if !opts.InMemory {
+			if err := os.RemoveAll(opts.Dir); err != nil {
+				return nil, err
+			}
+		}
+		return restore(src, dir, opts)
+	}
+}
+
+// restore is Restore reading the image from src.
+func restore(src vfs.FS, backupDir string, opts Options) (*Store, error) {
 	m, err := checkpoint.Load(src, backupDir)
 	if err != nil {
 		return nil, err

@@ -30,11 +30,9 @@ import (
 	"sync/atomic"
 	"time"
 
+	"p2kvs"
 	"p2kvs/internal/cluster"
-	"p2kvs/internal/core"
-	"p2kvs/internal/device"
 	"p2kvs/internal/loadgen"
-	"p2kvs/internal/replboot"
 	"p2kvs/internal/server"
 	"p2kvs/internal/vfs"
 )
@@ -52,39 +50,23 @@ const (
 	clusterBlockCache = 256 << 10
 )
 
-// simTracker mints per-node devices and aggregates their counters, so
-// the benchmark can report device reads per GET — the number that shows
-// whether a phase was actually IO-bound.
-type simTracker struct {
-	mu      sync.Mutex
-	devices []*device.Device
+// nodeOptions is every node's store: its own in-memory filesystem behind
+// its own simulated SATA device, with the block cache clamped.
+var nodeOptions = p2kvs.Options{
+	Dir:              "db",
+	InMemory:         true,
+	Workers:          clusterWorkers,
+	SimulateDevice:   "sata",
+	DeviceScale:      clusterDevScale,
+	BlockCacheSize:   clusterBlockCache,
+	ReplBacklogBytes: clusterBacklog,
 }
 
-func (t *simTracker) readOps() int64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	var n int64
-	for _, d := range t.devices {
-		n += d.Stats().ReadOps
-	}
-	return n
-}
-
-// newSim mints a fresh device: every node owns its own simulated SSD.
-func (t *simTracker) newSim() replboot.Sim {
-	dev := device.New(device.SATA, clusterDevScale)
-	t.mu.Lock()
-	t.devices = append(t.devices, dev)
-	t.mu.Unlock()
-	return replboot.Sim{Device: dev, BlockCache: clusterBlockCache}
-}
-
-// bootNode starts one in-process replication-enabled node on its own
-// simulated device and returns its address, the store handle (valid
-// until the node full-syncs, which replaces it — primaries keep theirs),
-// and a shutdown func.
-func bootNode(replicaOf string, sim replboot.Sim) (string, *core.Store, func(), error) {
-	st, err := replboot.MemStore(clusterWorkers, clusterBacklog, sim)
+// bootNode starts one in-process replication-enabled node and returns its
+// address, the store handle (valid until the node full-syncs, which
+// replaces it — primaries keep theirs), and a shutdown func.
+func bootNode(replicaOf string) (string, *p2kvs.Store, func(), error) {
+	st, err := p2kvs.Open(nodeOptions)
 	if err != nil {
 		return "", nil, nil, err
 	}
@@ -92,7 +74,7 @@ func bootNode(replicaOf string, sim replboot.Sim) (string, *core.Store, func(), 
 		Store:        st,
 		ReplDir:      "repl",
 		ReplFS:       vfs.NewMem(),
-		RestoreStore: replboot.MemRestore(clusterBacklog, sim),
+		RestoreStore: p2kvs.RestoreReplica(nodeOptions),
 		ReplicaOf:    replicaOf,
 	})
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
@@ -115,9 +97,9 @@ func bootNode(replicaOf string, sim replboot.Sim) (string, *core.Store, func(), 
 
 // bootTier starts n primaries with replicasPer replicas each and
 // returns the primaries' store handles alongside the routing table.
-func bootTier(n, replicasPer int, newSim func() replboot.Sim) ([]cluster.Node, []*core.Store, func(), error) {
+func bootTier(n, replicasPer int) ([]cluster.Node, []*p2kvs.Store, func(), error) {
 	var nodes []cluster.Node
-	var primaries []*core.Store
+	var primaries []*p2kvs.Store
 	var shutdowns []func()
 	teardown := func() {
 		for i := len(shutdowns) - 1; i >= 0; i-- {
@@ -125,7 +107,7 @@ func bootTier(n, replicasPer int, newSim func() replboot.Sim) ([]cluster.Node, [
 		}
 	}
 	for i := 0; i < n; i++ {
-		addr, st, stop, err := bootNode("", newSim())
+		addr, st, stop, err := bootNode("")
 		if err != nil {
 			teardown()
 			return nil, nil, nil, err
@@ -134,7 +116,7 @@ func bootTier(n, replicasPer int, newSim func() replboot.Sim) ([]cluster.Node, [
 		primaries = append(primaries, st)
 		node := cluster.Node{Addr: addr}
 		for r := 0; r < replicasPer; r++ {
-			raddr, _, rstop, err := bootNode(addr, newSim())
+			raddr, _, rstop, err := bootNode(addr)
 			if err != nil {
 				teardown()
 				return nil, nil, nil, err
@@ -147,12 +129,28 @@ func bootTier(n, replicasPer int, newSim func() replboot.Sim) ([]cluster.Node, [
 	return nodes, primaries, teardown, nil
 }
 
+// blockReads sums the block-cache misses of the primaries' engines: the
+// data blocks their GETs had to read from the device, the number that
+// shows whether a phase was actually IO-bound.
+func blockReads(primaries []*p2kvs.Store) int64 {
+	var n int64
+	for _, st := range primaries {
+		for i := 0; i < st.Workers(); i++ {
+			if c, ok := st.Engine(i).(interface{ BlockCacheStats() (int64, int64) }); ok {
+				_, misses := c.BlockCacheStats()
+				n += misses
+			}
+		}
+	}
+	return n
+}
+
 // flushTier pushes every primary's memtables to SSTs and compacts each
 // instance, so the measured GETs read from the device rather than the
 // write buffer and both tiers see the same settled read amplification
 // (otherwise the bigger 1-node dataset carries more L0 files per lookup
 // and the comparison flatters the cluster).
-func flushTier(primaries []*core.Store) error {
+func flushTier(primaries []*p2kvs.Store) error {
 	for _, st := range primaries {
 		if err := st.Flush(); err != nil {
 			return err
@@ -298,8 +296,7 @@ func measureStaleness(nodes []cluster.Node, nkeys int, dur time.Duration) (maxLa
 	return maxLag, time.Since(convergeStart).Milliseconds(), nil
 }
 
-// readsPerGet guards the division when the device is disabled or a
-// phase measured nothing.
+// readsPerGet guards the division when a phase measured nothing.
 func readsPerGet(reads, keys int64) float64 {
 	if keys == 0 {
 		return 0
@@ -311,13 +308,11 @@ func runClusterBench(nNodes, nkeys, conns int) {
 	fail := func(stage string, err error) {
 		fatal(fmt.Errorf("cluster %s: %w", stage, err))
 	}
-	tracker := &simTracker{}
-	newSim := tracker.newSim
 	fmt.Printf("netbench cluster: nodes=%d replicas/node=%d workers/node=%d keys=%d value=%dB batch=%d conns=%d device=sata scale=%g\n",
 		nNodes, clusterReplicas, clusterWorkers, nkeys, valueSize, clusterBatch, conns, clusterDevScale)
 
 	// Baseline: one primary serving the whole keyspace.
-	oneNode, onePrim, stopOne, err := bootTier(1, 0, newSim)
+	oneNode, onePrim, stopOne, err := bootTier(1, 0)
 	if err != nil {
 		fail("boot 1-node", err)
 	}
@@ -329,17 +324,17 @@ func runClusterBench(nNodes, nkeys, conns int) {
 		stopOne()
 		fail("flush 1-node", err)
 	}
-	reads0 := tracker.readOps()
+	reads0 := blockReads(onePrim)
 	ops1, keys1, err := measureGets(oneNode, nkeys, conns, false)
-	rpg1 := readsPerGet(tracker.readOps()-reads0, keys1)
+	rpg1 := readsPerGet(blockReads(onePrim)-reads0, keys1)
 	stopOne()
 	if err != nil {
 		fail("measure 1-node", err)
 	}
-	fmt.Printf("1-node  GET : %12.0f keys/sec (%.2f device reads/GET)\n", ops1, rpg1)
+	fmt.Printf("1-node  GET : %12.0f keys/sec (%.2f block reads/GET)\n", ops1, rpg1)
 
 	// The tier under test: nNodes primaries, each with its replicas.
-	nodes, primaries, stopTier, err := bootTier(nNodes, clusterReplicas, newSim)
+	nodes, primaries, stopTier, err := bootTier(nNodes, clusterReplicas)
 	if err != nil {
 		fail("boot tier", err)
 	}
@@ -350,13 +345,13 @@ func runClusterBench(nNodes, nkeys, conns int) {
 	if err := flushTier(primaries); err != nil {
 		fail("flush tier", err)
 	}
-	readsN0 := tracker.readOps()
+	readsN0 := blockReads(primaries)
 	opsN, keysN, err := measureGets(nodes, nkeys, conns, false)
 	if err != nil {
 		fail("measure tier", err)
 	}
-	rpgN := readsPerGet(tracker.readOps()-readsN0, keysN)
-	fmt.Printf("%d-node  GET : %12.0f keys/sec (%.2fx, %.2f device reads/GET)\n", nNodes, opsN, opsN/ops1, rpgN)
+	rpgN := readsPerGet(blockReads(primaries)-readsN0, keysN)
+	fmt.Printf("%d-node  GET : %12.0f keys/sec (%.2fx, %.2f block reads/GET)\n", nNodes, opsN, opsN/ops1, rpgN)
 
 	// Replica fanout needs the replicas caught up, or misses would count
 	// as staleness rather than routing.
@@ -384,8 +379,8 @@ func runClusterBench(nNodes, nkeys, conns int) {
 		"conns", conns,
 		"device", "sata",
 		"device_scale", clusterDevScale,
-		"device_reads_per_get_1node", rpg1,
-		"device_reads_per_get_nnode", rpgN,
+		"block_reads_per_get_1node", rpg1,
+		"block_reads_per_get_nnode", rpgN,
 		"get_ops_1node", ops1,
 		"get_ops_nnode", opsN,
 		"scaling", opsN/ops1,

@@ -25,7 +25,6 @@ import (
 	"p2kvs"
 	"p2kvs/internal/loadgen"
 	"p2kvs/internal/server"
-	"p2kvs/internal/vfs"
 )
 
 func main() {
@@ -86,7 +85,7 @@ func main() {
 	if storeOpts.ReplBacklogBytes != 0 {
 		cfg.ReplDir = rdir
 		cfg.ReplicaOf = *replicaOf
-		cfg.RestoreStore = restoreInto(storeOpts)
+		cfg.RestoreStore = p2kvs.RestoreReplica(storeOpts)
 	}
 	srv := server.New(cfg)
 
@@ -113,21 +112,4 @@ func main() {
 		logger.Fatalf("p2kvs-server: serve: %v", err)
 	}
 	logger.Printf("p2kvs-server: clean shutdown")
-}
-
-// restoreInto is a replica's full sync: it restores the received image into
-// a fresh store shaped by opts. The image is staged on the host filesystem
-// (ReplFS nil = OS), so p2kvs.Restore's manifest verification runs against
-// it. A store on the host filesystem is replaced wholesale, so its directory
-// is wiped first; an in-memory store never used that path, and whatever a
-// host directory of that name holds is not its to delete.
-func restoreInto(opts p2kvs.Options) func(vfs.FS, string) (*p2kvs.Store, error) {
-	return func(_ vfs.FS, srcDir string) (*p2kvs.Store, error) {
-		if !opts.InMemory {
-			if err := os.RemoveAll(opts.Dir); err != nil {
-				return nil, err
-			}
-		}
-		return p2kvs.Restore(srcDir, opts)
-	}
 }

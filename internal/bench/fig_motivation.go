@@ -242,7 +242,7 @@ func runFig8(e Env) (*Table, error) {
 		"threads", "log single", "log single+batch", "log multi", "mem single", "mem multi")
 	walOnly := func(o *lsm.Options) { o.WALOnly = true }
 	// CPU-only path: no device, no WAL; raw wall QPS (scale 1).
-	memOnly := func(o *lsm.Options) { o.DisableWAL, o.MemTableOnly = true, true }
+	memOnly := func(o *lsm.Options) { o.MemTableOnly = true }
 	for _, threads := range ends(e, 1, 2, 4, 8, 16, 32) {
 		row := []interface{}{threads}
 		for _, c := range []struct {

@@ -8,7 +8,7 @@ import (
 	"testing"
 	"time"
 
-	"p2kvs/internal/replboot"
+	"p2kvs"
 	"p2kvs/internal/server"
 	"p2kvs/internal/vfs"
 )
@@ -16,7 +16,8 @@ import (
 // startNode boots one in-process replication-enabled server node.
 func startNode(t *testing.T, workers int, replicaOf string) string {
 	t.Helper()
-	st, err := replboot.MemStore(workers, 1<<20, replboot.Sim{})
+	opts := p2kvs.Options{Dir: "db", InMemory: true, Workers: workers, ReplBacklogBytes: 1 << 20}
+	st, err := p2kvs.Open(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -24,7 +25,7 @@ func startNode(t *testing.T, workers int, replicaOf string) string {
 		Store:        st,
 		ReplDir:      "repl",
 		ReplFS:       vfs.NewMem(),
-		RestoreStore: replboot.MemRestore(1<<20, replboot.Sim{}),
+		RestoreStore: p2kvs.RestoreReplica(opts),
 		ReplicaOf:    replicaOf,
 	})
 	lis, err := net.Listen("tcp", "127.0.0.1:0")

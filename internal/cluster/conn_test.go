@@ -6,7 +6,7 @@ import (
 	"testing"
 	"time"
 
-	"p2kvs/internal/replboot"
+	"p2kvs"
 	"p2kvs/internal/server"
 )
 
@@ -15,7 +15,7 @@ import (
 // client connection.
 func serveAt(t *testing.T, addr string) (string, func()) {
 	t.Helper()
-	st, err := replboot.MemStore(2, 0, replboot.Sim{})
+	st, err := p2kvs.Open(p2kvs.Options{Dir: "db", InMemory: true, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -86,9 +86,9 @@ func (s *Store) ws() []*worker { return s.route.Load().workers }
 
 // Open builds the store: recovers the transaction log, opens every
 // worker's instance (rolling back uncommitted cross-instance
-// transactions), and starts the worker threads. For elastic stores it
-// also validates the persisted topology and finishes a cleanup
-// interrupted by a crash.
+// transactions), and starts the worker threads. It checks the worker
+// count against the persisted topology (recording it in a new directory)
+// and finishes a reshard cleanup interrupted by a crash.
 func Open(opts Options) (*Store, error) {
 	opts = opts.withDefaults()
 	if opts.EngineFactory == nil {
@@ -115,7 +115,7 @@ func Open(opts Options) (*Store, error) {
 		}
 		if topo != nil {
 			if topo.Workers != opts.Workers {
-				return nil, fmt.Errorf("core: store topology records %d workers but Options.Workers is %d — elastic stores must be reopened at their committed worker count",
+				return nil, fmt.Errorf("core: store topology records %d workers but Options.Workers is %d — a store must be reopened at its recorded worker count",
 					topo.Workers, opts.Workers)
 			}
 			s.epoch.Store(topo.Epoch)
@@ -148,6 +148,15 @@ func Open(opts Options) (*Store, error) {
 		workers = append(workers, s.newWorker(i, engine))
 	}
 
+	if opts.TxnFS != nil && topo == nil {
+		// A new directory records the count its keys are placed by: a
+		// later Open at another count would route them to the wrong
+		// instances.
+		t := reshard.Topology{Workers: opts.Workers, PrevWorkers: opts.Workers, State: reshard.TopologyActive}
+		if err := reshard.SaveTopology(opts.TxnFS, opts.TxnDir, t); err != nil {
+			return fail(err)
+		}
+	}
 	s.route.Store(&routing{part: opts.Partitioner, workers: workers})
 	for _, w := range workers {
 		w.start()

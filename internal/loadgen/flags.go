@@ -23,7 +23,7 @@ func StoreFlags(fs *flag.FlagSet, def p2kvs.Options) func() (p2kvs.Options, erro
 	fs.StringVar(&o.Dir, "dir", def.Dir, "data directory (empty = in-memory)")
 	fs.BoolVar(&o.InMemory, "inmemory", false, "use the in-memory filesystem even with -dir set (data lost on exit)")
 	fs.StringVar((*string)(&o.Engine), "engine", "rocksdb", "engine: "+strings.Join(engines, ", "))
-	fs.IntVar(&o.Workers, "workers", def.Workers, "p2KVS worker count")
+	fs.IntVar(&o.Workers, "workers", def.Workers, "p2KVS worker count of a new -dir (a store reopens at its recorded count)")
 	fs.Float64Var(&o.DeviceScale, "devscale", 1.0, "simulated device time scale")
 	walSync := fs.String("wal_sync", "never", "WAL durability policy: never, commit (fsync before every ack), or an interval like 100ms")
 	fs.DurationVar(&o.DrainTimeout, "drain_timeout", def.DrainTimeout, "bound on Close's queue drain (0 = wait forever)")
@@ -32,7 +32,7 @@ func StoreFlags(fs *flag.FlagSet, def p2kvs.Options) func() (p2kvs.Options, erro
 	fs.StringVar(&o.RepairFrom, "repair_from", "", "backup directory engines may pull verified files from to self-repair quarantined data")
 	fs.Int64Var(&o.HotCacheBytes, "hot_cache", 0, "hot-key read cache budget in bytes; hits bypass queue admission (-1 = default 32 MiB; 0 disables)")
 	fs.Int64Var(&o.ReplBacklogBytes, "repl_backlog", 0, "replication backlog retention in bytes; non-zero enables replication (-1 = default 16 MiB)")
-	fs.BoolVar(&o.Elastic, "elastic", false, "place keys on a consistent-hash ring and enable online resharding; -workers only seeds the first open (incompatible with replication)")
+	fs.BoolVar(&o.Elastic, "elastic", false, "place keys on a consistent-hash ring and enable online resharding (incompatible with replication)")
 	return func() (p2kvs.Options, error) {
 		o := o
 		if o.Dir == "" {

@@ -45,7 +45,7 @@ type DB struct {
 	cond *sync.Cond // stall/flush-progress signaling
 	memH *memHandle
 	imm  []*memHandle // flush queue, oldest first
-	wal  *wal.Writer  // == memH.walw; nil when DisableWAL
+	wal  *wal.Writer  // == memH.walw; nil when MemTableOnly
 	vs   *manifest.Set
 
 	// rs is what reads consult instead of memH, imm and vs: an immutable
@@ -84,7 +84,7 @@ type DB struct {
 	repairing map[uint64]bool
 	repairWG  sync.WaitGroup
 
-	writerMu sync.Mutex // serializes writes when !PipelinedWrite
+	writerMu sync.Mutex // serializes writes when !RocksDBFeatures
 
 	tcache *tableCache
 	blocks *cache.Cache
@@ -281,8 +281,8 @@ func (d *DB) walOptions() wal.Options {
 // memtable budget, and — unless the WAL is off — the log its writes go to,
 // under a new file number.
 func (d *DB) newMemHandle() (*memHandle, error) {
-	h := &memHandle{mem: memtable.New(d.opts.ConcurrentMemTable, d.opts.MemTableSize)}
-	if !d.opts.DisableWAL {
+	h := &memHandle{mem: memtable.New(d.opts.RocksDBFeatures, d.opts.MemTableSize)}
+	if !d.opts.MemTableOnly {
 		h.logNum = d.vs.NewFileNum()
 		f, err := d.opts.FS.Create(walName(d.dir, h.logNum))
 		if err != nil {
@@ -371,7 +371,7 @@ func (d *DB) WriteGSN(b *kv.Batch, gsn uint64) error {
 		return err
 	}
 
-	if !d.opts.PipelinedWrite {
+	if !d.opts.RocksDBFeatures {
 		// LevelDB-style single-writer path: log + index serialized.
 		lockStart := time.Now()
 		d.writerMu.Lock()
@@ -393,7 +393,7 @@ func (d *DB) WriteGSN(b *kv.Batch, gsn uint64) error {
 	n := uint64(b.Len())
 	baseSeq := d.seq.Add(n) - n + 1
 
-	if !d.opts.DisableWAL {
+	if !d.opts.MemTableOnly {
 		buf := payloadBufs.Get().(*[]byte)
 		*buf = appendBatchPayload((*buf)[:0], baseSeq, b)
 		err := h.walw.Append(gsn, *buf)
@@ -761,7 +761,7 @@ func (d *DB) MultiGet(keys [][]byte) ([][]byte, error) {
 	if d.closed.Load() {
 		return nil, kv.ErrClosed
 	}
-	if !d.opts.MultiGet {
+	if !d.opts.RocksDBFeatures {
 		return nil, errors.New("lsm: MultiGet disabled by options")
 	}
 	d.perf.gets.Add(int64(len(keys)))
@@ -857,7 +857,7 @@ func (d *DB) readKeys(rs *readState, seq uint64, keys, out [][]byte, idx []int) 
 
 // Caps reports optional capabilities for p2KVS's feature discovery.
 func (d *DB) Caps() kv.Caps {
-	return kv.Caps{BatchWrite: true, MultiGet: d.opts.MultiGet}
+	return kv.Caps{BatchWrite: true, MultiGet: d.opts.RocksDBFeatures}
 }
 
 // ---------------------------------------------------------------------------

@@ -260,9 +260,8 @@ func TestWALOnlyAndMemTableOnlyModes(t *testing.T) {
 	}
 	db.Close()
 
-	// MemTable-only with WAL disabled: writes indexed, flush drops data.
+	// MemTable-only (no WAL): writes indexed, flush drops data.
 	oMem := smallOpts(fs)
-	oMem.DisableWAL = true
 	oMem.MemTableOnly = true
 	db2, _ := Open("memonly", oMem)
 	defer db2.Close()

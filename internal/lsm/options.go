@@ -51,14 +51,14 @@ type Options struct {
 	// specific disk. Required.
 	FS vfs.FS
 
-	// ConcurrentMemTable uses the CAS skiplist so multiple writers insert
-	// in parallel (RocksDB's allow_concurrent_memtable_write).
-	ConcurrentMemTable bool
-	// PipelinedWrite lets memtable insertion proceed outside the write
-	// group, overlapping the next group's logging (RocksDB pipelined
-	// writes). Without it the whole write path is serialized under one
-	// writer lock (LevelDB behaviour).
-	PipelinedWrite bool
+	// RocksDBFeatures switches on what RocksDB has and LevelDB lacks: the
+	// CAS skiplist memtable, so multiple writers insert in parallel
+	// (allow_concurrent_memtable_write); pipelined writes, so memtable
+	// insertion proceeds outside the write group, overlapping the next
+	// group's logging; and the batched-read (MultiGet) capability. Without
+	// it the whole write path is serialized under one writer lock and
+	// MultiGet fails (LevelDB behaviour).
+	RocksDBFeatures bool
 	// WALSync selects the WAL durability policy (wal.PolicyNever /
 	// PolicyInterval / PolicyCommit). The zero value, PolicyNever, is
 	// RocksDB async logging, as configured in the paper's experiments
@@ -67,11 +67,9 @@ type Options struct {
 	// WALSyncInterval bounds durability staleness under PolicyInterval
 	// (default 100ms).
 	WALSyncInterval time.Duration
-	// DisableWAL skips logging entirely (used by Figure 8b's
-	// memtable-only runs and by flush-free bulk loads).
-	DisableWAL bool
-	// MemTableOnly short-circuits flush: memtables are dropped when full
-	// instead of written to L0 (Figure 8b isolates the index path).
+	// MemTableOnly skips logging and short-circuits flush: memtables are
+	// dropped when full instead of written to L0 (Figure 8b isolates the
+	// index path).
 	MemTableOnly bool
 	// WALOnly skips memtable insertion and flush entirely (Figure 8a
 	// isolates the logging path).
@@ -97,9 +95,6 @@ type Options struct {
 	TargetFileSize int64
 	// Style selects Leveled or Fragmented compaction.
 	Style CompactionStyle
-	// MultiGet enables the batched-read capability (RocksDB has it,
-	// LevelDB does not).
-	MultiGet bool
 	// BlockCacheSize is the per-instance data-block cache budget (the
 	// paper's RocksDB instances run an 8 MB block cache, §5.5). 0 uses
 	// the default; negative disables caching.
@@ -179,11 +174,9 @@ func (o Options) withDefaults() Options {
 // writes, multiget, async WAL.
 func RocksDBOptions(fs vfs.FS) Options {
 	return Options{
-		FS:                 fs,
-		ConcurrentMemTable: true,
-		PipelinedWrite:     true,
-		MultiGet:           true,
-		Style:              Leveled,
+		FS:              fs,
+		RocksDBFeatures: true,
+		Style:           Leveled,
 	}
 }
 

@@ -148,12 +148,13 @@ const (
 	TopologyCleanup = "cleanup"
 )
 
-// Topology is the persisted worker-count record of an elastic store. Its
-// atomic tmp+rename install is the reshard commit point: a crash before
-// the rename recovers at the old worker count (the prepared instances are
-// wiped and the copy restarts from scratch); a crash after it recovers at
-// the new count and finishes cleanup. There is never a state in which
-// half the keys route one way and half the other.
+// Topology is the persisted worker-count record of a store, written by its
+// first Open. For an elastic store its atomic tmp+rename install is also
+// the reshard commit point: a crash before the rename recovers at the old
+// worker count (the prepared instances are wiped and the copy restarts
+// from scratch); a crash after it recovers at the new count and finishes
+// cleanup. There is never a state in which half the keys route one way
+// and half the other.
 type Topology struct {
 	// Workers is the committed worker count.
 	Workers int `json:"workers"`
@@ -183,9 +184,9 @@ func SaveTopology(fs vfs.FS, dir string, t Topology) error {
 }
 
 // LoadTopology reads dir's topology record. A missing record returns
-// (nil, nil) — the store predates elasticity or never resharded. A
-// present but corrupt record is an explicit error: guessing a worker
-// count would route keys to the wrong instances.
+// (nil, nil) — a new directory, or one written before every store recorded
+// its count. A present but corrupt record is an explicit error: guessing a
+// worker count would route keys to the wrong instances.
 func LoadTopology(fs vfs.FS, dir string) (*Topology, error) {
 	path := dir + "/" + TopologyFile
 	if !fs.Exists(path) {

@@ -78,9 +78,10 @@ type replState struct {
 	fullSyncsDone    atomic.Int64
 	partialSyncsDone atomic.Int64
 
-	// fullSyncMu serializes full-sync image staging: concurrent
-	// checkpoints into the shared sync directory would race on the
-	// backup set's sequence numbers and its GC.
+	// fullSyncMu serializes full syncs, from the checkpoint to the last
+	// frame sent: concurrent checkpoints into the shared sync directory
+	// would race on the backup set's sequence numbers, and a checkpoint's
+	// GC deletes files an image still being sent may need.
 	fullSyncMu sync.Mutex
 	linkSeq    atomic.Int64
 }
@@ -274,14 +275,11 @@ func (c *conn) serveFullSync(st *core.Store, log *repl.Log, pinID string, cursor
 	fs := cfg.replFS()
 	dir := cfg.ReplDir + "/sync"
 
-	type imgFile struct {
-		name string
-		data []byte
-	}
+	// Held to the image's last frame: its files are read as they are sent.
 	rs.fullSyncMu.Lock()
+	defer rs.fullSyncMu.Unlock()
 	m, err := st.Checkpoint(fs, dir)
 	if err != nil {
-		rs.fullSyncMu.Unlock()
 		c.wr.WriteError("ERR full sync checkpoint failed: " + err.Error())
 		return false
 	}
@@ -289,49 +287,39 @@ func (c *conn) serveFullSync(st *core.Store, log *repl.Log, pinID string, cursor
 	// them on this goroutine; records after the checkpoint barrier are
 	// now retained for the stream.
 	log.SetPin(pinID, m.WorkerGSN)
-	// Read the whole image (and the committed manifest bytes) while the
-	// staging directory is quiescent: the next full sync's checkpoint GC
-	// may delete files this manifest no longer shares.
-	files := make([]imgFile, 0, len(m.Files)+1)
-	readErr := func() error {
-		for _, f := range m.Files {
-			data, err := vfs.ReadFile(fs, dir+"/"+f.Path)
-			if err != nil {
-				return err
-			}
-			files = append(files, imgFile{f.Path, data})
-		}
-		data, err := vfs.ReadFile(fs, dir+"/"+checkpoint.ManifestName)
-		if err != nil {
-			return err
-		}
-		files = append(files, imgFile{"", data}) // sentinel: manifest frame
-		return nil
-	}()
-	rs.fullSyncMu.Unlock()
-	if readErr != nil {
-		c.wr.WriteError("ERR full sync image read failed: " + readErr.Error())
-		return false
-	}
 
 	c.wr.WriteSimple(fmt.Sprintf("FULLSYNC %s %d", log.ID(), log.Workers()))
+	c.closing = true // frames follow: a failure below ends the connection
 	if c.flush() != nil {
 		return false
 	}
+	// Every frame is written under its own deadline, so a wedged replica
+	// holds the staging lock for one replWriteTimeout at most. A file that
+	// cannot be read drops the link; the replica redials.
 	bw := bufio.NewWriterSize(c.nc, 64<<10)
-	for _, f := range files {
-		fr := repl.Frame{Kind: repl.FrameFile, Payload: repl.EncodeFile(f.name, f.data)}
-		if f.name == "" {
-			fr = repl.Frame{Kind: repl.FrameManifest, Payload: f.data}
+	defer c.nc.SetWriteDeadline(time.Time{})
+	send := func(kind byte, payload []byte) bool {
+		c.nc.SetWriteDeadline(time.Now().Add(replWriteTimeout))
+		return repl.WriteFrame(bw, repl.Frame{Kind: kind, Payload: payload}) == nil
+	}
+	readFailed := func(err error) bool {
+		cfg.Logf("p2kvs-server: full sync image read failed: %v", err)
+		return false
+	}
+	for _, f := range m.Files {
+		data, err := vfs.ReadFile(fs, dir+"/"+f.Path)
+		if err != nil {
+			return readFailed(err)
 		}
-		if err := repl.WriteFrame(bw, fr); err != nil {
+		if !send(repl.FrameFile, repl.EncodeFile(f.Path, data)) {
 			return false
 		}
 	}
-	c.nc.SetWriteDeadline(time.Now().Add(replWriteTimeout))
-	err = bw.Flush()
-	c.nc.SetWriteDeadline(time.Time{})
+	data, err := vfs.ReadFile(fs, dir+"/"+checkpoint.ManifestName)
 	if err != nil {
+		return readFailed(err)
+	}
+	if !send(repl.FrameManifest, data) || bw.Flush() != nil {
 		return false
 	}
 	*cursors = append([]uint64(nil), m.WorkerGSN...)

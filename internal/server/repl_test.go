@@ -11,12 +11,13 @@ import (
 	"testing"
 	"time"
 
-	"p2kvs/internal/replboot"
+	"p2kvs"
 	"p2kvs/internal/vfs"
 )
 
 // replNode is one in-process replication-enabled server over a private
-// MemFS, as netbench -cluster and the cluster client tests boot them.
+// in-memory store, as netbench -cluster and the cluster client tests boot
+// them.
 type replNode struct {
 	srv  *Server
 	addr string
@@ -27,15 +28,22 @@ type replNode struct {
 // non-empty, makes it follow that primary from startup.
 func startReplNode(t *testing.T, workers int, backlog int64, replicaOf string) *replNode {
 	t.Helper()
-	st, err := replboot.MemStore(workers, backlog, replboot.Sim{})
+	return startReplNodeOn(t, vfs.NewMem(), workers, backlog, replicaOf)
+}
+
+// startReplNodeOn is startReplNode staging its full syncs on replFS.
+func startReplNodeOn(t *testing.T, replFS vfs.FS, workers int, backlog int64, replicaOf string) *replNode {
+	t.Helper()
+	opts := p2kvs.Options{Dir: "db", InMemory: true, Workers: workers, ReplBacklogBytes: backlog}
+	st, err := p2kvs.Open(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	srv := New(Config{
 		Store:        st,
 		ReplDir:      "repl",
-		ReplFS:       vfs.NewMem(),
-		RestoreStore: replboot.MemRestore(backlog, replboot.Sim{}),
+		ReplFS:       replFS,
+		RestoreStore: p2kvs.RestoreReplica(opts),
 		ReplicaOf:    replicaOf,
 	})
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
@@ -196,6 +204,52 @@ func TestReplFullSyncAndStream(t *testing.T) {
 	// Reads still served.
 	if got := rc.do(t, "GET", "seed-000"); string(got.Str) != "v0" {
 		t.Fatalf("replica GET seed-000 = %q", got.Str)
+	}
+}
+
+// TestReplConcurrentFullSyncs attaches two replicas to one primary at the
+// same moment while writes keep arriving. The first image staged (sequence
+// 1) reads slowly, so its send outlasts the second sync's checkpoint
+// unless that checkpoint waits for the staging directory. Both replicas
+// converge to the primary's dump, each with one clean full sync.
+func TestReplConcurrentFullSyncs(t *testing.T) {
+	slow := vfs.NewFault(vfs.NewMem())
+	slow.Inject(vfs.Rule{Op: vfs.OpRead, Path: "ckpt000001", DelayOnly: true, Delay: 10 * time.Millisecond})
+	prim := startReplNodeOn(t, slow, 4, 1<<20, "")
+	pc := prim.dial(t)
+	val := strings.Repeat("v", 200)
+	for i := 0; i < 2000; i += 100 {
+		args := []string{"MSET"}
+		for j := i; j < i+100; j++ {
+			args = append(args, fmt.Sprintf("seed-%04d", j), val)
+		}
+		mustOK(t, pc.do(t, args...))
+	}
+
+	rcs := []*client{startReplNode(t, 4, 1<<20, "").dial(t), startReplNode(t, 4, 1<<20, "").dial(t)}
+	host, port, _ := net.SplitHostPort(prim.addr)
+	for _, rc := range rcs {
+		rc.send(t, "REPLICAOF", host, port)
+	}
+	for _, rc := range rcs {
+		rep, ok := rc.tryRead(t, 5*time.Second)
+		if !ok {
+			t.Fatal("REPLICAOF: no reply")
+		}
+		mustOK(t, rep)
+	}
+	for i := 0; i < 100; i++ {
+		mustOK(t, pc.do(t, "SET", fmt.Sprintf("live-%03d", i), "x"))
+	}
+	for i, rc := range rcs {
+		waitConverged(t, rc, "live-099", "x")
+		waitFor(t, func() bool { return dumpAll(t, pc) == dumpAll(t, rc) })
+		if ri := infoMap(t, rc); ri["master_link_last_error"] != "" || ri["replica_full_syncs"] != "1" {
+			t.Errorf("replica %d: %s full syncs, last link error %q", i, ri["replica_full_syncs"], ri["master_link_last_error"])
+		}
+	}
+	if n := infoInt(t, pc, "repl_full_syncs_served"); n != 2 {
+		t.Fatalf("repl_full_syncs_served=%d, want 2", n)
 	}
 }
 

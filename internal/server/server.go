@@ -59,7 +59,7 @@ type Config struct {
 	// image (a verified checkpoint set at dir on fs). The server closes
 	// the old store before calling it, so a host-filesystem callback may
 	// rebuild the data directory in place. Required for the replica role
-	// (REPLICAOF / -replicaof).
+	// (REPLICAOF / -replicaof); p2kvs.RestoreReplica builds it.
 	RestoreStore func(fs vfs.FS, dir string) (*core.Store, error)
 	// ReplicaOf, when non-empty ("host:port"), starts the server as a
 	// replica of that primary (equivalent to an immediate REPLICAOF).

@@ -144,7 +144,9 @@ type Options struct {
 	// Dir/inst-NN. Required.
 	Dir string
 	// Workers is the number of KVS instances (default 8, the paper's
-	// recommended match to hardware parallelism).
+	// recommended match to hardware parallelism). It only seeds a new
+	// directory: Open records the count (the TOPOLOGY file under Dir/txn)
+	// and every later Open of the directory adopts the recorded one.
 	Workers int
 	// Engine selects the per-worker engine (default EngineRocksDB).
 	Engine EngineKind
@@ -198,9 +200,8 @@ type Options struct {
 	// Elastic enables online resharding: keys are placed by an
 	// epoch-versioned consistent-hash ring instead of the modular hash,
 	// and Store.Reshard(ctx, n) grows or shrinks the store to n workers
-	// while it keeps serving. Open then adopts the worker count committed
-	// by the last reshard (the TOPOLOGY file under Dir/txn); Workers only
-	// seeds the very first Open of the directory. Mutually exclusive with
+	// while it keeps serving. A reshard commits its new count to TOPOLOGY,
+	// which the next Open adopts (see Workers). Mutually exclusive with
 	// ReplBacklogBytes — replication logs are sized to a fixed worker
 	// count.
 	Elastic bool
@@ -256,18 +257,18 @@ func buildFS(opts Options) (Options, vfs.FS, error) {
 }
 
 func openWithFS(opts Options, fs vfs.FS) (*Store, error) {
-	if opts.Elastic {
-		if opts.ReplBacklogBytes != 0 {
-			return nil, errors.New("p2kvs: Elastic and ReplBacklogBytes are mutually exclusive")
-		}
-		// A committed reshard owns the worker count from here on.
-		topo, err := reshard.LoadTopology(fs, opts.Dir+"/txn")
-		if err != nil {
-			return nil, err
-		}
-		if topo != nil {
-			opts.Workers = topo.Workers
-		}
+	if opts.Elastic && opts.ReplBacklogBytes != 0 {
+		return nil, errors.New("p2kvs: Elastic and ReplBacklogBytes are mutually exclusive")
+	}
+	// The directory's recorded worker count (its first Open's, or the last
+	// reshard's) owns the routing: keys placed by one count are lost to
+	// another.
+	topo, err := reshard.LoadTopology(fs, opts.Dir+"/txn")
+	if err != nil {
+		return nil, err
+	}
+	if topo != nil {
+		opts.Workers = topo.Workers
 	}
 	factory, err := engineFactory(fs, opts)
 	if err != nil {

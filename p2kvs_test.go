@@ -134,47 +134,59 @@ func TestFacadeValidation(t *testing.T) {
 	}
 }
 
+// TestFacadeElastic grows an elastic store from 2 to 3 workers online and
+// reopens it at the stale count; a non-elastic store opened at 3 workers
+// is reopened at 2 the same way. Either directory's recorded count wins
+// and every key comes back.
 func TestFacadeElastic(t *testing.T) {
-	dir := t.TempDir()
-	s, err := Open(Options{Dir: dir, Workers: 2, Elastic: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	const n = 300
-	for i := 0; i < n; i++ {
-		k := []byte(fmt.Sprintf("key-%03d", i))
-		if err := s.Put(k, k); err != nil {
+	for _, elastic := range []bool{true, false} {
+		dir := t.TempDir()
+		first := 3
+		if elastic {
+			first = 2
+		}
+		s, err := Open(Options{Dir: dir, Workers: first, Elastic: elastic})
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	if err := s.Reshard(context.Background(), 3); err != nil {
-		t.Fatalf("Reshard: %v", err)
-	}
-	if got := s.Workers(); got != 3 {
-		t.Fatalf("Workers() = %d", got)
-	}
-	rs := s.ReshardStats()
-	if rs.Completed != 1 || rs.State != "done" {
-		t.Fatalf("reshard stats: %+v", rs)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// Reopen with the stale pre-reshard worker count: the TOPOLOGY file
-	// wins and the store comes back at 3 workers with all data.
-	s2, err := Open(Options{Dir: dir, Workers: 2, Elastic: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s2.Close()
-	if got := s2.Workers(); got != 3 {
-		t.Fatalf("Workers() after reopen = %d, want 3 (from TOPOLOGY)", got)
-	}
-	for i := 0; i < n; i++ {
-		k := fmt.Sprintf("key-%03d", i)
-		if v, err := s2.Get([]byte(k)); err != nil || string(v) != k {
-			t.Fatalf("Get(%s) after reopen = %q %v", k, v, err)
+		const n = 300
+		for i := 0; i < n; i++ {
+			k := []byte(fmt.Sprintf("key-%03d", i))
+			if err := s.Put(k, k); err != nil {
+				t.Fatal(err)
+			}
 		}
+		if elastic {
+			if err := s.Reshard(context.Background(), 3); err != nil {
+				t.Fatalf("Reshard: %v", err)
+			}
+			rs := s.ReshardStats()
+			if rs.Completed != 1 || rs.State != "done" {
+				t.Fatalf("reshard stats: %+v", rs)
+			}
+		}
+		if got := s.Workers(); got != 3 {
+			t.Fatalf("elastic=%v: Workers() = %d", elastic, got)
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		// Reopen at 2 workers: the TOPOLOGY file wins and the store comes
+		// back at 3 workers with all data.
+		s2, err := Open(Options{Dir: dir, Workers: 2, Elastic: elastic})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := s2.Workers(); got != 3 {
+			t.Fatalf("elastic=%v: Workers() after reopen = %d, want 3 (from TOPOLOGY)", elastic, got)
+		}
+		for i := 0; i < n; i++ {
+			k := fmt.Sprintf("key-%03d", i)
+			if v, err := s2.Get([]byte(k)); err != nil || string(v) != k {
+				t.Fatalf("elastic=%v: Get(%s) after reopen = %q %v", elastic, k, v, err)
+			}
+		}
+		s2.Close()
 	}
 }
 
