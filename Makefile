@@ -60,7 +60,9 @@ alloc-profile:
 # cache too small (GetMiss) and holding every block (GetHit, where the
 # table's index search shows most). The two callers of the k-way merge:
 # compaction (CompactionMerge) and a store's SCAN on both of its paths
-# (StoreScan). The wire path: pipelined RESP windows over an in-process
+# (StoreScan). A minor compaction: one 4 MiB memtable written to L0, of
+# unique keys and of zipfian overwrites whose shadowed versions it skips
+# (Flush). The wire path: pipelined RESP windows over an in-process
 # store (ServerPipeline). A time claim starts from these tables as a count
 # claim starts from alloc-profile's.
 cpu-profile:
@@ -73,7 +75,7 @@ cpu-profile:
 	cd $(PROFILE_DIR) && for run in 'p2kvs write PutAsync|LSMWriteBatch' 'p2kvs memtable MemtableAdd|MemtableGet' \
 			'core get-direct Get$$/direct=true' \
 			'core get-queued Get$$/direct=false' 'lsm get-engine GetMiss' 'lsm get-hit GetHit' 'vfs memfs MemFSAppend|MemFSReadAt' \
-			'lsm compaction CompactionMerge' 'core scan StoreScan' 'server wire ServerPipeline'; do \
+			'lsm compaction CompactionMerge' 'core scan StoreScan' 'lsm flush Flush' 'server wire ServerPipeline'; do \
 		set -- $$run; \
 		./$$1.test -test.run '^$$' -test.bench "$$3" -test.benchtime 3s -test.cpuprofile $$2.prof && \
 		$(GO) tool pprof -top -cum -nodecount 25 $$1.test $$2.prof || exit 1; \

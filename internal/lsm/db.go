@@ -558,10 +558,10 @@ func (d *DB) publishReadStateLocked() {
 // readView returns the read state and sequence number of one read. The
 // state is loaded first, the sequence second, so the sequence is never older
 // than the state: every entry in the state's tables got its number before the
-// table was built, hence before this load. The other order lets two flushes
-// and a compaction slip between the loads; compaction keeps only the newest
-// version of a key, the stale sequence hides exactly that version, and an
-// acknowledged key reads as not found
+// table was built, hence before this load. The other order lets a flush land
+// between the loads; flushes and compactions keep only the newest version of
+// a key, the stale sequence hides exactly that version, and an acknowledged
+// key reads as not found
 // (TestReadsDuringRotationFlushCompaction). A write acknowledged before the
 // read began is in a memtable published before it was acknowledged, or in the
 // table that memtable became, so the state loaded here holds it.

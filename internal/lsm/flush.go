@@ -1,6 +1,9 @@
 package lsm
 
 import (
+	"bytes"
+
+	"p2kvs/internal/ikey"
 	"p2kvs/internal/manifest"
 	"p2kvs/internal/sstable"
 )
@@ -108,8 +111,22 @@ func (d *DB) doFlush(h *memHandle) error {
 		return err
 	}
 	w := sstable.NewWriter(f, num)
+	// The iterator yields user keys ascending, newest version first. As in
+	// mergeFiles, only that newest version is written (a tombstone too:
+	// older levels may hold the key). No reader needs the rest: a read
+	// state that predates this flush still holds the memtable, and one
+	// published after it pairs with a sequence newer than every entry here.
+	var (
+		lastUK []byte // aliases the memtable, which outlives the loop
+		haveUK bool
+	)
 	it := h.mem.NewIterator()
 	for it.SeekToFirst(); it.Valid(); it.Next() {
+		uk := ikey.UserKey(it.Key())
+		if haveUK && bytes.Equal(uk, lastUK) {
+			continue // shadowed older version
+		}
+		lastUK, haveUK = uk, true
 		if err := w.Add(it.Key(), it.Value()); err != nil {
 			f.Close()
 			d.opts.FS.Remove(sstName(d.dir, num))
