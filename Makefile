@@ -5,7 +5,7 @@ SUITE ?= list
 
 LOC_DIR ?= .
 
-.PHONY: build test test-race alloc-pins alloc-profile cpu-profile vet fmt-check benchmark-module stats-golden loc loc-diff fuzz-short stress serve netbench ci clean
+.PHONY: build test test-race alloc-pins alloc-profile cpu-profile profile-bins bench-smoke vet fmt-check benchmark-module stats-golden loc loc-diff fuzz-short stress serve netbench ci clean
 
 build:
 	$(GO) build ./...
@@ -65,20 +65,33 @@ alloc-profile:
 # (Flush). The wire path: pipelined RESP windows over an in-process
 # store (ServerPipeline). A time claim starts from these tables as a count
 # claim starts from alloc-profile's.
-cpu-profile:
+cpu-profile: profile-bins
+	cd $(PROFILE_DIR) && for run in $(PROFILE_RUNS); do \
+		set -- $$run; \
+		./$$1.test -test.run '^$$' -test.bench "$$3" -test.benchtime 3s -test.cpuprofile $$2.prof && \
+		$(GO) tool pprof -top -cum -nodecount 25 $$1.test $$2.prof || exit 1; \
+	done
+
+# cpu-profile's rows: test binary, profile name, -test.bench pattern.
+PROFILE_RUNS = 'p2kvs write PutAsync|LSMWriteBatch' 'p2kvs memtable MemtableAdd|MemtableGet' \
+	'core get-direct Get$$/direct=true' \
+	'core get-queued Get$$/direct=false' 'lsm get-engine GetMiss' 'lsm get-hit GetHit' 'vfs memfs MemFSAppend|MemFSReadAt' \
+	'lsm compaction CompactionMerge' 'core scan StoreScan' 'lsm flush Flush' 'server wire ServerPipeline'
+
+profile-bins:
 	mkdir -p $(PROFILE_DIR)
 	$(GO) test -c -o $(PROFILE_DIR)/p2kvs.test .
 	$(GO) test -c -o $(PROFILE_DIR)/core.test ./internal/core
 	$(GO) test -c -o $(PROFILE_DIR)/lsm.test ./internal/lsm
 	$(GO) test -c -o $(PROFILE_DIR)/vfs.test ./internal/vfs
 	$(GO) test -c -o $(PROFILE_DIR)/server.test ./internal/server
-	cd $(PROFILE_DIR) && for run in 'p2kvs write PutAsync|LSMWriteBatch' 'p2kvs memtable MemtableAdd|MemtableGet' \
-			'core get-direct Get$$/direct=true' \
-			'core get-queued Get$$/direct=false' 'lsm get-engine GetMiss' 'lsm get-hit GetHit' 'vfs memfs MemFSAppend|MemFSReadAt' \
-			'lsm compaction CompactionMerge' 'core scan StoreScan' 'lsm flush Flush' 'server wire ServerPipeline'; do \
+
+# Every benchmark cpu-profile names, run once: one that fails or fatals in
+# its set-up fails here (make ci, CI), not under someone's profiler.
+bench-smoke: profile-bins
+	cd $(PROFILE_DIR) && for run in $(PROFILE_RUNS); do \
 		set -- $$run; \
-		./$$1.test -test.run '^$$' -test.bench "$$3" -test.benchtime 3s -test.cpuprofile $$2.prof && \
-		$(GO) tool pprof -top -cum -nodecount 25 $$1.test $$2.prof || exit 1; \
+		./$$1.test -test.run '^$$' -test.bench "$$3" -test.benchtime 1x || exit 1; \
 	done
 
 vet:
@@ -177,7 +190,7 @@ serve:
 netbench:
 	$(GO) run ./cmd/netbench -addr $(SERVE_ADDR) -conns 8 -pipeline 16 -num 20000
 
-ci: vet fmt-check build test-race alloc-pins benchmark-module
+ci: vet fmt-check build test-race alloc-pins benchmark-module bench-smoke
 
 clean:
 	$(GO) clean ./...

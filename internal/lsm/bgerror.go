@@ -2,8 +2,7 @@ package lsm
 
 import (
 	"errors"
-	"fmt"
-	"strings"
+	"sync/atomic"
 	"time"
 
 	"p2kvs/internal/kv"
@@ -41,67 +40,61 @@ func (d *DB) degradeLocked(job string, cause error) {
 	d.cond.Broadcast()
 }
 
-// noteBgFailure records a failed background attempt (attempt is 0-based)
-// and reports whether the job should retry. It returns false when the
-// engine is closing, already degraded, or this failure exhausted the
-// retry budget (degrading the engine).
-func (d *DB) noteBgFailure(job string, err error, attempt int) bool {
-	if d.closed.Load() {
-		return false
-	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.g.Err() != nil {
-		return false
-	}
-	if job == "flush" {
-		d.flushFailing = true
-	} else {
-		d.compactFailing = true
-	}
-	// ENOSPC degrades immediately rather than burning the retry budget:
-	// re-running the job cannot free space, while degrading at once lets
-	// the guard start reclaiming and keeps reads served in the
-	// meantime.
-	if isPermanentBgErr(err) || vfs.IsNoSpace(err) || attempt+1 >= d.opts.BgMaxRetries {
-		d.degradeLocked(job, err)
-		return false
-	}
-	d.g.Retrying(err)
-	return true
+// bgJob is the retry state of one kind of background work, flush or
+// compaction.
+type bgJob struct {
+	name    string       // what the guard's degraded state names
+	failing bool         // an attempt failed and none has succeeded since; under d.mu
+	retries atomic.Int64 // attempts beyond the first, reported by Health
 }
 
-// clearBgFailure marks a previously failing job healthy again.
-func (d *DB) clearBgFailure(job string) {
-	d.mu.Lock()
-	if job == "flush" {
-		d.flushFailing = false
-	} else {
-		d.compactFailing = false
-	}
-	if !d.flushFailing && !d.compactFailing {
-		d.g.Retrying(nil)
-	}
-	d.mu.Unlock()
-}
-
-// backoffWait sleeps the capped-exponential delay for the given retry
-// (1-based), returning false if the engine shut down while waiting.
-func (d *DB) backoffWait(retry int) bool {
-	delay := d.opts.BgBaseBackoff
-	for i := 1; i < retry && delay < d.opts.BgMaxBackoff; i++ {
-		delay *= 2
-	}
-	if delay > d.opts.BgMaxBackoff {
-		delay = d.opts.BgMaxBackoff
-	}
-	t := time.NewTimer(delay)
-	defer t.Stop()
-	select {
-	case <-d.stopC:
-		return false
-	case <-t.C:
-		return true
+// retryBg runs attempt until it succeeds, retrying failures after a delay
+// that doubles from BgBaseBackoff up to BgMaxBackoff. It returns false,
+// leaving the work undone, when the engine is closing, is already degraded,
+// or degrades on this failure: on a permanent error, a full disk (re-running
+// cannot free space, while degrading at once lets the guard reclaim and keeps
+// reads served) or an exhausted retry budget.
+func (d *DB) retryBg(job *bgJob, attempt func() error) bool {
+	delay := min(d.opts.BgBaseBackoff, d.opts.BgMaxBackoff)
+	for n := 1; ; n++ {
+		select {
+		case <-d.stopC:
+			return false
+		default:
+		}
+		err := attempt()
+		d.mu.Lock()
+		if err == nil {
+			if n > 1 {
+				job.failing = false
+				if !d.flushJob.failing && !d.compactJob.failing {
+					d.g.Retrying(nil)
+				}
+			}
+			d.mu.Unlock()
+			return true
+		}
+		if d.closed.Load() || d.g.Err() != nil {
+			d.mu.Unlock()
+			return false
+		}
+		job.failing = true
+		if isPermanentBgErr(err) || vfs.IsNoSpace(err) || n >= d.opts.BgMaxRetries {
+			d.degradeLocked(job.name, err)
+			d.mu.Unlock()
+			return false
+		}
+		d.g.Retrying(err)
+		d.mu.Unlock()
+		job.retries.Add(1)
+		t := time.NewTimer(delay)
+		select {
+		case <-d.stopC:
+			t.Stop()
+			return false
+		case <-t.C:
+		}
+		delay = min(2*delay, d.opts.BgMaxBackoff)
 	}
 }
 
@@ -134,12 +127,12 @@ func (d *DB) noteWriteFailure(h *memHandle, err error) {
 // may hold a torn tail (stranding later edits) or a record of unknown
 // durability (which a blind retry would double-apply at replay), so it is
 // rewritten from a clean snapshot (should that fail too, the next
-// LogAndApply rewrites it before appending); once that rewrite succeeds, the orphan
-// SSTs the edit would have installed are deleted — they are unreferenced
-// by the fresh snapshot, so this is crash-safe. A successful edit installs a
+// LogAndApply rewrites it before appending); once that rewrite succeeds, the
+// tables the edit would have added are deleted — they are unreferenced by
+// the fresh snapshot, so this is crash-safe. A successful edit installs a
 // new current version, which is published to readers before applyEdit
 // returns; callers must not hold d.mu.
-func (d *DB) applyEdit(edit *manifest.VersionEdit, orphans ...uint64) error {
+func (d *DB) applyEdit(edit *manifest.VersionEdit) error {
 	err := d.vs.LogAndApply(edit)
 	if err == nil {
 		d.mu.Lock()
@@ -148,8 +141,8 @@ func (d *DB) applyEdit(edit *manifest.VersionEdit, orphans ...uint64) error {
 		return nil
 	}
 	if rerr := d.vs.Rotate(); rerr == nil {
-		for _, num := range orphans {
-			d.opts.FS.Remove(sstName(d.dir, num))
+		for _, a := range edit.Added {
+			d.opts.FS.Remove(sstName(d.dir, a.Meta.Num))
 		}
 	}
 	return err
@@ -159,8 +152,8 @@ func (d *DB) applyEdit(edit *manifest.VersionEdit, orphans ...uint64) error {
 // engine's retry counters. Healthy, it reads only atomics.
 func (d *DB) Health() kv.Health {
 	h := d.g.Health()
-	h.FlushRetries = d.perf.flushRetries.Load()
-	h.CompactRetries = d.perf.compactRetries.Load()
+	h.FlushRetries = d.flushJob.retries.Load()
+	h.CompactRetries = d.compactJob.retries.Load()
 	return h
 }
 
@@ -173,8 +166,8 @@ func (d *DB) Resume() error {
 	}
 	d.mu.Lock()
 	d.g.Clear()
-	d.flushFailing = false
-	d.compactFailing = false
+	d.flushJob.failing = false
+	d.compactJob.failing = false
 	if d.wal != nil && d.wal.Tainted() {
 		d.rotateLocked()
 	}
@@ -185,58 +178,50 @@ func (d *DB) Resume() error {
 }
 
 // reclaimSpace is what the guard runs before each space probe (a full disk
-// is exactly when garbage matters most): it deletes files in the instance
-// directory that nothing references — SSTs absent from the current version
-// and logs older than the manifest's LogNum (already flushed). It only runs
-// while the engine is degraded and no flush or compaction that started before
-// it degraded is still running — none can start then, so a name absent from
-// the snapshot taken under d.mu cannot become live again (file numbers are
-// never reused) — and defers to checkpoint pins, which may still reference
-// retired files.
+// is exactly when garbage matters most): it deletes what garbage lists. It
+// only runs while the engine is degraded and no flush or compaction that
+// started before it degraded is still running — none can start then, so a
+// name absent from the version read under d.mu cannot become live again
+// (file numbers are never reused) — and defers to checkpoint pins, which may
+// still reference retired files.
 func (d *DB) reclaimSpace() {
 	d.mu.Lock()
 	if d.g.Err() == nil || d.closed.Load() || d.Held() || len(d.compRunning) > 0 || d.flushing > 0 {
 		d.mu.Unlock()
 		return
 	}
-	live := make(map[string]bool)
-	for _, level := range d.vs.Current().Levels {
-		for _, fm := range level {
-			live[sstName(d.dir, fm.Num)] = true
-		}
-	}
-	if d.memH != nil && d.memH.walw != nil {
-		live[walName(d.dir, d.memH.logNum)] = true
-	}
-	for _, h := range d.imm {
-		if h.walw != nil {
-			live[walName(d.dir, h.logNum)] = true
-		}
-	}
-	minLog := d.vs.LogNum
-	names, err := d.opts.FS.List(d.dir)
+	victims, err := d.garbage()
+	d.mu.Unlock()
 	if err != nil {
-		d.mu.Unlock()
 		return
 	}
-	var victims []string
-	for _, name := range names {
-		full := d.dir + "/" + name
-		if live[full] {
-			continue
-		}
-		switch {
-		case strings.HasSuffix(name, ".sst"):
-			victims = append(victims, full)
-		case strings.HasSuffix(name, ".log"):
-			var num uint64
-			if _, err := fmt.Sscanf(name, "%06d.log", &num); err == nil && num < minLog {
-				victims = append(victims, full)
-			}
-		}
-	}
-	d.mu.Unlock()
 	for _, v := range victims {
 		d.opts.FS.Remove(v)
 	}
+}
+
+// garbage lists the files in the instance directory that nothing
+// references: tables absent from the current version and logs older than
+// the manifest's LogNum (already flushed; every live memtable's log is
+// newer). The caller makes sure no flush or compaction is writing.
+func (d *DB) garbage() ([]string, error) {
+	live := make(map[uint64]bool)
+	for _, level := range d.vs.Current().Levels {
+		for _, fm := range level {
+			live[fm.Num] = true
+		}
+	}
+	names, err := d.opts.FS.List(d.dir)
+	if err != nil {
+		return nil, err
+	}
+	var victims []string
+	for _, name := range names {
+		if num, ok := fileNum(name, ".sst"); ok && !live[num] {
+			victims = append(victims, d.dir+"/"+name)
+		} else if num, ok := fileNum(name, ".log"); ok && num < d.vs.LogNum {
+			victims = append(victims, d.dir+"/"+name)
+		}
+	}
+	return victims, nil
 }

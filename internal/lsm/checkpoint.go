@@ -6,7 +6,6 @@ import (
 	"p2kvs/internal/kv"
 	"p2kvs/internal/manifest"
 	"p2kvs/internal/vfs"
-	"p2kvs/internal/wal"
 )
 
 // This file implements the engine half of the store-wide online checkpoint
@@ -102,13 +101,8 @@ func (w *ckptWriter) WriteTo(fs vfs.FS, dir string, seq uint64) ([]kv.Checkpoint
 
 	// Trimmed MANIFEST: one snapshot record of the captured version.
 	mname := fmt.Sprintf("MANIFEST-ckpt%06d", seq)
-	mf, err := fs.Create(dir + "/" + mname)
+	mlog, err := manifest.Create(fs, dir+"/"+mname, w.snap)
 	if err != nil {
-		return nil, err
-	}
-	mlog := wal.NewWriter(mf, wal.Options{Policy: wal.PolicyCommit})
-	if err := mlog.Append(0, w.snap.Encode()); err != nil {
-		mlog.Close()
 		return nil, err
 	}
 	if err := mlog.Close(); err != nil {

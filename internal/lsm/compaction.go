@@ -2,11 +2,13 @@ package lsm
 
 import (
 	"bytes"
+	"fmt"
 
 	"p2kvs/internal/ikey"
 	"p2kvs/internal/kv"
 	"p2kvs/internal/manifest"
 	"p2kvs/internal/sstable"
+	"p2kvs/internal/vfs"
 )
 
 // CompactRange force-compacts every file overlapping [begin, end] (nil
@@ -142,12 +144,9 @@ func (d *DB) noDataBelow(v *manifest.Version, out int, lo, hi []byte) bool {
 	return true
 }
 
-// mergeFiles merge-sorts the input tables and writes outputs split at
-// TargetFileSize. Older duplicate versions are dropped (no snapshot
-// support across compactions); tombstones are dropped when dropTombs. On
-// any error every partial and finished output file is closed and removed,
-// so a failed merge leaves no orphans for the retry to trip over.
-func (d *DB) mergeFiles(inputs []*manifest.FileMeta, dropTombs bool) (outputs []manifest.FileMeta, err error) {
+// mergeFiles merge-sorts the input tables into new tables split at
+// TargetFileSize (writeTables), dropping tombstones when dropTombs.
+func (d *DB) mergeFiles(inputs []*manifest.FileMeta, dropTombs bool) ([]manifest.FileMeta, error) {
 	var children []kv.Iterator
 	for _, fm := range inputs {
 		// No block cache: a merge reads each block once, through one buffer
@@ -162,90 +161,99 @@ func (d *DB) mergeFiles(inputs []*manifest.FileMeta, dropTombs bool) (outputs []
 	}
 	merge := kv.NewMerge(ikey.Compare, children)
 	defer merge.Close()
+	outputs, err := d.writeTables(merge, dropTombs, d.opts.TargetFileSize)
+	for _, m := range outputs {
+		d.perf.compactWrite.Add(m.Size)
+	}
+	return outputs, err
+}
 
+// writeTables is how the engine persists a sorted run, a flush's and a
+// compaction's alike. It reads internal keys in order from it (a user key's
+// newest version first) and writes only that newest version of each key into
+// new tables under fresh file numbers; no reader needs the rest, since a read
+// state from before the outputs are installed still holds the inputs and one
+// published after pairs with a sequence newer than every entry here.
+// Tombstones are left out when dropTombs, and a new table starts once one
+// holds split bytes of keys and values (never when split is 0). On any error
+// every output, partial or finished, is closed and removed, so a failed
+// attempt leaves no orphans for its retry to trip over.
+func (d *DB) writeTables(it kv.Iterator, dropTombs bool, split int64) (_ []manifest.FileMeta, err error) {
 	var (
-		w      *sstable.Writer
-		wf     interface{ Close() error }
-		curNum uint64
-		lastUK []byte
-		haveUK bool
+		outputs []manifest.FileMeta
+		w       *sstable.Writer
+		f       vfs.File
+		num     uint64
+		written int64
+		ukBuf   [64]byte    // holds a short lastUK without a heap allocation
+		lastUK  = ukBuf[:0] // a copy: it may reuse the key's bytes after Next
+		haveUK  bool
 	)
 	defer func() {
 		if err == nil {
 			return
 		}
-		// Mid-merge failure: close the in-progress writer and sweep every
-		// output written so far off the disk.
 		if w != nil {
-			wf.Close()
-			d.opts.FS.Remove(sstName(d.dir, curNum))
+			f.Close()
+			d.opts.FS.Remove(sstName(d.dir, num))
 		}
 		for _, m := range outputs {
 			d.opts.FS.Remove(sstName(d.dir, m.Num))
 		}
-		outputs = nil
 	}()
-	finishOutput := func() error {
-		if w == nil {
-			return nil
-		}
-		meta, ferr := w.Finish()
-		wf.Close()
+	finish := func() error {
+		meta, err := w.Finish()
+		f.Close()
 		w = nil
-		if ferr != nil {
-			d.opts.FS.Remove(sstName(d.dir, curNum))
-			return ferr
+		if err != nil {
+			d.opts.FS.Remove(sstName(d.dir, num))
+			return err
 		}
-		d.perf.compactWrite.Add(meta.Size)
 		outputs = append(outputs, manifest.FileMeta{
 			Num: meta.FileNum, Size: meta.Size, Entries: meta.Entries,
 			Smallest: meta.Smallest, Largest: meta.Largest,
 		})
 		return nil
 	}
-
-	written := int64(0)
-	for merge.SeekToFirst(); merge.Valid(); merge.Next() {
-		ik := merge.Key()
-		uk, _, kind, derr := ikey.Decode(ik)
-		if derr != nil {
-			return nil, derr
+	for it.SeekToFirst(); it.Valid(); it.Next() {
+		ik := it.Key()
+		if len(ik) < ikey.TrailerLen {
+			return nil, fmt.Errorf("lsm: internal key of %d bytes", len(ik))
 		}
+		uk := ikey.UserKey(ik)
 		if haveUK && bytes.Equal(uk, lastUK) {
 			continue // shadowed older version
 		}
-		lastUK = append(lastUK[:0], uk...)
-		haveUK = true
-		if kind == ikey.KindDelete && dropTombs {
+		lastUK, haveUK = append(lastUK[:0], uk...), true
+		if dropTombs && ikey.Kind(ik[len(ik)-ikey.TrailerLen]) == ikey.KindDelete {
 			continue
 		}
-		if w != nil && written >= d.opts.TargetFileSize {
-			if err = finishOutput(); err != nil {
+		if w != nil && split > 0 && written >= split {
+			if err := finish(); err != nil {
 				return nil, err
 			}
 			written = 0
 		}
 		if w == nil {
-			curNum = d.vs.NewFileNum()
-			f, ferr := d.opts.FS.Create(sstName(d.dir, curNum))
-			if ferr != nil {
-				w = nil
-				err = ferr
+			num = d.vs.NewFileNum()
+			if f, err = d.opts.FS.Create(sstName(d.dir, num)); err != nil {
 				return nil, err
 			}
-			w = sstable.NewWriter(f, curNum)
-			wf = f
+			w = sstable.NewWriter(f, num)
 		}
-		if err = w.Add(ik, merge.Value()); err != nil {
+		v := it.Value()
+		if err := w.Add(ik, v); err != nil {
 			return nil, err
 		}
-		written += int64(len(ik) + len(merge.Value()))
+		written += int64(len(ik) + len(v))
 	}
-	if err = merge.Error(); err != nil {
+	if err := it.Error(); err != nil {
 		return nil, err
 	}
-	if err = finishOutput(); err != nil {
-		return nil, err
+	if w != nil {
+		if err := finish(); err != nil {
+			return nil, err
+		}
 	}
 	return outputs, nil
 }
@@ -271,11 +279,7 @@ func (d *DB) installCompaction(inLevel int, inputs []*manifest.FileMeta, outLeve
 	for _, m := range outputs {
 		edit.Added = append(edit.Added, manifest.AddedFile{Level: outLevel, Meta: m})
 	}
-	orphans := make([]uint64, 0, len(outputs))
-	for _, m := range outputs {
-		orphans = append(orphans, m.Num)
-	}
-	if err := d.applyEdit(edit, orphans...); err != nil {
+	if err := d.applyEdit(edit); err != nil {
 		return err
 	}
 	d.perf.compactions.Add(1)

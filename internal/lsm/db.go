@@ -7,6 +7,7 @@ import (
 	"os"
 	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -64,10 +65,10 @@ type DB struct {
 	// g holds the degraded state, the disk-full poll and the health
 	// counters (bgerror.go); it is degraded only under mu, so a loop that
 	// tests g.Err inside mu and waits on cond misses no transition. The
-	// *Failing flags track jobs currently in their retry loop.
-	g              *guard.Guard
-	flushFailing   bool
-	compactFailing bool
+	// bgJobs are flush's and compaction's retry state (retryBg).
+	g          *guard.Guard
+	flushJob   bgJob
+	compactJob bgJob
 
 	// Checkpoint pins (checkpoint.go): while one is held, an in-progress
 	// checkpoint still references the captured version's SSTs and WAL
@@ -145,6 +146,7 @@ func OpenWith(dir string, opts Options, oo OpenOptions) (*DB, error) {
 		compactC:  make(chan struct{}, 1),
 		stopC:     make(chan struct{}),
 	}
+	d.flushJob.name, d.compactJob.name = "flush", "compaction"
 	d.cond = sync.NewCond(&d.mu)
 	d.g = guard.New("lsm", opts.FS, dir, d.reclaimSpace, d.Resume, opts.BgBaseBackoff, opts.BgMaxBackoff)
 	d.seq.Store(vs.LastSeq)
@@ -154,11 +156,16 @@ func OpenWith(dir string, opts Options, oo OpenOptions) (*DB, error) {
 		vs.Close()
 		return nil, err
 	}
-	if d.memH == nil {
-		if err := d.installMemtable(); err != nil {
-			vs.Close()
-			return nil, err
-		}
+	// What the crashed process left unreferenced — a table written by a
+	// flush or compaction whose edit never landed, the logs replayed above
+	// — goes now: no background work has started to make it live.
+	victims, err := d.garbage()
+	if err != nil {
+		vs.Close()
+		return nil, err
+	}
+	for _, name := range victims {
+		opts.FS.Remove(name)
 	}
 	d.bgWG.Add(2)
 	go d.flushLoop()
@@ -169,8 +176,12 @@ func OpenWith(dir string, opts Options, oo OpenOptions) (*DB, error) {
 func walName(dir string, num uint64) string { return fmt.Sprintf("%s/%06d.log", dir, num) }
 func sstName(dir string, num uint64) string { return fmt.Sprintf("%s/%06d.sst", dir, num) }
 
-// replayWALs rebuilds the memtable from any logs newer than the
-// manifest's LogNum (standard crash recovery, Figure 2's log replay).
+// replayWALs installs a fresh memtable and WAL, then rebuilds a memtable
+// from any logs newer than the manifest's LogNum (standard crash recovery,
+// Figure 2's log replay) and flushes it to L0 (doFlush), as RocksDB does by
+// default. The flush moves LogNum past every replayed log, so they are
+// garbage once it lands, and the recovered entries keep their sequence
+// numbers in the table.
 func (d *DB) replayWALs(oo OpenOptions) error {
 	names, err := d.opts.FS.List(d.dir)
 	if err != nil {
@@ -178,36 +189,34 @@ func (d *DB) replayWALs(oo OpenOptions) error {
 	}
 	var logNums []uint64
 	for _, n := range names {
-		var num uint64
 		// Mark every on-disk file number as used before allocating any
 		// new one: the crashed process may have allocated numbers (for
 		// the live WAL, or orphaned SSTs) that no persisted edit
 		// records, and reusing such a number would truncate the file.
-		if _, err := fmt.Sscanf(n, "%d.sst", &num); err == nil && strings.HasSuffix(n, ".sst") {
+		if num, ok := fileNum(n, ".sst"); ok {
 			d.vs.MarkFileNumUsed(num)
-			continue
-		}
-		if _, err := fmt.Sscanf(n, "%d.log", &num); err == nil && strings.HasSuffix(n, ".log") {
+		} else if num, ok := fileNum(n, ".log"); ok {
 			d.vs.MarkFileNumUsed(num)
 			if num >= d.vs.LogNum {
 				logNums = append(logNums, num)
-			} else {
-				// Stale log already covered by flushed SSTs.
-				d.opts.FS.Remove(walName(d.dir, num))
 			}
 		}
 	}
-	sort.Slice(logNums, func(i, j int) bool { return logNums[i] < logNums[j] })
-
+	if err := d.installMemtable(); err != nil {
+		return err
+	}
+	if len(logNums) == 0 {
+		return nil
+	}
+	slices.Sort(logNums)
+	h := &memHandle{
+		mem:    memtable.New(d.opts.RocksDBFeatures, d.opts.MemTableSize),
+		logNum: logNums[len(logNums)-1], // the flush's edit moves LogNum past it
+	}
 	for _, num := range logNums {
 		recs, err := wal.ReadAll(d.opts.FS, walName(d.dir, num))
 		if err != nil {
 			return err
-		}
-		if d.memH == nil {
-			if err := d.installMemtable(); err != nil {
-				return err
-			}
 		}
 		for _, rec := range recs {
 			if rec.GSN != 0 && oo.RecoverFilter != nil && !oo.RecoverFilter(rec.GSN) {
@@ -223,52 +232,24 @@ func (d *DB) replayWALs(oo OpenOptions) error {
 				if op.Kind == kv.OpDelete {
 					kind = ikey.KindDelete
 				}
-				d.memH.mem.Add(seq, kind, op.Key, op.Value)
+				h.mem.Add(seq, kind, op.Key, op.Value)
 				if seq > d.seq.Load() {
 					d.seq.Store(seq)
 				}
 			}
 		}
 	}
+	return d.doFlush(h)
+}
 
-	if d.memH != nil && !d.memH.mem.Empty() && d.wal != nil {
-		// Re-log the recovered entries so the new WAL covers them. Each
-		// entry keeps its ORIGINAL sequence number (one single-op record
-		// per entry): the memtable iterates newest-version-first within a
-		// key, so renumbering in iteration order would invert version
-		// order and surface stale values after a second crash.
-		it := d.memH.mem.NewIterator()
-		wrote := false
-		var payload []byte
-		for it.SeekToFirst(); it.Valid(); it.Next() {
-			uk, seq, kind, err := ikey.Decode(it.Key())
-			if err != nil {
-				return err
-			}
-			var batch kv.Batch
-			if kind == ikey.KindDelete {
-				batch.Delete(uk)
-			} else {
-				batch.Put(uk, it.Value())
-			}
-			payload = appendBatchPayload(payload[:0], seq, &batch)
-			if err := d.wal.Append(0, payload); err != nil {
-				return err
-			}
-			wrote = true
-		}
-		if wrote {
-			if err := d.wal.Sync(); err != nil {
-				return err
-			}
-		}
+// fileNum parses the number of a file named NNNNNN<ext>.
+func fileNum(name, ext string) (uint64, bool) {
+	digits, ok := strings.CutSuffix(name, ext)
+	if !ok {
+		return 0, false
 	}
-	// Only now that the surviving entries are durable in the fresh log is
-	// it safe to delete the old ones.
-	for _, num := range logNums {
-		d.opts.FS.Remove(walName(d.dir, num))
-	}
-	return nil
+	num, err := strconv.ParseUint(digits, 10, 64)
+	return num, err == nil
 }
 
 // walOptions configures every WAL this DB opens.

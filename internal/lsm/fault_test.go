@@ -61,6 +61,52 @@ func TestFlushErrorPoisonsEngine(t *testing.T) {
 	}
 }
 
+// TestReopenDropsUnreferencedTables: a flush whose table is finished but
+// whose MANIFEST edit never lands — nor the MANIFEST rewrite after which it
+// would delete the table — leaves a table nothing references. A crash then,
+// and reopening must delete it (and every such table) while keeping the
+// data, which recovery replays from the WAL.
+func TestReopenDropsUnreferencedTables(t *testing.T) {
+	mem := vfs.NewMem()
+	fs := vfs.NewFault(mem)
+	opts := faultOpts(fs)
+	opts.WALSync = wal.PolicyCommit
+	db, err := Open("db", opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	putN(t, db, 50)
+	fs.Inject(vfs.Rule{Op: vfs.OpWrite, Path: "MANIFEST"})
+	if err := db.Flush(); err == nil {
+		t.Fatal("flush succeeded without its MANIFEST edit")
+	}
+	if len(sstFiles(t, mem)) == 0 {
+		t.Fatal("the failed flush left no table behind: nothing to check")
+	}
+	mem.Crash()
+	db.Close()
+	mem.Restart()
+	fs.ClearRules()
+
+	db2, err := Open("db", opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db2.Close()
+	checkN(t, db2, 50)
+	live := map[string]bool{}
+	for _, level := range db2.vs.Current().Levels {
+		for _, fm := range level {
+			live[fmt.Sprintf("%06d.sst", fm.Num)] = true
+		}
+	}
+	for n := range sstFiles(t, mem) {
+		if !live[n] {
+			t.Errorf("reopen left unreferenced table %s", n)
+		}
+	}
+}
+
 // TestCorruptManifestRejected: a manifest whose tail record decodes to a
 // bogus tag must fail open rather than silently produce an empty store.
 func TestCorruptManifestRejected(t *testing.T) {

@@ -44,8 +44,9 @@ func TestWriteStallEngages(t *testing.T) {
 }
 
 // TestSecondCrashAfterRecovery covers the double-crash path: recover,
-// write more, crash again, recover again. The re-logged recovery WAL must
-// replay correctly the second time.
+// write more, crash again, recover again. Recovery flushes what it replays
+// to an L0 table, newest version of each key, and starts an empty WAL; the
+// second recovery must read that table and the new WAL together.
 func TestSecondCrashAfterRecovery(t *testing.T) {
 	fs := vfs.NewMem()
 	opts := smallOpts(fs)
@@ -66,6 +67,16 @@ func TestSecondCrashAfterRecovery(t *testing.T) {
 	db2, err := Open("db", opts)
 	if err != nil {
 		t.Fatal(err)
+	}
+	l0 := db2.vs.Current().Levels[0]
+	if len(l0) != 1 {
+		t.Fatalf("after recovery L0 holds %d tables, want the one recovery flushed", len(l0))
+	}
+	if l0[0].Entries != 100 {
+		t.Fatalf("the recovered table holds %d entries, want the 100 keys' newest versions", l0[0].Entries)
+	}
+	if recs, err := wal.ReadAll(fs, walName("db", db2.memH.logNum)); err != nil || len(recs) != 0 {
+		t.Fatalf("the fresh WAL holds %d records (%v), want none", len(recs), err)
 	}
 	for i := 100; i < 150; i++ {
 		db2.Put([]byte(fmt.Sprintf("k%03d", i)), []byte("v3"))

@@ -55,10 +55,6 @@ type perfCounters struct {
 	walIONsBase         atomic.Int64 // carried over from rotated WAL writers
 	walLockNsBase       atomic.Int64
 	walGroupBase        atomic.Int64
-
-	// Robustness: background job attempts beyond the first.
-	flushRetries   atomic.Int64
-	compactRetries atomic.Int64
 }
 
 // Perf snapshots the engine's counters.

@@ -150,48 +150,54 @@ func BenchmarkShortScan(b *testing.B) {
 	}
 }
 
-// BenchmarkCompactionMerge is compaction's inner loop: CompactRange over
+// BenchmarkCompactionMerge is compaction's inner loop: mergeFiles over
 // eight overlapping L0 tables on MemFS, each of 10,000 128-byte records
-// drawn from 60,000 keys (so about a third of the versions are shadowed),
-// rebuilt outside the timer before every iteration.
+// drawn from 60,000 keys (so about a third of the versions are shadowed).
+// The tables are built once; every iteration merges them into new tables,
+// removed outside the timer, so a CPU profile shows the merge rather than
+// the set-up.
 //
 //	go test -run '^$' -bench 'BenchmarkCompactionMerge' -benchmem ./internal/lsm
 func BenchmarkCompactionMerge(b *testing.B) {
 	const tables, perTable, keySpace = 8, 10000, 60000
 	val := make([]byte, 128)
+	fs := vfs.NewMem()
+	db, err := Open("db", manualOpts(RocksDBOptions(fs)))
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer db.Close()
+	x := uint64(88172645463325252)
+	for t := 0; t < tables; t++ {
+		var batch kv.Batch
+		for j := 0; j < perTable; j++ {
+			x ^= x << 13
+			x ^= x >> 7
+			x ^= x << 17
+			batch.Put(lookupKey(int(x%keySpace)), val)
+			if batch.Len() == 256 || j == perTable-1 {
+				if err := db.Write(&batch); err != nil {
+					b.Fatal(err)
+				}
+				batch = kv.Batch{}
+			}
+		}
+		if err := db.Flush(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	inputs := db.vs.Current().Levels[0]
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		db, err := Open("db", manualOpts(RocksDBOptions(vfs.NewMem())))
+		outputs, err := db.mergeFiles(inputs, true)
 		if err != nil {
 			b.Fatal(err)
 		}
-		x := uint64(88172645463325252)
-		for t := 0; t < tables; t++ {
-			var batch kv.Batch
-			for j := 0; j < perTable; j++ {
-				x ^= x << 13
-				x ^= x >> 7
-				x ^= x << 17
-				batch.Put(lookupKey(int(x%keySpace)), val)
-				if batch.Len() == 256 || j == perTable-1 {
-					if err := db.Write(&batch); err != nil {
-						b.Fatal(err)
-					}
-					batch = kv.Batch{}
-				}
-			}
-			if err := db.Flush(); err != nil {
-				b.Fatal(err)
-			}
+		b.StopTimer()
+		for _, m := range outputs {
+			fs.Remove(sstName("db", m.Num))
 		}
 		b.StartTimer()
-		if err := db.CompactRange(nil, nil); err != nil {
-			b.Fatal(err)
-		}
-		b.StopTimer()
-		if err := db.Close(); err != nil {
-			b.Fatal(err)
-		}
 	}
 }

@@ -221,41 +221,19 @@ func (d *DB) scheduleCompactionsLocked() {
 	}
 }
 
-// runCompaction executes one background job with the engine's standard
-// retry/backoff/degrade policy, then releases its range locks.
+// runCompaction executes one background job under the engine's retry
+// policy (retryBg), then releases its range locks. A corrupt input cannot
+// be merged by retrying: the file is quarantined (repair may yet restore
+// it) and the job abandoned as done. The engine does not degrade — only
+// reads covering the bad file's range fail, and the scheduler skips it.
 func (d *DB) runCompaction(job *compactionJob) {
 	defer d.finishJob(job)
-	for attempt := 0; ; attempt++ {
-		select {
-		case <-d.stopC:
-			return
-		default:
+	d.retryBg(&d.compactJob, func() error {
+		if err := d.execJob(job); !d.noteCorruption(err) {
+			return err
 		}
-		err := d.execJob(job)
-		if err == nil {
-			if attempt > 0 {
-				d.clearBgFailure("compaction")
-			}
-			return
-		}
-		if d.noteCorruption(err) {
-			// A corrupt input cannot be merged by retrying: the file is
-			// quarantined (repair may yet restore it) and this job
-			// abandoned. The engine does not degrade — only reads covering
-			// the bad file's range fail, and the scheduler skips it.
-			if attempt > 0 {
-				d.clearBgFailure("compaction")
-			}
-			return
-		}
-		if !d.noteBgFailure("compaction", err, attempt) {
-			return // degraded or closing; Resume re-kicks the scheduler
-		}
-		d.perf.compactRetries.Add(1)
-		if !d.backoffWait(attempt + 1) {
-			return // closing
-		}
-	}
+		return nil
+	})
 }
 
 // execJob merges a job's inputs and installs the result.

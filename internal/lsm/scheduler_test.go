@@ -183,76 +183,112 @@ func TestParallelCompactionStress(t *testing.T) {
 	}
 }
 
-// TestMergeFilesCleanupOnError is the regression test for the mid-merge
-// leak: a compaction that fails while writing outputs must close its file
-// handles and leave no orphan SSTs behind.
-func TestMergeFilesCleanupOnError(t *testing.T) {
-	mem := vfs.NewMem()
-	ffs := vfs.NewFault(mem)
-	db, err := Open("db", manualOpts(smallOpts(ffs)))
+// sstFiles lists the tables in the instance directory "db".
+func sstFiles(t *testing.T, fs vfs.FS) map[string]bool {
+	t.Helper()
+	names, err := fs.List("db")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer db.Close()
+	set := map[string]bool{}
+	for _, n := range names {
+		if strings.HasSuffix(n, ".sst") {
+			set[n] = true
+		}
+	}
+	return set
+}
 
-	for batch := 0; batch < 3; batch++ {
-		for i := 0; i < 300; i++ {
-			k := fmt.Sprintf("key-%04d", i)
-			if err := db.Put([]byte(k), []byte(fmt.Sprintf("val-%d-%04d", batch, i))); err != nil {
+// TestMergeFilesCleanupOnError is the regression test for the mid-merge
+// leak: a compaction, or a flush, that fails while writing tables must
+// close its file handles and leave no orphan SSTs behind (writeTables).
+func TestMergeFilesCleanupOnError(t *testing.T) {
+	// Every SST write fails: the job dies mid-flight, after possibly
+	// finishing one or more outputs.
+	fault := vfs.Rule{Op: vfs.OpWrite, Path: ".sst", Prob: 1}
+	t.Run("compaction", func(t *testing.T) {
+		mem := vfs.NewMem()
+		ffs := vfs.NewFault(mem)
+		db, err := Open("db", manualOpts(smallOpts(ffs)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer db.Close()
+
+		for batch := 0; batch < 3; batch++ {
+			for i := 0; i < 300; i++ {
+				k := fmt.Sprintf("key-%04d", i)
+				if err := db.Put([]byte(k), []byte(fmt.Sprintf("val-%d-%04d", batch, i))); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := db.Flush(); err != nil {
 				t.Fatal(err)
 			}
+		}
+		before := sstFiles(t, ffs)
+
+		ffs.Inject(fault)
+		if err := db.CompactRange(nil, nil); err == nil {
+			t.Fatal("CompactRange succeeded despite injected SST write faults")
+		}
+		ffs.ClearRules()
+
+		after := sstFiles(t, ffs)
+		for n := range after {
+			if !before[n] {
+				t.Fatalf("failed compaction leaked output %s (before=%v after=%v)", n, before, after)
+			}
+		}
+		for n := range before {
+			if !after[n] {
+				t.Fatalf("failed compaction deleted input %s before install", n)
+			}
+		}
+
+		// The engine must still work: same merge, no faults.
+		if err := db.CompactRange(nil, nil); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 300; i++ {
+			k := fmt.Sprintf("key-%04d", i)
+			v, err := db.Get([]byte(k))
+			if err != nil || !strings.HasPrefix(string(v), "val-2-") {
+				t.Fatalf("Get(%s) = %q, %v after recovery", k, v, err)
+			}
+		}
+	})
+	t.Run("flush", func(t *testing.T) {
+		ffs := vfs.NewFault(vfs.NewMem())
+		db, err := Open("db", faultOpts(ffs))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer db.Close()
+		putN(t, db, 300)
+
+		// Every attempt fails until the retry budget degrades the engine.
+		ffs.Inject(fault)
+		if err := db.Flush(); err == nil {
+			t.Fatal("Flush succeeded despite injected SST write faults")
+		}
+		ffs.ClearRules()
+		if leaked := sstFiles(t, ffs); len(leaked) > 0 {
+			t.Fatalf("failed flush leaked %v", leaked)
+		}
+
+		// The memtable is still queued: the flush lands once resumed.
+		if err := db.Resume(); err != nil {
+			t.Fatal(err)
 		}
 		if err := db.Flush(); err != nil {
 			t.Fatal(err)
 		}
-	}
-
-	sstSet := func() map[string]bool {
-		names, err := ffs.List("db")
-		if err != nil {
-			t.Fatal(err)
+		if n := len(sstFiles(t, ffs)); n != 1 {
+			t.Fatalf("%d tables after the flush, want 1", n)
 		}
-		set := map[string]bool{}
-		for _, n := range names {
-			if strings.HasSuffix(n, ".sst") {
-				set[n] = true
-			}
-		}
-		return set
-	}
-	before := sstSet()
-
-	// Every SST write fails: the merge dies mid-flight, after possibly
-	// finishing one or more outputs.
-	ffs.Inject(vfs.Rule{Op: vfs.OpWrite, Path: ".sst", Prob: 1})
-	if err := db.CompactRange(nil, nil); err == nil {
-		t.Fatal("CompactRange succeeded despite injected SST write faults")
-	}
-	ffs.ClearRules()
-
-	after := sstSet()
-	for n := range after {
-		if !before[n] {
-			t.Fatalf("failed compaction leaked output %s (before=%v after=%v)", n, before, after)
-		}
-	}
-	for n := range before {
-		if !after[n] {
-			t.Fatalf("failed compaction deleted input %s before install", n)
-		}
-	}
-
-	// The engine must still work: same merge, no faults.
-	if err := db.CompactRange(nil, nil); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 300; i++ {
-		k := fmt.Sprintf("key-%04d", i)
-		v, err := db.Get([]byte(k))
-		if err != nil || !strings.HasPrefix(string(v), "val-2-") {
-			t.Fatalf("Get(%s) = %q, %v after recovery", k, v, err)
-		}
-	}
+		checkN(t, db, 300)
+	})
 }
 
 // TestCompactRangeFragmentedKeepsNextLevel verifies the fragmented

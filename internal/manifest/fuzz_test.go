@@ -10,10 +10,10 @@ func FuzzDecodeEdit(f *testing.F) {
 		Added:   []AddedFile{{Level: 1, Meta: fm(7, "a", "m")}},
 		Deleted: []DeletedFile{{Level: 2, Num: 9}},
 	}
-	f.Add(e.Encode())
+	f.Add(e.encode())
 	f.Add([]byte{})
 	f.Add([]byte{0xff, 0x01})
-	valid := e.Encode()
+	valid := e.encode()
 	f.Add(valid[:len(valid)/2])
 
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -22,7 +22,7 @@ func FuzzDecodeEdit(f *testing.F) {
 			return
 		}
 		// Decoded edits must re-encode and re-decode stably.
-		if _, err := DecodeEdit(got.Encode()); err != nil {
+		if _, err := DecodeEdit(got.encode()); err != nil {
 			t.Fatalf("re-decode of re-encoded edit failed: %v", err)
 		}
 	})

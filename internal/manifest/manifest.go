@@ -73,45 +73,43 @@ const (
 	tagDeleteFile
 )
 
-func putUvarint(dst []byte, v uint64) []byte {
-	var tmp [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(tmp[:], v)
-	return append(dst, tmp[:n]...)
-}
-
 func putBytes(dst, b []byte) []byte {
-	dst = putUvarint(dst, uint64(len(b)))
+	dst = binary.AppendUvarint(dst, uint64(len(b)))
 	return append(dst, b...)
 }
 
-// Encode serializes the edit.
-func (e *VersionEdit) Encode() []byte {
-	var b []byte
+// encode serializes the edit into a buffer sized for it once.
+func (e *VersionEdit) encode() []byte {
+	n := 6 * binary.MaxVarintLen64
+	for _, a := range e.Added {
+		n += 7*binary.MaxVarintLen64 + len(a.Meta.Smallest) + len(a.Meta.Largest)
+	}
+	b := make([]byte, 0, n+3*binary.MaxVarintLen64*len(e.Deleted))
 	if e.HasLogNum {
-		b = putUvarint(b, tagLogNum)
-		b = putUvarint(b, e.LogNum)
+		b = binary.AppendUvarint(b, tagLogNum)
+		b = binary.AppendUvarint(b, e.LogNum)
 	}
 	if e.HasNextFile {
-		b = putUvarint(b, tagNextFile)
-		b = putUvarint(b, e.NextFile)
+		b = binary.AppendUvarint(b, tagNextFile)
+		b = binary.AppendUvarint(b, e.NextFile)
 	}
 	if e.HasLastSeq {
-		b = putUvarint(b, tagLastSeq)
-		b = putUvarint(b, e.LastSeq)
+		b = binary.AppendUvarint(b, tagLastSeq)
+		b = binary.AppendUvarint(b, e.LastSeq)
 	}
 	for _, a := range e.Added {
-		b = putUvarint(b, tagAddFile)
-		b = putUvarint(b, uint64(a.Level))
-		b = putUvarint(b, a.Meta.Num)
-		b = putUvarint(b, uint64(a.Meta.Size))
-		b = putUvarint(b, uint64(a.Meta.Entries))
+		b = binary.AppendUvarint(b, tagAddFile)
+		b = binary.AppendUvarint(b, uint64(a.Level))
+		b = binary.AppendUvarint(b, a.Meta.Num)
+		b = binary.AppendUvarint(b, uint64(a.Meta.Size))
+		b = binary.AppendUvarint(b, uint64(a.Meta.Entries))
 		b = putBytes(b, a.Meta.Smallest)
 		b = putBytes(b, a.Meta.Largest)
 	}
 	for _, d := range e.Deleted {
-		b = putUvarint(b, tagDeleteFile)
-		b = putUvarint(b, uint64(d.Level))
-		b = putUvarint(b, d.Num)
+		b = binary.AppendUvarint(b, tagDeleteFile)
+		b = binary.AppendUvarint(b, uint64(d.Level))
+		b = binary.AppendUvarint(b, d.Num)
 	}
 	return b
 }
@@ -252,17 +250,11 @@ func Open(fs vfs.FS, dir string) (*Set, error) {
 // intact. Callers must hold s.mu (or, in Open, have exclusive access).
 func (s *Set) rotateLocked() error {
 	name := s.dir + "/MANIFEST"
-	tmp := name + ".new"
-	f, err := s.fs.Create(tmp)
+	log, err := Create(s.fs, name+".new", s.snapshotEdit())
 	if err != nil {
 		return err
 	}
-	log := wal.NewWriter(f, wal.Options{Policy: wal.PolicyCommit})
-	if err := log.Append(0, s.snapshotEdit().Encode()); err != nil {
-		log.Close()
-		return err
-	}
-	if err := s.fs.Rename(tmp, name); err != nil {
+	if err := s.fs.Rename(name+".new", name); err != nil {
 		log.Close()
 		return err
 	}
@@ -274,6 +266,22 @@ func (s *Set) rotateLocked() error {
 	}
 	s.log = log
 	return nil
+}
+
+// Create writes a MANIFEST log at name whose first record is snap, a whole
+// state as one edit, and returns the log open for the edits that follow.
+// Each record is synced as it is appended.
+func Create(fs vfs.FS, name string, snap *VersionEdit) (*wal.Writer, error) {
+	f, err := fs.Create(name)
+	if err != nil {
+		return nil, err
+	}
+	log := wal.NewWriter(f, wal.Options{Policy: wal.PolicyCommit})
+	if err := log.Append(0, snap.encode()); err != nil {
+		log.Close()
+		return nil, err
+	}
+	return log, nil
 }
 
 // Rotate rewrites the MANIFEST as a fresh snapshot of the current state,
@@ -290,8 +298,8 @@ func (s *Set) Rotate() error {
 
 // SnapshotEdit returns the entire current state (log number, file-number
 // allocator, last sequence, and every live file) as one edit, captured
-// atomically. Checkpoints encode it as the trimmed MANIFEST of a backup
-// image.
+// atomically. Checkpoints write it (Create) as the trimmed MANIFEST of a
+// backup image.
 func (s *Set) SnapshotEdit() *VersionEdit {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -366,7 +374,7 @@ func (s *Set) LogAndApply(e *VersionEdit) error {
 			return err
 		}
 	}
-	if err := s.log.Append(0, e.Encode()); err != nil {
+	if err := s.log.Append(0, e.encode()); err != nil {
 		return err
 	}
 	s.apply(e)

@@ -24,7 +24,7 @@ func TestEditEncodeDecodeRoundTrip(t *testing.T) {
 		Added:   []AddedFile{{Level: 1, Meta: fm(7, "a", "m")}, {Level: 0, Meta: fm(8, "b", "z")}},
 		Deleted: []DeletedFile{{Level: 2, Num: 3}},
 	}
-	got, err := DecodeEdit(e.Encode())
+	got, err := DecodeEdit(e.encode())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestQuickEditRoundTrip(t *testing.T) {
 		for i := 0; i < n; i++ {
 			e.Deleted = append(e.Deleted, DeletedFile{Level: int(levels[i] % NumLevels), Num: nums[i]})
 		}
-		got, err := DecodeEdit(e.Encode())
+		got, err := DecodeEdit(e.encode())
 		if err != nil {
 			return false
 		}
