@@ -5,7 +5,7 @@ SUITE ?= list
 
 LOC_DIR ?= .
 
-.PHONY: build test test-race alloc-pins alloc-profile cpu-profile profile-bins bench-smoke vet fmt-check benchmark-module stats-golden loc loc-diff fuzz-short stress serve netbench ci clean
+.PHONY: build test test-race alloc-pins alloc-profile cpu-profile profile-bins bench-smoke vet fmt-check benchmark-module stats-golden golden-check loc loc-diff fuzz-short stress serve netbench ci clean
 
 build:
 	$(GO) build ./...
@@ -110,10 +110,15 @@ benchmark-module:
 
 # Regenerate the goldens that pin the stats schema (StatsJSON field names,
 # INFO keys) and the shared store flag set after a deliberate change to a
-# tagged stats struct or to loadgen.StoreFlags; CI reruns it and fails on a
-# diff.
+# tagged stats struct or to loadgen.StoreFlags; golden-check reruns it and
+# fails on a diff.
 stats-golden:
 	$(GO) test ./internal/core ./internal/server ./internal/loadgen -run 'Golden' -update
+
+# The goldens are current: regenerated, they match what git has (staged or
+# committed). make ci and CI both run it.
+golden-check: stats-golden
+	git diff --exit-code -- '*.golden'
 
 # Non-test and test Go lines (wc -l) per package outside benchmark/, then
 # the total: the numbers ROADMAP re-anchors and "net-negative" PR claims
@@ -190,7 +195,7 @@ serve:
 netbench:
 	$(GO) run ./cmd/netbench -addr $(SERVE_ADDR) -conns 8 -pipeline 16 -num 20000
 
-ci: vet fmt-check build test-race alloc-pins benchmark-module bench-smoke
+ci: vet fmt-check build test-race alloc-pins benchmark-module bench-smoke golden-check
 
 clean:
 	$(GO) clean ./...

@@ -1,7 +1,9 @@
 // Command p2kvs-server serves a p2KVS store over the Redis wire protocol
 // (RESP2), so redis-cli and stock Redis clients can drive the accessing
-// layer directly. Pipelined SET/GET runs are coalesced into the store's
-// batch entry points; SIGTERM/SIGINT (or a client SHUTDOWN command)
+// layer directly. Pipelined GET runs are coalesced into one store read and
+// single-key SET/DEL runs into one write per shard, each command answered
+// on its own (a pipeline keeps order, not atomicity); a multi-key MSET or
+// DEL commits atomically. SIGTERM/SIGINT (or a client SHUTDOWN command)
 // triggers a graceful drain: stop accepting, finish in-flight pipelines,
 // flush every reply, then close the store.
 //

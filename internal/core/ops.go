@@ -314,11 +314,25 @@ func (s *Store) WriteCtx(ctx context.Context, b *kv.Batch) error {
 	if b.Len() == 0 {
 		return nil
 	}
-	commit, err := s.write(ctx, b, false)
+	commit, err := s.write(ctx, b, false, nil)
 	if err != nil || commit == nil {
 		return err
 	}
 	return commit()
+}
+
+// WriteEachCtx applies b's ops as independent writes, not as one
+// transaction: each partition's ops commit together, as one ordinary write
+// that its worker's OBM may merge with its neighbours, and errs[i] (errs
+// holds at least b.Len()) is the error of the write that carried op i. Ops
+// on one key stay in batch order. Nothing reaches the transaction log, so
+// no Options.TxnFS is needed. Key and value bytes are not copied: they must
+// stay unmodified until WriteEachCtx returns, and a write abandoned at its
+// deadline may still be applied from them afterwards.
+func (s *Store) WriteEachCtx(ctx context.Context, b *kv.Batch, errs []error) {
+	if b.Len() > 0 {
+		s.write(ctx, b, false, errs[:b.Len()])
+	}
 }
 
 // WritePrepared applies the batch like Write but separates the two
@@ -334,7 +348,7 @@ func (s *Store) WritePrepared(b *kv.Batch) (commit func() error, err error) {
 	if b.Len() == 0 {
 		return func() error { return nil }, nil
 	}
-	return s.write(nil, b, true)
+	return s.write(nil, b, true, nil)
 }
 
 // write splits, health-checks and admits b under one routing read lock:
@@ -342,26 +356,46 @@ func (s *Store) WritePrepared(b *kv.Batch) (commit func() error, err error) {
 // and a reshard cutover cannot slip between the split and the enqueues. A
 // batch confined to one partition commits directly on that instance and
 // returns a nil commit — unless the caller asked for the prepared form,
-// which is a GSN transaction however many legs it has.
-func (s *Store) write(ctx context.Context, b *kv.Batch, prepared bool) (commit func() error, err error) {
+// which is a GSN transaction however many legs it has. With errs the legs
+// are independent writes and each op's error lands in errs (WriteEachCtx);
+// without, they are one transaction, begun before writeLegs and committed
+// by the returned closure.
+func (s *Store) write(ctx context.Context, b *kv.Batch, prepared bool, errs []error) (commit func() error, err error) {
 	ctx = liveCtx(ctx)
 	s.routeMu.RLock()
 	rt := s.route.Load()
 	if w := rt.owner(b.Ops()); w != nil && !prepared {
 		r := getRequest()
 		r.ops = b.Ops()
-		return nil, s.writeTo(ctx, w, r)
+		err = s.writeTo(ctx, w, r)
+		for i := range errs {
+			errs[i] = err
+		}
+		return nil, err
 	}
-	subs := rt.split(b.Ops())
-	if s.txn == nil {
+	if errs == nil && s.txn == nil {
 		s.routeMu.RUnlock()
 		return nil, errors.New("core: cross-partition batch requires Options.TxnFS for atomicity")
+	}
+	legs := rt.split(b.Ops())
+	if errs != nil {
+		completed, err := s.writeLegs(ctx, rt, legs, 0)
+		for i, op := range b.Ops() {
+			if completed {
+				err = legs[rt.part.Pick(op.Key)].err
+			}
+			errs[i] = err
+		}
+		return nil, nil
 	}
 	// Fail fast before persisting the transaction begin: a degraded shard
 	// cannot apply its piece (and an already-dead context never will), so
 	// the whole transaction would only be rolled back at recovery anyway.
-	for w := range subs {
-		if err := s.writeAdmitErr(w); err != nil {
+	for i, r := range legs {
+		if r == nil {
+			continue
+		}
+		if err := s.writeAdmitErr(rt.workers[i]); err != nil {
 			s.routeMu.RUnlock()
 			return nil, err
 		}
@@ -380,18 +414,7 @@ func (s *Store) write(ctx context.Context, b *kv.Batch, prepared bool) (commit f
 	s.preparedTxns.Add(1)
 	var settleOnce sync.Once
 	settle := func() { settleOnce.Do(func() { s.preparedTxns.Add(-1) }) }
-	legs := newFanIn()
-	fin := legs.finish
-	for w, ops := range subs {
-		legs.add()
-		// Every leg shares ctx, so all legs observe one deadline.
-		r := &request{typ: reqWrite, ops: ops, gsn: gsn, callback: fin}
-		if err := s.admit(ctx, w, r); err != nil {
-			fin(err)
-		}
-	}
-	s.routeMu.RUnlock()
-	if _, err := legs.wait(ctx); err != nil {
+	if _, err := s.writeLegs(ctx, rt, legs, gsn); err != nil {
 		// A leg failed, or the deadline fired mid-transaction: leave it
 		// uncommitted, recovery rolls every applied leg back on every
 		// instance.
@@ -403,6 +426,35 @@ func (s *Store) write(ctx context.Context, b *kv.Batch, prepared bool) (commit f
 		defer settle()
 		return s.txn.commit(gsn)
 	}, nil
+}
+
+// writeLegs is the one loop of a write that spans partitions. Entered under
+// the routing read lock rt and legs were taken under, it health-checks and
+// admits legs[i] on worker i, releases the lock and waits for every leg. A
+// gsn of 0 sends ordinary writes, which OBM may merge; a non-zero gsn tags
+// every leg as one §4.5 transaction's, which OBM runs alone. The legs share
+// ctx, so they observe one deadline. completed is false when ctx ended
+// first: the workers may still hold the legs, and their errors are not the
+// caller's to read.
+func (s *Store) writeLegs(ctx context.Context, rt *routing, legs []*request, gsn uint64) (completed bool, err error) {
+	fan := newFanIn()
+	fin := fan.finish
+	for i, r := range legs {
+		if r == nil {
+			continue
+		}
+		r.gsn, r.callback = gsn, fin
+		fan.add()
+		err := s.writeAdmitErr(rt.workers[i])
+		if err == nil {
+			err = s.admit(ctx, rt.workers[i], r)
+		}
+		if err != nil {
+			r.complete(err)
+		}
+	}
+	s.routeMu.RUnlock()
+	return fan.wait(ctx)
 }
 
 // ---------------------------------------------------------------------------

@@ -112,9 +112,9 @@ func newDone() chan struct{} { return make(chan struct{}, 1) }
 // multiget leg is the exception to that: its callback finishes a fan-in,
 // and the submitter, which reads the leg after the fan-in completes,
 // recycles it once wait has observed every leg's completion (multiGet). A
-// request that never got into a queue is still its submitter's. A
-// cross-partition write's legs and control-plane requests stay ordinary
-// allocations.
+// request that never got into a queue is still its submitter's. The legs
+// of a write that spans partitions (writeLegs) and control-plane requests
+// stay ordinary allocations.
 var requests = sync.Pool{New: func() any { return &request{done: newDone()} }}
 
 func getRequest() *request { return requests.Get().(*request) }

@@ -76,16 +76,20 @@ func (rt *routing) owner(ops []kv.BatchOp) *worker {
 	return w
 }
 
-// split partitions a user batch's ops into per-worker write payloads under
-// this routing generation. The payloads are copies of the op list, not of
-// the key and value bytes.
-func (rt *routing) split(ops []kv.BatchOp) map[*worker][]kv.BatchOp {
-	subs := make(map[*worker][]kv.BatchOp)
+// split partitions a batch's ops into one write request per worker under
+// this routing generation, indexed like workers: nil for a worker that owns
+// none of them. A request's ops are copies of the batch's, in batch order,
+// not of the key and value bytes.
+func (rt *routing) split(ops []kv.BatchOp) []*request {
+	legs := make([]*request, len(rt.workers))
 	for _, op := range ops {
-		w := rt.pick(op.Key)
-		subs[w] = append(subs[w], op)
+		i := rt.part.Pick(op.Key)
+		if legs[i] == nil {
+			legs[i] = &request{typ: reqWrite}
+		}
+		legs[i].ops = append(legs[i].ops, op)
 	}
-	return subs
+	return legs
 }
 
 // ---------------------------------------------------------------------------

@@ -173,8 +173,20 @@ func OpenWith(dir string, opts Options, oo OpenOptions) (*DB, error) {
 	return d, nil
 }
 
-func walName(dir string, num uint64) string { return fmt.Sprintf("%s/%06d.log", dir, num) }
-func sstName(dir string, num uint64) string { return fmt.Sprintf("%s/%06d.sst", dir, num) }
+func walName(dir string, num uint64) string { return fileName(dir, num, ".log") }
+func sstName(dir string, num uint64) string { return fileName(dir, num, ".sst") }
+
+// fileName is dir/NNNNNN.ext: num in decimal, zero-padded to six digits,
+// built on the stack and allocated once, as the string (a flush names a file
+// on every Create).
+func fileName(dir string, num uint64, ext string) string {
+	var buf [64]byte
+	b := append(append(buf[:0], dir...), '/')
+	for p := uint64(100000); p > num && p > 1; p /= 10 {
+		b = append(b, '0')
+	}
+	return string(append(strconv.AppendUint(b, num, 10), ext...))
+}
 
 // replayWALs installs a fresh memtable and WAL, then rebuilds a memtable
 // from any logs newer than the manifest's LogNum (standard crash recovery,

@@ -2,6 +2,7 @@ package lsm
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sync"
 	"testing"
@@ -299,5 +300,19 @@ func TestPerfBreakdownAccumulates(t *testing.T) {
 	}
 	if p.OtherTime() < 0 {
 		t.Fatal("negative residual")
+	}
+}
+
+// TestFileNames: walName and sstName spell a file number as %06d does.
+func TestFileNames(t *testing.T) {
+	for _, num := range []uint64{0, 7, 999999, 1000000, math.MaxUint64} {
+		for _, c := range []struct {
+			name func(string, uint64) string
+			ext  string
+		}{{walName, "log"}, {sstName, "sst"}} {
+			if got, want := c.name("inst-00", num), fmt.Sprintf("%s/%06d.%s", "inst-00", num, c.ext); got != want {
+				t.Errorf("%s name of %d = %q, want %q", c.ext, num, got, want)
+			}
+		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"net"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -34,16 +35,17 @@ type conn struct {
 }
 
 // window is a connection's arena for one pipeline window: its commands,
-// their argument headers and bytes, the keys of a read run and the batch of
-// a write run. Everything in it lives until the next window, which
-// truncates and reuses it — after a window with orphans, or one that grew
-// it past maxWindowBytes or maxWindowArgs, the next starts on a fresh arena
-// and leaves the old one to the garbage collector.
+// their argument headers and bytes, the keys of a read run and the batch and
+// per-command errors of a write run. Everything in it lives until the next
+// window, which truncates and reuses it — after a window with orphans, or
+// one that grew it past maxWindowBytes or maxWindowArgs, the next starts on
+// a fresh arena and leaves the old one to the garbage collector.
 type window struct {
 	cmdArena
 	cmds  [][][]byte
 	keys  [][]byte
 	batch kv.Batch
+	errs  []error
 }
 
 // maxWindowBytes and maxWindowArgs bound the argument bytes and headers a
@@ -185,9 +187,10 @@ func foldEqual(b []byte, word string) bool {
 }
 
 // kind sorts a command for processWindow: 'r' for a point read (GET k,
-// MGET k…), 'w' for a point write (SET k v, MSET k v…, DEL k…), 0 for
-// anything else — any of those five verbs at a wrong arity included, left to
-// execOne to refuse.
+// MGET k…), 'w' for a write that names one key (SET k v, MSET k v, DEL k),
+// 'W' for one that names several (MSET k v k v…, DEL k k…), 0 for anything
+// else — any of those five verbs at a wrong arity included, left to execOne
+// to refuse.
 func kind(cmd [][]byte) byte {
 	switch n := len(cmd); cmdName(cmd) {
 	case "GET":
@@ -203,33 +206,40 @@ func kind(cmd [][]byte) byte {
 			return 'w'
 		}
 	case "MSET":
-		if n >= 3 && n%2 == 1 {
+		if n == 3 {
 			return 'w'
 		}
+		if n > 3 && n%2 == 1 {
+			return 'W'
+		}
 	case "DEL":
-		if n >= 2 {
+		if n == 2 {
 			return 'w'
+		}
+		if n > 2 {
+			return 'W'
 		}
 	}
 	return 0
 }
 
 // processWindow executes one pipeline window in order. A maximal stretch of
-// point reads becomes one store read and a stretch of point writes one
-// WriteCtx batch — the paper's OBM merge by request type (Algorithm 1),
-// moved to the network layer: instead of hoping requests pile up in the
-// worker queues, a pipelining client hands us the batch boundary
-// explicitly. Replies keep the one-reply-per-command contract, in order.
+// point reads becomes one store read and a stretch of single-key writes one
+// batch of per-shard writes — the paper's OBM merge by request type
+// (Algorithm 1), moved to the network layer: instead of hoping requests pile
+// up in the worker queues, a pipelining client hands us the batch boundary
+// explicitly. A multi-key write is a run of its own. Replies keep the
+// one-reply-per-command contract, in order.
 func (c *conn) processWindow(cmds [][][]byte) {
 	for i := 0; i < len(cmds) && !c.closing; {
 		k, j := kind(cmds[i]), i+1
-		for k != 0 && j < len(cmds) && kind(cmds[j]) == k {
+		for (k == 'r' || k == 'w') && j < len(cmds) && kind(cmds[j]) == k {
 			j++
 		}
 		switch k {
 		case 'r':
 			c.execReads(cmds[i:j])
-		case 'w':
+		case 'w', 'W':
 			c.execWrites(cmds[i:j])
 		default:
 			c.execOne(cmds[i])
@@ -331,12 +341,15 @@ func (c *conn) execReads(run [][][]byte) {
 	}
 }
 
-// execWrites commits a run of SETs, MSETs and DELs as one WriteCtx batch,
-// built in the window arena: one worker request (and one engine WriteBatch)
-// per shard touched instead of one per command. The run shares one fate —
-// the batch either commits or every command reports the same error. A DEL
-// replies with the number of keys it submitted (p2KVS deletes are blind —
-// existence is not checked, a documented deviation from Redis'
+// execWrites commits a write run, its batch built in the window arena. A
+// lone command — a multi-key MSET or DEL among them — is one WriteCtx, as
+// atomic as Redis makes one command. A run of single-key SETs and DELs is
+// one WriteEachCtx: one worker request (and one engine WriteBatch) per
+// shard touched instead of one per command, each shard's committing on its
+// own. A pipeline promises order, not atomicity: each command replies with
+// its own shard's outcome, and the run is done before the next one starts.
+// A DEL replies with the number of keys it submitted (p2KVS deletes are
+// blind — existence is not checked, a documented deviation from Redis'
 // deleted-count).
 func (c *conn) execWrites(run [][][]byte) {
 	if c.rejectIfReplica(len(run)) {
@@ -356,23 +369,32 @@ func (c *conn) execWrites(run [][][]byte) {
 			b.Put(cmd[i], cmd[i+1])
 		}
 	}
+	errs := slices.Grow(c.win.errs[:0], len(run))[:len(run)]
+	c.win.errs = errs
 	ctx, cancel := c.cmdCtx()
-	err := c.srv.store().WriteCtx(ctx, b)
+	if len(run) == 1 {
+		errs[0] = c.srv.store().WriteCtx(ctx, b)
+	} else {
+		c.srv.store().WriteEachCtx(ctx, b, errs)
+	}
 	cancel()
 	elapsed := time.Since(start)
-	if err == nil && b.Len() > 1 {
-		c.srv.stats.coalescedSets.Add(int64(b.Len()))
-	}
-	for _, cmd := range run {
+	var committed int64
+	for i, cmd := range run {
 		switch {
-		case err != nil:
-			c.writeStoreErr(err)
+		case errs[i] != nil:
+			c.writeStoreErr(errs[i])
 		case foldEqual(cmd[0], "DEL"):
 			c.wr.WriteInt(int64(len(cmd) - 1))
+			committed += int64(len(cmd) - 1)
 		default:
 			c.wr.WriteSimple("OK")
+			committed += int64(len(cmd) / 2)
 		}
 		c.srv.stats.latFor(cmdName(cmd)).Record(elapsed)
+	}
+	if b.Len() > 1 {
+		c.srv.stats.coalescedSets.Add(committed)
 	}
 }
 

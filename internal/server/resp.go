@@ -2,9 +2,11 @@
 // (Redis wire protocol) TCP server over the p2KVS accessing layer, so
 // stock Redis clients and redis-cli can drive the store. Pipelined
 // client commands are merged by request type, as OBM merges a worker's
-// queue, one layer up: a contiguous run of SETs, MSETs and DELs reaches
-// the store as one WriteCtx batch, and a run of GETs and MGETs as one
-// read (MultiGetCtx, or GetCtx for a lone key).
+// queue, one layer up: a contiguous run of single-key SETs and DELs reaches
+// the store as one WriteEachCtx batch, which commits per shard and answers
+// each command on its own, and a run of GETs and MGETs as one read
+// (MultiGetCtx, or GetCtx for a lone key). A multi-key MSET or DEL runs
+// alone, as one atomic WriteCtx.
 //
 // This file implements the wire protocol itself: a command reader
 // (multibulk "*N\r\n$len\r\n..." arrays and inline "SET k v\r\n"

@@ -97,7 +97,7 @@ type serverStats struct {
 	active        atomic.Int64 // connections currently open
 	commands      atomic.Int64 // commands processed
 	pipelines     atomic.Int64 // read windows processed
-	coalescedSets atomic.Int64 // write ops committed by a multi-op WriteCtx batch
+	coalescedSets atomic.Int64 // write ops committed by a multi-op store write
 	coalescedGets atomic.Int64 // keys resolved by a multi-key MultiGetCtx
 	loadshed      atomic.Int64 // -LOADSHED replies (admission control)
 	timeouts      atomic.Int64 // -TIMEOUT replies (deadline expiry)

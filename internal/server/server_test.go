@@ -13,8 +13,10 @@ import (
 	"time"
 
 	"p2kvs/internal/core"
+	"p2kvs/internal/keyspace"
 	"p2kvs/internal/kv"
 	"p2kvs/internal/vfs"
+	"p2kvs/internal/wal"
 )
 
 // stubEngine is an in-memory engine with batch-path counters and a
@@ -289,25 +291,64 @@ func sumBatchStats(store *core.Store) (batchWriteOps, multiGetOps int64) {
 	return
 }
 
-func TestPipelinedSetCoalescing(t *testing.T) {
-	ts := startTestServer(t, 4, nil, nil, Config{})
-	c := dialTest(t, ts)
+// txnRecords counts the records of the store's transaction log, and the
+// commits among them.
+func txnRecords(t *testing.T, fs vfs.FS) (records, commits int) {
+	t.Helper()
+	recs, err := wal.ReadAll(fs, "txn/TXNLOG")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range recs {
+		if r.Payload[0] == 2 { // the commit record's type byte
+			commits++
+		}
+	}
+	return len(recs), commits
+}
 
+// sixteenSets is a window of 16 SETs whose keys span the shards of a
+// 4-worker store.
+func sixteenSets() [][]string {
 	var cmds [][]string
 	for i := 0; i < 16; i++ {
 		cmds = append(cmds, []string{"SET", fmt.Sprintf("key-%02d", i), fmt.Sprintf("val-%02d", i)})
 	}
+	return cmds
+}
+
+// TestPipelinedSetCoalescing: 16 pipelined SETs over four shards reach the
+// engines as at most one WriteBatch per shard, and as independent writes —
+// the transaction log does not grow. An MSET of the same keys is one
+// command, so it still commits as one transaction.
+func TestPipelinedSetCoalescing(t *testing.T) {
+	var txnFS vfs.FS
+	ts := startTestServer(t, 4, nil, func(o *core.Options) { txnFS = o.TxnFS }, Config{})
+	c := dialTest(t, ts)
+
+	cmds := sixteenSets()
+	records, _ := txnRecords(t, txnFS)
 	for i, rep := range c.pipeline(t, cmds...) {
 		if rep.Kind != '+' || string(rep.Str) != "OK" {
 			t.Fatalf("SET %d: %v", i, rep)
 		}
 	}
+	if n, _ := txnRecords(t, txnFS); n != records {
+		t.Fatalf("16 pipelined SETs appended %d TXNLOG records, want 0", n-records)
+	}
 	// The 16 SETs must have reached the engines as WriteBatch calls, not
 	// 16 single puts: every op travels inside a multi-op batch.
 	var engineBatchOps, engineBatchWrites int64
+	shards := 0
 	for _, e := range ts.engines {
 		engineBatchOps += e.batchOps.Load()
 		engineBatchWrites += e.batchWrites.Load()
+		if e.batchOps.Load() > 0 {
+			shards++
+		}
+	}
+	if shards < 2 {
+		t.Fatalf("the 16 keys landed on %d shard, want them spread", shards)
 	}
 	if engineBatchOps != 16 {
 		t.Fatalf("engine batch ops = %d, want 16", engineBatchOps)
@@ -323,6 +364,122 @@ func TestPipelinedSetCoalescing(t *testing.T) {
 	// And the data is actually there.
 	if rep := c.do(t, "GET", "key-07"); string(rep.Str) != "val-07" {
 		t.Fatalf("GET after coalesced SET: %v", rep)
+	}
+
+	mset := []string{"MSET"}
+	for _, cmd := range cmds {
+		mset = append(mset, cmd[1], "m"+cmd[2])
+	}
+	records, commits := txnRecords(t, txnFS)
+	if rep := c.do(t, mset...); rep.Kind != '+' {
+		t.Fatalf("MSET across shards: %v", rep)
+	}
+	if n, k := txnRecords(t, txnFS); n != records+2 || k != commits+1 {
+		t.Fatalf("an MSET across shards appended %d TXNLOG records, %d commits; want a begin and a commit", n-records, k-commits)
+	}
+}
+
+// TestPipelinedSetsNeedNoTxnFS: a store without a transaction log still
+// takes a pipeline of SETs that spans its shards, since the SETs are
+// independent writes.
+func TestPipelinedSetsNeedNoTxnFS(t *testing.T) {
+	ts := startTestServer(t, 4, nil, func(o *core.Options) { o.TxnFS = nil }, Config{})
+	c := dialTest(t, ts)
+	cmds := sixteenSets()
+	for i, rep := range c.pipeline(t, cmds...) {
+		if rep.Kind != '+' || string(rep.Str) != "OK" {
+			t.Fatalf("SET %d without a TxnFS: %v, want +OK", i, rep)
+		}
+	}
+	for _, cmd := range cmds {
+		if rep := c.do(t, "GET", cmd[1]); string(rep.Str) != cmd[2] {
+			t.Fatalf("GET %s = %v, want %s", cmd[1], rep, cmd[2])
+		}
+	}
+}
+
+// degradedStub is a stub engine stuck in read-only degraded mode.
+type degradedStub struct{ *stubEngine }
+
+func (degradedStub) Health() kv.Health { return kv.Health{State: kv.StateReadOnly} }
+func (degradedStub) Resume() error     { return nil }
+
+// TestPipelinedSetsFailPerShard: with shard 0 degraded, a pipeline of SETs
+// across all four shards answers -READONLY for shard 0's SETs only; the
+// others commit and read back.
+func TestPipelinedSetsFailPerShard(t *testing.T) {
+	ts := startTestServer(t, 4, nil, func(o *core.Options) {
+		factory := o.EngineFactory
+		o.EngineFactory = func(id int, filter func(uint64) bool) (kv.Engine, error) {
+			e, err := factory(id, filter)
+			if id == 0 {
+				return degradedStub{e.(*stubEngine)}, err
+			}
+			return e, err
+		}
+	}, Config{})
+	c := dialTest(t, ts)
+	cmds := sixteenSets()
+	part := keyspace.NewHash(4)
+	var failed int
+	for i, rep := range c.pipeline(t, cmds...) {
+		onDegraded := part.Pick([]byte(cmds[i][1])) == 0
+		switch {
+		case onDegraded && (!rep.IsError() || !strings.HasPrefix(string(rep.Str), "READONLY")):
+			t.Errorf("SET %s on the degraded shard: %v, want -READONLY", cmds[i][1], rep)
+		case !onDegraded && (rep.Kind != '+' || string(rep.Str) != "OK"):
+			t.Errorf("SET %s on a healthy shard: %v, want +OK", cmds[i][1], rep)
+		}
+		if onDegraded {
+			failed++
+		}
+	}
+	if failed == 0 || failed == len(cmds) {
+		t.Fatalf("%d of the %d keys are on the degraded shard: the window does not mix", failed, len(cmds))
+	}
+	for _, cmd := range cmds {
+		rep := c.do(t, "GET", cmd[1])
+		if part.Pick([]byte(cmd[1])) == 0 {
+			if !rep.Nil {
+				t.Errorf("GET %s on the degraded shard = %v, want nil", cmd[1], rep)
+			}
+		} else if string(rep.Str) != cmd[2] {
+			t.Errorf("GET %s = %v, want %s", cmd[1], rep, cmd[2])
+		}
+	}
+}
+
+// TestMixedWriteWindowKeepsOrder: single-key writes to one key, an MSET
+// across shards, a multi-key DEL and a last SET in one window on four
+// workers leave every key at the value its last command gave it.
+func TestMixedWriteWindowKeepsOrder(t *testing.T) {
+	ts := startTestServer(t, 4, nil, nil, Config{})
+	c := dialTest(t, ts)
+	reps := c.pipeline(t,
+		[]string{"SET", "k", "1"},
+		[]string{"SET", "k", "2"},
+		[]string{"DEL", "k"},
+		[]string{"SET", "k", "3"},
+		[]string{"SET", "a", "0"},
+		[]string{"MSET", "k", "4", "a", "1", "b", "1", "c", "1", "d", "1", "e", "1"},
+		[]string{"DEL", "a", "b", "e"},
+		[]string{"SET", "e", "2"},
+		[]string{"DEL", "d"},
+		[]string{"SET", "c", "2"},
+	)
+	got := make([]string, len(reps))
+	for i, r := range reps {
+		got[i] = string(r.Kind) + r.String()
+	}
+	want := "+OK +OK :1 +OK +OK +OK :3 +OK :1 +OK"
+	if strings.Join(got, " ") != want {
+		t.Fatalf("replies %q, want %s", got, want)
+	}
+	for k, v := range map[string]string{"k": "4", "a": "", "b": "", "c": "2", "d": "", "e": "2"} {
+		rep := c.do(t, "GET", k)
+		if v == "" && !rep.Nil || v != "" && string(rep.Str) != v {
+			t.Errorf("GET %s = %v, want %q", k, rep, v)
+		}
 	}
 }
 
@@ -405,11 +562,11 @@ func TestPipelinedGetCoalescing(t *testing.T) {
 	}
 }
 
-// TestMixedWindowMergesByType sends one window of three runs: writes (SET,
-// MSET, DEL), reads (GET, MGET, GET), then a write (DEL). Each run reaches
-// the store in one call — the writes as one engine WriteBatch each, the
-// reads as one multi-key read of all four keys — and every command gets its
-// own reply, in order.
+// TestMixedWindowMergesByType sends one window of writes (SET, MSET, DEL),
+// reads (GET, MGET, GET), then a write (DEL). The reads are one run and
+// reach the store as one multi-key read of all four keys. A multi-key MSET
+// or DEL is a run of its own, so the writes are four runs, one engine
+// WriteBatch each. Every command gets its own reply, in order.
 func TestMixedWindowMergesByType(t *testing.T) {
 	ts := startTestServer(t, 1, nil, nil, Config{})
 	c := dialTest(t, ts)
@@ -442,11 +599,11 @@ func TestMixedWindowMergesByType(t *testing.T) {
 	if strings.Join(got, " ") != strings.Join(want, " ") {
 		t.Fatalf("replies %q, want %q", got, want)
 	}
-	if n := ts.engines[0].batchWrites.Load(); n != 2 {
-		t.Errorf("the two write runs made %d engine writes, want 2", n)
+	if n := ts.engines[0].batchWrites.Load(); n != 4 {
+		t.Errorf("the four write runs made %d engine writes, want 4", n)
 	}
-	if st := ts.srv.snapshot(); st.CoalescedGets != 4 || st.CoalescedSets != 5 {
-		t.Errorf("coalesced gets %d, sets %d; want the read run's 4 keys in one call and the first write run's 5 ops",
+	if st := ts.srv.snapshot(); st.CoalescedGets != 4 || st.CoalescedSets != 4 {
+		t.Errorf("coalesced gets %d, sets %d; want the read run's 4 keys in one call and the MSET's and the two-key DEL's 4 ops",
 			st.CoalescedGets, st.CoalescedSets)
 	}
 	if rep := render(c.do(t, "MGET", "a", "b")); rep != "*$(nil),$2" {

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"p2kvs/internal/core"
+	"p2kvs/internal/keyspace"
 	"p2kvs/internal/kv"
 	"p2kvs/internal/lsm"
 	"p2kvs/internal/raceflag"
@@ -159,13 +160,28 @@ func TestPipelineWindowAllocs(t *testing.T) {
 // differently. Whatever the released engine applies for the timed-out run
 // must be that run's own pairs, never bytes of the later window: a window
 // with a failed store call leaves its arena to the orphaned request and the
-// next one starts on a fresh one.
+// next one starts on a fresh one. On one worker the run is one request; on
+// four it is one leg per shard it touches.
 func TestTimedOutWindowKeepsItsBytes(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) { timedOutWindowKeepsItsBytes(t, workers) })
+	}
+}
+
+func timedOutWindowKeepsItsBytes(t *testing.T, workers int) {
 	gate := make(chan struct{})
 	release := sync.OnceFunc(func() { close(gate) })
 	defer release()
-	ts := startTestServer(t, 1, gate, nil, Config{CommandTimeout: 200 * time.Millisecond})
+	ts := startTestServer(t, workers, gate, nil, Config{CommandTimeout: 200 * time.Millisecond})
 	c := dialTest(t, ts)
+	part := keyspace.NewHash(workers)
+	shards := func(cmds [][]string) int64 {
+		touched := map[int]bool{}
+		for _, cmd := range cmds {
+			touched[part.Pick([]byte(cmd[1]))] = true
+		}
+		return int64(len(touched))
+	}
 	want := map[string]string{}
 	var first, second [][]string
 	for i := 0; i < 4; i++ {
@@ -177,13 +193,24 @@ func TestTimedOutWindowKeepsItsBytes(t *testing.T) {
 		second, want[k] = append(second, []string{"SET", k, v}), v
 	}
 
+	if workers > 1 && shards(first) < 2 {
+		t.Fatal("the timed-out run touches one shard: it takes no legs")
+	}
 	for _, rep := range c.pipeline(t, first...) {
 		if !rep.IsError() || !strings.HasPrefix(string(rep.Str), "TIMEOUT") {
 			t.Fatalf("the wedged SET run replied %v, want -TIMEOUT", rep)
 		}
 	}
-	if n := ts.engines[0].entered.Load(); n != 1 {
-		t.Fatalf("%d writes entered the engine, want the timed-out run's one", n)
+	var entered, batchWrites int64
+	count := func() {
+		entered, batchWrites = 0, 0
+		for _, e := range ts.engines {
+			entered += e.entered.Load()
+			batchWrites += e.batchWrites.Load()
+		}
+	}
+	if count(); entered != shards(first) {
+		t.Fatalf("%d writes entered the engines, want the timed-out run's %d", entered, shards(first))
 	}
 	req, _ := pipelineWindow(second...)
 	if _, err := c.nc.Write(req); err != nil { // one write: one window
@@ -198,20 +225,24 @@ func TestTimedOutWindowKeepsItsBytes(t *testing.T) {
 			t.Fatalf("the second window replied %v, %v; want +OK", rep, err)
 		}
 	}
-	waitFor(t, func() bool { return ts.engines[0].batchWrites.Load() == 2 })
+	waitFor(t, func() bool { count(); return batchWrites == shards(first)+shards(second) })
 
-	e := ts.engines[0]
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	for k, v := range e.data {
-		if want[k] != v {
-			t.Errorf("the engine holds %q = %q, a pair neither window wrote", k, v)
+	for _, e := range ts.engines {
+		e.mu.Lock()
+		for k, v := range e.data {
+			if want[k] != v {
+				t.Errorf("the engine holds %q = %q, a pair neither window wrote", k, v)
+			}
 		}
+		e.mu.Unlock()
 	}
 	for _, cmd := range second {
+		e := ts.engines[part.Pick([]byte(cmd[1]))]
+		e.mu.Lock()
 		if e.data[cmd[1]] != cmd[2] {
 			t.Errorf("acknowledged %s = %q, the engine holds %q", cmd[1], cmd[2], e.data[cmd[1]])
 		}
+		e.mu.Unlock()
 	}
 }
 
@@ -219,8 +250,9 @@ func TestTimedOutWindowKeepsItsBytes(t *testing.T) {
 // connections, each sending windows of 16 pipelined commands over keys in a
 // four-worker lsm store, and reading the replies. The getset arm is 90 %
 // GET and 10 % SET; the mixed arm puts MGET, MSET and DEL beside them, so
-// its runs mix verbs of one type. One op is one window; ns/cmd is per
-// command.
+// its read runs mix GET and MGET, and each two-key MSET or DEL (a
+// transaction across shards) runs alone. One op is one window; ns/cmd is
+// per command.
 func BenchmarkServerPipeline(b *testing.B) {
 	const keys, conns, depth = 20000, 2, 16
 	srv := New(Config{Store: lsmStore(b, 4, keys)})
