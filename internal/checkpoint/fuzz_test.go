@@ -1,29 +1,29 @@
 package checkpoint
 
 import (
+	"encoding/json"
 	"errors"
 	"testing"
 )
 
 // fuzzSeeds are the corpus: a valid manifest plus structured near-misses.
 func fuzzSeeds() [][]byte {
-	m := sampleManifest()
-	valid := m.Encode()
-	empty := (&Manifest{Seq: 1, Workers: 1, Engine: "x", WorkerGSN: []uint64{0}}).Encode()
 	return [][]byte{
-		valid,
-		empty,
+		mustSeal(sampleManifest()),
+		mustSeal(&Manifest{Seq: 1, Workers: 1, Engine: "x", WorkerGSN: []uint64{0}}),
 		[]byte(""),
-		[]byte("p2kvs-checkpoint v1\n"),
-		[]byte("p2kvs-checkpoint v1\ncrc 00000000\n"),
-		[]byte(seal("p2kvs-checkpoint v1\nseq 1\nworkers 1\nengine x\nworker 0 gsn 0\nfile 0 9223372036854775807 ffffffff a b\n")),
+		[]byte("00000000\n"),
+		mustSeal(json.RawMessage(`{}`)),
+		mustSeal(json.RawMessage(`{"seq":1,"workers":1,"engine":"x","worker_gsn":[0],"files":[{"worker":0,"path":"a","restore":"b","size":9223372036854775807,"crc":4294967295}]}`)),
+		mustSeal(json.RawMessage(`{"seq":1,"workers":1,"engine":"x","worker_gsn":[0],"bogus":1}`)),
+		[]byte("p2kvs-checkpoint v1\nseq 1\nworkers 1\nengine x\nworker 0 gsn 0\ncrc 00000000\n"),
 		[]byte("not a manifest at all\n"),
 	}
 }
 
 // checkParse is the fuzz property: Parse never panics, and either returns
-// a structurally valid manifest or a typed ErrCorrupt/ParseError — no
-// silent partial results.
+// a structurally valid manifest or a typed ErrCorrupt — no silent partial
+// results.
 func checkParse(t *testing.T, data []byte) {
 	m, err := Parse(data)
 	if err != nil {
@@ -37,14 +37,14 @@ func checkParse(t *testing.T, data []byte) {
 	}
 	// Accepted: the invariants Parse promises must actually hold, so a
 	// mutation can never yield a "successfully parsed" partial image.
-	if m.Seq == 0 || m.Workers <= 0 || m.Engine == "" {
+	if m.Seq == 0 || m.Workers <= 0 || m.Workers >= 1<<16 || m.Engine == "" || m.BarrierNs < 0 {
 		t.Fatalf("accepted manifest missing required header: %+v", m)
 	}
 	if len(m.WorkerGSN) != m.Workers {
 		t.Fatalf("accepted manifest with %d worker gsns for %d workers", len(m.WorkerGSN), m.Workers)
 	}
 	for _, f := range m.Files {
-		if f.Worker < -1 || f.Worker >= m.Workers || !SafeRel(f.Path) || !SafeRel(f.Restore) {
+		if f.Worker < -1 || f.Worker >= m.Workers || f.Size < 0 || !SafeRel(f.Path) || !SafeRel(f.Restore) {
 			t.Fatalf("accepted manifest with invalid file %+v", f)
 		}
 	}
@@ -64,10 +64,11 @@ func FuzzParse(f *testing.F) {
 
 // TestParseMutations runs a deterministic slice of the fuzz space on every
 // ordinary `go test`: all truncations and every single-bit flip of a valid
-// manifest must fail typed (or, for flips in free-text fields, still parse
-// to a structurally valid manifest) — never panic.
+// manifest must fail typed (or, for a flip that only changes the case of a
+// checksum digit, still parse to a structurally valid manifest) — never
+// panic.
 func TestParseMutations(t *testing.T) {
-	valid := sampleManifest().Encode()
+	valid := mustSeal(sampleManifest())
 	for n := 0; n <= len(valid); n++ {
 		checkParse(t, valid[:n])
 	}

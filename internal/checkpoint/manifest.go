@@ -1,20 +1,18 @@
 // Package checkpoint defines the on-disk format of a store-wide backup
 // set: a directory holding per-worker engine images plus a top-level
-// CHECKPOINT manifest that records the store shape (worker count,
-// partitioner, engine), the GSN watermark the barrier captured, and a
-// checksum for every file in the image. The manifest is the commit record
-// of a checkpoint — it is written last, through a temporary name, so a
-// crashed checkpoint leaves either the previous manifest (still wholly
-// valid: later checkpoints never modify files an earlier manifest
-// references) or no manifest at all, never a partial image that parses.
+// CHECKPOINT manifest, sealed JSON (vfs.Seal), that records the store
+// shape (worker count, partitioner, engine), the GSN watermark the barrier
+// captured, and a checksum for every file in the image. The manifest is
+// the commit record of a checkpoint — it is written last, through a
+// temporary name, so a crashed checkpoint leaves either the previous
+// manifest (still wholly valid: later checkpoints never modify files an
+// earlier manifest references) or no manifest at all, never a partial
+// image that parses.
 package checkpoint
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
-	"hash/crc32"
-	"strconv"
 	"strings"
 
 	"p2kvs/internal/vfs"
@@ -22,8 +20,6 @@ import (
 
 // ManifestName is the manifest's file name inside a backup directory.
 const ManifestName = "CHECKPOINT"
-
-const magic = "p2kvs-checkpoint v1"
 
 // ErrCorrupt is the base error of every damaged-backup failure — manifest
 // parse errors and file checksum mismatches both match it: typed, never a
@@ -39,247 +35,85 @@ var ErrNoManifest = errors.New("checkpoint: no CHECKPOINT manifest")
 // ErrCorrupt.
 var ErrChecksumMismatch = fmt.Errorf("%w: file checksum mismatch", ErrCorrupt)
 
-// ParseError pinpoints a manifest parse failure. It unwraps to ErrCorrupt.
-type ParseError struct {
-	Line int // 1-based; 0 when the failure is not line-specific
-	Msg  string
-}
-
-func (e *ParseError) Error() string {
-	if e.Line > 0 {
-		return fmt.Sprintf("checkpoint: corrupt manifest: line %d: %s", e.Line, e.Msg)
-	}
-	return "checkpoint: corrupt manifest: " + e.Msg
-}
-
-func (e *ParseError) Unwrap() error { return ErrCorrupt }
-
 // File is one file of the backup image.
 type File struct {
 	// Worker is the owning worker's index, or -1 for store-level files
 	// (the transaction log).
-	Worker int
+	Worker int `json:"worker"`
 	// Path is the file's location relative to the backup root.
-	Path string
+	Path string `json:"path"`
 	// Restore is where the file materializes on restore, relative to the
 	// owning worker's engine directory (or the store's transaction
 	// directory for Worker == -1).
-	Restore string
-	Size    int64
-	CRC     uint32
+	Restore string `json:"restore"`
+	Size    int64  `json:"size"`
+	CRC     uint32 `json:"crc"`
 }
 
-// Manifest describes one committed checkpoint of a backup set.
+// Manifest describes one committed checkpoint of a backup set. On disk it
+// is sealed JSON (vfs.Seal); the tags are its field names.
 type Manifest struct {
 	// Seq numbers checkpoints within a backup set, starting at 1. Mutable
 	// per-checkpoint files embed it in their names, which is what lets
 	// checkpoint N+1 crash without invalidating checkpoint N.
-	Seq         uint64
-	Workers     int
-	Engine      string
-	Partitioner string
+	Seq         uint64 `json:"seq"`
+	Workers     int    `json:"workers"`
+	Engine      string `json:"engine"`
+	Partitioner string `json:"partitioner"`
 	// GSN is the store-wide Global Sequence Number watermark at the
 	// barrier; WorkerGSN[i] is worker i's last applied GSN at the same
 	// instant.
-	GSN         uint64
-	WorkerGSN   []uint64
-	TakenUnixNs int64
-	BarrierNs   int64
+	GSN         uint64   `json:"gsn"`
+	WorkerGSN   []uint64 `json:"worker_gsn"`
+	TakenUnixNs int64    `json:"taken_unix_ns"`
+	BarrierNs   int64    `json:"barrier_ns"`
 	// ReplID is the replication lineage ID of the store that took the
 	// checkpoint, empty when replication was disabled. A replica restored
 	// from this image partial-syncs from WorkerGSN only against a primary
 	// still carrying this ID.
-	ReplID string
-	Files  []File
+	ReplID string `json:"replid,omitempty"`
+	Files  []File `json:"files"`
 }
 
-var crcTable = crc32.MakeTable(crc32.Castagnoli)
-
-// Encode serializes the manifest, ending with a self-checksum line.
-func (m *Manifest) Encode() []byte {
-	var b bytes.Buffer
-	fmt.Fprintf(&b, "%s\n", magic)
-	fmt.Fprintf(&b, "seq %d\n", m.Seq)
-	fmt.Fprintf(&b, "workers %d\n", m.Workers)
-	fmt.Fprintf(&b, "engine %s\n", m.Engine)
-	fmt.Fprintf(&b, "partitioner %s\n", m.Partitioner)
-	fmt.Fprintf(&b, "gsn %d\n", m.GSN)
-	fmt.Fprintf(&b, "taken_unix_ns %d\n", m.TakenUnixNs)
-	fmt.Fprintf(&b, "barrier_ns %d\n", m.BarrierNs)
-	if m.ReplID != "" {
-		fmt.Fprintf(&b, "replid %s\n", m.ReplID)
-	}
-	for i, g := range m.WorkerGSN {
-		fmt.Fprintf(&b, "worker %d gsn %d\n", i, g)
-	}
-	for _, f := range m.Files {
-		fmt.Fprintf(&b, "file %d %d %08x %s %s\n", f.Worker, f.Size, f.CRC, f.Path, f.Restore)
-	}
-	fmt.Fprintf(&b, "crc %08x\n", crc32.Checksum(b.Bytes(), crcTable))
-	return b.Bytes()
-}
-
-// Parse decodes and validates a manifest. Any deviation — truncation, bit
-// flips, unknown directives, out-of-range references — yields an error
+// Parse unseals and validates a manifest. Any deviation — truncation, bit
+// flips, an unknown field, out-of-range references — yields an error
 // satisfying errors.Is(err, ErrCorrupt); Parse never panics.
 func Parse(data []byte) (*Manifest, error) {
-	if len(data) == 0 {
-		return nil, &ParseError{Msg: "empty"}
-	}
-	if data[len(data)-1] != '\n' {
-		return nil, &ParseError{Msg: "missing trailing newline"}
-	}
-	body := data[:len(data)-1]
-	nl := bytes.LastIndexByte(body, '\n')
-	lastLine := string(body[nl+1:]) // nl == -1 degenerates to the whole body
-	covered := data[:nl+1]          // bytes the self-checksum covers
-
-	wantCRC, ok := strings.CutPrefix(lastLine, "crc ")
-	if !ok {
-		return nil, &ParseError{Msg: "missing crc trailer"}
-	}
-	want, err := strconv.ParseUint(strings.TrimSpace(wantCRC), 16, 32)
-	if err != nil {
-		return nil, &ParseError{Msg: "malformed crc trailer"}
-	}
-	if got := crc32.Checksum(covered, crcTable); got != uint32(want) {
-		return nil, &ParseError{Msg: fmt.Sprintf("crc mismatch: manifest says %08x, content is %08x", uint32(want), got)}
-	}
-
 	m := &Manifest{}
-	var haveSeq, haveWorkers, haveEngine bool
-	lines := strings.Split(string(covered), "\n")
-	lines = lines[:len(lines)-1] // drop the empty tail after the final \n
-	for i, line := range lines {
-		lineNo := i + 1
-		fail := func(msg string) (*Manifest, error) {
-			return nil, &ParseError{Line: lineNo, Msg: msg}
-		}
-		if i == 0 {
-			if line != magic {
-				return fail("bad magic")
-			}
-			continue
-		}
-		fields := strings.Fields(line)
-		if len(fields) == 0 {
-			return fail("blank line")
-		}
-		switch fields[0] {
-		case "seq":
-			if len(fields) != 2 {
-				return fail("seq wants 1 field")
-			}
-			v, err := strconv.ParseUint(fields[1], 10, 64)
-			if err != nil || v == 0 {
-				return fail("bad seq")
-			}
-			m.Seq, haveSeq = v, true
-		case "workers":
-			if len(fields) != 2 {
-				return fail("workers wants 1 field")
-			}
-			v, err := strconv.ParseUint(fields[1], 10, 16)
-			if err != nil || v == 0 {
-				return fail("bad workers count")
-			}
-			m.Workers, haveWorkers = int(v), true
-		case "engine":
-			if len(fields) != 2 {
-				return fail("engine wants 1 field")
-			}
-			m.Engine, haveEngine = fields[1], true
-		case "partitioner":
-			if len(fields) != 2 {
-				return fail("partitioner wants 1 field")
-			}
-			m.Partitioner = fields[1]
-		case "gsn":
-			if len(fields) != 2 {
-				return fail("gsn wants 1 field")
-			}
-			v, err := strconv.ParseUint(fields[1], 10, 64)
-			if err != nil {
-				return fail("bad gsn")
-			}
-			m.GSN = v
-		case "taken_unix_ns":
-			if len(fields) != 2 {
-				return fail("taken_unix_ns wants 1 field")
-			}
-			v, err := strconv.ParseInt(fields[1], 10, 64)
-			if err != nil {
-				return fail("bad taken_unix_ns")
-			}
-			m.TakenUnixNs = v
-		case "barrier_ns":
-			if len(fields) != 2 {
-				return fail("barrier_ns wants 1 field")
-			}
-			v, err := strconv.ParseInt(fields[1], 10, 64)
-			if err != nil || v < 0 {
-				return fail("bad barrier_ns")
-			}
-			m.BarrierNs = v
-		case "replid":
-			if len(fields) != 2 {
-				return fail("replid wants 1 field")
-			}
-			m.ReplID = fields[1]
-		case "worker":
-			if len(fields) != 4 || fields[2] != "gsn" {
-				return fail("worker line wants: worker <i> gsn <g>")
-			}
-			idx, err := strconv.Atoi(fields[1])
-			if err != nil || idx != len(m.WorkerGSN) {
-				return fail("worker lines must be dense and in order")
-			}
-			g, err := strconv.ParseUint(fields[3], 10, 64)
-			if err != nil {
-				return fail("bad worker gsn")
-			}
-			m.WorkerGSN = append(m.WorkerGSN, g)
-		case "file":
-			if len(fields) != 6 {
-				return fail("file line wants: file <worker> <size> <crc> <path> <restore>")
-			}
-			w, err := strconv.Atoi(fields[1])
-			if err != nil || w < -1 {
-				return fail("bad file worker index")
-			}
-			size, err := strconv.ParseInt(fields[2], 10, 64)
-			if err != nil || size < 0 {
-				return fail("bad file size")
-			}
-			crc, err := strconv.ParseUint(fields[3], 16, 32)
-			if err != nil {
-				return fail("bad file crc")
-			}
-			if !SafeRel(fields[4]) || !SafeRel(fields[5]) {
-				return fail("unsafe file path")
-			}
-			m.Files = append(m.Files, File{
-				Worker: w, Size: size, CRC: uint32(crc),
-				Path: fields[4], Restore: fields[5],
-			})
-		case "crc":
-			return fail("crc before end of manifest")
-		default:
-			return fail("unknown directive " + fields[0])
-		}
+	if err := vfs.Unseal(data, m); err != nil {
+		return nil, fmt.Errorf("%w: manifest: %w", ErrCorrupt, err)
 	}
-	if !haveSeq || !haveWorkers || !haveEngine {
-		return nil, &ParseError{Msg: "missing required header (seq/workers/engine)"}
-	}
-	if len(m.WorkerGSN) != m.Workers {
-		return nil, &ParseError{Msg: fmt.Sprintf("have %d worker gsn lines, want %d", len(m.WorkerGSN), m.Workers)}
-	}
-	for _, f := range m.Files {
-		if f.Worker >= m.Workers {
-			return nil, &ParseError{Msg: fmt.Sprintf("file %s references worker %d of %d", f.Path, f.Worker, m.Workers)}
-		}
+	if err := m.validate(); err != nil {
+		return nil, fmt.Errorf("%w: manifest: %v", ErrCorrupt, err)
 	}
 	return m, nil
+}
+
+// validate reports the first rule m breaks.
+func (m *Manifest) validate() error {
+	switch {
+	case m.Seq == 0:
+		return errors.New("seq 0")
+	case m.Workers < 1 || m.Workers >= 1<<16:
+		return fmt.Errorf("%d workers", m.Workers)
+	case m.Engine == "":
+		return errors.New("no engine")
+	case len(m.WorkerGSN) != m.Workers:
+		return fmt.Errorf("%d worker gsns for %d workers", len(m.WorkerGSN), m.Workers)
+	case m.BarrierNs < 0:
+		return errors.New("negative barrier_ns")
+	}
+	for _, f := range m.Files {
+		switch {
+		case f.Worker < -1 || f.Worker >= m.Workers:
+			return fmt.Errorf("file %s references worker %d of %d", f.Path, f.Worker, m.Workers)
+		case f.Size < 0:
+			return fmt.Errorf("file %s has size %d", f.Path, f.Size)
+		case !SafeRel(f.Path) || !SafeRel(f.Restore):
+			return fmt.Errorf("unsafe file path %q -> %q", f.Path, f.Restore)
+		}
+	}
+	return nil
 }
 
 // SafeRel accepts only clean relative paths that cannot escape the backup
@@ -309,27 +143,41 @@ func Load(fs vfs.FS, dir string) (*Manifest, error) {
 	return Parse(data)
 }
 
-// Write commits the manifest: temporary name, sync, atomic rename. After
-// it returns, the checkpoint it describes is durable and complete.
+// Write commits the manifest: sealed, then temporary name, sync, atomic
+// rename. After it returns, the checkpoint it describes is durable and
+// complete.
 func Write(fs vfs.FS, dir string, m *Manifest) error {
-	return vfs.WriteFileAtomic(fs, dir+"/"+ManifestName, m.Encode())
+	data, err := vfs.Seal(m)
+	if err != nil {
+		return err
+	}
+	return vfs.WriteFileAtomic(fs, dir+"/"+ManifestName, data)
 }
 
-// GC removes files in the backup set no committed manifest references:
-// leftovers of a crashed checkpoint attempt, and files only referenced by
-// superseded checkpoints. Call it after Write. Best effort — an error
-// leaves garbage, never damages the image.
-func GC(fs vfs.FS, dir string, m *Manifest) {
+// GC removes files in the backup set m does not reference: leftovers of a
+// crashed checkpoint attempt, and files only referenced by superseded
+// checkpoints. It sweeps the directories of m and of prev, the manifest m
+// replaced (nil if none), so a set whose store shrank loses the retired
+// workers' files too. Call it after Write. Best effort — an error leaves
+// garbage, never damages the image.
+func GC(fs vfs.FS, dir string, m, prev *Manifest) {
 	referenced := map[string]bool{ManifestName: true}
-	dirs := map[string]bool{"": true}
 	for _, f := range m.Files {
 		referenced[f.Path] = true
-		if i := strings.LastIndexByte(f.Path, '/'); i >= 0 {
-			dirs[f.Path[:i]] = true
-		}
 	}
-	for i := 0; i < m.Workers; i++ {
-		dirs[fmt.Sprintf("worker-%d", i)] = true
+	dirs := map[string]bool{"": true}
+	for _, man := range []*Manifest{m, prev} {
+		if man == nil {
+			continue
+		}
+		for _, f := range man.Files {
+			if i := strings.LastIndexByte(f.Path, '/'); i >= 0 {
+				dirs[f.Path[:i]] = true
+			}
+		}
+		for i := 0; i < man.Workers; i++ {
+			dirs[fmt.Sprintf("worker-%d", i)] = true
+		}
 	}
 	for d := range dirs {
 		full := dir

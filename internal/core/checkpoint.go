@@ -194,7 +194,7 @@ func (s *Store) Checkpoint(fs vfs.FS, dir string) (*checkpoint.Manifest, error) 
 	if err := checkpoint.Write(fs, dir, m); err != nil {
 		return nil, err
 	}
-	checkpoint.GC(fs, dir, m)
+	checkpoint.GC(fs, dir, m, prev)
 	s.ckptCount.Add(1)
 	s.lastCkptUnix.Store(time.Now().Unix())
 	return m, nil

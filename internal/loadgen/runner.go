@@ -1,6 +1,7 @@
 package loadgen
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -262,9 +263,24 @@ func scan(s KV, start []byte, n int) error {
 }
 
 // Preload writes keys [0, n) with the codec's values — in 512-op batches
-// when the system takes them — and flushes, so later reads reach files.
+// when the system takes them — and flushes, so later reads reach files. A
+// batch is not a transaction: a core store commits it per partition
+// (WriteEachCtx), and the first failed op's error is the batch's.
 func Preload(s KV, n, valueSize int) error {
 	bw, batched := s.(kv.BatchWriter)
+	write := func(b *kv.Batch) error { return bw.Write(b) }
+	if st, ok := s.(*core.Store); ok {
+		errs := make([]error, 512)
+		write = func(b *kv.Batch) error {
+			st.WriteEachCtx(context.TODO(), b, errs)
+			for _, err := range errs[:b.Len()] {
+				if err != nil {
+					return err
+				}
+			}
+			return nil
+		}
+	}
 	var b kv.Batch
 	for i := 0; i < n; i++ {
 		k, v := Key(uint64(i)), Value(uint64(i), 0, valueSize)
@@ -276,7 +292,7 @@ func Preload(s KV, n, valueSize int) error {
 		}
 		b.Put(k, v)
 		if b.Len() == 512 || i == n-1 {
-			if err := bw.Write(&b); err != nil {
+			if err := write(&b); err != nil {
 				return err
 			}
 			b.Reset()

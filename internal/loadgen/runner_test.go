@@ -9,9 +9,11 @@ import (
 	"testing"
 
 	"p2kvs"
+	"p2kvs/internal/core"
 	"p2kvs/internal/device"
 	"p2kvs/internal/kv"
 	"p2kvs/internal/kvell"
+	"p2kvs/internal/lsm"
 	"p2kvs/internal/vfs"
 )
 
@@ -63,6 +65,44 @@ func (st storeTarget) Do(ops []Op, t *Tally) error {
 		}
 	}
 	return nil
+}
+
+// TestPreloadIsNotATransaction: a preload batch spans every partition of
+// a core store, yet it must commit per partition — nothing reaches the
+// transaction log — and every key must land.
+func TestPreloadIsNotATransaction(t *testing.T) {
+	fs := vfs.NewMem()
+	opts := core.DefaultOptions(func(id int, filter func(uint64) bool) (kv.Engine, error) {
+		return lsm.OpenWith(fmt.Sprintf("p2/inst-%02d", id), lsm.RocksDBOptions(fs), lsm.OpenOptions{RecoverFilter: filter})
+	})
+	opts.Workers = 4
+	opts.TxnFS, opts.TxnDir = fs, "p2/txn"
+	s, err := core.Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	txnSize := func() int64 {
+		data, err := vfs.ReadFile(fs, "p2/txn/TXNLOG")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return int64(len(data))
+	}
+	opened := txnSize()
+	const keys = 2000
+	if err := Preload(s, keys, 32); err != nil {
+		t.Fatal(err)
+	}
+	if got := txnSize(); got != opened {
+		t.Fatalf("TXNLOG grew from %d to %d bytes: the preload ran as transactions", opened, got)
+	}
+	for i := uint64(0); i < keys; i += 97 {
+		got, err := s.Get(Key(i))
+		if err != nil || !bytes.Equal(got, Value(i, 0, 32)) {
+			t.Fatalf("key %d: %q, %v", i, got, err)
+		}
+	}
 }
 
 func TestRunAgainstEmbeddedStore(t *testing.T) {

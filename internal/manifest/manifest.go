@@ -133,11 +133,11 @@ func (d *decoder) uvarint() uint64 {
 }
 
 func (d *decoder) bytes() []byte {
-	n := int(d.uvarint())
+	n := d.uvarint()
 	if d.err != nil {
 		return nil
 	}
-	if n > len(d.b) {
+	if n > uint64(len(d.b)) { // compared unconverted: int(n) may be negative
 		d.err = fmt.Errorf("manifest: truncated bytes field")
 		return nil
 	}

@@ -25,7 +25,7 @@ import (
 //	payload plen bytes
 //
 // Every CRC is internal/block's Castagnoli polynomial, same as SST blocks
-// and the WAL. A frame that fails any check is ErrFrameCorrupt; the link
+// (the WAL's records carry IEEE CRC-32s instead). A frame that fails any check is ErrFrameCorrupt; the link
 // is torn down and the replica resyncs from its cursor — the stream never
 // "skips" a damaged frame.
 

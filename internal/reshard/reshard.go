@@ -10,9 +10,7 @@
 package reshard
 
 import (
-	"encoding/json"
 	"fmt"
-	"hash/crc32"
 	"sync"
 	"sync/atomic"
 
@@ -167,16 +165,13 @@ type Topology struct {
 	State string `json:"state"`
 }
 
-var crcTable = crc32.MakeTable(crc32.Castagnoli)
-
-// SaveTopology durably installs t as dir's topology record via
-// tmp+sync+rename, guarded by a CRC-32C over the payload.
+// SaveTopology durably installs t as dir's topology record, sealed
+// (vfs.Seal) and committed by vfs.WriteFileAtomic.
 func SaveTopology(fs vfs.FS, dir string, t Topology) error {
-	payload, err := json.Marshal(t)
+	body, err := vfs.Seal(t)
 	if err != nil {
 		return err
 	}
-	body := []byte(fmt.Sprintf("%08x\n%s", crc32.Checksum(payload, crcTable), payload))
 	if err := fs.MkdirAll(dir); err != nil {
 		return err
 	}
@@ -196,20 +191,9 @@ func LoadTopology(fs vfs.FS, dir string) (*Topology, error) {
 	if err != nil {
 		return nil, fmt.Errorf("reshard: reading topology: %w", err)
 	}
-	if len(body) < 9 || body[8] != '\n' {
-		return nil, fmt.Errorf("reshard: topology record malformed (%d bytes)", len(body))
-	}
-	var wantCRC uint32
-	if _, err := fmt.Sscanf(string(body[:8]), "%08x", &wantCRC); err != nil {
-		return nil, fmt.Errorf("reshard: topology checksum unparseable: %w", err)
-	}
-	payload := body[9:]
-	if got := crc32.Checksum(payload, crcTable); got != wantCRC {
-		return nil, fmt.Errorf("reshard: topology checksum mismatch (%08x != %08x)", got, wantCRC)
-	}
 	var t Topology
-	if err := json.Unmarshal(payload, &t); err != nil {
-		return nil, fmt.Errorf("reshard: topology payload: %w", err)
+	if err := vfs.Unseal(body, &t); err != nil {
+		return nil, fmt.Errorf("reshard: topology record: %w", err)
 	}
 	if t.Workers < 1 {
 		return nil, fmt.Errorf("reshard: topology records %d workers", t.Workers)

@@ -36,6 +36,23 @@ func TestTopologyRoundTrip(t *testing.T) {
 	}
 }
 
+// TestTopologyBytesPinned fixes TOPOLOGY's on-disk bytes: every store
+// directory already carries one, so the sealed form must not drift.
+func TestTopologyBytesPinned(t *testing.T) {
+	fs := vfs.NewMem()
+	if err := SaveTopology(fs, "db", Topology{Workers: 5, PrevWorkers: 4, Epoch: 3, State: TopologyCleanup}); err != nil {
+		t.Fatal(err)
+	}
+	got, err := vfs.ReadFile(fs, "db/"+TopologyFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "c3d7ddc6\n{\"workers\":5,\"prev_workers\":4,\"epoch\":3,\"state\":\"cleanup\"}"
+	if string(got) != want {
+		t.Fatalf("TOPOLOGY bytes changed:\ngot  %q\nwant %q", got, want)
+	}
+}
+
 func TestTopologyCorruptionDetected(t *testing.T) {
 	fs := vfs.NewMem()
 	if err := SaveTopology(fs, "db", Topology{Workers: 4, PrevWorkers: 4, State: TopologyActive}); err != nil {
@@ -50,15 +67,15 @@ func TestTopologyCorruptionDetected(t *testing.T) {
 	if err := vfs.WriteFile(fs, "db/"+TopologyFile, body); err != nil {
 		t.Fatal(err)
 	}
-	if tp, err := LoadTopology(fs, "db"); err == nil {
-		t.Fatalf("corrupt topology loaded as %+v", tp)
+	if tp, err := LoadTopology(fs, "db"); !errors.Is(err, vfs.ErrBadSeal) {
+		t.Fatalf("corrupt topology: got %+v, %v; want ErrBadSeal", tp, err)
 	}
 	// Truncated below the header is malformed, not treated as absent.
 	if err := vfs.WriteFile(fs, "db/"+TopologyFile, body[:4]); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadTopology(fs, "db"); err == nil {
-		t.Fatal("truncated topology loaded without error")
+	if _, err := LoadTopology(fs, "db"); !errors.Is(err, vfs.ErrBadSeal) {
+		t.Fatalf("truncated topology: %v, want ErrBadSeal", err)
 	}
 }
 

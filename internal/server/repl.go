@@ -763,6 +763,25 @@ func (m *replicaMgr) advanceCursor(worker int, gsn uint64) {
 
 // --- cursor state persistence -------------------------------------------
 
+// cursorState is REPLSTATE, the file a replica keeps so a process restart
+// can resume the stream with a partial sync instead of a full one: the
+// lineage the cursors are meaningful against and the per-worker applied
+// cursors, sealed (vfs.Seal) so a torn or damaged file degrades to "no
+// state" (→ full sync), never to a wrong cursor.
+//
+// The cursors are persisted only after the records they cover were
+// applied, so they never run ahead of the replica's applies. Whether they
+// can run ahead of its *durable* data is the engine WAL policy's call:
+// under SyncOnCommit the apply ack implies fsync, so a SIGKILL cannot
+// leave persisted cursors pointing past durable state; under weaker
+// policies a crash may lose the applied tail, and the resumed stream
+// starts past it — the same durability trade the engine itself makes for
+// local writes.
+type cursorState struct {
+	ReplID  string   `json:"replid"`
+	Cursors []uint64 `json:"cursors"`
+}
+
 func (m *replicaMgr) statePath() string { return m.srv.cfg.ReplDir + "/" + replStateName }
 
 // loadState primes the lineage from the persisted cursor state, if any;
@@ -773,12 +792,12 @@ func (m *replicaMgr) loadState() {
 	if err != nil {
 		return
 	}
-	replid, cursors, err := repl.DecodeState(data)
-	if err != nil {
+	var st cursorState
+	if err := vfs.Unseal(data, &st); err != nil {
 		m.srv.cfg.Logf("p2kvs-server: ignoring %s: %v", replStateName, err)
 		return
 	}
-	m.setLineage(replid, cursors)
+	m.setLineage(st.ReplID, st.Cursors)
 }
 
 // persistState writes the cursor state atomically. Best effort: a
@@ -789,10 +808,14 @@ func (m *replicaMgr) persistState() {
 		return
 	}
 	fs := m.srv.cfg.replFS()
-	if err := fs.MkdirAll(m.srv.cfg.ReplDir); err != nil {
-		return
+	data, err := vfs.Seal(cursorState{ReplID: replid, Cursors: cursors})
+	if err == nil {
+		err = fs.MkdirAll(m.srv.cfg.ReplDir)
 	}
-	if err := vfs.WriteFileAtomic(fs, m.statePath(), repl.EncodeState(replid, cursors)); err != nil {
+	if err == nil {
+		err = vfs.WriteFileAtomic(fs, m.statePath(), data)
+	}
+	if err != nil {
 		m.srv.cfg.Logf("p2kvs-server: persisting %s: %v", replStateName, err)
 	}
 }

@@ -34,7 +34,12 @@ func startReplNode(t *testing.T, workers int, backlog int64, replicaOf string) *
 // startReplNodeOn is startReplNode staging its full syncs on replFS.
 func startReplNodeOn(t *testing.T, replFS vfs.FS, workers int, backlog int64, replicaOf string) *replNode {
 	t.Helper()
-	opts := p2kvs.Options{Dir: "db", InMemory: true, Workers: workers, ReplBacklogBytes: backlog}
+	return startReplNodeWith(t, p2kvs.Options{Dir: "db", InMemory: true, Workers: workers, ReplBacklogBytes: backlog}, replFS, replicaOf)
+}
+
+// startReplNodeWith boots a node over a store opened with opts.
+func startReplNodeWith(t *testing.T, opts p2kvs.Options, replFS vfs.FS, replicaOf string) *replNode {
+	t.Helper()
 	st, err := p2kvs.Open(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -285,6 +290,59 @@ func TestReplPartialResync(t *testing.T) {
 	}
 	if n := infoInt(t, rc, "replica_partial_syncs"); n < 1 {
 		t.Fatalf("replica_partial_syncs=%d, want >=1", n)
+	}
+}
+
+// TestReplicaDamagedStateFullSyncs restarts a replica whose REPLSTATE
+// was damaged while it was down, once by a flipped byte and once by a
+// truncation. The restarted process must not resume from whatever the
+// file now says: it full-syncs once, partial-syncs never, and converges to
+// the primary's dump.
+func TestReplicaDamagedStateFullSyncs(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		damage func([]byte) []byte
+	}{
+		{"flipped byte", func(b []byte) []byte { b[len(b)/2] ^= 0x01; return b }},
+		{"truncated", func(b []byte) []byte { return b[:len(b)-3] }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			prim := startReplNode(t, 2, 1<<20, "")
+			pc := prim.dial(t)
+			for i := 0; i < 100; i++ {
+				mustOK(t, pc.do(t, "SET", fmt.Sprintf("k%03d", i), "v0"))
+			}
+			replFS := vfs.NewMem()
+			opts := p2kvs.Options{Dir: t.TempDir() + "/db", Workers: 2, ReplBacklogBytes: 1 << 20}
+			rep := startReplNodeWith(t, opts, replFS, prim.addr)
+			waitConverged(t, rep.dial(t), "k099", "v0")
+			// Shut the replica down; its store's files and REPLSTATE stay.
+			if err := rep.srv.Shutdown(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			state := "repl/" + replStateName
+			data, err := vfs.ReadFile(replFS, state)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := vfs.WriteFile(replFS, state, tc.damage(data)); err != nil {
+				t.Fatal(err)
+			}
+			// The primary moves on while the replica is away: a resume from
+			// a wrong cursor would skip or replay part of this.
+			for i := 0; i < 100; i++ {
+				mustOK(t, pc.do(t, "SET", fmt.Sprintf("k%03d", i), "v1"))
+			}
+
+			rc := startReplNodeWith(t, opts, replFS, prim.addr).dial(t)
+			waitConverged(t, rc, "k099", "v1")
+			waitFor(t, func() bool { return dumpAll(t, pc) == dumpAll(t, rc) })
+			ri := infoMap(t, rc)
+			if ri["replica_full_syncs"] != "1" || ri["replica_partial_syncs"] != "0" {
+				t.Fatalf("restarted replica: %s full syncs, %s partial, want 1 and 0",
+					ri["replica_full_syncs"], ri["replica_partial_syncs"])
+			}
+		})
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 
 	"p2kvs/internal/block"
 	"p2kvs/internal/btreekv"
+	"p2kvs/internal/checkpoint"
 	"p2kvs/internal/kv"
 	"p2kvs/internal/kvell"
 	"p2kvs/internal/sstable"
@@ -221,6 +222,17 @@ func TestRetiredFormatsRejected(t *testing.T) {
 			}
 			return 0, err
 		}, kv.ErrCorruption},
+		{"CHECKPOINT manifest in the v1 text form", func(t *testing.T, fs *vfs.MemFS) (int, error) {
+			// The line codec's last layout, self-checksum line included:
+			// only the sealed JSON form is read now.
+			body := "p2kvs-checkpoint v1\nseq 1\nworkers 1\nengine rocksdb\npartitioner hash\ngsn 7\n" +
+				"taken_unix_ns 1700000000000000000\nbarrier_ns 1000\nworker 0 gsn 7\n" +
+				"file 0 4096 deadbeef worker-0/000004.sst 000004.sst\n"
+			body += fmt.Sprintf("crc %08x\n", crc32.Checksum([]byte(body), crc32.MakeTable(crc32.Castagnoli)))
+			vfs.WriteFile(fs, "bak/"+checkpoint.ManifestName, []byte(body))
+			_, err := checkpoint.Load(fs, "bak")
+			return 0, err
+		}, checkpoint.ErrCorrupt},
 		{"btreekv META in the bare gen=N form", func(t *testing.T, fs *vfs.MemFS) (int, error) {
 			vfs.WriteFile(fs, "db/META", []byte("gen=7\n"))
 			d, err := btreekv.Open("db", btreekv.Options{FS: fs})

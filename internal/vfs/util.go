@@ -1,10 +1,17 @@
 package vfs
 
 import (
+	"bytes"
+	"encoding/json"
+	"errors"
+	"fmt"
 	"hash/crc32"
 	"io"
 	"os"
+	"strconv"
 )
+
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // ReadFile returns the full contents of name.
 func ReadFile(fs FS, name string) ([]byte, error) {
@@ -59,6 +66,48 @@ func WriteFileAtomic(fs FS, name string, data []byte) error {
 	if err := fs.Rename(tmp, name); err != nil {
 		fs.Remove(tmp)
 		return err
+	}
+	return nil
+}
+
+// ErrBadSeal reports a sealed record that failed Unseal: too short, a
+// checksum mismatch, or JSON that does not decode exactly into the target.
+var ErrBadSeal = errors.New("vfs: corrupt sealed record")
+
+// Seal encodes v as a self-checking record, the one format of every small
+// state file (TOPOLOGY, a backup set's CHECKPOINT, a replica's REPLSTATE):
+// the CRC-32C of v's JSON as eight hex digits, a newline, then the JSON.
+func Seal(v any) ([]byte, error) {
+	payload, err := json.Marshal(v)
+	if err != nil {
+		return nil, err
+	}
+	out := fmt.Appendf(make([]byte, 0, 9+len(payload)), "%08x\n", crc32.Checksum(payload, castagnoli))
+	return append(out, payload...), nil
+}
+
+// Unseal verifies a record Seal wrote and decodes it into v. A damaged
+// record, an unknown field or bytes after the JSON value fail with an
+// error matching ErrBadSeal; v's contents are then unspecified.
+func Unseal(data []byte, v any) error {
+	if len(data) < 9 || data[8] != '\n' {
+		return fmt.Errorf("%w: no checksum line (%d bytes)", ErrBadSeal, len(data))
+	}
+	want, err := strconv.ParseUint(string(data[:8]), 16, 32)
+	if err != nil {
+		return fmt.Errorf("%w: checksum %q", ErrBadSeal, data[:8])
+	}
+	payload := data[9:]
+	if got := crc32.Checksum(payload, castagnoli); got != uint32(want) {
+		return fmt.Errorf("%w: checksum mismatch (%08x != %08x)", ErrBadSeal, got, want)
+	}
+	dec := json.NewDecoder(bytes.NewReader(payload))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return fmt.Errorf("%w: %v", ErrBadSeal, err)
+	}
+	if dec.InputOffset() != int64(len(payload)) {
+		return fmt.Errorf("%w: %d bytes after the record", ErrBadSeal, int64(len(payload))-dec.InputOffset())
 	}
 	return nil
 }
@@ -179,7 +228,7 @@ func Checksum(fs FS, name string) (crc uint32, size int64, err error) {
 	if err != nil {
 		return 0, 0, err
 	}
-	h := crc32.New(crc32.MakeTable(crc32.Castagnoli))
+	h := crc32.New(castagnoli)
 	buf := make([]byte, 1<<16)
 	var off int64
 	for off < size {
