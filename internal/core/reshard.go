@@ -405,8 +405,10 @@ func (s *Store) tryCutover(run *reshardRun, sources, newWorkers []*worker, newC 
 // returns errBarrierTimeout with every already-pushed barrier released. On
 // success the workers are parked and the caller owns the returned release
 // channel.
-func barrierWorkers(workers []*worker, timeout <-chan struct{}) (release chan struct{}, err error) {
-	release = make(chan struct{})
+func barrierWorkers(workers []*worker, timeout <-chan struct{}) (chan struct{}, error) {
+	// Not a named result: a failed return would nil it under the barriers
+	// already pushed, parking their workers on a nil channel forever.
+	release := make(chan struct{})
 	parked := newFanIn()
 	park := func(*worker) error {
 		parked.finish(nil)

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"p2kvs/internal/keyspace"
 	"p2kvs/internal/kv"
@@ -575,5 +576,44 @@ func TestReshardGrowReusesRetiredID(t *testing.T) {
 		if v, err := s2.Get([]byte(k)); err != nil || string(v) != "after" {
 			t.Fatalf("after crash: Get(%s) = %q, %v; the acked value is \"after\"", k, v, err)
 		}
+	}
+}
+
+// A barrier that times out releases every worker it reached, also one that
+// reaches its barrier only after the coordinator gave up: worker 1 is held
+// by an earlier barrier, so the second one times out before worker 1 runs
+// its park, which must then find the released channel and not block.
+func TestBarrierTimeoutReleasesLateWorker(t *testing.T) {
+	fs := vfs.NewMem()
+	s := openElastic(t, fs, "bt", 2)
+	ws := s.route.Load().workers
+	hold, err := barrierWorkers(ws[1:], nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	timeout := make(chan struct{})
+	time.AfterFunc(20*time.Millisecond, func() { close(timeout) })
+	if _, err := barrierWorkers(ws, timeout); !errors.Is(err, errBarrierTimeout) {
+		t.Fatalf("barrier over a held worker: err %v, want errBarrierTimeout", err)
+	}
+	close(hold)
+	var key []byte
+	for i := 0; key == nil; i++ {
+		if k := []byte(fmt.Sprintf("k%d", i)); s.route.Load().pick(k) == ws[1] {
+			key = k
+		}
+	}
+	done := make(chan error, 1)
+	go func() { done <- s.Put(key, []byte("v")) }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("worker 1 still parked on the timed-out barrier") // leaks s: Close would wait on the worker
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
 	}
 }
