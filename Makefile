@@ -48,14 +48,17 @@ alloc-profile:
 	$(GO) tool pprof -sample_index=alloc_objects -top -nodecount 25 -ignore='lsmStore' $(PROFILE_DIR)/server.test $(PROFILE_DIR)/wire.prof
 
 # Where the time goes, from the same benchmarks plus one client's synchronous
-# Get (internal/core's BenchmarkGet), each under a CPU profile of its own,
+# Get and 16-key MultiGet (internal/core's BenchmarkGet, BenchmarkMultiGet),
+# each under a CPU profile of its own,
 # printed cumulatively for the whole process — the scheduler's share of a
 # thread handoff (schedule, findRunnable, futex) sits under no product
 # function, so a -focus would hide it. The write path; the memtable under it
 # on its own (three key shapes in; present keys out, and absent ones its
 # filter answers); a Get its caller runs
-# (direct=true) and one handed to the worker (direct=false, the only form
-# before PR 27); the engine lookup under both; the MemFS device under all of
+# (direct=true) and one handed to the worker (direct=false, the paper's
+# form), and the same two for a 16-key MultiGet (MultiGet: each idle
+# worker's leg run by the caller, or every leg queued); the engine lookup
+# under them; the MemFS device under all of
 # them (a 2 MiB append, a block read). The engine lookup runs with the block
 # cache too small (GetMiss) and holding every block (GetHit, where the
 # table's index search shows most). The two callers of the k-way merge:
@@ -74,8 +77,8 @@ cpu-profile: profile-bins
 
 # cpu-profile's rows: test binary, profile name, -test.bench pattern.
 PROFILE_RUNS = 'p2kvs write PutAsync|LSMWriteBatch' 'p2kvs memtable MemtableAdd|MemtableGet' \
-	'core get-direct Get$$/direct=true' \
-	'core get-queued Get$$/direct=false' 'lsm get-engine GetMiss' 'lsm get-hit GetHit' 'vfs memfs MemFSAppend|MemFSReadAt' \
+	'core get-direct ^BenchmarkGet$$/direct=true' 'core get-queued ^BenchmarkGet$$/direct=false' \
+	'core mget-direct MultiGet$$/direct=true' 'core mget-queued MultiGet$$/direct=false' 'lsm get-engine GetMiss' 'lsm get-hit GetHit' 'vfs memfs MemFSAppend|MemFSReadAt' \
 	'lsm compaction CompactionMerge' 'core scan StoreScan' 'lsm flush Flush' 'server wire ServerPipeline'
 
 profile-bins:

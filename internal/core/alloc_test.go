@@ -1,11 +1,13 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"p2kvs/internal/kv"
 	"p2kvs/internal/lsm"
@@ -221,9 +223,9 @@ func TestDirectReadAllocs(t *testing.T) {
 }
 
 // multiGetEngine is nopEngine with a multiget that allocates the values it
-// returns and nothing else: its result slice is reused, which its one
-// caller, the worker, allows — it copies the results out before the next
-// call.
+// returns and nothing else: its result slice is reused, which its callers
+// allow as long as one runs at a time — each copies the results out before
+// the next call.
 type multiGetEngine struct {
 	nopEngine
 	out [][]byte
@@ -239,9 +241,11 @@ func (e *multiGetEngine) MultiGet(keys [][]byte) ([][]byte, error) {
 	return e.out, nil
 }
 
-// TestMultiGetCtxAllocs pins MultiGetCtx in steady state: its fan-in, its
-// legs and the legs' completion callback come from pools, so a call
-// allocates the slice it returns and, through the engine, the values.
+// TestMultiGetCtxAllocs pins MultiGetCtx in steady state, on both paths:
+// its fan-in, its legs, the legs' completion callback and a direct leg's
+// scratch come from pools, so a call allocates the slice it returns and,
+// through the engine, the values — whether the idle worker's leg runs on
+// the caller or, under a deadline, queues.
 func TestMultiGetCtxAllocs(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("allocation pins are not meaningful under the race detector: sync.Pool drops Puts there")
@@ -259,16 +263,125 @@ func TestMultiGetCtxAllocs(t *testing.T) {
 	for i := range keys {
 		keys[i] = []byte{'k', byte('a' + i)}
 	}
-	n := testing.AllocsPerRun(200, func() {
-		vals, err := s.MultiGetCtx(nil, keys)
-		if err != nil || len(vals) != len(keys) || string(vals[len(keys)-1]) != "v" {
-			t.Fatalf("MultiGetCtx = %q, %v", vals, err)
+	deadline, cancel := context.WithTimeout(context.Background(), time.Hour)
+	defer cancel()
+	for _, c := range []struct {
+		name string
+		ctx  context.Context
+	}{{"direct", nil}, {"queued", deadline}} {
+		before := s.Stats()[0]
+		n := testing.AllocsPerRun(200, func() {
+			vals, err := s.MultiGetCtx(c.ctx, keys)
+			if err != nil || len(vals) != len(keys) || string(vals[len(keys)-1]) != "v" {
+				t.Fatalf("%s: MultiGetCtx = %q, %v", c.name, vals, err)
+			}
+		})
+		after := s.Stats()[0]
+		if queued := after.Ops > before.Ops; queued != (c.ctx != nil) || queued == (after.DirectReads > before.DirectReads) {
+			t.Fatalf("%s: worker ops %d -> %d, direct reads %d -> %d: the call took the other path",
+				c.name, before.Ops, after.Ops, before.DirectReads, after.DirectReads)
 		}
+		if after.MultiGetOps == before.MultiGetOps {
+			t.Fatalf("%s: no leg reached the engine's multiget", c.name)
+		}
+		if want := float64(1 + len(keys)); n > want {
+			t.Errorf("%s: MultiGetCtx of %d keys: %.0f allocs, want <= %.0f (the result slice and the values)", c.name, len(keys), n, want)
+		}
+	}
+}
+
+// TestMultiGetLegPaths pins where each leg of a multiget runs and what it
+// counts. Two keys on each of four workers: on an idle store every leg runs
+// on the caller — DirectReads and MultiGetOps grow by the key count, worker
+// Ops do not move; with worker 0 wedged, its leg queues behind the wedge and
+// the other three run on the caller; a live deadline queues every leg, and
+// so does DirectReads off.
+func TestMultiGetLegPaths(t *testing.T) {
+	const workers, perShard = 4, 2
+	var keys [][]byte
+	for shard := 0; shard < workers; shard++ {
+		for i := 0; i < perShard; i++ {
+			keys = append(keys, shardKey(shard, i))
+		}
+	}
+	open := func(t *testing.T, direct bool) *Store {
+		opts := DefaultOptions(func(int, func(uint64) bool) (kv.Engine, error) {
+			return &multiGetEngine{nopEngine: nopEngine{val: []byte("v")}}, nil
+		})
+		opts.Workers, opts.Partitioner, opts.DirectReads = workers, firstByteMod{n: workers}, direct
+		s, err := Open(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { s.Close() })
+		return s
+	}
+	mget := func(t *testing.T, s *Store, ctx context.Context) {
+		vals, err := s.MultiGetCtx(ctx, keys)
+		if err != nil || len(vals) != len(keys) {
+			t.Errorf("MultiGetCtx = %q, %v", vals, err)
+			return
+		}
+		for i, v := range vals {
+			if string(v) != "v" {
+				t.Errorf("slot %d = %q, want v", i, v)
+			}
+		}
+	}
+	// check compares each worker's counters since before with want[i]:
+	// direct reads, multiget keys (-1: not pinned), worker ops.
+	check := func(t *testing.T, s *Store, before []WorkerStats, want [workers][3]int64) {
+		t.Helper()
+		for i, st := range s.Stats() {
+			got := [3]int64{st.DirectReads - before[i].DirectReads, st.MultiGetOps - before[i].MultiGetOps, st.Ops - before[i].Ops}
+			if want[i][1] < 0 {
+				got[1] = -1
+			}
+			if got != want[i] {
+				t.Errorf("worker %d: direct reads, multiget keys, ops grew by %v, want %v", i, got, want[i])
+			}
+		}
+	}
+	direct := [3]int64{perShard, perShard, 0}
+	queued := [3]int64{0, -1, perShard}
+
+	t.Run("idle", func(t *testing.T) {
+		s := open(t, true)
+		before := s.Stats()
+		mget(t, s, nil)
+		check(t, s, before, [workers][3]int64{direct, direct, direct, direct})
 	})
-	if s.Stats()[0].MultiGetOps == 0 {
-		t.Fatal("no read run reached the engine's multiget")
-	}
-	if want := float64(1 + len(keys)); n > want {
-		t.Errorf("MultiGetCtx of %d keys: %.0f allocs, want <= %.0f (the result slice and the values)", len(keys), n, want)
-	}
+	t.Run("wedged", func(t *testing.T) {
+		s := open(t, true)
+		entered, gate := make(chan struct{}), make(chan struct{})
+		go s.ws()[0].do(func(*worker) error { close(entered); <-gate; return nil })
+		<-entered
+		before := s.Stats()
+		done := make(chan struct{})
+		go func() { mget(t, s, nil); close(done) }()
+		for s.ws()[0].q.pending.Load() != 1+perShard { // the wedge and the leg behind it
+			runtime.Gosched()
+		}
+		close(gate)
+		<-done
+		// Both reads were queued before the worker left the wedge (counted
+		// in before: the worker counts a run as it starts it): one run, one
+		// engine multiget.
+		wedged := [3]int64{0, perShard, perShard}
+		check(t, s, before, [workers][3]int64{wedged, direct, direct, direct})
+	})
+	t.Run("deadline", func(t *testing.T) {
+		s := open(t, true)
+		ctx, cancel := context.WithTimeout(context.Background(), time.Hour)
+		defer cancel()
+		before := s.Stats()
+		mget(t, s, ctx)
+		check(t, s, before, [workers][3]int64{queued, queued, queued, queued})
+	})
+	t.Run("DirectReads=false", func(t *testing.T) {
+		s := open(t, false)
+		before := s.Stats()
+		mget(t, s, nil)
+		check(t, s, before, [workers][3]int64{queued, queued, queued, queued})
+	})
 }

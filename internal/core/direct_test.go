@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -20,13 +21,14 @@ import (
 	"p2kvs/internal/vfs"
 )
 
-// The history stress of the direct read (Store.GetCtx): whichever goroutine
-// performs an engine read, every Get must return a version no older than the
-// newest acknowledged before it was invoked, no newer than the newest issued
-// when it returned, and never older than the same reader's previous read of
-// that key; and a writer whose PutAsync has returned must read that write
-// back. go test runs each cell for -direct.window; make stress SUITE=cache
-// runs the long form.
+// The history stress of the direct read (Store.GetCtx, and MultiGetCtx per
+// leg): whichever goroutine performs an engine read, every Get and every
+// MultiGetCtx slot must return a version no older than the newest
+// acknowledged before it was invoked, no newer than the newest issued when
+// it returned, and never older than the same reader's previous read of that
+// key; and a writer whose PutAsync has returned must read that write back,
+// by a Get and by a MultiGetCtx. go test runs each cell for -direct.window;
+// make stress SUITE=cache runs the long form.
 var (
 	directWindow = flag.Duration("direct.window", 80*time.Millisecond, "load window of each TestDirectReadHistory cell")
 	directSeed   = flag.Int64("direct.seed", 1, "seed of TestDirectReadHistory's key and operation choices")
@@ -57,7 +59,7 @@ func historyOp(i int, v int64) kv.BatchOp {
 	return kv.BatchOp{Kind: kv.OpPut, Key: historyKey(i), Value: historyValue(i, v)}
 }
 
-// observe checks one Get of key i — invoked after version lo was
+// observe checks one read of key i — invoked after version lo was
 // acknowledged, returned before version hi+1 was issued, by a reader that had
 // last seen version prev — and returns the version it saw. An absent key is
 // read as the oldest Delete the bounds allow, which keeps the check sound
@@ -90,6 +92,52 @@ func observe(i int, val []byte, err error, lo, hi, prev int64) (int64, error) {
 		return 0, fmt.Errorf("key %d: read version %d, newer than the newest issued (%d)", i, seen, hi)
 	}
 	return seen, nil
+}
+
+// multiGet reads keys (history key indexes) with one MultiGetCtx and
+// observes each slot against prev, the reader's last seen version per key,
+// which it advances.
+func (h *history) multiGet(s *Store, keys []int, prev *[historyKeys]int64) error {
+	lo := make([]int64, len(keys))
+	bs := make([][]byte, len(keys))
+	for j, i := range keys {
+		lo[j], bs[j] = h.acked[i].Load(), historyKey(i)
+	}
+	vals, err := s.MultiGetCtx(nil, bs)
+	if err != nil {
+		return err
+	}
+	for j, i := range keys {
+		var absent error
+		if vals[j] == nil {
+			absent = kv.ErrNotFound
+		}
+		seen, err := observe(i, vals[j], absent, lo[j], h.issued[i].Load(), prev[i])
+		if err != nil {
+			return fmt.Errorf("slot %d of %d: %w", j, len(keys), err)
+		}
+		prev[i] = seen
+	}
+	return nil
+}
+
+// spanningKeys picks n distinct history keys, the first first when it is
+// not -1, of which the first two are owned by different workers under the
+// routing in force when they are picked.
+func spanningKeys(rng *rand.Rand, s *Store, n, first int) []int {
+	rt := s.route.Load()
+	keys := make([]int, 0, n)
+	if first >= 0 {
+		keys = append(keys, first)
+	}
+	for len(keys) < n {
+		i := rng.Intn(historyKeys)
+		if slices.Contains(keys, i) || len(keys) == 1 && rt.part.Pick(historyKey(i)) == rt.part.Pick(historyKey(keys[0])) {
+			continue
+		}
+		keys = append(keys, i)
+	}
+	return keys
 }
 
 func TestDirectReadHistory(t *testing.T) {
@@ -165,6 +213,20 @@ func runHistory(t *testing.T, s *Store, seed int64, direct, hot bool) {
 		return true
 	}
 
+	// Before the load, on the idle store: every leg of a multiget over all
+	// the keys runs on its caller, or with DirectReads off none does.
+	all := make([][]byte, historyKeys)
+	for i := range all {
+		all[i] = historyKey(i)
+	}
+	if _, err := s.MultiGetCtx(nil, all); err != nil {
+		s.Close()
+		t.Fatalf("seed %d: MultiGetCtx on the idle store: %v", seed, err)
+	}
+	if n, want := s.StatsSnapshot().Aggregate.DirectReads, int64(historyKeys); direct && n != want {
+		t.Errorf("seed %d: DirectReads on, yet %d of %d keys of a multiget on the idle store ran directly: the test no longer exercises direct legs", seed, n, want)
+	}
+
 	for w := 0; w < historyWriters; w++ {
 		clients.Add(1)
 		go func() {
@@ -190,7 +252,7 @@ func runHistory(t *testing.T, s *Store, seed int64, direct, hot bool) {
 						break
 					}
 					// Returned, not yet acknowledged: this client's next
-					// Get must see it all the same — the read queues behind
+					// read must see it all the same — the read queues behind
 					// the write, or finds the worker idle only once it is
 					// applied. A hot-cache hit promises less (DESIGN §14: no
 					// value older than the last acknowledged write).
@@ -207,8 +269,19 @@ func runHistory(t *testing.T, s *Store, seed int64, direct, hot bool) {
 						for spin := time.Now(); time.Since(spin) < time.Duration(rng.Intn(60))*time.Microsecond; {
 						}
 					}
-					val, gerr := s.Get(op.Key)
-					if _, gerr = observe(i, val, gerr, lo, v, lo); gerr != nil && done(who+": Get after PutAsync returned", gerr) {
+					// The read is a Get, or one slot of a 2-key MultiGetCtx
+					// whose other key lies on another shard.
+					var gerr error
+					if rng.Intn(2) == 0 {
+						var val []byte
+						val, gerr = s.Get(op.Key)
+						_, gerr = observe(i, val, gerr, lo, v, lo)
+					} else {
+						var floor [historyKeys]int64
+						floor[i] = lo
+						gerr = h.multiGet(s, spanningKeys(rng, s, 2, i), &floor)
+					}
+					if gerr != nil && done(who+": read after PutAsync returned", gerr) {
 						<-acks
 						return
 					}
@@ -239,7 +312,13 @@ func runHistory(t *testing.T, s *Store, seed int64, direct, hot bool) {
 			rng := rand.New(rand.NewSource(seed*1000 + 100 + int64(r)))
 			who := fmt.Sprintf("reader %d", r)
 			var prev [historyKeys]int64
-			for {
+			for n := 0; ; n++ {
+				if n%2 == 1 { // every other read is a MultiGetCtx of 2-4 keys
+					if done(who+": MultiGetCtx", h.multiGet(s, spanningKeys(rng, s, 2+rng.Intn(3), -1), &prev)) {
+						return
+					}
+					continue
+				}
 				i := rng.Intn(historyKeys)
 				lo := h.acked[i].Load()
 				val, err := s.Get(historyKey(i))
@@ -308,40 +387,64 @@ func runHistory(t *testing.T, s *Store, seed int64, direct, hot bool) {
 	}
 }
 
+// benchStore opens four idle workers over lsm with DirectReads set to
+// direct and loads n keys; it returns the store and the keys.
+func benchStore(b *testing.B, direct bool, n int) (*Store, [][]byte) {
+	fs := vfs.NewMem()
+	opts := DefaultOptions(func(id int, _ func(uint64) bool) (kv.Engine, error) {
+		return lsm.Open(fmt.Sprintf("bench/inst-%02d", id), lsm.RocksDBOptions(fs))
+	})
+	opts.Workers, opts.DirectReads = 4, direct
+	s, err := Open(opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { s.Close() })
+	val := make([]byte, 128)
+	keys := make([][]byte, n)
+	for i := range keys {
+		keys[i] = []byte(fmt.Sprintf("key-%012d", i))
+		if err := s.Put(keys[i], val); err != nil {
+			b.Fatal(err)
+		}
+	}
+	return s, keys
+}
+
 // BenchmarkGet is one client's synchronous Get against four idle workers
 // over lsm — the handoff the direct read removes, with nothing else in the
 // way: direct=true is what a store does, direct=false sends every Get to
 // its worker as the paper's accessing layer does (make cpu-profile profiles
 // both).
 func BenchmarkGet(b *testing.B) {
-	const keys = 50000
-	key := func(i int) []byte { return []byte(fmt.Sprintf("key-%012d", i)) }
 	for _, direct := range []bool{true, false} {
 		b.Run(fmt.Sprintf("direct=%v", direct), func(b *testing.B) {
-			fs := vfs.NewMem()
-			opts := DefaultOptions(func(id int, _ func(uint64) bool) (kv.Engine, error) {
-				return lsm.Open(fmt.Sprintf("bench/inst-%02d", id), lsm.RocksDBOptions(fs))
-			})
-			opts.Workers, opts.DirectReads = 4, direct
-			s, err := Open(opts)
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer s.Close()
-			val := make([]byte, 128)
-			for i := 0; i < keys; i++ {
-				if err := s.Put(key(i), val); err != nil {
-					b.Fatal(err)
-				}
-			}
-			probes := make([][]byte, keys)
-			for i := range probes {
-				probes[i] = key(i)
-			}
+			s, keys := benchStore(b, direct, 50000)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := s.Get(probes[i%keys]); err != nil {
+				if _, err := s.Get(keys[i%len(keys)]); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkMultiGet is BenchmarkGet for one client's 16-key MultiGet, the
+// read a pipelined window of GETs becomes: direct=true runs each idle
+// worker's leg on the caller, one after another; direct=false queues every
+// leg and waits for the four workers (make cpu-profile profiles both).
+func BenchmarkMultiGet(b *testing.B) {
+	const batch = 16
+	for _, direct := range []bool{true, false} {
+		b.Run(fmt.Sprintf("direct=%v", direct), func(b *testing.B) {
+			s, keys := benchStore(b, direct, 50000)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				lo := i * batch % (len(keys) - batch)
+				if _, err := s.MultiGet(keys[lo : lo+batch]); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -14,11 +14,13 @@ import (
 
 // Data-plane operations: every one builds requests of the one shape
 // (queue.go), routes and admits them under the routing read lock
-// (routing.go), and completes through a done channel, a callback or — for
-// multi-leg operations — one fanIn. The single-key ones (GetCtx, Put,
-// Delete and the callback forms) and MultiGetCtx's read legs draw their
-// requests from the requests pool; they go back by the ownership rule
-// stated there.
+// (routing.go) — or, for a read whose worker is idle (directRead), runs
+// them there on the caller — and completes through a done channel, a
+// callback or — for multi-leg operations — one fanIn. The single-key ones
+// (GetCtx, Put, Delete and the callback forms) and MultiGetCtx's read legs
+// draw their requests from the requests pool; they go back by the
+// ownership rule stated there. A direct Get's request lives on its
+// caller's stack.
 
 // writeOne routes a single-key write, carried inline by a pooled request,
 // and hands it to writeTo.
@@ -94,7 +96,7 @@ func (s *Store) hotRead(key []byte) (val []byte, hit bool, err error) {
 	return v, ok, err
 }
 
-// readResult is the second half, for an engine read (worker.get) that
+// readResult is the second half, for an engine read (worker.readLeg) that
 // returned no error, on whichever goroutine ran it: it fills the cache —
 // only if no write bumped the key's stripe since the ticket was taken — and
 // maps an absent key to kv.ErrNotFound.
@@ -106,32 +108,42 @@ func (s *Store) readResult(key, val []byte, found bool, ticket uint64) ([]byte, 
 	return val, nil
 }
 
+// directRead is the one test of the direct-read rule: a synchronous read
+// of w's keys runs on its caller, under the routing read lock, when
+// Options.DirectReads is on, ctx carries no live deadline, and w is idle —
+// nothing queued, nothing executing (reqQueue.pending). closed is read
+// under the lock Close passes through before it closes any engine: no
+// direct read is inside an engine being closed, and a closed store falls
+// through to admission's kv.ErrClosed.
+func (s *Store) directRead(ctx context.Context, w *worker) bool {
+	return s.opts.DirectReads && liveCtx(ctx) == nil && w.q.pending.Load() == 0 && !s.closed.Load()
+}
+
 // submit is what lies between the two halves for a single-key read that
 // missed: it routes key and gets the read to its engine under the routing
 // read lock, taken and released here and nowhere else. ticket is the key's
 // hot-cache stripe value, snapshotted before the read can reach an engine.
 //
-// cb == nil is a synchronous read and submit returns its result. When the
-// key's worker is idle and ctx carries no deadline the caller runs the
-// engine read itself (see GetCtx) and no request leaves the pool; otherwise
-// the read is queued and waited for. cb != nil is an asynchronous read: it
-// is always queued, submit returns once it is admitted — the request is the
-// worker's from then on, and may already be back in the pool — and cb
-// receives the result. When submit returns an error cb never runs.
+// cb == nil is a synchronous read and submit returns its result. When
+// directRead allows, the caller runs the read itself as a one-key leg
+// (worker.readLeg) of a request on its own stack, and no request leaves
+// the pool; otherwise the read is queued and waited for. cb != nil is an
+// asynchronous read: it is always queued, submit returns once it is
+// admitted — the request is the worker's from then on, and may already be
+// back in the pool — and cb receives the result. When submit returns an
+// error cb never runs.
 func (s *Store) submit(ctx context.Context, key []byte, ticket uint64, cb func([]byte, error)) ([]byte, error) {
 	s.routeMu.RLock()
 	w := s.route.Load().pick(key)
-	// closed is read under the lock Close passes through before it closes
-	// any engine: no direct read is inside an engine being closed. A closed
-	// store falls through to admission's kv.ErrClosed.
-	if cb == nil && s.opts.DirectReads && liveCtx(ctx) == nil && w.q.pending.Load() == 0 && !s.closed.Load() {
-		val, found, err := w.get(key)
+	if cb == nil && s.directRead(ctx, w) {
+		r := request{key: key}
+		leg := [1]*request{&r}
+		_, err := w.readLeg(leg[:], nil, true)
 		s.routeMu.RUnlock()
-		w.directReads.Add(1)
 		if err != nil {
 			return nil, err
 		}
-		return s.readResult(key, val, found, ticket)
+		return s.readResult(key, r.val, r.found, ticket)
 	}
 	r := getRequest()
 	r.typ, r.key, r.ticket = reqRead, key, ticket
@@ -170,22 +182,24 @@ func (s *Store) submit(ctx context.Context, key []byte, ticket uint64, cb func([
 // (hotRead / readResult) when one is enabled. The returned slice is the
 // caller's: nothing in the store keeps a reference to it.
 //
-// The rule for a cache miss: when the key's worker is idle — nothing queued,
-// nothing executing — and ctx carries no deadline, the caller runs the
-// engine read itself, under the routing read lock, and no goroutine is
-// woken (Options.DirectReads). Idle means every write submitted to that
-// worker before the test has been applied, so the read sees all of them; a
-// write submitted after it is concurrent with the read. Anything else takes
-// the queue: a busy worker has something to batch the read with (OBM), and
-// only a waiter that is not the executor can abandon a read at its deadline.
+// The rule for a cache miss (directRead): when the key's worker is idle —
+// nothing queued, nothing executing — and ctx carries no deadline, the
+// caller runs the engine read itself, under the routing read lock, and no
+// goroutine is woken (Options.DirectReads). Idle means every write
+// submitted to that worker before the test has been applied, so the read
+// sees all of them; a write submitted after it is concurrent with the read.
+// Anything else takes the queue: a busy worker has something to batch the
+// read with (OBM), and only a waiter that is not the executor can abandon a
+// read at its deadline.
 //
 // What the rule gives up: synchronous readers never make a worker busy, so
 // under read-only synchronous traffic every Get is direct, at any client
 // count — as many readers are inside one engine at once as there are
 // callers, where the queue admitted one worker, and OBM's MultiGet is never
 // chosen. The engines' point lookups are concurrent-safe (kvtest's
-// concurrent case); whether a device is better served by that or by one
-// batched reader per instance has not been measured here (ROADMAP 2c′).
+// concurrent case). MultiGetCtx applies the rule per leg, and its direct
+// legs read in turn where queued ones would read at once: on a slow device
+// that is the rule's price (the MGET rows of ablation-direct-read).
 func (s *Store) GetCtx(ctx context.Context, key []byte) ([]byte, error) {
 	if v, hit, err := s.hotRead(key); hit {
 		return v, err
@@ -210,23 +224,26 @@ func (s *Store) GetAsync(key []byte, cb func([]byte, error)) error {
 }
 
 // MultiGet resolves several keys in one call: keys are grouped per
-// worker, each group travels as read requests that OBM merges into the
-// engine's multiget, and results return positionally (nil = not found).
-// This is the application-facing face of the paper's read batching — a
-// caller with a natural read batch gets the Figure 10b path
+// worker, and each worker's group is one leg — on a busy worker read
+// requests that OBM merges into the engine's multiget, on an idle one the
+// same multiget run by the caller — and results return positionally (nil =
+// not found). This is the application-facing face of the paper's read
+// batching — a caller with a natural read batch gets the Figure 10b path
 // deterministically instead of opportunistically.
 func (s *Store) MultiGet(keys [][]byte) ([][]byte, error) {
 	return s.MultiGetCtx(nil, keys)
 }
 
-// MultiGetCtx is MultiGet bounded by one shared context: every per-worker
-// read leg carries the same deadline. Hot-cache hits (positive and
-// negative) are resolved up front without admission; only the misses
-// travel as read legs. The first admission failure short-circuits the
-// remaining legs — a rejected multiget must not keep pushing work at
-// queues that are already refusing it. All legs are admitted under one
-// routing read lock, so every leg of one multiget observes the same ring
-// generation.
+// MultiGetCtx is MultiGet bounded by one shared context: every queued leg
+// carries the same deadline. Hot-cache hits (positive and negative) are
+// resolved up front without admission; only the misses travel, grouped by
+// owner under one routing read lock, so every leg of one multiget observes
+// the same ring generation. The legs of workers directRead refuses are
+// admitted first, so they run on their workers while the caller runs each
+// idle worker's leg itself (worker.readLeg), one after another, before it
+// releases the lock: GetCtx's rule, per leg. The first admission failure or
+// direct leg error short-circuits the remaining legs — a rejected multiget
+// must not keep pushing work at queues that are already refusing it.
 func (s *Store) MultiGetCtx(ctx context.Context, keys [][]byte) ([][]byte, error) {
 	if s.closed.Load() {
 		return nil, kv.ErrClosed
@@ -235,6 +252,7 @@ func (s *Store) MultiGetCtx(ctx context.Context, keys [][]byte) ([][]byte, error
 	m := multiGets.Get().(*multiGet)
 	m.pending = 1
 	m.legs = slices.Grow(m.legs, len(keys))[:len(keys)]
+	m.owner = slices.Grow(m.owner, len(keys))[:len(keys)]
 	s.routeMu.RLock()
 	rt := s.route.Load()
 	for i, k := range keys {
@@ -244,17 +262,51 @@ func (s *Store) MultiGetCtx(ctx context.Context, keys [][]byte) ([][]byte, error
 		}
 		r := getRequest()
 		r.typ, r.key, r.ticket, r.callback = reqRead, k, s.cache.Snapshot(k), m.fin
-		m.legs[i] = r
+		m.legs[i], m.owner[i] = r, rt.part.Pick(k)
+	}
+	m.direct = slices.Grow(m.direct, len(rt.workers))[:len(rt.workers)]
+	for p, w := range rt.workers {
+		m.direct[p] = s.directRead(ctx, w)
+	}
+	var err error
+	for i, r := range m.legs {
+		if r == nil || m.direct[m.owner[i]] {
+			continue
+		}
 		m.add()
-		if err := s.admit(ctx, rt.pick(k), r); err != nil {
+		if err = s.admit(ctx, rt.workers[m.owner[i]], r); err != nil {
 			m.fin(err)
 			break // short-circuit: don't amplify overload with more legs
 		}
 	}
+	for p, w := range rt.workers {
+		if err != nil {
+			break
+		}
+		if !m.direct[p] {
+			continue
+		}
+		leg := m.leg[:0]
+		for i, r := range m.legs {
+			if r != nil && m.owner[i] == p {
+				leg = append(leg, r)
+			}
+		}
+		if len(leg) > 0 {
+			m.keys, err = w.readLeg(leg, m.keys, true)
+		}
+		clear(leg)
+		m.leg = leg
+	}
 	s.routeMu.RUnlock()
-	completed, err := m.wait(ctx)
+	// A direct leg implies a context that cannot end: the wait completes
+	// whenever one ran.
+	completed, werr := m.wait(ctx)
 	if !completed {
-		return nil, err // the workers may still hold the legs: m goes to the GC
+		return nil, werr // the workers may still hold the legs: m goes to the GC
+	}
+	if err == nil {
+		err = werr
 	}
 	for i, r := range m.legs {
 		if r == nil {
@@ -275,15 +327,21 @@ func (s *Store) MultiGetCtx(ctx context.Context, keys [][]byte) ([][]byte, error
 }
 
 // multiGet is one MultiGetCtx's fan-in and its read legs, positional (nil
-// for a key the hot cache answered), pooled together with the completion
-// callback every leg carries. The legs are pooled requests without the
-// recycle mark: no completer puts them back. The submitter does, once wait
-// has observed every completion; a submitter whose context ended first
-// leaves them, and m, to the garbage collector.
+// for a key the hot cache answered) with each one's worker index, pooled
+// together with the completion callback every queued leg carries, the
+// per-worker directRead verdicts and a direct leg's scratch: its requests
+// and, for the engine's multiget, their keys. The legs are pooled requests
+// without the recycle mark: no completer puts them back. The submitter
+// does, once wait has observed every completion; a submitter whose context
+// ended first leaves them, and m, to the garbage collector.
 type multiGet struct {
 	fanIn
-	fin  func(error) // fanIn.finish, bound once
-	legs []*request
+	fin    func(error) // fanIn.finish, bound once
+	legs   []*request
+	owner  []int
+	direct []bool
+	leg    []*request
+	keys   [][]byte
 }
 
 var multiGets = sync.Pool{New: func() any {

@@ -47,12 +47,13 @@ type Options struct {
 	// OBM enables opportunistic request batching (§4.3). Default on via
 	// DefaultOptions; the sensitivity study (Figure 17) disables it.
 	OBM bool
-	// DirectReads lets a synchronous, deadline-free Get whose worker is
-	// idle run the engine read on the caller's goroutine instead of
-	// handing it to the worker (Store.submit) — an extension: at queue
-	// depth one there is nothing for OBM to amortise the handoff with.
-	// Default on via DefaultOptions; the paper-figure experiments, which
-	// model one worker as one thread, turn it off.
+	// DirectReads lets a synchronous, deadline-free read run each idle
+	// worker's leg on the caller's goroutine instead of handing it to the
+	// worker (Store.directRead): a Get's one key, or a MultiGet's keys of
+	// that worker — an extension: at queue depth one there is nothing for
+	// OBM to amortise the handoff with. Default on via DefaultOptions; the
+	// paper-figure experiments, which model one worker as one thread, turn
+	// it off.
 	DirectReads bool
 	// MaxBatch bounds requests per OBM batch (32 by default, the paper's
 	// tail-latency guard).

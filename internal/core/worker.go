@@ -47,8 +47,8 @@ type worker struct {
 	keyScratch [][]byte
 
 	// Stats for the sensitivity studies. ops and batches count what this
-	// worker's goroutine executed; directReads counts the GETs submitters
-	// ran on the engine themselves (Store.submit).
+	// worker's goroutine executed; directReads counts the keys submitters
+	// read from the engine themselves (readLeg).
 	ops         atomic.Int64
 	batches     atomic.Int64
 	batchedOps  atomic.Int64
@@ -58,10 +58,11 @@ type worker struct {
 
 	// Engine-level batching stats: ops that reached the engine inside a
 	// multi-op WriteBatch (OBM-merged runs and user/network batches) and
-	// keys resolved through the engine's multiget. These are the
-	// observable proof that batched submission — including the network
-	// layer's pipeline coalescing — actually hits the engine's batch
-	// paths rather than degenerating to per-op calls.
+	// keys resolved through the engine's multiget, by whichever goroutine
+	// ran the leg (readLeg). These are the observable proof that batched
+	// submission — including the network layer's pipeline coalescing —
+	// actually hits the engine's batch paths rather than degenerating to
+	// per-op calls.
 	batchWriteOps atomic.Int64
 	multiGetOps   atomic.Int64
 
@@ -370,51 +371,71 @@ func (w *worker) ship(streamGSN, txnGSN uint64, ops []kv.BatchOp) {
 	w.repl.Append(w.id, g, ops)
 }
 
-// executeReads resolves a run of GETs, via multiget when the engine has
-// it (Figure 10b); otherwise the reads are issued concurrently to exploit
-// the engine's internal read parallelism (§4.6's LevelDB/WiredTiger
-// fallback).
+// executeReads resolves a run of GETs as one leg (readLeg): one multiget
+// when the engine has it (Figure 10b). Without one, the reads are issued
+// concurrently, one leg each, to exploit the engine's internal read
+// parallelism (§4.6's LevelDB/WiredTiger fallback).
 func (w *worker) executeReads(reqs []*request) {
-	if w.mg != nil && len(reqs) > 1 {
-		keys := w.keyScratch[:0]
-		for _, r := range reqs {
-			keys = append(keys, r.key)
+	if w.mg != nil || len(reqs) == 1 {
+		w.keyScratch, _ = w.readLeg(reqs, w.keyScratch, false)
+	} else {
+		var wg sync.WaitGroup
+		for i := range reqs {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				w.readLeg(reqs[i:i+1], nil, false)
+			}()
 		}
-		w.multiGetOps.Add(int64(len(keys)))
-		vals, err := w.mg.MultiGet(keys)
-		clear(keys)
-		w.keyScratch = keys
-		for i, r := range reqs {
-			if err != nil {
-				r.complete(err)
-				continue
-			}
-			if vals[i] != nil {
-				r.val, r.found = vals[i], true
-			}
-			r.complete(nil)
-		}
-		return
+		wg.Wait()
 	}
-	if len(reqs) == 1 {
-		w.doGet(reqs[0])
-		return
-	}
-	var wg sync.WaitGroup
 	for _, r := range reqs {
-		wg.Add(1)
-		go func(r *request) {
-			defer wg.Done()
-			w.doGet(r)
-		}(r)
+		r.complete(r.err)
 	}
-	wg.Wait()
 }
 
-// get is the one engine point lookup, on whichever goroutine runs it (the
-// worker's for a queued read, the caller's for a direct one). Above here an
-// absent key is found == false, not an error, and a present value is
-// non-nil (MultiGet slots, hot-cache fills).
+// readLeg is the one runner of a leg — reads of this worker's keys — on
+// whichever goroutine runs it: the worker's for a queued run
+// (executeReads), the caller's for a direct one (Store.submit,
+// Store.MultiGetCtx; direct set). Two keys or more take one engine
+// multiget when the engine has one; otherwise each key is one get, in turn.
+// Each request receives its result (val, found, err) and is not completed;
+// err is the leg's first error. keys is scratch for the multiget's key
+// list, returned for reuse: the caller's own, as no two goroutines may
+// share it. readLeg counts what it ran, on either goroutine: keys read by a
+// caller as DirectReads, keys resolved through the multiget as MultiGetOps.
+func (w *worker) readLeg(reqs []*request, keys [][]byte, direct bool) ([][]byte, error) {
+	if direct {
+		w.directReads.Add(int64(len(reqs)))
+	}
+	if w.mg == nil || len(reqs) == 1 {
+		var first error
+		for _, r := range reqs {
+			r.val, r.found, r.err = w.get(r.key)
+			if first == nil {
+				first = r.err
+			}
+		}
+		return keys, first
+	}
+	keys = keys[:0]
+	for _, r := range reqs {
+		keys = append(keys, r.key)
+	}
+	w.multiGetOps.Add(int64(len(keys)))
+	vals, err := w.mg.MultiGet(keys)
+	clear(keys)
+	for i, r := range reqs {
+		if r.err = err; err == nil && vals[i] != nil {
+			r.val, r.found = vals[i], true
+		}
+	}
+	return keys, err
+}
+
+// get is the one engine point lookup. Above here an absent key is found ==
+// false, not an error, and a present value is non-nil (MultiGet slots,
+// hot-cache fills).
 func (w *worker) get(key []byte) (val []byte, found bool, err error) {
 	v, err := w.engine.Get(key)
 	switch err {
@@ -424,12 +445,6 @@ func (w *worker) get(key []byte) (val []byte, found bool, err error) {
 		return nil, false, nil
 	}
 	return nil, false, err
-}
-
-func (w *worker) doGet(r *request) {
-	var err error
-	r.val, r.found, err = w.get(r.key)
-	r.complete(err)
 }
 
 // park drains and joins the worker like stop but leaves its engine open:
@@ -491,19 +506,21 @@ func (w *worker) stop(deadline time.Time, readers <-chan struct{}) error {
 type WorkerStats struct {
 	ID int `json:"id" agg:"-"`
 	// Ops and Batches count what the worker goroutine executed: requests
-	// dequeued, and engine calls they were merged into. A read its caller
-	// ran directly (DirectReads) is in neither.
+	// dequeued, and engine calls they were merged into. A key its caller
+	// read directly (DirectReads) is in neither.
 	Ops        int64 `json:"ops" agg:"sum" info:"Store"`
 	Batches    int64 `json:"batches" agg:"sum" info:"Store"`
 	BatchedOps int64 `json:"batched_ops" agg:"sum" info:"Store"` // ops that traveled in a batch of >= 2
-	// DirectReads counts synchronous GETs that found this worker idle and
-	// read its engine on the caller's goroutine, never entering the queue.
+	// DirectReads counts keys of synchronous reads — a Get's, or one
+	// MultiGet leg's — that found this worker idle and were read from its
+	// engine on the caller's goroutine, never entering the queue.
 	DirectReads int64 `json:"direct_reads" agg:"sum" info:"Store"`
 	// BatchWriteOps counts write ops committed to the engine inside a
 	// multi-op WriteBatch (one journal IO for the whole batch); MultiGetOps
-	// counts keys resolved through the engine's multiget. Both rise when
-	// OBM — or the network layer's pipeline coalescing — succeeds in
-	// batching work before it reaches the engine.
+	// counts keys resolved through the engine's multiget, on the worker or
+	// by a direct leg's caller. Both rise when OBM — or the network layer's
+	// pipeline coalescing — succeeds in batching work before it reaches the
+	// engine.
 	BatchWriteOps int64 `json:"batch_write_ops" agg:"sum" info:"Store"`
 	MultiGetOps   int64 `json:"multiget_ops" agg:"sum" info:"Store"`
 	QueueWaitUs   int64 `json:"queue_wait_us" agg:"sum" info:"Store"`

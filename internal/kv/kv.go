@@ -330,7 +330,8 @@ type BatchWriter interface {
 type MultiGetter interface {
 	// MultiGet returns one value slot per key; a nil slot means the key
 	// was not found, so a present key's slot is never nil (Present). The
-	// error reports infrastructure failures only.
+	// error reports infrastructure failures only. Like Get it may run on
+	// several goroutines at once (the accessing layer's direct legs).
 	MultiGet(keys [][]byte) ([][]byte, error)
 }
 

@@ -296,8 +296,8 @@ func (c *conn) writeStoreErr(err error) {
 }
 
 // execReads answers a run of GETs and MGETs with one store read: a lone key
-// takes GetCtx, which may read the engine directly; more take MultiGetCtx,
-// whose per-shard legs OBM merges into engine multigets. Each command's
+// takes GetCtx, more take MultiGetCtx, one leg per shard: an idle shard's
+// leg is read on this goroutine, a busy one's queues for OBM to merge. Each command's
 // replies are sliced out of the one result, and a failed read fails them
 // all.
 func (c *conn) execReads(run [][][]byte) {

@@ -252,7 +252,8 @@ func timedOutWindowKeepsItsBytes(t *testing.T, workers int) {
 // GET and 10 % SET; the mixed arm puts MGET, MSET and DEL beside them, so
 // its read runs mix GET and MGET, and each two-key MSET or DEL (a
 // transaction across shards) runs alone. One op is one window; ns/cmd is
-// per command.
+// per command, and direct-keys/cmd the keys per command a connection read
+// from an idle worker's engine itself (DirectReads).
 func BenchmarkServerPipeline(b *testing.B) {
 	const keys, conns, depth = 20000, 2, 16
 	srv := New(Config{Store: lsmStore(b, 4, keys)})
@@ -306,6 +307,7 @@ func BenchmarkServerPipeline(b *testing.B) {
 			for i := range ncs {
 				ncs[i] = pipeConn(b, srv)
 			}
+			direct := srv.store().StatsSnapshot().Aggregate.DirectReads
 			b.ReportAllocs()
 			b.ResetTimer()
 			var wg sync.WaitGroup
@@ -324,6 +326,8 @@ func BenchmarkServerPipeline(b *testing.B) {
 			}
 			wg.Wait()
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*depth), "ns/cmd")
+			direct = srv.store().StatsSnapshot().Aggregate.DirectReads - direct
+			b.ReportMetric(float64(direct)/float64(b.N*depth), "direct-keys/cmd")
 		})
 	}
 }
