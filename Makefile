@@ -48,8 +48,8 @@ alloc-profile:
 	$(GO) tool pprof -sample_index=alloc_objects -top -nodecount 25 -ignore='lsmStore' $(PROFILE_DIR)/server.test $(PROFILE_DIR)/wire.prof
 
 # Where the time goes, from the same benchmarks plus one client's synchronous
-# Get and 16-key MultiGet (internal/core's BenchmarkGet, BenchmarkMultiGet),
-# each under a CPU profile of its own,
+# Get, 16-key MultiGet and Put (internal/core's BenchmarkGet, BenchmarkMultiGet,
+# BenchmarkPut), each under a CPU profile of its own,
 # printed cumulatively for the whole process — the scheduler's share of a
 # thread handoff (schedule, findRunnable, futex) sits under no product
 # function, so a -focus would hide it. The write path; the memtable under it
@@ -57,7 +57,8 @@ alloc-profile:
 # filter answers); a Get its caller runs
 # (direct=true) and one handed to the worker (direct=false, the paper's
 # form), and the same two for a 16-key MultiGet (MultiGet: each idle
-# worker's leg run by the caller, or every leg queued); the engine lookup
+# worker's leg run by the caller, or every leg queued) and for a Put (Put:
+# committed by its caller, or by its worker); the engine lookup
 # under them; the MemFS device under all of
 # them (a 2 MiB append, a block read). The engine lookup runs with the block
 # cache too small (GetMiss) and holding every block (GetHit, where the
@@ -78,7 +79,9 @@ cpu-profile: profile-bins
 # cpu-profile's rows: test binary, profile name, -test.bench pattern.
 PROFILE_RUNS = 'p2kvs write PutAsync|LSMWriteBatch' 'p2kvs memtable MemtableAdd|MemtableGet' \
 	'core get-direct ^BenchmarkGet$$/direct=true' 'core get-queued ^BenchmarkGet$$/direct=false' \
-	'core mget-direct MultiGet$$/direct=true' 'core mget-queued MultiGet$$/direct=false' 'lsm get-engine GetMiss' 'lsm get-hit GetHit' 'vfs memfs MemFSAppend|MemFSReadAt' \
+	'core mget-direct MultiGet$$/direct=true' 'core mget-queued MultiGet$$/direct=false' \
+	'core put-direct ^BenchmarkPut$$/direct=true' 'core put-queued ^BenchmarkPut$$/direct=false' \
+	'lsm get-engine GetMiss' 'lsm get-hit GetHit' 'vfs memfs MemFSAppend|MemFSReadAt' \
 	'lsm compaction CompactionMerge' 'core scan StoreScan' 'lsm flush Flush' 'server wire ServerPipeline'
 
 profile-bins:

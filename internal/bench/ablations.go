@@ -1,6 +1,8 @@
 package bench
 
 import (
+	"errors"
+
 	"p2kvs/internal/core"
 	"p2kvs/internal/device"
 	"p2kvs/internal/keyspace"
@@ -170,54 +172,77 @@ func runAblationCache(e Env) (*Table, error) {
 	return tbl, nil
 }
 
-// runAblationDirectRead measures the direct read, the one read-path
-// extension the paper figures run without (openP2): a synchronous read
-// whose worker is idle reads the engine on the client thread instead of
+// runAblationDirectRead measures the direct rule, the one extension of the
+// request path the paper figures run without (openP2): a synchronous
+// operation whose worker is idle runs on the client thread instead of
 // crossing to the worker. Simulated columns are on the NVMe model (the
-// engine's per-lookup cost sleeps wherever the read runs); real columns
-// are host time on a free device, where the two goroutine wake-ups the
-// handoff costs are what is being saved. Measured shape: in simulated time
-// one thread gains nothing, 2-16 gain up to 1.8x (no longer funnelled
-// through four worker "cores") and OBM's multiget catches up at 32; in real
-// time the gain holds at every thread count. The direct share stays 100%: a
-// read that never enters a queue never makes a worker look busy. The MGET
-// rows are a 16-key MultiGet, whose direct legs run one after another on
-// the client thread where queued legs run on four workers at once: the
-// price of the rule on a slow device (a row's ops are MGETs, its share is
-// of keys).
+// engine's per-lookup and per-record costs sleep wherever the call runs);
+// real columns are host time on a free device, where the two goroutine
+// wake-ups the handoff costs are what is being saved. Measured shape for
+// GET: in simulated time one thread gains nothing, 2-16 gain up to 1.8x (no
+// longer funnelled through four worker "cores") and OBM's multiget catches
+// up at 32; in real time the gain holds at every thread count. The direct
+// share stays 100%: a read that never enters a queue never makes a worker
+// look busy. The MGET rows are a 16-key MultiGet, whose direct legs run one
+// after another on the client thread where queued legs run on four workers
+// at once: the price of the rule on a slow device (a row's ops are MGETs,
+// its share is of keys). SET is a lone Put; MSET is 16 keys written as one
+// WriteEachCtx, the call a pipelined run of SETs becomes, whose idle
+// workers' legs the client commits in turn (an MSET command is one atomic
+// WriteCtx and always queues). A direct write holds its worker busy, so
+// concurrent writers to it queue behind it and OBM merges them.
 func runAblationDirectRead(e Env) (*Table, error) {
-	const mgetKeys = 16
-	tbl := NewTable("Ablation: direct read (p2KVS-4, sync GET and 16-key MGET, uniform, preloaded)",
+	const batchKeys = 16
+	tbl := NewTable("Ablation: direct rule (p2KVS-4, sync GET, 16-key MGET, SET and 16-key MSET, uniform, preloaded)",
 		"op", "threads", "queued simQPS", "direct simQPS", "queued real ops/s", "direct real ops/s", "direct share %")
-	for _, op := range []string{"GET", "MGET"} {
+	for _, op := range []string{"GET", "MGET", "SET", "MSET"} {
 		for _, threads := range ends(e, 1, 2, 4, 8, 16, 32) {
 			row := []interface{}{op, threads}
 			var share float64
 			for _, prof := range []device.Profile{device.NVMe, device.Null} {
 				for _, direct := range []bool{false, true} {
 					s, scale, err := openOn(e, prof, e.ValueSize, func(fs vfs.FS) (*core.Store, error) {
-						return openP2(fs, "p2", 4, true, lsm.RocksDBOptions, func(o *core.Options) { o.DirectReads = direct })
+						return openP2(fs, "p2", 4, true, lsm.RocksDBOptions, func(o *core.Options) { o.Direct = direct })
 					})
 					if err != nil {
 						return nil, err
 					}
 					choosers := perThreadChoosers("uniform", threads, e.Keys)
-					reads := 1
-					read := func(tid, _ int) error { return get(s, choosers[tid].Next()) }
-					if op == "MGET" {
-						reads = mgetKeys
+					keys := 1
+					var call func(tid, _ int) error
+					switch op {
+					case "GET":
+						call = func(tid, _ int) error { return get(s, choosers[tid].Next()) }
+					case "SET":
+						call = func(tid, _ int) error { return put(s, choosers[tid].Next(), e.ValueSize) }
+					case "MGET":
+						keys = batchKeys
 						batches := make([][][]byte, threads)
-						read = func(tid, _ int) error {
-							keys := batches[tid][:0]
-							for range mgetKeys {
-								keys = append(keys, loadgen.Key(choosers[tid].Next()))
+						call = func(tid, _ int) error {
+							b := batches[tid][:0]
+							for range batchKeys {
+								b = append(b, loadgen.Key(choosers[tid].Next()))
 							}
-							batches[tid] = keys
-							_, err := s.MultiGet(keys)
+							batches[tid] = b
+							_, err := s.MultiGet(b)
 							return err
 						}
+					case "MSET":
+						keys = batchKeys
+						batches := make([]kv.Batch, threads)
+						call = func(tid, _ int) error {
+							b := &batches[tid]
+							b.Reset()
+							for range batchKeys {
+								idx := choosers[tid].Next()
+								b.Put(loadgen.Key(idx), loadgen.Value(idx, 0, e.ValueSize))
+							}
+							errs := make([]error, batchKeys)
+							s.WriteEachCtx(nil, b, errs)
+							return errors.Join(errs...)
+						}
 					}
-					res, err := e.measure(threads, scale, read)
+					res, err := e.measure(threads, scale, call)
 					agg := s.StatsSnapshot().Aggregate
 					s.Close()
 					if err != nil {
@@ -225,7 +250,11 @@ func runAblationDirectRead(e Env) (*Table, error) {
 					}
 					row = append(row, res.SimQPS)
 					if direct && res.Ops > 0 {
-						share = 100 * float64(agg.DirectReads) / float64(res.Ops*int64(reads))
+						ran := agg.DirectReads
+						if op == "SET" || op == "MSET" {
+							ran = agg.DirectWrites
+						}
+						share = 100 * float64(ran) / float64(res.Ops*int64(keys))
 					}
 				}
 			}

@@ -75,14 +75,15 @@ func openRocks(fs vfs.FS, dir string, mutate ...func(*lsm.Options)) (*lsm.DB, er
 // openP2 opens a p2KVS store over LSM instances with the given preset — the
 // paper's p2KVS: every request crosses to its worker, one worker = one thread
 // on one simulated core (WorkerStats.BusyUs, the engines' per-op cost sleeps).
-// The direct-read extension is off here and measured by ablation-direct-read.
+// The direct rule (core.Options.Direct) is off here and measured by
+// ablation-direct-read.
 func openP2(fs vfs.FS, dir string, workers int, obm bool, preset func(vfs.FS) lsm.Options, mutate ...func(*core.Options)) (*core.Store, error) {
 	opts := core.DefaultOptions(func(id int, filter func(uint64) bool) (kv.Engine, error) {
 		return lsm.OpenWith(fmt.Sprintf("%s/inst-%02d", dir, id), lsmOptions(fs, preset), lsm.OpenOptions{RecoverFilter: filter})
 	})
 	opts.Workers = workers
 	opts.OBM = obm
-	opts.DirectReads = false
+	opts.Direct = false
 	opts.TxnFS = fs
 	opts.TxnDir = dir + "/txn"
 	for _, m := range mutate {

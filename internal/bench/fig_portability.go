@@ -40,7 +40,7 @@ func runFig23(e Env) (*Table, error) {
 				return btreekv.Open(fmt.Sprintf("p2/wt-%02d", id), wtOpts(fs))
 			})
 			opts.Workers = workers
-			opts.DirectReads = false // the paper's design, as openP2
+			opts.Direct = false // the paper's design, as openP2
 			// Cross-partition preload batches need the txn log even
 			// though btreekv can't tag GSNs (no rollback support, §4.6).
 			opts.TxnFS = fs

@@ -295,7 +295,7 @@ func TestMultiGetCtxAllocs(t *testing.T) {
 // on the caller — DirectReads and MultiGetOps grow by the key count, worker
 // Ops do not move; with worker 0 wedged, its leg queues behind the wedge and
 // the other three run on the caller; a live deadline queues every leg, and
-// so does DirectReads off.
+// so does Direct off.
 func TestMultiGetLegPaths(t *testing.T) {
 	const workers, perShard = 4, 2
 	var keys [][]byte
@@ -308,7 +308,7 @@ func TestMultiGetLegPaths(t *testing.T) {
 		opts := DefaultOptions(func(int, func(uint64) bool) (kv.Engine, error) {
 			return &multiGetEngine{nopEngine: nopEngine{val: []byte("v")}}, nil
 		})
-		opts.Workers, opts.Partitioner, opts.DirectReads = workers, firstByteMod{n: workers}, direct
+		opts.Workers, opts.Partitioner, opts.Direct = workers, firstByteMod{n: workers}, direct
 		s, err := Open(opts)
 		if err != nil {
 			t.Fatal(err)
@@ -378,7 +378,7 @@ func TestMultiGetLegPaths(t *testing.T) {
 		mget(t, s, ctx)
 		check(t, s, before, [workers][3]int64{queued, queued, queued, queued})
 	})
-	t.Run("DirectReads=false", func(t *testing.T) {
+	t.Run("Direct=false", func(t *testing.T) {
 		s := open(t, false)
 		before := s.Stats()
 		mget(t, s, nil)

@@ -15,14 +15,17 @@ import (
 	"time"
 
 	"p2kvs/internal/btreekv"
+	"p2kvs/internal/keyspace"
 	"p2kvs/internal/kv"
 	"p2kvs/internal/kvell"
 	"p2kvs/internal/lsm"
 	"p2kvs/internal/vfs"
 )
 
-// The history stress of the direct read (Store.GetCtx, and MultiGetCtx per
-// leg): whichever goroutine performs an engine read, every Get and every
+// The history stress of the direct rule (Store.GetCtx, MultiGetCtx per leg,
+// and the synchronous writes — Put, Delete, a one-partition Write and each
+// leg of a WriteEachCtx — that an idle worker's caller commits itself):
+// whichever goroutine performs an engine read or write, every Get and every
 // MultiGetCtx slot must return a version no older than the newest
 // acknowledged before it was invoked, no newer than the newest issued when
 // it returned, and never older than the same reader's previous read of that
@@ -122,16 +125,16 @@ func (h *history) multiGet(s *Store, keys []int, prev *[historyKeys]int64) error
 }
 
 // spanningKeys picks n distinct history keys, the first first when it is
-// not -1, of which the first two are owned by different workers under the
-// routing in force when they are picked.
-func spanningKeys(rng *rand.Rand, s *Store, n, first int) []int {
+// not -1 and the rest drawn by pick, of which the first two are owned by
+// different workers under the routing in force when they are picked.
+func spanningKeys(rng *rand.Rand, s *Store, n, first int, pick func() int) []int {
 	rt := s.route.Load()
 	keys := make([]int, 0, n)
 	if first >= 0 {
 		keys = append(keys, first)
 	}
 	for len(keys) < n {
-		i := rng.Intn(historyKeys)
+		i := pick()
 		if slices.Contains(keys, i) || len(keys) == 1 && rt.part.Pick(historyKey(i)) == rt.part.Pick(historyKey(keys[0])) {
 			continue
 		}
@@ -172,7 +175,7 @@ func TestDirectReadHistory(t *testing.T) {
 					slow := vfs.NewFaultSeeded(fs, seed)
 					slow.Inject(vfs.Rule{Op: vfs.OpWrite, Path: "inst-", Prob: 0.5, DelayOnly: true, Delay: 50 * time.Microsecond})
 					s := openElasticWith(t, fs, "p2", 4, eng.open(slow, "p2"), func(o *Options) {
-						o.DirectReads = direct
+						o.Direct = direct
 						o.CutoverBudget = time.Second // a loaded 2-core race run must not abort the reshard
 						if !hot {
 							o.HotCacheBytes = 0
@@ -213,18 +216,37 @@ func runHistory(t *testing.T, s *Store, seed int64, direct, hot bool) {
 		return true
 	}
 
-	// Before the load, on the idle store: every leg of a multiget over all
-	// the keys runs on its caller, or with DirectReads off none does.
+	// Before the load, on the idle store: every leg of a WriteEachCtx of
+	// version 1 of every key, and of a multiget over all the keys, runs on
+	// its caller, or with Direct off none does.
 	all := make([][]byte, historyKeys)
+	var first kv.Batch
 	for i := range all {
 		all[i] = historyKey(i)
+		first.Put(historyKey(i), historyValue(i, 1))
+		h.issued[i].Store(1)
 	}
-	if _, err := s.MultiGetCtx(nil, all); err != nil {
+	s.WriteEachCtx(nil, &first, make([]error, historyKeys))
+	for i := range all {
+		h.acked[i].Store(1) // a failed write is caught by the multiget below
+	}
+	vals, err := s.MultiGetCtx(nil, all)
+	if err != nil {
 		s.Close()
 		t.Fatalf("seed %d: MultiGetCtx on the idle store: %v", seed, err)
 	}
-	if n, want := s.StatsSnapshot().Aggregate.DirectReads, int64(historyKeys); direct && n != want {
-		t.Errorf("seed %d: DirectReads on, yet %d of %d keys of a multiget on the idle store ran directly: the test no longer exercises direct legs", seed, n, want)
+	for i, v := range vals {
+		if string(v) != string(historyValue(i, 1)) {
+			s.Close()
+			t.Fatalf("seed %d: key %d reads %q after the first WriteEachCtx", seed, i, v)
+		}
+	}
+	agg := s.StatsSnapshot().Aggregate
+	if n, want := agg.DirectWrites, int64(historyKeys); direct && n != want {
+		t.Errorf("seed %d: Direct on, yet %d of %d ops of a WriteEachCtx on the idle store ran directly: the test no longer exercises direct writes", seed, n, want)
+	}
+	if n, want := agg.DirectReads, int64(historyKeys); direct && n != want {
+		t.Errorf("seed %d: Direct on, yet %d of %d keys of a multiget on the idle store ran directly: the test no longer exercises direct legs", seed, n, want)
 	}
 
 	for w := 0; w < historyWriters; w++ {
@@ -234,12 +256,13 @@ func runHistory(t *testing.T, s *Store, seed int64, direct, hot bool) {
 			rng := rand.New(rand.NewSource(seed*1000 + int64(w)))
 			who := fmt.Sprintf("writer %d", w)
 			acks := make(chan error, 1)
+			own := func() int { return w + historyWriters*rng.Intn(historyKeys/historyWriters) }
 			for {
-				i := w + historyWriters*rng.Intn(historyKeys/historyWriters)
+				i := own()
 				v := h.issued[i].Load() + 1
 				op := historyOp(i, v)
 				var err error
-				switch form := rng.Intn(3); {
+				switch form := rng.Intn(4); {
 				case op.Kind == kv.OpDelete:
 					h.issued[i].Store(v)
 					err = s.Delete(op.Key)
@@ -279,13 +302,34 @@ func runHistory(t *testing.T, s *Store, seed int64, direct, hot bool) {
 					} else {
 						var floor [historyKeys]int64
 						floor[i] = lo
-						gerr = h.multiGet(s, spanningKeys(rng, s, 2, i), &floor)
+						gerr = h.multiGet(s, spanningKeys(rng, s, 2, i, func() int { return rng.Intn(historyKeys) }), &floor)
 					}
 					if gerr != nil && done(who+": read after PutAsync returned", gerr) {
 						<-acks
 						return
 					}
 					err = <-acks
+				case form == 2: // the next version of 2-4 own keys across shards
+					keys := spanningKeys(rng, s, 2+rng.Intn(3), i, own)
+					var b kv.Batch
+					for _, k := range keys {
+						v := h.issued[k].Load() + 1
+						if op := historyOp(k, v); op.Kind == kv.OpDelete {
+							b.Delete(op.Key)
+						} else {
+							b.Put(op.Key, op.Value)
+						}
+						h.issued[k].Store(v)
+					}
+					errs := make([]error, len(keys))
+					s.WriteEachCtx(nil, &b, errs)
+					for j, k := range keys {
+						if done(who+": WriteEachCtx", errs[j]) {
+							return
+						}
+						h.acked[k].Store(h.issued[k].Load())
+					}
+					continue
 				default: // two versions in one single-shard batch
 					var b kv.Batch
 					b.Put(op.Key, op.Value)
@@ -314,7 +358,7 @@ func runHistory(t *testing.T, s *Store, seed int64, direct, hot bool) {
 			var prev [historyKeys]int64
 			for n := 0; ; n++ {
 				if n%2 == 1 { // every other read is a MultiGetCtx of 2-4 keys
-					if done(who+": MultiGetCtx", h.multiGet(s, spanningKeys(rng, s, 2+rng.Intn(3), -1), &prev)) {
+					if done(who+": MultiGetCtx", h.multiGet(s, spanningKeys(rng, s, 2+rng.Intn(3), -1, func() int { return rng.Intn(historyKeys) }), &prev)) {
 						return
 					}
 					continue
@@ -372,29 +416,29 @@ func runHistory(t *testing.T, s *Store, seed int64, direct, hot bool) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	directReads := s.StatsSnapshot().Aggregate.DirectReads
+	agg = s.StatsSnapshot().Aggregate
 	closing.Store(true)
 	if err := s.Close(); err != nil { // racing every client and both background loops
 		t.Errorf("seed %d: Close: %v", seed, err)
 	}
 	clients.Wait()
 	bg.Wait()
-	if direct && directReads == 0 {
-		t.Errorf("seed %d: DirectReads on, yet no read ran directly: the test no longer exercises the path", seed)
+	if direct && (agg.DirectReads == 0 || agg.DirectWrites <= historyKeys) {
+		t.Errorf("seed %d: Direct on, yet %d reads and %d write ops beyond the first batch ran directly: the test no longer exercises the path", seed, agg.DirectReads, agg.DirectWrites-historyKeys)
 	}
-	if !direct && directReads != 0 {
-		t.Errorf("seed %d: DirectReads off, yet %d reads ran directly", seed, directReads)
+	if !direct && agg.DirectReads+agg.DirectWrites != 0 {
+		t.Errorf("seed %d: Direct off, yet %d reads and %d write ops ran directly", seed, agg.DirectReads, agg.DirectWrites)
 	}
 }
 
-// benchStore opens four idle workers over lsm with DirectReads set to
+// benchStore opens four idle workers over lsm with Direct set to
 // direct and loads n keys; it returns the store and the keys.
 func benchStore(b *testing.B, direct bool, n int) (*Store, [][]byte) {
 	fs := vfs.NewMem()
 	opts := DefaultOptions(func(id int, _ func(uint64) bool) (kv.Engine, error) {
 		return lsm.Open(fmt.Sprintf("bench/inst-%02d", id), lsm.RocksDBOptions(fs))
 	})
-	opts.Workers, opts.DirectReads = 4, direct
+	opts.Workers, opts.Direct = 4, direct
 	s, err := Open(opts)
 	if err != nil {
 		b.Fatal(err)
@@ -450,4 +494,219 @@ func BenchmarkMultiGet(b *testing.B) {
 			}
 		})
 	}
+}
+
+// TestDirectWritePaths pins where a synchronous write runs and what it
+// counts, as TestMultiGetLegPaths does for reads. Two keys on each of four
+// workers. On an idle store a Put, a Delete, a one-partition WriteCtx and
+// each leg of a WriteEachCtx are committed by their caller: DirectWrites
+// grows by the op count and worker Ops do not move. With worker 0 wedged its
+// leg queues and the others still run on the caller. A live deadline, a
+// cross-partition WriteCtx (a §4.5 transaction), WritePrepared, PutAsync, an
+// active reshard run and Direct off queue every write.
+func TestDirectWritePaths(t *testing.T) {
+	const workers, perShard = 4, 2
+	var spread kv.Batch // two keys on every worker
+	for shard := 0; shard < workers; shard++ {
+		for i := 0; i < perShard; i++ {
+			spread.Put(shardKey(shard, i), []byte("v"))
+		}
+	}
+	var one kv.Batch // two ops on worker 1
+	one.Put(shardKey(1, 0), []byte("v"))
+	one.Delete(shardKey(1, 1))
+	open := func(t *testing.T, direct bool) *Store {
+		opts := DefaultOptions(func(int, func(uint64) bool) (kv.Engine, error) { return &nopEngine{}, nil })
+		opts.Workers, opts.Partitioner, opts.Direct = workers, firstByteMod{n: workers}, direct
+		opts.TxnFS, opts.TxnDir = vfs.NewMem(), "txn"
+		s, err := Open(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { s.Close() })
+		return s
+	}
+	each := func(s *Store, ctx context.Context) error {
+		errs := make([]error, spread.Len())
+		s.WriteEachCtx(ctx, &spread, errs)
+		return errors.Join(errs...)
+	}
+	// run applies op and compares each worker's growth of DirectWrites and
+	// Ops with want, indexed by worker.
+	run := func(t *testing.T, s *Store, op func() error, want [workers][2]int64) {
+		t.Helper()
+		before := s.Stats()
+		if err := op(); err != nil {
+			t.Fatal(err)
+		}
+		for i, st := range s.Stats() {
+			if got := [2]int64{st.DirectWrites - before[i].DirectWrites, st.Ops - before[i].Ops}; got != want[i] {
+				t.Errorf("worker %d: direct writes, ops grew by %v, want %v", i, got, want[i])
+			}
+		}
+	}
+	deadline, cancel := context.WithTimeout(context.Background(), time.Hour)
+	defer cancel()
+	direct := [2]int64{perShard, 0}
+	queued := [2]int64{0, 1}
+	for _, c := range []struct {
+		name   string
+		direct bool
+		op     func(s *Store) error
+		want   [workers][2]int64
+	}{
+		{"Put", true, func(s *Store) error { return s.Put(shardKey(0, 0), []byte("v")) }, [workers][2]int64{{1, 0}}},
+		{"Delete", true, func(s *Store) error { return s.Delete(shardKey(2, 0)) }, [workers][2]int64{2: {1, 0}}},
+		{"WriteCtx/one-partition", true, func(s *Store) error { return s.WriteCtx(nil, &one) }, [workers][2]int64{1: {2, 0}}},
+		{"WriteEachCtx", true, func(s *Store) error { return each(s, nil) }, [workers][2]int64{direct, direct, direct, direct}},
+		{"deadline/Put", true, func(s *Store) error { return putCtx(s, deadline, shardKey(0, 0), []byte("v")) }, [workers][2]int64{queued}},
+		{"deadline/WriteEachCtx", true, func(s *Store) error { return each(s, deadline) }, [workers][2]int64{queued, queued, queued, queued}},
+		{"WriteCtx/transaction", true, func(s *Store) error { return s.WriteCtx(nil, &spread) }, [workers][2]int64{queued, queued, queued, queued}},
+		{"WritePrepared", true, func(s *Store) error {
+			commit, err := s.WritePrepared(&one)
+			if err != nil {
+				return err
+			}
+			return commit()
+		}, [workers][2]int64{1: queued}},
+		{"PutAsync", true, func(s *Store) error {
+			acked := make(chan error, 1)
+			if err := s.PutAsync(shardKey(3, 0), []byte("v"), func(err error) { acked <- err }); err != nil {
+				return err
+			}
+			return <-acked
+		}, [workers][2]int64{3: queued}},
+		{"reshard", true, func(s *Store) error {
+			// A run whose plan moves nothing: only its presence is tested.
+			s.resh.Store(&reshardRun{plan: keyspace.NewMovedSet(nil)})
+			defer s.resh.Store(nil)
+			return each(s, nil)
+		}, [workers][2]int64{queued, queued, queued, queued}},
+		{"Direct=false/Put", false, func(s *Store) error { return s.Put(shardKey(0, 0), []byte("v")) }, [workers][2]int64{queued}},
+		{"Direct=false/WriteEachCtx", false, func(s *Store) error { return each(s, nil) }, [workers][2]int64{queued, queued, queued, queued}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			s := open(t, c.direct)
+			run(t, s, func() error { return c.op(s) }, c.want)
+		})
+	}
+	t.Run("wedged", func(t *testing.T) {
+		s := open(t, true)
+		entered, gate := make(chan struct{}), make(chan struct{})
+		go s.ws()[0].do(func(*worker) error { close(entered); <-gate; return nil })
+		<-entered // counted in Ops before run's snapshot: a worker counts a run as it starts it
+		wedged := make(chan bool, 1)
+		go func() {
+			wedged <- waitPending(s.ws()[0], 2) // the wedge and the leg behind it
+			close(gate)
+		}()
+		run(t, s, func() error { return each(s, nil) }, [workers][2]int64{queued, direct, direct, direct})
+		if !<-wedged {
+			t.Error("worker 0's leg never queued behind the wedge")
+		}
+	})
+	// A direct write parked in its engine. Without a hot cache a read of its
+	// worker is concurrent with the unacknowledged write and runs on its
+	// caller beside it; with one the write counts itself in pending and the
+	// read queues behind it, returning only once the write has left. Either
+	// way a second write queues, and the worker takes it only once the
+	// direct write has left exec.
+	for _, hot := range []bool{false, true} {
+		t.Run(fmt.Sprintf("parked direct write/hotcache=%v", hot), func(t *testing.T) {
+			eng := newGatedNop(false)
+			opts := DefaultOptions(func(int, func(uint64) bool) (kv.Engine, error) { return eng, nil })
+			opts.Workers = 1
+			if hot {
+				opts.HotCacheBytes = 1 << 20
+			}
+			s, err := Open(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			release := sync.OnceFunc(func() { close(eng.gate) })
+			defer s.Close()
+			defer release()
+			errc := make(chan error, 3)
+			go func() { errc <- s.Put([]byte("a"), []byte("1")) }()
+			<-eng.entered // the caller is inside the engine, holding exec
+			read := make(chan error, 1)
+			go func() { _, err := s.Get([]byte("b")); read <- err }()
+			queued := int64(0)
+			if hot {
+				queued = 1 // the read, behind the counted write
+				if !waitPending(s.ws()[0], 2) {
+					t.Fatal("with a hot cache the read did not queue behind the direct write")
+				}
+			} else if err := <-read; err != nil {
+				t.Fatal(err)
+			}
+			go func() { errc <- s.Put([]byte("c"), []byte("2")) }()
+			want := queued + 1 // the second write
+			if hot {
+				want++ // the direct write's own count
+			}
+			if !waitPending(s.ws()[0], want) {
+				t.Fatalf("pending = %d, want %d", s.ws()[0].q.pending.Load(), want)
+			}
+			select {
+			case <-eng.entered:
+				t.Error("a second write entered the engine beside the direct write")
+			case err := <-errc:
+				t.Errorf("a write returned while the direct write was inside the engine (%v)", err)
+			case err := <-read:
+				if hot {
+					t.Errorf("a read returned while the counted direct write was inside the engine (%v)", err)
+				}
+			case <-time.After(20 * time.Millisecond):
+			}
+			if st := s.Stats()[0]; st.Ops != 0 || st.DirectWrites != 1 || st.DirectReads != 1-queued {
+				t.Errorf("while the direct write is in the engine: worker ops %d, direct writes %d, direct reads %d; want 0, 1, %d", st.Ops, st.DirectWrites, st.DirectReads, 1-queued)
+			}
+			release()
+			for range 2 {
+				if err := <-errc; err != nil {
+					t.Error(err)
+				}
+			}
+			if hot {
+				if err := <-read; err != nil {
+					t.Error(err)
+				}
+			}
+			if st := s.Stats()[0]; st.Ops != 1+queued || st.DirectWrites != 1 {
+				t.Errorf("worker ops %d, direct writes %d; want %d, 1", st.Ops, st.DirectWrites, 1+queued)
+			}
+		})
+	}
+}
+
+// BenchmarkPut is one client's synchronous Put against four idle workers
+// over lsm: direct=true commits each write on the caller under its worker's
+// exec lock, direct=false hands every write to its worker and waits, as the
+// paper's accessing layer does (make cpu-profile profiles both).
+func BenchmarkPut(b *testing.B) {
+	for _, direct := range []bool{true, false} {
+		b.Run(fmt.Sprintf("direct=%v", direct), func(b *testing.B) {
+			s, keys := benchStore(b, direct, 50000)
+			val := make([]byte, 128)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := s.Put(keys[i%len(keys)], val); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// waitPending reports whether w's pending count reaches n within five
+// seconds.
+func waitPending(w *worker, n int64) bool {
+	for start := time.Now(); w.q.pending.Load() != n; runtime.Gosched() {
+		if time.Since(start) > 5*time.Second {
+			return false
+		}
+	}
+	return true
 }

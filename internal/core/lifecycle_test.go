@@ -546,7 +546,22 @@ func TestClosedStoreServesNoHotKey(t *testing.T) {
 // as with a wedged worker, Close reports it and the engine is closed only
 // once the call has returned, never under it.
 func TestCloseDrainDeadlineDirectRead(t *testing.T) {
-	eng := newGatedNop(true)
+	closeBehindDirect(t, true)
+}
+
+// TestCloseDrainDeadlineDirectWrite is the same for a direct write wedged
+// inside its engine's commit: it holds the routing read lock too, and Close
+// behaves exactly as it does behind a direct read.
+func TestCloseDrainDeadlineDirectWrite(t *testing.T) {
+	closeBehindDirect(t, false)
+}
+
+// closeBehindDirect wedges one direct call — a Get when read, else a Put —
+// inside a gated engine, closes the store under a 50 ms DrainTimeout and
+// checks that Close reports the wedge without closing the engine under the
+// call, which then completes, and that the engine closes after it.
+func closeBehindDirect(t *testing.T, read bool) {
+	eng := newGatedNop(read)
 	opts := DefaultOptions(func(int, func(uint64) bool) (kv.Engine, error) { return eng, nil })
 	opts.Workers = 1
 	opts.DrainTimeout = 50 * time.Millisecond
@@ -556,7 +571,12 @@ func TestCloseDrainDeadlineDirectRead(t *testing.T) {
 	}
 	got := make(chan error, 1)
 	go func() {
-		_, err := s.Get([]byte("k"))
+		var err error
+		if read {
+			_, err = s.Get([]byte("k"))
+		} else {
+			err = s.Put([]byte("k"), []byte("v"))
+		}
 		got <- err
 	}()
 	<-eng.entered // the caller is inside the engine, under routeMu.RLock
@@ -568,21 +588,22 @@ func TestCloseDrainDeadlineDirectRead(t *testing.T) {
 			t.Errorf("Close = %v; want the wedge reported", err)
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("Close hung behind a direct read wedged in the engine, DrainTimeout set")
+		t.Fatal("Close hung behind a direct call wedged in the engine, DrainTimeout set")
 	}
 	if eng.closed.Load() {
-		t.Error("engine closed under the read still inside it")
+		t.Error("engine closed under the call still inside it")
 	}
 	close(eng.gate)
 	if err := <-got; err != nil {
-		t.Errorf("the wedged Get, released after Close = %v", err)
+		t.Errorf("the wedged call, released after Close = %v", err)
 	}
 	for start := time.Now(); !eng.closed.Load(); time.Sleep(time.Millisecond) {
 		if time.Since(start) > 5*time.Second {
-			t.Fatal("engine never closed after the wedged read returned")
+			t.Fatal("engine never closed after the wedged call returned")
 		}
 	}
-	if n := s.Stats()[0].DirectReads; n != 1 {
-		t.Errorf("direct reads = %d, want the one wedged Get", n)
+	st := s.Stats()[0]
+	if direct := map[bool]int64{true: st.DirectReads, false: st.DirectWrites}[read]; direct != 1 || st.Ops != 0 {
+		t.Errorf("direct reads %d, direct writes %d, worker ops %d; want the one wedged call direct", st.DirectReads, st.DirectWrites, st.Ops)
 	}
 }

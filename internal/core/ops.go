@@ -14,13 +14,13 @@ import (
 
 // Data-plane operations: every one builds requests of the one shape
 // (queue.go), routes and admits them under the routing read lock
-// (routing.go) — or, for a read whose worker is idle (directRead), runs
-// them there on the caller — and completes through a done channel, a
-// callback or — for multi-leg operations — one fanIn. The single-key ones
-// (GetCtx, Put, Delete and the callback forms) and MultiGetCtx's read legs
-// draw their requests from the requests pool; they go back by the
-// ownership rule stated there. A direct Get's request lives on its
-// caller's stack.
+// (routing.go) — or, for a synchronous read or write whose worker is idle
+// (direct), runs them there on the caller — and completes through a done
+// channel, a callback or — for multi-leg operations — one fanIn. The
+// single-key ones (GetCtx, Put, Delete and the callback forms) and
+// MultiGetCtx's read legs draw their requests from the requests pool; they
+// go back by the ownership rule stated there. A direct Get's request lives
+// on its caller's stack; a direct Put's goes back once it has committed.
 
 // writeOne routes a single-key write, carried inline by a pooled request,
 // and hands it to writeTo.
@@ -32,20 +32,18 @@ func (s *Store) writeOne(ctx context.Context, op kv.BatchOp, cb func(error)) err
 	return s.writeTo(ctx, s.route.Load().pick(op.Key), r)
 }
 
-// writeTo health-checks w and admits the pooled write request r on it, then
-// releases the routing read lock its caller picked w under. Without a
-// callback it waits for completion (sync path); otherwise the callback runs
+// writeTo hands the pooled write request r to w (placeWrite), then releases
+// the routing read lock its caller picked w under. Without a callback it is
+// applied on the caller when the direct rule allows, and waited for
+// otherwise (sync path); with one it is always queued, and the callback runs
 // on the worker when the write completes (async path), and is not run at all
 // when writeTo returns an error.
 func (s *Store) writeTo(ctx context.Context, w *worker, r *request) error {
 	r.typ = reqWrite
 	async := r.callback != nil // r is the worker's from admission on: read it now
-	err := s.writeAdmitErr(w)
-	if err == nil {
-		err = s.admit(ctx, w, r)
-	}
+	ran, err := s.placeWrite(ctx, w, r, !async)
 	s.routeMu.RUnlock()
-	owned := err != nil // never enqueued
+	owned := ran || err != nil // never enqueued
 	if !owned && !async {
 		owned, err = s.waitDone(w, r)
 	}
@@ -108,15 +106,67 @@ func (s *Store) readResult(key, val []byte, found bool, ticket uint64) ([]byte, 
 	return val, nil
 }
 
-// directRead is the one test of the direct-read rule: a synchronous read
-// of w's keys runs on its caller, under the routing read lock, when
-// Options.DirectReads is on, ctx carries no live deadline, and w is idle —
+// direct is the one test of the direct rule: a synchronous operation on
+// w's keys runs on its caller, under the routing read lock, when
+// Options.Direct is on, ctx carries no live deadline, and w is idle —
 // nothing queued, nothing executing (reqQueue.pending). closed is read
 // under the lock Close passes through before it closes any engine: no
-// direct read is inside an engine being closed, and a closed store falls
-// through to admission's kv.ErrClosed.
-func (s *Store) directRead(ctx context.Context, w *worker) bool {
-	return s.opts.DirectReads && liveCtx(ctx) == nil && w.q.pending.Load() == 0 && !s.closed.Load()
+// direct leg is inside an engine being closed, and a closed store falls
+// through to admission's kv.ErrClosed. A write asks more (directWrite).
+func (s *Store) direct(ctx context.Context, w *worker) bool {
+	return s.opts.Direct && liveCtx(ctx) == nil && w.q.pending.Load() == 0 && !s.closed.Load()
+}
+
+// directWrite is the write side of the rule: it commits ops — one
+// synchronous write's, never a transaction leg's — on the caller, through
+// w's own commit, when direct allows, no reshard run is active, and w's exec
+// lock is free: a worker executing, or parked at a barrier, holds it. Under
+// the lock it tests pending again (the worker may have taken a run between
+// the test and the lock), so the write is the instance's one writer and
+// lands after every earlier submission: the hot cache's write-through,
+// ship's GSN order and lastGSN hold unchanged. Until it returns the write
+// is concurrent with every read. Without a hot cache a read that finds the
+// worker idle meanwhile runs beside it, as beside any writer of the engine.
+// With one the write counts itself in pending, so reads of w queue behind
+// it as behind a queued write: a read that reached the engine between the
+// write's apply and its write-through could return the new value while an
+// older one is still resident, and the same reader's next read would hit the
+// older one. ran is false when any test fails; nothing was done and the
+// caller queues the write.
+func (s *Store) directWrite(ctx context.Context, w *worker, ops []kv.BatchOp) (ran bool, err error) {
+	if !s.direct(ctx, w) || s.resh.Load() != nil || !w.exec.TryLock() {
+		return false, nil
+	}
+	defer w.exec.Unlock()
+	switch {
+	case w.cache == nil:
+		if w.q.pending.Load() != 0 {
+			return false, nil
+		}
+	case !w.q.pending.CompareAndSwap(0, 1):
+		return false, nil
+	default:
+		defer w.q.pending.Add(-1)
+	}
+	w.directWrites.Add(int64(len(ops)))
+	return true, w.commit(ops, 0, 0, false)
+}
+
+// placeWrite health-checks w and hands it the write request r: committed
+// right here by directWrite when mayDirect (a synchronous write outside any
+// transaction) and the rule allows — ran reports it, and r is still the
+// caller's — else admitted to w's queue. Its caller holds the routing read
+// lock w was picked under.
+func (s *Store) placeWrite(ctx context.Context, w *worker, r *request, mayDirect bool) (ran bool, err error) {
+	if err = s.writeAdmitErr(w); err != nil {
+		return false, err
+	}
+	if mayDirect {
+		if ran, err = s.directWrite(ctx, w, r.ops); ran {
+			return true, err
+		}
+	}
+	return false, s.admit(ctx, w, r)
 }
 
 // submit is what lies between the two halves for a single-key read that
@@ -125,7 +175,7 @@ func (s *Store) directRead(ctx context.Context, w *worker) bool {
 // hot-cache stripe value, snapshotted before the read can reach an engine.
 //
 // cb == nil is a synchronous read and submit returns its result. When
-// directRead allows, the caller runs the read itself as a one-key leg
+// direct allows, the caller runs the read itself as a one-key leg
 // (worker.readLeg) of a request on its own stack, and no request leaves
 // the pool; otherwise the read is queued and waited for. cb != nil is an
 // asynchronous read: it is always queued, submit returns once it is
@@ -135,7 +185,7 @@ func (s *Store) directRead(ctx context.Context, w *worker) bool {
 func (s *Store) submit(ctx context.Context, key []byte, ticket uint64, cb func([]byte, error)) ([]byte, error) {
 	s.routeMu.RLock()
 	w := s.route.Load().pick(key)
-	if cb == nil && s.directRead(ctx, w) {
+	if cb == nil && s.direct(ctx, w) {
 		r := request{key: key}
 		leg := [1]*request{&r}
 		_, err := w.readLeg(leg[:], nil, true)
@@ -182,12 +232,14 @@ func (s *Store) submit(ctx context.Context, key []byte, ticket uint64, cb func([
 // (hotRead / readResult) when one is enabled. The returned slice is the
 // caller's: nothing in the store keeps a reference to it.
 //
-// The rule for a cache miss (directRead): when the key's worker is idle —
+// The rule for a cache miss (direct): when the key's worker is idle —
 // nothing queued, nothing executing — and ctx carries no deadline, the
 // caller runs the engine read itself, under the routing read lock, and no
-// goroutine is woken (Options.DirectReads). Idle means every write
-// submitted to that worker before the test has been applied, so the read
-// sees all of them; a write submitted after it is concurrent with the read.
+// goroutine is woken (Options.Direct). Idle means every write queued on
+// that worker before the test has been applied — and, with a hot cache, no
+// direct write is in flight (directWrite) — so the read sees all of them; a
+// write submitted after it, or without a hot cache a direct write that has
+// not returned, is concurrent with the read.
 // Anything else takes the queue: a busy worker has something to batch the
 // read with (OBM), and only a waiter that is not the executor can abandon a
 // read at its deadline.
@@ -238,7 +290,7 @@ func (s *Store) MultiGet(keys [][]byte) ([][]byte, error) {
 // carries the same deadline. Hot-cache hits (positive and negative) are
 // resolved up front without admission; only the misses travel, grouped by
 // owner under one routing read lock, so every leg of one multiget observes
-// the same ring generation. The legs of workers directRead refuses are
+// the same ring generation. The legs of workers direct refuses are
 // admitted first, so they run on their workers while the caller runs each
 // idle worker's leg itself (worker.readLeg), one after another, before it
 // releases the lock: GetCtx's rule, per leg. The first admission failure or
@@ -266,7 +318,7 @@ func (s *Store) MultiGetCtx(ctx context.Context, keys [][]byte) ([][]byte, error
 	}
 	m.direct = slices.Grow(m.direct, len(rt.workers))[:len(rt.workers)]
 	for p, w := range rt.workers {
-		m.direct[p] = s.directRead(ctx, w)
+		m.direct[p] = s.direct(ctx, w)
 	}
 	var err error
 	for i, r := range m.legs {
@@ -329,7 +381,7 @@ func (s *Store) MultiGetCtx(ctx context.Context, keys [][]byte) ([][]byte, error
 // multiGet is one MultiGetCtx's fan-in and its read legs, positional (nil
 // for a key the hot cache answered) with each one's worker index, pooled
 // together with the completion callback every queued leg carries, the
-// per-worker directRead verdicts and a direct leg's scratch: its requests
+// per-worker direct verdicts and a direct leg's scratch: its requests
 // and, for the engine's multiget, their keys. The legs are pooled requests
 // without the recycle mark: no completer puts them back. The submitter
 // does, once wait has observed every completion; a submitter whose context
@@ -381,7 +433,8 @@ func (s *Store) WriteCtx(ctx context.Context, b *kv.Batch) error {
 
 // WriteEachCtx applies b's ops as independent writes, not as one
 // transaction: each partition's ops commit together, as one ordinary write
-// that its worker's OBM may merge with its neighbours, and errs[i] (errs
+// that its worker's OBM may merge with its neighbours — or that the caller
+// commits itself when that worker is idle (directWrite) — and errs[i] (errs
 // holds at least b.Len()) is the error of the write that carried op i. Ops
 // on one key stay in batch order. Nothing reaches the transaction log, so
 // no Options.TxnFS is needed. Key and value bytes are not copied: they must
@@ -487,28 +540,29 @@ func (s *Store) write(ctx context.Context, b *kv.Batch, prepared bool, errs []er
 }
 
 // writeLegs is the one loop of a write that spans partitions. Entered under
-// the routing read lock rt and legs were taken under, it health-checks and
-// admits legs[i] on worker i, releases the lock and waits for every leg. A
-// gsn of 0 sends ordinary writes, which OBM may merge; a non-zero gsn tags
-// every leg as one §4.5 transaction's, which OBM runs alone. The legs share
-// ctx, so they observe one deadline. completed is false when ctx ended
-// first: the workers may still hold the legs, and their errors are not the
-// caller's to read.
+// the routing read lock rt and legs were taken under, it hands legs[i] to
+// worker i (placeWrite), releases the lock and waits for every leg. A gsn of
+// 0 sends ordinary writes, which OBM may merge; as MultiGetCtx does, the legs
+// of busy workers are admitted first, then the caller commits each idle
+// worker's leg itself, in turn (a leg whose worker turned busy meanwhile
+// queues). A non-zero gsn tags every leg as one §4.5 transaction's, which
+// OBM runs alone and no caller commits. The legs share ctx, so they observe
+// one deadline. completed is false when ctx ended first: the workers may
+// still hold the legs, and their errors are not the caller's to read.
 func (s *Store) writeLegs(ctx context.Context, rt *routing, legs []*request, gsn uint64) (completed bool, err error) {
 	fan := newFanIn()
 	fin := fan.finish
-	for i, r := range legs {
-		if r == nil {
-			continue
-		}
-		r.gsn, r.callback = gsn, fin
-		fan.add()
-		err := s.writeAdmitErr(rt.workers[i])
-		if err == nil {
-			err = s.admit(ctx, rt.workers[i], r)
-		}
-		if err != nil {
-			r.complete(err)
+	for _, idleTurn := range [2]bool{false, true} {
+		for i, r := range legs {
+			w := rt.workers[i]
+			if r == nil || r.callback != nil || !idleTurn && gsn == 0 && s.direct(ctx, w) {
+				continue // no leg, placed in the first turn, or its turn is the second
+			}
+			r.gsn, r.callback = gsn, fin
+			fan.add()
+			if ran, err := s.placeWrite(ctx, w, r, gsn == 0); ran || err != nil {
+				r.complete(err)
+			}
 		}
 	}
 	s.routeMu.RUnlock()

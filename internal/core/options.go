@@ -47,14 +47,16 @@ type Options struct {
 	// OBM enables opportunistic request batching (§4.3). Default on via
 	// DefaultOptions; the sensitivity study (Figure 17) disables it.
 	OBM bool
-	// DirectReads lets a synchronous, deadline-free read run each idle
+	// Direct lets a synchronous, deadline-free operation run each idle
 	// worker's leg on the caller's goroutine instead of handing it to the
-	// worker (Store.directRead): a Get's one key, or a MultiGet's keys of
-	// that worker — an extension: at queue depth one there is nothing for
-	// OBM to amortise the handoff with. Default on via DefaultOptions; the
-	// paper-figure experiments, which model one worker as one thread, turn
-	// it off.
-	DirectReads bool
+	// worker (Store.direct): a Get's one key or a MultiGet's keys of that
+	// worker, and — when no reshard runs — a Put's or Delete's op, a
+	// one-partition WriteCtx's batch or a WriteEachCtx leg, applied through
+	// the worker's own commit under its exec lock (Store.directWrite). An
+	// extension: at queue depth one there is nothing for OBM to amortise the
+	// handoff with. Default on via DefaultOptions; the paper-figure
+	// experiments, which model one worker as one thread, turn it off.
+	Direct bool
 	// MaxBatch bounds requests per OBM batch (32 by default, the paper's
 	// tail-latency guard).
 	MaxBatch int
@@ -113,13 +115,13 @@ type Options struct {
 }
 
 // DefaultOptions returns the paper's default configuration (8 workers,
-// OBM on, batch cap 32), with direct reads on.
+// OBM on, batch cap 32), with the direct rule on.
 func DefaultOptions(factory EngineFactory) Options {
 	return Options{
 		Workers:       8,
 		EngineFactory: factory,
 		OBM:           true,
-		DirectReads:   true,
+		Direct:        true,
 		MaxBatch:      32,
 		QueueDepth:    4096,
 	}

@@ -47,15 +47,19 @@ func TestStatsJSONStableSchema(t *testing.T) {
 	if snap.Aggregate.ID != -1 {
 		t.Fatalf("aggregate ID = %d, want -1", snap.Aggregate.ID)
 	}
-	// Ten puts through the workers, and one get: through its worker too, or
-	// run by the caller if the worker had already gone idle.
-	if got := snap.Aggregate.Ops + snap.Aggregate.DirectReads; got != 11 || snap.Aggregate.DirectReads > 1 {
-		t.Fatalf("aggregate ops + direct_reads = %d + %d, want 11 with at most one direct",
-			snap.Aggregate.Ops, snap.Aggregate.DirectReads)
+	// Ten puts and one get, each through its worker or, on an idle one, run
+	// by its caller.
+	if got := snap.Aggregate.Ops + snap.Aggregate.DirectWrites + snap.Aggregate.DirectReads; got != 11 || snap.Aggregate.DirectReads > 1 {
+		t.Fatalf("aggregate ops + direct_writes + direct_reads = %d + %d + %d, want 11 with at most one direct read",
+			snap.Aggregate.Ops, snap.Aggregate.DirectWrites, snap.Aggregate.DirectReads)
 	}
-	var perWorkerOps int64
+	var perWorkerOps, perWorkerDirect int64
 	for _, w := range snap.PerWorker {
 		perWorkerOps += w.Ops
+		perWorkerDirect += w.DirectWrites
+	}
+	if perWorkerDirect != snap.Aggregate.DirectWrites {
+		t.Fatalf("per-worker direct_writes sum %d != aggregate %d", perWorkerDirect, snap.Aggregate.DirectWrites)
 	}
 	if perWorkerOps != snap.Aggregate.Ops {
 		t.Fatalf("per-worker ops %d != aggregate %d", perWorkerOps, snap.Aggregate.Ops)

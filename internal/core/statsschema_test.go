@@ -128,7 +128,7 @@ func TestStatsSnapshotPopulatesSchema(t *testing.T) {
 	if snap.Workers != 3 || len(snap.PerWorker) != 3 {
 		t.Fatalf("snapshot shape: %+v", snap)
 	}
-	var ops int64
+	var ops, direct int64
 	for i, w := range snap.PerWorker {
 		if w.ID != i {
 			t.Fatalf("per-worker ID %d at index %d", w.ID, i)
@@ -137,8 +137,10 @@ func TestStatsSnapshotPopulatesSchema(t *testing.T) {
 			t.Fatalf("worker %d health = %v", i, w.State)
 		}
 		ops += w.Ops
+		direct += w.DirectWrites
 	}
-	if snap.Aggregate.Ops != ops || ops < 50 {
-		t.Fatalf("aggregate ops %d != per-worker sum %d (>= 50)", snap.Aggregate.Ops, ops)
+	// Each Put ran on its worker (ops) or, on an idle one, on its caller.
+	if snap.Aggregate.Ops != ops || snap.Aggregate.DirectWrites != direct || ops+direct < 50 {
+		t.Fatalf("aggregate ops %d / direct_writes %d != per-worker sums %d / %d (together >= 50)", snap.Aggregate.Ops, snap.Aggregate.DirectWrites, ops, direct)
 	}
 }

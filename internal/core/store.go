@@ -292,11 +292,12 @@ func (s *Store) Scrub(ctx context.Context, lim kv.RateLimiter) (kv.ScrubResult, 
 
 // fenceSubmitters passes through the routing write lock once: closed is
 // set, so once it is through nobody is left between picking a worker and
-// leaving its queue or — a direct read (Store.submit) — its engine. fenced
-// closes at that point, and no engine is closed before it (worker.stop).
-// A non-zero deadline bounds the wait here, as it bounds a worker's drain,
-// not that rule: a direct read wedged in a stalled engine leaves fenced open
-// past the deadline, and the engines close behind it whenever it returns.
+// leaving its queue or — a direct read or write (Store.direct) — its engine.
+// fenced closes at that point, and no engine is closed before it
+// (worker.stop). A non-zero deadline bounds the wait here, as it bounds a
+// worker's drain, not that rule: a direct call wedged in a stalled engine
+// leaves fenced open past the deadline, and the engines close behind it
+// whenever it returns.
 func (s *Store) fenceSubmitters(deadline time.Time) (fenced <-chan struct{}) {
 	through := make(chan struct{})
 	fence := func() {

@@ -24,6 +24,13 @@ type worker struct {
 
 	wg sync.WaitGroup
 
+	// exec admits one writer to the instance at a time: the worker loop
+	// holds it around execute — so a barrier parked there holds it too — and
+	// a direct write (Store.directWrite) takes it with TryLock for the length
+	// of its commit. Whoever holds it owns the scratch below, ship's GSN
+	// order and lastGSN.
+	exec sync.Mutex
+
 	// What the engine can do beyond kv.Engine, asked once (newWorker); nil
 	// means it cannot and the fallback runs. bw and mg are nil too when the
 	// engine's Caps disown the method.
@@ -35,7 +42,7 @@ type worker struct {
 	ck kv.Checkpointer            // else Checkpoint refuses the store
 	sc kv.Scrubber                // else Scrub skips the shard
 
-	// Scratch of the worker goroutine, reused from one dequeue to the next:
+	// Scratch of exec's holder, reused from one commit to the next:
 	// the concatenated ops of a merged write run, the engine batch that
 	// wraps a commit's ops, the keys of a merged read run. The ops and keys
 	// alias submitters' buffers, so each is cleared once the engine call and
@@ -47,14 +54,16 @@ type worker struct {
 	keyScratch [][]byte
 
 	// Stats for the sensitivity studies. ops and batches count what this
-	// worker's goroutine executed; directReads counts the keys submitters
-	// read from the engine themselves (readLeg).
-	ops         atomic.Int64
-	batches     atomic.Int64
-	batchedOps  atomic.Int64
-	queueWaitNs atomic.Int64
-	busyNs      atomic.Int64
-	directReads atomic.Int64
+	// worker's goroutine executed; directReads and directWrites count the
+	// keys and ops submitters ran on the engine themselves (readLeg,
+	// Store.directWrite).
+	ops          atomic.Int64
+	batches      atomic.Int64
+	batchedOps   atomic.Int64
+	queueWaitNs  atomic.Int64
+	busyNs       atomic.Int64
+	directReads  atomic.Int64
+	directWrites atomic.Int64
 
 	// Engine-level batching stats: ops that reached the engine inside a
 	// multi-op WriteBatch (OBM-merged runs and user/network batches) and
@@ -68,7 +77,7 @@ type worker struct {
 
 	// lastGSN is the highest GSN this worker has durably applied — the
 	// per-worker transaction watermark a checkpoint barrier records.
-	// Written only by the worker goroutine, read by the coordinator.
+	// Written only under exec, read by the coordinator.
 	// With replication enabled it is the stream cursor: every applied
 	// write batch ratchets it (not just transaction legs).
 	lastGSN atomic.Uint64
@@ -83,8 +92,8 @@ type worker struct {
 	gsnSrc *atomic.Uint64
 	txn    *txnLog
 
-	// cache is the store's hot-key read cache (nil when disabled). The
-	// worker writes every op through it (commit) after the engine applied
+	// cache is the store's hot-key read cache (nil when disabled). exec's
+	// holder writes every op through it (commit) after the engine applied
 	// the batch and before any submitter is woken: once a write is
 	// acknowledged, no reader can be served a cached value that predates
 	// it.
@@ -186,10 +195,12 @@ func (w *worker) loop() {
 		for _, r := range reqs {
 			w.queueWaitNs.Add(int64(now.Sub(r.enqueuedAt)))
 		}
+		w.exec.Lock()
 		w.execute(reqs)
+		w.exec.Unlock()
 		w.busyNs.Add(int64(time.Since(now)))
 		// Only now, with the run applied to the engine — not when it was
-		// dequeued: a direct read (Store.submit) that finds pending zero
+		// dequeued: a direct call (Store.direct) that finds pending zero
 		// must find every earlier submission in the engine.
 		w.q.pending.Add(-int64(len(reqs)))
 		clear(reqs) // completed requests belong to their submitters again
@@ -349,7 +360,8 @@ func (w *worker) commit(ops []kv.BatchOp, txnGSN, streamGSN uint64, unrouted boo
 // ship records one applied write batch in the replication backlog. The
 // GSN is assigned here, at apply time, from the store's global counter —
 // the worker applies serially, so per-worker stream GSNs are strictly
-// increasing, the monotonicity partial sync depends on. A replicated
+// increasing, the monotonicity partial sync depends on (a direct write
+// ships under exec too, so it keeps that order). A replicated
 // record being applied on a replica (streamGSN != 0) keeps the GSN the
 // primary's worker assigned, preserving the cursor sequence down the
 // chain. The backlog ratchets lastGSN, so checkpoints taken on a
@@ -461,7 +473,7 @@ func (w *worker) park() {
 // request is failed with kv.ErrClosed so its submitter unblocks, the
 // engine is closed asynchronously once the worker finally returns, and
 // stop reports the wedge instead of hanging. readers, when non-nil, closes
-// once no direct read is left inside any engine (Store.fenceSubmitters):
+// once no direct call is left inside any engine (Store.fenceSubmitters):
 // a caller wedged in this engine holds its close back exactly as a wedged
 // worker does. It is already closed whenever deadline is zero.
 func (w *worker) stop(deadline time.Time, readers <-chan struct{}) error {
@@ -494,7 +506,7 @@ func (w *worker) stop(deadline time.Time, readers <-chan struct{}) error {
 		<-done
 		_ = w.engine.Close()
 	}()
-	return fmt.Errorf("core: worker %d: drain deadline exceeded with the worker or a direct read still inside its engine; %d queued requests failed: %w",
+	return fmt.Errorf("core: worker %d: drain deadline exceeded with the worker or a direct call still inside its engine; %d queued requests failed: %w",
 		w.id, len(dropped), kv.ErrClosed)
 }
 
@@ -507,7 +519,8 @@ type WorkerStats struct {
 	ID int `json:"id" agg:"-"`
 	// Ops and Batches count what the worker goroutine executed: requests
 	// dequeued, and engine calls they were merged into. A key its caller
-	// read directly (DirectReads) is in neither.
+	// read directly (DirectReads), or an op it wrote directly
+	// (DirectWrites), is in neither.
 	Ops        int64 `json:"ops" agg:"sum" info:"Store"`
 	Batches    int64 `json:"batches" agg:"sum" info:"Store"`
 	BatchedOps int64 `json:"batched_ops" agg:"sum" info:"Store"` // ops that traveled in a batch of >= 2
@@ -515,6 +528,11 @@ type WorkerStats struct {
 	// MultiGet leg's — that found this worker idle and were read from its
 	// engine on the caller's goroutine, never entering the queue.
 	DirectReads int64 `json:"direct_reads" agg:"sum" info:"Store"`
+	// DirectWrites counts ops of synchronous writes — a Put's, a Delete's,
+	// a one-partition WriteCtx's or one WriteEachCtx leg's — that found this
+	// worker idle, no reshard running and no transaction among them, and
+	// were committed on the caller's goroutine, never entering the queue.
+	DirectWrites int64 `json:"direct_writes" agg:"sum" info:"Store"`
 	// BatchWriteOps counts write ops committed to the engine inside a
 	// multi-op WriteBatch (one journal IO for the whole batch); MultiGetOps
 	// counts keys resolved through the engine's multiget, on the worker or
@@ -557,6 +575,7 @@ func (w *worker) stats() WorkerStats {
 		Batches:        w.batches.Load(),
 		BatchedOps:     w.batchedOps.Load(),
 		DirectReads:    w.directReads.Load(),
+		DirectWrites:   w.directWrites.Load(),
 		BatchWriteOps:  w.batchWriteOps.Load(),
 		MultiGetOps:    w.multiGetOps.Load(),
 		QueueWaitUs:    w.queueWaitNs.Load() / 1e3,

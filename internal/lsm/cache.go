@@ -17,14 +17,26 @@ import (
 //
 // A lookup of an open table takes no lock: the reader map is immutable and
 // replaced wholesale (copy-on-write under mu) by the rare open or evict — a
-// table is opened once and probed millions of times.
+// table is opened once and probed millions of times. Opened once: readers
+// that miss one table together wait for the first one's open (opening)
+// instead of each reading its footer, index and filter.
 type tableCache struct {
 	fs     vfs.FS
 	dir    string
 	blocks *cache.Cache // shared data-block cache (nil = disabled)
 
-	mu      sync.Mutex // serializes replacements of readers
+	mu      sync.Mutex // serializes replacements of readers, guards opening
 	readers atomic.Pointer[map[uint64]*tableRef]
+	opening map[uint64]*tableOpen
+}
+
+// tableOpen is one table's open in flight: its waiters receive t and err
+// once done is closed. A failed open leaves nothing behind, so the next miss
+// tries again.
+type tableOpen struct {
+	done chan struct{}
+	t    *tableRef
+	err  error
 }
 
 // tableRef is a cached reader and its references: one held by the cache
@@ -46,7 +58,7 @@ func (t *tableRef) Close() error {
 }
 
 func newTableCache(fs vfs.FS, dir string, blocks *cache.Cache) *tableCache {
-	c := &tableCache{fs: fs, dir: dir, blocks: blocks}
+	c := &tableCache{fs: fs, dir: dir, blocks: blocks, opening: map[uint64]*tableOpen{}}
 	c.readers.Store(&map[uint64]*tableRef{})
 	return c
 }
@@ -78,27 +90,38 @@ func openTable(fs vfs.FS, dir string, num uint64, blocks *cache.Cache) (*sstable
 	return r, err
 }
 
-// get returns the cached reader of table num, opening it on a miss.
+// get returns the cached reader of table num, opening it on a miss — or,
+// when another miss of it is already opening it, waiting for that open and
+// sharing its reader or its error.
 func (c *tableCache) get(num uint64) (*tableRef, error) {
 	if r := c.peek(num); r != nil {
 		return r, nil
 	}
+	c.mu.Lock()
+	if t, ok := (*c.readers.Load())[num]; ok {
+		c.mu.Unlock()
+		return t, nil
+	}
+	if op, ok := c.opening[num]; ok {
+		c.mu.Unlock()
+		<-op.done
+		return op.t, op.err
+	}
+	op := &tableOpen{done: make(chan struct{})}
+	c.opening[num] = op
+	c.mu.Unlock()
 
 	r, err := openTable(c.fs, c.dir, num, c.blocks)
-	if err != nil {
-		return nil, err
-	}
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	if existing, ok := (*c.readers.Load())[num]; ok {
-		// Lost a racing open; keep the first.
-		r.Close()
-		return existing, nil
+	delete(c.opening, num)
+	if op.err = err; err == nil {
+		op.t = &tableRef{Reader: r}
+		op.t.refs.Store(1)
+		c.replaceLocked(num, op.t)
 	}
-	t := &tableRef{Reader: r}
-	t.refs.Store(1)
-	c.replaceLocked(num, t)
-	return t, nil
+	c.mu.Unlock()
+	close(op.done)
+	return op.t, op.err
 }
 
 // peek is get for a lookup that may not read the device: the open reader of

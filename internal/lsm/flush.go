@@ -50,6 +50,10 @@ func (d *DB) flushOne() bool {
 		return false
 	}
 	d.mu.Lock()
+	// Clear the slot, not only reslice past it: the backing array outlives
+	// the pop until the next rotation reallocates it, and the slot would
+	// keep the flushed memtable's arena and its deleted WAL's bytes alive.
+	d.imm[0] = nil
 	d.imm = d.imm[1:]
 	d.publishReadStateLocked()
 	d.kick()

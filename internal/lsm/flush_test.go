@@ -4,8 +4,10 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"sort"
 	"testing"
+	"time"
 
 	"p2kvs/internal/ikey"
 	"p2kvs/internal/kv"
@@ -180,4 +182,38 @@ func BenchmarkFlush(b *testing.B) {
 			b.ReportMetric(float64(entries)/float64(b.N), "entries/flush")
 		})
 	}
+}
+
+// TestFlushReleasesMemtable: once a memtable is flushed nothing keeps its
+// handle — its arena and the writer of its deleted WAL — reachable. The
+// flush queue pops it by reslicing, and its backing array outlives the pop
+// until the next rotation: without clearing the slot, a store held a
+// flushed memtable's arena and WAL bytes per engine between two flushes.
+func TestFlushReleasesMemtable(t *testing.T) {
+	db, err := Open("db", RocksDBOptions(vfs.NewMem()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	for i := 0; i < 100; i++ {
+		if err := db.Put(lookupKey(i), []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	released := make(chan struct{})
+	db.mu.Lock()
+	runtime.SetFinalizer(db.memH, func(*memHandle) { close(released) })
+	db.mu.Unlock()
+	if err := db.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 10; i++ {
+		runtime.GC()
+		select {
+		case <-released:
+			return
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	t.Fatal("the flushed memtable's handle is still reachable after its flush")
 }

@@ -503,9 +503,12 @@ func TestPipelinedGetCoalescing(t *testing.T) {
 	}
 	e.mu.Unlock()
 
-	// Wedge the worker inside a write...
-	wedge := dialTest(t, ts)
-	wedge.send(t, "SET", "wedge", "1")
+	// Wedge the worker inside a write — an asynchronous one, which always
+	// queues: a SET over the wire would find the worker idle and park its
+	// own connection in the engine instead (the direct write)...
+	if err := ts.store.PutAsync([]byte("wedge"), []byte("1"), func(error) {}); err != nil {
+		t.Fatal(err)
+	}
 	waitFor(t, func() bool { return e.entered.Load() >= 1 })
 
 	// ...then pipeline 9 GETs that queue up behind it.
@@ -640,10 +643,13 @@ func TestLoadshedReplyUnderAdmitReject(t *testing.T) {
 		o.QueueDepth = 1
 	}, Config{})
 
-	// Conn A wedges the worker inside the engine; the queue is empty
-	// again once its request is popped.
-	a := dialTest(t, ts)
-	a.send(t, "SET", "a", "1")
+	// An asynchronous write wedges the worker inside the engine (a SET over
+	// the wire would be a direct write, parked on its connection, and leave
+	// the worker free to pop the queue); the queue is empty again once its
+	// request is popped.
+	if err := ts.store.PutAsync([]byte("a"), []byte("1"), func(error) {}); err != nil {
+		t.Fatal(err)
+	}
 	waitFor(t, func() bool { return ts.engines[0].entered.Load() >= 1 })
 
 	// B and C race for the single queue slot: one parks, the other must

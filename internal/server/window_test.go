@@ -252,8 +252,9 @@ func timedOutWindowKeepsItsBytes(t *testing.T, workers int) {
 // GET and 10 % SET; the mixed arm puts MGET, MSET and DEL beside them, so
 // its read runs mix GET and MGET, and each two-key MSET or DEL (a
 // transaction across shards) runs alone. One op is one window; ns/cmd is
-// per command, and direct-keys/cmd the keys per command a connection read
-// from an idle worker's engine itself (DirectReads).
+// per command, direct-keys/cmd the keys per command a connection read from
+// an idle worker's engine itself (DirectReads), and direct-writes/cmd the
+// ops per command it committed there itself (DirectWrites).
 func BenchmarkServerPipeline(b *testing.B) {
 	const keys, conns, depth = 20000, 2, 16
 	srv := New(Config{Store: lsmStore(b, 4, keys)})
@@ -307,7 +308,7 @@ func BenchmarkServerPipeline(b *testing.B) {
 			for i := range ncs {
 				ncs[i] = pipeConn(b, srv)
 			}
-			direct := srv.store().StatsSnapshot().Aggregate.DirectReads
+			before := srv.store().StatsSnapshot().Aggregate
 			b.ReportAllocs()
 			b.ResetTimer()
 			var wg sync.WaitGroup
@@ -326,8 +327,9 @@ func BenchmarkServerPipeline(b *testing.B) {
 			}
 			wg.Wait()
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*depth), "ns/cmd")
-			direct = srv.store().StatsSnapshot().Aggregate.DirectReads - direct
-			b.ReportMetric(float64(direct)/float64(b.N*depth), "direct-keys/cmd")
+			after := srv.store().StatsSnapshot().Aggregate
+			b.ReportMetric(float64(after.DirectReads-before.DirectReads)/float64(b.N*depth), "direct-keys/cmd")
+			b.ReportMetric(float64(after.DirectWrites-before.DirectWrites)/float64(b.N*depth), "direct-writes/cmd")
 		})
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"io"
 	"math/rand"
 	"runtime"
+	"strings"
 	"testing"
 
 	"p2kvs/internal/raceflag"
@@ -240,7 +241,11 @@ func TestCrashFencesInFlightWrites(t *testing.T) {
 
 // TestMemFSAppendAllocs pins the append: a 2 MiB file written in 4 KiB
 // writes allocates its 14 chunks and nothing else, within 1.2x the file's
-// bytes.
+// bytes. It counts only allocations made through the file's own code — the
+// heap profile's records, sampled at every allocation for the window, whose
+// stack passes through a memFile or memFileData method — not the process's:
+// a window of 16 MiB of appends spans garbage-collection cycles, and what
+// the runtime and the testing package allocate meanwhile is not the file's.
 func TestMemFSAppendAllocs(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("allocation pins are not meaningful under the race detector")
@@ -256,9 +261,9 @@ func TestMemFSAppendAllocs(t *testing.T) {
 		fl = append(fl, f)
 	}
 	buf := make([]byte, 4<<10)
-	var before, after runtime.MemStats
-	runtime.GC() // the first cycle starts the collector's workers: not the file's allocations
-	runtime.ReadMemStats(&before)
+	defer func(rate int) { runtime.MemProfileRate = rate }(runtime.MemProfileRate)
+	runtime.MemProfileRate = 1
+	beforeObjs, beforeBytes := fileAllocs()
 	for _, f := range fl {
 		for n := 0; n < size; n += len(buf) {
 			if _, err := f.Write(buf); err != nil {
@@ -266,14 +271,48 @@ func TestMemFSAppendAllocs(t *testing.T) {
 			}
 		}
 	}
-	runtime.ReadMemStats(&after)
-	// Whole allocations a file, as testing.AllocsPerRun counts: the runtime's
-	// own stray allocation in the window does not make a fifteenth.
-	allocs := (after.Mallocs - before.Mallocs) / files
-	ratio := float64(after.TotalAlloc-before.TotalAlloc) / files / size
+	afterObjs, afterBytes := fileAllocs()
+	allocs := (afterObjs - beforeObjs) / files
+	ratio := float64(afterBytes-beforeBytes) / files / size
 	if allocs > 14 || ratio > 1.2 {
 		t.Fatalf("a 2 MiB file in 4 KiB writes: %d allocations, %.2fx its size allocated; want <= 14 and <= 1.2x", allocs, ratio)
 	}
+	if allocs < 14 {
+		t.Fatalf("a 2 MiB file in 4 KiB writes: %d allocations through the file's code, want its 14 chunks: the profile no longer sees them", allocs)
+	}
+}
+
+// fileAllocs sums the objects and bytes the heap profile records as
+// allocated, since the process started, by stacks through an in-memory
+// file's methods. A record is published by the garbage collection cycle
+// after its allocation's, hence the two.
+func fileAllocs() (objects, bytes int64) {
+	runtime.GC()
+	runtime.GC()
+	var recs []runtime.MemProfileRecord
+	for n, _ := runtime.MemProfile(nil, true); ; {
+		recs = make([]runtime.MemProfileRecord, n+64)
+		var ok bool
+		if n, ok = runtime.MemProfile(recs, true); ok {
+			recs = recs[:n]
+			break
+		}
+	}
+	for _, r := range recs {
+		frames := runtime.CallersFrames(r.Stack())
+		for {
+			f, more := frames.Next()
+			if strings.HasPrefix(f.Function, "p2kvs/internal/vfs.(*memFile") {
+				objects += r.AllocObjects
+				bytes += r.AllocBytes
+				break
+			}
+			if !more {
+				break
+			}
+		}
+	}
+	return objects, bytes
 }
 
 // BenchmarkMemFSAppend writes a 2 MiB file (an SSTable's size) in 4 KiB
