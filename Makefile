@@ -48,8 +48,8 @@ alloc-profile:
 	$(GO) tool pprof -sample_index=alloc_objects -top -nodecount 25 -ignore='lsmStore' $(PROFILE_DIR)/server.test $(PROFILE_DIR)/wire.prof
 
 # Where the time goes, from the same benchmarks plus one client's synchronous
-# Get, 16-key MultiGet and Put (internal/core's BenchmarkGet, BenchmarkMultiGet,
-# BenchmarkPut), each under a CPU profile of its own,
+# Get, 16-key MultiGet, Put and 16-op WriteEachCtx (internal/core's
+# BenchmarkGet, BenchmarkMultiGet, BenchmarkPut, BenchmarkWriteEach), each under a CPU profile of its own,
 # printed cumulatively for the whole process — the scheduler's share of a
 # thread handoff (schedule, findRunnable, futex) sits under no product
 # function, so a -focus would hide it. The write path; the memtable under it
@@ -57,8 +57,9 @@ alloc-profile:
 # filter answers); a Get its caller runs
 # (direct=true) and one handed to the worker (direct=false, the paper's
 # form), and the same two for a 16-key MultiGet (MultiGet: each idle
-# worker's leg run by the caller, or every leg queued) and for a Put (Put:
-# committed by its caller, or by its worker); the engine lookup
+# worker's leg run by the caller, or every leg queued), for a Put (Put:
+# committed by its caller, or by its worker) and for a 16-op WriteEachCtx
+# (WriteEach: as MultiGet, for writes); the engine lookup
 # under them; the MemFS device under all of
 # them (a 2 MiB append, a block read). The engine lookup runs with the block
 # cache too small (GetMiss) and holding every block (GetHit, where the
@@ -81,6 +82,7 @@ PROFILE_RUNS = 'p2kvs write PutAsync|LSMWriteBatch' 'p2kvs memtable MemtableAdd|
 	'core get-direct ^BenchmarkGet$$/direct=true' 'core get-queued ^BenchmarkGet$$/direct=false' \
 	'core mget-direct MultiGet$$/direct=true' 'core mget-queued MultiGet$$/direct=false' \
 	'core put-direct ^BenchmarkPut$$/direct=true' 'core put-queued ^BenchmarkPut$$/direct=false' \
+	'core mset-direct WriteEach$$/direct=true' 'core mset-queued WriteEach$$/direct=false' \
 	'lsm get-engine GetMiss' 'lsm get-hit GetHit' 'vfs memfs MemFSAppend|MemFSReadAt' \
 	'lsm compaction CompactionMerge' 'core scan StoreScan' 'lsm flush Flush' 'server wire ServerPipeline'
 

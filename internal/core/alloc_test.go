@@ -48,8 +48,8 @@ func (e *nopEngine) NewIterator() (kv.Iterator, error) {
 //	                                                  its ops go as is in one pooled request
 //
 // The pins (1 each) leave one allocation of slack over that; GetAsync's one
-// is the closure that adapts its two-argument callback. A cross-partition
-// WriteCtx still builds its split and unpooled legs (TestMultiLegRequestRecycling).
+// is the closure that adapts its two-argument callback. A write spanning
+// partitions is pinned by TestWriteEachCtxAllocs.
 // AllocsPerRun counts every goroutine's allocations, the worker's included.
 func TestAllocsAboveEngine(t *testing.T) {
 	if raceflag.Enabled {
@@ -286,6 +286,60 @@ func TestMultiGetCtxAllocs(t *testing.T) {
 		}
 		if want := float64(1 + len(keys)); n > want {
 			t.Errorf("%s: MultiGetCtx of %d keys: %.0f allocs, want <= %.0f (the result slice and the values)", c.name, len(keys), n, want)
+		}
+	}
+}
+
+// TestWriteEachCtxAllocs pins WriteEachCtx in steady state, on both paths,
+// as TestMultiGetCtxAllocs does for reads: 16 ops over four workers, whose
+// legs, per-worker op lists and fan-in come from the leg set's pools —
+// whether each idle worker's leg is committed on the caller or, under a
+// deadline, queued. Before the legs were pooled the call allocated 20 times
+// on either path: the split's leg slice, a request and an op slice per
+// worker, the fan-in and its channel.
+func TestWriteEachCtxAllocs(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("allocation pins are not meaningful under the race detector: sync.Pool drops Puts there")
+	}
+	const workers = 4
+	opts := DefaultOptions(func(int, func(uint64) bool) (kv.Engine, error) { return &nopEngine{}, nil })
+	opts.Workers, opts.Partitioner = workers, firstByteMod{n: workers}
+	s, err := Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	var b kv.Batch
+	for i := 0; i < 16; i++ {
+		b.Put(shardKey(i%workers, i), []byte("v"))
+	}
+	errs := make([]error, b.Len())
+	deadline, cancel := context.WithTimeout(context.Background(), time.Hour)
+	defer cancel()
+	sum := func(st []WorkerStats) (ops, direct int64) {
+		for _, w := range st {
+			ops, direct = ops+w.Ops, direct+w.DirectWrites
+		}
+		return ops, direct
+	}
+	for _, c := range []struct {
+		name string
+		ctx  context.Context
+	}{{"direct", nil}, {"queued", deadline}} {
+		ops0, direct0 := sum(s.Stats())
+		n := testing.AllocsPerRun(200, func() {
+			s.WriteEachCtx(c.ctx, &b, errs)
+			if err := errors.Join(errs...); err != nil {
+				t.Fatalf("%s: WriteEachCtx: %v", c.name, err)
+			}
+		})
+		ops1, direct1 := sum(s.Stats())
+		if queued := ops1 > ops0; queued != (c.ctx != nil) || queued == (direct1 > direct0) {
+			t.Fatalf("%s: worker ops %d -> %d, direct writes %d -> %d: the call took the other path",
+				c.name, ops0, ops1, direct0, direct1)
+		}
+		if n > 1 { // 0 measured; one of slack, as TestAllocsAboveEngine's pins
+			t.Errorf("%s: WriteEachCtx of %d ops over %d workers: %.0f allocs, want <= 1", c.name, b.Len(), workers, n)
 		}
 	}
 }

@@ -34,8 +34,9 @@ func faultLSMFactory(fs vfs.FS, root string) EngineFactory {
 // TestDegradedShardFailsFastOthersServe: one shard's engine degrades to
 // read-only under a persistent fault. The store must (a) fail writes to
 // that shard fast with kv.ErrDegraded — including multi-partition
-// batches, before any txn-log record is written — (b) keep serving reads
-// everywhere and writes on the healthy shards, (c) report the state in
+// batches, before any txn-log record is written, and a WriteEachCtx's ops on
+// that shard only — (b) keep serving reads everywhere and writes on the
+// healthy shards, (c) report the state in
 // Stats(), and (d) restore the shard via Store.Resume() with no data
 // loss.
 func TestDegradedShardFailsFastOthersServe(t *testing.T) {
@@ -134,6 +135,23 @@ func TestDegradedShardFailsFastOthersServe(t *testing.T) {
 	// Healthy shards still take writes; every shard still serves reads.
 	if err := s.Put(keyFor(1, perShard), val(1, perShard)); err != nil {
 		t.Fatalf("healthy shard rejected write: %v", err)
+	}
+	// Independent writes fail per shard: a WriteEachCtx spanning the
+	// degraded shard and a healthy one fails shard 0's op only, and the
+	// healthy shard's ops land.
+	var each kv.Batch
+	each.Put(keyFor(0, perShard+1), []byte("x"))
+	each.Put(keyFor(1, perShard+1), val(1, perShard+1))
+	each.Put(keyFor(1, perShard+2), val(1, perShard+2))
+	errs := make([]error, each.Len())
+	s.WriteEachCtx(nil, &each, errs)
+	if !errors.Is(errs[0], kv.ErrDegraded) || errs[1] != nil || errs[2] != nil {
+		t.Fatalf("WriteEachCtx over degraded shard 0 and healthy shard 1: errs = %v, want [ErrDegraded nil nil]", errs)
+	}
+	for i := perShard + 1; i <= perShard+2; i++ {
+		if v, err := s.Get(keyFor(1, i)); err != nil || string(v) != string(val(1, i)) {
+			t.Fatalf("get of healthy shard 1's WriteEachCtx key %d = %q, %v", i, v, err)
+		}
 	}
 	for shard := 0; shard < workers; shard++ {
 		for i := 0; i < perShard; i++ {

@@ -496,6 +496,36 @@ func BenchmarkMultiGet(b *testing.B) {
 	}
 }
 
+// BenchmarkWriteEach is BenchmarkMultiGet for one client's 16-op
+// WriteEachCtx, the write a pipelined run of SETs becomes: direct=true
+// commits each idle worker's leg on the caller, one after another;
+// direct=false queues every leg and waits for the four workers (make
+// cpu-profile profiles both).
+func BenchmarkWriteEach(b *testing.B) {
+	const batch = 16
+	for _, direct := range []bool{true, false} {
+		b.Run(fmt.Sprintf("direct=%v", direct), func(b *testing.B) {
+			s, keys := benchStore(b, direct, 50000)
+			val := make([]byte, 128)
+			var wb kv.Batch
+			errs := make([]error, batch)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				lo := i * batch % (len(keys) - batch)
+				wb.Reset()
+				for _, k := range keys[lo : lo+batch] {
+					wb.Put(k, val)
+				}
+				s.WriteEachCtx(nil, &wb, errs)
+				if err := errors.Join(errs...); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // TestDirectWritePaths pins where a synchronous write runs and what it
 // counts, as TestMultiGetLegPaths does for reads. Two keys on each of four
 // workers. On an idle store a Put, a Delete, a one-partition WriteCtx and

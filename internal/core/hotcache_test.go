@@ -351,50 +351,78 @@ func TestHotCacheFailedWriteDrops(t *testing.T) {
 	}
 }
 
-// TestMultiGetAdmitShortCircuit is the regression test for the MGET
-// admission-amplification bug: when the first read leg is rejected, the
-// remaining legs must not be pushed at the saturated queue too.
+// TestMultiGetAdmitShortCircuit is the regression test for admission
+// amplification: when the first leg of a multiget or of a transaction is
+// rejected, the remaining legs must not be pushed at the saturated queue, nor
+// at the other workers' — a transaction's would be applied uncommitted, for
+// recovery to roll back. A cross-partition WriteCtx over three workers whose
+// first queue is full is refused with one rejection, and the workers after
+// it execute nothing.
 func TestMultiGetAdmitShortCircuit(t *testing.T) {
-	gate := make(chan struct{})
-	s, engines := openStubStore(t, 2, map[int]chan struct{}{0: gate}, func(o *Options) {
-		o.QueueDepth = 4
-		o.Admission = AdmitReject
-		o.DrainTimeout = 2 * time.Second
-	})
-	defer func() {
-		s.Close()
-	}()
+	const workers = 3
+	for _, c := range []struct {
+		name string
+		op   func(s *Store) error
+	}{
+		{"MultiGetCtx", func(s *Store) error {
+			keys := make([][]byte, 16)
+			for i := range keys {
+				keys[i] = shardKey(0, i)
+			}
+			_, err := s.MultiGetCtx(nil, keys)
+			return err
+		}},
+		{"WriteCtx/transaction", func(s *Store) error {
+			var b kv.Batch
+			for shard := 0; shard < workers; shard++ {
+				b.Put(shardKey(shard, 0), []byte("v"))
+			}
+			return s.WriteCtx(nil, &b)
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			gate := make(chan struct{})
+			s, engines := openStubStore(t, workers, map[int]chan struct{}{0: gate}, func(o *Options) {
+				o.QueueDepth = 4
+				o.Admission = AdmitReject
+				o.DrainTimeout = 2 * time.Second
+				o.TxnFS, o.TxnDir = vfs.NewMem(), "txn"
+			})
+			defer s.Close()
 
-	// Wedge shard 0 and fill its queue to capacity.
-	var acks sync.WaitGroup
-	acks.Add(1)
-	if err := s.PutAsync(shardKey(0, 50), []byte("v"), func(error) { acks.Done() }); err != nil {
-		t.Fatal(err)
-	}
-	waitWedged(t, engines[0], 1)
-	for i := 0; ; i++ {
-		acks.Add(1)
-		if err := s.PutAsync(shardKey(0, 100+i), []byte("v"), func(error) { acks.Done() }); err != nil {
-			acks.Done()
-			break // queue full
-		}
-	}
+			// Wedge shard 0 and fill its queue to capacity.
+			var acks sync.WaitGroup
+			acks.Add(1)
+			if err := s.PutAsync(shardKey(0, 50), []byte("v"), func(error) { acks.Done() }); err != nil {
+				t.Fatal(err)
+			}
+			waitWedged(t, engines[0], 1)
+			for i := 0; ; i++ {
+				acks.Add(1)
+				if err := s.PutAsync(shardKey(0, 100+i), []byte("v"), func(error) { acks.Done() }); err != nil {
+					acks.Done()
+					break // queue full
+				}
+			}
 
-	rejectedBefore := s.Stats()[0].Rejected
-	keys := make([][]byte, 16)
-	for i := range keys {
-		keys[i] = shardKey(0, i)
-	}
-	if _, err := s.MultiGetCtx(nil, keys); !errors.Is(err, kv.ErrOverloaded) {
-		t.Fatalf("multiget on saturated shard err = %v, want ErrOverloaded", err)
-	}
-	delta := s.Stats()[0].Rejected - rejectedBefore
-	if delta != 1 {
-		t.Fatalf("multiget admission rejections = %d, want 1 (remaining legs must short-circuit)", delta)
-	}
+			before := s.Stats()
+			if err := c.op(s); !errors.Is(err, kv.ErrOverloaded) {
+				t.Fatalf("%s on a saturated shard 0: err = %v, want ErrOverloaded", c.name, err)
+			}
+			after := s.Stats()
+			if delta := after[0].Rejected - before[0].Rejected; delta != 1 {
+				t.Errorf("admission rejections = %d, want 1 (remaining legs must short-circuit)", delta)
+			}
+			for i := 1; i < workers; i++ {
+				if ops := after[i].Ops - before[i].Ops; ops != 0 {
+					t.Errorf("worker %d executed %d requests after shard 0 refused the call, want none", i, ops)
+				}
+			}
 
-	close(gate)
-	acks.Wait()
+			close(gate)
+			acks.Wait()
+		})
+	}
 }
 
 // TestHotCacheCoherence is the concurrency acceptance test (race-clean):

@@ -5,7 +5,6 @@ import (
 	"context"
 	"errors"
 	"math"
-	"slices"
 	"sort"
 	"sync"
 
@@ -16,11 +15,10 @@ import (
 // (queue.go), routes and admits them under the routing read lock
 // (routing.go) — or, for a synchronous read or write whose worker is idle
 // (direct), runs them there on the caller — and completes through a done
-// channel, a callback or — for multi-leg operations — one fanIn. The
-// single-key ones (GetCtx, Put, Delete and the callback forms) and
-// MultiGetCtx's read legs draw their requests from the requests pool; they
-// go back by the ownership rule stated there. A direct Get's request lives
-// on its caller's stack; a direct Put's goes back once it has committed.
+// channel, a callback or — for multi-leg operations, placed by dispatch —
+// one fanIn. Their requests come from the requests pool and go back by the
+// ownership rule stated there. A direct Get's request lives on its caller's
+// stack; a direct Put's goes back once it has committed.
 
 // writeOne routes a single-key write, carried inline by a pooled request,
 // and hands it to writeTo.
@@ -288,119 +286,41 @@ func (s *Store) MultiGet(keys [][]byte) ([][]byte, error) {
 
 // MultiGetCtx is MultiGet bounded by one shared context: every queued leg
 // carries the same deadline. Hot-cache hits (positive and negative) are
-// resolved up front without admission; only the misses travel, grouped by
-// owner under one routing read lock, so every leg of one multiget observes
-// the same ring generation. The legs of workers direct refuses are
-// admitted first, so they run on their workers while the caller runs each
-// idle worker's leg itself (worker.readLeg), one after another, before it
-// releases the lock: GetCtx's rule, per leg. The first admission failure or
-// direct leg error short-circuits the remaining legs — a rejected multiget
-// must not keep pushing work at queues that are already refusing it.
+// resolved up front without admission; only the misses travel, one read
+// request per key, grouped by owner under one routing read lock, so every
+// leg of one multiget observes the same ring generation, and placed by
+// dispatch: GetCtx's rule, per leg. The first leg that fails short-circuits
+// the remaining ones — a rejected multiget must not keep pushing work at
+// queues that are already refusing it.
 func (s *Store) MultiGetCtx(ctx context.Context, keys [][]byte) ([][]byte, error) {
 	if s.closed.Load() {
 		return nil, kv.ErrClosed
 	}
 	out := make([][]byte, len(keys))
-	m := multiGets.Get().(*multiGet)
-	m.pending = 1
-	m.legs = slices.Grow(m.legs, len(keys))[:len(keys)]
-	m.owner = slices.Grow(m.owner, len(keys))[:len(keys)]
 	s.routeMu.RLock()
-	rt := s.route.Load()
+	ls := newLegSet(s.route.Load(), len(keys))
 	for i, k := range keys {
 		if v, hit, _ := s.hotRead(k); hit {
 			out[i] = v // a negative hit leaves nil = not found
 			continue
 		}
 		r := getRequest()
-		r.typ, r.key, r.ticket, r.callback = reqRead, k, s.cache.Snapshot(k), m.fin
-		m.legs[i], m.owner[i] = r, rt.part.Pick(k)
+		r.typ, r.key, r.ticket = reqRead, k, s.cache.Snapshot(k)
+		p := ls.rt.part.Pick(k)
+		ls.reqs[i], ls.by[p] = r, append(ls.by[p], r)
 	}
-	m.direct = slices.Grow(m.direct, len(rt.workers))[:len(rt.workers)]
-	for p, w := range rt.workers {
-		m.direct[p] = s.direct(ctx, w)
-	}
-	var err error
-	for i, r := range m.legs {
-		if r == nil || m.direct[m.owner[i]] {
-			continue
-		}
-		m.add()
-		if err = s.admit(ctx, rt.workers[m.owner[i]], r); err != nil {
-			m.fin(err)
-			break // short-circuit: don't amplify overload with more legs
-		}
-	}
-	for p, w := range rt.workers {
-		if err != nil {
-			break
-		}
-		if !m.direct[p] {
-			continue
-		}
-		leg := m.leg[:0]
-		for i, r := range m.legs {
-			if r != nil && m.owner[i] == p {
-				leg = append(leg, r)
-			}
-		}
-		if len(leg) > 0 {
-			m.keys, err = w.readLeg(leg, m.keys, true)
-		}
-		clear(leg)
-		m.leg = leg
-	}
-	s.routeMu.RUnlock()
-	// A direct leg implies a context that cannot end: the wait completes
-	// whenever one ran.
-	completed, werr := m.wait(ctx)
-	if !completed {
-		return nil, werr // the workers may still hold the legs: m goes to the GC
-	}
-	if err == nil {
-		err = werr
-	}
-	for i, r := range m.legs {
-		if r == nil {
-			continue
-		}
-		if err == nil {
+	completed, err := s.dispatch(ctx, ls, true)
+	for i, r := range ls.reqs {
+		if r != nil && err == nil { // nil implies completed
 			out[i], _ = s.readResult(r.key, r.val, r.found, r.ticket)
 		}
-		putRequest(r)
 	}
-	clear(m.legs)
-	m.legs, m.err = m.legs[:0], nil
-	multiGets.Put(m)
+	ls.release(completed)
 	if err != nil {
 		return nil, err
 	}
 	return out, nil
 }
-
-// multiGet is one MultiGetCtx's fan-in and its read legs, positional (nil
-// for a key the hot cache answered) with each one's worker index, pooled
-// together with the completion callback every queued leg carries, the
-// per-worker direct verdicts and a direct leg's scratch: its requests
-// and, for the engine's multiget, their keys. The legs are pooled requests
-// without the recycle mark: no completer puts them back. The submitter
-// does, once wait has observed every completion; a submitter whose context
-// ended first leaves them, and m, to the garbage collector.
-type multiGet struct {
-	fanIn
-	fin    func(error) // fanIn.finish, bound once
-	legs   []*request
-	owner  []int
-	direct []bool
-	leg    []*request
-	keys   [][]byte
-}
-
-var multiGets = sync.Pool{New: func() any {
-	m := &multiGet{fanIn: fanIn{done: make(chan struct{}, 1)}}
-	m.fin = m.finish
-	return m
-}}
 
 // Write implements kv.BatchWriter. A batch confined to one partition
 // commits directly on that instance. A batch spanning partitions becomes
@@ -468,9 +388,10 @@ func (s *Store) WritePrepared(b *kv.Batch) (commit func() error, err error) {
 // batch confined to one partition commits directly on that instance and
 // returns a nil commit — unless the caller asked for the prepared form,
 // which is a GSN transaction however many legs it has. With errs the legs
-// are independent writes and each op's error lands in errs (WriteEachCtx);
-// without, they are one transaction, begun before writeLegs and committed
-// by the returned closure.
+// are independent writes, each op's error lands in errs (WriteEachCtx), and
+// a failed leg stops none of the others; without, they are one transaction,
+// begun before dispatch, stopped at its first failed leg and committed by
+// the returned closure.
 func (s *Store) write(ctx context.Context, b *kv.Batch, prepared bool, errs []error) (commit func() error, err error) {
 	ctx = liveCtx(ctx)
 	s.routeMu.RLock()
@@ -488,44 +409,49 @@ func (s *Store) write(ctx context.Context, b *kv.Batch, prepared bool, errs []er
 		s.routeMu.RUnlock()
 		return nil, errors.New("core: cross-partition batch requires Options.TxnFS for atomicity")
 	}
-	legs := rt.split(b.Ops())
+	ls := newLegSet(rt, b.Len())
+	ls.write(b.Ops())
 	if errs != nil {
-		completed, err := s.writeLegs(ctx, rt, legs, 0)
-		for i, op := range b.Ops() {
+		completed, err := s.dispatch(ctx, ls, false)
+		for i, r := range ls.reqs {
 			if completed {
-				err = legs[rt.part.Pick(op.Key)].err
+				err = r.err
 			}
 			errs[i] = err
 		}
+		ls.release(completed)
 		return nil, nil
 	}
 	// Fail fast before persisting the transaction begin: a degraded shard
 	// cannot apply its piece (and an already-dead context never will), so
 	// the whole transaction would only be rolled back at recovery anyway.
-	for i, r := range legs {
-		if r == nil {
-			continue
-		}
-		if err := s.writeAdmitErr(rt.workers[i]); err != nil {
-			s.routeMu.RUnlock()
-			return nil, err
+	for p, leg := range ls.by {
+		if len(leg) > 0 && err == nil {
+			err = s.writeAdmitErr(rt.workers[p])
 		}
 	}
-	if ctx != nil {
-		if err := ctx.Err(); err != nil {
-			s.routeMu.RUnlock()
-			return nil, ctxError(err)
-		}
+	if err == nil && ctx != nil && ctx.Err() != nil {
+		err = ctxError(ctx.Err())
 	}
-	gsn := s.gsn.Add(1)
-	if err := s.txn.begin(gsn); err != nil {
+	var gsn uint64
+	if err == nil {
+		gsn = s.gsn.Add(1)
+		err = s.txn.begin(gsn)
+	}
+	if err != nil {
 		s.routeMu.RUnlock()
+		ls.release(true)
 		return nil, err
+	}
+	for _, r := range ls.reqs {
+		r.gsn = gsn
 	}
 	s.preparedTxns.Add(1)
 	var settleOnce sync.Once
 	settle := func() { settleOnce.Do(func() { s.preparedTxns.Add(-1) }) }
-	if _, err := s.writeLegs(ctx, rt, legs, gsn); err != nil {
+	completed, err := s.dispatch(ctx, ls, true)
+	ls.release(completed)
+	if err != nil {
 		// A leg failed, or the deadline fired mid-transaction: leave it
 		// uncommitted, recovery rolls every applied leg back on every
 		// instance.
@@ -539,34 +465,60 @@ func (s *Store) write(ctx context.Context, b *kv.Batch, prepared bool, errs []er
 	}, nil
 }
 
-// writeLegs is the one loop of a write that spans partitions. Entered under
-// the routing read lock rt and legs were taken under, it hands legs[i] to
-// worker i (placeWrite), releases the lock and waits for every leg. A gsn of
-// 0 sends ordinary writes, which OBM may merge; as MultiGetCtx does, the legs
-// of busy workers are admitted first, then the caller commits each idle
-// worker's leg itself, in turn (a leg whose worker turned busy meanwhile
-// queues). A non-zero gsn tags every leg as one §4.5 transaction's, which
-// OBM runs alone and no caller commits. The legs share ctx, so they observe
-// one deadline. completed is false when ctx ended first: the workers may
-// still hold the legs, and their errors are not the caller's to read.
-func (s *Store) writeLegs(ctx context.Context, rt *routing, legs []*request, gsn uint64) (completed bool, err error) {
-	fan := newFanIn()
-	fin := fan.finish
+// dispatch is the one leg loop of a call that spans workers: N instances,
+// each serving its own leg (§4.1). Under the routing read lock ls was built
+// under, it queues the legs of the workers the direct rule refuses, then
+// runs each idle worker's leg on the caller, in turn (placeLeg). A leg OBM
+// may not merge (a transaction's, a closure) runs alone on its worker and
+// always queues. With stop, the first leg that fails is the call's error and
+// the legs after it are never placed; without, each keeps its own (r.err).
+// It then releases the lock and waits on the fan-in: completed is false when
+// ctx ended first, and the workers may still hold the legs.
+func (s *Store) dispatch(ctx context.Context, ls *legSet, stop bool) (completed bool, err error) {
+placing:
 	for _, idleTurn := range [2]bool{false, true} {
-		for i, r := range legs {
-			w := rt.workers[i]
-			if r == nil || r.callback != nil || !idleTurn && gsn == 0 && s.direct(ctx, w) {
+		for p, leg := range ls.by {
+			w := ls.rt.workers[p]
+			if len(leg) == 0 || leg[0].callback != nil || !idleTurn && leg[0].mergeable() && s.direct(ctx, w) {
 				continue // no leg, placed in the first turn, or its turn is the second
 			}
-			r.gsn, r.callback = gsn, fin
-			fan.add()
-			if ran, err := s.placeWrite(ctx, w, r, gsn == 0); ran || err != nil {
-				r.complete(err)
+			if err := s.placeLeg(ctx, ls, w, leg, idleTurn); err != nil && stop {
+				break placing
 			}
 		}
 	}
 	s.routeMu.RUnlock()
-	return fan.wait(ctx)
+	return ls.wait(ctx)
+}
+
+// placeLeg hands w its leg of ls: queued (a write past placeWrite's health
+// check), or in the idle turn run right here — a read by readLeg, a write by
+// directWrite, which queues it after all when w turned busy. It returns the
+// leg's error, which the fan-in has recorded too.
+func (s *Store) placeLeg(ctx context.Context, ls *legSet, w *worker, leg []*request, idle bool) (err error) {
+	if idle && leg[0].typ == reqRead {
+		ls.add()
+		ls.keys, err = w.readLeg(leg, ls.keys, true)
+		ls.finish(err)
+		return err
+	}
+	for _, r := range leg {
+		r.callback = ls.fin
+		ls.add()
+		ran := false
+		if r.typ == reqWrite {
+			ran, err = s.placeWrite(ctx, w, r, idle)
+		} else {
+			err = s.admit(ctx, w, r)
+		}
+		if ran || err != nil {
+			r.complete(err)
+		}
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // ---------------------------------------------------------------------------
@@ -611,17 +563,18 @@ func (q scanQuery) scan(ctx context.Context, it kv.Iterator) ([]Pair, error) {
 	return out, it.Error()
 }
 
-// scanFan admits one leg of q per worker under a single routing read lock,
-// each a closure that walks its worker's engine iterator, then waits for
-// the legs with the lock released and merges their sorted results.
+// scanFan sends one leg of q to each worker under a single routing read
+// lock, each a closure that walks its worker's engine iterator (dispatch),
+// then merges their sorted results.
 func (s *Store) scanFan(ctx context.Context, q scanQuery) ([]Pair, error) {
 	ctx = liveCtx(ctx)
-	fan := newFanIn()
 	s.routeMu.RLock()
 	rt := s.route.Load()
+	ls := newLegSet(rt, 0)
 	outs := make([][]Pair, len(rt.workers))
-	for i, w := range rt.workers {
-		r := &request{typ: reqRun, callback: fan.finish, run: func(w *worker) error {
+	for i := range rt.workers {
+		r := getRequest()
+		r.typ, r.run = reqRun, func(w *worker) error {
 			it, err := w.engine.NewIterator()
 			if err != nil {
 				return err
@@ -629,14 +582,12 @@ func (s *Store) scanFan(ctx context.Context, q scanQuery) ([]Pair, error) {
 			defer it.Close()
 			outs[i], err = q.scan(ctx, rt.owned(it, i))
 			return err
-		}}
-		fan.add()
-		if err := s.admit(ctx, w, r); err != nil {
-			fan.finish(err)
 		}
+		ls.by[i] = append(ls.by[i], r)
 	}
-	s.routeMu.RUnlock()
-	if _, err := fan.wait(ctx); err != nil {
+	completed, err := s.dispatch(ctx, ls, true)
+	ls.release(completed)
+	if err != nil {
 		return nil, err
 	}
 	var all []Pair

@@ -223,13 +223,14 @@ type recycleLog struct {
 	recycled map[string]int
 	early    map[string]bool // recycled while the callback had not returned
 	legs     []string        // recycled, or marked for it, without being a single-key callback request
-	// multiGetLegs counts the recycles of multiget read legs, which their
-	// submitter puts back.
-	multiGetLegs map[string]int
+	// setLegs counts the recycles of a leg set's requests — multiget reads,
+	// multi-partition write legs, scan closures — which their submitter puts
+	// back.
+	setLegs map[string]int
 }
 
 func watchRecycles(t *testing.T) *recycleLog {
-	l := &recycleLog{returned: map[string]bool{}, recycled: map[string]int{}, early: map[string]bool{}, multiGetLegs: map[string]int{}}
+	l := &recycleLog{returned: map[string]bool{}, recycled: map[string]int{}, early: map[string]bool{}, setLegs: map[string]int{}}
 	hook := func(r *request) {
 		key := string(r.key)
 		if r.typ == reqWrite && len(r.ops) > 0 {
@@ -240,8 +241,8 @@ func watchRecycles(t *testing.T) *recycleLog {
 		if r.done == nil || len(r.ops) > 1 {
 			l.legs = append(l.legs, key)
 		}
-		if r.typ == reqRead && r.callback != nil && !r.recycle {
-			l.multiGetLegs[key]++
+		if r.callback != nil && !r.recycle {
+			l.setLegs[key]++
 			return
 		}
 		if !r.recycle {
@@ -425,12 +426,13 @@ func TestCallbackRequestRecycledOnce(t *testing.T) {
 }
 
 // TestMultiLegRequestRecycling pins who recycles a multi-leg operation's
-// requests. A MultiGetCtx's read legs come from the pool without the recycle
-// mark, so no completer puts them back: the submitter recycles each exactly
-// once, after its fan-in has observed every completion, and a submitter
-// whose context ended first never does — the worker still holds those legs.
-// A cross-partition WriteCtx's legs stay ordinary allocations. The legs are
-// caught in the queue behind wedged workers.
+// requests. A MultiGetCtx's read legs and a cross-partition WriteCtx's
+// write legs come from the pool without the recycle mark (legSet), so no
+// completer puts them back: the submitter recycles each exactly once, after
+// its fan-in has observed every completion, and a submitter whose context
+// ended first never does — the worker still holds those legs, a multiget's
+// or a transaction's alike. The legs are caught in the queue behind wedged
+// workers.
 func TestMultiLegRequestRecycling(t *testing.T) {
 	l := watchRecycles(t)
 	gates := map[int]chan struct{}{0: make(chan struct{}), 1: make(chan struct{})}
@@ -461,7 +463,7 @@ func TestMultiLegRequestRecycling(t *testing.T) {
 	abandoned := [][]byte{shardKey(0, 4), shardKey(1, 4)}
 	ctx, cancel := context.WithCancel(context.Background())
 	var ops sync.WaitGroup
-	ops.Add(3)
+	ops.Add(4)
 	go func() {
 		defer ops.Done()
 		if _, err := s.MultiGetCtx(nil, patient); err != nil {
@@ -483,13 +485,22 @@ func TestMultiLegRequestRecycling(t *testing.T) {
 			t.Errorf("WriteCtx: %v", err)
 		}
 	}()
+	go func() {
+		defer ops.Done()
+		var b kv.Batch
+		b.Put(abandoned[0], []byte("v"))
+		b.Put(abandoned[1], []byte("v"))
+		if err := s.WriteCtx(ctx, &b); !errors.Is(err, kv.ErrDeadlineExceeded) {
+			t.Errorf("WriteCtx abandoned in the queue = %v, want ErrDeadlineExceeded", err)
+		}
+	}()
 	rt := s.route.Load()
 	queuedLegs := func(w *worker) []*request {
 		w.q.mu.Lock()
 		defer w.q.mu.Unlock()
 		return append([]*request(nil), w.q.items[w.q.head:]...)
 	}
-	for deadline := time.Now().Add(5 * time.Second); len(queuedLegs(rt.workers[0])) < 4 || len(queuedLegs(rt.workers[1])) < 3; {
+	for deadline := time.Now().Add(5 * time.Second); len(queuedLegs(rt.workers[0])) < 5 || len(queuedLegs(rt.workers[1])) < 4; {
 		if time.Now().After(deadline) {
 			t.Fatal("the legs never queued")
 		}
@@ -500,10 +511,8 @@ func TestMultiLegRequestRecycling(t *testing.T) {
 			switch {
 			case r.callback == nil || r.recycle:
 				t.Errorf("worker %d: a leg (typ %d) without a callback or marked for a completer's recycle", w.id, r.typ)
-			case r.typ == reqRead && r.done == nil:
-				t.Errorf("worker %d: a multiget leg did not come from the pool", w.id)
-			case r.typ == reqWrite && r.done != nil:
-				t.Errorf("worker %d: a transaction leg came from the pool", w.id)
+			case r.done == nil:
+				t.Errorf("worker %d: a leg (typ %d) did not come from the pool", w.id, r.typ)
 			}
 		}
 	}
@@ -516,15 +525,15 @@ func TestMultiLegRequestRecycling(t *testing.T) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if len(l.legs) > 0 || len(l.recycled) != 2 {
-		t.Fatalf("requests recycled: %v, multi-leg writes among them: %q; want only the two wedge writes", l.recycled, l.legs)
+		t.Fatalf("requests recycled: %v, unpooled or multi-op requests among them: %q; want only the two wedge writes", l.recycled, l.legs)
 	}
-	for _, k := range patient {
-		if n := l.multiGetLegs[string(k)]; n != 1 {
-			t.Errorf("the multiget leg of %s was recycled %d times, want once", k, n)
+	for _, k := range append(patient, shardKey(0, 3), shardKey(1, 3)) {
+		if n := l.setLegs[string(k)]; n != 1 {
+			t.Errorf("the leg of %s was recycled %d times, want once", k, n)
 		}
 	}
 	for _, k := range abandoned {
-		if n := l.multiGetLegs[string(k)]; n != 0 {
+		if n := l.setLegs[string(k)]; n != 0 {
 			t.Errorf("the abandoned multiget leg of %s was recycled %d times, want never", k, n)
 		}
 	}

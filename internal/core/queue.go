@@ -100,21 +100,18 @@ func (r *request) complete(err error) {
 // newDone makes the completion channel of a request someone waits on.
 func newDone() chan struct{} { return make(chan struct{}, 1) }
 
-// requests recycles the requests of single-key operations — GetCtx, Put,
-// Delete and the callback forms GetAsync, PutAsync — each with its
-// completion channel, the request of a one-partition WriteCtx, and the read
-// legs of MultiGetCtx. The rule is ownership: only the goroutine that
-// observed a request's completion returns it. For a sync request that is
-// the waiter that received from done; a waiter whose context ended first
-// cannot know the worker is done with the request and leaves it to the
-// garbage collector. For a callback request it is whoever ran the callback
-// (a worker, or the close-drain), once the callback has returned. A
-// multiget leg is the exception to that: its callback finishes a fan-in,
-// and the submitter, which reads the leg after the fan-in completes,
-// recycles it once wait has observed every leg's completion (multiGet). A
-// request that never got into a queue is still its submitter's. The legs
-// of a write that spans partitions (writeLegs) and control-plane requests
-// stay ordinary allocations.
+// requests recycles the data plane's requests, each with its completion
+// channel: a single-key operation's (GetCtx, Put, Delete, GetAsync,
+// PutAsync), a one-partition WriteCtx's, and every leg of a multi-partition
+// call (legSet). The rule is ownership: only the goroutine that observed a
+// request's completion returns it. For a sync request that is the waiter
+// that received from done; for a callback request, whoever ran the callback
+// (a worker, or the close-drain), once it has returned; for a leg, whose
+// callback finishes a fan-in, the submitter, once wait has observed every
+// leg's completion. A waiter whose context ended first cannot know the
+// worker is done and leaves the request to the garbage collector; a request
+// that never got into a queue is still its submitter's. Control-plane
+// requests stay ordinary allocations.
 var requests = sync.Pool{New: func() any { return &request{done: newDone()} }}
 
 func getRequest() *request { return requests.Get().(*request) }

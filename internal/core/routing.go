@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"p2kvs/internal/keyspace"
@@ -76,20 +77,69 @@ func (rt *routing) owner(ops []kv.BatchOp) *worker {
 	return w
 }
 
-// split partitions a batch's ops into one write request per worker under
-// this routing generation, indexed like workers: nil for a worker that owns
-// none of them. A request's ops are copies of the batch's, in batch order,
-// not of the key and value bytes.
-func (rt *routing) split(ops []kv.BatchOp) []*request {
-	legs := make([]*request, len(rt.workers))
-	for _, op := range ops {
-		i := rt.part.Pick(op.Key)
-		if legs[i] == nil {
-			legs[i] = &request{typ: reqWrite}
+// legSet is one multi-partition call's legs (Store.dispatch): its requests,
+// grouped by owning worker under the routing generation rt, and the fan-in
+// they complete through. It is pooled with its scratch; its requests are
+// pooled without the recycle mark, and go back with it (release).
+type legSet struct {
+	fanIn
+	fin  func(error) // fanIn.finish, bound once: every queued leg's callback
+	rt   *routing
+	by   [][]*request   // worker p's leg: a read per key, or one write or closure
+	reqs []*request     // the request of each key or op, positional (nil: a hot-cache hit)
+	ops  [][]kv.BatchOp // worker p's write leg's ops, in batch order
+	keys [][]byte       // a direct read leg's multiget keys
+}
+
+var legSets = sync.Pool{New: func() any {
+	ls := &legSet{fanIn: fanIn{done: make(chan struct{}, 1)}}
+	ls.fin = ls.finish
+	return ls
+}}
+
+// newLegSet takes a leg set for a call of n keys or ops routed by rt.
+func newLegSet(rt *routing, n int) *legSet {
+	ls := legSets.Get().(*legSet)
+	ls.rt, ls.pending = rt, 1
+	ls.by = slices.Grow(ls.by, len(rt.workers))[:len(rt.workers)]
+	ls.ops = slices.Grow(ls.ops, len(rt.workers))[:len(rt.workers)]
+	ls.reqs = slices.Grow(ls.reqs, n)[:n]
+	return ls
+}
+
+// write splits ops into one write request per owning worker. A request's ops
+// are copies of the batch's, in batch order, not of the key and value bytes.
+func (ls *legSet) write(ops []kv.BatchOp) {
+	for i, op := range ops {
+		p := ls.rt.part.Pick(op.Key)
+		if len(ls.by[p]) == 0 {
+			r := getRequest()
+			r.typ = reqWrite
+			ls.by[p] = append(ls.by[p], r)
 		}
-		legs[i].ops = append(legs[i].ops, op)
+		ls.ops[p] = append(ls.ops[p], op)
+		ls.reqs[i], ls.by[p][0].ops = ls.by[p][0], ls.ops[p]
 	}
-	return legs
+}
+
+// release recycles the set and its legs once they are the caller's again:
+// completed says its wait observed every completion (or no leg was queued).
+// Otherwise the workers may still hold them, and they go to the GC.
+func (ls *legSet) release(completed bool) {
+	if !completed {
+		return
+	}
+	for p, leg := range ls.by {
+		for _, r := range leg {
+			putRequest(r)
+		}
+		clear(leg)
+		clear(ls.ops[p]) // they alias the caller's key and value bytes
+		ls.by[p], ls.ops[p] = leg[:0], ls.ops[p][:0]
+	}
+	clear(ls.reqs)
+	ls.by, ls.ops, ls.reqs, ls.rt, ls.err = ls.by[:0], ls.ops[:0], ls.reqs[:0], nil, nil
+	legSets.Put(ls)
 }
 
 // ---------------------------------------------------------------------------
@@ -201,15 +251,15 @@ func (s *Store) writeAdmitErr(w *worker) error {
 	return err
 }
 
-// fanIn is the one completion of a multi-leg operation — a multiget's read
-// legs, a transaction's write legs, a scan's per-worker legs, a barrier's
-// parked workers. It counts legs, keeps the first error and signals done
+// fanIn is the one completion of a multi-leg operation — a leg set's legs
+// (a multiget's, a multi-partition write's, a scan's), a barrier's parked
+// workers. It counts legs, keeps the first error and signals done
 // when the last leg finishes; legs report through finish, usually as their
 // request's callback. The submitter holds one count of its own from
 // newFanIn until wait, so legs that finish while later ones are still
 // being admitted cannot signal done early. done has one receiver and
 // capacity 1, so the signal never blocks and, once received, leaves the
-// channel reusable (multiGets).
+// channel reusable (legSets).
 type fanIn struct {
 	mu      sync.Mutex
 	pending int

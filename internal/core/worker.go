@@ -409,7 +409,7 @@ func (w *worker) executeReads(reqs []*request) {
 // readLeg is the one runner of a leg — reads of this worker's keys — on
 // whichever goroutine runs it: the worker's for a queued run
 // (executeReads), the caller's for a direct one (Store.submit,
-// Store.MultiGetCtx; direct set). Two keys or more take one engine
+// Store.placeLeg; direct set). Two keys or more take one engine
 // multiget when the engine has one; otherwise each key is one get, in turn.
 // Each request receives its result (val, found, err) and is not completed;
 // err is the leg's first error. keys is scratch for the multiget's key
