@@ -189,25 +189,32 @@ func runAblationCache(e Env) (*Table, error) {
 // its share is of keys). SET is a lone Put; MSET is 16 keys written as one
 // WriteEachCtx, the call a pipelined run of SETs becomes, whose idle
 // workers' legs the client commits in turn (an MSET command is one atomic
-// WriteCtx and always queues). A direct write holds its worker busy, so
-// concurrent writers to it queue behind it and OBM merges them.
+// WriteCtx and always queues). A direct write holds its worker's exec lock,
+// so concurrent writers to it queue behind it and OBM merges them; reads do
+// not. GET+SET/hot, the one row with a hot cache (32 MiB), has even threads
+// GET and odd ones SET zipfian keys: reads run beside direct writes, which
+// fence their keys (its share counts writes and reads that missed).
 func runAblationDirectRead(e Env) (*Table, error) {
 	const batchKeys = 16
-	tbl := NewTable("Ablation: direct rule (p2KVS-4, sync GET, 16-key MGET, SET and 16-key MSET, uniform, preloaded)",
+	tbl := NewTable("Ablation: direct rule (p2KVS-4, sync GET, 16-key MGET, SET, 16-key MSET and GET beside SET on a hot cache, preloaded)",
 		"op", "threads", "queued simQPS", "direct simQPS", "queued real ops/s", "direct real ops/s", "direct share %")
-	for _, op := range []string{"GET", "MGET", "SET", "MSET"} {
-		for _, threads := range ends(e, 1, 2, 4, 8, 16, 32) {
+	for _, op := range []string{"GET", "MGET", "SET", "MSET", "GET+SET/hot"} {
+		dist, axis, cacheBytes := "uniform", ends(e, 1, 2, 4, 8, 16, 32), int64(0)
+		if op == "GET+SET/hot" {
+			dist, axis, cacheBytes = "zipfian", ends(e, 2, 8, 32), -1
+		}
+		for _, threads := range axis {
 			row := []interface{}{op, threads}
 			var share float64
 			for _, prof := range []device.Profile{device.NVMe, device.Null} {
 				for _, direct := range []bool{false, true} {
 					s, scale, err := openOn(e, prof, e.ValueSize, func(fs vfs.FS) (*core.Store, error) {
-						return openP2(fs, "p2", 4, true, lsm.RocksDBOptions, func(o *core.Options) { o.Direct = direct })
+						return openP2(fs, "p2", 4, true, lsm.RocksDBOptions, func(o *core.Options) { o.Direct, o.HotCacheBytes = direct, cacheBytes })
 					})
 					if err != nil {
 						return nil, err
 					}
-					choosers := perThreadChoosers("uniform", threads, e.Keys)
+					choosers := perThreadChoosers(dist, threads, e.Keys)
 					keys := 1
 					var call func(tid, _ int) error
 					switch op {
@@ -215,6 +222,13 @@ func runAblationDirectRead(e Env) (*Table, error) {
 						call = func(tid, _ int) error { return get(s, choosers[tid].Next()) }
 					case "SET":
 						call = func(tid, _ int) error { return put(s, choosers[tid].Next(), e.ValueSize) }
+					case "GET+SET/hot":
+						call = func(tid, _ int) error {
+							if tid%2 == 0 {
+								return get(s, choosers[tid].Next())
+							}
+							return put(s, choosers[tid].Next(), e.ValueSize)
+						}
 					case "MGET":
 						keys = batchKeys
 						batches := make([][][]byte, threads)
@@ -250,10 +264,7 @@ func runAblationDirectRead(e Env) (*Table, error) {
 					}
 					row = append(row, res.SimQPS)
 					if direct && res.Ops > 0 {
-						ran := agg.DirectReads
-						if op == "SET" || op == "MSET" {
-							ran = agg.DirectWrites
-						}
+						ran := agg.DirectReads + agg.DirectWrites // a row's ops read or write, or (hot) both
 						share = 100 * float64(ran) / float64(res.Ops*int64(keys))
 					}
 				}

@@ -132,16 +132,53 @@ func TestDegradedErrAllocs(t *testing.T) {
 
 // gatedNop is nopEngine with one operation parked until gate closes, each
 // arrival announced on entered: every Write (a worker wedged mid-apply), or,
-// with reads set, every Get (a read stalled on its device).
+// with reads set, every Get (a read stalled on its device). Its per-call form
+// (newHeldNop) parks no call by default: a Write keeps its last op's value and
+// a Get returns the kept one, and a call parks only at a point a hold was
+// queued for (hold), announced on entered.
 type gatedNop struct {
 	nopEngine
 	reads         bool
 	entered, gate chan struct{}
 	closed        atomic.Bool
+	holds         [3]chan chan struct{} // per hold point, the next call's release
+	kept          atomic.Pointer[[]byte]
 }
+
+// The hold points of a gatedNop's per-call form.
+const (
+	holdGetEntry = iota // a Get, before it reads the kept value
+	holdGetExit         // a Get, with the kept value read, before it returns
+	holdApplied         // a Write, with its value kept, before it returns
+)
 
 func newGatedNop(reads bool) *gatedNop {
 	return &gatedNop{nopEngine: nopEngine{val: []byte("v")}, reads: reads, entered: make(chan struct{}, 1), gate: make(chan struct{})}
+}
+
+func newHeldNop(initial []byte) *gatedNop {
+	e := &gatedNop{entered: make(chan struct{}, 1)}
+	for i := range e.holds {
+		e.holds[i] = make(chan chan struct{}, 1)
+	}
+	e.kept.Store(&initial)
+	return e
+}
+
+// hold parks the next call to reach point at until release is called.
+func (e *gatedNop) hold(at int) (release func()) {
+	ch := make(chan struct{})
+	e.holds[at] <- ch
+	return sync.OnceFunc(func() { close(ch) })
+}
+
+func (e *gatedNop) at(point int) {
+	select {
+	case ch := <-e.holds[point]:
+		e.entered <- struct{}{}
+		<-ch
+	default:
+	}
 }
 
 func (e *gatedNop) park(parks bool) {
@@ -154,9 +191,28 @@ func (e *gatedNop) park(parks bool) {
 	}
 }
 
-func (e *gatedNop) Write(*kv.Batch) error { e.park(!e.reads); return nil }
+func (e *gatedNop) Write(b *kv.Batch) error {
+	if e.holds[0] == nil {
+		e.park(!e.reads)
+		return nil
+	}
+	ops := b.Ops()
+	v := append([]byte(nil), ops[len(ops)-1].Value...)
+	e.kept.Store(&v)
+	e.at(holdApplied)
+	return nil
+}
 
-func (e *gatedNop) Get([]byte) ([]byte, error) { e.park(e.reads); return e.val, nil }
+func (e *gatedNop) Get([]byte) ([]byte, error) {
+	if e.holds[0] == nil {
+		e.park(e.reads)
+		return e.val, nil
+	}
+	e.at(holdGetEntry)
+	v := append([]byte(nil), *e.kept.Load()...)
+	e.at(holdGetExit)
+	return v, nil
+}
 
 func (e *gatedNop) Close() error { e.closed.Store(true); return nil }
 

@@ -635,10 +635,12 @@ func TestDirectWritePaths(t *testing.T) {
 			t.Error("worker 0's leg never queued behind the wedge")
 		}
 	})
-	// A direct write parked in its engine. Without a hot cache a read of its
-	// worker is concurrent with the unacknowledged write and runs on its
-	// caller beside it; with one the write counts itself in pending and the
-	// read queues behind it, returning only once the write has left. Either
+	// A direct write parked in its engine. A read of its worker is concurrent
+	// with the unacknowledged write and runs on its caller beside it: the
+	// write does not count itself in pending, with or without a hot cache.
+	// With one, a key resident before the park and written by the parked
+	// write is fenced: it is read from the engine, never from the cache,
+	// until the write-through, which leaves the new value resident. Either
 	// way a second write queues, and the worker takes it only once the
 	// direct write has left exec.
 	for _, hot := range []bool{false, true} {
@@ -656,41 +658,46 @@ func TestDirectWritePaths(t *testing.T) {
 			release := sync.OnceFunc(func() { close(eng.gate) })
 			defer s.Close()
 			defer release()
-			errc := make(chan error, 3)
+			get := func(key string) []byte {
+				t.Helper()
+				got := make(chan []byte, 1)
+				go func() {
+					v, err := s.Get([]byte(key))
+					if err != nil {
+						t.Error(err)
+					}
+					got <- v
+				}()
+				select {
+				case v := <-got:
+					return v
+				case <-time.After(5 * time.Second):
+					t.Fatalf("Get(%s) queued behind the parked direct write", key)
+					return nil
+				}
+			}
+			get("a") // resident from here on, with a hot cache
+			before := s.StatsSnapshot()
+			errc := make(chan error, 2)
 			go func() { errc <- s.Put([]byte("a"), []byte("1")) }()
 			<-eng.entered // the caller is inside the engine, holding exec
-			read := make(chan error, 1)
-			go func() { _, err := s.Get([]byte("b")); read <- err }()
-			queued := int64(0)
-			if hot {
-				queued = 1 // the read, behind the counted write
-				if !waitPending(s.ws()[0], 2) {
-					t.Fatal("with a hot cache the read did not queue behind the direct write")
-				}
-			} else if err := <-read; err != nil {
-				t.Fatal(err)
-			}
+			get("b")
+			get("a")
 			go func() { errc <- s.Put([]byte("c"), []byte("2")) }()
-			want := queued + 1 // the second write
-			if hot {
-				want++ // the direct write's own count
-			}
-			if !waitPending(s.ws()[0], want) {
-				t.Fatalf("pending = %d, want %d", s.ws()[0].q.pending.Load(), want)
+			if !waitPending(s.ws()[0], 1) { // the second write alone
+				t.Fatalf("pending = %d, want 1", s.ws()[0].q.pending.Load())
 			}
 			select {
 			case <-eng.entered:
 				t.Error("a second write entered the engine beside the direct write")
 			case err := <-errc:
 				t.Errorf("a write returned while the direct write was inside the engine (%v)", err)
-			case err := <-read:
-				if hot {
-					t.Errorf("a read returned while the counted direct write was inside the engine (%v)", err)
-				}
 			case <-time.After(20 * time.Millisecond):
 			}
-			if st := s.Stats()[0]; st.Ops != 0 || st.DirectWrites != 1 || st.DirectReads != 1-queued {
-				t.Errorf("while the direct write is in the engine: worker ops %d, direct writes %d, direct reads %d; want 0, 1, %d", st.Ops, st.DirectWrites, st.DirectReads, 1-queued)
+			snap := s.StatsSnapshot()
+			agg := snap.Aggregate
+			if ops, writes, reads, hits := agg.Ops, agg.DirectWrites, agg.DirectReads-before.Aggregate.DirectReads, snap.CacheHits-before.CacheHits; ops != 0 || writes != 1 || reads != 2 || hits != 0 {
+				t.Errorf("while the direct write is in the engine: worker ops %d, direct writes %d, direct reads %d, cache hits %d; want 0, 1, 2, 0", ops, writes, reads, hits)
 			}
 			release()
 			for range 2 {
@@ -698,13 +705,14 @@ func TestDirectWritePaths(t *testing.T) {
 					t.Error(err)
 				}
 			}
-			if hot {
-				if err := <-read; err != nil {
-					t.Error(err)
-				}
+			if st := s.Stats()[0]; st.Ops != 1 || st.DirectWrites != 1 {
+				t.Errorf("worker ops %d, direct writes %d; want 1, 1", st.Ops, st.DirectWrites)
 			}
-			if st := s.Stats()[0]; st.Ops != 1+queued || st.DirectWrites != 1 {
-				t.Errorf("worker ops %d, direct writes %d; want %d, 1", st.Ops, st.DirectWrites, 1+queued)
+			if hot {
+				hits := s.StatsSnapshot().CacheHits
+				if v := get("a"); string(v) != "1" || s.StatsSnapshot().CacheHits != hits+1 {
+					t.Errorf("after the write-through a = %q (cache hits %d -> %d); want \"1\" from the cache", v, hits, s.StatsSnapshot().CacheHits)
+				}
 			}
 		})
 	}

@@ -321,6 +321,108 @@ func TestHotCacheControlWriteRunsAlone(t *testing.T) {
 	}
 }
 
+// TestHotCacheFenceSchedule replays on one worker, step by step, the
+// schedule a direct write's fence exists for: reader B's engine read returns
+// the old value and is held before B fills the cache; a write applies and is
+// held before its write-through; reader A misses, reads the new value from
+// the engine and returns; B's fill is released. A's next Get must not return
+// the old value: the fence rejects B's fill (its ticket predates the fence)
+// and hides the key until the write-through. A queued write (PutAsync) takes
+// no fence, and the same schedule — A's engine read entered before the write
+// is queued, else A would queue behind it — still reads the old value back:
+// inside DESIGN §14's contract (no hit older than the last acknowledged
+// write), but A's reads go backwards. That case pins the hole until a fix
+// flips it.
+func TestHotCacheFenceSchedule(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		async bool
+		want  string // A's second read
+	}{{"Put", false, "new"}, {"PutAsync", true, "old"}} {
+		t.Run(c.name, func(t *testing.T) {
+			eng := newHeldNop([]byte("old"))
+			opts := DefaultOptions(func(int, func(uint64) bool) (kv.Engine, error) { return eng, nil })
+			opts.Workers, opts.HotCacheBytes = 1, 1<<20
+			s, err := Open(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			k := []byte("k")
+			get := func() chan []byte {
+				ch := make(chan []byte, 1)
+				go func() {
+					v, err := s.Get(k)
+					if err != nil {
+						t.Error(err)
+					}
+					ch <- v
+				}()
+				return ch
+			}
+			recv := func(ch chan []byte, who string) string {
+				t.Helper()
+				select {
+				case v := <-ch:
+					return string(v)
+				case <-time.After(5 * time.Second):
+					t.Fatalf("%s never returned", who)
+					return ""
+				}
+			}
+			releaseB := eng.hold(holdGetExit) // 1
+			defer releaseB()
+			b := get()
+			<-eng.entered
+			var a chan []byte
+			releaseA := func() {}
+			if c.async {
+				releaseA = eng.hold(holdGetEntry)
+				a = get()
+				<-eng.entered
+			}
+			releaseW := eng.hold(holdApplied) // 2
+			defer releaseW()
+			wrote := make(chan error, 1)
+			if c.async {
+				if err := s.PutAsync(k, []byte("new"), func(err error) { wrote <- err }); err != nil {
+					t.Fatal(err)
+				}
+			} else {
+				go func() { wrote <- s.Put(k, []byte("new")) }()
+			}
+			<-eng.entered
+			if !c.async { // 3
+				a = get()
+			}
+			releaseA()
+			if v := recv(a, "A's first Get"); v != "new" {
+				t.Fatalf("A's first Get = %q, want the applied \"new\"", v)
+			}
+			releaseB() // 4
+			if v := recv(b, "B's Get"); v != "old" {
+				t.Fatalf("B's Get = %q, want \"old\"", v)
+			}
+			second := get() // 5: served at once, or queued behind the write
+			for start := time.Now(); len(second) == 0 && s.ws()[0].q.pending.Load() < 2; runtime.Gosched() {
+				if time.Since(start) > 5*time.Second {
+					t.Fatal("A's second Get neither returned nor queued")
+				}
+			}
+			releaseW()
+			if v := recv(second, "A's second Get"); v != c.want {
+				t.Errorf("A's second Get = %q after its first read %q; want %q", v, "new", c.want)
+			}
+			if err := <-wrote; err != nil {
+				t.Fatal(err)
+			}
+			if v := recv(get(), "the Get after the write"); v != "new" {
+				t.Errorf("after the write-through Get = %q, want \"new\"", v)
+			}
+		})
+	}
+}
+
 // TestHotCacheFailedWriteDrops: a write the engine failed may have partially
 // applied, so its keys leave the cache — nothing is installed from it.
 func TestHotCacheFailedWriteDrops(t *testing.T) {

@@ -122,31 +122,20 @@ func (s *Store) direct(ctx context.Context, w *worker) bool {
 // the lock it tests pending again (the worker may have taken a run between
 // the test and the lock), so the write is the instance's one writer and
 // lands after every earlier submission: the hot cache's write-through,
-// ship's GSN order and lastGSN hold unchanged. Until it returns the write
-// is concurrent with every read. Without a hot cache a read that finds the
-// worker idle meanwhile runs beside it, as beside any writer of the engine.
-// With one the write counts itself in pending, so reads of w queue behind
-// it as behind a queued write: a read that reached the engine between the
-// write's apply and its write-through could return the new value while an
-// older one is still resident, and the same reader's next read would hit the
-// older one. ran is false when any test fails; nothing was done and the
-// caller queues the write.
+// ship's GSN order and lastGSN hold unchanged. Reads of w run beside it, as
+// beside any writer of the engine, and the hot cache fences its keys until
+// the write-through. ran is false when any test fails; nothing was done and
+// the caller queues the write.
 func (s *Store) directWrite(ctx context.Context, w *worker, ops []kv.BatchOp) (ran bool, err error) {
 	if !s.direct(ctx, w) || s.resh.Load() != nil || !w.exec.TryLock() {
 		return false, nil
 	}
 	defer w.exec.Unlock()
-	switch {
-	case w.cache == nil:
-		if w.q.pending.Load() != 0 {
-			return false, nil
-		}
-	case !w.q.pending.CompareAndSwap(0, 1):
+	if w.q.pending.Load() != 0 {
 		return false, nil
-	default:
-		defer w.q.pending.Add(-1)
 	}
 	w.directWrites.Add(int64(len(ops)))
+	w.cache.Fence(ops)
 	return true, w.commit(ops, 0, 0, false)
 }
 
@@ -234,10 +223,9 @@ func (s *Store) submit(ctx context.Context, key []byte, ticket uint64, cb func([
 // nothing queued, nothing executing — and ctx carries no deadline, the
 // caller runs the engine read itself, under the routing read lock, and no
 // goroutine is woken (Options.Direct). Idle means every write queued on
-// that worker before the test has been applied — and, with a hot cache, no
-// direct write is in flight (directWrite) — so the read sees all of them; a
-// write submitted after it, or without a hot cache a direct write that has
-// not returned, is concurrent with the read.
+// that worker before the test has been applied, so the read sees all of
+// them; a write submitted after it, or a direct write that has not returned,
+// is concurrent with the read.
 // Anything else takes the queue: a busy worker has something to batch the
 // read with (OBM), and only a waiter that is not the executor can abandon a
 // read at its deadline.

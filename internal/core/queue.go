@@ -167,14 +167,12 @@ type reqQueue struct {
 	highWater int
 
 	// pending counts requests enqueued and not yet finished: enqueueLocked
-	// is its only increment but one — with a hot cache a direct write counts
-	// itself for the length of its commit (Store.directWrite) — and the
-	// worker loop subtracts a run only after the engine applied it (or it was
-	// shed, or drained at the close deadline). Zero therefore means every
-	// request ever queued on this worker has taken effect — the idle test of
-	// the direct rule (Store.direct), loaded by callers on other cores on
-	// every GET, hence the padding that keeps it off the line mu and the
-	// deque live on.
+	// is its only increment, and the worker loop subtracts a run only after
+	// the engine applied it (or it was shed, or drained at the close
+	// deadline). Zero therefore means every request ever queued on this
+	// worker has taken effect — the idle test of the direct rule
+	// (Store.direct), loaded by callers on other cores on every GET, hence
+	// the padding that keeps it off the line mu and the deque live on.
 	_       [64]byte
 	pending atomic.Int64
 	_       [56]byte

@@ -13,7 +13,10 @@
 //   - A reader that misses snapshots its key's stripe BEFORE the engine read
 //     (a "ticket") and may Fill the result only while, under the shard lock,
 //     the stripe still equals the ticket.
-//   - Get serves whatever is resident. Residency is validity.
+//   - A direct writer, whose worker's reads do not queue behind it, first
+//     calls Fence: until each op's own Update, its key misses and refuses
+//     fills, so a reader that read the new value cannot hit an older one.
+//   - Get serves whatever is resident and not fenced. Residency is validity.
 //
 // A write racing a read-and-fill of the same key either runs its Update
 // first (the fill is rejected) or second (it overwrites what the fill
@@ -34,6 +37,8 @@
 package hotcache
 
 import (
+	"bytes"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -97,6 +102,7 @@ type shard struct {
 	m      map[string]*entry
 	ring   []*entry // clock ring; hand walks it looking for victims
 	hand   int
+	fences [][]byte // the keys of fenced ops, their writers' slices
 
 	hits    int64
 	negHits int64
@@ -143,6 +149,36 @@ func (c *Cache) Snapshot(key []byte) uint64 {
 	return c.marks[hash(key)&stripeMask].Load()
 }
 
+// Fence bumps each op's stripe and records its key, which the writer leaves
+// unmodified until the op's own Update lifts the fence.
+func (c *Cache) Fence(ops []kv.BatchOp) {
+	if c == nil {
+		return
+	}
+	for _, op := range ops {
+		h := hash(op.Key)
+		s := &c.shards[(h>>32)&shardMask]
+		s.mu.Lock()
+		c.marks[h&stripeMask].Add(1)
+		s.fences = append(s.fences, op.Key)
+		s.mu.Unlock()
+	}
+}
+
+// fenced reports whether key is fenced. With lift it lifts the fence of the
+// very slice key instead, if any. Called with s.mu held.
+func (s *shard) fenced(key []byte, lift bool) bool {
+	for i, k := range s.fences {
+		if bytes.Equal(k, key) && (!lift || len(k) == 0 || &k[0] == &key[0]) {
+			if lift {
+				s.fences = slices.Delete(s.fences, i, i+1)
+			}
+			return true
+		}
+	}
+	return false
+}
+
 // Update records that the key's worker applied op. Workers call it for
 // every written key, in op order, after the engine call returned and before
 // the write is acknowledged. It bumps the key's stripe — a fill whose engine
@@ -150,7 +186,8 @@ func (c *Cache) Snapshot(key []byte) uint64 {
 // a put stores the new value (into the old buffer when it fits), a delete
 // turns the entry negative. With drop set the resident entry is removed
 // instead (see the package comment for who must). A key that is not
-// resident is never inserted. The cache copies what it keeps of op.
+// resident is never inserted. It copies what it keeps of op, and lifts op's
+// fence, not another writer's.
 func (c *Cache) Update(op kv.BatchOp, drop bool) {
 	if c == nil {
 		return
@@ -163,6 +200,7 @@ func (c *Cache) Update(op kv.BatchOp, drop bool) {
 	// wholly before this Update (and is overwritten below) or sees the bump.
 	c.marks[h&stripeMask].Add(1)
 	s.bumps++
+	s.fenced(op.Key, true)
 	e, resident := s.m[string(op.Key)]
 	if !resident {
 		return
@@ -188,7 +226,7 @@ func (c *Cache) Get(key []byte) (val []byte, negative, ok bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	e, resident := s.m[string(key)]
-	if !resident {
+	if !resident || s.fenced(key, false) {
 		s.misses++
 		return nil, false, false
 	}
@@ -203,9 +241,9 @@ func (c *Cache) Get(key []byte) (val []byte, negative, ok bool) {
 
 // Fill inserts the result of an engine read performed under ticket (from
 // Snapshot). The insert is dropped if the key's stripe has moved — the value
-// may predate a concurrent write — or if the entry could never fit the shard
-// budget. negative records a "not found" result. The cache copies key and
-// val; callers keep ownership of both.
+// may predate a concurrent write — if the key is fenced, or if the entry could
+// never fit the shard budget. negative records a "not found" result. The
+// cache copies key and val; callers keep ownership of both.
 func (c *Cache) Fill(key, val []byte, negative bool, ticket uint64) {
 	if c == nil {
 		return
@@ -217,8 +255,8 @@ func (c *Cache) Fill(key, val []byte, negative bool, ticket uint64) {
 	s := &c.shards[(h>>32)&shardMask]
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if c.marks[h&stripeMask].Load() != ticket || cost(len(key), len(val)) > s.budget {
-		return // stale, or could never fit: inserting would just churn the shard
+	if c.marks[h&stripeMask].Load() != ticket || cost(len(key), len(val)) > s.budget || s.fenced(key, false) {
+		return // stale, could never fit (inserting would just churn the shard), or fenced
 	}
 	e, resident := s.m[string(key)]
 	if !resident {

@@ -167,6 +167,65 @@ func TestStripeNeighbourKeepsBeingServed(t *testing.T) {
 	get(t, c, n, "neighbour")
 }
 
+// sameShard returns a key other than k in k's shard and off its stripe.
+func sameShard(k string) string {
+	for i := 0; ; i++ {
+		n := fmt.Sprintf("shard-neighbour-%d", i)
+		h, hk := hash([]byte(n)), hash([]byte(k))
+		if (h>>32)&shardMask == (hk>>32)&shardMask && h&stripeMask != hk&stripeMask {
+			return n
+		}
+	}
+}
+
+// TestFence: from Fence to the op's own Update a key is a miss and refuses
+// every fill, whenever its ticket was taken; an Update of the key by another
+// writer does not lift the fence, and the key's shard neighbours are served
+// throughout. The op's Update — rewriting or dropping — lifts it.
+func TestFence(t *testing.T) {
+	for _, drop := range []bool{false, true} {
+		t.Run(fmt.Sprintf("drop=%v", drop), func(t *testing.T) {
+			c := New(1 << 20)
+			n := sameShard("k")
+			fill(c, "k", "old")
+			fill(c, n, "neighbour")
+			before := c.Snapshot([]byte("k"))
+			op := put("k", "new")
+			c.Fence([]kv.BatchOp{op})
+			if _, _, ok := c.Get([]byte("k")); ok {
+				t.Fatal("a fenced resident key was served")
+			}
+			get(t, c, n, "neighbour")
+			for when, ticket := range map[string]uint64{"before": before, "during": c.Snapshot([]byte("k"))} {
+				c.Fill([]byte("k"), []byte("filled"), false, ticket)
+				if _, _, ok := c.Get([]byte("k")); ok {
+					t.Fatalf("a fill under a ticket taken %s the fence was served", when)
+				}
+			}
+			c.Update(put("k", "other"), false) // the same key, another writer's slice
+			if _, _, ok := c.Get([]byte("k")); ok {
+				t.Fatal("another writer's Update lifted the fence")
+			}
+			c.Update(op, drop)
+			if drop {
+				if _, _, ok := c.Get([]byte("k")); ok {
+					t.Fatal("a dropping Update left the key resident")
+				}
+				fill(c, "k", "new")
+			}
+			get(t, c, "k", "new")
+			get(t, c, n, "neighbour")
+			want := int64(2) // k and n
+			if drop {
+				want++ // k again
+			}
+			if st := c.Stats(); st.CacheFills != want {
+				t.Fatalf("fills = %d, want %d: a fenced fill went in", st.CacheFills, want)
+			}
+		})
+	}
+}
+
 func TestBudgetEviction(t *testing.T) {
 	c := New(numShards * 1024) // 1 KiB per shard
 	for i := 0; i < 2000; i++ {

@@ -47,6 +47,7 @@ repl       crash never ${REPL_ASYNC_CYCLES:-3} -crash_replica
 cache      $GO test -race -timeout 5m ./internal/hotcache
 cache      $GO test -race -short -timeout 5m -run 'HotCache|MultiGetAdmit|ShardDistribution|OversizedInsert' ./internal/core ./internal/cache ./internal/torture
 cache      $GO test -race -timeout 10m -run 'DirectReadHistory' ./internal/core -direct.window 2s
+cache      repeat 50 $GO test -race -count=1 -run 'TestDirectReadHistory/.*/direct=true/hotcache=true' ./internal/core
 cache      bench_line hotcache ycsbc_speedup 1.5 $GO run ./cmd/dbbench -hotcache_bench -num 20000 -threads 4 -p2 -workers 4 -devscale 0.2
 reshard    $GO test -race -short -timeout 10m -run 'ReshardTorture' ./internal/torture
 reshard    repeat ${RESHARD_RUNS:-200} $GO test -count=1 -timeout 5m -run 'ReshardTorture' ./internal/torture
