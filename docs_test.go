@@ -54,7 +54,7 @@ func TestDocsNameRealCounters(t *testing.T) {
 // designLineCeiling is DESIGN.md's length, ratcheted down: a change that
 // adds a paragraph removes one, and one that shortens the document lowers
 // the ceiling.
-const designLineCeiling = 1471
+const designLineCeiling = 1468
 
 func TestDesignLineCeiling(t *testing.T) {
 	raw, err := os.ReadFile("DESIGN.md")

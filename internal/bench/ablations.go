@@ -175,15 +175,16 @@ func runAblationCache(e Env) (*Table, error) {
 // runAblationDirectRead measures the direct rule, the one extension of the
 // request path the paper figures run without (openP2): a synchronous
 // operation whose worker is idle runs on the client thread instead of
-// crossing to the worker. Simulated columns are on the NVMe model (the
-// engine's per-lookup and per-record costs sleep wherever the call runs);
-// real columns are host time on a free device, where the two goroutine
-// wake-ups the handoff costs are what is being saved. Measured shape for
-// GET: in simulated time one thread gains nothing, 2-16 gain up to 1.8x (no
-// longer funnelled through four worker "cores") and OBM's multiget catches
-// up at 32; in real time the gain holds at every thread count. The direct
-// share stays 100%: a read that never enters a queue never makes a worker
-// look busy. The MGET rows are a 16-key MultiGet, whose direct legs run one
+// crossing to the worker. Both columns are simulated time on the NVMe model
+// (the engine's per-lookup and per-record costs sleep wherever the call
+// runs). The host time the rule saves — the two goroutine wake-ups of the
+// handoff — is measured by the wire-pipeline benchmark and by core's
+// BenchmarkGet, BenchmarkMultiGet, BenchmarkPut and BenchmarkWriteEach, not
+// here: cells this short vary too much run to run in host time. Measured
+// shape for GET: one thread gains nothing, 2-16 gain up to 1.8x (no longer
+// funnelled through four worker "cores") and OBM's multiget catches up at
+// 32. The direct share stays 100%: a read that never enters a queue never
+// makes a worker look busy. The MGET rows are a 16-key MultiGet, whose direct legs run one
 // after another on the client thread where queued legs run on four workers
 // at once: the price of the rule on a slow device (a row's ops are MGETs,
 // its share is of keys). SET is a lone Put; MSET is 16 keys written as one
@@ -197,7 +198,7 @@ func runAblationCache(e Env) (*Table, error) {
 func runAblationDirectRead(e Env) (*Table, error) {
 	const batchKeys = 16
 	tbl := NewTable("Ablation: direct rule (p2KVS-4, sync GET, 16-key MGET, SET, 16-key MSET and GET beside SET on a hot cache, preloaded)",
-		"op", "threads", "queued simQPS", "direct simQPS", "queued real ops/s", "direct real ops/s", "direct share %")
+		"op", "threads", "queued simQPS", "direct simQPS", "direct share %")
 	for _, op := range []string{"GET", "MGET", "SET", "MSET", "GET+SET/hot"} {
 		dist, axis, cacheBytes := "uniform", ends(e, 1, 2, 4, 8, 16, 32), int64(0)
 		if op == "GET+SET/hot" {
@@ -206,67 +207,65 @@ func runAblationDirectRead(e Env) (*Table, error) {
 		for _, threads := range axis {
 			row := []interface{}{op, threads}
 			var share float64
-			for _, prof := range []device.Profile{device.NVMe, device.Null} {
-				for _, direct := range []bool{false, true} {
-					s, scale, err := openOn(e, prof, e.ValueSize, func(fs vfs.FS) (*core.Store, error) {
-						return openP2(fs, "p2", 4, true, lsm.RocksDBOptions, func(o *core.Options) { o.Direct, o.HotCacheBytes = direct, cacheBytes })
-					})
-					if err != nil {
-						return nil, err
-					}
-					choosers := perThreadChoosers(dist, threads, e.Keys)
-					keys := 1
-					var call func(tid, _ int) error
-					switch op {
-					case "GET":
-						call = func(tid, _ int) error { return get(s, choosers[tid].Next()) }
-					case "SET":
-						call = func(tid, _ int) error { return put(s, choosers[tid].Next(), e.ValueSize) }
-					case "GET+SET/hot":
-						call = func(tid, _ int) error {
-							if tid%2 == 0 {
-								return get(s, choosers[tid].Next())
-							}
-							return put(s, choosers[tid].Next(), e.ValueSize)
+			for _, direct := range []bool{false, true} {
+				s, scale, err := openOn(e, device.NVMe, e.ValueSize, func(fs vfs.FS) (*core.Store, error) {
+					return openP2(fs, "p2", 4, true, lsm.RocksDBOptions, func(o *core.Options) { o.Direct, o.HotCacheBytes = direct, cacheBytes })
+				})
+				if err != nil {
+					return nil, err
+				}
+				choosers := perThreadChoosers(dist, threads, e.Keys)
+				keys := 1
+				var call func(tid, _ int) error
+				switch op {
+				case "GET":
+					call = func(tid, _ int) error { return get(s, choosers[tid].Next()) }
+				case "SET":
+					call = func(tid, _ int) error { return put(s, choosers[tid].Next(), e.ValueSize) }
+				case "GET+SET/hot":
+					call = func(tid, _ int) error {
+						if tid%2 == 0 {
+							return get(s, choosers[tid].Next())
 						}
-					case "MGET":
-						keys = batchKeys
-						batches := make([][][]byte, threads)
-						call = func(tid, _ int) error {
-							b := batches[tid][:0]
-							for range batchKeys {
-								b = append(b, loadgen.Key(choosers[tid].Next()))
-							}
-							batches[tid] = b
-							_, err := s.MultiGet(b)
-							return err
+						return put(s, choosers[tid].Next(), e.ValueSize)
+					}
+				case "MGET":
+					keys = batchKeys
+					batches := make([][][]byte, threads)
+					call = func(tid, _ int) error {
+						b := batches[tid][:0]
+						for range batchKeys {
+							b = append(b, loadgen.Key(choosers[tid].Next()))
 						}
-					case "MSET":
-						keys = batchKeys
-						batches := make([]kv.Batch, threads)
-						call = func(tid, _ int) error {
-							b := &batches[tid]
-							b.Reset()
-							for range batchKeys {
-								idx := choosers[tid].Next()
-								b.Put(loadgen.Key(idx), loadgen.Value(idx, 0, e.ValueSize))
-							}
-							errs := make([]error, batchKeys)
-							s.WriteEachCtx(nil, b, errs)
-							return errors.Join(errs...)
+						batches[tid] = b
+						_, err := s.MultiGet(b)
+						return err
+					}
+				case "MSET":
+					keys = batchKeys
+					batches := make([]kv.Batch, threads)
+					call = func(tid, _ int) error {
+						b := &batches[tid]
+						b.Reset()
+						for range batchKeys {
+							idx := choosers[tid].Next()
+							b.Put(loadgen.Key(idx), loadgen.Value(idx, 0, e.ValueSize))
 						}
+						errs := make([]error, batchKeys)
+						s.WriteEachCtx(nil, b, errs)
+						return errors.Join(errs...)
 					}
-					res, err := e.measure(threads, scale, call)
-					agg := s.StatsSnapshot().Aggregate
-					s.Close()
-					if err != nil {
-						return nil, err
-					}
-					row = append(row, res.SimQPS)
-					if direct && res.Ops > 0 {
-						ran := agg.DirectReads + agg.DirectWrites // a row's ops read or write, or (hot) both
-						share = 100 * float64(ran) / float64(res.Ops*int64(keys))
-					}
+				}
+				res, err := e.measure(threads, scale, call)
+				agg := s.StatsSnapshot().Aggregate
+				s.Close()
+				if err != nil {
+					return nil, err
+				}
+				row = append(row, res.SimQPS)
+				if direct && res.Ops > 0 {
+					ran := agg.DirectReads + agg.DirectWrites // a row's ops read or write, or (hot) both
+					share = 100 * float64(ran) / float64(res.Ops*int64(keys))
 				}
 			}
 			tbl.Add(append(row, share)...)

@@ -22,10 +22,11 @@ import (
 // transaction only partially inside the captured WAL prefixes is missing
 // its commit in the captured TXNLOG prefix and is rolled back by the
 // recover filter when the image is restored — exactly the crash-recovery
-// path of §4.5. Because restore rolls those legs back, the manifest's
-// per-worker stream cursors are lowered beneath them (checkpointCut), so
-// a replica bootstrapping from the image recovers them from the
-// replication stream rather than losing them to the rollback.
+// path of §4.5. A checkpoint also waits out every transaction in flight
+// (Store.txnGate), so the captured TXNLOG prefix holds the commit of every
+// transaction whose legs the image holds, and the manifest's per-worker
+// stream cursors are the workers' watermarks, with nothing beneath them
+// rolled back at restore.
 
 // ErrCheckpointUnsupported reports an engine without kv.Checkpointer.
 var ErrCheckpointUnsupported = errors.New("core: engine does not support checkpoints")
@@ -84,6 +85,11 @@ func (s *Store) Checkpoint(fs vfs.FS, dir string) (*checkpoint.Manifest, error) 
 			return nil, fmt.Errorf("%w (worker %d)", ErrCheckpointUnsupported, w.id)
 		}
 	}
+	// No transaction between its legs and its commit record while the
+	// workers park and the capture runs: one that starts meanwhile waits.
+	s.txnGate.Lock()
+	resumeTxns := sync.OnceFunc(s.txnGate.Unlock)
+	defer resumeTxns()
 	start := time.Now()
 	release, err := barrierWorkers(workers, nil)
 	if err != nil {
@@ -108,11 +114,11 @@ func (s *Store) Checkpoint(fs vfs.FS, dir string) (*checkpoint.Manifest, error) 
 		writers[i] = cw
 	}
 	txnSize := int64(-1)
-	var txnFloors []uint64
 	if prepErr == nil && s.txn != nil {
-		txnSize, txnFloors = s.txn.checkpointCut(len(workers))
+		txnSize = s.txn.size()
 	}
 	close(release)
+	resumeTxns()
 	resumeReshards()
 	barrierNs := time.Since(start).Nanoseconds()
 	defer func() {
@@ -126,19 +132,6 @@ func (s *Store) Checkpoint(fs vfs.FS, dir string) (*checkpoint.Manifest, error) 
 		return nil, prepErr
 	}
 	s.ckptBarrierNs.Store(barrierNs)
-
-	// A transaction whose commit record missed the captured TXNLOG prefix
-	// is rolled back when the image restores, yet its applied legs sit in
-	// the WAL prefixes and below the raw watermarks. Lower each stream
-	// cursor beneath such legs so a replica bootstrapping from this image
-	// receives them (and everything after — re-application of plain op
-	// batches is idempotent) from the stream instead of silently losing
-	// them.
-	for i, floor := range txnFloors {
-		if floor != 0 && floor-1 < workerGSN[i] {
-			workerGSN[i] = floor - 1
-		}
-	}
 
 	// --- Writes resumed: emit the image, then commit the manifest. ---
 	m := &checkpoint.Manifest{

@@ -76,20 +76,17 @@ func TestCrashDurabilityRandomOps(t *testing.T) {
 	}
 }
 
-// TestWritePreparedCommitSurvives checks the other half of the prepared
-// API: a prepared-then-committed transaction survives a crash.
-func TestWritePreparedCommitSurvives(t *testing.T) {
+// TestCommittedTxnSurvivesCrash is the other half of the §4.5 contract:
+// a cross-partition Write that returned is committed, and every one of its
+// legs survives a power failure that the store is not closed before.
+func TestCommittedTxnSurvivesCrash(t *testing.T) {
 	fs := vfs.NewMem()
 	s := openStore(t, fs, 4)
 	var b kv.Batch
 	for i := 0; i < 10; i++ {
 		b.Put([]byte(fmt.Sprintf("p-%02d", i)), []byte("v"))
 	}
-	commit, err := s.WritePrepared(&b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := commit(); err != nil {
+	if err := s.Write(&b); err != nil {
 		t.Fatal(err)
 	}
 	fs.Crash()
@@ -100,7 +97,7 @@ func TestWritePreparedCommitSurvives(t *testing.T) {
 	defer s2.Close()
 	for i := 0; i < 10; i++ {
 		if _, err := s2.Get([]byte(fmt.Sprintf("p-%02d", i))); err != nil {
-			t.Fatalf("committed prepared txn key %d lost: %v", i, err)
+			t.Fatalf("committed txn key %d lost: %v", i, err)
 		}
 	}
 }

@@ -532,8 +532,8 @@ func BenchmarkWriteEach(b *testing.B) {
 // each leg of a WriteEachCtx are committed by their caller: DirectWrites
 // grows by the op count and worker Ops do not move. With worker 0 wedged its
 // leg queues and the others still run on the caller. A live deadline, a
-// cross-partition WriteCtx (a §4.5 transaction), WritePrepared, PutAsync, an
-// active reshard run and Direct off queue every write.
+// cross-partition WriteCtx (a §4.5 transaction), PutAsync, an active
+// reshard run and Direct off queue every write.
 func TestDirectWritePaths(t *testing.T) {
 	const workers, perShard = 4, 2
 	var spread kv.Batch // two keys on every worker
@@ -592,13 +592,6 @@ func TestDirectWritePaths(t *testing.T) {
 		{"deadline/Put", true, func(s *Store) error { return putCtx(s, deadline, shardKey(0, 0), []byte("v")) }, [workers][2]int64{queued}},
 		{"deadline/WriteEachCtx", true, func(s *Store) error { return each(s, deadline) }, [workers][2]int64{queued, queued, queued, queued}},
 		{"WriteCtx/transaction", true, func(s *Store) error { return s.WriteCtx(nil, &spread) }, [workers][2]int64{queued, queued, queued, queued}},
-		{"WritePrepared", true, func(s *Store) error {
-			commit, err := s.WritePrepared(&one)
-			if err != nil {
-				return err
-			}
-			return commit()
-		}, [workers][2]int64{1: queued}},
 		{"PutAsync", true, func(s *Store) error {
 			acked := make(chan error, 1)
 			if err := s.PutAsync(shardKey(3, 0), []byte("v"), func(err error) { acked <- err }); err != nil {

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"math"
 	"sort"
-	"sync"
 
 	"p2kvs/internal/kv"
 )
@@ -332,11 +331,7 @@ func (s *Store) WriteCtx(ctx context.Context, b *kv.Batch) error {
 	if b.Len() == 0 {
 		return nil
 	}
-	commit, err := s.write(ctx, b, false, nil)
-	if err != nil || commit == nil {
-		return err
-	}
-	return commit()
+	return s.write(ctx, b, nil)
 }
 
 // WriteEachCtx applies b's ops as independent writes, not as one
@@ -350,52 +345,36 @@ func (s *Store) WriteCtx(ctx context.Context, b *kv.Batch) error {
 // deadline may still be applied from them afterwards.
 func (s *Store) WriteEachCtx(ctx context.Context, b *kv.Batch, errs []error) {
 	if b.Len() > 0 {
-		s.write(ctx, b, false, errs[:b.Len()])
+		s.write(ctx, b, errs[:b.Len()])
 	}
-}
-
-// WritePrepared applies the batch like Write but separates the two
-// transaction phases: it returns once every instance has durably applied
-// its WriteBatch under a fresh GSN, leaving the caller to invoke commit.
-// A crash before commit rolls the whole transaction back at recovery on
-// every instance (Figure 11) — which is also what makes this the hook
-// for layering higher isolation levels, the extension §4.5 sketches.
-// Note that an online reshard's cutover waits for prepared transactions
-// to settle, so a commit closure held open for long stalls (and
-// eventually fails) a concurrent Reshard.
-func (s *Store) WritePrepared(b *kv.Batch) (commit func() error, err error) {
-	if b.Len() == 0 {
-		return func() error { return nil }, nil
-	}
-	return s.write(nil, b, true, nil)
 }
 
 // write splits, health-checks and admits b under one routing read lock:
 // every leg targets the owner of its keys under a single ring generation,
 // and a reshard cutover cannot slip between the split and the enqueues. A
-// batch confined to one partition commits directly on that instance and
-// returns a nil commit — unless the caller asked for the prepared form,
-// which is a GSN transaction however many legs it has. With errs the legs
-// are independent writes, each op's error lands in errs (WriteEachCtx), and
-// a failed leg stops none of the others; without, they are one transaction,
-// begun before dispatch, stopped at its first failed leg and committed by
-// the returned closure.
-func (s *Store) write(ctx context.Context, b *kv.Batch, prepared bool, errs []error) (commit func() error, err error) {
+// batch confined to one partition commits directly on that instance. With
+// errs the legs are independent writes, each op's error lands in errs
+// (WriteEachCtx), and a failed leg stops none of the others; without, they
+// are one transaction: begun before dispatch, stopped at its first failed
+// leg, committed once every leg applied — all under the read side of
+// txnGate, so no checkpoint or cutover cuts between its legs and its
+// commit record.
+func (s *Store) write(ctx context.Context, b *kv.Batch, errs []error) (err error) {
 	ctx = liveCtx(ctx)
 	s.routeMu.RLock()
 	rt := s.route.Load()
-	if w := rt.owner(b.Ops()); w != nil && !prepared {
+	if w := rt.owner(b.Ops()); w != nil {
 		r := getRequest()
 		r.ops = b.Ops()
 		err = s.writeTo(ctx, w, r)
 		for i := range errs {
 			errs[i] = err
 		}
-		return nil, err
+		return err
 	}
 	if errs == nil && s.txn == nil {
 		s.routeMu.RUnlock()
-		return nil, errors.New("core: cross-partition batch requires Options.TxnFS for atomicity")
+		return errors.New("core: cross-partition batch requires Options.TxnFS for atomicity")
 	}
 	ls := newLegSet(rt, b.Len())
 	ls.write(b.Ops())
@@ -408,7 +387,7 @@ func (s *Store) write(ctx context.Context, b *kv.Batch, prepared bool, errs []er
 			errs[i] = err
 		}
 		ls.release(completed)
-		return nil, nil
+		return nil
 	}
 	// Fail fast before persisting the transaction begin: a degraded shard
 	// cannot apply its piece (and an already-dead context never will), so
@@ -423,34 +402,28 @@ func (s *Store) write(ctx context.Context, b *kv.Batch, prepared bool, errs []er
 	}
 	var gsn uint64
 	if err == nil {
+		s.txnGate.RLock()
+		defer s.txnGate.RUnlock()
 		gsn = s.gsn.Add(1)
 		err = s.txn.begin(gsn)
 	}
 	if err != nil {
 		s.routeMu.RUnlock()
 		ls.release(true)
-		return nil, err
+		return err
 	}
 	for _, r := range ls.reqs {
 		r.gsn = gsn
 	}
-	s.preparedTxns.Add(1)
-	var settleOnce sync.Once
-	settle := func() { settleOnce.Do(func() { s.preparedTxns.Add(-1) }) }
 	completed, err := s.dispatch(ctx, ls, true)
 	ls.release(completed)
 	if err != nil {
 		// A leg failed, or the deadline fired mid-transaction: leave it
 		// uncommitted, recovery rolls every applied leg back on every
 		// instance.
-		s.txn.abandon(gsn)
-		settle()
-		return nil, err
+		return err
 	}
-	return func() error {
-		defer settle()
-		return s.txn.commit(gsn)
-	}, nil
+	return s.txn.commit(gsn)
 }
 
 // dispatch is the one leg loop of a call that spans workers: N instances,

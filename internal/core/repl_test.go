@@ -4,11 +4,16 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"runtime"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"p2kvs/internal/checkpoint"
 	"p2kvs/internal/kv"
+	"p2kvs/internal/lsm"
 	"p2kvs/internal/repl"
 	"p2kvs/internal/vfs"
 )
@@ -194,20 +199,52 @@ func TestReplCheckpointCursorsResume(t *testing.T) {
 	}
 }
 
-// TestReplCheckpointMidTxnKeepsStreamComplete pins the image+stream
-// completeness contract on the nastiest cut: a checkpoint taken after a
-// cross-partition transaction's legs have applied (and shipped into the
-// backlog, advancing the raw watermarks) but before its commit record
-// reaches the TXNLOG. Restoring such an image rolls the transaction
-// back, so the manifest must lower its stream cursors beneath the
-// rolled-back legs — otherwise a replica bootstrapping from the image
-// loses the whole transaction silently, because the stream never
-// re-sends records below the cursors. WritePrepared holds the
-// transaction open across the checkpoint to hit the window
-// deterministically.
-func TestReplCheckpointMidTxnKeepsStreamComplete(t *testing.T) {
-	fs := vfs.NewMem()
-	p := openReplStore(t, fs, 2, 0)
+// heldLegEngine is an lsm engine that can hold a transaction leg inside
+// itself: armed, the next WriteGSN call announces itself on entered and
+// applies only once release closes. Plain writes pass through untouched.
+type heldLegEngine struct {
+	*lsm.DB
+	armed   atomic.Bool
+	entered chan struct{}
+	release chan struct{}
+}
+
+func (e *heldLegEngine) WriteGSN(b *kv.Batch, gsn uint64) error {
+	if e.armed.CompareAndSwap(true, false) {
+		close(e.entered)
+		<-e.release
+	}
+	return e.DB.WriteGSN(b, gsn)
+}
+
+// TestReplCheckpointWaitsOutTxn pins the cut contract on a checkpoint
+// called in the middle of a cross-partition transaction: while one leg is
+// held in its engine, and then while the commit record is slow to persist,
+// the Checkpoint waits, and it returns only after the Write did. Its image
+// therefore holds the committed transaction, its stream cursors are the
+// workers' watermarks (nothing lowered beneath rolled-back legs), and a
+// replica restored from it and fed the stream from those cursors
+// converges with the primary.
+func TestReplCheckpointWaitsOutTxn(t *testing.T) {
+	mem := vfs.NewMem()
+	faults := vfs.NewFault(mem)
+	held := &heldLegEngine{entered: make(chan struct{}), release: make(chan struct{})}
+	open := lsmFactory(mem, "p2")
+	opts := DefaultOptions(func(id int, filter func(uint64) bool) (kv.Engine, error) {
+		e, err := open(id, filter)
+		if err != nil || id != 1 {
+			return e, err
+		}
+		held.DB = e.(*lsm.DB)
+		return held, nil
+	})
+	opts.Workers = 2
+	opts.TxnFS, opts.TxnDir = faults, "p2/txn"
+	opts.ReplLog = repl.NewLog(2, 0)
+	p, err := Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
 	defer p.Close()
 
 	for i := 0; i < 100; i++ {
@@ -219,29 +256,58 @@ func TestReplCheckpointMidTxnKeepsStreamComplete(t *testing.T) {
 	for j := 0; j < 16; j++ {
 		b.Put([]byte(fmt.Sprintf("txn-%02d", j)), []byte("t"))
 	}
-	commit, err := p.WritePrepared(&b)
-	if err != nil {
+	// The transaction's commit record (the second TXNLOG write from here)
+	// takes 300 ms to persist, and the checkpoint's manifest 50 ms: a
+	// checkpoint that cut between the legs and the commit would return
+	// long before the Write.
+	faults.Inject(vfs.Rule{Op: vfs.OpWrite, Path: "p2/txn/TXNLOG", CountN: 2, DelayOnly: true, Delay: 300 * time.Millisecond})
+	faults.Inject(vfs.Rule{Op: vfs.OpWrite, Path: "bak/" + checkpoint.ManifestName, DelayOnly: true, Delay: 50 * time.Millisecond})
+	// One P makes the losing schedule the likely one: the worker that
+	// finishes the last leg readies the Write, then parks at the barrier
+	// and readies the checkpoint, which runs first. A checkpoint that does
+	// not wait out the transaction then cuts before its commit record.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	releaseLeg := sync.OnceFunc(func() { close(held.release) })
+	defer releaseLeg() // before Close, which would wait on the held leg
+	held.armed.Store(true)
+	var wrote atomic.Bool
+	writeErr := make(chan error, 1)
+	go func() {
+		err := p.Write(&b)
+		wrote.Store(true)
+		writeErr <- err
+	}()
+	<-held.entered
+
+	type result struct {
+		m     *checkpoint.Manifest
+		wrote bool
+		err   error
+	}
+	ckpt := make(chan result, 1)
+	go func() {
+		m, err := p.Checkpoint(faults, "bak")
+		ckpt <- result{m, wrote.Load(), err}
+	}()
+	select {
+	case r := <-ckpt:
+		t.Fatalf("Checkpoint returned (err %v) while a transaction leg was held in its engine", r.err)
+	case <-time.After(50 * time.Millisecond):
+	}
+	releaseLeg()
+	if err := <-writeErr; err != nil {
 		t.Fatal(err)
 	}
-	raw := watermarks(p)
-	m, err := p.Checkpoint(fs, "bak")
-	if err != nil {
-		t.Fatal(err)
+	r := <-ckpt
+	if r.err != nil {
+		t.Fatal(r.err)
 	}
-	lowered := false
-	for i := range m.WorkerGSN {
-		if m.WorkerGSN[i] > raw[i] {
-			t.Fatalf("worker %d: manifest cursor %d above pre-checkpoint watermark %d", i, m.WorkerGSN[i], raw[i])
-		}
-		if m.WorkerGSN[i] < raw[i] {
-			lowered = true
-		}
+	if !r.wrote {
+		t.Fatal("Checkpoint returned before the transaction's Write did")
 	}
-	if !lowered {
-		t.Fatalf("no cursor lowered below the uncommitted legs: manifest %v, watermarks %v", m.WorkerGSN, raw)
-	}
-	if err := commit(); err != nil {
-		t.Fatal(err)
+	faults.ClearRules()
+	if raw := watermarks(p); !slices.Equal(r.m.WorkerGSN, raw) {
+		t.Fatalf("manifest cursors %v, want the workers' watermarks %v", r.m.WorkerGSN, raw)
 	}
 	for i := 0; i < 50; i++ {
 		if err := p.Put([]byte(fmt.Sprintf("post-%04d", i)), []byte("b")); err != nil {
@@ -250,50 +316,71 @@ func TestReplCheckpointMidTxnKeepsStreamComplete(t *testing.T) {
 	}
 
 	dst := vfs.NewMem()
-	r := restoreReplStore(t, fs, "bak", dst, 2)
-	defer r.Close()
-	applyStream(t, p, r, append([]uint64(nil), m.WorkerGSN...))
-
-	if want, got := dump(t, p), dump(t, r); !samePairs(want, got) {
-		t.Fatalf("replica diverged on mid-transaction checkpoint: primary %d pairs, replica %d", len(want), len(got))
+	rep := restoreReplStore(t, mem, "bak", dst, 2)
+	defer rep.Close()
+	for j := 0; j < 16; j++ {
+		if v, err := rep.Get([]byte(fmt.Sprintf("txn-%02d", j))); err != nil || string(v) != "t" {
+			t.Fatalf("restored image lacks committed txn key %d: %q %v", j, v, err)
+		}
+	}
+	applyStream(t, p, rep, append([]uint64(nil), r.m.WorkerGSN...))
+	if want, got := dump(t, p), dump(t, rep); !samePairs(want, got) {
+		t.Fatalf("replica diverged: primary %d pairs, replica %d", len(want), len(got))
 	}
 }
 
-// TestReplCheckpointAfterAbandonedTxnReleasesCursors guards the other
-// side of the floor contract: an abandoned transaction (one that will
-// never commit) must stop holding checkpoint cursors down, or every
-// future full sync would re-stream from — and pin the backlog at — a
-// point that never advances.
+// TestReplCheckpointAfterAbandonedTxnReleasesCursors drives the abandon
+// path: a transaction one of whose legs fails (worker 1's WAL append) is
+// never committed, and it must release txnGate on the way out — the next
+// Checkpoint returns — and hold no stream cursor below a watermark.
 func TestReplCheckpointAfterAbandonedTxnReleasesCursors(t *testing.T) {
-	fs := vfs.NewMem()
-	p := openReplStore(t, fs, 2, 0)
+	mem := vfs.NewMem()
+	faults := vfs.NewFault(mem)
+	opts := DefaultOptions(lsmFactory(faults, "p2"))
+	opts.Workers = 2
+	opts.TxnFS, opts.TxnDir = mem, "p2/txn"
+	opts.ReplLog = repl.NewLog(2, 0)
+	p, err := Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
 	defer p.Close()
 
 	var b kv.Batch
 	for j := 0; j < 16; j++ {
 		b.Put([]byte(fmt.Sprintf("txn-%02d", j)), []byte("t"))
 	}
-	commit, err := p.WritePrepared(&b)
-	if err != nil {
-		t.Fatal(err)
+	faults.Inject(vfs.Rule{Op: vfs.OpWrite, Path: "p2/inst-01/", OneShot: true})
+	if err := p.Write(&b); err == nil {
+		t.Fatal("transaction with a failed leg committed")
 	}
-	if err := commit(); err != nil {
-		t.Fatal(err)
-	}
+	faults.ClearRules()
 	for i := 0; i < 50; i++ {
 		if err := p.Put([]byte(fmt.Sprintf("k-%04d", i)), []byte("v")); err != nil {
 			t.Fatal(err)
 		}
 	}
-	raw := watermarks(p)
-	m, err := p.Checkpoint(fs, "bak")
-	if err != nil {
-		t.Fatal(err)
+
+	type result struct {
+		m   *checkpoint.Manifest
+		err error
 	}
-	for i := range m.WorkerGSN {
-		if m.WorkerGSN[i] != raw[i] {
-			t.Fatalf("worker %d: cursor %d held below watermark %d with no transaction in flight", i, m.WorkerGSN[i], raw[i])
-		}
+	ckpt := make(chan result, 1)
+	go func() {
+		m, err := p.Checkpoint(mem, "bak")
+		ckpt <- result{m, err}
+	}()
+	var r result
+	select {
+	case r = <-ckpt:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Checkpoint still waiting after the transaction was abandoned")
+	}
+	if r.err != nil {
+		t.Fatal(r.err)
+	}
+	if raw := watermarks(p); !slices.Equal(r.m.WorkerGSN, raw) {
+		t.Fatalf("manifest cursors %v, want the workers' watermarks %v", r.m.WorkerGSN, raw)
 	}
 }
 

@@ -296,11 +296,11 @@ func (s *Store) closeRetired(id int) {
 	}
 }
 
-// cutover runs the bounded-pause retry loop: park the sources, drain
-// prepared transactions, commit TOPOLOGY, swap the ring and the routing
-// generation. One attempt never pauses writers longer than the budget
-// (plus the topology fsync); an attempt that cannot make it releases the
-// barrier and retries.
+// cutover runs the bounded-pause retry loop: park the sources, wait out
+// in-flight transactions (txnGate), commit TOPOLOGY, swap the ring and the
+// routing generation. One attempt never pauses writers longer than the
+// budget (plus the topology fsync); an attempt that cannot make it
+// releases the barrier and retries.
 func (s *Store) cutover(ctx context.Context, run *reshardRun, sources, newWorkers []*worker, newC keyspace.Consistent, oldN, newN int, newEpoch uint64) error {
 	budget := s.opts.CutoverBudget
 	if budget <= 0 {
@@ -357,17 +357,18 @@ func (s *Store) tryCutover(run *reshardRun, sources, newWorkers []*worker, newC 
 	}
 	// Sources are parked and no new request can be admitted: every
 	// acknowledged write to a moved key is on both owners (the mirror
-	// wait is synchronous), so only prepared-but-uncommitted
-	// cross-partition transactions can still straddle the flip. Wait
-	// them out inside the budget.
+	// wait is synchronous), so only a cross-partition transaction between
+	// its applied legs and its commit record can still straddle the flip.
+	// Wait those out inside the budget.
 	deadline := start.Add(budget)
-	for s.preparedTxns.Load() != 0 {
+	for !s.txnGate.TryLock() {
 		if time.Now().After(deadline) {
 			abandon()
 			return false, 0, nil
 		}
 		time.Sleep(20 * time.Microsecond)
 	}
+	defer s.txnGate.Unlock()
 	if time.Since(start) > budget {
 		abandon()
 		return false, 0, nil

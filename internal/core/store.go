@@ -43,11 +43,14 @@ type Store struct {
 	reshMu  sync.Mutex
 	tracker reshard.Tracker
 	epoch   atomic.Uint64
-	// preparedTxns counts cross-partition transactions between begin and
-	// commit/abandon; cutover waits for it to reach zero so a ring flip
-	// never lands between a transaction's prepared legs and its commit
-	// record.
-	preparedTxns atomic.Int64
+	// txnGate keeps every cut out of a cross-partition transaction: write
+	// holds the read side from before its begin record to its commit
+	// record or its failure, taken under routeMu's read side (lock order
+	// routeMu, then txnGate); Checkpoint holds the write side across its
+	// barrier and capture, and a reshard cutover takes it with TryLock
+	// inside its budget. So no image and no ring flip lands between a
+	// transaction's applied legs and its commit record.
+	txnGate sync.RWMutex
 	// scans counts the ScanCtx calls in flight, on either path (ScanCtx
 	// picks the path from it).
 	scans atomic.Int64

@@ -12,27 +12,12 @@ import (
 // txnLog persists transaction begin/commit records keyed by GSN (§4.5,
 // Figure 11). On recovery, transactions with a begin but no commit are
 // rolled back by filtering their GSN out of every instance's WAL replay.
-//
-// It also tracks, per in-flight transaction, the replication-stream GSNs
-// its applied legs shipped into the backlog. A checkpoint image restores
-// with uncommitted transactions rolled back, so the manifest's stream
-// cursors must not claim those legs — checkpointCut hands the checkpoint
-// a per-worker floor to lower its cursors below, atomically with the
-// log-prefix cut, so "restore image + stream from cursors" re-delivers
-// exactly the records the rollback dropped.
 type txnLog struct {
 	fs  vfs.FS
 	dir string
 
 	mu sync.Mutex
 	w  *wal.Writer
-	// inflight maps a begun-but-unresolved transaction's GSN to the
-	// stream GSN each worker's applied leg shipped (absent until the leg
-	// applies). Entries leave at commit — or at abandon, when an errored
-	// transaction will never commit and recovery everywhere rolls it
-	// back, so cursors need not (and must not, or the backlog would stay
-	// pinned forever) be held down for it.
-	inflight map[uint64]map[int]uint64
 }
 
 const (
@@ -50,7 +35,7 @@ func openTxnLog(fs vfs.FS, dir string) (_ *txnLog, committed map[uint64]bool, ma
 	if err != nil {
 		return nil, nil, 0, err
 	}
-	return &txnLog{fs: fs, dir: dir, w: w, inflight: make(map[uint64]map[int]uint64)}, committed, maxGSN, nil
+	return &txnLog{fs: fs, dir: dir, w: w}, committed, maxGSN, nil
 }
 
 // replatformTxnLog reads dir's TXNLOG (a torn tail ends the read
@@ -133,85 +118,30 @@ func decodeTxnRec(p []byte) (typ byte, gsn uint64, err error) {
 
 // begin durably records that gsn's WriteBatches are about to be issued.
 func (t *txnLog) begin(gsn uint64) error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if err := t.w.Append(gsn, encodeTxnRec(txnBegin, gsn)); err != nil {
-		return err
-	}
-	t.inflight[gsn] = nil
-	return nil
+	return t.append(txnBegin, gsn)
 }
 
-// commit durably records that every instance acknowledged gsn. The
-// in-flight entry leaves under the same lock section that appends the
-// record, so a concurrent checkpointCut sees either the commit inside
-// its prefix or the transaction still in flight — never neither.
+// commit durably records that every instance acknowledged gsn. When the
+// append fails the commit is not durable, the caller reports the
+// transaction failed, and recovery rolls it back everywhere.
 func (t *txnLog) commit(gsn uint64) error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	err := t.w.Append(gsn, encodeTxnRec(txnCommit, gsn))
-	// On append failure the commit is not durable and the caller reports
-	// the transaction failed: recovery rolls it back everywhere, so the
-	// entry resolves as abandoned.
-	delete(t.inflight, gsn)
-	return err
+	return t.append(txnCommit, gsn)
 }
 
-// abandon resolves a transaction that will never commit (a leg failed or
-// its deadline fired mid-flight). Recovery and every image restore roll
-// it back, so checkpoints stop holding stream cursors below its legs; a
-// replica therefore converges to the rolled-back state — the same state
-// the primary itself reports after any restart.
-func (t *txnLog) abandon(gsn uint64) {
-	t.mu.Lock()
-	delete(t.inflight, gsn)
-	t.mu.Unlock()
-}
-
-// noteLeg records that worker's leg of transaction gsn shipped into the
-// replication backlog under streamGSN. A leg landing after its
-// transaction was abandoned is dropped — the entry is gone and cursors
-// are not held for rolled-back work.
-func (t *txnLog) noteLeg(gsn uint64, worker int, streamGSN uint64) {
+func (t *txnLog) append(typ byte, gsn uint64) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	legs, ok := t.inflight[gsn]
-	if !ok {
-		return
-	}
-	if legs == nil {
-		legs = make(map[int]uint64)
-		t.inflight[gsn] = legs
-	}
-	legs[worker] = streamGSN
+	return t.w.Append(gsn, encodeTxnRec(typ, gsn))
 }
 
-// checkpointCut atomically captures the stable log prefix a checkpoint
-// copies and, per worker, the lowest stream GSN shipped by a transaction
-// whose commit is NOT inside that prefix (0 = none). Restoring the image
-// rolls those transactions back, so the checkpoint lowers its per-worker
-// stream cursors below the floors: the replication stream then
-// re-delivers the rolled-back legs (and everything after them — stream
-// records are plain last-writer-wins op batches, so re-application is
-// idempotent). Both values come from one lock section, so a commit
-// racing with the cut either lands its record inside the prefix or
-// leaves its legs in the floors — never neither, which would open a
-// silent replication hole.
-func (t *txnLog) checkpointCut(workers int) (size int64, floors []uint64) {
+// size is the log's length: the prefix a checkpoint copies. A checkpoint
+// reads it with no transaction in flight (Store.txnGate), so a leg its
+// image holds without a commit inside that prefix is of a transaction
+// that failed, which recovery rolls back on the primary too.
+func (t *txnLog) size() int64 {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	floors = make([]uint64, workers)
-	for _, legs := range t.inflight {
-		for w, g := range legs {
-			if w < 0 || w >= workers {
-				continue
-			}
-			if floors[w] == 0 || g < floors[w] {
-				floors[w] = g
-			}
-		}
-	}
-	return t.w.Size(), floors
+	return t.w.Size()
 }
 
 func (t *txnLog) close() error {

@@ -84,13 +84,9 @@ type worker struct {
 
 	// repl, when non-nil, receives every applied write batch (the
 	// replication backlog); gsnSrc is the store's global GSN counter,
-	// from which shipped records draw their apply-time GSN. txn is the
-	// store's transaction log (nil without TxnFS) — ship reports
-	// transaction legs to it so checkpoints can keep stream cursors
-	// below uncommitted transactions.
+	// from which shipped records draw their apply-time GSN.
 	repl   *repl.Log
 	gsnSrc *atomic.Uint64
-	txn    *txnLog
 
 	// cache is the store's hot-key read cache (nil when disabled). exec's
 	// holder writes every op through it (commit) after the engine applied
@@ -128,7 +124,6 @@ func (s *Store) newWorker(id int, engine kv.Engine) *worker {
 		max:    opts.MaxBatch,
 		repl:   opts.ReplLog,
 		gsnSrc: &s.gsn,
-		txn:    s.txn,
 		cache:  s.cache,
 		resh:   &s.resh,
 	}
@@ -336,7 +331,7 @@ func (w *worker) commit(ops []kv.BatchOp, txnGSN, streamGSN uint64, unrouted boo
 	}
 	if err == nil {
 		if w.repl != nil {
-			w.ship(streamGSN, txnGSN, ops)
+			w.ship(streamGSN, ops)
 		} else if txnGSN > w.lastGSN.Load() {
 			w.lastGSN.Store(txnGSN)
 		}
@@ -365,17 +360,11 @@ func (w *worker) commit(ops []kv.BatchOp, txnGSN, streamGSN uint64, unrouted boo
 // record being applied on a replica (streamGSN != 0) keeps the GSN the
 // primary's worker assigned, preserving the cursor sequence down the
 // chain. The backlog ratchets lastGSN, so checkpoints taken on a
-// replicating store record stream cursors as their watermarks. txnGSN,
-// when non-zero, names the cross-instance transaction this batch is a
-// leg of; the leg's stream GSN is reported to the transaction log so a
-// checkpoint cut before the commit record keeps its cursors below it.
-func (w *worker) ship(streamGSN, txnGSN uint64, ops []kv.BatchOp) {
+// replicating store record stream cursors as their watermarks.
+func (w *worker) ship(streamGSN uint64, ops []kv.BatchOp) {
 	g := streamGSN
 	if g == 0 {
 		g = w.gsnSrc.Add(1)
-	}
-	if txnGSN != 0 && w.txn != nil {
-		w.txn.noteLeg(txnGSN, w.id, g)
 	}
 	if g > w.lastGSN.Load() {
 		w.lastGSN.Store(g)

@@ -243,8 +243,8 @@ type Stats struct {
 	// for the ring swap (the p99-writer-pause budget applies to this).
 	BarrierNs int64 `json:"reshard_barrier_ns"`
 	// CutoverRetries counts cutover attempts released and retried
-	// because in-flight prepared transactions would have overrun the
-	// pause budget.
+	// because the barrier or an in-flight cross-partition transaction
+	// would have overrun the pause budget.
 	CutoverRetries int64 `json:"reshard_cutover_retries"`
 	// LastErr is the most recent abort cause, empty when none.
 	LastErr string `json:"reshard_last_err,omitempty"`

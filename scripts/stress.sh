@@ -29,6 +29,7 @@ backup     $GO test -race -timeout 10m -run 'RestoreEquivalence' ./internal/tort
 backup     $GO test -race -timeout 5m -run 'Checkpoint|Restore|Barrier' ./internal/core
 backup     $GO test -race -timeout 5m -run 'Manifest|ParseMutations|ParseRejects' ./internal/checkpoint
 backup     $GO test -race -timeout 5m -run 'Backup|Restore' .
+backup     $GO run ./examples/txn-recovery
 scrub      $GO test -fuzz=FuzzBlockRead -fuzztime=$FUZZTIME ./internal/block
 scrub      $GO test -race -timeout 10m -run 'Conformance.*/bit-flip' ./internal/lsm ./internal/btreekv ./internal/kvell
 scrub      $GO test -race -timeout 5m -run 'Corrupt|Scrub|Quarantine|Repair|Flip|Rot|Checksum|Limiter|Runner' ./internal/block ./internal/sstable ./internal/wal ./internal/lsm ./internal/btreekv ./internal/kvell ./internal/scrub ./internal/vfs ./internal/server
