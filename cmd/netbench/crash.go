@@ -386,13 +386,18 @@ func (h *harness) probeWrite() error {
 // --- primary/replica pair ---
 
 // awaitSync waits until the replica's link is up and it has fully
-// drained the primary's stream, and returns its INFO at that point.
-func awaitSync(replica *cluster.Conn, timeout time.Duration) (loadgen.Info, error) {
+// drained the primary's stream, and returns its INFO at that point. A
+// replica learns that its primary died only when the dead link fails, and
+// until then reads as caught up with the dead process: the primary must
+// also hold a link, which after a primary restart is the replica's new one.
+func awaitSync(primary, replica *cluster.Conn, timeout time.Duration) (loadgen.Info, error) {
 	var last loadgen.Info
 	for deadline := time.Now().Add(timeout); time.Now().Before(deadline); time.Sleep(25 * time.Millisecond) {
 		m, err := loadgen.FetchInfo(replica)
 		if err == nil && m["role"] == "replica" && m["master_link_status"] == "up" && m["replica_lag_gsn"] == "0" {
-			return m, nil
+			if p, err := loadgen.FetchInfo(primary); err == nil && p.Int("connected_replicas") > 0 {
+				return m, nil
+			}
 		}
 		last = m
 	}
@@ -512,7 +517,7 @@ func (h *harness) runPair() {
 		if err := h.verify(); err != nil {
 			crashFatalf("%s: PRIMARY VERIFICATION FAILED: %v", stage, err)
 		}
-		if _, err := awaitSync(rc, timeout); err != nil {
+		if _, err := awaitSync(pc, rc, timeout); err != nil {
 			crashFatalf("%s: %v", stage, err)
 		}
 		n, err := compareDumps(pc, rc)
@@ -550,7 +555,7 @@ func (h *harness) runPair() {
 		// surviving primary kept. The counters are process-local, so on
 		// the freshly restarted replica they isolate this reconnect.
 		if victim == 0 {
-			m, err := awaitSync(rc, 60*time.Second)
+			m, err := awaitSync(pc, rc, 60*time.Second)
 			if err != nil {
 				crashFatalf("%s: after replica kill: %v", stage, err)
 			}

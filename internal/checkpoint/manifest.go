@@ -61,8 +61,8 @@ type Manifest struct {
 	Engine      string `json:"engine"`
 	Partitioner string `json:"partitioner"`
 	// GSN is the store-wide Global Sequence Number watermark at the
-	// barrier; WorkerGSN[i] is worker i's last applied GSN at the same
-	// instant.
+	// barrier; WorkerGSN[i] is worker i's replication stream cursor at
+	// the same instant (zero when replication is off).
 	GSN         uint64   `json:"gsn"`
 	WorkerGSN   []uint64 `json:"worker_gsn"`
 	TakenUnixNs int64    `json:"taken_unix_ns"`

@@ -102,29 +102,29 @@ func (s *Store) Checkpoint(fs vfs.FS, dir string) (*checkpoint.Manifest, error) 
 	// checkpoint_barrier_ns.
 	gsn := s.gsn.Load()
 	workerGSN := make([]uint64, len(workers))
-	writers := make([]kv.CheckpointWriter, len(workers))
+	images := make([]kv.CheckpointImage, len(workers))
 	var prepErr error
 	for i, w := range workers {
 		workerGSN[i] = w.lastGSN.Load()
-		cw, err := w.ck.PrepareCheckpoint()
-		if err != nil {
-			prepErr = fmt.Errorf("core: preparing checkpoint of worker %d: %w", w.id, err)
+		if images[i], prepErr = w.ck.PrepareCheckpoint(); prepErr != nil {
+			prepErr = fmt.Errorf("core: preparing checkpoint of worker %d: %w", w.id, prepErr)
 			break
 		}
-		writers[i] = cw
 	}
-	txnSize := int64(-1)
+	var txnImg kv.CheckpointImage
 	if prepErr == nil && s.txn != nil {
-		txnSize = s.txn.size()
+		txnImg = kv.CheckpointImage{FS: s.opts.TxnFS, Files: []kv.CheckpointFile{
+			{Name: "TXNLOG", Path: s.opts.TxnDir + "/TXNLOG", Size: s.txn.size()},
+		}}
 	}
 	close(release)
 	resumeTxns()
 	resumeReshards()
 	barrierNs := time.Since(start).Nanoseconds()
 	defer func() {
-		for _, cw := range writers {
-			if cw != nil {
-				cw.Release()
+		for _, img := range images {
+			if img.Release != nil {
+				img.Release()
 			}
 		}
 	}()
@@ -147,42 +147,45 @@ func (s *Store) Checkpoint(fs vfs.FS, dir string) (*checkpoint.Manifest, error) 
 	if s.opts.ReplLog != nil {
 		m.ReplID = s.opts.ReplLog.ID()
 	}
-	for i, cw := range writers {
-		sub := fmt.Sprintf("worker-%d", i)
-		files, err := cw.WriteTo(fs, dir+"/"+sub, seq)
-		if err != nil {
-			return nil, fmt.Errorf("core: writing checkpoint of worker %d: %w", i, err)
+	// add materializes one image — a worker's engine into its
+	// subdirectory, or the TXNLOG as worker -1 into dir itself — and
+	// records its files in the manifest.
+	add := func(worker int, sub string, img kv.CheckpointImage, st *kv.CheckpointStats) error {
+		at := dir
+		if sub != "" {
+			at, sub = dir+"/"+sub, sub+"/"
 		}
-		for _, f := range files {
-			mf := checkpoint.File{Worker: i, Path: sub + "/" + f.Name, Restore: f.Restore}
+		names, err := img.Materialize(fs, at, seq, st)
+		if err != nil {
+			return err
+		}
+		for i, name := range names {
+			mf := checkpoint.File{Worker: worker, Path: sub + name, Restore: img.Files[i].Name}
 			// A path already committed by a previous manifest is immutable
 			// by the naming convention, so its recorded checksum still
 			// holds — reusing it keeps incremental checkpoints from
 			// re-reading every unchanged SST.
 			if pf, ok := prevFiles[mf.Path]; ok {
 				mf.Size, mf.CRC = pf.Size, pf.CRC
-			} else {
-				crc, size, err := vfs.Checksum(fs, dir+"/"+mf.Path)
-				if err != nil {
-					return nil, err
-				}
-				mf.Size, mf.CRC = size, crc
+			} else if mf.CRC, mf.Size, err = vfs.Checksum(fs, dir+"/"+mf.Path); err != nil {
+				return err
 			}
 			m.Files = append(m.Files, mf)
 		}
+		return nil
 	}
-	if txnSize >= 0 {
-		name := fmt.Sprintf("TXNLOG-ckpt%06d", seq)
-		if err := vfs.CopyPrefix(s.opts.TxnFS, s.opts.TxnDir+"/TXNLOG", fs, dir+"/"+name, txnSize); err != nil {
+	for i, img := range images {
+		st := *workers[i].ckpt.Load()
+		err := add(i, fmt.Sprintf("worker-%d", i), img, &st)
+		workers[i].ckpt.Store(&st)
+		if err != nil {
+			return nil, fmt.Errorf("core: writing checkpoint of worker %d: %w", i, err)
+		}
+	}
+	if txnImg.FS != nil {
+		if err := add(-1, "", txnImg, new(kv.CheckpointStats)); err != nil {
 			return nil, fmt.Errorf("core: capturing transaction log: %w", err)
 		}
-		crc, size, err := vfs.Checksum(fs, dir+"/"+name)
-		if err != nil {
-			return nil, err
-		}
-		m.Files = append(m.Files, checkpoint.File{
-			Worker: -1, Path: name, Restore: "TXNLOG", Size: size, CRC: crc,
-		})
 	}
 	if err := checkpoint.Write(fs, dir, m); err != nil {
 		return nil, err

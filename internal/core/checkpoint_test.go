@@ -169,16 +169,29 @@ func TestCheckpointIncrementalReusesSSTs(t *testing.T) {
 		t.Fatal("no SSTs shared between checkpoints — incremental path untested")
 	}
 
-	// Every shared SST must have been reused in place: the engines' reuse
+	// Every shared SST must have been reused in place: the workers' reuse
 	// counter accounts for each, and no SST bytes were copied twice.
 	agg := s.StatsSnapshot().Aggregate
 	if agg.FilesReused < int64(shared) {
 		t.Fatalf("reused %d files, want at least the %d shared SSTs", agg.FilesReused, shared)
 	}
 	// On one MemFS the SSTs hard-link, so checkpointing never copies SST
-	// bytes at all: total copied bytes must equal the (tiny) WAL prefixes.
+	// bytes at all: only the WAL prefixes and the MANIFESTs are copied.
 	if agg.FilesLinked < int64(len(s1)) {
 		t.Fatalf("linked %d files, want >= %d initial SSTs", agg.FilesLinked, len(s1))
+	}
+	// Each worker file of both images is counted once (the TXNLOG is the
+	// store's, no worker's).
+	files := 0
+	for _, m := range []*checkpoint.Manifest{m1, m2} {
+		for _, f := range m.Files {
+			if f.Worker >= 0 {
+				files++
+			}
+		}
+	}
+	if got := agg.FilesLinked + agg.FilesCopied + agg.FilesReused; got != int64(files) || agg.Checkpoints != 2*int64(s.Workers()) {
+		t.Fatalf("counted %d files in %d engine checkpoints, want %d in %d", got, agg.Checkpoints, files, 2*s.Workers())
 	}
 }
 
@@ -205,6 +218,20 @@ func TestCheckpointBarrierShortUnderLoad(t *testing.T) {
 			}
 		}(g)
 	}
+	// A stats reader beside the checkpoint, which replaces each worker's
+	// checkpoint counters as it materializes that worker's image.
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				s.Stats()
+			}
+		}
+	}()
 	time.Sleep(20 * time.Millisecond)
 	if _, err := s.Checkpoint(fs, "bak"); err != nil {
 		close(stop)

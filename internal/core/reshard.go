@@ -41,7 +41,8 @@ import (
 //
 //  3. Cutover. A bounded barrier re-parks the source workers; within the
 //     pause budget (Options.CutoverBudget, default 10ms) the coordinator
-//     waits for prepared cross-partition transactions to settle, commits
+//     takes the write side of txnGate with TryLock, so no cross-partition
+//     transaction is between its begin record and its commit, commits
 //     the new topology (the crash-recovery pivot), bumps the epoch and
 //     atomically swaps the routing generation. If the budget
 //     cannot be met the barrier is released, writers resume, and the

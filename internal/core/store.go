@@ -89,9 +89,10 @@ func (s *Store) ws() []*worker { return s.route.Load().workers }
 
 // Open builds the store: recovers the transaction log, opens every
 // worker's instance (rolling back uncommitted cross-instance
-// transactions), and starts the worker threads. It checks the worker
-// count against the persisted topology (recording it in a new directory)
-// and finishes a reshard cleanup interrupted by a crash.
+// transactions), starts the log afresh, and starts the worker threads.
+// It checks the worker count against the persisted topology (recording
+// it in a new directory) and finishes a reshard cleanup interrupted by a
+// crash.
 func Open(opts Options) (*Store, error) {
 	opts = opts.withDefaults()
 	if opts.EngineFactory == nil {
@@ -124,11 +125,10 @@ func Open(opts Options) (*Store, error) {
 			s.epoch.Store(topo.Epoch)
 			s.tracker.Update(func(st *reshard.Stats) { st.Epoch = topo.Epoch })
 		}
-		t, committed, maxGSN, err := openTxnLog(opts.TxnFS, opts.TxnDir)
+		committed, maxGSN, err := readTxnLog(opts.TxnFS, opts.TxnDir)
 		if err != nil {
 			return nil, err
 		}
-		s.txn = t
 		s.gsn.Store(maxGSN)
 		filter = func(gsn uint64) bool { return committed[gsn] }
 	}
@@ -149,6 +149,18 @@ func Open(opts Options) (*Store, error) {
 			return fail(err)
 		}
 		workers = append(workers, s.newWorker(i, engine))
+	}
+	if opts.TxnFS != nil {
+		// Every engine has settled its log (lsm replayed and flushed its
+		// WALs; the others tag no leg), so no record from before this Open
+		// decides anything any more. The log starts afresh with one commit
+		// record, of the high-water mark the next Open continues from; no
+		// leg carries that GSN, so calling it committed is safe.
+		w, err := rewriteTxnLog(opts.TxnFS, opts.TxnDir, map[uint64]bool{s.gsn.Load(): true})
+		if err != nil {
+			return fail(err)
+		}
+		s.txn = &txnLog{fs: opts.TxnFS, dir: opts.TxnDir, w: w}
 	}
 
 	if opts.TxnFS != nil && topo == nil {

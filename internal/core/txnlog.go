@@ -25,75 +25,75 @@ const (
 	txnCommit = 2
 )
 
-// openTxnLog loads the committed-GSN set and highest GSN seen, then
-// starts a fresh log seeded with the still-relevant commits.
-func openTxnLog(fs vfs.FS, dir string) (_ *txnLog, committed map[uint64]bool, maxGSN uint64, err error) {
-	if err := fs.MkdirAll(dir); err != nil {
-		return nil, nil, 0, err
-	}
-	w, committed, maxGSN, err := replatformTxnLog(fs, dir)
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	return &txnLog{fs: fs, dir: dir, w: w}, committed, maxGSN, nil
-}
-
-// replatformTxnLog reads dir's TXNLOG (a torn tail ends the read
-// silently: that record never committed), rewrites it compacted — commits
-// only — into TXNLOG.new and renames that into place, returning the writer
-// positioned after the rewrite. Every open starts from it, and it is the
-// only way out of a tainted writer (heal).
-func replatformTxnLog(fs vfs.FS, dir string) (_ *wal.Writer, committed map[uint64]bool, maxGSN uint64, err error) {
+// readTxnLog reads dir's TXNLOG (a torn tail ends the read silently: that
+// record never committed): the committed-GSN set the engines' recovery
+// filters by, and the highest GSN seen.
+func readTxnLog(fs vfs.FS, dir string) (committed map[uint64]bool, maxGSN uint64, err error) {
 	name := dir + "/TXNLOG"
 	committed = make(map[uint64]bool)
-	if fs.Exists(name) {
-		recs, err := wal.ReadAll(fs, name)
+	if !fs.Exists(name) {
+		return committed, 0, nil
+	}
+	recs, err := wal.ReadAll(fs, name)
+	if err != nil {
+		return nil, 0, err
+	}
+	for _, r := range recs {
+		typ, gsn, err := decodeTxnRec(r.Payload)
 		if err != nil {
-			return nil, nil, 0, err
+			return nil, 0, err
 		}
-		for _, r := range recs {
-			typ, gsn, err := decodeTxnRec(r.Payload)
-			if err != nil {
-				return nil, nil, 0, err
-			}
-			if gsn > maxGSN {
-				maxGSN = gsn
-			}
-			if typ == txnCommit {
-				committed[gsn] = true
-			}
+		maxGSN = max(maxGSN, gsn)
+		if typ == txnCommit {
+			committed[gsn] = true
 		}
+	}
+	return committed, maxGSN, nil
+}
+
+// rewriteTxnLog writes a commit record of each of commits into TXNLOG.new
+// and renames that into place, so a crash before the rename leaves the old
+// log whole, and returns the writer positioned after them.
+func rewriteTxnLog(fs vfs.FS, dir string, commits map[uint64]bool) (*wal.Writer, error) {
+	name := dir + "/TXNLOG"
+	if err := fs.MkdirAll(dir); err != nil {
+		return nil, err
 	}
 	f, err := fs.Create(name + ".new")
 	if err != nil {
-		return nil, nil, 0, err
+		return nil, err
 	}
 	w := wal.NewWriter(f, wal.Options{Policy: wal.PolicyCommit})
-	for gsn := range committed {
+	for gsn := range commits {
 		if err := w.Append(gsn, encodeTxnRec(txnCommit, gsn)); err != nil {
 			w.Close()
-			return nil, nil, 0, err
+			return nil, err
 		}
 	}
 	if err := fs.Rename(name+".new", name); err != nil {
 		w.Close()
-		return nil, nil, 0, err
+		return nil, err
 	}
-	return w, committed, maxGSN, nil
+	return w, nil
 }
 
 // heal gives the log a fresh writer when a failed append tainted the
 // current one (a tainted writer refuses every later append, so without
 // this one injected fault would fail every cross-partition write until
-// the process restarts). Begin records of transactions still in flight are
-// not carried over: recovery only ever asks which GSNs committed.
+// the process restarts). It carries the commits made since Open over;
+// begin records of transactions still in flight are not: recovery only
+// ever asks which GSNs committed.
 func (t *txnLog) heal() error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if !t.w.Tainted() {
 		return nil
 	}
-	w, _, _, err := replatformTxnLog(t.fs, t.dir)
+	committed, _, err := readTxnLog(t.fs, t.dir)
+	if err != nil {
+		return err
+	}
+	w, err := rewriteTxnLog(t.fs, t.dir, committed)
 	if err != nil {
 		return err
 	}

@@ -7,6 +7,7 @@ import (
 
 	"p2kvs/internal/kv"
 	"p2kvs/internal/vfs"
+	"p2kvs/internal/wal"
 )
 
 // TestTxnLogHealsOnResume: one failed TXNLOG append taints its writer for
@@ -94,6 +95,94 @@ func TestTxnLogHealsOnResume(t *testing.T) {
 			if v, err := s.Get(k); err != nil || string(v) != want {
 				t.Fatalf("after crash: Get(%s) = %q, %v; want %q", k, v, err, want)
 			}
+		}
+	}
+}
+
+// TestTxnLogRestartsAtOpen: once every engine has opened, no engine log
+// holds a leg from before the Open, so the TXNLOG starts afresh with one
+// record, the GSN high-water mark. It stays the size of the commits made
+// since the last Open instead of carrying every commit ever made, and GSNs
+// keep rising across opens.
+func TestTxnLogRestartsAtOpen(t *testing.T) {
+	mem := vfs.NewMem()
+	open := func() *Store {
+		opts := DefaultOptions(lsmFactory(mem, "p2"))
+		opts.Workers = 2
+		opts.TxnFS = mem
+		opts.TxnDir = "p2/txn"
+		s, err := Open(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	records := func() []uint64 {
+		t.Helper()
+		recs, err := wal.ReadAll(mem, "p2/txn/TXNLOG")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var gsns []uint64
+		for _, r := range recs {
+			_, gsn, err := decodeTxnRec(r.Payload)
+			if err != nil {
+				t.Fatal(err)
+			}
+			gsns = append(gsns, gsn)
+		}
+		return gsns
+	}
+	s := open()
+	part := s.route.Load().part
+	// write commits one transaction over both workers, a key on each.
+	want := map[string]string{}
+	write := func(i int, v string) {
+		t.Helper()
+		var b kv.Batch
+		var seen [2]bool
+		for j := 0; !seen[0] || !seen[1]; j++ {
+			k := fmt.Sprintf("txn%03d-%03d", i, j)
+			if w := part.Pick([]byte(k)); !seen[w] {
+				seen[w] = true
+				b.Put([]byte(k), []byte(v))
+				want[k] = v
+			}
+		}
+		if err := s.Write(&b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const n = 50
+	for i := 0; i < n; i++ {
+		write(i, "first")
+	}
+	if got := len(records()); got != 1+2*n {
+		t.Fatalf("TXNLOG holds %d records after %d transactions, want the high-water mark, then a begin and a commit each", got, n)
+	}
+	maxGSN := s.gsn.Load()
+
+	// A crash, so the second Open replays the legs through the filter.
+	mem.Crash()
+	s.Close()
+	mem.Restart()
+	s = open()
+	if got := records(); len(got) != 1 || got[0] != maxGSN {
+		t.Fatalf("TXNLOG after reopen holds GSNs %v, want just the high-water mark %d", got, maxGSN)
+	}
+	write(n, "second")
+	if g := s.gsn.Load(); g <= maxGSN {
+		t.Fatalf("the first transaction after reopen took GSN %d, not above the old maximum %d", g, maxGSN)
+	}
+	s.Close()
+	s = open()
+	defer s.Close()
+	if got := records(); len(got) != 1 || got[0] != maxGSN+1 {
+		t.Fatalf("TXNLOG after the second reopen holds GSNs %v, want [%d]", got, maxGSN+1)
+	}
+	for k, w := range want {
+		if v, err := s.Get([]byte(k)); err != nil || string(v) != w {
+			t.Fatalf("Get(%s) = %q, %v; want %q", k, v, err, w)
 		}
 	}
 }

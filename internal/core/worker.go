@@ -75,11 +75,14 @@ type worker struct {
 	batchWriteOps atomic.Int64
 	multiGetOps   atomic.Int64
 
-	// lastGSN is the highest GSN this worker has durably applied — the
-	// per-worker transaction watermark a checkpoint barrier records.
-	// Written only under exec, read by the coordinator.
-	// With replication enabled it is the stream cursor: every applied
-	// write batch ratchets it (not just transaction legs).
+	// ckpt is what Store.Checkpoint has materialized of this engine's
+	// images, replaced whole after each one (checkpoints run one at a time).
+	ckpt atomic.Pointer[kv.CheckpointStats]
+
+	// lastGSN is this worker's replication stream cursor: the GSN of its
+	// last shipped write batch (ship), zero with replication off. A
+	// checkpoint barrier records it as the manifest's WorkerGSN. Written
+	// only under exec, read by the coordinator.
 	lastGSN atomic.Uint64
 
 	// repl, when non-nil, receives every applied write batch (the
@@ -138,6 +141,7 @@ func (s *Store) newWorker(id int, engine kv.Engine) *worker {
 	w.hr, _ = w.engine.(kv.HealthReporter)
 	w.cr, _ = w.engine.(kv.CompactionStatsReporter)
 	w.ck, _ = w.engine.(kv.Checkpointer)
+	w.ckpt.Store(new(kv.CheckpointStats))
 	w.sc, _ = w.engine.(kv.Scrubber)
 	return w
 }
@@ -332,8 +336,6 @@ func (w *worker) commit(ops []kv.BatchOp, txnGSN, streamGSN uint64, unrouted boo
 	if err == nil {
 		if w.repl != nil {
 			w.ship(streamGSN, ops)
-		} else if txnGSN > w.lastGSN.Load() {
-			w.lastGSN.Store(txnGSN)
 		}
 		w.mirrorMoved(ops)
 	}
@@ -574,14 +576,12 @@ func (w *worker) stats() WorkerStats {
 		Shed:           w.shed.Load(),
 		QueueHighWater: w.q.highWaterMark(),
 	}
+	st.CheckpointStats = *w.ckpt.Load()
 	if w.hr != nil {
 		st.Health = w.hr.Health()
 	}
 	if w.cr != nil {
 		st.CompactionStats = w.cr.CompactionStats()
-	}
-	if w.ck != nil {
-		st.CheckpointStats = w.ck.CheckpointStats()
 	}
 	if w.repl != nil {
 		st.ReplLastGSN = w.lastGSN.Load()

@@ -1,25 +1,90 @@
 package kv
 
 import (
+	"fmt"
 	"sync"
 
-	"p2kvs/internal/stats"
 	"p2kvs/internal/vfs"
 )
 
-// CheckpointFile describes one file an engine emitted into a checkpoint
-// image.
-type CheckpointFile struct {
-	// Name is the file's path relative to the checkpoint directory the
-	// engine was given in WriteTo.
-	Name string
-	// Restore is the path, relative to the engine's data directory, the
-	// file must be materialized at when the image is restored.
-	Restore string
+// CheckpointImage is an engine's checkpoint as PrepareCheckpoint describes
+// it: the files that make up the image, read from FS, and the pin that keeps
+// them there. Materialize writes it out.
+type CheckpointImage struct {
+	FS    vfs.FS
+	Files []CheckpointFile
+	// Release drops the pin PrepareCheckpoint took; nil when nothing is
+	// pinned. The caller calls it exactly once, after Materialize or
+	// instead of it.
+	Release func()
 }
 
-// CheckpointStats is a snapshot of an engine's checkpoint activity,
-// cumulative over the engine's lifetime.
+// CheckpointFile is one file of a checkpoint image. Name is its path
+// relative to the engine's data directory, where a restore puts it back.
+// Its content comes from exactly one source:
+//   - Whole: Path, an immutable and uniquely named file, entire;
+//   - Write: whatever Write puts at the path it is given;
+//   - otherwise: the [0, Size) prefix of Path, an append-only file (a
+//     prefix at a record boundary stays a crash-consistent image while
+//     the file grows).
+type CheckpointFile struct {
+	Name  string
+	Path  string
+	Whole bool
+	Size  int64
+	Write func(fs vfs.FS, path string) error
+}
+
+// Materialize writes the image into dir on fs as checkpoint seq of a backup
+// set and returns the name each file got in dir, in Files order. A whole
+// file keeps its name and enters through AddFile: reused, linked or copied.
+// Every other file differs between checkpoints, so its name gets
+// -ckptSSSSSS: a crashed later checkpoint can never clobber a file an
+// earlier manifest references. Each of those counts as one file copied,
+// with its bytes.
+func (img CheckpointImage) Materialize(fs vfs.FS, dir string, seq uint64, st *CheckpointStats) ([]string, error) {
+	if err := fs.MkdirAll(dir); err != nil {
+		return nil, err
+	}
+	names := make([]string, len(img.Files))
+	for i, f := range img.Files {
+		if f.Whole {
+			names[i] = f.Name
+			if err := st.AddFile(img.FS, f.Path, fs, dir+"/"+f.Name); err != nil {
+				return nil, err
+			}
+			continue
+		}
+		names[i] = fmt.Sprintf("%s-ckpt%06d", f.Name, seq)
+		dst := dir + "/" + names[i]
+		n := f.Size
+		if f.Write == nil {
+			if err := vfs.CopyPrefix(img.FS, f.Path, fs, dst, n); err != nil {
+				return nil, err
+			}
+		} else {
+			if err := f.Write(fs, dst); err != nil {
+				return nil, err
+			}
+			out, err := fs.Open(dst)
+			if err != nil {
+				return nil, err
+			}
+			n, err = out.Size()
+			out.Close()
+			if err != nil {
+				return nil, err
+			}
+		}
+		st.FilesCopied++
+		st.BytesCopied += n
+	}
+	st.Checkpoints++
+	return names, nil
+}
+
+// CheckpointStats counts one worker's checkpoint activity over its
+// lifetime: Materialize adds each image it writes.
 type CheckpointStats struct {
 	// Checkpoints counts completed engine checkpoints.
 	Checkpoints int64 `json:"checkpoints" agg:"sum"`
@@ -58,17 +123,15 @@ func (st *CheckpointStats) AddFile(srcFS vfs.FS, src string, dstFS vfs.FS, dst s
 	return nil
 }
 
-// CheckpointState is what an engine keeps between checkpoints: the pins of
-// the checkpoints still materializing, the file removals parked behind
-// them, and the lifetime statistics. An engine embeds it (which gives the
-// engine the CheckpointStats half of Checkpointer), pins in
-// PrepareCheckpoint, unpins in the writer's Release, and retires every file
-// through Remove. The mutex is a leaf: nothing is called with it held.
+// CheckpointState is the checkpoint pins an engine keeps: the images still
+// materializing and the file removals parked behind them. An engine embeds
+// it, pins in PrepareCheckpoint, unpins in the image's Release, and retires
+// every file through Remove. The mutex is a leaf: nothing is called with it
+// held.
 type CheckpointState struct {
 	mu           sync.Mutex
 	ckptPins     int
 	ckptDeferred []string
-	stats        CheckpointStats
 }
 
 // Pin holds every file retired from now on on disk until the matching
@@ -115,47 +178,12 @@ func (c *CheckpointState) Held() bool {
 	return c.ckptPins > 0
 }
 
-// Add merges one finished checkpoint's share into the lifetime statistics.
-func (c *CheckpointState) Add(done CheckpointStats) {
-	c.mu.Lock()
-	stats.Merge(&c.stats, done)
-	c.mu.Unlock()
-}
-
-// CheckpointStats implements Checkpointer's statistics half.
-func (c *CheckpointState) CheckpointStats() CheckpointStats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.stats
-}
-
-// CheckpointWriter is the slow half of a two-phase engine checkpoint. It
-// holds a pinned, consistent point-in-time view captured by
-// PrepareCheckpoint and can materialize it while the engine keeps serving
-// writes.
-type CheckpointWriter interface {
-	// WriteTo materializes the captured view under dir on fs and returns
-	// the files making up the image. seq is the backup set's checkpoint
-	// sequence number: files whose content differs between checkpoints
-	// must embed it in their names, so a crashed later checkpoint can
-	// never clobber files an earlier CHECKPOINT manifest references;
-	// immutable files (SSTs) keep stable names and are skipped when
-	// already present — the incremental path.
-	WriteTo(fs vfs.FS, dir string, seq uint64) ([]CheckpointFile, error)
-	// Release drops the pinned view. It must be called exactly once,
-	// whether or not WriteTo succeeded, or the engine will defer file
-	// deletions forever.
-	Release()
-}
-
 // Checkpointer is the optional capability of participating in an online
 // store-wide checkpoint. PrepareCheckpoint is called while the accessing
 // layer has the engine's worker paused at a GSN barrier; it must be fast
-// (capture references, sizes and positions — no bulk IO) because its
-// runtime is write-stall time. The returned writer does the bulk IO after
-// writes resume. CheckpointStats reports the lifetime totals, which the
-// accessing layer surfaces in per-worker stats.
+// (capture file lists, sizes and positions — no bulk IO) because its
+// runtime is write-stall time. The accessing layer materializes the image
+// after writes resume.
 type Checkpointer interface {
-	PrepareCheckpoint() (CheckpointWriter, error)
-	CheckpointStats() CheckpointStats
+	PrepareCheckpoint() (CheckpointImage, error)
 }

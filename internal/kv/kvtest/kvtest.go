@@ -332,9 +332,7 @@ func testClosed(t *testing.T, cfg Config, c caps) {
 		hr.Health() // reports whatever it last knew; it must not panic
 	}
 	if c.checkpoint {
-		ck := e.(kv.Checkpointer)
-		calls["PrepareCheckpoint"] = func() error { _, err := ck.PrepareCheckpoint(); return err }
-		ck.CheckpointStats()
+		calls["PrepareCheckpoint"] = func() error { _, err := e.(kv.Checkpointer).PrepareCheckpoint(); return err }
 	}
 	if c.scrub {
 		calls["Scrub"] = func() error { _, err := e.(kv.Scrubber).Scrub(context.Background(), nil); return err }
@@ -850,7 +848,6 @@ func testCheckpoint(t *testing.T, cfg Config, c caps) {
 	mem := vfs.NewMem()
 	e := open(t, cfg, mem, "db", nil)
 	defer e.Close()
-	ck := e.(kv.Checkpointer)
 
 	want := map[string][]byte{}
 	for i := 0; i < 400; i++ {
@@ -890,8 +887,7 @@ func testCheckpoint(t *testing.T, cfg Config, c caps) {
 			}
 		}
 	}()
-	stats := ck.CheckpointStats()
-	cw, err := ck.PrepareCheckpoint()
+	img, err := e.(kv.Checkpointer).PrepareCheckpoint()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -916,22 +912,24 @@ func testCheckpoint(t *testing.T, cfg Config, c caps) {
 			t.Fatal(err)
 		}
 	}
-	files, err := cw.WriteTo(mem, "image", 1)
-	cw.Release()
+	var st kv.CheckpointStats
+	names, err := img.Materialize(mem, "image", 1, &st)
+	if img.Release != nil {
+		img.Release()
+	}
 	stop.Store(true)
 	noise.Wait()
 	if err != nil {
-		t.Fatalf("WriteTo: %v", err)
+		t.Fatalf("Materialize: %v", err)
 	}
-	if got := ck.CheckpointStats(); got.Checkpoints != stats.Checkpoints+1 ||
-		got.FilesLinked+got.FilesCopied+got.FilesReused <= stats.FilesLinked+stats.FilesCopied+stats.FilesReused {
-		t.Fatalf("checkpoint statistics %+v after one checkpoint over %+v", got, stats)
+	if st.Checkpoints != 1 || st.FilesLinked+st.FilesCopied+st.FilesReused != int64(len(names)) {
+		t.Fatalf("checkpoint statistics %+v after one checkpoint of %d files", st, len(names))
 	}
 
 	fresh := vfs.NewMem()
-	for _, f := range files {
-		if _, err := vfs.CopyFile(mem, "image/"+f.Name, fresh, "restored/"+f.Restore); err != nil {
-			t.Fatalf("materialising %s at %s: %v", f.Name, f.Restore, err)
+	for i, name := range names {
+		if _, err := vfs.CopyFile(mem, "image/"+name, fresh, "restored/"+img.Files[i].Name); err != nil {
+			t.Fatalf("materialising %s at %s: %v", name, img.Files[i].Name, err)
 		}
 	}
 	r := open(t, cfg, fresh, "restored", nil)

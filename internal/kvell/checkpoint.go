@@ -3,7 +3,6 @@ package kvell
 import (
 	"encoding/binary"
 	"errors"
-	"fmt"
 
 	"p2kvs/internal/kv"
 	"p2kvs/internal/vfs"
@@ -23,37 +22,17 @@ const snapshotName = "SNAPSHOT"
 
 var _ kv.Checkpointer = (*Store)(nil)
 
-// PrepareCheckpoint implements kv.Checkpointer.
-func (s *Store) PrepareCheckpoint() (kv.CheckpointWriter, error) {
+// PrepareCheckpoint implements kv.Checkpointer. The capture lives in
+// memory: nothing on disk is pinned.
+func (s *Store) PrepareCheckpoint() (kv.CheckpointImage, error) {
 	pairs, err := s.Scan(nil, 1<<31-1)
 	if err != nil {
-		return nil, err
+		return kv.CheckpointImage{}, err
 	}
-	return &ckptWriter{s: s, pairs: pairs}, nil
+	return kv.CheckpointImage{Files: []kv.CheckpointFile{{Name: snapshotName, Write: func(fs vfs.FS, path string) error {
+		return vfs.WriteFile(fs, path, encodeSnapshot(pairs))
+	}}}}, nil
 }
-
-type ckptWriter struct {
-	s     *Store
-	pairs []kv.Pair
-}
-
-// WriteTo implements kv.CheckpointWriter.
-func (w *ckptWriter) WriteTo(fs vfs.FS, dir string, seq uint64) ([]kv.CheckpointFile, error) {
-	if err := fs.MkdirAll(dir); err != nil {
-		return nil, err
-	}
-	name := fmt.Sprintf("%s-ckpt%06d", snapshotName, seq)
-	data := encodeSnapshot(w.pairs)
-	if err := vfs.WriteFile(fs, dir+"/"+name, data); err != nil {
-		return nil, err
-	}
-	w.s.Add(kv.CheckpointStats{Checkpoints: 1, FilesCopied: 1, BytesCopied: int64(len(data))})
-	return []kv.CheckpointFile{{Name: name, Restore: snapshotName}}, nil
-}
-
-// Release implements kv.CheckpointWriter. The capture lives in memory; no
-// on-disk state was pinned.
-func (w *ckptWriter) Release() {}
 
 // Snapshot layout: count u32 | (klen u16 | vlen u32 | key | value)*.
 func encodeSnapshot(pairs []kv.Pair) []byte {

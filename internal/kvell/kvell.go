@@ -75,9 +75,6 @@ type Store struct {
 	// Close cannot close a queue mid-send.
 	mu sync.RWMutex
 
-	// No file is ever retired, so only the statistics half is used.
-	kv.CheckpointState
-
 	// g holds the degraded state (health.go): while it is degraded writes
 	// are rejected at submit and reads keep serving; it resumes the store
 	// once space frees.

@@ -27,6 +27,7 @@ compaction $GO test -race -short -timeout 5m -run 'Torture/lsm-parallel' ./inter
 backup     $GO test -fuzz=FuzzParse -fuzztime=$FUZZTIME ./internal/checkpoint
 backup     $GO test -race -timeout 10m -run 'RestoreEquivalence' ./internal/torture
 backup     $GO test -race -timeout 5m -run 'Checkpoint|Restore|Barrier' ./internal/core
+backup     $GO test -race -timeout 5m -run 'Conformance.*/checkpoint' ./internal/lsm ./internal/btreekv ./internal/kvell
 backup     $GO test -race -timeout 5m -run 'Manifest|ParseMutations|ParseRejects' ./internal/checkpoint
 backup     $GO test -race -timeout 5m -run 'Backup|Restore' .
 backup     $GO run ./examples/txn-recovery

@@ -48,17 +48,16 @@ var unnamedFuncs = map[string]string{}
 
 // maxKVInterfaces bounds the engine contract: internal/kv declares every
 // interface an engine can be asked for, and no more than this many.
-const maxKVInterfaces = 13
+const maxKVInterfaces = 12
 
 // unassertedInterfaces: interfaces of internal/kv that no non-test code of
 // the accessing layer (internal/core, internal/server, the facade, kv.CapsOf)
 // type-asserts an engine to, and why they stay.
 var unassertedInterfaces = map[string]string{
-	"Engine":           "the contract itself: what an EngineFactory returns",
-	"Iterator":         "what Engine.NewIterator returns",
-	"CheckpointWriter": "what Checkpointer.PrepareCheckpoint returns",
-	"RateLimiter":      "a parameter of Scrubber.Scrub; internal/scrub implements it",
-	"RepairSource":     "an engine option, not a capability: the facade's backupRepairSource implements it",
+	"Engine":       "the contract itself: what an EngineFactory returns",
+	"Iterator":     "what Engine.NewIterator returns",
+	"RateLimiter":  "a parameter of Scrubber.Scrub; internal/scrub implements it",
+	"RepairSource": "an engine option, not a capability: the facade's backupRepairSource implements it",
 }
 
 func TestSurfaceCensus(t *testing.T) {
