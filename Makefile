@@ -63,7 +63,9 @@ alloc-profile:
 # under them; the MemFS device under all of
 # them (a 2 MiB append, a block read). The engine lookup runs with the block
 # cache too small (GetMiss) and holding every block (GetHit, where the
-# table's index search shows most). The two callers of the k-way merge:
+# table's index search shows most). A ten-entry scan of settled tables,
+# which crosses more blocks the smaller they are (ShortScan). The two
+# callers of the k-way merge:
 # compaction (CompactionMerge) and a store's SCAN on both of its paths
 # (StoreScan). A minor compaction: one 4 MiB memtable written to L0, of
 # unique keys and of zipfian overwrites whose shadowed versions it skips
@@ -83,7 +85,7 @@ PROFILE_RUNS = 'p2kvs write PutAsync|LSMWriteBatch' 'p2kvs memtable MemtableAdd|
 	'core mget-direct MultiGet$$/direct=true' 'core mget-queued MultiGet$$/direct=false' \
 	'core put-direct ^BenchmarkPut$$/direct=true' 'core put-queued ^BenchmarkPut$$/direct=false' \
 	'core mset-direct WriteEach$$/direct=true' 'core mset-queued WriteEach$$/direct=false' \
-	'lsm get-engine GetMiss' 'lsm get-hit GetHit' 'vfs memfs MemFSAppend|MemFSReadAt' \
+	'lsm get-engine GetMiss' 'lsm get-hit GetHit' 'lsm scan-short ShortScan' 'vfs memfs MemFSAppend|MemFSReadAt' \
 	'lsm compaction CompactionMerge' 'core scan StoreScan' 'lsm flush Flush' 'server wire ServerPipeline'
 
 profile-bins:

@@ -82,32 +82,41 @@ type harness struct {
 	setsAcked, bgsaves, msets atomic.Int64
 	kills                     int
 	verifyOps                 int64
+	nodes                     []*node     // every server newNode made
+	exit                      func(error) // fatal; a test catches it instead
 }
 
-func crashFatalf(format string, args ...any) {
-	fatal(fmt.Errorf("crash: "+format, args...))
+// fatalf ends the torture with an error. Deferred kills do not run past the
+// exit, so it SIGKILLs and reaps every server still running first: a failed
+// run leaves no p2kvs-server behind.
+func (h *harness) fatalf(format string, args ...any) {
+	for _, n := range h.nodes {
+		n.kill()
+	}
+	h.exit(fmt.Errorf("crash: "+format, args...))
 }
 
 func runCrash(cfg crashConfig) {
 	if cfg.seed == 0 {
 		cfg.seed = time.Now().UnixNano()
 	}
+	h := &harness{
+		rng:    rand.New(rand.NewSource(cfg.seed)),
+		states: make([]keyState, cfg.conns*crashKeysPerConn),
+		exit:   fatal,
+	}
 	if cfg.dir == "" {
 		d, err := os.MkdirTemp("", "netbench-crash-*")
 		if err != nil {
-			crashFatalf("mkdtemp: %v", err)
+			h.fatalf("mkdtemp: %v", err)
 		}
 		defer os.RemoveAll(d)
 		cfg.dir = d
 	}
 	if err := os.MkdirAll(cfg.dir, 0o755); err != nil {
-		crashFatalf("crash_dir: %v", err)
+		h.fatalf("crash_dir: %v", err)
 	}
-	h := &harness{
-		crashConfig: cfg,
-		rng:         rand.New(rand.NewSource(cfg.seed)),
-		states:      make([]keyState, cfg.conns*crashKeysPerConn),
-	}
+	h.crashConfig = cfg
 	fmt.Printf("netbench crash: mode=%s replica=%v cycles=%d conns=%d pipeline=%d seed=%d dir=%s server_args=%q\n",
 		cfg.mode, cfg.replica, cfg.cycles, cfg.conns, cfg.pipeline, cfg.seed, cfg.dir, cfg.serverArgs)
 	if cfg.replica {
@@ -119,6 +128,7 @@ func runCrash(cfg crashConfig) {
 
 // node is one server process, restartable on a fixed port.
 type node struct {
+	h          *harness
 	name, addr string
 	bin        string
 	args       []string
@@ -131,20 +141,22 @@ type node struct {
 func (h *harness) newNode(name string, extra ...string) *node {
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
-		crashFatalf("pick port: %v", err)
+		h.fatalf("pick port: %v", err)
 	}
 	addr := lis.Addr().String()
 	lis.Close()
 	dir := h.dir + "/" + name
 	logs, err := os.Create(dir + ".log")
 	if err != nil {
-		crashFatalf("%s log: %v", name, err)
+		h.fatalf("%s log: %v", name, err)
 	}
 	args := []string{"-addr", addr, "-dir", dir, "-workers", "4",
 		"-wal_sync", walSyncFor[h.mode], "-conn_idle_timeout", "30s"}
 	args = append(args, extra...)
 	args = append(args, strings.Fields(h.serverArgs)...)
-	return &node{name: name, addr: addr, bin: h.serverBin, args: args, logs: logs}
+	n := &node{h: h, name: name, addr: addr, bin: h.serverBin, args: args, logs: logs}
+	h.nodes = append(h.nodes, n)
+	return n
 }
 
 // start spawns the process and waits until it answers PING.
@@ -152,7 +164,8 @@ func (n *node) start() {
 	n.cmd = exec.Command(n.bin, n.args...)
 	n.cmd.Stdout, n.cmd.Stderr = n.logs, n.logs
 	if err := n.cmd.Start(); err != nil {
-		crashFatalf("start %s: %v", n.name, err)
+		n.cmd = nil
+		n.h.fatalf("start %s: %v", n.name, err)
 	}
 	c := cluster.NewConn(n.addr, time.Second)
 	defer c.Close()
@@ -161,8 +174,7 @@ func (n *node) start() {
 			return
 		}
 	}
-	n.kill()
-	crashFatalf("%s never became ready (see %s)", n.name, n.logs.Name())
+	n.h.fatalf("%s never became ready (see %s)", n.name, n.logs.Name())
 }
 
 // kill is SIGKILL: no drain, no flush, no goodbye.
@@ -177,10 +189,11 @@ func (n *node) kill() {
 // stop is the graceful path: SIGINT, drain, exit 0.
 func (n *node) stop() {
 	n.cmd.Process.Signal(os.Interrupt)
-	if err := n.cmd.Wait(); err != nil {
-		crashFatalf("%s: graceful shutdown failed: %v", n.name, err)
-	}
+	err := n.cmd.Wait()
 	n.cmd = nil
+	if err != nil {
+		n.h.fatalf("%s: graceful shutdown failed: %v", n.name, err)
+	}
 }
 
 func (h *harness) runSingle() {
@@ -192,7 +205,7 @@ func (h *harness) runSingle() {
 		// The restarted server must still hold everything the previous
 		// incarnations acked.
 		if err := h.verify(); err != nil {
-			crashFatalf("cycle %d: VERIFICATION FAILED: %v", cycle, err)
+			h.fatalf("cycle %d: VERIFICATION FAILED: %v", cycle, err)
 		}
 		h.loadAndKill(srv.kill)
 	}
@@ -200,10 +213,10 @@ func (h *harness) runSingle() {
 	// then shut down gracefully.
 	srv.start()
 	if err := h.verify(); err != nil {
-		crashFatalf("final: VERIFICATION FAILED: %v", err)
+		h.fatalf("final: VERIFICATION FAILED: %v", err)
 	}
 	if err := h.probeWrite(); err != nil {
-		crashFatalf("final: store rejected writes after recovery: %v", err)
+		h.fatalf("final: store rejected writes after recovery: %v", err)
 	}
 	srv.stop()
 	fmt.Printf("netbench crash: PASS — %d kills, %d acked sets verified across restarts, %d verification reads, %d bgsaves\n",
@@ -515,14 +528,14 @@ func (h *harness) runPair() {
 	// and the replica to hold a byte-identical dataset.
 	converged := func(stage string, timeout time.Duration) int {
 		if err := h.verify(); err != nil {
-			crashFatalf("%s: PRIMARY VERIFICATION FAILED: %v", stage, err)
+			h.fatalf("%s: PRIMARY VERIFICATION FAILED: %v", stage, err)
 		}
 		if _, err := awaitSync(pc, rc, timeout); err != nil {
-			crashFatalf("%s: %v", stage, err)
+			h.fatalf("%s: %v", stage, err)
 		}
 		n, err := compareDumps(pc, rc)
 		if err != nil {
-			crashFatalf("%s: %v", stage, err)
+			h.fatalf("%s: %v", stage, err)
 		}
 		return n
 	}
@@ -557,11 +570,11 @@ func (h *harness) runPair() {
 		if victim == 0 {
 			m, err := awaitSync(pc, rc, 60*time.Second)
 			if err != nil {
-				crashFatalf("%s: after replica kill: %v", stage, err)
+				h.fatalf("%s: after replica kill: %v", stage, err)
 			}
 			p, f := m.Int("replica_partial_syncs"), m.Int("replica_full_syncs")
 			if p == 0 {
-				crashFatalf("%s: replica restarted under a live primary but did not partial-resync (partial=%d full=%d)", stage, p, f)
+				h.fatalf("%s: replica restarted under a live primary but did not partial-resync (partial=%d full=%d)", stage, p, f)
 			}
 			partialResyncs += int(p)
 		}
@@ -573,16 +586,16 @@ func (h *harness) runPair() {
 	// reconnect falls back to a full sync and still converges.
 	replica.kill()
 	if err := overflowBacklog(pc); err != nil {
-		crashFatalf("overflow: %v", err)
+		h.fatalf("overflow: %v", err)
 	}
 	replica.start()
 	keys := converged("out-of-window", 120*time.Second)
 	m, err := loadgen.FetchInfo(rc)
 	if err != nil {
-		crashFatalf("out-of-window: %v", err)
+		h.fatalf("out-of-window: %v", err)
 	}
 	if m.Int("replica_full_syncs") < 1 {
-		crashFatalf("out-of-window: replica reconnected without a full sync (partial=%d full=%d)",
+		h.fatalf("out-of-window: replica reconnected without a full sync (partial=%d full=%d)",
 			m.Int("replica_partial_syncs"), m.Int("replica_full_syncs"))
 	}
 	replica.stop()

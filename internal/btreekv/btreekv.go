@@ -395,7 +395,7 @@ func (d *DB) checkpointLocked() error {
 	if err != nil {
 		return err
 	}
-	w := sstable.NewWriter(f, newGen)
+	w := sstable.NewWriter(f, newGen, sstable.BlockSize)
 
 	// Merge dirty (wins) with base in key order.
 	var baseIt *sstable.Iter

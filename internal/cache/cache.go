@@ -31,9 +31,9 @@ const (
 	// large block evicting several small ones.
 	maxFree = 4
 	// sizeClass is the granularity of buffer capacities, so the buffer of one
-	// evicted block fits the next (blocks cluster within a few hundred bytes
-	// of the writer's target size).
-	sizeClass = 512
+	// evicted block fits the next: blocks cut at sstable.BlockSize (1 KiB)
+	// end one entry past it, at 1.05-1.25 KiB, all in the 1,280-byte class.
+	sizeClass = 256
 	// poison fills recycled buffers under the race detector: a read through
 	// a released pin decodes as garbage in CI instead of passing on whatever
 	// block lands there next.

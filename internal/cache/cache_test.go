@@ -395,14 +395,16 @@ func TestAllocs(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("allocation pins are not meaningful under the race detector")
 	}
-	c := New(numShards * 64 * (4096 + entryOverhead))
-	blk := make([]byte, 4096)
-	for i := 0; i < 4096; i++ { // well past the budget: every shard is evicting
-		put(c, 1, uint64(i)*4096, blk)
+	const blockLen = 1156 // a block of 128-byte records cut at 1 KiB
+	c := New(numShards * 64 * (blockLen + entryOverhead))
+	blk := make([]byte, 5*sizeClass) // room for the largest block of the class
+	// Well past the budget: every shard is evicting.
+	for i := 0; i < 4096; i++ {
+		put(c, 1, uint64(i)*4096, blk[:blockLen])
 	}
-	put(c, 9, 0, blk)
+	put(c, 9, 0, blk[:blockLen])
 	if n := testing.AllocsPerRun(200, func() {
-		b, hit := c.Get(9, 0, 4096)
+		b, hit := c.Get(9, 0, blockLen)
 		if !hit {
 			t.Fatal("miss on a resident block")
 		}
@@ -414,7 +416,7 @@ func TestAllocs(t *testing.T) {
 	const perRun = 1000
 	if n := testing.AllocsPerRun(5, func() {
 		for i := 0; i < perRun; i++ {
-			put(c, 1, next*4096, blk[:4000+next%96]) // miss, insert, evict; sizes vary within a class
+			put(c, 1, next*4096, blk[:1056+next%200]) // miss, insert, evict; sizes vary within a class
 			next++
 		}
 	}); n > perRun/100 {

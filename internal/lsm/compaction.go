@@ -239,7 +239,7 @@ func (d *DB) writeTables(it kv.Iterator, dropTombs bool, split int64) (_ []manif
 			if f, err = d.opts.FS.Create(sstName(d.dir, num)); err != nil {
 				return nil, err
 			}
-			w = sstable.NewWriter(f, num)
+			w = sstable.NewWriter(f, num, sstable.BlockSize)
 		}
 		v := it.Value()
 		if err := w.Add(ik, v); err != nil {

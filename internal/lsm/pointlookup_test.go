@@ -5,13 +5,17 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"p2kvs/internal/block"
+	"p2kvs/internal/ikey"
 	"p2kvs/internal/kv"
 	"p2kvs/internal/raceflag"
+	"p2kvs/internal/sstable"
 	"p2kvs/internal/vfs"
 )
 
@@ -21,7 +25,13 @@ func lookupKey(i int) []byte { return []byte(fmt.Sprintf("user%012d", i)) }
 // levels, and leaves the memtable empty: every Get goes to the tables.
 func settledDB(tb testing.TB, n int, blockCache int64) *DB {
 	tb.Helper()
-	opts := RocksDBOptions(vfs.NewMem())
+	return settledDBOn(tb, vfs.NewMem(), n, blockCache)
+}
+
+// settledDBOn is settledDB on fs.
+func settledDBOn(tb testing.TB, fs vfs.FS, n int, blockCache int64) *DB {
+	tb.Helper()
+	opts := RocksDBOptions(fs)
 	opts.BlockCacheSize = blockCache
 	db, err := Open("db", opts)
 	if err != nil {
@@ -122,7 +132,7 @@ func TestGetAllocs(t *testing.T) {
 	t.Run("block miss", func(t *testing.T) {
 		// A cache of one block per shard at most: striding a block's worth
 		// of keys per lookup makes every Get read its block.
-		db := settledDB(t, 50000, 16*8192)
+		db := settledDB(t, 50000, 16*2048)
 		var lookups []func()
 		for i := 0; i <= 500; i++ {
 			lookups = append(lookups, get(db, lookupKey(i*997%50000)))
@@ -141,6 +151,65 @@ func TestGetAllocs(t *testing.T) {
 			t.Errorf("Get on a block-cache miss: %.0f allocs, want <= 2 (the value, and a buffer when the free list has none that fits)", n)
 		}
 	})
+}
+
+// tableReads counts the reads, and the bytes read, of the table files opened
+// through it.
+type tableReads struct {
+	vfs.FS
+	reads, bytes atomic.Int64
+}
+
+func (c *tableReads) Open(name string) (vfs.File, error) {
+	f, err := c.FS.Open(name)
+	if err != nil || !strings.HasSuffix(name, ".sst") {
+		return f, err
+	}
+	return countedFile{f, c}, nil
+}
+
+type countedFile struct {
+	vfs.File
+	c *tableReads
+}
+
+func (f countedFile) ReadAt(p []byte, off int64) (int, error) {
+	n, err := f.File.ReadAt(p, off)
+	f.c.reads.Add(1)
+	f.c.bytes.Add(int64(n))
+	return n, err
+}
+
+// TestGetReadsOneSmallBlock: a Get whose block is not cached reads that one
+// data block from the device and nothing else (the table's index and filter
+// were read when it opened), and the block is cut for the lookup — at most
+// sstable.BlockSize, the entry that crossed it and the checksum trailer,
+// not the 4 KiB block of a scan-sized cut.
+func TestGetReadsOneSmallBlock(t *testing.T) {
+	const n = 50000
+	fs := &tableReads{FS: vfs.NewMem()}
+	// 512 bytes a shard: no block fits, so every Get reads its own.
+	db := settledDBOn(t, fs, n, 16*512)
+	for i := 0; i < n; i += 500 { // open every table
+		if _, err := db.Get(lookupKey(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// One entry: three one- or two-byte varints, the internal key, the
+	// 128-byte value and the restart slot it may open.
+	entry := 6 + len(lookupKey(0)) + ikey.TrailerLen + 128 + 4
+	maxRead := int64(sstable.BlockSize + entry + block.TrailerLen)
+	for i := 0; i < 200; i++ {
+		key := lookupKey(i * 997 % n)
+		reads, bytes := fs.reads.Load(), fs.bytes.Load()
+		if v, err := db.Get(key); err != nil || len(v) != 128 {
+			t.Fatalf("Get(%s) = %d bytes, %v", key, len(v), err)
+		}
+		reads, bytes = fs.reads.Load()-reads, fs.bytes.Load()-bytes
+		if reads != 1 || bytes > maxRead {
+			t.Fatalf("Get(%s) made %d reads of %d bytes, want one data block of at most %d", key, reads, bytes, maxRead)
+		}
+	}
 }
 
 // TestOneBloomEvaluationPerProbedTable: every table whose range covers the
@@ -545,7 +614,8 @@ func TestGetResultIsCallerOwned(t *testing.T) {
 
 // BenchmarkGetHit and BenchmarkGetMiss are the ten-second inner loop for
 // the point-lookup path: settled data, uniform keys, the block cache larger
-// than the data (hit) or a small fraction of it (miss).
+// than the data (hit) or a small fraction of it (miss). dev-B/get is the
+// table bytes read from the device per Get.
 //
 //	go test -run '^$' -bench 'BenchmarkGet' -benchmem ./internal/lsm
 func BenchmarkGetHit(b *testing.B)  { benchmarkGet(b, 64<<20) }
@@ -555,7 +625,8 @@ var benchSink []byte
 
 func benchmarkGet(b *testing.B, blockCache int64) {
 	const n = 200000
-	db := settledDB(b, n, blockCache)
+	fs := &tableReads{FS: vfs.NewMem()}
+	db := settledDBOn(b, fs, n, blockCache)
 	keys := make([][]byte, n)
 	for i := range keys {
 		keys[i] = lookupKey(i)
@@ -570,6 +641,7 @@ func benchmarkGet(b *testing.B, blockCache int64) {
 	for i := 0; i < n; i++ { // touch every block once so "hit" means hit
 		db.Get(next())
 	}
+	devBytes := fs.bytes.Load()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -582,6 +654,7 @@ func benchmarkGet(b *testing.B, blockCache int64) {
 	b.StopTimer()
 	hits, misses := db.BlockCacheStats()
 	b.ReportMetric(float64(hits)/float64(hits+misses), "cache-hit-ratio")
+	b.ReportMetric(float64(fs.bytes.Load()-devBytes)/float64(b.N), "dev-B/get")
 }
 
 // TestWriteAllocs pins the engine's write path — WAL payload, log append,

@@ -21,7 +21,7 @@ func TestV2FlipSweep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := NewWriter(f, 7)
+	w := NewWriter(f, 7, BlockSize)
 	pairs := sortedPairs(600) // a few data blocks
 	for i, p := range pairs {
 		if err := w.Add(ikey.Make([]byte(p[0]), uint64(i+1), ikey.KindSet), []byte(p[1])); err != nil {

@@ -17,7 +17,7 @@ import (
 )
 
 // writeKeys writes the internal keys iks, ascending, each with a value of
-// valueLen bytes, and returns the table's bytes. A value of targetBlockSize
+// valueLen bytes, and returns the table's bytes. A value of BlockSize
 // bytes puts every key in a block of its own, so every key is a separator.
 func writeKeys(tb testing.TB, iks [][]byte, valueLen int) []byte {
 	tb.Helper()
@@ -26,7 +26,7 @@ func writeKeys(tb testing.TB, iks [][]byte, valueLen int) []byte {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	w := NewWriter(f, 1)
+	w := NewWriter(f, 1, BlockSize)
 	value := make([]byte, valueLen)
 	for _, ik := range iks {
 		if err := w.Add(ik, value); err != nil {
@@ -149,12 +149,12 @@ func TestIndexSeekMatchesReference(t *testing.T) {
 		iks      [][]byte
 		valueLen int
 	}{
-		{"short suffixes", versions(bs("user", "user\x00", "usera", "usera\x00", "userab", "userabcdefg", "userabcdefgh", "userabcdefghi"), 7), targetBlockSize},
-		{"zero bytes", versions(bs("\x00", "\x00\x00", "\x00\x01", "k\x00\x00\x00\x00\x00\x00\x00\x00", "k\x00\x00\x00\x00\x00\x00\x00\x00\x01", "k\x01"), 5), targetBlockSize},
-		{"first separator is the prefix", versions(bs("pre", "pre\x00", "prea", "prefix", "prez"), 9), targetBlockSize},
-		{"empty user key", versions(bs("", "a", "b", "\xff"), 4), targetBlockSize},
-		{"keys past 64 bytes", versions(bs(long, long+"\x00", long+"a", long+"abcdefghij", long+"abcdefghik", long+"b"), 2), targetBlockSize},
-		{"versions spanning blocks", versions(bs("j", "k", "l"), many...), targetBlockSize},
+		{"short suffixes", versions(bs("user", "user\x00", "usera", "usera\x00", "userab", "userabcdefg", "userabcdefgh", "userabcdefghi"), 7), BlockSize},
+		{"zero bytes", versions(bs("\x00", "\x00\x00", "\x00\x01", "k\x00\x00\x00\x00\x00\x00\x00\x00", "k\x00\x00\x00\x00\x00\x00\x00\x00\x01", "k\x01"), 5), BlockSize},
+		{"first separator is the prefix", versions(bs("pre", "pre\x00", "prea", "prefix", "prez"), 9), BlockSize},
+		{"empty user key", versions(bs("", "a", "b", "\xff"), 4), BlockSize},
+		{"keys past 64 bytes", versions(bs(long, long+"\x00", long+"a", long+"abcdefghij", long+"abcdefghik", long+"b"), 2), BlockSize},
+		{"versions spanning blocks", versions(bs("j", "k", "l"), many...), BlockSize},
 		{"one-block table", versions(bs("one", "three", "two"), 1, 4), 16},
 		{"many keys a block", versions(func() [][]byte {
 			var uks [][]byte
@@ -226,13 +226,13 @@ func FuzzIndexSeek(f *testing.F) {
 	seedTable := writeKeys(f, fuzzKeys(seedKeys), 1000)
 	f.Add(seedKeys, uint16(1000), []byte("usera"), []byte(nil))
 	f.Add(seedKeys, uint16(0), []byte{}, indexContent(f, seedTable))
-	f.Add([]byte("\x10aaaaaaaaaaaaaaaa\x11aaaaaaaaaaaaaaaab"), uint16(4096), []byte("aaaaaaaaaaaaaaaa\x00"), []byte{0, 0, 0, 0, 1, 0, 0, 0})
+	f.Add([]byte("\x10aaaaaaaaaaaaaaaa\x11aaaaaaaaaaaaaaaab"), uint16(BlockSize), []byte("aaaaaaaaaaaaaaaa\x00"), []byte{0, 0, 0, 0, 1, 0, 0, 0})
 	f.Fuzz(func(t *testing.T, raw []byte, valueLen uint16, probe, index []byte) {
 		iks := fuzzKeys(raw)
 		if len(iks) == 0 {
 			t.Skip("a table holds at least one key")
 		}
-		data := writeKeys(t, iks, int(valueLen)%(targetBlockSize+1))
+		data := writeKeys(t, iks, int(valueLen)%(BlockSize+1))
 		r, err := openBytes(t, data)
 		if err != nil {
 			t.Fatal(err)
@@ -275,7 +275,7 @@ func TestOpenAllocs(t *testing.T) {
 	}
 	var counts []float64
 	for _, blocks := range []int{10, 1000} {
-		rf := allocTable(t, blocks*29) // 29 records of 128 bytes fill a 4 KiB block
+		rf := allocTable(t, blocks*8) // 8 records of 128 bytes fill a 1 KiB block
 		r, err := Open(rf)
 		if err != nil {
 			t.Fatal(err)
@@ -304,7 +304,7 @@ func TestVerifyFindsRotAfterOpen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := NewWriter(f, 1)
+	w := NewWriter(f, 1, BlockSize)
 	pairs := sortedPairs(2000)
 	for i, p := range pairs {
 		if err := w.Add(ikey.Make([]byte(p[0]), uint64(i+1), ikey.KindSet), []byte(p[1])); err != nil {

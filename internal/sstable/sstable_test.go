@@ -31,7 +31,7 @@ func buildTable(t *testing.T, pairs [][2]string) (*Reader, Meta) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := NewWriter(f, 1)
+	w := NewWriter(f, 1, BlockSize)
 	for i, p := range pairs {
 		ik := ikey.Make([]byte(p[0]), uint64(i+1), ikey.KindSet)
 		if err := w.Add(ik, []byte(p[1])); err != nil {
@@ -90,7 +90,7 @@ func TestWriteReadSmall(t *testing.T) {
 }
 
 func TestMultiBlockTable(t *testing.T) {
-	// Enough data to force many 4KB blocks.
+	// Enough data to force many blocks.
 	pairs := sortedPairs(5000)
 	r, _ := buildTable(t, pairs)
 	defer r.Close()
@@ -134,7 +134,7 @@ func TestMultiBlockTable(t *testing.T) {
 func TestVersionsAndTombstones(t *testing.T) {
 	fs := vfs.NewMem()
 	f, _ := fs.Create("t.sst")
-	w := NewWriter(f, 7)
+	w := NewWriter(f, 7, BlockSize)
 	// key "a": set@5 then (older) set@3; key "b": delete@9 then set@2.
 	w.Add(ikey.Make([]byte("a"), 5, ikey.KindSet), []byte("new"))
 	w.Add(ikey.Make([]byte("a"), 3, ikey.KindSet), []byte("old"))
@@ -177,7 +177,7 @@ func TestVersionsAndTombstones(t *testing.T) {
 func TestOutOfOrderAddFails(t *testing.T) {
 	fs := vfs.NewMem()
 	f, _ := fs.Create("t.sst")
-	w := NewWriter(f, 1)
+	w := NewWriter(f, 1, BlockSize)
 	if err := w.Add(ikey.Make([]byte("b"), 1, ikey.KindSet), nil); err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +189,7 @@ func TestOutOfOrderAddFails(t *testing.T) {
 func TestEmptyTableFails(t *testing.T) {
 	fs := vfs.NewMem()
 	f, _ := fs.Create("t.sst")
-	w := NewWriter(f, 1)
+	w := NewWriter(f, 1, BlockSize)
 	if _, err := w.Finish(); err == nil {
 		t.Fatal("finishing an empty table must fail")
 	}
@@ -228,7 +228,7 @@ func TestQuickTableModel(t *testing.T) {
 		sort.Strings(keys)
 		fs := vfs.NewMem()
 		f, _ := fs.Create("q.sst")
-		w := NewWriter(f, 1)
+		w := NewWriter(f, 1, BlockSize)
 		for i, k := range keys {
 			if w.Add(ikey.Make([]byte(k), uint64(i+1), ikey.KindSet), []byte(raw[k])) != nil {
 				return false
@@ -268,7 +268,7 @@ func allocTable(t *testing.T, n int) vfs.File {
 	t.Helper()
 	fs := vfs.NewMem()
 	f, _ := fs.Create("a.sst")
-	w := NewWriter(f, 1)
+	w := NewWriter(f, 1, BlockSize)
 	for i := 0; i < n; i++ {
 		w.Add(ikey.Make([]byte(fmt.Sprintf("user%012d", i)), uint64(i+1), ikey.KindSet), make([]byte, 128))
 	}
@@ -285,7 +285,7 @@ func allocTable(t *testing.T, n int) vfs.File {
 func TestReaderWithBlockCache(t *testing.T) {
 	fs := vfs.NewMem()
 	f, _ := fs.Create("b.sst")
-	w := NewWriter(f, 1)
+	w := NewWriter(f, 1, BlockSize)
 	for i := 0; i < 2000; i++ {
 		ik := ikey.Make([]byte(fmt.Sprintf("key%06d", i)), uint64(i+1), ikey.KindSet)
 		w.Add(ik, []byte(fmt.Sprintf("val%d", i)))
@@ -362,7 +362,7 @@ func TestFindCached(t *testing.T) {
 // reads.
 func TestIterPinsOneBlock(t *testing.T) {
 	rf := allocTable(t, 5000)
-	c := cache.New(64 << 10) // 4 KiB a shard: every block evicts another
+	c := cache.New(32 << 10) // 2 KiB a shard, under two blocks: every block evicts another
 	r, err := OpenNamed(rf, c, 3, "")
 	if err != nil {
 		t.Fatal(err)

@@ -31,10 +31,16 @@ import (
 	"p2kvs/internal/vfs"
 )
 
+// BlockSize is where every engine's writer cuts a data block: a point lookup
+// that misses the block cache reads, copies and checksums one block to find
+// one entry, so the block is sized for that read (eight 128-byte records)
+// rather than for scans. Readers take any block size, so a table cut at
+// another size (4 KiB, earlier) opens and reads unchanged.
+const BlockSize = 1 << 10
+
 const (
-	targetBlockSize = 4 << 10
-	footerLen       = 56
-	tableMagic      = 0x70324b5653535432 // "p2KVSST2"
+	footerLen  = 56
+	tableMagic = 0x70324b5653535432 // "p2KVSST2"
 )
 
 // Meta summarizes a finished table for the version set.
@@ -49,20 +55,22 @@ type Meta struct {
 // Writer streams a table to a file. Add must be called in strictly
 // ascending internal-key order.
 type Writer struct {
-	f       vfs.File
-	off     int64
-	data    block.Builder
-	index   block.Builder
-	filter  *bloom.Filter
-	hashes  []uint32 // bloom.Hash of every entry's user key, in Add order
-	meta    Meta
-	lastKey []byte
-	err     error
+	f         vfs.File
+	blockSize int
+	off       int64
+	data      block.Builder
+	index     block.Builder
+	filter    *bloom.Filter
+	hashes    []uint32 // bloom.Hash of every entry's user key, in Add order
+	meta      Meta
+	lastKey   []byte
+	err       error
 }
 
-// NewWriter begins a table in f.
-func NewWriter(f vfs.File, fileNum uint64) *Writer {
-	return &Writer{f: f, filter: bloom.New(10), meta: Meta{FileNum: fileNum}}
+// NewWriter begins a table in f whose data blocks are cut once they reach
+// blockSize bytes (BlockSize for every engine).
+func NewWriter(f vfs.File, fileNum uint64, blockSize int) *Writer {
+	return &Writer{f: f, blockSize: blockSize, filter: bloom.New(10), meta: Meta{FileNum: fileNum}}
 }
 
 // Add appends an internal-key/value entry.
@@ -81,7 +89,7 @@ func (w *Writer) Add(ik, value []byte) error {
 	w.hashes = append(w.hashes, bloom.Hash(ikey.UserKey(ik)))
 	w.data.Add(ik, value)
 	w.meta.Entries++
-	if w.data.EstimatedSize() >= targetBlockSize {
+	if w.data.EstimatedSize() >= w.blockSize {
 		w.flushDataBlock()
 	}
 	return w.err

@@ -16,10 +16,11 @@ import (
 // in two versions so the filter sees duplicates.
 const fixedTableEntries = 20_000
 
-// writeFixedTable streams the same table into f every time it is called.
-func writeFixedTable(tb testing.TB, f vfs.File) Meta {
+// writeFixedTable streams the same table into f every time it is called,
+// cutting its data blocks at blockSize.
+func writeFixedTable(tb testing.TB, f vfs.File, blockSize int) Meta {
 	tb.Helper()
-	w := NewWriter(f, 9)
+	w := NewWriter(f, 9, blockSize)
 	ukey, val := make([]byte, 16), make([]byte, 128)
 	var ik []byte
 	for n, id := 0, uint64(0); n < fixedTableEntries; id++ {
@@ -45,24 +46,46 @@ func writeFixedTable(tb testing.TB, f vfs.File) Meta {
 	return meta
 }
 
-// TestTableBytesUnchanged: the writer hashes a user key into a []uint32 when
-// the entry is added instead of keeping a copy of it for Finish, and the
-// block builder no longer stages its restart array. Neither may move a byte:
-// the digest below is of the table fa54e11 (the parent, which kept the keys)
-// wrote from this input. Never regenerate it from a later commit.
-func TestTableBytesUnchanged(t *testing.T) {
-	const parentDigest = "09d8b7e493f245c1e4f98d96fcf0d73c60f88fb21c9dd961ce5bca22f309dd46"
+// fixedTableDigest writes writeFixedTable's table at blockSize and returns its
+// sha256 and length.
+func fixedTableDigest(t *testing.T, blockSize int) (string, int) {
+	t.Helper()
 	fs := vfs.NewMem()
 	f, _ := fs.Create("fixed.sst")
-	meta := writeFixedTable(t, f)
+	meta := writeFixedTable(t, f, blockSize)
 	f.Close()
 	data, err := vfs.ReadFile(fs, "fixed.sst")
 	if err != nil {
 		t.Fatal(err)
 	}
+	if meta.Entries != fixedTableEntries {
+		t.Fatalf("%d entries, want %d", meta.Entries, fixedTableEntries)
+	}
 	sum := sha256.Sum256(data)
-	if got := hex.EncodeToString(sum[:]); got != parentDigest || meta.Entries != fixedTableEntries {
-		t.Fatalf("%d entries, %d bytes, sha256 %s; the parent wrote %s", meta.Entries, len(data), got, parentDigest)
+	return hex.EncodeToString(sum[:]), len(data)
+}
+
+// TestTableBytesUnchanged: the writer hashes a user key into a []uint32 when
+// the entry is added instead of keeping a copy of it for Finish, and the
+// block builder no longer stages its restart array. Neither may move a byte:
+// the digest below is of the table fa54e11 (the parent, which kept the keys)
+// wrote from this input, at the 4 KiB cut every table had then. Never
+// regenerate it from a later commit.
+func TestTableBytesUnchanged(t *testing.T) {
+	const parentDigest = "09d8b7e493f245c1e4f98d96fcf0d73c60f88fb21c9dd961ce5bca22f309dd46"
+	if got, n := fixedTableDigest(t, 4<<10); got != parentDigest {
+		t.Fatalf("%d bytes, sha256 %s; the parent wrote %s", n, got, parentDigest)
+	}
+}
+
+// TestBlockSizeTableBytes pins the layout of a table cut at BlockSize: the
+// digest is of the table written when BlockSize became 1 KiB. A change to
+// BlockSize, or to how a block is cut, moves it; a change that means to
+// move no byte must leave it.
+func TestBlockSizeTableBytes(t *testing.T) {
+	const digest = "bcd0443692042f0f70f07d7517fb80a2b02baec7070b7fb073c4791a759b80cf"
+	if got, n := fixedTableDigest(t, BlockSize); got != digest {
+		t.Fatalf("%d bytes, sha256 %s; the 1 KiB layout is %s", n, got, digest)
 	}
 }
 
@@ -76,7 +99,7 @@ func TestWriterAddAllocs(t *testing.T) {
 	fs := vfs.NewMem()
 	got := testing.AllocsPerRun(3, func() {
 		f, _ := fs.Create("pin.sst")
-		writeFixedTable(t, f)
+		writeFixedTable(t, f, BlockSize)
 		f.Close()
 	}) / fixedTableEntries
 	t.Logf("%.4f allocs/entry", got)

@@ -95,7 +95,7 @@ func TestParentFormatsReopen(t *testing.T) {
 			t.Fatalf("Verify = %v, Entries = %d", err, r.Entries())
 		}
 		f, _ := mem.Create("again.sst")
-		w := sstable.NewWriter(f, 1)
+		w := sstable.NewWriter(f, 1, 4<<10) // the cut the golden table was written at
 		n, it := 0, r.NewIterator()
 		for it.SeekToFirst(); it.Valid(); it.Next() {
 			if want := fmt.Sprintf("value-%04d-padding-padding", n); string(it.Value()) != want {
