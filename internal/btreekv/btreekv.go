@@ -99,6 +99,19 @@ func ckptName(dir string, gen uint64) string { return fmt.Sprintf("%s/ckpt-%06d.
 func walName(dir string, gen uint64) string  { return fmt.Sprintf("%s/journal-%06d.log", dir, gen) }
 func metaName(dir string) string             { return dir + "/META" }
 
+// openBase opens generation gen's base checkpoint.
+func (d *DB) openBase(gen uint64) (*sstable.Reader, error) {
+	f, err := d.opts.FS.Open(ckptName(d.dir, gen))
+	if err != nil {
+		return nil, err
+	}
+	r, err := sstable.OpenNamed(f, nil, 0, baseName(gen))
+	if err != nil {
+		f.Close()
+	}
+	return r, err
+}
+
 // encodeMeta renders META: the generation pointer plus a CRC-32C guard
 // over it. META is the store's root — a silently misread generation
 // resurrects an old image (or an empty one), which is wholesale silent
@@ -162,13 +175,8 @@ func Open(dir string, opts Options) (*DB, error) {
 	// whose merged content was empty (everything deleted) bumps the
 	// generation without writing one.
 	if d.gen > 0 && opts.FS.Exists(ckptName(dir, d.gen)) {
-		f, err := opts.FS.Open(ckptName(dir, d.gen))
+		r, err := d.openBase(d.gen)
 		if err != nil {
-			return nil, err
-		}
-		r, err := sstable.OpenNamed(f, nil, 0, baseName(d.gen))
-		if err != nil {
-			f.Close()
 			if !errors.Is(err, kv.ErrCorruption) {
 				return nil, err
 			}
@@ -475,13 +483,8 @@ func (d *DB) checkpointLocked() error {
 	d.dirtyB = 0
 	d.gen = newGen
 	if d.opts.FS.Exists(ckptName(d.dir, newGen)) {
-		cf, err := d.opts.FS.Open(ckptName(d.dir, newGen))
+		r, err := d.openBase(newGen)
 		if err != nil {
-			return err
-		}
-		r, err := sstable.Open(cf)
-		if err != nil {
-			cf.Close()
 			return err
 		}
 		d.base = r

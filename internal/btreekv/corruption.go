@@ -64,97 +64,64 @@ func (d *DB) corruption() (error, bool) {
 
 var _ kv.Scrubber = (*DB)(nil)
 
-// Scrub implements kv.Scrubber: it re-verifies every block of the base
-// checkpoint under the shared latch (which pins the generation — the
-// checkpoint swap needs the write latch). The live journal is not
-// re-read: its tail is being appended concurrently and every record is
-// CRC-verified at the only moment its bytes are trusted, replay. An
-// already-corrupt base gets a repair attempt from the RepairSource
-// instead of a futile re-read.
+// Scrub implements kv.Scrubber through kv.ScrubFiles over the one immutable
+// file, the base checkpoint; an already-corrupt base gets a repair attempt
+// instead of a futile re-read. The live journal is not re-read: its tail is
+// being appended concurrently and every record is CRC-verified at the only
+// moment its bytes are trusted, replay.
 func (d *DB) Scrub(ctx context.Context, lim kv.RateLimiter) (kv.ScrubResult, error) {
-	var res kv.ScrubResult
-	if cerr, baseOnly := d.corruption(); cerr != nil {
-		if baseOnly && d.tryRepairBase() {
-			res.FilesRepaired++
-		}
-		return res, nil
-	}
-	d.mu.RLock()
-	if d.closed {
-		d.mu.RUnlock()
-		return res, kv.ErrClosed
-	}
-	base := d.base
-	if base == nil {
-		d.mu.RUnlock()
-		return res, nil
-	}
-	if lim != nil {
-		size := base.Size()
-		d.mu.RUnlock()
-		if err := lim.WaitN(ctx, int(size)); err != nil {
-			return res, err
-		}
-		d.mu.RLock()
-		if d.closed || d.base != base {
-			// Reconciliation swapped the base while we waited; the new one
-			// was just written and verified, skip this pass.
-			d.mu.RUnlock()
-			return res, nil
-		}
-	}
-	n, err := base.Verify()
-	d.mu.RUnlock()
-	res.FilesScanned = 1
-	res.BytesScanned = n
-	if err == nil {
-		return res, ctx.Err()
-	}
-	if !errors.Is(err, kv.ErrCorruption) {
-		return res, err
-	}
-	res.CorruptionsFound++
-	d.noteCorruption(err, true)
-	if d.tryRepairBase() {
-		res.FilesRepaired++
-	}
-	return res, nil
+	return kv.ScrubFiles(ctx, lim, d.scrubList, d.scrubVerify, d.repairBase)
 }
 
-// tryRepairBase restores the base checkpoint from the RepairSource,
-// reporting whether containment was lifted. The candidate bytes are
-// verified end to end before they replace the damaged file.
-func (d *DB) tryRepairBase() bool {
-	src := d.opts.RepairSource
-	if src == nil {
-		return false
+func (d *DB) scrubList() ([]kv.ScrubFile, error) {
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	if d.closed {
+		return nil, kv.ErrClosed
 	}
+	f := kv.ScrubFile{Name: baseName(d.gen), Num: d.gen}
+	switch cerr, baseOnly := d.corruption(); {
+	case cerr != nil && !baseOnly:
+		return nil, nil // a corrupt journal needs a full restore
+	case cerr != nil:
+		f.Quarantined = true
+	case d.base == nil:
+		return nil, nil
+	default:
+		f.Size = d.base.Size()
+	}
+	return []kv.ScrubFile{f}, nil
+}
+
+// scrubVerify re-verifies every block of the base under the shared latch,
+// which pins the generation (a checkpoint swap needs the write latch).
+func (d *DB) scrubVerify(f kv.ScrubFile) (int64, error) {
+	d.mu.RLock()
+	if d.closed || d.gen != f.Num || d.base == nil {
+		d.mu.RUnlock()
+		return 0, vfs.ErrNotExist // closed, or retired by a checkpoint
+	}
+	n, err := d.base.Verify()
+	d.mu.RUnlock()
+	if errors.Is(err, kv.ErrCorruption) {
+		d.noteCorruption(err, true)
+	}
+	return n, err
+}
+
+// repairBase swaps in the base's verified backup copy and lifts the
+// containment, reporting whether it did.
+func (d *DB) repairBase(f kv.ScrubFile) bool {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if d.closed {
+	if cerr, baseOnly := d.corruption(); d.closed || d.gen != f.Num || cerr == nil || !baseOnly {
+		return false // gone, sound, or journal-corrupt (needs a full restore)
+	}
+	if !kv.InstallRepair(d.opts.RepairSource, f.Name, sstable.VerifyImage, d.opts.FS, ckptName(d.dir, d.gen)) {
 		return false
 	}
-	cerr, baseOnly := d.corruption()
-	if cerr == nil || !baseOnly {
-		return false // sound, or journal-corrupt (needs a full restore)
-	}
-	name := baseName(d.gen)
-	data, ok := src.Fetch(name)
-	if !ok {
-		return false
-	}
-	fs := d.opts.FS
-	path := ckptName(d.dir, d.gen)
-	if sstable.VerifyImage(name, data) != nil || vfs.WriteFileAtomic(fs, path, data) != nil {
-		return false
-	}
-	nf, err := fs.Open(path)
+	nr, err := d.openBase(d.gen)
 	if err != nil {
-		return false
-	}
-	nr, err := sstable.OpenNamed(nf, nil, 0, name)
-	if err != nil {
-		nf.Close()
 		return false
 	}
 	if d.base != nil {

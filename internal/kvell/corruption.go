@@ -1,6 +1,7 @@
 package kvell
 
 import (
+	"cmp"
 	"context"
 	"encoding/binary"
 	"fmt"
@@ -93,70 +94,59 @@ func (w *worker) verifySlot(rec []byte, class int, slot int64) (klen, vlen int, 
 
 var _ kv.Scrubber = (*Store)(nil)
 
-// Scrub implements kv.Scrubber: every slab of every worker is re-read and
-// each live slot's checksum re-verified. The scan itself runs on the
-// worker goroutine (slabs are share-nothing; reading them from outside
-// would race in-place updates), one slab per request so foreground ops
-// interleave between slabs; the rate limiter is charged on the caller's
-// goroutine after each slab so a slow budget never parks a worker. KVell
-// cannot repair in place — slabs have no per-file backup granularity — so
-// FilesRepaired is always zero here; restore-from-backup is the repair path.
+// Scrub implements kv.Scrubber through kv.ScrubFiles over every worker's
+// slabs, each live slot's checksum re-verified. The read runs on the worker
+// goroutine (slabs are share-nothing; reading them from outside would race
+// in-place updates), one slab per request so foreground ops interleave
+// between slabs. KVell cannot repair in place — slabs have no per-file
+// backup granularity — so restore-from-backup is the repair path.
 func (s *Store) Scrub(ctx context.Context, lim kv.RateLimiter) (kv.ScrubResult, error) {
-	var res kv.ScrubResult
-	for _, w := range s.workers {
-		for class := range slabClasses {
-			if err := ctx.Err(); err != nil {
-				return res, err
-			}
-			req := &request{op: opScrub, limit: class}
-			if err := s.submit(w, req); err != nil {
-				return res, err
-			}
-			res.FilesScanned++
-			res.BytesScanned += req.scrubBytes
-			res.CorruptionsFound += req.scrubCorrupt
-			if lim != nil && req.scrubBytes > 0 {
-				if err := lim.WaitN(ctx, int(req.scrubBytes)); err != nil {
-					return res, err
-				}
-			}
-		}
-	}
-	return res, nil
+	return kv.ScrubFiles(ctx, lim, s.scrubList, func(f kv.ScrubFile) (int64, error) {
+		req := &request{op: opScrub, limit: int(f.Num % len6), scrubBytes: f.Size}
+		err := s.submit(s.workers[f.Num/len6], req)
+		return req.scrubBytes, err
+	}, nil)
 }
 
-// scrubSlab re-reads one slab and verifies every live slot, reporting
-// bytes covered and corruptions found. Runs on the worker goroutine.
-func (w *worker) scrubSlab(class int) (bytes, corrupt int64) {
+func (s *Store) scrubList() ([]kv.ScrubFile, error) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	if s.closed {
+		return nil, kv.ErrClosed
+	}
+	var files []kv.ScrubFile
+	for _, w := range s.workers {
+		for class, sl := range w.slabs {
+			size, err := sl.f.Size()
+			if err != nil {
+				return nil, err
+			}
+			files = append(files, kv.ScrubFile{Name: fmt.Sprintf("w%02d/slab-%d.dat", w.id, slabClasses[class]),
+				Num: uint64(w.id*len6 + class), Size: size})
+		}
+	}
+	return files, nil
+}
+
+// scrubSlab re-reads the first size bytes of one slab and verifies every
+// live slot, returning the bytes read and the first corruption found; a
+// chunk that cannot be read ends the pass over the slab and counts as one.
+// The guard counts each corrupt slot. Runs on the worker goroutine.
+func (w *worker) scrubSlab(class int, size int64) (int64, error) {
 	sl := w.slabs[class]
-	if sl == nil {
-		return 0, 0
+	var first error
+	n, err := sl.slots(min(sl.nslots, size/sl.slotSize), func(slot int64, rec []byte) {
+		if _, live := slotKeyLen(rec); !live {
+			return
+		}
+		if _, _, err := w.verifySlot(rec, class, slot); err != nil {
+			w.g.NoteCorruption(err)
+			first = cmp.Or(first, err)
+		}
+	})
+	if err != nil {
+		err = w.corruptSlotErr(class, n/sl.slotSize, "kvell: slab unreadable during scrub")
+		w.g.NoteCorruption(err)
 	}
-	const chunkSlots = 512
-	buf := make([]byte, sl.slotSize*chunkSlots)
-	for base := int64(0); base < sl.nslots; base += chunkSlots {
-		n := sl.nslots - base
-		if n > chunkSlots {
-			n = chunkSlots
-		}
-		chunk := buf[:n*sl.slotSize]
-		if _, err := sl.f.ReadAt(chunk, base*sl.slotSize); err != nil {
-			// An unreadable region counts as corrupt; keep scanning.
-			corrupt++
-			w.g.NoteCorruption(w.corruptSlotErr(class, base, "kvell: slab unreadable during scrub"))
-			continue
-		}
-		bytes += int64(len(chunk))
-		for i := int64(0); i < n; i++ {
-			rec := chunk[i*sl.slotSize : (i+1)*sl.slotSize]
-			if _, live := slotKeyLen(rec); !live {
-				continue
-			}
-			if _, _, err := w.verifySlot(rec, class, base+i); err != nil {
-				corrupt++
-				w.g.NoteCorruption(err)
-			}
-		}
-	}
-	return bytes, corrupt
+	return n, cmp.Or(first, err)
 }

@@ -28,6 +28,7 @@ import (
 	"p2kvs/internal/bloom"
 	"p2kvs/internal/bptree"
 	"p2kvs/internal/guard"
+	"p2kvs/internal/hotcache"
 	"p2kvs/internal/kv"
 	"p2kvs/internal/vfs"
 )
@@ -95,9 +96,9 @@ type request struct {
 	err   error
 	found bool
 	done  chan struct{}
-	// scrub reply (opScrub; limit carries the slab class)
-	scrubBytes   int64
-	scrubCorrupt int64
+	// scrub (opScrub; limit carries the slab class): the bytes to verify
+	// in, the bytes read out
+	scrubBytes int64
 }
 
 const opGet kv.OpKind = 0
@@ -124,7 +125,7 @@ type worker struct {
 
 	index *bptree.Tree[loc]
 	slabs [len6]*slab
-	cache *pageCache
+	cache *hotcache.Cache // the page cache, at item granularity
 	wg    sync.WaitGroup
 }
 
@@ -161,7 +162,7 @@ func Open(dir string, opts Options) (*Store, error) {
 			dir:       fmt.Sprintf("%s/w%02d", dir, i),
 			queue:     make(chan *request, queueDepth),
 			index:     bptree.New[loc](),
-			cache:     newPageCache(opts.CacheBytes / int64(opts.Workers)),
+			cache:     hotcache.New(opts.CacheBytes / int64(opts.Workers)),
 			perOpCost: opts.PerOpCost,
 			g:         s.g,
 		}
@@ -222,42 +223,28 @@ func (w *worker) open() error {
 			return w.errNoFormat()
 		}
 		sl.nslots = size / sl.slotSize
-		// Rebuild the index by scanning the slab with large sequential
-		// reads (KVell's recovery path streams slabs, it does not issue
-		// one IO per slot).
-		const chunkSlots = 512
-		buf := make([]byte, sl.slotSize*chunkSlots)
-		for base := int64(0); base < sl.nslots; base += chunkSlots {
-			n := sl.nslots - base
-			if n > chunkSlots {
-				n = chunkSlots
+		// Rebuild the index by streaming the slab (KVell's recovery path
+		// does not issue one IO per slot).
+		if _, err := sl.slots(sl.nslots, func(slot int64, rec []byte) {
+			if _, live := slotKeyLen(rec); !live {
+				sl.free = append(sl.free, slot)
+				return
 			}
-			chunk := buf[:n*sl.slotSize]
-			if _, err := f.ReadAt(chunk, base*sl.slotSize); err != nil {
-				return err
-			}
-			for i := int64(0); i < n; i++ {
-				rec := chunk[i*sl.slotSize : (i+1)*sl.slotSize]
-				slot := base + i
-				if _, live := slotKeyLen(rec); !live {
-					sl.free = append(sl.free, slot)
-					continue
+			kl, _, err := w.verifySlot(rec, class, slot)
+			if err != nil {
+				// A slot the scan cannot trust may hide a durably written
+				// key: poison the worker (misses/scans/writes fail) and
+				// leave the slot in place — not indexed, not freed — so
+				// the evidence survives until a restore.
+				if w.corrupt == nil {
+					w.corrupt = err
 				}
-				kl, _, err := w.verifySlot(rec, class, slot)
-				if err != nil {
-					// A slot the scan cannot trust may hide a durably
-					// written key: poison the worker (misses/scans/writes
-					// fail) and leave the slot in place — not indexed, not
-					// freed — so the evidence survives until a restore.
-					if w.corrupt == nil {
-						w.corrupt = err
-					}
-					w.g.NoteCorruption(err)
-					continue
-				}
-				key := append([]byte(nil), rec[slotHdr:slotHdr+kl]...)
-				w.index.Set(key, loc{class: class, slot: slot})
+				w.g.NoteCorruption(err)
+				return
 			}
+			w.index.Set(append([]byte(nil), rec[slotHdr:slotHdr+kl]...), loc{class: class, slot: slot})
+		}); err != nil {
+			return err
 		}
 		w.slabs[class] = sl
 	}
@@ -265,6 +252,25 @@ func (w *worker) open() error {
 		return vfs.WriteFileAtomic(w.fs, marker, []byte(formatV2))
 	}
 	return nil
+}
+
+// slots reads the first n slots of sl in chunks of 512 and calls fn with
+// each slot's number and image, returning the bytes read before any error.
+func (sl *slab) slots(n int64, fn func(slot int64, rec []byte)) (int64, error) {
+	const chunkSlots = 512
+	buf := make([]byte, sl.slotSize*min(n, chunkSlots))
+	var read int64
+	for base := int64(0); base < n; base += chunkSlots {
+		chunk := buf[:min(n-base, chunkSlots)*sl.slotSize]
+		if _, err := sl.f.ReadAt(chunk, base*sl.slotSize); err != nil {
+			return read, err
+		}
+		read += int64(len(chunk))
+		for i := int64(0); i*sl.slotSize < int64(len(chunk)); i++ {
+			fn(base+i, chunk[i*sl.slotSize:(i+1)*sl.slotSize])
+		}
+	}
+	return read, nil
 }
 
 func classFor(need int) (int, error) {
@@ -314,7 +320,7 @@ func (w *worker) handle(req *request) {
 	case opScan:
 		req.out, req.err = w.scan(req.start, req.limit)
 	case opScrub:
-		req.scrubBytes, req.scrubCorrupt = w.scrubSlab(req.limit)
+		req.scrubBytes, req.err = w.scrubSlab(req.limit, req.scrubBytes)
 	}
 }
 
@@ -328,14 +334,15 @@ func (w *worker) get(key []byte) ([]byte, bool, error) {
 		}
 		return nil, false, nil
 	}
-	if v, ok := w.cache.get(key); ok {
+	if v, _, ok := w.cache.Get(key); ok {
 		return v, true, nil
 	}
+	ticket := w.cache.Snapshot(key)
 	v, err := w.readSlot(l, key)
 	if err != nil {
 		return nil, false, err
 	}
-	w.cache.put(key, v)
+	w.cache.Fill(key, v, false, ticket)
 	return v, true, nil
 }
 
@@ -405,7 +412,10 @@ func (w *worker) put(key, value []byte) error {
 		}
 	}
 	w.index.Set(key, loc{class: class, slot: slot})
-	w.cache.put(key, append([]byte(nil), value...))
+	// Write-allocate: the new value goes in whether or not the key was
+	// resident.
+	w.cache.Update(kv.BatchOp{Kind: kv.OpPut, Key: key, Value: value}, false)
+	w.cache.Fill(key, value, false, w.cache.Snapshot(key))
 	return nil
 }
 
@@ -429,7 +439,7 @@ func (w *worker) delete(key []byte) error {
 		return err
 	}
 	w.index.Delete(key)
-	w.cache.drop(key)
+	w.cache.Update(kv.BatchOp{Kind: kv.OpDelete, Key: key}, true)
 	return nil
 }
 
@@ -596,7 +606,7 @@ func (s *Store) Metrics() Metrics {
 	var m Metrics
 	for _, w := range s.workers {
 		m.IndexBytes += w.index.ApproxBytes()
-		m.CacheBytes += w.cache.bytes()
+		m.CacheBytes += w.cache.Stats().CacheBytes
 		m.Keys += w.index.Len()
 		m.BusyNs += w.busyNs.Load()
 	}
@@ -625,99 +635,3 @@ func (s *Store) Close() error {
 	}
 	return nil
 }
-
-// ---------------------------------------------------------------------------
-// Page cache
-// ---------------------------------------------------------------------------
-
-// pageCache is a byte-budgeted cache with CLOCK-ish second-chance
-// eviction, modeling KVell's page cache at item granularity.
-type pageCache struct {
-	budget int64
-	used   int64
-	m      map[string]*cacheEntry
-	ring   []string
-	hand   int
-}
-
-type cacheEntry struct {
-	val []byte
-	ref bool
-}
-
-func newPageCache(budget int64) *pageCache {
-	return &pageCache{budget: budget, m: make(map[string]*cacheEntry)}
-}
-
-func (c *pageCache) get(key []byte) ([]byte, bool) {
-	if e, ok := c.m[string(key)]; ok {
-		e.ref = true
-		return append([]byte(nil), e.val...), true
-	}
-	return nil, false
-}
-
-func (c *pageCache) put(key, val []byte) {
-	if c.budget <= 0 {
-		return
-	}
-	k := string(key)
-	if e, ok := c.m[k]; ok {
-		c.used += int64(len(val) - len(e.val))
-		e.val = val
-		e.ref = true
-	} else {
-		c.m[k] = &cacheEntry{val: val, ref: true}
-		c.ring = append(c.ring, k)
-		c.used += int64(len(k) + len(val))
-	}
-	for c.used > c.budget && len(c.ring) > 0 {
-		c.evictOne()
-	}
-}
-
-func (c *pageCache) evictOne() {
-	for range c.ring {
-		if c.hand >= len(c.ring) {
-			c.hand = 0
-		}
-		k := c.ring[c.hand]
-		e, ok := c.m[k]
-		if !ok {
-			// Stale ring slot (dropped key): compact it away.
-			c.ring = append(c.ring[:c.hand], c.ring[c.hand+1:]...)
-			continue
-		}
-		if e.ref {
-			e.ref = false
-			c.hand++
-			continue
-		}
-		c.used -= int64(len(k) + len(e.val))
-		delete(c.m, k)
-		c.ring = append(c.ring[:c.hand], c.ring[c.hand+1:]...)
-		return
-	}
-	// Everything referenced: evict at hand anyway.
-	if len(c.ring) > 0 {
-		if c.hand >= len(c.ring) {
-			c.hand = 0
-		}
-		k := c.ring[c.hand]
-		if e, ok := c.m[k]; ok {
-			c.used -= int64(len(k) + len(e.val))
-			delete(c.m, k)
-		}
-		c.ring = append(c.ring[:c.hand], c.ring[c.hand+1:]...)
-	}
-}
-
-func (c *pageCache) drop(key []byte) {
-	k := string(key)
-	if e, ok := c.m[k]; ok {
-		c.used -= int64(len(k) + len(e.val))
-		delete(c.m, k)
-	}
-}
-
-func (c *pageCache) bytes() int64 { return c.used }

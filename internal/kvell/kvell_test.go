@@ -140,21 +140,3 @@ func TestMetricsBusyTime(t *testing.T) {
 		t.Fatalf("idle workers accrued %v of busy time", time.Duration(idle))
 	}
 }
-
-func TestPageCacheEviction(t *testing.T) {
-	c := newPageCache(300)
-	for i := 0; i < 50; i++ {
-		c.put([]byte(fmt.Sprintf("key%02d", i)), make([]byte, 20))
-	}
-	if c.bytes() > 300 {
-		t.Fatalf("cache over budget: %d", c.bytes())
-	}
-	// Most recent insert should generally still be present.
-	if _, ok := c.get([]byte("key49")); !ok {
-		t.Fatal("most recent entry evicted immediately")
-	}
-	c.drop([]byte("key49"))
-	if _, ok := c.get([]byte("key49")); ok {
-		t.Fatal("dropped entry still cached")
-	}
-}

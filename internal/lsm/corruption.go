@@ -7,9 +7,7 @@ import (
 	"strings"
 
 	"p2kvs/internal/kv"
-	"p2kvs/internal/manifest"
 	"p2kvs/internal/sstable"
-	"p2kvs/internal/vfs"
 )
 
 // Corruption containment, repair and scrubbing (DESIGN.md §12).
@@ -22,9 +20,9 @@ import (
 //
 // Repair runs asynchronously (or synchronously from Scrub): when the DB was
 // opened with a RepairSource — the accessing layer builds one from the
-// newest checkpoint generation, whose manifest carries per-file CRCs — the
-// backup bytes are fetched, written to a temp file, re-verified end to end,
-// and renamed over the bad file; the quarantine lifts. With no usable
+// newest checkpoint generation, whose manifest carries per-file CRCs —
+// kv.InstallRepair fetches the backup bytes, verifies them end to end and
+// writes them over the bad file; the quarantine lifts. With no usable
 // backup the bad file is parked in <dir>/quarantine/ for forensics; reads
 // of its range keep failing until an operator (or a later checkpoint
 // restore) intervenes.
@@ -47,21 +45,10 @@ func quarantinePath(dir string, num uint64) string {
 // file to quarantine.
 func corruptFileNum(err error) (uint64, bool) {
 	var ce *kv.CorruptionError
-	if !errors.As(err, &ce) || ce.File == "" {
+	if !errors.As(err, &ce) {
 		return 0, false
 	}
-	base := ce.File
-	if i := strings.LastIndexByte(base, '/'); i >= 0 {
-		base = base[i+1:]
-	}
-	if !strings.HasSuffix(base, ".sst") {
-		return 0, false
-	}
-	var num uint64
-	if _, serr := fmt.Sscanf(base, "%d.sst", &num); serr != nil {
-		return 0, false
-	}
-	return num, true
+	return fileNum(ce.File[strings.LastIndexByte(ce.File, '/')+1:], ".sst")
 }
 
 // quarErr returns the corruption error recorded against file num, nil when
@@ -135,35 +122,22 @@ func (d *DB) tryRepair(num uint64) bool {
 		d.mu.Unlock()
 	}()
 
-	name := fmt.Sprintf("%06d.sst", num)
-	if src := d.opts.RepairSource; src != nil {
-		if data, ok := src.Fetch(name); ok && d.installRepair(num, data) == nil {
-			d.mu.Lock()
-			delete(d.quar, num)
-			d.g.Quarantined.Store(int64(len(d.quar)))
-			d.mu.Unlock()
-			// Drop the reader holding the corrupt image so the next probe
-			// opens the repaired file; remove any parked copy from an
-			// earlier failed attempt.
-			d.tcache.evict(num)
-			if p := quarantinePath(d.dir, num); d.opts.FS.Exists(p) {
-				d.opts.FS.Remove(p)
-			}
-			d.g.Repaired.Add(1)
-			return true
-		}
+	if !kv.InstallRepair(d.opts.RepairSource, fmt.Sprintf("%06d.sst", num), sstable.VerifyImage, d.opts.FS, sstName(d.dir, num)) {
+		d.parkQuarantined(num)
+		return false
 	}
-	d.parkQuarantined(num)
-	return false
-}
-
-// installRepair verifies candidate bytes for file num end to end and
-// installs them over the damaged file.
-func (d *DB) installRepair(num uint64, data []byte) error {
-	if err := sstable.VerifyImage(fmt.Sprintf("%06d.sst", num), data); err != nil {
-		return err
+	d.mu.Lock()
+	delete(d.quar, num)
+	d.g.Quarantined.Store(int64(len(d.quar)))
+	d.mu.Unlock()
+	// Drop the reader holding the corrupt image so the next probe opens the
+	// repaired file; remove any parked copy from an earlier failed attempt.
+	d.tcache.evict(num)
+	if p := quarantinePath(d.dir, num); d.opts.FS.Exists(p) {
+		d.opts.FS.Remove(p)
 	}
-	return vfs.WriteFileAtomic(d.opts.FS, sstName(d.dir, num), data)
+	d.g.Repaired.Add(1)
+	return true
 }
 
 // parkQuarantined moves an unrepairable file into <dir>/quarantine/ so
@@ -193,11 +167,8 @@ func (d *DB) loadQuarantine() {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	for _, n := range names {
-		if !strings.HasSuffix(n, ".sst") {
-			continue
-		}
-		var num uint64
-		if _, serr := fmt.Sscanf(n, "%d.sst", &num); serr != nil {
+		num, ok := fileNum(n, ".sst")
+		if !ok {
 			continue
 		}
 		d.quar[num] = &kv.CorruptionError{
@@ -232,81 +203,43 @@ func (d *DB) jobQuarantinedLocked(job *compactionJob) bool {
 
 var _ kv.Scrubber = (*DB)(nil)
 
-// Scrub implements kv.Scrubber: it re-reads and checksum-verifies every
-// SST referenced by the current version, pacing itself through lim. Found
-// corruption is quarantined and repaired inline (synchronously — the
-// ScrubResult a caller gets back already reflects the repair outcome);
-// files already quarantined get a repair retry instead of a futile
-// re-read. Live WALs are not scanned: their tail is being appended
-// concurrently, and every record is CRC-checked at replay, which is the
-// only time WAL bytes are trusted. A compaction during the pass retires
-// tables it listed and writes ones it did not, so the pass lists the version
-// again until no table is new — at most four times.
+// Scrub implements kv.Scrubber through kv.ScrubFiles over every SST the
+// current version references; a corrupt one is quarantined and repaired
+// inline, so the result already reflects the repair. Live WALs are not
+// scanned: their tail is being appended concurrently, and every record is
+// CRC-checked at replay, the only time WAL bytes are trusted.
 func (d *DB) Scrub(ctx context.Context, lim kv.RateLimiter) (kv.ScrubResult, error) {
-	var res kv.ScrubResult
+	return kv.ScrubFiles(ctx, lim, d.scrubList, d.scrubVerify, func(f kv.ScrubFile) bool { return d.tryRepair(f.Num) })
+}
+
+func (d *DB) scrubList() ([]kv.ScrubFile, error) {
 	if d.closed.Load() {
-		return res, kv.ErrClosed
+		return nil, kv.ErrClosed
 	}
-	visited := make(map[uint64]bool)
-	for round := 0; round < 4; round++ {
-		d.mu.Lock()
-		var files []*manifest.FileMeta
-		for _, level := range d.vs.Current().Levels {
-			for _, fm := range level {
-				if !visited[fm.Num] {
-					visited[fm.Num] = true
-					files = append(files, fm)
-				}
-			}
-		}
-		d.mu.Unlock()
-		if len(files) == 0 {
-			break
-		}
-		for _, fm := range files {
-			if err := ctx.Err(); err != nil {
-				return res, err
-			}
-			if d.quarErr(fm.Num) != nil {
-				if d.tryRepair(fm.Num) {
-					res.FilesRepaired++
-				}
-				continue
-			}
-			if lim != nil {
-				if err := lim.WaitN(ctx, int(fm.Size)); err != nil {
-					return res, err
-				}
-			}
-			t, err := d.tcache.acquire(fm.Num)
-			if err == nil {
-				var n int64
-				n, err = t.Verify()
-				t.Close()
-				res.FilesScanned++
-				res.BytesScanned += n
-			}
-			if err == nil {
-				continue
-			}
-			if isStaleFileErr(err) {
-				continue // compacted away mid-scrub; its outputs are listed next round
-			}
-			if errors.Is(err, kv.ErrCorruption) {
-				d.g.NoteCorruption(err)
-				res.CorruptionsFound++
-				num, ok := corruptFileNum(err)
-				if !ok {
-					num = fm.Num
-				}
-				d.recordCorruption(num, err)
-				if d.tryRepair(num) {
-					res.FilesRepaired++
-				}
-				continue
-			}
-			return res, err
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	var files []kv.ScrubFile
+	for _, level := range d.vs.Current().Levels {
+		for _, fm := range level {
+			_, quarantined := d.quar[fm.Num]
+			files = append(files, kv.ScrubFile{Name: fmt.Sprintf("%06d.sst", fm.Num), Num: fm.Num, Size: int64(fm.Size), Quarantined: quarantined})
 		}
 	}
-	return res, nil
+	return files, nil
+}
+
+// scrubVerify re-reads every block of table f.Num from the device and
+// quarantines the table if one fails its checksum.
+func (d *DB) scrubVerify(f kv.ScrubFile) (int64, error) {
+	t, err := d.tcache.acquire(f.Num)
+	var n int64
+	if err == nil {
+		n, err = t.Verify()
+		t.Close()
+	}
+	if errors.Is(err, kv.ErrCorruption) {
+		d.g.NoteCorruption(err)
+		d.recordCorruption(f.Num, err)
+	}
+	return n, err
 }

@@ -69,7 +69,7 @@ func TestForensicRecovery(t *testing.T) {
 			t.Logf("  %s: %d records total, err=%v, hits=%d", n, len(recs), rerr, count)
 		case strings.HasSuffix(n, ".sst"):
 			f, _ := fs.Open(full)
-			r, oerr := sstable.Open(f)
+			r, oerr := sstable.OpenNamed(f, nil, 0, "")
 			if oerr != nil {
 				t.Logf("  %s: open err %v", n, oerr)
 				continue

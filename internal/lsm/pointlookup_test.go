@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -455,6 +456,10 @@ func testReadsDuringRotationFlushCompaction(t *testing.T, blockCache int64) {
 					return
 				}
 				reads.Add(1)
+				// Yield: four spinning readers on a small host starve the
+				// flush and compaction goroutines, and every round then
+				// waits out a write stall (seconds a run).
+				runtime.Gosched()
 			}
 		}(r)
 	}
@@ -487,6 +492,7 @@ func testReadsDuringRotationFlushCompaction(t *testing.T, blockCache int64) {
 				}
 				it.Close()
 				reads.Add(1)
+				runtime.Gosched()
 			}
 		}()
 	}

@@ -276,7 +276,7 @@ func TestOpenAllocs(t *testing.T) {
 	var counts []float64
 	for _, blocks := range []int{10, 1000} {
 		rf := allocTable(t, blocks*8) // 8 records of 128 bytes fill a 1 KiB block
-		r, err := Open(rf)
+		r, err := OpenNamed(rf, nil, 0, "")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -284,7 +284,7 @@ func TestOpenAllocs(t *testing.T) {
 			t.Fatalf("table has %d blocks, want about %d", got, blocks)
 		}
 		counts = append(counts, testing.AllocsPerRun(20, func() {
-			if _, err := Open(rf); err != nil {
+			if _, err := OpenNamed(rf, nil, 0, ""); err != nil {
 				t.Fatal(err)
 			}
 		}))

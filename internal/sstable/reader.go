@@ -112,12 +112,10 @@ func readFooter(f vfs.File, size int64, name string, b []byte) (footer, error) {
 	return ft, nil
 }
 
-// Open reads the footer, index and filter of a table file.
-func Open(f vfs.File) (*Reader, error) { return OpenNamed(f, nil, 0, "") }
-
-// OpenNamed opens the table with an optional shared block cache — cacheID
-// must be unique per file among the cache's resident blocks (the engine uses
-// the file number and evicts it with the reader) — recording name as the
+// OpenNamed reads the footer, index and filter of a table file, with an
+// optional shared block cache — cacheID must be unique per file among the
+// cache's resident blocks (the engine uses the file number and evicts it
+// with the reader) — recording name as the
 // file's identity in corruption reports: checksum failures surface as
 // kv.CorruptionError naming it. An empty name keeps the anonymous ErrCorrupt
 // errors. It reads the filter and the index through their checksums and

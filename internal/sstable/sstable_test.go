@@ -47,7 +47,7 @@ func buildTable(t *testing.T, pairs [][2]string) (*Reader, Meta) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := Open(rf)
+	r, err := OpenNamed(rf, nil, 0, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +144,7 @@ func TestVersionsAndTombstones(t *testing.T) {
 		t.Fatal(err)
 	}
 	rf, _ := fs.Open("t.sst")
-	r, err := Open(rf)
+	r, err := OpenNamed(rf, nil, 0, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,14 +201,14 @@ func TestOpenCorrupt(t *testing.T) {
 	f.Write(bytes.Repeat([]byte{0xab}, 100))
 	f.Close()
 	rf, _ := fs.Open("bad.sst")
-	if _, err := Open(rf); err == nil {
+	if _, err := OpenNamed(rf, nil, 0, ""); err == nil {
 		t.Fatal("opening garbage must fail")
 	}
 	// Too-short file.
 	f2, _ := fs.Create("short.sst")
 	f2.Write([]byte("x"))
 	rf2, _ := fs.Open("short.sst")
-	if _, err := Open(rf2); err == nil {
+	if _, err := OpenNamed(rf2, nil, 0, ""); err == nil {
 		t.Fatal("opening short file must fail")
 	}
 }
@@ -238,7 +238,7 @@ func TestQuickTableModel(t *testing.T) {
 			return false
 		}
 		rf, _ := fs.Open("q.sst")
-		r, err := Open(rf)
+		r, err := OpenNamed(rf, nil, 0, "")
 		if err != nil {
 			return false
 		}
@@ -347,7 +347,7 @@ func TestFindCached(t *testing.T) {
 	if n := c.Pinned(); n != 0 {
 		t.Fatalf("%d blocks still pinned after the lookups returned", n)
 	}
-	uncached, err := Open(allocTable(t, 200))
+	uncached, err := OpenNamed(allocTable(t, 200), nil, 0, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -367,7 +367,7 @@ func TestIterPinsOneBlock(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := Open(rf)
+	plain, err := OpenNamed(rf, nil, 0, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -449,7 +449,7 @@ func TestGetAllocs(t *testing.T) {
 		t.Errorf("Find evicting a block to read its own: %.0f allocs, want 0", n)
 	}
 
-	uncached, err := Open(rf)
+	uncached, err := OpenNamed(rf, nil, 0, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -465,7 +465,7 @@ func TestScanAllocs(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("allocation pins are not meaningful under the race detector")
 	}
-	r, err := Open(allocTable(t, 20000))
+	r, err := OpenNamed(allocTable(t, 20000), nil, 0, "")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -33,7 +33,7 @@ backup     $GO test -race -timeout 5m -run 'Backup|Restore' .
 backup     $GO run ./examples/txn-recovery
 scrub      $GO test -fuzz=FuzzBlockRead -fuzztime=$FUZZTIME ./internal/block
 scrub      $GO test -race -timeout 10m -run 'Conformance.*/bit-flip' ./internal/lsm ./internal/btreekv ./internal/kvell
-scrub      $GO test -race -timeout 5m -run 'Corrupt|Scrub|Quarantine|Repair|Flip|Rot|Checksum|Limiter|Runner' ./internal/block ./internal/sstable ./internal/wal ./internal/lsm ./internal/btreekv ./internal/kvell ./internal/scrub ./internal/vfs ./internal/server
+scrub      $GO test -race -timeout 5m -run 'Corrupt|Scrub|Quarantine|Repair|Flip|Rot|Checksum|Limiter|Runner' ./internal/kv ./internal/block ./internal/sstable ./internal/wal ./internal/lsm ./internal/btreekv ./internal/kvell ./internal/scrub ./internal/vfs ./internal/server
 crash      $GO test -race -short -timeout 5m -run 'DiskFull' ./internal/torture
 crash      $GO test -race -timeout 5m -run 'Conformance.*/guard' ./internal/lsm ./internal/btreekv ./internal/kvell
 crash      crash commit ${CYCLES:-25}

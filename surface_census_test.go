@@ -1,6 +1,7 @@
 package p2kvs
 
 import (
+	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
@@ -11,6 +12,9 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"p2kvs/internal/kv"
+	"p2kvs/internal/vfs"
 )
 
 // The surface census, one level out from the option census: a RESP verb or
@@ -459,5 +463,108 @@ func TestStressRunTermsNameTests(t *testing.T) {
 	}
 	if rows == 0 {
 		t.Fatal("found no -run in scripts/stress.sh: the test no longer sees how its rows select tests")
+	}
+}
+
+// The hosting contract, computed: README.md's block between the
+// hostingBegin and hostingEnd markers is what an engine does to be hosted —
+// the optional kv capabilities the accessing layer finds on each -engine
+// (asked as core's newWorker asks: the batch paths only where Caps reports
+// them) and the lines of each adapter file, a non-test file that declares a
+// method of a kv interface on the engine type. TestHostingContract fails
+// when the README drifts from it and prints the block to paste.
+const (
+	hostingBegin = "<!-- hosting-contract: computed by TestHostingContract -->"
+	hostingEnd   = "<!-- /hosting-contract -->"
+)
+
+func TestHostingContract(t *testing.T) {
+	var b strings.Builder
+	caps := []string{"BatchWriter", "MultiGetter", "GSNWriter", "Checkpointer", "HealthReporter", "Scrubber", "CompactionStatsReporter"}
+	b.WriteString("| `-engine` | `kv." + strings.Join(caps, "` | `kv.") + "` |\n|---" + strings.Repeat("|---", len(caps)) + "|\n")
+	for _, kind := range []EngineKind{EngineRocksDB, EngineLevelDB, EnginePebblesDB, EngineWiredTiger, EngineKVell} {
+		factory, err := engineFactory(vfs.NewMem(), Options{Dir: "db", Engine: kind})
+		if err != nil {
+			t.Fatal(err)
+		}
+		e, err := factory(0, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := kv.CapsOf(e)
+		_, bw := e.(kv.BatchWriter)
+		_, mg := e.(kv.MultiGetter)
+		_, gw := e.(kv.GSNWriter)
+		_, ck := e.(kv.Checkpointer)
+		_, hr := e.(kv.HealthReporter)
+		_, sc := e.(kv.Scrubber)
+		_, cr := e.(kv.CompactionStatsReporter)
+		e.Close()
+		fmt.Fprintf(&b, "| `%s`", kind)
+		for _, has := range []bool{bw && c.BatchWrite, mg && c.MultiGet, gw && c.BatchWrite, ck, hr, sc, cr} {
+			b.WriteString(map[bool]string{true: " | ●", false: " | –"}[has])
+		}
+		b.WriteString(" |\n")
+	}
+
+	// Every method name a kv interface declares.
+	fset := token.NewFileSet()
+	kvMethods := map[string]bool{}
+	for _, name := range goFiles(t, "internal/kv") {
+		if filepath.Dir(name) != "internal/kv" {
+			continue
+		}
+		f, err := parser.ParseFile(fset, name, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if it, ok := n.(*ast.InterfaceType); ok {
+				for _, m := range it.Methods.List {
+					for _, id := range m.Names {
+						kvMethods[id.Name] = true
+					}
+				}
+			}
+			return true
+		})
+	}
+	b.WriteString("\n| package | adapter file | lines |\n|---|---|---|\n")
+	for _, eng := range [][2]string{{"internal/lsm", "DB"}, {"internal/btreekv", "DB"}, {"internal/kvell", "Store"}} {
+		for _, name := range goFiles(t, eng[0]) {
+			src, err := os.ReadFile(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			f, err := parser.ParseFile(fset, name, src, parser.SkipObjectResolution)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, d := range f.Decls {
+				fd, ok := d.(*ast.FuncDecl)
+				if !ok || fd.Recv == nil || !kvMethods[fd.Name.Name] {
+					continue
+				}
+				if star, ok := fd.Recv.List[0].Type.(*ast.StarExpr); ok {
+					if id, ok := star.X.(*ast.Ident); ok && id.Name == eng[1] {
+						fmt.Fprintf(&b, "| `%s` | `%s` | %d |\n", eng[0], filepath.Base(name), strings.Count(string(src), "\n"))
+						break
+					}
+				}
+			}
+		}
+	}
+
+	raw, err := os.ReadFile("README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	readme := string(raw)
+	i, j := strings.Index(readme, hostingBegin), strings.Index(readme, hostingEnd)
+	if i < 0 || j < i {
+		t.Fatalf("README.md has no %q … %q block", hostingBegin, hostingEnd)
+	}
+	if got, want := readme[i+len(hostingBegin):j], "\n"+b.String(); got != want {
+		t.Errorf("README.md's hosting-contract table drifted from the code; paste this between its markers:\n%s", want)
 	}
 }
