@@ -58,7 +58,8 @@ alloc-profile:
 # (direct=true) and one handed to the worker (direct=false, the paper's
 # form), and the same two for a 16-key MultiGet (MultiGet: each idle
 # worker's leg run by the caller, or every leg queued), for a Put (Put:
-# committed by its caller, or by its worker) and for a 16-op WriteEachCtx
+# led by its caller, handed to its worker, or led over a PutAsync stream on
+# its worker) and for a 16-op WriteEachCtx
 # (WriteEach: as MultiGet, for writes); the engine lookup
 # under them; the MemFS device under all of
 # them (a 2 MiB append, a block read). The engine lookup runs with the block
@@ -84,6 +85,7 @@ PROFILE_RUNS = 'p2kvs write PutAsync|LSMWriteBatch' 'p2kvs memtable MemtableAdd|
 	'core get-direct ^BenchmarkGet$$/direct=true' 'core get-queued ^BenchmarkGet$$/direct=false' \
 	'core mget-direct MultiGet$$/direct=true' 'core mget-queued MultiGet$$/direct=false' \
 	'core put-direct ^BenchmarkPut$$/direct=true' 'core put-queued ^BenchmarkPut$$/direct=false' \
+	'core put-led ^BenchmarkPut$$/led' \
 	'core mset-direct WriteEach$$/direct=true' 'core mset-queued WriteEach$$/direct=false' \
 	'lsm get-engine GetMiss' 'lsm get-hit GetHit' 'lsm scan-short ShortScan' 'vfs memfs MemFSAppend|MemFSReadAt' \
 	'lsm compaction CompactionMerge' 'core scan StoreScan' 'lsm flush Flush' 'server wire ServerPipeline'

@@ -400,9 +400,9 @@ func (h *harness) probeWrite() error {
 
 // awaitSync waits until the replica's link is up and it has fully
 // drained the primary's stream, and returns its INFO at that point. A
-// replica learns that its primary died only when the dead link fails, and
-// until then reads as caught up with the dead process: the primary must
-// also hold a link, which after a primary restart is the replica's new one.
+// replica reads lag 0 against a dead primary that acknowledged writes it
+// never shipped after its last heartbeat, until the dead link fails: the
+// primary must also hold a link, after a restart the replica's new one.
 func awaitSync(primary, replica *cluster.Conn, timeout time.Duration) (loadgen.Info, error) {
 	var last loadgen.Info
 	for deadline := time.Now().Add(timeout); time.Now().Before(deadline); time.Sleep(25 * time.Millisecond) {

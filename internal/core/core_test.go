@@ -727,15 +727,15 @@ func TestQueuePeekSemantics(t *testing.T) {
 	q.pushWait(nil, mk(reqRead)) // type switch: must cut the batch
 	q.pushWait(nil, mk(reqWrite))
 
-	batch, _ := q.popBatch(true, 32, nil)
+	batch, _ := q.popBatch(true, 32, nil, nil)
 	if len(batch) != 2 || batch[0].typ != reqWrite {
 		t.Fatalf("first batch = %d reqs", len(batch))
 	}
-	batch, _ = q.popBatch(true, 32, nil)
+	batch, _ = q.popBatch(true, 32, nil, nil)
 	if len(batch) != 1 || batch[0].typ != reqRead {
 		t.Fatalf("second batch = %d of type %v", len(batch), batch[0].typ)
 	}
-	batch, _ = q.popBatch(true, 32, nil)
+	batch, _ = q.popBatch(true, 32, nil, nil)
 	if len(batch) != 1 || batch[0].typ != reqWrite {
 		t.Fatalf("third batch = %d", len(batch))
 	}
@@ -746,7 +746,7 @@ func TestQueuePeekSemantics(t *testing.T) {
 	q.pushWait(nil, mk(reqRun))
 	q.pushWait(nil, mk(reqWrite))
 	for i, want := range []reqType{reqWrite, reqRun, reqRun, reqWrite} {
-		if batch, _ = q.popBatch(true, 32, nil); len(batch) != 1 || batch[0].typ != want {
+		if batch, _ = q.popBatch(true, 32, nil, nil); len(batch) != 1 || batch[0].typ != want {
 			t.Fatalf("closure split, batch %d = %d of type %v, want 1 of %v", i, len(batch), batch[0].typ, want)
 		}
 	}
@@ -757,16 +757,16 @@ func TestQueuePeekSemantics(t *testing.T) {
 		q.pushWait(nil, r)
 	}
 	for i, want := range []uint64{0, 7} {
-		if batch, _ = q.popBatch(true, 32, nil); len(batch) != 1 || batch[0].gsn != want {
+		if batch, _ = q.popBatch(true, 32, nil, nil); len(batch) != 1 || batch[0].gsn != want {
 			t.Fatalf("transaction leg, batch %d = %d with gsn %d, want 1 with %d", i, len(batch), batch[0].gsn, want)
 		}
 	}
 	// Closed queue drains then returns nil.
 	q.close()
-	if got, _ := q.popBatch(true, 32, nil); len(got) != 1 {
+	if got, _ := q.popBatch(true, 32, nil, nil); len(got) != 1 {
 		t.Fatalf("drain after close = %d", len(got))
 	}
-	if got, expired := q.popBatch(true, 32, nil); got != nil || expired != nil {
+	if got, expired := q.popBatch(true, 32, nil, nil); got != nil || expired != nil {
 		t.Fatal("closed empty queue must return nil")
 	}
 	if q.pushWait(nil, mk(reqWrite)) == nil {

@@ -529,11 +529,12 @@ func BenchmarkWriteEach(b *testing.B) {
 // TestDirectWritePaths pins where a synchronous write runs and what it
 // counts, as TestMultiGetLegPaths does for reads. Two keys on each of four
 // workers. On an idle store a Put, a Delete, a one-partition WriteCtx and
-// each leg of a WriteEachCtx are committed by their caller: DirectWrites
-// grows by the op count and worker Ops do not move. With worker 0 wedged its
-// leg queues and the others still run on the caller. A live deadline, a
-// cross-partition WriteCtx (a §4.5 transaction), PutAsync, an active
-// reshard run and Direct off queue every write.
+// each leg of a WriteEachCtx are led by their caller: DirectWrites grows by
+// the op count and worker Ops do not move. With worker 0 wedged its leg
+// queues and the others still run on the caller; with worker 0 busy but its
+// exec free a Put leads. A live deadline, a cross-partition WriteCtx (a
+// §4.5 transaction), PutAsync, an active reshard run and Direct off queue
+// every write.
 func TestDirectWritePaths(t *testing.T) {
 	const workers, perShard = 4, 2
 	var spread kv.Batch // two keys on every worker
@@ -628,6 +629,16 @@ func TestDirectWritePaths(t *testing.T) {
 			t.Error("worker 0's leg never queued behind the wedge")
 		}
 	})
+	// A worker busy in a run that does not hold exec: a Put leads anyway,
+	// where the old pending test queued it behind the held worker.
+	t.Run("busy worker, free exec", func(t *testing.T) {
+		s := open(t, true)
+		release := freeExec(s.ws()[0])
+		defer release()
+		guard := time.AfterFunc(5*time.Second, release) // a queued Put waits for the worker
+		defer guard.Stop()
+		run(t, s, func() error { return s.Put(shardKey(0, 0), []byte("v")) }, [workers][2]int64{{1, 0}})
+	})
 	// A direct write parked in its engine. A read of its worker is concurrent
 	// with the unacknowledged write and runs on its caller beside it: the
 	// write does not count itself in pending, with or without a hot cache.
@@ -711,10 +722,207 @@ func TestDirectWritePaths(t *testing.T) {
 	}
 }
 
+// freeExec holds w's goroutine in a closure that has let go of exec until
+// release is called: w is busy — the closure counts in pending — and its
+// exec is free, the state a synchronous writer finds between two of the
+// worker's runs. The closure takes exec back before it returns.
+func freeExec(w *worker) (release func()) {
+	entered, gate := make(chan struct{}), make(chan struct{})
+	go w.do(func(w *worker) error {
+		w.exec.Unlock()
+		close(entered)
+		<-gate
+		w.exec.Lock()
+		return nil
+	})
+	<-entered
+	return sync.OnceFunc(func() { close(gate) })
+}
+
+// TestLeaderFIFO races a synchronous Put(k, "v2") against the worker for
+// the PutAsync(k, "v1") queued before it: the worker, woken by the PutAsync,
+// waits for exec, which the test holds and lets go of just before the Put.
+// Whoever takes exec first runs the head of the queue, so the queued write
+// always lands first and k ends at "v2", whether the Put led or queued. A
+// worker that popped its run and then waited for exec would apply "v1"
+// after a led "v2".
+func TestLeaderFIFO(t *testing.T) {
+	s, engines := openStubStore(t, 1, nil, nil)
+	defer s.Close()
+	w, k := s.ws()[0], []byte("0-k")
+	const rounds = 50
+	led := 0
+	for i := 0; i < rounds; i++ {
+		w.exec.Lock()
+		acked := make(chan error, 1)
+		if err := s.PutAsync(k, []byte("v1"), func(err error) { acked <- err }); err != nil {
+			t.Fatal(err)
+		}
+		time.Sleep(time.Millisecond) // the worker reaches exec
+		before := w.directWrites.Load()
+		w.exec.Unlock()
+		if err := s.Put(k, []byte("v2")); err != nil {
+			t.Fatal(err)
+		}
+		if w.directWrites.Load() != before {
+			led++
+		}
+		select {
+		case err := <-acked:
+			if err != nil {
+				t.Fatal(err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("round %d: the PutAsync was never acknowledged", i)
+		}
+		if v, err := engines[0].Get(k); err != nil || string(v) != "v2" {
+			t.Fatalf("round %d: k = %q (%v), want \"v2\"", i, v, err)
+		}
+	}
+	t.Logf("the Put led %d of %d rounds", led, rounds)
+}
+
+// TestLeaderCombines: with exec free and one PutAsync queued, a Put on
+// that worker leads a run of both, merged into one engine batch. Both ops
+// count as DirectWrites, none as worker Ops, and the worker goroutine,
+// released afterwards, finds nothing left to run.
+func TestLeaderCombines(t *testing.T) {
+	opts := DefaultOptions(func(int, func(uint64) bool) (kv.Engine, error) { return &nopEngine{}, nil })
+	opts.Workers = 1
+	s, err := Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	w := s.ws()[0]
+	release := freeExec(w)
+	defer release()
+	before := w.stats()
+	acked := make(chan error, 1)
+	if err := s.PutAsync([]byte("a"), []byte("1"), func(err error) { acked <- err }); err != nil {
+		t.Fatal(err)
+	}
+	put := make(chan error, 1)
+	go func() { put <- s.Put([]byte("b"), []byte("2")) }()
+	select {
+	case err := <-put:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Error("the Put did not lead: it waited for the held worker")
+		release()
+		<-put
+	}
+	if err := <-acked; err != nil {
+		t.Fatal(err)
+	}
+	release()
+	if !waitPending(w, 0) {
+		t.Fatal("the worker never finished its closure")
+	}
+	st := w.stats()
+	if got := [4]int64{st.DirectWrites - before.DirectWrites, st.BatchWriteOps - before.BatchWriteOps, st.Ops - before.Ops, st.Batches - before.Batches}; got != [4]int64{2, 2, 0, 0} {
+		t.Errorf("direct writes, batch-write ops, worker ops, worker batches grew by %v; want [2 2 0 0]", got)
+	}
+}
+
+// TestLeaderRunsReadsAhead: a leader runs the read runs queued ahead of it
+// as it runs the write runs. With exec free and a PutAsync(a) and a
+// GetAsync(a) queued, a Put(b) leads three runs in order: a's write, a's
+// read, which sees it, then its own write. The read counts as a DirectRead,
+// the writes as DirectWrites, and the worker goroutine executes nothing.
+func TestLeaderRunsReadsAhead(t *testing.T) {
+	s, _ := openStubStore(t, 1, nil, nil)
+	defer s.Close()
+	w := s.ws()[0]
+	release := freeExec(w)
+	defer release()
+	before := w.stats()
+	if err := s.PutAsync([]byte("0-a"), []byte("1"), func(error) {}); err != nil {
+		t.Fatal(err)
+	}
+	got := make(chan string, 1)
+	if err := s.GetAsync([]byte("0-a"), func(v []byte, err error) { got <- fmt.Sprint(string(v), err) }); err != nil {
+		t.Fatal(err)
+	}
+	put := make(chan error, 1)
+	go func() { put <- s.Put([]byte("0-b"), []byte("2")) }()
+	select {
+	case err := <-put:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Error("the Put did not lead: it waited for the held worker")
+		release()
+		<-put
+	}
+	select {
+	case v := <-got:
+		if v != "1<nil>" {
+			t.Errorf("the queued read returned %q, want the queued write's \"1\"", v)
+		}
+	default:
+		t.Error("the Put returned before the read queued ahead of it ran")
+	}
+	release()
+	if !waitPending(w, 0) {
+		t.Fatal("the worker never finished its closure")
+	}
+	st := w.stats()
+	if got := [3]int64{st.DirectWrites - before.DirectWrites, st.DirectReads - before.DirectReads, st.Ops - before.Ops}; got != [3]int64{2, 1, 0} {
+		t.Errorf("direct writes, direct reads, worker ops grew by %v; want [2 1 0]", got)
+	}
+}
+
+// TestLeaderLeavesClosures: a leader never runs a closure. With a closure
+// queued ahead of it, a Put leaves its write to the worker, which runs the
+// closure and then the write; nothing counts as DirectWrites.
+func TestLeaderLeavesClosures(t *testing.T) {
+	opts := DefaultOptions(func(int, func(uint64) bool) (kv.Engine, error) { return &nopEngine{}, nil })
+	opts.Workers = 1
+	s, err := Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	w := s.ws()[0]
+	release := freeExec(w)
+	defer release()
+	var ran atomic.Bool
+	go w.do(func(*worker) error { ran.Store(true); return nil })
+	if !waitPending(w, 2) {
+		t.Fatal("the closure never queued")
+	}
+	before := w.stats()
+	put := make(chan error, 1)
+	go func() { put <- s.Put([]byte("k"), []byte("v")) }()
+	if !waitPending(w, 3) {
+		t.Fatal("the Put was not left to the worker")
+	}
+	select {
+	case err := <-put:
+		t.Fatalf("the Put returned (%v) before the worker ran the closure ahead of it", err)
+	case <-time.After(20 * time.Millisecond):
+	}
+	release()
+	if err := <-put; err != nil {
+		t.Fatal(err)
+	}
+	st := w.stats()
+	if !ran.Load() || st.DirectWrites != before.DirectWrites || st.Ops-before.Ops != 2 {
+		t.Errorf("closure ran %v, direct writes grew by %d, worker ops by %d; want true, 0, 2", ran.Load(), st.DirectWrites-before.DirectWrites, st.Ops-before.Ops)
+	}
+}
+
 // BenchmarkPut is one client's synchronous Put against four idle workers
-// over lsm: direct=true commits each write on the caller under its worker's
+// over lsm: direct=true leads each write on the caller under its worker's
 // exec lock, direct=false hands every write to its worker and waits, as the
-// paper's accessing layer does (make cpu-profile profiles both).
+// paper's accessing layer does. led is direct=true with a PutAsync stream
+// (up to 16 in flight) on the Put's worker, so a Put that takes exec leads
+// a queue that is rarely empty; direct-writes/op counts the ops each Put's
+// runs carried, its own included (make cpu-profile profiles all three).
 func BenchmarkPut(b *testing.B) {
 	for _, direct := range []bool{true, false} {
 		b.Run(fmt.Sprintf("direct=%v", direct), func(b *testing.B) {
@@ -729,6 +937,48 @@ func BenchmarkPut(b *testing.B) {
 			}
 		})
 	}
+	b.Run("led", func(b *testing.B) {
+		s, keys := benchStore(b, true, 50000)
+		w := s.route.Load().pick(keys[0])
+		var mine [][]byte
+		for _, k := range keys {
+			if s.route.Load().pick(k) == w {
+				mine = append(mine, k)
+			}
+		}
+		val := make([]byte, 128)
+		stop, streamed := make(chan struct{}), make(chan struct{})
+		go func() {
+			defer close(streamed)
+			inflight := make(chan struct{}, 16)
+			ack := func(error) { <-inflight }
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					for range cap(inflight) {
+						inflight <- struct{}{}
+					}
+					return
+				case inflight <- struct{}{}:
+				}
+				if err := s.PutAsync(mine[i%len(mine)], val, ack); err != nil {
+					<-inflight
+				}
+			}
+		}()
+		before := w.directWrites.Load()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := s.Put(mine[i*7%len(mine)], val); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.StopTimer()
+		b.ReportMetric(float64(w.directWrites.Load()-before)/float64(b.N), "direct-writes/op")
+		close(stop)
+		<-streamed
+	})
 }
 
 // waitPending reports whether w's pending count reaches n within five

@@ -12,12 +12,11 @@ import (
 
 // Data-plane operations: every one builds requests of the one shape
 // (queue.go), routes and admits them under the routing read lock
-// (routing.go) — or, for a synchronous read or write whose worker is idle
-// (direct), runs them there on the caller — and completes through a done
-// channel, a callback or — for multi-leg operations, placed by dispatch —
-// one fanIn. Their requests come from the requests pool and go back by the
-// ownership rule stated there. A direct Get's request lives on its caller's
-// stack; a direct Put's goes back once it has committed.
+// (routing.go) — or runs them on the caller: a sync read of an idle worker
+// (direct), a sync write that leads its worker's queue (placeWrite) — and
+// completes through a done channel, a callback or one fanIn (multi-leg
+// operations, placed by dispatch). Requests come from the requests pool and
+// go back by its ownership rule; a direct Get's lives on its caller's stack.
 
 // writeOne routes a single-key write, carried inline by a pooled request,
 // and hands it to writeTo.
@@ -30,17 +29,17 @@ func (s *Store) writeOne(ctx context.Context, op kv.BatchOp, cb func(error)) err
 }
 
 // writeTo hands the pooled write request r to w (placeWrite), then releases
-// the routing read lock its caller picked w under. Without a callback it is
-// applied on the caller when the direct rule allows, and waited for
-// otherwise (sync path); with one it is always queued, and the callback runs
-// on the worker when the write completes (async path), and is not run at all
-// when writeTo returns an error.
+// the routing read lock its caller picked w under. Without a callback it
+// leads w's queue when the rule allows, and is waited for (sync path); with
+// one it is always queued, and the callback runs when the write completes
+// (async path, PutAsync), and is not run at all when writeTo returns an
+// error.
 func (s *Store) writeTo(ctx context.Context, w *worker, r *request) error {
 	r.typ = reqWrite
 	async := r.callback != nil // r is the worker's from admission on: read it now
-	ran, err := s.placeWrite(ctx, w, r, !async)
+	err := s.placeWrite(ctx, w, r, !async)
 	s.routeMu.RUnlock()
-	owned := ran || err != nil // never enqueued
+	owned := err != nil // never enqueued
 	if !owned && !async {
 		owned, err = s.waitDone(w, r)
 	}
@@ -62,7 +61,8 @@ func (s *Store) Delete(key []byte) error {
 }
 
 // PutAsync is the asynchronous write interface (§4.1): it enqueues and
-// returns immediately; cb runs on the worker when the write completes.
+// returns immediately; cb runs when the write completes, on the worker or on
+// a sync writer leading its queue, so it must not block or call the store.
 // Backpressure applies when the worker queue is full. key and value are not
 // copied on the way to the engine: they must stay unmodified until cb runs
 // (or PutAsync returns an error, in which case cb never runs).
@@ -105,54 +105,30 @@ func (s *Store) readResult(key, val []byte, found bool, ticket uint64) ([]byte, 
 
 // direct is the one test of the direct rule: a synchronous operation on
 // w's keys runs on its caller, under the routing read lock, when
-// Options.Direct is on, ctx carries no live deadline, and w is idle —
-// nothing queued, nothing executing (reqQueue.pending). closed is read
-// under the lock Close passes through before it closes any engine: no
-// direct leg is inside an engine being closed, and a closed store falls
-// through to admission's kv.ErrClosed. A write asks more (directWrite).
-func (s *Store) direct(ctx context.Context, w *worker) bool {
-	return s.opts.Direct && liveCtx(ctx) == nil && w.q.pending.Load() == 0 && !s.closed.Load()
+// Options.Direct is on, ctx carries no live deadline, the store is open
+// (read under the lock Close passes through before it closes any engine)
+// and, for a read, w is idle: nothing queued, nothing executing
+// (reqQueue.pending). A write asks more (placeWrite).
+func (s *Store) direct(ctx context.Context, w *worker, read bool) bool {
+	return s.opts.Direct && liveCtx(ctx) == nil && (!read || w.q.pending.Load() == 0) && !s.closed.Load()
 }
 
-// directWrite is the write side of the rule: it commits ops — one
-// synchronous write's, never a transaction leg's — on the caller, through
-// w's own commit, when direct allows, no reshard run is active, and w's exec
-// lock is free: a worker executing, or parked at a barrier, holds it. Under
-// the lock it tests pending again (the worker may have taken a run between
-// the test and the lock), so the write is the instance's one writer and
-// lands after every earlier submission: the hot cache's write-through,
-// ship's GSN order and lastGSN hold unchanged. Reads of w run beside it, as
-// beside any writer of the engine, and the hot cache fences its keys until
-// the write-through. ran is false when any test fails; nothing was done and
-// the caller queues the write.
-func (s *Store) directWrite(ctx context.Context, w *worker, ops []kv.BatchOp) (ran bool, err error) {
-	if !s.direct(ctx, w) || s.resh.Load() != nil || !w.exec.TryLock() {
-		return false, nil
+// placeWrite health-checks w and hands it the write request r, which its
+// caller, holding the routing read lock w was picked under, then waits for.
+// When mayLead (a synchronous write outside any transaction), direct allows,
+// no reshard run is active and w's exec lock is free (a worker running the
+// queue, or parked at a barrier, holds it), the caller leads w's queue up to
+// r (worker.lead); else r is admitted.
+func (s *Store) placeWrite(ctx context.Context, w *worker, r *request, mayLead bool) error {
+	if err := s.writeAdmitErr(w); err != nil {
+		return err
 	}
-	defer w.exec.Unlock()
-	if w.q.pending.Load() != 0 {
-		return false, nil
+	if mayLead && s.direct(ctx, w, false) && s.resh.Load() == nil && w.exec.TryLock() {
+		defer w.exec.Unlock()
+		w.lead(r)
+		return nil
 	}
-	w.directWrites.Add(int64(len(ops)))
-	w.cache.Fence(ops)
-	return true, w.commit(ops, 0, 0, false)
-}
-
-// placeWrite health-checks w and hands it the write request r: committed
-// right here by directWrite when mayDirect (a synchronous write outside any
-// transaction) and the rule allows — ran reports it, and r is still the
-// caller's — else admitted to w's queue. Its caller holds the routing read
-// lock w was picked under.
-func (s *Store) placeWrite(ctx context.Context, w *worker, r *request, mayDirect bool) (ran bool, err error) {
-	if err = s.writeAdmitErr(w); err != nil {
-		return false, err
-	}
-	if mayDirect {
-		if ran, err = s.directWrite(ctx, w, r.ops); ran {
-			return true, err
-		}
-	}
-	return false, s.admit(ctx, w, r)
+	return s.admit(ctx, w, r)
 }
 
 // submit is what lies between the two halves for a single-key read that
@@ -160,18 +136,16 @@ func (s *Store) placeWrite(ctx context.Context, w *worker, r *request, mayDirect
 // read lock, taken and released here and nowhere else. ticket is the key's
 // hot-cache stripe value, snapshotted before the read can reach an engine.
 //
-// cb == nil is a synchronous read and submit returns its result. When
-// direct allows, the caller runs the read itself as a one-key leg
-// (worker.readLeg) of a request on its own stack, and no request leaves
-// the pool; otherwise the read is queued and waited for. cb != nil is an
-// asynchronous read: it is always queued, submit returns once it is
-// admitted — the request is the worker's from then on, and may already be
-// back in the pool — and cb receives the result. When submit returns an
-// error cb never runs.
+// cb == nil is a synchronous read and submit returns its result: run by
+// the caller as a one-key leg (worker.readLeg) of a request on its stack
+// when direct allows, else queued and waited for. cb != nil is an
+// asynchronous read: always queued, the worker's once admitted (and maybe
+// back in the pool when submit returns); cb receives the result, and never
+// runs when submit returns an error.
 func (s *Store) submit(ctx context.Context, key []byte, ticket uint64, cb func([]byte, error)) ([]byte, error) {
 	s.routeMu.RLock()
 	w := s.route.Load().pick(key)
-	if cb == nil && s.direct(ctx, w) {
+	if cb == nil && s.direct(ctx, w, true) {
 		r := request{key: key}
 		leg := [1]*request{&r}
 		_, err := w.readLeg(leg[:], nil, true)
@@ -223,20 +197,14 @@ func (s *Store) submit(ctx context.Context, key []byte, ticket uint64, cb func([
 // caller runs the engine read itself, under the routing read lock, and no
 // goroutine is woken (Options.Direct). Idle means every write queued on
 // that worker before the test has been applied, so the read sees all of
-// them; a write submitted after it, or a direct write that has not returned,
-// is concurrent with the read.
-// Anything else takes the queue: a busy worker has something to batch the
-// read with (OBM), and only a waiter that is not the executor can abandon a
-// read at its deadline.
-//
-// What the rule gives up: synchronous readers never make a worker busy, so
-// under read-only synchronous traffic every Get is direct, at any client
-// count — as many readers are inside one engine at once as there are
-// callers, where the queue admitted one worker, and OBM's MultiGet is never
-// chosen. The engines' point lookups are concurrent-safe (kvtest's
-// concurrent case). MultiGetCtx applies the rule per leg, and its direct
-// legs read in turn where queued ones would read at once: on a slow device
-// that is the rule's price (the MGET rows of ablation-direct-read).
+// them; a write submitted after it, or a led write that has not returned,
+// is concurrent with the read. Anything else takes the queue: a busy worker
+// has something to batch the read with (OBM), and only a waiter that is not
+// the executor can abandon a read at its deadline. The price: synchronous
+// readers never make a worker busy, so read-only synchronous traffic is all
+// direct, as many readers inside one engine as there are callers (the
+// engines' point lookups are concurrent-safe), and MultiGetCtx's direct
+// legs read in turn where queued ones would read at once.
 func (s *Store) GetCtx(ctx context.Context, key []byte) ([]byte, error) {
 	if v, hit, err := s.hotRead(key); hit {
 		return v, err
@@ -337,7 +305,7 @@ func (s *Store) WriteCtx(ctx context.Context, b *kv.Batch) error {
 // WriteEachCtx applies b's ops as independent writes, not as one
 // transaction: each partition's ops commit together, as one ordinary write
 // that its worker's OBM may merge with its neighbours — or that the caller
-// commits itself when that worker is idle (directWrite) — and errs[i] (errs
+// leads when that worker's exec is free (placeWrite) — and errs[i] (errs
 // holds at least b.Len()) is the error of the write that carried op i. Ops
 // on one key stay in batch order. Nothing reaches the transaction log, so
 // no Options.TxnFS is needed. Key and value bytes are not copied: they must
@@ -440,7 +408,7 @@ placing:
 	for _, idleTurn := range [2]bool{false, true} {
 		for p, leg := range ls.by {
 			w := ls.rt.workers[p]
-			if len(leg) == 0 || leg[0].callback != nil || !idleTurn && leg[0].mergeable() && s.direct(ctx, w) {
+			if len(leg) == 0 || leg[0].callback != nil || !idleTurn && leg[0].mergeable() && s.direct(ctx, w, true) {
 				continue // no leg, placed in the first turn, or its turn is the second
 			}
 			if err := s.placeLeg(ctx, ls, w, leg, idleTurn); err != nil && stop {
@@ -453,9 +421,9 @@ placing:
 }
 
 // placeLeg hands w its leg of ls: queued (a write past placeWrite's health
-// check), or in the idle turn run right here — a read by readLeg, a write by
-// directWrite, which queues it after all when w turned busy. It returns the
-// leg's error, which the fan-in has recorded too.
+// check), or in the idle turn run right here — a read by readLeg, a write
+// led by placeWrite, which queues it after all when w's exec is taken. It
+// returns the leg's error, which the fan-in has recorded too.
 func (s *Store) placeLeg(ctx context.Context, ls *legSet, w *worker, leg []*request, idle bool) (err error) {
 	if idle && leg[0].typ == reqRead {
 		ls.add()
@@ -466,16 +434,13 @@ func (s *Store) placeLeg(ctx context.Context, ls *legSet, w *worker, leg []*requ
 	for _, r := range leg {
 		r.callback = ls.fin
 		ls.add()
-		ran := false
 		if r.typ == reqWrite {
-			ran, err = s.placeWrite(ctx, w, r, idle)
+			err = s.placeWrite(ctx, w, r, idle)
 		} else {
 			err = s.admit(ctx, w, r)
 		}
-		if ran || err != nil {
-			r.complete(err)
-		}
 		if err != nil {
+			r.complete(err)
 			return err
 		}
 	}

@@ -47,14 +47,14 @@ type Options struct {
 	// OBM enables opportunistic request batching (§4.3). Default on via
 	// DefaultOptions; the sensitivity study (Figure 17) disables it.
 	OBM bool
-	// Direct lets a synchronous, deadline-free operation run each idle
-	// worker's leg on the caller's goroutine instead of handing it to the
-	// worker (Store.direct): a Get's one key or a MultiGet's keys of that
-	// worker, and — when no reshard runs — a Put's or Delete's op, a
-	// one-partition WriteCtx's batch or a WriteEachCtx leg, applied through
-	// the worker's own commit under its exec lock (Store.directWrite). An
-	// extension: at queue depth one there is nothing for OBM to amortise the
-	// handoff with. Default on via DefaultOptions; the paper-figure
+	// Direct lets a synchronous, deadline-free operation run its leg on the
+	// caller's goroutine instead of handing it to the worker (Store.direct):
+	// a Get's key or a MultiGet leg on an idle worker, and — when no reshard
+	// runs — a Put's, Delete's, one-partition WriteCtx's or WriteEachCtx
+	// leg's write on a worker whose exec lock is free, where the caller
+	// leads: it runs the worker's queue up to its own write (worker.lead).
+	// An extension: at queue depth one there is nothing for OBM to amortise
+	// the handoff with. Default on via DefaultOptions; the paper-figure
 	// experiments, which model one worker as one thread, turn it off.
 	Direct bool
 	// MaxBatch bounds requests per OBM batch (32 by default, the paper's

@@ -8,6 +8,7 @@ package core
 
 import (
 	"context"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -33,12 +34,11 @@ type request struct {
 	typ reqType
 
 	// Write-type payload: one or more ops (a user WriteBatch keeps its
-	// ops together in a single request). This is the one representation a
-	// write has above the engine: the worker hands this slice (or, for a
-	// merged run, one concatenation of them) to the engine batch, the
-	// replication backlog, the reshard mirror and the hot cache alike. A
-	// single-key write carries its op inline: ops is one[:], so the
-	// commonest write costs no slice of its own.
+	// ops together in a single request), the one representation a write
+	// has above the engine: exec's holder hands this slice (or a merged
+	// run's concatenation) to the engine batch, the replication backlog,
+	// the reshard mirror and the hot cache alike. A single-key write
+	// carries its op inline (ops is one[:]).
 	ops []kv.BatchOp
 	one [1]kv.BatchOp
 	// gsn, when non-zero, makes the write a leg of a cross-instance
@@ -61,13 +61,11 @@ type request struct {
 	// Completion: through callback when one is set, through done
 	// otherwise. The sync path blocks on done (the paper's "suspends
 	// itself without further CPU consumption", ②); the async path gets
-	// callback(err) from the worker (the Put(K,V,callback) extension,
-	// §4.1). done has capacity 1 and a request has exactly one waiter and
-	// is completed exactly once, so completing is a send that never blocks
-	// — which, unlike a close, leaves the channel reusable when the request
-	// is (requests). recycle marks a pooled callback request: nobody reads
-	// it once its callback has returned, so whoever ran the callback puts
-	// it back.
+	// callback(err) from whoever ran the request (the Put(K,V,callback)
+	// extension, §4.1). done has capacity 1 and a request has one waiter
+	// and one completion, so completing is a send that never blocks and
+	// leaves the channel reusable (requests). recycle marks a pooled
+	// callback request, which whoever ran the callback puts back.
 	done     chan struct{}
 	callback func(err error)
 	recycle  bool
@@ -101,17 +99,14 @@ func (r *request) complete(err error) {
 func newDone() chan struct{} { return make(chan struct{}, 1) }
 
 // requests recycles the data plane's requests, each with its completion
-// channel: a single-key operation's (GetCtx, Put, Delete, GetAsync,
-// PutAsync), a one-partition WriteCtx's, and every leg of a multi-partition
-// call (legSet). The rule is ownership: only the goroutine that observed a
-// request's completion returns it. For a sync request that is the waiter
-// that received from done; for a callback request, whoever ran the callback
-// (a worker, or the close-drain), once it has returned; for a leg, whose
-// callback finishes a fan-in, the submitter, once wait has observed every
-// leg's completion. A waiter whose context ended first cannot know the
-// worker is done and leaves the request to the garbage collector; a request
-// that never got into a queue is still its submitter's. Control-plane
-// requests stay ordinary allocations.
+// channel: a single-key operation's, a one-partition WriteCtx's, and every
+// leg of a multi-partition call (legSet). Only the goroutine that observed a
+// request's completion returns it: a sync request's waiter that received
+// from done; whoever ran a callback request's callback (the worker, a
+// leader, the close-drain), once it returned; a leg's submitter, once wait
+// observed every leg's completion. A waiter whose context ended first leaves
+// the request to the garbage collector; one that never got into a queue is
+// still its submitter's. Control-plane requests stay ordinary allocations.
 var requests = sync.Pool{New: func() any { return &request{done: newDone()} }}
 
 func getRequest() *request { return requests.Get().(*request) }
@@ -142,14 +137,11 @@ func (r *request) mergeable() bool { return r.typ != reqRun && r.gsn == 0 }
 
 // reqQueue is the per-worker request queue. It is a mutex-guarded deque
 // rather than a channel because OBM needs to *peek* at the head request's
-// type without committing to dequeue it (Algorithm 1 line 8).
-//
-// Consumer-side waiting uses a sync.Cond (the single worker goroutine is
-// only ever woken by push or close). Producer-side waiting uses per-waiter
-// channels instead, so a producer blocked on a full queue can also wake on
-// its request's ctx.Done — sync.Cond has no cancellable wait. Wakeups are
-// broadcast-style (every waiter re-checks under the lock), which makes an
-// abandoned wakeup harmless.
+// type without committing to dequeue it (Algorithm 1 line 8). The worker
+// waits on a sync.Cond, woken by a push, a leader's handoff or close. A
+// producer blocked on a full queue waits on a channel of its own, so it can
+// also wake on its request's ctx.Done; every waiter re-checks under the
+// lock, which makes an abandoned wakeup harmless.
 type reqQueue struct {
 	mu       sync.Mutex
 	notEmpty *sync.Cond
@@ -157,6 +149,9 @@ type reqQueue struct {
 	head     int
 	capacity int
 	closed   bool
+	// led is 1 while a leader's own request is queued (lead to popBatch or
+	// leave), no work for the worker; only exec's holder writes it.
+	led int
 
 	// spaceWaiters holds one channel per producer blocked in a full-queue
 	// push; freeing space (or closing) closes them all.
@@ -167,12 +162,13 @@ type reqQueue struct {
 	highWater int
 
 	// pending counts requests enqueued and not yet finished: enqueueLocked
-	// is its only increment, and the worker loop subtracts a run only after
-	// the engine applied it (or it was shed, or drained at the close
-	// deadline). Zero therefore means every request ever queued on this
-	// worker has taken effect — the idle test of the direct rule
-	// (Store.direct), loaded by callers on other cores on every GET, hence
-	// the padding that keeps it off the line mu and the deque live on.
+	// and leave add, runHead subtracts a run only after the engine applied it
+	// (or it was shed), drain what it removes. A leader's own request counts
+	// only if left to the worker (its submitter cannot read before its ack).
+	// Zero therefore means every other request queued on this worker has
+	// taken effect — the idle test of the direct rule (Store.direct), loaded
+	// by callers on other cores on every GET, hence the padding that keeps it
+	// off the line mu and the deque live on.
 	_       [64]byte
 	pending atomic.Int64
 	_       [56]byte
@@ -194,6 +190,37 @@ func (q *reqQueue) enqueueLocked(r *request) {
 		q.highWater = d
 	}
 	q.notEmpty.Signal()
+}
+
+// lead appends a leader's own request (worker.lead), uncounted in pending,
+// without waking the worker, past the capacity test and the closed flag (no
+// engine closes under the leader's routing read lock).
+func (q *reqQueue) lead(r *request) {
+	q.mu.Lock()
+	q.items = append(q.items, r)
+	q.led = 1
+	q.mu.Unlock()
+}
+
+// leave hands a leader's still queued request to the worker: counted, woken.
+func (q *reqQueue) leave(r *request) {
+	q.mu.Lock()
+	q.led = 0
+	r.enqueuedAt = time.Now()
+	q.pending.Add(1)
+	q.notEmpty.Signal()
+	q.mu.Unlock()
+}
+
+// wait blocks the worker until the queue holds a request other than a
+// leader's own; false once there is none and the queue is closed.
+func (q *reqQueue) wait() bool {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	for q.len() <= q.led && !q.closed {
+		q.notEmpty.Wait()
+	}
+	return q.len() > q.led
 }
 
 func (q *reqQueue) wakeSpaceLocked() {
@@ -262,30 +289,26 @@ func (q *reqQueue) removeSpaceWaiter(ch chan struct{}) {
 	}
 }
 
-// popBatch implements the queue side of Algorithm 1: it blocks for the
-// first live request, then — when obm is true — greedily takes consecutive
-// same-type mergeable requests up to max. Closures and transaction legs
-// are returned alone.
+// popBatch implements the queue side of Algorithm 1 for exec's holder
+// (worker.runHead), without waiting: it takes the first live request, then
+// — when obm is true — greedily takes consecutive same-type mergeable
+// requests up to max. Closures and transaction legs are returned alone.
+// own is a leader's request (worker.lead) or nil; a leader takes no closure.
 //
 // Requests whose context already expired are shed instead of batched
 // (head-of-line shedding): they come back in expired, never occupying an
 // OBM slot, and the caller completes them with kv.ErrDeadlineExceeded
-// without touching the engine. batch == nil with a non-empty expired means
-// "only dead work was pending — call again"; batch == nil and expired ==
-// nil means closed-and-drained. The batch is appended to scratch[:0], which
-// the one consumer owns and passes back in on every call.
-func (q *reqQueue) popBatch(obm bool, max int, scratch []*request) (batch, expired []*request) {
+// without touching the engine. The batch is appended to scratch[:0], which
+// exec's holder owns and passes back in on every call.
+func (q *reqQueue) popBatch(obm bool, max int, own *request, scratch []*request) (batch, expired []*request) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	for q.len() == 0 && !q.closed {
-		q.notEmpty.Wait()
-	}
 	// Shed expired requests at the head before forming a batch.
 	for q.len() > 0 && q.items[q.head].expired() {
 		expired = append(expired, q.items[q.head])
 		q.head++
 	}
-	if q.len() == 0 {
+	if q.len() == 0 || own != nil && q.items[q.head].typ == reqRun {
 		q.compact()
 		if len(expired) > 0 {
 			q.wakeSpaceLocked()
@@ -309,6 +332,9 @@ func (q *reqQueue) popBatch(obm bool, max int, scratch []*request) (batch, expir
 			q.head++
 			batch = append(batch, next)
 		}
+	}
+	if own != nil && slices.Contains(batch, own) {
+		q.led = 0
 	}
 	q.compact()
 	q.wakeSpaceLocked()
@@ -352,7 +378,7 @@ func (q *reqQueue) compact() {
 	}
 }
 
-// close wakes all waiters; pending items remain poppable.
+// close wakes all waiters; queued items remain poppable.
 func (q *reqQueue) close() {
 	q.mu.Lock()
 	q.closed = true

@@ -23,8 +23,9 @@ func TestRequestFootprint(t *testing.T) {
 }
 
 // TestQueueConcurrentPushPop hammers one queue with many producers and a
-// single consumer (the worker model) under a small capacity, so pushes
-// constantly block on a full queue and popBatch constantly frees space.
+// single consumer (the worker model: wait, then popBatch) under a small
+// capacity, so pushes constantly block on a full queue and popBatch
+// constantly frees space.
 // Run with -race: the waiter-channel handoff must be data-race free, every
 // request must come out exactly once, and nothing may deadlock.
 func TestQueueConcurrentPushPop(t *testing.T) {
@@ -50,8 +51,8 @@ func TestQueueConcurrentPushPop(t *testing.T) {
 	}
 	seen := make(map[string]bool)
 	got := 0
-	for got < producers*perProducer {
-		batch, expired := q.popBatch(true, 32, nil)
+	for got < producers*perProducer && q.wait() {
+		batch, expired := q.popBatch(true, 32, nil, nil)
 		if len(expired) != 0 {
 			t.Fatalf("no request carries a ctx, yet %d were shed", len(expired))
 		}
@@ -121,7 +122,7 @@ func TestQueueBlockedPushWakesOnCtx(t *testing.T) {
 		t.Fatalf("%d abandoned space waiters leaked", len(q.spaceWaiters))
 	}
 	// The queue still functions after the aborted wait.
-	if batch, _ := q.popBatch(false, 1, nil); len(batch) != 1 {
+	if batch, _ := q.popBatch(false, 1, nil, nil); len(batch) != 1 {
 		t.Fatalf("pop after aborted wait = %d requests", len(batch))
 	}
 	if err := q.tryPush(&request{typ: reqWrite}); err != nil {
@@ -157,7 +158,7 @@ func TestQueueCompact(t *testing.T) {
 	// Pop the first 100 one at a time (OBM off): head passes 64 and
 	// head*2 >= len(items), which must trigger compact().
 	for i := 0; i < 100; i++ {
-		batch, _ := q.popBatch(false, 1, nil)
+		batch, _ := q.popBatch(false, 1, nil, nil)
 		if len(batch) != 1 || string(batch[0].key) != fmt.Sprintf("k-%04d", i) {
 			t.Fatalf("pop %d = %q", i, batch[0].key)
 		}
@@ -170,7 +171,7 @@ func TestQueueCompact(t *testing.T) {
 		q.pushWait(nil, &request{typ: reqWrite, key: []byte(fmt.Sprintf("k-%04d", i))})
 	}
 	for i := 100; i < total+20; i++ {
-		batch, _ := q.popBatch(false, 1, nil)
+		batch, _ := q.popBatch(false, 1, nil, nil)
 		if len(batch) != 1 || string(batch[0].key) != fmt.Sprintf("k-%04d", i) {
 			t.Fatalf("post-compact pop %d = %q", i, batch[0].key)
 		}
@@ -203,24 +204,24 @@ func TestQueueShedsExpired(t *testing.T) {
 	q.pushWait(nil, mk(dead, "mid")) // expired mid-batch
 	q.pushWait(nil, mk(live, "b"))
 
-	batch, expired := q.popBatch(true, 32, nil)
+	batch, expired := q.popBatch(true, 32, nil, nil)
 	if len(expired) != 3 {
 		t.Fatalf("shed %d, want 3", len(expired))
 	}
 	if len(batch) != 2 || string(batch[0].key) != "a" || string(batch[1].key) != "b" {
 		t.Fatalf("batch = %v", batch)
 	}
-	// A queue holding only expired work returns (nil, expired) and the
-	// next call blocks for live work rather than spinning; verify via
-	// close.
+	// A queue holding only expired work returns (nil, expired), and the
+	// worker then waits for live work: wait reports false once the queue
+	// is closed and empty.
 	q.pushWait(nil, mk(dead, "only"))
-	batch, expired = q.popBatch(true, 32, nil)
+	batch, expired = q.popBatch(true, 32, nil, nil)
 	if batch != nil || len(expired) != 1 {
 		t.Fatalf("expired-only pop = %v / %v", batch, expired)
 	}
 	q.close()
-	if batch, expired = q.popBatch(true, 32, nil); batch != nil || expired != nil {
-		t.Fatal("closed empty queue must return nil, nil")
+	if batch, expired = q.popBatch(true, 32, nil, nil); batch != nil || expired != nil || q.wait() {
+		t.Fatal("closed empty queue must return nil, nil and end the wait")
 	}
 }
 

@@ -166,13 +166,12 @@ func liveCtx(ctx context.Context) context.Context {
 	return ctx
 }
 
-// admit runs admission control and enqueues r on w's queue. It is the
-// single gate every data-plane request passes: already-expired contexts
-// fail here (the request never enters the queue), a full queue behaves per
-// Options.Admission, and the request carries its context so the worker
-// can shed it if it expires while queued. Callers route and admit under
-// routeMu.RLock so the enqueue lands on a worker that owns the key under
-// the routing generation it was picked from.
+// admit runs admission control and enqueues r on w's queue, the gate of
+// every data-plane request but a leader's own (worker.lead): an expired
+// context fails here, a full queue behaves per Options.Admission, and r
+// carries its context so the worker can shed it if it expires while queued.
+// Callers route and admit under routeMu.RLock, so the enqueue lands on the
+// key's owner under the routing generation it was picked from.
 func (s *Store) admit(ctx context.Context, w *worker, r *request) error {
 	if s.closed.Load() {
 		return kv.ErrClosed

@@ -307,7 +307,7 @@ func (s *Store) Scrub(ctx context.Context, lim kv.RateLimiter) (kv.ScrubResult, 
 
 // fenceSubmitters passes through the routing write lock once: closed is
 // set, so once it is through nobody is left between picking a worker and
-// leaving its queue or — a direct read or write (Store.direct) — its engine.
+// leaving its queue or — a direct read or a led write (Store.direct) — its engine.
 // fenced closes at that point, and no engine is closed before it
 // (worker.stop). A non-zero deadline bounds the wait here, as it bounds a
 // worker's drain, not that rule: a direct call wedged in a stalled engine

@@ -24,11 +24,10 @@ type worker struct {
 
 	wg sync.WaitGroup
 
-	// exec admits one writer to the instance at a time: the worker loop
-	// holds it around execute — so a barrier parked there holds it too — and
-	// a direct write (Store.directWrite) takes it with TryLock for the length
-	// of its commit. Whoever holds it owns the scratch below, ship's GSN
-	// order and lastGSN.
+	// exec admits one runner of the queue, so one writer to the instance:
+	// the worker loop around each run (a barrier parked there holds it too)
+	// or a synchronous writer that took it with TryLock (lead). Whoever
+	// holds it owns the scratch below, ship's GSN order and lastGSN.
 	exec sync.Mutex
 
 	// What the engine can do beyond kv.Engine, asked once (newWorker); nil
@@ -42,38 +41,33 @@ type worker struct {
 	ck kv.Checkpointer            // else Checkpoint refuses the store
 	sc kv.Scrubber                // else Scrub skips the shard
 
-	// Scratch of exec's holder, reused from one commit to the next:
-	// the concatenated ops of a merged write run, the engine batch that
-	// wraps a commit's ops, the keys of a merged read run. The ops and keys
-	// alias submitters' buffers, so each is cleared once the engine call and
-	// its followers (repl.Log.Append, mirrorMoved and the hot cache's
-	// write-through copy what they keep) are done with it — before any
-	// submitter is told it may reuse those buffers.
+	// Scratch of exec's holder, reused from one run to the next: the
+	// popped run, the concatenated ops of a merged write run, the engine
+	// batch that wraps a commit's ops, the keys of a merged read run. The
+	// ops and keys alias submitters' buffers, so each is cleared once the
+	// engine call and its followers (repl.Log.Append, mirrorMoved and the
+	// hot cache's write-through copy what they keep) are done with it —
+	// before any submitter is told it may reuse those buffers.
+	runScratch []*request
 	opsScratch []kv.BatchOp
 	batch      kv.Batch
 	keyScratch [][]byte
 
-	// Stats for the sensitivity studies. ops and batches count what this
-	// worker's goroutine executed; directReads and directWrites count the
-	// keys and ops submitters ran on the engine themselves (readLeg,
-	// Store.directWrite).
-	ops          atomic.Int64
-	batches      atomic.Int64
-	batchedOps   atomic.Int64
-	queueWaitNs  atomic.Int64
-	busyNs       atomic.Int64
-	directReads  atomic.Int64
-	directWrites atomic.Int64
-
-	// Engine-level batching stats: ops that reached the engine inside a
-	// multi-op WriteBatch (OBM-merged runs and user/network batches) and
-	// keys resolved through the engine's multiget, by whichever goroutine
-	// ran the leg (readLeg). These are the observable proof that batched
-	// submission — including the network layer's pipeline coalescing —
-	// actually hits the engine's batch paths rather than degenerating to
-	// per-op calls.
+	// Stats, each the WorkerStats field of its name, counted by whichever
+	// goroutine did the work: the worker's, or a submitter's (readLeg, a
+	// caller-led run in execute).
+	ops           atomic.Int64
+	batches       atomic.Int64
+	batchedOps    atomic.Int64
+	queueWaitNs   atomic.Int64
+	busyNs        atomic.Int64
+	directReads   atomic.Int64
+	directWrites  atomic.Int64
 	batchWriteOps atomic.Int64
 	multiGetOps   atomic.Int64
+	rejected      atomic.Int64
+	expired       atomic.Int64
+	shed          atomic.Int64
 
 	// ckpt is what Store.Checkpoint has materialized of this engine's
 	// images, replaced whole after each one (checkpoints run one at a time).
@@ -93,26 +87,13 @@ type worker struct {
 
 	// cache is the store's hot-key read cache (nil when disabled). exec's
 	// holder writes every op through it (commit) after the engine applied
-	// the batch and before any submitter is woken: once a write is
-	// acknowledged, no reader can be served a cached value that predates
-	// it.
+	// it and before any submitter is woken.
 	cache *hotcache.Cache
 
-	// resh points at the store's active-reshard slot. On every applied
-	// write batch the worker consults it and synchronously double-writes
-	// ops whose keys have moved to a new owner — the worker, not the
-	// submitter, mirrors, so the mirror stream preserves this instance's
-	// apply order per key.
+	// resh points at the store's active-reshard slot: exec's holder
+	// mirrors every applied op whose key has moved (mirrorMoved), so the
+	// mirror stream keeps this instance's apply order per key.
 	resh *atomic.Pointer[reshardRun]
-
-	// Overload / lifecycle stats. rejected counts admission-control
-	// rejections (ErrOverloaded), expired counts requests whose context
-	// ended before or while being submitted (caller-visible deadline
-	// failures), shed counts requests discarded at dequeue or drain
-	// without touching the engine.
-	rejected atomic.Int64
-	expired  atomic.Int64
-	shed     atomic.Int64
 }
 
 // newWorker wires worker id over engine to the store's shared state; the
@@ -170,56 +151,88 @@ func (w *worker) start() {
 	go w.loop()
 }
 
-// loop is the worker thread (Figure 9b): dequeue-batch (❶), perform
-// processing on the private instance (❷), finish and wake submitters (❸).
+// loop is the worker thread (Figure 9b): wait for a request (❶), then
+// under exec run the head of the queue (❷, ❸). It pops nothing before it
+// holds exec, so a caller leading meanwhile (lead) runs what is ahead of it.
 func (w *worker) loop() {
 	defer w.wg.Done()
-	var scratch []*request // the batch slice, reused from one dequeue to the next
-	for {
-		reqs, expired := w.q.popBatch(w.obm, w.max, scratch)
-		for _, r := range expired {
-			w.shed.Add(1)
-			r.complete(ctxError(r.ctx.Err()))
-		}
-		if len(expired) > 0 {
-			w.q.pending.Add(-int64(len(expired)))
-		}
-		if reqs == nil {
-			if len(expired) > 0 {
-				continue // only dead work was pending
-			}
-			return
-		}
-		now := time.Now()
-		for _, r := range reqs {
-			w.queueWaitNs.Add(int64(now.Sub(r.enqueuedAt)))
-		}
+	for w.q.wait() {
 		w.exec.Lock()
-		w.execute(reqs)
+		w.runHead(nil)
 		w.exec.Unlock()
-		w.busyNs.Add(int64(time.Since(now)))
-		// Only now, with the run applied to the engine — not when it was
-		// dequeued: a direct call (Store.direct) that finds pending zero
-		// must find every earlier submission in the engine.
-		w.q.pending.Add(-int64(len(reqs)))
-		clear(reqs) // completed requests belong to their submitters again
-		scratch = reqs
 	}
 }
 
-func (w *worker) execute(reqs []*request) {
-	w.ops.Add(int64(len(reqs)))
-	w.batches.Add(1)
-	if len(reqs) > 1 {
-		w.batchedOps.Add(int64(len(reqs)))
+// lead is a synchronous writer's side of the one write path, under exec: it
+// appends r and runs the head until r has run (so OBM merges what it may with
+// r), or until a closure at the head leaves r to the worker.
+func (w *worker) lead(r *request) {
+	w.q.lead(r)
+	for w.q.led == 1 && w.runHead(r) {
 	}
-	switch r := reqs[0]; r.typ {
-	case reqWrite:
+	if w.q.led == 1 {
+		w.q.leave(r)
+	}
+}
+
+// runHead pops the head run of w's queue (shedding expired requests), runs
+// it and reports a pop; only exec's holder calls it. own is a leader's own,
+// uncounted request, its run caller-led (execute), or nil on the worker.
+func (w *worker) runHead(own *request) bool {
+	reqs, expired := w.q.popBatch(w.obm, w.max, own, w.runScratch)
+	for _, r := range expired {
+		w.shed.Add(1)
+		r.complete(ctxError(r.ctx.Err()))
+	}
+	popped := len(reqs) + len(expired)
+	counted := popped
+	if own != nil && w.q.led == 0 {
+		counted-- // own ran, and was never counted
+	}
+	if len(reqs) > 0 {
+		w.execute(reqs, own != nil)
+		clear(reqs) // completed requests belong to their submitters again
+		w.runScratch = reqs
+	}
+	// Only now, with the run applied: a direct read that finds pending
+	// zero must find every earlier submission in the engine.
+	if counted > 0 {
+		w.q.pending.Add(-int64(counted))
+	}
+	return popped > 0
+}
+
+// execute runs one popped run: a caller-led one (led) counts as DirectReads
+// or DirectWrites, its writes fenced first (§14), the worker's as Ops.
+func (w *worker) execute(reqs []*request, led bool) {
+	var now time.Time
+	if !led {
+		now = time.Now()
+		for _, r := range reqs {
+			w.queueWaitNs.Add(int64(now.Sub(r.enqueuedAt)))
+		}
+		w.ops.Add(int64(len(reqs)))
+		w.batches.Add(1)
+		if len(reqs) > 1 {
+			w.batchedOps.Add(int64(len(reqs)))
+		}
+	}
+	switch r := reqs[0]; {
+	case r.typ == reqRead:
+		w.executeReads(reqs, led)
+	case led:
+		for _, r := range reqs {
+			w.directWrites.Add(int64(len(r.ops)))
+			w.cache.Fence(r.ops)
+		}
 		w.executeWrites(reqs)
-	case reqRead:
-		w.executeReads(reqs)
-	case reqRun:
+	case r.typ == reqWrite:
+		w.executeWrites(reqs)
+	default:
 		r.complete(r.run(w))
+	}
+	if !led {
+		w.busyNs.Add(int64(time.Since(now)))
 	}
 }
 
@@ -227,15 +240,11 @@ func (w *worker) execute(reqs []*request) {
 // moved to another worker under the in-flight reshard (nil run in steady
 // state: one pointer load). Per moved target: copy the op bytes (the
 // submitter may reuse its buffers once acked), record every key in the
-// run's SeenSet before enqueueing, then wait for the
-// target to apply (worker.do, one target after another — a grow has one
-// target per source). The wait is what makes an acknowledged write durable
-// on both owners — cutover needs no drain phase, and a read after the
-// flip sees every pre-flip acked write. Self-owned keys (this worker is
-// the target: copy batches and incoming mirrors) are skipped, which also
-// terminates the forwarding chain. A mirror failure latches the run as
-// failed — the reshard aborts — but does not fail the primary write,
-// whose own engine already committed it.
+// run's SeenSet, then wait for the target to apply (worker.do, one target
+// after another). The wait makes an acknowledged write durable on both
+// owners, so cutover needs no drain phase. Self-owned keys (copy batches,
+// incoming mirrors) are skipped, which ends the forwarding chain. A mirror
+// failure fails the reshard, not the write its engine already committed.
 func (w *worker) mirrorMoved(ops []kv.BatchOp) {
 	run := w.resh.Load()
 	if run == nil {
@@ -357,7 +366,7 @@ func (w *worker) commit(ops []kv.BatchOp, txnGSN, streamGSN uint64, unrouted boo
 // ship records one applied write batch in the replication backlog. The
 // GSN is assigned here, at apply time, from the store's global counter —
 // the worker applies serially, so per-worker stream GSNs are strictly
-// increasing, the monotonicity partial sync depends on (a direct write
+// increasing, the monotonicity partial sync depends on (a caller-led run
 // ships under exec too, so it keeps that order). A replicated
 // record being applied on a replica (streamGSN != 0) keeps the GSN the
 // primary's worker assigned, preserving the cursor sequence down the
@@ -377,17 +386,17 @@ func (w *worker) ship(streamGSN uint64, ops []kv.BatchOp) {
 // executeReads resolves a run of GETs as one leg (readLeg): one multiget
 // when the engine has it (Figure 10b). Without one, the reads are issued
 // concurrently, one leg each, to exploit the engine's internal read
-// parallelism (§4.6's LevelDB/WiredTiger fallback).
-func (w *worker) executeReads(reqs []*request) {
+// parallelism (§4.6's LevelDB/WiredTiger fallback); led counts DirectReads.
+func (w *worker) executeReads(reqs []*request, led bool) {
 	if w.mg != nil || len(reqs) == 1 {
-		w.keyScratch, _ = w.readLeg(reqs, w.keyScratch, false)
+		w.keyScratch, _ = w.readLeg(reqs, w.keyScratch, led)
 	} else {
 		var wg sync.WaitGroup
 		for i := range reqs {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				w.readLeg(reqs[i:i+1], nil, false)
+				w.readLeg(reqs[i:i+1], nil, led)
 			}()
 		}
 		wg.Wait()
@@ -461,12 +470,11 @@ func (w *worker) park() {
 // stop drains and joins the worker, then closes its engine. A non-zero
 // deadline bounds the drain: if the worker has not finished by then
 // (typically wedged inside a stalled engine call), every still-queued
-// request is failed with kv.ErrClosed so its submitter unblocks, the
-// engine is closed asynchronously once the worker finally returns, and
-// stop reports the wedge instead of hanging. readers, when non-nil, closes
-// once no direct call is left inside any engine (Store.fenceSubmitters):
-// a caller wedged in this engine holds its close back exactly as a wedged
-// worker does. It is already closed whenever deadline is zero.
+// request is failed with kv.ErrClosed, the engine is closed once the
+// worker returns, and stop reports the wedge instead of hanging. readers
+// closes once no direct call is left inside any engine
+// (Store.fenceSubmitters): a caller wedged in this engine holds its close
+// back as a wedged worker does. It is closed whenever deadline is zero.
 func (w *worker) stop(deadline time.Time, readers <-chan struct{}) error {
 	w.q.close()
 	if deadline.IsZero() {
@@ -510,19 +518,19 @@ type WorkerStats struct {
 	ID int `json:"id" agg:"-"`
 	// Ops and Batches count what the worker goroutine executed: requests
 	// dequeued, and engine calls they were merged into. A key its caller
-	// read directly (DirectReads), or an op it wrote directly
+	// read directly (DirectReads), or an op of a run a caller led
 	// (DirectWrites), is in neither.
 	Ops        int64 `json:"ops" agg:"sum" info:"Store"`
 	Batches    int64 `json:"batches" agg:"sum" info:"Store"`
 	BatchedOps int64 `json:"batched_ops" agg:"sum" info:"Store"` // ops that traveled in a batch of >= 2
-	// DirectReads counts keys of synchronous reads — a Get's, or one
-	// MultiGet leg's — that found this worker idle and were read from its
-	// engine on the caller's goroutine, never entering the queue.
+	// DirectReads counts keys read from this worker's engine on a caller's
+	// goroutine: a Get's or a MultiGet leg's that found this worker idle and
+	// never entered the queue, or a queued read run's a write leader ran.
 	DirectReads int64 `json:"direct_reads" agg:"sum" info:"Store"`
-	// DirectWrites counts ops of synchronous writes — a Put's, a Delete's,
-	// a one-partition WriteCtx's or one WriteEachCtx leg's — that found this
-	// worker idle, no reshard running and no transaction among them, and
-	// were committed on the caller's goroutine, never entering the queue.
+	// DirectWrites counts ops, other submitters' too, of write runs led by
+	// a synchronous write (a Put's, Delete's, one-partition WriteCtx's or
+	// WriteEachCtx leg's, never a transaction's) that found this worker's
+	// exec free and no reshard running and ran the queue up to itself.
 	DirectWrites int64 `json:"direct_writes" agg:"sum" info:"Store"`
 	// BatchWriteOps counts write ops committed to the engine inside a
 	// multi-op WriteBatch (one journal IO for the whole batch); MultiGetOps

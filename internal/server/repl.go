@@ -748,8 +748,12 @@ func (m *replicaMgr) snapshotCursors() []uint64 {
 	return append([]uint64(nil), m.cursors...)
 }
 
+// advanceCursor records an applied frame; past the watermark, lag is unknown.
 func (m *replicaMgr) advanceCursor(worker int, gsn uint64) {
 	m.mu.Lock()
+	if worker < len(m.masterGSN) && gsn > m.masterGSN[worker] {
+		m.masterGSN = nil
+	}
 	if worker < len(m.cursors) && gsn > m.cursors[worker] {
 		m.cursors[worker] = gsn
 	} else if worker >= len(m.cursors) {
@@ -897,9 +901,7 @@ func (rs *replState) infoSection(b *strings.Builder, st *core.Store, snap *core.
 		mgr.mu.Unlock()
 		host, port, _ := net.SplitHostPort(addr)
 		fmt.Fprintf(b, "master_host:%s\r\nmaster_port:%s\r\nmaster_link_status:%s\r\n", host, port, status)
-		// Until the first heartbeat delivers the primary's watermarks the
-		// lag is unknown, not zero: a resync may still be replaying. -1
-		// keeps pollers waiting instead of declaring convergence early.
+		// Lag is unknown (-1), not 0, until a heartbeat outruns the stream.
 		if len(master) == 0 {
 			fmt.Fprintf(b, "replica_lag_gsn:-1\r\n")
 		} else {

@@ -151,6 +151,80 @@ func waitConverged(t *testing.T, c *client, key, want string) {
 	})
 }
 
+// TestReplicaNoticesSilentPrimary: a primary that answers PSYNC with
+// CONTINUE and then sends nothing, without closing the link, is marked down
+// once replReadTimeout passes without a frame, and stays down while the
+// primary cannot be reached again. The link comes up before t.Parallel, so
+// the timeout runs out while the package's serial tests do.
+func TestReplicaNoticesSilentPrimary(t *testing.T) {
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	accepted := make(chan net.Conn, 1)
+	go func() {
+		nc, err := lis.Accept()
+		lis.Close() // the primary is gone: every later dial is refused
+		if err != nil {
+			close(accepted)
+			return
+		}
+		accepted <- nc
+		rd, wr := NewReader(nc), NewWriter(nc)
+		if _, err := rd.ReadCommand(); err != nil {
+			return
+		}
+		wr.WriteSimple("CONTINUE silent-primary")
+		wr.Flush()
+		io.Copy(io.Discard, nc) // read the replica's acks, send nothing
+	}()
+	replica := startReplNode(t, 2, 1<<20, lis.Addr().String())
+	nc, ok := <-accepted
+	if !ok {
+		t.Fatal("the replica never dialled the primary")
+	}
+	defer nc.Close()
+	rc := replica.dial(t)
+	status := func() string { return infoMap(t, rc)["master_link_status"] }
+	waitFor(t, func() bool { return status() == "up" })
+	up := time.Now()
+	t.Parallel()
+	for status() == "up" {
+		if time.Since(up) > replReadTimeout+2*time.Second {
+			t.Fatalf("still up %v after the primary went silent (read timeout %v)", time.Since(up), replReadTimeout)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	if d := time.Since(up); d < replReadTimeout/2 {
+		t.Errorf("marked down after %v, before any read could time out", d)
+	}
+	waitFor(t, func() bool { return status() == "down" })
+	if lag := infoMap(t, rc)["replica_lag_gsn"]; lag != "-1" {
+		t.Errorf("replica_lag_gsn = %s on a dead link, want -1", lag)
+	}
+}
+
+// TestReplicaLagUnknownPastHeartbeat: a heartbeat is sent only on an idle
+// stream, so once the replica applies a record past the last heartbeat's
+// watermark that watermark is stale and the lag reads -1 (unknown), not 0,
+// until the next heartbeat.
+func TestReplicaLagUnknownPastHeartbeat(t *testing.T) {
+	prim := startReplNode(t, 2, 1<<20, "")
+	pc := prim.dial(t)
+	mustOK(t, pc.do(t, "SET", "k", "v1"))
+	rc := startReplNode(t, 2, 1<<20, prim.addr).dial(t)
+	t.Parallel() // the first heartbeat comes while the serial tests run
+	waitConverged(t, rc, "k", "v1")
+	lag := func() string { return infoMap(t, rc)["replica_lag_gsn"] }
+	waitFor(t, func() bool { return lag() == "0" })
+	mustOK(t, pc.do(t, "SET", "k", "v2"))
+	waitConverged(t, rc, "k", "v2")
+	if l := lag(); l != "-1" { // the next heartbeat is a second of idleness away
+		t.Errorf("replica_lag_gsn = %s right after applying past the last heartbeat, want -1", l)
+	}
+	waitFor(t, func() bool { return lag() == "0" })
+}
+
 // TestReplFullSyncAndStream is the happy path end to end: a replica
 // bootstraps from a primary that already has data (full sync), tails
 // the live stream, enforces read-only mode, and reports both roles

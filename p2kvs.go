@@ -45,9 +45,9 @@ type (
 	// Store is a p2KVS store (the accessing layer + workers). Its
 	// asynchronous forms (PutAsync, GetAsync) hand key and value to the
 	// engine without copying them: both must stay unmodified until the
-	// callback runs. A callback runs on
-	// a worker goroutine, so it should be short; the value GetAsync passes
-	// it is the caller's to keep, as Get's result is.
+	// callback runs, on a worker goroutine or a synchronous writer's that led
+	// its queue, so it should be short and must not call into the store; the
+	// value GetAsync passes it is the caller's to keep, as Get's result is.
 	Store = core.Store
 	// Batch accumulates write operations for atomic commit.
 	Batch = kv.Batch
